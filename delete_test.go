@@ -349,7 +349,10 @@ func TestConcurrentInsertDeleteQueryOracle(t *testing.T) {
 	// using applied on both ends would let an insert land in the engine
 	// an instant before its oracle entry publishes, making the reader
 	// reject a perfectly consistent state.
-	oracle := make([]float64, 1, ops+1)
+	// The slice is full-length from the start: the writer stores elements
+	// and publishes them through applied, never touching the slice header
+	// the readers index through.
+	oracle := make([]float64, ops+1)
 	var started, applied atomic.Int64
 
 	var wg sync.WaitGroup
@@ -390,7 +393,7 @@ func TestConcurrentInsertDeleteQueryOracle(t *testing.T) {
 				live = append(live, livePoint{id, v})
 				f += v
 			}
-			oracle = append(oracle, f)
+			oracle[i+1] = f
 			applied.Store(int64(i + 1))
 		}
 	}()
@@ -480,6 +483,7 @@ func TestSealRacingClose(t *testing.T) {
 			go func(seed int64) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed))
+				view := d.Clone() // query scratch is per clone, never shared
 				<-start
 				for i := 0; i < 200; i++ {
 					p := []float64{rng.Float64(), rng.Float64()}
@@ -487,7 +491,7 @@ func TestSealRacingClose(t *testing.T) {
 						return // closed under us: expected
 					}
 					if i%8 == 3 {
-						_, _ = d.Aggregate(p)
+						_, _ = view.Aggregate(p)
 					}
 				}
 			}(int64(round*10 + w))

@@ -10,6 +10,7 @@ import (
 	"karl/internal/dualtree"
 	"karl/internal/index"
 	"karl/internal/kernel"
+	"karl/internal/segment"
 	"karl/internal/vec"
 )
 
@@ -313,7 +314,7 @@ func (d *DynamicEngine) batchSnapshot(dims int) (*dynBatchSnap, error) {
 	}
 	decayed := sh.halfLife > 0
 	snap := &dynBatchSnap{trees: sh.man.Trees()}
-	extra := sh.mem.len() + sh.sealing.len() + len(sh.tombs)
+	extra := sh.mem.len() + sh.sealing.len() + sh.tombstonesLocked()
 	if extra > 0 {
 		snap.pts = vec.NewMatrix(extra, sh.dims)
 		snap.ws = make([]float64, 0, extra)
@@ -332,15 +333,16 @@ func (d *DynamicEngine) batchSnapshot(dims int) (*dynBatchSnap, error) {
 				row++
 			}
 		}
-		for _, tb := range sh.tombs {
-			copy(snap.pts.Row(row), tb.p)
-			w := tb.w
-			if decayed {
-				w *= sh.decayAt(nowT, tb.ref)
+		sh.eachDeadLocked(func(dead *segment.Dead) {
+			for i, w := range dead.W {
+				copy(snap.pts.Row(row), dead.Row(i))
+				if decayed {
+					w *= sh.decayAt(nowT, dead.Ref[i])
+				}
+				snap.ws = append(snap.ws, -w)
+				row++
 			}
-			snap.ws = append(snap.ws, -w)
-			row++
-		}
+		})
 	}
 	if decayed {
 		snap.scales = make([]float64, len(sh.man.Segs))

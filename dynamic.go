@@ -163,14 +163,17 @@ type dynShared struct {
 
 	man *segment.Manifest
 
-	// nextSeq numbers every inserted point (ids start at 1); tombs holds
-	// one tombstone per deleted-but-not-yet-compacted point, keyed by id.
-	// Every live tombstone's point sits in exactly one manifest segment
-	// (memtable deletes are physical; sealing-buffer deletes become
-	// segment rows when the seal installs), so compactions consume them.
-	nextSeq uint64
-	tombs   map[uint64]tombstone
-	deletes int
+	// nextSeq numbers every inserted point (ids start at 1). A deleted
+	// but not yet compacted point is a tombstone, held by the segment that
+	// stores its row (segment.Segment.Dead, guarded by mu): memtable
+	// deletes are physical, and a delete that hits the sealing buffer
+	// parks its tombstone in sealDead until the seal installs and the new
+	// segment adopts the set. Every rebuild hands the tombstones it did
+	// not consume on to its output, so attribution never needs a search
+	// and each segment's dead count is len(Dead.Seqs).
+	nextSeq  uint64
+	sealDead *segment.Dead
+	deletes  int
 
 	// delLog is the bounded replication delete log: the seqs of the last
 	// deletes in deletion order, so a follower polling DeletesSince can
@@ -194,30 +197,21 @@ type dynShared struct {
 	compacting bool
 	closed     bool
 
-	nextID      uint64
-	seals       int
-	compactions int
-	compactErr  error
+	// compactions counts completed rebuilds (tiered merges, dead-share
+	// rewrites, Compact and Split); deadRewrites is the dead-share subset
+	// and deadDrops the fully dead segments removed without a rebuild.
+	nextID       uint64
+	seals        int
+	compactions  int
+	deadRewrites int
+	deadDrops    int
+	compactErr   error
 
 	// cfgGen counts replacements of the query configuration (kernel,
 	// bound method, depth) after construction — today only a replica
 	// snapshot install. Views compare it against their forest's
 	// generation and rebuild before answering.
 	cfgGen uint64
-}
-
-// tombstone is the exact mass of one deleted point that still sits inside
-// an immutable segment (or the sealing buffer): weight and coordinates as
-// stored where it was found, plus the decay reference instant that weight
-// is scaled to. Queries subtract w·2^(−(T−ref)/halfLife)·K(q,p) from both
-// global bounds — the same algebra with which the live copy contributes,
-// so the cancellation is exact at any query time and any compaction
-// rebasing (rescaling a weight from ref to ref' multiplies both sides by
-// the same factor).
-type tombstone struct {
-	w   float64
-	ref int64
-	p   []float64
 }
 
 // ErrPointNotFound is returned by Delete when no live point has the given
@@ -289,7 +283,6 @@ func NewDynamic(kern Kernel, opts ...Option) (*DynamicEngine, error) {
 		man:           &segment.Manifest{},
 		nextID:        1,
 		nextSeq:       1,
-		tombs:         map[uint64]tombstone{},
 	}
 	if sh.now == nil {
 		sh.now = func() int64 { return time.Now().UnixNano() }
@@ -336,7 +329,31 @@ func (d *DynamicEngine) Len() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.man.Len() + sh.mem.len() + sh.sealing.len() - len(sh.tombs)
+	return sh.man.Len() + sh.mem.len() + sh.sealing.len() - sh.tombstonesLocked()
+}
+
+// tombstonesLocked counts the pending tombstones: every segment's dead
+// rows plus those parked on the sealing buffer.
+func (sh *dynShared) tombstonesLocked() int {
+	n := sh.sealDead.Len()
+	for _, s := range sh.man.Segs {
+		n += s.Dead.Len()
+	}
+	return n
+}
+
+// eachDeadLocked visits every non-empty tombstone set in the one order
+// all consumers share — manifest segments oldest first, then the sealing
+// buffer's — so sums over tombstones are bitwise repeatable.
+func (sh *dynShared) eachDeadLocked(visit func(d *segment.Dead)) {
+	for _, s := range sh.man.Segs {
+		if s.Dead.Len() > 0 {
+			visit(s.Dead)
+		}
+	}
+	if sh.sealDead.Len() > 0 {
+		visit(sh.sealDead)
+	}
 }
 
 // Dims returns the dataset dimensionality (0 before the first insert).
@@ -389,17 +406,18 @@ func (d *DynamicEngine) WeightMass() (pos, neg float64) {
 		}
 	}
 	// Tombstones cancel mass they still shadow inside segments.
-	for _, tb := range sh.tombs {
-		w := tb.w
-		if decayed {
-			w *= sh.decayAt(nowT, tb.ref)
+	sh.eachDeadLocked(func(d *segment.Dead) {
+		for i, w := range d.W {
+			if decayed {
+				w *= sh.decayAt(nowT, d.Ref[i])
+			}
+			if w >= 0 {
+				pos -= w
+			} else {
+				neg += w
+			}
 		}
-		if w >= 0 {
-			pos -= w
-		} else {
-			neg += w
-		}
-	}
+	})
 	return pos, neg
 }
 
@@ -435,13 +453,32 @@ func (d *DynamicEngine) Seals() int {
 	return sh.seals
 }
 
-// Compactions reports how many segment merges have completed (background
-// tiered merges plus explicit Compact calls).
+// Compactions reports how many segment rebuilds have completed:
+// background tiered merges and dead-share rewrites plus explicit Compact
+// calls. DeadRewrites counts the dead-share subset.
 func (d *DynamicEngine) Compactions() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.compactions
+}
+
+// DeadRewrites reports how many background compactions rewrote a single
+// segment because its dead rows reached a 1/Fanout share of it.
+func (d *DynamicEngine) DeadRewrites() int {
+	sh := d.sh
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.deadRewrites
+}
+
+// DeadDrops reports how many segments left the manifest without a rebuild
+// because every one of their rows had been deleted.
+func (d *DynamicEngine) DeadDrops() int {
+	sh := d.sh
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.deadDrops
 }
 
 // Tombstones reports how many deletes are pending physical removal —
@@ -451,7 +488,7 @@ func (d *DynamicEngine) Tombstones() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return len(sh.tombs)
+	return sh.tombstonesLocked()
 }
 
 // Deletes reports how many points have been deleted over the engine's
@@ -474,8 +511,10 @@ func (d *DynamicEngine) DecayHalfLife() time.Duration { return time.Duration(d.s
 type SegmentInfo struct {
 	// ID is the segment's stable identity (assigned at seal/merge time).
 	ID uint64
-	// Len is the number of points the segment stores.
-	Len int
+	// Len is the number of points the segment stores, Dead how many of
+	// them are deleted and awaiting physical removal.
+	Len  int
+	Dead int
 	// Coreset marks a lossy cold-compacted segment; Eps is its accumulated
 	// normalized error bound.
 	Coreset bool
@@ -487,11 +526,10 @@ type SegmentInfo struct {
 func (d *DynamicEngine) Segments() []SegmentInfo {
 	sh := d.sh
 	sh.mu.Lock()
-	man := sh.man
-	sh.mu.Unlock()
-	out := make([]SegmentInfo, len(man.Segs))
-	for i, s := range man.Segs {
-		out[i] = SegmentInfo{ID: s.ID, Len: s.Len(), Coreset: s.Coreset, Eps: s.Eps}
+	defer sh.mu.Unlock()
+	out := make([]SegmentInfo, len(sh.man.Segs))
+	for i, s := range sh.man.Segs {
+		out[i] = SegmentInfo{ID: s.ID, Len: s.Len(), Dead: s.Dead.Len(), Coreset: s.Coreset, Eps: s.Eps}
 	}
 	return out
 }
@@ -642,7 +680,10 @@ func (sh *dynShared) insertRowLocked(p []float64, w float64) (uint64, error) {
 // mass is subtracted from both global bounds of every query (so answers
 // reflect the delete immediately and the ε/τ guarantees stay anchored to
 // the true post-delete total) until a compaction touching its segment
-// physically drops the row and consumes the tombstone.
+// physically drops the row and consumes the tombstone. The tombstone is
+// held by the segment that stores the row; once a segment's dead rows
+// reach a 1/Fanout share of it the background compactor rewrites it, and
+// a segment with no live row left simply leaves the manifest.
 func (d *DynamicEngine) Delete(id uint64) error {
 	sh := d.sh
 	sh.mu.Lock()
@@ -664,9 +705,6 @@ func (d *DynamicEngine) Delete(id uint64) error {
 	if id == 0 || id >= sh.nextSeq {
 		return ErrPointNotFound
 	}
-	if _, dead := sh.tombs[id]; dead {
-		return ErrPointNotFound // already deleted, tombstone pending
-	}
 	if i, ok := sh.mem.find(id); ok {
 		sh.mem.removeAt(i)
 		sh.deletes++
@@ -682,7 +720,12 @@ func (d *DynamicEngine) Delete(id uint64) error {
 			if b.t != nil {
 				ref = b.t[i]
 			}
-			sh.tombs[id] = tombstone{w: b.w[i], ref: ref, p: append([]float64(nil), b.m.Row(i)...)}
+			if sh.sealDead == nil {
+				sh.sealDead = &segment.Dead{}
+			}
+			if !sh.sealDead.Add(id, b.w[i], ref, b.m.Row(i)) {
+				return ErrPointNotFound // already deleted, tombstone pending
+			}
 			sh.deletes++
 			sh.logDeleteLocked(id)
 			return nil
@@ -694,9 +737,17 @@ func (d *DynamicEngine) Delete(id uint64) error {
 			if s.Tree.Weights != nil {
 				w = s.Tree.Weights[row]
 			}
-			sh.tombs[id] = tombstone{w: w, ref: s.TimeRef, p: append([]float64(nil), s.Tree.Points.Row(row)...)}
+			if s.Dead == nil {
+				s.Dead = &segment.Dead{}
+			}
+			if !s.Dead.Add(id, w, s.TimeRef, s.Tree.Points.Row(row)) {
+				return ErrPointNotFound // already deleted, tombstone pending
+			}
 			sh.deletes++
 			sh.logDeleteLocked(id)
+			if sh.policy.RewriteDue(s) {
+				sh.maybeCompactLocked()
+			}
 			return nil
 		}
 	}
@@ -710,61 +761,82 @@ func (d *DynamicEngine) Delete(id uint64) error {
 // built. Returns with mu held.
 func (sh *dynShared) sealLocked() error {
 	for sh.mem.n >= sh.policy.SealSize {
-		if sh.sealing != nil || sh.draining {
-			// Another goroutine is sealing or a full compaction is
-			// snapshotting; it will broadcast when done.
-			sh.cond.Wait()
-			continue
+		if err := sh.sealStepLocked(); err != nil {
+			return err
 		}
-		sh.sealing = sh.mem
-		if sh.spare != nil {
-			sh.mem = sh.spare
-			sh.spare = nil
-		} else {
-			sh.mem = newMemtable(sh.policy.SealSize, sh.dims, sh.timed())
-		}
-		id := sh.nextID
-		sh.nextID++
-		buf := sh.sealing
-		run := buf.run()
-		var ref int64
-		var dropped []uint64
-		if sh.timed() {
-			nowT := sh.now()
-			if sh.halfLife > 0 {
-				ref = nowT // the new segment's decay reference instant
-			}
-			run, dropped = sh.sealRunLocked(buf, nowT, ref)
-		}
-		sh.mu.Unlock()
-		var seg *segment.Segment
-		var err error
-		if run.N > 0 {
-			seg, err = segment.Seal(run, ref, sh.bcfg, id)
-		}
-		sh.mu.Lock()
-		sh.sealing = nil
-		if err != nil {
-			// Unreachable with a validated build config; surface rather
-			// than silently dropping the buffered points.
-			sh.cond.Broadcast()
-			return fmt.Errorf("karl: sealing memtable: %w", err)
-		}
-		if seg != nil {
-			sh.man = sh.man.WithSealed(seg)
-		}
-		// Rows the seal expired away can carry tombstones placed while the
-		// build ran; the row and its tombstone vanish together here, so
-		// the subtraction never outlives the mass it cancels.
-		for _, sq := range dropped {
-			delete(sh.tombs, sq)
-		}
-		sh.seals++
-		buf.n = 0
-		sh.spare = buf
-		sh.maybeCompactLocked()
-		sh.cond.Broadcast()
 	}
+	return nil
+}
+
+// flushLocked seals the memtable whatever its fill, so that everything
+// buffered sits in the manifest before a newer segment is appended behind
+// it (the replica install path). Same locking contract as sealLocked.
+func (sh *dynShared) flushLocked() error {
+	for sh.mem.len() > 0 {
+		if err := sh.sealStepLocked(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sealStepLocked makes one step towards an empty active memtable: it
+// waits when another goroutine is sealing or a full compaction is
+// snapshotting (they broadcast when done), and otherwise seals the
+// memtable's rows into a segment.
+func (sh *dynShared) sealStepLocked() error {
+	if sh.sealing != nil || sh.draining {
+		sh.cond.Wait()
+		return nil
+	}
+	sh.sealing = sh.mem
+	if sh.spare != nil {
+		sh.mem = sh.spare
+		sh.spare = nil
+	} else {
+		sh.mem = newMemtable(sh.policy.SealSize, sh.dims, sh.timed())
+	}
+	id := sh.nextID
+	sh.nextID++
+	buf := sh.sealing
+	run := buf.run()
+	var ref int64
+	if sh.timed() {
+		nowT := sh.now()
+		if sh.halfLife > 0 {
+			ref = nowT // the new segment's decay reference instant
+		}
+		run = sh.sealRunLocked(buf, nowT, ref)
+	}
+	sh.mu.Unlock()
+	var seg *segment.Segment
+	var err error
+	if run.N > 0 {
+		seg, err = segment.Seal(run, ref, sh.bcfg, id)
+	}
+	sh.mu.Lock()
+	sh.sealing = nil
+	dead := sh.sealDead
+	sh.sealDead = nil
+	if err != nil {
+		// Unreachable with a validated build config; surface rather
+		// than silently dropping the buffered points.
+		sh.cond.Broadcast()
+		return fmt.Errorf("karl: sealing memtable: %w", err)
+	}
+	if seg != nil {
+		// Tombstones placed on the buffer while the build ran move to the
+		// segment that now stores their rows. Rows the seal expired away
+		// take their tombstones with them, so the subtraction never
+		// outlives the mass it cancels.
+		inheritDead(seg, nil, dead)
+		sh.man = sh.man.WithSealed(seg)
+	}
+	sh.seals++
+	buf.n = 0
+	sh.spare = buf
+	sh.maybeCompactLocked()
+	sh.cond.Broadcast()
 	return nil
 }
 
@@ -772,10 +844,9 @@ func (sh *dynShared) sealLocked() error {
 // cutoff and rescales surviving weights onto the decay reference ref,
 // copying into fresh buffers when anything changes (the shared sealing
 // buffer is scanned by concurrent queries and must stay untouched).
-// Returns the run to seal and the seqs of the dropped rows. Called with
-// mu held; the plain untimed path never reaches here and stays
-// allocation-free.
-func (sh *dynShared) sealRunLocked(buf *memtable, nowT, ref int64) (segment.MemRun, []uint64) {
+// Returns the run to seal. Called with mu held; the plain untimed path
+// never reaches here and stays allocation-free.
+func (sh *dynShared) sealRunLocked(buf *memtable, nowT, ref int64) segment.MemRun {
 	var cutoff int64
 	if sh.ttl > 0 {
 		cutoff = nowT - sh.ttl
@@ -788,10 +859,9 @@ func (sh *dynShared) sealRunLocked(buf *memtable, nowT, ref int64) (segment.MemR
 		kept++
 	}
 	if kept == buf.n && sh.halfLife <= 0 {
-		return buf.run(), nil // nothing expired, no decay: zero-copy
+		return buf.run() // nothing expired, no decay: zero-copy
 	}
 	var run segment.MemRun
-	var dropped []uint64
 	if kept > 0 {
 		run = segment.MemRun{
 			M: vec.NewMatrix(kept, buf.m.Cols), W: make([]float64, kept),
@@ -801,7 +871,6 @@ func (sh *dynShared) sealRunLocked(buf *memtable, nowT, ref int64) (segment.MemR
 	j := 0
 	for i := 0; i < buf.n; i++ {
 		if cutoff != 0 && buf.t[i] < cutoff {
-			dropped = append(dropped, buf.seq[i])
 			continue
 		}
 		copy(run.M.Row(j), buf.m.Row(i))
@@ -816,14 +885,30 @@ func (sh *dynShared) sealRunLocked(buf *memtable, nowT, ref int64) (segment.MemR
 		run.Times[j] = buf.t[i]
 		j++
 	}
-	return run, dropped
+	return run
 }
 
-// maybeCompactLocked starts one background tiered merge if the policy
-// calls for it and none is running.
+// maybeCompactLocked is the one place maintenance is planned: it removes
+// every segment whose rows are all dead (a manifest edit, no rebuild) and
+// starts one background rebuild if the policy calls for one — a tiered
+// merge or a dead-share rewrite — and none is running. It runs after every
+// seal and every finished rebuild, and from Delete and the replica install
+// whenever a tombstone pushes a segment over the dead-share threshold.
+// Planning reads only per-segment sizes and dead counts: its cost under
+// the lock does not grow with the number of pending tombstones.
 func (sh *dynShared) maybeCompactLocked() {
 	if !sh.autoCompact || sh.compacting || sh.draining || sh.closed {
 		return
+	}
+	var gone []uint64
+	for _, s := range sh.man.Segs {
+		if s.AllDead() {
+			gone = append(gone, s.ID)
+		}
+	}
+	if gone != nil {
+		sh.man = sh.man.WithReplaced(gone, nil)
+		sh.deadDrops += len(gone)
 	}
 	ids := sh.policy.Plan(sh.man)
 	if ids == nil {
@@ -833,18 +918,16 @@ func (sh *dynShared) maybeCompactLocked() {
 	segs := sh.man.Select(ids)
 	id := sh.nextID
 	sh.nextID++
-	opts, consumed := sh.mergeOptsLocked(segs)
-	go sh.compactSegments(ids, segs, id, opts, consumed)
+	go sh.compactSegments(ids, segs, id, sh.mergeOptsLocked(segs))
 }
 
-// mergeOptsLocked assembles, under the lock, the mutations a merge over
-// the given input segments applies: the pending tombstones whose points
-// live in one of the inputs (those rows are dropped and the tombstones
-// consumed when the merge installs), the TTL expiry cutoff, and the decay
-// rebase onto the merge instant. Tombstones placed after this snapshot
-// stay pending — the merged output keeps their rows, so the subtraction
-// still cancels live mass and a later compaction collects them.
-func (sh *dynShared) mergeOptsLocked(segs []*segment.Segment) (segment.MergeOpts, []uint64) {
+// mergeOptsLocked assembles, under the lock, the mutations a rebuild over
+// the given input segments applies: their dead rows as of now (dropped,
+// and their tombstones consumed, when the rebuild installs), the TTL
+// expiry cutoff, and the decay rebase onto the merge instant. The cost is
+// proportional to the inputs' dead rows. Tombstones placed after this
+// snapshot stay pending — the output keeps their rows and inherits them.
+func (sh *dynShared) mergeOptsLocked(segs []*segment.Segment) segment.MergeOpts {
 	var opts segment.MergeOpts
 	var nowT int64
 	if sh.timed() {
@@ -857,26 +940,62 @@ func (sh *dynShared) mergeOptsLocked(segs []*segment.Segment) (segment.MergeOpts
 		opts.HalfLife = sh.halfLife
 		opts.NewRef = nowT
 	}
-	var consumed []uint64
-	for seq := range sh.tombs {
-		for _, s := range segs {
-			if _, ok := s.Find(seq); ok {
-				if opts.Drop == nil {
-					opts.Drop = make(map[uint64]bool, len(sh.tombs))
-				}
-				opts.Drop[seq] = true
-				consumed = append(consumed, seq)
-				break
-			}
+	for _, s := range segs {
+		if s.Seqs == nil || s.Dead.Len() == 0 {
+			continue // coreset rows are not addressable: nothing to drop
+		}
+		if opts.Drop == nil {
+			opts.Drop = make(map[uint64]bool, s.Dead.Len())
+		}
+		for _, seq := range s.Dead.Seqs {
+			opts.Drop[seq] = true
 		}
 	}
-	return opts, consumed
+	return opts
 }
 
-// compactSegments merges the planned segments off the query and insert
-// paths and swaps the result in atomically. Queries started before the
-// swap keep refining over the old snapshot.
-func (sh *dynShared) compactSegments(ids []uint64, segs []*segment.Segment, id uint64, opts segment.MergeOpts, consumed []uint64) {
+// inheritDead attributes to a freshly built segment the tombstones of its
+// inputs that the build did not consume (those outside its drop set,
+// placed after its snapshot) and whose rows it still stores. A tombstone
+// whose row the build expired away vanishes with it; a coreset output
+// (rows no longer addressable) keeps every unconsumed tombstone. A nil out
+// discards them all — no row survived.
+func inheritDead(out *segment.Segment, drop map[uint64]bool, inputs ...*segment.Dead) {
+	if out == nil {
+		return
+	}
+	for _, d := range inputs {
+		for i := 0; i < d.Len(); i++ {
+			seq := d.Seqs[i]
+			if drop[seq] {
+				continue
+			}
+			if out.Seqs != nil {
+				if _, ok := out.Find(seq); !ok {
+					continue
+				}
+			}
+			if out.Dead == nil {
+				out.Dead = &segment.Dead{}
+			}
+			out.Dead.Add(seq, d.W[i], d.Ref[i], d.Row(i))
+		}
+	}
+}
+
+// deadOf lists the tombstone sets of the given segments.
+func deadOf(segs []*segment.Segment) []*segment.Dead {
+	out := make([]*segment.Dead, len(segs))
+	for i, s := range segs {
+		out[i] = s.Dead
+	}
+	return out
+}
+
+// compactSegments rebuilds the planned segments into one off the query
+// and insert paths and swaps the result in atomically. Queries started
+// before the swap keep refining over the old snapshot.
+func (sh *dynShared) compactSegments(ids []uint64, segs []*segment.Segment, id uint64, opts segment.MergeOpts) {
 	merged, err := segment.Merge(segs, segment.MemRun{}, opts, sh.bcfg, id)
 	if err == nil && merged != nil && sh.policy.ColdEps > 0 && merged.Len() >= sh.policy.ColdMin {
 		// Cold tier: compress large merged segments into a provable-error
@@ -891,12 +1010,13 @@ func (sh *dynShared) compactSegments(ids []uint64, segs []*segment.Segment, id u
 	if err != nil {
 		sh.compactErr = err
 	} else {
+		inheritDead(merged, opts.Drop, deadOf(segs)...)
 		sh.man = sh.man.WithReplaced(ids, merged)
-		for _, seq := range consumed {
-			delete(sh.tombs, seq)
-		}
 		sh.compactions++
-		sh.maybeCompactLocked() // cascade into the next tier if due
+		if len(ids) == 1 {
+			sh.deadRewrites++
+		}
+		sh.maybeCompactLocked() // cascade: next tier, next dead-heavy segment
 	}
 	sh.cond.Broadcast()
 	sh.mu.Unlock()
@@ -936,7 +1056,7 @@ func (d *DynamicEngine) Compact() error {
 		sh.mu.Unlock()
 		return nil // empty
 	}
-	if len(sh.man.Segs) == 1 && memN == 0 && len(sh.tombs) == 0 && sh.ttl == 0 {
+	if len(sh.man.Segs) == 1 && memN == 0 && sh.tombstonesLocked() == 0 && sh.ttl == 0 {
 		// One segment, nothing buffered, no pending deletes, no window to
 		// enforce: already fully compact. (Pending tombstones or a TTL
 		// force the merge so dead rows are physically dropped.)
@@ -948,7 +1068,7 @@ func (d *DynamicEngine) Compact() error {
 	run := sh.mem.run()
 	id := sh.nextID
 	sh.nextID++
-	opts, consumed := sh.mergeOptsLocked(segs)
+	opts := sh.mergeOptsLocked(segs)
 	sh.mu.Unlock()
 	merged, err := segment.Merge(segs, run, opts, sh.bcfg, id)
 	sh.mu.Lock()
@@ -958,10 +1078,10 @@ func (d *DynamicEngine) Compact() error {
 		if merged != nil {
 			man.Segs = []*segment.Segment{merged}
 		}
+		// Deletes were blocked throughout: only tombstones shadowing
+		// coreset rows can be left to hand on.
+		inheritDead(merged, opts.Drop, deadOf(segs)...)
 		sh.man = man
-		for _, seq := range consumed {
-			delete(sh.tombs, seq)
-		}
 		sh.compactions++
 		if sh.mem != nil {
 			sh.mem.n = 0 // absorbed into the merged segment
@@ -1038,14 +1158,15 @@ func (d *DynamicEngine) snapshot(q []float64) (man *segment.Manifest, base float
 		}
 		scanned += b.n
 	}
-	for _, tb := range sh.tombs {
-		w := tb.w
-		if decayed {
-			w *= sh.decayAt(nowT, tb.ref)
+	sh.eachDeadLocked(func(dead *segment.Dead) {
+		for i, w := range dead.W {
+			if decayed {
+				w *= sh.decayAt(nowT, dead.Ref[i])
+			}
+			base -= w * p.Eval(q, dead.Row(i))
 		}
-		base -= w * p.Eval(q, tb.p)
-		scanned++
-	}
+		scanned += dead.Len()
+	})
 	if decayed {
 		d.scales = d.scales[:0]
 		for _, s := range sh.man.Segs {

@@ -110,10 +110,10 @@ func (sh *dynShared) deletesSinceLocked(pos uint64) ([]uint64, uint64, error) {
 
 // replicaSegment is one sealed segment selected for whole shipping,
 // captured under the lock and encoded outside it (segments are
-// immutable; only the tombstone subset needs copying).
+// immutable; only their tombstone set needs copying).
 type replicaSegment struct {
-	seg   *segment.Segment
-	tombs []uint64 // sorted seqs of tombstones shadowing rows of this segment
+	seg  *segment.Segment
+	dead *segment.Dead // copy of the tombstones shadowing rows of this segment
 }
 
 // replicaExportLocked classifies every sealed segment against the fence:
@@ -131,7 +131,7 @@ func (sh *dynShared) replicaExportLocked(fence uint64) ([]replicaSegment, []Tail
 			if fence != 0 {
 				return nil, nil, fmt.Errorf("%w: segment %d is a coreset (no per-row seqs)", ErrReplicaResync, s.ID)
 			}
-			segs = append(segs, replicaSegment{seg: s})
+			segs = append(segs, replicaSegment{seg: s, dead: s.Dead.Clone()})
 			continue
 		}
 		minSeq, maxSeq := s.Seqs[0], s.Seqs[len(s.Seqs)-1]
@@ -139,14 +139,7 @@ func (sh *dynShared) replicaExportLocked(fence uint64) ([]replicaSegment, []Tail
 			continue // follower already has every row of this segment
 		}
 		if minSeq > fence {
-			rs := replicaSegment{seg: s}
-			for seq := range sh.tombs {
-				if _, ok := s.Find(seq); ok {
-					rs.tombs = append(rs.tombs, seq)
-				}
-			}
-			sort.Slice(rs.tombs, func(i, j int) bool { return rs.tombs[i] < rs.tombs[j] })
-			segs = append(segs, rs)
+			segs = append(segs, replicaSegment{seg: s, dead: s.Dead.Clone()})
 			continue
 		}
 		// Straddler: the follower holds a prefix of this segment's rows.
@@ -156,7 +149,7 @@ func (sh *dynShared) replicaExportLocked(fence uint64) ([]replicaSegment, []Tail
 		lo := sort.Search(len(s.Seqs), func(i int) bool { return s.Seqs[i] > fence })
 		for i := lo; i < len(s.Seqs); i++ {
 			seq := s.Seqs[i]
-			if _, dead := sh.tombs[seq]; dead {
+			if s.Dead.Has(seq) {
 				continue
 			}
 			// Seqs is insertion-ordered while the tree stores rows in leaf
@@ -185,9 +178,9 @@ func (sh *dynShared) replicaExportLocked(fence uint64) ([]replicaSegment, []Tail
 // payload: the same stream format a full WriteTo produces, restricted to
 // a single segment and an empty memtable, so InstallSegmentStream can
 // reuse ReadDynamic's full validation. Safe to call without the lock on
-// the captured replicaSegment (segments are immutable); tombSnap maps
-// seq → tombstone and must be a copy taken under the lock.
-func (sh *dynShared) segmentStreamPayload(rs replicaSegment, tombSnap map[uint64]tombstone, kind IndexKind, method Method) dynamicPayload {
+// the captured replicaSegment (segments are immutable, and its tombstone
+// set is a copy taken under the lock).
+func (sh *dynShared) segmentStreamPayload(rs replicaSegment, kind IndexKind, method Method) dynamicPayload {
 	s := rs.seg
 	p := dynamicPayload{
 		Version:     persistVersion,
@@ -206,7 +199,7 @@ func (sh *dynShared) segmentStreamPayload(rs replicaSegment, tombSnap map[uint64
 		NextID:      s.ID + 1,
 		TTL:         sh.ttl,
 		HalfLife:    int64(sh.halfLife),
-		Deletes:     len(rs.tombs),
+		Deletes:     rs.dead.Len(),
 		LeafFloat32: sh.bcfg.Leaf32,
 	}
 	p.Segments = []segmentPayload{{
@@ -223,41 +216,26 @@ func (sh *dynShared) segmentStreamPayload(rs replicaSegment, tombSnap map[uint64
 	} else {
 		p.NextSeq = 1
 	}
-	if len(rs.tombs) > 0 {
-		p.TombSeqs = append([]uint64(nil), rs.tombs...)
-		p.TombW = make([]float64, len(rs.tombs))
-		p.TombRef = make([]int64, len(rs.tombs))
-		p.TombPts = make([]float64, 0, len(rs.tombs)*p.Dims)
-		for i, seq := range rs.tombs {
-			tb := tombSnap[seq]
-			p.TombW[i] = tb.w
-			p.TombRef[i] = tb.ref
-			p.TombPts = append(p.TombPts, tb.p...)
-		}
-	}
+	p.setTombs(rs.dead)
 	return p
 }
 
 // exportConfigLocked snapshots the pieces of shared state the encoders
 // need after the lock is released.
-func (sh *dynShared) exportConfigLocked() (kind IndexKind, method Method, tombSnap map[uint64]tombstone) {
+func (sh *dynShared) exportConfigLocked() (kind IndexKind, method Method) {
 	kind = publicIndexKind(sh.bcfg.Kind)
 	method = MethodKARL
 	if sh.method == methodOf(MethodSOTA) {
 		method = MethodSOTA
 	}
-	tombSnap = make(map[uint64]tombstone, len(sh.tombs))
-	for seq, tb := range sh.tombs {
-		tombSnap[seq] = tb
-	}
-	return kind, method, tombSnap
+	return kind, method
 }
 
-func encodeSegmentStreams(sh *dynShared, segs []replicaSegment, tombSnap map[uint64]tombstone, kind IndexKind, method Method) ([][]byte, error) {
+func encodeSegmentStreams(sh *dynShared, segs []replicaSegment, kind IndexKind, method Method) ([][]byte, error) {
 	out := make([][]byte, len(segs))
 	for i, rs := range segs {
 		var buf bytes.Buffer
-		p := sh.segmentStreamPayload(rs, tombSnap, kind, method)
+		p := sh.segmentStreamPayload(rs, kind, method)
 		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
 			return nil, fmt.Errorf("karl: encode replica segment %d: %w", rs.seg.ID, err)
 		}
@@ -285,9 +263,9 @@ func (d *DynamicEngine) SegmentsSince(fence uint64) ([][]byte, []TailRow, error)
 		sh.mu.Unlock()
 		return nil, nil, err
 	}
-	kind, method, tombSnap := sh.exportConfigLocked()
+	kind, method := sh.exportConfigLocked()
 	sh.mu.Unlock()
-	streams, err := encodeSegmentStreams(sh, segs, tombSnap, kind, method)
+	streams, err := encodeSegmentStreams(sh, segs, kind, method)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -359,9 +337,9 @@ func (d *DynamicEngine) PullBatch(fence, delPos uint64) (*ReplicaBatch, error) {
 	}
 	rows = append(rows, sh.memTailLocked(fence)...)
 	nextSeq := sh.nextSeq
-	kind, method, tombSnap := sh.exportConfigLocked()
+	kind, method := sh.exportConfigLocked()
 	sh.mu.Unlock()
-	streams, err := encodeSegmentStreams(sh, segs, tombSnap, kind, method)
+	streams, err := encodeSegmentStreams(sh, segs, kind, method)
 	if err != nil {
 		return nil, err
 	}
@@ -424,6 +402,13 @@ func (d *DynamicEngine) installReplicaSegment(ds *decodedSegment) error {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	// Everything buffered is older than the incoming segment (loose rows
+	// of an older straddler apply before it): seal it first, so the
+	// manifest stays in sequence order and any later merge of neighbours
+	// concatenates ascending sequence numbers.
+	if err := sh.flushLocked(); err != nil {
+		return err
+	}
 	for sh.sealing != nil || sh.draining {
 		sh.cond.Wait()
 	}
@@ -457,14 +442,11 @@ func (d *DynamicEngine) installReplicaSegment(ds *decodedSegment) error {
 	id := sh.nextID
 	sh.nextID++
 	installed := segment.New(seg.Tree, id, seg.Coreset, seg.Eps, seg.Seqs, seg.Times, seg.TimeRef)
-	for seq, tb := range src.tombs {
-		if _, dup := sh.tombs[seq]; dup {
-			return fmt.Errorf("karl: replica segment stream repeats tombstone %d", seq)
-		}
-		sh.tombs[seq] = tb
-		sh.deletes++
-		sh.delLogBase++ // pre-snapshot deletes: never replayed incrementally
-	}
+	// The stream's tombstones shadow rows of this segment and travel with
+	// it; they are pre-snapshot deletes, never replayed incrementally.
+	installed.Dead = seg.Dead
+	sh.deletes += seg.Dead.Len()
+	sh.delLogBase += uint64(seg.Dead.Len())
 	sh.man = sh.man.WithSealed(installed)
 	sh.seals++
 	sh.maybeCompactLocked()
@@ -615,7 +597,7 @@ func (d *DynamicEngine) InstallSnapshot(r io.Reader) error {
 	if sh.closed {
 		return errors.New("karl: engine is closed")
 	}
-	if sh.man.Len() != 0 || sh.mem.len() != 0 || sh.nextSeq > 1 || len(sh.tombs) > 0 ||
+	if sh.man.Len() != 0 || sh.mem.len() != 0 || sh.nextSeq > 1 ||
 		sh.sealing != nil || sh.draining || sh.compacting {
 		return errors.New("karl: snapshot install requires an empty, idle engine")
 	}
@@ -637,11 +619,11 @@ func (d *DynamicEngine) InstallSnapshot(r io.Reader) error {
 	sh.deletes = src.deletes
 	sh.delLog = nil
 	sh.delLogBase = src.delLogBase
-	sh.tombs = src.tombs
 	// The kernel configuration above may differ from what this engine
 	// was constructed with; bumping the generation makes every live view
 	// (and pooled clone) rebuild its forest before the next answer
 	// instead of refining with the superseded kernel.
 	sh.cfgGen++
+	sh.maybeCompactLocked()
 	return nil
 }

@@ -30,10 +30,9 @@ func replicaPump(t *testing.T, leader, follower *DynamicEngine, fence, delPos ui
 }
 
 // checkReplicaConverged asserts the follower answers queries identically
-// to the leader up to float summation order (tombstone mass accumulates
-// over a map, so even one engine is not bitwise-reproducible across
-// calls): same point count, same mass and same aggregates within 1e-9
-// relative.
+// to the leader up to float summation order (the two hold the same live
+// mass in differently shaped manifests): same point count, same mass and
+// same aggregates within 1e-9 relative.
 func checkReplicaConverged(t *testing.T, leader, follower *DynamicEngine, qs [][]float64) {
 	t.Helper()
 	close9 := func(a, b float64) bool {

@@ -148,7 +148,7 @@ func (d *DynamicEngine) Split(pred func(p []float64) bool) (MutableEngine, error
 	run := sh.mem.run()
 	keepID := sh.nextID
 	sh.nextID++
-	opts, consumed := sh.mergeOptsLocked(segs)
+	opts := sh.mergeOptsLocked(segs)
 	sh.mu.Unlock()
 
 	keepSeg, moveSeg, err := segment.Divide(segs, run, opts, pred, sh.bcfg, keepID, 1)
@@ -160,14 +160,18 @@ func (d *DynamicEngine) Split(pred func(p []float64) bool) (MutableEngine, error
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("karl: split: %w", err)
 	}
+	// Deletes were blocked throughout, so every addressable tombstone was
+	// consumed; only those shadowing coreset rows are left to hand on.
+	heir := keepSeg
+	if heir == nil {
+		heir = moveSeg
+	}
+	inheritDead(heir, opts.Drop, deadOf(segs)...)
 	man := &segment.Manifest{Epoch: sh.man.Epoch + 1}
 	if keepSeg != nil {
 		man.Segs = []*segment.Segment{keepSeg}
 	}
 	sh.man = man
-	for _, seq := range consumed {
-		delete(sh.tombs, seq)
-	}
 	sh.compactions++
 	if sh.mem != nil {
 		sh.mem.n = 0 // absorbed into the divide
@@ -220,7 +224,6 @@ func (sh *dynShared) emptySiblingLocked() *dynShared {
 		man:           &segment.Manifest{},
 		nextID:        1,
 		nextSeq:       sh.nextSeq,
-		tombs:         map[uint64]tombstone{},
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m

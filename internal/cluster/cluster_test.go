@@ -414,7 +414,7 @@ func TestCoordinatorChaos(t *testing.T) {
 	if !res.Partial || len(res.Failed) != 1 {
 		t.Fatalf("degraded aggregate should be partial with one failed shard: %+v", res)
 	}
-	wantCovered := (co.wTotal - deadW) / co.wTotal
+	wantCovered := (co.weightTotal() - deadW) / co.weightTotal()
 	if math.Abs(res.Covered-wantCovered) > 1e-9 {
 		t.Fatalf("covered = %v, want %v", res.Covered, wantCovered)
 	}

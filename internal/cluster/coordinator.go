@@ -89,7 +89,11 @@ type Shard struct {
 type shardState struct {
 	client   ShardClient
 	replicas []ShardClient
-	info     ShardInfo
+	// info is the shard's dataset description as of construction or, under
+	// a WritableCoordinator, as of the last write routed to it (setInfo):
+	// the a-priori clamp [klo·W_S, khi·W_S] every exchange starts from is
+	// only sound while W_S is current.
+	info atomic.Pointer[ShardInfo]
 
 	lat       latencyWindow
 	requests  atomic.Int64
@@ -109,8 +113,6 @@ type Coordinator struct {
 	dims   int
 	kernel string
 	gamma  float64
-	points int
-	wTotal float64
 	// klo/khi is the kernel's per-unit-weight value range, the basis for
 	// a-priori shard bounds when a shard has not answered yet (±Inf for
 	// unbounded kernels).
@@ -148,7 +150,7 @@ func New(ctx context.Context, shards []Shard, cfg Config) (*Coordinator, error) 
 				errs[i] = err
 				return
 			}
-			s.info = info
+			s.info.Store(&info)
 		}(i, s)
 	}
 	wg.Wait()
@@ -156,26 +158,47 @@ func New(ctx context.Context, shards []Shard, cfg Config) (*Coordinator, error) 
 		return nil, fmt.Errorf("cluster: shard discovery failed: %w", err)
 	}
 
-	first := co.shards[0].info
+	first := co.shards[0].info.Load()
 	co.dims, co.kernel, co.gamma = first.Dims, first.Kernel, first.Gamma
 	co.klo, co.khi = kernelRange(first.Kernel)
 	for _, s := range co.shards {
-		if s.info.Dims != co.dims || s.info.Kernel != co.kernel || s.info.Gamma != co.gamma {
+		if info := s.info.Load(); info.Dims != co.dims || info.Kernel != co.kernel || info.Gamma != co.gamma {
 			return nil, fmt.Errorf(
 				"cluster: shard %s serves (%s γ=%v, %dd), want (%s γ=%v, %dd): shards must hold one partitioned dataset",
-				s.client.Name(), s.info.Kernel, s.info.Gamma, s.info.Dims, co.kernel, co.gamma, co.dims)
+				s.client.Name(), info.Kernel, info.Gamma, info.Dims, co.kernel, co.gamma, co.dims)
 		}
-		co.points += s.info.Points
-		co.wTotal += s.info.Weight()
 	}
 	return co, nil
+}
+
+// weight returns the shard's current weight mass W_S.
+func (s *shardState) weight() float64 { return s.info.Load().Weight() }
+
+// setInfo replaces shard i's cardinality and weight masses — the write
+// path of a WritableCoordinator calls it after every acknowledged write,
+// so queries starting afterwards clamp against the shard's current mass.
+func (co *Coordinator) setInfo(i int, info ShardInfo) { co.shards[i].info.Store(&info) }
+
+// weightTotal sums the shards' current weight masses.
+func (co *Coordinator) weightTotal() float64 {
+	var w float64
+	for _, s := range co.shards {
+		w += s.weight()
+	}
+	return w
 }
 
 // Dims returns the query dimensionality.
 func (co *Coordinator) Dims() int { return co.dims }
 
 // Points returns the total dataset cardinality across shards.
-func (co *Coordinator) Points() int { return co.points }
+func (co *Coordinator) Points() int {
+	n := 0
+	for _, s := range co.shards {
+		n += s.info.Load().Points
+	}
+	return n
+}
 
 // KernelName returns the kernel family the cluster serves.
 func (co *Coordinator) KernelName() string { return co.kernel }
@@ -289,7 +312,7 @@ func (co *Coordinator) Aggregate(ctx context.Context, q []float64) (Result, erro
 			continue
 		}
 		sum += values[i]
-		aliveW += s.info.Weight()
+		aliveW += s.weight()
 	}
 	if len(failed) == n {
 		return Result{}, fmt.Errorf("%w: all %d shards failed (first error: %v)", ErrUnavailable, n, firstErr)
@@ -310,8 +333,8 @@ func (co *Coordinator) coveredFraction(aliveW float64, nFailed int) float64 {
 	if nFailed == 0 {
 		return 1
 	}
-	if co.wTotal > 0 {
-		return aliveW / co.wTotal
+	if wTotal := co.weightTotal(); wTotal > 0 {
+		return aliveW / wTotal
 	}
 	return float64(len(co.shards)-nFailed) / float64(len(co.shards))
 }
@@ -368,7 +391,7 @@ func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) 
 
 	st := make([]*exchState, len(co.shards))
 	for i, s := range co.shards {
-		lb, ub := co.apriori(s.info)
+		lb, ub := co.apriori(*s.info.Load())
 		st[i] = &exchState{lb: lb, ub: ub, eps: co.cfg.InitialEps, alive: true}
 	}
 	decided := func(lb, ub float64) (over, ok bool) {
@@ -446,6 +469,7 @@ func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) 
 // reachable shard is queried.
 func (co *Coordinator) thresholdTodo(st []*exchState, sumLB, sumUB, tau float64, exactRound bool) []int {
 	minNeed := math.Min(tau-sumLB, sumUB-tau)
+	wTotal := co.weightTotal()
 	var todo, loose []int
 	for i, s := range st {
 		if !s.alive || s.gap() <= 0 {
@@ -457,8 +481,8 @@ func (co *Coordinator) thresholdTodo(st []*exchState, sumLB, sumUB, tau float64,
 			continue
 		}
 		share := 1.0 / float64(len(st))
-		if co.wTotal > 0 {
-			share = co.shards[i].info.Weight() / co.wTotal
+		if wTotal > 0 {
+			share = co.shards[i].weight() / wTotal
 		}
 		if s.gap() > minNeed*share {
 			todo = append(todo, i)
@@ -474,7 +498,7 @@ func (co *Coordinator) aliveWeight(st []*exchState) float64 {
 	var w float64
 	for i, s := range st {
 		if s.alive {
-			w += co.shards[i].info.Weight()
+			w += co.shards[i].weight()
 		}
 	}
 	return w
@@ -535,7 +559,7 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 
 	st := make([]*exchState, len(co.shards))
 	for i, s := range co.shards {
-		lb, ub := co.apriori(s.info)
+		lb, ub := co.apriori(*s.info.Load())
 		st[i] = &exchState{lb: lb, ub: ub, eps: eps, alive: true}
 	}
 
@@ -591,7 +615,7 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 			covered = append(covered, i)
 			lb += s.lb
 			ub += s.ub
-			aliveW += co.shards[i].info.Weight()
+			aliveW += co.shards[i].weight()
 		}
 		if len(covered) == 0 {
 			return Result{}, fmt.Errorf("%w: all %d shards failed", ErrUnavailable, len(st))
@@ -617,7 +641,7 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 			}
 			share := 1.0 / float64(len(covered))
 			if aliveW > 0 {
-				share = co.shards[i].info.Weight() / aliveW
+				share = co.shards[i].weight() / aliveW
 			}
 			if st[i].gap() > allow*share {
 				todo = append(todo, i)
@@ -638,7 +662,7 @@ func (co *Coordinator) approxResult(lb, ub float64, st []*exchState) Result {
 	var aliveW float64
 	for i, s := range st {
 		if s.alive && s.queried {
-			aliveW += co.shards[i].info.Weight()
+			aliveW += co.shards[i].weight()
 		} else {
 			failed = append(failed, co.shards[i].client.Name())
 		}
@@ -822,8 +846,8 @@ func (co *Coordinator) Stats() []ShardStats {
 		p99, _ := s.lat.rawQuantile(0.99)
 		out[i] = ShardStats{
 			Name:      s.client.Name(),
-			Points:    s.info.Points,
-			Weight:    s.info.Weight(),
+			Points:    s.info.Load().Points,
+			Weight:    s.weight(),
 			Replicas:  len(s.replicas),
 			Requests:  s.requests.Load(),
 			Errors:    s.errors.Load(),

@@ -301,18 +301,16 @@ func (s *HTTPServer) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, errors.New(`provide "id" (single) or "ids" (bulk)`))
 		return
 	}
-	for i, id := range ids {
-		if err := s.wco.Delete(r.Context(), id); err != nil {
-			status := s.queryStatus(err)
-			if errors.Is(err, karl.ErrPointNotFound) {
-				status = http.StatusNotFound
-			}
-			s.errors.Add(1)
-			writeJSON(w, status, errorResponse{
-				fmt.Sprintf("id %d: %v (%d of %d deleted)", id, err, i, len(ids)),
-			})
-			return
+	if n, err := s.wco.DeleteMany(r.Context(), ids); err != nil {
+		status := s.queryStatus(err)
+		if errors.Is(err, karl.ErrPointNotFound) {
+			status = http.StatusNotFound
 		}
+		s.errors.Add(1)
+		writeJSON(w, status, errorResponse{
+			fmt.Sprintf("id %d: %v (%d of %d deleted)", ids[n], err, n, len(ids)),
+		})
+		return
 	}
 	writeJSON(w, http.StatusOK, ClusterDeleteResponse{Deleted: len(ids), Epoch: s.wco.Epoch()})
 }

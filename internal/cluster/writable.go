@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -470,7 +471,9 @@ func (w *WritableCoordinator) Health(ctx context.Context) []ShardHealth {
 // them on a retry instead of duplicating them. A successful insert may
 // trigger an automatic shard split (spawn configured, weight imbalance
 // over SplitFactor, probed once every SplitCheckEvery inserted points);
-// split failures never fail the insert.
+// split failures never fail the insert. Before returning — also on a
+// mid-batch failure — the read coordinator's weight masses of every member
+// that acknowledged points are refreshed (refreshMassLocked).
 func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, weights []float64) ([]uint64, error) {
 	if len(points) == 0 {
 		return nil, errors.New("cluster: empty insert")
@@ -481,6 +484,8 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	m := w.mem.Load()
+	var touched []uint64 // members that acknowledged points of this call
+	defer func() { w.refreshMassLocked(ctx, touched) }()
 
 	// Group per owning member, preserving input order within each group.
 	groups := map[uint64][]int{}
@@ -554,6 +559,7 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 			return partial(), fmt.Errorf("cluster: member %d returned %d ids for %d points (%d of %d points landed; non-zero returned ids name them)",
 				mid, len(local), len(idxs), landed, len(points))
 		}
+		touched = append(touched, mid)
 		for j, i := range idxs {
 			gid, err := EncodeID(mid, local[j])
 			if err != nil {
@@ -579,6 +585,34 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 	return ids, nil
 }
 
+// refreshMassLocked re-reads Info from every listed member and installs
+// its cardinality and weight masses in the current read coordinator, so
+// the a-priori clamp [klo·W_S, khi·W_S] that every Threshold/Approximate
+// exchange starts from tracks the shard's true mass. Without it the
+// masses stay at their membership-build values (the first insert's, for a
+// cluster founded empty) and a shard holding more mass than recorded is
+// clamped below its true contribution — a silently wrong eKAQ. It runs on
+// the write path only, one Info round trip per touched member per call;
+// reads pay nothing. A probe failure keeps the old masses (the write is
+// already acknowledged; the next write to the member probes again).
+// Called with w.mu held.
+func (w *WritableCoordinator) refreshMassLocked(ctx context.Context, members []uint64) {
+	m := w.mem.Load()
+	for i := range m.man.Members {
+		id := m.man.Members[i].ID
+		c := m.clients[id]
+		if c == nil || !slices.Contains(members, id) {
+			continue
+		}
+		ictx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
+		info, err := c.Info(ictx)
+		cancel()
+		if err == nil {
+			m.co.setInfo(i, info) // shards are built in manifest member order
+		}
+	}
+}
+
 // Delete removes the point with the given cluster-global id. The id
 // routes to the member that assigned it; if that member no longer holds
 // the point, the delete chases the split lineage — only descendants whose
@@ -586,12 +620,35 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 // fresh point with a recycled-looking id on an unrelated member is never
 // touched.
 func (w *WritableCoordinator) Delete(ctx context.Context, gid uint64) error {
-	mid, seq := DecodeID(gid)
+	_, err := w.DeleteMany(ctx, []uint64{gid})
+	return err
+}
+
+// DeleteMany deletes the given points in order under one write-lock hold,
+// stopping at the first failure, and reports how many were removed.
+// Members that lost points have their weight masses refreshed in the read
+// coordinator once per call (refreshMassLocked), not once per id.
+func (w *WritableCoordinator) DeleteMany(ctx context.Context, gids []uint64) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	var touched []uint64 // members that lost a point in this call
+	defer func() { w.refreshMassLocked(ctx, touched) }()
+	for i, gid := range gids {
+		mid, err := w.deleteLocked(ctx, gid)
+		if err != nil {
+			return i, err
+		}
+		touched = append(touched, mid)
+	}
+	return len(gids), nil
+}
+
+// deleteLocked removes one point and names the member that held it.
+func (w *WritableCoordinator) deleteLocked(ctx context.Context, gid uint64) (uint64, error) {
+	mid, seq := DecodeID(gid)
 	m := w.mem.Load()
 	if m.man.Member(mid) == nil {
-		return fmt.Errorf("cluster: point %d names unknown member %d: %w", gid, mid, karl.ErrPointNotFound)
+		return 0, fmt.Errorf("cluster: point %d names unknown member %d: %w", gid, mid, karl.ErrPointNotFound)
 	}
 	unreachable := false
 	for _, cand := range lineageCandidates(m.man, mid, seq) {
@@ -602,16 +659,16 @@ func (w *WritableCoordinator) Delete(ctx context.Context, gid uint64) error {
 		}
 		err := c.Delete(ctx, seq)
 		if err == nil {
-			return nil
+			return cand, nil
 		}
 		if !errors.Is(err, karl.ErrPointNotFound) {
-			return err
+			return 0, err
 		}
 	}
 	if unreachable {
-		return fmt.Errorf("cluster: point %d may live on an unreachable member: %w", gid, ErrUnavailable)
+		return 0, fmt.Errorf("cluster: point %d may live on an unreachable member: %w", gid, ErrUnavailable)
 	}
-	return fmt.Errorf("cluster: point %d: %w", gid, karl.ErrPointNotFound)
+	return 0, fmt.Errorf("cluster: point %d: %w", gid, karl.ErrPointNotFound)
 }
 
 // lineageCandidates returns the members that could hold the point

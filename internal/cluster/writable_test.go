@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -796,10 +797,12 @@ func (c infoCountingClient) Info(ctx context.Context) (ShardInfo, error) {
 	return c.MutableShardClient.Info(ctx)
 }
 
-// TestWritableSplitProbeThrottled pins the write-path cost model: the
-// automatic split trigger polls every member's Info under the write
-// lock, so it must run only once every SplitCheckEvery inserted points —
-// not on every Insert.
+// TestWritableSplitProbeThrottled pins the write-path cost model: every
+// acknowledged insert refreshes the weight masses of the members it
+// touched (one Info each, keeping the read coordinator's a-priori clamp
+// current), while the automatic split trigger — which polls EVERY
+// member's Info under the write lock — runs only once every
+// SplitCheckEvery inserted points, not on every Insert.
 func TestWritableSplitProbeThrottled(t *testing.T) {
 	ctx := context.Background()
 	var infos atomic.Int64
@@ -824,16 +827,16 @@ func TestWritableSplitProbeThrottled(t *testing.T) {
 	for _, p := range pts {
 		mustInsert(t, wco, [][]float64{p}, nil)
 	}
-	// 63 single-point inserts stay under the 64-point probe threshold: no
-	// Info probes at all on the write path.
-	if got := infos.Load() - base; got != 0 {
-		t.Fatalf("63 inserted points cost %d Info calls, want 0 (probe threshold not reached)", got)
+	// 63 single-point inserts stay under the 64-point probe threshold:
+	// one mass refresh of the one touched member each, no probe round.
+	if got := infos.Load() - base; got != 63 {
+		t.Fatalf("63 inserted points cost %d Info calls, want 63 (one touched-member refresh each, probe threshold not reached)", got)
 	}
 	mustInsert(t, wco, [][]float64{{0.5, 0.5}}, nil)
-	// The 64th point crosses the threshold: exactly one probe round (one
-	// Info per member).
-	if got := infos.Load() - base; got != 2 {
-		t.Fatalf("64th point: %d Info calls since founding, want 2 (one probe round)", got)
+	// The 64th point crosses the threshold: its own refresh plus exactly
+	// one probe round (one Info per member).
+	if got := infos.Load() - base; got != 63+1+2 {
+		t.Fatalf("64th point: %d Info calls since founding, want 66 (64 refreshes + one probe round)", got)
 	}
 }
 
@@ -937,4 +940,93 @@ func TestHTTPShardBare404(t *testing.T) {
 	if err := NewHTTPShard(ts2.URL).Delete(ctx, 12345); !errors.Is(err, karl.ErrPointNotFound) {
 		t.Fatalf("enveloped 404: err = %v, want ErrPointNotFound", err)
 	}
+}
+
+// TestWritableMassRefreshMultiSeed is the regression test for the frozen
+// shard masses: a cluster founded empty and seeded in SEVERAL requests
+// used to keep, in its read coordinator, the weight masses of the first
+// request forever, so the a-priori clamp [klo·W_S, khi·W_S] cut every
+// later shard answer down to the first request's mass — a silently wrong
+// eKAQ and TKAQ. The points sit in one tight clump (K ≈ 1 everywhere), so
+// each shard's true contribution is close to its full mass and any stale
+// clamp bites. After every write the coordinator must agree with a
+// monolithic engine fed the same stream; reads themselves probe nothing.
+func TestWritableMassRefreshMultiSeed(t *testing.T) {
+	const eps = 0.05
+	ctx := context.Background()
+	kern := karl.Gaussian(0.5)
+	var infos atomic.Int64
+	founders := make([]WritableShard, 2)
+	for i := range founders {
+		name := fmt.Sprintf("m%d", i)
+		founders[i] = WritableShard{Name: name, Client: infoCountingClient{
+			NewLocalMutableShard(name, newDynEngine(t, kern, karl.KDTree)), &infos}}
+	}
+	wco, err := NewWritable(ctx, shard.Hash, founders, nil, WritableConfig{})
+	if err != nil {
+		t.Fatalf("NewWritable: %v", err)
+	}
+	mono := newDynEngine(t, kern, karl.KDTree)
+	queries := [][]float64{{0, 0, 0}, {0.02, -0.01, 0.03}, {0.3, 0.3, 0.3}}
+
+	check := func(stage string) {
+		t.Helper()
+		before := infos.Load()
+		for _, q := range queries {
+			exact, err := mono.Aggregate(q)
+			if err != nil {
+				t.Fatalf("%s: mono.Aggregate: %v", stage, err)
+			}
+			res, err := wco.Approximate(ctx, q, eps)
+			if err != nil {
+				t.Fatalf("%s: Approximate: %v", stage, err)
+			}
+			if math.Abs(res.Value-exact) > eps*math.Abs(exact)+1e-9 {
+				t.Fatalf("%s: eKAQ %v is outside eps=%v of the monolithic total %v", stage, res.Value, eps, exact)
+			}
+			for _, tau := range []float64{0.5 * exact, 1.5 * exact} {
+				got, err := wco.Threshold(ctx, q, tau)
+				if err != nil {
+					t.Fatalf("%s: Threshold: %v", stage, err)
+				}
+				if got.Over != (exact > tau) {
+					t.Fatalf("%s: TKAQ at tau=%v says over=%v, monolithic total is %v", stage, tau, got.Over, exact)
+				}
+			}
+		}
+		if got := infos.Load() - before; got != 0 {
+			t.Fatalf("%s: reads cost %d Info calls, want 0 (masses refresh on the write path only)", stage, got)
+		}
+		if wco.Points() != mono.Len() {
+			t.Fatalf("%s: coordinator reports %d points, monolithic engine holds %d", stage, wco.Points(), mono.Len())
+		}
+	}
+
+	rng := rand.New(rand.NewSource(61))
+	var gids, mids []uint64
+	for req := 0; req < 6; req++ {
+		pts := make([][]float64, 96)
+		for i := range pts {
+			pts[i] = []float64{0.05 * rng.NormFloat64(), 0.05 * rng.NormFloat64(), 0.05 * rng.NormFloat64()}
+		}
+		gids = append(gids, mustInsert(t, wco, pts, nil)...)
+		ids, err := mono.InsertBulk(pts, nil)
+		if err != nil {
+			t.Fatalf("mono.InsertBulk: %v", err)
+		}
+		mids = append(mids, ids...)
+		check(fmt.Sprintf("after seeding request %d", req+1))
+	}
+	// Deletes shrink the masses: the coverage accounting and point count
+	// must follow them down too.
+	half := len(gids) / 2
+	if n, err := wco.DeleteMany(ctx, gids[:half]); err != nil || n != half {
+		t.Fatalf("DeleteMany = %d, %v; want %d deletes", n, err, half)
+	}
+	for _, id := range mids[:half] {
+		if err := mono.Delete(id); err != nil {
+			t.Fatalf("mono.Delete(%d): %v", id, err)
+		}
+	}
+	check("after deleting half")
 }

@@ -55,8 +55,8 @@ func loadLeader(t *testing.T, d *karl.DynamicEngine, n int, seed int64) []uint64
 
 // checkConverged asserts the follower answers like the leader: exact
 // point counts, masses and aggregates within float-summation-order
-// tolerance (tombstone mass accumulates over a map, so even one engine
-// is not bitwise-reproducible across calls).
+// tolerance (leader and follower hold the same live mass in differently
+// shaped manifests).
 func checkConverged(t *testing.T, leader, follower *karl.DynamicEngine) {
 	t.Helper()
 	close9 := func(a, b float64) bool {
@@ -195,6 +195,58 @@ func TestApplierPromote(t *testing.T) {
 	// Run on a promoted applier returns immediately without error.
 	if err := a.Run(context.Background(), time.Millisecond); err != nil {
 		t.Fatalf("run after promotion: %v", err)
+	}
+}
+
+// TestApplierLiveUnderLeaderRewrites runs leader and follower with
+// background compaction on while the leader churns oldest-first — every
+// few syncs it has rewritten or dropped a segment the follower installed
+// earlier. Rewrites keep each segment's sequence range in place, so the
+// applier must stay "live" on incremental pulls alone: no resync, ever.
+func TestApplierLiveUnderLeaderRewrites(t *testing.T) {
+	mk := func() *karl.DynamicEngine {
+		d, err := karl.NewDynamic(karl.Gaussian(1.5), karl.WithSealSize(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	leader, follower := mk(), mk()
+	defer leader.Close()
+	defer follower.Close()
+	a := replica.NewApplier(follower, replica.EngineSource{Eng: leader})
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(86))
+	var live []uint64
+	for round := 0; round < 80; round++ {
+		for i := 0; i < 24; i++ {
+			id, err := leader.InsertID([]float64{rng.Float64(), rng.Float64()}, 0.5+rng.Float64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+		}
+		if len(live) > 400 {
+			for _, id := range live[:24] {
+				if err := leader.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live = live[24:]
+		}
+		if err := a.CatchUp(ctx); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if st := a.Status(); st.State != "live" || st.Lag() != 0 {
+			t.Fatalf("round %d: follower status %+v, want live with no lag", round, st)
+		}
+		checkConverged(t, leader, follower)
+	}
+	if a.Resyncs() != 0 {
+		t.Fatalf("%d resyncs: leader-side rewrites broke incremental catch-up", a.Resyncs())
+	}
+	if leader.DeadRewrites()+leader.DeadDrops() == 0 {
+		t.Fatal("leader never rewrote or dropped a segment: the test exercised nothing")
 	}
 }
 

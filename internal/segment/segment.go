@@ -20,7 +20,12 @@
 //     monolithic build over that sequence would produce, making answers
 //     bitwise-identical after full compaction.
 //   - Segments in a manifest are ordered oldest-first and cover disjoint,
-//     time-contiguous runs of the insert stream.
+//     time-contiguous runs of the insert stream, so sequence numbers ascend
+//     within every segment AND from each segment to the next. Only a
+//     contiguous manifest run may ever be merged (Policy.Plan returns
+//     nothing else, Merge rejects anything else): concatenating segments
+//     around a skipped one would interleave their sequence ranges, and
+//     Find's binary search would then miss live rows.
 package segment
 
 import (
@@ -91,6 +96,12 @@ type Segment struct {
 	Seqs    []uint64
 	Times   []int64
 	TimeRef int64
+
+	// Dead holds the tombstones of this segment's deleted rows — the one
+	// mutable part of a Segment. The owning engine guards it with its own
+	// lock and never touches it from the lock-free query path; nil while
+	// the segment has no dead rows. See Dead.
+	Dead *Dead
 
 	// inv maps insertion-order position -> leaf-storage row (the inverse
 	// of Tree.PointID), built by New when Seqs is present so Find can
@@ -419,6 +430,11 @@ func gather(segs []*Segment, mem MemRun, opts MergeOpts) (*gathered, error) {
 	}
 	if seqs != nil {
 		g.seqs = seqs[:row]
+		for i := 1; i < row; i++ {
+			if seqs[i] <= seqs[i-1] {
+				return nil, fmt.Errorf("segment: merge inputs are not a contiguous oldest-first run (seq %d follows %d)", seqs[i], seqs[i-1])
+			}
+		}
 	}
 	if times != nil {
 		g.times = times[:row]
@@ -601,18 +617,23 @@ func Compress(s *Segment, kern kernel.Params, eps float64, seed int64, cfg Build
 
 // Policy is the geometric tiering compaction policy. Segments are binned
 // into tiers by size — tier t holds segments with
-// SealSize·Fanout^t ≤ Len < SealSize·Fanout^(t+1) — and whenever a tier
-// accumulates Fanout segments, its oldest Fanout members merge into one
-// segment of the next tier. Write amplification is O(Fanout·log_Fanout N)
-// per point overall, and no merge is ever larger than geometric growth
-// requires, so the engine never performs the old stop-the-world O(N)
-// rebuild on the insert path.
+// SealSize·Fanout^t ≤ Len < SealSize·Fanout^(t+1) — and whenever Fanout
+// neighbouring segments of one level accumulate, the oldest Fanout of them
+// merge into one segment of the next tier. Write amplification is
+// O(Fanout·log_Fanout N) per point overall, and no merge is ever larger
+// than geometric growth requires, so the engine never performs the old
+// stop-the-world O(N) rebuild on the insert path.
+//
+// Deletes reuse the same Fanout as a dead-share threshold: a segment whose
+// dead rows reach Len/Fanout is rewritten alone, and a segment with no
+// live row left is dropped without a rebuild (see Plan).
 type Policy struct {
 	// SealSize is the memtable row count that triggers a seal (tier 0
 	// segment size).
 	SealSize int
-	// Fanout is both the per-tier segment budget and the size ratio
-	// between consecutive tiers.
+	// Fanout is the per-level segment budget, the size ratio between
+	// consecutive tiers, and the inverse of the dead share that triggers a
+	// rewrite.
 	Fanout int
 	// ColdEps, when positive, coreset-compresses merged segments of at
 	// least ColdMin points down to a provable normalized-error sketch —
@@ -655,26 +676,72 @@ func (p Policy) Tier(n int) int {
 	return t
 }
 
-// Plan returns the IDs of the segments the next compaction should merge:
-// the oldest Fanout members of the lowest tier holding at least Fanout
-// segments. A nil result means the manifest is within policy.
+// AllDead reports whether every row of the segment has been deleted, so
+// the segment can leave the manifest without a rebuild. Segments without
+// sequence numbers (coresets) never qualify: their tombstones are not
+// attributable to rows.
+func (s *Segment) AllDead() bool { return s.Seqs != nil && s.Dead.Len() >= s.Len() }
+
+// RewriteDue reports whether the segment's dead rows have reached a
+// 1/Fanout share of it — the point at which rewriting it alone costs at
+// most Fanout−1 row writes per row reclaimed, the same amplification a
+// tier merge pays per point, while every read until then evaluates the
+// kernel once per dead row.
+func (p Policy) RewriteDue(s *Segment) bool {
+	dead := s.Dead.Len()
+	return dead > 0 && s.Seqs != nil && dead*p.Fanout >= s.Len()
+}
+
+// Plan returns the IDs of the segments the next compaction should rebuild
+// into one — always a contiguous manifest run, oldest first — or nil when
+// the manifest is within policy.
+//
+// Tiered merges come first. Rewrites shrink segments out of their tier, so
+// tiers no longer descend monotonically along the manifest; the manifest
+// is therefore cut into LEVELS the way Lucene's log merge policy does it:
+// a level starts at the oldest unassigned segment and extends to the
+// newest segment of the highest remaining tier, swallowing any smaller
+// (shrunken) segments in between. A level holding at least Fanout segments
+// merges its oldest Fanout; the lowest such level wins (cheapest first).
+// Shrunken segments thus keep counting against their neighbours' budget
+// and are re-absorbed by the next merge of that level instead of being
+// stranded, and the segment count stays below Fanout per level. Without
+// deletes a level is exactly a run of one tier — the classic policy.
+//
+// Failing that, the segment with the most dead rows among those whose dead
+// share reached 1/Fanout is rewritten alone (a one-ID plan).
 func (p Policy) Plan(m *Manifest) []uint64 {
-	if len(m.Segs) < p.Fanout {
-		return nil
+	segs := m.Segs
+	lo := -1 // start of the lowest level due a merge
+	for start := 0; start < len(segs); {
+		level, end := -1, start
+		for i := start; i < len(segs); i++ {
+			if t := p.Tier(segs[i].Len()); t >= level {
+				level, end = t, i+1
+			}
+		}
+		if end-start >= p.Fanout {
+			lo = start // levels descend, so the last one found is the lowest
+		}
+		start = end
 	}
-	tiers := make(map[int][]uint64)
-	lowest := -1
-	for _, s := range m.Segs {
-		t := p.Tier(s.Len())
-		tiers[t] = append(tiers[t], s.ID) // manifest order = oldest first
-		if len(tiers[t]) >= p.Fanout && (lowest < 0 || t < lowest) {
-			lowest = t
+	if lo >= 0 {
+		ids := make([]uint64, p.Fanout)
+		for i := range ids {
+			ids[i] = segs[lo+i].ID
+		}
+		return ids
+	}
+	var worst *Segment
+	for _, s := range segs {
+		if p.RewriteDue(s) && (worst == nil || s.Dead.Len() > worst.Dead.Len()) {
+			worst = s
 		}
 	}
-	if lowest < 0 {
-		return nil
+	if worst != nil {
+		return []uint64{worst.ID}
 	}
-	return tiers[lowest][:p.Fanout]
+	return nil
 }
 
 // Select returns the manifest's segments with the given IDs, in manifest

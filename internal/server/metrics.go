@@ -110,19 +110,34 @@ type MutableStats struct {
 	// ServedEpoch is the highest epoch any pooled clone has queried — when
 	// it trails Epoch, idle clones will re-arm on their next query.
 	ServedEpoch uint64 `json:"served_epoch"`
-	// Segments is the number of immutable segments in the manifest.
-	Segments int `json:"segments"`
+	// Segments is the number of immutable segments in the manifest;
+	// SegmentDetail lists them oldest first with their dead-row counts.
+	Segments      int            `json:"segments"`
+	SegmentDetail []SegmentStats `json:"segment_detail"`
 	// MemtableLen is the number of buffered (unsealed) points.
 	MemtableLen int `json:"memtable_len"`
-	// Seals and Compactions count completed maintenance operations.
-	Seals       int `json:"seals"`
-	Compactions int `json:"compactions"`
+	// Seals and Compactions count completed maintenance operations;
+	// Compactions covers every segment rebuild, of which DeadRewrites were
+	// single-segment rewrites triggered by a 1/Fanout dead share.
+	// DeadDrops counts fully dead segments removed without a rebuild.
+	Seals        int `json:"seals"`
+	Compactions  int `json:"compactions"`
+	DeadRewrites int `json:"dead_rewrites"`
+	DeadDrops    int `json:"dead_drops"`
 	// Points is the total dataset size.
 	Points int `json:"points"`
 	// Tombstones is the number of pending deletes not yet compacted away;
 	// Deletes counts all deletions over the engine's lifetime.
 	Tombstones int `json:"tombstones"`
 	Deletes    int `json:"deletes"`
+}
+
+// SegmentStats is one manifest segment in /v1/stats: its stored rows and
+// how many of them are deleted, awaiting physical removal.
+type SegmentStats struct {
+	ID   uint64 `json:"id"`
+	Len  int    `json:"len"`
+	Dead int    `json:"dead"`
 }
 
 // DualTreeBatchStats reports how the engines behind /v1/batch executed

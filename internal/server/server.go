@@ -43,6 +43,8 @@ type lsmStats interface {
 	MemtableLen() int
 	Seals() int
 	Compactions() int
+	DeadRewrites() int
+	DeadDrops() int
 	Tombstones() int
 	Deletes() int
 	TTL() time.Duration
@@ -501,10 +503,17 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Points:      s.dyn.Len(),
 		}
 		if s.lsm != nil {
-			ms.Segments = len(s.lsm.Segments())
+			segs := s.lsm.Segments()
+			ms.Segments = len(segs)
+			ms.SegmentDetail = make([]SegmentStats, len(segs))
+			for i, sg := range segs {
+				ms.SegmentDetail[i] = SegmentStats{ID: sg.ID, Len: sg.Len, Dead: sg.Dead}
+			}
 			ms.MemtableLen = s.lsm.MemtableLen()
 			ms.Seals = s.lsm.Seals()
 			ms.Compactions = s.lsm.Compactions()
+			ms.DeadRewrites = s.lsm.DeadRewrites()
+			ms.DeadDrops = s.lsm.DeadDrops()
 			ms.Tombstones = s.lsm.Tombstones()
 			ms.Deletes = s.lsm.Deletes()
 		}

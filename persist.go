@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -439,28 +438,29 @@ func (d *DynamicEngine) WriteTo(w io.Writer) (int64, error) {
 			copy(p.MemTimes, sh.mem.t[:n])
 		}
 	}
-	if len(sh.tombs) > 0 {
-		p.TombSeqs = make([]uint64, 0, len(sh.tombs))
-		for seq := range sh.tombs {
-			p.TombSeqs = append(p.TombSeqs, seq)
-		}
-		sort.Slice(p.TombSeqs, func(i, j int) bool { return p.TombSeqs[i] < p.TombSeqs[j] })
-		p.TombW = make([]float64, len(p.TombSeqs))
-		p.TombRef = make([]int64, len(p.TombSeqs))
-		p.TombPts = make([]float64, 0, len(p.TombSeqs)*sh.dims)
-		for i, seq := range p.TombSeqs {
-			tb := sh.tombs[seq]
-			p.TombW[i] = tb.w
-			p.TombRef[i] = tb.ref
-			p.TombPts = append(p.TombPts, tb.p...)
-		}
-	}
+	p.setTombs(deadOf(sh.man.Segs)...) // sealDead is empty: the seal was waited out
 	sh.mu.Unlock()
 	cw := &countWriter{w: w}
 	if err := gob.NewEncoder(cw).Encode(p); err != nil {
 		return cw.n, err
 	}
 	return cw.n, nil
+}
+
+// setTombs stores the given tombstone sets as the payload's parallel
+// arrays, sorted by sequence number (the on-disk order; the per-segment
+// attribution is not stored — a load re-derives it from the segments'
+// sequence numbers).
+func (p *dynamicPayload) setTombs(sets ...*segment.Dead) {
+	all := &segment.Dead{}
+	for _, d := range sets {
+		for i := 0; i < d.Len(); i++ {
+			all.Add(d.Seqs[i], d.W[i], d.Ref[i], d.Row(i))
+		}
+	}
+	if all.Len() > 0 {
+		p.TombSeqs, p.TombW, p.TombRef, p.TombPts = all.Seqs, all.W, all.Ref, all.Pts
+	}
 }
 
 // ReadDynamic deserializes a dynamic engine written by
@@ -529,7 +529,6 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 		delLogBase:  uint64(p.Deletes),
 		seals:       p.Seals,
 		compactions: p.Compactions,
-		tombs:       map[uint64]tombstone{},
 	}
 	sh.cond = sync.NewCond(&sh.mu)
 	man := &segment.Manifest{Epoch: p.Epoch, Segs: make([]*segment.Segment, len(p.Segments))}
@@ -605,7 +604,11 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 	if sh.nextSeq == 0 {
 		sh.nextSeq = 1
 	}
-	// Tombstones (v6+): parallel arrays sorted by seq.
+	// Tombstones (v6+): parallel arrays sorted by seq. Each one is handed
+	// to the segment that stores its row; one whose row was absorbed into
+	// a lossy coreset (no longer addressable) rides with the oldest
+	// coreset segment, and one that shadows no stored row at all would
+	// subtract mass the engine does not hold.
 	nt := len(p.TombSeqs)
 	if len(p.TombW) != nt || len(p.TombRef) != nt || len(p.TombPts) != nt*p.Dims {
 		return nil, errors.New("karl: corrupt dynamic engine payload (tombstones)")
@@ -615,11 +618,25 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 		if seq == 0 || seq >= sh.nextSeq {
 			return nil, errors.New("karl: corrupt dynamic engine payload (tombstone seq out of range)")
 		}
-		if _, dup := sh.tombs[seq]; dup {
+		var home *segment.Segment
+		for _, s := range man.Segs {
+			if _, ok := s.Find(seq); ok {
+				home = s
+				break
+			}
+			if home == nil && s.Coreset && s.Seqs == nil {
+				home = s
+			}
+		}
+		if home == nil {
+			return nil, errors.New("karl: corrupt dynamic engine payload (tombstone for a row no segment stores)")
+		}
+		if home.Dead == nil {
+			home.Dead = &segment.Dead{}
+		}
+		if !home.Dead.Add(seq, p.TombW[i], p.TombRef[i], p.TombPts[i*p.Dims:(i+1)*p.Dims]) {
 			return nil, errors.New("karl: corrupt dynamic engine payload (duplicate tombstone)")
 		}
-		pt := append([]float64(nil), p.TombPts[i*p.Dims:(i+1)*p.Dims]...)
-		sh.tombs[seq] = tombstone{w: p.TombW[i], ref: p.TombRef[i], p: pt}
 	}
 	return newDynamicView(sh)
 }
