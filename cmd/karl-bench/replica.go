@@ -62,6 +62,13 @@ func (k *killableShard) Bounds(ctx context.Context, q []float64, eps float64) (c
 	return k.inner.Bounds(ctx, q, eps)
 }
 
+func (k *killableShard) ThresholdBounds(ctx context.Context, q []float64, tau float64) (cluster.Bounds, error) {
+	if k.down.Load() {
+		return cluster.Bounds{}, errKilled
+	}
+	return k.inner.ThresholdBounds(ctx, q, tau)
+}
+
 func (k *killableShard) Insert(ctx context.Context, points [][]float64, weights []float64) ([]uint64, error) {
 	if k.down.Load() {
 		return nil, errKilled
@@ -75,6 +82,15 @@ func (k *killableShard) Delete(ctx context.Context, id uint64) error {
 	}
 	return k.inner.Delete(ctx, id)
 }
+
+func (k *killableShard) DeleteMany(ctx context.Context, ids []uint64) (int, error) {
+	if k.down.Load() {
+		return 0, errKilled
+	}
+	return k.inner.DeleteMany(ctx, ids)
+}
+
+func (k *killableShard) WriteMass() (cluster.Mass, bool) { return k.inner.WriteMass() }
 
 func (k *killableShard) SplitOut(ctx context.Context, rule shard.SplitRule, auto bool) (cluster.SplitResult, error) {
 	if k.down.Load() {

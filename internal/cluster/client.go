@@ -18,7 +18,9 @@
 // Two ShardClient backends implement the transport: LocalShard wraps an
 // in-process *karl.Engine behind a clone pool (core-parallel single-box
 // serving) and HTTPShard speaks JSON to a remote karl-serve instance over
-// the /v1/* endpoints (POST /v1/bounds is the bound-exchange unit).
+// the /v1/* endpoints (POST /v1/bounds is the bound-exchange unit), each
+// call driven from the calling goroutine over a pooled connection
+// (syncTransport).
 // Robustness is first-class: per-shard timeouts, one retry with backoff,
 // hedged requests to a replica after a latency percentile, and a degraded
 // mode that serves explicit partial results when a shard is down.
@@ -32,7 +34,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"karl"
 	"karl/internal/server"
@@ -53,6 +55,13 @@ type ShardInfo struct {
 
 // Weight returns the shard's total weight mass W_S = W⁺ + W⁻.
 func (i ShardInfo) Weight() float64 { return i.WPos + i.WNeg }
+
+// Mass is the part of ShardInfo that writes change: cardinality and the
+// per-sign weight masses.
+type Mass struct {
+	Points     int
+	WPos, WNeg float64
+}
 
 // Bounds is one bound-exchange answer: the shard's current estimate of
 // F_S(q) together with the certified interval refinement terminated at.
@@ -76,6 +85,11 @@ type ShardClient interface {
 	// value with its certified interval; eps <= 0 requests the exact value
 	// (lb = ub = value).
 	Bounds(ctx context.Context, q []float64, eps float64) (Bounds, error)
+	// ThresholdBounds refines F_S(q) with the paper's TKAQ rule against tau
+	// — stop the moment lb > tau or ub ≤ tau — and returns the certified
+	// interval it stopped at, with the midpoint as the value. tau is the
+	// shard's own share of a cluster-wide threshold (Coordinator.Threshold).
+	ThresholdBounds(ctx context.Context, q []float64, tau float64) (Bounds, error)
 	// Healthy probes shard readiness (GET /v1/readyz for remote shards).
 	Healthy(ctx context.Context) error
 }
@@ -107,6 +121,18 @@ type MutableShardClient interface {
 	// id reports karl.ErrPointNotFound (wrapped), which the coordinator's
 	// lineage fallback relies on.
 	Delete(ctx context.Context, id uint64) error
+	// DeleteMany removes the given engine-local ids in order and stops at
+	// the first failure. It returns how many were removed, so on an error
+	// ids[n] is the id that failed (karl.ErrPointNotFound, wrapped, when the
+	// shard does not hold it). A failure that carries no reply from the
+	// shard reports n = 0: how many ids landed is then unknown.
+	DeleteMany(ctx context.Context, ids []uint64) (int, error)
+	// WriteMass returns the shard's mass as carried by the reply to the
+	// latest write through this client (Insert, Delete, DeleteMany), and
+	// false while there has been none. The writable coordinator serializes
+	// its writes, so right after one returns this is that write's reply and
+	// refreshing the member's mass costs no Info round trip.
+	WriteMass() (Mass, bool)
 	// SplitOut extracts the half matching the rule into a serialized
 	// engine. auto lets a kd shard choose its own balanced plane; the
 	// returned Rule is always the one actually applied.
@@ -198,6 +224,20 @@ func (s *LocalShard) Bounds(ctx context.Context, q []float64, eps float64) (Boun
 	return Bounds{Value: v, LB: v, UB: v}, nil
 }
 
+// ThresholdBounds implements ShardClient.
+func (s *LocalShard) ThresholdBounds(ctx context.Context, q []float64, tau float64) (Bounds, error) {
+	if err := ctx.Err(); err != nil {
+		return Bounds{}, err
+	}
+	eng := s.pool.Get().(karl.QueryEngine)
+	defer s.pool.Put(eng)
+	_, st, err := eng.ThresholdStats(q, tau)
+	if err != nil {
+		return Bounds{}, err
+	}
+	return Bounds{Value: (st.LB + st.UB) / 2, LB: st.LB, UB: st.UB}, nil
+}
+
 // errReadOnly reports a write against a shard without a mutable engine.
 func (s *LocalShard) errReadOnly() error {
 	return fmt.Errorf("cluster: shard %s is read-only", s.name)
@@ -214,15 +254,35 @@ func (s *LocalShard) Insert(ctx context.Context, points [][]float64, weights []f
 	return s.mut.InsertBulk(points, weights)
 }
 
-// Delete implements MutableShardClient.
+// Delete implements MutableShardClient: a one-id DeleteMany.
 func (s *LocalShard) Delete(ctx context.Context, id uint64) error {
+	_, err := s.DeleteMany(ctx, []uint64{id})
+	return err
+}
+
+// DeleteMany implements MutableShardClient.
+func (s *LocalShard) DeleteMany(ctx context.Context, ids []uint64) (int, error) {
 	if s.mut == nil {
-		return s.errReadOnly()
+		return 0, s.errReadOnly()
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return 0, err
 	}
-	return s.mut.Delete(id)
+	for i, id := range ids {
+		if err := s.mut.Delete(id); err != nil {
+			return i, err
+		}
+	}
+	return len(ids), nil
+}
+
+// WriteMass implements MutableShardClient from the live engine.
+func (s *LocalShard) WriteMass() (Mass, bool) {
+	if s.mut == nil {
+		return Mass{}, false
+	}
+	wpos, wneg := s.mut.WeightMass()
+	return Mass{Points: s.mut.Len(), WPos: wpos, WNeg: wneg}, true
 }
 
 // SplitOut implements MutableShardClient: the in-process form of segment
@@ -267,19 +327,16 @@ func (s *LocalShard) SplitOut(ctx context.Context, rule shard.SplitRule, auto bo
 type HTTPShard struct {
 	base string
 	hc   *http.Client
+	// mass is the shard's mass from the latest write reply (WriteMass).
+	mass atomic.Pointer[Mass]
 }
 
 // NewHTTPShard builds a client for a karl-serve base URL (e.g.
-// "http://host:8080"). The default transport keeps connections alive
-// across the coordinator's scatter-gather rounds.
+// "http://host:8080") over its own syncTransport: connections stay alive
+// across the coordinator's scatter-gather rounds and every call runs on
+// the goroutine that made it.
 func NewHTTPShard(baseURL string) *HTTPShard {
-	return NewHTTPShardClient(baseURL, &http.Client{
-		Transport: &http.Transport{
-			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		},
-	})
+	return NewHTTPShardClient(baseURL, &http.Client{Transport: &syncTransport{}})
 }
 
 // NewHTTPShardClient builds a client with a caller-supplied http.Client
@@ -342,30 +399,72 @@ func (s *HTTPShard) Bounds(ctx context.Context, q []float64, eps float64) (Bound
 	return Bounds{Value: resp.Value, LB: resp.LB, UB: resp.UB}, nil
 }
 
+// ThresholdBounds implements ShardClient via POST /v1/bounds with a
+// "threshold" in place of a budget.
+func (s *HTTPShard) ThresholdBounds(ctx context.Context, q []float64, tau float64) (Bounds, error) {
+	var resp server.BoundsResponse
+	if err := s.post(ctx, "/v1/bounds", server.QueryRequest{Q: q, Threshold: &tau}, &resp); err != nil {
+		return Bounds{}, err
+	}
+	return Bounds{Value: resp.Value, LB: resp.LB, UB: resp.UB}, nil
+}
+
 // Insert implements MutableShardClient via POST /v1/insert.
 func (s *HTTPShard) Insert(ctx context.Context, points [][]float64, weights []float64) ([]uint64, error) {
 	var resp server.InsertResponse
 	if err := s.post(ctx, "/v1/insert", server.InsertRequest{Points: points, Weights: weights}, &resp); err != nil {
 		return nil, err
 	}
+	s.setMass(resp.MassResponse)
 	return resp.IDs, nil
 }
 
-// Delete implements MutableShardClient via DELETE /v1/point. A 404 maps
-// to karl.ErrPointNotFound so the coordinator's lineage fallback can
-// chase split-moved points.
+// Delete implements MutableShardClient: a one-id DeleteMany.
 func (s *HTTPShard) Delete(ctx context.Context, id uint64) error {
-	payload, err := json.Marshal(server.DeleteRequest{ID: id})
+	_, err := s.DeleteMany(ctx, []uint64{id})
+	return err
+}
+
+// DeleteMany implements MutableShardClient via DELETE /v1/point. A 404
+// maps to karl.ErrPointNotFound so the coordinator's lineage fallback can
+// chase split-moved points; the count removed before the failing id comes
+// from the reply's structured fields.
+func (s *HTTPShard) DeleteMany(ctx context.Context, ids []uint64) (int, error) {
+	payload, err := json.Marshal(server.DeleteRequest{IDs: ids})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, s.base+"/v1/point", bytes.NewReader(payload))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	var resp server.DeleteResponse
-	return s.do(req, &resp)
+	var failed server.DeleteErrorResponse
+	if err := s.do(req, &resp, &failed); err != nil {
+		// A reply that names the failing id is the shard handler's own
+		// account; anything else (transport failure, a foreign 4xx) leaves
+		// the landed count unknown.
+		if n := failed.Deleted; n >= 0 && n < len(ids) && failed.FailedID == ids[n] {
+			s.setMass(failed.MassResponse)
+			return failed.Deleted, err
+		}
+		return 0, err
+	}
+	s.setMass(resp.MassResponse)
+	return resp.Deleted, nil
+}
+
+// WriteMass implements MutableShardClient.
+func (s *HTTPShard) WriteMass() (Mass, bool) {
+	if m := s.mass.Load(); m != nil {
+		return *m, true
+	}
+	return Mass{}, false
+}
+
+func (s *HTTPShard) setMass(m server.MassResponse) {
+	s.mass.Store(&Mass{Points: m.Points, WPos: m.WeightPos, WNeg: m.WeightNeg})
 }
 
 // SplitOut implements MutableShardClient via POST /v1/split. auto omits
@@ -408,7 +507,7 @@ func (s *HTTPShard) get(ctx context.Context, path string, dst any) error {
 	if err != nil {
 		return err
 	}
-	return s.do(req, dst)
+	return s.do(req, dst, nil)
 }
 
 func (s *HTTPShard) post(ctx context.Context, path string, body, dst any) error {
@@ -421,12 +520,13 @@ func (s *HTTPShard) post(ctx context.Context, path string, body, dst any) error 
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return s.do(req, dst)
+	return s.do(req, dst, nil)
 }
 
-// do executes a request and decodes the JSON response, surfacing the
-// server's error envelope on non-2xx statuses.
-func (s *HTTPShard) do(req *http.Request, dst any) error {
+// do executes a request and decodes the JSON response into dst, surfacing
+// the server's error envelope on non-2xx statuses; a non-nil failed also
+// receives that error body, for replies whose failure carries fields.
+func (s *HTTPShard) do(req *http.Request, dst, failed any) error {
 	resp, err := s.hc.Do(req)
 	if err != nil {
 		return fmt.Errorf("cluster: shard %s: %w", s.base, err)
@@ -441,6 +541,9 @@ func (s *HTTPShard) do(req *http.Request, dst any) error {
 			Error string `json:"error"`
 		}
 		structured := json.Unmarshal(body, &envelope) == nil && envelope.Error != ""
+		if structured && failed != nil {
+			_ = json.Unmarshal(body, failed) // same bytes just parsed above
+		}
 		msg := fmt.Sprintf("HTTP %d", resp.StatusCode)
 		if structured {
 			msg = fmt.Sprintf("%s (HTTP %d)", envelope.Error, resp.StatusCode)

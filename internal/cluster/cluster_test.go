@@ -58,23 +58,34 @@ func buildEngine(t testing.TB, pts [][]float64, w []float64, kern karl.Kernel, k
 	return eng
 }
 
-// localCoordinator shards an engine four ways and serves the pieces
-// through in-process shard clients.
-func localCoordinator(t testing.TB, eng *karl.Engine, cfg Config) *Coordinator {
+// shardedCoordinator splits an engine n ways under the given partition and
+// serves the pieces through in-process shard clients (each engine wrapped
+// by wrap when non-nil).
+func shardedCoordinator(t testing.TB, eng *karl.Engine, n int, part karl.PartitionKind, cfg Config, wrap func(karl.QueryEngine) karl.QueryEngine) *Coordinator {
 	t.Helper()
-	shards, _, err := eng.Shard(4, karl.HashPartition)
+	shards, _, err := eng.Shard(n, part)
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
 	specs := make([]Shard, len(shards))
 	for i, se := range shards {
-		specs[i] = Shard{Client: NewLocalShard(fmt.Sprintf("shard-%d", i), se)}
+		var qe karl.QueryEngine = se
+		if wrap != nil {
+			qe = wrap(se)
+		}
+		specs[i] = Shard{Client: NewLocalShard(fmt.Sprintf("shard-%d", i), qe)}
 	}
 	co, err := New(context.Background(), specs, cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	return co
+}
+
+// localCoordinator shards an engine four ways by hash.
+func localCoordinator(t testing.TB, eng *karl.Engine, cfg Config) *Coordinator {
+	t.Helper()
+	return shardedCoordinator(t, eng, 4, karl.HashPartition, cfg, nil)
 }
 
 // TestCoordinatorEquivalence is the acceptance gate: across index
@@ -193,6 +204,13 @@ func (f *flakyShard) Bounds(ctx context.Context, q []float64, eps float64) (Boun
 		return Bounds{}, err
 	}
 	return f.ShardClient.Bounds(ctx, q, eps)
+}
+
+func (f *flakyShard) ThresholdBounds(ctx context.Context, q []float64, tau float64) (Bounds, error) {
+	if err := f.trip(); err != nil {
+		return Bounds{}, err
+	}
+	return f.ShardClient.ThresholdBounds(ctx, q, tau)
 }
 
 func (f *flakyShard) Healthy(ctx context.Context) error {

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,9 +43,6 @@ type Config struct {
 	// MaxRounds caps adaptive bound-exchange rounds before the
 	// coordinator forces an exact round (default 6).
 	MaxRounds int
-	// InitialEps is the round-0 relative budget for threshold queries
-	// (default 0.5): cheap first bounds, refined only where τ demands it.
-	InitialEps float64
 }
 
 func (c Config) withDefaults() Config {
@@ -70,9 +67,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxRounds <= 0 {
 		c.MaxRounds = 6
 	}
-	if c.InitialEps <= 0 {
-		c.InitialEps = 0.5
-	}
 	return c
 }
 
@@ -90,7 +84,7 @@ type shardState struct {
 	client   ShardClient
 	replicas []ShardClient
 	// info is the shard's dataset description as of construction or, under
-	// a WritableCoordinator, as of the last write routed to it (setInfo):
+	// a WritableCoordinator, as of the last write routed to it (setMass):
 	// the a-priori clamp [klo·W_S, khi·W_S] every exchange starts from is
 	// only sound while W_S is current.
 	info atomic.Pointer[ShardInfo]
@@ -117,6 +111,36 @@ type Coordinator struct {
 	// a-priori shard bounds when a shard has not answered yet (±Inf for
 	// unbounded kernels).
 	klo, khi float64
+
+	// exch counts queries and scatter rounds for /v1/stats. A pointer, so a
+	// WritableCoordinator can carry one set across its membership epochs.
+	exch *exchangeCounters
+}
+
+type exchangeCounters struct {
+	thresholdQueries, thresholdRounds     atomic.Int64
+	approximateQueries, approximateRounds atomic.Int64
+}
+
+// ExchangeStats is the cumulative bound-exchange account in the
+// coordinator's /v1/stats: how many Threshold and Approximate queries were
+// answered and how many scatter rounds they took in total. Rounds per query
+// is the ratio; shard calls per query comes from the per-shard requests.
+type ExchangeStats struct {
+	ThresholdQueries   int64 `json:"threshold_queries"`
+	ThresholdRounds    int64 `json:"threshold_rounds"`
+	ApproximateQueries int64 `json:"approximate_queries"`
+	ApproximateRounds  int64 `json:"approximate_rounds"`
+}
+
+// Exchange snapshots the bound-exchange counters.
+func (co *Coordinator) Exchange() ExchangeStats {
+	return ExchangeStats{
+		ThresholdQueries:   co.exch.thresholdQueries.Load(),
+		ThresholdRounds:    co.exch.thresholdRounds.Load(),
+		ApproximateQueries: co.exch.approximateQueries.Load(),
+		ApproximateRounds:  co.exch.approximateRounds.Load(),
+	}
 }
 
 // New builds a coordinator over the given shards, fetching and
@@ -129,12 +153,13 @@ func New(ctx context.Context, shards []Shard, cfg Config) (*Coordinator, error) 
 		return nil, errors.New("cluster: need at least one shard")
 	}
 	cfg = cfg.withDefaults()
-	co := &Coordinator{cfg: cfg, shards: make([]*shardState, len(shards))}
+	co := &Coordinator{cfg: cfg, shards: make([]*shardState, len(shards)), exch: new(exchangeCounters)}
 	for i, sp := range shards {
 		if sp.Client == nil {
 			return nil, fmt.Errorf("cluster: shard %d has no client", i)
 		}
 		co.shards[i] = &shardState{client: sp.Client, replicas: sp.Replicas}
+		co.shards[i].lat.q = cfg.HedgeQuantile
 	}
 
 	var wg sync.WaitGroup
@@ -174,10 +199,14 @@ func New(ctx context.Context, shards []Shard, cfg Config) (*Coordinator, error) 
 // weight returns the shard's current weight mass W_S.
 func (s *shardState) weight() float64 { return s.info.Load().Weight() }
 
-// setInfo replaces shard i's cardinality and weight masses — the write
+// setMass replaces shard i's cardinality and weight masses — the write
 // path of a WritableCoordinator calls it after every acknowledged write,
 // so queries starting afterwards clamp against the shard's current mass.
-func (co *Coordinator) setInfo(i int, info ShardInfo) { co.shards[i].info.Store(&info) }
+func (co *Coordinator) setMass(i int, m Mass) {
+	info := *co.shards[i].info.Load()
+	info.Points, info.WPos, info.WNeg = m.Points, m.WPos, m.WNeg
+	co.shards[i].info.Store(&info)
+}
 
 // weightTotal sums the shards' current weight masses.
 func (co *Coordinator) weightTotal() float64 {
@@ -341,8 +370,8 @@ func (co *Coordinator) coveredFraction(aliveW float64, nFailed int) float64 {
 
 // exchState is one shard's position in a bound-exchange: the tightest
 // certified interval for F_S(q) seen so far (new answers are intersected
-// in — every certified interval remains valid), the budget the next round
-// would use, and liveness for this query.
+// in — every certified interval remains valid), the ε budget the next
+// Approximate round would use, and liveness for this query.
 type exchState struct {
 	lb, ub  float64
 	eps     float64
@@ -374,13 +403,24 @@ func sumBounds(st []*exchState) (lb, ub float64) {
 	return lb, ub
 }
 
-// Threshold decides F_P(q) > τ by rounds of bound exchange: shards return
-// certified [lb, ub] intervals at a coarse budget first, the sums are
-// tested against τ after every arrival, and the query terminates — and
-// cancels outstanding shard work — the moment Σ lb > τ or Σ ub ≤ τ.
-// Undecided rounds re-query only the shards whose interval width still
-// matters at τ, with geometrically shrinking budgets, falling back to an
-// exact round after MaxRounds.
+// Threshold decides F_P(q) > τ by splitting τ across the shards. Every
+// round hands each reachable shard whose interval is still open a threshold
+// of its own inside that interval, in proportion to interval width,
+//
+//	t_i = lb_i + (τ − Σlb)·(ub_i − lb_i)/Σ(ub − lb),
+//
+// which from the a-priori intervals [klo·W_i, khi·W_i] is the mass share
+// τ·W_i/W. The shard refines with the paper's own TKAQ rule against t_i and
+// returns the certified interval it stopped at. The t_i sum to τ less the
+// share an unreachable shard's interval holds, so all shards stopping above
+// their t_i gives Σlb > τ and all stopping at or below gives Σub ≤ τ; a
+// mixed round re-splits over the tighter intervals. While the query is
+// undecided Σlb ≤ τ < Σub, so lb_i ≤ t_i < ub_i and a shard cannot stop
+// without cutting its interval: every round makes progress. The sums are
+// tested after every arrival and a verdict cancels outstanding shard work;
+// after MaxRounds the round is exact. Any stopping rule is sound here —
+// shards only ever return certified intervals, and the verdict rests on
+// their intersection and sum alone.
 func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) (ThresholdResult, error) {
 	if err := co.checkQuery(q); err != nil {
 		return ThresholdResult{}, err
@@ -388,11 +428,12 @@ func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) 
 	if math.IsNaN(tau) || math.IsInf(tau, 0) {
 		return ThresholdResult{}, fmt.Errorf("cluster: tau must be finite, got %v", tau)
 	}
+	co.exch.thresholdQueries.Add(1)
 
 	st := make([]*exchState, len(co.shards))
 	for i, s := range co.shards {
 		lb, ub := co.apriori(*s.info.Load())
-		st[i] = &exchState{lb: lb, ub: ub, eps: co.cfg.InitialEps, alive: true}
+		st[i] = &exchState{lb: lb, ub: ub, alive: true}
 	}
 	decided := func(lb, ub float64) (over, ok bool) {
 		if lb > tau {
@@ -413,85 +454,80 @@ func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) 
 		if over, ok := decided(lb, ub); ok {
 			return co.thresholdResult(over, st), nil
 		}
-		exactRound := round >= co.cfg.MaxRounds
-		todo := co.thresholdTodo(st, lb, ub, tau, exactRound)
+		// An unreachable shard keeps its interval in the sums — a certified
+		// bound does not expire when its shard does — but is asked nothing.
+		var todo []int
+		for i, s := range st {
+			if s.alive && s.gap() > 0 {
+				todo = append(todo, i)
+			}
+		}
 		if len(todo) == 0 {
 			// Every reachable shard is fully refined; the residual
 			// interval straddling τ belongs to unreachable shards.
 			return ThresholdResult{}, fmt.Errorf("%w (%.1f%% of weight mass unreachable)",
 				ErrIndeterminate, 100*(1-co.coveredFraction(co.aliveWeight(st), co.countDead(st))))
 		}
+		exactRound := round >= co.cfg.MaxRounds
+		share := (tau - lb) / (ub - lb)
+		co.exch.thresholdRounds.Add(1)
 
 		rctx, cancel := context.WithCancel(ctx)
-		var wg sync.WaitGroup
-		for _, i := range todo {
-			eps := st[i].eps
-			if exactRound {
-				eps = 0
+		scatter(todo, func(i int) {
+			t := st[i].lb + share*st[i].gap()
+			if math.IsNaN(t) || math.IsInf(t, 0) {
+				// An unbounded kernel has no a-priori interval to split:
+				// start from the mass share.
+				t = tau * co.massShare(i)
 			}
-			wg.Add(1)
-			go func(i int, eps float64) {
-				defer wg.Done()
-				b, err := call(rctx, co, co.shards[i], func(ctx context.Context, c ShardClient) (Bounds, error) {
-					return c.Bounds(ctx, q, eps)
-				})
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					// Our own early cancellation is not a shard failure;
-					// anything else marks the shard dead for this query.
-					// Its accumulated interval stays in the sums — a
-					// certified bound does not expire when its shard does.
-					if rctx.Err() == nil {
-						st[i].alive = false
-					}
-					return
+			b, err := call(rctx, co, co.shards[i], func(ctx context.Context, c ShardClient) (Bounds, error) {
+				if exactRound {
+					return c.Bounds(ctx, q, 0)
 				}
-				st[i].apply(b)
-				if _, ok := decided(sumBounds(st)); ok {
-					cancel()
+				return c.ThresholdBounds(ctx, q, t)
+			})
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				// Our own early cancellation is not a shard failure;
+				// anything else marks the shard dead for this query.
+				if rctx.Err() == nil {
+					st[i].alive = false
 				}
-			}(i, eps)
-		}
-		wg.Wait()
+				return
+			}
+			st[i].apply(b)
+			if _, ok := decided(sumBounds(st)); ok {
+				cancel()
+			}
+		})
 		cancel()
-		for _, i := range todo {
-			st[i].eps /= 4
-		}
 	}
 }
 
-// thresholdTodo picks the shards worth re-querying: those whose interval
-// width exceeds their weight-proportional share of the slack still
-// separating the sums from a verdict. Shards already tight (or dead) are
-// skipped — they "return early" in the paper's sense. If the heuristic
-// would idle while refinement could still move the sums, every loose
-// reachable shard is queried.
-func (co *Coordinator) thresholdTodo(st []*exchState, sumLB, sumUB, tau float64, exactRound bool) []int {
-	minNeed := math.Min(tau-sumLB, sumUB-tau)
-	wTotal := co.weightTotal()
-	var todo, loose []int
-	for i, s := range st {
-		if !s.alive || s.gap() <= 0 {
-			continue
-		}
-		loose = append(loose, i)
-		if exactRound {
-			todo = append(todo, i)
-			continue
-		}
-		share := 1.0 / float64(len(st))
-		if wTotal > 0 {
-			share = co.shards[i].weight() / wTotal
-		}
-		if s.gap() > minNeed*share {
-			todo = append(todo, i)
-		}
+// massShare is shard i's fraction of the cluster's weight mass (an equal
+// share for a weightless dataset).
+func (co *Coordinator) massShare(i int) float64 {
+	if wTotal := co.weightTotal(); wTotal > 0 {
+		return co.shards[i].weight() / wTotal
 	}
-	if len(todo) == 0 {
-		return loose
+	return 1 / float64(len(co.shards))
+}
+
+// scatter runs fn(i) for every i in todo at once and waits for all of
+// them; the last runs on the calling goroutine.
+func scatter(todo []int, fn func(i int)) {
+	var wg sync.WaitGroup
+	last := len(todo) - 1
+	for _, i := range todo[:last] {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
 	}
-	return todo
+	fn(todo[last])
+	wg.Wait()
 }
 
 func (co *Coordinator) aliveWeight(st []*exchState) float64 {
@@ -557,6 +593,8 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 		return Result{}, fmt.Errorf("cluster: eps must be positive and finite, got %v", eps)
 	}
 
+	co.exch.approximateQueries.Add(1)
+
 	st := make([]*exchState, len(co.shards))
 	for i, s := range co.shards {
 		lb, ub := co.apriori(*s.info.Load())
@@ -565,28 +603,23 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 
 	var mu sync.Mutex
 	runRound := func(todo []int, exact bool) error {
-		var wg sync.WaitGroup
-		for _, i := range todo {
+		co.exch.approximateRounds.Add(1)
+		scatter(todo, func(i int) {
 			budget := st[i].eps
 			if exact {
 				budget = 0
 			}
-			wg.Add(1)
-			go func(i int, budget float64) {
-				defer wg.Done()
-				b, err := call(ctx, co, co.shards[i], func(ctx context.Context, c ShardClient) (Bounds, error) {
-					return c.Bounds(ctx, q, budget)
-				})
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					st[i].alive = false
-					return
-				}
-				st[i].apply(b)
-			}(i, budget)
-		}
-		wg.Wait()
+			b, err := call(ctx, co, co.shards[i], func(ctx context.Context, c ShardClient) (Bounds, error) {
+				return c.Bounds(ctx, q, budget)
+			})
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				st[i].alive = false
+				return
+			}
+			st[i].apply(b)
+		})
 		for _, i := range todo {
 			st[i].eps /= 4
 		}
@@ -731,8 +764,8 @@ func call[T any](ctx context.Context, co *Coordinator, s *shardState, fn func(co
 // cancelled through the attempt timeout.
 func hedged[T any](co *Coordinator, s *shardState, attempt func(ShardClient) (T, error)) (T, error) {
 	var zero T
-	delay, warm := s.lat.quantile(co.cfg.HedgeQuantile)
-	if !warm || len(s.replicas) == 0 {
+	delay := time.Duration(s.lat.hedge.Load())
+	if delay == 0 || len(s.replicas) == 0 {
 		return attempt(s.client)
 	}
 	if delay < co.cfg.HedgeMin {
@@ -786,16 +819,25 @@ func hedged[T any](co *Coordinator, s *shardState, attempt func(ShardClient) (T,
 }
 
 // latencyWindow is a fixed ring of recent successful call durations; the
-// hedge delay is a quantile over it. A handful of samples is too noisy to
-// hedge on, so quantile reports cold until the window has warmSamples.
+// hedge delay is its q-quantile. A handful of samples is too noisy to hedge
+// on, so the delay stays unset until the window has warmSamples, and from
+// then on it is re-derived once every hedgeEvery samples — every call reads
+// it with one atomic load instead of sorting the ring.
 type latencyWindow struct {
-	mu  sync.Mutex
-	buf [64]time.Duration
-	n   int // filled entries (≤ len(buf))
-	idx int // next write position
+	q     float64      // the hedge quantile (Config.HedgeQuantile)
+	hedge atomic.Int64 // hedge delay in ns; 0 while the window is cold
+
+	mu    sync.Mutex
+	buf   [64]time.Duration
+	n     int // filled entries (≤ len(buf))
+	idx   int // next write position
+	total int // samples ever recorded
 }
 
-const warmSamples = 8
+const (
+	warmSamples = 8
+	hedgeEvery  = 8
+)
 
 func (l *latencyWindow) record(d time.Duration) {
 	l.mu.Lock()
@@ -804,22 +846,31 @@ func (l *latencyWindow) record(d time.Duration) {
 	if l.n < len(l.buf) {
 		l.n++
 	}
+	l.total++
+	if l.n >= warmSamples && l.total%hedgeEvery == 0 {
+		// At least 1 ns, so a warm window never reads as cold.
+		l.hedge.Store(int64(max(l.quantileLocked(l.q), 1)))
+	}
 	l.mu.Unlock()
 }
 
-// quantile returns the q-quantile of the window, or warm == false while
-// the window has fewer than warmSamples entries.
-func (l *latencyWindow) quantile(q float64) (d time.Duration, warm bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n < warmSamples {
-		return 0, false
+// quantileLocked returns the q-quantile of the window (0 when empty).
+// Callers hold l.mu.
+func (l *latencyWindow) quantileLocked(q float64) time.Duration {
+	if l.n == 0 {
+		return 0
 	}
 	tmp := make([]time.Duration, l.n)
 	copy(tmp, l.buf[:l.n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := int(q * float64(l.n-1))
-	return tmp[i], true
+	slices.Sort(tmp)
+	return tmp[int(q*float64(l.n-1))]
+}
+
+// quantile is quantileLocked for stats reporting, without the warm-up gate.
+func (l *latencyWindow) quantile(q float64) time.Duration {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.quantileLocked(q)
 }
 
 // ShardStats is one shard's robustness counters and latency profile, the
@@ -842,8 +893,7 @@ type ShardStats struct {
 func (co *Coordinator) Stats() []ShardStats {
 	out := make([]ShardStats, len(co.shards))
 	for i, s := range co.shards {
-		p50, _ := s.lat.rawQuantile(0.50)
-		p99, _ := s.lat.rawQuantile(0.99)
+		p50, p99 := s.lat.quantile(0.50), s.lat.quantile(0.99)
 		out[i] = ShardStats{
 			Name:      s.client.Name(),
 			Points:    s.info.Load().Points,
@@ -859,19 +909,6 @@ func (co *Coordinator) Stats() []ShardStats {
 		}
 	}
 	return out
-}
-
-// rawQuantile is quantile without the warm-up gate, for stats reporting.
-func (l *latencyWindow) rawQuantile(q float64) (time.Duration, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n == 0 {
-		return 0, false
-	}
-	tmp := make([]time.Duration, l.n)
-	copy(tmp, l.buf[:l.n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	return tmp[int(q*float64(l.n-1))], true
 }
 
 // ShardHealth is one shard's readiness probe result.

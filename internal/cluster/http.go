@@ -23,6 +23,7 @@ type QueryCoordinator interface {
 	Gamma() float64
 	NumShards() int
 	Stats() []ShardStats
+	Exchange() ExchangeStats
 	Health(ctx context.Context) []ShardHealth
 	Aggregate(ctx context.Context, q []float64) (Result, error)
 	Threshold(ctx context.Context, q []float64, tau float64) (ThresholdResult, error)
@@ -99,6 +100,9 @@ type ClusterStatsResponse struct {
 	Epoch      uint64       `json:"epoch,omitempty"`
 	Splits     int64        `json:"splits,omitempty"`
 	Rescatters int64        `json:"rescatters,omitempty"`
+	// ExchangeStats counts Threshold/Approximate queries and their scatter
+	// rounds since the process started.
+	ExchangeStats
 	// Cluster is the writable coordinator's membership/replication block:
 	// per-member role, quarantine state and per-follower replication lag,
 	// plus promotion and failover counters.
@@ -129,6 +133,16 @@ type ClusterInsertErrorResponse struct {
 type ClusterDeleteResponse struct {
 	Deleted int    `json:"deleted"`
 	Epoch   uint64 `json:"epoch"`
+}
+
+// ClusterDeleteErrorResponse reports a routed delete that stopped early,
+// in the single-node server's shape: FailedID is the cluster-global id the
+// request stopped at and Deleted how many points were removed — ids are
+// deleted member by member, so those are not a prefix of the request.
+type ClusterDeleteErrorResponse struct {
+	Error    string `json:"error"`
+	Deleted  int    `json:"deleted"`
+	FailedID uint64 `json:"failed_id"`
 }
 
 // ClusterValueResponse is a value answer plus the degradation contract.
@@ -205,10 +219,11 @@ func (s *HTTPServer) handleInfo(w http.ResponseWriter, _ *http.Request) {
 
 func (s *HTTPServer) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := ClusterStatsResponse{
-		Requests: s.requests.Load(),
-		Errors:   s.errors.Load(),
-		Partials: s.partials.Load(),
-		Shards:   s.co.Stats(),
+		Requests:      s.requests.Load(),
+		Errors:        s.errors.Load(),
+		Partials:      s.partials.Load(),
+		Shards:        s.co.Stats(),
+		ExchangeStats: s.co.Exchange(),
 	}
 	if s.wco != nil {
 		resp.Epoch = s.wco.Epoch()
@@ -279,8 +294,9 @@ func (s *HTTPServer) handleInsert(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleDelete routes a delete by cluster-global id, chasing split
-// lineage when the owning member no longer holds the point.
+// handleDelete routes deletes by cluster-global id — one shard call per
+// owning member — chasing split lineage when a member no longer holds a
+// point.
 func (s *HTTPServer) handleDelete(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req server.DeleteRequest
@@ -306,10 +322,16 @@ func (s *HTTPServer) handleDelete(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, karl.ErrPointNotFound) {
 			status = http.StatusNotFound
 		}
+		resp := ClusterDeleteErrorResponse{
+			Error:   fmt.Sprintf("%v (%d of %d deleted)", err, n, len(ids)),
+			Deleted: n,
+		}
+		var de *DeleteError
+		if errors.As(err, &de) {
+			resp.FailedID = de.ID
+		}
 		s.errors.Add(1)
-		writeJSON(w, status, errorResponse{
-			fmt.Sprintf("id %d: %v (%d of %d deleted)", ids[n], err, n, len(ids)),
-		})
+		writeJSON(w, status, resp)
 		return
 	}
 	writeJSON(w, http.StatusOK, ClusterDeleteResponse{Deleted: len(ids), Epoch: s.wco.Epoch()})

@@ -172,6 +172,9 @@ type WritableCoordinator struct {
 	rescatters  atomic.Int64
 	promotions  atomic.Int64
 	quarantines atomic.Int64
+	// exch is shared by every epoch's read coordinator, so the query and
+	// round counts in /v1/stats survive membership changes.
+	exch exchangeCounters
 }
 
 // NewWritable founds a writable cluster over the given members with
@@ -341,6 +344,7 @@ func (w *WritableCoordinator) buildMembership(ctx context.Context, man *shard.Ma
 	if err != nil {
 		return nil, err
 	}
+	co.exch = &w.exch
 	return &membership{man: man, clients: clients, co: co}, nil
 }
 
@@ -367,6 +371,9 @@ func (d downShard) Aggregate(context.Context, []float64) (float64, error) {
 	return 0, fmt.Errorf("cluster: member %s is unreachable", d.name)
 }
 func (d downShard) Bounds(context.Context, []float64, float64) (Bounds, error) {
+	return Bounds{}, fmt.Errorf("cluster: member %s is unreachable", d.name)
+}
+func (d downShard) ThresholdBounds(context.Context, []float64, float64) (Bounds, error) {
 	return Bounds{}, fmt.Errorf("cluster: member %s is unreachable", d.name)
 }
 
@@ -455,6 +462,9 @@ func (w *WritableCoordinator) Rescatters() int64 { return w.rescatters.Load() }
 // Stats snapshots the current epoch's per-shard robustness counters.
 func (w *WritableCoordinator) Stats() []ShardStats { return w.mem.Load().co.Stats() }
 
+// Exchange snapshots the bound-exchange counters, cumulative across epochs.
+func (w *WritableCoordinator) Exchange() ExchangeStats { return w.mem.Load().co.Exchange() }
+
 // Health probes the current members.
 func (w *WritableCoordinator) Health(ctx context.Context) []ShardHealth {
 	return w.mem.Load().co.Health(ctx)
@@ -485,7 +495,7 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 	defer w.mu.Unlock()
 	m := w.mem.Load()
 	var touched []uint64 // members that acknowledged points of this call
-	defer func() { w.refreshMassLocked(ctx, touched) }()
+	defer func() { w.refreshMassLocked(touched) }()
 
 	// Group per owning member, preserving input order within each group.
 	groups := map[uint64][]int{}
@@ -585,18 +595,17 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 	return ids, nil
 }
 
-// refreshMassLocked re-reads Info from every listed member and installs
-// its cardinality and weight masses in the current read coordinator, so
-// the a-priori clamp [klo·W_S, khi·W_S] that every Threshold/Approximate
-// exchange starts from tracks the shard's true mass. Without it the
-// masses stay at their membership-build values (the first insert's, for a
-// cluster founded empty) and a shard holding more mass than recorded is
-// clamped below its true contribution — a silently wrong eKAQ. It runs on
-// the write path only, one Info round trip per touched member per call;
-// reads pay nothing. A probe failure keeps the old masses (the write is
-// already acknowledged; the next write to the member probes again).
-// Called with w.mu held.
-func (w *WritableCoordinator) refreshMassLocked(ctx context.Context, members []uint64) {
+// refreshMassLocked installs, for every listed member, the cardinality and
+// weight masses its latest write reply carried (WriteMass) in the current
+// read coordinator, so the a-priori clamp [klo·W_S, khi·W_S] that every
+// Threshold/Approximate exchange starts from tracks the shard's true mass.
+// Without it the masses stay at their membership-build values (the first
+// insert's, for a cluster founded empty) and a shard holding more mass than
+// recorded is clamped below its true contribution — a silently wrong eKAQ.
+// The masses ride on the write's own reply: no round trip is made here,
+// and reads pay nothing. A client with no write reply yet keeps the old
+// masses. Called with w.mu held.
+func (w *WritableCoordinator) refreshMassLocked(members []uint64) {
 	m := w.mem.Load()
 	for i := range m.man.Members {
 		id := m.man.Members[i].ID
@@ -604,11 +613,8 @@ func (w *WritableCoordinator) refreshMassLocked(ctx context.Context, members []u
 		if c == nil || !slices.Contains(members, id) {
 			continue
 		}
-		ictx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
-		info, err := c.Info(ictx)
-		cancel()
-		if err == nil {
-			m.co.setInfo(i, info) // shards are built in manifest member order
+		if mass, ok := c.WriteMass(); ok {
+			m.co.setMass(i, mass) // shards are built in manifest member order
 		}
 	}
 }
@@ -624,34 +630,96 @@ func (w *WritableCoordinator) Delete(ctx context.Context, gid uint64) error {
 	return err
 }
 
-// DeleteMany deletes the given points in order under one write-lock hold,
-// stopping at the first failure, and reports how many were removed.
+// DeleteError is the error of a DeleteMany that stopped early: the
+// cluster-global id it stopped at and why. errors.Is/As see through it.
+type DeleteError struct {
+	ID  uint64
+	Err error
+}
+
+func (e *DeleteError) Error() string { return fmt.Sprintf("id %d: %v", e.ID, e.Err) }
+func (e *DeleteError) Unwrap() error { return e.Err }
+
+// DeleteMany deletes the given points under one write-lock hold with one
+// shard call per owning member: ids are grouped by the member that
+// assigned them (groups in first-appearance order, ids in input order
+// within a group) and each group travels as one bulk delete. An id its
+// member reports missing falls back to the per-id lineage chase
+// (deleteLocked) — a split may have moved it — and the rest of the group
+// follows in a further bulk call. The first id that cannot be deleted stops
+// the request: the returned count says how many points were removed, which
+// under this order are not a prefix of gids, and the error is a
+// *DeleteError naming the id (after a transport failure, which carries no
+// count from the shard, the first id of the batch that was in flight).
 // Members that lost points have their weight masses refreshed in the read
-// coordinator once per call (refreshMassLocked), not once per id.
+// coordinator once per call (refreshMassLocked).
 func (w *WritableCoordinator) DeleteMany(ctx context.Context, gids []uint64) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var touched []uint64 // members that lost a point in this call
-	defer func() { w.refreshMassLocked(ctx, touched) }()
-	for i, gid := range gids {
-		mid, err := w.deleteLocked(ctx, gid)
-		if err != nil {
-			return i, err
+	defer func() { w.refreshMassLocked(touched) }()
+
+	groups := map[uint64][]uint64{} // member → its gids, in input order
+	var order []uint64
+	for _, gid := range gids {
+		mid, _ := DecodeID(gid)
+		if _, seen := groups[mid]; !seen {
+			order = append(order, mid)
 		}
-		touched = append(touched, mid)
+		groups[mid] = append(groups[mid], gid)
 	}
-	return len(gids), nil
+	deleted := 0
+	for _, mid := range order {
+		group := groups[mid]
+		seqs := make([]uint64, len(group))
+		for i, gid := range group {
+			_, seqs[i] = DecodeID(gid)
+		}
+		c := w.mem.Load().clients[mid]
+		for len(group) > 0 {
+			n := 0
+			err := karl.ErrPointNotFound // no client to ask: chase
+			if c != nil {
+				n, err = c.DeleteMany(ctx, seqs)
+			}
+			if n > 0 {
+				touched = append(touched, mid)
+				deleted += n
+			}
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, karl.ErrPointNotFound) {
+				return deleted, &DeleteError{ID: group[n], Err: err}
+			}
+			// group[n] is not (or no longer) on the member that assigned it.
+			holder, err := w.deleteLocked(ctx, group[n], c != nil)
+			if err != nil {
+				return deleted, &DeleteError{ID: group[n], Err: err}
+			}
+			touched = append(touched, holder)
+			deleted++
+			group, seqs = group[n+1:], seqs[n+1:]
+		}
+	}
+	return deleted, nil
 }
 
-// deleteLocked removes one point and names the member that held it.
-func (w *WritableCoordinator) deleteLocked(ctx context.Context, gid uint64) (uint64, error) {
+// deleteLocked removes one point by chasing its split lineage and names
+// the member that held it. ownerMissed says the member that assigned the
+// id has just reported it missing, so the chase starts at its descendants.
+func (w *WritableCoordinator) deleteLocked(ctx context.Context, gid uint64, ownerMissed bool) (uint64, error) {
 	mid, seq := DecodeID(gid)
 	m := w.mem.Load()
 	if m.man.Member(mid) == nil {
 		return 0, fmt.Errorf("cluster: point %d names unknown member %d: %w", gid, mid, karl.ErrPointNotFound)
 	}
+	candidates := lineageCandidates(m.man, mid, seq)
+	if ownerMissed {
+		candidates = candidates[1:]
+	}
 	unreachable := false
-	for _, cand := range lineageCandidates(m.man, mid, seq) {
+	for _, cand := range candidates {
 		c := m.clients[cand]
 		if c == nil {
 			unreachable = true

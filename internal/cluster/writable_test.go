@@ -797,12 +797,12 @@ func (c infoCountingClient) Info(ctx context.Context) (ShardInfo, error) {
 	return c.MutableShardClient.Info(ctx)
 }
 
-// TestWritableSplitProbeThrottled pins the write-path cost model: every
+// TestWritableSplitProbeThrottled pins the write-path cost model: an
 // acknowledged insert refreshes the weight masses of the members it
-// touched (one Info each, keeping the read coordinator's a-priori clamp
-// current), while the automatic split trigger — which polls EVERY
-// member's Info under the write lock — runs only once every
-// SplitCheckEvery inserted points, not on every Insert.
+// touched from the write's own reply (no Info round trip), while the
+// automatic split trigger — which polls EVERY member's Info under the
+// write lock — runs only once every SplitCheckEvery inserted points, not
+// on every Insert.
 func TestWritableSplitProbeThrottled(t *testing.T) {
 	ctx := context.Background()
 	var infos atomic.Int64
@@ -828,15 +828,15 @@ func TestWritableSplitProbeThrottled(t *testing.T) {
 		mustInsert(t, wco, [][]float64{p}, nil)
 	}
 	// 63 single-point inserts stay under the 64-point probe threshold:
-	// one mass refresh of the one touched member each, no probe round.
-	if got := infos.Load() - base; got != 63 {
-		t.Fatalf("63 inserted points cost %d Info calls, want 63 (one touched-member refresh each, probe threshold not reached)", got)
+	// the mass refresh rides on the insert reply, no probe round.
+	if got := infos.Load() - base; got != 0 {
+		t.Fatalf("63 inserted points cost %d Info calls, want 0 (masses come with the write reply, probe threshold not reached)", got)
 	}
 	mustInsert(t, wco, [][]float64{{0.5, 0.5}}, nil)
-	// The 64th point crosses the threshold: its own refresh plus exactly
-	// one probe round (one Info per member).
-	if got := infos.Load() - base; got != 63+1+2 {
-		t.Fatalf("64th point: %d Info calls since founding, want 66 (64 refreshes + one probe round)", got)
+	// The 64th point crosses the threshold: exactly one probe round (one
+	// Info per member).
+	if got := infos.Load() - base; got != 2 {
+		t.Fatalf("64th point: %d Info calls since founding, want 2 (one probe round)", got)
 	}
 }
 
@@ -1029,4 +1029,183 @@ func TestWritableMassRefreshMultiSeed(t *testing.T) {
 		}
 	}
 	check("after deleting half")
+}
+
+// deleteCountingClient counts the delete calls a member receives, by kind.
+type deleteCountingClient struct {
+	MutableShardClient
+	single, bulk *atomic.Int64
+}
+
+func (c deleteCountingClient) Delete(ctx context.Context, id uint64) error {
+	c.single.Add(1)
+	return c.MutableShardClient.Delete(ctx, id)
+}
+
+func (c deleteCountingClient) DeleteMany(ctx context.Context, ids []uint64) (int, error) {
+	c.bulk.Add(1)
+	return c.MutableShardClient.DeleteMany(ctx, ids)
+}
+
+// httpMutableShard serves a dynamic engine through a real mutable shard
+// server and returns an HTTP client for it, so the test covers the wire
+// form of bulk deletes and mass-carrying replies.
+func httpMutableShard(t *testing.T, d *karl.DynamicEngine) *HTTPShard {
+	t.Helper()
+	srv, err := server.NewMutable(d)
+	if err != nil {
+		t.Fatalf("server.NewMutable: %v", err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return NewHTTPShard(ts.URL)
+}
+
+// TestWritableDeleteManyPerMember pins the bulk-delete protocol over HTTP
+// shards: ids spanning members cost one shard call per member, a missing
+// id mid-batch stops the request with an honest count and the failing id
+// (through the API and on the wire), and ids a split moved away are
+// chased down their lineage without disturbing the rest of their batch.
+func TestWritableDeleteManyPerMember(t *testing.T) {
+	ctx := context.Background()
+	var single, bulk atomic.Int64
+	counted := func(d *karl.DynamicEngine) MutableShardClient {
+		return deleteCountingClient{httpMutableShard(t, d), &single, &bulk}
+	}
+	founders := make([]WritableShard, 2)
+	for i := range founders {
+		founders[i] = WritableShard{Name: fmt.Sprintf("m%d", i), Client: counted(newDynEngine(t, karl.Gaussian(1), karl.KDTree))}
+	}
+	spawn := func(_ context.Context, _ shard.Member, moved []byte) (MutableShardClient, error) {
+		d, err := karl.ReadDynamic(bytes.NewReader(moved))
+		if err != nil {
+			return nil, err
+		}
+		return counted(d), nil
+	}
+	wco, err := NewWritable(ctx, shard.Hash, founders, spawn, WritableConfig{})
+	if err != nil {
+		t.Fatalf("NewWritable: %v", err)
+	}
+	pts, _ := dataset(300, 2, 83, "I")
+	gids := mustInsert(t, wco, pts, nil)
+	point := map[uint64][]float64{}
+	var m1, m2 []uint64 // the two members' ids, in insertion order
+	for i, gid := range gids {
+		point[gid] = pts[i]
+		if mid, _ := DecodeID(gid); mid == 1 {
+			m1 = append(m1, gid)
+		} else {
+			m2 = append(m2, gid)
+		}
+	}
+	if len(m1) < 60 || len(m2) < 60 {
+		t.Fatalf("fixture: members hold %d and %d points", len(m1), len(m2))
+	}
+	take := func(ids *[]uint64, n int) []uint64 {
+		out := (*ids)[:n]
+		*ids = (*ids)[n:]
+		return out
+	}
+	calls := func() (int64, int64) { return single.Swap(0), bulk.Swap(0) }
+	live := len(pts)
+	checkPoints := func(stage string) {
+		t.Helper()
+		if got := wco.Points(); got != live {
+			t.Fatalf("%s: coordinator reports %d points, want %d (masses ride on the delete replies)", stage, got, live)
+		}
+	}
+
+	// Ids spanning both members, interleaved: one bulk call each.
+	var batch []uint64
+	for i, a, b := 0, take(&m1, 20), take(&m2, 20); i < 20; i++ {
+		batch = append(batch, a[i], b[i])
+	}
+	if n, err := wco.DeleteMany(ctx, batch); err != nil || n != len(batch) {
+		t.Fatalf("DeleteMany = %d, %v; want %d", n, err, len(batch))
+	}
+	if s, b := calls(); s != 0 || b != 2 {
+		t.Fatalf("40 ids over 2 members cost %d single and %d bulk shard calls, want 0 and 2", s, b)
+	}
+	live -= len(batch)
+	checkPoints("spanning batch")
+
+	// A missing id mid-batch. Member 1's group goes first and stops at the
+	// bogus id after two removals; member 2's group is never sent, so the
+	// count removed is not the failing id's index in the request.
+	bogus, _ := EncodeID(1, 1<<40)
+	missing := func() []uint64 {
+		a, b := take(&m1, 3), take(&m2, 2)
+		return []uint64{a[0], b[0], a[1], bogus, a[2], b[1]}
+	}
+	req := missing()
+	n, err := wco.DeleteMany(ctx, req)
+	var de *DeleteError
+	if !errors.As(err, &de) || !errors.Is(err, karl.ErrPointNotFound) {
+		t.Fatalf("DeleteMany with a missing id: err = %v, want a *DeleteError wrapping ErrPointNotFound", err)
+	}
+	if n != 2 || de.ID != bogus {
+		t.Fatalf("DeleteMany = %d removed, failing id %d; want 2 and %d", n, de.ID, bogus)
+	}
+	if s, b := calls(); s != 0 || b != 1 {
+		t.Fatalf("failed batch cost %d single and %d bulk calls, want 0 and 1 (member 1 has no descendant to chase into)", s, b)
+	}
+	live -= 2
+	checkPoints("missing id")
+	if n, err := wco.DeleteMany(ctx, []uint64{req[1], req[4], req[5]}); err != nil || n != 3 {
+		t.Fatalf("ids behind the failure: DeleteMany = %d, %v; want all 3 still deletable", n, err)
+	}
+	live -= 3
+
+	// The same failure on the wire: fields, not only prose.
+	front := httptest.NewServer(NewWritableHTTPServer(wco))
+	t.Cleanup(front.Close)
+	req = missing()
+	status, body := doJSON(t, http.MethodDelete, front.URL+"/v1/point", map[string]any{"ids": req})
+	var wire ClusterDeleteErrorResponse
+	if err := json.Unmarshal(body, &wire); err != nil {
+		t.Fatalf("decode delete failure: %v (%s)", err, body)
+	}
+	if status != http.StatusNotFound || wire.Deleted != 2 || wire.FailedID != bogus || wire.Error == "" {
+		t.Fatalf("wire delete failure: status %d, %+v; want 404, 2 deleted, failed_id %d", status, wire, bogus)
+	}
+	live -= 2
+	if n, err := wco.DeleteMany(ctx, []uint64{req[1], req[4], req[5]}); err != nil || n != 3 {
+		t.Fatalf("ids behind the wire failure: DeleteMany = %d, %v", n, err)
+	}
+	live -= 3
+	calls()
+
+	// A split moves part of member 1 to a new member 3. Deleting everything
+	// that is left removes every point: each id member 1 reports missing is
+	// chased to the descendant (one single delete there, member 1 is not
+	// asked twice) and the rest of its group follows in a further bulk call.
+	if err := wco.Split(ctx, 1); err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	man := wco.Manifest()
+	moved, lastMoved := 0, false
+	for _, gid := range m1 {
+		lastMoved = man.Route(point[gid]) != 1
+		if lastMoved {
+			moved++
+		}
+	}
+	if moved == 0 || moved == len(m1) {
+		t.Fatalf("fixture: the split moved %d of member 1's %d remaining points", moved, len(m1))
+	}
+	rest := append(append([]uint64(nil), m1...), m2...)
+	if n, err := wco.DeleteMany(ctx, rest); err != nil || n != len(rest) {
+		t.Fatalf("DeleteMany after the split = %d, %v; want %d", n, err, len(rest))
+	}
+	wantBulk := int64(moved) + 1 // member 1's group restarts after every moved id; member 2's group
+	if !lastMoved {
+		wantBulk++
+	}
+	if s, b := calls(); s != int64(moved) || b != wantBulk {
+		t.Fatalf("post-split delete of %d ids (%d moved) cost %d single and %d bulk calls, want %d and %d",
+			len(rest), moved, s, b, moved, wantBulk)
+	}
+	live = 0
+	checkPoints("everything deleted")
 }

@@ -104,7 +104,38 @@ func TestBoundsEndpoint(t *testing.T) {
 		t.Fatalf("both budgets: status %d", resp.StatusCode)
 	}
 
-	// The bounds endpoint shows up in /v1/stats.
+	// Threshold request: refinement stops on the TKAQ rule, so the certified
+	// interval lies strictly on one side of the threshold — including a
+	// threshold of 0, which must not read as "no threshold" (exact).
+	for _, th := range []float64{0, 0.5 * exact, 2 * exact} {
+		resp, body = post(t, ts, "/v1/bounds", QueryRequest{Q: q, Threshold: &th})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("threshold %v: status %d: %s", th, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &b); err != nil {
+			t.Fatal(err)
+		}
+		if b.LB-tol > exact || b.UB+tol < exact || b.Value != (b.LB+b.UB)/2 {
+			t.Fatalf("threshold %v: exact %v vs certified %+v", th, exact, b)
+		}
+		if over := exact > th; over && !(b.LB > th) || !over && !(b.UB <= th) {
+			t.Fatalf("threshold %v: interval [%v, %v] does not decide it (exact %v)", th, b.LB, b.UB, exact)
+		}
+		if th < exact && b.LB == b.UB {
+			t.Fatalf("threshold %v far below the value was refined to exact", th)
+		}
+	}
+	th := exact
+	resp, _ = post(t, ts, "/v1/bounds", QueryRequest{Q: q, Eps: 0.1, Threshold: &th})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("threshold with a budget: status %d", resp.StatusCode)
+	}
+	resp, _ = post(t, ts, "/v1/threshold", QueryRequest{Q: q, Threshold: &th})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf(`"threshold" on /v1/threshold: status %d, want 400 (the field there is "tau")`, resp.StatusCode)
+	}
+
+	// The bounds endpoint shows up in /v1/stats, split by stopping rule.
 	sresp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +146,8 @@ func TestBoundsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep, ok := stats.Endpoints["bounds"]
-	if !ok || ep.Requests < 2 {
-		t.Fatalf("bounds endpoint stats missing or empty: %+v", stats.Endpoints)
+	if !ok || ep.Queries != 5 || ep.ThresholdStopped != 3 || ep.EpsStopped != 1 {
+		t.Fatalf("bounds endpoint stats %+v, want 5 queries: 3 threshold-stopped, 1 eps-stopped, 1 exact", ep)
 	}
 }
 

@@ -15,6 +15,10 @@ type endpointMetrics struct {
 	iterations    atomic.Int64
 	nodesExpanded atomic.Int64
 	pointsScanned atomic.Int64
+	// thresholdStopped and epsStopped split /v1/bounds calls by stopping
+	// rule (the rest were exact); zero on every other endpoint.
+	thresholdStopped atomic.Int64
+	epsStopped       atomic.Int64
 }
 
 // record folds one query's work statistics into the endpoint totals.
@@ -36,6 +40,9 @@ func (m *endpointMetrics) snapshot() EndpointStats {
 		Iterations:    m.iterations.Load(),
 		NodesExpanded: m.nodesExpanded.Load(),
 		PointsScanned: m.pointsScanned.Load(),
+
+		ThresholdStopped: m.thresholdStopped.Load(),
+		EpsStopped:       m.epsStopped.Load(),
 	}
 }
 
@@ -70,6 +77,11 @@ type EndpointStats struct {
 	Iterations    int64 `json:"iterations"`
 	NodesExpanded int64 `json:"nodes_expanded"`
 	PointsScanned int64 `json:"points_scanned"`
+	// ThresholdStopped and EpsStopped are reported by the "bounds" block
+	// only: how many of its queries refined against a threshold and how
+	// many against an ε budget. The remainder were exact rounds.
+	ThresholdStopped int64 `json:"threshold_stopped,omitempty"`
+	EpsStopped       int64 `json:"eps_stopped,omitempty"`
 }
 
 // PoolStats describes the engine-clone pool.

@@ -75,6 +75,11 @@ func TestInsertEndpointSingleAndBulk(t *testing.T) {
 	if ir.Inserted != 2 || ir.Len != 4 {
 		t.Fatalf("bulk insert response %+v", ir)
 	}
+	// The reply carries the masses a coordinator would otherwise fetch from
+	// /v1/info: 1 + 2.5 + 1 + 3.
+	if ir.Points != 4 || ir.WeightPos != 7.5 || ir.WeightNeg != 0 {
+		t.Fatalf("bulk insert response masses %+v", ir.MassResponse)
+	}
 	if d.Len() != 4 {
 		t.Fatalf("engine Len = %d", d.Len())
 	}
@@ -303,7 +308,7 @@ func TestDeleteEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &dr); err != nil {
 		t.Fatal(err)
 	}
-	if dr.Deleted != 1 || dr.Len != 19 {
+	if dr.Deleted != 1 || dr.Len != 19 || dr.Points != 19 || dr.WeightPos != 19 {
 		t.Fatalf("delete response %+v", dr)
 	}
 	if d.Len() != 19 {
@@ -329,6 +334,15 @@ func TestDeleteEndpoint(t *testing.T) {
 	resp, body = del(t, ts, "/v1/point", DeleteRequest{IDs: []uint64{ir.IDs[4], ir.IDs[4]}})
 	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "1 of 2 deleted") {
 		t.Fatalf("partial bulk delete not reported: %d %s", resp.StatusCode, body)
+	}
+	// ... in fields, not only in prose: one id landed, the repeat failed,
+	// and the masses are those after the one removal.
+	var de DeleteErrorResponse
+	if err := json.Unmarshal(body, &de); err != nil {
+		t.Fatal(err)
+	}
+	if de.Deleted != 1 || de.FailedID != ir.IDs[4] || de.Points != 15 || de.WeightPos != 15 {
+		t.Fatalf("structured delete failure %+v", de)
 	}
 
 	// Malformed bodies.

@@ -349,16 +349,33 @@ type InsertRequest struct {
 	Weights []float64   `json:"weights,omitempty"`
 }
 
+// MassResponse is the engine's cardinality and per-sign weight masses as
+// of a write reply — the /v1/info fields of the same names. A cluster
+// coordinator installs them as the shard's mass W_S straight from the
+// reply, so a routed write costs no extra /v1/info round trip.
+type MassResponse struct {
+	Points    int     `json:"points"`
+	WeightPos float64 `json:"weight_pos"`
+	WeightNeg float64 `json:"weight_neg,omitempty"`
+}
+
+// mass reads the mutable engine's current cardinality and weight masses.
+func (s *Server) mass() MassResponse {
+	wpos, wneg := s.dyn.WeightMass()
+	return MassResponse{Points: s.dyn.Len(), WeightPos: wpos, WeightNeg: wneg}
+}
+
 // InsertResponse reports a successful insert: the assigned point IDs (in
-// input order, usable with DELETE /v1/point), the dataset size afterwards,
-// and the manifest epoch (which advances when the insert triggered a seal
-// or compaction). Inserts are all-or-nothing: a rejected request lands no
-// points.
+// input order, usable with DELETE /v1/point), the dataset size and weight
+// masses afterwards, and the manifest epoch (which advances when the
+// insert triggered a seal or compaction). Inserts are all-or-nothing: a
+// rejected request lands no points.
 type InsertResponse struct {
 	Inserted int      `json:"inserted"`
 	IDs      []uint64 `json:"ids"`
 	Len      int      `json:"len"`
 	Epoch    uint64   `json:"epoch"`
+	MassResponse
 }
 
 // DeleteRequest is the DELETE /v1/point body: either one point ID ("id")
@@ -370,18 +387,32 @@ type DeleteRequest struct {
 }
 
 // DeleteResponse reports how many points were removed, the live dataset
-// size afterwards, and how many tombstones are pending compaction. Bulk
-// deletes are sequential, not transactional: on error the response names
-// the failing ID and how many earlier IDs already landed.
+// size and weight masses afterwards, and how many tombstones are pending
+// compaction.
 type DeleteResponse struct {
 	Deleted    int    `json:"deleted"`
 	Len        int    `json:"len"`
 	Tombstones int    `json:"tombstones"`
 	Epoch      uint64 `json:"epoch"`
+	MassResponse
 }
 
-// QueryRequest is the shared request body; Tau is used by /threshold, and
-// Eps / EpsNorm by /approximate.
+// DeleteErrorResponse is the body of a failed DELETE /v1/point. Bulk
+// deletes are sequential, not transactional: FailedID is the id the
+// request stopped at and Deleted how many ids were removed before it —
+// with the masses after those removals — so a caller can resume past the
+// failure without parsing the message.
+type DeleteErrorResponse struct {
+	Error    string `json:"error"`
+	Deleted  int    `json:"deleted"`
+	FailedID uint64 `json:"failed_id"`
+	MassResponse
+}
+
+// QueryRequest is the shared request body; Tau is used by /threshold, Eps
+// / EpsNorm by /approximate and /bounds, and Threshold by /bounds alone (a
+// pointer, because there presence selects the stopping rule and τ = 0 is
+// a threshold like any other).
 //
 // /v1/approximate supports two distinct error models, selected by which
 // budget field is set (exactly one is required):
@@ -402,6 +433,9 @@ type QueryRequest struct {
 	Tau     float64   `json:"tau"`
 	Eps     float64   `json:"eps"`
 	EpsNorm float64   `json:"eps_norm"`
+	// Threshold, on /v1/bounds only, refines with the TKAQ rule against
+	// this value instead of an ε budget.
+	Threshold *float64 `json:"threshold,omitempty"`
 }
 
 // BatchRequest is the POST /v1/batch body. Kind selects the query type
@@ -595,7 +629,10 @@ type BoundsResponse struct {
 // budget semantics extend /v1/approximate: "eps" (relative) or "eps_norm"
 // (normalized) drives refinement, and a request with NEITHER budget asks
 // for the exact value (lb = ub = value) — the coordinator's final
-// bound-exchange round.
+// bound-exchange round. "threshold" instead refines with the TKAQ rule —
+// stop the moment lb > threshold or ub ≤ threshold — and returns the
+// certified interval it stopped at with its midpoint as the value: the
+// coordinator hands each shard its own share of a cluster-wide τ.
 func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	m := &s.met.bounds
 	m.requests.Add(1)
@@ -612,9 +649,17 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	var v float64
 	var st karl.Stats
 	var err error
-	if budget := relativeBudget(req.Eps, req.EpsNorm); budget > 0 {
+	var stopped *atomic.Int64 // the stopping rule's counter; nil for exact
+	budget := relativeBudget(req.Eps, req.EpsNorm)
+	switch {
+	case req.Threshold != nil:
+		stopped = &m.thresholdStopped
+		_, st, err = eng.ThresholdStats(req.Q, *req.Threshold)
+		v = (st.LB + st.UB) / 2
+	case budget > 0:
+		stopped = &m.epsStopped
 		v, st, err = eng.ApproximateStats(req.Q, budget)
-	} else {
+	default:
 		v, st, err = eng.AggregateStats(req.Q)
 	}
 	s.pool.release(eng)
@@ -623,6 +668,9 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m.record(1, st)
+	if stopped != nil {
+		stopped.Add(1)
+	}
 	s.countRefine()
 	writeJSON(w, http.StatusOK, BoundsResponse{Value: v, LB: st.LB, UB: st.UB})
 }
@@ -636,10 +684,20 @@ func (s *Server) countRefine() {
 }
 
 // validateBounds checks a /v1/bounds request: like an approximate budget,
-// except that omitting both budgets is allowed and means exact.
+// except that omitting both budgets is allowed and means exact, and a
+// threshold replaces the budget altogether.
 func (s *Server) validateBounds(req QueryRequest) error {
 	if err := s.checkQuery(req.Q); err != nil {
 		return err
+	}
+	if req.Threshold != nil {
+		if req.Eps != 0 || req.EpsNorm != 0 {
+			return errors.New("threshold and eps/eps_norm are mutually exclusive: pick one stopping rule")
+		}
+		if !isFinite(*req.Threshold) {
+			return fmt.Errorf("threshold must be finite, got %v", *req.Threshold)
+		}
+		return nil
 	}
 	if req.Eps == 0 && req.EpsNorm == 0 {
 		return nil // exact round
@@ -701,10 +759,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	m.record(len(ids), karl.Stats{})
 	writeJSON(w, http.StatusOK, InsertResponse{
-		Inserted: len(ids),
-		IDs:      ids,
-		Len:      s.dyn.Len(),
-		Epoch:    s.dyn.Epoch(),
+		Inserted:     len(ids),
+		IDs:          ids,
+		Len:          s.dyn.Len(),
+		Epoch:        s.dyn.Epoch(),
+		MassResponse: s.mass(),
 	})
 }
 
@@ -745,17 +804,21 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 				status = http.StatusNotFound
 			}
 			// IDs before i are already gone; report the partial landing.
-			writeJSON(w, status, errorResponse{
-				fmt.Sprintf("id %d: %v (%d of %d deleted)", id, err, i, len(ids)),
+			writeJSON(w, status, DeleteErrorResponse{
+				Error:        fmt.Sprintf("id %d: %v (%d of %d deleted)", id, err, i, len(ids)),
+				Deleted:      i,
+				FailedID:     id,
+				MassResponse: s.mass(),
 			})
 			return
 		}
 	}
 	m.record(len(ids), karl.Stats{})
 	resp := DeleteResponse{
-		Deleted: len(ids),
-		Len:     s.dyn.Len(),
-		Epoch:   s.dyn.Epoch(),
+		Deleted:      len(ids),
+		Len:          s.dyn.Len(),
+		Epoch:        s.dyn.Epoch(),
+		MassResponse: s.mass(),
 	}
 	if s.lsm != nil {
 		resp.Tombstones = s.lsm.Tombstones()
@@ -1133,6 +1196,9 @@ func fail(w http.ResponseWriter, m *endpointMetrics, err error) {
 func (s *Server) validate(req QueryRequest, n need) error {
 	if err := s.checkQuery(req.Q); err != nil {
 		return err
+	}
+	if req.Threshold != nil {
+		return errors.New(`"threshold" belongs to /v1/bounds; /v1/threshold takes "tau"`)
 	}
 	switch n {
 	case needTau:
