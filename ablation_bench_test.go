@@ -1,5 +1,5 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: which
-// side of KARL's bound pair drives the speedup, and how the three index
+// side of KARL's bound pair drives the speedup, and how the two index
 // structures compare under identical workloads.
 package karl
 
@@ -29,7 +29,7 @@ func runThresholdBench(b *testing.B, eng *Engine, q []float64, tau float64) {
 	}
 }
 
-// BenchmarkIndexKDTree / BallTree / VPTree: the same KARL TKAQ on each
+// BenchmarkIndexKDTree / BallTree: the same KARL TKAQ on each
 // index structure (the Figure 7 / Table VIII ablation axis).
 func BenchmarkIndexKDTree(b *testing.B) {
 	eng, q, tau := ablationEngine(b, KDTree, MethodKARL)
@@ -38,11 +38,6 @@ func BenchmarkIndexKDTree(b *testing.B) {
 
 func BenchmarkIndexBallTree(b *testing.B) {
 	eng, q, tau := ablationEngine(b, BallTree, MethodKARL)
-	runThresholdBench(b, eng, q, tau)
-}
-
-func BenchmarkIndexVPTree(b *testing.B) {
-	eng, q, tau := ablationEngine(b, VPTree, MethodKARL)
 	runThresholdBench(b, eng, q, tau)
 }
 

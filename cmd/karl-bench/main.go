@@ -1,59 +1,26 @@
 // Command karl-bench regenerates the paper's tables and figures on the
-// synthetic stand-in datasets.
+// synthetic stand-in datasets (EXPERIMENTS.md). Serving numbers come from
+// the end-to-end harness instead: bash bench/run.sh.
 //
 // Usage:
 //
 //	karl-bench -list
 //	karl-bench -run tab7
 //	karl-bench -run all -scale 0.05 -queries 500 -maxn 50000
-//	karl-bench -mutable -maxn 20000 -mixratio 9
-//	karl-bench -mutable -maxn 20000 -delevery 10 -window 1h -decay-halflife 30m
-//	karl-bench -batch 4096 -maxn 20000
-//	karl-bench -batch 4096 -mutable -seal 512
-//	karl-bench -matrix -maxn 50000 -queries 200
 //
 // Experiment IDs follow DESIGN.md §4 (fig1, fig6, fig7, fig9..fig13, tab7,
 // tab8, tab9, tab10). Larger -scale/-queries values approach the paper's
 // setting at the cost of runtime.
-//
-// -mutable runs the segmented-engine serving benchmark instead: it seeds
-// half the dataset into a dynamic engine, replays a mixed stream over the
-// other half (-mixratio queries per insert, default 9 for a 90/10
-// query/insert mix), and reports p50/p99 latency per operation class plus
-// overall throughput — sealing and background compaction included.
-// -delevery mixes one delete of a random live point per that many inserts
-// (tombstone + compaction reclamation on the hot path); -window and
-// -decay-halflife exercise sliding-window TTL expiry and exponential
-// weight decay.
-//
-// -batch N times one N-query approximate batch through the sequential and
-// dual-tree batch executors side by side, reporting amortized per-query
-// p50/p99 latency and batch throughput for each; add -mutable to run the
-// comparison against the segmented dynamic engine instead of a static
-// index.
-//
-// -matrix sweeps the raw-speed knobs: GOMAXPROCS ∈ {1,2,4,8} × float32
-// blocked leaves on/off × three kernel families, rebuilding the engine per
-// cell (WithRefineWorkers follows GOMAXPROCS) and reporting exact and
-// approximate latency quantiles with allocs/op for each. -leaf-float32
-// enables float32 blocked leaves in the -mutable and -batch modes; in
-// -matrix it is a sweep dimension and the flag is rejected.
-//
-// All modes report steady-state allocs/op next to the latency quantiles.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
-	"karl"
 	"karl/internal/experiments"
 )
 
@@ -67,19 +34,6 @@ func main() {
 		sample  = flag.Int("tunesample", 50, "offline tuning sample size (paper: 1000)")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		dims    = flag.String("dims", "", "comma-separated Fig.12 dimensionality sweep (e.g. 32,64,128,256)")
-
-		mutable  = flag.Bool("mutable", false, "run the mutable-serving mixed-workload benchmark instead of a paper experiment")
-		repl     = flag.Bool("replica", false, "benchmark the replication subsystem: follower catch-up throughput, steady-state lag under writes, leader-kill failover time")
-		batch    = flag.Int("batch", 0, "benchmark N-query batches through the sequential and dual-tree executors (combine with -mutable for the segmented engine)")
-		matrix   = flag.Bool("matrix", false, "sweep GOMAXPROCS × float32-leaves × kernel family on single-query latency")
-		leaf32   = flag.Bool("leaf-float32", false, "store leaf points as float32 tiles in the -mutable/-batch engines")
-		mixRatio = flag.Int("mixratio", 9, "queries per insert in the -mutable stream (9 = 90/10 query/insert)")
-		sealSize = flag.Int("seal", 512, "memtable seal threshold for -mutable")
-		fanout   = flag.Int("fanout", 4, "compaction fanout for -mutable")
-		eps      = flag.Float64("eps", 0.1, "relative error budget for -mutable/-batch approximate queries")
-		delEvery = flag.Int("delevery", 0, "issue one delete of a random live point per this many -mutable inserts (0 = no deletes)")
-		window   = flag.Duration("window", 0, "sliding-window TTL for -mutable: points older than this expire at seal/compaction (0 = keep forever)")
-		halfLife = flag.Duration("decay-halflife", 0, "exponential weight-decay half-life for -mutable points (0 = no decay)")
 	)
 	flag.Parse()
 
@@ -87,47 +41,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "karl-bench: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *matrix {
-		cfg := matrixBenchConfig{n: *maxN, queries: *queries, eps: *eps, seed: *seed}
-		if err := runMatrixBench(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "karl-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *repl {
-		cfg := replicaBenchConfig{n: *maxN, sealSize: *sealSize, fanout: *fanout, seed: *seed}
-		if err := runReplicaBench(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "karl-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *batch != 0 {
-		cfg := batchBenchConfig{
-			n: *maxN, batch: *batch, sealSize: *sealSize, fanout: *fanout,
-			eps: *eps, seed: *seed, mutable: *mutable, window: *window, halfLife: *halfLife,
-			leaf32: *leaf32,
-		}
-		if err := runBatchBench(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "karl-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *mutable {
-		cfg := mutableBenchConfig{
-			n: *maxN, mixRatio: *mixRatio, sealSize: *sealSize, fanout: *fanout,
-			eps: *eps, seed: *seed, delEvery: *delEvery, window: *window, halfLife: *halfLife,
-			leaf32: *leaf32,
-		}
-		if err := runMutableBench(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "karl-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -168,456 +81,25 @@ func main() {
 	}
 }
 
-// validateFlags rejects contradictory invocations up front, before any
-// dataset generation: exactly one mode (-run, -list, -mutable), and no
-// flags that belong to a different mode — a typo'd invocation fails in
-// milliseconds instead of after minutes of benchmarking the wrong thing.
+// validateFlags rejects contradictory invocations before any dataset is
+// generated: exactly one of -run and -list, and no experiment flag beside
+// -list — a typo'd invocation fails in milliseconds instead of after
+// minutes of running the wrong thing.
 func validateFlags() error {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	modes := 0
-	for _, m := range []string{"run", "list", "mutable", "batch", "matrix", "replica"} {
-		if set[m] {
-			modes++
-		}
-	}
-	if set["mutable"] && set["batch"] {
-		modes-- // -batch composes with -mutable: batch queries against the segmented engine
-	}
-	if modes == 0 {
-		return errors.New("pick a mode: -run <id>, -list, -mutable, -batch <n>, -matrix, or -replica")
-	}
-	if modes > 1 {
-		return errors.New("-run, -list, -mutable, -batch, -matrix and -replica are mutually exclusive: pick one mode (-batch may combine with -mutable)")
-	}
-
-	var wrong []string
-	reject := func(mode string, names ...string) {
-		for _, name := range names {
-			if set[name] {
-				wrong = append(wrong, fmt.Sprintf("-%s only applies to %s", name, mode))
-			}
-		}
-	}
 	switch {
+	case set["run"] == set["list"]:
+		return errors.New("pick one mode: -run <id> or -list")
 	case set["list"]:
-		reject("-run", "scale", "maxn", "queries", "tunesample", "seed", "dims")
-		reject("-mutable", "mixratio", "seal", "fanout", "eps", "delevery", "window", "decay-halflife", "leaf-float32")
-	case set["matrix"]:
-		reject("-run", "scale", "tunesample", "dims")
-		reject("-mutable", "mixratio", "seal", "fanout", "delevery", "window", "decay-halflife")
-		if set["leaf-float32"] {
-			wrong = append(wrong, "-leaf-float32 is a -matrix sweep dimension, not a flag there")
-		}
-	case set["batch"]:
-		reject("-run", "scale", "queries", "tunesample", "dims")
-		reject("a -mutable stream", "mixratio", "delevery")
-		if !set["mutable"] {
-			reject("-mutable", "seal", "fanout", "window", "decay-halflife")
-		}
-	case set["mutable"]:
-		reject("-run", "scale", "queries", "tunesample", "dims")
-	case set["replica"]:
-		reject("-run", "scale", "queries", "tunesample", "dims")
-		reject("a -mutable stream", "mixratio", "delevery", "eps",
-			"window", "decay-halflife", "leaf-float32")
-	default: // -run
-		reject("-mutable", "mixratio", "seal", "fanout", "eps", "delevery", "window", "decay-halflife", "leaf-float32")
-	}
-	if len(wrong) > 0 {
-		return errors.New(strings.Join(wrong, "; "))
-	}
-	return nil
-}
-
-// quantile returns the q-quantile of a sorted latency slice.
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// mallocs reads the cumulative heap-allocation counter; the delta across a
-// measured section divided by its operation count is the allocs/op figure
-// every mode reports next to its latency quantiles.
-func mallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
-
-// allocsPerOp formats a mallocs delta over an op count.
-func allocsPerOp(delta uint64, ops int) float64 {
-	if ops == 0 {
-		return 0
-	}
-	return float64(delta) / float64(ops)
-}
-
-// clusterPoints generates the mutable/batch benchmarks' synthetic n×dim
-// dataset: five Gaussian clusters spaced 0.18 apart along the diagonal.
-func clusterPoints(rng *rand.Rand, n, dim int) [][]float64 {
-	pts := make([][]float64, n)
-	for i := range pts {
-		p := make([]float64, dim)
-		base := float64(i%5) * 0.18
-		for j := range p {
-			p[j] = base + rng.NormFloat64()*0.04
-		}
-		pts[i] = p
-	}
-	return pts
-}
-
-// batchBenchConfig bundles the -batch workload knobs.
-type batchBenchConfig struct {
-	n, batch, sealSize, fanout int
-	eps                        float64
-	seed                       int64
-	mutable, leaf32            bool
-	window, halfLife           time.Duration
-}
-
-// runBatchBench answers the same N-query approximate batch through the
-// forced-sequential and forced-dual-tree executors and reports amortized
-// per-query latency quantiles plus batch throughput, so the dual-tree
-// cutover can be judged on the target workload shape. Both executors run
-// single-worker: the comparison isolates shared bound refinement from
-// clone parallelism.
-func runBatchBench(cfg batchBenchConfig) error {
-	if cfg.batch < 1 {
-		return fmt.Errorf("-batch %d: batch size must be positive", cfg.batch)
-	}
-	if cfg.n < 2 {
-		return fmt.Errorf("-maxn %d too small", cfg.n)
-	}
-	rng := rand.New(rand.NewSource(cfg.seed))
-	const dim = 8
-	pts := clusterPoints(rng, cfg.n, dim)
-	queries := make([][]float64, cfg.batch)
-	for i := range queries {
-		q := make([]float64, dim)
-		for j := range q {
-			q[j] = 0.2 + rng.Float64()*0.2
-		}
-		queries[i] = q
-	}
-
-	type batcher interface {
-		BatchApproximate(queries [][]float64, eps float64, workers int) ([]float64, error)
-	}
-	build := func(exec karl.BatchExecutor) (batcher, error) {
-		if !cfg.mutable {
-			opts := []karl.Option{karl.WithBatchExecutor(exec)}
-			if cfg.leaf32 {
-				opts = append(opts, karl.WithLeafFloat32())
+		var wrong []string
+		for _, name := range []string{"scale", "maxn", "queries", "tunesample", "seed", "dims"} {
+			if set[name] {
+				wrong = append(wrong, fmt.Sprintf("-%s only applies to -run", name))
 			}
-			return karl.Build(pts, karl.Gaussian(20), opts...)
 		}
-		opts := []karl.Option{
-			karl.WithSealSize(cfg.sealSize), karl.WithCompactionFanout(cfg.fanout),
-			karl.WithBatchExecutor(exec),
-		}
-		if cfg.leaf32 {
-			opts = append(opts, karl.WithLeafFloat32())
-		}
-		if cfg.window > 0 {
-			opts = append(opts, karl.WithTTL(cfg.window))
-		}
-		if cfg.halfLife > 0 {
-			opts = append(opts, karl.WithDecayHalfLife(cfg.halfLife))
-		}
-		d, err := karl.NewDynamic(karl.Gaussian(20), opts...)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := d.InsertBulk(pts, nil); err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
-
-	const rounds = 7
-	kind := "static"
-	if cfg.mutable {
-		kind = "segmented"
-	}
-	fmt.Printf("batch executor benchmark (%s engine): n=%d dim=%d batch=%d eps=%g rounds=%d workers=1 leaf-float32=%v\n",
-		kind, cfg.n, dim, cfg.batch, cfg.eps, rounds, cfg.leaf32)
-	var tput [2]float64
-	for i, ex := range []struct {
-		name string
-		exec karl.BatchExecutor
-	}{
-		{"sequential", karl.BatchSequential},
-		{"dual-tree", karl.BatchDualTree},
-	} {
-		eng, err := build(ex.exec)
-		if err != nil {
-			return err
-		}
-		if _, err := eng.BatchApproximate(queries, cfg.eps, 1); err != nil { // warmup
-			return err
-		}
-		lat := make([]time.Duration, 0, rounds)
-		var total time.Duration
-		m0 := mallocs()
-		for r := 0; r < rounds; r++ {
-			t0 := time.Now()
-			if _, err := eng.BatchApproximate(queries, cfg.eps, 1); err != nil {
-				return err
-			}
-			elapsed := time.Since(t0)
-			total += elapsed
-			lat = append(lat, elapsed/time.Duration(cfg.batch))
-		}
-		allocs := allocsPerOp(mallocs()-m0, rounds*cfg.batch)
-		sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
-		tput[i] = float64(rounds*cfg.batch) / total.Seconds()
-		fmt.Printf("  %-10s per-query p50=%v p99=%v allocs/op=%.1f  throughput: %.0f queries/sec (batch wall %v)\n",
-			ex.name, quantile(lat, 0.50), quantile(lat, 0.99), allocs, tput[i],
-			(total / rounds).Round(time.Microsecond))
-	}
-	fmt.Printf("  dual-tree speedup: %.2fx\n", tput[1]/tput[0])
-	return nil
-}
-
-// mutableBenchConfig bundles the -mutable workload knobs.
-type mutableBenchConfig struct {
-	n, mixRatio, sealSize, fanout, delEvery int
-	eps                                     float64
-	seed                                    int64
-	window, halfLife                        time.Duration
-	leaf32                                  bool
-}
-
-// runMutableBench replays a mixed insert/delete/query stream against a
-// segmented dynamic engine and prints per-class latency quantiles plus
-// throughput.
-func runMutableBench(cfg mutableBenchConfig) error {
-	n, mixRatio := cfg.n, cfg.mixRatio
-	if n < 2 {
-		return fmt.Errorf("-maxn %d too small", n)
-	}
-	if mixRatio < 0 {
-		mixRatio = 0
-	}
-	rng := rand.New(rand.NewSource(cfg.seed))
-	const dim = 8
-	pts := clusterPoints(rng, n, dim)
-	opts := []karl.Option{karl.WithSealSize(cfg.sealSize), karl.WithCompactionFanout(cfg.fanout)}
-	if cfg.leaf32 {
-		opts = append(opts, karl.WithLeafFloat32())
-	}
-	if cfg.window > 0 {
-		opts = append(opts, karl.WithTTL(cfg.window))
-	}
-	if cfg.halfLife > 0 {
-		opts = append(opts, karl.WithDecayHalfLife(cfg.halfLife))
-	}
-	d, err := karl.NewDynamic(karl.Gaussian(20), opts...)
-	if err != nil {
-		return err
-	}
-	half := n / 2
-	live := make([]uint64, 0, n)
-	for _, p := range pts[:half] {
-		id, err := d.InsertID(p, 1)
-		if err != nil {
-			return err
-		}
-		live = append(live, id)
-	}
-	queryAt := func() []float64 {
-		q := make([]float64, dim)
-		for j := range q {
-			q[j] = 0.2 + rng.Float64()*0.2
-		}
-		return q
-	}
-	queries := make([][]float64, 256)
-	for i := range queries {
-		queries[i] = queryAt()
-	}
-
-	insertLat := make([]time.Duration, 0, n-half)
-	queryLat := make([]time.Duration, 0, (n-half)*mixRatio)
-	var deleteLat []time.Duration
-	qi := 0
-	m0 := mallocs()
-	start := time.Now()
-	for i, p := range pts[half:] {
-		t0 := time.Now()
-		id, err := d.InsertID(p, 1)
-		if err != nil {
-			return err
-		}
-		insertLat = append(insertLat, time.Since(t0))
-		live = append(live, id)
-		if cfg.delEvery > 0 && (i+1)%cfg.delEvery == 0 && len(live) > 1 {
-			j := rng.Intn(len(live))
-			t0 = time.Now()
-			if err := d.Delete(live[j]); err != nil {
-				return fmt.Errorf("delete id %d: %w", live[j], err)
-			}
-			deleteLat = append(deleteLat, time.Since(t0))
-			live[j] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		for k := 0; k < mixRatio; k++ {
-			q := queries[qi%len(queries)]
-			qi++
-			t0 = time.Now()
-			if _, err := d.Approximate(q, cfg.eps); err != nil {
-				return err
-			}
-			queryLat = append(queryLat, time.Since(t0))
-		}
-	}
-	elapsed := time.Since(start)
-	streamMallocs := mallocs() - m0
-
-	sort.Slice(insertLat, func(i, j int) bool { return insertLat[i] < insertLat[j] })
-	sort.Slice(queryLat, func(i, j int) bool { return queryLat[i] < queryLat[j] })
-	sort.Slice(deleteLat, func(i, j int) bool { return deleteLat[i] < deleteLat[j] })
-	ops := len(insertLat) + len(queryLat) + len(deleteLat)
-	fmt.Printf("mutable serving benchmark: n=%d (seeded %d), %d queries per insert, seal=%d fanout=%d eps=%g",
-		n, half, mixRatio, cfg.sealSize, cfg.fanout, cfg.eps)
-	if cfg.delEvery > 0 {
-		fmt.Printf(" delevery=%d", cfg.delEvery)
-	}
-	if cfg.window > 0 {
-		fmt.Printf(" window=%v", cfg.window)
-	}
-	if cfg.halfLife > 0 {
-		fmt.Printf(" halflife=%v", cfg.halfLife)
-	}
-	if cfg.leaf32 {
-		fmt.Printf(" leaf-float32")
-	}
-	fmt.Println()
-	fmt.Printf("  inserts: %d  p50=%v  p99=%v\n",
-		len(insertLat), quantile(insertLat, 0.50), quantile(insertLat, 0.99))
-	if len(deleteLat) > 0 {
-		fmt.Printf("  deletes: %d  p50=%v  p99=%v\n",
-			len(deleteLat), quantile(deleteLat, 0.50), quantile(deleteLat, 0.99))
-	}
-	fmt.Printf("  queries: %d  p50=%v  p99=%v\n",
-		len(queryLat), quantile(queryLat, 0.50), quantile(queryLat, 0.99))
-	fmt.Printf("  throughput: %.0f ops/sec, %.1f allocs/op over %v (final: %d points, %d segments, %d seals, %d compactions, %d tombstones)\n",
-		float64(ops)/elapsed.Seconds(), allocsPerOp(streamMallocs, ops),
-		elapsed.Round(time.Millisecond),
-		d.Len(), len(d.Segments()), d.Seals(), d.Compactions(), d.Tombstones())
-	return nil
-}
-
-// matrixBenchConfig bundles the -matrix sweep knobs.
-type matrixBenchConfig struct {
-	n, queries int
-	eps        float64
-	seed       int64
-}
-
-// runMatrixBench rebuilds one static engine per cell of the raw-speed
-// matrix — GOMAXPROCS ∈ {1,2,4,8} × float32 blocked leaves on/off × three
-// kernel families — and reports exact (full leaf scan) and approximate
-// (best-first refinement) per-query latency quantiles with allocs/op.
-// WithRefineWorkers follows the GOMAXPROCS value so the parallel
-// refinement pool matches the processors it may use; exact queries never
-// parallelize, so their column isolates the float32 scan speedup. On a
-// single-vCPU host the procs>1 rows measure scheduling overhead, not
-// speedup — read them next to runtime.NumCPU.
-func runMatrixBench(cfg matrixBenchConfig) error {
-	if cfg.n < 2 {
-		return fmt.Errorf("-maxn %d too small", cfg.n)
-	}
-	if cfg.queries < 1 {
-		return fmt.Errorf("-queries %d too small", cfg.queries)
-	}
-	rng := rand.New(rand.NewSource(cfg.seed))
-	const dim = 8
-	pts := clusterPoints(rng, cfg.n, dim)
-	queries := make([][]float64, cfg.queries)
-	for i := range queries {
-		q := make([]float64, dim)
-		for j := range q {
-			q[j] = 0.2 + rng.Float64()*0.2
-		}
-		queries[i] = q
-	}
-	kernels := []struct {
-		name string
-		k    karl.Kernel
-	}{
-		{"gaussian", karl.Gaussian(20)},
-		{"epanechnikov", karl.Epanechnikov(6)},
-		{"polynomial", karl.Polynomial(0.5, 1, 2)},
-	}
-	prevProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prevProcs)
-	fmt.Printf("raw-speed matrix: n=%d dim=%d queries=%d eps=%g (host NumCPU=%d)\n",
-		cfg.n, dim, cfg.queries, cfg.eps, runtime.NumCPU())
-	for _, procs := range []int{1, 2, 4, 8} {
-		for _, leaf32 := range []bool{false, true} {
-			for _, kn := range kernels {
-				opts := []karl.Option{}
-				if leaf32 {
-					opts = append(opts, karl.WithLeafFloat32())
-				}
-				if procs > 1 {
-					opts = append(opts, karl.WithRefineWorkers(procs))
-				}
-				eng, err := karl.Build(pts, kn.k, opts...)
-				if err != nil {
-					return err
-				}
-				runtime.GOMAXPROCS(procs)
-				measure := func(op func(q []float64) error) ([2]time.Duration, float64, error) {
-					for i := 0; i < 3; i++ { // warmup grows scratch once
-						if err := op(queries[i%len(queries)]); err != nil {
-							return [2]time.Duration{}, 0, err
-						}
-					}
-					lat := make([]time.Duration, 0, len(queries))
-					m0 := mallocs()
-					for _, q := range queries {
-						t0 := time.Now()
-						if err := op(q); err != nil {
-							return [2]time.Duration{}, 0, err
-						}
-						lat = append(lat, time.Since(t0))
-					}
-					allocs := allocsPerOp(mallocs()-m0, len(queries))
-					sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
-					return [2]time.Duration{quantile(lat, 0.50), quantile(lat, 0.99)}, allocs, nil
-				}
-				exactQ, exactAllocs, err := measure(func(q []float64) error {
-					_, err := eng.Aggregate(q)
-					return err
-				})
-				if err != nil {
-					return err
-				}
-				approxQ, approxAllocs, err := measure(func(q []float64) error {
-					_, err := eng.Approximate(q, cfg.eps)
-					return err
-				})
-				runtime.GOMAXPROCS(prevProcs)
-				if err != nil {
-					return err
-				}
-				leaf := "float64"
-				if leaf32 {
-					leaf = "float32"
-				}
-				fmt.Printf("  procs=%d leaf=%s kernel=%-12s exact p50=%v p99=%v allocs/op=%.1f  approx p50=%v p99=%v allocs/op=%.1f\n",
-					procs, leaf, kn.name,
-					exactQ[0], exactQ[1], exactAllocs,
-					approxQ[0], approxQ[1], approxAllocs)
-			}
+		if len(wrong) > 0 {
+			return errors.New(strings.Join(wrong, "; "))
 		}
 	}
 	return nil

@@ -127,7 +127,6 @@ func main() {
 		fanout   = flag.Int("fanout", 0, "compaction fanout for -mutable (0 = library default)")
 		window   = flag.Duration("window", 0, "sliding-window TTL for -mutable: points older than this expire at seal/compaction (0 = keep forever)")
 		halfLife = flag.Duration("decay-halflife", 0, "exponential weight-decay half-life for -mutable: a point's weight halves every interval (0 = no decay)")
-		refine   = flag.Int("refine-workers", 0, "intra-query parallel refinement width per request (0/1 = sequential); usage is reported under \"refine\" in GET /v1/stats")
 		readTO   = flag.Duration("read-timeout", 10*time.Second, "HTTP read timeout")
 		writeTO  = flag.Duration("write-timeout", 30*time.Second, "HTTP write timeout")
 		idleTO   = flag.Duration("idle-timeout", 2*time.Minute, "HTTP idle-connection timeout")
@@ -167,9 +166,6 @@ func main() {
 	}
 	if *sketch > 0 {
 		opts = append(opts, server.WithSketchTier(*sketch))
-	}
-	if *refine > 1 {
-		opts = append(opts, server.WithRefineWorkers(*refine))
 	}
 
 	var srv *server.Server
@@ -287,8 +283,7 @@ func validateFlagSet(set map[string]bool) error {
 		// shard is its own -mutable karl-serve).
 		reject("a shard process, not -coordinator",
 			"model", "points", "gamma", "pool", "sketch-eps",
-			"seal-size", "fanout", "window", "decay-halflife", "refine-workers",
-			"replica-of")
+			"seal-size", "fanout", "window", "decay-halflife", "replica-of")
 		if !set["mutable"] {
 			reject("-coordinator -mutable", "partition", "manifest", "spawn")
 		}

@@ -44,8 +44,8 @@ func TestValidateFlagSet(t *testing.T) {
 		{"mutable", []string{"mutable", "gamma", "seal-size", "window"}, nil},
 		{"coordinator", []string{"coordinator", "shards", "shard-timeout"}, nil},
 		{"writable coordinator", []string{"coordinator", "mutable", "shards", "partition", "manifest"}, nil},
-		{"engine flags on coordinator", []string{"coordinator", "shards", "gamma", "refine-workers"},
-			[]string{"-gamma only applies to a shard process", "-refine-workers only applies to a shard process"}},
+		{"engine flags on coordinator", []string{"coordinator", "shards", "gamma", "pool"},
+			[]string{"-gamma only applies to a shard process", "-pool only applies to a shard process"}},
 		{"partition without mutable", []string{"coordinator", "shards", "partition"},
 			[]string{"-partition only applies to -coordinator -mutable"}},
 		{"shards without coordinator", []string{"model", "shards"},

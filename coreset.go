@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"karl/internal/coreset"
-	"karl/internal/index"
 	"karl/internal/vec"
 )
 
@@ -147,11 +146,9 @@ func BuildCoreset(points [][]float64, kern Kernel, eps float64, opts ...Option) 
 func (e *Engine) Sketch(eps float64, opts ...Option) (*Engine, error) {
 	tree := e.tree
 	cfg := defaultBuildConfig()
-	cfg.kind = indexKindFrom(tree.Kind)
+	cfg.kind = publicIndexKind(tree.Kind)
 	cfg.leafCap = tree.LeafCap
-	if e.eng.Method() == methodOf(MethodSOTA) {
-		cfg.method = MethodSOTA
-	}
+	cfg.method = publicMethod(e.eng.Method())
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -197,18 +194,6 @@ func (e *Engine) SketchInfo() (info SketchInfo, ok bool) {
 		return SketchInfo{}, false
 	}
 	return *e.sketch, true
-}
-
-// indexKindFrom maps the internal tree kind back to the public enum.
-func indexKindFrom(k index.Kind) IndexKind {
-	switch k {
-	case index.BallTree:
-		return BallTree
-	case index.VPTree:
-		return VPTree
-	default:
-		return KDTree
-	}
 }
 
 // Compress sketches the estimator's point set down to an error-bounded

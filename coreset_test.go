@@ -71,7 +71,7 @@ func TestEngineSketchInheritsLayout(t *testing.T) {
 	if sk.tree.LeafCap != 24 {
 		t.Fatalf("leaf capacity not inherited: %d", sk.tree.LeafCap)
 	}
-	if sk.eng.Method() != methodOf(MethodSOTA) {
+	if publicMethod(sk.eng.Method()) != MethodSOTA {
 		t.Fatal("bounding method not inherited")
 	}
 	if _, ok := sk.SketchInfo(); !ok {

@@ -23,7 +23,7 @@ import (
 // restores surviving rows to insertion order, so both histories build
 // the identical tree).
 func TestDeleteMetamorphicGate(t *testing.T) {
-	kinds := []IndexKind{KDTree, BallTree, VPTree}
+	kinds := []IndexKind{KDTree, BallTree}
 	kernels := map[string]func() Kernel{
 		"gaussian":     func() Kernel { return Gaussian(4) },
 		"epanechnikov": func() Kernel { return Epanechnikov(2) },
@@ -35,7 +35,7 @@ func TestDeleteMetamorphicGate(t *testing.T) {
 	for _, kind := range kinds {
 		for kname, mk := range kernels {
 			for _, wt := range weightTypes {
-				name := map[IndexKind]string{KDTree: "kd", BallTree: "ball", VPTree: "vp"}[kind] +
+				name := map[IndexKind]string{KDTree: "kd", BallTree: "ball"}[kind] +
 					"/" + kname + "/" + wt
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(len(name))*37 + 11))

@@ -139,26 +139,16 @@ func validateBatchQueries(queries [][]float64, dims int) error {
 	return nil
 }
 
-// dualEligible is the cutover heuristic shared by both engines. Besides
-// the size floors, BatchAuto considers the index kind: BENCH_7 measured
-// vp-tree/Gaussian batches at only ~1.0–1.4× over sequential — shell
-// (annulus) bounds rarely certify whole query groups for the fast-decaying
-// Gaussian — so that cell stays on the clone-pool executor by default.
-// BatchDualTree still forces the dual-tree executor everywhere.
-func dualEligible(exec BatchExecutor, n, points int, kind index.Kind, kern kernel.Params) bool {
+// dualEligible is the cutover heuristic shared by both engines: BatchAuto
+// takes the dual-tree executor above the batch- and engine-size floors.
+func dualEligible(exec BatchExecutor, n, points int) bool {
 	switch exec {
 	case BatchSequential:
 		return false
 	case BatchDualTree:
 		return n > 0
 	default:
-		if n < dualTreeMinBatch || points < dualTreeMinPoints {
-			return false
-		}
-		if kind == index.VPTree && kern.Kind == kernel.Gaussian {
-			return false
-		}
-		return true
+		return n >= dualTreeMinBatch && points >= dualTreeMinPoints
 	}
 }
 
@@ -230,7 +220,7 @@ func (e *Engine) dualConfig() dualtree.Config {
 }
 
 func (e *Engine) useDual(n int) bool {
-	return dualEligible(e.batchExec, n, e.Len(), e.tree.Kind, kernel.Params(e.kern))
+	return dualEligible(e.batchExec, n, e.Len())
 }
 
 func (e *Engine) dualThreshold(queries [][]float64, tau float64, workers int) ([]bool, Stats, error) {
@@ -380,7 +370,7 @@ func (d *DynamicEngine) useDual(n int) bool {
 		// Keep the sequential path's "dynamic engine is empty" contract.
 		return false
 	}
-	return dualEligible(d.sh.batchExec, n, points, d.sh.bcfg.Kind, kernel.Params(d.sh.kern))
+	return dualEligible(d.sh.batchExec, n, points)
 }
 
 func (d *DynamicEngine) dualConfig() dualtree.Config {

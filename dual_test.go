@@ -34,7 +34,7 @@ func TestBatchDualMatchesSequential(t *testing.T) {
 	kinds := []struct {
 		name string
 		kind IndexKind
-	}{{"kd", KDTree}, {"ball", BallTree}, {"vp", VPTree}}
+	}{{"kd", KDTree}, {"ball", BallTree}}
 	weightTypes := []string{"typeI", "typeII", "typeIII"}
 	kernels := []struct {
 		name string
@@ -244,7 +244,7 @@ func TestBatchDualSpeedupGate(t *testing.T) {
 }
 
 // BenchmarkBatchDualVsSequential is the batch-size × kernel × index-kind
-// executor matrix behind BENCH_7.json. Single-worker throughout, so the
+// executor matrix. Single-worker throughout, so the
 // numbers isolate shared bound refinement from clone parallelism.
 func BenchmarkBatchDualVsSequential(b *testing.B) {
 	rng := rand.New(rand.NewSource(74))
@@ -252,7 +252,7 @@ func BenchmarkBatchDualVsSequential(b *testing.B) {
 	kinds := []struct {
 		name string
 		kind IndexKind
-	}{{"kd", KDTree}, {"ball", BallTree}, {"vp", VPTree}}
+	}{{"kd", KDTree}, {"ball", BallTree}}
 	kernels := []struct {
 		name string
 		k    Kernel
@@ -284,90 +284,38 @@ func BenchmarkBatchDualVsSequential(b *testing.B) {
 	}
 }
 
-// TestBatchAutoIndexKindRouting pins the cutover heuristic's index-kind
-// term: BENCH_7 measured the vp-tree/Gaussian cell at ~1.0–1.4× over
-// sequential (shell bounds rarely certify query groups for the
-// fast-decaying Gaussian), so BatchAuto keeps that cell on the clone-pool
-// executor while kd/Gaussian and vp/Epanechnikov still cut over — and an
-// explicit BatchDualTree override still forces the dual executor anywhere.
+// TestBatchAutoIndexKindRouting pins that the BatchAuto cutover looks at
+// batch and engine size only: above the floors every index kind takes the
+// dual-tree executor, on the static and the dynamic engine alike.
 func TestBatchAutoIndexKindRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	pts, queries := heatmapWorkload(rng, 2000, 4, 10) // 100 queries ≥ min batch
-	cases := []struct {
-		name     string
-		kind     IndexKind
-		kern     Kernel
-		wantDual bool
-	}{
-		{"vp-gaussian", VPTree, Gaussian(100), false},
-		{"kd-gaussian", KDTree, Gaussian(100), true},
-		{"vp-epanechnikov", VPTree, Epanechnikov(50), true},
-	}
-	for _, c := range cases {
-		eng, err := Build(pts, c.kern, WithIndex(c.kind, 16)) // default: BatchAuto
+	for _, kind := range []IndexKind{KDTree, BallTree} {
+		eng, err := Build(pts, Gaussian(100), WithIndex(kind, 16)) // default: BatchAuto
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.BatchApproximate(queries, 0.1, 1); err != nil {
 			t.Fatal(err)
 		}
-		st := eng.DualTreeStats()
-		if gotDual := st.DualBatches > 0; gotDual != c.wantDual {
-			t.Fatalf("%s: BatchAuto routed dual=%v, want dual=%v (%+v)", c.name, gotDual, c.wantDual, st)
+		if st := eng.DualTreeStats(); st.DualBatches == 0 {
+			t.Fatalf("kind %d: BatchAuto stayed sequential above the size floors (%+v)", kind, st)
 		}
-	}
-	forced, err := Build(pts, Gaussian(100), WithIndex(VPTree, 16), WithBatchExecutor(BatchDualTree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := forced.BatchApproximate(queries, 0.1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := forced.DualTreeStats(); st.DualBatches == 0 {
-		t.Fatalf("BatchDualTree must force the dual executor on vp/gaussian (%+v)", st)
-	}
 
-	// The dynamic engine routes with the same heuristic.
-	d, err := NewDynamic(Gaussian(100), WithIndex(VPTree, 16), WithSealSize(512), WithAutoCompaction(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		if err := d.Insert(p, 1); err != nil {
+		d, err := NewDynamic(Gaussian(100), WithIndex(kind, 16), WithSealSize(512), WithAutoCompaction(false))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := d.BatchApproximate(queries, 0.1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := d.DualTreeStats(); st.DualBatches != 0 {
-		t.Fatalf("dynamic BatchAuto must keep vp/gaussian sequential (%+v)", st)
-	}
-}
-
-// BenchmarkBatchAutoVPGaussian is the regression bench for the heuristic's
-// index-kind term: BatchAuto on the vp/gaussian cell (sequential by
-// default) against the forced dual-tree executor on the same workload. If
-// the dual executor ever becomes clearly faster here, the exclusion in
-// dualEligible should be revisited.
-func BenchmarkBatchAutoVPGaussian(b *testing.B) {
-	rng := rand.New(rand.NewSource(76))
-	pts, queries := heatmapWorkload(rng, 8000, 8, 16) // 256 queries
-	for _, ex := range []struct {
-		name string
-		exec BatchExecutor
-	}{{"auto", BatchAuto}, {"dual", BatchDualTree}} {
-		eng, err := Build(pts, Gaussian(400), WithIndex(VPTree, 12), WithBatchExecutor(ex.exec))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(ex.name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.BatchApproximate(queries, 0.05, 1); err != nil {
-					b.Fatal(err)
-				}
+		for _, p := range pts {
+			if err := d.Insert(p, 1); err != nil {
+				t.Fatal(err)
 			}
-		})
+		}
+		if _, err := d.BatchApproximate(queries, 0.1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if st := d.DualTreeStats(); st.DualBatches == 0 {
+			t.Fatalf("kind %d: dynamic BatchAuto stayed sequential above the size floors (%+v)", kind, st)
+		}
 	}
 }

@@ -134,13 +134,12 @@ type dynShared struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	kern          Kernel
-	method        bound.Method
-	maxDepth      int
-	refineWorkers int
-	bcfg          segment.BuildConfig
-	policy        segment.Policy
-	coldSeed      int64
+	kern     Kernel
+	method   bound.Method
+	maxDepth int
+	bcfg     segment.BuildConfig
+	policy   segment.Policy
+	coldSeed int64
 
 	// batchExec routes the Batch* methods (dual.go); dualCtr is the
 	// batch-executor telemetry shared by every clone. Both are immutable
@@ -266,23 +265,30 @@ func NewDynamic(kern Kernel, opts ...Option) (*DynamicEngine, error) {
 	if cfg.halfLife < 0 {
 		return nil, fmt.Errorf("karl: decay half-life must be non-negative, got %v", cfg.halfLife)
 	}
+	method, err := methodOf(cfg.method)
+	if err != nil {
+		return nil, err
+	}
+	kind, err := indexKindOf(cfg.kind)
+	if err != nil {
+		return nil, err
+	}
 	sh := &dynShared{
-		kern:          kern,
-		method:        methodOf(cfg.method),
-		maxDepth:      cfg.maxDepth,
-		refineWorkers: cfg.refineWorkers,
-		bcfg:          segment.BuildConfig{Kind: indexKindOf(cfg.kind), LeafCap: cfg.leafCap, Leaf32: cfg.leafFloat32},
-		policy:        policy,
-		coldSeed:      cfg.coresetSeed,
-		autoCompact:   !cfg.noAutoCompact,
-		batchExec:     cfg.batchExec,
-		dualCtr:       &dualCounters{},
-		ttl:           int64(cfg.ttl),
-		halfLife:      float64(cfg.halfLife),
-		now:           cfg.clock,
-		man:           &segment.Manifest{},
-		nextID:        1,
-		nextSeq:       1,
+		kern:        kern,
+		method:      method,
+		maxDepth:    cfg.maxDepth,
+		bcfg:        segment.BuildConfig{Kind: kind, LeafCap: cfg.leafCap},
+		policy:      policy,
+		coldSeed:    cfg.coresetSeed,
+		autoCompact: !cfg.noAutoCompact,
+		batchExec:   cfg.batchExec,
+		dualCtr:     &dualCounters{},
+		ttl:         int64(cfg.ttl),
+		halfLife:    float64(cfg.halfLife),
+		now:         cfg.clock,
+		man:         &segment.Manifest{},
+		nextID:      1,
+		nextSeq:     1,
 	}
 	if sh.now == nil {
 		sh.now = func() int64 { return time.Now().UnixNano() }
@@ -300,15 +306,11 @@ func newDynamicView(sh *dynShared) (*DynamicEngine, error) {
 	sh.mu.Lock()
 	params := kernel.Params(sh.kern)
 	method, maxDepth := sh.method, sh.maxDepth
-	workers := sh.refineWorkers
 	gen := sh.cfgGen
 	sh.mu.Unlock()
 	f, err := core.NewForest(params, method, maxDepth)
 	if err != nil {
 		return nil, err
-	}
-	if workers > 1 {
-		f.SetWorkers(workers)
 	}
 	return &DynamicEngine{sh: sh, f: f, fCfgGen: gen}, nil
 }
@@ -1133,9 +1135,6 @@ func (d *DynamicEngine) snapshot(q []float64) (man *segment.Manifest, base float
 		f, err := core.NewForest(kernel.Params(sh.kern), sh.method, sh.maxDepth)
 		if err != nil {
 			return nil, 0, 0, err
-		}
-		if sh.refineWorkers > 1 {
-			f.SetWorkers(sh.refineWorkers)
 		}
 		d.f, d.fCfgGen, d.fSet = f, sh.cfgGen, false
 	}

@@ -200,7 +200,6 @@ func (sh *dynShared) segmentStreamPayload(rs replicaSegment, kind IndexKind, met
 		TTL:         sh.ttl,
 		HalfLife:    int64(sh.halfLife),
 		Deletes:     rs.dead.Len(),
-		LeafFloat32: sh.bcfg.Leaf32,
 	}
 	p.Segments = []segmentPayload{{
 		Engine:  treePayload(s.Tree, sh.kern, method),
@@ -223,12 +222,7 @@ func (sh *dynShared) segmentStreamPayload(rs replicaSegment, kind IndexKind, met
 // exportConfigLocked snapshots the pieces of shared state the encoders
 // need after the lock is released.
 func (sh *dynShared) exportConfigLocked() (kind IndexKind, method Method) {
-	kind = publicIndexKind(sh.bcfg.Kind)
-	method = MethodKARL
-	if sh.method == methodOf(MethodSOTA) {
-		method = MethodSOTA
-	}
-	return kind, method
+	return publicIndexKind(sh.bcfg.Kind), publicMethod(sh.method)
 }
 
 func encodeSegmentStreams(sh *dynShared, segs []replicaSegment, kind IndexKind, method Method) ([][]byte, error) {

@@ -207,23 +207,22 @@ func (d *DynamicEngine) Split(pred func(p []float64) bool) (MutableEngine, error
 // moved half is installed into. Called with sh.mu held.
 func (sh *dynShared) emptySiblingLocked() *dynShared {
 	m := &dynShared{
-		kern:          sh.kern,
-		method:        sh.method,
-		maxDepth:      sh.maxDepth,
-		refineWorkers: sh.refineWorkers,
-		bcfg:          sh.bcfg,
-		policy:        sh.policy,
-		coldSeed:      sh.coldSeed,
-		autoCompact:   sh.autoCompact,
-		batchExec:     sh.batchExec,
-		dualCtr:       &dualCounters{},
-		ttl:           sh.ttl,
-		halfLife:      sh.halfLife,
-		now:           sh.now,
-		dims:          sh.dims,
-		man:           &segment.Manifest{},
-		nextID:        1,
-		nextSeq:       sh.nextSeq,
+		kern:        sh.kern,
+		method:      sh.method,
+		maxDepth:    sh.maxDepth,
+		bcfg:        sh.bcfg,
+		policy:      sh.policy,
+		coldSeed:    sh.coldSeed,
+		autoCompact: sh.autoCompact,
+		batchExec:   sh.batchExec,
+		dualCtr:     &dualCounters{},
+		ttl:         sh.ttl,
+		halfLife:    sh.halfLife,
+		now:         sh.now,
+		dims:        sh.dims,
+		man:         &segment.Manifest{},
+		nextID:      1,
+		nextSeq:     sh.nextSeq,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m

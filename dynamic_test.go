@@ -3,7 +3,10 @@ package karl
 import (
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestNewDynamicValidation(t *testing.T) {
@@ -207,5 +210,128 @@ func TestDynamicManualCompact(t *testing.T) {
 	}
 	if err := d.Insert([]float64{1}, 1); err == nil {
 		t.Fatal("insert after Close accepted")
+	}
+}
+
+// bruteGaussian is the direct float64 oracle Σ w·exp(−γ·‖q−p‖²).
+func bruteGaussian(gamma float64, pts [][]float64, q []float64) float64 {
+	var s float64
+	for _, p := range pts {
+		var d2 float64
+		for j := range q {
+			d := q[j] - p[j]
+			d2 += d * d
+		}
+		s += math.Exp(-gamma * d2)
+	}
+	return s
+}
+
+// TestFastPathBypassOnMutation is the mutation-vs-fast-path race gate (run
+// under the race detector in CI): single-segment queries on clones run
+// concurrently with a delete that creates a tombstone. The fast path must
+// serve queries before the mutation, stop the moment tombstone mass enters
+// the base term, and answers must reflect the delete exactly. A decaying
+// engine (per-segment scales) must never take the fast path at all.
+func TestFastPathBypassOnMutation(t *testing.T) {
+	const n = 256
+	rng := rand.New(rand.NewSource(824))
+	pts := cloud(rng, n, 2)
+	d, err := NewDynamic(Gaussian(2), WithSealSize(n), WithAutoCompaction(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, n)
+	for i, p := range pts {
+		id, err := d.InsertID(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	if d.Seals() != 1 || d.MemtableLen() != 0 || d.Tombstones() != 0 {
+		t.Fatalf("want exactly one sealed segment and an empty memtable (seals=%d mem=%d)", d.Seals(), d.MemtableLen())
+	}
+	q := []float64{0.5, 0.5}
+	want := bruteGaussian(2, pts, q)
+	if got, _ := d.Aggregate(q); math.Abs(got-want) > 1e-9*(1+want) {
+		t.Fatalf("pre-delete aggregate %v, brute force %v", got, want)
+	}
+	before := d.FastPathQueries()
+	if _, err := d.Threshold(q, want*1.1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Approximate(q, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.FastPathQueries(); got != before+2 {
+		t.Fatalf("clean single-segment queries took %d fast paths, want 2", got-before)
+	}
+
+	// Concurrent phase: clones hammer queries while the delete lands.
+	clones := make([]*DynamicEngine, 4)
+	for i := range clones {
+		clones[i] = d.Clone()
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for _, c := range clones {
+		wg.Add(1)
+		go func(c *DynamicEngine) {
+			defer wg.Done()
+			for !stop.Load() {
+				if _, err := c.Approximate(q, 0.1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	time.Sleep(2 * time.Millisecond)
+	if err := d.Delete(ids[10]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(2 * time.Millisecond)
+	stop.Store(true)
+	wg.Wait()
+	if d.Tombstones() != 1 {
+		t.Fatalf("delete of a sealed point must tombstone (tombs=%d)", d.Tombstones())
+	}
+
+	// With tombstone mass in the base term, nobody takes the fast path.
+	for i, c := range clones {
+		b := c.FastPathQueries()
+		if _, err := c.Threshold(q, want*1.1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Approximate(q, 0.1); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.FastPathQueries(); got != b {
+			t.Fatalf("clone %d took the fast path with a pending tombstone", i)
+		}
+	}
+	wantAfter := want - bruteGaussian(2, pts[10:11], q)
+	if got, _ := d.Aggregate(q); math.Abs(got-wantAfter) > 1e-9*(1+math.Abs(wantAfter)) {
+		t.Fatalf("post-delete aggregate %v, brute force %v", got, wantAfter)
+	}
+
+	// Decay scales: always present on a decaying engine, so the fast path
+	// must never run there — even with one clean segment.
+	dd, err := NewDynamic(Gaussian(2), WithSealSize(n), WithAutoCompaction(false),
+		WithDecayHalfLife(time.Hour), withClock(func() int64 { return 1_700_000_000_000_000_000 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if err := dd.Insert(p, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dd.Approximate(q, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if got := dd.FastPathQueries(); got != 0 {
+		t.Fatalf("decaying engine took %d fast paths, want 0", got)
 	}
 }

@@ -85,16 +85,6 @@ func (e *Engine) CloneQuery() QueryEngine { return e.Clone() }
 // CloneQuery implements QueryEngine.
 func (d *DynamicEngine) CloneQuery() QueryEngine { return d.Clone() }
 
-// SetRefineWorkers overrides this view's intra-query parallel refinement
-// width (n ≤ 1 restores the sequential loop) — the per-clone form of
-// WithRefineWorkers, used by serving pools that arm clones after cloning.
-// It affects only this view, never its siblings.
-func (e *Engine) SetRefineWorkers(n int) { e.eng.SetWorkers(n) }
-
-// SetRefineWorkers overrides this view's intra-query parallel refinement
-// width; see Engine.SetRefineWorkers.
-func (d *DynamicEngine) SetRefineWorkers(n int) { d.f.SetWorkers(n) }
-
 // The two engines must keep satisfying the shared serving abstraction.
 var (
 	_ QueryEngine   = (*Engine)(nil)

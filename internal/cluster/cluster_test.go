@@ -94,7 +94,7 @@ func localCoordinator(t testing.TB, eng *karl.Engine, cfg Config) *Coordinator {
 // threshold verdicts equal away from ties, approximate answers within the
 // global ε.
 func TestCoordinatorEquivalence(t *testing.T) {
-	kinds := map[string]karl.IndexKind{"kd": karl.KDTree, "ball": karl.BallTree, "vp": karl.VPTree}
+	kinds := map[string]karl.IndexKind{"kd": karl.KDTree, "ball": karl.BallTree}
 	kernels := map[string]karl.Kernel{
 		"gaussian":     karl.Gaussian(0.5),
 		"epanechnikov": karl.Epanechnikov(0.2),

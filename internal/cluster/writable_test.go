@@ -76,7 +76,7 @@ func mustInsert(t *testing.T, wco *WritableCoordinator, pts [][]float64, w []flo
 // monolithic DynamicEngine fed the identical mutation stream — across
 // index structures, query types and kernels.
 func TestWritableEquivalence(t *testing.T) {
-	kinds := map[string]karl.IndexKind{"kd": karl.KDTree, "ball": karl.BallTree, "vp": karl.VPTree}
+	kinds := map[string]karl.IndexKind{"kd": karl.KDTree, "ball": karl.BallTree}
 	kernels := map[string]karl.Kernel{
 		"gaussian":     karl.Gaussian(0.5),
 		"epanechnikov": karl.Epanechnikov(0.2),

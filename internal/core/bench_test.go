@@ -10,9 +10,9 @@ import (
 	"karl/internal/kernel"
 )
 
-// benchForest builds the leaf-heavy Gaussian workload the raw-speed
+// benchForest builds the leaf-heavy Gaussian workload the refinement
 // benchmarks share, plus a query and borderline τ.
-func benchForest(b *testing.B, leaf32 bool) (*Forest, *index.Tree, []float64, float64) {
+func benchForest(b *testing.B) (*Forest, []float64, float64) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(99))
 	n, d := 20000, 16
@@ -20,9 +20,6 @@ func benchForest(b *testing.B, leaf32 bool) (*Forest, *index.Tree, []float64, fl
 	tr, err := kdtree.Build(m, nil, 40)
 	if err != nil {
 		b.Fatal(err)
-	}
-	if leaf32 {
-		tr.BuildLeaf32()
 	}
 	k := kernel.NewGaussian(20)
 	f, err := NewForest(k, bound.KARL, 0)
@@ -40,13 +37,13 @@ func benchForest(b *testing.B, leaf32 bool) (*Forest, *index.Tree, []float64, fl
 	if err != nil {
 		b.Fatal(err)
 	}
-	return f, tr, q, exact * 1.05
+	return f, q, exact * 1.05
 }
 
 // BenchmarkFastPathThreshold measures the single-segment fast path: the
 // plain Forest dispatches straight into the single-tree loop.
 func BenchmarkFastPathThreshold(b *testing.B) {
-	f, _, q, tau := benchForest(b, false)
+	f, q, tau := benchForest(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -63,7 +60,7 @@ func BenchmarkFastPathThreshold(b *testing.B) {
 // the identical workload via a unit scale — the delta against
 // BenchmarkFastPathThreshold is the dispatch tax the fast path reclaims.
 func BenchmarkGenericForestThreshold(b *testing.B) {
-	f, _, q, tau := benchForest(b, false)
+	f, q, tau := benchForest(b)
 	if err := f.SetScales([]float64{1}); err != nil {
 		b.Fatal(err)
 	}
@@ -79,21 +76,10 @@ func BenchmarkGenericForestThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkExactScan64 and BenchmarkExactScan32 compare the full-tree exact
-// aggregate — pure leaf-scan throughput — across the two leaf precisions.
+// BenchmarkExactScan64 measures the full-tree exact aggregate — pure
+// leaf-scan throughput.
 func BenchmarkExactScan64(b *testing.B) {
-	f, _, q, _ := benchForest(b, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := f.Exact(q, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExactScan32(b *testing.B) {
-	f, _, q, _ := benchForest(b, true)
+	f, q, _ := benchForest(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

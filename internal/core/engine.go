@@ -54,11 +54,6 @@ func WithMethod(m bound.Method) Option { return func(e *Engine) { e.f.method = m
 // simulating the top-i-level tree of the in-situ scenario.
 func WithMaxDepth(depth int) Option { return func(e *Engine) { e.f.maxDepth = depth } }
 
-// WithWorkers enables intra-query parallel refinement with up to n
-// concurrent expansions per round (n ≤ 1 keeps the sequential loop). See
-// Forest.SetWorkers for the determinism contract.
-func WithWorkers(n int) Option { return func(e *Engine) { e.f.workers = n } }
-
 // New creates an engine over a built index.
 func New(tree *index.Tree, kern kernel.Params, opts ...Option) (*Engine, error) {
 	if tree == nil || tree.NodeCount() == 0 {
@@ -67,10 +62,7 @@ func New(tree *index.Tree, kern kernel.Params, opts ...Option) (*Engine, error) 
 	if err := kern.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{f: Forest{
-		kern: kern, method: bound.KARL,
-		rows: kern.RowsEvaluator(), rows32: kern.Rows32Evaluator(),
-	}}
+	e := &Engine{f: Forest{kern: kern, method: bound.KARL, rows: kern.RowsEvaluator()}}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -84,22 +76,13 @@ func New(tree *index.Tree, kern kernel.Params, opts ...Option) (*Engine, error) 
 // Clone returns an engine sharing the same tree and configuration but with
 // independent scratch state, for use from another goroutine.
 func (e *Engine) Clone() *Engine {
-	c := &Engine{f: Forest{
-		kern: e.f.kern, method: e.f.method, maxDepth: e.f.maxDepth,
-		rows: e.f.rows, rows32: e.f.rows32, workers: e.f.workers,
-	}}
+	c := &Engine{f: Forest{kern: e.f.kern, method: e.f.method, maxDepth: e.f.maxDepth, rows: e.f.rows}}
 	c.one = e.one
 	// The tree is already validated; SetTrees only re-derives dims and
 	// sizes the scratch.
 	_ = c.f.SetTrees(c.one[:])
 	return c
 }
-
-// SetWorkers overrides the intra-query parallel refinement width for this
-// engine view (n ≤ 1 restores the sequential loop) — the post-construction
-// form of WithWorkers, for pools that arm clones per request. See
-// Forest.SetWorkers for the determinism contract.
-func (e *Engine) SetWorkers(n int) { e.f.SetWorkers(n) }
 
 // Tree exposes the underlying index (read-only by convention).
 func (e *Engine) Tree() *index.Tree { return e.one[0] }
@@ -114,8 +97,8 @@ func (e *Engine) Method() bound.Method { return e.f.method }
 func (e *Engine) MaxDepth() int { return e.f.maxDepth }
 
 // FastPathQueries returns the number of queries served by the
-// single-segment fast path (for a static engine with sequential workers,
-// every Threshold/Approximate call).
+// single-segment fast path (for a static engine, every
+// Threshold/Approximate call).
 func (e *Engine) FastPathQueries() int64 { return e.f.fastHits }
 
 // Stats reports the work one query performed.
@@ -149,8 +132,7 @@ func (e *Engine) Exact(q []float64) (float64, error) {
 	return v, err
 }
 
-// ExactStats is Exact plus the scan statistics; on the float32 leaf path
-// the stats bounds carry the documented rounding slack around the value.
+// ExactStats is Exact plus the scan statistics.
 func (e *Engine) ExactStats(q []float64) (float64, Stats, error) {
 	if err := e.checkQuery(q); err != nil {
 		return 0, Stats{}, err

@@ -11,7 +11,6 @@ import (
 	"karl/internal/kdtree"
 	"karl/internal/kernel"
 	"karl/internal/vec"
-	"karl/internal/vptree"
 )
 
 // makeClustered builds a clustered dataset: k Gaussian blobs in [0,1]^d.
@@ -44,11 +43,7 @@ func buildBoth(t *testing.T, m *vec.Matrix, w []float64, leafCap int) []*index.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	vt, err := vptree.Build(m.Clone(), w, leafCap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []*index.Tree{kd, bt, vt}
+	return []*index.Tree{kd, bt}
 }
 
 func TestNewValidation(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"karl/internal/kernel"
 	"karl/internal/scan"
 	"karl/internal/vec"
-	"karl/internal/vptree"
 )
 
 // TestFlatIndexEquivalence is the layout-migration safety net: for every
@@ -34,7 +33,6 @@ func TestFlatIndexEquivalence(t *testing.T) {
 	}{
 		{"kd-tree", kdtree.Build},
 		{"ball-tree", balltree.Build},
-		{"vp-tree", vptree.Build},
 	}
 	for trial := 0; trial < 6; trial++ {
 		n := 200 + rng.Intn(600)
@@ -122,11 +120,10 @@ func TestFlatIndexEquivalence(t *testing.T) {
 	}
 }
 
-// TestQueryHotPathZeroAlloc is the steady-state allocation gate the issue
-// requires: after a warm-up query (which may grow the priority queue's
-// backing array and the float32 query scratch once), Threshold, Approximate
-// and Exact must run without a single heap allocation — on BOTH the float64
-// and the float32 blocked-leaf paths. CI fails on regression.
+// TestQueryHotPathZeroAlloc is the steady-state allocation gate: after a
+// warm-up query (which may grow the priority queue's backing array once),
+// Threshold, Approximate and Exact must run without a single heap
+// allocation. CI fails on regression.
 func TestQueryHotPathZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	n, d := 20000, 8
@@ -135,59 +132,50 @@ func TestQueryHotPathZeroAlloc(t *testing.T) {
 	for i := range w {
 		w[i] = rng.Float64() + 0.01
 	}
-	for _, leaf32 := range []bool{false, true} {
-		name := "float64"
-		if leaf32 {
-			name = "float32"
+	for _, k := range []kernel.Params{kernel.NewGaussian(12), kernel.NewPolynomial(0.4, 1, 3)} {
+		tr, err := kdtree.Build(m, w, 40)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, k := range []kernel.Params{kernel.NewGaussian(12), kernel.NewPolynomial(0.4, 1, 3)} {
-			tr, err := kdtree.Build(m, w, 40)
-			if err != nil {
+		e, err := New(tr, k, WithMethod(bound.KARL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := make([]float64, d)
+		for j := range q {
+			q[j] = rng.Float64()
+		}
+		exact, _ := e.Exact(q)
+		tau := exact * 1.05
+		// Warm up: first queries may grow the queue storage.
+		for i := 0; i < 3; i++ {
+			if _, _, err := e.Threshold(q, tau); err != nil {
 				t.Fatal(err)
 			}
-			if leaf32 {
-				tr.BuildLeaf32()
-			}
-			e, err := New(tr, k, WithMethod(bound.KARL))
-			if err != nil {
+			if _, _, err := e.Approximate(q, 0.1); err != nil {
 				t.Fatal(err)
 			}
-			q := make([]float64, d)
-			for j := range q {
-				q[j] = rng.Float64()
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, _, err := e.Threshold(q, tau); err != nil {
+				t.Fatal(err)
 			}
-			exact, _ := e.Exact(q)
-			tau := exact * 1.05
-			// Warm up: first queries may grow the queue storage.
-			for i := 0; i < 3; i++ {
-				if _, _, err := e.Threshold(q, tau); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := e.Approximate(q, 0.1); err != nil {
-					t.Fatal(err)
-				}
+		}); allocs != 0 {
+			t.Errorf("%v: Threshold allocates %.1f allocs/op in steady state, want 0", k.Kind, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, _, err := e.Approximate(q, 0.1); err != nil {
+				t.Fatal(err)
 			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				if _, _, err := e.Threshold(q, tau); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs != 0 {
-				t.Errorf("%s %v: Threshold allocates %.1f allocs/op in steady state, want 0", name, k.Kind, allocs)
+		}); allocs != 0 {
+			t.Errorf("%v: Approximate allocates %.1f allocs/op in steady state, want 0", k.Kind, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := e.Exact(q); err != nil {
+				t.Fatal(err)
 			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				if _, _, err := e.Approximate(q, 0.1); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs != 0 {
-				t.Errorf("%s %v: Approximate allocates %.1f allocs/op in steady state, want 0", name, k.Kind, allocs)
-			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				if _, err := e.Exact(q); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs != 0 {
-				t.Errorf("%s %v: Exact allocates %.1f allocs/op in steady state, want 0", name, k.Kind, allocs)
-			}
+		}); allocs != 0 {
+			t.Errorf("%v: Exact allocates %.1f allocs/op in steady state, want 0", k.Kind, allocs)
 		}
 	}
 }

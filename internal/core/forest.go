@@ -49,23 +49,6 @@ type Forest struct {
 	// dispatch-free fast path.
 	scales []float64
 
-	// Float32 blocked-leaf state. rows32 is the dispatch-free tiled
-	// evaluator; any32/maxNorm2 are derived from the segment set by
-	// SetTrees; q32 and slack32c are per-query scratch filled by prep32.
-	rows32   kernel.Rows32Func
-	any32    bool
-	maxNorm2 float64
-	q32      []float32
-	slack32c float64
-
-	// workers configures intra-query parallel refinement: when > 1 (and
-	// the query carries no bound trace) refinement expands up to that many
-	// frontier entries concurrently per round. 0 or 1 keeps the sequential
-	// loop. See parallel.go for the merge protocol.
-	workers  int
-	parTasks []fentry
-	parRes   []parResult
-
 	// fastHits counts queries served by the single-segment fast path
 	// (refineOne) — observability for tests and benchmarks.
 	fastHits int64
@@ -102,10 +85,7 @@ func NewForest(kern kernel.Params, method bound.Method, maxDepth int) (*Forest, 
 	if err := kern.Validate(); err != nil {
 		return nil, err
 	}
-	return &Forest{
-		kern: kern, method: method, maxDepth: maxDepth,
-		rows: kern.RowsEvaluator(), rows32: kern.Rows32Evaluator(),
-	}, nil
+	return &Forest{kern: kern, method: method, maxDepth: maxDepth, rows: kern.RowsEvaluator()}, nil
 }
 
 // SetTrees installs the ordered segment set the next queries run over. The
@@ -126,15 +106,6 @@ func (f *Forest) SetTrees(trees []*index.Tree) error {
 	}
 	f.trees = trees
 	f.dims = dims
-	f.any32, f.maxNorm2 = false, 0
-	for _, t := range trees {
-		if t.Leaf32 != nil {
-			f.any32 = true
-			if t.Leaf32.MaxNorm2 > f.maxNorm2 {
-				f.maxNorm2 = t.Leaf32.MaxNorm2
-			}
-		}
-	}
 	if f.scales != nil && len(f.scales) != len(trees) {
 		// Stale scale set from a previous segment snapshot; the caller
 		// re-installs fresh scales per query when decay is on.
@@ -204,55 +175,25 @@ func (f *Forest) atFrontier(n *index.Node) bool {
 	return n.IsLeaf() || (f.maxDepth > 0 && int(n.Depth) >= f.maxDepth)
 }
 
-// prep32 arms the per-query float32 state: the converted query vector and
-// the rounding-slack coefficient the frontier bounds fold in. Called once
-// per query when any segment carries a float32 leaf block.
-func (f *Forest) prep32(q []float64, qNorm2 float64) {
-	if cap(f.q32) < len(q) {
-		f.q32 = make([]float32, len(q))
-	}
-	f.q32 = f.q32[:len(q)]
-	for i, v := range q {
-		f.q32[i] = float32(v)
-	}
-	f.slack32c = f.kern.Bound32Slack(len(q), qNorm2, f.maxNorm2)
-}
-
 // frontierEval evaluates a frontier node of tree t exactly and returns its
-// bound contribution. On the float64 path the contribution is a point
-// [v, v]; on the float32 tiled path it is [v−slack, v+slack] where slack
-// bounds the single-precision dot-product rounding via the node's (W, B)
-// aggregates — so the global bounds stay valid for the exact float64
-// answer and the ε/τ certificates are untouched.
-func (f *Forest) frontierEval(t *index.Tree, n *index.Node, st *Stats) (lb, ub float64) {
+// contribution.
+func (f *Forest) frontierEval(t *index.Tree, n *index.Node, st *Stats) float64 {
 	st.PointsScanned += n.Count()
-	if blk := t.Leaf32; blk != nil {
-		v := f.rows32(f.q32, f.qc.Norm2, blk, t.Norms, t.Weights, int(n.Start), int(n.End))
-		slack := f.slack32c * ((n.Pos.W+n.Neg.W)*f.qc.Norm2 + n.Pos.B + n.Neg.B)
-		return v - slack, v + slack
-	}
-	v := f.rows(f.qc.Q, f.qc.Norm2, t.Points, t.Norms, t.Weights, int(n.Start), int(n.End))
-	return v, v
+	return f.rows(f.qc.Q, f.qc.Norm2, t.Points, t.Norms, t.Weights, int(n.Start), int(n.End))
 }
 
-// boundEval bounds the node ni of segment ti without touching the shared
-// queue: frontier nodes are evaluated exactly, internal nodes get their
-// linear bounds. frontier reports which case ran (internal nodes must be
-// queued by the caller). It only reads forest state, so parallel workers
-// may call it concurrently with per-worker st.
-func (f *Forest) boundEval(ti, ni int32, st *Stats) (lb, ub float64, frontier bool) {
+// score bounds the node ni of segment ti, queueing it for refinement
+// unless it is a frontier node, in which case it is evaluated exactly.
+func (f *Forest) score(ti, ni int32, st *Stats) (lb, ub float64) {
 	t := f.trees[ti]
 	n := t.Node(ni)
-	if f.atFrontier(n) {
-		lb, ub = f.frontierEval(t, n, st)
-		if f.scales != nil {
-			s := f.scales[ti]
-			lb *= s
-			ub *= s
-		}
-		return lb, ub, true
+	frontier := f.atFrontier(n)
+	if frontier {
+		lb = f.frontierEval(t, n, st)
+		ub = lb
+	} else {
+		lb, ub = bound.NodeBounds(f.method, f.kern, &f.qc, n)
 	}
-	lb, ub = bound.NodeBounds(f.method, f.kern, &f.qc, n)
 	if f.scales != nil {
 		// Positive scale: preserves bound order and exactness of the
 		// lb ≤ λ·F_node ≤ ub sandwich.
@@ -260,13 +201,6 @@ func (f *Forest) boundEval(ti, ni int32, st *Stats) (lb, ub float64, frontier bo
 		lb *= s
 		ub *= s
 	}
-	return lb, ub, false
-}
-
-// score bounds the node ni of segment ti, queueing it for refinement
-// unless it is a frontier node, in which case it is evaluated exactly.
-func (f *Forest) score(ti, ni int32, st *Stats) (lb, ub float64) {
-	lb, ub, frontier := f.boundEval(ti, ni, st)
 	if !frontier {
 		f.queue.Push(fentry{ti, ni, lb, ub}, ub-lb)
 	}
@@ -332,15 +266,12 @@ func CondApprox(lb, ub, eps float64) bool {
 // every iteration.
 func (f *Forest) refine(q []float64, base float64, cond *termCond, trace func(lb, ub float64)) (lb, ub float64) {
 	f.qc.Set(q)
-	if f.any32 {
-		f.prep32(q, f.qc.Norm2)
-	}
 	for i := range f.segStats {
 		f.segStats[i] = Stats{}
 	}
 	// Single-segment fast path: one tree, no decay scales, no exact base
-	// term, no trace, no parallel pool — the restored monolithic loop.
-	if len(f.trees) == 1 && f.scales == nil && base == 0 && trace == nil && f.workers <= 1 {
+	// term, no trace — the monolithic loop.
+	if len(f.trees) == 1 && f.scales == nil && base == 0 && trace == nil {
 		return f.refineOne(cond)
 	}
 	f.queue.Reset()
@@ -352,9 +283,6 @@ func (f *Forest) refine(q []float64, base float64, cond *termCond, trace func(lb
 	}
 	if trace != nil {
 		trace(lb, ub)
-	}
-	if f.workers > 1 && trace == nil {
-		return f.refinePar(lb, ub, cond)
 	}
 	for !cond.done(lb, ub) {
 		en, _, ok := f.queue.Pop()
@@ -384,7 +312,8 @@ func (f *Forest) refine(q []float64, base float64, cond *termCond, trace func(lb
 func (f *Forest) scoreOne(t *index.Tree, ni int32, st *Stats) (lb, ub float64) {
 	n := t.Node(ni)
 	if f.atFrontier(n) {
-		return f.frontierEval(t, n, st)
+		v := f.frontierEval(t, n, st)
+		return v, v
 	}
 	lb, ub = bound.NodeBounds(f.method, f.kern, &f.qc, n)
 	f.fastQ.Push(sentry{ni, lb, ub}, ub-lb)
@@ -422,18 +351,6 @@ func (f *Forest) refineOne(cond *termCond) (lb, ub float64) {
 // the single-segment fast path since construction.
 func (f *Forest) FastPathQueries() int64 { return f.fastHits }
 
-// SetWorkers configures intra-query parallel refinement: n > 1 expands up
-// to n frontier entries concurrently per refinement round; n ≤ 1 restores
-// the sequential loop (the default). Answers are deterministic for a
-// fixed n: the certification decision is taken at a single merge point
-// and workers only tighten bounds. Exact/Aggregate never parallelizes, so
-// aggregate answers are bitwise-identical across worker counts.
-func (f *Forest) SetWorkers(n int) { f.workers = n }
-
-// Workers returns the configured intra-query parallelism (≤ 1 means
-// sequential).
-func (f *Forest) Workers() int { return f.workers }
-
 // total sums the per-segment work of the last query into one Stats (the
 // LB/UB fields are left for the caller, which knows the global bounds).
 func (f *Forest) total() Stats {
@@ -448,10 +365,6 @@ func (f *Forest) total() Stats {
 
 // Exact computes the exact aggregate over every segment plus the base term
 // through the same contiguous range primitive leaf refinement uses.
-// Segments carrying a float32 leaf block are scanned through their tiles —
-// the returned value is then the tiled sum (deterministic, identical
-// across worker counts since Exact never parallelizes) and the stats
-// bounds widen by the documented rounding slack.
 func (f *Forest) Exact(q []float64, base float64) (float64, Stats, error) {
 	var stats Stats
 	if err := f.checkQuery(q); err != nil {
@@ -459,28 +372,15 @@ func (f *Forest) Exact(q []float64, base float64) (float64, Stats, error) {
 	}
 	v := base
 	n2 := vec.Norm2(q)
-	slack := 0.0
-	if f.any32 {
-		f.prep32(q, n2)
-	}
 	for i, t := range f.trees {
-		var seg, sl float64
-		if t.Leaf32 != nil {
-			seg = f.rows32(f.q32, n2, t.Leaf32, t.Norms, t.Weights, 0, t.Len())
-			root := t.Root()
-			sl = f.slack32c * ((root.Pos.W+root.Neg.W)*n2 + root.Pos.B + root.Neg.B)
-		} else {
-			seg = f.rows(q, n2, t.Points, t.Norms, t.Weights, 0, t.Len())
-		}
+		seg := f.rows(q, n2, t.Points, t.Norms, t.Weights, 0, t.Len())
 		if f.scales != nil {
 			seg *= f.scales[i]
-			sl *= f.scales[i]
 		}
 		v += seg
-		slack += sl
 		stats.PointsScanned += t.Len()
 	}
-	stats.LB, stats.UB = v-slack, v+slack
+	stats.LB, stats.UB = v, v
 	return v, stats, nil
 }
 

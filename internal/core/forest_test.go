@@ -12,7 +12,6 @@ import (
 	"karl/internal/kernel"
 	"karl/internal/scan"
 	"karl/internal/vec"
-	"karl/internal/vptree"
 )
 
 // buildSegments splits the rows of m (and weights) into nseg contiguous
@@ -59,7 +58,6 @@ func TestForestEquivalence(t *testing.T) {
 	}{
 		{"kd-tree", kdtree.Build},
 		{"ball-tree", balltree.Build},
-		{"vp-tree", vptree.Build},
 	}
 	for trial := 0; trial < 6; trial++ {
 		n := 300 + rng.Intn(500)
@@ -352,5 +350,96 @@ func TestForestSetTreesValidation(t *testing.T) {
 	}
 	if _, _, err := f.Threshold([]float64{1, 2, 3}, 0, 0); err == nil {
 		t.Fatal("wrong-dims query accepted")
+	}
+}
+
+// TestFastPathCounter pins exactly when the single-segment fast path runs:
+// a lone tree with no scales, base term or trace — and that the generic
+// loop produces identical answers when it is bypassed.
+func TestFastPathCounter(t *testing.T) {
+	rng := rand.New(rand.NewSource(817))
+	n, d := 400, 3
+	m := makeClustered(rng, n, d, 2, 0.05)
+	tr, err := kdtree.Build(m.Clone(), nil, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.NewGaussian(5)
+	q := make([]float64, d)
+	for j := range q {
+		q[j] = rng.Float64()
+	}
+
+	e, err := New(tr, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, _ := e.Exact(q)
+	tau := exact * 1.1
+	if e.FastPathQueries() != 0 {
+		t.Fatal("counter must start at zero")
+	}
+	hot, st, err := e.Threshold(q, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Approximate(q, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.FastPathQueries(); got != 2 {
+		t.Fatalf("static single-tree engine served %d fast-path queries, want 2", got)
+	}
+	if _, err := e.Exact(q); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.FastPathQueries(); got != 2 {
+		t.Fatalf("Exact must not route through refinement (counter %d)", got)
+	}
+
+	// The generic loop (forced here via a unit scale) must agree with the
+	// fast path bitwise: same arithmetic, same expansion order.
+	f, err := NewForest(k, bound.KARL, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetTrees([]*index.Tree{tr}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetScales([]float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	ghot, gst, err := f.Threshold(q, tau, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.FastPathQueries() != 0 {
+		t.Fatal("scaled query must bypass the fast path")
+	}
+	if ghot != hot || gst.LB != st.LB || gst.UB != st.UB {
+		t.Fatalf("generic loop diverged from fast path: %v [%v,%v] vs %v [%v,%v]",
+			ghot, gst.LB, gst.UB, hot, st.LB, st.UB)
+	}
+
+	// Base term and traces bypass too.
+	if err := f.SetScales(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.Threshold(q, tau, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if f.FastPathQueries() != 0 {
+		t.Fatal("base term must bypass the fast path")
+	}
+	if _, err := f.TraceThreshold(q, tau, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.FastPathQueries() != 0 {
+		t.Fatal("bound traces must bypass the fast path")
+	}
+	if _, _, err := f.Threshold(q, tau, 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.FastPathQueries() != 1 {
+		t.Fatal("plain single-segment query must take the fast path")
 	}
 }

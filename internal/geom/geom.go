@@ -143,69 +143,6 @@ func (r *Rect) IPMax(q []float64) float64 {
 	return s
 }
 
-// Shell is a bounding spherical annulus: all points p satisfy
-// RMin ≤ dist(Center, p) ≤ RMax. It is the natural volume of a
-// vantage-point tree node; distance bounds follow from the triangle
-// inequality and are often tighter than a plain ball when RMin > 0.
-type Shell struct {
-	Center []float64
-	RMin   float64
-	RMax   float64
-}
-
-// BoundRowsShell returns the shell around center covering rows[idx[i]] for
-// i in [start,end). It panics on an empty range.
-func BoundRowsShell(center []float64, m *vec.Matrix, idx []int, start, end int) *Shell {
-	if start >= end {
-		panic(fmt.Sprintf("geom: empty row range [%d,%d)", start, end))
-	}
-	s := &Shell{Center: vec.Clone(center), RMin: math.Inf(1)}
-	for i := start; i < end; i++ {
-		d := vec.Dist(center, m.Row(idx[i]))
-		if d < s.RMin {
-			s.RMin = d
-		}
-		if d > s.RMax {
-			s.RMax = d
-		}
-	}
-	return s
-}
-
-// Contains implements Volume.
-func (s *Shell) Contains(p []float64, tol float64) bool {
-	d := vec.Dist(s.Center, p)
-	return d >= s.RMin-tol && d <= s.RMax+tol
-}
-
-// MinDist2 implements Volume: by the triangle inequality, for p in the
-// shell dist(q,p) ≥ max(0, dist(q,c) − RMax, RMin − dist(q,c)).
-func (s *Shell) MinDist2(q []float64) float64 {
-	dc := vec.Dist(q, s.Center)
-	d := math.Max(dc-s.RMax, s.RMin-dc)
-	if d <= 0 {
-		return 0
-	}
-	return d * d
-}
-
-// MaxDist2 implements Volume: dist(q,p) ≤ dist(q,c) + RMax.
-func (s *Shell) MaxDist2(q []float64) float64 {
-	d := vec.Dist(q, s.Center) + s.RMax
-	return d * d
-}
-
-// IPMin implements Volume via the enclosing ball (the annulus hole does
-// not tighten an inner-product bound in general).
-func (s *Shell) IPMin(q []float64) float64 {
-	return vec.Dot(q, s.Center) - s.RMax*vec.Norm(q)
-}
-
-// IPMax implements Volume.
-func (s *Shell) IPMax(q []float64) float64 {
-	return vec.Dot(q, s.Center) + s.RMax*vec.Norm(q)
-}
-
 // Ball is a bounding hypersphere.
 type Ball struct {
 	Center []float64

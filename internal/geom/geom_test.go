@@ -140,48 +140,6 @@ func TestBallVolumeProperty(t *testing.T) {
 	})
 }
 
-func TestShellVolumeProperty(t *testing.T) {
-	propVolume(t, func(m *vec.Matrix, idx []int, start, end int) Volume {
-		return BoundRowsShell(m.Row(idx[start]), m, idx, start, end)
-	})
-}
-
-func TestShellKnownBounds(t *testing.T) {
-	s := &Shell{Center: []float64{0, 0}, RMin: 1, RMax: 2}
-	// Query inside the hole: nearest shell point is at RMin.
-	q := []float64{0.5, 0}
-	if got, want := s.MinDist2(q), 0.25; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MinDist2 in hole = %v want %v", got, want)
-	}
-	if got, want := s.MaxDist2(q), 6.25; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MaxDist2 = %v want %v", got, want)
-	}
-	// Query within the annulus: min distance zero.
-	if got := s.MinDist2([]float64{1.5, 0}); got != 0 {
-		t.Fatalf("MinDist2 in annulus = %v want 0", got)
-	}
-	// Query far outside.
-	q = []float64{5, 0}
-	if got, want := s.MinDist2(q), 9.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MinDist2 outside = %v want %v", got, want)
-	}
-	if !s.Contains([]float64{0, 1.5}, 0) {
-		t.Fatal("annulus point not contained")
-	}
-	if s.Contains([]float64{0, 0.5}, 0) {
-		t.Fatal("hole point contained")
-	}
-}
-
-func TestShellBoundRowsEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BoundRowsShell([]float64{0}, vec.NewMatrix(1, 1), []int{0}, 0, 0)
-}
-
 func TestBallMinMaxDistKnown(t *testing.T) {
 	b := &Ball{Center: []float64{0, 0}, Radius: 1}
 	q := []float64{3, 0}

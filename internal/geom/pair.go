@@ -36,23 +36,6 @@ func PairMinDist2(q *Rect, v Volume) float64 {
 			return 0
 		}
 		return d * d
-	case *Shell:
-		// The query-to-center distance ranges over [dMin,dMax]; the shell's
-		// points sit at center distances [RMin,RMax]. If the two intervals
-		// overlap some q can touch the annulus; otherwise the gap between
-		// them is the closest approach (triangle inequality).
-		dMin := math.Sqrt(q.MinDist2(r.Center))
-		dMax := math.Sqrt(q.MaxDist2(r.Center))
-		switch {
-		case dMax < r.RMin:
-			d := r.RMin - dMax
-			return d * d
-		case dMin > r.RMax:
-			d := dMin - r.RMax
-			return d * d
-		default:
-			return 0
-		}
 	default:
 		panic(fmt.Sprintf("geom: cannot pair-bound volume %T", v))
 	}
@@ -73,9 +56,6 @@ func PairMaxDist2(q *Rect, v Volume) float64 {
 		return s
 	case *Ball:
 		d := math.Sqrt(q.MaxDist2(r.Center)) + r.Radius
-		return d * d
-	case *Shell:
-		d := math.Sqrt(q.MaxDist2(r.Center)) + r.RMax
 		return d * d
 	default:
 		panic(fmt.Sprintf("geom: cannot pair-bound volume %T", v))
@@ -110,8 +90,6 @@ func PairIPMin(q *Rect, v Volume) float64 {
 	case *Ball:
 		// q·p ≥ q·c − Radius·‖q‖ (Cauchy–Schwarz), minimized over the rect.
 		return q.IPMin(r.Center) - r.Radius*MaxNorm(q)
-	case *Shell:
-		return q.IPMin(r.Center) - r.RMax*MaxNorm(q)
 	default:
 		panic(fmt.Sprintf("geom: cannot pair-bound volume %T", v))
 	}
@@ -132,8 +110,6 @@ func PairIPMax(q *Rect, v Volume) float64 {
 		return s
 	case *Ball:
 		return q.IPMax(r.Center) + r.Radius*MaxNorm(q)
-	case *Shell:
-		return q.IPMax(r.Center) + r.RMax*MaxNorm(q)
 	default:
 		panic(fmt.Sprintf("geom: cannot pair-bound volume %T", v))
 	}

@@ -1,5 +1,5 @@
 // Package index defines the hierarchical index representation shared by the
-// kd-tree, ball-tree and vp-tree builders (Figure 2 of the paper). The
+// kd-tree and ball-tree builders (Figure 2 of the paper). The
 // logical structure is a binary tree whose nodes carry a bounding volume, a
 // contiguous range of point rows, and the precomputed weighted aggregates
 // (Lemmas 2 and 5) that let KARL evaluate its linear bound functions in O(d)
@@ -118,10 +118,6 @@ const (
 	// BallTree splits on a farthest-pair heuristic and bounds nodes with
 	// balls.
 	BallTree
-	// VPTree splits at the median distance to a vantage point and bounds
-	// nodes with spherical annuli (an extension beyond the paper's two
-	// index structures).
-	VPTree
 )
 
 // String implements fmt.Stringer.
@@ -131,8 +127,6 @@ func (k Kind) String() string {
 		return "kd-tree"
 	case BallTree:
 		return "ball-tree"
-	case VPTree:
-		return "vp-tree"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -152,21 +146,10 @@ type Tree struct {
 	LeafCap int
 	Height  int // number of levels; a single root-leaf tree has height 1
 
-	// Leaf32, when non-nil, is the tiled float32 mirror of Points built by
-	// BuildLeaf32. Leaf evaluation streams through it on the opt-in
-	// single-precision path; bounds, aggregates and Norms stay float64. It
-	// is derived data: persistence stores only a flag and rebuilds it.
-	Leaf32 *vec.Block32
-
 	// aggBlock is the packed backing array for every node's Pos.A (first
 	// half) and, when negative weights exist, Neg.A (second half).
 	aggBlock []float64
 }
-
-// BuildLeaf32 builds (or rebuilds) the tiled float32 mirror of the tree's
-// leaf-ordered points. Call after Finish or Reconstruct; the conversion is
-// deterministic, so rebuilding on load reproduces the block bitwise.
-func (t *Tree) BuildLeaf32() { t.Leaf32 = vec.NewBlock32(t.Points) }
 
 // Root returns the root node.
 func (t *Tree) Root() *Node { return &t.Nodes[0] }
@@ -384,16 +367,12 @@ func (t *Tree) Validate(tol float64) error {
 
 // volStride returns the number of float64 parameters one bounding volume of
 // this tree kind flattens to: Rect is Lo‖Hi (2d), Ball is center‖radius
-// (d+1), Shell is center‖rmin‖rmax (d+2).
+// (d+1).
 func (t *Tree) volStride() int {
-	switch t.Kind {
-	case BallTree:
+	if t.Kind == BallTree {
 		return t.Dims() + 1
-	case VPTree:
-		return t.Dims() + 2
-	default:
-		return 2 * t.Dims()
 	}
+	return 2 * t.Dims()
 }
 
 // FlattenVolumes packs every node's bounding-volume parameters into one
@@ -411,10 +390,6 @@ func (t *Tree) FlattenVolumes() []float64 {
 		case *geom.Ball:
 			copy(dst[:d], v.Center)
 			dst[d] = v.Radius
-		case *geom.Shell:
-			copy(dst[:d], v.Center)
-			dst[d] = v.RMin
-			dst[d+1] = v.RMax
 		default:
 			panic(fmt.Sprintf("index: cannot flatten volume %T", v))
 		}
@@ -424,14 +399,10 @@ func (t *Tree) FlattenVolumes() []float64 {
 
 // unflattenVolume rebuilds one bounding volume from its packed parameters.
 func unflattenVolume(kind Kind, d int, src []float64) geom.Volume {
-	switch kind {
-	case BallTree:
+	if kind == BallTree {
 		return &geom.Ball{Center: vec.Clone(src[:d]), Radius: src[d]}
-	case VPTree:
-		return &geom.Shell{Center: vec.Clone(src[:d]), RMin: src[d], RMax: src[d+1]}
-	default:
-		return &geom.Rect{Lo: vec.Clone(src[:d]), Hi: vec.Clone(src[d : 2*d])}
 	}
+	return &geom.Rect{Lo: vec.Clone(src[:d]), Hi: vec.Clone(src[d : 2*d])}
 }
 
 // Reconstruct rebuilds a flat tree from its persisted parts: leaf-ordered

@@ -263,7 +263,7 @@ func TestAggBlockIsPacked(t *testing.T) {
 }
 
 func TestReconstructRoundTrip(t *testing.T) {
-	for _, kind := range []Kind{KDTree, BallTree, VPTree} {
+	for _, kind := range []Kind{KDTree, BallTree} {
 		tr := manualTreeOfKind(kind)
 		nn := tr.NodeCount()
 		start := make([]int32, nn)
@@ -324,14 +324,10 @@ func manualTreeOfKind(kind Kind) *Tree {
 	m := vec.FromRows([][]float64{{0, 0}, {1, 0}, {10, 0}, {11, 0}})
 	idx := []int{0, 1, 2, 3}
 	vol := func(start, end int) geom.Volume {
-		switch kind {
-		case BallTree:
+		if kind == BallTree {
 			return geom.BoundRowsBall(m, idx, start, end)
-		case VPTree:
-			return geom.BoundRowsShell(m.Row(idx[start]), m, idx, start, end)
-		default:
-			return geom.BoundRows(m, idx, start, end)
 		}
+		return geom.BoundRows(m, idx, start, end)
 	}
 	tr := &Tree{Kind: kind, Points: m, Weights: []float64{1, 2, -3, 4}, LeafCap: 2}
 	root := tr.AppendNode(vol(0, 4), 0, 4, 0)
@@ -340,42 +336,4 @@ func manualTreeOfKind(kind Kind) *Tree {
 	tr.SetRight(root, right)
 	tr.Finish(idx)
 	return tr
-}
-
-// TestBuildLeaf32 pins the derived float32 tile block: it mirrors the
-// leaf-ordered storage exactly (every coordinate is float32(v) of the
-// stored float64), carries the tree's maximum squared norm, and rebuilding
-// it is deterministic (the persistence layer relies on that to reconstruct
-// a WithLeafFloat32 engine bitwise from the stored float64 points).
-func TestBuildLeaf32(t *testing.T) {
-	tr := buildManualTree()
-	tr.BuildLeaf32()
-	if tr.Leaf32 == nil {
-		t.Fatal("BuildLeaf32 left Leaf32 nil")
-	}
-	blk := tr.Leaf32
-	if blk.Rows != tr.Len() || blk.Cols != tr.Dims() {
-		t.Fatalf("block shape %dx%d, tree %dx%d", blk.Rows, blk.Cols, tr.Len(), tr.Dims())
-	}
-	wantMax := 0.0
-	for r := 0; r < tr.Len(); r++ {
-		if tr.Norms[r] > wantMax {
-			wantMax = tr.Norms[r]
-		}
-		for j := 0; j < tr.Dims(); j++ {
-			if got, want := blk.At(r, j), float32(tr.Points.Row(r)[j]); got != want {
-				t.Fatalf("Leaf32.At(%d,%d) = %v, want %v", r, j, got, want)
-			}
-		}
-	}
-	if blk.MaxNorm2 != wantMax {
-		t.Fatalf("MaxNorm2 = %v, want %v", blk.MaxNorm2, wantMax)
-	}
-	first := append([]float32(nil), blk.Data...)
-	tr.BuildLeaf32()
-	for i, v := range tr.Leaf32.Data {
-		if v != first[i] {
-			t.Fatalf("rebuild not deterministic at %d", i)
-		}
-	}
 }

@@ -39,38 +39,25 @@ import (
 	"karl/internal/kdtree"
 	"karl/internal/kernel"
 	"karl/internal/vec"
-	"karl/internal/vptree"
 )
 
 // BuildConfig fixes the index family every segment of an engine is built
-// with, so merged segments answer bitwise like a monolithic build. Leaf32
-// additionally equips every built segment with the tiled float32 leaf
-// mirror (see index.Tree.BuildLeaf32), so sealed and compacted segments
-// inherit the engine's WithLeafFloat32 setting.
+// with, so merged segments answer bitwise like a monolithic build.
 type BuildConfig struct {
 	Kind    index.Kind
 	LeafCap int
-	Leaf32  bool
 }
 
 // Build constructs one tree with the configured builder.
 func (c BuildConfig) Build(m *vec.Matrix, w []float64) (*index.Tree, error) {
-	var t *index.Tree
-	var err error
 	switch c.Kind {
 	case index.KDTree:
-		t, err = kdtree.Build(m, w, c.LeafCap)
+		return kdtree.Build(m, w, c.LeafCap)
 	case index.BallTree:
-		t, err = balltree.Build(m, w, c.LeafCap)
-	case index.VPTree:
-		t, err = vptree.Build(m, w, c.LeafCap)
+		return balltree.Build(m, w, c.LeafCap)
 	default:
 		return nil, fmt.Errorf("segment: unknown index kind %d", int(c.Kind))
 	}
-	if err == nil && c.Leaf32 {
-		t.BuildLeaf32()
-	}
-	return t, err
 }
 
 // Segment is one immutable sorted run: a flat index over a contiguous

@@ -58,7 +58,7 @@ func TestSealDoesNotMutateBuffer(t *testing.T) {
 // must reproduce the exact tree a monolithic build over the full
 // insertion stream would produce.
 func TestMergeBitwiseEqualsMonolithic(t *testing.T) {
-	for _, kind := range []index.Kind{index.KDTree, index.BallTree, index.VPTree} {
+	for _, kind := range []index.Kind{index.KDTree, index.BallTree} {
 		for _, weighted := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(7))
 			n, d := 300, 4

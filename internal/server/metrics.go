@@ -63,10 +63,6 @@ type metrics struct {
 
 	tierHits   atomic.Int64
 	tierMisses atomic.Int64
-
-	// refineQueries counts single-query requests served by a clone armed
-	// with parallel refinement (WithRefineWorkers > 1).
-	refineQueries atomic.Int64
 }
 
 // EndpointStats is the JSON form of one endpoint's counters.
@@ -171,24 +167,12 @@ type DualTreeBatchStats struct {
 	Fallbacks      int64 `json:"fallbacks"`
 }
 
-// RefineStats reports the WithRefineWorkers configuration and usage:
-// present in /v1/stats only when the server arms its clones with
-// intra-query parallel refinement.
-type RefineStats struct {
-	// Workers is the configured per-query refinement width.
-	Workers int `json:"workers"`
-	// Queries counts single-query requests served with it armed.
-	Queries int64 `json:"queries"`
-}
-
 // StatsResponse is the GET /v1/stats body. Tier is present only when the
-// sketch tier is enabled; Refine only when WithRefineWorkers is armed;
-// Mutable only for dynamic serving.
+// sketch tier is enabled; Mutable only for dynamic serving.
 type StatsResponse struct {
 	Pool      PoolStats                `json:"pool"`
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 	DualTree  *DualTreeBatchStats      `json:"dual_tree,omitempty"`
 	Tier      *TierStats               `json:"tier,omitempty"`
-	Refine    *RefineStats             `json:"refine,omitempty"`
 	Mutable   *MutableStats            `json:"mutable,omitempty"`
 }

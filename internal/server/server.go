@@ -60,12 +60,6 @@ type Server struct {
 	dims    int
 	maxBody int64
 
-	// refineWorkers > 1 arms every pooled clone with intra-query parallel
-	// refinement of that width (karl.WithRefineWorkers wired into the
-	// per-request path); single-query endpoints served this way count in
-	// the /v1/stats refine block.
-	refineWorkers int
-
 	// dyn is set by NewMutable: the engine the write endpoints feed. lsm
 	// is its optional introspection surface (nil when the engine lacks
 	// it). Both nil for static serving.
@@ -93,11 +87,10 @@ type Server struct {
 type Option func(*config)
 
 type config struct {
-	poolSize      int
-	sketchEps     float64
-	maxBody       int64
-	refineWorkers int
-	applier       *replica.Applier
+	poolSize  int
+	sketchEps float64
+	maxBody   int64
+	applier   *replica.Applier
 }
 
 // defaultMaxBody bounds POST request bodies when WithMaxBodyBytes is not
@@ -113,13 +106,6 @@ func WithPoolSize(n int) Option { return func(c *config) { c.poolSize = n } }
 // WithMaxBodyBytes bounds every POST request body (default 32 MiB).
 // Oversized bodies are rejected with 413 before they can exhaust memory.
 func WithMaxBodyBytes(n int64) Option { return func(c *config) { c.maxBody = n } }
-
-// WithRefineWorkers arms every pooled clone with intra-query parallel
-// refinement of width n (n ≤ 1 keeps the sequential loop) — the serving
-// form of karl.WithRefineWorkers, applied on the per-request path since
-// each request refines on its own clone. Single-query endpoints served
-// with parallel refinement are counted in the /v1/stats refine block.
-func WithRefineWorkers(n int) Option { return func(c *config) { c.refineWorkers = n } }
 
 // WithSketchTier enables tiered serving: at construction the engine is
 // sketched down to a coreset (karl.Engine.Sketch) with normalized error
@@ -152,11 +138,10 @@ func New(eng *karl.Engine, opts ...Option) (*Server, error) {
 		return nil, fmt.Errorf("server: max body bytes %d out of range", cfg.maxBody)
 	}
 	s := &Server{
-		pool:          newEnginePool(eng, cloneFunc(eng, cfg.refineWorkers), cfg.poolSize),
-		mux:           http.NewServeMux(),
-		dims:          eng.Dims(),
-		maxBody:       cfg.maxBody,
-		refineWorkers: cfg.refineWorkers,
+		pool:    newEnginePool(eng, cfg.poolSize),
+		mux:     http.NewServeMux(),
+		dims:    eng.Dims(),
+		maxBody: cfg.maxBody,
 	}
 	if cfg.sketchEps != 0 {
 		if !isFinite(cfg.sketchEps) || cfg.sketchEps <= 0 || cfg.sketchEps >= 1 {
@@ -167,7 +152,7 @@ func New(eng *karl.Engine, opts ...Option) (*Server, error) {
 			return nil, fmt.Errorf("server: sketch tier: %w", err)
 		}
 		info, _ := skEng.SketchInfo()
-		s.sketch = newEnginePool(skEng, cloneFunc(skEng, cfg.refineWorkers), cfg.poolSize)
+		s.sketch = newEnginePool(skEng, cfg.poolSize)
 		s.sketchEps = info.Eps
 		s.sketchLen = skEng.Len()
 	}
@@ -199,12 +184,11 @@ func NewMutable(d karl.MutableEngine, opts ...Option) (*Server, error) {
 		return nil, errors.New("server: sketch tier requires a static engine")
 	}
 	s := &Server{
-		pool:          newEnginePool(d, cloneFunc(d, cfg.refineWorkers), cfg.poolSize),
-		mux:           http.NewServeMux(),
-		dims:          d.Dims(),
-		dyn:           d,
-		maxBody:       cfg.maxBody,
-		refineWorkers: cfg.refineWorkers,
+		pool:    newEnginePool(d, cfg.poolSize),
+		mux:     http.NewServeMux(),
+		dims:    d.Dims(),
+		dyn:     d,
+		maxBody: cfg.maxBody,
 	}
 	s.lsm, _ = d.(lsmStats)
 	s.applier = cfg.applier
@@ -221,21 +205,6 @@ func NewMutable(d karl.MutableEngine, opts ...Option) (*Server, error) {
 	}
 	s.warm()
 	return s, nil
-}
-
-// cloneFunc builds the pool's clone factory: a fresh query view of the
-// template, armed with the server's refine-worker override when one is
-// configured.
-func cloneFunc(template karl.QueryEngine, workers int) func() karl.QueryEngine {
-	return func() karl.QueryEngine {
-		c := template.CloneQuery()
-		if workers > 1 {
-			if rw, ok := c.(interface{ SetRefineWorkers(int) }); ok {
-				rw.SetRefineWorkers(workers)
-			}
-		}
-		return c
-	}
 }
 
 // warm seeds the clone pools with one ready clone each, so the first
@@ -271,14 +240,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // executors are relative to the advancing dataset.
 type enginePool struct {
 	template    karl.QueryEngine
-	clone       func() karl.QueryEngine
 	idle        chan karl.QueryEngine
 	clones      atomic.Int64
 	servedEpoch atomic.Uint64
 }
 
-func newEnginePool(template karl.QueryEngine, clone func() karl.QueryEngine, size int) *enginePool {
-	return &enginePool{template: template, clone: clone, idle: make(chan karl.QueryEngine, size)}
+func newEnginePool(template karl.QueryEngine, size int) *enginePool {
+	return &enginePool{template: template, idle: make(chan karl.QueryEngine, size)}
 }
 
 func (p *enginePool) acquire() karl.QueryEngine {
@@ -287,7 +255,7 @@ func (p *enginePool) acquire() karl.QueryEngine {
 		return e
 	default:
 		p.clones.Add(1)
-		return p.clone()
+		return p.template.CloneQuery()
 	}
 }
 
@@ -521,12 +489,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Pool:         s.sketch.stats(),
 		}
 	}
-	if s.refineWorkers > 1 {
-		resp.Refine = &RefineStats{
-			Workers: s.refineWorkers,
-			Queries: s.met.refineQueries.Load(),
-		}
-	}
 	if s.dyn != nil {
 		resp.Endpoints["insert"] = s.met.insert.snapshot()
 		resp.Endpoints["delete"] = s.met.del.snapshot()
@@ -671,16 +633,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	if stopped != nil {
 		stopped.Add(1)
 	}
-	s.countRefine()
 	writeJSON(w, http.StatusOK, BoundsResponse{Value: v, LB: st.LB, UB: st.UB})
-}
-
-// countRefine counts one single-query request served by a clone armed
-// with parallel refinement, for the /v1/stats refine block.
-func (s *Server) countRefine() {
-	if s.refineWorkers > 1 {
-		s.met.refineQueries.Add(1)
-	}
 }
 
 // validateBounds checks a /v1/bounds request: like an approximate budget,
@@ -968,7 +921,6 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m.record(1, st)
-	s.countRefine()
 	writeJSON(w, http.StatusOK, ValueResponse{v})
 }
 
@@ -987,7 +939,6 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m.record(1, st)
-	s.countRefine()
 	writeJSON(w, http.StatusOK, BoolResponse{over})
 }
 
@@ -1017,7 +968,6 @@ func (s *Server) handleApproximate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countTier(req.EpsNorm, sketched, 1)
 	m.record(1, st)
-	s.countRefine()
 	writeJSON(w, http.StatusOK, ValueResponse{v})
 }
 

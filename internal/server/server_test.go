@@ -660,67 +660,3 @@ func BenchmarkServerMutex(b *testing.B) {
 	})
 	benchDrive(b, h)
 }
-
-// TestRefineWorkersStats pins the WithRefineWorkers wiring end to end:
-// armed clones answer identically to the plain engine, /v1/stats grows a
-// refine block counting single-query requests, and an unarmed server
-// omits the block entirely.
-func TestRefineWorkersStats(t *testing.T) {
-	eng := testEngine(t)
-	s, err := New(eng, WithRefineWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	q := []float64{0.5, 0.5}
-	want, _ := eng.Aggregate(q)
-	for i := 0; i < 3; i++ {
-		resp, body := post(t, ts, "/v1/aggregate", QueryRequest{Q: q})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
-		var v ValueResponse
-		if err := json.Unmarshal(body, &v); err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(v.Value-want) > 1e-9*(1+math.Abs(want)) {
-			t.Fatalf("armed clone diverged: %v want %v", v.Value, want)
-		}
-	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Refine == nil {
-		t.Fatal("stats missing the refine block with WithRefineWorkers armed")
-	}
-	if stats.Refine.Workers != 4 || stats.Refine.Queries != 3 {
-		t.Fatalf("refine stats = %+v, want workers 4, queries 3", stats.Refine)
-	}
-
-	plain, err := New(testEngine(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsPlain := httptest.NewServer(plain)
-	defer tsPlain.Close()
-	post(t, tsPlain, "/v1/aggregate", QueryRequest{Q: q})
-	resp2, err := http.Get(tsPlain.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var plainStats StatsResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&plainStats); err != nil {
-		t.Fatal(err)
-	}
-	if plainStats.Refine != nil {
-		t.Fatalf("unarmed server reports refine stats: %+v", plainStats.Refine)
-	}
-}

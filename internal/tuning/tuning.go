@@ -18,7 +18,6 @@ import (
 	"karl/internal/kdtree"
 	"karl/internal/kernel"
 	"karl/internal/vec"
-	"karl/internal/vptree"
 )
 
 // Mode selects the query variant being tuned for.
@@ -83,8 +82,6 @@ func (c Candidate) build(points *vec.Matrix, weights []float64) (*index.Tree, er
 		return kdtree.Build(points, weights, c.LeafCap)
 	case index.BallTree:
 		return balltree.Build(points, weights, c.LeafCap)
-	case index.VPTree:
-		return vptree.Build(points, weights, c.LeafCap)
 	default:
 		return nil, fmt.Errorf("tuning: unknown index kind %d", int(c.Kind))
 	}

@@ -58,7 +58,6 @@ func TestOfflinePicksFromGrid(t *testing.T) {
 		{Kind: index.KDTree, LeafCap: 20},
 		{Kind: index.KDTree, LeafCap: 320},
 		{Kind: index.BallTree, LeafCap: 80},
-		{Kind: index.VPTree, LeafCap: 80},
 	}
 	results, err := Offline(ds.Points, nil, w, ds.Queries, grid)
 	if err != nil {

@@ -32,14 +32,12 @@ import (
 	"fmt"
 	"time"
 
-	"karl/internal/balltree"
 	"karl/internal/bound"
 	"karl/internal/core"
 	"karl/internal/index"
-	"karl/internal/kdtree"
 	"karl/internal/kernel"
+	"karl/internal/segment"
 	"karl/internal/vec"
-	"karl/internal/vptree"
 )
 
 // Kernel identifies a kernel function with its parameters.
@@ -73,9 +71,6 @@ const (
 	KDTree IndexKind = iota
 	// BallTree indexes with bounding hyperspheres.
 	BallTree
-	// VPTree indexes with vantage-point annuli — an extension beyond the
-	// paper's two index structures, often strong on shell-shaped data.
-	VPTree
 )
 
 // Method selects the bounding technique.
@@ -96,14 +91,12 @@ type Stats = core.Stats
 type Option func(*buildConfig)
 
 type buildConfig struct {
-	weights       []float64
-	kind          IndexKind
-	leafCap       int
-	method        Method
-	maxDepth      int
-	batchExec     BatchExecutor
-	leafFloat32   bool
-	refineWorkers int
+	weights   []float64
+	kind      IndexKind
+	leafCap   int
+	method    Method
+	maxDepth  int
+	batchExec BatchExecutor
 
 	// Coreset construction knobs, consulted only by BuildCoreset,
 	// Engine.Sketch and KDE.Compress (coreset.go).
@@ -140,28 +133,6 @@ func WithIndex(kind IndexKind, leafCap int) Option {
 
 // WithMethod selects the bounding method (default MethodKARL).
 func WithMethod(m Method) Option { return func(c *buildConfig) { c.method = m } }
-
-// WithLeafFloat32 stores an additional float32 tiled mirror of the
-// leaf-ordered points (8 rows × dim tiles) and routes leaf evaluation
-// through it. Bounds, node aggregates and certificates stay float64: the
-// single-precision rounding of the dot products is folded into the bound
-// clamp as an explicit slack, so Threshold/Approximate answers still
-// satisfy their ε/τ contracts relative to the exact float64 aggregate.
-// Aggregate returns the deterministic tiled sum (within the same slack of
-// the float64 value). Costs ~half the point storage again in memory; buys
-// a denser, auto-vectorizable leaf scan. Applies to Build, NewDynamic and
-// the engines loaded from files written by either.
-func WithLeafFloat32() Option { return func(c *buildConfig) { c.leafFloat32 = true } }
-
-// WithRefineWorkers enables intra-query parallel refinement: up to n
-// priority-queue entries are expanded concurrently per refinement round
-// (n ≤ 1, the default, keeps the sequential loop). Answers are
-// deterministic for a fixed n — the certification decision is taken at a
-// single merge point — and Aggregate is bitwise-identical across worker
-// counts. Useful for long individual queries when GOMAXPROCS > 1; for
-// many small queries prefer the Batch* methods, which parallelize across
-// queries instead.
-func WithRefineWorkers(n int) Option { return func(c *buildConfig) { c.refineWorkers = n } }
 
 // withMaxDepth truncates refinement depth; used by the in-situ tuner.
 func withMaxDepth(d int) Option { return func(c *buildConfig) { c.maxDepth = d } }
@@ -264,30 +235,21 @@ func buildMatrixCfg(m *vec.Matrix, kern Kernel, cfg buildConfig) (*Engine, error
 	if cfg.leafCap < 1 {
 		return nil, fmt.Errorf("karl: leaf capacity %d out of range", cfg.leafCap)
 	}
-	var tree *index.Tree
-	var err error
-	switch cfg.kind {
-	case KDTree:
-		tree, err = kdtree.Build(m, cfg.weights, cfg.leafCap)
-	case BallTree:
-		tree, err = balltree.Build(m, cfg.weights, cfg.leafCap)
-	case VPTree:
-		tree, err = vptree.Build(m, cfg.weights, cfg.leafCap)
-	default:
-		return nil, fmt.Errorf("karl: unknown index kind %d", int(cfg.kind))
-	}
+	kind, err := indexKindOf(cfg.kind)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.leafFloat32 {
-		tree.BuildLeaf32()
+	tree, err := segment.BuildConfig{Kind: kind, LeafCap: cfg.leafCap}.Build(m, cfg.weights)
+	if err != nil {
+		return nil, err
 	}
-	coreOpts := []core.Option{core.WithMethod(methodOf(cfg.method))}
+	method, err := methodOf(cfg.method)
+	if err != nil {
+		return nil, err
+	}
+	coreOpts := []core.Option{core.WithMethod(method)}
 	if cfg.maxDepth > 0 {
 		coreOpts = append(coreOpts, core.WithMaxDepth(cfg.maxDepth))
-	}
-	if cfg.refineWorkers > 1 {
-		coreOpts = append(coreOpts, core.WithWorkers(cfg.refineWorkers))
 	}
 	eng, err := core.New(tree, kern, coreOpts...)
 	if err != nil {
@@ -296,33 +258,42 @@ func buildMatrixCfg(m *vec.Matrix, kern Kernel, cfg buildConfig) (*Engine, error
 	return &Engine{eng: eng, tree: tree, kern: kern, batchExec: cfg.batchExec, dualCtr: &dualCounters{}}, nil
 }
 
-// engineFromTree wraps an already-built (or reconstructed) index in an
-// Engine without rebuilding it — the load path for format v4 files, which
-// persist the flat index layout itself.
-func engineFromTree(tree *index.Tree, kern Kernel, method Method) (*Engine, error) {
-	eng, err := core.New(tree, kern, core.WithMethod(methodOf(method)))
+// engineFromTree wraps a reconstructed index in an Engine without
+// rebuilding it — the load path, since files persist the flat index itself.
+func engineFromTree(tree *index.Tree, kern Kernel, method bound.Method) (*Engine, error) {
+	eng, err := core.New(tree, kern, core.WithMethod(method))
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{eng: eng, tree: tree, kern: kern, dualCtr: &dualCounters{}}, nil
 }
 
-func methodOf(m Method) bound.Method {
-	if m == MethodSOTA {
-		return bound.SOTA
+// methodOf maps the public bounding method to the internal one. Values
+// outside the enum (a file from another build) are an error, never a
+// silent default.
+func methodOf(m Method) (bound.Method, error) {
+	switch m {
+	case MethodKARL:
+		return bound.KARL, nil
+	case MethodSOTA:
+		return bound.SOTA, nil
+	default:
+		return 0, fmt.Errorf("karl: bounding method %d is not supported by this build", int(m))
 	}
-	return bound.KARL
 }
 
-// indexKindOf maps the public index kind to the internal one.
-func indexKindOf(k IndexKind) index.Kind {
+// indexKindOf maps the public index kind to the internal one, with the
+// same contract as methodOf. Kind 2 was the vp-tree of earlier builds.
+func indexKindOf(k IndexKind) (index.Kind, error) {
 	switch k {
+	case KDTree:
+		return index.KDTree, nil
 	case BallTree:
-		return index.BallTree
-	case VPTree:
-		return index.VPTree
+		return index.BallTree, nil
+	case 2:
+		return 0, errors.New("karl: index kind 2 (vp-tree) is not supported by this build")
 	default:
-		return index.KDTree
+		return 0, fmt.Errorf("karl: index kind %d is not supported by this build", int(k))
 	}
 }
 
@@ -346,9 +317,8 @@ func (e *Engine) Clone() *Engine {
 func (e *Engine) Aggregate(q []float64) (float64, error) { return e.eng.Exact(q) }
 
 // AggregateStats is Aggregate plus the per-query work statistics. An exact
-// aggregation scans every indexed point, so PointsScanned equals Len; the
-// bounds equal the returned value except on the float32 leaf path, where
-// they widen by the documented rounding slack.
+// aggregation scans every indexed point, so PointsScanned equals Len and
+// the bounds equal the returned value.
 func (e *Engine) AggregateStats(q []float64) (float64, Stats, error) {
 	return e.eng.ExactStats(q)
 }

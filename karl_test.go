@@ -105,7 +105,7 @@ func TestAllKernelsAndIndexes(t *testing.T) {
 	}
 	kernels := []Kernel{Gaussian(2), Polynomial(0.5, 1, 3), Sigmoid(0.5, 0), Epanechnikov(2), Quartic(2)}
 	for _, kern := range kernels {
-		for _, kind := range []IndexKind{KDTree, BallTree, VPTree} {
+		for _, kind := range []IndexKind{KDTree, BallTree} {
 			eng, err := Build(pts, kern, WithWeights(w), WithIndex(kind, 16))
 			if err != nil {
 				t.Fatal(err)

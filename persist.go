@@ -13,49 +13,17 @@ import (
 	"karl/internal/vec"
 )
 
-// persistVersion guards the on-disk format; bump on incompatible change.
-// Version history:
-//
-//	1 — points, weights, kernel, index configuration.
-//	2 — adds optional coreset sketch provenance (source size, total
-//	    weight, ε, construction). Version-1 files still load (the
-//	    provenance field is simply absent).
-//	3 — sketch provenance additionally records the ε bound's basis and
-//	    failure probability δ (SketchInfo.Basis / Delta). Version-2 files
-//	    still load with SketchBasisUnknown and δ = 0.
-//	4 — persists the built flat index itself: points and weights in leaf
-//	    order, the original-row mapping, the preorder node arrays and the
-//	    flattened bounding volumes. Loading reconstructs the exact tree
-//	    instead of rebuilding it, so answers are bitwise identical across
-//	    a round trip (a rebuilt vp-tree could not even recover its vantage
-//	    points from reordered storage). Versions 1–3 still load by
-//	    rebuilding from the stored points.
-//	5 — adds the dynamic (segmented) engine stream: a manifest of
-//	    per-segment v4-style index payloads plus the raw memtable rows and
-//	    the LSM policy (DynamicEngine.WriteTo / ReadDynamic). Static
-//	    single-engine files keep the exact v4 layout; versions 1–4 still
-//	    load. Since the cluster layer, static payloads may additionally
-//	    carry optional shard provenance (Engine.Shard) — gob leaves the
-//	    field absent on old files and ignores it in old readers, so the
-//	    version is unchanged.
-//	6 — the dynamic stream gains mutability state: per-row sequence
-//	    numbers and insert timestamps (per segment and for the memtable),
-//	    pending delete tombstones, the point-id counter, and the TTL /
-//	    decay configuration with each segment's decay reference instant.
-//	    Static payloads are unchanged. v5 dynamic files still load with
-//	    synthesized consecutive sequence numbers (their points become
-//	    deletable); v1–v4 static files load as before.
-//	7 — records the WithLeafFloat32 setting: static payloads (and each
-//	    segment payload) carry a LeafFloat32 flag, and the dynamic stream
-//	    additionally records it as build configuration for future seals.
-//	    The float32 tile block itself is derived data — loading rebuilds
-//	    it deterministically from the stored float64 points, so answers
-//	    are identical to the saved engine's. v1–v6 files load with the
-//	    flag off.
+// persistVersion is the one on-disk format version this build writes and
+// reads. A static file is one gob enginePayload carrying the built flat
+// index itself (leaf-ordered points and weights, the original-row mapping,
+// the preorder node arrays, the flattened bounding volumes), so loading
+// reconstructs the exact tree and answers are bitwise identical across a
+// round trip; a dynamic file is one gob dynamicPayload: the LSM policy, the
+// manifest as per-segment engine payloads with their sequence numbers and
+// timestamps, the raw memtable rows, and the pending tombstones. Files of
+// earlier versions are refused by version number. Version-7 files written
+// by earlier builds may carry a LeafFloat32 field, which gob skips.
 const persistVersion = 7
-
-// oldestReadableVersion is the earliest format this build still decodes.
-const oldestReadableVersion = 1
 
 // sketchProvenance is the wire form of SketchInfo: a saved coreset engine
 // records what it was reduced from and the error bound it carries.
@@ -69,16 +37,14 @@ type sketchProvenance struct {
 	Method       int
 }
 
-// enginePayload is the gob wire format for an Engine. Since version 4 it
-// carries the flat index layout itself (leaf-ordered points plus the node
-// arrays below), so loading is a reconstruction, not a rebuild. Files from
-// versions 1–3 carry only the data and build parameters; for those the node
-// fields decode as nil and the tree is rebuilt deterministically.
+// enginePayload is the gob wire format for an Engine. It carries the flat
+// index layout itself (leaf-ordered points plus the node arrays below), so
+// loading is a reconstruction, not a rebuild.
 type enginePayload struct {
 	Version int
 	Dims    int
-	Points  []float64 // row-major Dims-wide rows; leaf-ordered since v4
-	Weights []float64 // nil for unit weights; leaf-ordered since v4
+	Points  []float64 // row-major Dims-wide rows, leaf-ordered
+	Weights []float64 // nil for unit weights; leaf-ordered
 	Kernel  Kernel
 	Kind    IndexKind
 	LeafCap int
@@ -86,12 +52,7 @@ type enginePayload struct {
 	Sketch  *sketchProvenance // nil for full-set engines
 	Shard   *shardWire        // nil for unpartitioned engines
 
-	// LeafFloat32 (v7+) records that the engine was built with
-	// WithLeafFloat32. The tile block is derived data: loading rebuilds it
-	// from the float64 points, so old readers simply ignore the flag.
-	LeafFloat32 bool
-
-	// Flat index layout (v4+): storage row -> original row, the DFS-preorder
+	// Flat index layout: storage row -> original row, the DFS-preorder
 	// node arrays, and every node's bounding-volume parameters packed by
 	// index.FlattenVolumes. Norms and aggregates are derived data and are
 	// recomputed on load.
@@ -120,11 +81,7 @@ type svmPayload struct {
 
 // payload flattens an engine for serialization.
 func (e *Engine) payload() enginePayload {
-	method := MethodKARL
-	if e.eng.Method() == methodOf(MethodSOTA) {
-		method = MethodSOTA
-	}
-	p := treePayload(e.tree, e.kern, method)
+	p := treePayload(e.tree, e.kern, publicMethod(e.eng.Method()))
 	if e.sketch != nil {
 		p.Sketch = &sketchProvenance{
 			SourceLen:    e.sketch.SourceLen,
@@ -148,8 +105,8 @@ func (e *Engine) payload() enginePayload {
 }
 
 // treePayload flattens one built index (plus the kernel and bounding
-// method it is queried with) into the v4 wire layout — the unit both the
-// static engine format and every segment of the v5 dynamic format reuse.
+// method it is queried with) into the wire layout — the unit both the
+// static engine format and every segment of the dynamic format reuse.
 func treePayload(tree *index.Tree, kern Kernel, method Method) enginePayload {
 	kind := publicIndexKind(tree.Kind)
 	pts := make([]float64, len(tree.Points.Data))
@@ -171,27 +128,29 @@ func treePayload(tree *index.Tree, kern Kernel, method Method) enginePayload {
 	pointID := make([]int32, len(tree.PointID))
 	copy(pointID, tree.PointID)
 	return enginePayload{
-		Version:     persistVersion,
-		Dims:        tree.Dims(),
-		Points:      pts,
-		Weights:     w,
-		Kernel:      kern,
-		Kind:        kind,
-		LeafCap:     tree.LeafCap,
-		Method:      method,
-		LeafFloat32: tree.Leaf32 != nil,
-		PointID:     pointID,
-		NodeStart:   nodeStart,
-		NodeEnd:     nodeEnd,
-		NodeRight:   nodeRight,
-		NodeDepth:   nodeDepth,
-		VolData:     tree.FlattenVolumes(),
+		Version:   persistVersion,
+		Dims:      tree.Dims(),
+		Points:    pts,
+		Weights:   w,
+		Kernel:    kern,
+		Kind:      kind,
+		LeafCap:   tree.LeafCap,
+		Method:    method,
+		PointID:   pointID,
+		NodeStart: nodeStart,
+		NodeEnd:   nodeEnd,
+		NodeRight: nodeRight,
+		NodeDepth: nodeDepth,
+		VolData:   tree.FlattenVolumes(),
 	}
 }
 
-// restoreTree validates a v4+ payload and reconstructs its flat index
-// exactly.
+// restoreTree validates a payload and reconstructs its flat index exactly.
 func (p enginePayload) restoreTree() (*index.Tree, error) {
+	kind, err := indexKindOf(p.Kind)
+	if err != nil {
+		return nil, err
+	}
 	if p.Dims < 1 || len(p.Points) == 0 || len(p.Points)%p.Dims != 0 {
 		return nil, errors.New("karl: corrupt engine payload")
 	}
@@ -199,50 +158,32 @@ func (p enginePayload) restoreTree() (*index.Tree, error) {
 	if p.Weights != nil && len(p.Weights) != m.Rows {
 		return nil, errors.New("karl: corrupt engine payload (weights)")
 	}
-	tree, err := index.Reconstruct(indexKindOf(p.Kind), m, p.Weights, p.PointID,
+	tree, err := index.Reconstruct(kind, m, p.Weights, p.PointID,
 		p.NodeStart, p.NodeEnd, p.NodeRight, p.NodeDepth, p.VolData, p.LeafCap)
 	if err != nil {
 		return nil, fmt.Errorf("karl: corrupt engine payload: %w", err)
-	}
-	if p.LeafFloat32 {
-		tree.BuildLeaf32()
 	}
 	return tree, nil
 }
 
 // restore rebuilds an engine from a payload.
 func (p enginePayload) restore() (*Engine, error) {
-	if p.Version < oldestReadableVersion || p.Version > persistVersion {
-		return nil, fmt.Errorf("karl: unsupported engine format version %d (this build reads versions %d through %d)",
-			p.Version, oldestReadableVersion, persistVersion)
+	if p.Version != persistVersion {
+		return nil, fmt.Errorf("karl: unsupported engine format version %d (this build reads version %d)",
+			p.Version, persistVersion)
 	}
-	if p.Version >= 5 && len(p.Points) == 0 {
+	if len(p.Points) == 0 {
 		return nil, errors.New("karl: stream has no static engine payload (a dynamic engine file? use ReadDynamic)")
 	}
-	var eng *Engine
-	var err error
-	if p.Version >= 4 {
-		// v4+: reconstruct the persisted flat index exactly.
-		tree, rerr := p.restoreTree()
-		if rerr != nil {
-			return nil, rerr
-		}
-		eng, err = engineFromTree(tree, p.Kernel, p.Method)
-	} else {
-		// v1–v3 stored only the data and build parameters: rebuild.
-		if p.Dims < 1 || len(p.Points) == 0 || len(p.Points)%p.Dims != 0 {
-			return nil, errors.New("karl: corrupt engine payload")
-		}
-		m := &vec.Matrix{Data: p.Points, Rows: len(p.Points) / p.Dims, Cols: p.Dims}
-		if p.Weights != nil && len(p.Weights) != m.Rows {
-			return nil, errors.New("karl: corrupt engine payload (weights)")
-		}
-		opts := []Option{WithIndex(p.Kind, p.LeafCap), WithMethod(p.Method)}
-		if p.Weights != nil {
-			opts = append(opts, WithWeights(p.Weights))
-		}
-		eng, err = buildMatrix(m, p.Kernel, opts...)
+	method, err := methodOf(p.Method)
+	if err != nil {
+		return nil, err
 	}
+	tree, err := p.restoreTree()
+	if err != nil {
+		return nil, err
+	}
+	eng, err := engineFromTree(tree, p.Kernel, method)
 	if err != nil {
 		return nil, err
 	}
@@ -274,8 +215,9 @@ func (p enginePayload) restore() (*Engine, error) {
 	return eng, nil
 }
 
-// WriteTo serializes the engine (points, weights, kernel and index
-// configuration) to w. The index is rebuilt deterministically on load.
+// WriteTo serializes the engine (kernel, bounding method and the built flat
+// index with its points and weights) to w; ReadEngine reconstructs the
+// identical index without rebuilding it.
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	cw := &countWriter{w: w}
 	if err := gob.NewEncoder(cw).Encode(e.payload()); err != nil {
@@ -316,23 +258,23 @@ func ReadSVM(r io.Reader) (*SVM, error) {
 	return &SVM{eng: eng, Rho: p.Rho, SupportVectors: eng.Len()}, nil
 }
 
-// segmentPayload is the wire form of one manifest segment: a v4-style
-// flat-index payload plus the segment's identity and coreset provenance,
-// and (v6) its per-row sequence numbers and insert timestamps in
-// insertion order with the decay reference instant.
+// segmentPayload is the wire form of one manifest segment: a flat-index
+// payload plus the segment's identity and coreset provenance, and its
+// per-row sequence numbers and insert timestamps in insertion order with
+// the decay reference instant.
 type segmentPayload struct {
 	Engine  enginePayload
 	ID      uint64
 	Coreset bool
 	Eps     float64
-	Seqs    []uint64 // v6+; nil for coresets and legacy loads
-	Times   []int64  // v6+; nil on untimed engines
-	TimeRef int64    // v6+
+	Seqs    []uint64 // nil for coresets
+	Times   []int64  // nil on untimed engines
+	TimeRef int64
 }
 
-// dynamicPayload is the gob wire format for a DynamicEngine (format v5):
-// the LSM policy, the manifest as per-segment v4 payloads, and the raw
-// memtable rows in insertion order.
+// dynamicPayload is the gob wire format for a DynamicEngine: the LSM
+// policy, the manifest as per-segment payloads, and the raw memtable rows
+// in insertion order.
 type dynamicPayload struct {
 	Version     int
 	Dims        int
@@ -354,7 +296,7 @@ type dynamicPayload struct {
 	MemPoints   []float64 // row-major Dims-wide memtable rows
 	MemWeights  []float64 // parallel to MemPoints rows
 
-	// Mutability state (v6+). Tombstones are stored sorted by sequence
+	// Mutability state. Tombstones are stored sorted by sequence
 	// number: TombPts holds their coordinates as Dims-wide rows parallel
 	// to TombSeqs/TombW/TombRef.
 	TTL      int64 // nanoseconds; 0 = no expiry
@@ -367,11 +309,6 @@ type dynamicPayload struct {
 	TombW    []float64
 	TombRef  []int64
 	TombPts  []float64
-
-	// LeafFloat32 (v7+): the engine was configured with WithLeafFloat32,
-	// so future seals build float32 tile blocks too. Each segment payload
-	// carries its own flag for reconstruction.
-	LeafFloat32 bool
 }
 
 // WriteTo serializes the dynamic engine — manifest, memtable and policy —
@@ -386,16 +323,12 @@ func (d *DynamicEngine) WriteTo(w io.Writer) (int64, error) {
 	for sh.sealing != nil || sh.draining {
 		sh.cond.Wait()
 	}
-	kind := publicIndexKind(sh.bcfg.Kind)
-	method := MethodKARL
-	if sh.method == methodOf(MethodSOTA) {
-		method = MethodSOTA
-	}
+	method := publicMethod(sh.method)
 	p := dynamicPayload{
 		Version:     persistVersion,
 		Dims:        sh.dims,
 		Kernel:      sh.kern,
-		Kind:        kind,
+		Kind:        publicIndexKind(sh.bcfg.Kind),
 		LeafCap:     sh.bcfg.LeafCap,
 		Method:      method,
 		SealSize:    sh.policy.SealSize,
@@ -412,7 +345,6 @@ func (d *DynamicEngine) WriteTo(w io.Writer) (int64, error) {
 		HalfLife:    int64(sh.halfLife),
 		NextSeq:     sh.nextSeq,
 		Deletes:     sh.deletes,
-		LeafFloat32: sh.bcfg.Leaf32,
 	}
 	p.Segments = make([]segmentPayload, len(sh.man.Segs))
 	for i, s := range sh.man.Segs {
@@ -471,12 +403,12 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return nil, err
 	}
-	if p.Version < 5 || p.Version > persistVersion {
-		return nil, fmt.Errorf("karl: unsupported dynamic engine format version %d (this build reads version 5 through %d; static engine files load with ReadEngine)",
+	if p.Version != persistVersion {
+		return nil, fmt.Errorf("karl: unsupported dynamic engine format version %d (this build reads version %d; static engine files load with ReadEngine)",
 			p.Version, persistVersion)
 	}
 	if p.SealSize == 0 && len(p.Segments) == 0 {
-		// A static v5 engine stream decodes into these fields as zeroes.
+		// A static engine stream decodes into these fields as zeroes.
 		return nil, errors.New("karl: stream has no dynamic engine payload (a static engine file? use ReadEngine)")
 	}
 	policy := segment.Policy{
@@ -501,7 +433,7 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 		if len(p.MemWeights) != memN {
 			return nil, errors.New("karl: corrupt dynamic engine payload (memtable weights)")
 		}
-		if p.Version >= 6 && len(p.MemSeqs) != memN {
+		if len(p.MemSeqs) != memN {
 			return nil, errors.New("karl: corrupt dynamic engine payload (memtable seqs)")
 		}
 		if p.MemTimes != nil && len(p.MemTimes) != memN {
@@ -512,10 +444,18 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 	if timed && memN > 0 && p.MemTimes == nil {
 		return nil, errors.New("karl: corrupt dynamic engine payload (timed engine without memtable times)")
 	}
+	method, err := methodOf(p.Method)
+	if err != nil {
+		return nil, err
+	}
+	kind, err := indexKindOf(p.Kind)
+	if err != nil {
+		return nil, err
+	}
 	sh := &dynShared{
 		kern:        p.Kernel,
-		method:      methodOf(p.Method),
-		bcfg:        segment.BuildConfig{Kind: indexKindOf(p.Kind), LeafCap: p.LeafCap, Leaf32: p.LeafFloat32},
+		method:      method,
+		bcfg:        segment.BuildConfig{Kind: kind, LeafCap: p.LeafCap},
 		policy:      policy,
 		coldSeed:    p.ColdSeed,
 		autoCompact: p.AutoCompact,
@@ -532,10 +472,6 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 	}
 	sh.cond = sync.NewCond(&sh.mu)
 	man := &segment.Manifest{Epoch: p.Epoch, Segs: make([]*segment.Segment, len(p.Segments))}
-	// v5 files predate sequence numbers: synthesize consecutive ids over
-	// the stored stream (segments oldest-first, memtable last), making the
-	// loaded points deletable.
-	synth := uint64(0)
 	for i, sp := range p.Segments {
 		tree, err := sp.Engine.restoreTree()
 		if err != nil {
@@ -545,14 +481,6 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 			return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d has %d dims, engine has %d", i, tree.Dims(), p.Dims)
 		}
 		seqs, times := sp.Seqs, sp.Times
-		if p.Version < 6 && !sp.Coreset {
-			seqs = make([]uint64, tree.Len())
-			for j := range seqs {
-				synth++
-				seqs[j] = synth
-			}
-			times = nil
-		}
 		if seqs != nil {
 			if len(seqs) != tree.Len() {
 				return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d has %d seqs for %d points", i, len(seqs), tree.Len())
@@ -580,14 +508,7 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 		sh.mem = newMemtable(rows, p.Dims, timed)
 		copy(sh.mem.m.Data, p.MemPoints)
 		copy(sh.mem.w, p.MemWeights)
-		if p.Version >= 6 {
-			copy(sh.mem.seq, p.MemSeqs)
-		} else {
-			for j := 0; j < memN; j++ {
-				synth++
-				sh.mem.seq[j] = synth
-			}
-		}
+		copy(sh.mem.seq, p.MemSeqs)
 		if sh.mem.t != nil && p.MemTimes != nil {
 			copy(sh.mem.t, p.MemTimes)
 		}
@@ -598,13 +519,10 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 		}
 		sh.mem.n = memN
 	}
-	if p.Version < 6 {
-		sh.nextSeq = synth + 1
-	}
 	if sh.nextSeq == 0 {
 		sh.nextSeq = 1
 	}
-	// Tombstones (v6+): parallel arrays sorted by seq. Each one is handed
+	// Tombstones: parallel arrays sorted by seq. Each one is handed
 	// to the segment that stores its row; one whose row was absorbed into
 	// a lossy coreset (no longer addressable) rides with the oldest
 	// coreset segment, and one that shadows no stored row at all would

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// fuzzSeedCorpus loads every committed golden fixture plus a few
-// hand-written degenerate inputs, so both fuzzers start from valid
-// streams of every format version and mutate from there.
+// fuzzSeedCorpus loads every committed golden fixture, the valid streams
+// whose index kind or bounding method this build does not have, and a few
+// hand-written degenerate inputs, so both fuzzers start from accepted and
+// refused streams alike and mutate from there.
 //
 // Note for interactive use: gob streams minimize poorly (nearly every
 // byte is load-bearing), so run with a bounded minimization budget or
@@ -28,6 +29,9 @@ func fuzzSeedCorpus(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(raw)
+	}
+	for _, c := range outOfEnumStreams(f) {
+		f.Add(c.data)
 	}
 	f.Add([]byte{})
 	f.Add([]byte("not a gob"))

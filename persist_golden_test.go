@@ -4,65 +4,69 @@ import (
 	"bytes"
 	"encoding/gob"
 	"flag"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"karl/internal/scan"
 	"karl/internal/shard"
+	"karl/internal/vec"
 )
 
-// -update regenerates the golden persistence fixtures under
-// testdata/persist/. Run it after an intentional format change; committed
-// goldens from older versions must never be regenerated (they pin what
-// real old files look like).
+// -update regenerates the write-side golden persistence fixtures under
+// testdata/persist/ (v7_static.bin, v7_dynamic.bin, manifest_v2.bin). Run
+// it after an intentional format change. The other fixtures are frozen
+// files written by earlier builds and must never be regenerated: they pin
+// what real old files look like.
 var updateGolden = flag.Bool("update", false, "regenerate golden persistence fixtures")
 
 const goldenDir = "testdata/persist"
 
-// goldenStaticEngine deterministically builds the static engine every
-// static fixture serializes. Changing it invalidates the fixtures. The
-// v7 fixture passes WithLeafFloat32 so the flag-bearing wire image is
-// pinned too.
-func goldenStaticEngine(t testing.TB, extra ...Option) *Engine {
-	t.Helper()
+// goldenStaticData is the deterministic weighted point set every static
+// fixture serializes. Changing it invalidates the fixtures.
+func goldenStaticData() (pts [][]float64, w []float64) {
 	rng := rand.New(rand.NewSource(613))
-	pts := cloud(rng, 96, 3)
-	w := make([]float64, len(pts))
+	pts = cloud(rng, 96, 3)
+	w = make([]float64, len(pts))
 	for i := range w {
 		w[i] = 0.25 + rng.Float64()
 	}
-	opts := append([]Option{WithWeights(w), WithIndex(BallTree, 16)}, extra...)
-	eng, err := Build(pts, Gaussian(1.8), opts...)
+	return pts, w
+}
+
+// goldenStaticEngine builds the engine over goldenStaticData that the
+// static fixtures hold.
+func goldenStaticEngine(t testing.TB) *Engine {
+	t.Helper()
+	pts, w := goldenStaticData()
+	eng, err := Build(pts, Gaussian(1.8), WithWeights(w), WithIndex(BallTree, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng
 }
 
+// goldenClock is the fixed instant the dynamic fixtures were written at.
+func goldenClock() int64 { return 1_700_000_000_000_000_000 }
+
 // goldenDynamicEngine deterministically builds the dynamic engine the
-// v5/v6/v7 dynamic fixtures serialize: several sealed segments, a partial
-// memtable, and (for mutable true-ups) a fixed fake clock so timestamps
-// are reproducible. v6+ additionally carries tombstones, a TTL window and
-// a decay half-life.
-func goldenDynamicEngine(t testing.TB, mutable bool) *DynamicEngine {
+// dynamic fixtures serialize: several sealed segments, a partial memtable,
+// a fixed fake clock so timestamps are reproducible, tombstones, a TTL
+// window and a decay half-life.
+func goldenDynamicEngine(t testing.TB) *DynamicEngine {
 	t.Helper()
-	opts := []Option{
+	d, err := NewDynamic(Gaussian(2.2),
 		WithIndex(KDTree, 8),
 		WithSealSize(32),
 		WithAutoCompaction(false),
-		withClock(func() int64 { return 1_700_000_000_000_000_000 }),
-	}
-	if mutable {
-		opts = append(opts,
-			WithTTL(time.Hour),
-			WithDecayHalfLife(30*time.Minute),
-		)
-	}
-	d, err := NewDynamic(Gaussian(2.2), opts...)
+		withClock(goldenClock),
+		WithTTL(time.Hour),
+		WithDecayHalfLife(30*time.Minute),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,50 +79,14 @@ func goldenDynamicEngine(t testing.TB, mutable bool) *DynamicEngine {
 		}
 		ids = append(ids, id)
 	}
-	if mutable {
-		// One memtable delete (physical) and two sealed deletes
-		// (tombstones), so the fixture carries live mutability state.
-		for _, id := range []uint64{ids[99], ids[3], ids[40]} {
-			if err := d.Delete(id); err != nil {
-				t.Fatal(err)
-			}
+	// One memtable delete (physical) and two sealed deletes (tombstones),
+	// so the fixture carries live mutability state.
+	for _, id := range []uint64{ids[99], ids[3], ids[40]} {
+		if err := d.Delete(id); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return d
-}
-
-// downgradeDynamicPayload strips a current dynamic payload to the v5 wire
-// image: no sequence numbers, timestamps, tombstones, window/decay policy
-// or leaf-float32 flag — exactly what a file written by the v5 release
-// contains.
-func downgradeDynamicPayload(p dynamicPayload) dynamicPayload {
-	p = downgradeDynamicPayloadV6(p)
-	p.Version = 5
-	p.TTL, p.HalfLife, p.NextSeq, p.Deletes = 0, 0, 0, 0
-	p.MemSeqs, p.MemTimes = nil, nil
-	p.TombSeqs, p.TombW, p.TombRef, p.TombPts = nil, nil, nil, nil
-	for i := range p.Segments {
-		p.Segments[i].Seqs = nil
-		p.Segments[i].Times = nil
-		p.Segments[i].TimeRef = 0
-	}
-	return p
-}
-
-// downgradeDynamicPayloadV6 strips a v7 dynamic payload to the v6 wire
-// image: same mutability state, no leaf-float32 flag (per segment or
-// engine-wide).
-func downgradeDynamicPayloadV6(p dynamicPayload) dynamicPayload {
-	p.Version = 6
-	p.LeafFloat32 = false
-	segs := make([]segmentPayload, len(p.Segments))
-	copy(segs, p.Segments)
-	for i := range segs {
-		segs[i].Engine.Version = 6
-		segs[i].Engine.LeafFloat32 = false
-	}
-	p.Segments = segs
-	return p
 }
 
 // goldenManifest deterministically builds the cluster manifest the
@@ -156,52 +124,22 @@ func goldenManifestV2(t testing.TB) *shard.Manifest {
 	return man
 }
 
-// goldenBytes renders every fixture from the deterministic builders.
+// goldenBytes renders every write-side fixture from the deterministic
+// builders.
 func goldenBytes(t testing.TB) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
-	enc := func(name string, payload any) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-			t.Fatal(err)
-		}
-		out[name] = buf.Bytes()
-	}
-
-	eng := goldenStaticEngine(t)
-	for v := 1; v <= 3; v++ {
-		enc(fmt.Sprintf("v%d_static.bin", v), legacyPayload(eng.payload(), v))
-	}
-	p4 := eng.payload()
-	p4.Version = 4
-	enc("v4_static.bin", p4)
-	p6 := eng.payload()
-	p6.Version = 6
-	enc("v6_static.bin", p6)
-	enc("v7_static.bin", goldenStaticEngine(t, WithLeafFloat32()).payload())
-
-	dyn := goldenDynamicEngine(t, false)
 	var buf bytes.Buffer
-	if _, err := dyn.WriteTo(&buf); err != nil {
+	if _, err := goldenStaticEngine(t).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var dp dynamicPayload
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&dp); err != nil {
-		t.Fatal(err)
-	}
-	enc("v5_dynamic.bin", downgradeDynamicPayload(dp))
+	out["v7_static.bin"] = buf.Bytes()
 
-	mdyn := goldenDynamicEngine(t, true)
-	var mbuf bytes.Buffer
-	if _, err := mdyn.WriteTo(&mbuf); err != nil {
+	var dbuf bytes.Buffer
+	if _, err := goldenDynamicEngine(t).WriteTo(&dbuf); err != nil {
 		t.Fatal(err)
 	}
-	out["v7_dynamic.bin"] = mbuf.Bytes()
-	var mdp dynamicPayload
-	if err := gob.NewDecoder(bytes.NewReader(mbuf.Bytes())).Decode(&mdp); err != nil {
-		t.Fatal(err)
-	}
-	enc("v6_dynamic.bin", downgradeDynamicPayloadV6(mdp))
+	out["v7_dynamic.bin"] = dbuf.Bytes()
 
 	// manifest_v1.bin is NOT regenerated: it was written by the format-v1
 	// build and is frozen to pin what real old files look like.
@@ -242,13 +180,23 @@ func TestGoldenFixturesCurrent(t *testing.T) {
 	}
 }
 
-// TestGoldenStaticFixturesLoad pins backward compatibility end to end:
-// every committed static fixture v1..v7 loads through ReadEngine and
-// answers match the freshly built reference within tolerance (bitwise for
-// v4+, which reconstruct the flat index instead of rebuilding). The v7
-// fixture carries the leaf-float32 flag, so it is compared bitwise to a
-// fresh WithLeafFloat32 build and must come back with its tile block
-// rebuilt.
+// readFixture loads one committed fixture.
+func readFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(goldenDir, name))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return raw
+}
+
+// TestGoldenStaticFixturesLoad pins what static files this build reads.
+// v7_static.bin (this build's own output) and v7_float32_static.bin (the
+// frozen bytes an earlier build wrote WithLeafFloat32, a field gob now
+// skips) both load as the float64 engine: bitwise equal to a fresh build,
+// equal to the exact scan, point-width AggregateStats bounds, and exact
+// TKAQ verdicts a hair either side of F — the case float32 leaves got
+// wrong. The frozen v6_static.bin is refused by version number.
 func TestGoldenStaticFixturesLoad(t *testing.T) {
 	ref := goldenStaticEngine(t)
 	q := []float64{0.45, 0.55, 0.5}
@@ -256,46 +204,53 @@ func TestGoldenStaticFixturesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref32 := goldenStaticEngine(t, WithLeafFloat32())
-	want32, err := ref32.Aggregate(q)
+	pts, w := goldenStaticData()
+	sc, err := scan.NewScanner(vec.FromRows(pts), w, ref.Kernel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{
-		"v1_static.bin", "v2_static.bin", "v3_static.bin",
-		"v4_static.bin", "v6_static.bin", "v7_static.bin",
-	} {
-		raw, err := os.ReadFile(filepath.Join(goldenDir, name))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		eng, err := ReadEngine(bytes.NewReader(raw))
+	exact := sc.Aggregate(q)
+	for _, name := range []string{"v7_static.bin", "v7_float32_static.bin"} {
+		eng, err := ReadEngine(bytes.NewReader(readFixture(t, name)))
 		if err != nil {
 			t.Fatalf("%s rejected: %v", name, err)
 		}
 		if eng.Len() != ref.Len() || eng.Dims() != ref.Dims() || eng.Kernel() != ref.Kernel() {
 			t.Fatalf("%s: shape/kernel changed", name)
 		}
-		got, err := eng.Aggregate(q)
+		got, st, err := eng.AggregateStats(q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		wantHere := want
-		if name == "v7_static.bin" {
-			if eng.tree.Leaf32 == nil {
-				t.Fatalf("%s: leaf-float32 block not rebuilt on load", name)
+		if got != want {
+			t.Errorf("%s: not bitwise: %v vs %v", name, got, want)
+		}
+		if math.Abs(got-exact) > 1e-12*math.Abs(exact) {
+			t.Errorf("%s: Aggregate %v, exact scan %v", name, got, exact)
+		}
+		if st.LB != st.UB || st.LB != got {
+			t.Errorf("%s: AggregateStats bounds [%v, %v] around %v, want a point", name, st.LB, st.UB, got)
+		}
+		for _, c := range []struct {
+			tau  float64
+			over bool
+		}{{exact * (1 - 1e-9), true}, {exact * (1 + 1e-9), false}} {
+			over, err := eng.Threshold(q, c.tau)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			wantHere = want32
-		} else if eng.tree.Leaf32 != nil {
-			t.Fatalf("%s: unexpected leaf-float32 block", name)
+			if over != c.over {
+				t.Errorf("%s: Threshold(τ=%v) = %v with F = %v", name, c.tau, over, exact)
+			}
 		}
-		exact := name >= "v4" // v4+ reconstruct the index instead of rebuilding
-		if exact && got != wantHere {
-			t.Errorf("%s: not bitwise: %v vs %v", name, got, wantHere)
-		}
-		if math.Abs(got-wantHere) > 1e-9*(1+math.Abs(wantHere)) {
-			t.Errorf("%s: diverged: %v vs %v", name, got, wantHere)
-		}
+	}
+
+	_, err = ReadEngine(bytes.NewReader(readFixture(t, "v6_static.bin")))
+	if err == nil {
+		t.Fatal("v6 static fixture accepted")
+	}
+	if want := "unsupported engine format version 6 (this build reads version 7)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("v6 static fixture: error %q does not contain %q", err, want)
 	}
 }
 
@@ -385,73 +340,134 @@ func checkManifestMatches(t *testing.T, name string, man, ref *shard.Manifest) {
 	}
 }
 
-// TestGoldenDynamicFixturesLoad pins the dynamic stream: the v5 fixture
-// (no mutability state) loads with synthesized sequence numbers and its
-// points are deletable; the v6 and v7 fixtures restore tombstones, TTL and
-// decay policy, and rewrite bitwise as the current format.
+// TestGoldenDynamicFixturesLoad pins the dynamic stream: v7_dynamic.bin
+// (this build's own output) and v7_pr16_dynamic.bin (frozen bytes from the
+// PR-16 build, whose wire types still carried the LeafFloat32 field) both
+// restore tombstones, TTL and decay policy, answer bitwise like the engine
+// they were written from once the clock is set back to the instant of
+// writing, and rewrite bitwise as the current format.
 func TestGoldenDynamicFixturesLoad(t *testing.T) {
 	q := []float64{0.5, 0.5}
-
-	raw, err := os.ReadFile(filepath.Join(goldenDir, "v5_dynamic.bin"))
+	ref := goldenDynamicEngine(t)
+	want, err := ref.Aggregate(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d5, err := ReadDynamic(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("v5 fixture rejected: %v", err)
-	}
-	ref := goldenDynamicEngine(t, false)
-	want, _ := ref.Aggregate(q)
-	got, err := d5.Aggregate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("v5 load not bitwise: %v vs %v", got, want)
-	}
-	// Synthesized IDs make legacy points deletable: ID 1 is the oldest
-	// sealed point.
-	before, _ := d5.Aggregate(q)
-	if err := d5.Delete(1); err != nil {
-		t.Fatalf("delete of synthesized id: %v", err)
-	}
-	after, _ := d5.Aggregate(q)
-	if after >= before {
-		t.Fatalf("delete had no effect: %v -> %v", before, after)
-	}
-
-	// The loaded engine has the default wall clock; pinning it back to the
-	// fixture's instant is not possible, so mutability state is compared
-	// through clock-independent values: counts, policy, and a fresh
-	// WriteTo. The v6 fixture rewrites as the current (v7) format — which
-	// must be byte-identical to the v7 fixture of the same engine — and
-	// the v7 fixture round-trips bitwise.
-	mref := goldenDynamicEngine(t, true)
-	raw7, err := os.ReadFile(filepath.Join(goldenDir, "v7_dynamic.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"v6_dynamic.bin", "v7_dynamic.bin"} {
-		raw, err := os.ReadFile(filepath.Join(goldenDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := ReadDynamic(bytes.NewReader(raw))
+	current := readFixture(t, "v7_dynamic.bin")
+	for _, name := range []string{"v7_dynamic.bin", "v7_pr16_dynamic.bin"} {
+		d, err := ReadDynamic(bytes.NewReader(readFixture(t, name)))
 		if err != nil {
 			t.Fatalf("%s rejected: %v", name, err)
 		}
-		if d.Len() != mref.Len() || d.Tombstones() != mref.Tombstones() ||
-			d.Deletes() != mref.Deletes() || d.TTL() != mref.TTL() ||
-			d.DecayHalfLife() != mref.DecayHalfLife() {
+		if d.Len() != ref.Len() || d.Tombstones() != ref.Tombstones() ||
+			d.Deletes() != ref.Deletes() || d.TTL() != ref.TTL() ||
+			d.DecayHalfLife() != ref.DecayHalfLife() {
 			t.Fatalf("%s load dropped mutability state: len %d/%d tombs %d/%d deletes %d/%d",
-				name, d.Len(), mref.Len(), d.Tombstones(), mref.Tombstones(), d.Deletes(), mref.Deletes())
+				name, d.Len(), ref.Len(), d.Tombstones(), ref.Tombstones(), d.Deletes(), ref.Deletes())
+		}
+		d.sh.now = goldenClock // a loaded engine runs on the wall clock
+		got, err := d.Aggregate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: not bitwise: %v vs %v", name, got, want)
+		}
+		over, err := d.Threshold(q, want*(1-1e-9))
+		if err != nil || !over {
+			t.Errorf("%s: Threshold just under F = %v (%v), want true", name, over, err)
+		}
+		over, err = d.Threshold(q, want*(1+1e-9))
+		if err != nil || over {
+			t.Errorf("%s: Threshold just over F = %v (%v), want false", name, over, err)
 		}
 		var rt bytes.Buffer
 		if _, err := d.WriteTo(&rt); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(rt.Bytes(), raw7) {
+		if !bytes.Equal(rt.Bytes(), current) {
 			t.Fatalf("%s does not rewrite to the current format bitwise", name)
 		}
+	}
+}
+
+// outOfEnumStream is a valid v7 stream re-encoded with an index kind or
+// bounding method this build does not have.
+type outOfEnumStream struct {
+	name    string
+	dynamic bool // a ReadDynamic stream; otherwise ReadEngine
+	data    []byte
+	want    string // what the load error must say
+}
+
+// outOfEnumStreams hand-edits the current static and dynamic fixtures:
+// Kind 2 is what a vp-tree file written by an earlier build carries,
+// Method 9 never existed.
+func outOfEnumStreams(t testing.TB) []outOfEnumStream {
+	t.Helper()
+	const kindErr = "index kind 2 (vp-tree) is not supported by this build"
+	const methodErr = "bounding method 9 is not supported by this build"
+	encode := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var sp enginePayload
+	if err := gob.NewDecoder(bytes.NewReader(readFixture(t, "v7_static.bin"))).Decode(&sp); err != nil {
+		t.Fatal(err)
+	}
+	var dp dynamicPayload
+	if err := gob.NewDecoder(bytes.NewReader(readFixture(t, "v7_dynamic.bin"))).Decode(&dp); err != nil {
+		t.Fatal(err)
+	}
+	var out []outOfEnumStream
+	bad := sp
+	bad.Kind = 2
+	out = append(out, outOfEnumStream{"static kind", false, encode(bad), kindErr})
+	bad = sp
+	bad.Method = 9
+	out = append(out, outOfEnumStream{"static method", false, encode(bad), methodErr})
+	dbad := dp
+	dbad.Kind = 2
+	out = append(out, outOfEnumStream{"dynamic kind", true, encode(dbad), kindErr})
+	dbad = dp
+	dbad.Method = 9
+	out = append(out, outOfEnumStream{"dynamic method", true, encode(dbad), methodErr})
+	dbad = dp
+	dbad.Segments = append([]segmentPayload(nil), dp.Segments...)
+	dbad.Segments[1].Engine.Kind = 2
+	out = append(out, outOfEnumStream{"dynamic segment kind", true, encode(dbad), kindErr})
+	return out
+}
+
+// TestReadRejectsUnknownKindAndMethod: a persisted index kind or bounding
+// method outside this build's enums is an error naming the value, on every
+// load path — never a silent kd-tree/KARL default.
+func TestReadRejectsUnknownKindAndMethod(t *testing.T) {
+	expect := func(name string, err error, want string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, want)
+		}
+	}
+	for _, c := range outOfEnumStreams(t) {
+		if !c.dynamic {
+			_, err := ReadEngine(bytes.NewReader(c.data))
+			expect(c.name, err, c.want)
+			continue
+		}
+		_, err := ReadDynamic(bytes.NewReader(c.data))
+		expect(c.name, err, c.want)
+		// The replication paths decode with ReadDynamic, so a follower
+		// refuses such a snapshot or segment the same way.
+		fresh, ferr := NewDynamic(Gaussian(2.2))
+		if ferr != nil {
+			t.Fatal(ferr)
+		}
+		expect(c.name+" via InstallSnapshot", fresh.InstallSnapshot(bytes.NewReader(c.data)), c.want)
+		_, err = decodeReplicaSegment(c.data)
+		expect(c.name+" via decodeReplicaSegment", err, c.want)
 	}
 }

@@ -41,7 +41,7 @@ func weightsFor(rng *rand.Rand, typ string, n int) []float64 {
 // after a full Compact() the single merged segment must answer Aggregate
 // bitwise-identically to the monolithic engine.
 func TestSegmentedEquivalenceGate(t *testing.T) {
-	kinds := []IndexKind{KDTree, BallTree, VPTree}
+	kinds := []IndexKind{KDTree, BallTree}
 	kernels := map[string]func() Kernel{
 		"gaussian":     func() Kernel { return Gaussian(4) },
 		"epanechnikov": func() Kernel { return Epanechnikov(2) },
@@ -53,7 +53,7 @@ func TestSegmentedEquivalenceGate(t *testing.T) {
 	for _, kind := range kinds {
 		for kname, mk := range kernels {
 			for _, wt := range weightTypes {
-				name := map[IndexKind]string{KDTree: "kd", BallTree: "ball", VPTree: "vp"}[kind] +
+				name := map[IndexKind]string{KDTree: "kd", BallTree: "ball"}[kind] +
 					"/" + kname + "/" + wt
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(len(name))*31 + 7))

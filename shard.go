@@ -141,14 +141,10 @@ func shardKindOf(k PartitionKind) shard.Kind {
 
 // publicIndexKind is the inverse of indexKindOf.
 func publicIndexKind(k index.Kind) IndexKind {
-	switch k {
-	case index.BallTree:
+	if k == index.BallTree {
 		return BallTree
-	case index.VPTree:
-		return VPTree
-	default:
-		return KDTree
 	}
+	return KDTree
 }
 
 // publicMethod is the inverse of methodOf.

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"karl/internal/core"
-	"karl/internal/index"
 	"karl/internal/tuning"
 	"karl/internal/vec"
 )
@@ -18,8 +17,12 @@ type Workload struct {
 	Eps       float64
 }
 
-func (w Workload) internal(kern Kernel, m Method) tuning.Workload {
-	tw := tuning.Workload{Kernel: kern, Method: methodOf(m)}
+func (w Workload) internal(kern Kernel, m Method) (tuning.Workload, error) {
+	method, err := methodOf(m)
+	if err != nil {
+		return tuning.Workload{}, err
+	}
+	tw := tuning.Workload{Kernel: kern, Method: method}
 	if w.Threshold {
 		tw.Mode = tuning.Threshold
 		tw.Tau = w.Tau
@@ -27,7 +30,7 @@ func (w Workload) internal(kern Kernel, m Method) tuning.Workload {
 		tw.Mode = tuning.Approximate
 		tw.Eps = w.Eps
 	}
-	return tw
+	return tw, nil
 }
 
 // TuneReport describes the configuration BuildAuto selected.
@@ -55,22 +58,21 @@ func BuildAuto(points [][]float64, kern Kernel, w Workload, sample [][]float64, 
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	results, err := tuning.Offline(vec.FromRows(points), cfg.weights,
-		w.internal(kern, cfg.method), vec.FromRows(sample), nil)
+	tw, err := w.internal(kern, cfg.method)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, err := tuning.Offline(vec.FromRows(points), cfg.weights, tw, vec.FromRows(sample), nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	winner := results[0]
-	eng, err := core.New(winner.Tree, kern, core.WithMethod(methodOf(cfg.method)))
+	eng, err := core.New(winner.Tree, kern, core.WithMethod(tw.Method))
 	if err != nil {
 		return nil, nil, err
 	}
-	kind := KDTree
-	if winner.Candidate.Kind == index.BallTree {
-		kind = BallTree
-	}
 	return &Engine{eng: eng, tree: winner.Tree, kern: kern, batchExec: cfg.batchExec, dualCtr: &dualCounters{}}, &TuneReport{
-		Kind:             kind,
+		Kind:             publicIndexKind(winner.Candidate.Kind),
 		LeafCap:          winner.Candidate.LeafCap,
 		SampleThroughput: winner.Throughput,
 	}, nil
@@ -112,7 +114,10 @@ func TuneDynamic(points [][]float64, kern Kernel, w Workload, sample [][]float64
 	if cfg.weights != nil {
 		return nil, nil, errors.New("karl: dynamic tuning takes unit weights (weights arrive per-insert)")
 	}
-	tw := w.internal(kern, cfg.method)
+	tw, err := w.internal(kern, cfg.method)
+	if err != nil {
+		return nil, nil, err
+	}
 	trace := tuning.MixedTrace(points, nil, sample, queriesPerInsert)
 	build := func(c tuning.DynamicCandidate) (tuning.MutableEngine, error) {
 		candOpts := append(append([]Option{}, opts...),
@@ -163,8 +168,11 @@ func InSitu(points [][]float64, kern Kernel, w Workload, queries [][]float64, sa
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	rep, err := tuning.Online(vec.FromRows(points), cfg.weights,
-		w.internal(kern, cfg.method), vec.FromRows(queries), sampleFrac)
+	tw, err := w.internal(kern, cfg.method)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := tuning.Online(vec.FromRows(points), cfg.weights, tw, vec.FromRows(queries), sampleFrac)
 	if err != nil {
 		return nil, err
 	}
