@@ -216,7 +216,7 @@ func runDual(queries [][]float64, workers int,
 // dualConfig builds the executor configuration matching this engine's
 // sequential contract exactly.
 func (e *Engine) dualConfig() dualtree.Config {
-	return dualtree.Config{Kernel: kernel.Params(e.kern), Method: e.eng.Method(), MaxDepth: e.eng.MaxDepth()}
+	return dualtree.Config{Kernel: kernel.Params(e.kern), Method: e.eng.Method()}
 }
 
 func (e *Engine) useDual(n int) bool {
@@ -375,7 +375,7 @@ func (d *DynamicEngine) useDual(n int) bool {
 
 func (d *DynamicEngine) dualConfig() dualtree.Config {
 	sh := d.sh
-	return dualtree.Config{Kernel: kernel.Params(sh.kern), Method: sh.method, MaxDepth: sh.maxDepth}
+	return dualtree.Config{Kernel: kernel.Params(sh.kern), Method: sh.method}
 }
 
 // runDualDyn is the dynamic-engine chunk runner: one snapshot for the whole

@@ -134,12 +134,10 @@ type dynShared struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	kern     Kernel
-	method   bound.Method
-	maxDepth int
-	bcfg     segment.BuildConfig
-	policy   segment.Policy
-	coldSeed int64
+	kern   Kernel
+	method bound.Method
+	bcfg   segment.BuildConfig
+	policy segment.Policy
 
 	// batchExec routes the Batch* methods (dual.go); dualCtr is the
 	// batch-executor telemetry shared by every clone. Both are immutable
@@ -175,8 +173,8 @@ type dynShared struct {
 	deletes  int
 
 	// delLog is the bounded replication delete log: the seqs of the last
-	// deletes in deletion order, so a follower polling DeletesSince can
-	// replay them. delLogBase counts entries trimmed off the head (and
+	// deletes in deletion order, so a follower's PullBatch can replay
+	// them. delLogBase counts entries trimmed off the head (and
 	// deletes that predate this process); a follower whose position aged
 	// past it must full-resync.
 	delLog     []uint64
@@ -207,15 +205,14 @@ type dynShared struct {
 	compactErr   error
 
 	// cfgGen counts replacements of the query configuration (kernel,
-	// bound method, depth) after construction — today only a replica
+	// bound method) after construction — today only a replica
 	// snapshot install. Views compare it against their forest's
 	// generation and rebuild before answering.
 	cfgGen uint64
 }
 
 // ErrPointNotFound is returned by Delete when no live point has the given
-// id: it was never assigned, already deleted, expired away, or absorbed
-// into a lossy coreset segment (whose rows are no longer addressable).
+// id: it was never assigned, already deleted, or expired away.
 var ErrPointNotFound = errors.New("karl: point not found")
 
 // timed reports whether rows carry insert timestamps.
@@ -255,7 +252,6 @@ func NewDynamic(kern Kernel, opts ...Option) (*DynamicEngine, error) {
 	if cfg.fanout != 0 {
 		policy.Fanout = cfg.fanout
 	}
-	policy.ColdEps, policy.ColdMin = cfg.coldEps, cfg.coldMin
 	if err := policy.Validate(); err != nil {
 		return nil, err
 	}
@@ -276,10 +272,8 @@ func NewDynamic(kern Kernel, opts ...Option) (*DynamicEngine, error) {
 	sh := &dynShared{
 		kern:        kern,
 		method:      method,
-		maxDepth:    cfg.maxDepth,
 		bcfg:        segment.BuildConfig{Kind: kind, LeafCap: cfg.leafCap},
 		policy:      policy,
-		coldSeed:    cfg.coresetSeed,
 		autoCompact: !cfg.noAutoCompact,
 		batchExec:   cfg.batchExec,
 		dualCtr:     &dualCounters{},
@@ -305,10 +299,10 @@ func NewDynamic(kern Kernel, opts ...Option) (*DynamicEngine, error) {
 func newDynamicView(sh *dynShared) (*DynamicEngine, error) {
 	sh.mu.Lock()
 	params := kernel.Params(sh.kern)
-	method, maxDepth := sh.method, sh.maxDepth
+	method := sh.method
 	gen := sh.cfgGen
 	sh.mu.Unlock()
-	f, err := core.NewForest(params, method, maxDepth)
+	f, err := core.NewForest(params, method)
 	if err != nil {
 		return nil, err
 	}
@@ -517,10 +511,6 @@ type SegmentInfo struct {
 	// them are deleted and awaiting physical removal.
 	Len  int
 	Dead int
-	// Coreset marks a lossy cold-compacted segment; Eps is its accumulated
-	// normalized error bound.
-	Coreset bool
-	Eps     float64
 }
 
 // Segments returns a snapshot of the current manifest, oldest segment
@@ -531,7 +521,7 @@ func (d *DynamicEngine) Segments() []SegmentInfo {
 	defer sh.mu.Unlock()
 	out := make([]SegmentInfo, len(sh.man.Segs))
 	for i, s := range sh.man.Segs {
-		out[i] = SegmentInfo{ID: s.ID, Len: s.Len(), Dead: s.Dead.Len(), Coreset: s.Coreset, Eps: s.Eps}
+		out[i] = SegmentInfo{ID: s.ID, Len: s.Len(), Dead: s.Dead.Len()}
 	}
 	return out
 }
@@ -943,8 +933,8 @@ func (sh *dynShared) mergeOptsLocked(segs []*segment.Segment) segment.MergeOpts 
 		opts.NewRef = nowT
 	}
 	for _, s := range segs {
-		if s.Seqs == nil || s.Dead.Len() == 0 {
-			continue // coreset rows are not addressable: nothing to drop
+		if s.Dead.Len() == 0 {
+			continue
 		}
 		if opts.Drop == nil {
 			opts.Drop = make(map[uint64]bool, s.Dead.Len())
@@ -959,9 +949,8 @@ func (sh *dynShared) mergeOptsLocked(segs []*segment.Segment) segment.MergeOpts 
 // inheritDead attributes to a freshly built segment the tombstones of its
 // inputs that the build did not consume (those outside its drop set,
 // placed after its snapshot) and whose rows it still stores. A tombstone
-// whose row the build expired away vanishes with it; a coreset output
-// (rows no longer addressable) keeps every unconsumed tombstone. A nil out
-// discards them all — no row survived.
+// whose row the build expired away vanishes with it. A nil out discards
+// them all — no row survived.
 func inheritDead(out *segment.Segment, drop map[uint64]bool, inputs ...*segment.Dead) {
 	if out == nil {
 		return
@@ -972,10 +961,8 @@ func inheritDead(out *segment.Segment, drop map[uint64]bool, inputs ...*segment.
 			if drop[seq] {
 				continue
 			}
-			if out.Seqs != nil {
-				if _, ok := out.Find(seq); !ok {
-					continue
-				}
+			if _, ok := out.Find(seq); !ok {
+				continue
 			}
 			if out.Dead == nil {
 				out.Dead = &segment.Dead{}
@@ -999,14 +986,6 @@ func deadOf(segs []*segment.Segment) []*segment.Dead {
 // before the swap keep refining over the old snapshot.
 func (sh *dynShared) compactSegments(ids []uint64, segs []*segment.Segment, id uint64, opts segment.MergeOpts) {
 	merged, err := segment.Merge(segs, segment.MemRun{}, opts, sh.bcfg, id)
-	if err == nil && merged != nil && sh.policy.ColdEps > 0 && merged.Len() >= sh.policy.ColdMin {
-		// Cold tier: compress large merged segments into a provable-error
-		// coreset. Mixed-sign segments are kept lossless (Compress rejects
-		// Type III).
-		if cold, cerr := segment.Compress(merged, kernel.Params(sh.kern), sh.policy.ColdEps, sh.coldSeed, sh.bcfg, id); cerr == nil {
-			merged = cold
-		}
-	}
 	sh.mu.Lock()
 	sh.compacting = false
 	if err != nil {
@@ -1080,9 +1059,8 @@ func (d *DynamicEngine) Compact() error {
 		if merged != nil {
 			man.Segs = []*segment.Segment{merged}
 		}
-		// Deletes were blocked throughout: only tombstones shadowing
-		// coreset rows can be left to hand on.
-		inheritDead(merged, opts.Drop, deadOf(segs)...)
+		// Deletes were blocked throughout, so opts.Drop holds every
+		// tombstone of segs: there is none left to hand on.
 		sh.man = man
 		sh.compactions++
 		if sh.mem != nil {
@@ -1132,7 +1110,7 @@ func (d *DynamicEngine) snapshot(q []float64) (man *segment.Manifest, base float
 		// install) after this view's forest was built: rebuild it so the
 		// refinement side answers with the same kernel the base term
 		// below is computed with.
-		f, err := core.NewForest(kernel.Params(sh.kern), sh.method, sh.maxDepth)
+		f, err := core.NewForest(kernel.Params(sh.kern), sh.method)
 		if err != nil {
 			return nil, 0, 0, err
 		}

@@ -24,8 +24,8 @@ import (
 
 // ErrReplicaResync reports that incremental catch-up from the follower's
 // fence is impossible — the leader has compacted the needed history away
-// (coreset segments and decayed straddlers lose per-row identity, and the
-// delete log is bounded) — so the follower must take a full snapshot.
+// (a straddling segment on a timed engine cannot be replayed row by row, and
+// the delete log is bounded) — so the follower must take a full snapshot.
 var ErrReplicaResync = errors.New("karl: replica incremental catch-up unavailable (full resync required)")
 
 // replicaDelLogCap bounds the in-memory delete log. When it overflows,
@@ -85,17 +85,10 @@ func (d *DynamicEngine) DeletePos() uint64 {
 	return sh.delLogBase + uint64(len(sh.delLog))
 }
 
-// DeletesSince returns the seqs deleted at or after position pos (in
+// deletesSinceLocked returns the seqs deleted at or after position pos (in
 // deletion order) and the new position. It fails with ErrReplicaResync
 // when pos predates the bounded log's trimmed head — the follower missed
 // deletes it can never recover incrementally.
-func (d *DynamicEngine) DeletesSince(pos uint64) ([]uint64, uint64, error) {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.deletesSinceLocked(pos)
-}
-
 func (sh *dynShared) deletesSinceLocked(pos uint64) ([]uint64, uint64, error) {
 	cur := sh.delLogBase + uint64(len(sh.delLog))
 	if pos > cur {
@@ -118,22 +111,14 @@ type replicaSegment struct {
 
 // replicaExportLocked classifies every sealed segment against the fence:
 // fully below → skip, fully above → ship whole, straddling → extract the
-// rows above the fence individually. Coreset segments have no per-row
-// seqs, so they ship whole at fence 0 and force a resync otherwise;
-// straddlers on timed engines force a resync too (per-row replay cannot
-// reproduce decay state anchored to the segment's time reference).
+// rows above the fence individually. A straddler on a timed engine forces
+// a resync (per-row replay cannot reproduce decay state anchored to the
+// segment's time reference).
 // Called with mu held and sealing/draining waited out.
 func (sh *dynShared) replicaExportLocked(fence uint64) ([]replicaSegment, []TailRow, error) {
 	var segs []replicaSegment
 	var rows []TailRow
 	for _, s := range sh.man.Segs {
-		if s.Seqs == nil {
-			if fence != 0 {
-				return nil, nil, fmt.Errorf("%w: segment %d is a coreset (no per-row seqs)", ErrReplicaResync, s.ID)
-			}
-			segs = append(segs, replicaSegment{seg: s, dead: s.Dead.Clone()})
-			continue
-		}
 		minSeq, maxSeq := s.Seqs[0], s.Seqs[len(s.Seqs)-1]
 		if maxSeq <= fence {
 			continue // follower already has every row of this segment
@@ -176,7 +161,7 @@ func (sh *dynShared) replicaExportLocked(fence uint64) ([]replicaSegment, []Tail
 // segmentStreamPayload re-encodes one sealed segment (plus the
 // tombstones still shadowing its rows) as a self-contained v7 dynamic
 // payload: the same stream format a full WriteTo produces, restricted to
-// a single segment and an empty memtable, so InstallSegmentStream can
+// a single segment and an empty memtable, so decodeReplicaSegment can
 // reuse ReadDynamic's full validation. Safe to call without the lock on
 // the captured replicaSegment (segments are immutable, and its tombstone
 // set is a copy taken under the lock).
@@ -192,9 +177,6 @@ func (sh *dynShared) segmentStreamPayload(rs replicaSegment, kind IndexKind, met
 		SealSize:    sh.policy.SealSize,
 		Fanout:      sh.policy.Fanout,
 		AutoCompact: sh.autoCompact,
-		ColdEps:     sh.policy.ColdEps,
-		ColdMin:     sh.policy.ColdMin,
-		ColdSeed:    sh.coldSeed,
 		Epoch:       1,
 		NextID:      s.ID + 1,
 		TTL:         sh.ttl,
@@ -204,25 +186,13 @@ func (sh *dynShared) segmentStreamPayload(rs replicaSegment, kind IndexKind, met
 	p.Segments = []segmentPayload{{
 		Engine:  treePayload(s.Tree, sh.kern, method),
 		ID:      s.ID,
-		Coreset: s.Coreset,
-		Eps:     s.Eps,
 		Seqs:    append([]uint64(nil), s.Seqs...),
 		Times:   append([]int64(nil), s.Times...),
 		TimeRef: s.TimeRef,
 	}}
-	if s.Seqs != nil {
-		p.NextSeq = s.Seqs[len(s.Seqs)-1] + 1
-	} else {
-		p.NextSeq = 1
-	}
+	p.NextSeq = s.Seqs[len(s.Seqs)-1] + 1
 	p.setTombs(rs.dead)
 	return p
-}
-
-// exportConfigLocked snapshots the pieces of shared state the encoders
-// need after the lock is released.
-func (sh *dynShared) exportConfigLocked() (kind IndexKind, method Method) {
-	return publicIndexKind(sh.bcfg.Kind), publicMethod(sh.method)
 }
 
 func encodeSegmentStreams(sh *dynShared, segs []replicaSegment, kind IndexKind, method Method) ([][]byte, error) {
@@ -238,49 +208,8 @@ func encodeSegmentStreams(sh *dynShared, segs []replicaSegment, kind IndexKind, 
 	return out, nil
 }
 
-// SegmentsSince returns every sealed segment the follower at fence is
-// missing, each encoded as a self-contained v7 stream, plus loose rows
-// extracted from segments that straddle the fence. It waits out an
-// in-flight seal so the memtable is the only state not covered.
-func (d *DynamicEngine) SegmentsSince(fence uint64) ([][]byte, []TailRow, error) {
-	sh := d.sh
-	sh.mu.Lock()
-	for sh.sealing != nil || sh.draining {
-		sh.cond.Wait()
-	}
-	if sh.closed {
-		sh.mu.Unlock()
-		return nil, nil, errors.New("karl: engine is closed")
-	}
-	segs, rows, err := sh.replicaExportLocked(fence)
-	if err != nil {
-		sh.mu.Unlock()
-		return nil, nil, err
-	}
-	kind, method := sh.exportConfigLocked()
-	sh.mu.Unlock()
-	streams, err := encodeSegmentStreams(sh, segs, kind, method)
-	if err != nil {
-		return nil, nil, err
-	}
-	return streams, rows, nil
-}
-
-// TailSince returns the live memtable rows above the fence — the tail a
-// follower replays after installing every sealed segment.
-func (d *DynamicEngine) TailSince(fence uint64) ([]TailRow, error) {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for sh.sealing != nil || sh.draining {
-		sh.cond.Wait()
-	}
-	if sh.closed {
-		return nil, errors.New("karl: engine is closed")
-	}
-	return sh.memTailLocked(fence), nil
-}
-
+// memTailLocked returns the live memtable rows above the fence — the tail
+// a follower replays after installing every sealed segment.
 func (sh *dynShared) memTailLocked(fence uint64) []TailRow {
 	mt := sh.mem
 	if mt == nil {
@@ -331,7 +260,8 @@ func (d *DynamicEngine) PullBatch(fence, delPos uint64) (*ReplicaBatch, error) {
 	}
 	rows = append(rows, sh.memTailLocked(fence)...)
 	nextSeq := sh.nextSeq
-	kind, method := sh.exportConfigLocked()
+	// Snapshot what the encoders need once the lock is released.
+	kind, method := publicIndexKind(sh.bcfg.Kind), publicMethod(sh.method)
 	sh.mu.Unlock()
 	streams, err := encodeSegmentStreams(sh, segs, kind, method)
 	if err != nil {
@@ -354,17 +284,11 @@ type decodedSegment struct {
 	seg *segment.Segment
 }
 
-// minSeq is the segment's lowest row seq; 0 for coresets (which only
-// ever ship to an empty follower and therefore sort first).
-func (ds *decodedSegment) minSeq() uint64 {
-	if ds.seg.Seqs == nil {
-		return 0
-	}
-	return ds.seg.Seqs[0]
-}
+// minSeq is the segment's lowest row seq.
+func (ds *decodedSegment) minSeq() uint64 { return ds.seg.Seqs[0] }
 
 // decodeReplicaSegment validates one self-contained segment stream (as
-// produced by SegmentsSince / PullBatch) without touching the follower.
+// produced by PullBatch) without touching the follower.
 func decodeReplicaSegment(data []byte) (*decodedSegment, error) {
 	d2, err := ReadDynamic(bytes.NewReader(data))
 	if err != nil {
@@ -377,20 +301,11 @@ func decodeReplicaSegment(data []byte) (*decodedSegment, error) {
 	return &decodedSegment{src: src, seg: src.man.Segs[0]}, nil
 }
 
-// InstallSegmentStream installs one self-contained segment stream (as
-// produced by SegmentsSince / PullBatch) into the follower: the segment
-// is re-identified under the follower's id counter, its tombstones are
-// adopted, and the seq counter jumps past the segment's rows. A stream
-// whose rows the follower already holds is skipped silently (idempotent
-// redelivery); a partial overlap is corruption and fails.
-func (d *DynamicEngine) InstallSegmentStream(data []byte) error {
-	ds, err := decodeReplicaSegment(data)
-	if err != nil {
-		return err
-	}
-	return d.installReplicaSegment(ds)
-}
-
+// installReplicaSegment installs one decoded segment stream into the
+// follower: the segment is re-identified under the follower's id counter,
+// its tombstones are adopted, and the seq counter jumps past the segment's
+// rows. A stream whose rows the follower already holds is skipped silently
+// (idempotent redelivery); a partial overlap is corruption and fails.
 func (d *DynamicEngine) installReplicaSegment(ds *decodedSegment) error {
 	src, seg := ds.src, ds.seg
 	sh := d.sh
@@ -418,24 +333,20 @@ func (d *DynamicEngine) installReplicaSegment(ds *decodedSegment) error {
 	if sh.dims != 0 && seg.Tree.Dims() != sh.dims {
 		return fmt.Errorf("karl: replica segment has %d dims, engine has %d", seg.Tree.Dims(), sh.dims)
 	}
-	if seg.Seqs != nil {
-		minSeq, maxSeq := seg.Seqs[0], seg.Seqs[len(seg.Seqs)-1]
-		if maxSeq < sh.nextSeq {
-			return nil // already installed: idempotent redelivery
-		}
-		if minSeq < sh.nextSeq {
-			return fmt.Errorf("karl: replica segment seqs [%d,%d] partially overlap applied prefix (next seq %d)", minSeq, maxSeq, sh.nextSeq)
-		}
-		sh.nextSeq = maxSeq + 1
-	} else if sh.man.Len() != 0 || sh.mem.len() != 0 || sh.nextSeq > 1 {
-		return fmt.Errorf("%w: coreset segment stream onto a non-empty follower", ErrReplicaResync)
+	minSeq, maxSeq := seg.Seqs[0], seg.Seqs[len(seg.Seqs)-1]
+	if maxSeq < sh.nextSeq {
+		return nil // already installed: idempotent redelivery
 	}
+	if minSeq < sh.nextSeq {
+		return fmt.Errorf("karl: replica segment seqs [%d,%d] partially overlap applied prefix (next seq %d)", minSeq, maxSeq, sh.nextSeq)
+	}
+	sh.nextSeq = maxSeq + 1
 	if sh.dims == 0 {
 		sh.dims = seg.Tree.Dims()
 	}
 	id := sh.nextID
 	sh.nextID++
-	installed := segment.New(seg.Tree, id, seg.Coreset, seg.Eps, seg.Seqs, seg.Times, seg.TimeRef)
+	installed := segment.New(seg.Tree, id, seg.Seqs, seg.Times, seg.TimeRef)
 	// The stream's tombstones shadow rows of this segment and travel with
 	// it; they are pre-snapshot deletes, never replayed incrementally.
 	installed.Dead = seg.Dead
@@ -599,7 +510,6 @@ func (d *DynamicEngine) InstallSnapshot(r io.Reader) error {
 	sh.method = src.method
 	sh.bcfg = src.bcfg
 	sh.policy = src.policy
-	sh.coldSeed = src.coldSeed
 	sh.autoCompact = src.autoCompact
 	sh.ttl = src.ttl
 	sh.halfLife = src.halfLife

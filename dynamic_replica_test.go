@@ -222,15 +222,15 @@ func TestReplicaTimedEngineTail(t *testing.T) {
 	}
 }
 
-// TestReplicaDeleteLogBounds pins the delete-log error surface: a
-// position ahead of the log is corruption, a position behind the trimmed
-// head demands a resync.
+// TestReplicaDeleteLogBounds pins the delete-log error surface of
+// PullBatch: a position ahead of the log is corruption, a position behind
+// the trimmed head demands a resync.
 func TestReplicaDeleteLogBounds(t *testing.T) {
 	d, err := NewDynamic(Gaussian(1), WithSealSize(8), WithAutoCompaction(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.DeletesSince(3); err == nil {
+	if _, err := d.PullBatch(0, 3); err == nil {
 		t.Fatal("position ahead of the log accepted")
 	}
 	id, err := d.InsertID([]float64{1, 2}, 1)
@@ -240,9 +240,9 @@ func TestReplicaDeleteLogBounds(t *testing.T) {
 	if err := d.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	dels, pos, err := d.DeletesSince(0)
-	if err != nil || len(dels) != 1 || dels[0] != id || pos != 1 {
-		t.Fatalf("DeletesSince(0) = %v, %d, %v", dels, pos, err)
+	b, err := d.PullBatch(0, 0)
+	if err != nil || len(b.Deletes) != 1 || b.Deletes[0] != id || b.DeletePos != 1 {
+		t.Fatalf("PullBatch(0, 0) = %+v, %v", b, err)
 	}
 	// Simulate a trimmed head: a reloaded engine's pre-existing deletes
 	// are not in the log, so position 0 is unrecoverable.
@@ -254,10 +254,10 @@ func TestReplicaDeleteLogBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d2.DeletesSince(0); !errors.Is(err, ErrReplicaResync) {
+	if _, err := d2.PullBatch(0, 0); !errors.Is(err, ErrReplicaResync) {
 		t.Fatalf("pre-log position: got %v, want ErrReplicaResync", err)
 	}
-	if _, _, err := d2.DeletesSince(d2.DeletePos()); err != nil {
+	if _, err := d2.PullBatch(0, d2.DeletePos()); err != nil {
 		t.Fatalf("current position rejected: %v", err)
 	}
 }

@@ -160,13 +160,8 @@ func (d *DynamicEngine) Split(pred func(p []float64) bool) (MutableEngine, error
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("karl: split: %w", err)
 	}
-	// Deletes were blocked throughout, so every addressable tombstone was
-	// consumed; only those shadowing coreset rows are left to hand on.
-	heir := keepSeg
-	if heir == nil {
-		heir = moveSeg
-	}
-	inheritDead(heir, opts.Drop, deadOf(segs)...)
+	// Deletes were blocked throughout, so opts.Drop consumed every
+	// tombstone of segs: there is none left to hand on.
 	man := &segment.Manifest{Epoch: sh.man.Epoch + 1}
 	if keepSeg != nil {
 		man.Segs = []*segment.Segment{keepSeg}
@@ -183,18 +178,10 @@ func (d *DynamicEngine) Split(pred func(p []float64) bool) (MutableEngine, error
 		// The moved rows left this engine without individual Delete calls;
 		// a replication follower must still learn they are gone, so each
 		// shed seq enters the delete log as a deletion (and the Deletes
-		// counter, keeping DeletePos == deletes across persistence). A
-		// coreset moved half has no per-row seqs to log — poison the log
-		// instead so every follower position predates it and resyncs.
-		if moveSeg.Seqs != nil {
-			for _, seq := range moveSeg.Seqs {
-				sh.deletes++
-				sh.logDeleteLocked(seq)
-			}
-		} else {
+		// counter, keeping DeletePos == deletes across persistence).
+		for _, seq := range moveSeg.Seqs {
 			sh.deletes++
-			sh.delLog = nil
-			sh.delLogBase = uint64(sh.deletes)
+			sh.logDeleteLocked(seq)
 		}
 	}
 	sh.cond.Broadcast()
@@ -209,10 +196,8 @@ func (sh *dynShared) emptySiblingLocked() *dynShared {
 	m := &dynShared{
 		kern:        sh.kern,
 		method:      sh.method,
-		maxDepth:    sh.maxDepth,
 		bcfg:        sh.bcfg,
 		policy:      sh.policy,
-		coldSeed:    sh.coldSeed,
 		autoCompact: sh.autoCompact,
 		batchExec:   sh.batchExec,
 		dualCtr:     &dualCounters{},

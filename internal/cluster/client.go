@@ -45,31 +45,21 @@ import (
 // dimensionality, kernel identity, and the per-sign weight masses the
 // coordinator's ε-budget allocation and degraded-mode accounting need.
 type ShardInfo struct {
-	Points int
-	Dims   int
-	Kernel string
-	Gamma  float64
-	WPos   float64
-	WNeg   float64
+	Points int     `json:"points"`
+	Dims   int     `json:"dims"`
+	Kernel string  `json:"kernel"`
+	Gamma  float64 `json:"gamma"`
+	WPos   float64 `json:"weight_pos"`
+	WNeg   float64 `json:"weight_neg"`
 }
 
 // Weight returns the shard's total weight mass W_S = W⁺ + W⁻.
 func (i ShardInfo) Weight() float64 { return i.WPos + i.WNeg }
 
-// Mass is the part of ShardInfo that writes change: cardinality and the
-// per-sign weight masses.
-type Mass struct {
-	Points     int
-	WPos, WNeg float64
-}
-
 // Bounds is one bound-exchange answer: the shard's current estimate of
-// F_S(q) together with the certified interval refinement terminated at.
-type Bounds struct {
-	Value float64
-	LB    float64
-	UB    float64
-}
+// F_S(q) together with the certified interval refinement terminated at —
+// the POST /v1/bounds body itself.
+type Bounds = server.BoundsResponse
 
 // ShardClient is the transport interface the coordinator fans out over.
 // Implementations must be safe for concurrent use — the coordinator issues
@@ -132,7 +122,7 @@ type MutableShardClient interface {
 	// false while there has been none. The writable coordinator serializes
 	// its writes, so right after one returns this is that write's reply and
 	// refreshing the member's mass costs no Info round trip.
-	WriteMass() (Mass, bool)
+	WriteMass() (server.MassResponse, bool)
 	// SplitOut extracts the half matching the rule into a serialized
 	// engine. auto lets a kd shard choose its own balanced plane; the
 	// returned Rule is always the one actually applied.
@@ -277,12 +267,12 @@ func (s *LocalShard) DeleteMany(ctx context.Context, ids []uint64) (int, error) 
 }
 
 // WriteMass implements MutableShardClient from the live engine.
-func (s *LocalShard) WriteMass() (Mass, bool) {
+func (s *LocalShard) WriteMass() (server.MassResponse, bool) {
 	if s.mut == nil {
-		return Mass{}, false
+		return server.MassResponse{}, false
 	}
 	wpos, wneg := s.mut.WeightMass()
-	return Mass{Points: s.mut.Len(), WPos: wpos, WNeg: wneg}, true
+	return server.MassResponse{Points: s.mut.Len(), WeightPos: wpos, WeightNeg: wneg}, true
 }
 
 // SplitOut implements MutableShardClient: the in-process form of segment
@@ -328,7 +318,7 @@ type HTTPShard struct {
 	base string
 	hc   *http.Client
 	// mass is the shard's mass from the latest write reply (WriteMass).
-	mass atomic.Pointer[Mass]
+	mass atomic.Pointer[server.MassResponse]
 }
 
 // NewHTTPShard builds a client for a karl-serve base URL (e.g.
@@ -348,20 +338,12 @@ func NewHTTPShardClient(baseURL string, hc *http.Client) *HTTPShard {
 // Name implements ShardClient: the base URL identifies the shard.
 func (s *HTTPShard) Name() string { return s.base }
 
-// Info implements ShardClient via GET /v1/info.
+// Info implements ShardClient via GET /v1/info: ShardInfo's tags pick the
+// fields it needs out of that body.
 func (s *HTTPShard) Info(ctx context.Context) (ShardInfo, error) {
-	var resp server.InfoResponse
-	if err := s.get(ctx, "/v1/info", &resp); err != nil {
-		return ShardInfo{}, err
-	}
-	return ShardInfo{
-		Points: resp.Points,
-		Dims:   resp.Dims,
-		Kernel: resp.Kernel,
-		Gamma:  resp.Gamma,
-		WPos:   resp.WeightPos,
-		WNeg:   resp.WeightNeg,
-	}, nil
+	var info ShardInfo
+	err := s.get(ctx, "/v1/info", &info)
+	return info, err
 }
 
 // Healthy implements ShardClient via GET /v1/readyz.
@@ -392,21 +374,17 @@ func (s *HTTPShard) Bounds(ctx context.Context, q []float64, eps float64) (Bound
 	if eps > 0 {
 		req.Eps = eps
 	}
-	var resp server.BoundsResponse
-	if err := s.post(ctx, "/v1/bounds", req, &resp); err != nil {
-		return Bounds{}, err
-	}
-	return Bounds{Value: resp.Value, LB: resp.LB, UB: resp.UB}, nil
+	var resp Bounds
+	err := s.post(ctx, "/v1/bounds", req, &resp)
+	return resp, err
 }
 
 // ThresholdBounds implements ShardClient via POST /v1/bounds with a
 // "threshold" in place of a budget.
 func (s *HTTPShard) ThresholdBounds(ctx context.Context, q []float64, tau float64) (Bounds, error) {
-	var resp server.BoundsResponse
-	if err := s.post(ctx, "/v1/bounds", server.QueryRequest{Q: q, Threshold: &tau}, &resp); err != nil {
-		return Bounds{}, err
-	}
-	return Bounds{Value: resp.Value, LB: resp.LB, UB: resp.UB}, nil
+	var resp Bounds
+	err := s.post(ctx, "/v1/bounds", server.QueryRequest{Q: q, Threshold: &tau}, &resp)
+	return resp, err
 }
 
 // Insert implements MutableShardClient via POST /v1/insert.
@@ -415,7 +393,7 @@ func (s *HTTPShard) Insert(ctx context.Context, points [][]float64, weights []fl
 	if err := s.post(ctx, "/v1/insert", server.InsertRequest{Points: points, Weights: weights}, &resp); err != nil {
 		return nil, err
 	}
-	s.setMass(resp.MassResponse)
+	s.mass.Store(&resp.MassResponse)
 	return resp.IDs, nil
 }
 
@@ -430,41 +408,28 @@ func (s *HTTPShard) Delete(ctx context.Context, id uint64) error {
 // chase split-moved points; the count removed before the failing id comes
 // from the reply's structured fields.
 func (s *HTTPShard) DeleteMany(ctx context.Context, ids []uint64) (int, error) {
-	payload, err := json.Marshal(server.DeleteRequest{IDs: ids})
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, s.base+"/v1/point", bytes.NewReader(payload))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	var resp server.DeleteResponse
 	var failed server.DeleteErrorResponse
-	if err := s.do(req, &resp, &failed); err != nil {
+	if err := s.call(ctx, http.MethodDelete, "/v1/point", server.DeleteRequest{IDs: ids}, &resp, &failed); err != nil {
 		// A reply that names the failing id is the shard handler's own
 		// account; anything else (transport failure, a foreign 4xx) leaves
 		// the landed count unknown.
 		if n := failed.Deleted; n >= 0 && n < len(ids) && failed.FailedID == ids[n] {
-			s.setMass(failed.MassResponse)
+			s.mass.Store(&failed.MassResponse)
 			return failed.Deleted, err
 		}
 		return 0, err
 	}
-	s.setMass(resp.MassResponse)
+	s.mass.Store(&resp.MassResponse)
 	return resp.Deleted, nil
 }
 
 // WriteMass implements MutableShardClient.
-func (s *HTTPShard) WriteMass() (Mass, bool) {
+func (s *HTTPShard) WriteMass() (server.MassResponse, bool) {
 	if m := s.mass.Load(); m != nil {
 		return *m, true
 	}
-	return Mass{}, false
-}
-
-func (s *HTTPShard) setMass(m server.MassResponse) {
-	s.mass.Store(&Mass{Points: m.Points, WPos: m.WeightPos, WNeg: m.WeightNeg})
+	return server.MassResponse{}, false
 }
 
 // SplitOut implements MutableShardClient via POST /v1/split. auto omits
@@ -503,30 +468,33 @@ func (s *HTTPShard) SplitOut(ctx context.Context, rule shard.SplitRule, auto boo
 }
 
 func (s *HTTPShard) get(ctx context.Context, path string, dst any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+path, nil)
-	if err != nil {
-		return err
-	}
-	return s.do(req, dst, nil)
+	return s.call(ctx, http.MethodGet, path, nil, dst, nil)
 }
 
 func (s *HTTPShard) post(ctx context.Context, path string, body, dst any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+path, bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return s.do(req, dst, nil)
+	return s.call(ctx, http.MethodPost, path, body, dst, nil)
 }
 
-// do executes a request and decodes the JSON response into dst, surfacing
-// the server's error envelope on non-2xx statuses; a non-nil failed also
-// receives that error body, for replies whose failure carries fields.
-func (s *HTTPShard) do(req *http.Request, dst, failed any) error {
+// call sends one request (in, when non-nil, as its JSON body) and decodes
+// the JSON response into dst, surfacing the server's error envelope on
+// non-2xx statuses; a non-nil failed also receives that error body, for
+// replies whose failure carries fields.
+func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, failed any) error {
+	var payload io.Reader
+	if in != nil {
+		raw, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		payload = bytes.NewReader(raw)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, s.base+path, payload)
+	if err != nil {
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := s.hc.Do(req)
 	if err != nil {
 		return fmt.Errorf("cluster: shard %s: %w", s.base, err)

@@ -546,7 +546,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 }
 
-// TestHTTPServerSurface drives the coordinator's own HTTP facade.
+// TestHTTPServerSurface drives the coordinator through the shared front door.
 func TestHTTPServerSurface(t *testing.T) {
 	pts, _ := dataset(300, 3, 31, "II")
 	mono := buildEngine(t, pts, nil, karl.Gaussian(0.5), karl.KDTree)

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"karl/internal/server"
 )
 
 // ErrIndeterminate is returned by Threshold in degraded mode when the
@@ -183,11 +185,21 @@ func New(ctx context.Context, shards []Shard, cfg Config) (*Coordinator, error) 
 		return nil, fmt.Errorf("cluster: shard discovery failed: %w", err)
 	}
 
+	// The dataset identity comes from the first shard that holds a point: a
+	// shard still empty has no dimensionality yet (a writable cluster founded
+	// over empty members fills them one routed insert at a time).
 	first := co.shards[0].info.Load()
+	for _, s := range co.shards {
+		if info := s.info.Load(); info.Dims != 0 {
+			first = info
+			break
+		}
+	}
 	co.dims, co.kernel, co.gamma = first.Dims, first.Kernel, first.Gamma
 	co.klo, co.khi = kernelRange(first.Kernel)
 	for _, s := range co.shards {
-		if info := s.info.Load(); info.Dims != co.dims || info.Kernel != co.kernel || info.Gamma != co.gamma {
+		info := s.info.Load()
+		if info.Kernel != co.kernel || info.Gamma != co.gamma || info.Dims != 0 && info.Dims != co.dims {
 			return nil, fmt.Errorf(
 				"cluster: shard %s serves (%s γ=%v, %dd), want (%s γ=%v, %dd): shards must hold one partitioned dataset",
 				s.client.Name(), info.Kernel, info.Gamma, info.Dims, co.kernel, co.gamma, co.dims)
@@ -202,9 +214,9 @@ func (s *shardState) weight() float64 { return s.info.Load().Weight() }
 // setMass replaces shard i's cardinality and weight masses — the write
 // path of a WritableCoordinator calls it after every acknowledged write,
 // so queries starting afterwards clamp against the shard's current mass.
-func (co *Coordinator) setMass(i int, m Mass) {
+func (co *Coordinator) setMass(i int, m server.MassResponse) {
 	info := *co.shards[i].info.Load()
-	info.Points, info.WPos, info.WNeg = m.Points, m.WPos, m.WNeg
+	info.Points, info.WPos, info.WNeg = m.Points, m.WeightPos, m.WeightNeg
 	co.shards[i].info.Store(&info)
 }
 
@@ -264,35 +276,10 @@ func (co *Coordinator) apriori(info ShardInfo) (lb, ub float64) {
 	return info.WPos*co.klo - info.WNeg*co.khi, info.WPos*co.khi - info.WNeg*co.klo
 }
 
-// Result is a scatter-gather answer plus the degradation contract: when
-// shards were unreachable the value covers only the reachable ones,
-// Partial is set, and Covered reports the fraction of total weight mass
-// behind the answer.
-type Result struct {
-	Value float64
-	// LB and UB are the certified interval the cluster terminated at
-	// (over covered shards; LB == UB == Value for exact aggregates).
-	LB, UB float64
-	// Partial is true when one or more shards did not contribute.
-	Partial bool
-	// Covered is the fraction of total weight mass behind Value (1 when
-	// complete).
-	Covered float64
-	// Failed names the unreachable shards.
-	Failed []string
-}
-
-// ThresholdResult is a scatter-gather threshold verdict. In degraded mode
-// a verdict is only returned when the dead shards' worst-case mass cannot
-// flip it — otherwise Threshold errors with ErrIndeterminate.
-type ThresholdResult struct {
-	Over    bool
-	Partial bool
-	Covered float64
-	Failed  []string
-}
-
 func (co *Coordinator) checkQuery(q []float64) error {
+	if co.dims == 0 {
+		return errors.New("cluster: no shard holds a point yet")
+	}
 	if len(q) != co.dims {
 		return fmt.Errorf("cluster: query has %d dims, want %d", len(q), co.dims)
 	}
@@ -305,16 +292,22 @@ func (co *Coordinator) checkQuery(q []float64) error {
 }
 
 // Aggregate computes F_P(q) = Σ_S F_S(q) exactly over the reachable
-// shards, one scatter-gather with per-shard timeout/retry/hedging.
-func (co *Coordinator) Aggregate(ctx context.Context, q []float64) (Result, error) {
+// shards, one scatter-gather with per-shard timeout/retry/hedging. A shard
+// without weight mass contributes exactly 0 and is asked nothing (an empty
+// engine would refuse the query and flag the answer partial for no reason).
+func (co *Coordinator) Aggregate(ctx context.Context, q []float64) (server.Result, error) {
 	if err := co.checkQuery(q); err != nil {
-		return Result{}, err
+		return server.Result{}, err
 	}
-	n := len(co.shards)
-	values := make([]float64, n)
-	failures := make([]error, n)
+	values := make([]float64, len(co.shards))
+	failures := make([]error, len(co.shards))
+	asked := 0
 	var wg sync.WaitGroup
 	for i, s := range co.shards {
+		if s.weight() == 0 {
+			continue
+		}
+		asked++
 		wg.Add(1)
 		go func(i int, s *shardState) {
 			defer wg.Done()
@@ -326,7 +319,7 @@ func (co *Coordinator) Aggregate(ctx context.Context, q []float64) (Result, erro
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
+		return server.Result{}, err
 	}
 
 	var sum, aliveW float64
@@ -343,10 +336,10 @@ func (co *Coordinator) Aggregate(ctx context.Context, q []float64) (Result, erro
 		sum += values[i]
 		aliveW += s.weight()
 	}
-	if len(failed) == n {
-		return Result{}, fmt.Errorf("%w: all %d shards failed (first error: %v)", ErrUnavailable, n, firstErr)
+	if asked > 0 && len(failed) == asked {
+		return server.Result{}, fmt.Errorf("%w: all %d shards failed (first error: %v)", ErrUnavailable, asked, firstErr)
 	}
-	return Result{
+	return server.Result{
 		Value:   sum,
 		LB:      sum,
 		UB:      sum,
@@ -421,12 +414,12 @@ func sumBounds(st []*exchState) (lb, ub float64) {
 // after MaxRounds the round is exact. Any stopping rule is sound here —
 // shards only ever return certified intervals, and the verdict rests on
 // their intersection and sum alone.
-func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) (ThresholdResult, error) {
+func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) (server.Result, error) {
 	if err := co.checkQuery(q); err != nil {
-		return ThresholdResult{}, err
+		return server.Result{}, err
 	}
 	if math.IsNaN(tau) || math.IsInf(tau, 0) {
-		return ThresholdResult{}, fmt.Errorf("cluster: tau must be finite, got %v", tau)
+		return server.Result{}, fmt.Errorf("cluster: tau must be finite, got %v", tau)
 	}
 	co.exch.thresholdQueries.Add(1)
 
@@ -448,7 +441,7 @@ func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) 
 	var mu sync.Mutex // guards st during a round's concurrent updates
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
-			return ThresholdResult{}, err
+			return server.Result{}, err
 		}
 		lb, ub := sumBounds(st)
 		if over, ok := decided(lb, ub); ok {
@@ -465,7 +458,7 @@ func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) 
 		if len(todo) == 0 {
 			// Every reachable shard is fully refined; the residual
 			// interval straddling τ belongs to unreachable shards.
-			return ThresholdResult{}, fmt.Errorf("%w (%.1f%% of weight mass unreachable)",
+			return server.Result{}, fmt.Errorf("%w (%.1f%% of weight mass unreachable)",
 				ErrIndeterminate, 100*(1-co.coveredFraction(co.aliveWeight(st), co.countDead(st))))
 		}
 		exactRound := round >= co.cfg.MaxRounds
@@ -550,14 +543,14 @@ func (co *Coordinator) countDead(st []*exchState) int {
 	return n
 }
 
-func (co *Coordinator) thresholdResult(over bool, st []*exchState) ThresholdResult {
+func (co *Coordinator) thresholdResult(over bool, st []*exchState) server.Result {
 	var failed []string
 	for i, s := range st {
 		if !s.alive {
 			failed = append(failed, co.shards[i].client.Name())
 		}
 	}
-	return ThresholdResult{
+	return server.Result{
 		Over:    over,
 		Partial: len(failed) > 0,
 		Covered: co.coveredFraction(co.aliveWeight(st), len(failed)),
@@ -585,20 +578,26 @@ func approxDone(lb, ub, eps float64) bool {
 // geometrically tighter budgets: small-gap shards return early. The
 // allocation is self-consistent — if every shard fits its share the global
 // certificate already holds — so undecided rounds always have work.
-func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64) (Result, error) {
+func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64) (server.Result, error) {
 	if err := co.checkQuery(q); err != nil {
-		return Result{}, err
+		return server.Result{}, err
 	}
 	if !(eps > 0) || math.IsInf(eps, 0) {
-		return Result{}, fmt.Errorf("cluster: eps must be positive and finite, got %v", eps)
+		return server.Result{}, fmt.Errorf("cluster: eps must be positive and finite, got %v", eps)
 	}
 
 	co.exch.approximateQueries.Add(1)
 
+	// A shard without weight mass is known exactly — [0, 0] — before it is
+	// asked anything, so it counts as answered and no round includes it.
 	st := make([]*exchState, len(co.shards))
+	var all []int
 	for i, s := range co.shards {
 		lb, ub := co.apriori(*s.info.Load())
-		st[i] = &exchState{lb: lb, ub: ub, eps: eps, alive: true}
+		st[i] = &exchState{lb: lb, ub: ub, eps: eps, alive: true, queried: s.weight() == 0}
+		if !st[i].queried {
+			all = append(all, i)
+		}
 	}
 
 	var mu sync.Mutex
@@ -626,13 +625,11 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 		return ctx.Err()
 	}
 
-	// Round 0: every shard at the global budget.
-	all := make([]int, len(st))
-	for i := range all {
-		all[i] = i
-	}
-	if err := runRound(all, false); err != nil {
-		return Result{}, err
+	// Round 0: every shard holding mass at the global budget.
+	if len(all) > 0 {
+		if err := runRound(all, false); err != nil {
+			return server.Result{}, err
+		}
 	}
 
 	for round := 1; ; round++ {
@@ -650,8 +647,9 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 			ub += s.ub
 			aliveW += co.shards[i].weight()
 		}
-		if len(covered) == 0 {
-			return Result{}, fmt.Errorf("%w: all %d shards failed", ErrUnavailable, len(st))
+		if len(all) > 0 && len(covered) == len(st)-len(all) {
+			// Only the massless shards, which were never asked, are left.
+			return server.Result{}, fmt.Errorf("%w: all %d shards failed", ErrUnavailable, len(all))
 		}
 		if approxDone(lb, ub, eps) {
 			return co.approxResult(lb, ub, st), nil
@@ -685,12 +683,12 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 			return co.approxResult(lb, ub, st), nil
 		}
 		if err := runRound(todo, exact); err != nil {
-			return Result{}, err
+			return server.Result{}, err
 		}
 	}
 }
 
-func (co *Coordinator) approxResult(lb, ub float64, st []*exchState) Result {
+func (co *Coordinator) approxResult(lb, ub float64, st []*exchState) server.Result {
 	var failed []string
 	var aliveW float64
 	for i, s := range st {
@@ -700,7 +698,7 @@ func (co *Coordinator) approxResult(lb, ub float64, st []*exchState) Result {
 			failed = append(failed, co.shards[i].client.Name())
 		}
 	}
-	return Result{
+	return server.Result{
 		Value:   (lb + ub) / 2,
 		LB:      lb,
 		UB:      ub,

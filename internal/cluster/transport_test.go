@@ -309,7 +309,7 @@ func TestTransportConcurrentMixedCalls(t *testing.T) {
 	if _, err := hs.Insert(ctx, seed[:1], nil); err != nil {
 		t.Fatal(err)
 	}
-	if mass, ok := hs.WriteMass(); !ok || mass.Points != d.Len() || mass.WPos != float64(d.Len()) {
+	if mass, ok := hs.WriteMass(); !ok || mass.Points != d.Len() || mass.WeightPos != float64(d.Len()) {
 		t.Fatalf("WriteMass = %+v, %v after the last write; the engine holds %d unit points", mass, ok, d.Len())
 	}
 }

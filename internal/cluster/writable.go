@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"karl"
+	"karl/internal/server"
 	"karl/internal/shard"
 )
 
@@ -442,9 +443,6 @@ func (w *WritableCoordinator) Points() int { return w.mem.Load().co.Points() }
 // KernelName reports the shared kernel name.
 func (w *WritableCoordinator) KernelName() string { return w.mem.Load().co.KernelName() }
 
-// Gamma reports the shared kernel bandwidth parameter.
-func (w *WritableCoordinator) Gamma() float64 { return w.mem.Load().co.Gamma() }
-
 // Epoch returns the current manifest epoch.
 func (w *WritableCoordinator) Epoch() uint64 { return w.mem.Load().man.Epoch }
 
@@ -458,17 +456,6 @@ func (w *WritableCoordinator) Splits() int64 { return w.splits.Load() }
 // Rescatters returns how many queries were re-scattered after straddling
 // a membership change.
 func (w *WritableCoordinator) Rescatters() int64 { return w.rescatters.Load() }
-
-// Stats snapshots the current epoch's per-shard robustness counters.
-func (w *WritableCoordinator) Stats() []ShardStats { return w.mem.Load().co.Stats() }
-
-// Exchange snapshots the bound-exchange counters, cumulative across epochs.
-func (w *WritableCoordinator) Exchange() ExchangeStats { return w.mem.Load().co.Exchange() }
-
-// Health probes the current members.
-func (w *WritableCoordinator) Health(ctx context.Context) []ShardHealth {
-	return w.mem.Load().co.Health(ctx)
-}
 
 // Insert routes points to their owning members via the manifest and
 // returns cluster-global ids (member ⊕ engine-local id), in input order.
@@ -582,10 +569,11 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 	if m.co.dims == 0 {
 		// The founding members were empty; the read coordinator pinned
 		// dims at 0. Rebuild it now that the dataset has a dimensionality.
-		if m2, err := w.buildMembership(ctx, m.man, m.clients, true); err == nil {
-			w.install(m2)
-			m = m2
+		m2, err := w.buildMembership(ctx, m.man, m.clients, true)
+		if err != nil {
+			return ids, fmt.Errorf("cluster: all %d points landed, but reads stay refused: rebuilding the read coordinator: %w", len(points), err)
 		}
+		w.install(m2)
 	}
 	w.sinceProbe += len(points)
 	if w.sinceProbe >= w.cfg.SplitCheckEvery {
@@ -981,20 +969,19 @@ func (w *WritableCoordinator) snapshot(ctx context.Context) (*membership, uint64
 // query runs fn against a consistent membership snapshot, re-scattering
 // when the generation advanced underneath it — the straddle could have
 // mixed pre- and post-split shard states into one sum.
-func query[T any](ctx context.Context, w *WritableCoordinator, fn func(*Coordinator) (T, error)) (T, error) {
-	var zero T
+func (w *WritableCoordinator) query(ctx context.Context, fn func(*Coordinator) (server.Result, error)) (server.Result, error) {
 	for attempt := 0; ; attempt++ {
 		m, g, err := w.snapshot(ctx)
 		if err != nil {
-			return zero, err
+			return server.Result{}, err
 		}
-		v, err := fn(m.co)
+		res, err := fn(m.co)
 		if w.gen.Load() == g {
-			return v, err
+			return res, err
 		}
 		w.rescatters.Add(1)
 		if attempt >= w.cfg.EpochRetries {
-			return zero, fmt.Errorf("%w: %d re-scatters exhausted (epoch now %d)",
+			return server.Result{}, fmt.Errorf("%w: %d re-scatters exhausted (epoch now %d)",
 				ErrEpochChanged, attempt+1, w.Epoch())
 		}
 	}
@@ -1002,18 +989,18 @@ func query[T any](ctx context.Context, w *WritableCoordinator, fn func(*Coordina
 
 // Aggregate computes F_P(q) exactly over the current membership; see
 // Coordinator.Aggregate for the degradation contract.
-func (w *WritableCoordinator) Aggregate(ctx context.Context, q []float64) (Result, error) {
-	return query(ctx, w, func(co *Coordinator) (Result, error) { return co.Aggregate(ctx, q) })
+func (w *WritableCoordinator) Aggregate(ctx context.Context, q []float64) (server.Result, error) {
+	return w.query(ctx, func(co *Coordinator) (server.Result, error) { return co.Aggregate(ctx, q) })
 }
 
 // Threshold decides F_P(q) > τ over the current membership; see
 // Coordinator.Threshold.
-func (w *WritableCoordinator) Threshold(ctx context.Context, q []float64, tau float64) (ThresholdResult, error) {
-	return query(ctx, w, func(co *Coordinator) (ThresholdResult, error) { return co.Threshold(ctx, q, tau) })
+func (w *WritableCoordinator) Threshold(ctx context.Context, q []float64, tau float64) (server.Result, error) {
+	return w.query(ctx, func(co *Coordinator) (server.Result, error) { return co.Threshold(ctx, q, tau) })
 }
 
 // Approximate computes F_P(q) to relative error eps over the current
 // membership; see Coordinator.Approximate.
-func (w *WritableCoordinator) Approximate(ctx context.Context, q []float64, eps float64) (Result, error) {
-	return query(ctx, w, func(co *Coordinator) (Result, error) { return co.Approximate(ctx, q, eps) })
+func (w *WritableCoordinator) Approximate(ctx context.Context, q []float64, eps float64) (server.Result, error) {
+	return w.query(ctx, func(co *Coordinator) (server.Result, error) { return co.Approximate(ctx, q, eps) })
 }

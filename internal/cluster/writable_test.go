@@ -505,7 +505,7 @@ func TestWritableManifestPersistence(t *testing.T) {
 	}
 }
 
-// doJSON drives the writable facade with raw HTTP.
+// doJSON drives the writable front door with raw HTTP.
 func doJSON(t *testing.T, method, url string, body any) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
@@ -533,7 +533,7 @@ func doJSON(t *testing.T, method, url string, body any) (int, []byte) {
 	return resp.StatusCode, out
 }
 
-// TestWritableHTTPSurface drives the coordinator's writable HTTP facade:
+// TestWritableHTTPSurface drives the writable coordinator's front door:
 // routed inserts and deletes next to the read surface, with cluster-global
 // ids on the wire.
 func TestWritableHTTPSurface(t *testing.T) {
@@ -579,7 +579,7 @@ func TestWritableHTTPSurface(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("aggregate status %d: %s", status, body)
 	}
-	var val ClusterValueResponse
+	var val server.CoveredValueResponse
 	if err := json.Unmarshal(body, &val); err != nil {
 		t.Fatalf("decode aggregate: %v", err)
 	}

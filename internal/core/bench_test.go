@@ -22,7 +22,7 @@ func benchForest(b *testing.B) (*Forest, []float64, float64) {
 		b.Fatal(err)
 	}
 	k := kernel.NewGaussian(20)
-	f, err := NewForest(k, bound.KARL, 0)
+	f, err := NewForest(k, bound.KARL)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -93,9 +93,6 @@ func (e *Engine) Kernel() kernel.Params { return e.f.kern }
 // Method returns the engine's bounding method.
 func (e *Engine) Method() bound.Method { return e.f.method }
 
-// MaxDepth returns the engine's refinement depth cap (0 = unlimited).
-func (e *Engine) MaxDepth() int { return e.f.maxDepth }
-
 // FastPathQueries returns the number of queries served by the
 // single-segment fast path (for a static engine, every
 // Threshold/Approximate call).

@@ -79,13 +79,11 @@ type sentry struct {
 
 // NewForest creates a segmented executor for the given kernel and bounding
 // method with no segments attached; call SetTrees before querying.
-// maxDepth > 0 truncates refinement at that depth in every segment (the
-// simulated tree of the in-situ scenario); 0 means unlimited.
-func NewForest(kern kernel.Params, method bound.Method, maxDepth int) (*Forest, error) {
+func NewForest(kern kernel.Params, method bound.Method) (*Forest, error) {
 	if err := kern.Validate(); err != nil {
 		return nil, err
 	}
-	return &Forest{kern: kern, method: method, maxDepth: maxDepth, rows: kern.RowsEvaluator()}, nil
+	return &Forest{kern: kern, method: method, rows: kern.RowsEvaluator()}, nil
 }
 
 // SetTrees installs the ordered segment set the next queries run over. The
@@ -142,9 +140,6 @@ func (f *Forest) Kernel() kernel.Params { return f.kern }
 
 // Method returns the forest's bounding method.
 func (f *Forest) Method() bound.Method { return f.method }
-
-// MaxDepth returns the forest's refinement depth cap (0 = unlimited).
-func (f *Forest) MaxDepth() int { return f.maxDepth }
 
 // SegmentStats returns the per-segment work statistics of the most recent
 // query, index-aligned with the segment set. The slice is the forest's own

@@ -85,7 +85,7 @@ func TestForestEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f, err := NewForest(k, bound.KARL, 0)
+				f, err := NewForest(k, bound.KARL)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +152,7 @@ func TestForestBaseTerm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewForest(k, bound.KARL, 0)
+	f, err := NewForest(k, bound.KARL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestForestBaseTerm(t *testing.T) {
 // TestForestEmpty: a forest with no segments answers from the base term
 // alone — the state of a dynamic engine before its first seal.
 func TestForestEmpty(t *testing.T) {
-	f, err := NewForest(kernel.NewGaussian(1), bound.KARL, 0)
+	f, err := NewForest(kernel.NewGaussian(1), bound.KARL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestForestSharedBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewForest(k, bound.KARL, 0)
+	f, err := NewForest(k, bound.KARL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestForestZeroAllocSteadyState(t *testing.T) {
 	m := makeClustered(rng, 4000, d, 3, 0.05)
 	k := kernel.NewGaussian(10)
 	trees := buildSegments(t, kdtree.Build, m, nil, 3, 32)
-	f, err := NewForest(k, bound.KARL, 0)
+	f, err := NewForest(k, bound.KARL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestForestSetTreesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewForest(kernel.NewGaussian(1), bound.KARL, 0)
+	f, err := NewForest(kernel.NewGaussian(1), bound.KARL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestFastPathCounter(t *testing.T) {
 
 	// The generic loop (forced here via a unit scale) must agree with the
 	// fast path bitwise: same arithmetic, same expansion order.
-	f, err := NewForest(k, bound.KARL, 0)
+	f, err := NewForest(k, bound.KARL)
 	if err != nil {
 		t.Fatal(err)
 	}

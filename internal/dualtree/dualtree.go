@@ -57,10 +57,9 @@ const DefaultLeafCap = 16
 // must match the sequential engine the batch would otherwise run on, so the
 // two paths answer under the same contract.
 type Config struct {
-	Kernel   kernel.Params
-	Method   bound.Method
-	MaxDepth int // reference refinement depth cap (0 = unlimited)
-	LeafCap  int // query-tree leaf capacity (0 = DefaultLeafCap)
+	Kernel  kernel.Params
+	Method  bound.Method
+	LeafCap int // query-tree leaf capacity (0 = DefaultLeafCap)
 }
 
 // Stats reports the work one batch performed.
@@ -113,7 +112,7 @@ func New(cfg Config, trees []*index.Tree) (*Executor, error) {
 	if cfg.LeafCap <= 0 {
 		cfg.LeafCap = DefaultLeafCap
 	}
-	fb, err := core.NewForest(cfg.Kernel, cfg.Method, cfg.MaxDepth)
+	fb, err := core.NewForest(cfg.Kernel, cfg.Method)
 	if err != nil {
 		return nil, err
 	}
@@ -242,11 +241,10 @@ func (e *Executor) scorePair(rect *geom.Rect, ti, ni int32, st *Stats) entry {
 	return entry{ti: ti, ni: ni, lb: lb, ub: ub}
 }
 
-// frontierEntry mirrors core's atFrontier: refinement of the reference node
-// must stop here and switch to exact row scans.
+// frontierEntry reports a leaf: refinement of the reference node must stop
+// here and switch to exact row scans.
 func (e *Executor) frontierEntry(en *entry) bool {
-	n := e.trees[en.ti].Node(en.ni)
-	return n.IsLeaf() || (e.cfg.MaxDepth > 0 && int(n.Depth) >= e.cfg.MaxDepth)
+	return e.trees[en.ti].Node(en.ni).IsLeaf()
 }
 
 // entryMass is the scaled absolute weight mass under the entry's node — the

@@ -92,7 +92,7 @@ func TestDualMatchesSequentialContracts(t *testing.T) {
 				if err := x.SetScales(scales); err != nil {
 					t.Fatalf("SetScales: %v", err)
 				}
-				seq, err := core.NewForest(k, bound.KARL, 0)
+				seq, err := core.NewForest(k, bound.KARL)
 				if err != nil {
 					t.Fatalf("NewForest: %v", err)
 				}
@@ -214,7 +214,7 @@ func TestDuplicateQueryBatch(t *testing.T) {
 			t.Fatalf("duplicate queries got different answers: out[%d]=%v out[0]=%v", i, out[i], out[0])
 		}
 	}
-	seq, _ := core.NewForest(kernel.Params{Kind: kernel.Gaussian, Gamma: 2}, bound.KARL, 0)
+	seq, _ := core.NewForest(kernel.Params{Kind: kernel.Gaussian, Gamma: 2}, bound.KARL)
 	if err := seq.SetTrees(trees); err != nil {
 		t.Fatalf("SetTrees: %v", err)
 	}
@@ -277,7 +277,7 @@ func TestDualAblationMethods(t *testing.T) {
 	trees := buildSegments(t, rng, 1, 100, dim, true)
 	queries := testQueries(rng, 60, dim)
 	k := kernel.Params{Kind: kernel.Gaussian, Gamma: 3}
-	seq, _ := core.NewForest(k, bound.KARL, 0)
+	seq, _ := core.NewForest(k, bound.KARL)
 	if err := seq.SetTrees(trees); err != nil {
 		t.Fatalf("SetTrees: %v", err)
 	}

@@ -36,12 +36,6 @@ func NewHTTPSource(baseURL string) *HTTPSource {
 	}}
 }
 
-// NewHTTPSourceClient builds a source with a caller-supplied
-// http.Client (test instrumentation, custom transports).
-func NewHTTPSourceClient(baseURL string, hc *http.Client) *HTTPSource {
-	return &HTTPSource{base: baseURL, hc: hc}
-}
-
 // Status implements Source via GET /v1/replicate/status.
 func (s *HTTPSource) Status(ctx context.Context) (Status, error) {
 	var st Status

@@ -19,8 +19,8 @@
 // Pull(fence, deletePos); redelivered segments and rows are skipped by
 // seq, and replayed deletes of unknown ids are ignored. When the leader
 // reports karl.ErrReplicaResync — its bounded delete log trimmed past
-// the follower's position, or a compaction collapsed needed history into
-// a coreset — the follower falls back to a full snapshot.
+// the follower's position, or the fence falls inside a sealed segment of
+// a timed engine — the follower falls back to a full snapshot.
 package replica
 
 import (
@@ -215,7 +215,7 @@ func (a *Applier) BootstrapFromSnapshot() {
 
 // Sync performs one pull/apply round: everything above the follower's
 // (fence, delete-pos) lands in one batch. A leader resync demand
-// (trimmed delete log, coreset history) falls back to a full snapshot
+// (trimmed delete log, a straddled timed segment) falls back to a full snapshot
 // when the follower is still empty and fails otherwise. After the first
 // successful round the follower is live.
 func (a *Applier) Sync(ctx context.Context) error {

@@ -119,7 +119,7 @@ func assertContiguous(t *testing.T, m *Manifest, ids []uint64) {
 
 // TestPlanDeadShare pins the dead-row rules: a rewrite is due at a
 // 1/Fanout dead share, tiered merges take precedence, the most dead
-// segment goes first, and untracked (coreset) segments never qualify.
+// segment goes first, and untracked segments never qualify.
 func TestPlanDeadShare(t *testing.T) {
 	p := Policy{SealSize: 4, Fanout: 4}
 	m := manifestOf(t, 40, 20, 8)
@@ -156,9 +156,9 @@ func TestPlanDeadShare(t *testing.T) {
 		t.Fatalf("Plan = %v, want the tier-0 run before the rewrite", got)
 	}
 
-	// Coreset segments carry tombstones they can never consume.
+	// A segment without sequence numbers cannot consume tombstones.
 	cs := sizedSeg(t, 7, 8, 1)
-	cs.Seqs, cs.Coreset = nil, true
+	cs.Seqs = nil
 	cs.Dead = &Dead{}
 	for i := 0; i < 8; i++ {
 		cs.Dead.Add(uint64(100+i), 1, 0, []float64{0, 0})

@@ -1,9 +1,7 @@
 // Package segment implements the LSM-style storage layer under
 // karl.DynamicEngine: an ordered manifest of immutable index segments plus
 // the operations that evolve it — sealing a memtable into a small segment,
-// merging segments under a geometric tiering policy, and optionally
-// compacting cold merged segments into provable-error coresets (the
-// Phillips & Tai direction from PAPERS.md).
+// and merging segments under a geometric tiering policy.
 //
 // Manifests are immutable snapshots: every mutation returns a new Manifest
 // with a bumped Epoch, so query executors can keep refining over an old
@@ -34,10 +32,8 @@ import (
 	"math"
 
 	"karl/internal/balltree"
-	"karl/internal/coreset"
 	"karl/internal/index"
 	"karl/internal/kdtree"
-	"karl/internal/kernel"
 	"karl/internal/vec"
 )
 
@@ -61,24 +57,20 @@ func (c BuildConfig) Build(m *vec.Matrix, w []float64) (*index.Tree, error) {
 }
 
 // Segment is one immutable sorted run: a flat index over a contiguous
-// slice of the insert stream. Coreset marks a lossy compacted segment
-// whose points are a provable-error sketch of the originals; Eps is the
-// accumulated normalized-error bound of every compression it went through.
+// slice of the insert stream.
 //
 // Seqs, when non-nil, carries the global point sequence numbers of the
 // segment's rows in INSERTION order (ascending — segments cover contiguous
 // runs of the insert stream), which is what makes individual points
-// addressable for deletion. Coreset segments drop Seqs: their rows no
-// longer correspond 1:1 to inserts. Times (parallel to Seqs, UnixNano)
-// records insert timestamps for TTL expiry; nil on untimed engines.
+// addressable for deletion; every segment a DynamicEngine serves has them.
+// Times (parallel to Seqs, UnixNano) records insert timestamps for TTL
+// expiry; nil on untimed engines.
 // TimeRef is the instant the stored weights are scaled to under
 // exponential decay (0 when decay is off): the live weight of row i at
 // query time T is Weights[i]·2^(−(T−TimeRef)/halflife).
 type Segment struct {
-	Tree    *index.Tree
-	ID      uint64
-	Coreset bool
-	Eps     float64
+	Tree *index.Tree
+	ID   uint64
 
 	Seqs    []uint64
 	Times   []int64
@@ -99,9 +91,9 @@ type Segment struct {
 // New assembles a segment from an already-built tree and its provenance.
 // seqs and times are retained, not copied; callers hand over slices they
 // will not mutate. It is the single construction path shared by Seal,
-// Merge, Compress and the persistence loader.
-func New(tree *index.Tree, id uint64, coreset bool, eps float64, seqs []uint64, times []int64, timeRef int64) *Segment {
-	s := &Segment{Tree: tree, ID: id, Coreset: coreset, Eps: eps, Seqs: seqs, Times: times, TimeRef: timeRef}
+// Merge and the persistence loader.
+func New(tree *index.Tree, id uint64, seqs []uint64, times []int64, timeRef int64) *Segment {
+	s := &Segment{Tree: tree, ID: id, Seqs: seqs, Times: times, TimeRef: timeRef}
 	if seqs != nil {
 		s.inv = make([]int32, tree.Len())
 		for storage, input := range tree.PointID {
@@ -116,7 +108,7 @@ func (s *Segment) Len() int { return s.Tree.Len() }
 
 // Find returns the leaf-storage row holding the point with the given
 // sequence number, or false when the segment does not track sequence
-// numbers (coresets, legacy loads) or does not contain it.
+// numbers or does not contain it.
 func (s *Segment) Find(seq uint64) (int, bool) {
 	if len(s.Seqs) == 0 {
 		return 0, false
@@ -240,26 +232,7 @@ func Seal(mem MemRun, timeRef int64, cfg BuildConfig, id uint64) (*Segment, erro
 	if mem.Times != nil {
 		times = append([]int64(nil), mem.Times[:n]...)
 	}
-	return New(tree, id, false, 0, seqs, times, timeRef), nil
-}
-
-// restoreOrder appends the segment's points and weights to dst/dw in the
-// segment's original build-input (insertion) order, inverting the tree's
-// leaf-order permutation. row is the next free row of dst; the new next
-// free row is returned. dw must be non-nil (unit weights materialize as 1).
-func restoreOrder(s *Segment, dst *vec.Matrix, dw []float64, row int) int {
-	t := s.Tree
-	n := t.Len()
-	for storage := 0; storage < n; storage++ {
-		input := int(t.PointID[storage])
-		copy(dst.Row(row+input), t.Points.Row(storage))
-		if t.Weights != nil {
-			dw[row+input] = t.Weights[storage]
-		} else {
-			dw[row+input] = 1
-		}
-	}
-	return row + n
+	return New(tree, id, seqs, times, timeRef), nil
 }
 
 // MergeOpts carries the mutations a merge applies while rewriting its
@@ -309,10 +282,7 @@ type gathered struct {
 	seqs  []uint64  // nil when any input lost sequence tracking
 	times []int64
 	rows  int
-
-	isCoreset bool
-	eps       float64
-	ref       int64 // the output decay reference (0 when decay is off)
+	ref   int64 // the output decay reference (0 when decay is off)
 }
 
 // gather restores and filters the inputs of a merge or divide into one
@@ -334,8 +304,6 @@ func gather(segs []*Segment, mem MemRun, opts MergeOpts) (*gathered, error) {
 	}
 	tracked := mem.N == 0 || mem.Seqs != nil
 	timed := mem.N == 0 || mem.Times != nil
-	isCoreset := false
-	eps := 0.0
 	hasWeights := mem.N > 0 && mem.W != nil
 	for _, s := range segs {
 		if s.Seqs == nil {
@@ -343,10 +311,6 @@ func gather(segs []*Segment, mem MemRun, opts MergeOpts) (*gathered, error) {
 		}
 		if s.Times == nil {
 			timed = false
-		}
-		if s.Coreset {
-			isCoreset = true
-			eps += s.Eps
 		}
 		if s.Tree.Weights != nil {
 			hasWeights = true
@@ -402,7 +366,7 @@ func gather(segs []*Segment, mem MemRun, opts MergeOpts) (*gathered, error) {
 		}
 		row++
 	}
-	g := &gathered{rows: row, isCoreset: isCoreset, eps: eps}
+	g := &gathered{rows: row}
 	if opts.HalfLife > 0 {
 		g.ref = opts.NewRef
 	}
@@ -461,17 +425,16 @@ func (g *gathered) build(sel []int, cfg BuildConfig, id uint64) (*Segment, error
 	if err != nil {
 		return nil, err
 	}
-	return New(tree, id, g.isCoreset, g.eps, seqs, times, g.ref), nil
+	return New(tree, id, seqs, times, g.ref), nil
 }
 
 // Merge concatenates the segments' points oldest-first, each restored to
 // its insertion order, drops the rows opts tombstones or expires, and
 // builds one segment over the survivors. mem optionally appends a trailing
 // memtable run (the full-compaction path); pass a zero MemRun for pure
-// segment merges. The merged segment carries the provenance of its
-// inputs: it is a coreset iff any input was, with the accumulated Eps,
-// and it tracks sequence numbers iff every input did. A merge whose every
-// row is dropped returns (nil, nil): the inputs simply disappear.
+// segment merges. The merged segment tracks sequence numbers iff every
+// input did. A merge whose every row is dropped returns (nil, nil): the
+// inputs simply disappear.
 func Merge(segs []*Segment, mem MemRun, opts MergeOpts, cfg BuildConfig, id uint64) (*Segment, error) {
 	g, err := gather(segs, mem, opts)
 	if err != nil {
@@ -572,36 +535,6 @@ func mergeAppend(s *Segment, opts MergeOpts, dst *vec.Matrix, dw []float64, dseq
 	return row + kept
 }
 
-// Compress reduces a segment to a provable-error coreset with normalized
-// error bound eps and rebuilds its index — the cold tier of compaction.
-// It fails for mixed-sign weights (the coreset layer rejects Type III);
-// callers fall back to keeping the merged segment as-is.
-func Compress(s *Segment, kern kernel.Params, eps float64, seed int64, cfg BuildConfig, id uint64) (*Segment, error) {
-	t := s.Tree
-	n := t.Len()
-	// Reconstruct insertion order so repeated compressions stay
-	// deterministic with respect to the original stream.
-	m := vec.NewMatrix(n, t.Dims())
-	w := make([]float64, n)
-	restoreOrder(s, m, w, 0)
-	if t.Weights == nil {
-		w = nil
-	}
-	sk, err := coreset.Build(m, w, kern, eps, coreset.Config{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	tree, err := cfg.Build(sk.Points, sk.Weights)
-	if err != nil {
-		return nil, err
-	}
-	// Coreset rows no longer correspond 1:1 to inserts: sequence numbers
-	// and timestamps are dropped (the rows become undeletable and
-	// unexpirable), but the decay reference carries over — the sketch's
-	// weights approximate the input's, which were scaled to TimeRef.
-	return New(tree, id, true, s.Eps+sk.Eps, nil, nil, s.TimeRef), nil
-}
-
 // Policy is the geometric tiering compaction policy. Segments are binned
 // into tiers by size — tier t holds segments with
 // SealSize·Fanout^t ≤ Len < SealSize·Fanout^(t+1) — and whenever Fanout
@@ -622,16 +555,10 @@ type Policy struct {
 	// consecutive tiers, and the inverse of the dead share that triggers a
 	// rewrite.
 	Fanout int
-	// ColdEps, when positive, coreset-compresses merged segments of at
-	// least ColdMin points down to a provable normalized-error sketch —
-	// a lossy cold tier, off by default.
-	ColdEps float64
-	// ColdMin is the smallest merged segment ColdEps applies to.
-	ColdMin int
 }
 
 // DefaultPolicy returns the tiering defaults: seal at 512 rows, merge
-// every 4 same-tier segments, no lossy cold tier.
+// every 4 same-tier segments.
 func DefaultPolicy() Policy { return Policy{SealSize: 512, Fanout: 4} }
 
 // Validate checks the policy parameters.
@@ -641,9 +568,6 @@ func (p Policy) Validate() error {
 	}
 	if p.Fanout < 2 {
 		return fmt.Errorf("segment: compaction fanout %d out of range (need >= 2)", p.Fanout)
-	}
-	if p.ColdEps != 0 && (p.ColdEps <= 0 || p.ColdEps >= 1) {
-		return fmt.Errorf("segment: cold-compaction eps must be in (0,1), got %v", p.ColdEps)
 	}
 	return nil
 }
@@ -664,9 +588,8 @@ func (p Policy) Tier(n int) int {
 }
 
 // AllDead reports whether every row of the segment has been deleted, so
-// the segment can leave the manifest without a rebuild. Segments without
-// sequence numbers (coresets) never qualify: their tombstones are not
-// attributable to rows.
+// the segment can leave the manifest without a rebuild. A segment without
+// sequence numbers never qualifies: it cannot hold tombstones.
 func (s *Segment) AllDead() bool { return s.Seqs != nil && s.Dead.Len() >= s.Len() }
 
 // RewriteDue reports whether the segment's dead rows have reached a

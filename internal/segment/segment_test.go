@@ -1,12 +1,10 @@
 package segment
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"karl/internal/index"
-	"karl/internal/kernel"
 	"karl/internal/vec"
 )
 
@@ -236,64 +234,12 @@ func TestPolicyValidate(t *testing.T) {
 	for _, p := range []Policy{
 		{SealSize: 0, Fanout: 4},
 		{SealSize: 512, Fanout: 1},
-		{SealSize: 512, Fanout: 4, ColdEps: 1.5},
-		{SealSize: 512, Fanout: 4, ColdEps: -0.1},
 	} {
 		if err := p.Validate(); err == nil {
 			t.Fatalf("Validate(%+v) = nil, want error", p)
 		}
 	}
-	if err := (Policy{SealSize: 1, Fanout: 2, ColdEps: 0.2, ColdMin: 100}).Validate(); err != nil {
+	if err := (Policy{SealSize: 1, Fanout: 2}).Validate(); err != nil {
 		t.Fatalf("valid policy rejected: %v", err)
-	}
-}
-
-// TestCompress checks the cold tier: a compressed segment is smaller,
-// flagged as a coreset, and its KDE stays within the advertised
-// normalized error of the original.
-func TestCompress(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n, d := 4000, 2
-	pts := randMatrix(rng, n, d)
-	seg := sealRun(t, pts, nil, 0, n, 1)
-	kern := kernel.Params{Kind: kernel.Gaussian, Gamma: 0.5}
-	cold, err := Compress(seg, kern, 0.05, 1, cfg(), 2)
-	if err != nil {
-		t.Fatalf("Compress: %v", err)
-	}
-	if !cold.Coreset || cold.Eps <= 0 {
-		t.Fatalf("compressed segment not flagged: coreset=%v eps=%v", cold.Coreset, cold.Eps)
-	}
-	if cold.Len() >= seg.Len() {
-		t.Fatalf("compression did not reduce: %d >= %d", cold.Len(), seg.Len())
-	}
-	// Spot-check normalized error at a few queries.
-	exact := func(tr *index.Tree, q []float64) float64 {
-		s := 0.0
-		for i := 0; i < tr.Len(); i++ {
-			w := 1.0
-			if tr.Weights != nil {
-				w = tr.Weights[i]
-			}
-			s += w * kern.Eval(q, tr.Points.Row(i))
-		}
-		return s
-	}
-	for trial := 0; trial < 5; trial++ {
-		q := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		f0 := exact(seg.Tree, q)
-		f1 := exact(cold.Tree, q)
-		if math.Abs(f0-f1) > 3*cold.Eps*float64(n) {
-			t.Fatalf("cold segment error %v exceeds bound %v", math.Abs(f0-f1), cold.Eps*float64(n))
-		}
-	}
-	// Mixed-sign weights must be rejected, not silently mangled.
-	w := make([]float64, 100)
-	for i := range w {
-		w[i] = float64(i%2*2 - 1)
-	}
-	mseg := sealRun(t, pts, w, 0, 100, 3)
-	if _, err := Compress(mseg, kern, 0.1, 1, cfg(), 4); err == nil {
-		t.Fatalf("Compress accepted mixed-sign weights")
 	}
 }

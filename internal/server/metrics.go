@@ -11,6 +11,7 @@ import (
 type endpointMetrics struct {
 	requests      atomic.Int64
 	errors        atomic.Int64
+	partials      atomic.Int64 // answers flagged partial (never the local engine's)
 	queries       atomic.Int64 // individual queries (a batch counts each)
 	iterations    atomic.Int64
 	nodesExpanded atomic.Int64
@@ -36,6 +37,7 @@ func (m *endpointMetrics) snapshot() EndpointStats {
 	return EndpointStats{
 		Requests:      m.requests.Load(),
 		Errors:        m.errors.Load(),
+		Partials:      m.partials.Load(),
 		Queries:       m.queries.Load(),
 		Iterations:    m.iterations.Load(),
 		NodesExpanded: m.nodesExpanded.Load(),
@@ -46,11 +48,7 @@ func (m *endpointMetrics) snapshot() EndpointStats {
 	}
 }
 
-// metrics holds one counter block per query endpoint, plus the sketch-tier
-// routing counters: each successfully served normalized-budget (eps_norm)
-// approximate query counts once, as a tier hit when its budget let the
-// coreset engine serve it, a miss otherwise. Relative-eps traffic and
-// failed requests are not counted — the endpoint counters track those.
+// metrics holds one counter block per endpoint.
 type metrics struct {
 	aggregate   endpointMetrics
 	threshold   endpointMetrics
@@ -60,15 +58,15 @@ type metrics struct {
 	insert      endpointMetrics
 	del         endpointMetrics
 	split       endpointMetrics
-
-	tierHits   atomic.Int64
-	tierMisses atomic.Int64
 }
 
 // EndpointStats is the JSON form of one endpoint's counters.
 type EndpointStats struct {
-	Requests      int64 `json:"requests"`
-	Errors        int64 `json:"errors"`
+	Requests int64 `json:"requests"`
+	Errors   int64 `json:"errors"`
+	// Partials counts answers that covered only part of the dataset — a
+	// coordinator's degraded mode; a single node never reports any.
+	Partials      int64 `json:"partials,omitempty"`
 	Queries       int64 `json:"queries"`
 	Iterations    int64 `json:"iterations"`
 	NodesExpanded int64 `json:"nodes_expanded"`

@@ -65,10 +65,10 @@ func (s *Server) handleReplicateStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, replica.Status{
 		Role:      "leader",
-		NextSeq:   s.rsrc.NextSeq(),
-		DeletePos: s.rsrc.DeletePos(),
-		Points:    s.dyn.Len(),
-		Epoch:     s.dyn.Epoch(),
+		NextSeq:   s.loc.rsrc.NextSeq(),
+		DeletePos: s.loc.rsrc.DeletePos(),
+		Points:    s.loc.dyn.Len(),
+		Epoch:     s.loc.dyn.Epoch(),
 	})
 }
 
@@ -77,18 +77,18 @@ func (s *Server) handleReplicateStatus(w http.ResponseWriter, r *http.Request) {
 // serialization in the X-Karl-Delete-Pos header — the fresh-follower
 // bootstrap unit.
 func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request) {
-	delPos := s.rsrc.DeletePos()
+	delPos := s.loc.rsrc.DeletePos()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(replica.DeletePosHeader, strconv.FormatUint(delPos, 10))
 	// An error mid-stream cannot change the status line; the client sees
 	// a truncated gob, which ReadDynamic rejects loudly.
-	_, _ = s.rsrc.WriteTo(w)
+	_, _ = s.loc.rsrc.WriteTo(w)
 }
 
 // handleReplicateTail answers one incremental pull: everything above
 // the follower's fence and delete position as one consistent batch.
-// HTTP 409 is the resync verdict (trimmed delete log, coreset history)
-// — HTTPSource maps it back to karl.ErrReplicaResync.
+// HTTP 409 is the resync verdict (trimmed delete log, a straddled timed
+// segment) — HTTPSource maps it back to karl.ErrReplicaResync.
 func (s *Server) handleReplicateTail(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	fence, err := strconv.ParseUint(q.Get("fence"), 10, 64)
@@ -101,7 +101,7 @@ func (s *Server) handleReplicateTail(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{`invalid "deletes" query parameter`})
 		return
 	}
-	b, err := s.rsrc.PullBatch(fence, delPos)
+	b, err := s.loc.rsrc.PullBatch(fence, delPos)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, karl.ErrReplicaResync) {

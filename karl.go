@@ -95,7 +95,6 @@ type buildConfig struct {
 	kind      IndexKind
 	leafCap   int
 	method    Method
-	maxDepth  int
 	batchExec BatchExecutor
 
 	// Coreset construction knobs, consulted only by BuildCoreset,
@@ -109,8 +108,6 @@ type buildConfig struct {
 	sealSize      int
 	fanout        int
 	noAutoCompact bool
-	coldEps       float64
-	coldMin       int
 	ttl           time.Duration
 	halfLife      time.Duration
 	clock         func() int64
@@ -133,9 +130,6 @@ func WithIndex(kind IndexKind, leafCap int) Option {
 
 // WithMethod selects the bounding method (default MethodKARL).
 func WithMethod(m Method) Option { return func(c *buildConfig) { c.method = m } }
-
-// withMaxDepth truncates refinement depth; used by the in-situ tuner.
-func withMaxDepth(d int) Option { return func(c *buildConfig) { c.maxDepth = d } }
 
 // WithSealSize sets the memtable capacity of a dynamic engine: inserts
 // buffer until this many points, then seal into one immutable segment
@@ -180,16 +174,6 @@ func WithDecayHalfLife(halfLife time.Duration) Option {
 // to drive TTL expiry and decay deterministically.
 func withClock(now func() int64) Option {
 	return func(c *buildConfig) { c.clock = now }
-}
-
-// WithColdCompaction makes a dynamic engine's background compaction
-// compress merged segments of at least minPts points into provable-error
-// coresets with normalized error bound eps — trading exactness on old
-// data for memory, in the spirit of Phillips & Tai's improved KDE
-// coresets. Mixed-sign (Type III) segments are kept lossless. Build
-// ignores it.
-func WithColdCompaction(eps float64, minPts int) Option {
-	return func(c *buildConfig) { c.coldEps, c.coldMin = eps, minPts }
 }
 
 // Engine answers kernel aggregation queries over one indexed dataset. An
@@ -247,11 +231,7 @@ func buildMatrixCfg(m *vec.Matrix, kern Kernel, cfg buildConfig) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	coreOpts := []core.Option{core.WithMethod(method)}
-	if cfg.maxDepth > 0 {
-		coreOpts = append(coreOpts, core.WithMaxDepth(cfg.maxDepth))
-	}
-	eng, err := core.New(tree, kern, coreOpts...)
+	eng, err := core.New(tree, kern, core.WithMethod(method))
 	if err != nil {
 		return nil, err
 	}

@@ -259,22 +259,25 @@ func ReadSVM(r io.Reader) (*SVM, error) {
 }
 
 // segmentPayload is the wire form of one manifest segment: a flat-index
-// payload plus the segment's identity and coreset provenance, and its
-// per-row sequence numbers and insert timestamps in insertion order with
-// the decay reference instant.
+// payload plus the segment's identity, and its per-row sequence numbers
+// and insert timestamps in insertion order with the decay reference
+// instant. Coreset and Eps belonged to the removed cold-compaction tier:
+// nothing writes them, and ReadDynamic refuses a file that set either.
 type segmentPayload struct {
 	Engine  enginePayload
 	ID      uint64
 	Coreset bool
 	Eps     float64
-	Seqs    []uint64 // nil for coresets
-	Times   []int64  // nil on untimed engines
+	Seqs    []uint64
+	Times   []int64 // nil on untimed engines
 	TimeRef int64
 }
 
 // dynamicPayload is the gob wire format for a DynamicEngine: the LSM
 // policy, the manifest as per-segment payloads, and the raw memtable rows
-// in insertion order.
+// in insertion order. ColdEps, ColdMin and ColdSeed configured the removed
+// cold-compaction tier: nothing writes them, and ReadDynamic refuses a
+// file that set any of them.
 type dynamicPayload struct {
 	Version     int
 	Dims        int
@@ -334,9 +337,6 @@ func (d *DynamicEngine) WriteTo(w io.Writer) (int64, error) {
 		SealSize:    sh.policy.SealSize,
 		Fanout:      sh.policy.Fanout,
 		AutoCompact: sh.autoCompact,
-		ColdEps:     sh.policy.ColdEps,
-		ColdMin:     sh.policy.ColdMin,
-		ColdSeed:    sh.coldSeed,
 		Epoch:       sh.man.Epoch,
 		NextID:      sh.nextID,
 		Seals:       sh.seals,
@@ -351,8 +351,6 @@ func (d *DynamicEngine) WriteTo(w io.Writer) (int64, error) {
 		p.Segments[i] = segmentPayload{
 			Engine:  treePayload(s.Tree, sh.kern, method),
 			ID:      s.ID,
-			Coreset: s.Coreset,
-			Eps:     s.Eps,
 			Seqs:    append([]uint64(nil), s.Seqs...),
 			Times:   append([]int64(nil), s.Times...),
 			TimeRef: s.TimeRef,
@@ -411,10 +409,10 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 		// A static engine stream decodes into these fields as zeroes.
 		return nil, errors.New("karl: stream has no dynamic engine payload (a static engine file? use ReadEngine)")
 	}
-	policy := segment.Policy{
-		SealSize: p.SealSize, Fanout: p.Fanout,
-		ColdEps: p.ColdEps, ColdMin: p.ColdMin,
+	if p.usedColdCompaction() {
+		return nil, errors.New("karl: dynamic engine file was written with cold compaction, which this build does not support")
 	}
+	policy := segment.Policy{SealSize: p.SealSize, Fanout: p.Fanout}
 	if err := policy.Validate(); err != nil {
 		return nil, fmt.Errorf("karl: corrupt dynamic engine payload: %w", err)
 	}
@@ -457,7 +455,6 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 		method:      method,
 		bcfg:        segment.BuildConfig{Kind: kind, LeafCap: p.LeafCap},
 		policy:      policy,
-		coldSeed:    p.ColdSeed,
 		autoCompact: p.AutoCompact,
 		ttl:         p.TTL,
 		halfLife:    float64(p.HalfLife),
@@ -481,23 +478,18 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 			return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d has %d dims, engine has %d", i, tree.Dims(), p.Dims)
 		}
 		seqs, times := sp.Seqs, sp.Times
-		if seqs != nil {
-			if len(seqs) != tree.Len() {
-				return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d has %d seqs for %d points", i, len(seqs), tree.Len())
-			}
-			for j := 1; j < len(seqs); j++ {
-				if seqs[j] <= seqs[j-1] {
-					return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d seqs not ascending", i)
-				}
+		if len(seqs) != tree.Len() {
+			return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d has %d seqs for %d points", i, len(seqs), tree.Len())
+		}
+		for j := 1; j < len(seqs); j++ {
+			if seqs[j] <= seqs[j-1] {
+				return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d seqs not ascending", i)
 			}
 		}
 		if times != nil && len(times) != tree.Len() {
 			return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d has %d times for %d points", i, len(times), tree.Len())
 		}
-		if times != nil && seqs == nil {
-			return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d has times without seqs", i)
-		}
-		man.Segs[i] = segment.New(tree, sp.ID, sp.Coreset, sp.Eps, seqs, times, sp.TimeRef)
+		man.Segs[i] = segment.New(tree, sp.ID, seqs, times, sp.TimeRef)
 	}
 	sh.man = man
 	if memN > 0 {
@@ -523,10 +515,8 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 		sh.nextSeq = 1
 	}
 	// Tombstones: parallel arrays sorted by seq. Each one is handed
-	// to the segment that stores its row; one whose row was absorbed into
-	// a lossy coreset (no longer addressable) rides with the oldest
-	// coreset segment, and one that shadows no stored row at all would
-	// subtract mass the engine does not hold.
+	// to the segment that stores its row; one that shadows no stored row
+	// would subtract mass the engine does not hold.
 	nt := len(p.TombSeqs)
 	if len(p.TombW) != nt || len(p.TombRef) != nt || len(p.TombPts) != nt*p.Dims {
 		return nil, errors.New("karl: corrupt dynamic engine payload (tombstones)")
@@ -542,9 +532,6 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 				home = s
 				break
 			}
-			if home == nil && s.Coreset && s.Seqs == nil {
-				home = s
-			}
 		}
 		if home == nil {
 			return nil, errors.New("karl: corrupt dynamic engine payload (tombstone for a row no segment stores)")
@@ -557,6 +544,17 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 		}
 	}
 	return newDynamicView(sh)
+}
+
+// usedColdCompaction reports whether the payload set any field of the
+// removed cold-compaction tier: its segments would be lossy sketches this
+// build cannot tell from exact rows.
+func (p *dynamicPayload) usedColdCompaction() bool {
+	used := p.ColdEps != 0 || p.ColdMin != 0 || p.ColdSeed != 0
+	for _, sp := range p.Segments {
+		used = used || sp.Coreset || sp.Eps != 0
+	}
+	return used
 }
 
 // countWriter tracks bytes written for the io.WriterTo-style signatures.

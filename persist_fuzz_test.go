@@ -8,7 +8,8 @@ import (
 )
 
 // fuzzSeedCorpus loads every committed golden fixture, the valid streams
-// whose index kind or bounding method this build does not have, and a few
+// this build refuses by name (an index kind or bounding method it does not
+// have, a trace of the removed cold-compaction tier), and a few
 // hand-written degenerate inputs, so both fuzzers start from accepted and
 // refused streams alike and mutate from there.
 //
@@ -30,7 +31,7 @@ func fuzzSeedCorpus(f *testing.F) {
 		}
 		f.Add(raw)
 	}
-	for _, c := range outOfEnumStreams(f) {
+	for _, c := range append(outOfEnumStreams(f), coldCompactionStreams(f)...) {
 		f.Add(c.data)
 	}
 	f.Add([]byte{})

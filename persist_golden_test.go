@@ -391,9 +391,10 @@ func TestGoldenDynamicFixturesLoad(t *testing.T) {
 	}
 }
 
-// outOfEnumStream is a valid v7 stream re-encoded with an index kind or
-// bounding method this build does not have.
-type outOfEnumStream struct {
+// refusedStream is a valid v7 stream re-encoded with something this build
+// must refuse by name: an index kind or bounding method it does not have,
+// or a trace of the removed cold-compaction tier.
+type refusedStream struct {
 	name    string
 	dynamic bool // a ReadDynamic stream; otherwise ReadEngine
 	data    []byte
@@ -403,7 +404,7 @@ type outOfEnumStream struct {
 // outOfEnumStreams hand-edits the current static and dynamic fixtures:
 // Kind 2 is what a vp-tree file written by an earlier build carries,
 // Method 9 never existed.
-func outOfEnumStreams(t testing.TB) []outOfEnumStream {
+func outOfEnumStreams(t testing.TB) []refusedStream {
 	t.Helper()
 	const kindErr = "index kind 2 (vp-tree) is not supported by this build"
 	const methodErr = "bounding method 9 is not supported by this build"
@@ -422,23 +423,23 @@ func outOfEnumStreams(t testing.TB) []outOfEnumStream {
 	if err := gob.NewDecoder(bytes.NewReader(readFixture(t, "v7_dynamic.bin"))).Decode(&dp); err != nil {
 		t.Fatal(err)
 	}
-	var out []outOfEnumStream
+	var out []refusedStream
 	bad := sp
 	bad.Kind = 2
-	out = append(out, outOfEnumStream{"static kind", false, encode(bad), kindErr})
+	out = append(out, refusedStream{"static kind", false, encode(bad), kindErr})
 	bad = sp
 	bad.Method = 9
-	out = append(out, outOfEnumStream{"static method", false, encode(bad), methodErr})
+	out = append(out, refusedStream{"static method", false, encode(bad), methodErr})
 	dbad := dp
 	dbad.Kind = 2
-	out = append(out, outOfEnumStream{"dynamic kind", true, encode(dbad), kindErr})
+	out = append(out, refusedStream{"dynamic kind", true, encode(dbad), kindErr})
 	dbad = dp
 	dbad.Method = 9
-	out = append(out, outOfEnumStream{"dynamic method", true, encode(dbad), methodErr})
+	out = append(out, refusedStream{"dynamic method", true, encode(dbad), methodErr})
 	dbad = dp
 	dbad.Segments = append([]segmentPayload(nil), dp.Segments...)
 	dbad.Segments[1].Engine.Kind = 2
-	out = append(out, outOfEnumStream{"dynamic segment kind", true, encode(dbad), kindErr})
+	out = append(out, refusedStream{"dynamic segment kind", true, encode(dbad), kindErr})
 	return out
 }
 
@@ -458,16 +459,65 @@ func TestReadRejectsUnknownKindAndMethod(t *testing.T) {
 			expect(c.name, err, c.want)
 			continue
 		}
-		_, err := ReadDynamic(bytes.NewReader(c.data))
-		expect(c.name, err, c.want)
-		// The replication paths decode with ReadDynamic, so a follower
-		// refuses such a snapshot or segment the same way.
-		fresh, ferr := NewDynamic(Gaussian(2.2))
-		if ferr != nil {
-			t.Fatal(ferr)
+		expectDynamicRefused(t, c)
+	}
+}
+
+// expectDynamicRefused checks that ReadDynamic refuses the stream with the
+// expected message — and, because the replication paths decode with
+// ReadDynamic, that a follower refuses such a snapshot or segment the same
+// way.
+func expectDynamicRefused(t *testing.T, c refusedStream) {
+	t.Helper()
+	fresh, err := NewDynamic(Gaussian(2.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, readErr := ReadDynamic(bytes.NewReader(c.data))
+	_, segErr := decodeReplicaSegment(c.data)
+	for path, err := range map[string]error{
+		"ReadDynamic":          readErr,
+		"InstallSnapshot":      fresh.InstallSnapshot(bytes.NewReader(c.data)),
+		"decodeReplicaSegment": segErr,
+	} {
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s via %s: error %v, want one containing %q", c.name, path, err, c.want)
 		}
-		expect(c.name+" via InstallSnapshot", fresh.InstallSnapshot(bytes.NewReader(c.data)), c.want)
-		_, err = decodeReplicaSegment(c.data)
-		expect(c.name+" via decodeReplicaSegment", err, c.want)
+	}
+}
+
+// coldCompactionStreams hand-edits the current dynamic fixture the ways a
+// file written with the removed cold-compaction tier differs from it: the
+// policy field set, a segment flagged as a coreset, a segment without
+// per-row sequence numbers.
+func coldCompactionStreams(t testing.TB) []refusedStream {
+	t.Helper()
+	const coldErr = "was written with cold compaction, which this build does not support"
+	edit := func(name, want string, mutate func(p *dynamicPayload)) refusedStream {
+		var p dynamicPayload
+		if err := gob.NewDecoder(bytes.NewReader(readFixture(t, "v7_dynamic.bin"))).Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&p)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+			t.Fatal(err)
+		}
+		return refusedStream{name, true, buf.Bytes(), want}
+	}
+	return []refusedStream{
+		edit("ColdEps", coldErr, func(p *dynamicPayload) { p.ColdEps = 0.1 }),
+		edit("segment Coreset", coldErr, func(p *dynamicPayload) { p.Segments[1].Coreset = true }),
+		edit("segment without Seqs", "has 0 seqs for", func(p *dynamicPayload) { p.Segments[0].Seqs = nil }),
+	}
+}
+
+// TestReadDynamicRejectsColdCompaction: a file that used the removed cold
+// tier — or holds a sealed segment without sequence numbers, which only
+// that tier produced — is an explicit load error on every path, never an
+// engine that answers TKAQ from sketched mass.
+func TestReadDynamicRejectsColdCompaction(t *testing.T) {
+	for _, c := range coldCompactionStreams(t) {
+		expectDynamicRefused(t, c)
 	}
 }
