@@ -10,25 +10,25 @@ import (
 // in parallel over engine clones (workers ≤ 0 selects GOMAXPROCS). The
 // result slice is index-aligned with queries; the first error aborts the
 // batch.
-func (e *Engine) BatchThreshold(queries [][]float64, tau float64, workers int) ([]bool, error) {
-	out, _, err := e.BatchThresholdStats(queries, tau, workers)
+func (d *Engine) BatchThreshold(queries [][]float64, tau float64, workers int) ([]bool, error) {
+	out, _, err := d.BatchThresholdStats(queries, tau, workers)
 	return out, err
 }
 
 // BatchThresholdStats is BatchThreshold plus the summed work statistics of
 // the whole batch (Iterations, NodesExpanded and PointsScanned accumulate
 // across queries; the LB/UB fields are per-query quantities and stay zero).
-func (e *Engine) BatchThresholdStats(queries [][]float64, tau float64, workers int) ([]bool, Stats, error) {
-	if err := validateBatchQueries(queries, e.Dims()); err != nil {
+func (d *Engine) BatchThresholdStats(queries [][]float64, tau float64, workers int) ([]bool, Stats, error) {
+	if err := validateBatchQueries(queries, d.Dims()); err != nil {
 		return nil, Stats{}, err
 	}
-	if e.useDual(len(queries)) {
-		return e.dualThreshold(queries, tau, workers)
+	if d.useDual(len(queries)) {
+		return d.dualThreshold(queries, tau, workers)
 	}
-	e.dualCtr.noteSequential(len(queries))
+	d.sh.dualCtr.noteSequential(len(queries))
 	out := make([]bool, len(queries))
 	per := make([]Stats, len(queries))
-	err := e.batch(queries, workers, func(eng *Engine, i int) error {
+	err := d.batch(queries, workers, func(eng *Engine, i int) error {
 		v, st, err := eng.ThresholdStats(queries[i], tau)
 		out[i], per[i] = v, st
 		return err
@@ -37,26 +37,26 @@ func (e *Engine) BatchThresholdStats(queries [][]float64, tau float64, workers i
 }
 
 // BatchApproximate answers the eKAQ for every query, index-aligned.
-func (e *Engine) BatchApproximate(queries [][]float64, eps float64, workers int) ([]float64, error) {
-	out, _, err := e.BatchApproximateStats(queries, eps, workers)
+func (d *Engine) BatchApproximate(queries [][]float64, eps float64, workers int) ([]float64, error) {
+	out, _, err := d.BatchApproximateStats(queries, eps, workers)
 	return out, err
 }
 
 // BatchApproximateStats is BatchApproximate plus the summed work
 // statistics of the whole batch.
-func (e *Engine) BatchApproximateStats(queries [][]float64, eps float64, workers int) ([]float64, Stats, error) {
-	if err := validateBatchQueries(queries, e.Dims()); err != nil {
+func (d *Engine) BatchApproximateStats(queries [][]float64, eps float64, workers int) ([]float64, Stats, error) {
+	if err := validateBatchQueries(queries, d.Dims()); err != nil {
 		return nil, Stats{}, err
 	}
 	// eps ≤ 0 keeps the sequential path so its validation error surfaces
 	// with the historical per-query shape.
-	if eps > 0 && e.useDual(len(queries)) {
-		return e.dualApproximate(queries, eps, workers)
+	if eps > 0 && d.useDual(len(queries)) {
+		return d.dualApproximate(queries, eps, workers)
 	}
-	e.dualCtr.noteSequential(len(queries))
+	d.sh.dualCtr.noteSequential(len(queries))
 	out := make([]float64, len(queries))
 	per := make([]Stats, len(queries))
-	err := e.batch(queries, workers, func(eng *Engine, i int) error {
+	err := d.batch(queries, workers, func(eng *Engine, i int) error {
 		v, st, err := eng.ApproximateStats(queries[i], eps)
 		out[i], per[i] = v, st
 		return err
@@ -65,28 +65,28 @@ func (e *Engine) BatchApproximateStats(queries [][]float64, eps float64, workers
 }
 
 // BatchAggregate computes the exact aggregate for every query.
-func (e *Engine) BatchAggregate(queries [][]float64, workers int) ([]float64, error) {
-	out, _, err := e.BatchAggregateStats(queries, workers)
+func (d *Engine) BatchAggregate(queries [][]float64, workers int) ([]float64, error) {
+	out, _, err := d.BatchAggregateStats(queries, workers)
 	return out, err
 }
 
 // BatchAggregateStats is BatchAggregate plus the summed work statistics of
 // the whole batch (every query scans all points, so PointsScanned is
 // len(queries)·Len for a successful batch).
-func (e *Engine) BatchAggregateStats(queries [][]float64, workers int) ([]float64, Stats, error) {
-	if err := validateBatchQueries(queries, e.Dims()); err != nil {
+func (d *Engine) BatchAggregateStats(queries [][]float64, workers int) ([]float64, Stats, error) {
+	if err := validateBatchQueries(queries, d.Dims()); err != nil {
 		return nil, Stats{}, err
 	}
 	// Exact aggregation scans every point per query regardless of grouping,
 	// so the dual path runs only when explicitly forced (where it matches
 	// the sequential results bitwise).
-	if e.batchExec == BatchDualTree && len(queries) > 0 {
-		return e.dualAggregate(queries, workers)
+	if d.sh.batchExec == BatchDualTree && len(queries) > 0 && d.Len() > 0 {
+		return d.dualAggregate(queries, workers)
 	}
-	e.dualCtr.noteSequential(len(queries))
+	d.sh.dualCtr.noteSequential(len(queries))
 	out := make([]float64, len(queries))
 	per := make([]Stats, len(queries))
-	err := e.batch(queries, workers, func(eng *Engine, i int) error {
+	err := d.batch(queries, workers, func(eng *Engine, i int) error {
 		v, st, err := eng.AggregateStats(queries[i])
 		out[i], per[i] = v, st
 		return err
@@ -106,17 +106,11 @@ func sumStats(per []Stats) Stats {
 	return total
 }
 
-// batch fans queries across worker clones. Each worker owns a clone, so
-// the engines' scratch state is never shared.
-func (e *Engine) batch(queries [][]float64, workers int, fn func(eng *Engine, i int) error) error {
-	return runBatch(e, (*Engine).Clone, len(queries), workers, fn)
-}
-
-// runBatch is the shared work-stealing fan-out behind the Engine and
-// DynamicEngine batch APIs: n items are claimed one at a time by workers
-// that each query through their own clone of self, so no query scratch is
-// ever shared. The first error aborts the batch.
-func runBatch[E any](self E, clone func(E) E, n, workers int, fn func(eng E, i int) error) error {
+// batch fans n queries across worker clones: items are claimed one at a
+// time by workers that each query through their own clone, so no query
+// scratch is ever shared. The first error aborts the batch.
+func (d *Engine) batch(queries [][]float64, workers int, fn func(eng *Engine, i int) error) error {
+	n := len(queries)
 	if n == 0 {
 		return nil
 	}
@@ -128,7 +122,7 @@ func runBatch[E any](self E, clone func(E) E, n, workers int, fn func(eng E, i i
 	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(self, i); err != nil {
+			if err := fn(d, i); err != nil {
 				return fmt.Errorf("karl: batch query %d: %w", i, err)
 			}
 		}
@@ -161,7 +155,7 @@ func runBatch[E any](self E, clone func(E) E, n, workers int, fn func(eng E, i i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := clone(self)
+			eng := d.Clone()
 			for {
 				i := claim()
 				if i < 0 {

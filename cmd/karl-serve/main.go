@@ -2,10 +2,13 @@
 //
 // Usage:
 //
-//	karl-serve -model engine.karl -addr :8080        # saved engine file
-//	karl-serve -points data.txt -gamma 2 -addr :8080 # build from vectors
-//	karl-serve -mutable -gamma 2 -addr :8080         # empty dynamic engine
-//	karl-serve -mutable -model dyn.karl -addr :8080  # saved dynamic engine
+//	karl-serve -model engine.karl -addr :8080          # saved engine, read-only
+//	karl-serve -points data.txt -gamma 2 -addr :8080   # build from vectors
+//	karl-serve -mutable -gamma 2 -addr :8080           # start empty, accept writes
+//	karl-serve -mutable -model engine.karl -addr :8080 # saved engine, accept writes
+//
+// -model reads any file Engine.WriteTo wrote; -mutable decides which routes
+// exist, not which files load.
 //
 // Endpoints:
 //
@@ -27,21 +30,19 @@
 // eligible for the -sketch-eps coreset tier.
 //
 // Requests are served concurrently over a pool of engine clones sharing
-// one immutable index; SIGINT/SIGTERM drain in-flight requests before
-// exiting.
+// one dataset; SIGINT/SIGTERM drain in-flight requests before exiting.
 //
-// With -mutable the server wraps a segmented dynamic engine: POST
-// /v1/insert appends points (returning their IDs) and DELETE /v1/point
-// removes them by ID while queries keep serving, background compaction
-// maintains the segment manifest, and no request ever waits on an index
-// rebuild. Start empty (just -mutable, with -gamma for the kernel), seed
-// from a dynamic engine file (-model, written by DynamicEngine.WriteTo),
-// or replay vectors from -points as inserts. Streaming retention is
-// configured at startup: -window expires points older than the given age
-// (a sliding window, enforced lazily at seal/compaction), and
+// With -mutable the server also mounts the write routes: POST /v1/insert
+// appends points (returning their IDs) and DELETE /v1/point removes them by
+// ID while queries keep serving, background compaction maintains the
+// segment manifest, and no request ever waits on an index rebuild. Start
+// empty (just -mutable, with -gamma for the kernel), from a saved engine
+// (-model), or from vectors bulk-loaded from -points. Streaming retention
+// is configured at startup: -window expires points older than the given
+// age (a sliding window, enforced lazily at seal/compaction), and
 // -decay-halflife down-weights every point exponentially with age so
 // recent data dominates without ever rebuilding. The -sketch-eps tier
-// requires an immutable engine and is rejected.
+// needs a dataset that stays put and is rejected.
 //
 // With -coordinator the process serves no data itself: it scatter-gathers
 // over remote karl-serve shards (split a saved engine with karl-shard):
@@ -102,6 +103,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -116,13 +118,13 @@ import (
 
 func main() {
 	var (
-		model    = flag.String("model", "", "saved engine file (from Engine.WriteTo / karl-train)")
+		model    = flag.String("model", "", "saved engine file (from Engine.WriteTo)")
 		points   = flag.String("points", "", "whitespace-separated vectors to index directly")
 		gamma    = flag.Float64("gamma", 1, "Gaussian gamma when building from -points")
 		addr     = flag.String("addr", ":8080", "listen address")
 		poolSize = flag.Int("pool", 0, "max idle engine clones retained (0 = 2·GOMAXPROCS)")
 		sketch   = flag.Float64("sketch-eps", 0, "enable the coreset tier: serve normalized-budget (eps_norm ≥ this bound) approximate queries from a sketch (0 = off)")
-		mutable  = flag.Bool("mutable", false, "serve a segmented dynamic engine with POST /v1/insert and DELETE /v1/point (see -seal-size, -fanout)")
+		mutable  = flag.Bool("mutable", false, "also serve POST /v1/insert and DELETE /v1/point (see -seal-size, -fanout)")
 		sealSize = flag.Int("seal-size", 0, "memtable seal threshold for -mutable (0 = library default)")
 		fanout   = flag.Int("fanout", 0, "compaction fanout for -mutable (0 = library default)")
 		window   = flag.Duration("window", 0, "sliding-window TTL for -mutable: points older than this expire at seal/compaction (0 = keep forever)")
@@ -168,76 +170,55 @@ func main() {
 		opts = append(opts, server.WithSketchTier(*sketch))
 	}
 
+	if !*mutable && *model == "" && *points == "" {
+		fmt.Fprintln(os.Stderr, "karl-serve: need -model or -points (or -mutable)")
+		flag.Usage()
+		os.Exit(2)
+	}
+	eng, err := loadEngine(*model, *points, *gamma, *sealSize, *fanout, *window, *halfLife)
+	if err != nil {
+		log.Fatalf("karl-serve: %v", err)
+	}
+	// Loading leaves garbage several times the engine's size behind (gob
+	// holds a whole file as one message), and the collector last ran while
+	// that was still reachable, so its next target is sized for the load,
+	// not for serving. Collect once: from here the heap is paced by what the
+	// engine really holds.
+	runtime.GC()
 	var srv *server.Server
 	var banner string
-	if *mutable {
-		d, err := buildDynamic(*model, *points, *gamma, *sealSize, *fanout, *window, *halfLife)
-		if err != nil {
-			log.Fatalf("karl-serve: %v", err)
-		}
-		if *replicaOf != "" {
-			// Follower mode: the engine starts empty (validateFlags
-			// rejects -model/-points), bootstraps from the leader's
-			// snapshot, and converges through the continuous pull loop.
-			// The applier's snapshot install adopts the leader's kernel
-			// and maintenance config wholesale, so -gamma etc. need not
-			// match the leader. Writes answer 409 until promotion.
-			leader := strings.TrimRight(*replicaOf, "/")
-			a := replica.NewApplier(d, replica.NewHTTPSource(leader))
-			// The local engine was configured by this process's flags,
-			// not the leader's: bootstrap from the leader's snapshot so
-			// its kernel and maintenance config are adopted wholesale.
-			a.BootstrapFromSnapshot()
-			srv, err = server.NewMutable(d, append(opts, server.WithReplicaApplier(a))...)
-			if err != nil {
-				log.Fatalf("karl-serve: %v", err)
+	switch {
+	case *replicaOf != "":
+		// Follower mode: the engine starts empty (validateFlags rejects
+		// -model/-points), bootstraps from the leader's snapshot, and
+		// converges through the continuous pull loop. The snapshot install
+		// adopts the leader's kernel and maintenance config wholesale, so
+		// -gamma etc. need not match the leader. Writes answer 409 until
+		// promotion.
+		leader := strings.TrimRight(*replicaOf, "/")
+		a := replica.NewApplier(eng, replica.NewHTTPSource(leader))
+		a.BootstrapFromSnapshot()
+		srv, err = server.NewMutable(eng, append(opts, server.WithReplicaApplier(a))...)
+		go func() {
+			// Run exits nil on promotion; the background context never
+			// ends, so any return with an error is fatal news.
+			if err := a.Run(context.Background(), 0); err != nil {
+				log.Printf("karl-serve: replication pull loop stopped: %v", err)
 			}
-			go func() {
-				// Run exits nil on promotion; the background context
-				// never ends, so any return with an error is fatal news.
-				if err := a.Run(context.Background(), 0); err != nil {
-					log.Printf("karl-serve: replication pull loop stopped: %v", err)
-				}
-			}()
-			banner = fmt.Sprintf("serving replication follower of %s on %s", leader, *addr)
-			run(srv, banner, *addr, *addrFile, *readTO, *writeTO, *idleTO, *headerTO, *drainTO)
-			return
-		}
-		srv, err = server.NewMutable(d, opts...)
-		if err != nil {
-			log.Fatalf("karl-serve: %v", err)
-		}
+		}()
+		banner = fmt.Sprintf("serving replication follower of %s on %s", leader, *addr)
+	case *mutable:
+		srv, err = server.NewMutable(eng, opts...)
 		banner = fmt.Sprintf("serving mutable engine: %d points (%d dims, %v kernel, %d segments) on %s",
-			d.Len(), d.Dims(), d.Kernel().Kind, len(d.Segments()), *addr)
-	} else {
-		var eng *karl.Engine
-		var err error
-		switch {
-		case *model != "":
-			f, err2 := os.Open(*model)
-			if err2 != nil {
-				log.Fatalf("karl-serve: %v", err2)
-			}
-			eng, err = karl.ReadEngine(f)
-			f.Close()
-		case *points != "":
-			eng, err = buildFromFile(*points, *gamma)
-		default:
-			fmt.Fprintln(os.Stderr, "karl-serve: need -model or -points (or -mutable)")
-			flag.Usage()
-			os.Exit(2)
-		}
-		if err != nil {
-			log.Fatalf("karl-serve: %v", err)
-		}
+			eng.Len(), eng.Dims(), eng.Kernel().Kind, len(eng.Segments()), *addr)
+	default:
 		srv, err = server.New(eng, opts...)
-		if err != nil {
-			log.Fatalf("karl-serve: %v", err)
-		}
 		banner = fmt.Sprintf("serving %d points (%d dims, %v kernel) on %s",
 			eng.Len(), eng.Dims(), eng.Kernel().Kind, *addr)
 	}
-
+	if err != nil {
+		log.Fatalf("karl-serve: %v", err)
+	}
 	run(srv, banner, *addr, *addrFile, *readTO, *writeTO, *idleTO, *headerTO, *drainTO)
 }
 
@@ -480,24 +461,23 @@ func parseShards(s string) ([]cluster.Shard, error) {
 	return specs, nil
 }
 
-// buildDynamic assembles the engine behind a -mutable server: a saved
-// dynamic engine (-model, which carries its own kernel and policy), an
-// empty engine, or an empty engine seeded by replaying -points as
-// inserts.
-func buildDynamic(model, points string, gamma float64, sealSize, fanout int, window, halfLife time.Duration) (*karl.DynamicEngine, error) {
+// loadEngine assembles the served engine, the same way whichever routes
+// will be mounted on it: a saved engine (-model, which carries its own
+// kernel and policy), vectors bulk-loaded from -points, or nothing yet.
+func loadEngine(model, points string, gamma float64, sealSize, fanout int, window, halfLife time.Duration) (*karl.Engine, error) {
 	if model != "" {
 		if points != "" {
-			return nil, fmt.Errorf("-model and -points are mutually exclusive with -mutable")
+			return nil, fmt.Errorf("-model and -points are mutually exclusive")
 		}
 		if window != 0 || halfLife != 0 {
-			return nil, fmt.Errorf("-window and -decay-halflife are baked into a saved dynamic engine; they cannot be overridden with -model")
+			return nil, fmt.Errorf("-window and -decay-halflife are baked into a saved engine; they cannot be overridden with -model")
 		}
 		f, err := os.Open(model)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		return karl.ReadDynamic(f)
+		return karl.ReadEngine(f)
 	}
 	var opts []karl.Option
 	if sealSize > 0 {
@@ -512,31 +492,14 @@ func buildDynamic(model, points string, gamma float64, sealSize, fanout int, win
 	if halfLife > 0 {
 		opts = append(opts, karl.WithDecayHalfLife(halfLife))
 	}
-	d, err := karl.NewDynamic(karl.Gaussian(gamma), opts...)
-	if err != nil {
-		return nil, err
-	}
 	if points == "" {
-		return d, nil
+		return karl.NewDynamic(karl.Gaussian(gamma), opts...)
 	}
 	rows, err := readRows(points)
 	if err != nil {
 		return nil, err
 	}
-	for i, row := range rows {
-		if err := d.Insert(row, 1); err != nil {
-			return nil, fmt.Errorf("insert row %d: %w", i, err)
-		}
-	}
-	return d, nil
-}
-
-func buildFromFile(path string, gamma float64) (*karl.Engine, error) {
-	rows, err := readRows(path)
-	if err != nil {
-		return nil, err
-	}
-	return karl.Build(rows, karl.Gaussian(gamma))
+	return karl.Build(rows, karl.Gaussian(gamma), opts...)
 }
 
 func readRows(path string) ([][]float64, error) {

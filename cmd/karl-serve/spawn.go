@@ -47,7 +47,7 @@ func killSpawned() {
 
 // spawnExec is the cluster.SpawnFunc behind -spawn. The moved stream
 // travels through a temp -model file (deleted once the child is up:
-// ReadDynamic has fully loaded it by the time the health check passes),
+// ReadEngine has fully loaded it by the time the health check passes),
 // and the child binds 127.0.0.1:0 so concurrent splits never race over
 // a port. The returned client's name is the child's base URL — the
 // coordinator adopts it as the member's manifest name, which is what a

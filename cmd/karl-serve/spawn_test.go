@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -266,5 +267,89 @@ func waitHealthy(ctx context.Context, s *cluster.HTTPShard) error {
 			return err
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestModelFileServesEitherWay: -mutable decides which routes exist, not
+// which files load. A static engine file written before the engines were
+// merged starts under -mutable, accepts an insert, and the next query sees
+// it; a file holding several segments and a memtable serves read-only
+// without -mutable and answers /v1/insert with the 404 of any read-only
+// server.
+func TestModelFileServesEitherWay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real child processes")
+	}
+	ctx := context.Background()
+
+	trained := cluster.NewHTTPShard(spawnServe(t, "-mutable", "-model", filepath.Join("..", "..", "testdata", "persist", "v7_static.bin")))
+	if err := waitHealthy(ctx, trained); err != nil {
+		t.Fatalf("-mutable -model <static file> never healthy: %v", err)
+	}
+	q := []float64{0.45, 0.55, 0.5}
+	before, err := trained.Aggregate(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A unit-weight point at q itself adds exactly K(q,q) = 1.
+	if _, err := trained.Insert(ctx, [][]float64{q}, nil); err != nil {
+		t.Fatalf("insert into a trained model: %v", err)
+	}
+	after, err := trained.Aggregate(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(after-before-1) > 1e-9 {
+		t.Fatalf("aggregate went %v → %v across an insert at q, want +1", before, after)
+	}
+
+	d, err := karl.NewDynamic(karl.Gaussian(0.8), karl.WithSealSize(64), karl.WithAutoCompaction(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 200; i++ {
+		if err := d.Insert([]float64{rng.NormFloat64(), rng.NormFloat64()}, 0.5+rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(d.Segments()) < 2 || d.MemtableLen() == 0 {
+		t.Fatalf("fixture: %d segments, %d buffered rows; want several and some", len(d.Segments()), d.MemtableLen())
+	}
+	model := filepath.Join(t.TempDir(), "dyn.karl")
+	f, err := os.Create(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	readOnlyURL := spawnServe(t, "-model", model)
+	readOnly := cluster.NewHTTPShard(readOnlyURL)
+	if err := waitHealthy(ctx, readOnly); err != nil {
+		t.Fatalf("-model <dynamic file> without -mutable never healthy: %v", err)
+	}
+	q2 := []float64{0.25, -0.4}
+	want, err := d.Aggregate(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := readOnly.Aggregate(ctx, q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("read-only server over a dynamic file answers %v, the engine it was written from %v", got, want)
+	}
+	resp, err := http.Post(readOnlyURL+"/v1/insert", "application/json", strings.NewReader(`{"p":[0,0]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/v1/insert on a read-only server: status %d, want 404", resp.StatusCode)
 	}
 }

@@ -115,11 +115,6 @@ func WithCoresetSeed(seed int64) Option {
 	return func(c *buildConfig) { c.coresetSeed = seed }
 }
 
-// WithCoresetMinSize floors the coreset cardinality (default 32).
-func WithCoresetMinSize(n int) Option {
-	return func(c *buildConfig) { c.coresetMinSize = n }
-}
-
 // BuildCoreset sketches the points down to an error-bounded coreset and
 // indexes the coreset, so queries run through the same KARL bound
 // machinery over far fewer points. The resulting engine answers with
@@ -138,34 +133,28 @@ func BuildCoreset(points [][]float64, kern Kernel, eps float64, opts ...Option) 
 	return sketchAndBuild(vec.FromRows(points), cfg.weights, kern, eps, cfg)
 }
 
-// Sketch derives a coreset engine from an already-built engine: the
-// indexed points are reduced with the requested guarantee and re-indexed
-// under the same kernel, index structure and bounding method. opts may
-// override the coreset construction (WithCoresetMethod, WithCoresetSeed,
-// WithCoresetMinSize) and the index layout of the derived engine.
-func (e *Engine) Sketch(eps float64, opts ...Option) (*Engine, error) {
-	tree := e.tree
-	cfg := defaultBuildConfig()
-	cfg.kind = publicIndexKind(tree.Kind)
-	cfg.leafCap = tree.LeafCap
-	cfg.method = publicMethod(e.eng.Method())
+// Sketch derives a coreset engine from this one: its live points are
+// reduced with the requested guarantee and re-indexed under the same
+// kernel, index structure and bounding method. opts may override the
+// coreset construction (WithCoresetMethod, WithCoresetSeed) and the index
+// layout of the derived engine.
+func (d *Engine) Sketch(eps float64, opts ...Option) (*Engine, error) {
+	tree, kern, cfg, err := d.liveSet()
+	if err != nil {
+		return nil, err
+	}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	var weights []float64
-	if tree.Weights != nil {
-		weights = tree.Weights
-	}
-	return sketchAndBuild(tree.Points, weights, e.kern, eps, cfg)
+	return sketchAndBuild(tree.Points, tree.Weights, kern, eps, cfg)
 }
 
 // sketchAndBuild runs the construction and indexes the result, attaching
 // provenance. It is the shared core of BuildCoreset and Engine.Sketch.
 func sketchAndBuild(points *vec.Matrix, weights []float64, kern Kernel, eps float64, cfg buildConfig) (*Engine, error) {
 	sk, err := coreset.Build(points, weights, kern, eps, coreset.Config{
-		Method:  coresetMethodOf(cfg.coresetMethod),
-		Seed:    cfg.coresetSeed,
-		MinSize: cfg.coresetMinSize,
+		Method: coresetMethodOf(cfg.coresetMethod),
+		Seed:   cfg.coresetSeed,
 	})
 	if err != nil {
 		return nil, err
@@ -175,7 +164,7 @@ func sketchAndBuild(points *vec.Matrix, weights []float64, kern Kernel, eps floa
 	if err != nil {
 		return nil, err
 	}
-	eng.sketch = &SketchInfo{
+	eng.sh.sketch = &SketchInfo{
 		SourceLen:    sk.SourceN,
 		SourceWeight: sk.SourceW,
 		Len:          sk.Len(),
@@ -188,12 +177,12 @@ func sketchAndBuild(points *vec.Matrix, weights []float64, kern Kernel, eps floa
 }
 
 // SketchInfo reports the engine's coreset provenance. ok is false for
-// engines indexing their full source set.
-func (e *Engine) SketchInfo() (info SketchInfo, ok bool) {
-	if e.sketch == nil {
+// engines that were not built as a coreset of a larger set.
+func (d *Engine) SketchInfo() (info SketchInfo, ok bool) {
+	if d.sh.sketch == nil {
 		return SketchInfo{}, false
 	}
-	return *e.sketch, true
+	return *d.sh.sketch, true
 }
 
 // Compress sketches the estimator's point set down to an error-bounded

@@ -65,13 +65,14 @@ func TestEngineSketchInheritsLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sk.tree.Kind.String(); got != "ball-tree" {
+	tree := sk.sh.man.Segs[0].Tree
+	if got := tree.Kind.String(); got != "ball-tree" {
 		t.Fatalf("index kind not inherited: %v", got)
 	}
-	if sk.tree.LeafCap != 24 {
-		t.Fatalf("leaf capacity not inherited: %d", sk.tree.LeafCap)
+	if tree.LeafCap != 24 {
+		t.Fatalf("leaf capacity not inherited: %d", tree.LeafCap)
 	}
-	if publicMethod(sk.eng.Method()) != MethodSOTA {
+	if publicMethod(sk.sh.method) != MethodSOTA {
 		t.Fatal("bounding method not inherited")
 	}
 	if _, ok := sk.SketchInfo(); !ok {
@@ -82,7 +83,7 @@ func TestEngineSketchInheritsLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sk2.tree.Kind.String(); got != "kd-tree" {
+	if got := sk2.sh.man.Segs[0].Tree.Kind.String(); got != "kd-tree" {
 		t.Fatalf("index override ignored: %v", got)
 	}
 	info, _ := sk2.SketchInfo()

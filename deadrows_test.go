@@ -13,7 +13,7 @@ import (
 // waitMaintenance blocks until no seal or background compaction is in
 // flight; because every finished rebuild re-plans before it releases the
 // lock, a quiet engine is one whose manifest is within policy.
-func waitMaintenance(d *DynamicEngine) {
+func waitMaintenance(d *Engine) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -28,7 +28,7 @@ func waitMaintenance(d *DynamicEngine) {
 // sound), every tombstone is attributed to the segment that stores its
 // row, and — when compaction is on — no segment is left over the
 // dead-share threshold.
-func checkStorageInvariants(t *testing.T, d *DynamicEngine, wantWithinPolicy bool) {
+func checkStorageInvariants(t *testing.T, d *Engine, wantWithinPolicy bool) {
 	t.Helper()
 	sh := d.sh
 	sh.mu.Lock()
@@ -430,7 +430,7 @@ func TestDeadAttributionPersistRoundTrip(t *testing.T) {
 	if _, err := d.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := ReadDynamic(bytes.NewReader(buf.Bytes()))
+	r, err := ReadEngine(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestDeadAttributionPersistRoundTrip(t *testing.T) {
 	if _, err := bad.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadDynamic(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := ReadEngine(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatalf("loaded a stream whose tombstone shadows no stored row")
 	}
 }
@@ -490,7 +490,7 @@ func TestDeadAttributionPersistRoundTrip(t *testing.T) {
 // tombstones must stay attributed to the segments it installed, and its
 // own compaction must keep running on them.
 func TestReplicaFollowerUnderLeaderRewrites(t *testing.T) {
-	mk := func() *DynamicEngine {
+	mk := func() *Engine {
 		d, err := NewDynamic(Gaussian(1.5), WithIndex(KDTree, 8), WithSealSize(32))
 		if err != nil {
 			t.Fatal(err)

@@ -321,3 +321,42 @@ func TestDecayedQuerySteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state decayed Aggregate allocates %v objects/op, want 0", allocs)
 	}
 }
+
+// TestBuildStampsBulkLoadedRows: rows bulk-loaded by Build on a timed
+// engine age from the build instant — one half-life later they weigh half,
+// and past the TTL a Compact drops them while rows streamed in since stay.
+func TestBuildStampsBulkLoadedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	var now atomic.Int64
+	now.Store(1_700_000_000_000_000_000)
+	eng, err := Build(cloud(rng, 200, 2), Gaussian(3),
+		WithDecayHalfLife(time.Hour), WithTTL(3*time.Hour),
+		withClock(func() int64 { return now.Load() }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q := []float64{0.4, 0.4}
+	fresh, err := eng.Aggregate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now.Add(int64(time.Hour))
+	aged, err := eng.Aggregate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decayRelDiff(aged, fresh/2) > 1e-9 {
+		t.Fatalf("one half-life after Build the aggregate is %v, want half of %v", aged, fresh)
+	}
+	now.Add(int64(150 * time.Minute))
+	if err := eng.Insert(q, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Len() != 1 {
+		t.Fatalf("past the TTL a Compact left %d points, want only the streamed one", eng.Len())
+	}
+}

@@ -49,7 +49,7 @@ func TestDeleteMetamorphicGate(t *testing.T) {
 					}
 					victim := func(i int) bool { return i%3 == 1 }
 
-					build := func() *DynamicEngine {
+					build := func() *Engine {
 						d, err := NewDynamic(mk(), WithIndex(kind, 16),
 							WithSealSize(64), WithCompactionFanout(2))
 						if err != nil {
@@ -543,7 +543,7 @@ func TestNoStopTheWorldDeletes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	measure := func(d *DynamicEngine, churning bool) time.Duration {
+	measure := func(d *Engine, churning bool) time.Duration {
 		ids := make([]uint64, 0, churn)
 		lat := make([]time.Duration, 0, queries)
 		for i := 0; i < queries; i++ {

@@ -30,7 +30,6 @@ const (
 )
 
 // WithBatchExecutor fixes the batch execution strategy (default BatchAuto).
-// Build and NewDynamic both honor it.
 func WithBatchExecutor(x BatchExecutor) Option {
 	return func(c *buildConfig) { c.batchExec = x }
 }
@@ -107,17 +106,14 @@ func (c *dualCounters) snapshot() DualTreeStats {
 	}
 }
 
-// DualTreeStats reports the engine's cumulative batch-executor telemetry.
-func (e *Engine) DualTreeStats() DualTreeStats { return e.dualCtr.snapshot() }
-
-// DualTreeStats reports the dynamic engine's cumulative batch-executor
-// telemetry (shared across clones).
-func (d *DynamicEngine) DualTreeStats() DualTreeStats { return d.sh.dualCtr.snapshot() }
+// DualTreeStats reports the engine's cumulative batch-executor telemetry
+// (shared across clones).
+func (d *Engine) DualTreeStats() DualTreeStats { return d.sh.dualCtr.snapshot() }
 
 // validateBatchQueries fail-fasts a whole batch before any evaluation
 // starts, mirroring InsertBulk's all-or-nothing contract: a bad row rejects
 // the batch naming the offending query, with no partial results computed.
-// dims ≤ 0 (an empty dynamic engine) checks internal consistency against
+// dims ≤ 0 (an empty engine) checks internal consistency against
 // the first row instead.
 func validateBatchQueries(queries [][]float64, dims int) error {
 	if len(queries) == 0 {
@@ -137,19 +133,6 @@ func validateBatchQueries(queries [][]float64, dims int) error {
 		}
 	}
 	return nil
-}
-
-// dualEligible is the cutover heuristic shared by both engines: BatchAuto
-// takes the dual-tree executor above the batch- and engine-size floors.
-func dualEligible(exec BatchExecutor, n, points int) bool {
-	switch exec {
-	case BatchSequential:
-		return false
-	case BatchDualTree:
-		return n > 0
-	default:
-		return n >= dualTreeMinBatch && points >= dualTreeMinPoints
-	}
 }
 
 // dualCoreStats folds dual-tree traversal work into the public batch Stats
@@ -213,71 +196,14 @@ func runDual(queries [][]float64, workers int,
 	return total, firstErr
 }
 
-// dualConfig builds the executor configuration matching this engine's
-// sequential contract exactly.
-func (e *Engine) dualConfig() dualtree.Config {
-	return dualtree.Config{Kernel: kernel.Params(e.kern), Method: e.eng.Method()}
-}
-
-func (e *Engine) useDual(n int) bool {
-	return dualEligible(e.batchExec, n, e.Len())
-}
-
-func (e *Engine) dualThreshold(queries [][]float64, tau float64, workers int) ([]bool, Stats, error) {
-	out := make([]bool, len(queries))
-	st, err := runDual(queries, workers, func(chunk *vec.Matrix, lo int) (dualtree.Stats, error) {
-		x, err := dualtree.New(e.dualConfig(), []*index.Tree{e.tree})
-		if err != nil {
-			return dualtree.Stats{}, err
-		}
-		return x.Threshold(chunk, tau, nil, out[lo:lo+chunk.Rows])
-	})
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("karl: dual-tree batch: %w", err)
-	}
-	e.dualCtr.noteDual(st)
-	return out, dualCoreStats(st), nil
-}
-
-func (e *Engine) dualApproximate(queries [][]float64, eps float64, workers int) ([]float64, Stats, error) {
-	out := make([]float64, len(queries))
-	st, err := runDual(queries, workers, func(chunk *vec.Matrix, lo int) (dualtree.Stats, error) {
-		x, err := dualtree.New(e.dualConfig(), []*index.Tree{e.tree})
-		if err != nil {
-			return dualtree.Stats{}, err
-		}
-		return x.Approximate(chunk, eps, nil, out[lo:lo+chunk.Rows])
-	})
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("karl: dual-tree batch: %w", err)
-	}
-	e.dualCtr.noteDual(st)
-	return out, dualCoreStats(st), nil
-}
-
-func (e *Engine) dualAggregate(queries [][]float64, workers int) ([]float64, Stats, error) {
-	out := make([]float64, len(queries))
-	st, err := runDual(queries, workers, func(chunk *vec.Matrix, lo int) (dualtree.Stats, error) {
-		x, err := dualtree.New(e.dualConfig(), []*index.Tree{e.tree})
-		if err != nil {
-			return dualtree.Stats{}, err
-		}
-		return x.Aggregate(chunk, nil, out[lo:lo+chunk.Rows])
-	})
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("karl: dual-tree batch: %w", err)
-	}
-	e.dualCtr.noteDual(st)
-	return out, dualCoreStats(st), nil
-}
-
-// dynBatchSnap is the one-lock snapshot a dynamic dual-tree batch runs
+// dynBatchSnap is the one-lock snapshot a dual-tree batch runs
 // over: the manifest's segment trees with their decay scales, plus every
 // buffered point (memtable and sealing buffer) and every pending tombstone
 // flattened into one copied point block with signed, pre-decayed weights
 // (tombstones negative). Each query's exact base term is then computed
 // outside the lock, so queries never hold mu while scanning.
 type dynBatchSnap struct {
+	cfg    dualtree.Config
 	trees  []*index.Tree
 	scales []float64
 	pts    *vec.Matrix
@@ -287,7 +213,7 @@ type dynBatchSnap struct {
 // batchSnapshot captures the dataset state for one batch at one instant.
 // Decay is evaluated once for the whole batch — the same way a single
 // sequential query evaluates it once for all segments.
-func (d *DynamicEngine) batchSnapshot(dims int) (*dynBatchSnap, error) {
+func (d *Engine) batchSnapshot(dims int) (*dynBatchSnap, error) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -303,7 +229,10 @@ func (d *DynamicEngine) batchSnapshot(dims int) (*dynBatchSnap, error) {
 		nowT = sh.now()
 	}
 	decayed := sh.halfLife > 0
-	snap := &dynBatchSnap{trees: sh.man.Trees()}
+	snap := &dynBatchSnap{
+		cfg:   dualtree.Config{Kernel: kernel.Params(sh.kern), Method: sh.method},
+		trees: sh.man.Trees(),
+	}
 	extra := sh.mem.len() + sh.sealing.len() + sh.tombstonesLocked()
 	if extra > 0 {
 		snap.pts = vec.NewMatrix(extra, sh.dims)
@@ -345,7 +274,7 @@ func (d *DynamicEngine) batchSnapshot(dims int) (*dynBatchSnap, error) {
 
 // bases computes the exact per-query base terms of the snapshot's buffered
 // mass for one chunk (nil when the snapshot has no buffered points).
-func (s *dynBatchSnap) bases(kern kernel.Params, chunk *vec.Matrix) []float64 {
+func (s *dynBatchSnap) bases(chunk *vec.Matrix) []float64 {
 	if len(s.ws) == 0 {
 		return nil
 	}
@@ -354,48 +283,49 @@ func (s *dynBatchSnap) bases(kern kernel.Params, chunk *vec.Matrix) []float64 {
 		q := chunk.Row(i)
 		var b float64
 		for j, w := range s.ws {
-			b += w * kern.Eval(q, s.pts.Row(j))
+			b += w * s.cfg.Kernel.Eval(q, s.pts.Row(j))
 		}
 		base[i] = b
 	}
 	return base
 }
 
-func (d *DynamicEngine) useDual(n int) bool {
-	if n == 0 {
-		return false
-	}
+// useDual is the batch cutover: BatchAuto takes the dual-tree executor
+// above the batch- and engine-size floors.
+func (d *Engine) useDual(n int) bool {
 	points := d.Len()
-	if points == 0 {
-		// Keep the sequential path's "dynamic engine is empty" contract.
+	if n == 0 || points == 0 {
+		// An empty engine keeps the sequential path's "engine is empty"
+		// contract.
 		return false
 	}
-	return dualEligible(d.sh.batchExec, n, points)
+	switch d.sh.batchExec {
+	case BatchSequential:
+		return false
+	case BatchDualTree:
+		return true
+	default:
+		return n >= dualTreeMinBatch && points >= dualTreeMinPoints
+	}
 }
 
-func (d *DynamicEngine) dualConfig() dualtree.Config {
-	sh := d.sh
-	return dualtree.Config{Kernel: kernel.Params(sh.kern), Method: sh.method}
-}
-
-// runDualDyn is the dynamic-engine chunk runner: one snapshot for the whole
-// batch, one executor plus exact base scan per chunk.
-func (d *DynamicEngine) runDualDyn(queries [][]float64, workers int,
+// runDualDyn is the chunk runner: one snapshot for the whole batch, one
+// executor plus exact base scan per chunk.
+func (d *Engine) runDualDyn(queries [][]float64, workers int,
 	serve func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error)) (Stats, error) {
 	snap, err := d.batchSnapshot(len(queries[0]))
 	if err != nil {
 		return Stats{}, err
 	}
-	kern := kernel.Params(d.sh.kern)
 	st, err := runDual(queries, workers, func(chunk *vec.Matrix, lo int) (dualtree.Stats, error) {
-		x, err := dualtree.New(d.dualConfig(), snap.trees)
+		x, err := dualtree.New(snap.cfg, snap.trees)
 		if err != nil {
 			return dualtree.Stats{}, err
 		}
 		if err := x.SetScales(snap.scales); err != nil {
 			return dualtree.Stats{}, err
 		}
-		base := snap.bases(kern, chunk)
+		base := snap.bases(chunk)
 		cst, err := serve(x, chunk, base, lo)
 		// The buffered-mass scan is real per-query work, mirrored into the
 		// same counter the sequential snapshot charges it to.
@@ -409,7 +339,7 @@ func (d *DynamicEngine) runDualDyn(queries [][]float64, workers int,
 	return dualCoreStats(st), nil
 }
 
-func (d *DynamicEngine) dualThreshold(queries [][]float64, tau float64, workers int) ([]bool, Stats, error) {
+func (d *Engine) dualThreshold(queries [][]float64, tau float64, workers int) ([]bool, Stats, error) {
 	out := make([]bool, len(queries))
 	st, err := d.runDualDyn(queries, workers, func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error) {
 		return x.Threshold(chunk, tau, base, out[lo:lo+chunk.Rows])
@@ -420,7 +350,7 @@ func (d *DynamicEngine) dualThreshold(queries [][]float64, tau float64, workers 
 	return out, st, nil
 }
 
-func (d *DynamicEngine) dualApproximate(queries [][]float64, eps float64, workers int) ([]float64, Stats, error) {
+func (d *Engine) dualApproximate(queries [][]float64, eps float64, workers int) ([]float64, Stats, error) {
 	out := make([]float64, len(queries))
 	st, err := d.runDualDyn(queries, workers, func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error) {
 		return x.Approximate(chunk, eps, base, out[lo:lo+chunk.Rows])
@@ -431,7 +361,7 @@ func (d *DynamicEngine) dualApproximate(queries [][]float64, eps float64, worker
 	return out, st, nil
 }
 
-func (d *DynamicEngine) dualAggregate(queries [][]float64, workers int) ([]float64, Stats, error) {
+func (d *Engine) dualAggregate(queries [][]float64, workers int) ([]float64, Stats, error) {
 	out := make([]float64, len(queries))
 	st, err := d.runDualDyn(queries, workers, func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error) {
 		return x.Aggregate(chunk, base, out[lo:lo+chunk.Rows])

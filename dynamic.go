@@ -9,16 +9,19 @@ import (
 
 	"karl/internal/bound"
 	"karl/internal/core"
+	"karl/internal/index"
 	"karl/internal/kernel"
 	"karl/internal/segment"
 	"karl/internal/vec"
 )
 
-// DynamicEngine serves kernel aggregation queries while the point set
-// grows — the online scenario the paper's in-situ section motivates —
-// without ever blocking a query on an index rebuild. It is organized like
-// a small LSM tree:
+// Engine answers kernel aggregation queries over a point set that may
+// keep changing — bulk-loaded by Build, streamed in by Insert, or both —
+// without ever blocking a query on an index rebuild. It is organized like a
+// small LSM tree:
 //
+//   - Build installs its matrix as one sealed SEGMENT (an immutable flat
+//     index); an engine from NewDynamic starts with none.
 //   - Inserts land in a fixed-capacity MEMTABLE that queries scan exactly.
 //   - When the memtable fills it is SEALED: a small immutable flat-index
 //     segment is built off the query path and appended to the MANIFEST,
@@ -33,14 +36,17 @@ import (
 // queue (core.Forest), with the memtable folded in as an exact base term
 // on both global bounds — so Threshold and Approximate guarantees hold
 // relative to the true total over ALL current points, including the
-// mixed-sign case where memtable and indexed parts nearly cancel.
+// mixed-sign case where memtable and indexed parts nearly cancel. An engine
+// holding exactly one segment and nothing else — every built or compacted
+// engine — takes the forest's single-segment loop, the plain best-first
+// refinement of the paper.
 //
-// A DynamicEngine value is not safe for concurrent QUERIES — like Engine,
-// it owns per-query scratch. Clone once per goroutine: clones share the
-// mutable dataset (inserts through any clone are visible to all) but own
-// their query state. Insert, Compact and Close may be called from any
-// goroutine concurrently with queries on other clones.
-type DynamicEngine struct {
+// An Engine value is not safe for concurrent QUERIES — it owns per-query
+// scratch. Clone once per goroutine: clones share the dataset (inserts
+// through any clone are visible to all) but own their query state. Insert,
+// Delete, Compact and Close may be called from any goroutine concurrently
+// with queries on other clones.
+type Engine struct {
 	sh *dynShared
 
 	// f refines over the manifest snapshot of epoch fEpoch; fSet records
@@ -127,25 +133,14 @@ func (b *memtable) run() segment.MemRun {
 	return segment.MemRun{M: b.m, W: b.w, N: b.n, Seqs: b.seq, Times: b.t}
 }
 
-// dynShared is the mutable dataset state shared by every clone of one
-// dynamic engine. All fields are guarded by mu; cond broadcasts every
-// state transition (seal finished, compaction finished, drain finished).
-type dynShared struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	kern   Kernel
-	method bound.Method
-	bcfg   segment.BuildConfig
-	policy segment.Policy
-
-	// batchExec routes the Batch* methods (dual.go); dualCtr is the
-	// batch-executor telemetry shared by every clone. Both are immutable
-	// after construction (dualCtr's fields are atomic), so they are read
-	// without mu.
-	batchExec BatchExecutor
-	dualCtr   *dualCounters
-
+// dynConfig is what an engine is configured with — the part of its state a
+// split hands to the sibling it creates and a replica adopts wholesale from
+// its leader's snapshot.
+type dynConfig struct {
+	kern        Kernel
+	method      bound.Method
+	bcfg        segment.BuildConfig
+	policy      segment.Policy
 	autoCompact bool
 
 	// ttl > 0 expires points that many nanoseconds after insertion
@@ -154,7 +149,33 @@ type dynShared struct {
 	// "timed": memtables then stamp per-row insert times from now().
 	ttl      int64
 	halfLife float64
-	now      func() int64
+}
+
+// dynShared is the mutable dataset state shared by every clone of one
+// engine. All fields are guarded by mu; cond broadcasts every
+// state transition (seal finished, compaction finished, drain finished).
+type dynShared struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+
+	dynConfig
+
+	// batchExec routes the Batch* methods (dual.go); dualCtr is the
+	// batch-executor telemetry shared by every clone. Both are immutable
+	// after construction (dualCtr's fields are atomic), so they are read
+	// without mu.
+	batchExec BatchExecutor
+	dualCtr   *dualCounters
+
+	// sketch and shardProv record how the bulk-loaded set was made — a
+	// coreset of a larger set (BuildCoreset / Sketch), one shard of a
+	// partition (Shard) — and are nil otherwise. Set before the engine is
+	// shared, read-only afterwards.
+	sketch    *SketchInfo
+	shardProv *ShardProvenance
+
+	// now is the clock a timed engine stamps per-row insert times from.
+	now func() int64
 
 	dims int // fixed by the first insert (or a load); 0 = undetermined
 
@@ -216,7 +237,7 @@ type dynShared struct {
 var ErrPointNotFound = errors.New("karl: point not found")
 
 // timed reports whether rows carry insert timestamps.
-func (sh *dynShared) timed() bool { return sh.ttl > 0 || sh.halfLife > 0 }
+func (c *dynConfig) timed() bool { return c.ttl > 0 || c.halfLife > 0 }
 
 // decayAt returns the factor rebasing a weight scaled to ref onto query
 // instant now: 2^(−(now−ref)/halfLife), or 1 when decay is off.
@@ -227,20 +248,30 @@ func (sh *dynShared) decayAt(now, ref int64) float64 {
 	return math.Exp2(-float64(now-ref) / sh.halfLife)
 }
 
-// NewDynamic creates an empty dynamic engine. Index options (WithIndex,
-// WithMethod) fix how segments are built; WithSealSize and
+// NewDynamic creates an empty engine for streamed points. Index options
+// (WithIndex, WithMethod) fix how segments are built; WithSealSize and
 // WithCompactionFanout shape the LSM tiering; WithWeights is rejected —
 // weights arrive with Insert.
-func NewDynamic(kern Kernel, opts ...Option) (*DynamicEngine, error) {
-	if err := kern.Validate(); err != nil {
-		return nil, err
-	}
+func NewDynamic(kern Kernel, opts ...Option) (*Engine, error) {
 	cfg := defaultBuildConfig()
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	if cfg.weights != nil {
 		return nil, errors.New("karl: pass weights through Insert, not WithWeights")
+	}
+	sh, err := newShared(kern, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newDynamicView(sh)
+}
+
+// newShared validates a resolved configuration and returns the empty
+// dataset state every constructor starts from.
+func newShared(kern Kernel, cfg buildConfig) (*dynShared, error) {
+	if err := kern.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.leafCap < 1 {
 		return nil, fmt.Errorf("karl: leaf capacity %d out of range", cfg.leafCap)
@@ -270,24 +301,54 @@ func NewDynamic(kern Kernel, opts ...Option) (*DynamicEngine, error) {
 		return nil, err
 	}
 	sh := &dynShared{
-		kern:        kern,
-		method:      method,
-		bcfg:        segment.BuildConfig{Kind: kind, LeafCap: cfg.leafCap},
-		policy:      policy,
-		autoCompact: !cfg.noAutoCompact,
-		batchExec:   cfg.batchExec,
-		dualCtr:     &dualCounters{},
-		ttl:         int64(cfg.ttl),
-		halfLife:    float64(cfg.halfLife),
-		now:         cfg.clock,
-		man:         &segment.Manifest{},
-		nextID:      1,
-		nextSeq:     1,
+		dynConfig: dynConfig{
+			kern:        kern,
+			method:      method,
+			bcfg:        segment.BuildConfig{Kind: kind, LeafCap: cfg.leafCap},
+			policy:      policy,
+			autoCompact: !cfg.noAutoCompact,
+			ttl:         int64(cfg.ttl),
+			halfLife:    float64(cfg.halfLife),
+		},
+		batchExec: cfg.batchExec,
+		dualCtr:   &dualCounters{},
+		now:       cfg.clock,
+		man:       &segment.Manifest{},
+		nextID:    1,
+		nextSeq:   1,
 	}
 	if sh.now == nil {
 		sh.now = func() int64 { return time.Now().UnixNano() }
 	}
 	sh.cond = sync.NewCond(&sh.mu)
+	return sh, nil
+}
+
+// bulkLoad installs an already-built tree as an empty engine's first
+// sealed segment — never through the memtable→seal→compact route — and
+// returns the engine. The rows get the ids 1..n in input order; on a timed
+// engine they are stamped with the load instant, which is also the
+// segment's decay reference.
+func (sh *dynShared) bulkLoad(tree *index.Tree) (*Engine, error) {
+	n := tree.Len()
+	seqs := make([]uint64, n)
+	for i := range seqs {
+		seqs[i] = uint64(i + 1)
+	}
+	var times []int64
+	var ref int64
+	if sh.timed() {
+		nowT := sh.now()
+		times = make([]int64, n)
+		for i := range times {
+			times[i] = nowT
+		}
+		if sh.halfLife > 0 {
+			ref = nowT
+		}
+	}
+	sh.man = &segment.Manifest{Epoch: 1, Segs: []*segment.Segment{segment.New(tree, sh.nextID, seqs, times, ref)}}
+	sh.dims, sh.nextID, sh.nextSeq = tree.Dims(), sh.nextID+1, uint64(n)+1
 	return newDynamicView(sh)
 }
 
@@ -296,7 +357,7 @@ func NewDynamic(kern Kernel, opts ...Option) (*DynamicEngine, error) {
 // replica snapshot install replaces the kernel, and the generation
 // recorded here is what lets snapshot() detect a forest built against
 // the superseded config.
-func newDynamicView(sh *dynShared) (*DynamicEngine, error) {
+func newDynamicView(sh *dynShared) (*Engine, error) {
 	sh.mu.Lock()
 	params := kernel.Params(sh.kern)
 	method := sh.method
@@ -306,13 +367,13 @@ func newDynamicView(sh *dynShared) (*DynamicEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DynamicEngine{sh: sh, f: f, fCfgGen: gen}, nil
+	return &Engine{sh: sh, f: f, fCfgGen: gen}, nil
 }
 
 // Clone returns a view of the same mutable dataset with independent query
 // scratch, for use from another goroutine. Inserts through any clone are
 // visible to all clones.
-func (d *DynamicEngine) Clone() *DynamicEngine {
+func (d *Engine) Clone() *Engine {
 	c, _ := newDynamicView(d.sh) // kernel already validated
 	return c
 }
@@ -321,7 +382,7 @@ func (d *DynamicEngine) Clone() *DynamicEngine {
 // plus buffered inserts, minus pending tombstones (each tombstone cancels
 // exactly one stored row). TTL-expired points still count until a seal or
 // compaction physically drops them.
-func (d *DynamicEngine) Len() int {
+func (d *Engine) Len() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -353,7 +414,7 @@ func (sh *dynShared) eachDeadLocked(visit func(d *segment.Dead)) {
 }
 
 // Dims returns the dataset dimensionality (0 before the first insert).
-func (d *DynamicEngine) Dims() int {
+func (d *Engine) Dims() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -361,13 +422,14 @@ func (d *DynamicEngine) Dims() int {
 }
 
 // Kernel returns the engine's kernel.
-func (d *DynamicEngine) Kernel() Kernel { return d.sh.kern }
+func (d *Engine) Kernel() Kernel { return d.sh.kern }
 
 // WeightMass returns the dataset's positive and negative weight mass
 // (pos = Σ w_i over w_i ≥ 0, neg = Σ |w_i| over w_i < 0) across every
-// segment plus the buffered inserts — the same contract as
-// Engine.WeightMass, which the cluster layer relies on.
-func (d *DynamicEngine) WeightMass() (pos, neg float64) {
+// segment plus the buffered inserts, net of pending tombstones. The total
+// W = pos + neg is the normalization mass the coreset guarantees and the
+// cluster layer's ε-budget allocation are stated against.
+func (d *Engine) WeightMass() (pos, neg float64) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -426,7 +488,7 @@ func (b *memtable) len() int {
 
 // Epoch returns the current manifest epoch; it increases with every seal
 // and compaction, so two equal epochs imply an identical segment set.
-func (d *DynamicEngine) Epoch() uint64 {
+func (d *Engine) Epoch() uint64 {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -434,7 +496,7 @@ func (d *DynamicEngine) Epoch() uint64 {
 }
 
 // MemtableLen returns the number of buffered (not yet sealed) points.
-func (d *DynamicEngine) MemtableLen() int {
+func (d *Engine) MemtableLen() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -442,7 +504,7 @@ func (d *DynamicEngine) MemtableLen() int {
 }
 
 // Seals reports how many memtable seals have happened.
-func (d *DynamicEngine) Seals() int {
+func (d *Engine) Seals() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -452,7 +514,7 @@ func (d *DynamicEngine) Seals() int {
 // Compactions reports how many segment rebuilds have completed:
 // background tiered merges and dead-share rewrites plus explicit Compact
 // calls. DeadRewrites counts the dead-share subset.
-func (d *DynamicEngine) Compactions() int {
+func (d *Engine) Compactions() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -461,7 +523,7 @@ func (d *DynamicEngine) Compactions() int {
 
 // DeadRewrites reports how many background compactions rewrote a single
 // segment because its dead rows reached a 1/Fanout share of it.
-func (d *DynamicEngine) DeadRewrites() int {
+func (d *Engine) DeadRewrites() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -470,7 +532,7 @@ func (d *DynamicEngine) DeadRewrites() int {
 
 // DeadDrops reports how many segments left the manifest without a rebuild
 // because every one of their rows had been deleted.
-func (d *DynamicEngine) DeadDrops() int {
+func (d *Engine) DeadDrops() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -480,7 +542,7 @@ func (d *DynamicEngine) DeadDrops() int {
 // Tombstones reports how many deletes are pending physical removal —
 // points whose mass every query currently subtracts exactly, awaiting a
 // compaction over their segment.
-func (d *DynamicEngine) Tombstones() int {
+func (d *Engine) Tombstones() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -489,7 +551,7 @@ func (d *DynamicEngine) Tombstones() int {
 
 // Deletes reports how many points have been deleted over the engine's
 // lifetime (memtable removals and tombstones alike).
-func (d *DynamicEngine) Deletes() int {
+func (d *Engine) Deletes() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -497,11 +559,11 @@ func (d *DynamicEngine) Deletes() int {
 }
 
 // TTL returns the configured point lifetime (0 = points never expire).
-func (d *DynamicEngine) TTL() time.Duration { return time.Duration(d.sh.ttl) }
+func (d *Engine) TTL() time.Duration { return time.Duration(d.sh.ttl) }
 
 // DecayHalfLife returns the configured weight-decay half-life (0 = no
 // decay).
-func (d *DynamicEngine) DecayHalfLife() time.Duration { return time.Duration(d.sh.halfLife) }
+func (d *Engine) DecayHalfLife() time.Duration { return time.Duration(d.sh.halfLife) }
 
 // SegmentInfo describes one immutable segment of the current manifest.
 type SegmentInfo struct {
@@ -515,7 +577,7 @@ type SegmentInfo struct {
 
 // Segments returns a snapshot of the current manifest, oldest segment
 // first.
-func (d *DynamicEngine) Segments() []SegmentInfo {
+func (d *Engine) Segments() []SegmentInfo {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -549,7 +611,7 @@ func validateInsert(p []float64, w float64) error {
 // dimensionality. Steady-state inserts are allocation-free; an insert
 // that fills the memtable builds the new segment synchronously (off the
 // query path — concurrent queries are never blocked by it).
-func (d *DynamicEngine) Insert(p []float64, w float64) error {
+func (d *Engine) Insert(p []float64, w float64) error {
 	_, err := d.InsertID(p, w)
 	return err
 }
@@ -557,7 +619,7 @@ func (d *DynamicEngine) Insert(p []float64, w float64) error {
 // InsertID adds one weighted point and returns its id — a stable handle
 // (ids start at 1 and never recycle) that Delete accepts for as long as
 // the point lives.
-func (d *DynamicEngine) InsertID(p []float64, w float64) (uint64, error) {
+func (d *Engine) InsertID(p []float64, w float64) (uint64, error) {
 	if err := validateInsert(p, w); err != nil {
 		return 0, err
 	}
@@ -575,7 +637,7 @@ func (d *DynamicEngine) InsertID(p []float64, w float64) (uint64, error) {
 // all-or-nothing and happens BEFORE any buffer is touched: a NaN in the
 // last point rejects the whole batch with the engine state unchanged,
 // never with a prefix of the batch silently landed.
-func (d *DynamicEngine) InsertBulk(points [][]float64, weights []float64) ([]uint64, error) {
+func (d *Engine) InsertBulk(points [][]float64, weights []float64) ([]uint64, error) {
 	if len(points) == 0 {
 		return nil, nil
 	}
@@ -676,7 +738,7 @@ func (sh *dynShared) insertRowLocked(p []float64, w float64) (uint64, error) {
 // held by the segment that stores the row; once a segment's dead rows
 // reach a 1/Fanout share of it the background compactor rewrites it, and
 // a segment with no live row left simply leaves the manifest.
-func (d *DynamicEngine) Delete(id uint64) error {
+func (d *Engine) Delete(id uint64) error {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -1022,7 +1084,7 @@ func (sh *dynShared) compactErrLocked() error {
 // build over the never-deleted survivors in insertion order. Inserts and
 // deletes block for the duration; queries proceed on the old snapshot and
 // switch to the compacted manifest atomically.
-func (d *DynamicEngine) Compact() error {
+func (d *Engine) Compact() error {
 	sh := d.sh
 	sh.mu.Lock()
 	for sh.compacting || sh.sealing != nil || sh.draining {
@@ -1074,7 +1136,7 @@ func (d *DynamicEngine) Compact() error {
 
 // Close prevents further inserts and waits for in-flight seals and
 // compactions to finish. Queries on existing clones remain valid.
-func (d *DynamicEngine) Close() error {
+func (d *Engine) Close() error {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -1094,7 +1156,7 @@ func (d *DynamicEngine) Close() error {
 // true post-delete total — together with how many points that scan
 // covered. Under decay it also refills this clone's per-segment scale
 // scratch for the query instant.
-func (d *DynamicEngine) snapshot(q []float64) (man *segment.Manifest, base float64, scanned int, err error) {
+func (d *Engine) snapshot(q []float64) (man *segment.Manifest, base float64, scanned int, err error) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -1158,7 +1220,7 @@ func (d *DynamicEngine) snapshot(q []float64) (man *segment.Manifest, base float
 // no allocation, no re-validation). Under decay the per-segment scales
 // are re-installed every query — the clock has moved — but the slice is
 // this clone's reused scratch, so steady state still allocates nothing.
-func (d *DynamicEngine) arm(man *segment.Manifest) error {
+func (d *Engine) arm(man *segment.Manifest) error {
 	if !d.fSet || d.fEpoch != man.Epoch {
 		if err := d.f.SetTrees(man.Trees()); err != nil {
 			return err
@@ -1172,14 +1234,14 @@ func (d *DynamicEngine) arm(man *segment.Manifest) error {
 }
 
 // Aggregate computes the exact aggregate over all current points.
-func (d *DynamicEngine) Aggregate(q []float64) (float64, error) {
+func (d *Engine) Aggregate(q []float64) (float64, error) {
 	v, _, err := d.AggregateStats(q)
 	return v, err
 }
 
 // AggregateStats is Aggregate plus the work statistics (an exact
 // aggregation scans every point, buffered and indexed).
-func (d *DynamicEngine) AggregateStats(q []float64) (float64, Stats, error) {
+func (d *Engine) AggregateStats(q []float64) (float64, Stats, error) {
 	man, base, scanned, err := d.snapshot(q)
 	if err != nil {
 		return 0, Stats{}, err
@@ -1195,13 +1257,13 @@ func (d *DynamicEngine) AggregateStats(q []float64) (float64, Stats, error) {
 // Threshold answers the TKAQ over all current points: the buffered points
 // contribute exactly to both global bounds, so the indexed segments still
 // prune against the full-total threshold.
-func (d *DynamicEngine) Threshold(q []float64, tau float64) (bool, error) {
+func (d *Engine) Threshold(q []float64, tau float64) (bool, error) {
 	hot, _, err := d.ThresholdStats(q, tau)
 	return hot, err
 }
 
 // ThresholdStats is Threshold plus the work statistics.
-func (d *DynamicEngine) ThresholdStats(q []float64, tau float64) (bool, Stats, error) {
+func (d *Engine) ThresholdStats(q []float64, tau float64) (bool, Stats, error) {
 	man, base, scanned, err := d.snapshot(q)
 	if err != nil {
 		return false, Stats{}, err
@@ -1219,13 +1281,13 @@ func (d *DynamicEngine) ThresholdStats(q []float64, tau float64) (bool, Stats, e
 // both global bounds as an exact base term before refinement, so the
 // guarantee holds even with mixed-sign weights where the buffered and
 // indexed parts nearly cancel (refinement is then driven toward exact).
-func (d *DynamicEngine) Approximate(q []float64, eps float64) (float64, error) {
+func (d *Engine) Approximate(q []float64, eps float64) (float64, error) {
 	v, _, err := d.ApproximateStats(q, eps)
 	return v, err
 }
 
 // ApproximateStats is Approximate plus the work statistics.
-func (d *DynamicEngine) ApproximateStats(q []float64, eps float64) (float64, Stats, error) {
+func (d *Engine) ApproximateStats(q []float64, eps float64) (float64, Stats, error) {
 	man, base, scanned, err := d.snapshot(q)
 	if err != nil {
 		return 0, Stats{}, err
@@ -1241,92 +1303,16 @@ func (d *DynamicEngine) ApproximateStats(q []float64, eps float64) (float64, Sta
 // SegmentStats returns the per-segment work of the most recent query on
 // THIS clone, index-aligned with the manifest the query ran over. The
 // slice is scratch: valid until the next query.
-func (d *DynamicEngine) SegmentStats() []Stats { return d.f.SegmentStats() }
+func (d *Engine) SegmentStats() []Stats { return d.f.SegmentStats() }
 
 // ArmedEpoch returns the manifest epoch this clone's executor is armed
 // for — the epoch of the last query it ran — and whether it has run one.
 // Comparing it with Epoch shows how far a pooled clone lags the dataset.
-func (d *DynamicEngine) ArmedEpoch() (uint64, bool) { return d.fEpoch, d.fSet }
+func (d *Engine) ArmedEpoch() (uint64, bool) { return d.fEpoch, d.fSet }
 
 // FastPathQueries reports how many Threshold/Approximate queries on THIS
 // clone ran through the single-segment fast path — the restored monolithic
 // loop a query takes only when the manifest holds exactly one segment and
 // no memtable points, tombstones or decay contribute (the base term and
 // scales would otherwise change the algebra).
-func (d *DynamicEngine) FastPathQueries() int64 { return d.f.FastPathQueries() }
-
-// BatchThreshold answers the TKAQ for every query, fanning out over
-// clones when workers > 1 (≤ 0 selects GOMAXPROCS).
-func (d *DynamicEngine) BatchThreshold(queries [][]float64, tau float64, workers int) ([]bool, error) {
-	out, _, err := d.BatchThresholdStats(queries, tau, workers)
-	return out, err
-}
-
-// BatchThresholdStats is BatchThreshold plus summed work statistics.
-func (d *DynamicEngine) BatchThresholdStats(queries [][]float64, tau float64, workers int) ([]bool, Stats, error) {
-	if err := validateBatchQueries(queries, d.Dims()); err != nil {
-		return nil, Stats{}, err
-	}
-	if d.useDual(len(queries)) {
-		return d.dualThreshold(queries, tau, workers)
-	}
-	d.sh.dualCtr.noteSequential(len(queries))
-	out := make([]bool, len(queries))
-	per := make([]Stats, len(queries))
-	err := runBatch(d, (*DynamicEngine).Clone, len(queries), workers, func(eng *DynamicEngine, i int) error {
-		v, st, err := eng.ThresholdStats(queries[i], tau)
-		out[i], per[i] = v, st
-		return err
-	})
-	return out, sumStats(per), err
-}
-
-// BatchApproximate answers the eKAQ for every query, index-aligned.
-func (d *DynamicEngine) BatchApproximate(queries [][]float64, eps float64, workers int) ([]float64, error) {
-	out, _, err := d.BatchApproximateStats(queries, eps, workers)
-	return out, err
-}
-
-// BatchApproximateStats is BatchApproximate plus summed work statistics.
-func (d *DynamicEngine) BatchApproximateStats(queries [][]float64, eps float64, workers int) ([]float64, Stats, error) {
-	if err := validateBatchQueries(queries, d.Dims()); err != nil {
-		return nil, Stats{}, err
-	}
-	if eps > 0 && d.useDual(len(queries)) {
-		return d.dualApproximate(queries, eps, workers)
-	}
-	d.sh.dualCtr.noteSequential(len(queries))
-	out := make([]float64, len(queries))
-	per := make([]Stats, len(queries))
-	err := runBatch(d, (*DynamicEngine).Clone, len(queries), workers, func(eng *DynamicEngine, i int) error {
-		v, st, err := eng.ApproximateStats(queries[i], eps)
-		out[i], per[i] = v, st
-		return err
-	})
-	return out, sumStats(per), err
-}
-
-// BatchAggregate computes the exact aggregate for every query.
-func (d *DynamicEngine) BatchAggregate(queries [][]float64, workers int) ([]float64, error) {
-	out, _, err := d.BatchAggregateStats(queries, workers)
-	return out, err
-}
-
-// BatchAggregateStats is BatchAggregate plus summed work statistics.
-func (d *DynamicEngine) BatchAggregateStats(queries [][]float64, workers int) ([]float64, Stats, error) {
-	if err := validateBatchQueries(queries, d.Dims()); err != nil {
-		return nil, Stats{}, err
-	}
-	if d.sh.batchExec == BatchDualTree && len(queries) > 0 && d.Len() > 0 {
-		return d.dualAggregate(queries, workers)
-	}
-	d.sh.dualCtr.noteSequential(len(queries))
-	out := make([]float64, len(queries))
-	per := make([]Stats, len(queries))
-	err := runBatch(d, (*DynamicEngine).Clone, len(queries), workers, func(eng *DynamicEngine, i int) error {
-		v, st, err := eng.AggregateStats(queries[i])
-		out[i], per[i] = v, st
-		return err
-	})
-	return out, sumStats(per), err
-}
+func (d *Engine) FastPathQueries() int64 { return d.f.FastPathQueries() }

@@ -78,7 +78,7 @@ func (sh *dynShared) logDeleteLocked(seq uint64) {
 // number of deletes ever applied. A fresh follower records it before
 // taking a snapshot so its first incremental pull starts exactly where
 // the snapshot's state ends.
-func (d *DynamicEngine) DeletePos() uint64 {
+func (d *Engine) DeletePos() uint64 {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -162,7 +162,7 @@ func (sh *dynShared) replicaExportLocked(fence uint64) ([]replicaSegment, []Tail
 // tombstones still shadowing its rows) as a self-contained v7 dynamic
 // payload: the same stream format a full WriteTo produces, restricted to
 // a single segment and an empty memtable, so decodeReplicaSegment can
-// reuse ReadDynamic's full validation. Safe to call without the lock on
+// reuse ReadEngine's full validation. Safe to call without the lock on
 // the captured replicaSegment (segments are immutable, and its tombstone
 // set is a copy taken under the lock).
 func (sh *dynShared) segmentStreamPayload(rs replicaSegment, kind IndexKind, method Method) dynamicPayload {
@@ -183,13 +183,7 @@ func (sh *dynShared) segmentStreamPayload(rs replicaSegment, kind IndexKind, met
 		HalfLife:    int64(sh.halfLife),
 		Deletes:     rs.dead.Len(),
 	}
-	p.Segments = []segmentPayload{{
-		Engine:  treePayload(s.Tree, sh.kern, method),
-		ID:      s.ID,
-		Seqs:    append([]uint64(nil), s.Seqs...),
-		Times:   append([]int64(nil), s.Times...),
-		TimeRef: s.TimeRef,
-	}}
+	p.Segments = []segmentPayload{segmentWire(s, sh.kern, method)}
 	p.NextSeq = s.Seqs[len(s.Seqs)-1] + 1
 	p.setTombs(rs.dead)
 	return p
@@ -238,7 +232,7 @@ func (sh *dynShared) memTailLocked(fence uint64) []TailRow {
 // tail, and the delete log since delPos. The follower applies segments,
 // then rows, then deletes, then advances its fence to NextSeq−1 and its
 // delete position to DeletePos.
-func (d *DynamicEngine) PullBatch(fence, delPos uint64) (*ReplicaBatch, error) {
+func (d *Engine) PullBatch(fence, delPos uint64) (*ReplicaBatch, error) {
 	sh := d.sh
 	sh.mu.Lock()
 	for sh.sealing != nil || sh.draining {
@@ -290,7 +284,7 @@ func (ds *decodedSegment) minSeq() uint64 { return ds.seg.Seqs[0] }
 // decodeReplicaSegment validates one self-contained segment stream (as
 // produced by PullBatch) without touching the follower.
 func decodeReplicaSegment(data []byte) (*decodedSegment, error) {
-	d2, err := ReadDynamic(bytes.NewReader(data))
+	d2, err := ReadEngine(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("karl: replica segment stream: %w", err)
 	}
@@ -306,7 +300,7 @@ func decodeReplicaSegment(data []byte) (*decodedSegment, error) {
 // its tombstones are adopted, and the seq counter jumps past the segment's
 // rows. A stream whose rows the follower already holds is skipped silently
 // (idempotent redelivery); a partial overlap is corruption and fails.
-func (d *DynamicEngine) installReplicaSegment(ds *decodedSegment) error {
+func (d *Engine) installReplicaSegment(ds *decodedSegment) error {
 	src, seg := ds.src, ds.seg
 	sh := d.sh
 	sh.mu.Lock()
@@ -362,7 +356,7 @@ func (d *DynamicEngine) installReplicaSegment(ds *decodedSegment) error {
 // sequence numbers and timestamps. Rows at or below the follower's seq
 // counter are skipped (idempotent redelivery); the applied count is
 // returned. Rows must arrive in ascending seq order.
-func (d *DynamicEngine) ApplyRows(rows []TailRow) (int, error) {
+func (d *Engine) ApplyRows(rows []TailRow) (int, error) {
 	if len(rows) == 0 {
 		return 0, nil
 	}
@@ -442,7 +436,7 @@ func (sh *dynShared) applyRowLocked(r TailRow) error {
 // would be skipped as duplicates and lost. Deletes of ids the follower
 // never held (inserted and deleted between two pulls, or physically
 // dropped memtable rows) are ignored.
-func (d *DynamicEngine) ApplyBatch(b *ReplicaBatch) (fence uint64, err error) {
+func (d *Engine) ApplyBatch(b *ReplicaBatch) (fence uint64, err error) {
 	segs := make([]*decodedSegment, 0, len(b.Segments))
 	for _, data := range b.Segments {
 		ds, err := decodeReplicaSegment(data)
@@ -490,8 +484,8 @@ func (d *DynamicEngine) ApplyBatch(b *ReplicaBatch) (fence uint64, err error) {
 // (clock, batch executor, worker counts) is kept. The follower's delete
 // position after installation is the leader's DeletePos captured before
 // the snapshot was taken.
-func (d *DynamicEngine) InstallSnapshot(r io.Reader) error {
-	d2, err := ReadDynamic(r)
+func (d *Engine) InstallSnapshot(r io.Reader) error {
+	d2, err := ReadEngine(r)
 	if err != nil {
 		return fmt.Errorf("karl: replica snapshot: %w", err)
 	}
@@ -506,13 +500,7 @@ func (d *DynamicEngine) InstallSnapshot(r io.Reader) error {
 		sh.sealing != nil || sh.draining || sh.compacting {
 		return errors.New("karl: snapshot install requires an empty, idle engine")
 	}
-	sh.kern = src.kern
-	sh.method = src.method
-	sh.bcfg = src.bcfg
-	sh.policy = src.policy
-	sh.autoCompact = src.autoCompact
-	sh.ttl = src.ttl
-	sh.halfLife = src.halfLife
+	sh.dynConfig = src.dynConfig
 	sh.dims = src.dims
 	sh.man = src.man
 	sh.mem = src.mem

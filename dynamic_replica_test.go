@@ -11,7 +11,7 @@ import (
 
 // replicaPump pulls leader batches into the follower until the follower's
 // fence and delete position reach the leader's counters.
-func replicaPump(t *testing.T, leader, follower *DynamicEngine, fence, delPos uint64) (uint64, uint64) {
+func replicaPump(t *testing.T, leader, follower *Engine, fence, delPos uint64) (uint64, uint64) {
 	t.Helper()
 	for {
 		b, err := leader.PullBatch(fence, delPos)
@@ -33,7 +33,7 @@ func replicaPump(t *testing.T, leader, follower *DynamicEngine, fence, delPos ui
 // to the leader up to float summation order (the two hold the same live
 // mass in differently shaped manifests): same point count, same mass and
 // same aggregates within 1e-9 relative.
-func checkReplicaConverged(t *testing.T, leader, follower *DynamicEngine, qs [][]float64) {
+func checkReplicaConverged(t *testing.T, leader, follower *Engine, qs [][]float64) {
 	t.Helper()
 	close9 := func(a, b float64) bool {
 		return math.Abs(a-b) <= 1e-9*(1+math.Abs(a))
@@ -67,7 +67,7 @@ func checkReplicaConverged(t *testing.T, leader, follower *DynamicEngine, qs [][
 // it converged across further inserts, deletes, and rows that are
 // inserted and deleted again between two pulls.
 func TestReplicaIncrementalCatchUp(t *testing.T) {
-	mk := func() *DynamicEngine {
+	mk := func() *Engine {
 		d, err := NewDynamic(Gaussian(1.5), WithSealSize(32), WithAutoCompaction(false))
 		if err != nil {
 			t.Fatal(err)
@@ -195,7 +195,7 @@ func TestReplicaSnapshotThenTail(t *testing.T) {
 // resync instead of a wrong-decay per-row replay.
 func TestReplicaTimedEngineTail(t *testing.T) {
 	clock := int64(1_700_000_000_000_000_000)
-	mk := func() *DynamicEngine {
+	mk := func() *Engine {
 		d, err := NewDynamic(Gaussian(1), WithSealSize(32), WithAutoCompaction(false),
 			WithDecayHalfLife(30*time.Minute), withClock(func() int64 { return clock }))
 		if err != nil {
@@ -250,7 +250,7 @@ func TestReplicaDeleteLogBounds(t *testing.T) {
 	if _, err := d.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := ReadDynamic(&buf)
+	d2, err := ReadEngine(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestReplicaDeleteLogBounds(t *testing.T) {
 // the idempotency fence past them and they would be dropped as
 // duplicates.
 func TestReplicaStraddlerSegmentOrder(t *testing.T) {
-	mk := func() *DynamicEngine {
+	mk := func() *Engine {
 		// LeafCap 4 forces a real leaf permutation inside each 32-row
 		// segment, so misindexing insertion order against leaf order
 		// ships wrong points and the convergence check below catches it.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"karl/internal/index"
 	"karl/internal/segment"
 )
 
@@ -15,7 +16,7 @@ import (
 // time is the fence separating inherited ids (strictly below it, assigned
 // by an ancestor engine) from native ones — what the cluster layer's
 // delete routing needs to chase a point across splits.
-func (d *DynamicEngine) NextSeq() uint64 {
+func (d *Engine) NextSeq() uint64 {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -27,7 +28,7 @@ func (d *DynamicEngine) NextSeq() uint64 {
 // empty. Points with p[dim] >= cut form the moving half. It fails when
 // the dataset is empty, a single point, or degenerate (all points
 // identical), in which case no axis cut can separate anything.
-func (d *DynamicEngine) SplitPlane() (dim int, cut float64, err error) {
+func (d *Engine) SplitPlane() (dim int, cut float64, err error) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -106,7 +107,7 @@ func (d *DynamicEngine) SplitPlane() (dim int, cut float64, err error) {
 }
 
 // Split extracts every live point for which pred(point) is true into a
-// NEW dynamic engine with the same kernel, index and maintenance
+// NEW engine with the same kernel, index and maintenance
 // configuration, removing those points from the receiver — the engine
 // half of a cluster shard split. Both sides are rebuilt as single sealed
 // segments (the receiver's manifest advances one epoch, exactly like a
@@ -120,7 +121,7 @@ func (d *DynamicEngine) SplitPlane() (dim int, cut float64, err error) {
 // Inserts and deletes block for the duration; queries on existing clones
 // proceed over the old snapshot and switch atomically, the same contract
 // as Compact.
-func (d *DynamicEngine) Split(pred func(p []float64) bool) (MutableEngine, error) {
+func (d *Engine) Split(pred func(p []float64) bool) (MutableEngine, error) {
 	if pred == nil {
 		return nil, errors.New("karl: nil split predicate")
 	}
@@ -194,21 +195,45 @@ func (d *DynamicEngine) Split(pred func(p []float64) bool) (MutableEngine, error
 // moved half is installed into. Called with sh.mu held.
 func (sh *dynShared) emptySiblingLocked() *dynShared {
 	m := &dynShared{
-		kern:        sh.kern,
-		method:      sh.method,
-		bcfg:        sh.bcfg,
-		policy:      sh.policy,
-		autoCompact: sh.autoCompact,
-		batchExec:   sh.batchExec,
-		dualCtr:     &dualCounters{},
-		ttl:         sh.ttl,
-		halfLife:    sh.halfLife,
-		now:         sh.now,
-		dims:        sh.dims,
-		man:         &segment.Manifest{},
-		nextID:      1,
-		nextSeq:     sh.nextSeq,
+		dynConfig: sh.dynConfig,
+		batchExec: sh.batchExec,
+		dualCtr:   &dualCounters{},
+		now:       sh.now,
+		dims:      sh.dims,
+		man:       &segment.Manifest{},
+		nextID:    1,
+		nextSeq:   sh.nextSeq,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
+}
+
+// liveSet returns one flat index over exactly the engine's live rows as of
+// now, with the kernel and the index configuration an engine derived from
+// them (a shard, a sketch, a saved model) inherits — without changing the
+// engine. A lone segment with nothing buffered, deleted or ageing is its own
+// answer; anything else is merged through the gather Compact and Split use
+// (tombstoned and expired rows dropped, decayed weights rebased to now).
+// The lock is held throughout, so writers and queries wait out the merge.
+func (d *Engine) liveSet() (*index.Tree, Kernel, buildConfig, error) {
+	sh := d.sh
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for sh.sealing != nil || sh.draining {
+		sh.cond.Wait()
+	}
+	cfg := defaultBuildConfig()
+	cfg.kind, cfg.leafCap, cfg.method = publicIndexKind(sh.bcfg.Kind), sh.bcfg.LeafCap, publicMethod(sh.method)
+	segs := sh.man.Segs
+	if len(segs) == 1 && sh.mem.len() == 0 && segs[0].Dead.Len() == 0 && !sh.timed() {
+		return segs[0].Tree, sh.kern, cfg, nil
+	}
+	merged, err := segment.Merge(segs, sh.mem.run(), sh.mergeOptsLocked(segs), sh.bcfg, 0)
+	if err != nil {
+		return nil, Kernel{}, cfg, fmt.Errorf("karl: %w", err)
+	}
+	if merged == nil {
+		return nil, Kernel{}, cfg, errors.New("karl: engine holds no live point")
+	}
+	return merged.Tree, sh.kern, cfg, nil
 }

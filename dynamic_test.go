@@ -269,7 +269,7 @@ func TestFastPathBypassOnMutation(t *testing.T) {
 	}
 
 	// Concurrent phase: clones hammer queries while the delete lands.
-	clones := make([]*DynamicEngine, 4)
+	clones := make([]*Engine, 4)
 	for i := range clones {
 		clones[i] = d.Clone()
 	}
@@ -277,7 +277,7 @@ func TestFastPathBypassOnMutation(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, c := range clones {
 		wg.Add(1)
-		go func(c *DynamicEngine) {
+		go func(c *Engine) {
 			defer wg.Done()
 			for !stop.Load() {
 				if _, err := c.Approximate(q, 0.1); err != nil {

@@ -2,20 +2,20 @@ package karl
 
 import "io"
 
-// QueryEngine is the read surface every serving layer shares: the static
-// Engine, the segmented DynamicEngine, the per-request clones inside
-// internal/server's pool, and the shard engines behind the cluster
-// coordinator all present exactly this interface. It exists so the layers
-// above (HTTP server, clone pool, scatter-gather coordinator) are written
-// once against one abstraction instead of once per engine flavor.
+// QueryEngine is the read surface every serving layer shares: an Engine,
+// the per-request clones inside internal/server's pool, and the shard
+// engines behind the cluster coordinator all present exactly this
+// interface, so the layers above (HTTP server, clone pool, scatter-gather
+// coordinator) are written against one abstraction and tests can put a
+// decorated engine behind them.
 //
-// Like the concrete engines, a QueryEngine value is not safe for
-// concurrent queries — it owns per-query refinement scratch. CloneQuery
-// returns a view sharing the (possibly mutable) dataset with independent
-// scratch; clone once per goroutine.
+// A QueryEngine value is not safe for concurrent queries — it owns
+// per-query refinement scratch. CloneQuery returns a view sharing the
+// (possibly mutable) dataset with independent scratch; clone once per
+// goroutine.
 type QueryEngine interface {
 	// Len is the number of live points; Dims the dataset dimensionality
-	// (0 while a dynamic engine is still empty).
+	// (0 while the engine is still empty).
 	Len() int
 	Dims() int
 	Kernel() Kernel
@@ -43,8 +43,7 @@ type QueryEngine interface {
 	CloneQuery() QueryEngine
 }
 
-// MutableEngine extends QueryEngine with the write path a dynamic engine
-// offers. Epoch increases with every seal and compaction; Split and
+// MutableEngine extends QueryEngine with the engine's write path. Epoch increases with every seal and compaction; Split and
 // WriteTo together are the segment-shipping surface the cluster layer's
 // shard splitting is built on (the moved half travels as a standard
 // persistence stream of sealed segments).
@@ -79,14 +78,12 @@ type MutableEngine interface {
 	WriteTo(w io.Writer) (int64, error)
 }
 
-// CloneQuery implements QueryEngine.
-func (e *Engine) CloneQuery() QueryEngine { return e.Clone() }
+// DynamicEngine is Engine under the name it had while built and streamed
+// engines were two types. The benchmark harness (bench/, which no PR but a
+// benchmark one may edit) pins the name; nothing else should use it.
+type DynamicEngine = Engine
 
 // CloneQuery implements QueryEngine.
-func (d *DynamicEngine) CloneQuery() QueryEngine { return d.Clone() }
+func (d *Engine) CloneQuery() QueryEngine { return d.Clone() }
 
-// The two engines must keep satisfying the shared serving abstraction.
-var (
-	_ QueryEngine   = (*Engine)(nil)
-	_ MutableEngine = (*DynamicEngine)(nil)
-)
+var _ MutableEngine = (*Engine)(nil)

@@ -34,18 +34,21 @@ type Config struct {
 	Retries int
 	// Backoff is the pause before a retry (default 50ms).
 	Backoff time.Duration
-	// HedgeQuantile arms a hedged request to a replica once the primary
-	// has been in flight longer than this latency quantile of recent
-	// successful calls (default 0.9). Hedging needs replicas and a warm
-	// latency window; otherwise calls are unhedged.
-	HedgeQuantile float64
 	// HedgeMin floors the hedge delay so cold windows with microsecond
 	// samples don't hedge every call (default 1ms).
 	HedgeMin time.Duration
-	// MaxRounds caps adaptive bound-exchange rounds before the
-	// coordinator forces an exact round (default 6).
-	MaxRounds int
 }
+
+const (
+	// hedgeQuantile arms a hedged request to a replica once the primary
+	// has been in flight longer than this latency quantile of recent
+	// successful calls. Hedging needs replicas and a warm latency window;
+	// otherwise calls are unhedged.
+	hedgeQuantile = 0.9
+	// maxRounds caps adaptive bound-exchange rounds before the coordinator
+	// forces an exact round.
+	maxRounds = 6
+)
 
 func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
@@ -60,14 +63,8 @@ func (c Config) withDefaults() Config {
 	if c.Backoff <= 0 {
 		c.Backoff = 50 * time.Millisecond
 	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.9
-	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = time.Millisecond
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 6
 	}
 	return c
 }
@@ -161,7 +158,6 @@ func New(ctx context.Context, shards []Shard, cfg Config) (*Coordinator, error) 
 			return nil, fmt.Errorf("cluster: shard %d has no client", i)
 		}
 		co.shards[i] = &shardState{client: sp.Client, replicas: sp.Replicas}
-		co.shards[i].lat.q = cfg.HedgeQuantile
 	}
 
 	var wg sync.WaitGroup
@@ -411,7 +407,7 @@ func sumBounds(st []*exchState) (lb, ub float64) {
 // undecided Σlb ≤ τ < Σub, so lb_i ≤ t_i < ub_i and a shard cannot stop
 // without cutting its interval: every round makes progress. The sums are
 // tested after every arrival and a verdict cancels outstanding shard work;
-// after MaxRounds the round is exact. Any stopping rule is sound here —
+// after maxRounds the round is exact. Any stopping rule is sound here —
 // shards only ever return certified intervals, and the verdict rests on
 // their intersection and sum alone.
 func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) (server.Result, error) {
@@ -461,7 +457,7 @@ func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) 
 			return server.Result{}, fmt.Errorf("%w (%.1f%% of weight mass unreachable)",
 				ErrIndeterminate, 100*(1-co.coveredFraction(co.aliveWeight(st), co.countDead(st))))
 		}
-		exactRound := round >= co.cfg.MaxRounds
+		exactRound := round >= maxRounds
 		share := (tau - lb) / (ub - lb)
 		co.exch.thresholdRounds.Add(1)
 
@@ -660,7 +656,7 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 		if lb < 0 {
 			allow = 2 * eps * math.Abs(lb+ub) / 2 / (1 + eps)
 		}
-		exact := round >= co.cfg.MaxRounds || allow <= 0
+		exact := round >= maxRounds || allow <= 0
 		var todo []int
 		for _, i := range covered {
 			if st[i].gap() <= 0 {
@@ -822,7 +818,6 @@ func hedged[T any](co *Coordinator, s *shardState, attempt func(ShardClient) (T,
 // then on it is re-derived once every hedgeEvery samples — every call reads
 // it with one atomic load instead of sorting the ring.
 type latencyWindow struct {
-	q     float64      // the hedge quantile (Config.HedgeQuantile)
 	hedge atomic.Int64 // hedge delay in ns; 0 while the window is cold
 
 	mu    sync.Mutex
@@ -847,7 +842,7 @@ func (l *latencyWindow) record(d time.Duration) {
 	l.total++
 	if l.n >= warmSamples && l.total%hedgeEvery == 0 {
 		// At least 1 ns, so a warm window never reads as cold.
-		l.hedge.Store(int64(max(l.quantileLocked(l.q), 1)))
+		l.hedge.Store(int64(max(l.quantileLocked(hedgeQuantile), 1)))
 	}
 	l.mu.Unlock()
 }

@@ -72,6 +72,7 @@ func TestFrontDoorParity(t *testing.T) {
 		{"p with points", "POST", "/v1/insert", `{"p":[1,2],"points":[[1,2]]}`, 400, "mutually exclusive"},
 		{"weights count", "POST", "/v1/insert", `{"points":[[1,2]],"weights":[1,2]}`, 400, "2 weights for 1 points"},
 		{"no insert form", "POST", "/v1/insert", `{}`, 400, `provide "p"`},
+		{"empty points", "POST", "/v1/insert", `{"points":[]}`, 400, `provide "p"`},
 		{"id with ids", "DELETE", "/v1/point", `{"id":3,"ids":[4]}`, 400, "mutually exclusive"},
 		{"id zero", "DELETE", "/v1/point", `{"id":0}`, 400, `provide "id"`},
 		{"empty ids", "DELETE", "/v1/point", `{"ids":[]}`, 400, `provide "id"`},

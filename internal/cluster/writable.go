@@ -66,7 +66,7 @@ func DecodeID(gid uint64) (member, seq uint64) {
 
 // SpawnFunc creates the engine/serving backend for a freshly split-off
 // member and returns its client. moved is the new member's dataset as an
-// engine persistence stream (karl.ReadDynamic decodes it). A SpawnFunc
+// engine persistence stream (karl.ReadEngine decodes it). A SpawnFunc
 // failure does not abort the split — the points already left the source —
 // so the member is recorded in the manifest as unreachable and queries
 // degrade to the partial/indeterminate contract until the operator
@@ -82,9 +82,6 @@ type WritableConfig struct {
 	// A single-member cluster always qualifies once it reaches
 	// MinSplitPoints.
 	SplitFactor float64
-	// MaxShards caps membership growth (default 16; hash routing is
-	// additionally capped by the slot space).
-	MaxShards int
 	// MinSplitPoints is the minimum cardinality before a member may split
 	// (default 256) — splitting tiny shards buys nothing.
 	MinSplitPoints int
@@ -93,9 +90,6 @@ type WritableConfig struct {
 	// epoch at or ahead of the one being written is rejected with
 	// shard.ErrStaleManifest — two coordinators fighting over one path.
 	ManifestPath string
-	// EpochRetries bounds how often a query is re-scattered after
-	// straddling a membership change before ErrEpochChanged (default 2).
-	EpochRetries int
 	// SplitCheckEvery throttles the automatic split trigger: the probe
 	// (one Info round trip per member, serialized under the write lock)
 	// runs only after this many points have been inserted since the last
@@ -104,19 +98,22 @@ type WritableConfig struct {
 	SplitCheckEvery int
 }
 
+const (
+	// maxShards caps membership growth (hash routing is additionally
+	// capped by the slot space).
+	maxShards = 16
+	// epochRetries bounds how often a query is re-scattered after
+	// straddling a membership change before ErrEpochChanged.
+	epochRetries = 2
+)
+
 func (c WritableConfig) withDefaults() WritableConfig {
 	c.Config = c.Config.withDefaults()
 	if c.SplitFactor <= 0 {
 		c.SplitFactor = 4
 	}
-	if c.MaxShards <= 0 {
-		c.MaxShards = 16
-	}
 	if c.MinSplitPoints <= 0 {
 		c.MinSplitPoints = 256
-	}
-	if c.EpochRetries <= 0 {
-		c.EpochRetries = 2
 	}
 	if c.SplitCheckEvery <= 0 {
 		c.SplitCheckEvery = c.MinSplitPoints / 4
@@ -758,7 +755,7 @@ func (w *WritableCoordinator) maybeSplitLocked(ctx context.Context) {
 		return
 	}
 	m := w.mem.Load()
-	if len(m.man.Members) >= w.cfg.MaxShards {
+	if len(m.man.Members) >= maxShards {
 		return
 	}
 	var heavy uint64
@@ -791,12 +788,12 @@ func (w *WritableCoordinator) maybeSplitLocked(ctx context.Context) {
 }
 
 // Split forces a split of the given member (tests, operational
-// rebalancing). It respects MaxShards but not the weight trigger.
+// rebalancing). It respects maxShards but not the weight trigger.
 func (w *WritableCoordinator) Split(ctx context.Context, memberID uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.mem.Load().man.Members) >= w.cfg.MaxShards {
-		return fmt.Errorf("cluster: membership already at MaxShards (%d)", w.cfg.MaxShards)
+	if len(w.mem.Load().man.Members) >= maxShards {
+		return fmt.Errorf("cluster: membership already at its cap (%d)", maxShards)
 	}
 	return w.splitLocked(ctx, memberID)
 }
@@ -980,7 +977,7 @@ func (w *WritableCoordinator) query(ctx context.Context, fn func(*Coordinator) (
 			return res, err
 		}
 		w.rescatters.Add(1)
-		if attempt >= w.cfg.EpochRetries {
+		if attempt >= epochRetries {
 			return server.Result{}, fmt.Errorf("%w: %d re-scatters exhausted (epoch now %d)",
 				ErrEpochChanged, attempt+1, w.Epoch())
 		}

@@ -23,9 +23,9 @@ import (
 // "crashed" leader still has a caught-up copy to promote — exactly the
 // replication scenario). Returns the coordinator, the leader engines, the
 // kill switches and the appliers, index-aligned with member ids 1..n.
-func replicatedHTTPCluster(t *testing.T, n int, kern karl.Kernel) (*WritableCoordinator, []*karl.DynamicEngine, []*downableHandler, []*replica.Applier) {
+func replicatedHTTPCluster(t *testing.T, n int, kern karl.Kernel) (*WritableCoordinator, []*karl.Engine, []*downableHandler, []*replica.Applier) {
 	t.Helper()
-	engines := make([]*karl.DynamicEngine, n)
+	engines := make([]*karl.Engine, n)
 	switches := make([]*downableHandler, n)
 	appliers := make([]*replica.Applier, n)
 	founders := make([]WritableShard, n)

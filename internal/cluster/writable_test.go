@@ -23,7 +23,7 @@ import (
 
 // newDynEngine builds an empty dynamic engine with a small seal size so
 // mutation streams exercise real multi-segment manifests.
-func newDynEngine(t testing.TB, kern karl.Kernel, kind karl.IndexKind) *karl.DynamicEngine {
+func newDynEngine(t testing.TB, kern karl.Kernel, kind karl.IndexKind) *karl.Engine {
 	t.Helper()
 	d, err := karl.NewDynamic(kern, karl.WithIndex(kind, 16), karl.WithSealSize(64))
 	if err != nil {
@@ -36,7 +36,7 @@ func newDynEngine(t testing.TB, kern karl.Kernel, kind karl.IndexKind) *karl.Dyn
 // arrives as a persistence stream (the same wire unit a remote spawner
 // would receive) and comes back as a local mutable shard.
 func localSpawn(_ context.Context, member shard.Member, moved []byte) (MutableShardClient, error) {
-	d, err := karl.ReadDynamic(bytes.NewReader(moved))
+	d, err := karl.ReadEngine(bytes.NewReader(moved))
 	if err != nil {
 		return nil, err
 	}
@@ -45,9 +45,9 @@ func localSpawn(_ context.Context, member shard.Member, moved []byte) (MutableSh
 
 // foundWritable builds an n-member hash-routed writable cluster over
 // local mutable shards and returns it with the underlying engines.
-func foundWritable(t testing.TB, n int, kern karl.Kernel, kind karl.IndexKind, spawn SpawnFunc, cfg WritableConfig) (*WritableCoordinator, []*karl.DynamicEngine) {
+func foundWritable(t testing.TB, n int, kern karl.Kernel, kind karl.IndexKind, spawn SpawnFunc, cfg WritableConfig) (*WritableCoordinator, []*karl.Engine) {
 	t.Helper()
-	engines := make([]*karl.DynamicEngine, n)
+	engines := make([]*karl.Engine, n)
 	founders := make([]WritableShard, n)
 	for i := range founders {
 		engines[i] = newDynEngine(t, kern, kind)
@@ -307,7 +307,7 @@ func TestWritableKDGrowth(t *testing.T) {
 func TestWritableChaosMidSplit(t *testing.T) {
 	ctx := context.Background()
 	kern := karl.Gaussian(0.5)
-	engines := make([]*karl.DynamicEngine, 2)
+	engines := make([]*karl.Engine, 2)
 	switches := make([]*downableHandler, 2)
 	founders := make([]WritableShard, 2)
 	for i := range founders {
@@ -330,7 +330,7 @@ func TestWritableChaosMidSplit(t *testing.T) {
 	mustInsert(t, wco, pts, w)
 
 	q := []float64{0.2, -0.1, 0.5}
-	exactOf := func(d *karl.DynamicEngine) float64 {
+	exactOf := func(d *karl.Engine) float64 {
 		v, _, err := d.AggregateStats(q)
 		if err != nil {
 			t.Fatalf("engine aggregate: %v", err)
@@ -462,7 +462,7 @@ func TestWritableSplitCleanRefusal(t *testing.T) {
 func TestWritableManifestPersistence(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "cluster.manifest")
-	engines := make([]*karl.DynamicEngine, 2)
+	engines := make([]*karl.Engine, 2)
 	founders := make([]WritableShard, 2)
 	for i := range founders {
 		engines[i] = newDynEngine(t, karl.Gaussian(1), karl.KDTree)
@@ -696,7 +696,7 @@ func TestWritableResume(t *testing.T) {
 		}
 		return c, err
 	}
-	engines := make([]*karl.DynamicEngine, 2)
+	engines := make([]*karl.Engine, 2)
 	founders := make([]WritableShard, 2)
 	for i := range founders {
 		engines[i] = newDynEngine(t, karl.Gaussian(1), karl.KDTree)
@@ -1050,7 +1050,7 @@ func (c deleteCountingClient) DeleteMany(ctx context.Context, ids []uint64) (int
 // httpMutableShard serves a dynamic engine through a real mutable shard
 // server and returns an HTTP client for it, so the test covers the wire
 // form of bulk deletes and mass-carrying replies.
-func httpMutableShard(t *testing.T, d *karl.DynamicEngine) *HTTPShard {
+func httpMutableShard(t *testing.T, d *karl.Engine) *HTTPShard {
 	t.Helper()
 	srv, err := server.NewMutable(d)
 	if err != nil {
@@ -1069,7 +1069,7 @@ func httpMutableShard(t *testing.T, d *karl.DynamicEngine) *HTTPShard {
 func TestWritableDeleteManyPerMember(t *testing.T) {
 	ctx := context.Background()
 	var single, bulk atomic.Int64
-	counted := func(d *karl.DynamicEngine) MutableShardClient {
+	counted := func(d *karl.Engine) MutableShardClient {
 		return deleteCountingClient{httpMutableShard(t, d), &single, &bulk}
 	}
 	founders := make([]WritableShard, 2)
@@ -1077,7 +1077,7 @@ func TestWritableDeleteManyPerMember(t *testing.T) {
 		founders[i] = WritableShard{Name: fmt.Sprintf("m%d", i), Client: counted(newDynEngine(t, karl.Gaussian(1), karl.KDTree))}
 	}
 	spawn := func(_ context.Context, _ shard.Member, moved []byte) (MutableShardClient, error) {
-		d, err := karl.ReadDynamic(bytes.NewReader(moved))
+		d, err := karl.ReadEngine(bytes.NewReader(moved))
 		if err != nil {
 			return nil, err
 		}

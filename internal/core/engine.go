@@ -7,7 +7,7 @@
 //
 // Since the segmented-engine refactor the refinement loop lives in Forest,
 // which refines over an ORDERED SET of immutable index segments sharing
-// one global priority queue (the executor under karl.DynamicEngine's
+// one global priority queue (the executor under karl.Engine's
 // LSM-style manifest). Engine is the single-segment specialization: one
 // tree, the same loop, the same zero-allocation steady state.
 //
@@ -94,7 +94,7 @@ func (e *Engine) Kernel() kernel.Params { return e.f.kern }
 func (e *Engine) Method() bound.Method { return e.f.method }
 
 // FastPathQueries returns the number of queries served by the
-// single-segment fast path (for a static engine, every
+// single-segment fast path (for a single-tree engine, every
 // Threshold/Approximate call).
 func (e *Engine) FastPathQueries() int64 { return e.f.fastHits }
 

@@ -1,5 +1,5 @@
 // Package replica is the replication subsystem: it keeps a follower
-// DynamicEngine converged to a leader's live state with bounded lag, so
+// karl.Engine converged to a leader's live state with bounded lag, so
 // the cluster layer can fail reads over to followers and promote one to
 // leader when its member dies.
 //
@@ -124,7 +124,7 @@ type Source interface {
 // EngineSource feeds a follower from an in-process leader engine — the
 // Feeder half of the subsystem for single-process clusters and tests.
 type EngineSource struct {
-	Eng *karl.DynamicEngine
+	Eng *karl.Engine
 }
 
 // Status implements Source.
@@ -173,7 +173,7 @@ var ErrPromoted = errors.New("replica: applier was promoted and no longer pulls"
 // snapshot per the engine's own locking), which is what makes followers
 // usable as read-failover targets while catching up.
 type Applier struct {
-	eng *karl.DynamicEngine
+	eng *karl.Engine
 	src Source
 
 	mu        sync.Mutex
@@ -192,12 +192,12 @@ type Applier struct {
 // NewApplier wraps an empty follower engine. The engine must share the
 // leader's kernel; everything else (policy, dims, manifest) arrives with
 // the first snapshot or segment stream.
-func NewApplier(eng *karl.DynamicEngine, src Source) *Applier {
+func NewApplier(eng *karl.Engine, src Source) *Applier {
 	return &Applier{eng: eng, src: src, state: StateSnapshot}
 }
 
 // Engine returns the follower engine (for serving reads).
-func (a *Applier) Engine() *karl.DynamicEngine { return a.eng }
+func (a *Applier) Engine() *karl.Engine { return a.eng }
 
 // BootstrapFromSnapshot makes the applier's first sync install a full
 // leader snapshot before pulling the tail, instead of attempting an
@@ -328,7 +328,7 @@ func (a *Applier) Run(ctx context.Context, interval time.Duration) error {
 // applier refuses further syncs, and the caller (the coordinator's
 // failover, or the serve process's promote endpoint) starts routing
 // writes to the engine. Idempotent.
-func (a *Applier) Promote() *karl.DynamicEngine {
+func (a *Applier) Promote() *karl.Engine {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.promoted = true

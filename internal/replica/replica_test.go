@@ -18,7 +18,7 @@ import (
 	"karl/internal/server"
 )
 
-func mkEngine(t *testing.T) *karl.DynamicEngine {
+func mkEngine(t *testing.T) *karl.Engine {
 	t.Helper()
 	d, err := karl.NewDynamic(karl.Gaussian(1.5), karl.WithSealSize(32), karl.WithAutoCompaction(false))
 	if err != nil {
@@ -29,7 +29,7 @@ func mkEngine(t *testing.T) *karl.DynamicEngine {
 
 // loadLeader fills an engine with a deterministic insert/delete mix and
 // returns the surviving ids.
-func loadLeader(t *testing.T, d *karl.DynamicEngine, n int, seed int64) []uint64 {
+func loadLeader(t *testing.T, d *karl.Engine, n int, seed int64) []uint64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ids := make([]uint64, 0, n)
@@ -57,7 +57,7 @@ func loadLeader(t *testing.T, d *karl.DynamicEngine, n int, seed int64) []uint64
 // point counts, masses and aggregates within float-summation-order
 // tolerance (leader and follower hold the same live mass in differently
 // shaped manifests).
-func checkConverged(t *testing.T, leader, follower *karl.DynamicEngine) {
+func checkConverged(t *testing.T, leader, follower *karl.Engine) {
 	t.Helper()
 	close9 := func(a, b float64) bool {
 		return math.Abs(a-b) <= 1e-9*(1+math.Abs(a))
@@ -141,7 +141,7 @@ func TestApplierResyncFallback(t *testing.T) {
 	if _, err := seedLeader.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	leader, err := karl.ReadDynamic(strings.NewReader(buf.String()))
+	leader, err := karl.ReadEngine(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestApplierPromote(t *testing.T) {
 // earlier. Rewrites keep each segment's sequence range in place, so the
 // applier must stay "live" on incremental pulls alone: no resync, ever.
 func TestApplierLiveUnderLeaderRewrites(t *testing.T) {
-	mk := func() *karl.DynamicEngine {
+	mk := func() *karl.Engine {
 		d, err := karl.NewDynamic(karl.Gaussian(1.5), karl.WithSealSize(32))
 		if err != nil {
 			t.Fatal(err)
@@ -319,7 +319,7 @@ func TestHTTPSourceRoundTrip(t *testing.T) {
 	if _, err := seed.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	leader, err := karl.ReadDynamic(strings.NewReader(buf.String()))
+	leader, err := karl.ReadEngine(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

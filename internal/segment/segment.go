@@ -1,5 +1,5 @@
 // Package segment implements the LSM-style storage layer under
-// karl.DynamicEngine: an ordered manifest of immutable index segments plus
+// karl.Engine: an ordered manifest of immutable index segments plus
 // the operations that evolve it — sealing a memtable into a small segment,
 // and merging segments under a geometric tiering policy.
 //
@@ -62,7 +62,7 @@ func (c BuildConfig) Build(m *vec.Matrix, w []float64) (*index.Tree, error) {
 // Seqs, when non-nil, carries the global point sequence numbers of the
 // segment's rows in INSERTION order (ascending — segments cover contiguous
 // runs of the insert stream), which is what makes individual points
-// addressable for deletion; every segment a DynamicEngine serves has them.
+// addressable for deletion; every segment an engine serves has them.
 // Times (parallel to Seqs, UnixNano) records insert timestamps for TTL
 // expiry; nil on untimed engines.
 // TimeRef is the instant the stored weights are scaled to under

@@ -22,18 +22,18 @@ import (
 // their refinement scratch state), so N in-flight requests refine on N
 // independent engines with no global lock anywhere on the query path.
 //
-// Two dataset modes share the same endpoints. New serves a static
-// *karl.Engine over an immutable index. NewMutable serves a
-// *karl.DynamicEngine — its segmented LSM manifest grows through POST
-// /v1/insert while queries keep flowing: pooled clones re-arm themselves
-// against the latest manifest epoch on their next query (an atomic
-// snapshot, never a lock held across refinement), and /v1/stats reports
-// how the pool tracks the advancing epoch.
+// Two serving modes share the same endpoints and the same engine type. New
+// mounts the read routes only, so the dataset stays what was loaded.
+// NewMutable adds the write routes: the engine's segmented LSM manifest
+// grows through POST /v1/insert while queries keep flowing — pooled clones
+// re-arm themselves against the latest manifest epoch on their next query
+// (an atomic snapshot, never a lock held across refinement), and /v1/stats
+// reports how the pool tracks the advancing epoch.
 
 // lsmStats is the optional deep-introspection surface a segmented engine
 // exposes beyond karl.MutableEngine: manifest shape and maintenance
-// counters for /v1/info and /v1/stats. *karl.DynamicEngine provides it;
-// a mutable engine without it simply reports zeros there.
+// counters for /v1/info and /v1/stats. *karl.Engine provides it; a
+// mutable engine without it simply reports zeros there.
 type lsmStats interface {
 	Segments() []karl.SegmentInfo
 	MemtableLen() int
@@ -52,11 +52,11 @@ type lsmStats interface {
 // replicate).
 type local struct {
 	pool *enginePool
-	dims int
 
 	// dyn is set by NewMutable: the engine the write endpoints feed. lsm
 	// is its optional introspection surface and rsrc its replication export
-	// surface (nil when the engine lacks them). All nil for static serving.
+	// surface (nil when the engine lacks them). All nil for read-only
+	// serving.
 	dyn  karl.MutableEngine
 	lsm  lsmStats
 	rsrc replicaSource
@@ -121,9 +121,10 @@ func newConfig(opts []Option) (config, error) {
 	return cfg, nil
 }
 
-// New builds a server around a static engine. The engine itself is never
-// queried: it is the template the clone pool grows from, so the caller
-// may keep using it from one other goroutine.
+// New builds a read-only server around an engine: no write route is
+// mounted. The engine itself is never queried: it is the template the
+// clone pool grows from, so the caller may keep using it from one other
+// goroutine.
 func New(eng *karl.Engine, opts ...Option) (*Server, error) {
 	if eng == nil {
 		return nil, errors.New("server: nil engine")
@@ -132,7 +133,7 @@ func New(eng *karl.Engine, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &local{pool: newEnginePool(eng, cfg.poolSize), dims: eng.Dims()}
+	l := &local{pool: newEnginePool(eng, cfg.poolSize)}
 	if cfg.sketchEps != 0 {
 		if !isFinite(cfg.sketchEps) || cfg.sketchEps <= 0 || cfg.sketchEps >= 1 {
 			return nil, fmt.Errorf("server: sketch tier eps must be in (0,1), got %v", cfg.sketchEps)
@@ -149,11 +150,11 @@ func New(eng *karl.Engine, opts ...Option) (*Server, error) {
 	return l.serve(cfg), nil
 }
 
-// NewMutable builds a server around a mutable (segmented) engine: the
-// query endpoints of New plus POST /v1/insert, DELETE /v1/point and POST
-// /v1/split, with segment and manifest epoch introspection in /v1/info
-// and /v1/stats when the engine exposes it. The sketch tier is not
-// supported — a static coreset cannot track a growing dataset.
+// NewMutable builds a server that also accepts writes: the query endpoints
+// of New plus POST /v1/insert, DELETE /v1/point and POST /v1/split, with
+// segment and manifest epoch introspection in /v1/info and /v1/stats when
+// the engine exposes it. The sketch tier is not supported — a coreset taken
+// at construction cannot track a growing dataset.
 func NewMutable(d karl.MutableEngine, opts ...Option) (*Server, error) {
 	if d == nil {
 		return nil, errors.New("server: nil engine")
@@ -163,7 +164,7 @@ func NewMutable(d karl.MutableEngine, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	if cfg.sketchEps != 0 {
-		return nil, errors.New("server: sketch tier requires a static engine")
+		return nil, errors.New("server: sketch tier requires a read-only server")
 	}
 	l := &local{pool: newEnginePool(d, cfg.poolSize), dyn: d}
 	l.lsm, _ = d.(lsmStats)
@@ -249,14 +250,9 @@ func (p *enginePool) stats() PoolStats {
 	return PoolStats{Idle: len(p.idle), Capacity: cap(p.idle), Clones: p.clones.Load()}
 }
 
-// Dims implements Backend: fixed for a static engine, set by the first
-// insert for a mutable one (0 while empty).
-func (l *local) Dims() int {
-	if l.dyn != nil {
-		return l.dyn.Dims()
-	}
-	return l.dims
-}
+// Dims implements Backend: set by the first insert into an engine that
+// started empty (0 until then).
+func (l *local) Dims() int { return l.pool.template.Dims() }
 
 // whole wraps one engine answer as a Result: a local engine always covers
 // its whole dataset.

@@ -16,7 +16,7 @@ import (
 	"karl"
 )
 
-func testMutableServer(t *testing.T, opts ...karl.Option) (*karl.DynamicEngine, *httptest.Server) {
+func testMutableServer(t *testing.T, opts ...karl.Option) (*karl.Engine, *httptest.Server) {
 	t.Helper()
 	d, err := karl.NewDynamic(karl.Gaussian(5), opts...)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // replicaSource is the optional leader-side replication surface a
-// mutable engine exposes (provided by *karl.DynamicEngine): status
+// mutable engine exposes (provided by *karl.Engine): status
 // counters, a full snapshot stream, and incremental batch export. A
 // mutable engine without it simply has no /v1/replicate endpoints.
 type replicaSource interface {
@@ -81,7 +81,7 @@ func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(replica.DeletePosHeader, strconv.FormatUint(delPos, 10))
 	// An error mid-stream cannot change the status line; the client sees
-	// a truncated gob, which ReadDynamic rejects loudly.
+	// a truncated gob, which ReadEngine rejects loudly.
 	_, _ = s.loc.rsrc.WriteTo(w)
 }
 

@@ -331,7 +331,8 @@ func relativeBudget(eps, epsNorm float64) float64 {
 }
 
 // rows returns the points of whichever form the request uses, with their
-// weights (nil = all 1).
+// weights (nil = all 1). An empty "points" is no form at all, exactly like
+// an empty "ids" on the delete side, so no backend ever sees one.
 func (r InsertRequest) rows() ([][]float64, []float64, error) {
 	switch {
 	case r.P != nil && r.Points != nil:
@@ -345,7 +346,7 @@ func (r InsertRequest) rows() ([][]float64, []float64, error) {
 			wt = *r.W
 		}
 		return [][]float64{r.P}, []float64{wt}, nil
-	case r.Points != nil:
+	case len(r.Points) != 0:
 		if r.W != nil {
 			return nil, nil, errors.New(`"w" belongs to the single form; use "weights" with "points"`)
 		}

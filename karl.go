@@ -36,7 +36,6 @@ import (
 	"karl/internal/core"
 	"karl/internal/index"
 	"karl/internal/kernel"
-	"karl/internal/segment"
 	"karl/internal/vec"
 )
 
@@ -99,12 +98,12 @@ type buildConfig struct {
 
 	// Coreset construction knobs, consulted only by BuildCoreset,
 	// Engine.Sketch and KDE.Compress (coreset.go).
-	coresetMethod  CoresetMethod
-	coresetSeed    int64
-	coresetMinSize int
+	coresetMethod CoresetMethod
+	coresetSeed   int64
 
-	// Segmented-engine knobs, consulted only by NewDynamic (dynamic.go).
-	// Zero values defer to segment.DefaultPolicy.
+	// Streaming knobs: how rows inserted after construction are sealed,
+	// merged, expired and decayed (dynamic.go). Zero values defer to
+	// segment.DefaultPolicy.
 	sealSize      int
 	fanout        int
 	noAutoCompact bool
@@ -131,30 +130,31 @@ func WithIndex(kind IndexKind, leafCap int) Option {
 // WithMethod selects the bounding method (default MethodKARL).
 func WithMethod(m Method) Option { return func(c *buildConfig) { c.method = m } }
 
-// WithSealSize sets the memtable capacity of a dynamic engine: inserts
-// buffer until this many points, then seal into one immutable segment
-// (default 512). Smaller values cut per-query scan cost; larger values
-// amortize index builds further. Build ignores it.
+// WithSealSize sets the engine's memtable capacity: inserts buffer until
+// this many points, then seal into one immutable segment (default 512).
+// Smaller values cut per-query scan cost; larger values amortize index
+// builds further.
 func WithSealSize(n int) Option { return func(c *buildConfig) { c.sealSize = n } }
 
-// WithCompactionFanout sets a dynamic engine's geometric tiering factor:
-// every fanout same-tier segments merge into one segment of the next tier
-// (default 4). Build ignores it.
+// WithCompactionFanout sets the engine's geometric tiering factor: every
+// fanout same-tier segments merge into one segment of the next tier
+// (default 4).
 func WithCompactionFanout(f int) Option { return func(c *buildConfig) { c.fanout = f } }
 
-// WithAutoCompaction enables or disables a dynamic engine's background
-// tiered merging (default enabled). With it off, segments accumulate one
-// per seal until Compact is called explicitly. Build ignores it.
+// WithAutoCompaction enables or disables the engine's background tiered
+// merging (default enabled). With it off, segments accumulate one per seal
+// until Compact is called explicitly.
 func WithAutoCompaction(on bool) Option {
 	return func(c *buildConfig) { c.noAutoCompact = !on }
 }
 
-// WithTTL gives a dynamic engine a sliding time window: every point
-// expires ttl after its insertion. Expiry is enforced lazily — expired
-// points are physically dropped when their run is sealed or compacted,
-// so enforcement cost is amortized into work the engine does anyway and
-// queries between compactions may still see recently-expired points.
-// Call Compact to force the window exact. Build ignores it.
+// WithTTL gives the engine a sliding time window: every point expires ttl
+// after its insertion (for rows bulk-loaded by Build, after the build
+// instant). Expiry is enforced lazily — expired points are physically
+// dropped when their run is sealed or compacted, so enforcement cost is
+// amortized into work the engine does anyway and queries between
+// compactions may still see recently-expired points. Call Compact to force
+// the window exact.
 func WithTTL(ttl time.Duration) Option {
 	return func(c *buildConfig) { c.ttl = ttl }
 }
@@ -165,7 +165,7 @@ func WithTTL(ttl time.Duration) Option {
 // decay reference instant and queries rescale their aggregates by a
 // single per-segment scalar, so no index is ever rebuilt to age its
 // weights (decayed sets are a positive-scaled Type II variant of their
-// originals). Build ignores it.
+// originals). Rows bulk-loaded by Build age from the build instant.
 func WithDecayHalfLife(halfLife time.Duration) Option {
 	return func(c *buildConfig) { c.halfLife = halfLife }
 }
@@ -176,27 +176,12 @@ func withClock(now func() int64) Option {
 	return func(c *buildConfig) { c.clock = now }
 }
 
-// Engine answers kernel aggregation queries over one indexed dataset. An
-// Engine is not safe for concurrent use; create one per goroutine with
-// Clone (clones share the index).
-type Engine struct {
-	eng  *core.Engine
-	tree *index.Tree
-	kern Kernel
-	// batchExec routes the Batch* methods (dual.go); dualCtr is the
-	// batch-executor telemetry shared by every clone.
-	batchExec BatchExecutor
-	dualCtr   *dualCounters
-	// sketch records coreset provenance when the engine indexes a reduced
-	// set (BuildCoreset / Sketch); nil for full-set engines.
-	sketch *SketchInfo
-	// shardProv records partition provenance when the engine indexes one
-	// shard of a split dataset (Engine.Shard); nil otherwise.
-	shardProv *ShardProvenance
-}
-
 // Build indexes the points (rows of equal length) and returns a query
-// engine. The point data is copied.
+// engine over them. The point data is copied. The matrix is bulk-loaded as
+// ONE sealed segment — the same tree a from-scratch index build produces,
+// rows numbered 1..n in input order — so queries run the single-segment
+// refinement loop; Insert and Delete then stream on top of it like on any
+// other engine.
 func Build(points [][]float64, kern Kernel, opts ...Option) (*Engine, error) {
 	if len(points) == 0 {
 		return nil, errors.New("karl: empty point set")
@@ -216,36 +201,15 @@ func buildMatrix(m *vec.Matrix, kern Kernel, opts ...Option) (*Engine, error) {
 
 // buildMatrixCfg builds from an already-resolved configuration.
 func buildMatrixCfg(m *vec.Matrix, kern Kernel, cfg buildConfig) (*Engine, error) {
-	if cfg.leafCap < 1 {
-		return nil, fmt.Errorf("karl: leaf capacity %d out of range", cfg.leafCap)
-	}
-	kind, err := indexKindOf(cfg.kind)
+	sh, err := newShared(kern, cfg)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := segment.BuildConfig{Kind: kind, LeafCap: cfg.leafCap}.Build(m, cfg.weights)
+	tree, err := sh.bcfg.Build(m, cfg.weights)
 	if err != nil {
 		return nil, err
 	}
-	method, err := methodOf(cfg.method)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.New(tree, kern, core.WithMethod(method))
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{eng: eng, tree: tree, kern: kern, batchExec: cfg.batchExec, dualCtr: &dualCounters{}}, nil
-}
-
-// engineFromTree wraps a reconstructed index in an Engine without
-// rebuilding it — the load path, since files persist the flat index itself.
-func engineFromTree(tree *index.Tree, kern Kernel, method bound.Method) (*Engine, error) {
-	eng, err := core.New(tree, kern, core.WithMethod(method))
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{eng: eng, tree: tree, kern: kern, dualCtr: &dualCounters{}}, nil
+	return sh.bulkLoad(tree)
 }
 
 // methodOf maps the public bounding method to the internal one. Values
@@ -275,53 +239,4 @@ func indexKindOf(k IndexKind) (index.Kind, error) {
 	default:
 		return 0, fmt.Errorf("karl: index kind %d is not supported by this build", int(k))
 	}
-}
-
-// Len returns the number of indexed points.
-func (e *Engine) Len() int { return e.tree.Len() }
-
-// Dims returns the dataset dimensionality.
-func (e *Engine) Dims() int { return e.tree.Dims() }
-
-// Kernel returns the engine's kernel.
-func (e *Engine) Kernel() Kernel { return e.kern }
-
-// Clone returns an engine that shares the index but owns its scratch
-// state, for use from another goroutine.
-func (e *Engine) Clone() *Engine {
-	return &Engine{eng: e.eng.Clone(), tree: e.tree, kern: e.kern, sketch: e.sketch, shardProv: e.shardProv,
-		batchExec: e.batchExec, dualCtr: e.dualCtr}
-}
-
-// Aggregate computes F_P(q) exactly.
-func (e *Engine) Aggregate(q []float64) (float64, error) { return e.eng.Exact(q) }
-
-// AggregateStats is Aggregate plus the per-query work statistics. An exact
-// aggregation scans every indexed point, so PointsScanned equals Len and
-// the bounds equal the returned value.
-func (e *Engine) AggregateStats(q []float64) (float64, Stats, error) {
-	return e.eng.ExactStats(q)
-}
-
-// Threshold answers the TKAQ: whether F_P(q) > tau.
-func (e *Engine) Threshold(q []float64, tau float64) (bool, error) {
-	ok, _, err := e.eng.Threshold(q, tau)
-	return ok, err
-}
-
-// ThresholdStats is Threshold plus the per-query work statistics.
-func (e *Engine) ThresholdStats(q []float64, tau float64) (bool, Stats, error) {
-	return e.eng.Threshold(q, tau)
-}
-
-// Approximate answers the eKAQ: a value within relative error eps of
-// F_P(q).
-func (e *Engine) Approximate(q []float64, eps float64) (float64, error) {
-	v, _, err := e.eng.Approximate(q, eps)
-	return v, err
-}
-
-// ApproximateStats is Approximate plus the per-query work statistics.
-func (e *Engine) ApproximateStats(q []float64, eps float64) (float64, Stats, error) {
-	return e.eng.Approximate(q, eps)
 }

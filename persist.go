@@ -1,11 +1,12 @@
 package karl
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"karl/internal/index"
@@ -14,32 +15,37 @@ import (
 )
 
 // persistVersion is the one on-disk format version this build writes and
-// reads. A static file is one gob enginePayload carrying the built flat
-// index itself (leaf-ordered points and weights, the original-row mapping,
-// the preorder node arrays, the flattened bounding volumes), so loading
-// reconstructs the exact tree and answers are bitwise identical across a
-// round trip; a dynamic file is one gob dynamicPayload: the LSM policy, the
-// manifest as per-segment engine payloads with their sequence numbers and
-// timestamps, the raw memtable rows, and the pending tombstones. Files of
+// reads. An engine file is one gob dynamicPayload: the LSM policy, the
+// manifest as per-segment engine payloads — each the built flat index
+// itself (leaf-ordered points and weights, the original-row mapping, the
+// preorder node arrays, the flattened bounding volumes), with its sequence
+// numbers and timestamps — the raw memtable rows, and the pending
+// tombstones. Loading reconstructs the exact trees, so answers are bitwise
+// identical across a round trip. Builds before the engines were merged
+// wrote a built engine as one bare enginePayload; that stream is exactly a
+// manifest of one segment, and ReadEngine loads it as such. Files of
 // earlier versions are refused by version number. Version-7 files written
 // by earlier builds may carry a LeafFloat32 field, which gob skips.
 const persistVersion = 7
 
-// sketchProvenance is the wire form of SketchInfo: a saved coreset engine
-// records what it was reduced from and the error bound it carries.
+// sketchProvenance is the wire form of SketchInfo, field for field: a saved
+// coreset engine records what it was reduced from and the error bound it
+// carries.
 type sketchProvenance struct {
 	SourceLen    int
 	SourceWeight float64
 	Len          int
 	Eps          float64
 	Delta        float64
-	Basis        string
-	Method       int
+	Basis        SketchBasis
+	Method       CoresetMethod
 }
 
-// enginePayload is the gob wire format for an Engine. It carries the flat
-// index layout itself (leaf-ordered points plus the node arrays below), so
-// loading is a reconstruction, not a rebuild.
+// enginePayload is the gob wire format of one flat index with the kernel
+// and bounding method it is queried with: a segment of an engine file, the
+// whole of a pre-merge static engine file, and the engine half of an SVM
+// file. It carries the index layout itself (leaf-ordered points plus the
+// node arrays below), so loading is a reconstruction, not a rebuild.
 type enginePayload struct {
 	Version int
 	Dims    int
@@ -49,8 +55,11 @@ type enginePayload struct {
 	Kind    IndexKind
 	LeafCap int
 	Method  Method
-	Sketch  *sketchProvenance // nil for full-set engines
-	Shard   *shardWire        // nil for unpartitioned engines
+	// Sketch and Shard are the engine's provenance (nil without one). In an
+	// engine file the manifest's first segment carries them — the slot a
+	// static stream has always had them in.
+	Sketch *sketchProvenance
+	Shard  *shardWire
 
 	// Flat index layout: storage row -> original row, the DFS-preorder
 	// node arrays, and every node's bounding-volume parameters packed by
@@ -64,12 +73,12 @@ type enginePayload struct {
 	VolData   []float64
 }
 
-// shardWire is the wire form of ShardProvenance: a saved shard engine
-// records which slice of which partition it indexes.
+// shardWire is the wire form of ShardProvenance, field for field: a saved
+// shard engine records which slice of which partition it indexes.
 type shardWire struct {
 	Index     int
 	Of        int
-	Partition int
+	Partition PartitionKind
 	SourceLen int
 }
 
@@ -79,34 +88,43 @@ type svmPayload struct {
 	Rho    float64
 }
 
-// payload flattens an engine for serialization.
-func (e *Engine) payload() enginePayload {
-	p := treePayload(e.tree, e.kern, publicMethod(e.eng.Method()))
-	if e.sketch != nil {
-		p.Sketch = &sketchProvenance{
-			SourceLen:    e.sketch.SourceLen,
-			SourceWeight: e.sketch.SourceWeight,
-			Len:          e.sketch.Len,
-			Eps:          e.sketch.Eps,
-			Delta:        e.sketch.Delta,
-			Basis:        string(e.sketch.Basis),
-			Method:       int(e.sketch.Method),
-		}
+// setProvenance records the engine's provenance on the payload.
+func (p *enginePayload) setProvenance(sk *SketchInfo, sp *ShardProvenance) {
+	if sk != nil {
+		w := sketchProvenance(*sk)
+		p.Sketch = &w
 	}
-	if e.shardProv != nil {
-		p.Shard = &shardWire{
-			Index:     e.shardProv.Index,
-			Of:        e.shardProv.Of,
-			Partition: int(e.shardProv.Partition),
-			SourceLen: e.shardProv.SourceLen,
-		}
+	if sp != nil {
+		w := shardWire(*sp)
+		p.Shard = &w
 	}
-	return p
+}
+
+// provenance validates and returns the provenance the payload carries. It
+// describes the set the engine was built over, which streamed inserts may
+// since have outgrown, so only its own consistency is checked.
+func (p enginePayload) provenance() (*SketchInfo, *ShardProvenance, error) {
+	var sk *SketchInfo
+	if p.Sketch != nil {
+		if p.Sketch.Len < 1 || p.Sketch.SourceLen < p.Sketch.Len {
+			return nil, nil, errors.New("karl: corrupt engine payload (sketch provenance)")
+		}
+		info := SketchInfo(*p.Sketch)
+		sk = &info
+	}
+	var sp *ShardProvenance
+	if p.Shard != nil {
+		if p.Shard.Of < 1 || p.Shard.Index < 0 || p.Shard.Index >= p.Shard.Of || p.Shard.SourceLen < 1 {
+			return nil, nil, errors.New("karl: corrupt engine payload (shard provenance)")
+		}
+		prov := ShardProvenance(*p.Shard)
+		sp = &prov
+	}
+	return sk, sp, nil
 }
 
 // treePayload flattens one built index (plus the kernel and bounding
-// method it is queried with) into the wire layout — the unit both the
-// static engine format and every segment of the dynamic format reuse.
+// method it is queried with) into the wire layout.
 func treePayload(tree *index.Tree, kern Kernel, method Method) enginePayload {
 	kind := publicIndexKind(tree.Kind)
 	pts := make([]float64, len(tree.Points.Data))
@@ -166,16 +184,23 @@ func (p enginePayload) restoreTree() (*index.Tree, error) {
 	return tree, nil
 }
 
-// restore rebuilds an engine from a payload.
+// checkVersion refuses a stream of any format version but the current one.
+func checkVersion(v int) error {
+	if v != persistVersion {
+		return fmt.Errorf("karl: unsupported engine format version %d (this build reads version %d)", v, persistVersion)
+	}
+	return nil
+}
+
+// restore rebuilds an engine from a bare index payload: a manifest of one
+// bulk-loaded segment under the default streaming policy.
 func (p enginePayload) restore() (*Engine, error) {
-	if p.Version != persistVersion {
-		return nil, fmt.Errorf("karl: unsupported engine format version %d (this build reads version %d)",
-			p.Version, persistVersion)
+	if err := checkVersion(p.Version); err != nil {
+		return nil, err
 	}
-	if len(p.Points) == 0 {
-		return nil, errors.New("karl: stream has no static engine payload (a dynamic engine file? use ReadDynamic)")
-	}
-	method, err := methodOf(p.Method)
+	cfg := defaultBuildConfig()
+	cfg.kind, cfg.leafCap, cfg.method = p.Kind, p.LeafCap, p.Method
+	sh, err := newShared(p.Kernel, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -183,53 +208,30 @@ func (p enginePayload) restore() (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := engineFromTree(tree, p.Kernel, method)
-	if err != nil {
+	if sh.sketch, sh.shardProv, err = p.provenance(); err != nil {
 		return nil, err
 	}
-	if p.Sketch != nil {
-		if p.Sketch.Len != eng.Len() || p.Sketch.SourceLen < eng.Len() {
-			return nil, errors.New("karl: corrupt engine payload (sketch provenance)")
-		}
-		eng.sketch = &SketchInfo{
-			SourceLen:    p.Sketch.SourceLen,
-			SourceWeight: p.Sketch.SourceWeight,
-			Len:          p.Sketch.Len,
-			Eps:          p.Sketch.Eps,
-			Delta:        p.Sketch.Delta,
-			Basis:        SketchBasis(p.Sketch.Basis),
-			Method:       CoresetMethod(p.Sketch.Method),
-		}
-	}
-	if p.Shard != nil {
-		if p.Shard.Of < 1 || p.Shard.Index < 0 || p.Shard.Index >= p.Shard.Of || p.Shard.SourceLen < eng.Len() {
-			return nil, errors.New("karl: corrupt engine payload (shard provenance)")
-		}
-		eng.shardProv = &ShardProvenance{
-			Index:     p.Shard.Index,
-			Of:        p.Shard.Of,
-			Partition: PartitionKind(p.Shard.Partition),
-			SourceLen: p.Shard.SourceLen,
-		}
-	}
-	return eng, nil
+	return sh.bulkLoad(tree)
 }
 
-// WriteTo serializes the engine (kernel, bounding method and the built flat
-// index with its points and weights) to w; ReadEngine reconstructs the
-// identical index without rebuilding it.
-func (e *Engine) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	if err := gob.NewEncoder(cw).Encode(e.payload()); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// ReadEngine deserializes an engine written by Engine.WriteTo.
+// ReadEngine deserializes an engine written by Engine.WriteTo, or a static
+// engine file of an earlier version-7 build. Every segment is reconstructed
+// (no rebuilding), so answers are bitwise identical across the round trip.
 func ReadEngine(r io.Reader) (*Engine, error) {
-	var p enginePayload
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
+	// A gob stream opens with the descriptor of its top-level type, name
+	// first: that tells the two version-7 shapes apart before decoding.
+	br := bufio.NewReader(r)
+	head, _ := br.Peek(64)
+	dec := gob.NewDecoder(br)
+	if bytes.Contains(head, []byte("enginePayload")) {
+		var p enginePayload
+		if err := dec.Decode(&p); err != nil {
+			return nil, err
+		}
+		return p.restore()
+	}
+	var p dynamicPayload
+	if err := dec.Decode(&p); err != nil {
 		return nil, err
 	}
 	return p.restore()
@@ -237,8 +239,12 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 
 // WriteTo serializes a trained SVM (support vectors, weights, kernel, ρ).
 func (s *SVM) WriteTo(w io.Writer) (int64, error) {
+	tree, kern, cfg, err := s.eng.liveSet()
+	if err != nil {
+		return 0, err
+	}
 	cw := &countWriter{w: w}
-	payload := svmPayload{Engine: s.eng.payload(), Rho: s.Rho}
+	payload := svmPayload{Engine: treePayload(tree, kern, cfg.method), Rho: s.Rho}
 	if err := gob.NewEncoder(cw).Encode(payload); err != nil {
 		return cw.n, err
 	}
@@ -262,7 +268,7 @@ func ReadSVM(r io.Reader) (*SVM, error) {
 // payload plus the segment's identity, and its per-row sequence numbers
 // and insert timestamps in insertion order with the decay reference
 // instant. Coreset and Eps belonged to the removed cold-compaction tier:
-// nothing writes them, and ReadDynamic refuses a file that set either.
+// nothing writes them, and ReadEngine refuses a file that set either.
 type segmentPayload struct {
 	Engine  enginePayload
 	ID      uint64
@@ -273,11 +279,23 @@ type segmentPayload struct {
 	TimeRef int64
 }
 
-// dynamicPayload is the gob wire format for a DynamicEngine: the LSM
-// policy, the manifest as per-segment payloads, and the raw memtable rows
-// in insertion order. ColdEps, ColdMin and ColdSeed configured the removed
-// cold-compaction tier: nothing writes them, and ReadDynamic refuses a
-// file that set any of them.
+// segmentWire flattens one sealed segment. Segments are immutable, so the
+// caller needs no lock once it holds the pointer.
+func segmentWire(s *segment.Segment, kern Kernel, method Method) segmentPayload {
+	return segmentPayload{
+		Engine:  treePayload(s.Tree, kern, method),
+		ID:      s.ID,
+		Seqs:    append([]uint64(nil), s.Seqs...),
+		Times:   append([]int64(nil), s.Times...),
+		TimeRef: s.TimeRef,
+	}
+}
+
+// dynamicPayload is the gob wire format of an Engine: the LSM policy, the
+// manifest as per-segment payloads, and the raw memtable rows in insertion
+// order. ColdEps, ColdMin and ColdSeed configured the removed
+// cold-compaction tier: nothing writes them, and ReadEngine refuses a file
+// that set any of them.
 type dynamicPayload struct {
 	Version     int
 	Dims        int
@@ -314,13 +332,13 @@ type dynamicPayload struct {
 	TombPts  []float64
 }
 
-// WriteTo serializes the dynamic engine — manifest, memtable and policy —
-// so a reload resumes with the identical segment layout and therefore
+// WriteTo serializes the engine — manifest, memtable and policy — so a
+// reload by ReadEngine resumes with the identical segment layout and therefore
 // bitwise-identical answers. It waits for an in-flight seal or full
 // compaction to finish, then snapshots under the lock; a concurrent
 // background merge does not block the write (the pre-merge manifest is a
 // consistent snapshot).
-func (d *DynamicEngine) WriteTo(w io.Writer) (int64, error) {
+func (d *Engine) WriteTo(w io.Writer) (int64, error) {
 	sh := d.sh
 	sh.mu.Lock()
 	for sh.sealing != nil || sh.draining {
@@ -348,13 +366,7 @@ func (d *DynamicEngine) WriteTo(w io.Writer) (int64, error) {
 	}
 	p.Segments = make([]segmentPayload, len(sh.man.Segs))
 	for i, s := range sh.man.Segs {
-		p.Segments[i] = segmentPayload{
-			Engine:  treePayload(s.Tree, sh.kern, method),
-			ID:      s.ID,
-			Seqs:    append([]uint64(nil), s.Seqs...),
-			Times:   append([]int64(nil), s.Times...),
-			TimeRef: s.TimeRef,
-		}
+		p.Segments[i] = segmentWire(s, sh.kern, method)
 	}
 	if n := sh.mem.len(); n > 0 {
 		p.MemPoints = make([]float64, n*sh.dims)
@@ -367,6 +379,9 @@ func (d *DynamicEngine) WriteTo(w io.Writer) (int64, error) {
 			p.MemTimes = make([]int64, n)
 			copy(p.MemTimes, sh.mem.t[:n])
 		}
+	}
+	if len(p.Segments) > 0 {
+		p.Segments[0].Engine.setProvenance(sh.sketch, sh.shardProv)
 	}
 	p.setTombs(deadOf(sh.man.Segs)...) // sealDead is empty: the seal was waited out
 	sh.mu.Unlock()
@@ -393,34 +408,13 @@ func (p *dynamicPayload) setTombs(sets ...*segment.Dead) {
 	}
 }
 
-// ReadDynamic deserializes a dynamic engine written by
-// DynamicEngine.WriteTo. The manifest is reconstructed segment by segment
-// (no rebuilding), so answers are bitwise identical across the round trip.
-func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
-	var p dynamicPayload
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
+// restore validates the payload and reconstructs its engine.
+func (p dynamicPayload) restore() (*Engine, error) {
+	if err := checkVersion(p.Version); err != nil {
 		return nil, err
 	}
-	if p.Version != persistVersion {
-		return nil, fmt.Errorf("karl: unsupported dynamic engine format version %d (this build reads version %d; static engine files load with ReadEngine)",
-			p.Version, persistVersion)
-	}
-	if p.SealSize == 0 && len(p.Segments) == 0 {
-		// A static engine stream decodes into these fields as zeroes.
-		return nil, errors.New("karl: stream has no dynamic engine payload (a static engine file? use ReadEngine)")
-	}
 	if p.usedColdCompaction() {
-		return nil, errors.New("karl: dynamic engine file was written with cold compaction, which this build does not support")
-	}
-	policy := segment.Policy{SealSize: p.SealSize, Fanout: p.Fanout}
-	if err := policy.Validate(); err != nil {
-		return nil, fmt.Errorf("karl: corrupt dynamic engine payload: %w", err)
-	}
-	if err := p.Kernel.Validate(); err != nil {
-		return nil, fmt.Errorf("karl: corrupt dynamic engine payload: %w", err)
-	}
-	if p.TTL < 0 || p.HalfLife < 0 {
-		return nil, errors.New("karl: corrupt dynamic engine payload (negative ttl or half-life)")
+		return nil, errors.New("karl: engine file was written with cold compaction, which this build does not support")
 	}
 	memN := 0
 	if len(p.MemPoints) > 0 {
@@ -442,32 +436,18 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 	if timed && memN > 0 && p.MemTimes == nil {
 		return nil, errors.New("karl: corrupt dynamic engine payload (timed engine without memtable times)")
 	}
-	method, err := methodOf(p.Method)
+	cfg := defaultBuildConfig()
+	cfg.kind, cfg.leafCap, cfg.method = p.Kind, p.LeafCap, p.Method
+	cfg.sealSize, cfg.fanout, cfg.noAutoCompact = p.SealSize, p.Fanout, !p.AutoCompact
+	cfg.ttl, cfg.halfLife = time.Duration(p.TTL), time.Duration(p.HalfLife)
+	sh, err := newShared(p.Kernel, cfg)
 	if err != nil {
 		return nil, err
 	}
-	kind, err := indexKindOf(p.Kind)
-	if err != nil {
-		return nil, err
-	}
-	sh := &dynShared{
-		kern:        p.Kernel,
-		method:      method,
-		bcfg:        segment.BuildConfig{Kind: kind, LeafCap: p.LeafCap},
-		policy:      policy,
-		autoCompact: p.AutoCompact,
-		ttl:         p.TTL,
-		halfLife:    float64(p.HalfLife),
-		now:         func() int64 { return time.Now().UnixNano() },
-		dims:        p.Dims,
-		nextID:      p.NextID,
-		nextSeq:     p.NextSeq,
-		deletes:     p.Deletes,
-		delLogBase:  uint64(p.Deletes),
-		seals:       p.Seals,
-		compactions: p.Compactions,
-	}
-	sh.cond = sync.NewCond(&sh.mu)
+	sh.dims = p.Dims
+	sh.nextID, sh.nextSeq = p.NextID, p.NextSeq
+	sh.deletes, sh.delLogBase = p.Deletes, uint64(p.Deletes)
+	sh.seals, sh.compactions = p.Seals, p.Compactions
 	man := &segment.Manifest{Epoch: p.Epoch, Segs: make([]*segment.Segment, len(p.Segments))}
 	for i, sp := range p.Segments {
 		tree, err := sp.Engine.restoreTree()
@@ -541,6 +521,11 @@ func ReadDynamic(r io.Reader) (*DynamicEngine, error) {
 		}
 		if !home.Dead.Add(seq, p.TombW[i], p.TombRef[i], p.TombPts[i*p.Dims:(i+1)*p.Dims]) {
 			return nil, errors.New("karl: corrupt dynamic engine payload (duplicate tombstone)")
+		}
+	}
+	if len(p.Segments) > 0 {
+		if sh.sketch, sh.shardProv, err = p.Segments[0].Engine.provenance(); err != nil {
+			return nil, err
 		}
 	}
 	return newDynamicView(sh)

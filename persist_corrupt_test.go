@@ -63,11 +63,11 @@ func TestReadDynamicRejectsTruncated(t *testing.T) {
 	full := buf.Bytes()
 	for _, frac := range []float64{0, 0.1, 0.5, 0.9, 0.99} {
 		cut := int(frac * float64(len(full)))
-		if _, err := ReadDynamic(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := ReadEngine(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("stream truncated to %d/%d bytes accepted", cut, len(full))
 		}
 	}
-	if _, err := ReadDynamic(bytes.NewReader(full)); err != nil {
+	if _, err := ReadEngine(bytes.NewReader(full)); err != nil {
 		t.Fatalf("full stream rejected: %v", err)
 	}
 }
@@ -80,7 +80,7 @@ func TestReadDynamicRejectsBadVersionAndGarbage(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(dynamicPayload{Version: 99, SealSize: 64}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadDynamic(&buf)
+	_, err := ReadEngine(&buf)
 	if err == nil {
 		t.Fatal("version 99 accepted")
 	}
@@ -88,10 +88,10 @@ func TestReadDynamicRejectsBadVersionAndGarbage(t *testing.T) {
 		t.Fatalf("version error %q does not name the version", err)
 	}
 
-	if _, err := ReadDynamic(bytes.NewReader([]byte("KARLv99 this is not a gob stream"))); err == nil {
+	if _, err := ReadEngine(bytes.NewReader([]byte("KARLv99 this is not a gob stream"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := ReadDynamic(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadEngine(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
 	}
 }
@@ -265,8 +265,8 @@ func TestShardProvenanceRoundTrip(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptShardProvenance covers the validation of the
-// optional shard-provenance block: out-of-range indices and impossible
-// source sizes must fail with an error naming the problem.
+// optional shard-provenance block: out-of-range indices and an empty
+// source must fail with an error naming the problem.
 func TestRestoreRejectsCorruptShardProvenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	eng, err := Build(cloud(rng, 120, 2), Gaussian(1))
@@ -278,7 +278,7 @@ func TestRestoreRejectsCorruptShardProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrupt := func(mutate func(*shardWire)) error {
-		p := shards[0].payload()
+		p := staticPayload(t, shards[0])
 		mutate(p.Shard)
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
@@ -291,7 +291,7 @@ func TestRestoreRejectsCorruptShardProvenance(t *testing.T) {
 		"index ≥ of":        func(s *shardWire) { s.Index = 5 },
 		"negative index":    func(s *shardWire) { s.Index = -1 },
 		"zero of":           func(s *shardWire) { s.Of = 0 },
-		"source too small":  func(s *shardWire) { s.SourceLen = 1 },
+		"empty source":      func(s *shardWire) { s.SourceLen = 0 },
 		"negative leftover": func(s *shardWire) { s.Of = -3; s.Index = -4 },
 	}
 	for name, mutate := range cases {

@@ -10,8 +10,8 @@ import (
 // fuzzSeedCorpus loads every committed golden fixture, the valid streams
 // this build refuses by name (an index kind or bounding method it does not
 // have, a trace of the removed cold-compaction tier), and a few
-// hand-written degenerate inputs, so both fuzzers start from accepted and
-// refused streams alike and mutate from there.
+// hand-written degenerate inputs, so the fuzzer starts from accepted and
+// refused streams of both shapes alike and mutates from there.
 //
 // Note for interactive use: gob streams minimize poorly (nearly every
 // byte is load-bearing), so run with a bounded minimization budget or
@@ -45,10 +45,20 @@ func fuzzSeedCorpus(f *testing.F) {
 	}
 }
 
-// FuzzRead hammers the static decode path: arbitrary bytes must either
-// load into a usable engine or fail with a clean error — never panic,
-// never return a broken engine that panics on first use.
-func FuzzRead(f *testing.F) {
+// FuzzRead hammers the one reader, seeded with both stream shapes: arbitrary
+// bytes must either load into a usable engine or fail with a clean error —
+// never panic, never return a broken engine that panics on first use. The
+// dynamic shape has far more cross-field invariants to validate (per-segment
+// sequence numbers, tombstone references, memtable parallel arrays), so a
+// stream that decodes must yield an engine whose query, mutation and
+// re-serialization paths work.
+func FuzzRead(f *testing.F) { fuzzReadEngine(f) }
+
+// FuzzReadDynamic replays the same corpus through the same body: the name
+// the seed-corpus run has always listed beside FuzzRead. CI fuzzes FuzzRead.
+func FuzzReadDynamic(f *testing.F) { fuzzReadEngine(f) }
+
+func fuzzReadEngine(f *testing.F) {
 	fuzzSeedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -58,44 +68,17 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A successfully decoded engine must survive basic use.
+		defer eng.Close()
 		q := make([]float64, eng.Dims())
 		if _, err := eng.Aggregate(q); err != nil {
-			t.Logf("aggregate on decoded engine: %v", err)
-		}
-		var sink bytes.Buffer
-		if _, err := eng.WriteTo(&sink); err != nil {
-			t.Fatalf("re-serialize decoded engine: %v", err)
-		}
-	})
-}
-
-// FuzzReadDynamic hammers the dynamic decode path, which has far more
-// cross-field invariants to validate (per-segment sequence numbers,
-// tombstone references, memtable parallel arrays): arbitrary bytes must
-// never panic, and a stream that decodes must yield an engine whose
-// query, mutation and re-serialization paths work.
-func FuzzReadDynamic(f *testing.F) {
-	fuzzSeedCorpus(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			t.Skip("oversized input")
-		}
-		d, err := ReadDynamic(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		defer d.Close()
-		q := make([]float64, d.Dims())
-		if _, err := d.Aggregate(q); err != nil {
 			t.Logf("aggregate on decoded engine: %v", err)
 		}
 		// Exercise the mutability surfaces the decoder is supposed to have
 		// validated: delete an early ID (either outcome is fine, panics are
 		// not) and round-trip.
-		_ = d.Delete(1)
+		_ = eng.Delete(1)
 		var sink bytes.Buffer
-		if _, err := d.WriteTo(&sink); err != nil {
+		if _, err := eng.WriteTo(&sink); err != nil {
 			t.Fatalf("re-serialize decoded engine: %v", err)
 		}
 	})

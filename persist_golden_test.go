@@ -18,10 +18,11 @@ import (
 )
 
 // -update regenerates the write-side golden persistence fixtures under
-// testdata/persist/ (v7_static.bin, v7_dynamic.bin, manifest_v2.bin). Run
-// it after an intentional format change. The other fixtures are frozen
-// files written by earlier builds and must never be regenerated: they pin
-// what real old files look like.
+// testdata/persist/ (v7_dynamic.bin, manifest_v2.bin). Run it after an
+// intentional format change. The other fixtures are frozen files written
+// by earlier builds and must never be regenerated: they pin what real old
+// files look like — v7_static.bin among them since the engines were merged
+// and the bare-index stream it holds stopped being written.
 var updateGolden = flag.Bool("update", false, "regenerate golden persistence fixtures")
 
 const goldenDir = "testdata/persist"
@@ -57,7 +58,7 @@ func goldenClock() int64 { return 1_700_000_000_000_000_000 }
 // dynamic fixtures serialize: several sealed segments, a partial memtable,
 // a fixed fake clock so timestamps are reproducible, tombstones, a TTL
 // window and a decay half-life.
-func goldenDynamicEngine(t testing.TB) *DynamicEngine {
+func goldenDynamicEngine(t testing.TB) *Engine {
 	t.Helper()
 	d, err := NewDynamic(Gaussian(2.2),
 		WithIndex(KDTree, 8),
@@ -129,12 +130,6 @@ func goldenManifestV2(t testing.TB) *shard.Manifest {
 func goldenBytes(t testing.TB) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
-	var buf bytes.Buffer
-	if _, err := goldenStaticEngine(t).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out["v7_static.bin"] = buf.Bytes()
-
 	var dbuf bytes.Buffer
 	if _, err := goldenDynamicEngine(t).WriteTo(&dbuf); err != nil {
 		t.Fatal(err)
@@ -191,9 +186,11 @@ func readFixture(t testing.TB, name string) []byte {
 }
 
 // TestGoldenStaticFixturesLoad pins what static files this build reads.
-// v7_static.bin (this build's own output) and v7_float32_static.bin (the
-// frozen bytes an earlier build wrote WithLeafFloat32, a field gob now
-// skips) both load as the float64 engine: bitwise equal to a fresh build,
+// v7_static.bin (the bare index payload the last build with a static writer
+// wrote) and v7_float32_static.bin (the frozen bytes an earlier build wrote
+// WithLeafFloat32, a field gob now skips) both load through the one reader
+// as a one-segment engine on the single-segment loop: bitwise equal to a
+// fresh build,
 // equal to the exact scan, point-width AggregateStats bounds, and exact
 // TKAQ verdicts a hair either side of F — the case float32 leaves got
 // wrong. The frozen v6_static.bin is refused by version number.
@@ -217,6 +214,9 @@ func TestGoldenStaticFixturesLoad(t *testing.T) {
 		}
 		if eng.Len() != ref.Len() || eng.Dims() != ref.Dims() || eng.Kernel() != ref.Kernel() {
 			t.Fatalf("%s: shape/kernel changed", name)
+		}
+		if len(eng.Segments()) != 1 || eng.MemtableLen() != 0 {
+			t.Fatalf("%s: loaded as %d segments + %d buffered rows, want one sealed segment", name, len(eng.Segments()), eng.MemtableLen())
 		}
 		got, st, err := eng.AggregateStats(q)
 		if err != nil {
@@ -355,7 +355,7 @@ func TestGoldenDynamicFixturesLoad(t *testing.T) {
 	}
 	current := readFixture(t, "v7_dynamic.bin")
 	for _, name := range []string{"v7_dynamic.bin", "v7_pr16_dynamic.bin"} {
-		d, err := ReadDynamic(bytes.NewReader(readFixture(t, name)))
+		d, err := ReadEngine(bytes.NewReader(readFixture(t, name)))
 		if err != nil {
 			t.Fatalf("%s rejected: %v", name, err)
 		}
@@ -396,7 +396,7 @@ func TestGoldenDynamicFixturesLoad(t *testing.T) {
 // or a trace of the removed cold-compaction tier.
 type refusedStream struct {
 	name    string
-	dynamic bool // a ReadDynamic stream; otherwise ReadEngine
+	dynamic bool // a dynamicPayload stream; otherwise a bare enginePayload
 	data    []byte
 	want    string // what the load error must say
 }
@@ -463,9 +463,9 @@ func TestReadRejectsUnknownKindAndMethod(t *testing.T) {
 	}
 }
 
-// expectDynamicRefused checks that ReadDynamic refuses the stream with the
+// expectDynamicRefused checks that ReadEngine refuses the stream with the
 // expected message — and, because the replication paths decode with
-// ReadDynamic, that a follower refuses such a snapshot or segment the same
+// ReadEngine, that a follower refuses such a snapshot or segment the same
 // way.
 func expectDynamicRefused(t *testing.T, c refusedStream) {
 	t.Helper()
@@ -473,10 +473,10 @@ func expectDynamicRefused(t *testing.T, c refusedStream) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, readErr := ReadDynamic(bytes.NewReader(c.data))
+	_, readErr := ReadEngine(bytes.NewReader(c.data))
 	_, segErr := decodeReplicaSegment(c.data)
 	for path, err := range map[string]error{
-		"ReadDynamic":          readErr,
+		"ReadEngine":           readErr,
 		"InstallSnapshot":      fresh.InstallSnapshot(bytes.NewReader(c.data)),
 		"decodeReplicaSegment": segErr,
 	} {

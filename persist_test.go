@@ -2,6 +2,8 @@ package karl
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -128,7 +130,7 @@ func TestReadEngineRejectsBadVersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	pts := cloud(rng, 50, 2)
 	eng, _ := Build(pts, Gaussian(1))
-	p := eng.payload()
+	p := staticPayload(t, eng)
 	p.Version = 99
 	var buf bytes.Buffer
 	if _, err := ReadEngine(&buf); err == nil {
@@ -157,12 +159,12 @@ func TestV4RestoreRejectsCorruptIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	pts := cloud(rng, 80, 2)
 	eng, _ := Build(pts, Gaussian(1))
-	p := eng.payload()
+	p := staticPayload(t, eng)
 	p.NodeRight[0] = 0 // right child cannot point at the root
 	if _, err := p.restore(); err == nil {
 		t.Fatal("corrupt node arrays accepted")
 	}
-	p = eng.payload()
+	p = staticPayload(t, eng)
 	p.PointID[0] = p.PointID[1] // duplicate mapping
 	if _, err := p.restore(); err == nil {
 		t.Fatal("duplicate PointID accepted")
@@ -198,7 +200,7 @@ func TestDynamicRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
-	loaded, err := ReadDynamic(&buf)
+	loaded, err := ReadEngine(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,7 @@ func TestDynamicRoundTripEmptyMemtableOnly(t *testing.T) {
 	if _, err := d.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadDynamic(&buf)
+	loaded, err := ReadEngine(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +279,7 @@ func TestDynamicRoundTripEmptyMemtableOnly(t *testing.T) {
 	if _, err := d.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err = ReadDynamic(&buf)
+	loaded, err = ReadEngine(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,37 +293,64 @@ func TestDynamicRoundTripEmptyMemtableOnly(t *testing.T) {
 	}
 }
 
-// TestReadDynamicRejectsCrossFormat pins the error behavior when the two
-// stream kinds are mixed up: a static engine file fed to ReadDynamic and a
-// dynamic file fed to ReadEngine both produce clear errors, not silently
-// wrong engines.
-func TestReadDynamicRejectsCrossFormat(t *testing.T) {
+// TestReadEngineLoadsBothShapes: the one reader takes the stream the one
+// writer produces and the bare index payload builds before the engine merge
+// wrote for a built engine, and both come back as the same one-segment
+// engine — bitwise answers, ids 1..n, ready to stream on.
+func TestReadEngineLoadsBothShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	eng, _ := Build(cloud(rng, 50, 2), Gaussian(1))
-	var buf bytes.Buffer
-	if _, err := eng.WriteTo(&buf); err != nil {
+	pts := cloud(rng, 50, 2)
+	eng, err := Build(pts, Gaussian(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadDynamic(&buf); err == nil {
-		t.Fatal("ReadDynamic accepted a static engine stream")
+	q := []float64{0.4, 0.6}
+	want, err := eng.Aggregate(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d, _ := NewDynamic(Gaussian(1), WithSealSize(4))
-	for i := 0; i < 10; i++ {
-		if err := d.Insert([]float64{float64(i), 0}, 1); err != nil {
-			t.Fatal(err)
+	var current, static bytes.Buffer
+	if _, err := eng.WriteTo(&current); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&static).Encode(staticPayload(t, eng)); err != nil {
+		t.Fatal(err)
+	}
+	for name, stream := range map[string]*bytes.Buffer{"current": &current, "static": &static} {
+		loaded, err := ReadEngine(stream)
+		if err != nil {
+			t.Fatalf("%s stream rejected: %v", name, err)
+		}
+		if got, err := loaded.Aggregate(q); err != nil || got != want {
+			t.Fatalf("%s stream: Aggregate %v (%v), want %v bitwise", name, got, err, want)
+		}
+		if len(loaded.Segments()) != 1 || loaded.MemtableLen() != 0 || loaded.NextSeq() != uint64(len(pts))+1 {
+			t.Fatalf("%s stream: %d segments, %d buffered, next id %d; want one segment holding ids 1..%d",
+				name, len(loaded.Segments()), loaded.MemtableLen(), loaded.NextSeq(), len(pts))
+		}
+		if err := loaded.Delete(uint64(len(pts))); err != nil {
+			t.Fatalf("%s stream: deleting the last built id: %v", name, err)
+		}
+		if err := loaded.Insert(pts[len(pts)-1], 1); err != nil {
+			t.Fatalf("%s stream: %v", name, err)
+		}
+		if got, err := loaded.Aggregate(q); err != nil || math.Abs(got-want) > 1e-12*want {
+			t.Fatalf("%s stream: after delete+reinsert Aggregate %v (%v), want %v", name, got, err, want)
 		}
 	}
-	buf.Reset()
-	if _, err := d.WriteTo(&buf); err != nil {
+}
+
+// staticPayload renders a built engine as the bare index payload builds
+// before the engine merge wrote — the static shape ReadEngine still loads.
+func staticPayload(t testing.TB, e *Engine) enginePayload {
+	t.Helper()
+	tree, kern, cfg, err := e.liveSet()
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadEngine(&buf)
-	if err == nil {
-		t.Fatal("ReadEngine accepted a dynamic engine stream")
-	}
-	if !strings.Contains(err.Error(), "ReadDynamic") {
-		t.Fatalf("cross-format error %q does not point at ReadDynamic", err)
-	}
+	p := treePayload(tree, kern, cfg.method)
+	p.setProvenance(e.sh.sketch, e.sh.shardProv)
+	return p
 }
 
 // roundTrip serializes and reloads an engine, asserting identical answers

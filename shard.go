@@ -55,9 +55,10 @@ type ShardManifest struct {
 	Shards    []ShardMeta   `json:"shards"`
 }
 
-// ShardProvenance records that an engine indexes one shard of a larger
-// partitioned dataset. It is persisted with the engine, so a shard file
-// self-describes (cmd/karl-shard -inspect).
+// ShardProvenance records that an engine was built over one shard of a
+// larger partitioned dataset. It is persisted with the engine, so a shard
+// file self-describes (cmd/karl-shard -inspect); points streamed in
+// afterwards do not change it.
 type ShardProvenance struct {
 	// Index is this shard's position in the partition, in [0, Of).
 	Index int
@@ -69,58 +70,48 @@ type ShardProvenance struct {
 	SourceLen int
 }
 
-// WeightMass returns the engine's positive and negative weight mass:
-// pos = Σ w_i over w_i ≥ 0 and neg = Σ |w_i| over w_i < 0. The total
-// W = pos + neg is the normalization mass the coreset guarantees and the
-// cluster layer's ε-budget allocation are stated against.
-func (e *Engine) WeightMass() (pos, neg float64) {
-	r := e.tree.Root()
-	return r.Pos.W, r.Neg.W
-}
-
 // ShardInfo reports the engine's shard provenance. ok is false for
-// engines that do not index a shard of a partitioned dataset.
-func (e *Engine) ShardInfo() (info ShardProvenance, ok bool) {
-	if e.shardProv == nil {
+// engines that were not built as a shard of a partitioned dataset.
+func (d *Engine) ShardInfo() (info ShardProvenance, ok bool) {
+	if d.sh.shardProv == nil {
 		return ShardProvenance{}, false
 	}
-	return *e.shardProv, true
+	return *d.sh.shardProv, true
 }
 
-// Shard partitions the engine's dataset into n shard engines, each
+// Shard partitions the engine's live points into n shard engines, each
 // indexing its slice with the same kernel, index structure, leaf capacity
 // and bounding method, and each carrying ShardProvenance. The per-shard
 // answers of Aggregate sum exactly to the original engine's (up to float
 // summation order), which is what the cluster coordinator exploits.
-func (e *Engine) Shard(n int, kind PartitionKind) ([]*Engine, *ShardManifest, error) {
-	plan, err := shard.Partition(e.tree.Points, e.tree.Weights, n, shardKindOf(kind))
+func (d *Engine) Shard(n int, kind PartitionKind) ([]*Engine, *ShardManifest, error) {
+	tree, kern, cfg, err := d.liveSet()
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := shard.Partition(tree.Points, tree.Weights, n, shardKindOf(kind))
 	if err != nil {
 		return nil, nil, fmt.Errorf("karl: %w", err)
 	}
 	man := &ShardManifest{Partition: kind, Shards: make([]ShardMeta, n)}
 	engines := make([]*Engine, n)
 	for s, rows := range plan.Rows {
-		sub := vec.NewMatrix(len(rows), e.tree.Dims())
-		var w []float64
-		if e.tree.Weights != nil {
-			w = make([]float64, len(rows))
+		sub := vec.NewMatrix(len(rows), tree.Dims())
+		cfg.weights = nil
+		if tree.Weights != nil {
+			cfg.weights = make([]float64, len(rows))
 		}
 		for i, r := range rows {
-			copy(sub.Row(i), e.tree.Points.Row(r))
-			if w != nil {
-				w[i] = e.tree.Weights[r]
+			copy(sub.Row(i), tree.Points.Row(r))
+			if cfg.weights != nil {
+				cfg.weights[i] = tree.Weights[r]
 			}
 		}
-		cfg := defaultBuildConfig()
-		cfg.weights = w
-		cfg.kind = publicIndexKind(e.tree.Kind)
-		cfg.leafCap = e.tree.LeafCap
-		cfg.method = publicMethod(e.eng.Method())
-		se, err := buildMatrixCfg(sub, e.kern, cfg)
+		se, err := buildMatrixCfg(sub, kern, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("karl: shard %d: %w", s, err)
 		}
-		se.shardProv = &ShardProvenance{Index: s, Of: n, Partition: kind, SourceLen: e.Len()}
+		se.sh.shardProv = &ShardProvenance{Index: s, Of: n, Partition: kind, SourceLen: tree.Len()}
 		engines[s] = se
 		man.Shards[s] = ShardMeta{
 			Points:    plan.Meta[s].Points,

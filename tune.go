@@ -3,7 +3,6 @@ package karl
 import (
 	"errors"
 
-	"karl/internal/core"
 	"karl/internal/tuning"
 	"karl/internal/vec"
 )
@@ -67,13 +66,18 @@ func BuildAuto(points [][]float64, kern Kernel, w Workload, sample [][]float64, 
 		return nil, nil, err
 	}
 	winner := results[0]
-	eng, err := core.New(winner.Tree, kern, core.WithMethod(tw.Method))
+	cfg.kind, cfg.leafCap = publicIndexKind(winner.Candidate.Kind), winner.Candidate.LeafCap
+	sh, err := newShared(kern, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Engine{eng: eng, tree: winner.Tree, kern: kern, batchExec: cfg.batchExec, dualCtr: &dualCounters{}}, &TuneReport{
-		Kind:             publicIndexKind(winner.Candidate.Kind),
-		LeafCap:          winner.Candidate.LeafCap,
+	eng, err := sh.bulkLoad(winner.Tree)
+	if err != nil {
+		return nil, nil, err
+	}
+	return eng, &TuneReport{
+		Kind:             cfg.kind,
+		LeafCap:          cfg.leafCap,
 		SampleThroughput: winner.Throughput,
 	}, nil
 }
@@ -100,7 +104,7 @@ type DynamicTuneReport struct {
 // query/insert mix). The returned engine is empty and ready for live
 // traffic; extra opts (index kind, leaf capacity, method) apply to every
 // candidate and to the returned engine.
-func TuneDynamic(points [][]float64, kern Kernel, w Workload, sample [][]float64, queriesPerInsert int, opts ...Option) (*DynamicEngine, *DynamicTuneReport, error) {
+func TuneDynamic(points [][]float64, kern Kernel, w Workload, sample [][]float64, queriesPerInsert int, opts ...Option) (*Engine, *DynamicTuneReport, error) {
 	if len(points) == 0 {
 		return nil, nil, errors.New("karl: empty point set")
 	}
