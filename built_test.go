@@ -10,12 +10,12 @@ import (
 	"karl/internal/vec"
 )
 
-// TestBuiltEngineTakesSingleSegmentLoop: a built engine, and a static file
-// of an earlier build loaded through the one reader, are a manifest of one
+// TestBuiltEngineTakesSingleSegmentLoop: a built engine, and the same engine
+// loaded from its file, are a manifest of one
 // sealed segment with nothing buffered, so every Threshold and Approximate
 // runs the forest's single-segment loop.
 func TestBuiltEngineTakesSingleSegmentLoop(t *testing.T) {
-	loaded, err := ReadEngine(bytes.NewReader(readFixture(t, "v7_static.bin")))
+	loaded, err := ReadEngine(bytes.NewReader(readFixture(t, "built.bin")))
 	if err != nil {
 		t.Fatal(err)
 	}

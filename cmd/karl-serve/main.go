@@ -103,7 +103,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -179,12 +178,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("karl-serve: %v", err)
 	}
-	// Loading leaves garbage several times the engine's size behind (gob
-	// holds a whole file as one message), and the collector last ran while
-	// that was still reachable, so its next target is sized for the load,
-	// not for serving. Collect once: from here the heap is paced by what the
-	// engine really holds.
-	runtime.GC()
 	var srv *server.Server
 	var banner string
 	switch {

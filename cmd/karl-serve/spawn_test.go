@@ -271,10 +271,9 @@ func waitHealthy(ctx context.Context, s *cluster.HTTPShard) error {
 }
 
 // TestModelFileServesEitherWay: -mutable decides which routes exist, not
-// which files load. A static engine file written before the engines were
-// merged starts under -mutable, accepts an insert, and the next query sees
-// it; a file holding several segments and a memtable serves read-only
-// without -mutable and answers /v1/insert with the 404 of any read-only
+// which files load. The file of a built engine starts under -mutable,
+// accepts an insert, and the next query sees it; a file holding several
+// segments and a memtable serves read-only without -mutable and answers /v1/insert with the 404 of any read-only
 // server.
 func TestModelFileServesEitherWay(t *testing.T) {
 	if testing.Short() {
@@ -282,7 +281,7 @@ func TestModelFileServesEitherWay(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	trained := cluster.NewHTTPShard(spawnServe(t, "-mutable", "-model", filepath.Join("..", "..", "testdata", "persist", "v7_static.bin")))
+	trained := cluster.NewHTTPShard(spawnServe(t, "-mutable", "-model", filepath.Join("..", "..", "testdata", "persist", "built.bin")))
 	if err := waitHealthy(ctx, trained); err != nil {
 		t.Fatalf("-mutable -model <static file> never healthy: %v", err)
 	}

@@ -146,9 +146,12 @@ func runBuild(pointsPath, weightsPath string, gamma float64, scott bool, eps flo
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	n, err := eng.WriteTo(f)
 	if err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d bytes)\n", out, n)

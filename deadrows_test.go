@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"karl/internal/segment"
@@ -387,9 +388,10 @@ func TestDeleteBitwiseRepeatable(t *testing.T) {
 
 // TestDeadAttributionPersistRoundTrip writes an engine whose tombstones
 // sit on several segments (some already rewritten once) and reloads it:
-// the on-disk format stores tombstones flat, so the load must hand each
-// one back to the segment storing its row, answers must match bitwise,
-// and the reloaded engine must keep compacting on them.
+// every segment block stores its own dead rows, so each segment must come
+// back with exactly the set it was written with, answers must match
+// bitwise, and the reloaded engine must keep compacting on them. A block
+// carrying a dead row of another segment is refused when it is read.
 func TestDeadAttributionPersistRoundTrip(t *testing.T) {
 	d, err := NewDynamic(Gaussian(2), WithIndex(KDTree, 8), WithSealSize(32))
 	if err != nil {
@@ -449,6 +451,13 @@ func TestDeadAttributionPersistRoundTrip(t *testing.T) {
 		if err != nil || math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("reloaded Approximate = %v, %v; original %v", got, err, want)
 		}
+	}
+	segs := d.sh.man.Segs
+	if len(segs) < 2 || segs[0].Dead.Len() == 0 {
+		t.Fatalf("setup wants two segments, the first with dead rows: %+v", d.Segments())
+	}
+	if _, err := decodeReplicaSegment(segmentStream(segs[1], segs[0].Dead)); err == nil || !strings.Contains(err.Error(), "is not a row of segment") {
+		t.Fatalf("segment block with another segment's dead rows: error %v", err)
 	}
 	// The reloaded engine still reclaims: delete the rest.
 	for _, i := range perm[gone:] {

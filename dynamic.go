@@ -270,58 +270,64 @@ func NewDynamic(kern Kernel, opts ...Option) (*Engine, error) {
 // newShared validates a resolved configuration and returns the empty
 // dataset state every constructor starts from.
 func newShared(kern Kernel, cfg buildConfig) (*dynShared, error) {
-	if err := kern.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.leafCap < 1 {
-		return nil, fmt.Errorf("karl: leaf capacity %d out of range", cfg.leafCap)
-	}
-	policy := segment.DefaultPolicy()
+	sh := blankShared()
+	sh.kern, sh.bcfg.LeafCap, sh.policy = kern, cfg.leafCap, segment.DefaultPolicy()
 	if cfg.sealSize != 0 {
-		policy.SealSize = cfg.sealSize
+		sh.policy.SealSize = cfg.sealSize
 	}
 	if cfg.fanout != 0 {
-		policy.Fanout = cfg.fanout
+		sh.policy.Fanout = cfg.fanout
 	}
-	if err := policy.Validate(); err != nil {
+	sh.autoCompact, sh.ttl, sh.halfLife = !cfg.noAutoCompact, int64(cfg.ttl), float64(cfg.halfLife)
+	sh.batchExec = cfg.batchExec
+	if cfg.clock != nil {
+		sh.now = cfg.clock
+	}
+	var err error
+	if sh.method, err = methodOf(cfg.method); err != nil {
 		return nil, err
 	}
-	if cfg.ttl < 0 {
-		return nil, fmt.Errorf("karl: ttl must be non-negative, got %v", cfg.ttl)
-	}
-	if cfg.halfLife < 0 {
-		return nil, fmt.Errorf("karl: decay half-life must be non-negative, got %v", cfg.halfLife)
-	}
-	method, err := methodOf(cfg.method)
-	if err != nil {
+	if sh.bcfg.Kind, err = indexKindOf(cfg.kind); err != nil {
 		return nil, err
 	}
-	kind, err := indexKindOf(cfg.kind)
-	if err != nil {
+	if err := sh.validate(); err != nil {
 		return nil, err
 	}
+	return sh, nil
+}
+
+// blankShared returns dataset state with no configuration yet: what
+// newShared fills from options and ReadEngine from an engine block.
+func blankShared() *dynShared {
 	sh := &dynShared{
-		dynConfig: dynConfig{
-			kern:        kern,
-			method:      method,
-			bcfg:        segment.BuildConfig{Kind: kind, LeafCap: cfg.leafCap},
-			policy:      policy,
-			autoCompact: !cfg.noAutoCompact,
-			ttl:         int64(cfg.ttl),
-			halfLife:    float64(cfg.halfLife),
-		},
-		batchExec: cfg.batchExec,
-		dualCtr:   &dualCounters{},
-		now:       cfg.clock,
-		man:       &segment.Manifest{},
-		nextID:    1,
-		nextSeq:   1,
-	}
-	if sh.now == nil {
-		sh.now = func() int64 { return time.Now().UnixNano() }
+		dualCtr: &dualCounters{},
+		now:     func() int64 { return time.Now().UnixNano() },
+		man:     &segment.Manifest{},
+		nextID:  1,
+		nextSeq: 1,
 	}
 	sh.cond = sync.NewCond(&sh.mu)
-	return sh, nil
+	return sh
+}
+
+// validate checks a resolved configuration.
+func (c *dynConfig) validate() error {
+	if err := c.kern.Validate(); err != nil {
+		return err
+	}
+	if c.bcfg.LeafCap < 1 {
+		return fmt.Errorf("karl: leaf capacity %d out of range", c.bcfg.LeafCap)
+	}
+	if err := c.policy.Validate(); err != nil {
+		return err
+	}
+	if c.ttl < 0 {
+		return fmt.Errorf("karl: ttl must be non-negative, got %v", time.Duration(c.ttl))
+	}
+	if c.halfLife < 0 {
+		return fmt.Errorf("karl: decay half-life must be non-negative, got %v", time.Duration(c.halfLife))
+	}
+	return nil
 }
 
 // bulkLoad installs an already-built tree as an empty engine's first

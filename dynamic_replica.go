@@ -2,19 +2,19 @@ package karl
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 
+	"karl/internal/blockio"
 	"karl/internal/segment"
 )
 
 // This file is the engine half of the replication subsystem: a leader
-// exports its state as (a) whole sealed segments, each re-encoded as a
-// self-contained persistence-v7 stream, and (b) a row tail above a fence
-// sequence number, plus a bounded delete log; a follower installs the
+// exports its state as (a) whole sealed segments, each a stream of the one
+// segment block an engine file holds it in (persist.go), and (b) a row tail
+// above a fence sequence number, plus a bounded delete log; a follower installs the
 // segments atomically and replays the rows and deletes. Because sealed
 // segments are immutable and carry their sequence numbers, a follower
 // that applies every segment and row above its fence and replays the
@@ -44,15 +44,17 @@ type TailRow struct {
 }
 
 // ReplicaBatch is one consistent pull of everything a follower at
-// (fence, delete-pos) is missing: whole sealed segments encoded as
-// self-contained v7 streams, loose rows (memtable tail plus rows
-// extracted from segments that straddle the fence), and the seqs deleted
-// since the follower's delete position. NextSeq and DeletePos are the
+// (fence, delete-pos) is missing: whole sealed segments, a stream of one
+// segment block each (dead rows included), loose rows (memtable tail plus
+// rows extracted from segments that straddle the fence), and the seqs deleted
+// since the follower's delete position. Kernel is the leader's: a follower
+// serving another kernel refuses the segments. NextSeq and DeletePos are the
 // leader's counters at capture time — the follower's new fence is
 // NextSeq−1 once the batch is applied, which also covers ids that were
 // inserted and deleted again between two pulls (those ship as neither
 // row nor segment, only as a delete-log entry).
 type ReplicaBatch struct {
+	Kernel    Kernel
 	Segments  [][]byte
 	Rows      []TailRow
 	Deletes   []uint64
@@ -158,50 +160,6 @@ func (sh *dynShared) replicaExportLocked(fence uint64) ([]replicaSegment, []Tail
 	return segs, rows, nil
 }
 
-// segmentStreamPayload re-encodes one sealed segment (plus the
-// tombstones still shadowing its rows) as a self-contained v7 dynamic
-// payload: the same stream format a full WriteTo produces, restricted to
-// a single segment and an empty memtable, so decodeReplicaSegment can
-// reuse ReadEngine's full validation. Safe to call without the lock on
-// the captured replicaSegment (segments are immutable, and its tombstone
-// set is a copy taken under the lock).
-func (sh *dynShared) segmentStreamPayload(rs replicaSegment, kind IndexKind, method Method) dynamicPayload {
-	s := rs.seg
-	p := dynamicPayload{
-		Version:     persistVersion,
-		Dims:        s.Tree.Dims(),
-		Kernel:      sh.kern,
-		Kind:        kind,
-		LeafCap:     sh.bcfg.LeafCap,
-		Method:      method,
-		SealSize:    sh.policy.SealSize,
-		Fanout:      sh.policy.Fanout,
-		AutoCompact: sh.autoCompact,
-		Epoch:       1,
-		NextID:      s.ID + 1,
-		TTL:         sh.ttl,
-		HalfLife:    int64(sh.halfLife),
-		Deletes:     rs.dead.Len(),
-	}
-	p.Segments = []segmentPayload{segmentWire(s, sh.kern, method)}
-	p.NextSeq = s.Seqs[len(s.Seqs)-1] + 1
-	p.setTombs(rs.dead)
-	return p
-}
-
-func encodeSegmentStreams(sh *dynShared, segs []replicaSegment, kind IndexKind, method Method) ([][]byte, error) {
-	out := make([][]byte, len(segs))
-	for i, rs := range segs {
-		var buf bytes.Buffer
-		p := sh.segmentStreamPayload(rs, kind, method)
-		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-			return nil, fmt.Errorf("karl: encode replica segment %d: %w", rs.seg.ID, err)
-		}
-		out[i] = buf.Bytes()
-	}
-	return out, nil
-}
-
 // memTailLocked returns the live memtable rows above the fence — the tail
 // a follower replays after installing every sealed segment.
 func (sh *dynShared) memTailLocked(fence uint64) []TailRow {
@@ -253,15 +211,18 @@ func (d *Engine) PullBatch(fence, delPos uint64) (*ReplicaBatch, error) {
 		return nil, err
 	}
 	rows = append(rows, sh.memTailLocked(fence)...)
-	nextSeq := sh.nextSeq
-	// Snapshot what the encoders need once the lock is released.
-	kind, method := publicIndexKind(sh.bcfg.Kind), publicMethod(sh.method)
+	nextSeq, kern := sh.nextSeq, sh.kern
 	sh.mu.Unlock()
-	streams, err := encodeSegmentStreams(sh, segs, kind, method)
-	if err != nil {
-		return nil, err
+	streams := make([][]byte, len(segs))
+	for i, rs := range segs {
+		var buf bytes.Buffer
+		c := blockio.NewEncoder(&buf)
+		segmentBlock(c, rs.seg, rs.dead)
+		c.Finish() // a bytes.Buffer cannot fail
+		streams[i] = buf.Bytes()
 	}
 	return &ReplicaBatch{
+		Kernel:    kern,
 		Segments:  streams,
 		Rows:      rows,
 		Deletes:   dels,
@@ -270,38 +231,26 @@ func (d *Engine) PullBatch(fence, delPos uint64) (*ReplicaBatch, error) {
 	}, nil
 }
 
-// decodedSegment is one replica segment stream after the validation
-// decode: the segment itself plus the source state carrying its
-// tombstones and configuration.
-type decodedSegment struct {
-	src *dynShared
-	seg *segment.Segment
-}
-
-// minSeq is the segment's lowest row seq.
-func (ds *decodedSegment) minSeq() uint64 { return ds.seg.Seqs[0] }
-
-// decodeReplicaSegment validates one self-contained segment stream (as
-// produced by PullBatch) without touching the follower.
-func decodeReplicaSegment(data []byte) (*decodedSegment, error) {
-	d2, err := ReadEngine(bytes.NewReader(data))
+// decodeReplicaSegment validates one segment stream (as produced by
+// PullBatch) without touching the follower.
+func decodeReplicaSegment(data []byte) (*segment.Segment, error) {
+	c := blockio.NewDecoder(bytes.NewReader(data))
+	seg, err := segmentBlock(c, nil, nil)
+	if err == nil {
+		_, err = c.Finish()
+	}
 	if err != nil {
-		return nil, fmt.Errorf("karl: replica segment stream: %w", err)
+		return nil, fmt.Errorf("karl: replica segment: %w", err)
 	}
-	src := d2.sh
-	if len(src.man.Segs) != 1 || src.mem.len() != 0 {
-		return nil, fmt.Errorf("karl: replica segment stream must carry exactly one segment and no memtable (got %d segments, %d memtable rows)", len(src.man.Segs), src.mem.len())
-	}
-	return &decodedSegment{src: src, seg: src.man.Segs[0]}, nil
+	return seg, nil
 }
 
-// installReplicaSegment installs one decoded segment stream into the
-// follower: the segment is re-identified under the follower's id counter,
-// its tombstones are adopted, and the seq counter jumps past the segment's
-// rows. A stream whose rows the follower already holds is skipped silently
-// (idempotent redelivery); a partial overlap is corruption and fails.
-func (d *Engine) installReplicaSegment(ds *decodedSegment) error {
-	src, seg := ds.src, ds.seg
+// installReplicaSegment installs one decoded segment of a leader serving
+// kern into the follower: the segment is re-identified under the follower's
+// id counter, its tombstones are adopted, and the seq counter jumps past the
+// segment's rows. A segment whose rows the follower already holds is skipped
+// silently (idempotent redelivery); a partial overlap is corruption and fails.
+func (d *Engine) installReplicaSegment(seg *segment.Segment, kern Kernel) error {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -321,8 +270,8 @@ func (d *Engine) installReplicaSegment(ds *decodedSegment) error {
 	if err := sh.compactErrLocked(); err != nil {
 		return err
 	}
-	if sh.kern != src.kern {
-		return fmt.Errorf("karl: replica segment stream kernel %+v differs from engine kernel %+v", src.kern, sh.kern)
+	if sh.kern != kern {
+		return fmt.Errorf("karl: replica segment kernel %+v differs from engine kernel %+v", kern, sh.kern)
 	}
 	if sh.dims != 0 && seg.Tree.Dims() != sh.dims {
 		return fmt.Errorf("karl: replica segment has %d dims, engine has %d", seg.Tree.Dims(), sh.dims)
@@ -338,15 +287,13 @@ func (d *Engine) installReplicaSegment(ds *decodedSegment) error {
 	if sh.dims == 0 {
 		sh.dims = seg.Tree.Dims()
 	}
-	id := sh.nextID
+	seg.ID = sh.nextID
 	sh.nextID++
-	installed := segment.New(seg.Tree, id, seg.Seqs, seg.Times, seg.TimeRef)
-	// The stream's tombstones shadow rows of this segment and travel with
+	// The block's tombstones shadow rows of this segment and travel with
 	// it; they are pre-snapshot deletes, never replayed incrementally.
-	installed.Dead = seg.Dead
 	sh.deletes += seg.Dead.Len()
 	sh.delLogBase += uint64(seg.Dead.Len())
-	sh.man = sh.man.WithSealed(installed)
+	sh.man = sh.man.WithSealed(seg)
 	sh.seals++
 	sh.maybeCompactLocked()
 	return nil
@@ -437,23 +384,23 @@ func (sh *dynShared) applyRowLocked(r TailRow) error {
 // never held (inserted and deleted between two pulls, or physically
 // dropped memtable rows) are ignored.
 func (d *Engine) ApplyBatch(b *ReplicaBatch) (fence uint64, err error) {
-	segs := make([]*decodedSegment, 0, len(b.Segments))
+	segs := make([]*segment.Segment, 0, len(b.Segments))
 	for _, data := range b.Segments {
-		ds, err := decodeReplicaSegment(data)
+		seg, err := decodeReplicaSegment(data)
 		if err != nil {
 			return 0, err
 		}
-		segs = append(segs, ds)
+		segs = append(segs, seg)
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].minSeq() < segs[j].minSeq() })
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Seqs[0] < segs[j].Seqs[0] })
 	rows := b.Rows
-	for _, ds := range segs {
-		cut := sort.Search(len(rows), func(i int) bool { return rows[i].Seq >= ds.minSeq() })
+	for _, seg := range segs {
+		cut := sort.Search(len(rows), func(i int) bool { return rows[i].Seq >= seg.Seqs[0] })
 		if _, err := d.ApplyRows(rows[:cut]); err != nil {
 			return 0, err
 		}
 		rows = rows[cut:]
-		if err := d.installReplicaSegment(ds); err != nil {
+		if err := d.installReplicaSegment(seg, b.Kernel); err != nil {
 			return 0, err
 		}
 	}

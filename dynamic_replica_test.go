@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -327,4 +328,38 @@ func TestReplicaStraddlerSegmentOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkReplicaConverged(t, leader, follower, [][]float64{{0.3, 0.3}, {-0.8, 0.2}, {0.5, -0.9}})
+}
+
+// TestReplicaRefusesOtherKernel: a segment block shipped by a leader serving
+// another kernel is refused on install — its aggregates are kernel-free, so
+// nothing in the block itself would give the mismatch away — and the
+// follower is left as it was.
+func TestReplicaRefusesOtherKernel(t *testing.T) {
+	leader, err := NewDynamic(Gaussian(1.5), WithSealSize(32), WithAutoCompaction(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := NewDynamic(Gaussian(3), WithSealSize(32), WithAutoCompaction(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(79))
+	for i := 0; i < 40; i++ {
+		if err := leader.Insert([]float64{rng.Float64(), rng.Float64()}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := leader.PullBatch(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Segments) == 0 {
+		t.Fatal("setup wants a sealed segment in the batch")
+	}
+	if _, err := follower.ApplyBatch(b); err == nil || !strings.Contains(err.Error(), "differs from engine kernel") {
+		t.Fatalf("batch from a Gaussian(1.5) leader on a Gaussian(3) follower: error %v", err)
+	}
+	if follower.Len() != 0 || len(follower.Segments()) != 0 {
+		t.Fatalf("refused batch left %d points in %d segments behind", follower.Len(), len(follower.Segments()))
+	}
 }

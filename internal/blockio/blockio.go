@@ -1,0 +1,269 @@
+// Package blockio is the one place that knows how KARL's persistent data is
+// laid out in bytes: engine files, replication segments and cluster
+// manifests are all block streams moved through a Codec.
+//
+// A stream is the 8-byte header "KARLBLK" + format version, then blocks,
+// then an end block. A block is one tag byte, the block's fields back to
+// back, and the CRC-32C (Castagnoli) of everything from the tag on as four
+// little-endian bytes. Fields are fixed-width little-endian: integers and
+// float bit patterns are 8 bytes, a bool is 1, a string or slice is its
+// element count (8 bytes) followed by the elements at their own width.
+// Blocks carry no length, so a block is verified exactly when it has been
+// read to its checksum, and a stream that ends anywhere before its end
+// block — block boundaries included — fails with io.ErrUnexpectedEOF.
+//
+// A Codec works in one direction, and every field call takes a pointer: an
+// encoder writes what it points at, a decoder overwrites it with what it
+// reads. The fields of a block are therefore listed once, by a function
+// that the package owning the data runs in either direction (the engine,
+// segment and memtable blocks in package karl, the manifest block in
+// internal/shard); DESIGN.md §5.2a has the table.
+package blockio
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+)
+
+// Version is the one format version this build writes and reads. It follows
+// on from the seven gob-encoded versions earlier builds wrote, none of which
+// this build reads.
+const Version = 8
+
+const magic = "KARLBLK"
+
+// Block tags.
+const (
+	TagEnd      byte = iota // closes every stream; no fields
+	TagEngine               // engine header: kernel, policy, counters, provenance
+	TagSegment              // one sealed segment, whole, with its dead rows
+	TagMemtable             // the buffered rows of an engine
+	TagManifest             // a cluster manifest
+)
+
+// chunk is the I/O buffer size, the unit slices move in, and the most a
+// declared slice length may allocate before any byte backing it has arrived.
+const chunk = 64 << 10
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Codec encodes onto a writer or decodes from a reader. Errors are sticky:
+// after the first one every call is a no-op (a decoder leaves what it is
+// pointed at untouched), and End, Finish and Err report it — so a block is
+// moved field by field without a check per field, and nothing decoded from a
+// block may be used before End has returned nil.
+type Codec struct {
+	w   *bufio.Writer // set on an encoder
+	r   *bufio.Reader // set on a decoder
+	crc uint32        // of the open block so far
+	n   int64
+	err error
+}
+
+// NewEncoder starts a stream on w.
+func NewEncoder(w io.Writer) *Codec {
+	c := &Codec{w: bufio.NewWriterSize(w, chunk)}
+	c.Write([]byte(magic + string(rune(Version))))
+	return c
+}
+
+// NewDecoder opens the stream in r. It reads ahead of what it decodes.
+func NewDecoder(r io.Reader) *Codec {
+	c := &Codec{r: bufio.NewReaderSize(r, chunk)}
+	var head [len(magic) + 1]byte
+	if _, err := c.Read(head[:]); err != nil {
+		return c
+	}
+	if string(head[:len(magic)]) != magic {
+		c.fail(fmt.Errorf("not a block-format stream: not a KARL file, or one written before block format %d, rebuild it", Version))
+	} else if head[len(magic)] != Version {
+		c.fail(fmt.Errorf("unsupported block format version %d (this build reads version %d)", head[len(magic)], Version))
+	}
+	return c
+}
+
+// Decoding reports the Codec's direction.
+func (c *Codec) Decoding() bool { return c.r != nil }
+
+// Err returns the first error met.
+func (c *Codec) Err() error { return c.err }
+
+func (c *Codec) fail(err error) {
+	if c.err == nil {
+		c.err = fmt.Errorf("blockio: %w", err)
+	}
+}
+
+// Write and Read are the Codec as encoding/binary sees it: every byte of
+// the stream passes through one of them and into the open block's checksum.
+func (c *Codec) Write(p []byte) (int, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	c.crc = crc32.Update(c.crc, castagnoli, p)
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	if err != nil {
+		c.fail(err)
+	}
+	return n, c.err
+}
+
+func (c *Codec) Read(p []byte) (int, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	n, err := io.ReadFull(c.r, p)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		c.fail(err)
+	}
+	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	return n, c.err
+}
+
+// Begin opens a block: an encoder writes the tag, a decoder fails unless the
+// next block has it.
+func (c *Codec) Begin(tag byte) {
+	c.crc = 0
+	got := tag
+	c.move(&got)
+	if c.err == nil && got != tag {
+		c.fail(fmt.Errorf("block tag %d where %d was expected", got, tag))
+	}
+}
+
+// End closes the open block with its checksum: an encoder writes it, a
+// decoder fails unless the stored one matches the bytes read since Begin.
+// It returns the first error met.
+func (c *Codec) End() error {
+	sum := c.crc
+	got := sum
+	c.move(&got)
+	if c.err == nil && got != sum {
+		c.fail(errors.New("block checksum mismatch"))
+	}
+	return c.err
+}
+
+// Finish closes the stream with its end block; an encoder then hands every
+// pending byte to its writer. It returns the bytes written and the first
+// error met.
+func (c *Codec) Finish() (int64, error) {
+	c.Begin(TagEnd)
+	if c.End() == nil && c.w != nil {
+		if err := c.w.Flush(); err != nil {
+			c.fail(err)
+		}
+	}
+	return c.n, c.err
+}
+
+// move encodes or decodes one value encoding/binary knows the width of: v
+// points at a fixed-size value, or is a slice of them.
+func (c *Codec) move(v any) {
+	if c.err != nil {
+		return
+	}
+	var err error
+	if c.r != nil {
+		err = binary.Read(c, binary.LittleEndian, v)
+	} else {
+		err = binary.Write(c, binary.LittleEndian, v)
+	}
+	if err != nil {
+		c.fail(err)
+	}
+}
+
+// The field calls: one per field type of the layout above.
+
+func (c *Codec) Uint64(v *uint64)   { c.move(v) }
+func (c *Codec) Int64(v *int64)     { c.move(v) }
+func (c *Codec) Float64(v *float64) { c.move(v) }
+func (c *Codec) Bool(v *bool)       { c.move(v) }
+
+// Int moves an int or int32, or a value of an enum type built on one.
+func Int[T ~int | ~int32](c *Codec, v *T) {
+	n := int64(*v)
+	c.move(&n)
+	if c.r != nil && c.err == nil {
+		*v = T(n)
+	}
+}
+
+// Text moves a string, or a value of a type built on string.
+func Text[T ~string](c *Codec, v *T) {
+	b := []byte(*v)
+	Slice(c, &b)
+	if c.r != nil && c.err == nil {
+		*v = T(b)
+	}
+}
+
+// Opt moves an optional part of a block: one bool saying whether *p is
+// there. It reports whether the caller is to move the fields of **p next; a
+// decoder has then pointed *p at a new T.
+func Opt[T any](c *Codec, p **T) bool {
+	has := *p != nil
+	c.Bool(&has)
+	if has && c.r != nil && c.err == nil {
+		*p = new(T)
+	}
+	return has && c.err == nil
+}
+
+// Slice moves a slice of fixed-size elements: its length, then the elements
+// chunk by chunk. A decoder grows the slice as the bytes arrive — never
+// beyond the declared length, and never to more than chunk bytes plus twice
+// what has actually been read, so a stream cannot make it allocate by
+// declaring a length — and hands back exactly the slice it filled, nil for
+// length zero.
+func Slice[T any](c *Codec, v *[]T) {
+	n := len(*v)
+	Int(c, &n)
+	if c.err != nil {
+		return
+	}
+	if c.r != nil {
+		*v = nil
+	}
+	if n == 0 {
+		return
+	}
+	var zero T
+	size := binary.Size(zero)
+	if size <= 0 || n < 0 || n > math.MaxInt/size {
+		c.fail(fmt.Errorf("declared length %d out of range", n))
+		return
+	}
+	per := chunk / size
+	if c.r == nil {
+		for s := *v; len(s) > 0; s = s[min(len(s), per):] {
+			c.move(s[:min(len(s), per)])
+		}
+		return
+	}
+	out := make([]T, 0, min(n, per))
+	for len(out) < n {
+		if len(out) == cap(out) {
+			grown := make([]T, len(out), min(n, 2*cap(out)))
+			copy(grown, out)
+			out = grown
+		}
+		k := min(cap(out)-len(out), per)
+		c.move(out[len(out) : len(out)+k])
+		if c.err != nil {
+			return
+		}
+		out = out[:len(out)+k]
+	}
+	*v = out
+}

@@ -385,8 +385,9 @@ func (w *WritableCoordinator) install(m *membership) {
 	w.gen.Add(1) // even again
 }
 
-// persist writes the manifest to the configured path (atomic
-// temp+rename), refusing to regress an epoch already on disk.
+// persist writes the manifest to the configured path (temp file, synced,
+// then renamed over the live one, so a crash leaves the old manifest or the
+// new one, never a torn one), refusing to regress an epoch already on disk.
 func (w *WritableCoordinator) persist(man *shard.Manifest) error {
 	if w.cfg.ManifestPath == "" {
 		return nil
@@ -400,7 +401,11 @@ func (w *WritableCoordinator) persist(man *shard.Manifest) error {
 	if err != nil {
 		return fmt.Errorf("cluster: persisting manifest: %w", err)
 	}
-	if _, err := man.WriteTo(f); err != nil {
+	_, err = man.WriteTo(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("cluster: persisting manifest: %w", err)

@@ -397,6 +397,17 @@ func (t *Tree) FlattenVolumes() []float64 {
 	return out
 }
 
+// FlattenNodes packs the preorder node structure into one int32 block, four
+// values per node — Start, End, Right, Depth — for persistence.
+func (t *Tree) FlattenNodes() []int32 {
+	out := make([]int32, 0, 4*len(t.Nodes))
+	for i := range t.Nodes {
+		n := &t.Nodes[i]
+		out = append(out, n.Start, n.End, n.Right, n.Depth)
+	}
+	return out
+}
+
 // unflattenVolume rebuilds one bounding volume from its packed parameters.
 func unflattenVolume(kind Kind, d int, src []float64) geom.Volume {
 	if kind == BallTree {
@@ -406,45 +417,43 @@ func unflattenVolume(kind Kind, d int, src []float64) geom.Volume {
 }
 
 // Reconstruct rebuilds a flat tree from its persisted parts: leaf-ordered
-// points and weights, the original-ID mapping, the preorder node structure
-// and the packed volume parameters produced by FlattenVolumes. Norms and
+// points and weights, the original-ID mapping, and the node structure and
+// volume parameters as packed by FlattenNodes and FlattenVolumes. Norms and
 // aggregates are derived data and are recomputed. The reconstructed tree is
 // validated structurally before it is returned.
 func Reconstruct(kind Kind, points *vec.Matrix, weights []float64, pointID []int32,
-	start, end, right, depth []int32, volData []float64, leafCap int) (*Tree, error) {
-	nn := len(start)
-	if nn == 0 || len(end) != nn || len(right) != nn || len(depth) != nn {
-		return nil, fmt.Errorf("index: inconsistent node arrays (%d/%d/%d/%d)",
-			len(start), len(end), len(right), len(depth))
+	nodes []int32, volData []float64, leafCap int) (*Tree, error) {
+	nn := len(nodes) / 4
+	if nn == 0 || len(nodes) != 4*nn {
+		return nil, fmt.Errorf("index: node block has %d values, want a positive multiple of 4", len(nodes))
 	}
 	t := &Tree{Kind: kind, Points: points, Weights: weights, PointID: pointID, LeafCap: leafCap}
 	if len(volData) != nn*t.volStride() {
 		return nil, fmt.Errorf("index: volume block has %d values, want %d", len(volData), nn*t.volStride())
 	}
-	// Pre-validate the raw arrays before ComputeAggregates dereferences
-	// them: child indices must point forward inside the array and row
-	// ranges must stay inside the matrix.
-	for i := 0; i < nn; i++ {
-		if start[i] < 0 || end[i] > int32(points.Rows) || start[i] >= end[i] {
-			return nil, fmt.Errorf("index: node %d range [%d,%d) outside %d rows", i, start[i], end[i], points.Rows)
-		}
-		if right[i] != NoRight && (right[i] <= int32(i)+1 || int(right[i]) >= nn) {
-			return nil, fmt.Errorf("index: node %d right child %d outside (%d,%d)", i, right[i], i+1, nn)
-		}
-	}
 	d := points.Cols
 	stride := t.volStride()
 	t.Nodes = make([]Node, nn)
-	for i := 0; i < nn; i++ {
+	for i := range t.Nodes {
+		start, end, right, depth := nodes[4*i], nodes[4*i+1], nodes[4*i+2], nodes[4*i+3]
+		// Checked before ComputeAggregates dereferences them: child indices
+		// must point forward inside the array and row ranges must stay
+		// inside the matrix.
+		if start < 0 || end > int32(points.Rows) || start >= end {
+			return nil, fmt.Errorf("index: node %d range [%d,%d) outside %d rows", i, start, end, points.Rows)
+		}
+		if right != NoRight && (right <= int32(i)+1 || int(right) >= nn) {
+			return nil, fmt.Errorf("index: node %d right child %d outside (%d,%d)", i, right, i+1, nn)
+		}
 		t.Nodes[i] = Node{
 			Vol:   unflattenVolume(kind, d, volData[i*stride:(i+1)*stride]),
-			Start: start[i],
-			End:   end[i],
-			Right: right[i],
-			Depth: depth[i],
+			Start: start,
+			End:   end,
+			Right: right,
+			Depth: depth,
 		}
-		if int(depth[i])+1 > t.Height {
-			t.Height = int(depth[i]) + 1
+		if int(depth)+1 > t.Height {
+			t.Height = int(depth) + 1
 		}
 	}
 	t.Norms = make([]float64, points.Rows)

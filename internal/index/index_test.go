@@ -265,20 +265,12 @@ func TestAggBlockIsPacked(t *testing.T) {
 func TestReconstructRoundTrip(t *testing.T) {
 	for _, kind := range []Kind{KDTree, BallTree} {
 		tr := manualTreeOfKind(kind)
-		nn := tr.NodeCount()
-		start := make([]int32, nn)
-		end := make([]int32, nn)
-		right := make([]int32, nn)
-		depth := make([]int32, nn)
-		for i, n := range tr.Nodes {
-			start[i], end[i], right[i], depth[i] = n.Start, n.End, n.Right, n.Depth
-		}
 		got, err := Reconstruct(kind, tr.Points, tr.Weights, tr.PointID,
-			start, end, right, depth, tr.FlattenVolumes(), tr.LeafCap)
+			tr.FlattenNodes(), tr.FlattenVolumes(), tr.LeafCap)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		if got.Height != tr.Height || got.NodeCount() != nn || got.Len() != tr.Len() {
+		if got.Height != tr.Height || got.NodeCount() != tr.NodeCount() || got.Len() != tr.Len() {
 			t.Fatalf("%v: shape mismatch after reconstruct", kind)
 		}
 		for i := range tr.Nodes {
@@ -293,28 +285,17 @@ func TestReconstructRoundTrip(t *testing.T) {
 
 func TestReconstructRejectsCorruptInput(t *testing.T) {
 	tr := buildManualTree()
-	nn := tr.NodeCount()
-	start := make([]int32, nn)
-	end := make([]int32, nn)
-	right := make([]int32, nn)
-	depth := make([]int32, nn)
-	for i, n := range tr.Nodes {
-		start[i], end[i], right[i], depth[i] = n.Start, n.End, n.Right, n.Depth
+	nodes, vols := tr.FlattenNodes(), tr.FlattenVolumes()
+	if _, err := Reconstruct(KDTree, tr.Points, nil, tr.PointID, nodes[:5], vols, 2); err == nil {
+		t.Fatal("ragged node block accepted")
 	}
-	vols := tr.FlattenVolumes()
-	if _, err := Reconstruct(KDTree, tr.Points, nil, tr.PointID,
-		start[:1], end, right, depth, vols, 2); err == nil {
-		t.Fatal("inconsistent node arrays accepted")
-	}
-	if _, err := Reconstruct(KDTree, tr.Points, nil, tr.PointID,
-		start, end, right, depth, vols[:3], 2); err == nil {
+	if _, err := Reconstruct(KDTree, tr.Points, nil, tr.PointID, nodes, vols[:3], 2); err == nil {
 		t.Fatal("short volume block accepted")
 	}
-	badRight := append([]int32(nil), right...)
-	badRight[0] = 0
-	if _, err := Reconstruct(KDTree, tr.Points, nil, tr.PointID,
-		start, end, badRight, depth, vols, 2); err == nil {
-		t.Fatal("corrupt right-child array accepted")
+	badRight := append([]int32(nil), nodes...)
+	badRight[2] = 0
+	if _, err := Reconstruct(KDTree, tr.Points, nil, tr.PointID, badRight, vols, 2); err == nil {
+		t.Fatal("corrupt right-child index accepted")
 	}
 }
 

@@ -81,7 +81,7 @@ func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(replica.DeletePosHeader, strconv.FormatUint(delPos, 10))
 	// An error mid-stream cannot change the status line; the client sees
-	// a truncated gob, which ReadEngine rejects loudly.
+	// a stream without its end block, which ReadEngine refuses.
 	_, _ = s.loc.rsrc.WriteTo(w)
 }
 

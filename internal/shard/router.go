@@ -9,12 +9,13 @@ package shard
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
+
+	"karl/internal/blockio"
 )
 
 // DefaultSlots is the hash-routing slot-space size: points hash onto one
@@ -36,8 +37,6 @@ func SlotOf(p []float64, numSlots int) uint64 {
 }
 
 // Role is a member's or replica's place in the replication topology.
-// The zero value is RoleLeader so manifest_v1 members — written before
-// roles existed — load as leaders with empty replica sets.
 type Role int
 
 const (
@@ -98,11 +97,9 @@ type Member struct {
 	WPos   float64
 	WNeg   float64
 	// Role is the member's replication role. Top-level members are always
-	// leaders (followers live in Replicas); the zero value keeps
-	// manifest_v1 files loading as all-leader memberships.
+	// leaders (followers live in Replicas).
 	Role Role
-	// Replicas is the member's follower set (manifest_v2; empty for
-	// manifest_v1 files).
+	// Replicas is the member's follower set.
 	Replicas []Replica
 }
 
@@ -369,79 +366,84 @@ func (m *Manifest) ApplyPromotion(id uint64, replicaName string) (*Manifest, err
 	return c, nil
 }
 
-// manifestVersion is the manifest wire-format version — its own version
-// space, independent of the engine persistence version. Version history:
-//
-//	v1: Epoch, Kind, Members (ID/Name/Parent/BaseSeq/Points/WPos/WNeg),
-//	    NumSlots/Slots, Nodes.
-//	v2: Members grow Role and Replicas (name + role + acked-seq
-//	    watermark) for the replication subsystem. v1 files still load:
-//	    roles default to leader, replica sets to empty.
-const manifestVersion = 2
-
-// oldestReadableManifestVersion is the oldest manifest version
-// ReadManifest accepts.
-const oldestReadableManifestVersion = 1
-
-// manifestPayload is the gob wire image of a Manifest.
-type manifestPayload struct {
-	Version  int
-	Epoch    uint64
-	Kind     int
-	Members  []Member
-	NumSlots int
-	Slots    []uint64
-	Nodes    []RouteNode
-}
-
-// WriteTo serializes the manifest. The stream is self-describing and
-// validated on load; see ReadManifest.
+// WriteTo serializes the manifest as a blockio stream of one manifest
+// block. ReadManifest validates it on load.
 func (m *Manifest) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	err := gob.NewEncoder(cw).Encode(manifestPayload{
-		Version:  manifestVersion,
-		Epoch:    m.Epoch,
-		Kind:     int(m.Kind),
-		Members:  m.Members,
-		NumSlots: m.NumSlots,
-		Slots:    m.Slots,
-		Nodes:    m.Nodes,
-	})
-	return cw.n, err
+	c := blockio.NewEncoder(w)
+	m.block(c)
+	return c.Finish()
 }
 
-// countWriter counts bytes for the io.WriterTo contract.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+// block moves the manifest block: epoch, kind, the members (each with its
+// replicas), the hash slot table and the kd routing nodes. Counts are only
+// loop bounds — every element moved consumes bytes, so a stream cannot make
+// a decoder allocate by declaring one.
+func (m *Manifest) block(c *blockio.Codec) error {
+	c.Begin(blockio.TagManifest)
+	c.Uint64(&m.Epoch)
+	blockio.Int(c, &m.Kind)
+	n := len(m.Members)
+	blockio.Int(c, &n)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Decoding() {
+			m.Members = append(m.Members, Member{})
+		}
+		mb := &m.Members[i]
+		c.Uint64(&mb.ID)
+		blockio.Text(c, &mb.Name)
+		c.Uint64(&mb.Parent)
+		c.Uint64(&mb.BaseSeq)
+		blockio.Int(c, &mb.Points)
+		c.Float64(&mb.WPos)
+		c.Float64(&mb.WNeg)
+		blockio.Int(c, &mb.Role)
+		nr := len(mb.Replicas)
+		blockio.Int(c, &nr)
+		for j := 0; j < nr && c.Err() == nil; j++ {
+			if c.Decoding() {
+				mb.Replicas = append(mb.Replicas, Replica{})
+			}
+			r := &mb.Replicas[j]
+			blockio.Text(c, &r.Name)
+			blockio.Int(c, &r.Role)
+			c.Uint64(&r.AckedSeq)
+		}
+	}
+	blockio.Int(c, &m.NumSlots)
+	blockio.Slice(c, &m.Slots)
+	n = len(m.Nodes)
+	blockio.Int(c, &n)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Decoding() {
+			m.Nodes = append(m.Nodes, RouteNode{})
+		}
+		nd := &m.Nodes[i]
+		blockio.Int(c, &nd.Dim)
+		c.Float64(&nd.Cut)
+		blockio.Int(c, &nd.Left)
+		blockio.Int(c, &nd.Right)
+		c.Uint64(&nd.Member)
+	}
+	return c.End()
 }
 
 // ReadManifest deserializes and validates a cluster manifest: a
-// truncated or corrupted stream, an unknown version, or a structurally
+// truncated or corrupted stream, another format version, or a structurally
 // inconsistent manifest (dangling slot owners, malformed kd tree,
 // duplicate members, broken lineage) all fail loudly — a coordinator
 // must never boot onto routing state it cannot trust.
 func ReadManifest(r io.Reader) (*Manifest, error) {
-	var p manifestPayload
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
+	c := blockio.NewDecoder(r)
+	m := &Manifest{}
+	err := m.block(c)
+	if err == nil {
+		_, err = c.Finish()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("shard: reading manifest: %w", err)
 	}
-	if p.Version < oldestReadableManifestVersion || p.Version > manifestVersion {
-		return nil, fmt.Errorf("shard: manifest version %d not supported (this build reads versions %d..%d)",
-			p.Version, oldestReadableManifestVersion, manifestVersion)
-	}
-	if p.Epoch == 0 {
+	if m.Epoch == 0 {
 		return nil, errors.New("shard: manifest epoch 0 (epochs start at 1)")
-	}
-	m := &Manifest{
-		Epoch: p.Epoch, Kind: Kind(p.Kind), Members: p.Members,
-		NumSlots: p.NumSlots, Slots: p.Slots, Nodes: p.Nodes,
 	}
 	if err := m.validate(); err != nil {
 		return nil, fmt.Errorf("shard: invalid manifest: %w", err)

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -92,44 +91,50 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestRejectsTruncated cuts the stream at several points; every
-// prefix must fail loudly, never yield a partial manifest.
+// TestManifestRejectsTruncated cuts the stream at every offset, for both
+// routing kinds; every prefix must fail loudly, never yield a partial
+// manifest.
 func TestManifestRejectsTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := grownManifest(t).WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	full := buf.Bytes()
-	cuts := []int{0, 1, len(full) / 4, len(full) / 2, len(full) * 9 / 10, len(full) - 1}
-	for _, n := range cuts {
-		if _, err := ReadManifest(bytes.NewReader(full[:n])); err == nil {
-			t.Errorf("truncation at %d/%d bytes: expected an error", n, len(full))
+	for _, man := range []*Manifest{grownManifest(t), grownKDManifest(t)} {
+		var buf bytes.Buffer
+		if _, err := man.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		full := buf.Bytes()
+		for n := range full {
+			if _, err := ReadManifest(bytes.NewReader(full[:n])); err == nil {
+				t.Fatalf("truncation at %d/%d bytes: expected an error", n, len(full))
+			}
 		}
 	}
 }
 
 // TestManifestRejectsBadVersionAndGarbage covers the self-description
-// checks: unknown wire version, zero epoch, and non-gob noise.
+// checks: another format version, zero epoch, and noise that is no block
+// stream at all.
 func TestManifestRejectsBadVersionAndGarbage(t *testing.T) {
-	encode := func(p manifestPayload) []byte {
+	encode := func(m Manifest) []byte {
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+		if _, err := m.WriteTo(&buf); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 		return buf.Bytes()
 	}
-	good := manifestPayload{
-		Version: manifestVersion, Epoch: 1, Kind: int(Hash),
+	good := Manifest{
+		Epoch: 1, Kind: Hash,
 		Members:  []Member{{ID: 1, Name: "a"}},
 		NumSlots: 4, Slots: []uint64{1, 1, 1, 1},
 	}
+	if _, err := ReadManifest(bytes.NewReader(encode(good))); err != nil {
+		t.Fatalf("valid manifest rejected: %v", err)
+	}
 
-	bad := good
-	bad.Version = manifestVersion + 41
-	if _, err := ReadManifest(bytes.NewReader(encode(bad))); err == nil || !strings.Contains(err.Error(), "version") {
+	future := encode(good)
+	future[7] += 41 // the version byte closes the 8-byte stream header
+	if _, err := ReadManifest(bytes.NewReader(future)); err == nil || !strings.Contains(err.Error(), "version 49") {
 		t.Errorf("future version: err = %v, want a version error", err)
 	}
-	bad = good
+	bad := good
 	bad.Epoch = 0
 	if _, err := ReadManifest(bytes.NewReader(encode(bad))); err == nil {
 		t.Error("epoch 0 must be rejected")
@@ -143,61 +148,61 @@ func TestManifestRejectsBadVersionAndGarbage(t *testing.T) {
 // coordinator's boot depends on: dangling slot owners, malformed kd
 // trees, duplicate members and broken lineage all refuse to load.
 func TestManifestRejectsStructurallyInvalid(t *testing.T) {
-	cases := map[string]manifestPayload{
+	cases := map[string]Manifest{
 		"slot owned by unknown member": {
-			Version: manifestVersion, Epoch: 2, Kind: int(Hash),
+			Epoch: 2, Kind: Hash,
 			Members:  []Member{{ID: 1}},
 			NumSlots: 2, Slots: []uint64{1, 9},
 		},
 		"slot table wrong size": {
-			Version: manifestVersion, Epoch: 2, Kind: int(Hash),
+			Epoch: 2, Kind: Hash,
 			Members:  []Member{{ID: 1}},
 			NumSlots: 4, Slots: []uint64{1, 1},
 		},
 		"duplicate member ids": {
-			Version: manifestVersion, Epoch: 2, Kind: int(Hash),
+			Epoch: 2, Kind: Hash,
 			Members:  []Member{{ID: 1}, {ID: 1}},
 			NumSlots: 1, Slots: []uint64{1},
 		},
 		"member id zero": {
-			Version: manifestVersion, Epoch: 2, Kind: int(Hash),
+			Epoch: 2, Kind: Hash,
 			Members:  []Member{{ID: 0}},
 			NumSlots: 1, Slots: []uint64{0},
 		},
 		"unknown parent": {
-			Version: manifestVersion, Epoch: 2, Kind: int(Hash),
+			Epoch: 2, Kind: Hash,
 			Members:  []Member{{ID: 1, Parent: 7}},
 			NumSlots: 1, Slots: []uint64{1},
 		},
 		"kd leaf names unknown member": {
-			Version: manifestVersion, Epoch: 2, Kind: int(KDSplit),
+			Epoch: 2, Kind: KDSplit,
 			Members: []Member{{ID: 1}},
 			Nodes:   []RouteNode{{Dim: -1, Member: 3}},
 		},
 		"kd child index out of range": {
-			Version: manifestVersion, Epoch: 2, Kind: int(KDSplit),
+			Epoch: 2, Kind: KDSplit,
 			Members: []Member{{ID: 1}},
 			Nodes:   []RouteNode{{Dim: 0, Cut: 0, Left: 5, Right: 6}},
 		},
 		"kd cycle": {
-			Version: manifestVersion, Epoch: 2, Kind: int(KDSplit),
+			Epoch: 2, Kind: KDSplit,
 			Members: []Member{{ID: 1}},
 			Nodes:   []RouteNode{{Dim: 0, Left: 0, Right: 0}},
 		},
 		"kd unreachable node": {
-			Version: manifestVersion, Epoch: 2, Kind: int(KDSplit),
+			Epoch: 2, Kind: KDSplit,
 			Members: []Member{{ID: 1}},
 			Nodes:   []RouteNode{{Dim: -1, Member: 1}, {Dim: -1, Member: 1}},
 		},
 		"unknown kind": {
-			Version: manifestVersion, Epoch: 2, Kind: 42,
+			Epoch: 2, Kind: 42,
 			Members: []Member{{ID: 1}},
 		},
 	}
 	for name, p := range cases {
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+			if _, err := p.WriteTo(&buf); err != nil {
 				t.Fatalf("encode: %v", err)
 			}
 			if _, err := ReadManifest(&buf); err == nil {

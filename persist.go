@@ -1,555 +1,311 @@
 package karl
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
+	"karl/internal/blockio"
 	"karl/internal/index"
 	"karl/internal/segment"
 	"karl/internal/vec"
 )
 
-// persistVersion is the one on-disk format version this build writes and
-// reads. An engine file is one gob dynamicPayload: the LSM policy, the
-// manifest as per-segment engine payloads — each the built flat index
-// itself (leaf-ordered points and weights, the original-row mapping, the
-// preorder node arrays, the flattened bounding volumes), with its sequence
-// numbers and timestamps — the raw memtable rows, and the pending
-// tombstones. Loading reconstructs the exact trees, so answers are bitwise
-// identical across a round trip. Builds before the engines were merged
-// wrote a built engine as one bare enginePayload; that stream is exactly a
-// manifest of one segment, and ReadEngine loads it as such. Files of
-// earlier versions are refused by version number. Version-7 files written
-// by earlier builds may carry a LeafFloat32 field, which gob skips.
-const persistVersion = 7
-
-// sketchProvenance is the wire form of SketchInfo, field for field: a saved
-// coreset engine records what it was reduced from and the error bound it
-// carries.
-type sketchProvenance struct {
-	SourceLen    int
-	SourceWeight float64
-	Len          int
-	Eps          float64
-	Delta        float64
-	Basis        SketchBasis
-	Method       CoresetMethod
-}
-
-// enginePayload is the gob wire format of one flat index with the kernel
-// and bounding method it is queried with: a segment of an engine file, the
-// whole of a pre-merge static engine file, and the engine half of an SVM
-// file. It carries the index layout itself (leaf-ordered points plus the
-// node arrays below), so loading is a reconstruction, not a rebuild.
-type enginePayload struct {
-	Version int
-	Dims    int
-	Points  []float64 // row-major Dims-wide rows, leaf-ordered
-	Weights []float64 // nil for unit weights; leaf-ordered
-	Kernel  Kernel
-	Kind    IndexKind
-	LeafCap int
-	Method  Method
-	// Sketch and Shard are the engine's provenance (nil without one). In an
-	// engine file the manifest's first segment carries them — the slot a
-	// static stream has always had them in.
-	Sketch *sketchProvenance
-	Shard  *shardWire
-
-	// Flat index layout: storage row -> original row, the DFS-preorder
-	// node arrays, and every node's bounding-volume parameters packed by
-	// index.FlattenVolumes. Norms and aggregates are derived data and are
-	// recomputed on load.
-	PointID   []int32
-	NodeStart []int32
-	NodeEnd   []int32
-	NodeRight []int32
-	NodeDepth []int32
-	VolData   []float64
-}
-
-// shardWire is the wire form of ShardProvenance, field for field: a saved
-// shard engine records which slice of which partition it indexes.
-type shardWire struct {
-	Index     int
-	Of        int
-	Partition PartitionKind
-	SourceLen int
-}
-
-// svmPayload wraps an engine payload with the SVM decision threshold.
-type svmPayload struct {
-	Engine enginePayload
-	Rho    float64
-}
-
-// setProvenance records the engine's provenance on the payload.
-func (p *enginePayload) setProvenance(sk *SketchInfo, sp *ShardProvenance) {
-	if sk != nil {
-		w := sketchProvenance(*sk)
-		p.Sketch = &w
-	}
-	if sp != nil {
-		w := shardWire(*sp)
-		p.Shard = &w
-	}
-}
-
-// provenance validates and returns the provenance the payload carries. It
-// describes the set the engine was built over, which streamed inserts may
-// since have outgrown, so only its own consistency is checked.
-func (p enginePayload) provenance() (*SketchInfo, *ShardProvenance, error) {
-	var sk *SketchInfo
-	if p.Sketch != nil {
-		if p.Sketch.Len < 1 || p.Sketch.SourceLen < p.Sketch.Len {
-			return nil, nil, errors.New("karl: corrupt engine payload (sketch provenance)")
-		}
-		info := SketchInfo(*p.Sketch)
-		sk = &info
-	}
-	var sp *ShardProvenance
-	if p.Shard != nil {
-		if p.Shard.Of < 1 || p.Shard.Index < 0 || p.Shard.Index >= p.Shard.Of || p.Shard.SourceLen < 1 {
-			return nil, nil, errors.New("karl: corrupt engine payload (shard provenance)")
-		}
-		prov := ShardProvenance(*p.Shard)
-		sp = &prov
-	}
-	return sk, sp, nil
-}
-
-// treePayload flattens one built index (plus the kernel and bounding
-// method it is queried with) into the wire layout.
-func treePayload(tree *index.Tree, kern Kernel, method Method) enginePayload {
-	kind := publicIndexKind(tree.Kind)
-	pts := make([]float64, len(tree.Points.Data))
-	copy(pts, tree.Points.Data)
-	var w []float64
-	if tree.Weights != nil {
-		w = make([]float64, len(tree.Weights))
-		copy(w, tree.Weights)
-	}
-	nn := tree.NodeCount()
-	nodeStart := make([]int32, nn)
-	nodeEnd := make([]int32, nn)
-	nodeRight := make([]int32, nn)
-	nodeDepth := make([]int32, nn)
-	for i := range tree.Nodes {
-		n := &tree.Nodes[i]
-		nodeStart[i], nodeEnd[i], nodeRight[i], nodeDepth[i] = n.Start, n.End, n.Right, n.Depth
-	}
-	pointID := make([]int32, len(tree.PointID))
-	copy(pointID, tree.PointID)
-	return enginePayload{
-		Version:   persistVersion,
-		Dims:      tree.Dims(),
-		Points:    pts,
-		Weights:   w,
-		Kernel:    kern,
-		Kind:      kind,
-		LeafCap:   tree.LeafCap,
-		Method:    method,
-		PointID:   pointID,
-		NodeStart: nodeStart,
-		NodeEnd:   nodeEnd,
-		NodeRight: nodeRight,
-		NodeDepth: nodeDepth,
-		VolData:   tree.FlattenVolumes(),
-	}
-}
-
-// restoreTree validates a payload and reconstructs its flat index exactly.
-func (p enginePayload) restoreTree() (*index.Tree, error) {
-	kind, err := indexKindOf(p.Kind)
-	if err != nil {
-		return nil, err
-	}
-	if p.Dims < 1 || len(p.Points) == 0 || len(p.Points)%p.Dims != 0 {
-		return nil, errors.New("karl: corrupt engine payload")
-	}
-	m := &vec.Matrix{Data: p.Points, Rows: len(p.Points) / p.Dims, Cols: p.Dims}
-	if p.Weights != nil && len(p.Weights) != m.Rows {
-		return nil, errors.New("karl: corrupt engine payload (weights)")
-	}
-	tree, err := index.Reconstruct(kind, m, p.Weights, p.PointID,
-		p.NodeStart, p.NodeEnd, p.NodeRight, p.NodeDepth, p.VolData, p.LeafCap)
-	if err != nil {
-		return nil, fmt.Errorf("karl: corrupt engine payload: %w", err)
-	}
-	return tree, nil
-}
-
-// checkVersion refuses a stream of any format version but the current one.
-func checkVersion(v int) error {
-	if v != persistVersion {
-		return fmt.Errorf("karl: unsupported engine format version %d (this build reads version %d)", v, persistVersion)
-	}
-	return nil
-}
-
-// restore rebuilds an engine from a bare index payload: a manifest of one
-// bulk-loaded segment under the default streaming policy.
-func (p enginePayload) restore() (*Engine, error) {
-	if err := checkVersion(p.Version); err != nil {
-		return nil, err
-	}
-	cfg := defaultBuildConfig()
-	cfg.kind, cfg.leafCap, cfg.method = p.Kind, p.LeafCap, p.Method
-	sh, err := newShared(p.Kernel, cfg)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := p.restoreTree()
-	if err != nil {
-		return nil, err
-	}
-	if sh.sketch, sh.shardProv, err = p.provenance(); err != nil {
-		return nil, err
-	}
-	return sh.bulkLoad(tree)
-}
-
-// ReadEngine deserializes an engine written by Engine.WriteTo, or a static
-// engine file of an earlier version-7 build. Every segment is reconstructed
-// (no rebuilding), so answers are bitwise identical across the round trip.
-func ReadEngine(r io.Reader) (*Engine, error) {
-	// A gob stream opens with the descriptor of its top-level type, name
-	// first: that tells the two version-7 shapes apart before decoding.
-	br := bufio.NewReader(r)
-	head, _ := br.Peek(64)
-	dec := gob.NewDecoder(br)
-	if bytes.Contains(head, []byte("enginePayload")) {
-		var p enginePayload
-		if err := dec.Decode(&p); err != nil {
-			return nil, err
-		}
-		return p.restore()
-	}
-	var p dynamicPayload
-	if err := dec.Decode(&p); err != nil {
-		return nil, err
-	}
-	return p.restore()
-}
-
-// WriteTo serializes a trained SVM (support vectors, weights, kernel, ρ).
-func (s *SVM) WriteTo(w io.Writer) (int64, error) {
-	tree, kern, cfg, err := s.eng.liveSet()
-	if err != nil {
-		return 0, err
-	}
-	cw := &countWriter{w: w}
-	payload := svmPayload{Engine: treePayload(tree, kern, cfg.method), Rho: s.Rho}
-	if err := gob.NewEncoder(cw).Encode(payload); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// ReadSVM deserializes an SVM written by SVM.WriteTo.
-func ReadSVM(r io.Reader) (*SVM, error) {
-	var p svmPayload
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
-		return nil, err
-	}
-	eng, err := p.Engine.restore()
-	if err != nil {
-		return nil, err
-	}
-	return &SVM{eng: eng, Rho: p.Rho, SupportVectors: eng.Len()}, nil
-}
-
-// segmentPayload is the wire form of one manifest segment: a flat-index
-// payload plus the segment's identity, and its per-row sequence numbers
-// and insert timestamps in insertion order with the decay reference
-// instant. Coreset and Eps belonged to the removed cold-compaction tier:
-// nothing writes them, and ReadEngine refuses a file that set either.
-type segmentPayload struct {
-	Engine  enginePayload
-	ID      uint64
-	Coreset bool
-	Eps     float64
-	Seqs    []uint64
-	Times   []int64 // nil on untimed engines
-	TimeRef int64
-}
-
-// segmentWire flattens one sealed segment. Segments are immutable, so the
-// caller needs no lock once it holds the pointer.
-func segmentWire(s *segment.Segment, kern Kernel, method Method) segmentPayload {
-	return segmentPayload{
-		Engine:  treePayload(s.Tree, kern, method),
-		ID:      s.ID,
-		Seqs:    append([]uint64(nil), s.Seqs...),
-		Times:   append([]int64(nil), s.Times...),
-		TimeRef: s.TimeRef,
-	}
-}
-
-// dynamicPayload is the gob wire format of an Engine: the LSM policy, the
-// manifest as per-segment payloads, and the raw memtable rows in insertion
-// order. ColdEps, ColdMin and ColdSeed configured the removed
-// cold-compaction tier: nothing writes them, and ReadEngine refuses a file
-// that set any of them.
-type dynamicPayload struct {
-	Version     int
-	Dims        int
-	Kernel      Kernel
-	Kind        IndexKind
-	LeafCap     int
-	Method      Method
-	SealSize    int
-	Fanout      int
-	AutoCompact bool
-	ColdEps     float64
-	ColdMin     int
-	ColdSeed    int64
-	Epoch       uint64
-	NextID      uint64
-	Seals       int
-	Compactions int
-	Segments    []segmentPayload
-	MemPoints   []float64 // row-major Dims-wide memtable rows
-	MemWeights  []float64 // parallel to MemPoints rows
-
-	// Mutability state. Tombstones are stored sorted by sequence
-	// number: TombPts holds their coordinates as Dims-wide rows parallel
-	// to TombSeqs/TombW/TombRef.
-	TTL      int64 // nanoseconds; 0 = no expiry
-	HalfLife int64 // nanoseconds; 0 = no decay
-	NextSeq  uint64
-	Deletes  int
-	MemSeqs  []uint64 // parallel to MemPoints rows
-	MemTimes []int64  // parallel to MemPoints rows; nil on untimed engines
-	TombSeqs []uint64
-	TombW    []float64
-	TombRef  []int64
-	TombPts  []float64
-}
+// An engine file is a blockio stream: one engine block (kernel, index and
+// LSM policy, counters, provenance, ρ when the engine is an SVM's, and the
+// number of segments), one segment block per manifest segment oldest-first,
+// one memtable block. A segment block is the sealed segment whole — the
+// built flat index itself (leaf-ordered points and weights, the original-row
+// mapping, the packed node and bounding-volume arrays), its sequence numbers
+// and insert times, and the tombstones of its own dead rows — so loading
+// reconstructs the exact trees and answers are bitwise identical across a
+// round trip. A stream of one segment block is what replication ships
+// (dynamic_replica.go). Each block's fields are listed once, by the function
+// below that moves it in either direction; internal/blockio owns how a field
+// becomes bytes.
 
 // WriteTo serializes the engine — manifest, memtable and policy — so a
-// reload by ReadEngine resumes with the identical segment layout and therefore
-// bitwise-identical answers. It waits for an in-flight seal or full
-// compaction to finish, then snapshots under the lock; a concurrent
-// background merge does not block the write (the pre-merge manifest is a
-// consistent snapshot).
-func (d *Engine) WriteTo(w io.Writer) (int64, error) {
+// reload by ReadEngine resumes with the identical segment layout and
+// therefore bitwise-identical answers. It waits for an in-flight seal or
+// full compaction to finish, captures under the lock only what can change
+// (the engine block, the manifest pointer, each segment's dead set, the
+// memtable rows), and streams the immutable segments after releasing it; a
+// concurrent background merge does not block the write (the pre-merge
+// manifest is a consistent snapshot).
+func (d *Engine) WriteTo(w io.Writer) (int64, error) { return d.writeTo(w, nil) }
+
+func (d *Engine) writeTo(w io.Writer, rho *float64) (int64, error) {
 	sh := d.sh
 	sh.mu.Lock()
 	for sh.sealing != nil || sh.draining {
 		sh.cond.Wait()
 	}
-	method := publicMethod(sh.method)
-	p := dynamicPayload{
-		Version:     persistVersion,
-		Dims:        sh.dims,
-		Kernel:      sh.kern,
-		Kind:        publicIndexKind(sh.bcfg.Kind),
-		LeafCap:     sh.bcfg.LeafCap,
-		Method:      method,
-		SealSize:    sh.policy.SealSize,
-		Fanout:      sh.policy.Fanout,
-		AutoCompact: sh.autoCompact,
-		Epoch:       sh.man.Epoch,
-		NextID:      sh.nextID,
-		Seals:       sh.seals,
-		Compactions: sh.compactions,
-		TTL:         sh.ttl,
-		HalfLife:    int64(sh.halfLife),
-		NextSeq:     sh.nextSeq,
-		Deletes:     sh.deletes,
+	c := blockio.NewEncoder(w)
+	segs := sh.man.Segs
+	nsegs := len(segs)
+	sh.engineBlock(c, &rho, &nsegs) // far smaller than the encoder's buffer: no I/O under the lock
+	dead := make([]*segment.Dead, nsegs)
+	for i, s := range segs {
+		dead[i] = s.Dead.Clone() // sealDead is empty: the seal was waited out
 	}
-	p.Segments = make([]segmentPayload, len(sh.man.Segs))
-	for i, s := range sh.man.Segs {
-		p.Segments[i] = segmentWire(s, sh.kern, method)
-	}
-	if n := sh.mem.len(); n > 0 {
-		p.MemPoints = make([]float64, n*sh.dims)
-		copy(p.MemPoints, sh.mem.m.Data[:n*sh.dims])
-		p.MemWeights = make([]float64, n)
-		copy(p.MemWeights, sh.mem.w[:n])
-		p.MemSeqs = make([]uint64, n)
-		copy(p.MemSeqs, sh.mem.seq[:n])
-		if sh.mem.t != nil {
-			p.MemTimes = make([]int64, n)
-			copy(p.MemTimes, sh.mem.t[:n])
-		}
-	}
-	if len(p.Segments) > 0 {
-		p.Segments[0].Engine.setProvenance(sh.sketch, sh.shardProv)
-	}
-	p.setTombs(deadOf(sh.man.Segs)...) // sealDead is empty: the seal was waited out
+	rows := sh.memTailLocked(0)
 	sh.mu.Unlock()
-	cw := &countWriter{w: w}
-	if err := gob.NewEncoder(cw).Encode(p); err != nil {
-		return cw.n, err
+	for i, s := range segs {
+		segmentBlock(c, s, dead[i])
 	}
-	return cw.n, nil
+	memtableBlock(c, &rows)
+	return c.Finish()
 }
 
-// setTombs stores the given tombstone sets as the payload's parallel
-// arrays, sorted by sequence number (the on-disk order; the per-segment
-// attribution is not stored — a load re-derives it from the segments'
-// sequence numbers).
-func (p *dynamicPayload) setTombs(sets ...*segment.Dead) {
-	all := &segment.Dead{}
-	for _, d := range sets {
-		for i := 0; i < d.Len(); i++ {
-			all.Add(d.Seqs[i], d.W[i], d.Ref[i], d.Row(i))
-		}
+// engineBlock moves the engine block between sh and the stream. A decoder
+// is given a blank sh, and validates what it filled in.
+func (sh *dynShared) engineBlock(c *blockio.Codec, rho **float64, nsegs *int) error {
+	kind, method, halfLife := publicIndexKind(sh.bcfg.Kind), publicMethod(sh.method), int64(sh.halfLife)
+	c.Begin(blockio.TagEngine)
+	blockio.Int(c, &sh.dims)
+	blockio.Int(c, &sh.kern.Kind)
+	c.Float64(&sh.kern.Gamma)
+	c.Float64(&sh.kern.Beta)
+	blockio.Int(c, &sh.kern.Degree)
+	blockio.Int(c, &kind)
+	blockio.Int(c, &sh.bcfg.LeafCap)
+	blockio.Int(c, &method)
+	blockio.Int(c, &sh.policy.SealSize)
+	blockio.Int(c, &sh.policy.Fanout)
+	c.Bool(&sh.autoCompact)
+	c.Int64(&sh.ttl)
+	c.Int64(&halfLife)
+	c.Uint64(&sh.man.Epoch)
+	c.Uint64(&sh.nextID)
+	c.Uint64(&sh.nextSeq)
+	blockio.Int(c, &sh.seals)
+	blockio.Int(c, &sh.compactions)
+	blockio.Int(c, &sh.deletes)
+	blockio.Int(c, nsegs)
+	if blockio.Opt(c, rho) {
+		c.Float64(*rho)
 	}
-	if all.Len() > 0 {
-		p.TombSeqs, p.TombW, p.TombRef, p.TombPts = all.Seqs, all.W, all.Ref, all.Pts
+	if blockio.Opt(c, &sh.shardProv) {
+		sp := sh.shardProv
+		blockio.Int(c, &sp.Index)
+		blockio.Int(c, &sp.Of)
+		blockio.Int(c, &sp.Partition)
+		blockio.Int(c, &sp.SourceLen)
 	}
+	if blockio.Opt(c, &sh.sketch) {
+		sk := sh.sketch
+		blockio.Int(c, &sk.SourceLen)
+		c.Float64(&sk.SourceWeight)
+		blockio.Int(c, &sk.Len)
+		c.Float64(&sk.Eps)
+		c.Float64(&sk.Delta)
+		blockio.Text(c, &sk.Basis)
+		blockio.Int(c, &sk.Method)
+	}
+	if err := c.End(); err != nil || !c.Decoding() {
+		return err
+	}
+	var err error
+	if sh.bcfg.Kind, err = indexKindOf(kind); err != nil {
+		return err
+	}
+	if sh.method, err = methodOf(method); err != nil {
+		return err
+	}
+	sh.halfLife, sh.delLogBase = float64(halfLife), uint64(sh.deletes)
+	// Provenance describes the set the engine was built over, which streamed
+	// inserts may since have outgrown, so only its own consistency is checked.
+	if sk := sh.sketch; sk != nil && (sk.Len < 1 || sk.SourceLen < sk.Len) {
+		return errors.New("corrupt engine block (sketch provenance)")
+	}
+	if sp := sh.shardProv; sp != nil && (sp.Of < 1 || sp.Index < 0 || sp.Index >= sp.Of || sp.SourceLen < 1) {
+		return errors.New("corrupt engine block (shard provenance)")
+	}
+	if sh.dims < 0 || sh.nextSeq == 0 || sh.deletes < 0 {
+		return errors.New("corrupt engine block (dims or counters out of range)")
+	}
+	return sh.validate()
 }
 
-// restore validates the payload and reconstructs its engine.
-func (p dynamicPayload) restore() (*Engine, error) {
-	if err := checkVersion(p.Version); err != nil {
+// segmentBlock moves one segment block: an encoder writes s with dead, the
+// copy of its dead set taken under the engine lock (nil for none); a decoder
+// is given neither and returns the segment it reconstructed, every array
+// read straight into the slice the segment keeps. A dead row the segment does
+// not itself store is refused — it would subtract mass the segment does not
+// hold.
+func segmentBlock(c *blockio.Codec, s *segment.Segment, dead *segment.Dead) (*segment.Segment, error) {
+	var (
+		kind          IndexKind
+		leafCap, dims int
+		pts, w, vols  []float64
+		pointID, node []int32
+	)
+	if dead == nil {
+		dead = &segment.Dead{}
+	}
+	if c.Decoding() {
+		s = &segment.Segment{}
+	} else {
+		t := s.Tree
+		kind, leafCap, dims = publicIndexKind(t.Kind), t.LeafCap, t.Dims()
+		pts, w, pointID = t.Points.Data[:t.Len()*dims], t.Weights, t.PointID
+		node, vols = t.FlattenNodes(), t.FlattenVolumes()
+	}
+	c.Begin(blockio.TagSegment)
+	c.Uint64(&s.ID)
+	blockio.Int(c, &kind)
+	blockio.Int(c, &leafCap)
+	blockio.Int(c, &dims)
+	blockio.Slice(c, &pts)
+	blockio.Slice(c, &w)
+	blockio.Slice(c, &pointID)
+	blockio.Slice(c, &node)
+	blockio.Slice(c, &vols)
+	blockio.Slice(c, &s.Seqs)
+	blockio.Slice(c, &s.Times)
+	c.Int64(&s.TimeRef)
+	blockio.Slice(c, &dead.Seqs)
+	blockio.Slice(c, &dead.W)
+	blockio.Slice(c, &dead.Ref)
+	blockio.Slice(c, &dead.Pts)
+	if err := c.End(); err != nil || !c.Decoding() {
 		return nil, err
 	}
-	if p.usedColdCompaction() {
-		return nil, errors.New("karl: engine file was written with cold compaction, which this build does not support")
-	}
-	memN := 0
-	if len(p.MemPoints) > 0 {
-		if p.Dims < 1 || len(p.MemPoints)%p.Dims != 0 {
-			return nil, errors.New("karl: corrupt dynamic engine payload (memtable)")
-		}
-		memN = len(p.MemPoints) / p.Dims
-		if len(p.MemWeights) != memN {
-			return nil, errors.New("karl: corrupt dynamic engine payload (memtable weights)")
-		}
-		if len(p.MemSeqs) != memN {
-			return nil, errors.New("karl: corrupt dynamic engine payload (memtable seqs)")
-		}
-		if p.MemTimes != nil && len(p.MemTimes) != memN {
-			return nil, errors.New("karl: corrupt dynamic engine payload (memtable times)")
-		}
-	}
-	timed := p.TTL > 0 || p.HalfLife > 0
-	if timed && memN > 0 && p.MemTimes == nil {
-		return nil, errors.New("karl: corrupt dynamic engine payload (timed engine without memtable times)")
-	}
-	cfg := defaultBuildConfig()
-	cfg.kind, cfg.leafCap, cfg.method = p.Kind, p.LeafCap, p.Method
-	cfg.sealSize, cfg.fanout, cfg.noAutoCompact = p.SealSize, p.Fanout, !p.AutoCompact
-	cfg.ttl, cfg.halfLife = time.Duration(p.TTL), time.Duration(p.HalfLife)
-	sh, err := newShared(p.Kernel, cfg)
+	ik, err := indexKindOf(kind)
 	if err != nil {
 		return nil, err
 	}
-	sh.dims = p.Dims
-	sh.nextID, sh.nextSeq = p.NextID, p.NextSeq
-	sh.deletes, sh.delLogBase = p.Deletes, uint64(p.Deletes)
-	sh.seals, sh.compactions = p.Seals, p.Compactions
-	man := &segment.Manifest{Epoch: p.Epoch, Segs: make([]*segment.Segment, len(p.Segments))}
-	for i, sp := range p.Segments {
-		tree, err := sp.Engine.restoreTree()
+	if dims < 1 || len(pts) == 0 || len(pts)%dims != 0 {
+		return nil, errors.New("corrupt segment block (points)")
+	}
+	m := &vec.Matrix{Data: pts, Rows: len(pts) / dims, Cols: dims}
+	if w != nil && len(w) != m.Rows {
+		return nil, errors.New("corrupt segment block (weights)")
+	}
+	tree, err := index.Reconstruct(ik, m, w, pointID, node, vols, leafCap)
+	if err != nil {
+		return nil, fmt.Errorf("corrupt segment block: %w", err)
+	}
+	if len(s.Seqs) != m.Rows || (s.Times != nil && len(s.Times) != m.Rows) || !ascending(s.Seqs) {
+		return nil, fmt.Errorf("corrupt segment block: %d seqs and %d times for %d points, or seqs not ascending", len(s.Seqs), len(s.Times), m.Rows)
+	}
+	s = segment.New(tree, s.ID, s.Seqs, s.Times, s.TimeRef)
+	if nd := dead.Len(); nd > 0 {
+		if len(dead.W) != nd || len(dead.Ref) != nd || len(dead.Pts) != nd*dims || !ascending(dead.Seqs) {
+			return nil, errors.New("corrupt segment block (dead rows)")
+		}
+		for _, seq := range dead.Seqs {
+			if _, ok := s.Find(seq); !ok {
+				return nil, fmt.Errorf("corrupt segment block: dead row %d is not a row of segment %d", seq, s.ID)
+			}
+		}
+		dead.Dims = dims
+		s.Dead = dead
+	}
+	return s, nil
+}
+
+// ascending reports whether seqs is strictly ascending.
+func ascending(seqs []uint64) bool {
+	for i := 1; i < len(seqs); i++ {
+		if seqs[i] <= seqs[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// memtableBlock moves the memtable block: the buffered rows as the row tail
+// a follower would replay (ids and insert times included), which is how a
+// load puts them back.
+func memtableBlock(c *blockio.Codec, rows *[]TailRow) error {
+	n := len(*rows)
+	c.Begin(blockio.TagMemtable)
+	blockio.Int(c, &n)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Decoding() {
+			*rows = append(*rows, TailRow{}) // grows with the bytes read, not with n
+		}
+		r := &(*rows)[i]
+		blockio.Slice(c, &r.P)
+		c.Float64(&r.W)
+		c.Uint64(&r.Seq)
+		c.Int64(&r.T)
+	}
+	return c.End()
+}
+
+// ReadEngine deserializes an engine written by Engine.WriteTo (an SVM file
+// loads as the engine over its support vectors). Every segment is
+// reconstructed, not rebuilt, so answers are bitwise identical across the
+// round trip. A stream that is cut short, fails a block checksum, or was
+// written before the block format is refused.
+func ReadEngine(r io.Reader) (*Engine, error) {
+	eng, _, err := readEngine(r)
+	return eng, err
+}
+
+func readEngine(r io.Reader) (eng *Engine, rho *float64, err error) {
+	defer func() {
 		if err != nil {
-			return nil, fmt.Errorf("karl: segment %d: %w", i, err)
+			eng, err = nil, fmt.Errorf("karl: reading engine: %w", err)
 		}
-		if p.Dims != 0 && tree.Dims() != p.Dims {
-			return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d has %d dims, engine has %d", i, tree.Dims(), p.Dims)
-		}
-		seqs, times := sp.Seqs, sp.Times
-		if len(seqs) != tree.Len() {
-			return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d has %d seqs for %d points", i, len(seqs), tree.Len())
-		}
-		for j := 1; j < len(seqs); j++ {
-			if seqs[j] <= seqs[j-1] {
-				return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d seqs not ascending", i)
-			}
-		}
-		if times != nil && len(times) != tree.Len() {
-			return nil, fmt.Errorf("karl: corrupt dynamic engine payload: segment %d has %d times for %d points", i, len(times), tree.Len())
-		}
-		man.Segs[i] = segment.New(tree, sp.ID, seqs, times, sp.TimeRef)
+	}()
+	c := blockio.NewDecoder(r)
+	sh := blankShared()
+	var nsegs int
+	if err := sh.engineBlock(c, &rho, &nsegs); err != nil {
+		return nil, nil, err
 	}
-	sh.man = man
-	if memN > 0 {
-		rows := sh.policy.SealSize
-		if memN > rows {
-			rows = memN
+	for i := 0; i < nsegs; i++ {
+		s, err := segmentBlock(c, nil, nil)
+		if err != nil {
+			return nil, nil, fmt.Errorf("segment %d: %w", i, err)
 		}
-		sh.mem = newMemtable(rows, p.Dims, timed)
-		copy(sh.mem.m.Data, p.MemPoints)
-		copy(sh.mem.w, p.MemWeights)
-		copy(sh.mem.seq, p.MemSeqs)
-		if sh.mem.t != nil && p.MemTimes != nil {
-			copy(sh.mem.t, p.MemTimes)
+		if s.Tree.Dims() != sh.dims {
+			return nil, nil, fmt.Errorf("segment %d has %d dims, engine has %d", i, s.Tree.Dims(), sh.dims)
 		}
-		for j := 1; j < memN; j++ {
-			if sh.mem.seq[j] <= sh.mem.seq[j-1] {
-				return nil, errors.New("karl: corrupt dynamic engine payload (memtable seqs not ascending)")
-			}
-		}
-		sh.mem.n = memN
+		sh.man.Segs = append(sh.man.Segs, s)
 	}
-	if sh.nextSeq == 0 {
-		sh.nextSeq = 1
+	var rows []TailRow
+	if err := memtableBlock(c, &rows); err != nil {
+		return nil, nil, err
 	}
-	// Tombstones: parallel arrays sorted by seq. Each one is handed
-	// to the segment that stores its row; one that shadows no stored row
-	// would subtract mass the engine does not hold.
-	nt := len(p.TombSeqs)
-	if len(p.TombW) != nt || len(p.TombRef) != nt || len(p.TombPts) != nt*p.Dims {
-		return nil, errors.New("karl: corrupt dynamic engine payload (tombstones)")
+	if _, err := c.Finish(); err != nil {
+		return nil, nil, err
 	}
-	for i := 0; i < nt; i++ {
-		seq := p.TombSeqs[i]
-		if seq == 0 || seq >= sh.nextSeq {
-			return nil, errors.New("karl: corrupt dynamic engine payload (tombstone seq out of range)")
-		}
-		var home *segment.Segment
-		for _, s := range man.Segs {
-			if _, ok := s.Find(seq); ok {
-				home = s
-				break
-			}
-		}
-		if home == nil {
-			return nil, errors.New("karl: corrupt dynamic engine payload (tombstone for a row no segment stores)")
-		}
-		if home.Dead == nil {
-			home.Dead = &segment.Dead{}
-		}
-		if !home.Dead.Add(seq, p.TombW[i], p.TombRef[i], p.TombPts[i*p.Dims:(i+1)*p.Dims]) {
-			return nil, errors.New("karl: corrupt dynamic engine payload (duplicate tombstone)")
-		}
+	if eng, err = newDynamicView(sh); err != nil {
+		return nil, nil, err
 	}
-	if len(p.Segments) > 0 {
-		if sh.sketch, sh.shardProv, err = p.Segments[0].Engine.provenance(); err != nil {
-			return nil, err
-		}
+	if len(rows) >= sh.policy.SealSize {
+		return nil, nil, fmt.Errorf("memtable block holds %d rows, a memtable seals at %d", len(rows), sh.policy.SealSize)
 	}
-	return newDynamicView(sh)
+	// Replaying the rows moves the id counter up to the last of them; the
+	// engine block's is at or past that (ids deleted out of the memtable).
+	next := sh.nextSeq
+	sh.nextSeq = 0
+	if _, err := eng.ApplyRows(rows); err != nil {
+		return nil, nil, err
+	}
+	if sh.nextSeq > next {
+		return nil, nil, fmt.Errorf("memtable row %d is not below the engine's next id %d", sh.nextSeq-1, next)
+	}
+	sh.nextSeq = next
+	return eng, rho, nil
 }
 
-// usedColdCompaction reports whether the payload set any field of the
-// removed cold-compaction tier: its segments would be lossy sketches this
-// build cannot tell from exact rows.
-func (p *dynamicPayload) usedColdCompaction() bool {
-	used := p.ColdEps != 0 || p.ColdMin != 0 || p.ColdSeed != 0
-	for _, sp := range p.Segments {
-		used = used || sp.Coreset || sp.Eps != 0
+// WriteTo serializes a trained SVM: the engine file of its support vectors
+// (weights, kernel, index) carrying ρ.
+func (s *SVM) WriteTo(w io.Writer) (int64, error) { return s.eng.writeTo(w, &s.Rho) }
+
+// ReadSVM deserializes an SVM written by SVM.WriteTo.
+func ReadSVM(r io.Reader) (*SVM, error) {
+	eng, rho, err := readEngine(r)
+	if err != nil {
+		return nil, err
 	}
-	return used
-}
-
-// countWriter tracks bytes written for the io.WriterTo-style signatures.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	if rho == nil {
+		return nil, errors.New("karl: engine file carries no ρ: not an SVM model")
+	}
+	return &SVM{eng: eng, Rho: *rho, SupportVectors: eng.Len()}, nil
 }

@@ -2,16 +2,100 @@ package karl
 
 import (
 	"bytes"
-	"encoding/gob"
+	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"karl/internal/shard"
 )
 
+// refusedAtEveryCut fails unless read refuses every proper prefix of full —
+// the cuts at block boundaries included, which is what a snapshot stream
+// looks like when the leader dies between two blocks — and accepts full.
+func refusedAtEveryCut(t *testing.T, what string, full []byte, read func([]byte) error) {
+	t.Helper()
+	for cut := 0; cut < len(full); cut++ {
+		if read(full[:cut]) == nil {
+			t.Fatalf("%s truncated to %d/%d bytes accepted", what, cut, len(full))
+		}
+	}
+	if err := read(full); err != nil {
+		t.Fatalf("full %s rejected: %v", what, err)
+	}
+}
+
+// refusedAtEveryFlip fails unless read refuses full with any one byte
+// changed, in its lowest bit or in all of them.
+func refusedAtEveryFlip(t *testing.T, what string, full []byte, read func([]byte) error) {
+	t.Helper()
+	data := append([]byte(nil), full...)
+	for i := range data {
+		for _, mask := range []byte{0x01, 0xFF} {
+			data[i] ^= mask
+			if read(data) == nil {
+				t.Fatalf("%s with byte %d/%d xor %#x accepted", what, i, len(data), mask)
+			}
+			data[i] ^= mask
+		}
+	}
+}
+
+func readsEngine(data []byte) error {
+	_, err := ReadEngine(bytes.NewReader(data))
+	return err
+}
+
+func readsSegment(data []byte) error {
+	_, err := decodeReplicaSegment(data)
+	return err
+}
+
+func readsManifest(data []byte) error {
+	_, err := shard.ReadManifest(bytes.NewReader(data))
+	return err
+}
+
+// TestFixturesRefuseDamage: every single-byte change and every truncation
+// of an engine file, of a segment block as replication ships it, and of a
+// cluster manifest is refused — by the stream header, a block tag, a bounded
+// length or a block checksum — never a panic, never a loaded engine.
+func TestFixturesRefuseDamage(t *testing.T) {
+	streamed := readFixture(t, "streamed.bin")
+	for what, c := range map[string]struct {
+		data []byte
+		read func([]byte) error
+	}{
+		"built.bin":              {readFixture(t, "built.bin"), readsEngine},
+		"streamed.bin":           {streamed, readsEngine},
+		"streamed.bin segment 1": {oneBlockStream(t, streamed, 2), readsSegment},
+		"manifest.bin":           {readFixture(t, "manifest.bin"), readsManifest},
+	} {
+		refusedAtEveryCut(t, what, c.data, c.read)
+		refusedAtEveryFlip(t, what, c.data, c.read)
+	}
+}
+
+// TestReadRefusesLyingLength: a stream that declares 2⁴⁰ points and ends
+// sixteen bytes later is refused without the reader allocating for the
+// declared length — it only ever allocates for bytes that arrived.
+func TestReadRefusesLyingLength(t *testing.T) {
+	data := lyingLength(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := readsEngine(data)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), io.ErrUnexpectedEOF.Error()) {
+		t.Fatalf("error %v, want an unexpected EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing a %d-byte stream allocated %d bytes", len(data), got)
+	}
+}
+
 // TestReadEngineRejectsTruncated checks every truncation point of a valid
-// static engine stream fails with an error instead of a panic or a
+// built engine stream fails with an error instead of a panic or a
 // silently short engine.
 func TestReadEngineRejectsTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
@@ -23,25 +107,11 @@ func TestReadEngineRejectsTruncated(t *testing.T) {
 	if _, err := eng.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	for _, frac := range []float64{0, 0.1, 0.5, 0.9, 0.99} {
-		cut := int(frac * float64(len(full)))
-		if _, err := ReadEngine(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("stream truncated to %d/%d bytes accepted", cut, len(full))
-		}
-	}
-	if _, err := ReadEngine(bytes.NewReader(full[:len(full)-1])); err == nil {
-		t.Fatal("stream short by one byte accepted")
-	}
-	// The untruncated original still loads (the harness is sound).
-	if _, err := ReadEngine(bytes.NewReader(full)); err != nil {
-		t.Fatalf("full stream rejected: %v", err)
-	}
+	refusedAtEveryCut(t, "built engine", buf.Bytes(), readsEngine)
 }
 
-// TestReadDynamicRejectsTruncated covers truncated manifest streams: a
-// multi-segment dynamic engine cut mid-stream must fail loudly at every
-// truncation point.
+// TestReadDynamicRejectsTruncated covers a multi-segment streamed engine:
+// cut anywhere, between two segment blocks included, it must fail loudly.
 func TestReadDynamicRejectsTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	d, err := NewDynamic(Gaussian(2), WithSealSize(32), WithAutoCompaction(false))
@@ -60,38 +130,25 @@ func TestReadDynamicRejectsTruncated(t *testing.T) {
 	if _, err := d.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	for _, frac := range []float64{0, 0.1, 0.5, 0.9, 0.99} {
-		cut := int(frac * float64(len(full)))
-		if _, err := ReadEngine(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("stream truncated to %d/%d bytes accepted", cut, len(full))
-		}
-	}
-	if _, err := ReadEngine(bytes.NewReader(full)); err != nil {
-		t.Fatalf("full stream rejected: %v", err)
-	}
+	refusedAtEveryCut(t, "streamed engine", buf.Bytes(), readsEngine)
 }
 
-// TestReadDynamicRejectsBadVersionAndGarbage pins the dynamic reader's
-// error quality: a wrong version names itself and the readable range, and
-// non-gob bytes fail outright.
+// TestReadDynamicRejectsBadVersionAndGarbage pins the reader's error
+// quality: another format version names itself and the one this build
+// reads, and bytes that are no block stream fail outright.
 func TestReadDynamicRejectsBadVersionAndGarbage(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(dynamicPayload{Version: 99, SealSize: 64}); err != nil {
-		t.Fatal(err)
+	future := append([]byte(nil), readFixture(t, "streamed.bin")...)
+	future[streamStart-1] = 99
+	err := readsEngine(future)
+	for _, want := range []string{"version 99", "reads version 8"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version error %v does not mention %q", err, want)
+		}
 	}
-	_, err := ReadEngine(&buf)
-	if err == nil {
-		t.Fatal("version 99 accepted")
-	}
-	if !strings.Contains(err.Error(), "version 99") {
-		t.Fatalf("version error %q does not name the version", err)
-	}
-
-	if _, err := ReadEngine(bytes.NewReader([]byte("KARLv99 this is not a gob stream"))); err == nil {
+	if readsEngine([]byte("KARLv99 this is not a block stream")) == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := ReadEngine(bytes.NewReader(nil)); err == nil {
+	if readsEngine(nil) == nil {
 		t.Fatal("empty stream accepted")
 	}
 }
@@ -120,19 +177,10 @@ func TestClusterManifestRejectsTruncated(t *testing.T) {
 	if _, err := man.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	for _, frac := range []float64{0, 0.1, 0.5, 0.9, 0.99} {
-		cut := int(frac * float64(len(full)))
-		if _, err := shard.ReadManifest(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("manifest truncated to %d/%d bytes accepted", cut, len(full))
-		}
-	}
-	if _, err := shard.ReadManifest(bytes.NewReader(full[:len(full)-1])); err == nil {
-		t.Fatal("manifest short by one byte accepted")
-	}
-	loaded, err := shard.ReadManifest(bytes.NewReader(full))
+	refusedAtEveryCut(t, "manifest", buf.Bytes(), readsManifest)
+	loaded, err := shard.ReadManifest(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("full manifest rejected: %v", err)
+		t.Fatal(err)
 	}
 	if loaded.Epoch != man.Epoch || len(loaded.Members) != len(man.Members) {
 		t.Fatalf("manifest round trip drifted: epoch %d/%d, members %d/%d",
@@ -141,9 +189,9 @@ func TestClusterManifestRejectsTruncated(t *testing.T) {
 }
 
 // TestClusterManifestV2RejectsCorrupt puts a replica-bearing manifest
-// (format v2) through the truncation gauntlet, then checks the reader's
-// replica validation: bad roles, empty or duplicate replica names, and
-// non-leader top-level members must all fail loudly.
+// through the truncation gauntlet, then checks the reader's replica
+// validation: bad roles, empty or duplicate replica names, and non-leader
+// top-level members must all fail loudly.
 func TestClusterManifestV2RejectsCorrupt(t *testing.T) {
 	build := func() *shard.Manifest {
 		man, err := shard.NewManifest(shard.Hash, []shard.Member{
@@ -161,22 +209,13 @@ func TestClusterManifestV2RejectsCorrupt(t *testing.T) {
 	if _, err := build().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	for _, frac := range []float64{0, 0.1, 0.5, 0.9, 0.99} {
-		cut := int(frac * float64(len(full)))
-		if _, err := shard.ReadManifest(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("v2 manifest truncated to %d/%d bytes accepted", cut, len(full))
-		}
-	}
-	if _, err := shard.ReadManifest(bytes.NewReader(full[:len(full)-1])); err == nil {
-		t.Fatal("v2 manifest short by one byte accepted")
-	}
-	loaded, err := shard.ReadManifest(bytes.NewReader(full))
+	refusedAtEveryCut(t, "manifest with replicas", buf.Bytes(), readsManifest)
+	loaded, err := shard.ReadManifest(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("full v2 manifest rejected: %v", err)
+		t.Fatal(err)
 	}
 	if len(loaded.Members[0].Replicas) != 1 || loaded.Members[0].Replicas[0].AckedSeq != 90 {
-		t.Fatalf("v2 manifest round trip dropped replicas: %+v", loaded.Members[0])
+		t.Fatalf("manifest round trip dropped replicas: %+v", loaded.Members[0])
 	}
 
 	corrupt := func(name string, mutate func(*shard.Manifest), wantSub string) {
@@ -265,8 +304,8 @@ func TestShardProvenanceRoundTrip(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptShardProvenance covers the validation of the
-// optional shard-provenance block: out-of-range indices and an empty
-// source must fail with an error naming the problem.
+// optional shard-provenance fields of the engine block: out-of-range
+// indices and an empty source must fail with an error naming the problem.
 func TestRestoreRejectsCorruptShardProvenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	eng, err := Build(cloud(rng, 120, 2), Gaussian(1))
@@ -277,25 +316,31 @@ func TestRestoreRejectsCorruptShardProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := func(mutate func(*shardWire)) error {
-		p := staticPayload(t, shards[0])
-		mutate(p.Shard)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-			t.Fatal(err)
+	var buf bytes.Buffer
+	if _, err := shards[0].WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The engine block of a shard that is no sketch ends: shard flag, Index,
+	// Of, Partition, SourceLen, sketch flag, checksum.
+	end := blockEnds(t, buf.Bytes())[0]
+	sourceLen := end - 4 - 1 - 8
+	of, index := sourceLen-2*8, sourceLen-3*8
+	corrupt := func(edits map[int]int64) error {
+		data := buf.Bytes()
+		for off, v := range edits {
+			data = patched(t, data, off, v)
 		}
-		_, err := ReadEngine(&buf)
-		return err
+		return readsEngine(data)
 	}
-	cases := map[string]func(*shardWire){
-		"index ≥ of":        func(s *shardWire) { s.Index = 5 },
-		"negative index":    func(s *shardWire) { s.Index = -1 },
-		"zero of":           func(s *shardWire) { s.Of = 0 },
-		"empty source":      func(s *shardWire) { s.SourceLen = 0 },
-		"negative leftover": func(s *shardWire) { s.Of = -3; s.Index = -4 },
+	cases := map[string]map[int]int64{
+		"index ≥ of":        {index: 5},
+		"negative index":    {index: -1},
+		"zero of":           {of: 0},
+		"empty source":      {sourceLen: 0},
+		"negative leftover": {of: -3, index: -4},
 	}
-	for name, mutate := range cases {
-		err := corrupt(mutate)
+	for name, edits := range cases {
+		err := corrupt(edits)
 		if err == nil {
 			t.Fatalf("%s: corrupt provenance accepted", name)
 		}
@@ -303,8 +348,9 @@ func TestRestoreRejectsCorruptShardProvenance(t *testing.T) {
 			t.Fatalf("%s: error %q does not name shard provenance", name, err)
 		}
 	}
-	// Unmutated payloads still load (the harness is sound).
-	if err := corrupt(func(*shardWire) {}); err != nil {
+	// The same edit writing the values already there still loads (the
+	// harness is sound).
+	if err := corrupt(map[int]int64{index: 0, of: 2, sourceLen: 120}); err != nil {
 		t.Fatalf("valid provenance rejected: %v", err)
 	}
 }

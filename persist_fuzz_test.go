@@ -2,22 +2,17 @@ package karl
 
 import (
 	"bytes"
-	"os"
+	"io"
 	"path/filepath"
 	"testing"
 )
 
-// fuzzSeedCorpus loads every committed golden fixture, the valid streams
-// this build refuses by name (an index kind or bounding method it does not
-// have, a trace of the removed cold-compaction tier), and a few
-// hand-written degenerate inputs, so the fuzzer starts from accepted and
-// refused streams of both shapes alike and mutates from there.
-//
-// Note for interactive use: gob streams minimize poorly (nearly every
-// byte is load-bearing), so run with a bounded minimization budget or
-// the default 60s-per-interesting-input stalls all visible progress:
-//
-//	go test -fuzz FuzzRead -fuzztime 30s -fuzzminimizetime 100x
+// fuzzSeedCorpus starts the fuzzer from accepted and refused streams alike:
+// every committed fixture (the frozen gob-era one included), the well-formed
+// streams this build refuses by name, a coreset engine and an SVM file
+// (engine blocks with provenance and ρ), and the ways a stream gets damaged
+// in the field — cut mid-block, cut at a block boundary, one byte off, a
+// version this build does not read, a length with no bytes behind it.
 func fuzzSeedCorpus(f *testing.F) {
 	f.Helper()
 	names, err := filepath.Glob(filepath.Join(goldenDir, "*.bin"))
@@ -25,33 +20,54 @@ func fuzzSeedCorpus(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, name := range names {
-		raw, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
+		f.Add(readFixture(f, filepath.Base(name)))
 	}
-	for _, c := range append(outOfEnumStreams(f), coldCompactionStreams(f)...) {
+	for _, c := range outOfEnumStreams(f) {
 		f.Add(c.data)
 	}
-	f.Add([]byte{})
-	f.Add([]byte("not a gob"))
-	// A gob stream whose type section is valid but whose value is cut off.
-	if len(names) > 0 {
-		raw, _ := os.ReadFile(names[0])
-		if len(raw) > 40 {
-			f.Add(raw[:len(raw)/2])
-		}
+	sketch, err := goldenStaticEngine(f).Sketch(0.3)
+	if err != nil {
+		f.Fatal(err)
 	}
+	svm, err := NewSVM([][]float64{{0, 0}, {1, 1}, {0, 1}}, []float64{1, -1, 0.5}, 0.1, Gaussian(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, w := range []io.WriterTo{sketch, svm} {
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	built, streamed := readFixture(f, "built.bin"), readFixture(f, "streamed.bin")
+	f.Add([]byte{})
+	f.Add([]byte("not a KARL file"))
+	f.Add(built[:len(built)/2])
+	f.Add(streamed[:blockEnds(f, streamed)[1]])
+	flipped := append([]byte(nil), streamed...)
+	flipped[len(flipped)/3] ^= 0x10
+	f.Add(flipped)
+	future := append([]byte(nil), built...)
+	future[streamStart-1] = 99
+	f.Add(future)
+	f.Add(lyingLength(f))
 }
 
-// FuzzRead hammers the one reader, seeded with both stream shapes: arbitrary
-// bytes must either load into a usable engine or fail with a clean error —
-// never panic, never return a broken engine that panics on first use. The
-// dynamic shape has far more cross-field invariants to validate (per-segment
-// sequence numbers, tombstone references, memtable parallel arrays), so a
-// stream that decodes must yield an engine whose query, mutation and
-// re-serialization paths work.
+// lyingLength is the built fixture cut just past the point count of its
+// segment block, with that count rewritten to 2⁴⁰.
+func lyingLength(t testing.TB) []byte {
+	t.Helper()
+	built := readFixture(t, "built.bin")
+	countOff := blockEnds(t, built)[0] + segKindOff + 3*8 // kind, leaf capacity, dims
+	return patched(t, built, countOff, 1<<40)[:countOff+8+16]
+}
+
+// FuzzRead hammers the one reader: arbitrary bytes must either load into a
+// usable engine or fail with a clean error — never panic, never allocate
+// for a length the bytes do not back, never return a broken engine that
+// panics on first use. A stream that loads must yield an engine whose
+// query, mutation and re-serialization paths work.
 func FuzzRead(f *testing.F) { fuzzReadEngine(f) }
 
 // FuzzReadDynamic replays the same corpus through the same body: the name

@@ -2,11 +2,13 @@ package karl
 
 import (
 	"bytes"
-	"encoding/gob"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"karl/internal/blockio"
+	"karl/internal/index"
+	"karl/internal/segment"
 )
 
 func TestEngineRoundTrip(t *testing.T) {
@@ -115,10 +117,26 @@ func TestSVMRoundTrip(t *testing.T) {
 			t.Fatalf("classification diverged at %v", q)
 		}
 	}
+	// An SVM file is an engine file that also carries ρ: it loads as the
+	// engine over the support vectors, and an engine file is no SVM.
+	var model, plain bytes.Buffer
+	if _, err := orig.WriteTo(&model); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := ReadEngine(&model)
+	if err != nil || eng.Len() != orig.SupportVectors {
+		t.Fatalf("SVM file as an engine: %v", err)
+	}
+	if _, err := eng.WriteTo(&plain); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSVM(&plain); err == nil || !strings.Contains(err.Error(), "not an SVM model") {
+		t.Fatalf("engine file as an SVM: error %v", err)
+	}
 }
 
 func TestReadEngineRejectsGarbage(t *testing.T) {
-	if _, err := ReadEngine(bytes.NewReader([]byte("not a gob"))); err == nil {
+	if _, err := ReadEngine(bytes.NewReader([]byte("not a block stream"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	if _, err := ReadSVM(bytes.NewReader(nil)); err == nil {
@@ -128,45 +146,64 @@ func TestReadEngineRejectsGarbage(t *testing.T) {
 
 func TestReadEngineRejectsBadVersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	pts := cloud(rng, 50, 2)
-	eng, _ := Build(pts, Gaussian(1))
-	p := staticPayload(t, eng)
-	p.Version = 99
+	eng, _ := Build(cloud(rng, 50, 2), Gaussian(1))
 	var buf bytes.Buffer
-	if _, err := ReadEngine(&buf); err == nil {
-		t.Fatal("empty buffer accepted")
+	if _, err := eng.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	_, err := p.restore()
+	data := buf.Bytes()
+	data[streamStart-1] = 99
+	_, err := ReadEngine(bytes.NewReader(data))
 	if err == nil {
 		t.Fatal("bad version accepted")
 	}
 	// The error must name the offending version and the readable one, so
 	// operators can tell a stale binary from a corrupt file.
-	for _, want := range []string{"version 99", "reads version 7"} {
+	for _, want := range []string{"version 99", "reads version 8"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("version error %q does not mention %q", err, want)
 		}
 	}
-	p.Version = 0
-	if _, err := p.restore(); err == nil {
+	data[streamStart-1] = 0
+	if _, err := ReadEngine(bytes.NewReader(data)); err == nil {
 		t.Fatal("version 0 accepted")
 	}
 }
 
+// segmentStream renders one segment, with the given dead set, as the stream
+// of one segment block replication ships.
+func segmentStream(s *segment.Segment, dead *segment.Dead) []byte {
+	var buf bytes.Buffer
+	c := blockio.NewEncoder(&buf)
+	segmentBlock(c, s, dead)
+	c.Finish()
+	return buf.Bytes()
+}
+
 // TestV4RestoreRejectsCorruptIndex ensures the reconstruction path refuses
-// structurally broken node arrays instead of building a bad tree.
+// a segment block whose checksum is good but whose node arrays or row
+// mapping are structurally broken, instead of building a bad tree.
 func TestV4RestoreRejectsCorruptIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	pts := cloud(rng, 80, 2)
-	eng, _ := Build(pts, Gaussian(1))
-	p := staticPayload(t, eng)
-	p.NodeRight[0] = 0 // right child cannot point at the root
-	if _, err := p.restore(); err == nil {
+	eng, _ := Build(cloud(rng, 200, 2), Gaussian(1))
+	seg := eng.sh.man.Segs[0]
+	if _, err := decodeReplicaSegment(segmentStream(seg, nil)); err != nil {
+		t.Fatalf("sound segment block refused: %v", err)
+	}
+	broken := func(mutate func(*index.Tree)) error {
+		tree := *seg.Tree
+		tree.Nodes = append([]index.Node(nil), tree.Nodes...)
+		tree.PointID = append([]int32(nil), tree.PointID...)
+		mutate(&tree)
+		bad := *seg
+		bad.Tree = &tree
+		_, err := decodeReplicaSegment(segmentStream(&bad, nil))
+		return err
+	}
+	if broken(func(t *index.Tree) { t.Nodes[0].Right = 0 }) == nil { // right child cannot point at the root
 		t.Fatal("corrupt node arrays accepted")
 	}
-	p = staticPayload(t, eng)
-	p.PointID[0] = p.PointID[1] // duplicate mapping
-	if _, err := p.restore(); err == nil {
+	if broken(func(t *index.Tree) { t.PointID[0] = t.PointID[1] }) == nil { // duplicate mapping
 		t.Fatal("duplicate PointID accepted")
 	}
 }
@@ -291,66 +328,6 @@ func TestDynamicRoundTripEmptyMemtableOnly(t *testing.T) {
 	if a != b {
 		t.Fatalf("compacted round trip diverged: %v vs %v", a, b)
 	}
-}
-
-// TestReadEngineLoadsBothShapes: the one reader takes the stream the one
-// writer produces and the bare index payload builds before the engine merge
-// wrote for a built engine, and both come back as the same one-segment
-// engine — bitwise answers, ids 1..n, ready to stream on.
-func TestReadEngineLoadsBothShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	pts := cloud(rng, 50, 2)
-	eng, err := Build(pts, Gaussian(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{0.4, 0.6}
-	want, err := eng.Aggregate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var current, static bytes.Buffer
-	if _, err := eng.WriteTo(&current); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(&static).Encode(staticPayload(t, eng)); err != nil {
-		t.Fatal(err)
-	}
-	for name, stream := range map[string]*bytes.Buffer{"current": &current, "static": &static} {
-		loaded, err := ReadEngine(stream)
-		if err != nil {
-			t.Fatalf("%s stream rejected: %v", name, err)
-		}
-		if got, err := loaded.Aggregate(q); err != nil || got != want {
-			t.Fatalf("%s stream: Aggregate %v (%v), want %v bitwise", name, got, err, want)
-		}
-		if len(loaded.Segments()) != 1 || loaded.MemtableLen() != 0 || loaded.NextSeq() != uint64(len(pts))+1 {
-			t.Fatalf("%s stream: %d segments, %d buffered, next id %d; want one segment holding ids 1..%d",
-				name, len(loaded.Segments()), loaded.MemtableLen(), loaded.NextSeq(), len(pts))
-		}
-		if err := loaded.Delete(uint64(len(pts))); err != nil {
-			t.Fatalf("%s stream: deleting the last built id: %v", name, err)
-		}
-		if err := loaded.Insert(pts[len(pts)-1], 1); err != nil {
-			t.Fatalf("%s stream: %v", name, err)
-		}
-		if got, err := loaded.Aggregate(q); err != nil || math.Abs(got-want) > 1e-12*want {
-			t.Fatalf("%s stream: after delete+reinsert Aggregate %v (%v), want %v", name, got, err, want)
-		}
-	}
-}
-
-// staticPayload renders a built engine as the bare index payload builds
-// before the engine merge wrote — the static shape ReadEngine still loads.
-func staticPayload(t testing.TB, e *Engine) enginePayload {
-	t.Helper()
-	tree, kern, cfg, err := e.liveSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := treePayload(tree, kern, cfg.method)
-	p.setProvenance(e.sh.sketch, e.sh.shardProv)
-	return p
 }
 
 // roundTrip serializes and reloads an engine, asserting identical answers
