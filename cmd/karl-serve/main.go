@@ -78,9 +78,10 @@
 //	karl-serve -coordinator -mutable \
 //	    -shards 'http://s0:8080|http://s0b:8081' -manifest cluster.manifest
 //
-// The follower bootstraps from the leader's snapshot, then pulls sealed
-// segments and the memtable tail continuously, converging to a
-// bounded-lag live copy; it refuses writes (409) until promoted. The
+// The follower mirrors its leader: every pull is the leader's engine stream
+// minus the segments the follower already holds, so it starts, catches up
+// and recovers from any interruption the same way, adopting the leader's
+// kernel and policy; it refuses writes (409) until promoted. The
 // coordinator hedges and fails over reads onto caught-up followers and
 // promotes one into the member's place when its leader dies — the
 // member keeps its id, so previously issued cluster-global point ids
@@ -140,7 +141,7 @@ func main() {
 		partition   = flag.String("partition", "hash", "write-routing partitioner for -coordinator -mutable: hash or kd")
 		manifest    = flag.String("manifest", "", "manifest persistence path for -coordinator -mutable (epoch-versioned; empty = in-memory only)")
 
-		replicaOf = flag.String("replica-of", "", "serve as a replication follower of the given leader base URL (-mutable only): pull segments and tail continuously, refuse writes until promoted")
+		replicaOf = flag.String("replica-of", "", "serve as a replication follower of the given leader base URL (-mutable only): mirror its segments and memtable continuously, refuse writes until promoted")
 		spawnKids = flag.Bool("spawn", false, "enable the process spawn backend for -coordinator -mutable: shard splits exec a fresh karl-serve -mutable child")
 		addrFile  = flag.String("addr-file", "", "write the actual listen address (after binding, useful with -addr :0) to this file")
 	)
@@ -183,14 +184,12 @@ func main() {
 	switch {
 	case *replicaOf != "":
 		// Follower mode: the engine starts empty (validateFlags rejects
-		// -model/-points), bootstraps from the leader's snapshot, and
-		// converges through the continuous pull loop. The snapshot install
-		// adopts the leader's kernel and maintenance config wholesale, so
-		// -gamma etc. need not match the leader. Writes answer 409 until
-		// promotion.
+		// -model/-points) and mirrors the leader through the continuous
+		// pull loop. Every pull adopts the leader's kernel and maintenance
+		// config wholesale, so -gamma etc. need not match the leader.
+		// Writes answer 409 until promotion.
 		leader := strings.TrimRight(*replicaOf, "/")
 		a := replica.NewApplier(eng, replica.NewHTTPSource(leader))
-		a.BootstrapFromSnapshot()
 		srv, err = server.NewMutable(eng, append(opts, server.WithReplicaApplier(a))...)
 		go func() {
 			// Run exits nil on promotion; the background context never
@@ -271,8 +270,8 @@ func validateFlagSet(set map[string]bool) error {
 			reject("an immutable engine (-model/-points without -mutable)", "sketch-eps")
 		}
 		if set["replica-of"] {
-			// A follower bootstraps from its leader's snapshot; local
-			// seeding would fork it before the first pull.
+			// A follower mirrors its leader; the first pull would replace
+			// whatever it was seeded with.
 			reject("a leader shard, not a -replica-of follower", "model", "points")
 		}
 	}

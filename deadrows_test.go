@@ -456,7 +456,7 @@ func TestDeadAttributionPersistRoundTrip(t *testing.T) {
 	if len(segs) < 2 || segs[0].Dead.Len() == 0 {
 		t.Fatalf("setup wants two segments, the first with dead rows: %+v", d.Segments())
 	}
-	if _, err := decodeReplicaSegment(segmentStream(segs[1], segs[0].Dead)); err == nil || !strings.Contains(err.Error(), "is not a row of segment") {
+	if _, err := readSegmentStream(segmentStream(segs[1], segs[0].Dead)); err == nil || !strings.Contains(err.Error(), "is not a row of segment") {
 		t.Fatalf("segment block with another segment's dead rows: error %v", err)
 	}
 	// The reloaded engine still reclaims: delete the rest.
@@ -494,10 +494,10 @@ func TestDeadAttributionPersistRoundTrip(t *testing.T) {
 
 // TestReplicaFollowerUnderLeaderRewrites keeps a follower pulling while
 // the leader churns hard enough to rewrite and drop segments between
-// pulls. Incremental catch-up must keep working (rewrites keep sequence
-// ranges intact, so the fence tests hold — no resync), the follower's
-// tombstones must stay attributed to the segments it installed, and its
-// own compaction must keep running on them.
+// pulls. Every pull must leave the follower a mirror — the rewritten
+// segments arrive whole, the untouched ones are elided, the dropped ones
+// go — with its tombstones attributed to the segments that store their
+// rows, and without the follower compacting anything itself.
 func TestReplicaFollowerUnderLeaderRewrites(t *testing.T) {
 	mk := func() *Engine {
 		d, err := NewDynamic(Gaussian(1.5), WithIndex(KDTree, 8), WithSealSize(32))
@@ -512,18 +512,11 @@ func TestReplicaFollowerUnderLeaderRewrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(1313))
 	var live []uint64
 	insert := func(n int) {
-		for i := 0; i < n; i++ {
-			id, err := leader.InsertID([]float64{rng.NormFloat64(), rng.NormFloat64()}, 0.5+rng.Float64())
-			if err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, id)
-		}
+		live = append(live, replicaLoad(t, leader, rng, n)...)
 	}
-	qs := [][]float64{{0, 0}, {0.7, -0.4}, {-1.2, 0.9}}
 	insert(500)
-	var fence, delPos uint64
-	fence, delPos = replicaPump(t, leader, follower, fence, delPos)
+	waitMaintenance(leader)
+	replicaPull(t, leader, follower)
 	for round := 0; round < 60; round++ {
 		insert(5 + rng.Intn(40))
 		// Alternate oldest-first and random deletes.
@@ -537,21 +530,16 @@ func TestReplicaFollowerUnderLeaderRewrites(t *testing.T) {
 			}
 			live = append(live[:at], live[at+1:]...)
 		}
-		if round%3 == 0 {
-			waitMaintenance(leader) // let rewrites land between pulls
-		}
-		// replicaPump fails the test on any pull error, ErrReplicaResync
-		// included: catch-up has to stay incremental.
-		fence, delPos = replicaPump(t, leader, follower, fence, delPos)
-		waitMaintenance(follower)
+		waitMaintenance(leader) // the mirror check needs the leader at rest
+		replicaPull(t, leader, follower)
 		checkStorageInvariants(t, follower, true)
-		checkReplicaConverged(t, leader, follower, qs)
+		checkReplicaMirrored(t, leader, follower)
 	}
 	if leader.DeadRewrites() == 0 {
 		t.Fatalf("leader never rewrote a segment: the test exercised nothing")
 	}
-	if follower.DeadRewrites()+follower.DeadDrops() == 0 {
-		t.Fatalf("follower never compacted on its replayed deletes")
+	if got := follower.DeadRewrites() + follower.DeadDrops(); got != 0 {
+		t.Fatalf("follower ran %d compactions of its own: it mirrors, it does not maintain", got)
 	}
 	// Every id the leader still holds is addressable on the follower.
 	for _, id := range live {

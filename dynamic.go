@@ -49,16 +49,16 @@ import (
 type Engine struct {
 	sh *dynShared
 
-	// f refines over the manifest snapshot of epoch fEpoch; fSet records
-	// whether the forest has been armed at all. Query-only state, per
-	// clone. fCfgGen is the sh.cfgGen the forest was built against: a
-	// snapshot install can replace the engine's kernel configuration
-	// under live views, and a forest carrying the old kernel parameters
-	// would silently mix kernels within one answer — snapshot() rebuilds
-	// it when the generations diverge.
+	// f refines over the manifest snapshot fMan (nil until armed; manifests
+	// are never edited in place, and a replica re-pointed at another leader
+	// can meet the same epoch over other segments, so it is the pointer that
+	// is compared). Query-only state, per clone. fCfgGen is the sh.cfgGen the
+	// forest was built against: a snapshot install can replace the kernel
+	// configuration under live views, and a forest carrying the old kernel
+	// would silently mix kernels within one answer — snapshot() rebuilds it
+	// when the generations diverge.
 	f       *core.Forest
-	fEpoch  uint64
-	fSet    bool
+	fMan    *segment.Manifest
 	fCfgGen uint64
 
 	// scales is this clone's per-query decay-scale scratch, refilled by
@@ -193,14 +193,6 @@ type dynShared struct {
 	sealDead *segment.Dead
 	deletes  int
 
-	// delLog is the bounded replication delete log: the seqs of the last
-	// deletes in deletion order, so a follower's PullBatch can replay
-	// them. delLogBase counts entries trimmed off the head (and
-	// deletes that predate this process); a follower whose position aged
-	// past it must full-resync.
-	delLog     []uint64
-	delLogBase uint64
-
 	// mem receives inserts; sealing is non-nil while its rows are being
 	// built into a segment (queries still scan it); spare is the recycled
 	// buffer the next seal swap installs. The three rotate forever, so
@@ -225,10 +217,10 @@ type dynShared struct {
 	deadDrops    int
 	compactErr   error
 
-	// cfgGen counts replacements of the query configuration (kernel,
-	// bound method) after construction — today only a replica
-	// snapshot install. Views compare it against their forest's
-	// generation and rebuild before answering.
+	// cfgGen counts replacements of the configuration after construction —
+	// today only a replica snapshot install that adopts a leader configured
+	// differently. Views compare it against their forest's generation and
+	// rebuild before answering.
 	cfgGen uint64
 }
 
@@ -635,7 +627,7 @@ func (d *Engine) InsertID(p []float64, w float64) (uint64, error) {
 	if err := sh.insertReadyLocked(len(p)); err != nil {
 		return 0, err
 	}
-	return sh.insertRowLocked(p, w)
+	return sh.putRowLocked(TailRow{P: p, W: w})
 }
 
 // InsertBulk adds many points with optional parallel weights (nil = unit)
@@ -675,7 +667,7 @@ func (d *Engine) InsertBulk(points [][]float64, weights []float64) ([]uint64, er
 		if weights != nil {
 			w = weights[i]
 		}
-		id, err := sh.insertRowLocked(p, w)
+		id, err := sh.putRowLocked(TailRow{P: p, W: w})
 		if err != nil {
 			return nil, err
 		}
@@ -702,10 +694,11 @@ func (sh *dynShared) insertReadyLocked(dims int) error {
 	return nil
 }
 
-// insertRowLocked lands one already-validated row in the memtable,
-// sealing when it fills. Called with mu held; may release it while
-// waiting for room or sealing.
-func (sh *dynShared) insertRowLocked(p []float64, w float64) (uint64, error) {
+// putRowLocked lands one already-validated row in the memtable, sealing when
+// it fills, and returns its id: a new row (Seq 0) gets the next id and the
+// current time, a replayed one (ApplyRows) keeps its own. Called with mu
+// held; may release it while waiting for room or sealing.
+func (sh *dynShared) putRowLocked(r TailRow) (uint64, error) {
 	// Wait until the memtable has room (a seal may be draining it) and no
 	// full compaction is snapshotting it.
 	for sh.draining || (sh.mem != nil && sh.mem.n >= sh.policy.SealSize) {
@@ -717,20 +710,24 @@ func (sh *dynShared) insertRowLocked(p []float64, w float64) (uint64, error) {
 	if sh.mem == nil {
 		sh.mem = newMemtable(sh.policy.SealSize, sh.dims, sh.timed())
 	}
-	id := sh.nextSeq
-	sh.nextSeq++
+	if r.Seq == 0 {
+		r.Seq = sh.nextSeq
+	}
+	sh.nextSeq = r.Seq + 1
 	mt := sh.mem
-	copy(mt.m.Row(mt.n), p)
-	mt.w[mt.n] = w
-	mt.seq[mt.n] = id
+	copy(mt.m.Row(mt.n), r.P)
+	mt.w[mt.n] = r.W
+	mt.seq[mt.n] = r.Seq
 	if mt.t != nil {
-		mt.t[mt.n] = sh.now()
+		if mt.t[mt.n] = r.T; r.T == 0 {
+			mt.t[mt.n] = sh.now()
+		}
 	}
 	mt.n++
 	if mt.n >= sh.policy.SealSize {
-		return id, sh.sealLocked()
+		return r.Seq, sh.sealLocked()
 	}
-	return id, nil
+	return r.Seq, nil
 }
 
 // Delete removes the point with the given id (as returned by InsertID or
@@ -768,7 +765,6 @@ func (d *Engine) Delete(id uint64) error {
 	if i, ok := sh.mem.find(id); ok {
 		sh.mem.removeAt(i)
 		sh.deletes++
-		sh.logDeleteLocked(id)
 		return nil
 	}
 	if b := sh.sealing; b != nil {
@@ -787,29 +783,22 @@ func (d *Engine) Delete(id uint64) error {
 				return ErrPointNotFound // already deleted, tombstone pending
 			}
 			sh.deletes++
-			sh.logDeleteLocked(id)
 			return nil
 		}
 	}
 	for _, s := range sh.man.Segs {
-		if row, ok := s.Find(id); ok {
-			w := 1.0
-			if s.Tree.Weights != nil {
-				w = s.Tree.Weights[row]
-			}
-			if s.Dead == nil {
-				s.Dead = &segment.Dead{}
-			}
-			if !s.Dead.Add(id, w, s.TimeRef, s.Tree.Points.Row(row)) {
-				return ErrPointNotFound // already deleted, tombstone pending
-			}
-			sh.deletes++
-			sh.logDeleteLocked(id)
-			if sh.policy.RewriteDue(s) {
-				sh.maybeCompactLocked()
-			}
-			return nil
+		stored, added := s.Kill(id)
+		if !stored {
+			continue
 		}
+		if !added {
+			return ErrPointNotFound // already deleted, tombstone pending
+		}
+		sh.deletes++
+		if sh.policy.RewriteDue(s) {
+			sh.maybeCompactLocked()
+		}
+		return nil
 	}
 	return ErrPointNotFound
 }
@@ -821,82 +810,59 @@ func (d *Engine) Delete(id uint64) error {
 // built. Returns with mu held.
 func (sh *dynShared) sealLocked() error {
 	for sh.mem.n >= sh.policy.SealSize {
-		if err := sh.sealStepLocked(); err != nil {
-			return err
+		if sh.sealing != nil || sh.draining {
+			sh.cond.Wait() // another seal, or a full compaction's snapshot: both broadcast when done
+			continue
 		}
-	}
-	return nil
-}
-
-// flushLocked seals the memtable whatever its fill, so that everything
-// buffered sits in the manifest before a newer segment is appended behind
-// it (the replica install path). Same locking contract as sealLocked.
-func (sh *dynShared) flushLocked() error {
-	for sh.mem.len() > 0 {
-		if err := sh.sealStepLocked(); err != nil {
-			return err
+		sh.sealing = sh.mem
+		if sh.spare != nil {
+			sh.mem = sh.spare
+			sh.spare = nil
+		} else {
+			sh.mem = newMemtable(sh.policy.SealSize, sh.dims, sh.timed())
 		}
-	}
-	return nil
-}
-
-// sealStepLocked makes one step towards an empty active memtable: it
-// waits when another goroutine is sealing or a full compaction is
-// snapshotting (they broadcast when done), and otherwise seals the
-// memtable's rows into a segment.
-func (sh *dynShared) sealStepLocked() error {
-	if sh.sealing != nil || sh.draining {
-		sh.cond.Wait()
-		return nil
-	}
-	sh.sealing = sh.mem
-	if sh.spare != nil {
-		sh.mem = sh.spare
-		sh.spare = nil
-	} else {
-		sh.mem = newMemtable(sh.policy.SealSize, sh.dims, sh.timed())
-	}
-	id := sh.nextID
-	sh.nextID++
-	buf := sh.sealing
-	run := buf.run()
-	var ref int64
-	if sh.timed() {
-		nowT := sh.now()
-		if sh.halfLife > 0 {
-			ref = nowT // the new segment's decay reference instant
+		id := sh.nextID
+		sh.nextID++
+		buf := sh.sealing
+		run := buf.run()
+		var ref int64
+		if sh.timed() {
+			nowT := sh.now()
+			if sh.halfLife > 0 {
+				ref = nowT // the new segment's decay reference instant
+			}
+			run = sh.sealRunLocked(buf, nowT, ref)
 		}
-		run = sh.sealRunLocked(buf, nowT, ref)
-	}
-	sh.mu.Unlock()
-	var seg *segment.Segment
-	var err error
-	if run.N > 0 {
-		seg, err = segment.Seal(run, ref, sh.bcfg, id)
-	}
-	sh.mu.Lock()
-	sh.sealing = nil
-	dead := sh.sealDead
-	sh.sealDead = nil
-	if err != nil {
-		// Unreachable with a validated build config; surface rather
-		// than silently dropping the buffered points.
+		sh.mu.Unlock()
+		var seg *segment.Segment
+		var err error
+		if run.N > 0 {
+			seg, err = segment.Seal(run, ref, sh.bcfg, id)
+		}
+		sh.mu.Lock()
+		sh.sealing = nil
+		dead := sh.sealDead
+		sh.sealDead = nil
+		if err != nil {
+			// Unreachable with a validated build config; surface rather
+			// than silently dropping the buffered points.
+			sh.cond.Broadcast()
+			return fmt.Errorf("karl: sealing memtable: %w", err)
+		}
+		if seg != nil {
+			// Tombstones placed on the buffer while the build ran move to the
+			// segment that now stores their rows. Rows the seal expired away
+			// take their tombstones with them, so the subtraction never
+			// outlives the mass it cancels.
+			inheritDead(seg, nil, dead)
+			sh.man = sh.man.WithSealed(seg)
+		}
+		sh.seals++
+		buf.n = 0
+		sh.spare = buf
+		sh.maybeCompactLocked()
 		sh.cond.Broadcast()
-		return fmt.Errorf("karl: sealing memtable: %w", err)
 	}
-	if seg != nil {
-		// Tombstones placed on the buffer while the build ran move to the
-		// segment that now stores their rows. Rows the seal expired away
-		// take their tombstones with them, so the subtraction never
-		// outlives the mass it cancels.
-		inheritDead(seg, nil, dead)
-		sh.man = sh.man.WithSealed(seg)
-	}
-	sh.seals++
-	buf.n = 0
-	sh.spare = buf
-	sh.maybeCompactLocked()
-	sh.cond.Broadcast()
 	return nil
 }
 
@@ -952,8 +918,10 @@ func (sh *dynShared) sealRunLocked(buf *memtable, nowT, ref int64) segment.MemRu
 // every segment whose rows are all dead (a manifest edit, no rebuild) and
 // starts one background rebuild if the policy calls for one — a tiered
 // merge or a dead-share rewrite — and none is running. It runs after every
-// seal and every finished rebuild, and from Delete and the replica install
-// whenever a tombstone pushes a segment over the dead-share threshold.
+// seal and every finished rebuild, and from Delete whenever a tombstone
+// pushes a segment over the dead-share threshold. A replica never gets here
+// before it is promoted: it takes no write, and a snapshot install mirrors
+// the leader's manifest instead of maintaining its own.
 // Planning reads only per-segment sizes and dead counts: its cost under
 // the lock does not grow with the number of pending tombstones.
 func (sh *dynShared) maybeCompactLocked() {
@@ -1014,9 +982,9 @@ func (sh *dynShared) mergeOptsLocked(segs []*segment.Segment) segment.MergeOpts 
 	return opts
 }
 
-// inheritDead attributes to a freshly built segment the tombstones of its
-// inputs that the build did not consume (those outside its drop set,
-// placed after its snapshot) and whose rows it still stores. A tombstone
+// inheritDead marks dead in a freshly built segment the rows its inputs'
+// tombstones name that the build did not consume (those outside its drop
+// set, placed after its snapshot) and that it still stores. A tombstone
 // whose row the build expired away vanishes with it. A nil out discards
 // them all — no row survived.
 func inheritDead(out *segment.Segment, drop map[uint64]bool, inputs ...*segment.Dead) {
@@ -1025,17 +993,9 @@ func inheritDead(out *segment.Segment, drop map[uint64]bool, inputs ...*segment.
 	}
 	for _, d := range inputs {
 		for i := 0; i < d.Len(); i++ {
-			seq := d.Seqs[i]
-			if drop[seq] {
-				continue
+			if seq := d.Seqs[i]; !drop[seq] {
+				out.Kill(seq)
 			}
-			if _, ok := out.Find(seq); !ok {
-				continue
-			}
-			if out.Dead == nil {
-				out.Dead = &segment.Dead{}
-			}
-			out.Dead.Add(seq, d.W[i], d.Ref[i], d.Row(i))
 		}
 	}
 }
@@ -1182,7 +1142,7 @@ func (d *Engine) snapshot(q []float64) (man *segment.Manifest, base float64, sca
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		d.f, d.fCfgGen, d.fSet = f, sh.cfgGen, false
+		d.f, d.fCfgGen, d.fMan = f, sh.cfgGen, nil
 	}
 	p := kernel.Params(sh.kern)
 	var nowT int64
@@ -1222,16 +1182,16 @@ func (d *Engine) snapshot(q []float64) (man *segment.Manifest, base float64, sca
 }
 
 // arm points this clone's forest at the manifest snapshot, reusing the
-// existing segment set when the epoch is unchanged (the steady-state path:
+// existing segment set when the manifest is unchanged (the steady-state path:
 // no allocation, no re-validation). Under decay the per-segment scales
 // are re-installed every query — the clock has moved — but the slice is
 // this clone's reused scratch, so steady state still allocates nothing.
 func (d *Engine) arm(man *segment.Manifest) error {
-	if !d.fSet || d.fEpoch != man.Epoch {
+	if d.fMan != man {
 		if err := d.f.SetTrees(man.Trees()); err != nil {
 			return err
 		}
-		d.fEpoch, d.fSet = man.Epoch, true
+		d.fMan = man
 	}
 	if d.sh.halfLife > 0 {
 		return d.f.SetScales(d.scales)
@@ -1314,7 +1274,12 @@ func (d *Engine) SegmentStats() []Stats { return d.f.SegmentStats() }
 // ArmedEpoch returns the manifest epoch this clone's executor is armed
 // for — the epoch of the last query it ran — and whether it has run one.
 // Comparing it with Epoch shows how far a pooled clone lags the dataset.
-func (d *Engine) ArmedEpoch() (uint64, bool) { return d.fEpoch, d.fSet }
+func (d *Engine) ArmedEpoch() (uint64, bool) {
+	if d.fMan == nil {
+		return 0, false
+	}
+	return d.fMan.Epoch, true
+}
 
 // FastPathQueries reports how many Threshold/Approximate queries on THIS
 // clone ran through the single-segment fast path — the restored monolithic

@@ -2,52 +2,70 @@ package karl
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"karl/internal/blockio"
+	"karl/internal/segment"
 )
 
-// replicaPump pulls leader batches into the follower until the follower's
-// fence and delete position reach the leader's counters.
-func replicaPump(t *testing.T, leader, follower *Engine, fence, delPos uint64) (uint64, uint64) {
+// replicaPull runs one replication round — the leader's stream for what the
+// follower says it holds, installed on the follower — and returns the bytes
+// that crossed (0 when the leader answered "unchanged").
+func replicaPull(t testing.TB, leader, follower *Engine) int64 {
 	t.Helper()
-	for {
-		b, err := leader.PullBatch(fence, delPos)
-		if err != nil {
-			t.Fatalf("pull at fence %d: %v", fence, err)
-		}
-		newFence, err := follower.ApplyBatch(b)
-		if err != nil {
-			t.Fatalf("apply at fence %d: %v", fence, err)
-		}
-		fence, delPos = newFence, b.DeletePos
-		if fence >= b.NextSeq-1 && delPos == b.DeletePos {
-			return fence, delPos
-		}
+	var buf bytes.Buffer
+	n, err := leader.WriteSnapshot(&buf, follower.Have())
+	if err != nil {
+		t.Fatalf("pull: %v", err)
 	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("WriteSnapshot reported %d bytes, wrote %d", n, buf.Len())
+	}
+	if n == 0 {
+		return 0
+	}
+	if err := follower.InstallSnapshot(&buf); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	return n
 }
 
-// checkReplicaConverged asserts the follower answers queries identically
-// to the leader up to float summation order (the two hold the same live
-// mass in differently shaped manifests): same point count, same mass and
-// same aggregates within 1e-9 relative.
-func checkReplicaConverged(t *testing.T, leader, follower *Engine, qs [][]float64) {
+// replicaProbes is the probe set the mirror checks compare answers on.
+var replicaProbes = [][]float64{{0.3, 0.3}, {0.8, 0.2}, {0.5, 0.9}, {-0.8, 0.2}, {0, 0}}
+
+// checkReplicaMirrored asserts the follower is a mirror of the leader: the
+// same counters, the same manifest segment for segment (ids, sizes, dead
+// counts), and bitwise the same answers — one round must get it there from
+// whatever it held before.
+func checkReplicaMirrored(t *testing.T, leader, follower *Engine) {
 	t.Helper()
-	close9 := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*(1+math.Abs(a))
+	if l, f := leader.NextSeq(), follower.NextSeq(); l != f {
+		t.Fatalf("next seq: leader %d follower %d", l, f)
 	}
-	if lg, fg := leader.Len(), follower.Len(); lg != fg {
-		t.Fatalf("len diverged: leader %d follower %d", lg, fg)
+	if l, f := leader.Epoch(), follower.Epoch(); l != f {
+		t.Fatalf("epoch: leader %d follower %d", l, f)
+	}
+	if l, f := leader.Deletes(), follower.Deletes(); l != f {
+		t.Fatalf("deletes: leader %d follower %d", l, f)
+	}
+	if l, f := leader.Len(), follower.Len(); l != f {
+		t.Fatalf("len: leader %d follower %d", l, f)
+	}
+	if l, f := leader.Segments(), follower.Segments(); !reflect.DeepEqual(l, f) {
+		t.Fatalf("manifest:\n leader   %+v\n follower %+v", l, f)
 	}
 	lp, ln := leader.WeightMass()
 	fp, fn := follower.WeightMass()
-	if !close9(lp, fp) || !close9(ln, fn) {
-		t.Fatalf("mass diverged: leader %v/%v follower %v/%v", lp, ln, fp, fn)
+	if lp != fp || ln != fn {
+		t.Fatalf("mass: leader %v/%v follower %v/%v", lp, ln, fp, fn)
 	}
-	for _, q := range qs {
+	for _, q := range replicaProbes {
 		want, err := leader.Aggregate(q)
 		if err != nil {
 			t.Fatal(err)
@@ -56,17 +74,39 @@ func checkReplicaConverged(t *testing.T, leader, follower *Engine, qs [][]float6
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !close9(want, got) {
-			t.Fatalf("aggregate diverged at %v: leader %v follower %v", q, want, got)
+		if math.Float64bits(want) != math.Float64bits(got) {
+			t.Fatalf("aggregate at %v: leader %v follower %v", q, want, got)
 		}
 	}
 }
 
-// TestReplicaIncrementalCatchUp drives a fresh follower to convergence
-// purely through PullBatch/ApplyBatch — sealed segments ship whole, the
-// memtable tail ships as rows, deletes replay from the log — then keeps
-// it converged across further inserts, deletes, and rows that are
-// inserted and deleted again between two pulls.
+// replicaLoad inserts n random weighted 2-d points and returns their ids.
+func replicaLoad(t testing.TB, d *Engine, rng *rand.Rand, n int) []uint64 {
+	t.Helper()
+	ids := make([]uint64, n)
+	for i := range ids {
+		id, err := d.InsertID([]float64{rng.NormFloat64(), rng.NormFloat64()}, 0.2+rng.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	return ids
+}
+
+func replicaDelete(t testing.TB, d *Engine, ids ...uint64) {
+	t.Helper()
+	for _, id := range ids {
+		if err := d.Delete(id); err != nil {
+			t.Fatalf("delete %d: %v", id, err)
+		}
+	}
+}
+
+// TestReplicaIncrementalCatchUp drives a fresh follower to convergence in
+// one round — sealed segments ship whole, the memtable ships as rows, dead
+// rows ride their segments — then keeps it converged across further inserts,
+// deletes, and rows inserted and deleted again between two pulls.
 func TestReplicaIncrementalCatchUp(t *testing.T) {
 	mk := func() *Engine {
 		d, err := NewDynamic(Gaussian(1.5), WithSealSize(32), WithAutoCompaction(false))
@@ -77,289 +117,381 @@ func TestReplicaIncrementalCatchUp(t *testing.T) {
 	}
 	leader, follower := mk(), mk()
 	rng := rand.New(rand.NewSource(71))
-	var ids []uint64
-	for i := 0; i < 150; i++ {
-		id, err := leader.InsertID([]float64{rng.Float64(), rng.Float64()}, 0.5+rng.Float64())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
+	ids := replicaLoad(t, leader, rng, 150)
 	for i := 0; i < len(ids); i += 7 {
-		if err := leader.Delete(ids[i]); err != nil {
-			t.Fatal(err)
-		}
+		replicaDelete(t, leader, ids[i])
 	}
-	qs := [][]float64{{0.3, 0.3}, {0.8, 0.2}, {0.5, 0.9}}
-	fence, delPos := replicaPump(t, leader, follower, 0, 0)
-	checkReplicaConverged(t, leader, follower, qs)
+	whole := replicaPull(t, leader, follower)
+	checkReplicaMirrored(t, leader, follower)
 
 	// Steady state: more inserts and deletes, including a row deleted
-	// before the follower ever saw it (ships only as a delete-log entry).
-	for i := 0; i < 40; i++ {
-		id, err := leader.InsertID([]float64{rng.Float64(), rng.Float64()}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
+	// before the follower ever saw it (it ships as nothing at all).
+	ids = append(ids, replicaLoad(t, leader, rng, 40)...)
 	ephemeral, err := leader.InsertID([]float64{0.1, 0.1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := leader.Delete(ephemeral); err != nil {
-		t.Fatal(err)
+	replicaDelete(t, leader, ephemeral, ids[len(ids)-3], ids[1])
+	if n := replicaPull(t, leader, follower); n >= whole {
+		t.Fatalf("steady-state pull shipped %d bytes, the bootstrap %d: held segments were not elided", n, whole)
 	}
-	if err := leader.Delete(ids[len(ids)-3]); err != nil {
-		t.Fatal(err)
-	}
-	fence, delPos = replicaPump(t, leader, follower, fence, delPos)
-	checkReplicaConverged(t, leader, follower, qs)
-	if want := leader.NextSeq() - 1; fence != want {
-		t.Fatalf("fence %d after ephemeral delete, want %d", fence, want)
-	}
+	checkReplicaMirrored(t, leader, follower)
 
-	// Redelivering the same batch is a no-op (idempotent apply).
-	b, err := leader.PullBatch(0, 0)
-	if err != nil {
+	// A pull from where the leader stands is answered with nothing, and the
+	// whole engine file installs over the mirror as a no-op.
+	if n := replicaPull(t, leader, follower); n != 0 {
+		t.Fatalf("pull against an unchanged leader shipped %d bytes", n)
+	}
+	var file bytes.Buffer
+	if _, err := leader.WriteTo(&file); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := follower.ApplyBatch(b); err != nil {
+	if err := follower.InstallSnapshot(&file); err != nil {
 		t.Fatalf("redelivery: %v", err)
 	}
-	checkReplicaConverged(t, leader, follower, qs)
-	_ = delPos
+	checkReplicaMirrored(t, leader, follower)
 }
 
-// TestReplicaSnapshotThenTail covers the fresh-follower bootstrap path:
-// full snapshot install (delete position captured before serialization),
-// then incremental pulls from the snapshot's fence.
+// TestReplicaSnapshotThenTail covers a follower that starts from a whole
+// engine file (a WriteTo stream) and was configured unlike its leader: the
+// install adopts everything, a second install onto the now non-empty engine
+// is as good as the first, and pulls continue from there.
 func TestReplicaSnapshotThenTail(t *testing.T) {
 	leader, err := NewDynamic(Gaussian(2), WithSealSize(16), WithAutoCompaction(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(72))
-	var ids []uint64
-	for i := 0; i < 70; i++ {
-		id, err := leader.InsertID([]float64{rng.Float64(), rng.Float64()}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for _, i := range []int{2, 20, 45} {
-		if err := leader.Delete(ids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	delPos := leader.DeletePos()
-	var buf bytes.Buffer
-	if _, err := leader.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	ids := replicaLoad(t, leader, rng, 70)
+	replicaDelete(t, leader, ids[2], ids[20], ids[45])
 	follower, err := NewDynamic(Gaussian(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := follower.InstallSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	qs := [][]float64{{0.4, 0.6}, {0.9, 0.1}}
-	checkReplicaConverged(t, leader, follower, qs)
-
-	// A second install must refuse: the follower is no longer empty.
-	var buf2 bytes.Buffer
-	if _, err := leader.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if err := follower.InstallSnapshot(&buf2); err == nil {
-		t.Fatal("snapshot install onto a non-empty engine accepted")
-	}
-
-	// Incremental pulls continue from the snapshot fence.
-	for i := 0; i < 25; i++ {
-		if _, err := leader.InsertID([]float64{rng.Float64(), rng.Float64()}, 1); err != nil {
+	for round := 0; round < 2; round++ {
+		var buf bytes.Buffer
+		if _, err := leader.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
+		if err := follower.InstallSnapshot(&buf); err != nil {
+			t.Fatalf("install %d: %v", round, err)
+		}
+		checkReplicaMirrored(t, leader, follower)
 	}
-	if err := leader.Delete(ids[60]); err != nil {
-		t.Fatal(err)
-	}
-	replicaPump(t, leader, follower, follower.NextSeq()-1, delPos)
-	checkReplicaConverged(t, leader, follower, qs)
+	replicaLoad(t, leader, rng, 25)
+	replicaDelete(t, leader, ids[60])
+	replicaPull(t, leader, follower)
+	checkReplicaMirrored(t, leader, follower)
 }
 
-// TestReplicaTimedEngineTail checks replication of TTL/decay engines
-// through the memtable tail (timestamps travel with the rows) and that a
-// fence straddling a sealed segment of a timed engine forces a full
-// resync instead of a wrong-decay per-row replay.
+// TestReplicaTimedEngineTail is the first wedge: a live follower pulls
+// mid-memtable, the leader crosses a seal — so the new segment holds rows
+// the follower already had loose — and the next pull must converge in one
+// round. On a timed engine the parent commit demanded a snapshot here and
+// could not install one; the untimed case (leaf capacity 4, so sealing
+// permutes the rows) shipped the straddling rows one by one.
 func TestReplicaTimedEngineTail(t *testing.T) {
-	clock := int64(1_700_000_000_000_000_000)
-	mk := func() *Engine {
-		d, err := NewDynamic(Gaussian(1), WithSealSize(32), WithAutoCompaction(false),
-			WithDecayHalfLife(30*time.Minute), withClock(func() int64 { return clock }))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	leader, follower := mk(), mk()
-	rng := rand.New(rand.NewSource(73))
-	for i := 0; i < 40; i++ {
-		if _, err := leader.InsertID([]float64{rng.Float64(), rng.Float64()}, 1); err != nil {
-			t.Fatal(err)
-		}
-		clock += int64(time.Second)
-	}
-	fence, delPos := replicaPump(t, leader, follower, 0, 0)
-	checkReplicaConverged(t, leader, follower, [][]float64{{0.5, 0.5}})
-	_, _ = fence, delPos
-
-	// Fence 5 falls inside the leader's first sealed segment: per-row
-	// replay cannot reproduce decay state, so the pull demands a resync.
-	if _, err := leader.PullBatch(5, 0); !errors.Is(err, ErrReplicaResync) {
-		t.Fatalf("straddling pull on a timed engine: got %v, want ErrReplicaResync", err)
-	}
-}
-
-// TestReplicaDeleteLogBounds pins the delete-log error surface of
-// PullBatch: a position ahead of the log is corruption, a position behind
-// the trimmed head demands a resync.
-func TestReplicaDeleteLogBounds(t *testing.T) {
-	d, err := NewDynamic(Gaussian(1), WithSealSize(8), WithAutoCompaction(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.PullBatch(0, 3); err == nil {
-		t.Fatal("position ahead of the log accepted")
-	}
-	id, err := d.InsertID([]float64{1, 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	b, err := d.PullBatch(0, 0)
-	if err != nil || len(b.Deletes) != 1 || b.Deletes[0] != id || b.DeletePos != 1 {
-		t.Fatalf("PullBatch(0, 0) = %+v, %v", b, err)
-	}
-	// Simulate a trimmed head: a reloaded engine's pre-existing deletes
-	// are not in the log, so position 0 is unrecoverable.
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := ReadEngine(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d2.PullBatch(0, 0); !errors.Is(err, ErrReplicaResync) {
-		t.Fatalf("pre-log position: got %v, want ErrReplicaResync", err)
-	}
-	if _, err := d2.PullBatch(0, d2.DeletePos()); err != nil {
-		t.Fatalf("current position rejected: %v", err)
-	}
-}
-
-// TestReplicaStraddlerSegmentOrder pins two subtle catch-up bugs in one
-// deterministic scenario: the follower's fence lands INSIDE a sealed
-// segment while newer sealed segments exist, so one batch carries loose
-// rows extracted from the straddler (low seqs), a whole segment (middle
-// seqs) and the memtable tail (high seqs). The extraction must map each
-// seq through the tree's leaf permutation (Seqs is insertion-ordered,
-// rows are stored in leaf order), and the apply must land the straddler
-// rows BEFORE installing the whole segment — installing first advances
-// the idempotency fence past them and they would be dropped as
-// duplicates.
-func TestReplicaStraddlerSegmentOrder(t *testing.T) {
-	mk := func() *Engine {
-		// LeafCap 4 forces a real leaf permutation inside each 32-row
-		// segment, so misindexing insertion order against leaf order
-		// ships wrong points and the convergence check below catches it.
-		d, err := NewDynamic(Gaussian(1.2), WithIndex(KDTree, 4), WithSealSize(32), WithAutoCompaction(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	leader, follower := mk(), mk()
-	rng := rand.New(rand.NewSource(97))
-	insert := func(n int) []uint64 {
-		ids := make([]uint64, n)
-		for i := range ids {
-			id, err := leader.InsertID([]float64{rng.NormFloat64(), rng.NormFloat64()}, 0.2+rng.Float64())
-			if err != nil {
-				t.Fatal(err)
+	for name, opt := range map[string]Option{
+		"untimed": WithIndex(KDTree, 4),
+		"ttl":     WithTTL(time.Hour),
+		"decay":   WithDecayHalfLife(30 * time.Minute),
+	} {
+		t.Run(name, func(t *testing.T) {
+			clock := int64(1_700_000_000_000_000_000)
+			mk := func() *Engine {
+				d, err := NewDynamic(Gaussian(1), WithSealSize(32), WithAutoCompaction(false),
+					opt, withClock(func() int64 { return clock }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
 			}
-			ids[i] = id
-		}
-		return ids
-	}
+			leader, follower := mk(), mk()
+			rng := rand.New(rand.NewSource(73))
+			step := func(n int) []uint64 {
+				ids := make([]uint64, 0, n)
+				for i := 0; i < n; i++ {
+					ids = append(ids, replicaLoad(t, leader, rng, 1)...)
+					clock += int64(time.Second)
+				}
+				return ids
+			}
+			ids := step(20)
+			replicaPull(t, leader, follower)
+			checkReplicaMirrored(t, leader, follower)
 
-	// Sync mid-memtable: fence 20, with every row still loose.
-	ids := insert(20)
-	fence, delPos := replicaPump(t, leader, follower, 0, 0)
-
-	// Grow the leader past two seal boundaries: segment 1 (seqs 1..32)
-	// straddles the fence, segment 2 (33..64) ships whole, the rest stays
-	// in the memtable. Delete a couple of pre-fence rows so the straddler
-	// extraction also has tombstones to skip.
-	ids = append(ids, insert(76)...)
-	if err := leader.Delete(ids[4]); err != nil {
-		t.Fatal(err)
+			// Two seals on: segment 1 straddles what the follower had,
+			// segment 2 is all new, the rest is memtable; deletes on both
+			// sides of the old position.
+			ids = append(ids, step(76)...)
+			replicaDelete(t, leader, ids[4], ids[25], ids[40])
+			replicaPull(t, leader, follower)
+			checkReplicaMirrored(t, leader, follower)
+			if got := len(follower.Segments()); got != 3 {
+				t.Fatalf("follower holds %d segments, want the leader's 3", got)
+			}
+			clock += int64(10 * time.Minute)
+			checkReplicaMirrored(t, leader, follower)
+		})
 	}
-	if err := leader.Delete(ids[25]); err != nil {
-		t.Fatal(err)
-	}
-
-	b, err := leader.PullBatch(fence, delPos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Segments) == 0 || len(b.Rows) == 0 {
-		t.Fatalf("scenario must mix whole segments with loose rows: %d segments, %d rows", len(b.Segments), len(b.Rows))
-	}
-	if b.Rows[0].Seq >= 33 {
-		t.Fatalf("scenario must extract straddler rows below the whole segment: first row seq %d", b.Rows[0].Seq)
-	}
-	if _, err := follower.ApplyBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	checkReplicaConverged(t, leader, follower, [][]float64{{0.3, 0.3}, {-0.8, 0.2}, {0.5, -0.9}})
 }
 
-// TestReplicaRefusesOtherKernel: a segment block shipped by a leader serving
-// another kernel is refused on install — its aggregates are kernel-free, so
-// nothing in the block itself would give the mismatch away — and the
-// follower is left as it was.
-func TestReplicaRefusesOtherKernel(t *testing.T) {
+// TestReplicaReloadedLeader is the second wedge: a follower two deletes
+// behind a leader that went through its own file (a restart). The reloaded
+// leader has no history to replay from, and needs none.
+func TestReplicaReloadedLeader(t *testing.T) {
 	leader, err := NewDynamic(Gaussian(1.5), WithSealSize(32), WithAutoCompaction(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, err := NewDynamic(Gaussian(3), WithSealSize(32), WithAutoCompaction(false))
+	follower, err := NewDynamic(Gaussian(1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(79))
-	for i := 0; i < 40; i++ {
-		if err := leader.Insert([]float64{rng.Float64(), rng.Float64()}, 1); err != nil {
+	rng := rand.New(rand.NewSource(74))
+	ids := replicaLoad(t, leader, rng, 100)
+	replicaDelete(t, leader, ids[3])
+	replicaPull(t, leader, follower)
+	replicaDelete(t, leader, ids[10], ids[99]) // a sealed row and a memtable row
+	var file bytes.Buffer
+	if _, err := leader.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	full := file.Len()
+	reloaded, err := ReadEngine(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := replicaPull(t, reloaded, follower); n == 0 || n > int64(full)/4 {
+		t.Fatalf("pull from the reloaded leader shipped %d bytes of a %d-byte engine: want the dead seqs and the memtable only", n, full)
+	}
+	checkReplicaMirrored(t, reloaded, follower)
+}
+
+// TestReplicaLongDisconnection is the third wedge: a follower that comes
+// back after the leader took more deletes than any log would keep, merged
+// tiers and rewrote dead-heavy segments. One round.
+func TestReplicaLongDisconnection(t *testing.T) {
+	const churn = 72_000
+	mk := func() *Engine {
+		d, err := NewDynamic(Gaussian(1.5), WithSealSize(128))
+		if err != nil {
 			t.Fatal(err)
 		}
+		return d
 	}
-	b, err := leader.PullBatch(0, 0)
+	leader, follower := mk(), mk()
+	defer leader.Close()
+	defer follower.Close()
+	rng := rand.New(rand.NewSource(75))
+	live := replicaLoad(t, leader, rng, 1000)
+	waitMaintenance(leader)
+	replicaPull(t, leader, follower)
+	checkReplicaMirrored(t, leader, follower)
+
+	for done := 0; done < churn; {
+		live = append(live, replicaLoad(t, leader, rng, 200)...)
+		for k := 0; k < 200; k++ {
+			at := 0 // oldest first on even rounds, anywhere on odd
+			if (done/200)%2 == 1 {
+				at = rng.Intn(len(live))
+			}
+			replicaDelete(t, leader, live[at])
+			live = append(live[:at], live[at+1:]...)
+			done++
+		}
+	}
+	waitMaintenance(leader)
+	if leader.Deletes() < churn || leader.Compactions() < 3 || leader.DeadRewrites() == 0 {
+		t.Fatalf("setup: %d deletes, %d compactions, %d dead-share rewrites", leader.Deletes(), leader.Compactions(), leader.DeadRewrites())
+	}
+	replicaPull(t, leader, follower)
+	checkReplicaMirrored(t, leader, follower)
+	checkStorageInvariants(t, follower, true)
+	for _, id := range live[:50] {
+		if err := follower.Delete(id); err != nil {
+			t.Fatalf("follower cannot address live id %d: %v", id, err)
+		}
+	}
+}
+
+// TestReplicaElisionIdentity: a segment id does not identify content across
+// leaders. Two built leaders both hold "segment 1, 512 rows, seqs 1..512"
+// over different points; a follower of the first re-pointed at the second
+// must get the second's segment whole. And the other way round: a follower
+// re-pointed at its old leader's promoted ex-follower shares every segment
+// with it and downloads none of them again.
+func TestReplicaElisionIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	build := func() *Engine {
+		pts := make([][]float64, 512)
+		for i := range pts {
+			pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+		}
+		eng, err := Build(pts, Gaussian(1.5), WithSealSize(64), WithAutoCompaction(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	a, b := build(), build()
+	if !reflect.DeepEqual(a.Segments(), b.Segments()) || a.NextSeq() != b.NextSeq() || a.Epoch() != b.Epoch() {
+		t.Fatalf("setup wants two leaders alike in everything but their points: %+v / %+v", a.Segments(), b.Segments())
+	}
+	follower, err := NewDynamic(Gaussian(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Segments) == 0 {
-		t.Fatal("setup wants a sealed segment in the batch")
+	whole := replicaPull(t, a, follower)
+	checkReplicaMirrored(t, a, follower)
+	if n := replicaPull(t, b, follower); n < whole {
+		t.Fatalf("re-pointed at another leader's segment 1, the follower received %d bytes (a whole engine is %d): it kept the first leader's rows under the second's id", n, whole)
 	}
-	if _, err := follower.ApplyBatch(b); err == nil || !strings.Contains(err.Error(), "differs from engine kernel") {
-		t.Fatalf("batch from a Gaussian(1.5) leader on a Gaussian(3) follower: error %v", err)
+	checkReplicaMirrored(t, b, follower)
+
+	// a leads, b and f follow; a dies with writes b never saw; b is promoted
+	// and takes writes of its own; f re-points at b.
+	a = build()
+	b, f := build(), build() // any state will do to start from
+	replicaLoad(t, a, rng, 200)
+	replicaPull(t, a, b)
+	replicaLoad(t, a, rng, 70) // one more seal b never saw
+	replicaDelete(t, a, 5, 600)
+	whole = replicaPull(t, a, f)
+	checkReplicaMirrored(t, a, f)
+	ids := replicaLoad(t, b, rng, 70) // b's own seal, under an id f holds a's segment by
+	replicaDelete(t, b, 7, ids[0])
+	n := replicaPull(t, b, f)
+	checkReplicaMirrored(t, b, f)
+	if n > whole/4 {
+		t.Fatalf("re-pointed at the promoted follower, f received %d bytes of a %d-byte engine: shared segments were downloaded again", n, whole)
 	}
-	if follower.Len() != 0 || len(follower.Segments()) != 0 {
-		t.Fatalf("refused batch left %d points in %d segments behind", follower.Len(), len(follower.Segments()))
+}
+
+// TestReplicaMirrorIsCheap pins what keeps a follower's CPU down: a pull
+// that moves only the memtable and dead rows leaves every held segment the
+// object it was, the manifest and the configuration generation untouched —
+// so armed forests stay armed — and ships no point of a held segment.
+func TestReplicaMirrorIsCheap(t *testing.T) {
+	mk := func() *Engine {
+		d, err := NewDynamic(Gaussian(1.5), WithSealSize(64), WithAutoCompaction(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	leader, follower := mk(), mk()
+	rng := rand.New(rand.NewSource(77))
+	ids := replicaLoad(t, leader, rng, 200)
+	whole := replicaPull(t, leader, follower)
+	view := follower.Clone()
+	if _, err := view.Aggregate(replicaProbes[0]); err != nil {
+		t.Fatal(err)
+	}
+	man, gen := follower.sh.man, follower.sh.cfgGen
+	segs := append([]*segment.Segment(nil), man.Segs...)
+
+	replicaLoad(t, leader, rng, 10)
+	replicaDelete(t, leader, ids[0], ids[70], ids[150], ids[199])
+	n := replicaPull(t, leader, follower)
+	checkReplicaMirrored(t, leader, follower)
+	if follower.sh.man != man || follower.sh.cfgGen != gen || !slices.Equal(follower.sh.man.Segs, segs) {
+		t.Fatalf("a memtable-and-dead-rows pull replaced the manifest (%v) or bumped the config generation (%d -> %d)", follower.sh.man != man, gen, follower.sh.cfgGen)
+	}
+	if view.fMan != man {
+		t.Fatal("a view armed before the pull is no longer armed on the follower's manifest")
+	}
+	want, _ := leader.Aggregate(replicaProbes[0])
+	if got, err := view.Aggregate(replicaProbes[0]); err != nil || got != want {
+		t.Fatalf("armed view answers %v, %v; leader %v", got, err, want)
+	}
+	// 3 held blocks (id, 1–2 dead seqs) and < 64 memtable rows of 2 dims.
+	if limit := int64(64*(8+5*8) + 512); n > limit || n > whole/3 {
+		t.Fatalf("pull shipped %d bytes (bootstrap %d): more than dead seqs and a memtable", n, whole)
+	}
+
+	// A pull that does cross a seal keeps the held segments' objects too.
+	replicaLoad(t, leader, rng, 64)
+	replicaPull(t, leader, follower)
+	checkReplicaMirrored(t, leader, follower)
+	if follower.sh.man == man || !slices.Equal(follower.sh.man.Segs[:len(segs)], segs) {
+		t.Fatal("a pull across a seal must swap the manifest and keep the held segments")
+	}
+	if follower.sh.cfgGen != gen {
+		t.Fatal("config generation bumped with the same leader configuration")
+	}
+}
+
+// TestReplicaInstallIsAtomic: a stream that cannot be applied — it elides a
+// segment the follower does not hold, or names a dead row the held segment
+// does not store — is refused by name and leaves the follower as it was.
+func TestReplicaInstallIsAtomic(t *testing.T) {
+	leader, err := NewDynamic(Gaussian(1.5), WithSealSize(32), WithAutoCompaction(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := NewDynamic(Gaussian(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(78))
+	ids := replicaLoad(t, leader, rng, 70)
+	replicaPull(t, leader, follower)
+	replicaLoad(t, leader, rng, 40)
+	replicaDelete(t, leader, ids[1], ids[40])
+
+	// forged is the leader's stream for the follower with the held blocks
+	// rewritten: a stream whose every checksum is good.
+	forged := func(edit func(h *heldSegment)) []byte {
+		var buf bytes.Buffer
+		sh := leader.sh
+		c := blockio.NewEncoder(&buf)
+		nsegs, rows := len(sh.man.Segs), sh.memRowsLocked()
+		var rho *float64
+		sh.engineBlock(c, &rho, &nsegs)
+		for i, s := range sh.man.Segs {
+			if i >= 2 {
+				segmentBlock(c, s, s.Dead)
+				continue
+			}
+			h := heldSegment{id: s.ID}
+			if s.Dead != nil {
+				h.dead = append(h.dead, s.Dead.Seqs...)
+			}
+			edit(&h)
+			heldBlock(c, &h)
+		}
+		memtableBlock(c, &rows)
+		if _, err := c.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	before := follower.Have()
+	for name, c := range map[string]struct {
+		edit func(h *heldSegment)
+		want string
+	}{
+		"unknown held id":    {func(h *heldSegment) { h.id += 40 }, "does not hold"},
+		"dead row elsewhere": {func(h *heldSegment) { h.dead = append(h.dead, 69) }, "not a row of it"},
+		"dead rows unsorted": {func(h *heldSegment) { h.dead = append(h.dead, h.dead[0]) }, "not ascending"},
+	} {
+		err := follower.InstallSnapshot(bytes.NewReader(forged(c.edit)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: error %v, want one containing %q", name, err, c.want)
+		}
+		if after := follower.Have(); !reflect.DeepEqual(before, after) || follower.Tombstones() != 0 {
+			t.Fatalf("%s: refused stream changed the follower: %+v -> %+v, %d tombstones", name, before, after, follower.Tombstones())
+		}
+	}
+	if err := follower.InstallSnapshot(bytes.NewReader(forged(func(*heldSegment) {}))); err != nil {
+		t.Fatalf("unedited forged stream refused (the harness is unsound): %v", err)
+	}
+	checkReplicaMirrored(t, leader, follower)
+
+	// The same stream is no engine file: a held block has nothing to
+	// resolve against.
+	if _, err := ReadEngine(bytes.NewReader(forged(func(*heldSegment) {}))); err == nil || !strings.Contains(err.Error(), "held-segment block") {
+		t.Fatalf("ReadEngine on a replication stream: error %v", err)
 	}
 }

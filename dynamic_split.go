@@ -176,14 +176,9 @@ func (d *Engine) Split(pred func(p []float64) bool) (MutableEngine, error) {
 	if moveSeg != nil {
 		msh.man = &segment.Manifest{Epoch: 1, Segs: []*segment.Segment{moveSeg}}
 		msh.nextID = 2
-		// The moved rows left this engine without individual Delete calls;
-		// a replication follower must still learn they are gone, so each
-		// shed seq enters the delete log as a deletion (and the Deletes
-		// counter, keeping DeletePos == deletes across persistence).
-		for _, seq := range moveSeg.Seqs {
-			sh.deletes++
-			sh.logDeleteLocked(seq)
-		}
+		// The moved rows left this engine without individual Delete calls
+		// and count as deletions all the same.
+		sh.deletes += len(moveSeg.Seqs)
 	}
 	sh.cond.Broadcast()
 	sh.mu.Unlock()

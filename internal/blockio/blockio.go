@@ -1,5 +1,5 @@
 // Package blockio is the one place that knows how KARL's persistent data is
-// laid out in bytes: engine files, replication segments and cluster
+// laid out in bytes: engine files, replication streams and cluster
 // manifests are all block streams moved through a Codec.
 //
 // A stream is the 8-byte header "KARLBLK" + format version, then blocks,
@@ -16,8 +16,8 @@
 // encoder writes what it points at, a decoder overwrites it with what it
 // reads. The fields of a block are therefore listed once, by a function
 // that the package owning the data runs in either direction (the engine,
-// segment and memtable blocks in package karl, the manifest block in
-// internal/shard); DESIGN.md §5.2a has the table.
+// segment, held-segment and memtable blocks in package karl, the manifest
+// block in internal/shard); DESIGN.md §5.2a has the table.
 package blockio
 
 import (
@@ -44,6 +44,7 @@ const (
 	TagSegment              // one sealed segment, whole, with its dead rows
 	TagMemtable             // the buffered rows of an engine
 	TagManifest             // a cluster manifest
+	TagHeld                 // a segment the puller of a replication stream already holds: id and dead seqs
 )
 
 // chunk is the I/O buffer size, the unit slices move in, and the most a
@@ -139,6 +140,21 @@ func (c *Codec) Begin(tag byte) {
 		c.fail(fmt.Errorf("block tag %d where %d was expected", got, tag))
 	}
 }
+
+// Next returns the tag of the block a decoder is about to read without
+// consuming it, for where a stream holds either of two blocks. At the end of
+// the input it returns TagEnd and leaves the error to the Begin that follows.
+func (c *Codec) Next() byte {
+	if b, err := c.r.Peek(1); c.err == nil && err == nil {
+		return b[0]
+	}
+	return TagEnd
+}
+
+// Sum returns the checksum of the open block as far as it has been moved,
+// in either direction: taken after a block's last immutable field it is a
+// fingerprint of them that writer and reader agree on.
+func (c *Codec) Sum() uint32 { return c.crc }
 
 // End closes the open block with its checksum: an encoder writes it, a
 // decoder fails unless the stored one matches the bytes read since Begin.

@@ -102,7 +102,7 @@ func (w *WritableCoordinator) refreshFollowers(ctx context.Context, mb *shard.Me
 		var acked uint64
 		if err == nil {
 			acked = st.Fence
-			if st.State == replica.StateLive.String() {
+			if st.State == replica.StateLive {
 				role = shard.RoleFollower
 				live = append(live, f)
 			}
@@ -137,7 +137,7 @@ func (w *WritableCoordinator) promoteLocked(ctx context.Context, id uint64) erro
 		sctx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
 		st, err := f.ReplicaStatus(sctx)
 		cancel()
-		if err != nil || st.State != replica.StateLive.String() {
+		if err != nil || st.State != replica.StateLive {
 			remaining = append(remaining, f)
 			continue
 		}
@@ -225,9 +225,9 @@ func (w *WritableCoordinator) Quarantines() int64 { return w.quarantines.Load() 
 // ClusterReplicaStatus is one follower's row in the cluster status block.
 type ClusterReplicaStatus struct {
 	Name string `json:"name"`
-	// State is the follower's catch-up state ("snapshot", "catching-up",
-	// "live"), or "unreachable" when its status probe failed, or a
-	// manifest-recorded role for followers with no attached client.
+	// State is the follower's state ("snapshot", "live"), or "unreachable"
+	// when its status probe failed, or a manifest-recorded role
+	// ("follower", "catching-up") for followers with no attached client.
 	State string `json:"state"`
 	// AckedSeq is the follower's replication watermark (highest leader
 	// seq applied).

@@ -373,7 +373,7 @@ func TestWritableChaosPromotionNotCaughtUp(t *testing.T) {
 
 	pts, w := dataset(300, 3, 23, "II")
 	mustInsert(t, wco, pts, w)
-	if st := appliers[1].Status(); st.State == replica.StateLive.String() {
+	if st := appliers[1].Status(); st.State == replica.StateLive {
 		t.Fatalf("precondition: follower must not be caught up yet, state %q", st.State)
 	}
 

@@ -7,14 +7,11 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"karl"
 )
-
-// DeletePosHeader carries the leader's delete-log position (captured
-// before serialization) on the snapshot response.
-const DeletePosHeader = "X-Karl-Delete-Pos"
 
 // HTTPSource pulls replication state from a remote leader's
 // /v1/replicate/* endpoints (a karl-serve -mutable process).
@@ -23,7 +20,7 @@ type HTTPSource struct {
 	hc   *http.Client
 }
 
-// NewHTTPSource builds a source for a karl-serve base URL. Snapshot
+// NewHTTPSource builds a source for a karl-serve base URL. Replication
 // streams can be large, so the client has no overall timeout; per-call
 // contexts bound each request.
 func NewHTTPSource(baseURL string) *HTTPSource {
@@ -38,86 +35,91 @@ func NewHTTPSource(baseURL string) *HTTPSource {
 
 // Status implements Source via GET /v1/replicate/status.
 func (s *HTTPSource) Status(ctx context.Context) (Status, error) {
-	var st Status
-	if err := s.getJSON(ctx, "/v1/replicate/status", &st); err != nil {
+	resp, err := s.get(ctx, "/v1/replicate/status")
+	if err != nil {
 		return Status{}, err
+	}
+	defer resp.Body.Close()
+	var st Status
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&st); err != nil {
+		return Status{}, fmt.Errorf("replica: leader %s: decode status: %w", s.base, err)
 	}
 	return st, nil
 }
 
-// Snapshot implements Source via GET /v1/replicate/snapshot. The caller
-// must Close the returned body.
-func (s *HTTPSource) Snapshot(ctx context.Context) (io.ReadCloser, uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/v1/replicate/snapshot", nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return nil, 0, fmt.Errorf("replica: leader %s: %w", s.base, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, 0, s.statusError(resp)
-	}
-	pos, err := strconv.ParseUint(resp.Header.Get(DeletePosHeader), 10, 64)
-	if err != nil {
-		resp.Body.Close()
-		return nil, 0, fmt.Errorf("replica: leader %s: snapshot response missing %s header", s.base, DeletePosHeader)
-	}
-	return resp.Body, pos, nil
-}
-
-// Pull implements Source via GET /v1/replicate/tail. The server answers
-// HTTP 409 when incremental catch-up from the given position is
-// impossible; that maps back to karl.ErrReplicaResync so the applier
-// falls back to a snapshot.
-func (s *HTTPSource) Pull(ctx context.Context, fence, delPos uint64) (*karl.ReplicaBatch, error) {
-	var b karl.ReplicaBatch
-	path := fmt.Sprintf("/v1/replicate/tail?fence=%d&deletes=%d", fence, delPos)
-	if err := s.getJSON(ctx, path, &b); err != nil {
+// Pull implements Source via GET /v1/replicate/tail?have=…, whose body is
+// the block stream itself; 304 Not Modified is the leader saying it stands
+// where have does.
+func (s *HTTPSource) Pull(ctx context.Context, have karl.ReplicaHave) (io.ReadCloser, error) {
+	resp, err := s.get(ctx, "/v1/replicate/tail?have="+FormatHave(have))
+	if err != nil || resp.StatusCode == http.StatusNotModified {
 		return nil, err
 	}
-	return &b, nil
+	return resp.Body, nil
 }
 
-func (s *HTTPSource) getJSON(ctx context.Context, path string, dst any) error {
+// get returns a 200 (body open) or 304 response and turns anything else into
+// an error carrying the server's message.
+func (s *HTTPSource) get(ctx context.Context, path string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+path, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := s.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("replica: leader %s: %w", s.base, err)
+		return nil, fmt.Errorf("replica: leader %s: %w", s.base, err)
+	}
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return resp, nil
+	case http.StatusNotModified:
+		resp.Body.Close()
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return s.statusError(resp)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<28))
-	if err != nil {
-		return fmt.Errorf("replica: leader %s: read response: %w", s.base, err)
-	}
-	if err := json.Unmarshal(body, dst); err != nil {
-		return fmt.Errorf("replica: leader %s: decode response: %w", s.base, err)
-	}
-	return nil
-}
-
-// statusError turns a non-200 response into an error, mapping the
-// server's 409 resync verdict back to the karl.ErrReplicaResync
-// sentinel the Applier branches on.
-func (s *HTTPSource) statusError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	var envelope struct {
 		Error string `json:"error"`
 	}
-	msg := fmt.Sprintf("HTTP %d", resp.StatusCode)
 	if json.Unmarshal(body, &envelope) == nil && envelope.Error != "" {
-		msg = fmt.Sprintf("%s (HTTP %d)", envelope.Error, resp.StatusCode)
+		return nil, fmt.Errorf("replica: leader %s: %s (HTTP %d)", s.base, envelope.Error, resp.StatusCode)
 	}
-	if resp.StatusCode == http.StatusConflict {
-		return fmt.Errorf("replica: leader %s: %s: %w", s.base, msg, karl.ErrReplicaResync)
+	return nil, fmt.Errorf("replica: leader %s: HTTP %d", s.base, resp.StatusCode)
+}
+
+// FormatHave renders have as the tail endpoint's "have" parameter: decimal
+// numbers joined by commas — epoch, next seq and delete counter, then an id
+// and a fingerprint per segment.
+func FormatHave(have karl.ReplicaHave) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d,%d,%d", have.Epoch, have.NextSeq, have.Deletes)
+	for _, h := range have.Segs {
+		fmt.Fprintf(&b, ",%d,%d", h.ID, h.Sum)
 	}
-	return fmt.Errorf("replica: leader %s: %s", s.base, msg)
+	return b.String()
+}
+
+// ParseHave is the inverse of FormatHave.
+func ParseHave(s string) (karl.ReplicaHave, error) {
+	fields := strings.Split(s, ",")
+	if len(fields) < 3 || len(fields)%2 != 1 {
+		return karl.ReplicaHave{}, fmt.Errorf("%d numbers where epoch, next seq, deletes and an id,fingerprint pair per segment were expected", len(fields))
+	}
+	nums := make([]uint64, len(fields))
+	for i, f := range fields {
+		bits := 64
+		if i >= 3 && i%2 == 0 {
+			bits = 32 // a fingerprint
+		}
+		v, err := strconv.ParseUint(f, 10, bits)
+		if err != nil {
+			return karl.ReplicaHave{}, err
+		}
+		nums[i] = v
+	}
+	have := karl.ReplicaHave{Epoch: nums[0], NextSeq: nums[1], Deletes: nums[2]}
+	for i := 3; i < len(nums); i += 2 {
+		have.Segs = append(have.Segs, karl.SegmentSum{ID: nums[i], Sum: uint32(nums[i+1])})
+	}
+	return have, nil
 }

@@ -3,24 +3,16 @@
 // the cluster layer can fail reads over to followers and promote one to
 // leader when its member dies.
 //
-// The mechanism falls out of the engine's LSM shape. Sealed segments are
-// immutable and self-describing, so the leader ships each one the
-// follower is missing as a standalone persistence-v7 stream (exactly the
-// wire unit shard splits use), followed by the memtable tail above the
-// follower's fence sequence number and the seqs deleted since the
-// follower's delete-log position. Kernel aggregation is additively
-// decomposable and every row carries its cluster-visible seq, so a
-// follower that has applied everything up to the fence holds exactly the
-// leader's live mass — the ε/τ certificate contracts survive promotion
-// verbatim.
-//
-// The protocol is pull-based and idempotent. A fresh follower records
-// the leader's delete position, installs a full snapshot, and then polls
-// Pull(fence, deletePos); redelivered segments and rows are skipped by
-// seq, and replayed deletes of unknown ids are ignored. When the leader
-// reports karl.ErrReplicaResync — its bounded delete log trimmed past
-// the follower's position, or the fence falls inside a sealed segment of
-// a timed engine — the follower falls back to a full snapshot.
+// There is one mechanism (dynamic_replica.go in package karl has the
+// argument): a pull is the leader's engine stream — the bytes Engine.WriteTo
+// would write — with a small held-segment block in the place of every sealed
+// segment the follower names, by id and fingerprint, as already held. The
+// follower installs it and is a mirror of its leader: manifest, dead rows,
+// memtable, configuration and counters. Every round carries all the follower
+// lacks, so a fresh follower, a steady one, one whose leader restarted, one
+// re-pointed at another leader and one disconnected for any length of time
+// converge in the same single round; a round the stream's checksums refuse
+// changes nothing and is retried at the next tick.
 package replica
 
 import (
@@ -36,32 +28,13 @@ import (
 	"karl"
 )
 
-// State is the follower's position in the catch-up state machine:
-// snapshot (nothing applied yet), catching-up (snapshot installed,
-// incremental pulls not yet through), live (at least one full pull
-// cycle completed — eligible for read failover and promotion).
-type State int32
-
+// The wire values of Status.State: a follower mirrors nothing until its first
+// round completes and is live — eligible for read failover and promotion —
+// from then on.
 const (
-	StateSnapshot State = iota
-	StateCatchingUp
-	StateLive
+	StateSnapshot = "snapshot"
+	StateLive     = "live"
 )
-
-// String implements fmt.Stringer; the strings are the wire values of
-// Status.State.
-func (s State) String() string {
-	switch s {
-	case StateSnapshot:
-		return "snapshot"
-	case StateCatchingUp:
-		return "catching-up"
-	case StateLive:
-		return "live"
-	default:
-		return fmt.Sprintf("State(%d)", int32(s))
-	}
-}
 
 // Status is the replication status of one engine, leader or follower —
 // the JSON unit of GET /v1/replicate/status and the coordinator's
@@ -69,17 +42,17 @@ func (s State) String() string {
 type Status struct {
 	// Role is "leader" or "follower".
 	Role string `json:"role"`
-	// State is the follower catch-up state ("snapshot", "catching-up",
-	// "live"); empty for leaders.
+	// State is the follower's state ("snapshot", "live"); empty for
+	// leaders.
 	State string `json:"state,omitempty"`
 	// NextSeq is the engine's next sequence number: for a leader the next
 	// insert id, for a follower one past the highest applied seq.
 	NextSeq uint64 `json:"next_seq"`
 	// Fence is the follower's replication watermark (highest leader seq
-	// covered); 0 for leaders.
+	// covered: its mirrored NextSeq−1); 0 for leaders.
 	Fence uint64 `json:"fence,omitempty"`
-	// DeletePos is the delete-log position: total deletes applied
-	// (leader) or replayed (follower).
+	// DeletePos is the engine's delete counter: total deletes applied
+	// (leader) or mirrored (follower).
 	DeletePos uint64 `json:"delete_pos"`
 	// LeaderSeq is the leader's NextSeq as of the follower's last
 	// completed pull; 0 for leaders. LeaderSeq − NextSeq is the
@@ -90,9 +63,8 @@ type Status struct {
 	// Epoch is the engine's manifest epoch.
 	Epoch uint64 `json:"epoch"`
 	// LastError is the most recent sync failure, cleared by the next
-	// successful round — how an operator polling the status endpoint
-	// sees a follower that is wedged rather than merely behind; empty
-	// for leaders and healthy followers.
+	// successful round — how an operator polling the status endpoint sees a
+	// follower that cannot reach or read its leader; empty otherwise.
 	LastError string `json:"last_error,omitempty"`
 }
 
@@ -105,20 +77,26 @@ func (s Status) Lag() uint64 {
 	return 0
 }
 
-// Source is the follower's view of its leader: status, a full snapshot,
-// and incremental pulls. EngineSource serves an in-process leader,
-// HTTPSource a remote one over /v1/replicate/*.
+// Source is the follower's view of its leader. EngineSource serves an
+// in-process leader, HTTPSource a remote one over /v1/replicate/*.
 type Source interface {
 	// Status reports the leader's replication counters.
 	Status(ctx context.Context) (Status, error)
-	// Snapshot streams the leader's full state (a karl.WriteTo stream)
-	// and returns the delete-log position captured BEFORE serialization —
-	// deletes racing the snapshot are covered twice (in the stream and in
-	// the log) rather than lost, and replay is idempotent.
-	Snapshot(ctx context.Context) (io.ReadCloser, uint64, error)
-	// Pull returns everything above (fence, delPos) as one consistent
-	// batch; karl.ErrReplicaResync (possibly wrapped) demands a snapshot.
-	Pull(ctx context.Context, fence, delPos uint64) (*karl.ReplicaBatch, error)
+	// Pull streams the leader's engine with the segments have names elided
+	// (Engine.WriteSnapshot). A nil stream means the leader stands exactly
+	// where have says the follower does. The caller closes the stream.
+	Pull(ctx context.Context, have karl.ReplicaHave) (io.ReadCloser, error)
+}
+
+// leaderStatus is the Status of an engine nothing is replicating into.
+func leaderStatus(eng *karl.Engine) Status {
+	return Status{
+		Role:      "leader",
+		NextSeq:   eng.NextSeq(),
+		DeletePos: uint64(eng.Deletes()),
+		Points:    eng.Len(),
+		Epoch:     eng.Epoch(),
+	}
 }
 
 // EngineSource feeds a follower from an in-process leader engine — the
@@ -132,34 +110,19 @@ func (s EngineSource) Status(ctx context.Context) (Status, error) {
 	if err := ctx.Err(); err != nil {
 		return Status{}, err
 	}
-	return Status{
-		Role:      "leader",
-		NextSeq:   s.Eng.NextSeq(),
-		DeletePos: s.Eng.DeletePos(),
-		Points:    s.Eng.Len(),
-		Epoch:     s.Eng.Epoch(),
-	}, nil
-}
-
-// Snapshot implements Source.
-func (s EngineSource) Snapshot(ctx context.Context) (io.ReadCloser, uint64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	delPos := s.Eng.DeletePos()
-	var buf bytes.Buffer
-	if _, err := s.Eng.WriteTo(&buf); err != nil {
-		return nil, 0, err
-	}
-	return io.NopCloser(&buf), delPos, nil
+	return leaderStatus(s.Eng), nil
 }
 
 // Pull implements Source.
-func (s EngineSource) Pull(ctx context.Context, fence, delPos uint64) (*karl.ReplicaBatch, error) {
+func (s EngineSource) Pull(ctx context.Context, have karl.ReplicaHave) (io.ReadCloser, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.Eng.PullBatch(fence, delPos)
+	var buf bytes.Buffer
+	if n, err := s.Eng.WriteSnapshot(&buf, have); err != nil || n == 0 {
+		return nil, err
+	}
+	return io.NopCloser(&buf), nil
 }
 
 // ErrPromoted reports a sync attempt against an applier that has been
@@ -171,27 +134,24 @@ var ErrPromoted = errors.New("replica: applier was promoted and no longer pulls"
 // follower half of the subsystem. All applies serialize on the applier;
 // the engine stays fully queryable throughout (reads see a consistent
 // snapshot per the engine's own locking), which is what makes followers
-// usable as read-failover targets while catching up.
+// usable as read-failover targets. The applier keeps no position of its
+// own: what the follower holds is read off its engine each round.
 type Applier struct {
 	eng *karl.Engine
 	src Source
 
 	mu        sync.Mutex
-	fence     uint64
-	delPos    uint64
 	leaderSeq uint64
-	state     State
+	state     string
 	promoted  bool
-	bootstrap bool
 	lastErr   string
 
-	syncs   atomic.Int64
-	resyncs atomic.Int64
+	syncs atomic.Int64
 }
 
-// NewApplier wraps an empty follower engine. The engine must share the
-// leader's kernel; everything else (policy, dims, manifest) arrives with
-// the first snapshot or segment stream.
+// NewApplier wraps a follower engine. It need not be empty nor configured
+// like the leader: the first round adopts the leader's kernel, policy and
+// state wholesale, keeping whatever segments the two already share.
 func NewApplier(eng *karl.Engine, src Source) *Applier {
 	return &Applier{eng: eng, src: src, state: StateSnapshot}
 }
@@ -199,25 +159,15 @@ func NewApplier(eng *karl.Engine, src Source) *Applier {
 // Engine returns the follower engine (for serving reads).
 func (a *Applier) Engine() *karl.Engine { return a.eng }
 
-// BootstrapFromSnapshot makes the applier's first sync install a full
-// leader snapshot before pulling the tail, instead of attempting an
-// incremental catch-up from seq 0. The snapshot adopts the leader's
-// kernel and maintenance configuration wholesale, so the local engine
-// need not have been built to match — this is how a follower whose
-// engine was configured independently of its leader (karl-serve
-// -replica-of) avoids the contract NewApplier otherwise imposes. Must
-// be called before the first Sync; the engine must be empty.
-func (a *Applier) BootstrapFromSnapshot() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.bootstrap = true
-}
+// BootstrapFromSnapshot does nothing: every round is the leader's snapshot
+// minus what the follower holds, so there is no other way to start. It
+// remains because the benchmark harness calls it.
+func (a *Applier) BootstrapFromSnapshot() {}
 
-// Sync performs one pull/apply round: everything above the follower's
-// (fence, delete-pos) lands in one batch. A leader resync demand
-// (trimmed delete log, a straddled timed segment) falls back to a full snapshot
-// when the follower is still empty and fails otherwise. After the first
-// successful round the follower is live.
+// Sync performs one pull/apply round, after which the follower mirrors the
+// leader as of the pull and is live. A round that fails — an unreachable
+// leader, a stream the block checksums refuse — leaves the follower's
+// engine and state as they were and its error in Status.LastError.
 func (a *Applier) Sync(ctx context.Context) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -234,53 +184,32 @@ func (a *Applier) Sync(ctx context.Context) error {
 }
 
 func (a *Applier) syncLocked(ctx context.Context) error {
-	if a.bootstrap {
-		if err := a.resyncLocked(ctx); err != nil {
-			return err
-		}
-		a.bootstrap = false
+	have := a.eng.Have()
+	if a.state != StateLive {
+		// Nothing was mirrored from this source yet, so equal counters would
+		// not mean equal state: ask for the stream whatever they are (no
+		// leader's next id is 0).
+		have.NextSeq = 0
 	}
-	b, err := a.src.Pull(ctx, a.fence, a.delPos)
-	if errors.Is(err, karl.ErrReplicaResync) {
-		if err := a.resyncLocked(ctx); err != nil {
-			return err
-		}
-		b, err = a.src.Pull(ctx, a.fence, a.delPos)
-	}
+	rc, err := a.src.Pull(ctx, have)
 	if err != nil {
 		return err
 	}
-	fence, err := a.eng.ApplyBatch(b)
-	if err != nil {
-		return fmt.Errorf("replica: applying batch at fence %d: %w", a.fence, err)
+	if rc != nil {
+		err = a.eng.InstallSnapshot(rc)
+		rc.Close()
+		if err != nil {
+			return fmt.Errorf("replica: %w", err)
+		}
 	}
-	a.fence, a.delPos, a.leaderSeq = fence, b.DeletePos, b.NextSeq
+	a.leaderSeq = a.eng.NextSeq()
 	a.state = StateLive
 	a.syncs.Add(1)
 	return nil
 }
 
-// resyncLocked bootstraps from a full snapshot. Called with a.mu held.
-func (a *Applier) resyncLocked(ctx context.Context) error {
-	rc, delPos, err := a.src.Snapshot(ctx)
-	if err != nil {
-		return fmt.Errorf("replica: snapshot: %w", err)
-	}
-	defer rc.Close()
-	a.state = StateSnapshot
-	if err := a.eng.InstallSnapshot(rc); err != nil {
-		return fmt.Errorf("replica: installing snapshot: %w", err)
-	}
-	a.fence = a.eng.NextSeq() - 1
-	a.delPos = delPos
-	a.state = StateCatchingUp
-	a.resyncs.Add(1)
-	return nil
-}
-
-// CatchUp syncs until the follower is live AND a final round ships
-// nothing new — bounded-lag convergence for a quiescent leader, a
-// best-effort floor under a live write load.
+// CatchUp syncs until a round changes nothing — convergence for a quiescent
+// leader (the second round), a best-effort floor under a live write load.
 func (a *Applier) CatchUp(ctx context.Context) error {
 	for {
 		before := a.Status()
@@ -288,15 +217,15 @@ func (a *Applier) CatchUp(ctx context.Context) error {
 			return err
 		}
 		after := a.Status()
-		if after.State == StateLive.String() && after.NextSeq == before.NextSeq && after.DeletePos == before.DeletePos && before.State == StateLive.String() {
+		if before.State == StateLive && after.NextSeq == before.NextSeq && after.DeletePos == before.DeletePos && after.Epoch == before.Epoch {
 			return nil
 		}
 	}
 }
 
-// Run polls Sync on the given interval until the context ends or the
-// applier is promoted. Transient sync errors do not stop the loop; the
-// last one is returned alongside a context end for diagnosis.
+// Run syncs at once and then on the given interval until the context ends
+// or the applier is promoted. Transient sync errors do not stop the loop;
+// the last one is returned alongside a context end for diagnosis.
 func (a *Applier) Run(ctx context.Context, interval time.Duration) error {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
@@ -305,14 +234,6 @@ func (a *Applier) Run(ctx context.Context, interval time.Duration) error {
 	defer t.Stop()
 	var lastErr error
 	for {
-		select {
-		case <-ctx.Done():
-			if lastErr != nil {
-				return fmt.Errorf("%w (last sync error: %w)", ctx.Err(), lastErr)
-			}
-			return ctx.Err()
-		case <-t.C:
-		}
 		switch err := a.Sync(ctx); {
 		case err == nil:
 			lastErr = nil
@@ -320,6 +241,14 @@ func (a *Applier) Run(ctx context.Context, interval time.Duration) error {
 			return nil
 		default:
 			lastErr = err
+		}
+		select {
+		case <-ctx.Done():
+			if lastErr != nil {
+				return fmt.Errorf("%w (last sync error: %w)", ctx.Err(), lastErr)
+			}
+			return ctx.Err()
+		case <-t.C:
 		}
 	}
 }
@@ -348,28 +277,15 @@ func (a *Applier) Promoted() bool {
 // Syncs returns the number of completed sync rounds.
 func (a *Applier) Syncs() int64 { return a.syncs.Load() }
 
-// Resyncs returns the number of full-snapshot bootstraps taken.
-func (a *Applier) Resyncs() int64 { return a.resyncs.Load() }
-
 // Status reports the follower's replication status (Role flips to
 // "leader" after promotion).
 func (a *Applier) Status() Status {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := Status{
-		Role:      "follower",
-		State:     a.state.String(),
-		NextSeq:   a.eng.NextSeq(),
-		Fence:     a.fence,
-		DeletePos: a.delPos,
-		LeaderSeq: a.leaderSeq,
-		Points:    a.eng.Len(),
-		Epoch:     a.eng.Epoch(),
-		LastError: a.lastErr,
-	}
-	if a.promoted {
-		st.Role = "leader"
-		st.State = ""
+	st := leaderStatus(a.eng)
+	if !a.promoted {
+		st.Role, st.State, st.LastError = "follower", a.state, a.lastErr
+		st.Fence, st.LeaderSeq = st.NextSeq-1, a.leaderSeq
 	}
 	return st
 }

@@ -1,6 +1,9 @@
 package segment
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Dead is the set of tombstones attributed to one segment: for every row
 // that has been deleted but not yet physically removed, the exact mass the
@@ -74,6 +77,44 @@ func (d *Dead) Add(seq uint64, w float64, ref int64, p []float64) bool {
 	d.Seqs[i], d.W[i], d.Ref[i] = seq, w, ref
 	copy(d.Row(i), p)
 	return true
+}
+
+// Kill marks the row with sequence number seq dead and reports whether the
+// segment stores the row and whether it was alive until now. Every tombstone
+// is built from the stored row — its weight and coordinates, the segment's
+// own decay reference — so a segment's dead rows are a function of the
+// segment and their seqs alone, which is what lets a replica rebuild them
+// from its own copy of the segment (DeadRows).
+func (s *Segment) Kill(seq uint64) (stored, added bool) {
+	row, ok := s.Find(seq)
+	if !ok {
+		return false, false
+	}
+	w := 1.0
+	if s.Tree.Weights != nil {
+		w = s.Tree.Weights[row]
+	}
+	if s.Dead == nil {
+		s.Dead = &Dead{}
+	}
+	return true, s.Dead.Add(seq, w, s.TimeRef, s.Tree.Points.Row(row))
+}
+
+// DeadRows returns the tombstone set Kill would have built for exactly the
+// given seqs — s.Dead itself when that is what it holds already, nil for
+// none — without touching s.Dead, and false when s does not store one of
+// them.
+func (s *Segment) DeadRows(seqs []uint64) (*Dead, bool) {
+	if s.Dead != nil && slices.Equal(seqs, s.Dead.Seqs) {
+		return s.Dead, true
+	}
+	rows := Segment{Tree: s.Tree, Seqs: s.Seqs, TimeRef: s.TimeRef, inv: s.inv} // the same rows, none dead yet
+	for _, seq := range seqs {
+		if stored, _ := rows.Kill(seq); !stored {
+			return nil, false
+		}
+	}
+	return rows.Dead, true
 }
 
 // Clone returns a deep copy (nil for the empty set), safe to read after

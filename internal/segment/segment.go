@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"karl/internal/balltree"
 	"karl/internal/index"
@@ -81,6 +82,13 @@ type Segment struct {
 	// lock and never touches it from the lock-free query path; nil while
 	// the segment has no dead rows. See Dead.
 	Dead *Dead
+
+	// Sum caches the fingerprint of everything above Dead — what
+	// replication compares to tell that two engines hold the same segment
+	// under one ID. The persistence layer owns the value (1<<32 | the
+	// checksum once known, 0 before) and leaves it here whenever it encodes
+	// or decodes the segment.
+	Sum atomic.Uint64
 
 	// inv maps insertion-order position -> leaf-storage row (the inverse
 	// of Tree.PointID), built by New when Seqs is present so Find can

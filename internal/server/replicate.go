@@ -1,24 +1,21 @@
 package server
 
 import (
-	"errors"
 	"io"
 	"net/http"
-	"strconv"
 
 	"karl"
 	"karl/internal/replica"
 )
 
 // replicaSource is the optional leader-side replication surface a
-// mutable engine exposes (provided by *karl.Engine): status
-// counters, a full snapshot stream, and incremental batch export. A
-// mutable engine without it simply has no /v1/replicate endpoints.
+// mutable engine exposes (provided by *karl.Engine): status counters and
+// the engine stream with a follower's segments elided. A mutable engine
+// without it simply has no /v1/replicate endpoints.
 type replicaSource interface {
 	NextSeq() uint64
-	DeletePos() uint64
-	PullBatch(fence, delPos uint64) (*karl.ReplicaBatch, error)
-	WriteTo(w io.Writer) (int64, error)
+	Deletes() int
+	WriteSnapshot(w io.Writer, have karl.ReplicaHave) (int64, error)
 }
 
 // WithReplicaApplier marks the served engine as a replication follower
@@ -32,13 +29,11 @@ func WithReplicaApplier(a *replica.Applier) Option {
 }
 
 // replicateRoutes registers the replication endpoints. The export side
-// (status, snapshot, tail) is served by leaders AND followers — a
-// promoted follower feeds the next generation of followers, and chained
-// catch-up reads from an unpromoted one are harmless because segments
-// and rows are idempotent by seq.
+// (status, tail) is served by leaders AND followers — a promoted follower
+// feeds the next generation of followers, and a chained pull from an
+// unpromoted one mirrors a mirror.
 func (s *Server) replicateRoutes() {
 	s.mux.HandleFunc("GET /v1/replicate/status", s.handleReplicateStatus)
-	s.mux.HandleFunc("GET /v1/replicate/snapshot", s.handleReplicateSnapshot)
 	s.mux.HandleFunc("GET /v1/replicate/tail", s.handleReplicateTail)
 	s.mux.HandleFunc("POST /v1/replicate/promote", s.handleReplicatePromote)
 }
@@ -66,51 +61,27 @@ func (s *Server) handleReplicateStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, replica.Status{
 		Role:      "leader",
 		NextSeq:   s.loc.rsrc.NextSeq(),
-		DeletePos: s.loc.rsrc.DeletePos(),
+		DeletePos: uint64(s.loc.rsrc.Deletes()),
 		Points:    s.loc.dyn.Len(),
 		Epoch:     s.loc.dyn.Epoch(),
 	})
 }
 
-// handleReplicateSnapshot streams the engine's full state (a karl
-// persistence stream) with the delete-log position captured BEFORE
-// serialization in the X-Karl-Delete-Pos header — the fresh-follower
-// bootstrap unit.
-func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request) {
-	delPos := s.loc.rsrc.DeletePos()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(replica.DeletePosHeader, strconv.FormatUint(delPos, 10))
-	// An error mid-stream cannot change the status line; the client sees
-	// a stream without its end block, which ReadEngine refuses.
-	_, _ = s.loc.rsrc.WriteTo(w)
-}
-
-// handleReplicateTail answers one incremental pull: everything above
-// the follower's fence and delete position as one consistent batch.
-// HTTP 409 is the resync verdict (trimmed delete log, a straddled timed
-// segment) — HTTPSource maps it back to karl.ErrReplicaResync.
+// handleReplicateTail answers one pull: the engine's block stream with the
+// segments the "have" parameter names elided (replica.FormatHave), or 304
+// when the engine stands exactly where have says the follower does.
 func (s *Server) handleReplicateTail(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	fence, err := strconv.ParseUint(q.Get("fence"), 10, 64)
+	have, err := replica.ParseHave(r.URL.Query().Get("have"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{`invalid "fence" query parameter`})
+		writeJSON(w, http.StatusBadRequest, errorResponse{`invalid "have" query parameter: ` + err.Error()})
 		return
 	}
-	delPos, err := strconv.ParseUint(q.Get("deletes"), 10, 64)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{`invalid "deletes" query parameter`})
-		return
+	w.Header().Set("Content-Type", "application/octet-stream")
+	// An error mid-stream cannot change the status line; the follower sees
+	// a stream without its end block, which it refuses whole.
+	if n, err := s.loc.rsrc.WriteSnapshot(w, have); n == 0 && err == nil {
+		w.WriteHeader(http.StatusNotModified)
 	}
-	b, err := s.loc.rsrc.PullBatch(fence, delPos)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, karl.ErrReplicaResync) {
-			status = http.StatusConflict
-		}
-		writeJSON(w, status, errorResponse{err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, b)
 }
 
 // handleReplicatePromote turns a follower into a leader: the applier

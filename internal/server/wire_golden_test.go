@@ -150,8 +150,8 @@ func TestWireGolden(t *testing.T) {
 		{Server: "mutable", Method: "POST", Path: "/v1/split", Request: `{"kind":"hash"}`},
 		{Server: "mutable", Method: "POST", Path: "/v1/split", Request: `{"kind":"kd","dim":0}`},
 		{Server: "mutable", Method: "GET", Path: "/v1/replicate/status"},
-		{Server: "mutable", Method: "GET", Path: "/v1/replicate/tail?fence=x&deletes=0"},
-		{Server: "mutable", Method: "GET", Path: "/v1/replicate/tail?fence=0&deletes=99"},
+		{Server: "mutable", Method: "GET", Path: "/v1/replicate/tail?have=1,1,x"},
+		{Server: "mutable", Method: "GET", Path: "/v1/replicate/tail?fence=0&deletes=99&have=1,1,0,7"},
 		{Server: "mutable", Method: "POST", Path: "/v1/replicate/promote"},
 		{Server: "mutable", Method: "GET", Path: "/v1/info"},
 		{Server: "mutable", Method: "GET", Path: "/v1/stats"},

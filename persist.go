@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"karl/internal/blockio"
 	"karl/internal/index"
@@ -19,10 +20,11 @@ import (
 // mapping, the packed node and bounding-volume arrays), its sequence numbers
 // and insert times, and the tombstones of its own dead rows — so loading
 // reconstructs the exact trees and answers are bitwise identical across a
-// round trip. A stream of one segment block is what replication ships
-// (dynamic_replica.go). Each block's fields are listed once, by the function
-// below that moves it in either direction; internal/blockio owns how a field
-// becomes bytes.
+// round trip. A replication pull is the same stream with a held-segment
+// block — the id and the dead seqs — in the place of every segment the
+// follower said it holds (dynamic_replica.go). Each block's fields are listed
+// once, by the function below that moves it in either direction;
+// internal/blockio owns how a field becomes bytes.
 
 // WriteTo serializes the engine — manifest, memtable and policy — so a
 // reload by ReadEngine resumes with the identical segment layout and
@@ -32,26 +34,44 @@ import (
 // memtable rows), and streams the immutable segments after releasing it; a
 // concurrent background merge does not block the write (the pre-merge
 // manifest is a consistent snapshot).
-func (d *Engine) WriteTo(w io.Writer) (int64, error) { return d.writeTo(w, nil) }
+func (d *Engine) WriteTo(w io.Writer) (int64, error) { return d.writeTo(w, nil, nil) }
 
-func (d *Engine) writeTo(w io.Writer, rho *float64) (int64, error) {
+// writeTo writes the engine file, or — given what a follower holds — the
+// replication stream that elides it: nothing at all, not even the header, for
+// a follower that holds the engine exactly as it stands.
+func (d *Engine) writeTo(w io.Writer, rho *float64, have *ReplicaHave) (int64, error) {
 	sh := d.sh
 	sh.mu.Lock()
 	for sh.sealing != nil || sh.draining {
 		sh.cond.Wait()
 	}
+	if have != nil && have.at(sh) {
+		sh.mu.Unlock()
+		return 0, nil
+	}
 	c := blockio.NewEncoder(w)
 	segs := sh.man.Segs
 	nsegs := len(segs)
 	sh.engineBlock(c, &rho, &nsegs) // far smaller than the encoder's buffer: no I/O under the lock
+	held := make([]heldSegment, nsegs)
 	dead := make([]*segment.Dead, nsegs)
 	for i, s := range segs {
-		dead[i] = s.Dead.Clone() // sealDead is empty: the seal was waited out
+		// sealDead is empty: the seal was waited out. Of a held segment's
+		// dead rows only the seqs ship, so only they are copied.
+		if !have.holds(s) {
+			dead[i] = s.Dead.Clone()
+		} else if held[i].id = s.ID; s.Dead != nil {
+			held[i].dead = slices.Clone(s.Dead.Seqs)
+		}
 	}
-	rows := sh.memTailLocked(0)
+	rows := sh.memRowsLocked()
 	sh.mu.Unlock()
 	for i, s := range segs {
-		segmentBlock(c, s, dead[i])
+		if held[i].id != 0 {
+			heldBlock(c, &held[i])
+		} else {
+			segmentBlock(c, s, dead[i])
+		}
 	}
 	memtableBlock(c, &rows)
 	return c.Finish()
@@ -112,7 +132,7 @@ func (sh *dynShared) engineBlock(c *blockio.Codec, rho **float64, nsegs *int) er
 	if sh.method, err = methodOf(method); err != nil {
 		return err
 	}
-	sh.halfLife, sh.delLogBase = float64(halfLife), uint64(sh.deletes)
+	sh.halfLife = float64(halfLife)
 	// Provenance describes the set the engine was built over, which streamed
 	// inserts may since have outgrown, so only its own consistency is checked.
 	if sk := sh.sketch; sk != nil && (sk.Len < 1 || sk.SourceLen < sk.Len) {
@@ -132,7 +152,8 @@ func (sh *dynShared) engineBlock(c *blockio.Codec, rho **float64, nsegs *int) er
 // is given neither and returns the segment it reconstructed, every array
 // read straight into the slice the segment keeps. A dead row the segment does
 // not itself store is refused — it would subtract mass the segment does not
-// hold.
+// hold. Either direction leaves the segment's fingerprint on it: the block
+// checksum as it stands where the immutable fields end and the dead rows begin.
 func segmentBlock(c *blockio.Codec, s *segment.Segment, dead *segment.Dead) (*segment.Segment, error) {
 	var (
 		kind          IndexKind
@@ -164,11 +185,15 @@ func segmentBlock(c *blockio.Codec, s *segment.Segment, dead *segment.Dead) (*se
 	blockio.Slice(c, &s.Seqs)
 	blockio.Slice(c, &s.Times)
 	c.Int64(&s.TimeRef)
+	sum := sumKnown | uint64(c.Sum())
 	blockio.Slice(c, &dead.Seqs)
 	blockio.Slice(c, &dead.W)
 	blockio.Slice(c, &dead.Ref)
 	blockio.Slice(c, &dead.Pts)
 	if err := c.End(); err != nil || !c.Decoding() {
+		if err == nil {
+			s.Sum.Store(sum)
+		}
 		return nil, err
 	}
 	ik, err := indexKindOf(kind)
@@ -190,6 +215,7 @@ func segmentBlock(c *blockio.Codec, s *segment.Segment, dead *segment.Dead) (*se
 		return nil, fmt.Errorf("corrupt segment block: %d seqs and %d times for %d points, or seqs not ascending", len(s.Seqs), len(s.Times), m.Rows)
 	}
 	s = segment.New(tree, s.ID, s.Seqs, s.Times, s.TimeRef)
+	s.Sum.Store(sum)
 	if nd := dead.Len(); nd > 0 {
 		if len(dead.W) != nd || len(dead.Ref) != nd || len(dead.Pts) != nd*dims || !ascending(dead.Seqs) {
 			return nil, errors.New("corrupt segment block (dead rows)")
@@ -205,6 +231,39 @@ func segmentBlock(c *blockio.Codec, s *segment.Segment, dead *segment.Dead) (*se
 	return s, nil
 }
 
+// sumKnown marks a Segment.Sum that holds a fingerprint.
+const sumKnown = 1 << 32
+
+// segmentSum returns the fingerprint of s's immutable content, encoding s once
+// into the void if this process built it and has neither written nor read it.
+func segmentSum(s *segment.Segment) uint32 {
+	if s.Sum.Load() == 0 {
+		segmentBlock(blockio.NewEncoder(io.Discard), s, nil)
+	}
+	return uint32(s.Sum.Load())
+}
+
+// heldSegment is what a replication stream carries in the place of a segment
+// the follower holds: the id (never 0) and the seqs of the rows dead in it.
+type heldSegment struct {
+	id   uint64
+	dead []uint64
+}
+
+// heldBlock moves one held-segment block.
+func heldBlock(c *blockio.Codec, h *heldSegment) error {
+	c.Begin(blockio.TagHeld)
+	c.Uint64(&h.id)
+	blockio.Slice(c, &h.dead)
+	if err := c.End(); err != nil || !c.Decoding() {
+		return err
+	}
+	if !ascending(h.dead) {
+		return fmt.Errorf("corrupt held-segment block: dead rows of segment %d not ascending", h.id)
+	}
+	return nil
+}
+
 // ascending reports whether seqs is strictly ascending.
 func ascending(seqs []uint64) bool {
 	for i := 1; i < len(seqs); i++ {
@@ -215,9 +274,8 @@ func ascending(seqs []uint64) bool {
 	return true
 }
 
-// memtableBlock moves the memtable block: the buffered rows as the row tail
-// a follower would replay (ids and insert times included), which is how a
-// load puts them back.
+// memtableBlock moves the memtable block: the buffered rows with their ids
+// and insert times, which ApplyRows puts back.
 func memtableBlock(c *blockio.Codec, rows *[]TailRow) error {
 	n := len(*rows)
 	c.Begin(blockio.TagMemtable)
@@ -239,13 +297,18 @@ func memtableBlock(c *blockio.Codec, rows *[]TailRow) error {
 // loads as the engine over its support vectors). Every segment is
 // reconstructed, not rebuilt, so answers are bitwise identical across the
 // round trip. A stream that is cut short, fails a block checksum, or was
-// written before the block format is refused.
+// written before the block format is refused, and so is a replication stream:
+// a file has no engine to resolve a held-segment block against.
 func ReadEngine(r io.Reader) (*Engine, error) {
-	eng, _, err := readEngine(r)
+	eng, _, err := readEngine(r, nil)
 	return eng, err
 }
 
-func readEngine(r io.Reader) (eng *Engine, rho *float64, err error) {
+// readEngine decodes an engine stream into a new engine. Given held, it
+// leaves the manifest a nil segment where the stream has a held-segment block
+// and lists those blocks there, in manifest order, for InstallSnapshot to
+// resolve.
+func readEngine(r io.Reader, held *[]heldSegment) (eng *Engine, rho *float64, err error) {
 	defer func() {
 		if err != nil {
 			eng, err = nil, fmt.Errorf("karl: reading engine: %w", err)
@@ -258,6 +321,18 @@ func readEngine(r io.Reader) (eng *Engine, rho *float64, err error) {
 		return nil, nil, err
 	}
 	for i := 0; i < nsegs; i++ {
+		if c.Next() == blockio.TagHeld {
+			if held == nil {
+				return nil, nil, fmt.Errorf("segment %d: held-segment block: an engine file has nothing to resolve it against", i)
+			}
+			var h heldSegment
+			if err := heldBlock(c, &h); err != nil {
+				return nil, nil, fmt.Errorf("segment %d: %w", i, err)
+			}
+			*held = append(*held, h)
+			sh.man.Segs = append(sh.man.Segs, nil)
+			continue
+		}
 		s, err := segmentBlock(c, nil, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("segment %d: %w", i, err)
@@ -296,11 +371,11 @@ func readEngine(r io.Reader) (eng *Engine, rho *float64, err error) {
 
 // WriteTo serializes a trained SVM: the engine file of its support vectors
 // (weights, kernel, index) carrying ρ.
-func (s *SVM) WriteTo(w io.Writer) (int64, error) { return s.eng.writeTo(w, &s.Rho) }
+func (s *SVM) WriteTo(w io.Writer) (int64, error) { return s.eng.writeTo(w, &s.Rho, nil) }
 
 // ReadSVM deserializes an SVM written by SVM.WriteTo.
 func ReadSVM(r io.Reader) (*SVM, error) {
-	eng, rho, err := readEngine(r)
+	eng, rho, err := readEngine(r, nil)
 	if err != nil {
 		return nil, err
 	}

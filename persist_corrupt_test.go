@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"karl/internal/blockio"
 	"karl/internal/shard"
 )
 
@@ -47,33 +49,81 @@ func readsEngine(data []byte) error {
 	return err
 }
 
-func readsSegment(data []byte) error {
-	_, err := decodeReplicaSegment(data)
-	return err
-}
-
 func readsManifest(data []byte) error {
 	_, err := shard.ReadManifest(bytes.NewReader(data))
 	return err
 }
 
 // TestFixturesRefuseDamage: every single-byte change and every truncation
-// of an engine file, of a segment block as replication ships it, and of a
-// cluster manifest is refused — by the stream header, a block tag, a bounded
-// length or a block checksum — never a panic, never a loaded engine.
+// of an engine file and of a cluster manifest is refused — by the stream
+// header, a block tag, a bounded length or a block checksum — never a panic,
+// never a loaded engine.
 func TestFixturesRefuseDamage(t *testing.T) {
-	streamed := readFixture(t, "streamed.bin")
 	for what, c := range map[string]struct {
 		data []byte
 		read func([]byte) error
 	}{
-		"built.bin":              {readFixture(t, "built.bin"), readsEngine},
-		"streamed.bin":           {streamed, readsEngine},
-		"streamed.bin segment 1": {oneBlockStream(t, streamed, 2), readsSegment},
-		"manifest.bin":           {readFixture(t, "manifest.bin"), readsManifest},
+		"built.bin":    {readFixture(t, "built.bin"), readsEngine},
+		"streamed.bin": {readFixture(t, "streamed.bin"), readsEngine},
+		"manifest.bin": {readFixture(t, "manifest.bin"), readsManifest},
 	} {
 		refusedAtEveryCut(t, what, c.data, c.read)
 		refusedAtEveryFlip(t, what, c.data, c.read)
+	}
+}
+
+// deltaStream builds a follower that holds the first of its leader's two
+// segments and part of its memtable, and the replication stream that brings
+// it up to date: an engine block, a held-segment block with dead seqs, a
+// whole segment block with a dead row, memtable rows.
+func deltaStream(t testing.TB) (follower *Engine, stream []byte) {
+	t.Helper()
+	leader, err := NewDynamic(Gaussian(2), WithSealSize(32), WithAutoCompaction(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if follower, err = NewDynamic(Gaussian(2)); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(55))
+	ids := replicaLoad(t, leader, rng, 40)
+	replicaPull(t, leader, follower)
+	ids = append(ids, replicaLoad(t, leader, rng, 40)...)
+	replicaDelete(t, leader, ids[3], ids[17], ids[50], ids[70])
+	var buf bytes.Buffer
+	if _, err := leader.WriteSnapshot(&buf, follower.Have()); err != nil {
+		t.Fatal(err)
+	}
+	return follower, buf.Bytes()
+}
+
+// TestDeltaStreamRefusesDamage puts a replication stream through the same
+// gauntlet on a non-empty follower: every single-byte change and every
+// truncation is refused and leaves the follower exactly where it was; the
+// stream itself then installs.
+func TestDeltaStreamRefusesDamage(t *testing.T) {
+	follower, stream := deltaStream(t)
+	if ends := blockEnds(t, stream); len(ends) != 5 || stream[ends[0]] != blockio.TagHeld || stream[ends[1]] != blockio.TagSegment {
+		t.Fatalf("fixture wants engine, held, segment, memtable and end blocks; block ends %v", ends)
+	}
+	before, q := follower.Have(), []float64{0.2, -0.4}
+	want, err := follower.Aggregate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	install := func(data []byte) error {
+		err := follower.InstallSnapshot(bytes.NewReader(data))
+		if err != nil {
+			if got, _ := follower.Aggregate(q); got != want || !reflect.DeepEqual(follower.Have(), before) || follower.Tombstones() != 0 {
+				t.Fatalf("a refused stream (%v) changed the follower", err)
+			}
+		}
+		return err
+	}
+	refusedAtEveryFlip(t, "delta stream", stream, install)
+	refusedAtEveryCut(t, "delta stream", stream, install)
+	if follower.Tombstones() != 3 || follower.MemtableLen() != 15 || len(follower.Segments()) != 2 {
+		t.Fatalf("installed stream left %d tombstones, %d memtable rows, %d segments", follower.Tombstones(), follower.MemtableLen(), len(follower.Segments()))
 	}
 }
 

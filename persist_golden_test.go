@@ -378,18 +378,7 @@ const (
 	hdrKindOff   = streamStart + 1 + 8 + 4*8
 	hdrMethodOff = hdrKindOff + 2*8
 	segKindOff   = 1 + 8
-	endBlockLen  = 1 + 4
 )
-
-// oneBlockStream wraps block i of a stream (0 is the engine block) in a
-// stream of its own: what replication ships for a segment block.
-func oneBlockStream(t testing.TB, data []byte, i int) []byte {
-	t.Helper()
-	ends := blockEnds(t, data)
-	out := append([]byte(nil), data[:streamStart]...)
-	out = append(out, data[ends[i-1]:ends[i]]...)
-	return append(out, data[len(data)-endBlockLen:]...)
-}
 
 // refusedStream is a well-formed engine stream — every checksum valid —
 // carrying something this build must refuse by name.
@@ -435,13 +424,5 @@ func TestReadRejectsUnknownKindAndMethod(t *testing.T) {
 				t.Errorf("%s via %s: error %v, want one containing %q", c.name, path, err, c.want)
 			}
 		}
-	}
-	// The same segment block, shipped on its own by replication.
-	seg := oneBlockStream(t, readFixture(t, "streamed.bin"), 1)
-	if _, err := decodeReplicaSegment(patched(t, seg, streamStart+segKindOff, 2)); err == nil || !strings.Contains(err.Error(), "index kind 2") {
-		t.Errorf("replica segment with index kind 2: error %v", err)
-	}
-	if _, err := decodeReplicaSegment(seg); err != nil {
-		t.Errorf("unedited segment block of the fixture refused: %v", err)
 	}
 }

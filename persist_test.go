@@ -170,14 +170,23 @@ func TestReadEngineRejectsBadVersion(t *testing.T) {
 	}
 }
 
-// segmentStream renders one segment, with the given dead set, as the stream
-// of one segment block replication ships.
+// segmentStream renders one segment, with the given dead set, as a stream of
+// its one segment block; readSegmentStream validates such a stream.
 func segmentStream(s *segment.Segment, dead *segment.Dead) []byte {
 	var buf bytes.Buffer
 	c := blockio.NewEncoder(&buf)
 	segmentBlock(c, s, dead)
 	c.Finish()
 	return buf.Bytes()
+}
+
+func readSegmentStream(data []byte) (*segment.Segment, error) {
+	c := blockio.NewDecoder(bytes.NewReader(data))
+	seg, err := segmentBlock(c, nil, nil)
+	if err == nil {
+		_, err = c.Finish()
+	}
+	return seg, err
 }
 
 // TestV4RestoreRejectsCorruptIndex ensures the reconstruction path refuses
@@ -187,7 +196,7 @@ func TestV4RestoreRejectsCorruptIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	eng, _ := Build(cloud(rng, 200, 2), Gaussian(1))
 	seg := eng.sh.man.Segs[0]
-	if _, err := decodeReplicaSegment(segmentStream(seg, nil)); err != nil {
+	if _, err := readSegmentStream(segmentStream(seg, nil)); err != nil {
 		t.Fatalf("sound segment block refused: %v", err)
 	}
 	broken := func(mutate func(*index.Tree)) error {
@@ -195,9 +204,8 @@ func TestV4RestoreRejectsCorruptIndex(t *testing.T) {
 		tree.Nodes = append([]index.Node(nil), tree.Nodes...)
 		tree.PointID = append([]int32(nil), tree.PointID...)
 		mutate(&tree)
-		bad := *seg
-		bad.Tree = &tree
-		_, err := decodeReplicaSegment(segmentStream(&bad, nil))
+		bad := segment.New(&tree, seg.ID, seg.Seqs, seg.Times, seg.TimeRef)
+		_, err := readSegmentStream(segmentStream(bad, nil))
 		return err
 	}
 	if broken(func(t *index.Tree) { t.Nodes[0].Right = 0 }) == nil { // right child cannot point at the root
