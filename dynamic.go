@@ -442,8 +442,8 @@ func (d *Engine) WeightMass() (pos, neg float64) {
 		if decayed {
 			scale = sh.decayAt(nowT, s.TimeRef)
 		}
-		pos += r.Pos.W * scale
-		neg += r.Neg.W * scale
+		pos += r.Pos().W * scale
+		neg += r.Neg().W * scale
 	}
 	for _, mt := range []*memtable{sh.mem, sh.sealing} {
 		if mt == nil {

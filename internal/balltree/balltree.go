@@ -51,13 +51,16 @@ type builder struct {
 // build emits the subtree over idx[start:end) in DFS preorder and returns
 // the position of its root node.
 func (b *builder) build(start, end, depth int) int32 {
-	ball := geom.BoundRowsBall(b.pts, b.idx, start, end)
-	ni := b.t.AppendNode(ball, start, end, depth)
-	if end-start <= b.t.LeafCap || ball.Radius == 0 {
+	ni := b.t.AppendNode(start, end, depth)
+	rec := b.t.Node(ni).Record()
+	center := rec[:b.pts.Cols]
+	radius := geom.BoundBall(center, b.pts, b.idx, start, end)
+	rec[b.pts.Cols] = radius
+	if end-start <= b.t.LeafCap || radius == 0 {
 		// Zero radius means all points coincide; splitting cannot help.
 		return ni
 	}
-	mid := b.partition(start, end, ball.Center)
+	mid := b.partition(start, end, center)
 	if mid == start || mid == end {
 		// Degenerate split (e.g. heavy duplication); keep an oversized leaf
 		// rather than recurse forever.

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"karl/internal/geom"
 	"karl/internal/index"
 	"karl/internal/vec"
 )
@@ -38,7 +37,7 @@ func TestBuildSinglePoint(t *testing.T) {
 	if !tr.Root().IsLeaf() || tr.Kind != index.BallTree {
 		t.Fatal("unexpected structure for single point")
 	}
-	ball := tr.Root().Vol.(*geom.Ball)
+	ball := tr.Root().Ball()
 	if ball.Radius != 0 {
 		t.Fatalf("radius = %v want 0", ball.Radius)
 	}
@@ -80,9 +79,9 @@ func TestBuildStructure(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Aggregate counts at the root must cover all points.
-		if tr.Root().Pos.Count+tr.Root().Neg.Count != n {
+		if int(tr.Root().PosCount+tr.Root().NegCount) != n {
 			t.Fatalf("trial %d: root covers %d of %d points",
-				trial, tr.Root().Pos.Count+tr.Root().Neg.Count, n)
+				trial, int(tr.Root().PosCount+tr.Root().NegCount), n)
 		}
 	}
 }
@@ -107,10 +106,10 @@ func TestSplitSeparatesClusters(t *testing.T) {
 	if root.IsLeaf() {
 		t.Fatal("root should split")
 	}
-	lb := tr.Node(tr.Left(0)).Vol.(*geom.Ball)
-	rb := tr.Node(root.Right).Vol.(*geom.Ball)
+	lb := tr.Node(tr.Left(0)).Ball()
+	rb := tr.Node(root.Right).Ball()
 	// Each child ball should be much smaller than the root ball.
-	rootR := root.Vol.(*geom.Ball).Radius
+	rootR := root.Ball().Radius
 	if lb.Radius > rootR/2 || rb.Radius > rootR/2 {
 		t.Fatalf("split failed to separate clusters: radii %v %v vs root %v",
 			lb.Radius, rb.Radius, rootR)
@@ -128,8 +127,9 @@ func TestAncestorBallsContainDescendantPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Walk(func(n *index.Node) {
+		ball := n.Ball()
 		for i := int(n.Start); i < int(n.End); i++ {
-			if !n.Vol.Contains(tr.Points.Row(i), 1e-9) {
+			if !ball.Contains(tr.Points.Row(i), 1e-9) {
 				t.Fatalf("node at depth %d does not contain storage row %d", n.Depth, i)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"karl/internal/geom"
 	"karl/internal/index"
+	"karl/internal/kdtree"
 	"karl/internal/kernel"
 	"karl/internal/vec"
 )
@@ -55,6 +56,17 @@ func makeCase(rng *rand.Rand, n, d int, spread float64) *testCase {
 	}
 	tc.qc = NewQueryCtx(tc.q)
 	return tc
+}
+
+// rootNode returns the one node of a kd-tree whose leaf holds every point:
+// their bounding rectangle and both sign classes' aggregates in one record.
+func rootNode(t *testing.T, pts *vec.Matrix, w []float64) *index.Node {
+	t.Helper()
+	tr, err := kdtree.Build(pts, w, pts.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.Root()
 }
 
 // addAgg mirrors index.Agg accumulation without exporting its add method.
@@ -231,22 +243,13 @@ func TestNodeBoundsTypeIII(t *testing.T) {
 		d := 1 + rng.Intn(5)
 		pts := vec.NewMatrix(n, d)
 		w := make([]float64, n)
-		idx := make([]int, n)
 		for i := 0; i < n; i++ {
-			idx[i] = i
 			for j := 0; j < d; j++ {
 				pts.Row(i)[j] = rng.NormFloat64()
 			}
 			w[i] = rng.NormFloat64() // mixed signs
 		}
-		node := &index.Node{Vol: geom.BoundRows(pts, idx, 0, n), Start: 0, End: int32(n), Right: index.NoRight}
-		for i := 0; i < n; i++ {
-			if w[i] >= 0 {
-				node.Pos = addAgg(node.Pos, w[i], pts.Row(i))
-			} else {
-				node.Neg = addAgg(node.Neg, -w[i], pts.Row(i))
-			}
-		}
+		node := rootNode(t, pts, w)
 		q := make([]float64, d)
 		for j := range q {
 			q[j] = rng.NormFloat64()
@@ -282,7 +285,7 @@ func TestScalarLinearBoundsPointwise(t *testing.T) {
 			}
 			for s := 0; s <= 20; s++ {
 				x := a + (b-a)*float64(s)/20
-				lo, hi := linearBoundsAt(k, a, b, x)
+				lo, hi := linearBoundsAt(k, endsOf(k, a, b), x)
 				fx := k.Outer(x)
 				tol := 1e-8 * (1 + math.Abs(fx) + math.Abs(lo) + math.Abs(hi))
 				if lo > fx+tol {

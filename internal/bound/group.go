@@ -117,23 +117,22 @@ func minConvexOn(k kernel.Params, xlo, xhi float64) float64 {
 	}
 }
 
-// GroupClassBounds bounds the one-sign-class aggregation Σ |w_i|·K(q,p_i)
-// uniformly over every q in the query rectangle.
-func GroupClassBounds(m Method, k kernel.Params, qrect *geom.Rect, vol geom.Volume, agg *index.Agg) (lb, ub float64) {
+// groupClassBounds bounds the one-sign-class aggregation Σ |w_i|·K(q,p_i)
+// uniformly over every q in the query rectangle, given the pair interval and
+// the outer function's values at its ends.
+func groupClassBounds(m Method, k kernel.Params, qrect *geom.Rect, e ends, agg *index.Agg) (lb, ub float64) {
 	if agg.Count == 0 {
 		return 0, 0
 	}
-	a, b := GroupInterval(k, qrect, vol)
-	sLo, sHi := outerRange(k, a, b)
+	sLo, sHi := outerRange(k, e)
 	if m == SOTA {
 		return agg.W * sLo, agg.W * sHi
 	}
 	kLo, kHi := sLo, sHi
-	if convexKernel(k) && b-a > degenerateWidth*(1+math.Abs(a)+math.Abs(b)) {
-		if xlo, xhi, ok := groupMeanRange(k, qrect, agg, a, b); ok {
-			f := k.Outer
+	if convexKernel(k) && e.b-e.a > degenerateWidth*(1+math.Abs(e.a)+math.Abs(e.b)) {
+		if xlo, xhi, ok := groupMeanRange(k, qrect, agg, e.a, e.b); ok {
 			kLo = math.Max(minConvexOn(k, xlo, xhi), sLo)
-			kHi = math.Min(math.Max(chordAt(f, a, b, xlo), chordAt(f, a, b, xhi)), sHi)
+			kHi = math.Min(math.Max(e.chordAt(xlo), e.chordAt(xhi)), sHi)
 		}
 	}
 	switch m {
@@ -152,10 +151,21 @@ func GroupClassBounds(m Method, k kernel.Params, qrect *geom.Rect, vol geom.Volu
 // over the query rectangle, combining the sign classes as NodeBounds does:
 // lb = lb⁺ − ub⁻, ub = ub⁺ − lb⁻.
 func GroupNodeBounds(m Method, k kernel.Params, qrect *geom.Rect, n *index.Node) (lb, ub float64) {
-	lbP, ubP := GroupClassBounds(m, k, qrect, n.Vol, &n.Pos)
-	if n.Neg.Count == 0 {
+	var a, b float64
+	if n.IsBall() {
+		v := n.Ball()
+		a, b = GroupInterval(k, qrect, &v)
+	} else {
+		v := n.Rect()
+		a, b = GroupInterval(k, qrect, &v)
+	}
+	e := endsOf(k, a, b)
+	pos := n.Pos()
+	lbP, ubP := groupClassBounds(m, k, qrect, e, &pos)
+	if n.NegCount == 0 {
 		return lbP, ubP
 	}
-	lbN, ubN := GroupClassBounds(m, k, qrect, n.Vol, &n.Neg)
+	neg := n.Neg()
+	lbN, ubN := groupClassBounds(m, k, qrect, e, &neg)
 	return lbP - ubN, ubP - lbN
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"karl/internal/geom"
-	"karl/internal/index"
 	"karl/internal/kernel"
+	"karl/internal/vec"
 )
 
 func groupTestKernels() []kernel.Params {
@@ -36,21 +36,10 @@ func TestGroupNodeBoundsContainExact(t *testing.T) {
 			npts := 2 + rng.Intn(10)
 			pts := make([][]float64, npts)
 			ws := make([]float64, npts)
-			lo := make([]float64, dim)
-			hi := make([]float64, dim)
-			for j := range lo {
-				lo[j] = math.Inf(1)
-				hi[j] = math.Inf(-1)
-			}
-			var n index.Node
-			n.Pos.A = make([]float64, dim)
-			n.Neg.A = make([]float64, dim)
 			for i := range pts {
 				p := make([]float64, dim)
 				for j := range p {
 					p[j] = rng.Float64()*2 - 1
-					lo[j] = math.Min(lo[j], p[j])
-					hi[j] = math.Max(hi[j], p[j])
 				}
 				pts[i] = p
 				w := rng.Float64() + 0.05
@@ -58,13 +47,8 @@ func TestGroupNodeBoundsContainExact(t *testing.T) {
 					w = -w
 				}
 				ws[i] = w
-				if w >= 0 {
-					n.Pos.Add(w, p)
-				} else {
-					n.Neg.Add(-w, p)
-				}
 			}
-			n.Vol = &geom.Rect{Lo: lo, Hi: hi}
+			n := rootNode(t, vec.FromRows(pts), ws)
 
 			// Query rectangle, sometimes overlapping the reference region.
 			qlo := make([]float64, dim)
@@ -77,7 +61,7 @@ func TestGroupNodeBoundsContainExact(t *testing.T) {
 			qrect := &geom.Rect{Lo: qlo, Hi: qhi}
 
 			for _, m := range methods {
-				lb, ub := GroupNodeBounds(m, k, qrect, &n)
+				lb, ub := GroupNodeBounds(m, k, qrect, n)
 				if lb > ub+1e-9 {
 					t.Fatalf("%v/%v: lb %v > ub %v", k.Kind, m, lb, ub)
 				}
@@ -110,25 +94,16 @@ func TestGroupBoundsDegenerateRectMatchPointBounds(t *testing.T) {
 	for _, k := range groupTestKernels() {
 		for trial := 0; trial < 60; trial++ {
 			dim := 1 + rng.Intn(3)
-			var n index.Node
-			n.Pos.A = make([]float64, dim)
-			n.Neg.A = make([]float64, dim)
-			lo := make([]float64, dim)
-			hi := make([]float64, dim)
-			for j := range lo {
-				lo[j] = math.Inf(1)
-				hi[j] = math.Inf(-1)
-			}
-			for i := 0; i < 6; i++ {
-				p := make([]float64, dim)
+			pts := vec.NewMatrix(6, dim)
+			ws := make([]float64, 6)
+			for i := range ws {
+				p := pts.Row(i)
 				for j := range p {
 					p[j] = rng.Float64()*2 - 1
-					lo[j] = math.Min(lo[j], p[j])
-					hi[j] = math.Max(hi[j], p[j])
 				}
-				n.Pos.Add(0.1+rng.Float64(), p)
+				ws[i] = 0.1 + rng.Float64()
 			}
-			n.Vol = &geom.Rect{Lo: lo, Hi: hi}
+			n := rootNode(t, pts, ws)
 
 			q := make([]float64, dim)
 			for j := range q {
@@ -137,8 +112,8 @@ func TestGroupBoundsDegenerateRectMatchPointBounds(t *testing.T) {
 			qrect := &geom.Rect{Lo: append([]float64(nil), q...), Hi: append([]float64(nil), q...)}
 			qc := NewQueryCtx(q)
 
-			glb, gub := GroupNodeBounds(KARL, k, qrect, &n)
-			plb, pub := NodeBounds(KARL, k, qc, &n)
+			glb, gub := GroupNodeBounds(KARL, k, qrect, n)
+			plb, pub := NodeBounds(KARL, k, qc, n)
 			// Group bounds for a point rectangle must contain the true value,
 			// which the per-query bounds bracket; so the intervals must
 			// intersect and the group interval must cover [plb, pub]'s center.
@@ -146,7 +121,7 @@ func TestGroupBoundsDegenerateRectMatchPointBounds(t *testing.T) {
 				t.Fatalf("%v trial %d: point-rect group bounds [%v, %v] disjoint from per-query [%v, %v]",
 					k.Kind, trial, glb, gub, plb, pub)
 			}
-			slb, sub := NodeBounds(SOTA, k, qc, &n)
+			slb, sub := NodeBounds(SOTA, k, qc, n)
 			if glb < slb-1e-9*(1+math.Abs(slb)) || gub > sub+1e-9*(1+math.Abs(sub)) {
 				t.Fatalf("%v trial %d: point-rect group bounds [%v, %v] looser than SOTA [%v, %v]",
 					k.Kind, trial, glb, gub, slb, sub)

@@ -23,7 +23,7 @@ func TestQuickScalarBoundsGaussian(t *testing.T) {
 			b = a + 1e-9
 		}
 		x := a + (b-a)*pos
-		lo, hi := linearBoundsAt(k, a, b, x)
+		lo, hi := linearBoundsAt(k, endsOf(k, a, b), x)
 		fx := math.Exp(-x)
 		tol := 1e-9 * (1 + fx)
 		return lo <= fx+tol && hi >= fx-tol
@@ -46,7 +46,7 @@ func TestQuickScalarBoundsOddPoly(t *testing.T) {
 			return true
 		}
 		x := a + (b-a)*pos
-		lo, hi := linearBoundsAt(k, a, b, x)
+		lo, hi := linearBoundsAt(k, endsOf(k, a, b), x)
 		fx := x * x * x
 		tol := 1e-8 * (1 + math.Abs(fx) + math.Abs(lo) + math.Abs(hi))
 		return lo <= fx+tol && hi >= fx-tol
@@ -68,7 +68,7 @@ func TestQuickScalarBoundsSigmoid(t *testing.T) {
 			return true
 		}
 		x := a + (b-a)*pos
-		lo, hi := linearBoundsAt(k, a, b, x)
+		lo, hi := linearBoundsAt(k, endsOf(k, a, b), x)
 		fx := math.Tanh(x)
 		tol := 1e-8 * (1 + math.Abs(fx))
 		return lo <= fx+tol && hi >= fx-tol
@@ -91,7 +91,7 @@ func TestQuickScalarBoundsTruncated(t *testing.T) {
 				return true
 			}
 			x := a + (b-a)*pos
-			lo, hi := linearBoundsAt(k, a, b, x)
+			lo, hi := linearBoundsAt(k, endsOf(k, a, b), x)
 			fx := k.Outer(x)
 			tol := 1e-9 * (1 + fx)
 			return lo <= fx+tol && hi >= fx-tol

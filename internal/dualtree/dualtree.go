@@ -139,7 +139,7 @@ func (e *Executor) computeMass() {
 	m := 0.0
 	for i, t := range e.trees {
 		r := t.Root()
-		w := r.Pos.W + r.Neg.W
+		w := r.Pos().W + r.Neg().W
 		if e.scales != nil {
 			w *= e.scales[i]
 		}
@@ -251,7 +251,7 @@ func (e *Executor) frontierEntry(en *entry) bool {
 // freezing heuristic hands each entry a gap share proportional to it.
 func (e *Executor) entryMass(en *entry) float64 {
 	n := e.trees[en.ti].Node(en.ni)
-	m := n.Pos.W + n.Neg.W
+	m := n.Pos().W + n.Neg().W
 	if e.scales != nil {
 		m *= e.scales[en.ti]
 	}
@@ -353,7 +353,8 @@ func (s *run) visit(qi int32, refs []entry, accL, accU float64) {
 		return
 	}
 	qn := s.qt.Node(qi)
-	rect := qn.Vol.(*geom.Rect)
+	qrect := qn.Rect()
+	rect := &qrect
 
 	// Lazy push-down: rescore the inherited reference set against this
 	// node's rectangle.

@@ -43,14 +43,22 @@ func NewRect(p []float64) *Rect {
 // BoundRows returns the bounding rectangle of rows[idx[i]] for i in
 // [start,end) of the index permutation. It panics on an empty range.
 func BoundRows(m *vec.Matrix, idx []int, start, end int) *Rect {
+	r := &Rect{Lo: make([]float64, m.Cols), Hi: make([]float64, m.Cols)}
+	r.Bound(m, idx, start, end)
+	return r
+}
+
+// Bound sets the rectangle, in the storage it already has, to the bounding
+// rectangle BoundRows returns.
+func (r *Rect) Bound(m *vec.Matrix, idx []int, start, end int) {
 	if start >= end {
 		panic(fmt.Sprintf("geom: empty row range [%d,%d)", start, end))
 	}
-	r := NewRect(m.Row(idx[start]))
+	copy(r.Lo, m.Row(idx[start]))
+	copy(r.Hi, r.Lo)
 	for i := start + 1; i < end; i++ {
 		r.Extend(m.Row(idx[i]))
 	}
-	return r
 }
 
 // Extend grows the rectangle to cover p.
@@ -119,8 +127,10 @@ func (r *Rect) MaxDist2(q []float64) float64 {
 		if dHi < 0 {
 			dHi = -dHi
 		}
-		d := math.Max(dLo, dHi)
-		s += d * d
+		if dHi > dLo {
+			dLo = dHi
+		}
+		s += dLo * dLo
 	}
 	return s
 }
@@ -153,10 +163,17 @@ type Ball struct {
 // [start,end): center = mean, radius = max distance to the mean. It panics
 // on an empty range.
 func BoundRowsBall(m *vec.Matrix, idx []int, start, end int) *Ball {
+	b := &Ball{Center: make([]float64, m.Cols)}
+	b.Radius = BoundBall(b.Center, m, idx, start, end)
+	return b
+}
+
+// BoundBall writes the centre of the ball BoundRowsBall returns into the
+// zeroed c and returns its radius.
+func BoundBall(c []float64, m *vec.Matrix, idx []int, start, end int) float64 {
 	if start >= end {
 		panic(fmt.Sprintf("geom: empty row range [%d,%d)", start, end))
 	}
-	c := make([]float64, m.Cols)
 	for i := start; i < end; i++ {
 		vec.AddTo(c, m.Row(idx[i]))
 	}
@@ -167,7 +184,7 @@ func BoundRowsBall(m *vec.Matrix, idx []int, start, end int) *Ball {
 			r2 = d
 		}
 	}
-	return &Ball{Center: c, Radius: math.Sqrt(r2)}
+	return math.Sqrt(r2)
 }
 
 // Contains implements Volume.

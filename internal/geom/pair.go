@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Pair bounds: the dual-tree executor certifies a whole GROUP of queries
 // (bounded by an axis-aligned rectangle, the natural volume of a kd-tree
@@ -13,6 +10,10 @@ import (
 // every p in the reference volume. Each bound reduces to the classic
 // single-volume bound plus a triangle-inequality (or Cauchy–Schwarz)
 // correction for the reference volume's extent.
+
+// errPairVolume is a constant so that the volume does not escape through the
+// panic: the dual-tree passes views it builds on its stack.
+const errPairVolume = "geom: pair bounds take a *Rect or a *Ball"
 
 // PairMinDist2 returns a lower bound on dist(q,p)² over all q in the query
 // rectangle and all p in the reference volume.
@@ -37,7 +38,7 @@ func PairMinDist2(q *Rect, v Volume) float64 {
 		}
 		return d * d
 	default:
-		panic(fmt.Sprintf("geom: cannot pair-bound volume %T", v))
+		panic(errPairVolume)
 	}
 }
 
@@ -58,7 +59,7 @@ func PairMaxDist2(q *Rect, v Volume) float64 {
 		d := math.Sqrt(q.MaxDist2(r.Center)) + r.Radius
 		return d * d
 	default:
-		panic(fmt.Sprintf("geom: cannot pair-bound volume %T", v))
+		panic(errPairVolume)
 	}
 }
 
@@ -91,7 +92,7 @@ func PairIPMin(q *Rect, v Volume) float64 {
 		// q·p ≥ q·c − Radius·‖q‖ (Cauchy–Schwarz), minimized over the rect.
 		return q.IPMin(r.Center) - r.Radius*MaxNorm(q)
 	default:
-		panic(fmt.Sprintf("geom: cannot pair-bound volume %T", v))
+		panic(errPairVolume)
 	}
 }
 
@@ -111,6 +112,6 @@ func PairIPMax(q *Rect, v Volume) float64 {
 	case *Ball:
 		return q.IPMax(r.Center) + r.Radius*MaxNorm(q)
 	default:
-		panic(fmt.Sprintf("geom: cannot pair-bound volume %T", v))
+		panic(errPairVolume)
 	}
 }

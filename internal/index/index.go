@@ -11,8 +11,9 @@
 //     next slice element (implicit i+1); only the right child is stored, as
 //     an int32 index. Refinement therefore walks a contiguous array instead
 //     of chasing per-node heap pointers.
-//   - Every node's aggregate vectors (Agg.A) are sub-slices of one packed
-//     backing block, not one heap allocation per node per sign class.
+//   - Every node's floats — its volume and its aggregates — are one
+//     fixed-stride record of a single block, in the same preorder, so a
+//     bound reads one contiguous record and the left child's follows it.
 //   - After construction the point matrix and weights are physically
 //     reordered into leaf order, so a leaf scans rows [Start,End) of the
 //     matrix directly — no permutation gather. PointID retains the mapping
@@ -23,48 +24,24 @@ package index
 
 import (
 	"fmt"
+	"math"
 
 	"karl/internal/geom"
 	"karl/internal/vec"
 )
 
-// Agg holds the per-node weighted aggregates for one sign class of weights.
-// For the positive class, W = Σ w_i, A = Σ w_i·p_i, B = Σ w_i·‖p_i‖² over
-// points with w_i > 0; the negative class aggregates |w_i| over points with
-// w_i < 0 (Section IV-A's P⁺/P⁻ decomposition). These are exactly the terms
-// a_P, b_P, w_P of Lemma 5, which make FL_P(q, Lin_{m,c}) an O(d)
-// computation. A is a view into the tree's packed aggregate block (or a
-// private slice for hand-built aggregates in tests).
+// Agg holds the weighted aggregates of one sign class of a node. For the
+// positive class, W = Σ w_i, A = Σ w_i·p_i, B = Σ w_i·‖p_i‖² over points with
+// w_i > 0; the negative class aggregates |w_i| over points with w_i < 0
+// (Section IV-A's P⁺/P⁻ decomposition). These are exactly the terms a_P, b_P,
+// w_P of Lemma 5, which make FL_P(q, Lin_{m,c}) an O(d) computation.
+// Node.Pos and Node.Neg return one as a view of the node's record (A aliases
+// the block); tests fill private ones as the oracle's input.
 type Agg struct {
 	Count int       // number of points in this sign class
 	W     float64   // Σ |w_i|
 	A     []float64 // Σ |w_i|·p_i
 	B     float64   // Σ |w_i|·‖p_i‖²
-}
-
-// Add accumulates one weighted point (w already made non-negative).
-func (a *Agg) Add(w float64, p []float64) {
-	a.Count++
-	a.W += w
-	if a.A == nil {
-		a.A = make([]float64, len(p))
-	}
-	vec.Axpy(a.A, w, p)
-	a.B += w * vec.Norm2(p)
-}
-
-// merge accumulates another aggregate (child into parent).
-func (a *Agg) merge(b *Agg) {
-	a.Count += b.Count
-	a.W += b.W
-	a.B += b.B
-	if b.Count == 0 || b.A == nil {
-		return
-	}
-	if a.A == nil {
-		a.A = make([]float64, len(b.A))
-	}
-	vec.AddTo(a.A, b.A)
 }
 
 // WeightedDist2Sum returns Σ |w_i|·dist(q, p_i)² over the class in O(d)
@@ -94,12 +71,23 @@ const NoRight = int32(-1)
 // and own the matrix rows [Start,End); internal nodes own the union of their
 // children's ranges. The left child of the node at position i is always at
 // i+1 (DFS preorder); the right child index is stored explicitly.
+//
+// Every float a bound reads lives in the node's record, a fixed-stride slice
+// of the tree's one block:
+//
+//	kd-tree:   lo(d) | hi(d)     | a⁺(d) | W⁺ | B⁺ [ | a⁻(d) | W⁻ | B⁻ ]
+//	ball-tree: centre(d) | radius | a⁺(d) | W⁺ | B⁺ [ | a⁻(d) | W⁻ | B⁻ ]
+//
+// with the negative class present only when the tree has a negative weight.
+// Rect, Ball, Pos and Neg are views of it, not copies.
 type Node struct {
-	Vol        geom.Volume
-	Start, End int32 // row range into the tree's leaf-ordered matrix
-	Right      int32 // right-child position, NoRight for leaves
-	Depth      int32
-	Pos, Neg   Agg
+	rec                []float64
+	Start, End         int32 // row range into the tree's leaf-ordered matrix
+	Right              int32 // right-child position, NoRight for leaves
+	Depth              int32
+	PosCount, NegCount int32 // points per sign class
+	dims               int32
+	ball               bool
 }
 
 // IsLeaf reports whether the node has no children.
@@ -107,6 +95,76 @@ func (n *Node) IsLeaf() bool { return n.Right == NoRight }
 
 // Count returns the number of points under the node.
 func (n *Node) Count() int { return int(n.End - n.Start) }
+
+// IsBall reports whether the node's volume is a ball (Ball is then the
+// valid view) or a rectangle (Rect).
+func (n *Node) IsBall() bool { return n.ball }
+
+// Record returns the node's record in the layout above.
+func (n *Node) Record() []float64 { return n.rec }
+
+// volLen returns the number of volume parameters at the head of the record.
+func (n *Node) volLen() int { return volLen(n.ball, int(n.dims)) }
+
+func volLen(ball bool, d int) int {
+	if ball {
+		return d + 1
+	}
+	return 2 * d
+}
+
+// Rect returns a kd-tree node's bounding rectangle.
+func (n *Node) Rect() geom.Rect {
+	d := int(n.dims)
+	return geom.Rect{Lo: n.rec[:d:d], Hi: n.rec[d : 2*d : 2*d]}
+}
+
+// Ball returns a ball-tree node's bounding ball.
+func (n *Node) Ball() geom.Ball {
+	d := int(n.dims)
+	return geom.Ball{Center: n.rec[:d:d], Radius: n.rec[d]}
+}
+
+// firstOutside returns the first of the node's rows that its volume does not
+// contain (within tol), or -1. The view is built once per node, not per row:
+// Validate asks this of every node above every point.
+func (n *Node) firstOutside(m *vec.Matrix, tol float64) int32 {
+	if n.ball {
+		b := n.Ball()
+		for r := n.Start; r < n.End; r++ {
+			if !b.Contains(m.Row(int(r)), tol) {
+				return r
+			}
+		}
+		return -1
+	}
+	v := n.Rect()
+	for r := n.Start; r < n.End; r++ {
+		if !v.Contains(m.Row(int(r)), tol) {
+			return r
+		}
+	}
+	return -1
+}
+
+// class returns the view of the sign class whose aggregates start at off.
+func (n *Node) class(count int32, off int) Agg {
+	d := int(n.dims)
+	return Agg{Count: int(count), W: n.rec[off+d], A: n.rec[off : off+d : off+d], B: n.rec[off+d+1]}
+}
+
+// Pos returns the positive-weight class of the node.
+func (n *Node) Pos() Agg { return n.class(n.PosCount, n.volLen()) }
+
+// Neg returns the negative-weight class of the node, the zero Agg in a tree
+// without negative weights.
+func (n *Node) Neg() Agg {
+	off := n.volLen() + int(n.dims) + 2
+	if off == len(n.rec) {
+		return Agg{}
+	}
+	return n.class(n.NegCount, off)
+}
 
 // Kind identifies the index structure family.
 type Kind int
@@ -146,9 +204,11 @@ type Tree struct {
 	LeafCap int
 	Height  int // number of levels; a single root-leaf tree has height 1
 
-	// aggBlock is the packed backing array for every node's Pos.A (first
-	// half) and, when negative weights exist, Neg.A (second half).
-	aggBlock []float64
+	// block holds every node's record, node-major with a fixed stride, so
+	// Nodes[i]'s record is block[i*stride:(i+1)*stride] and its left child's
+	// record directly follows it.
+	block  []float64
+	stride int
 }
 
 // Root returns the root node.
@@ -178,16 +238,50 @@ func (t *Tree) Len() int { return t.Points.Rows }
 // NodeCount returns the number of nodes in the tree.
 func (t *Tree) NodeCount() int { return len(t.Nodes) }
 
-// AppendNode appends a node in DFS preorder (initially a leaf) and returns
-// its position. Builders call it for a node before recursing into its
-// children, then patch Right via SetRight once the left subtree is emitted.
-func (t *Tree) AppendNode(vol geom.Volume, start, end, depth int) int32 {
+// volStride returns the number of float64 parameters one bounding volume of
+// this tree kind takes: Rect is Lo‖Hi (2d), Ball is center‖radius (d+1).
+func (t *Tree) volStride() int { return volLen(t.Kind == BallTree, t.Dims()) }
+
+// recordStride returns the record length of this tree, fixing it on first
+// use: the volume, one aggregate class, and a second when a weight is
+// negative (Type III).
+func (t *Tree) recordStride() int {
+	if t.stride == 0 {
+		t.stride = t.volStride() + t.Dims() + 2
+		for _, w := range t.Weights {
+			if w < 0 {
+				t.stride += t.Dims() + 2
+				break
+			}
+		}
+	}
+	return t.stride
+}
+
+// AppendNode appends a node in DFS preorder (initially a leaf) with a zeroed
+// record and returns its position. Builders call it for a node before
+// recursing into its children, fill the volume through the node's Rect or
+// Ball view — valid until the next AppendNode, which may move the block —
+// and patch Right via SetRight once the left subtree is emitted.
+func (t *Tree) AppendNode(start, end, depth int) int32 {
+	stride := t.recordStride()
+	if t.Nodes == nil {
+		// A median split leaves no leaf under half the capacity, so this is
+		// the kd-tree's ceiling; a lopsided ball-tree may outgrow it.
+		most := 2*(t.Len()/max(1, t.LeafCap/2)) + 1
+		t.Nodes = make([]Node, 0, most)
+		t.block = make([]float64, 0, most*stride)
+	}
+	at := len(t.block)
+	t.block = append(t.block, make([]float64, stride)...)
 	t.Nodes = append(t.Nodes, Node{
-		Vol:   vol,
+		rec:   t.block[at : at+stride : at+stride],
 		Start: int32(start),
 		End:   int32(end),
 		Right: NoRight,
 		Depth: int32(depth),
+		dims:  int32(t.Dims()),
+		ball:  t.Kind == BallTree,
 	})
 	if depth+1 > t.Height {
 		t.Height = depth + 1
@@ -202,7 +296,7 @@ func (t *Tree) SetRight(i, right int32) { t.Nodes[i].Right = right }
 // Finish seals a freshly built tree: it physically reorders the points (and
 // weights) into the builder's leaf-order permutation idx, records the
 // original-ID mapping, caches per-row squared norms, and computes every
-// node's aggregates into one packed block. idx[i] is the original row of
+// node's aggregates into its record. idx[i] is the original row of
 // the point that leaf order places at storage row i. The builder's input
 // matrix is left untouched; the tree owns a reordered copy from here on.
 func (t *Tree) Finish(idx []int) {
@@ -228,57 +322,39 @@ func (t *Tree) Finish(idx []int) {
 	t.ComputeAggregates()
 }
 
-// hasNegative reports whether any weight is negative (Type III).
-func (t *Tree) hasNegative() bool {
-	for _, w := range t.Weights {
-		if w < 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// ComputeAggregates fills every node's Pos/Neg aggregates bottom-up into a
-// packed backing block. Points and weights must already be in storage
-// (leaf) order. In DFS preorder both children of node i sit at positions
-// greater than i, so one reverse sweep visits children before parents.
+// ComputeAggregates points every node at its record in the settled block and
+// fills the aggregates bottom-up. Points and weights must already be in
+// storage (leaf) order. In DFS preorder both children of node i sit at
+// positions greater than i, so one reverse sweep visits children before
+// parents.
 func (t *Tree) ComputeAggregates() {
-	d := t.Dims()
-	neg := t.hasNegative()
-	blockLen := len(t.Nodes) * d
-	if neg {
-		blockLen *= 2
-	}
-	t.aggBlock = make([]float64, blockLen)
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		n.Pos = Agg{A: t.aggBlock[i*d : (i+1)*d : (i+1)*d]}
-		if neg {
-			j := len(t.Nodes) + i
-			n.Neg = Agg{A: t.aggBlock[j*d : (j+1)*d : (j+1)*d]}
-		} else {
-			n.Neg = Agg{}
-		}
-	}
+	d, stride, agg := t.Dims(), t.recordStride(), t.volStride()
 	for i := len(t.Nodes) - 1; i >= 0; i-- {
 		n := &t.Nodes[i]
-		if n.IsLeaf() {
-			for r := int(n.Start); r < int(n.End); r++ {
-				w := t.Weight(r)
-				p := t.Points.Row(r)
-				if w >= 0 {
-					n.Pos.Add(w, p)
-				} else {
-					n.Neg.Add(-w, p)
-				}
-			}
+		n.rec = t.block[i*stride : (i+1)*stride : (i+1)*stride]
+		n.PosCount, n.NegCount = 0, 0
+		clear(n.rec[agg:])
+		if !n.IsLeaf() {
+			// a, W and B of both classes add element-wise, left child first.
+			l, r := &t.Nodes[i+1], &t.Nodes[n.Right]
+			vec.AddTo(n.rec[agg:], l.rec[agg:])
+			vec.AddTo(n.rec[agg:], r.rec[agg:])
+			n.PosCount = l.PosCount + r.PosCount
+			n.NegCount = l.NegCount + r.NegCount
 			continue
 		}
-		l, r := &t.Nodes[i+1], &t.Nodes[n.Right]
-		n.Pos.merge(&l.Pos)
-		n.Pos.merge(&r.Pos)
-		n.Neg.merge(&l.Neg)
-		n.Neg.merge(&r.Neg)
+		for r := int(n.Start); r < int(n.End); r++ {
+			w, p, cls := t.Weight(r), t.Points.Row(r), n.rec[agg:]
+			if w >= 0 {
+				n.PosCount++
+			} else {
+				n.NegCount++
+				w, cls = -w, cls[d+2:]
+			}
+			cls[d] += w
+			vec.Axpy(cls[:d], w, p)
+			cls[d+1] += w * vec.Norm2(p)
+		}
 	}
 }
 
@@ -312,10 +388,8 @@ func (t *Tree) validateNode(i int32, tol float64) error {
 	if n.Start >= n.End {
 		return fmt.Errorf("index: node with empty range [%d,%d)", n.Start, n.End)
 	}
-	for r := n.Start; r < n.End; r++ {
-		if !n.Vol.Contains(t.Points.Row(int(r)), tol) {
-			return fmt.Errorf("index: point %d escapes its node volume", r)
-		}
+	if r := n.firstOutside(t.Points, tol); r >= 0 {
+		return fmt.Errorf("index: point %d escapes its node volume", r)
 	}
 	if n.IsLeaf() {
 		return nil
@@ -365,34 +439,14 @@ func (t *Tree) Validate(tol float64) error {
 	return nil
 }
 
-// volStride returns the number of float64 parameters one bounding volume of
-// this tree kind flattens to: Rect is Lo‖Hi (2d), Ball is center‖radius
-// (d+1).
-func (t *Tree) volStride() int {
-	if t.Kind == BallTree {
-		return t.Dims() + 1
-	}
-	return 2 * t.Dims()
-}
-
-// FlattenVolumes packs every node's bounding-volume parameters into one
-// float64 block (node-major, volStride values per node) for persistence.
+// FlattenVolumes packs every node's bounding-volume parameters — the head of
+// its record — into one float64 block (node-major, volStride values per
+// node) for persistence.
 func (t *Tree) FlattenVolumes() []float64 {
-	d := t.Dims()
-	stride := t.volStride()
-	out := make([]float64, len(t.Nodes)*stride)
+	vs := t.volStride()
+	out := make([]float64, len(t.Nodes)*vs)
 	for i := range t.Nodes {
-		dst := out[i*stride : (i+1)*stride]
-		switch v := t.Nodes[i].Vol.(type) {
-		case *geom.Rect:
-			copy(dst[:d], v.Lo)
-			copy(dst[d:], v.Hi)
-		case *geom.Ball:
-			copy(dst[:d], v.Center)
-			dst[d] = v.Radius
-		default:
-			panic(fmt.Sprintf("index: cannot flatten volume %T", v))
-		}
+		copy(out[i*vs:(i+1)*vs], t.Nodes[i].rec)
 	}
 	return out
 }
@@ -408,12 +462,26 @@ func (t *Tree) FlattenNodes() []int32 {
 	return out
 }
 
-// unflattenVolume rebuilds one bounding volume from its packed parameters.
-func unflattenVolume(kind Kind, d int, src []float64) geom.Volume {
-	if kind == BallTree {
-		return &geom.Ball{Center: vec.Clone(src[:d]), Radius: src[d]}
+// checkVolume refuses volume parameters no builder writes: a NaN compares
+// false both ways, so it would pass Contains and make every bound NaN.
+func checkVolume(kind Kind, d int, vol []float64) error {
+	for _, v := range vol {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("non-finite volume parameter %v", v)
+		}
 	}
-	return &geom.Rect{Lo: vec.Clone(src[:d]), Hi: vec.Clone(src[d : 2*d])}
+	if kind == BallTree {
+		if vol[d] < 0 {
+			return fmt.Errorf("negative radius %v", vol[d])
+		}
+		return nil
+	}
+	for j := 0; j < d; j++ {
+		if vol[j] > vol[d+j] {
+			return fmt.Errorf("volume has lo[%d]=%v above hi[%d]=%v", j, vol[j], j, vol[d+j])
+		}
+	}
+	return nil
 }
 
 // Reconstruct rebuilds a flat tree from its persisted parts: leaf-ordered
@@ -428,12 +496,12 @@ func Reconstruct(kind Kind, points *vec.Matrix, weights []float64, pointID []int
 		return nil, fmt.Errorf("index: node block has %d values, want a positive multiple of 4", len(nodes))
 	}
 	t := &Tree{Kind: kind, Points: points, Weights: weights, PointID: pointID, LeafCap: leafCap}
-	if len(volData) != nn*t.volStride() {
-		return nil, fmt.Errorf("index: volume block has %d values, want %d", len(volData), nn*t.volStride())
+	d, vs, stride := points.Cols, t.volStride(), t.recordStride()
+	if len(volData) != nn*vs {
+		return nil, fmt.Errorf("index: volume block has %d values, want %d", len(volData), nn*vs)
 	}
-	d := points.Cols
-	stride := t.volStride()
 	t.Nodes = make([]Node, nn)
+	t.block = make([]float64, nn*stride)
 	for i := range t.Nodes {
 		start, end, right, depth := nodes[4*i], nodes[4*i+1], nodes[4*i+2], nodes[4*i+3]
 		// Checked before ComputeAggregates dereferences them: child indices
@@ -445,13 +513,12 @@ func Reconstruct(kind Kind, points *vec.Matrix, weights []float64, pointID []int
 		if right != NoRight && (right <= int32(i)+1 || int(right) >= nn) {
 			return nil, fmt.Errorf("index: node %d right child %d outside (%d,%d)", i, right, i+1, nn)
 		}
-		t.Nodes[i] = Node{
-			Vol:   unflattenVolume(kind, d, volData[i*stride:(i+1)*stride]),
-			Start: start,
-			End:   end,
-			Right: right,
-			Depth: depth,
+		vol := volData[i*vs : (i+1)*vs]
+		if err := checkVolume(kind, d, vol); err != nil {
+			return nil, fmt.Errorf("index: node %d: %w", i, err)
 		}
+		copy(t.block[i*stride:], vol)
+		t.Nodes[i] = Node{Start: start, End: end, Right: right, Depth: depth, dims: int32(d), ball: kind == BallTree}
 		if int(depth)+1 > t.Height {
 			t.Height = int(depth) + 1
 		}

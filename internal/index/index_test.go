@@ -3,7 +3,10 @@ package index
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"karl/internal/geom"
 	"karl/internal/vec"
@@ -18,10 +21,25 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// add accumulates one weighted point into a private aggregate the way
+// ComputeAggregates accumulates a leaf row into a record.
+func (a *Agg) add(w float64, p []float64) {
+	a.Count++
+	a.W += w
+	if a.A == nil {
+		a.A = make([]float64, len(p))
+	}
+	vec.Axpy(a.A, w, p)
+	a.B += w * vec.Norm2(p)
+}
+
 func TestAggAddMerge(t *testing.T) {
-	var a Agg
-	a.Add(2, []float64{1, 0})
-	a.Add(3, []float64{0, 2})
+	// A leaf's classes are its rows accumulated: W = Σw, A = Σw·p, B = Σw‖p‖².
+	m := vec.FromRows([][]float64{{1, 0}, {0, 2}})
+	leaf := &Tree{Kind: KDTree, Points: m, Weights: []float64{2, 3}, LeafCap: 2}
+	appendBounded(leaf, m, []int{0, 1}, 0, 2, 0)
+	leaf.Finish([]int{0, 1})
+	a := leaf.Root().Pos()
 	if a.Count != 2 || a.W != 5 {
 		t.Fatalf("Count/W = %d/%v", a.Count, a.W)
 	}
@@ -31,18 +49,18 @@ func TestAggAddMerge(t *testing.T) {
 	if want := 2*1.0 + 3*4.0; math.Abs(a.B-want) > 1e-12 {
 		t.Fatalf("B = %v want %v", a.B, want)
 	}
-	var b Agg
-	b.Add(1, []float64{1, 1})
-	a.merge(&b)
-	if a.Count != 3 || a.W != 6 || !vec.Equal(a.A, []float64{3, 7}, 1e-12) {
-		t.Fatalf("merge: %+v", a)
+	// A parent's classes are its children's merged: left leaf {1,2}, right
+	// leaf {−3,4}, so the right child's empty-on-one-side classes merge too.
+	tr := manualTreeOfKind(KDTree)
+	pos, neg := tr.Root().Pos(), tr.Root().Neg()
+	if pos.Count != 3 || pos.W != 7 || !vec.Equal(pos.A, []float64{46, 0}, 1e-12) || pos.B != 2+4*121 {
+		t.Fatalf("merge: Pos = %+v", pos)
 	}
-	// Merging an empty aggregate is a no-op.
-	before := a
-	var empty Agg
-	a.merge(&empty)
-	if a.Count != before.Count || a.W != before.W {
-		t.Fatal("merging empty changed aggregate")
+	if neg.Count != 1 || neg.W != 3 || !vec.Equal(neg.A, []float64{30, 0}, 1e-12) || neg.B != 300 {
+		t.Fatalf("merge: Neg = %+v", neg)
+	}
+	if l := tr.Node(1); l.NegCount != 0 || l.Neg().W != 0 {
+		t.Fatalf("left child has no negative point, Neg = %+v", l.Neg())
 	}
 }
 
@@ -60,7 +78,7 @@ func TestWeightedSumsMatchBrute(t *testing.T) {
 				pts[i][j] = rng.NormFloat64()
 			}
 			ws[i] = rng.Float64() + 0.01
-			a.Add(ws[i], pts[i])
+			a.add(ws[i], pts[i])
 		}
 		q := make([]float64, d)
 		for j := range q {
@@ -89,6 +107,20 @@ func TestEmptyAggSumsAreZero(t *testing.T) {
 	}
 }
 
+// appendBounded appends a node over idx[start:end) and fills its volume the
+// way the builders do.
+func appendBounded(tr *Tree, m *vec.Matrix, idx []int, start, end, depth int) int32 {
+	ni := tr.AppendNode(start, end, depth)
+	if tr.Kind == BallTree {
+		rec := tr.Node(ni).Record()
+		rec[m.Cols] = geom.BoundBall(rec[:m.Cols], m, idx, start, end)
+		return ni
+	}
+	r := tr.Node(ni).Rect()
+	r.Bound(m, idx, start, end)
+	return ni
+}
+
 // buildManualTree constructs a small two-leaf tree by hand, the way the
 // builders do (preorder emission + Finish), so the Tree helpers can be
 // tested without pulling in a builder package.
@@ -96,9 +128,9 @@ func buildManualTree() *Tree {
 	m := vec.FromRows([][]float64{{0, 0}, {1, 0}, {10, 0}, {11, 0}})
 	idx := []int{0, 1, 2, 3}
 	tr := &Tree{Kind: KDTree, Points: m, LeafCap: 2}
-	root := tr.AppendNode(geom.BoundRows(m, idx, 0, 4), 0, 4, 0)
-	tr.AppendNode(geom.BoundRows(m, idx, 0, 2), 0, 2, 1)
-	right := tr.AppendNode(geom.BoundRows(m, idx, 2, 4), 2, 4, 1)
+	root := appendBounded(tr, m, idx, 0, 4, 0)
+	appendBounded(tr, m, idx, 0, 2, 1)
+	right := appendBounded(tr, m, idx, 2, 4, 1)
 	tr.SetRight(root, right)
 	tr.Finish(idx)
 	return tr
@@ -106,19 +138,18 @@ func buildManualTree() *Tree {
 
 func TestComputeAggregatesUnitWeights(t *testing.T) {
 	tr := buildManualTree()
-	root := tr.Root()
-	if root.Pos.Count != 4 || root.Pos.W != 4 {
-		t.Fatalf("root agg = %+v", root.Pos)
+	root := tr.Root().Pos()
+	if root.Count != 4 || root.W != 4 {
+		t.Fatalf("root agg = %+v", root)
 	}
-	if !vec.Equal(root.Pos.A, []float64{22, 0}, 1e-12) {
-		t.Fatalf("root A = %v", root.Pos.A)
+	if !vec.Equal(root.A, []float64{22, 0}, 1e-12) {
+		t.Fatalf("root A = %v", root.A)
 	}
-	if root.Neg.Count != 0 {
+	if neg := tr.Root().Neg(); neg.Count != 0 || neg.A != nil {
 		t.Fatal("unit weights should have empty Neg")
 	}
-	left := tr.Node(tr.Left(0))
-	if left.Pos.Count != 2 {
-		t.Fatalf("left count = %d", left.Pos.Count)
+	if left := tr.Node(tr.Left(0)).Pos(); left.Count != 2 {
+		t.Fatalf("left count = %d", left.Count)
 	}
 }
 
@@ -126,17 +157,17 @@ func TestComputeAggregatesSignedWeights(t *testing.T) {
 	m := vec.FromRows([][]float64{{1, 0}, {0, 1}, {2, 2}})
 	idx := []int{0, 1, 2}
 	tr := &Tree{Kind: KDTree, Points: m, Weights: []float64{2, -3, 1}, LeafCap: 4}
-	tr.AppendNode(geom.BoundRows(m, idx, 0, 3), 0, 3, 0)
+	appendBounded(tr, m, idx, 0, 3, 0)
 	tr.Finish(idx)
-	root := tr.Root()
-	if root.Pos.Count != 2 || root.Pos.W != 3 {
-		t.Fatalf("Pos = %+v", root.Pos)
+	pos, neg := tr.Root().Pos(), tr.Root().Neg()
+	if pos.Count != 2 || pos.W != 3 {
+		t.Fatalf("Pos = %+v", pos)
 	}
-	if root.Neg.Count != 1 || root.Neg.W != 3 {
-		t.Fatalf("Neg = %+v", root.Neg)
+	if neg.Count != 1 || neg.W != 3 {
+		t.Fatalf("Neg = %+v", neg)
 	}
-	if !vec.Equal(root.Neg.A, []float64{0, 3}, 1e-12) {
-		t.Fatalf("Neg.A = %v", root.Neg.A)
+	if !vec.Equal(neg.A, []float64{0, 3}, 1e-12) {
+		t.Fatalf("Neg.A = %v", neg.A)
 	}
 }
 
@@ -144,7 +175,7 @@ func TestFinishReordersIntoLeafOrder(t *testing.T) {
 	orig := vec.FromRows([][]float64{{3, 3}, {1, 1}, {2, 2}, {0, 0}})
 	idx := []int{3, 1, 2, 0} // leaf order = sorted by coordinate
 	tr := &Tree{Kind: KDTree, Points: orig, Weights: []float64{30, 10, 20, 0}, LeafCap: 4}
-	tr.AppendNode(geom.BoundRows(orig, idx, 0, 4), 0, 4, 0)
+	appendBounded(tr, orig, idx, 0, 4, 0)
 	tr.Finish(idx)
 	if tr.Points == orig {
 		t.Fatal("Finish must copy, not alias, the input matrix")
@@ -247,19 +278,82 @@ func TestWeightHelper(t *testing.T) {
 }
 
 func TestAggBlockIsPacked(t *testing.T) {
-	tr := buildManualTree()
-	// Every node's Pos.A must be a view into one backing array: the slices
-	// of consecutive nodes are adjacent in memory.
-	d := tr.Dims()
-	if len(tr.aggBlock) != tr.NodeCount()*d {
-		t.Fatalf("aggBlock has %d values, want %d", len(tr.aggBlock), tr.NodeCount()*d)
-	}
-	for i := range tr.Nodes {
-		n := &tr.Nodes[i]
-		if &n.Pos.A[0] != &tr.aggBlock[i*d] {
-			t.Fatalf("node %d Pos.A is not a view into the packed block", i)
+	for _, tr := range []*Tree{buildManualTree(), manualTreeOfKind(KDTree), manualTreeOfKind(BallTree)} {
+		// One backing array, fixed stride, record i+1 adjacent to record i:
+		// the volume, then a|W|B per class the tree has.
+		d, vs := tr.Dims(), tr.volStride()
+		stride := vs + d + 2
+		if tr.Weights != nil {
+			stride += d + 2
+		}
+		if tr.stride != stride || len(tr.block) != tr.NodeCount()*stride {
+			t.Fatalf("%v: stride %d block %d, want %d and %d",
+				tr.Kind, tr.stride, len(tr.block), stride, tr.NodeCount()*stride)
+		}
+		for i := range tr.Nodes {
+			n := &tr.Nodes[i]
+			rec := n.Record()
+			if len(rec) != stride || cap(rec) != stride || &rec[0] != &tr.block[i*stride] {
+				t.Fatalf("%v: node %d record is not block[%d:%d]", tr.Kind, i, i*stride, (i+1)*stride)
+			}
+			// The views alias the record; nothing is copied per node.
+			if pos := n.Pos(); &pos.A[0] != &rec[vs] || pos.W != rec[vs+d] || pos.B != rec[vs+d+1] {
+				t.Fatalf("%v: node %d Pos is not a view of its record", tr.Kind, i)
+			}
+			if tr.Kind == KDTree {
+				if r := n.Rect(); &r.Lo[0] != &rec[0] || &r.Hi[0] != &rec[d] {
+					t.Fatalf("node %d Rect is not a view of its record", i)
+				}
+			} else if b := n.Ball(); &b.Center[0] != &rec[0] || b.Radius != rec[d] {
+				t.Fatalf("node %d Ball is not a view of its record", i)
+			}
 		}
 	}
+	if size := unsafe.Sizeof(Node{}); size > 64 {
+		t.Fatalf("Node is %d bytes, want at most half of the 128 it was", size)
+	}
+	// Adopting a stream allocates the tree, its node array, its block, the
+	// norms and Validate's seen-set — not a volume per node.
+	var allocs [2]float64
+	for k, n := range []int{64, 4096} {
+		m := vec.NewMatrix(n, 3)
+		for i := range m.Data {
+			m.Data[i] = float64((i*7919)%n) / float64(n)
+		}
+		tr := chainTree(m, 4)
+		nodes, vols := tr.FlattenNodes(), tr.FlattenVolumes()
+		allocs[k] = testing.AllocsPerRun(5, func() {
+			if _, err := Reconstruct(KDTree, tr.Points, tr.Weights, tr.PointID, nodes, vols, tr.LeafCap); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 6 {
+		t.Fatalf("Reconstruct allocates %v times for 31 nodes and %v for 2047, want the same small constant", allocs[0], allocs[1])
+	}
+}
+
+// chainTree builds a balanced tree over m's rows in their given order,
+// halving ranges down to leafCap, without a builder package.
+func chainTree(m *vec.Matrix, leafCap int) *Tree {
+	idx := make([]int, m.Rows)
+	for i := range idx {
+		idx[i] = i
+	}
+	tr := &Tree{Kind: KDTree, Points: m, LeafCap: leafCap}
+	var build func(start, end, depth int) int32
+	build = func(start, end, depth int) int32 {
+		ni := appendBounded(tr, m, idx, start, end, depth)
+		if end-start > leafCap {
+			mid := (start + end) / 2
+			build(start, mid, depth+1)
+			tr.SetRight(ni, build(mid, end, depth+1))
+		}
+		return ni
+	}
+	build(0, m.Rows, 0)
+	tr.Finish(idx)
+	return tr
 }
 
 func TestReconstructRoundTrip(t *testing.T) {
@@ -274,10 +368,21 @@ func TestReconstructRoundTrip(t *testing.T) {
 			t.Fatalf("%v: shape mismatch after reconstruct", kind)
 		}
 		for i := range tr.Nodes {
-			a, b := &tr.Nodes[i], &got.Nodes[i]
-			if a.Pos.Count != b.Pos.Count || math.Abs(a.Pos.W-b.Pos.W) > 1e-12 ||
-				math.Abs(a.Pos.B-b.Pos.B) > 1e-9 || !vec.Equal(a.Pos.A, b.Pos.A, 1e-9) {
-				t.Fatalf("%v: node %d aggregates differ after reconstruct", kind, i)
+			if !reflect.DeepEqual(tr.Nodes[i].Record(), got.Nodes[i].Record()) ||
+				tr.Nodes[i].PosCount != got.Nodes[i].PosCount || tr.Nodes[i].NegCount != got.Nodes[i].NegCount {
+				t.Fatalf("%v: node %d record differs after reconstruct", kind, i)
+			}
+		}
+		// The persisted blocks are what they were before the node block
+		// existed (captured at the parent commit): no stored byte moved.
+		wantVols := []float64{0, 0, 11, 0, 0, 0, 1, 0, 10, 0, 11, 0}
+		if kind == BallTree {
+			wantVols = []float64{5.5, 0, 5.5, 0.5, 0, 0.5, 10.5, 0, 0.5}
+		}
+		wantNodes := []int32{0, 4, 2, 0, 0, 2, -1, 1, 2, 4, -1, 1}
+		for _, tr := range []*Tree{tr, got} {
+			if !reflect.DeepEqual(tr.FlattenVolumes(), wantVols) || !reflect.DeepEqual(tr.FlattenNodes(), wantNodes) {
+				t.Fatalf("%v: flattened %v / %v, want %v / %v", kind, tr.FlattenVolumes(), tr.FlattenNodes(), wantVols, wantNodes)
 			}
 		}
 	}
@@ -297,6 +402,48 @@ func TestReconstructRejectsCorruptInput(t *testing.T) {
 	if _, err := Reconstruct(KDTree, tr.Points, nil, tr.PointID, badRight, vols, 2); err == nil {
 		t.Fatal("corrupt right-child index accepted")
 	}
+	// Volume parameters no builder writes. NaN is the one Contains cannot
+	// see: both of its comparisons are false, so the stream used to load and
+	// answer every threshold query false.
+	d := tr.Dims()
+	for _, c := range []struct {
+		name   string
+		at     []int
+		v      float64
+		refuse string
+	}{
+		{"NaN rectangle", []int{0, d}, math.NaN(), "non-finite volume parameter"},
+		{"infinite hi", []int{d}, math.Inf(1), "non-finite volume parameter"},
+		{"infinite lo", []int{0}, math.Inf(-1), "non-finite volume parameter"},
+		{"lo above hi", []int{0}, 12, "lo[0]=12 above hi[0]=11"},
+	} {
+		bad := append([]float64(nil), vols...)
+		for _, at := range c.at {
+			bad[at] = c.v
+		}
+		_, err := Reconstruct(KDTree, tr.Points, nil, tr.PointID, nodes, bad, 2)
+		if err == nil || !strings.Contains(err.Error(), c.refuse) {
+			t.Fatalf("%s: err = %v, want one naming %q", c.name, err, c.refuse)
+		}
+	}
+	bt := manualTreeOfKind(BallTree)
+	nodes, vols = bt.FlattenNodes(), bt.FlattenVolumes()
+	for _, c := range []struct {
+		name   string
+		v      float64
+		refuse string
+	}{
+		{"NaN radius", math.NaN(), "non-finite volume parameter"},
+		{"infinite radius", math.Inf(1), "non-finite volume parameter"},
+		{"negative radius", -1, "negative radius -1"},
+	} {
+		bad := append([]float64(nil), vols...)
+		bad[d] = c.v
+		_, err := Reconstruct(BallTree, bt.Points, bt.Weights, bt.PointID, nodes, bad, 2)
+		if err == nil || !strings.Contains(err.Error(), c.refuse) {
+			t.Fatalf("%s: err = %v, want one naming %q", c.name, err, c.refuse)
+		}
+	}
 }
 
 // manualTreeOfKind builds the two-leaf manual tree with the bounding-volume
@@ -304,16 +451,10 @@ func TestReconstructRejectsCorruptInput(t *testing.T) {
 func manualTreeOfKind(kind Kind) *Tree {
 	m := vec.FromRows([][]float64{{0, 0}, {1, 0}, {10, 0}, {11, 0}})
 	idx := []int{0, 1, 2, 3}
-	vol := func(start, end int) geom.Volume {
-		if kind == BallTree {
-			return geom.BoundRowsBall(m, idx, start, end)
-		}
-		return geom.BoundRows(m, idx, start, end)
-	}
 	tr := &Tree{Kind: kind, Points: m, Weights: []float64{1, 2, -3, 4}, LeafCap: 2}
-	root := tr.AppendNode(vol(0, 4), 0, 4, 0)
-	tr.AppendNode(vol(0, 2), 0, 2, 1)
-	right := tr.AppendNode(vol(2, 4), 2, 4, 1)
+	root := appendBounded(tr, m, idx, 0, 4, 0)
+	appendBounded(tr, m, idx, 0, 2, 1)
+	right := appendBounded(tr, m, idx, 2, 4, 1)
 	tr.SetRight(root, right)
 	tr.Finish(idx)
 	return tr

@@ -9,7 +9,6 @@ package kdtree
 import (
 	"fmt"
 
-	"karl/internal/geom"
 	"karl/internal/index"
 	"karl/internal/vec"
 )
@@ -53,8 +52,9 @@ type builder struct {
 // build emits the subtree over idx[start:end) in DFS preorder and returns
 // the position of its root node.
 func (b *builder) build(start, end, depth int) int32 {
-	rect := geom.BoundRows(b.pts, b.idx, start, end)
-	ni := b.t.AppendNode(rect, start, end, depth)
+	ni := b.t.AppendNode(start, end, depth)
+	rect := b.t.Node(ni).Rect()
+	rect.Bound(b.pts, b.idx, start, end)
 	if end-start <= b.t.LeafCap {
 		return ni
 	}

@@ -134,18 +134,18 @@ func checkRootAggregates(t *testing.T, tr *index.Tree) {
 			negB += -w * vec.Norm2(p)
 		}
 	}
-	r := tr.Root()
-	if r.Pos.Count != posCount || r.Neg.Count != negCount {
-		t.Fatalf("root counts %d/%d want %d/%d", r.Pos.Count, r.Neg.Count, posCount, negCount)
+	pos, neg := tr.Root().Pos(), tr.Root().Neg()
+	if pos.Count != posCount || neg.Count != negCount {
+		t.Fatalf("root counts %d/%d want %d/%d", pos.Count, neg.Count, posCount, negCount)
 	}
 	tol := 1e-9 * (1 + math.Abs(posB) + math.Abs(negB))
-	if math.Abs(r.Pos.W-posW) > tol || math.Abs(r.Pos.B-posB) > tol {
+	if math.Abs(pos.W-posW) > tol || math.Abs(pos.B-posB) > tol {
 		t.Fatalf("root Pos W/B mismatch")
 	}
-	if posCount > 0 && !vec.Equal(r.Pos.A, posA, tol) {
-		t.Fatalf("root Pos.A mismatch: %v vs %v", r.Pos.A, posA)
+	if posCount > 0 && !vec.Equal(pos.A, posA, tol) {
+		t.Fatalf("root Pos.A mismatch: %v vs %v", pos.A, posA)
 	}
-	if negCount > 0 && (math.Abs(r.Neg.W-negW) > tol || !vec.Equal(r.Neg.A, negA, tol)) {
+	if negCount > 0 && (math.Abs(neg.W-negW) > tol || !vec.Equal(neg.A, negA, tol)) {
 		t.Fatalf("root Neg mismatch")
 	}
 }

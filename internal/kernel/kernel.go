@@ -209,7 +209,7 @@ func (p Params) RowsEvaluator() RowsFunc {
 	gamma, beta := p.Gamma, p.Beta
 	switch p.Kind {
 	case Gaussian:
-		return distanceRows(gamma, func(d2 float64) float64 { return math.Exp(-gamma * d2) })
+		return gaussianRows(gamma)
 	case Epanechnikov:
 		return distanceRows(gamma, func(d2 float64) float64 {
 			if x := gamma * d2; x < 1 {
@@ -275,6 +275,47 @@ func distanceRows(_ float64, outer func(d2 float64) float64) RowsFunc {
 		}
 		for i := start; i < end; i++ {
 			s += weights[i] * outer(vec.Dist2(q, m.Row(i)))
+		}
+		return s
+	}
+}
+
+// gaussianRows is distanceRows for the Gaussian kernel with the fused form
+// written out: the dot product inlined with vec.Dot's four accumulators and
+// math.Exp called directly, so a leaf row costs no call but exp. It returns
+// bitwise what the closure form does (1·k is k, so unit weights share the
+// loop); without norms it is the closure form, which is also left to refuse
+// a query of the wrong width the way vec.Dot does.
+func gaussianRows(gamma float64) RowsFunc {
+	closure := distanceRows(gamma, func(d2 float64) float64 { return math.Exp(-gamma * d2) })
+	return func(q []float64, qNorm2 float64, m *vec.Matrix, norms, weights []float64, start, end int) float64 {
+		cols := m.Cols
+		if norms == nil || len(q) != cols {
+			return closure(q, qNorm2, m, norms, weights, start, end)
+		}
+		var s float64
+		for i := start; i < end; i++ {
+			row := m.Data[i*cols : i*cols+cols][:len(q)]
+			var s0, s1, s2, s3 float64
+			j := 0
+			for ; j+4 <= len(q); j += 4 {
+				s0 += q[j] * row[j]
+				s1 += q[j+1] * row[j+1]
+				s2 += q[j+2] * row[j+2]
+				s3 += q[j+3] * row[j+3]
+			}
+			for ; j < len(q); j++ {
+				s0 += q[j] * row[j]
+			}
+			d2 := qNorm2 - 2*((s0+s1)+(s2+s3)) + norms[i]
+			if d2 < 0 {
+				d2 = 0 // guard float cancellation
+			}
+			w := 1.0
+			if weights != nil {
+				w = weights[i]
+			}
+			s += w * math.Exp(-gamma*d2)
 		}
 		return s
 	}

@@ -235,3 +235,139 @@ func TestFusedDistanceGuardsCancellation(t *testing.T) {
 		t.Fatalf("self-distance kernel value = %v, want ≤ 1", got)
 	}
 }
+
+// TestGaussianRowsMatchesClosureForm holds the direct Gaussian loop to the
+// closure form it replaced, bit for bit — weighted and unit rows, with norms
+// and without (the fallback), ranges that start and end mid-matrix, widths on
+// both sides of the four-lane unroll — and to the vec.Dist2 reference within
+// 1e-12 of the summed mass.
+func TestGaussianRowsMatchesClosureForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, d := range []int{1, 3, 4, 7, 10, 123} {
+		gamma := 0.5 / float64(d)
+		rows := NewGaussian(gamma).RowsEvaluator()
+		closure := distanceRows(gamma, func(d2 float64) float64 { return math.Exp(-gamma * d2) })
+		n := 300
+		m := vec.NewMatrix(n, d)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		w, norms := make([]float64, n), make([]float64, n)
+		for i := range w {
+			w[i] = rng.NormFloat64()
+			norms[i] = vec.Norm2(m.Row(i))
+		}
+		for trial := 0; trial < 40; trial++ {
+			q := vec.Clone(m.Row(rng.Intn(n))) // a stored point: distance exactly zero
+			if trial%2 == 0 {
+				for j := range q {
+					q[j] = rng.NormFloat64()
+				}
+			}
+			qn := vec.Norm2(q)
+			start := rng.Intn(n - 49)
+			end := start + 1 + rng.Intn(49)
+			for _, weights := range [][]float64{nil, w} {
+				var ref, mass float64
+				for i := start; i < end; i++ {
+					wi := 1.0
+					if weights != nil {
+						wi = weights[i]
+					}
+					v := wi * math.Exp(-gamma*vec.Dist2(q, m.Row(i)))
+					ref += v
+					mass += math.Abs(v)
+				}
+				for _, cached := range [][]float64{nil, norms} {
+					got := rows(q, qn, m, cached, weights, start, end)
+					want := closure(q, qn, m, cached, weights, start, end)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("d=%d [%d,%d) weights=%v norms=%v: direct %x closure %x",
+							d, start, end, weights != nil, cached != nil, math.Float64bits(got), math.Float64bits(want))
+					}
+					if math.Abs(got-ref) > 1e-12*(1+mass) {
+						t.Fatalf("d=%d [%d,%d) weights=%v norms=%v: %v, reference %v",
+							d, start, end, weights != nil, cached != nil, got, ref)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGaussianRowsGuardsCancellation is TestFusedDistanceGuardsCancellation's
+// regime for the direct loop: rows a hair away from a query of magnitude 1e8,
+// where ‖q‖² − 2q·p + ‖p‖² rounds below zero. The clamp keeps every term at
+// most 1 and the sum bitwise the closure form's.
+func TestGaussianRowsGuardsCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	q := []float64{1e8, -3e7, 3.14159, 2e8, 1e-8}
+	m := vec.NewMatrix(64, len(q))
+	norms := make([]float64, m.Rows)
+	negative := 0
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range q {
+			m.Row(i)[j] = v * (1 + 1e-15*float64(rng.Intn(9)-4))
+		}
+		norms[i] = vec.Norm2(m.Row(i))
+		if vec.Norm2(q)-2*vec.Dot(q, m.Row(i))+norms[i] < 0 {
+			negative++
+		}
+	}
+	if negative == 0 {
+		t.Fatal("no row's fused distance rounds negative: the guard is not exercised")
+	}
+	gamma := 1000.0
+	rows := NewGaussian(gamma).RowsEvaluator()
+	closure := distanceRows(gamma, func(d2 float64) float64 { return math.Exp(-gamma * d2) })
+	got, want := rows(q, vec.Norm2(q), m, norms, nil, 0, m.Rows), closure(q, vec.Norm2(q), m, norms, nil, 0, m.Rows)
+	if math.Float64bits(got) != math.Float64bits(want) || got > float64(m.Rows) || math.IsNaN(got) {
+		t.Fatalf("direct %v closure %v over %d rows (%d clamped), want equal and at most one a row", got, want, m.Rows, negative)
+	}
+}
+
+// BenchmarkLeafRows scans 49-row ranges at random offsets of a 200k×10
+// matrix — the shape of a kde-refine leaf. The harness's kernel.ns_per_point
+// scans the whole matrix in one call and is memory-bound (≈35 ns a point with
+// either loop), so it does not show what a leaf scan costs; this does.
+func BenchmarkLeafRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	n, d, leaf := 200000, 10, 49
+	if testing.Short() {
+		n = 20000
+	}
+	m := vec.NewMatrix(n, d)
+	for i := range m.Data {
+		m.Data[i] = rng.Float64()
+	}
+	norms := make([]float64, n)
+	for i := range norms {
+		norms[i] = vec.Norm2(m.Row(i))
+	}
+	offsets := make([]int, 4096)
+	for i := range offsets {
+		offsets[i] = rng.Intn(n - leaf)
+	}
+	q := vec.Clone(m.Row(17))
+	qn := vec.Norm2(q)
+	gamma := 0.5
+	for _, c := range []struct {
+		name string
+		rows RowsFunc
+	}{
+		{"direct", NewGaussian(gamma).RowsEvaluator()},
+		{"closure", distanceRows(gamma, func(d2 float64) float64 { return math.Exp(-gamma * d2) })},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				at := offsets[i%len(offsets)]
+				sink += c.rows(q, qn, m, norms, nil, at, at+leaf)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*leaf), "ns/point")
+			if math.IsNaN(sink) {
+				b.Fatal("NaN sum")
+			}
+		})
+	}
+}

@@ -2,7 +2,9 @@ package karl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -141,6 +143,46 @@ func TestReadRefusesLyingLength(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("refusing a %d-byte stream allocated %d bytes", len(data), got)
+	}
+}
+
+// nanVolumeStream is a kd-tree engine's file with the root rectangle's lo[0]
+// set to NaN and the segment block's checksum recomputed. Every point passes
+// a containment test against it (NaN compares false both ways), so it used to
+// load, bound every node NaN and answer every TKAQ false.
+func nanVolumeStream(t testing.TB) []byte {
+	t.Helper()
+	eng, err := Build([][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 2}, {3, 1}}, Gaussian(1), WithIndex(KDTree, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := eng.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	off := blockEnds(t, data)[0] + segKindOff + 3*8 // kind, leaf capacity, dims
+	for _, size := range []int{8, 8, 4, 4} {        // points, weights, point ids, node quads
+		off += 8 + size*int(binary.LittleEndian.Uint64(data[off:]))
+	}
+	return patched(t, data, off+8, int64(math.Float64bits(math.NaN())))
+}
+
+// TestReadRefusesNaNVolume: a checksum-valid stream with one NaN volume
+// parameter is refused by name, as a file and as a replication stream.
+func TestReadRefusesNaNVolume(t *testing.T) {
+	data := nanVolumeStream(t)
+	follower, err := NewDynamic(Gaussian(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, err := range map[string]error{
+		"ReadEngine":      readsEngine(data),
+		"InstallSnapshot": follower.InstallSnapshot(bytes.NewReader(data)),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "non-finite volume parameter NaN") {
+			t.Fatalf("%s: err = %v, want the NaN volume parameter refused by name", what, err)
+		}
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // streams this build refuses by name, a coreset engine and an SVM file
 // (engine blocks with provenance and ρ), and the ways a stream gets damaged
 // in the field — cut mid-block, cut at a block boundary, one byte off, a
-// version this build does not read, a length with no bytes behind it — and a
-// replication stream, whose held-segment block a file reader refuses.
+// version this build does not read, a length with no bytes behind it, a NaN
+// volume under a valid checksum — and a replication stream, whose
+// held-segment block a file reader refuses.
 func fuzzSeedCorpus(f *testing.F) {
 	f.Helper()
 	names, err := filepath.Glob(filepath.Join(goldenDir, "*.bin"))
@@ -55,6 +56,7 @@ func fuzzSeedCorpus(f *testing.F) {
 	f.Add(lyingLength(f))
 	_, delta := deltaStream(f)
 	f.Add(delta)
+	f.Add(nanVolumeStream(f))
 }
 
 // lyingLength is the built fixture cut just past the point count of its
