@@ -361,7 +361,7 @@ func (s *HTTPShard) Healthy(ctx context.Context) error {
 // Aggregate implements ShardClient via POST /v1/aggregate.
 func (s *HTTPShard) Aggregate(ctx context.Context, q []float64) (float64, error) {
 	var resp server.ValueResponse
-	if err := s.post(ctx, "/v1/aggregate", server.QueryRequest{Q: q}, &resp); err != nil {
+	if err := s.post(ctx, "/v1/aggregate", &server.QueryRequest{Q: q}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Value, nil
@@ -375,7 +375,7 @@ func (s *HTTPShard) Bounds(ctx context.Context, q []float64, eps float64) (Bound
 		req.Eps = eps
 	}
 	var resp Bounds
-	err := s.post(ctx, "/v1/bounds", req, &resp)
+	err := s.post(ctx, "/v1/bounds", &req, &resp)
 	return resp, err
 }
 
@@ -383,14 +383,14 @@ func (s *HTTPShard) Bounds(ctx context.Context, q []float64, eps float64) (Bound
 // "threshold" in place of a budget.
 func (s *HTTPShard) ThresholdBounds(ctx context.Context, q []float64, tau float64) (Bounds, error) {
 	var resp Bounds
-	err := s.post(ctx, "/v1/bounds", server.QueryRequest{Q: q, Threshold: &tau}, &resp)
+	err := s.post(ctx, "/v1/bounds", &server.QueryRequest{Q: q, Threshold: &tau}, &resp)
 	return resp, err
 }
 
 // Insert implements MutableShardClient via POST /v1/insert.
 func (s *HTTPShard) Insert(ctx context.Context, points [][]float64, weights []float64) ([]uint64, error) {
 	var resp server.InsertResponse
-	if err := s.post(ctx, "/v1/insert", server.InsertRequest{Points: points, Weights: weights}, &resp); err != nil {
+	if err := s.post(ctx, "/v1/insert", &server.InsertRequest{Points: points, Weights: weights}, &resp); err != nil {
 		return nil, err
 	}
 	s.mass.Store(&resp.MassResponse)
@@ -410,7 +410,7 @@ func (s *HTTPShard) Delete(ctx context.Context, id uint64) error {
 func (s *HTTPShard) DeleteMany(ctx context.Context, ids []uint64) (int, error) {
 	var resp server.DeleteResponse
 	var failed server.DeleteErrorResponse
-	if err := s.call(ctx, http.MethodDelete, "/v1/point", server.DeleteRequest{IDs: ids}, &resp, &failed); err != nil {
+	if err := s.call(ctx, http.MethodDelete, "/v1/point", &server.DeleteRequest{IDs: ids}, &resp, &failed); err != nil {
 		// A reply that names the failing id is the shard handler's own
 		// account; anything else (transport failure, a foreign 4xx) leaves
 		// the landed count unknown.
@@ -478,13 +478,20 @@ func (s *HTTPShard) post(ctx context.Context, path string, body, dst any) error 
 // call sends one request (in, when non-nil, as its JSON body) and decodes
 // the JSON response into dst, surfacing the server's error envelope on
 // non-2xx statuses; a non-nil failed also receives that error body, for
-// replies whose failure carries fields.
+// replies whose failure carries fields. Bodies of the front door's wire
+// codec (server.AppendJSON, server.ReadJSON: pointers to query, insert and
+// delete requests out, bounds and value replies back) go through it from
+// this side; everything else, and any reply the reader declines, through
+// encoding/json.
 func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, failed any) error {
 	var payload io.Reader
 	if in != nil {
-		raw, err := json.Marshal(in)
-		if err != nil {
-			return err
+		raw, ok := server.AppendJSON(nil, in)
+		if !ok {
+			var err error
+			if raw, err = json.Marshal(in); err != nil {
+				return err
+			}
 		}
 		payload = bytes.NewReader(raw)
 	}
@@ -537,6 +544,9 @@ func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, fail
 			}
 		}
 		return fmt.Errorf("cluster: shard %s: %s", s.base, msg)
+	}
+	if server.ReadJSON(body, dst) {
+		return nil
 	}
 	if err := json.Unmarshal(body, dst); err != nil {
 		return fmt.Errorf("cluster: shard %s: decode response: %w", s.base, err)

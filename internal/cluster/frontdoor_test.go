@@ -31,15 +31,18 @@ func (spaces) Read(p []byte) (int, error) {
 // status and the same error text — they are one handler set, not two
 // copies.
 func TestFrontDoorParity(t *testing.T) {
-	kern := karl.Gaussian(1)
 	pts, _ := dataset(80, 2, 71, "I")
-
-	single, err := server.NewMutable(newDynEngine(t, kern, karl.KDTree))
-	if err != nil {
-		t.Fatal(err)
+	newDoors := func(kern karl.Kernel) map[string]http.Handler {
+		single, err := server.NewMutable(newDynEngine(t, kern, karl.KDTree))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wco, _ := foundWritable(t, 2, kern, karl.KDTree, nil, WritableConfig{})
+		return map[string]http.Handler{"single node": single, "coordinator": NewWritableHTTPServer(wco)}
 	}
-	wco, _ := foundWritable(t, 2, kern, karl.KDTree, nil, WritableConfig{})
-	doors := map[string]http.Handler{"single node": single, "coordinator": NewWritableHTTPServer(wco)}
+	doors := newDoors(karl.Gaussian(1))
+	// A polynomial kernel overflows float64 far from the data.
+	polyDoors := newDoors(karl.Polynomial(1, 1, 3))
 
 	do := func(h http.Handler, method, path string, body io.Reader) (int, string) {
 		rec := httptest.NewRecorder()
@@ -51,18 +54,21 @@ func TestFrontDoorParity(t *testing.T) {
 		return rec.Code, env.Error
 	}
 	seed, _ := json.Marshal(map[string]any{"points": pts})
-	for name, h := range doors {
-		if status, msg := do(h, "POST", "/v1/insert", strings.NewReader(string(seed))); status != http.StatusOK {
-			t.Fatalf("%s: seeding: %d %s", name, status, msg)
+	for _, set := range []map[string]http.Handler{doors, polyDoors} {
+		for name, h := range set {
+			if status, msg := do(h, "POST", "/v1/insert", strings.NewReader(string(seed))); status != http.StatusOK {
+				t.Fatalf("%s: seeding: %d %s", name, status, msg)
+			}
 		}
 	}
 
 	const q = `"q":[0.1,0.2]`
-	cases := []struct {
+	type parityCase struct {
 		name, method, path, body string
 		status                   int
 		contains                 string
-	}{
+	}
+	cases := []parityCase{
 		{"info", "GET", "/v1/info", "", 200, ""},
 		{"stats", "GET", "/v1/stats", "", 200, ""},
 		{"healthz", "GET", "/v1/healthz", "", 200, ""},
@@ -91,9 +97,27 @@ func TestFrontDoorParity(t *testing.T) {
 		{"wrong dimension threshold", "POST", "/v1/threshold", `{"q":[0.1],"tau":1}`, 400, "query has 1 dims, model has 2"},
 		{"non-finite q", "POST", "/v1/approximate", `{"q":[0.1,1e999],"eps":0.1}`, 400, "bad request"},
 		{"wrong method", "GET", "/v1/aggregate", "", 405, ""},
+		{"null in q", "POST", "/v1/aggregate", `{"q":[0.1,null]}`, 400, "q[1] must be a number, got null"},
+		{"null tau", "POST", "/v1/threshold", `{` + q + `,"tau":null}`, 400, "tau must be a number, got null"},
+		{"null in points", "POST", "/v1/insert", `{"points":[[1,2],[3,null]]}`, 400, "points[1][1] must be a number, got null"},
+		{"null weight", "POST", "/v1/insert", `{"points":[[1,2]],"weights":[null]}`, 400, "weights[0] must be a number, got null"},
+		{"null id", "DELETE", "/v1/point", `{"ids":[1,null]}`, 400, "ids[1] must be a number, got null"},
+		{"trailing garbage", "POST", "/v1/aggregate", `{` + q + `} trailing garbage`, 400, "unexpected data after the JSON body"},
+		{"second value", "POST", "/v1/approximate", `{` + q + `,"eps":0.1}{"q":[9]}`, 400, "unexpected data after the JSON body"},
+		{"insert trailing value", "POST", "/v1/insert", `{"p":[1,2]}{}`, 400, "unexpected data after the JSON body"},
+		{"delete trailing bytes", "DELETE", "/v1/point", `{"id":1}x`, 400, "unexpected data after the JSON body"},
 	}
-	for _, c := range cases {
+	polyCases := []parityCase{
+		{"aggregate overflows", "POST", "/v1/aggregate", `{"q":[1e200,1e200]}`, 422, "aggregate is not finite at this query"},
+		{"approximate overflows", "POST", "/v1/approximate", `{"q":[1e200,1e200],"eps":0.1}`, 422, "aggregate is not finite at this query"},
+		{"aggregate near the data", "POST", "/v1/aggregate", `{` + q + `}`, 200, ""},
+	}
+	for i, c := range append(cases, polyCases...) {
 		got := map[string][2]any{}
+		doors := doors
+		if i >= len(cases) {
+			doors = polyDoors
+		}
 		for name, h := range doors {
 			var body io.Reader = strings.NewReader(c.body)
 			if c.body == "oversized" {

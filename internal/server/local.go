@@ -611,6 +611,9 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	default:
 		res, err = s.loc.Aggregate(r.Context(), req.Q)
 	}
+	if err == nil && !isFinite(res.Value, res.LB, res.UB) {
+		err = errNotFinite
+	}
 	if err != nil {
 		fail(w, m, err)
 		return
@@ -619,7 +622,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	if stopped != nil {
 		stopped.Add(1)
 	}
-	writeJSON(w, http.StatusOK, BoundsResponse{Value: res.Value, LB: res.LB, UB: res.UB})
+	writeJSON(w, http.StatusOK, &BoundsResponse{Value: res.Value, LB: res.LB, UB: res.UB})
 }
 
 // validateBounds checks a /v1/bounds request: like an approximate budget,
@@ -812,6 +815,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Values, st, err = eng.BatchAggregateStats(req.Queries, req.Workers)
 	}
 	pool.release(eng)
+	if err == nil && !isFinite(resp.Values...) {
+		err = errNotFinite
+	}
 	if err != nil {
 		fail(w, m, err)
 		return
@@ -820,7 +826,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		l.countTier(req.EpsNorm, sketched, len(req.Queries))
 	}
 	m.record(len(req.Queries), st)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 // validateBatch applies the same checks to every query of a batch plus the

@@ -16,12 +16,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"slices"
+	"strings"
+	"sync"
 
 	"karl"
 	"karl/internal/replica"
@@ -47,6 +52,12 @@ type Result struct {
 
 // Backend answers the requests the front door has decoded and validated.
 // Implementations must be safe for concurrent use.
+//
+// A query vector q is allocated for its request and never reused, so a
+// backend may keep reading it after the call has returned: a coordinator's
+// hedged shard call that lost the race is still encoding q when the handler
+// is long done. (The request body it was parsed from is pooled; nothing
+// handed to a backend points into it.)
 type Backend interface {
 	// Dims is the dataset dimensionality right now (0 while it holds no
 	// point): the length every query vector is checked against.
@@ -298,6 +309,10 @@ func (s *Server) handleApproximate(w http.ResponseWriter, r *http.Request) {
 // verdict alone; any other backend adds the certified interval and the
 // coverage contract.
 func (s *Server) answer(w http.ResponseWriter, m *endpointMetrics, res Result, err error, verdict bool) {
+	// The local wire carries the value alone; any other also the interval.
+	if err == nil && !verdict && !(isFinite(res.Value) && (s.loc != nil || isFinite(res.LB, res.UB))) {
+		err = errNotFinite
+	}
 	if err != nil {
 		fail(w, m, err)
 		return
@@ -309,14 +324,22 @@ func (s *Server) answer(w http.ResponseWriter, m *endpointMetrics, res Result, e
 	cov := Coverage{Partial: res.Partial, Covered: res.Covered, Failed: res.Failed}
 	switch {
 	case s.loc != nil && verdict:
-		writeJSON(w, http.StatusOK, BoolResponse{res.Over})
+		writeJSON(w, http.StatusOK, &BoolResponse{res.Over})
 	case s.loc != nil:
-		writeJSON(w, http.StatusOK, ValueResponse{res.Value})
+		writeJSON(w, http.StatusOK, &ValueResponse{res.Value})
 	case verdict:
-		writeJSON(w, http.StatusOK, CoveredBoolResponse{res.Over, cov})
+		writeJSON(w, http.StatusOK, &CoveredBoolResponse{res.Over, cov})
 	default:
-		writeJSON(w, http.StatusOK, CoveredValueResponse{res.Value, res.LB, res.UB, cov})
+		writeJSON(w, http.StatusOK, &CoveredValueResponse{res.Value, res.LB, res.UB, cov})
 	}
+}
+
+// errNotFinite answers a query whose aggregate overflowed (a polynomial
+// kernel far from the data): JSON has no number for it, and the status line
+// must say so before a body that cannot be written.
+var errNotFinite = &Error{
+	Status: http.StatusUnprocessableEntity,
+	Err:    errors.New("aggregate is not finite at this query"),
 }
 
 // relativeBudget maps a request's budget onto the relative-ε contract. A
@@ -447,14 +470,57 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, m *endpointMetri
 	return req, true
 }
 
-// decodeBody parses a JSON request body with the server's size bound
-// applied: an oversized body fails decoding with a 413-mapped error
-// instead of being buffered into memory.
+// buffers holds the bytes of request bodies being read and of replies being
+// appended. A buffer that grew past maxPooledBuffer for one large bulk body
+// is dropped instead of pinning that memory.
+var buffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuffer = 64 << 10
+
+func putBuffer(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuffer {
+		buf.Reset()
+		buffers.Put(buf)
+	}
+}
+
+// decodeBody reads the request body whole, with the server's size bound
+// applied, and parses it into dst: with the wire reader when it takes the
+// body, else with encoding/json. Nothing in dst points into the body.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(r.Body)
+	buf := buffers.Get().(*bytes.Buffer)
+	defer putBuffer(buf)
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if readErr == nil && ReadJSON(buf.Bytes(), dst) {
+		return nil
+	}
+	return decodeJSON(buf.Bytes(), readErr, dst)
+}
+
+// failingReader fails every Read with err.
+type failingReader struct{ err error }
+
+func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
+
+// decodeJSON parses a body the wire reader did not take, and is where every
+// malformed body gets its status and its words. body is what could be read
+// and readErr what ended the reading early, if anything did: the decoder
+// sees those bytes and then that error, so a body over the size bound fails
+// with a 413-mapped error unless its syntax fails first.
+func decodeJSON(body []byte, readErr error, dst any) error {
+	var src io.Reader = bytes.NewReader(body)
+	if readErr != nil {
+		src = io.MultiReader(src, failingReader{readErr})
+	}
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		// Decode stops at the end of the first value. What follows it is
+		// part of the body too.
+		err = readErr
+	}
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return &Error{
@@ -464,7 +530,59 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) err
 		}
 		return fmt.Errorf("bad request: %v", err)
 	}
-	return nil
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) != 0 {
+		return errors.New("bad request: unexpected data after the JSON body")
+	}
+	return nullNumber(body)
+}
+
+// nullNumber finds a JSON null standing where the request types hold a
+// plain number: an element of a vector, a matrix row or an id list, or the
+// value of one of the scalar fields below. encoding/json skips such a null,
+// which would answer for 0 in its place. A null for a whole array or for an
+// optional field (w, threshold, dim, cut) still means absent.
+func nullNumber(body []byte) error {
+	if !bytes.Contains(body, []byte("null")) {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var field string // the top-level key being walked
+	var index []int  // the element position at each array depth under it
+	is := func(names ...string) bool {
+		return slices.ContainsFunc(names, func(n string) bool { return strings.EqualFold(field, n) })
+	}
+	key := false // the next top-level string is a key, not a value
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil // the end: the body has already decoded once
+		}
+		switch tok {
+		case json.Delim('{'):
+			key = true
+			continue
+		case json.Delim('['):
+			index = append(index, 0)
+			continue
+		case json.Delim(']'):
+			index = index[:len(index)-1]
+		case nil:
+			if len(index) == 2 || len(index) == 1 && !is("queries", "points") ||
+				len(index) == 0 && is("tau", "eps", "eps_norm", "workers", "id", "num_slots") {
+				for _, i := range index {
+					field += fmt.Sprintf("[%d]", i)
+				}
+				return fmt.Errorf("%s must be a number, got null", field)
+			}
+		}
+		if len(index) > 0 {
+			index[len(index)-1]++
+		} else if name, ok := tok.(string); ok && key {
+			field, key = name, false
+		} else {
+			key = true
+		}
+	}
 }
 
 // fail counts err against m and writes its reply: 400 and the JSON error
@@ -540,10 +658,27 @@ func (s *Server) checkQuery(q []float64) error {
 	return nil
 }
 
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+func isFinite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
 
+// writeJSON writes a reply: with the wire writer when body is a pointer to
+// one of its types (the caller has then checked that every number in it is
+// finite), else with encoding/json.
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	buf := buffers.Get().(*bytes.Buffer)
+	defer putBuffer(buf)
+	if b, ok := AppendJSON(buf.AvailableBuffer(), body); ok {
+		buf.Write(append(b, '\n'))
+	} else {
+		_ = json.NewEncoder(buf).Encode(body)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(buf.Bytes())
 }

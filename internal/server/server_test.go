@@ -15,7 +15,7 @@ import (
 	"karl"
 )
 
-func testEngine(t *testing.T) *karl.Engine {
+func testEngine(t testing.TB) *karl.Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	pts := make([][]float64, 500)
@@ -172,6 +172,14 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"batch dim mismatch mid-batch", "/v1/batch", `{"kind":"aggregate","queries":[[0.5,0.5],[1],[0.1,0.2]]}`},
 		{"batch eps zero", "/v1/batch", `{"kind":"approximate","queries":[[0.5,0.5]],"eps":0}`},
 		{"batch unknown field", "/v1/batch", `{"kind":"aggregate","queries":[[0.5,0.5]],"bogus":1}`},
+		{"null in q", "/v1/aggregate", `{"q":[0.5,null]}`},
+		{"null tau", "/v1/threshold", `{"q":[0.5,0.5],"tau":null}`},
+		{"null eps", "/v1/approximate", `{"q":[0.5,0.5],"eps":null}`},
+		{"batch null in a query", "/v1/batch", `{"kind":"aggregate","queries":[[0.5,0.5],[null,0.5]]}`},
+		{"trailing garbage", "/v1/aggregate", `{"q":[0.5,0.5]} trailing garbage`},
+		{"second value", "/v1/threshold", `{"q":[0.5,0.5],"tau":1}{"q":[9]}`},
+		{"bounds trailing bracket", "/v1/bounds", `{"q":[0.5,0.5]}]`},
+		{"batch trailing value", "/v1/batch", `{"kind":"aggregate","queries":[[0.5,0.5]]}0`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

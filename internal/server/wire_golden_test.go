@@ -68,7 +68,16 @@ func TestWireGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := map[string]http.Handler{"static": static, "tiered": tiered, "capped": capped, "mutable": mutable}
+	// A polynomial kernel overflows float64 far from the data.
+	polyEng, err := karl.Build(pts, karl.Polynomial(1, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	poly, err := New(polyEng, WithPoolSize(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := map[string]http.Handler{"static": static, "tiered": tiered, "capped": capped, "mutable": mutable, "poly": poly}
 
 	bulk := func(from, to int) string {
 		raw, _ := json.Marshal(pts[from:to])
@@ -158,6 +167,25 @@ func TestWireGolden(t *testing.T) {
 		// Added after the capture, and last so that no counter an earlier
 		// row reports moves: an empty "points" is refused like an empty "ids".
 		{Server: "mutable", Method: "POST", Path: "/v1/insert", Request: `{"points":[]}`},
+		// Added with the wire codec, last for the same reason: a null where a
+		// number belongs, bytes after the body and an aggregate that is not
+		// finite were each a 200.
+		{Server: "static", Method: "POST", Path: "/v1/aggregate", Request: `{"q":[0.5,null]}`},
+		{Server: "static", Method: "POST", Path: "/v1/threshold", Request: `{` + q + `,"tau":null}`},
+		{Server: "static", Method: "POST", Path: "/v1/batch", Request: `{"kind":"aggregate","queries":[[0.5,0.5],[null,0.9]]}`},
+		{Server: "mutable", Method: "POST", Path: "/v1/insert", Request: `{"points":[[0.1,null]],"weights":[null]}`},
+		{Server: "mutable", Method: "DELETE", Path: "/v1/point", Request: `{"ids":[9,null]}`},
+		{Server: "static", Method: "POST", Path: "/v1/aggregate", Request: `{` + q + `} trailing garbage`},
+		{Server: "static", Method: "POST", Path: "/v1/aggregate", Request: `{` + q + `}{"q":[9]}`},
+		{Server: "static", Method: "POST", Path: "/v1/batch", Request: `{"kind":"aggregate","queries":[[0.5,0.5]]}]`},
+		{Server: "mutable", Method: "DELETE", Path: "/v1/point", Request: `{"id":9}{}`},
+		{Server: "poly", Method: "POST", Path: "/v1/aggregate", Request: `{` + q + `}`},
+		{Server: "poly", Method: "POST", Path: "/v1/aggregate", Request: `{"q":[1e200,1e200]}`},
+		{Server: "poly", Method: "POST", Path: "/v1/approximate", Request: `{"q":[1e200,1e200],"eps":0.1}`},
+		{Server: "poly", Method: "POST", Path: "/v1/bounds", Request: `{"q":[1e200,1e200]}`},
+		{Server: "poly", Method: "POST", Path: "/v1/batch", Request: `{"kind":"aggregate","queries":[[0.5,0.5],[1e200,1e200]],"workers":1}`},
+		{Server: "poly", Method: "POST", Path: "/v1/threshold", Request: `{"q":[1e200,1e200],"tau":1}`},
+		{Server: "poly", Method: "GET", Path: "/v1/stats"},
 	}
 
 	for i := range script {
