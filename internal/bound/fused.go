@@ -46,7 +46,7 @@ func gaussRectBounds(gamma float64, qc *QueryCtx, n *index.Node) (lb, ub float64
 		mx += far * far
 	}
 	e := ends{a: gamma * mn, b: gamma * mx}
-	e.fa, e.fb = math.Exp(-e.a), math.Exp(-e.b)
+	e.fa, e.fb = vec.Exp(-e.a), vec.Exp(-e.b)
 	pos := rec[2*d:]
 	lb, ub = gaussClass(gamma, qc.Norm2, e, n.PosCount, vec.Dot(q, pos[:d]), pos[d], pos[d+1])
 	if n.NegCount == 0 {
@@ -67,7 +67,7 @@ func gaussClass(gamma, qNorm2 float64, e ends, count int32, dot, w, b float64) (
 	}
 	xbar := gamma * (w*qNorm2 - 2*dot + b) / w
 	xbar = min(max(xbar, e.a), e.b)
-	fx := math.Exp(-xbar)
+	fx := vec.Exp(-xbar)
 	chord := e.chordAt(xbar)
 	if e.b-e.a <= degenerateWidth*(1+math.Abs(e.a)+math.Abs(e.b)) {
 		chord = fx

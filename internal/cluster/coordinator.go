@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"karl/internal/core"
 	"karl/internal/server"
 )
 
@@ -554,22 +555,13 @@ func (co *Coordinator) thresholdResult(over bool, st []*exchState) server.Result
 	}
 }
 
-// approxDone replicates the engine's approximate termination test over
-// summed cluster bounds: relative-ε certificate for non-negative lower
-// bounds, the symmetric midpoint form otherwise.
-func approxDone(lb, ub, eps float64) bool {
-	if lb >= 0 {
-		return ub <= (1+eps)*lb
-	}
-	mid := math.Abs(lb+ub) / 2
-	return (ub-lb)*(1+eps) <= 2*eps*mid
-}
-
-// Approximate computes F_P(q) to relative error eps. Round 0 queries
-// every shard at the global budget — for non-negative aggregates the
-// per-shard certificates compose and one round suffices. When they do
-// not, the global gap allowance is split across shards proportional to
-// their weight mass W_S (the shard holding more mass gets more absolute
+// Approximate computes F_P(q) to relative error eps: it stops on
+// core.CondApprox over the summed shard bounds, the rule every shard stops
+// on, and returns their midpoint. Round 0 queries every shard at the global
+// budget — for non-negative aggregates the per-shard certificates
+// ub_S ≤ (1+2ε)·lb_S add up to the global one and one round suffices. When
+// they do not, the gap the rule allows is split across shards proportional
+// to their weight mass W_S (the shard holding more mass gets more absolute
 // slack), and only shards exceeding their allocation are re-queried at
 // geometrically tighter budgets: small-gap shards return early. The
 // allocation is self-consistent — if every shard fits its share the global
@@ -647,15 +639,12 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 			// Only the massless shards, which were never asked, are left.
 			return server.Result{}, fmt.Errorf("%w: all %d shards failed", ErrUnavailable, len(all))
 		}
-		if approxDone(lb, ub, eps) {
+		if core.CondApprox(lb, ub, eps) {
 			return co.approxResult(lb, ub, st), nil
 		}
 
-		// Global gap allowance at the current sums, split ∝ W_S.
-		allow := eps * lb
-		if lb < 0 {
-			allow = 2 * eps * math.Abs(lb+ub) / 2 / (1 + eps)
-		}
+		// The gap core.CondApprox allows at the current sums, split ∝ W_S.
+		allow := eps * math.Abs(lb+ub) / (1 + eps)
 		exact := round >= maxRounds || allow <= 0
 		var todo []int
 		for _, i := range covered {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"karl"
+	"karl/internal/core"
 	fixtures "karl/internal/dataset"
 )
 
@@ -169,6 +170,39 @@ func TestThresholdWorkGate(t *testing.T) {
 	}
 	points, rounds = measure(karl.KDPartition)
 	t.Logf("kd split: %.0f shard points, %.4f rounds per TKAQ (ε-schedule: 9308, 1.1175)", points, rounds)
+}
+
+// TestApproximateOneRound is the eKAQ side of the exchange under the one
+// certificate: on non-negative weights every shard stops at
+// ub_S ≤ (1+2ε)·lb_S, those add up to core.CondApprox over the sums, and so
+// a two-shard Type I cluster answers every eKAQ in round 0 — within ε of the
+// exact aggregate, with the interval it certifies in the reply.
+func TestApproximateOneRound(t *testing.T) {
+	pts, _ := dataset(8000, 3, 23, "I")
+	mono := buildEngine(t, pts, nil, karl.Gaussian(0.5), karl.KDTree)
+	queries, _ := dataset(60, 3, 29, "I")
+	ctx := context.Background()
+	for _, part := range []karl.PartitionKind{karl.HashPartition, karl.KDPartition} {
+		co := shardedCoordinator(t, mono, 2, part, Config{}, nil)
+		for _, eps := range []float64{0.05, 0.2} {
+			for i, q := range queries {
+				exact, err := mono.Aggregate(q)
+				if err != nil {
+					t.Fatalf("mono.Aggregate: %v", err)
+				}
+				ar, err := co.Approximate(ctx, q, eps)
+				if err != nil {
+					t.Fatalf("Approximate: %v", err)
+				}
+				if math.Abs(ar.Value-exact) > eps*exact*(1+1e-9) || !core.CondApprox(ar.LB, ar.UB, eps) {
+					t.Errorf("part %v ε=%v query %d: value %v in [%v, %v], exact %v", part, eps, i, ar.Value, ar.LB, ar.UB, exact)
+				}
+			}
+		}
+		if ex := co.Exchange(); ex.ApproximateRounds != ex.ApproximateQueries {
+			t.Errorf("part %v: %d rounds for %d eKAQ, want one each", part, ex.ApproximateRounds, ex.ApproximateQueries)
+		}
+	}
 }
 
 // dyingShard answers its first bound-exchange call with a fixed certified

@@ -143,11 +143,10 @@ func (e *Engine) Threshold(q []float64, tau float64) (bool, Stats, error) {
 }
 
 // Approximate answers the eKAQ (Problem 2): a value within relative error
-// eps of F_P(q). The paper's termination test ub ≤ (1+ε)·lb applies to
-// non-negative aggregations (Types I and II); with mixed-sign weights the
-// criterion generalizes to (ub−lb)(1+ε) ≤ 2ε·|mid|, which gives the same
-// guarantee relative to the true value, and refinement falls back to the
-// exact answer when neither triggers.
+// eps of F_P(q). Refinement stops on CondApprox — the midpoint certified
+// within eps of every value the bounds admit, at any sign of the weights —
+// so the answer may spend the whole eps (the paper's ub ≤ (1+ε)·lb returns
+// a midpoint good to ε/2); when it never triggers the bounds are exact.
 func (e *Engine) Approximate(q []float64, eps float64) (float64, Stats, error) {
 	return e.f.Approximate(q, eps, 0)
 }

@@ -415,3 +415,58 @@ func TestStatsAreReported(t *testing.T) {
 		t.Fatalf("final bounds inverted: [%v,%v]", stats.LB, stats.UB)
 	}
 }
+
+// TestApproximateSpendsEps is the eKAQ contract over one seeded dataset of
+// each weighting type, with the error it actually reaches logged: the
+// answer stays within ε of the exact aggregate, and on non-negative weights
+// it now uses more than the half of ε the rule ub ≤ (1+ε)·lb stopped at.
+func TestApproximateSpendsEps(t *testing.T) {
+	rng := rand.New(rand.NewSource(2525))
+	n, d := 4000, 3
+	for _, typ := range []string{"I", "II", "III"} {
+		m := makeClustered(rng, n, d, 6, 0.05)
+		var w []float64
+		if typ != "I" {
+			w = make([]float64, n)
+			for i := range w {
+				w[i] = rng.Float64() + 0.01
+				if typ == "III" {
+					w[i] = rng.NormFloat64()
+				}
+			}
+		}
+		tr, err := kdtree.Build(m, w, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := New(tr, kernel.NewGaussian(20))
+		for _, eps := range []float64{0.05, 0.2, 0.5} {
+			var worst float64
+			for qi := 0; qi < 200; qi++ {
+				q := make([]float64, d)
+				for j := range q {
+					q[j] = rng.Float64()
+				}
+				got, _, err := e.Approximate(q, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exact, _ := e.Exact(q)
+				if exact == 0 {
+					if got != 0 {
+						t.Fatalf("type %s: exact 0 but approximate %v", typ, got)
+					}
+					continue
+				}
+				worst = math.Max(worst, math.Abs(got-exact)/math.Abs(exact)/eps)
+			}
+			t.Logf("type %s ε=%v: max err/ε %.4f", typ, eps, worst)
+			if worst > 1+1e-9 {
+				t.Errorf("type %s ε=%v: error reached %.4f of ε", typ, eps, worst)
+			}
+			if typ != "III" && worst <= 0.5 {
+				t.Errorf("type %s ε=%v: error reached only %.4f of ε: refinement still stops at ε/2", typ, eps, worst)
+			}
+		}
+	}
+}

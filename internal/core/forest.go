@@ -242,16 +242,18 @@ func CondThreshold(lb, ub, tau float64) bool {
 	return lb > tau || ub <= tau
 }
 
-// CondApprox is the ε-approximation stopping rule shared by every executor:
-// for non-negative lower bounds the classic relative gap ub ≤ (1+ε)·lb, and
-// for mixed-sign bounds a symmetric midpoint rule that guarantees the
-// returned midpoint is within ε·|answer| of the true value.
+// CondApprox is the ε-approximation stopping rule shared by every executor,
+// the coordinator included: the midpoint of [lb, ub] is within ε·|F| of
+// every F the interval admits, at any sign, and never on NaN. The error of
+// the midpoint is at most (ub−lb)/2 and |F| is at least |mid| − (ub−lb)/2,
+// so the test is (ub−lb)/2 ≤ ε·(|mid| − (ub−lb)/2); for lb ≥ 0 that reads
+// ub ≤ (1+2ε)·lb. It is necessary as well as sufficient — an answer may
+// spend the whole ε — but for lb = −ub at ε ≥ 1, which it refines although
+// a midpoint of zero would pass. An infinite gap certifies nothing, though
+// ∞ ≤ ∞ holds.
 func CondApprox(lb, ub, eps float64) bool {
-	if lb >= 0 {
-		return ub <= (1+eps)*lb
-	}
-	mid := math.Abs(lb+ub) / 2
-	return (ub-lb)*(1+eps) <= 2*eps*mid
+	gap, mid := ub-lb, math.Abs(lb+ub)/2
+	return gap*(1+eps) <= 2*eps*mid && !math.IsInf(gap, 1)
 }
 
 // refine runs the best-first loop over all segments until cond is
@@ -396,8 +398,8 @@ func (f *Forest) Threshold(q []float64, tau, base float64) (bool, Stats, error) 
 // value within relative error eps of the TOTAL base + Σ_seg F_seg(q). The
 // base term is exact and tightens both global bounds, so the guarantee is
 // relative to the true total even when base and the indexed part nearly
-// cancel (the mixed-sign criterion (ub−lb)(1+ε) ≤ 2ε·|mid| then forces
-// refinement toward exactness).
+// cancel (CondApprox's (ub−lb)(1+ε) ≤ 2ε·|mid| then forces refinement
+// toward exactness).
 func (f *Forest) Approximate(q []float64, eps, base float64) (float64, Stats, error) {
 	if err := f.checkQuery(q); err != nil {
 		return 0, Stats{}, err

@@ -443,3 +443,64 @@ func TestFastPathCounter(t *testing.T) {
 		t.Fatal("plain single-segment query must take the fast path")
 	}
 }
+
+// TestApproxCertificateIsTight holds CondApprox to its definition: true
+// exactly when the midpoint of [lb, ub] is within ε·|F| of every F in it —
+// of both ends, and of zero when the interval holds zero, which only a zero
+// midpoint is — at any sign pattern, and never on NaN. (The one interval it
+// refuses though its midpoint would do is lb = −ub ≠ 0 at ε ≥ 1; the table
+// pins that.) The float64 comparison may round either way within a few ulp
+// of the boundary, so the two directions are checked a hair apart.
+func TestApproxCertificateIsTight(t *testing.T) {
+	within := func(lb, ub, eps, slack float64) bool {
+		mid := (lb + ub) / 2
+		if lb <= 0 && ub >= 0 && mid != 0 {
+			return false
+		}
+		return mid-lb <= eps*math.Abs(lb)*slack && ub-mid <= eps*math.Abs(ub)*slack
+	}
+	check := func(lb, ub, eps float64) {
+		t.Helper()
+		got := CondApprox(lb, ub, eps)
+		if got && !within(lb, ub, eps, 1+1e-12) {
+			t.Errorf("CondApprox(%v, %v, %v) = true, but the midpoint is more than ε from an end", lb, ub, eps)
+		}
+		if !got && within(lb, ub, eps, 1-1e-12) {
+			t.Errorf("CondApprox(%v, %v, %v) = false, but the midpoint is within ε of both ends", lb, ub, eps)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	epsilons := []float64{0.01, 0.1, 0.2, 1, 10}
+	for _, eps := range epsilons {
+		for _, c := range []struct {
+			lb, ub float64
+			want   bool
+		}{
+			{0, 0, true}, {5, 5, true}, {-5, -5, true},
+			{0, 1, false}, {-1, 0, false}, {-1, 1, false}, {-1e-300, 1, false},
+			{1, 1 + 2*eps*0.999, true}, {1, 1 + 2*eps*1.001, false},
+			{-(1 + 2*eps*0.999), -1, true}, {-(1 + 2*eps*1.001), -1, false},
+			{nan, 1, false}, {1, nan, false}, {nan, nan, false},
+			{-inf, inf, false}, {1, inf, false}, {-1, inf, false}, {-inf, -1, false}, {-inf, 1, false},
+		} {
+			if got := CondApprox(c.lb, c.ub, eps); got != c.want {
+				t.Errorf("CondApprox(%v, %v, %v) = %v, want %v", c.lb, c.ub, eps, got, c.want)
+			}
+		}
+		if CondApprox(1, 2, nan) {
+			t.Error("CondApprox(1, 2, NaN) = true")
+		}
+	}
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 200000; i++ {
+		eps := epsilons[rng.Intn(len(epsilons))]
+		// Mostly gaps on both sides of the boundary, ub − lb ≈ 2ε·|lb|, some
+		// unrelated ends of either sign; magnitudes from e⁻³⁰ to e³⁰.
+		lb := rng.NormFloat64() * math.Exp(rng.Float64()*60-30)
+		ub := lb + math.Abs(lb)*4*eps*rng.Float64()
+		if rng.Intn(4) == 0 {
+			ub = lb + math.Abs(rng.NormFloat64())*math.Exp(rng.Float64()*60-30)
+		}
+		check(lb, ub, eps)
+	}
+}

@@ -123,7 +123,7 @@ func (p Params) Scalar(q, pt []float64) float64 {
 func (p Params) Outer(x float64) float64 {
 	switch p.Kind {
 	case Gaussian:
-		return math.Exp(-x)
+		return vec.Exp(-x)
 	case Polynomial:
 		return powInt(x, p.Degree)
 	case Sigmoid:
@@ -149,7 +149,7 @@ func (p Params) Outer(x float64) float64 {
 func (p Params) OuterDeriv(x float64) float64 {
 	switch p.Kind {
 	case Gaussian:
-		return -math.Exp(-x)
+		return -vec.Exp(-x)
 	case Polynomial:
 		return float64(p.Degree) * powInt(x, p.Degree-1)
 	case Sigmoid:
@@ -280,42 +280,58 @@ func distanceRows(_ float64, outer func(d2 float64) float64) RowsFunc {
 	}
 }
 
+// leafTile is how many rows gaussianRows hands vec.ExpTile at a time: 512
+// bytes of stack, and a default 80-point leaf is two tiles.
+const leafTile = 64
+
 // gaussianRows is distanceRows for the Gaussian kernel with the fused form
-// written out: the dot product inlined with vec.Dot's four accumulators and
-// math.Exp called directly, so a leaf row costs no call but exp. It returns
-// bitwise what the closure form does (1·k is k, so unit weights share the
-// loop); without norms it is the closure form, which is also left to refuse
-// a query of the wrong width the way vec.Dot does.
+// written out in two passes over a stack tile: the first writes −γ·d² a row,
+// the dot product inlined with vec.Dot's four accumulators; vec.ExpTile then
+// takes the whole tile, so the exps of a leaf overlap instead of queueing
+// behind the running sum; the second adds w·e in row order. That is the
+// closure form's summation order and its exp, so the two return the same
+// bits (1·k is k, so unit weights share the loop); without norms it is the
+// closure form, which is also left to refuse a query of the wrong width the
+// way vec.Dot does.
 func gaussianRows(gamma float64) RowsFunc {
-	closure := distanceRows(gamma, func(d2 float64) float64 { return math.Exp(-gamma * d2) })
+	closure := distanceRows(gamma, func(d2 float64) float64 { return vec.Exp(-gamma * d2) })
 	return func(q []float64, qNorm2 float64, m *vec.Matrix, norms, weights []float64, start, end int) float64 {
 		cols := m.Cols
 		if norms == nil || len(q) != cols {
 			return closure(q, qNorm2, m, norms, weights, start, end)
 		}
 		var s float64
-		for i := start; i < end; i++ {
-			row := m.Data[i*cols : i*cols+cols][:len(q)]
-			var s0, s1, s2, s3 float64
-			j := 0
-			for ; j+4 <= len(q); j += 4 {
-				s0 += q[j] * row[j]
-				s1 += q[j+1] * row[j+1]
-				s2 += q[j+2] * row[j+2]
-				s3 += q[j+3] * row[j+3]
+		var tile [leafTile]float64
+		for ; start < end; start += leafTile {
+			x := tile[:min(leafTile, end-start)]
+			for k := range x {
+				i := start + k
+				row := m.Data[i*cols : i*cols+cols][:len(q)]
+				var s0, s1, s2, s3 float64
+				j := 0
+				for ; j+4 <= len(q); j += 4 {
+					s0 += q[j] * row[j]
+					s1 += q[j+1] * row[j+1]
+					s2 += q[j+2] * row[j+2]
+					s3 += q[j+3] * row[j+3]
+				}
+				for ; j < len(q); j++ {
+					s0 += q[j] * row[j]
+				}
+				d2 := qNorm2 - 2*((s0+s1)+(s2+s3)) + norms[i]
+				if d2 < 0 {
+					d2 = 0 // guard float cancellation
+				}
+				x[k] = -gamma * d2
 			}
-			for ; j < len(q); j++ {
-				s0 += q[j] * row[j]
+			vec.ExpTile(x)
+			for k, e := range x {
+				w := 1.0
+				if weights != nil {
+					w = weights[start+k]
+				}
+				s += w * e
 			}
-			d2 := qNorm2 - 2*((s0+s1)+(s2+s3)) + norms[i]
-			if d2 < 0 {
-				d2 = 0 // guard float cancellation
-			}
-			w := 1.0
-			if weights != nil {
-				w = weights[i]
-			}
-			s += w * math.Exp(-gamma*d2)
 		}
 		return s
 	}

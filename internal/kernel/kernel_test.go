@@ -246,7 +246,7 @@ func TestGaussianRowsMatchesClosureForm(t *testing.T) {
 	for _, d := range []int{1, 3, 4, 7, 10, 123} {
 		gamma := 0.5 / float64(d)
 		rows := NewGaussian(gamma).RowsEvaluator()
-		closure := distanceRows(gamma, func(d2 float64) float64 { return math.Exp(-gamma * d2) })
+		closure := distanceRows(gamma, func(d2 float64) float64 { return vec.Exp(-gamma * d2) })
 		n := 300
 		m := vec.NewMatrix(n, d)
 		for i := range m.Data {
@@ -319,7 +319,7 @@ func TestGaussianRowsGuardsCancellation(t *testing.T) {
 	}
 	gamma := 1000.0
 	rows := NewGaussian(gamma).RowsEvaluator()
-	closure := distanceRows(gamma, func(d2 float64) float64 { return math.Exp(-gamma * d2) })
+	closure := distanceRows(gamma, func(d2 float64) float64 { return vec.Exp(-gamma * d2) })
 	got, want := rows(q, vec.Norm2(q), m, norms, nil, 0, m.Rows), closure(q, vec.Norm2(q), m, norms, nil, 0, m.Rows)
 	if math.Float64bits(got) != math.Float64bits(want) || got > float64(m.Rows) || math.IsNaN(got) {
 		t.Fatalf("direct %v closure %v over %d rows (%d clamped), want equal and at most one a row", got, want, m.Rows, negative)
