@@ -15,12 +15,11 @@
 // across shards proportional to their weight mass W_S and leaving already
 // tight shards alone.
 //
-// Two ShardClient backends implement the transport: LocalShard wraps an
-// in-process *karl.Engine behind a clone pool (core-parallel single-box
-// serving) and HTTPShard speaks JSON to a remote karl-serve instance over
-// the /v1/* endpoints (POST /v1/bounds is the bound-exchange unit), each
-// call driven from the calling goroutine over a pooled connection
-// (syncTransport).
+// A shard is a karl-serve front door (internal/server) and HTTPShard is the
+// one ShardClient that reaches it: JSON over the /v1/* endpoints (POST
+// /v1/bounds is the bound-exchange unit), each call driven from the calling
+// goroutine over a pooled connection (syncTransport). The client interfaces
+// exist for decorators — fault injection, counting, tracing — around it.
 // Robustness is first-class: per-shard timeouts, one retry with backoff,
 // hedged requests to a replica after a latency percentile, and a degraded
 // mode that serves explicit partial results when a shard is down.
@@ -33,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 
 	"karl"
@@ -127,189 +125,6 @@ type MutableShardClient interface {
 	// engine. auto lets a kd shard choose its own balanced plane; the
 	// returned Rule is always the one actually applied.
 	SplitOut(ctx context.Context, rule shard.SplitRule, auto bool) (SplitResult, error)
-}
-
-// LocalShard serves one in-process engine as a shard: the core-parallel
-// single-box backend. Engine clones are pooled so concurrent (including
-// hedged) calls each refine on private scratch over the shared dataset.
-// Wrapping a mutable engine (NewLocalMutableShard) adds the write path;
-// Info is computed live either way, so it tracks inserts and splits.
-type LocalShard struct {
-	name string
-	eng  karl.QueryEngine
-	mut  karl.MutableEngine // nil for read-only shards
-	pool sync.Pool
-}
-
-// NewLocalShard wraps a query engine as a read-only shard client.
-func NewLocalShard(name string, eng karl.QueryEngine) *LocalShard {
-	s := &LocalShard{name: name, eng: eng}
-	s.pool.New = func() any { return eng.CloneQuery() }
-	return s
-}
-
-// NewLocalMutableShard wraps a mutable engine as a writable shard client.
-func NewLocalMutableShard(name string, eng karl.MutableEngine) *LocalShard {
-	s := NewLocalShard(name, eng)
-	s.mut = eng
-	return s
-}
-
-// Name implements ShardClient.
-func (s *LocalShard) Name() string { return s.name }
-
-// Info implements ShardClient. It reads the live engine, so a mutable
-// shard's cardinality and weight masses track its writes.
-func (s *LocalShard) Info(ctx context.Context) (ShardInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return ShardInfo{}, err
-	}
-	wpos, wneg := s.eng.WeightMass()
-	k := s.eng.Kernel()
-	return ShardInfo{
-		Points: s.eng.Len(),
-		Dims:   s.eng.Dims(),
-		Kernel: k.Kind.String(),
-		Gamma:  k.Gamma,
-		WPos:   wpos,
-		WNeg:   wneg,
-	}, nil
-}
-
-// Healthy implements ShardClient; an in-process engine is always ready.
-func (s *LocalShard) Healthy(ctx context.Context) error { return ctx.Err() }
-
-// Aggregate implements ShardClient.
-func (s *LocalShard) Aggregate(ctx context.Context, q []float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	eng := s.pool.Get().(karl.QueryEngine)
-	defer s.pool.Put(eng)
-	v, _, err := eng.AggregateStats(q)
-	return v, err
-}
-
-// Bounds implements ShardClient. In-process refinement is not
-// interruptible mid-query; the context is honored at call boundaries,
-// which is enough for the sub-millisecond single-shard latencies this
-// backend exists for.
-func (s *LocalShard) Bounds(ctx context.Context, q []float64, eps float64) (Bounds, error) {
-	if err := ctx.Err(); err != nil {
-		return Bounds{}, err
-	}
-	eng := s.pool.Get().(karl.QueryEngine)
-	defer s.pool.Put(eng)
-	if eps > 0 {
-		v, st, err := eng.ApproximateStats(q, eps)
-		if err != nil {
-			return Bounds{}, err
-		}
-		return Bounds{Value: v, LB: st.LB, UB: st.UB}, nil
-	}
-	v, _, err := eng.AggregateStats(q)
-	if err != nil {
-		return Bounds{}, err
-	}
-	return Bounds{Value: v, LB: v, UB: v}, nil
-}
-
-// ThresholdBounds implements ShardClient.
-func (s *LocalShard) ThresholdBounds(ctx context.Context, q []float64, tau float64) (Bounds, error) {
-	if err := ctx.Err(); err != nil {
-		return Bounds{}, err
-	}
-	eng := s.pool.Get().(karl.QueryEngine)
-	defer s.pool.Put(eng)
-	_, st, err := eng.ThresholdStats(q, tau)
-	if err != nil {
-		return Bounds{}, err
-	}
-	return Bounds{Value: (st.LB + st.UB) / 2, LB: st.LB, UB: st.UB}, nil
-}
-
-// errReadOnly reports a write against a shard without a mutable engine.
-func (s *LocalShard) errReadOnly() error {
-	return fmt.Errorf("cluster: shard %s is read-only", s.name)
-}
-
-// Insert implements MutableShardClient.
-func (s *LocalShard) Insert(ctx context.Context, points [][]float64, weights []float64) ([]uint64, error) {
-	if s.mut == nil {
-		return nil, s.errReadOnly()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.mut.InsertBulk(points, weights)
-}
-
-// Delete implements MutableShardClient: a one-id DeleteMany.
-func (s *LocalShard) Delete(ctx context.Context, id uint64) error {
-	_, err := s.DeleteMany(ctx, []uint64{id})
-	return err
-}
-
-// DeleteMany implements MutableShardClient.
-func (s *LocalShard) DeleteMany(ctx context.Context, ids []uint64) (int, error) {
-	if s.mut == nil {
-		return 0, s.errReadOnly()
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	for i, id := range ids {
-		if err := s.mut.Delete(id); err != nil {
-			return i, err
-		}
-	}
-	return len(ids), nil
-}
-
-// WriteMass implements MutableShardClient from the live engine.
-func (s *LocalShard) WriteMass() (server.MassResponse, bool) {
-	if s.mut == nil {
-		return server.MassResponse{}, false
-	}
-	wpos, wneg := s.mut.WeightMass()
-	return server.MassResponse{Points: s.mut.Len(), WeightPos: wpos, WeightNeg: wneg}, true
-}
-
-// SplitOut implements MutableShardClient: the in-process form of segment
-// shipping. The moved half still travels through the engine persistence
-// format, so local and remote splits exercise the same wire unit.
-func (s *LocalShard) SplitOut(ctx context.Context, rule shard.SplitRule, auto bool) (SplitResult, error) {
-	if s.mut == nil {
-		return SplitResult{}, s.errReadOnly()
-	}
-	if err := ctx.Err(); err != nil {
-		return SplitResult{}, err
-	}
-	if auto && rule.Kind == shard.KDSplit {
-		dim, cut, err := s.mut.SplitPlane()
-		if err != nil {
-			return SplitResult{}, fmt.Errorf("cluster: shard %s: %w: %w", s.name, errRejected, err)
-		}
-		rule.Dim, rule.Cut = dim, cut
-	}
-	pred, err := rule.Pred()
-	if err != nil {
-		return SplitResult{}, fmt.Errorf("%w: %w", errRejected, err)
-	}
-	moved, err := s.mut.Split(pred)
-	if err != nil {
-		// Engine splits are atomic: an error means nothing moved.
-		return SplitResult{}, fmt.Errorf("cluster: shard %s: %w: %w", s.name, errRejected, err)
-	}
-	var buf bytes.Buffer
-	if _, err := moved.WriteTo(&buf); err != nil {
-		return SplitResult{}, fmt.Errorf("cluster: shard %s: serializing moved half: %w", s.name, err)
-	}
-	wpos, wneg := moved.WeightMass()
-	return SplitResult{
-		Rule: rule, Moved: buf.Bytes(), Fence: moved.NextSeq(),
-		Points: moved.Len(), WPos: wpos, WNeg: wneg,
-	}, nil
 }
 
 // HTTPShard speaks to a remote karl-serve instance over its JSON /v1/*
@@ -507,7 +322,14 @@ func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, fail
 		return fmt.Errorf("cluster: shard %s: %w", s.base, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	// A 200 is read whole: the peer is a configured member, and the replies
+	// that grow with its data — the moved half of a split, the ids of a bulk
+	// insert — are lost for good if cut. Only an error envelope is capped.
+	var rd io.Reader = resp.Body
+	if resp.StatusCode != http.StatusOK {
+		rd = io.LimitReader(rd, 1<<20)
+	}
+	body, err := io.ReadAll(rd)
 	if err != nil {
 		return fmt.Errorf("cluster: shard %s: read response: %w", s.base, err)
 	}
@@ -535,6 +357,9 @@ func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, fail
 				// The server 404s unknown point ids; surface the sentinel so
 				// delete routing can distinguish "not here" from "shard broken".
 				return fmt.Errorf("cluster: shard %s: %s: %w: %w", s.base, msg, errRejected, karl.ErrPointNotFound)
+			}
+			if resp.StatusCode == http.StatusUnprocessableEntity {
+				return fmt.Errorf("cluster: shard %s: %w", s.base, errNotFinite)
 			}
 			if resp.StatusCode >= 400 && resp.StatusCode < 500 {
 				// A 4xx means the server rejected the request before any side

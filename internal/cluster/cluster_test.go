@@ -58,43 +58,83 @@ func buildEngine(t testing.TB, pts [][]float64, w []float64, kern karl.Kernel, k
 	return eng
 }
 
-// shardedCoordinator splits an engine n ways under the given partition and
-// serves the pieces through in-process shard clients (each engine wrapped
-// by wrap when non-nil).
-func shardedCoordinator(t testing.TB, eng *karl.Engine, n int, part karl.PartitionKind, cfg Config, wrap func(karl.QueryEngine) karl.QueryEngine) *Coordinator {
+// listen serves h on a loopback listener that closes with the test and
+// returns the production client for it: the one way a test reaches a shard,
+// and the way a coordinator reaches karl-serve.
+func listen(t testing.TB, h http.Handler) *HTTPShard {
 	t.Helper()
-	shards, _, err := eng.Shard(n, part)
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return NewHTTPShard(ts.URL)
+}
+
+// readServer is the front door of a read-only shard (karl-serve -model).
+func readServer(t testing.TB, eng *karl.Engine) *server.Server {
+	t.Helper()
+	srv, err := server.New(eng)
 	if err != nil {
-		t.Fatalf("Shard: %v", err)
+		t.Fatalf("server.New: %v", err)
 	}
+	return srv
+}
+
+// httpCluster serves every shard engine through its own front door behind a
+// kill switch and returns the coordinator over them plus the switches.
+func httpCluster(t testing.TB, shards []*karl.Engine, cfg Config) (*Coordinator, []*downableHandler) {
+	t.Helper()
 	specs := make([]Shard, len(shards))
+	switches := make([]*downableHandler, len(shards))
 	for i, se := range shards {
-		var qe karl.QueryEngine = se
-		if wrap != nil {
-			qe = wrap(se)
-		}
-		specs[i] = Shard{Client: NewLocalShard(fmt.Sprintf("shard-%d", i), qe)}
+		switches[i] = &downableHandler{inner: readServer(t, se)}
+		specs[i] = Shard{Client: listen(t, switches[i])}
 	}
 	co, err := New(context.Background(), specs, cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	return co, switches
+}
+
+// shardedCoordinator splits an engine n ways under the given partition and
+// coordinates the pieces, each behind its own front door.
+func shardedCoordinator(t testing.TB, eng *karl.Engine, n int, part karl.PartitionKind, cfg Config) *Coordinator {
+	t.Helper()
+	shards, _, err := eng.Shard(n, part)
+	if err != nil {
+		t.Fatalf("Shard: %v", err)
+	}
+	co, _ := httpCluster(t, shards, cfg)
 	return co
 }
 
-// localCoordinator shards an engine four ways by hash.
-func localCoordinator(t testing.TB, eng *karl.Engine, cfg Config) *Coordinator {
+// boundsStats reads the bound-exchange counters of every shard of co from
+// the shards' own /v1/stats and returns their sum.
+func boundsStats(t testing.TB, co *Coordinator) server.EndpointStats {
 	t.Helper()
-	return shardedCoordinator(t, eng, 4, karl.HashPartition, cfg, nil)
+	var sum server.EndpointStats
+	for _, s := range co.shards {
+		var st server.StatsResponse
+		if err := s.client.(*HTTPShard).get(context.Background(), "/v1/stats", &st); err != nil {
+			t.Fatalf("GET /v1/stats: %v", err)
+		}
+		b := st.Endpoints["bounds"]
+		sum.Queries += b.Queries
+		sum.PointsScanned += b.PointsScanned
+		sum.ThresholdStopped += b.ThresholdStopped
+		sum.EpsStopped += b.EpsStopped
+	}
+	return sum
 }
 
 // TestCoordinatorEquivalence is the acceptance gate: across index
-// structures, query types and kernels, a 4-shard coordinator must agree
-// with the monolithic engine — exact aggregates within FP tolerance,
-// threshold verdicts equal away from ties, approximate answers within the
-// global ε.
+// structures, partitions, query types and kernels, a coordinator speaking
+// JSON to four front doors must agree with the monolithic engine — exact
+// aggregates within FP tolerance, threshold verdicts equal away from ties,
+// approximate answers within the global ε.
 func TestCoordinatorEquivalence(t *testing.T) {
 	kinds := map[string]karl.IndexKind{"kd": karl.KDTree, "ball": karl.BallTree}
+	// The hash split keeps the bare subtest name; the kd split adds a suffix.
+	parts := map[string]karl.PartitionKind{"": karl.HashPartition, "/kd-split": karl.KDPartition}
 	kernels := map[string]karl.Kernel{
 		"gaussian":     karl.Gaussian(0.5),
 		"epanechnikov": karl.Epanechnikov(0.2),
@@ -103,59 +143,61 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	const eps = 0.05
 	ctx := context.Background()
 	for kindName, kind := range kinds {
-		for _, typ := range []string{"I", "II", "III"} {
-			for kernName, kern := range kernels {
-				t.Run(fmt.Sprintf("%s/%s/%s", kindName, typ, kernName), func(t *testing.T) {
-					pts, w := dataset(400, 3, 7, typ)
-					mono := buildEngine(t, pts, w, kern, kind)
-					co := localCoordinator(t, mono, Config{})
+		for partName, part := range parts {
+			for _, typ := range []string{"I", "II", "III"} {
+				for kernName, kern := range kernels {
+					t.Run(fmt.Sprintf("%s/%s/%s%s", kindName, typ, kernName, partName), func(t *testing.T) {
+						pts, w := dataset(400, 3, 7, typ)
+						mono := buildEngine(t, pts, w, kern, kind)
+						co := shardedCoordinator(t, mono, 4, part, Config{})
 
-					queries, _ := dataset(5, 3, 11, "I")
-					for qi, q := range queries {
-						exact, err := mono.Aggregate(q)
-						if err != nil {
-							t.Fatalf("mono.Aggregate: %v", err)
-						}
-						scale := math.Max(math.Abs(exact), 1)
-
-						res, err := co.Aggregate(ctx, q)
-						if err != nil {
-							t.Fatalf("co.Aggregate: %v", err)
-						}
-						if res.Partial || res.Covered != 1 {
-							t.Fatalf("q%d: unexpected partial result %+v", qi, res)
-						}
-						if diff := math.Abs(res.Value - exact); diff > 1e-9*scale {
-							t.Errorf("q%d: aggregate %v, want %v (diff %g)", qi, res.Value, exact, diff)
-						}
-
-						// Thresholds placed away from the tie at the exact value.
-						margin := math.Max(0.05*math.Abs(exact), 1e-3)
-						for _, tau := range []float64{exact - margin, exact + margin} {
-							tr, err := co.Threshold(ctx, q, tau)
+						queries, _ := dataset(5, 3, 11, "I")
+						for qi, q := range queries {
+							exact, err := mono.Aggregate(q)
 							if err != nil {
-								t.Fatalf("q%d: co.Threshold(%v): %v", qi, tau, err)
+								t.Fatalf("mono.Aggregate: %v", err)
 							}
-							if want := exact > tau; tr.Over != want {
-								t.Errorf("q%d: threshold(%v) = %v, want %v (exact %v)", qi, tau, tr.Over, want, exact)
-							}
-							if tr.Partial {
-								t.Errorf("q%d: threshold unexpectedly partial", qi)
-							}
-						}
+							scale := math.Max(math.Abs(exact), 1)
 
-						ar, err := co.Approximate(ctx, q, eps)
-						if err != nil {
-							t.Fatalf("q%d: co.Approximate: %v", qi, err)
+							res, err := co.Aggregate(ctx, q)
+							if err != nil {
+								t.Fatalf("co.Aggregate: %v", err)
+							}
+							if res.Partial || res.Covered != 1 {
+								t.Fatalf("q%d: unexpected partial result %+v", qi, res)
+							}
+							if diff := math.Abs(res.Value - exact); diff > 1e-9*scale {
+								t.Errorf("q%d: aggregate %v, want %v (diff %g)", qi, res.Value, exact, diff)
+							}
+
+							// Thresholds placed away from the tie at the exact value.
+							margin := math.Max(0.05*math.Abs(exact), 1e-3)
+							for _, tau := range []float64{exact - margin, exact + margin} {
+								tr, err := co.Threshold(ctx, q, tau)
+								if err != nil {
+									t.Fatalf("q%d: co.Threshold(%v): %v", qi, tau, err)
+								}
+								if want := exact > tau; tr.Over != want {
+									t.Errorf("q%d: threshold(%v) = %v, want %v (exact %v)", qi, tau, tr.Over, want, exact)
+								}
+								if tr.Partial {
+									t.Errorf("q%d: threshold unexpectedly partial", qi)
+								}
+							}
+
+							ar, err := co.Approximate(ctx, q, eps)
+							if err != nil {
+								t.Fatalf("q%d: co.Approximate: %v", qi, err)
+							}
+							if tol := eps*math.Abs(exact) + 1e-9*scale; math.Abs(ar.Value-exact) > tol {
+								t.Errorf("q%d: approximate %v outside ±%g of %v", qi, ar.Value, tol, exact)
+							}
+							if ar.LB-1e-9*scale > exact || ar.UB+1e-9*scale < exact {
+								t.Errorf("q%d: exact %v outside certified [%v, %v]", qi, exact, ar.LB, ar.UB)
+							}
 						}
-						if tol := eps*math.Abs(exact) + 1e-9*scale; math.Abs(ar.Value-exact) > tol {
-							t.Errorf("q%d: approximate %v outside ±%g of %v", qi, ar.Value, tol, exact)
-						}
-						if ar.LB-1e-9*scale > exact || ar.UB+1e-9*scale < exact {
-							t.Errorf("q%d: exact %v outside certified [%v, %v]", qi, exact, ar.LB, ar.UB)
-						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}
@@ -230,10 +272,10 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
-	flaky := &flakyShard{ShardClient: NewLocalShard("flaky", shards[0])}
+	flaky := &flakyShard{ShardClient: listen(t, readServer(t, shards[0]))}
 	specs := []Shard{
 		{Client: flaky},
-		{Client: NewLocalShard("steady", shards[1])},
+		{Client: listen(t, readServer(t, shards[1]))},
 	}
 	co, err := New(context.Background(), specs, Config{Backoff: time.Millisecond})
 	if err != nil {
@@ -268,11 +310,11 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
-	slow := &flakyShard{ShardClient: NewLocalShard("slow-primary", shards[0]), delay: 200 * time.Millisecond}
-	replica := NewLocalShard("replica", shards[0])
+	slow := &flakyShard{ShardClient: listen(t, readServer(t, shards[0])), delay: 200 * time.Millisecond}
+	replica := listen(t, readServer(t, shards[0]))
 	specs := []Shard{
 		{Client: slow, Replicas: []ShardClient{replica}},
-		{Client: NewLocalShard("steady", shards[1])},
+		{Client: listen(t, readServer(t, shards[1]))},
 	}
 	co, err := New(context.Background(), specs, Config{HedgeMin: time.Millisecond})
 	if err != nil {
@@ -323,71 +365,6 @@ func (d *downableHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d.inner.ServeHTTP(w, r)
-}
-
-// httpCluster spins up one httptest server per shard engine and returns
-// the coordinator plus the kill switches.
-func httpCluster(t testing.TB, shards []*karl.Engine, cfg Config) (*Coordinator, []*downableHandler) {
-	t.Helper()
-	specs := make([]Shard, len(shards))
-	switches := make([]*downableHandler, len(shards))
-	for i, se := range shards {
-		srv, err := server.New(se)
-		if err != nil {
-			t.Fatalf("server.New: %v", err)
-		}
-		dh := &downableHandler{inner: srv}
-		ts := httptest.NewServer(dh)
-		t.Cleanup(ts.Close)
-		switches[i] = dh
-		specs[i] = Shard{Client: NewHTTPShard(ts.URL)}
-	}
-	co, err := New(context.Background(), specs, cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return co, switches
-}
-
-// TestCoordinatorHTTPEquivalence runs the equivalence check over real
-// HTTP shards: the coordinator speaking JSON to four karl-serve handlers
-// must match the monolithic engine.
-func TestCoordinatorHTTPEquivalence(t *testing.T) {
-	pts, w := dataset(400, 3, 13, "III")
-	mono := buildEngine(t, pts, w, karl.Gaussian(0.5), karl.KDTree)
-	shards, _, err := mono.Shard(4, karl.KDPartition)
-	if err != nil {
-		t.Fatalf("Shard: %v", err)
-	}
-	co, _ := httpCluster(t, shards, Config{})
-	ctx := context.Background()
-
-	queries, _ := dataset(5, 3, 17, "I")
-	for qi, q := range queries {
-		exact, _ := mono.Aggregate(q)
-		res, err := co.Aggregate(ctx, q)
-		if err != nil {
-			t.Fatalf("q%d: Aggregate: %v", qi, err)
-		}
-		if math.Abs(res.Value-exact) > 1e-9*math.Max(math.Abs(exact), 1) {
-			t.Errorf("q%d: aggregate %v, want %v", qi, res.Value, exact)
-		}
-		ar, err := co.Approximate(ctx, q, 0.05)
-		if err != nil {
-			t.Fatalf("q%d: Approximate: %v", qi, err)
-		}
-		if math.Abs(ar.Value-exact) > 0.05*math.Abs(exact)+1e-9 {
-			t.Errorf("q%d: approximate %v vs exact %v", qi, ar.Value, exact)
-		}
-		margin := math.Max(0.05*math.Abs(exact), 1e-3)
-		tr, err := co.Threshold(ctx, q, exact-margin)
-		if err != nil {
-			t.Fatalf("q%d: Threshold: %v", qi, err)
-		}
-		if !tr.Over {
-			t.Errorf("q%d: threshold below exact should be over", qi)
-		}
-	}
 }
 
 // TestCoordinatorChaos is the degraded-mode acceptance test: kill one
@@ -523,15 +500,16 @@ func TestCoordinatorValidation(t *testing.T) {
 	a := buildEngine(t, pts, nil, karl.Gaussian(1), karl.KDTree)
 	b := buildEngine(t, pts, nil, karl.Gaussian(2), karl.KDTree)
 
+	sa := listen(t, readServer(t, a))
 	_, err := New(context.Background(), []Shard{
-		{Client: NewLocalShard("a", a)},
-		{Client: NewLocalShard("b", b)},
+		{Client: sa},
+		{Client: listen(t, readServer(t, b))},
 	}, Config{})
 	if err == nil {
 		t.Fatal("mismatched kernels should fail construction")
 	}
 
-	co, err := New(context.Background(), []Shard{{Client: NewLocalShard("a", a)}}, Config{})
+	co, err := New(context.Background(), []Shard{{Client: sa}}, Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -550,10 +528,8 @@ func TestCoordinatorValidation(t *testing.T) {
 func TestHTTPServerSurface(t *testing.T) {
 	pts, _ := dataset(300, 3, 31, "II")
 	mono := buildEngine(t, pts, nil, karl.Gaussian(0.5), karl.KDTree)
-	co := localCoordinator(t, mono, Config{})
-	front := httptest.NewServer(NewHTTPServer(co))
-	t.Cleanup(front.Close)
-	fc := NewHTTPShard(front.URL)
+	co := shardedCoordinator(t, mono, 4, karl.HashPartition, Config{})
+	fc := listen(t, NewHTTPServer(co))
 	ctx := context.Background()
 
 	q := []float64{0.1, 0.2, -0.3}
@@ -578,7 +554,7 @@ func TestHTTPServerSurface(t *testing.T) {
 	}
 
 	// Stats surface includes one entry per shard.
-	resp, err := http.Get(front.URL + "/v1/stats")
+	resp, err := http.Get(fc.Name() + "/v1/stats")
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
@@ -594,7 +570,7 @@ func TestHTTPServerSurface(t *testing.T) {
 func BenchmarkCoordinatorParallel(b *testing.B) {
 	pts, _ := dataset(20000, 5, 41, "II")
 	mono := buildEngine(b, pts, nil, karl.Gaussian(0.2), karl.KDTree)
-	co := localCoordinator(b, mono, Config{})
+	co := shardedCoordinator(b, mono, 4, karl.HashPartition, Config{})
 	queries, _ := dataset(64, 5, 43, "I")
 	ctx := context.Background()
 	b.ResetTimer()

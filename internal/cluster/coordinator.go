@@ -25,6 +25,12 @@ var ErrIndeterminate = errors.New("cluster: threshold verdict indeterminate: unr
 // the one degradation with no honest partial form for value queries.
 var ErrUnavailable = errors.New("cluster: no shards reachable")
 
+// errNotFinite is a shard's 422: F_S(q) overflows float64 (a polynomial
+// kernel far from the data), and so does F_P(q). That is an answer, not a
+// failed shard — it is not retried and not left out of a partial sum:
+// Aggregate and Approximate return it, in the single node's words.
+var errNotFinite = errors.New("aggregate is not finite at this query")
+
 // Config tunes the coordinator's robustness and refinement behavior. The
 // zero value picks production defaults.
 type Config struct {
@@ -323,6 +329,9 @@ func (co *Coordinator) Aggregate(ctx context.Context, q []float64) (server.Resul
 	var failed []string
 	var firstErr error
 	for i, s := range co.shards {
+		if errors.Is(failures[i], errNotFinite) {
+			return server.Result{}, errNotFinite
+		}
 		if failures[i] != nil {
 			failed = append(failed, s.client.Name())
 			if firstErr == nil {
@@ -589,6 +598,7 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 	}
 
 	var mu sync.Mutex
+	notFinite := false
 	runRound := func(todo []int, exact bool) error {
 		co.exch.approximateRounds.Add(1)
 		scatter(todo, func(i int) {
@@ -602,11 +612,15 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
+				notFinite = notFinite || errors.Is(err, errNotFinite)
 				st[i].alive = false
 				return
 			}
 			st[i].apply(b)
 		})
+		if notFinite {
+			return errNotFinite
+		}
 		for _, i := range todo {
 			st[i].eps /= 4
 		}
@@ -715,9 +729,9 @@ func call[T any](ctx context.Context, co *Coordinator, s *shardState, fn func(co
 		return v, nil
 	}
 	var zero T
-	if ctx.Err() != nil {
-		// The caller cancelled (verdict reached, deadline): not a shard
-		// failure, no retry, no error counter.
+	if ctx.Err() != nil || errors.Is(err, errNotFinite) {
+		// The caller cancelled (verdict reached, deadline) or the shard's
+		// answer is an overflow: not a shard failure, no retry, no error counter.
 		return zero, err
 	}
 	for r := 0; r < co.cfg.Retries; r++ {

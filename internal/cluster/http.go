@@ -249,8 +249,8 @@ func (f *front) Delete(ctx context.Context, ids []uint64) (any, error) {
 // upstream gives a coordinator error its HTTP status and, when body is
 // non-nil, its reply body: indeterminate verdicts, total shard loss and
 // queries that kept straddling membership changes are upstream
-// availability problems (503), a point no member holds is a 404,
-// everything else is a bad request.
+// availability problems (503), a point no member holds is a 404, an
+// aggregate that overflowed on a shard a 422, everything else is a bad request.
 func upstream(err error, body any) error {
 	status := http.StatusBadRequest
 	switch {
@@ -260,6 +260,8 @@ func upstream(err error, body any) error {
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, karl.ErrPointNotFound):
 		status = http.StatusNotFound
+	case errors.Is(err, errNotFinite):
+		status = http.StatusUnprocessableEntity
 	}
 	return &server.Error{Status: status, Err: err, Body: body}
 }

@@ -27,39 +27,6 @@ type FollowerClient interface {
 	Promote(ctx context.Context) (MutableShardClient, error)
 }
 
-// LocalFollower serves an in-process replication applier as a
-// FollowerClient: reads come from the applier's engine through the usual
-// clone pool, promotion hands the engine over as a local mutable shard.
-type LocalFollower struct {
-	*LocalShard
-	applier *replica.Applier
-}
-
-// NewLocalFollower wraps an applier (driven elsewhere — the caller owns
-// its Sync/Run loop) as a follower client named name.
-func NewLocalFollower(name string, a *replica.Applier) *LocalFollower {
-	return &LocalFollower{LocalShard: NewLocalShard(name, a.Engine()), applier: a}
-}
-
-// Applier returns the wrapped applier (so the owner can drive catch-up).
-func (f *LocalFollower) Applier() *replica.Applier { return f.applier }
-
-// ReplicaStatus implements FollowerClient.
-func (f *LocalFollower) ReplicaStatus(ctx context.Context) (replica.Status, error) {
-	if err := ctx.Err(); err != nil {
-		return replica.Status{}, err
-	}
-	return f.applier.Status(), nil
-}
-
-// Promote implements FollowerClient.
-func (f *LocalFollower) Promote(ctx context.Context) (MutableShardClient, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return NewLocalMutableShard(f.Name(), f.applier.Promote()), nil
-}
-
 // ReplicaStatus makes HTTPShard a FollowerClient via GET
 // /v1/replicate/status — a karl-serve -replica-of process.
 func (s *HTTPShard) ReplicaStatus(ctx context.Context) (replica.Status, error) {

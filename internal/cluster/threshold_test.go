@@ -34,7 +34,7 @@ func TestThresholdEquivalence(t *testing.T) {
 					t.Run(fmt.Sprintf("%s%d/%s/%s", partName, n, typ, kernName), func(t *testing.T) {
 						pts, w := dataset(400, 3, 7, typ)
 						mono := buildEngine(t, pts, w, kern, karl.KDTree)
-						co := shardedCoordinator(t, mono, n, part, Config{}, nil)
+						co := shardedCoordinator(t, mono, n, part, Config{})
 						wpos, wneg := mono.WeightMass()
 						near := 1e-6 * (wpos + wneg)
 						for qi, q := range queries {
@@ -62,46 +62,17 @@ func TestThresholdEquivalence(t *testing.T) {
 	}
 }
 
-// countingEngine counts the points the wrapped engine scans, across all of
-// its clones.
-type countingEngine struct {
-	karl.QueryEngine
-	points *atomic.Int64
-}
-
-func (c countingEngine) ThresholdStats(q []float64, tau float64) (bool, karl.Stats, error) {
-	over, st, err := c.QueryEngine.ThresholdStats(q, tau)
-	c.points.Add(int64(st.PointsScanned))
-	return over, st, err
-}
-
-func (c countingEngine) ApproximateStats(q []float64, eps float64) (float64, karl.Stats, error) {
-	v, st, err := c.QueryEngine.ApproximateStats(q, eps)
-	c.points.Add(int64(st.PointsScanned))
-	return v, st, err
-}
-
-func (c countingEngine) AggregateStats(q []float64) (float64, karl.Stats, error) {
-	v, st, err := c.QueryEngine.AggregateStats(q)
-	c.points.Add(int64(st.PointsScanned))
-	return v, st, err
-}
-
-func (c countingEngine) CloneQuery() karl.QueryEngine {
-	return countingEngine{c.QueryEngine.CloneQuery(), c.points}
-}
-
 // TestThresholdWorkGate is the work gate of the threshold exchange, on the
 // cluster-rw benchmark's own fixture: 40 000 Type I points in 8 dimensions,
-// its 400 queries, τ = the mean of F over them, split over two shards. The
-// rounds repeat exactly, and so do the hash split's points (the kd split's
-// vary by about 1 % with which calls an early verdict cancels). Under the
-// ε-schedule this exchange replaced (every shard at ε = 0.5, then 0.125, …,
-// each round from scratch) the hash split cost 7 459 shard points and
-// 1.1125 rounds per TKAQ and the kd split 9 308 points and 1.1175 rounds,
-// measured at the parent commit on this fixture; handing each shard a τ of
-// its own must at least halve the points on the hash split without more
-// rounds. The kd split is logged, not gated: mass shares are the wrong first
+// its 400 queries, τ = the mean of F over them, split over two shards, the
+// work read off each shard's own /v1/stats. The rounds repeat exactly, and so
+// do the hash split's points (the kd split's vary by about 1 % with which
+// calls an early verdict cancels). Under the ε-schedule this exchange
+// replaced (every shard at ε = 0.5, then 0.125, …, each round from scratch)
+// the hash split cost 7 459 shard points and 1.1125 rounds per TKAQ and the
+// kd split 9 308 points and 1.1175 rounds, measured at the parent commit on
+// this fixture; handing each shard a τ of its own must at least halve the
+// points on the hash split without more rounds. The kd split is logged, not gated: mass shares are the wrong first
 // guess when one shard holds the whole answer, so it trades points for
 // rounds (DESIGN §7).
 func TestThresholdWorkGate(t *testing.T) {
@@ -138,10 +109,7 @@ func TestThresholdWorkGate(t *testing.T) {
 
 	ctx := context.Background()
 	measure := func(part karl.PartitionKind) (points, rounds float64) {
-		var scanned atomic.Int64
-		co := shardedCoordinator(t, mono, 2, part, Config{}, func(e karl.QueryEngine) karl.QueryEngine {
-			return countingEngine{e, &scanned}
-		})
+		co := shardedCoordinator(t, mono, 2, part, Config{})
 		for i, q := range queries {
 			tr, err := co.Threshold(ctx, q, tau)
 			if err != nil {
@@ -155,8 +123,13 @@ func TestThresholdWorkGate(t *testing.T) {
 		if ex.ThresholdQueries != int64(len(queries)) {
 			t.Fatalf("threshold_queries = %d, want %d", ex.ThresholdQueries, len(queries))
 		}
+		// Every call of a TKAQ is a bound exchange under the threshold rule.
+		work := boundsStats(t, co)
+		if work.Queries == 0 || work.ThresholdStopped != work.Queries || work.EpsStopped != 0 {
+			t.Fatalf("shards report %+v: want every bounds query stopped by its threshold", work)
+		}
 		n := float64(len(queries))
-		return float64(scanned.Load()) / n, float64(ex.ThresholdRounds) / n
+		return float64(work.PointsScanned) / n, float64(ex.ThresholdRounds) / n
 	}
 
 	points, rounds := measure(karl.HashPartition)
@@ -183,7 +156,7 @@ func TestApproximateOneRound(t *testing.T) {
 	queries, _ := dataset(60, 3, 29, "I")
 	ctx := context.Background()
 	for _, part := range []karl.PartitionKind{karl.HashPartition, karl.KDPartition} {
-		co := shardedCoordinator(t, mono, 2, part, Config{}, nil)
+		co := shardedCoordinator(t, mono, 2, part, Config{})
 		for _, eps := range []float64{0.05, 0.2} {
 			for i, q := range queries {
 				exact, err := mono.Aggregate(q)
@@ -255,7 +228,7 @@ func TestThresholdShardDiesMidExchange(t *testing.T) {
 	cluster := func() (*Coordinator, *dyingShard) {
 		specs := make([]Shard, len(shards))
 		for i, se := range shards {
-			specs[i] = Shard{Client: NewLocalShard(fmt.Sprintf("shard-%d", i), se)}
+			specs[i] = Shard{Client: listen(t, readServer(t, se))}
 		}
 		dying := &dyingShard{ShardClient: specs[victim].Client, first: Bounds{Value: deadF, LB: deadF - a, UB: deadF + a}}
 		specs[victim].Client = dying

@@ -16,13 +16,14 @@ import (
 	"karl/internal/shard"
 )
 
-// replicatedHTTPCluster builds an n-member writable cluster whose leaders
-// sit behind downable HTTP servers and whose followers are in-process
-// appliers pulling straight from the leader engines (the transport the
-// coordinator kills is the one the followers do NOT depend on, so a
-// "crashed" leader still has a caught-up copy to promote — exactly the
-// replication scenario). Returns the coordinator, the leader engines, the
-// kill switches and the appliers, index-aligned with member ids 1..n.
+// replicatedHTTPCluster builds an n-member writable cluster the way a
+// deployment does: every leader a mutable front door behind a kill switch,
+// every follower a front door of its own (karl-serve -replica-of) whose
+// applier pulls the leader's /v1/replicate/tail — so a killed leader is dead
+// to its follower too, and what gets promoted is the copy the follower held
+// at that moment. Returns the coordinator, the leader engines, the kill
+// switches and the appliers (the caller drives their catch-up), index-aligned
+// with member ids 1..n.
 func replicatedHTTPCluster(t *testing.T, n int, kern karl.Kernel) (*WritableCoordinator, []*karl.Engine, []*downableHandler, []*replica.Applier) {
 	t.Helper()
 	engines := make([]*karl.Engine, n)
@@ -31,22 +32,17 @@ func replicatedHTTPCluster(t *testing.T, n int, kern karl.Kernel) (*WritableCoor
 	founders := make([]WritableShard, n)
 	for i := range founders {
 		engines[i] = newDynEngine(t, kern, karl.KDTree)
-		srv, err := server.NewMutable(engines[i])
-		if err != nil {
-			t.Fatalf("server.NewMutable: %v", err)
-		}
-		switches[i] = &downableHandler{inner: srv}
-		ts := httptest.NewServer(switches[i])
-		t.Cleanup(ts.Close)
-		appliers[i] = replica.NewApplier(newDynEngine(t, kern, karl.KDTree),
-			replica.EngineSource{Eng: engines[i]})
+		switches[i] = &downableHandler{inner: mutableServer(t, engines[i])}
+		leader := listen(t, switches[i])
+		mirror := newDynEngine(t, kern, karl.KDTree)
+		appliers[i] = replica.NewApplier(mirror, replica.NewHTTPSource(leader.Name()))
 		founders[i] = WritableShard{
 			Name:      fmt.Sprintf("h%d", i),
-			Client:    NewHTTPShard(ts.URL),
-			Followers: []FollowerClient{NewLocalFollower(fmt.Sprintf("h%d-r", i), appliers[i])},
+			Client:    leader,
+			Followers: []FollowerClient{listen(t, mutableServer(t, mirror, server.WithReplicaApplier(appliers[i])))},
 		}
 	}
-	wco, err := NewWritable(context.Background(), shard.Hash, founders, localSpawn,
+	wco, err := NewWritable(context.Background(), shard.Hash, founders, httpSpawn(t),
 		WritableConfig{Config: Config{Timeout: 2 * time.Second, Backoff: time.Millisecond}})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
@@ -88,6 +84,7 @@ func TestWritableChaosPromotionMidSplit(t *testing.T) {
 	// Kill the member-2 leader, then ask it to split: the response is
 	// lost, the split is ambiguous, and failover must promote rather than
 	// quarantine.
+	follower := wco.Manifest().Member(2).Replicas[0].Name
 	epoch0 := wco.Epoch()
 	switches[1].down.Store(true)
 	if err := wco.Split(ctx, 2); err == nil {
@@ -126,11 +123,11 @@ func TestWritableChaosPromotionMidSplit(t *testing.T) {
 	// leader, and no longer records the promoted replica.
 	man := wco.Manifest()
 	mb := man.Member(2)
-	if mb == nil || mb.Name != "h1-r" || mb.Role != shard.RoleLeader {
-		t.Fatalf("promoted member = %+v, want id 2 named h1-r with role leader", mb)
+	if mb == nil || mb.Name != follower || mb.Role != shard.RoleLeader {
+		t.Fatalf("promoted member = %+v, want id 2 named %s with role leader", mb, follower)
 	}
 	for _, r := range mb.Replicas {
-		if r.Name == "h1-r" {
+		if r.Name == follower {
 			t.Fatalf("promoted follower must leave the replica set: %+v", mb.Replicas)
 		}
 	}
@@ -178,7 +175,7 @@ func TestWritableChaosPromotionMidSplit(t *testing.T) {
 	for _, m := range stats.Cluster.Members {
 		if m.ID == 2 {
 			seen = true
-			if m.Name != "h1-r" || m.Role != "leader" || m.Quarantined {
+			if m.Name != follower || m.Role != "leader" || m.Quarantined {
 				t.Fatalf("cluster block member 2 = %+v", m)
 			}
 		}

@@ -32,27 +32,43 @@ func newDynEngine(t testing.TB, kern karl.Kernel, kind karl.IndexKind) *karl.Eng
 	return d
 }
 
-// localSpawn installs a split-off member in-process: the moved half
-// arrives as a persistence stream (the same wire unit a remote spawner
-// would receive) and comes back as a local mutable shard.
-func localSpawn(_ context.Context, member shard.Member, moved []byte) (MutableShardClient, error) {
-	d, err := karl.ReadEngine(bytes.NewReader(moved))
+// mutableServer is the front door of a writable shard (karl-serve -mutable).
+func mutableServer(t testing.TB, d *karl.Engine, opts ...server.Option) *server.Server {
+	t.Helper()
+	srv, err := server.NewMutable(d, opts...)
 	if err != nil {
-		return nil, err
+		t.Fatalf("server.NewMutable: %v", err)
 	}
-	return NewLocalMutableShard(member.Name, d), nil
+	return srv
 }
 
-// foundWritable builds an n-member hash-routed writable cluster over
-// local mutable shards and returns it with the underlying engines.
+// httpSpawn installs a split-off member the way a remote spawner would: the
+// moved half is decoded from its persistence stream and served through a
+// front door of its own. A split may run off the test's goroutine, so errors
+// are returned, not fatal.
+func httpSpawn(t testing.TB) SpawnFunc {
+	return func(_ context.Context, _ shard.Member, moved []byte) (MutableShardClient, error) {
+		d, err := karl.ReadEngine(bytes.NewReader(moved))
+		if err != nil {
+			return nil, err
+		}
+		srv, err := server.NewMutable(d)
+		if err != nil {
+			return nil, err
+		}
+		return listen(t, srv), nil
+	}
+}
+
+// foundWritable builds an n-member hash-routed writable cluster, every member
+// a mutable engine behind its own front door, and returns it with the engines.
 func foundWritable(t testing.TB, n int, kern karl.Kernel, kind karl.IndexKind, spawn SpawnFunc, cfg WritableConfig) (*WritableCoordinator, []*karl.Engine) {
 	t.Helper()
 	engines := make([]*karl.Engine, n)
 	founders := make([]WritableShard, n)
 	for i := range founders {
 		engines[i] = newDynEngine(t, kern, kind)
-		name := fmt.Sprintf("shard-%d", i)
-		founders[i] = WritableShard{Name: name, Client: NewLocalMutableShard(name, engines[i])}
+		founders[i] = WritableShard{Name: fmt.Sprintf("shard-%d", i), Client: listen(t, mutableServer(t, engines[i]))}
 	}
 	wco, err := NewWritable(context.Background(), shard.Hash, founders, spawn, cfg)
 	if err != nil {
@@ -88,7 +104,7 @@ func TestWritableEquivalence(t *testing.T) {
 		for _, typ := range []string{"I", "II", "III"} {
 			for kernName, kern := range kernels {
 				t.Run(fmt.Sprintf("%s/%s/%s", kindName, typ, kernName), func(t *testing.T) {
-					wco, _ := foundWritable(t, 4, kern, kind, localSpawn, WritableConfig{})
+					wco, _ := foundWritable(t, 4, kern, kind, httpSpawn(t), WritableConfig{})
 					mono := newDynEngine(t, kern, kind)
 
 					// Wave 1: bulk insert, then a delete pass.
@@ -203,7 +219,7 @@ func TestWritableEquivalence(t *testing.T) {
 // and deleting a missing or twice-deleted id reports ErrPointNotFound.
 func TestWritableIDRouting(t *testing.T) {
 	ctx := context.Background()
-	wco, _ := foundWritable(t, 2, karl.Gaussian(1), karl.KDTree, localSpawn, WritableConfig{})
+	wco, _ := foundWritable(t, 2, karl.Gaussian(1), karl.KDTree, httpSpawn(t), WritableConfig{})
 	pts, _ := dataset(100, 2, 3, "I")
 	gids := mustInsert(t, wco, pts, nil)
 	for i, gid := range gids {
@@ -242,8 +258,8 @@ func TestWritableKDGrowth(t *testing.T) {
 	kern := karl.Gaussian(0.5)
 	root := newDynEngine(t, kern, karl.KDTree)
 	wco, err := NewWritable(ctx, shard.KDSplit,
-		[]WritableShard{{Name: "root", Client: NewLocalMutableShard("root", root)}},
-		localSpawn, WritableConfig{MinSplitPoints: 64, SplitFactor: 2})
+		[]WritableShard{{Name: "root", Client: listen(t, mutableServer(t, root))}},
+		httpSpawn(t), WritableConfig{MinSplitPoints: 64, SplitFactor: 2})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}
@@ -312,16 +328,10 @@ func TestWritableChaosMidSplit(t *testing.T) {
 	founders := make([]WritableShard, 2)
 	for i := range founders {
 		engines[i] = newDynEngine(t, kern, karl.KDTree)
-		srv, err := server.NewMutable(engines[i])
-		if err != nil {
-			t.Fatalf("server.NewMutable: %v", err)
-		}
-		switches[i] = &downableHandler{inner: srv}
-		ts := httptest.NewServer(switches[i])
-		t.Cleanup(ts.Close)
-		founders[i] = WritableShard{Name: fmt.Sprintf("h%d", i), Client: NewHTTPShard(ts.URL)}
+		switches[i] = &downableHandler{inner: mutableServer(t, engines[i])}
+		founders[i] = WritableShard{Name: fmt.Sprintf("h%d", i), Client: listen(t, switches[i])}
 	}
-	wco, err := NewWritable(ctx, shard.Hash, founders, localSpawn,
+	wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t),
 		WritableConfig{Config: Config{Timeout: 2 * time.Second, Backoff: time.Millisecond}})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
@@ -416,16 +426,10 @@ func TestWritableChaosMidSplit(t *testing.T) {
 // they were.
 func TestWritableSplitCleanRefusal(t *testing.T) {
 	ctx := context.Background()
-	d := newDynEngine(t, karl.Gaussian(1), karl.KDTree)
-	srv, err := server.NewMutable(d)
-	if err != nil {
-		t.Fatalf("server.NewMutable: %v", err)
-	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	solo := listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))
 	wco, err := NewWritable(ctx, shard.KDSplit,
-		[]WritableShard{{Name: "solo", Client: NewHTTPShard(ts.URL)}},
-		localSpawn, WritableConfig{})
+		[]WritableShard{{Name: "solo", Client: solo}},
+		httpSpawn(t), WritableConfig{})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}
@@ -462,17 +466,7 @@ func TestWritableSplitCleanRefusal(t *testing.T) {
 func TestWritableManifestPersistence(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "cluster.manifest")
-	engines := make([]*karl.Engine, 2)
-	founders := make([]WritableShard, 2)
-	for i := range founders {
-		engines[i] = newDynEngine(t, karl.Gaussian(1), karl.KDTree)
-		name := fmt.Sprintf("m%d", i)
-		founders[i] = WritableShard{Name: name, Client: NewLocalMutableShard(name, engines[i])}
-	}
-	wco, err := NewWritable(ctx, shard.Hash, founders, localSpawn, WritableConfig{ManifestPath: path})
-	if err != nil {
-		t.Fatalf("NewWritable: %v", err)
-	}
+	wco, _ := foundWritable(t, 2, karl.Gaussian(1), karl.KDTree, httpSpawn(t), WritableConfig{ManifestPath: path})
 	pts, _ := dataset(300, 2, 47, "I")
 	mustInsert(t, wco, pts, nil)
 	if err := wco.Split(ctx, 1); err != nil {
@@ -499,7 +493,7 @@ func TestWritableManifestPersistence(t *testing.T) {
 
 	// A fresh coordinator founding over the same path would write epoch 1
 	// behind the on-disk epoch 2 — refused as stale.
-	fresh := []WritableShard{{Name: "f", Client: NewLocalMutableShard("f", newDynEngine(t, karl.Gaussian(1), karl.KDTree))}}
+	fresh := []WritableShard{{Name: "f", Client: listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))}}
 	if _, err := NewWritable(ctx, shard.Hash, fresh, nil, WritableConfig{ManifestPath: path}); !errors.Is(err, shard.ErrStaleManifest) {
 		t.Fatalf("founding onto a newer manifest: err = %v, want ErrStaleManifest", err)
 	}
@@ -537,7 +531,7 @@ func doJSON(t *testing.T, method, url string, body any) (int, []byte) {
 // routed inserts and deletes next to the read surface, with cluster-global
 // ids on the wire.
 func TestWritableHTTPSurface(t *testing.T) {
-	wco, engines := foundWritable(t, 2, karl.Gaussian(1), karl.KDTree, localSpawn, WritableConfig{})
+	wco, engines := foundWritable(t, 2, karl.Gaussian(1), karl.KDTree, httpSpawn(t), WritableConfig{})
 	front := httptest.NewServer(NewWritableHTTPServer(wco))
 	t.Cleanup(front.Close)
 
@@ -614,7 +608,7 @@ func TestWritableHTTPSurface(t *testing.T) {
 // bulk inserts routed through a 4-shard hash coordinator, with automatic
 // splitting armed.
 func BenchmarkClusterInsertHeavy(b *testing.B) {
-	wco, _ := foundWritable(b, 4, karl.Gaussian(0.5), karl.KDTree, localSpawn,
+	wco, _ := foundWritable(b, 4, karl.Gaussian(0.5), karl.KDTree, httpSpawn(b),
 		WritableConfig{MinSplitPoints: 1 << 20})
 	pts, w := dataset(256, 5, 61, "II")
 	ctx := context.Background()
@@ -640,7 +634,7 @@ func TestWritableSplitHoldsReads(t *testing.T) {
 	spawn := func(ctx context.Context, member shard.Member, moved []byte) (MutableShardClient, error) {
 		close(entered) // SplitOut is done; the moved half is in flight
 		<-release
-		return localSpawn(ctx, member, moved)
+		return httpSpawn(t)(ctx, member, moved)
 	}
 	wco, _ := foundWritable(t, 2, karl.Gaussian(1), karl.KDTree, spawn, WritableConfig{})
 	pts, _ := dataset(300, 2, 71, "I")
@@ -690,18 +684,16 @@ func TestWritableResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cluster.manifest")
 	spawned := map[string]MutableShardClient{}
 	spawn := func(ctx context.Context, member shard.Member, moved []byte) (MutableShardClient, error) {
-		c, err := localSpawn(ctx, member, moved)
+		c, err := httpSpawn(t)(ctx, member, moved)
 		if err == nil {
-			spawned[member.Name] = c
+			spawned[c.Name()] = c // the manifest records a member under its client's own name
 		}
 		return c, err
 	}
-	engines := make([]*karl.Engine, 2)
 	founders := make([]WritableShard, 2)
 	for i := range founders {
-		engines[i] = newDynEngine(t, karl.Gaussian(1), karl.KDTree)
-		name := fmt.Sprintf("m%d", i)
-		founders[i] = WritableShard{Name: name, Client: NewLocalMutableShard(name, engines[i])}
+		d := newDynEngine(t, karl.Gaussian(1), karl.KDTree)
+		founders[i] = WritableShard{Name: fmt.Sprintf("m%d", i), Client: listen(t, mutableServer(t, d))}
 	}
 	wco, err := NewWritable(ctx, shard.Hash, founders, spawn, WritableConfig{ManifestPath: path})
 	if err != nil {
@@ -815,10 +807,9 @@ func TestWritableSplitProbeThrottled(t *testing.T) {
 		if err := d.Insert([]float64{float64(i), -float64(i)}, 1); err != nil {
 			t.Fatalf("seed insert: %v", err)
 		}
-		name := fmt.Sprintf("c%d", i)
-		founders[i] = WritableShard{Name: name, Client: infoCountingClient{NewLocalMutableShard(name, d), &infos}}
+		founders[i] = WritableShard{Name: fmt.Sprintf("c%d", i), Client: infoCountingClient{listen(t, mutableServer(t, d)), &infos}}
 	}
-	wco, err := NewWritable(ctx, shard.Hash, founders, localSpawn, WritableConfig{SplitCheckEvery: 64})
+	wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t), WritableConfig{SplitCheckEvery: 64})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}
@@ -857,8 +848,8 @@ func (c failingInsertClient) Insert(context.Context, [][]float64, []float64) ([]
 func TestWritableInsertPartialIDs(t *testing.T) {
 	ctx := context.Background()
 	founders := []WritableShard{
-		{Name: "ok", Client: NewLocalMutableShard("ok", newDynEngine(t, karl.Gaussian(1), karl.KDTree))},
-		{Name: "bad", Client: failingInsertClient{NewLocalMutableShard("bad", newDynEngine(t, karl.Gaussian(1), karl.KDTree))}},
+		{Name: "ok", Client: listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))},
+		{Name: "bad", Client: failingInsertClient{listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))}},
 	}
 	wco, err := NewWritable(ctx, shard.Hash, founders, nil, WritableConfig{})
 	if err != nil {
@@ -917,9 +908,7 @@ func TestWritableInsertPartialIDs(t *testing.T) {
 func TestHTTPShardBare404(t *testing.T) {
 	ctx := context.Background()
 	// No /v1/point route at all: the mux answers a bare text 404.
-	ts := httptest.NewServer(http.NewServeMux())
-	t.Cleanup(ts.Close)
-	err := NewHTTPShard(ts.URL).Delete(ctx, 7)
+	err := listen(t, http.NewServeMux()).Delete(ctx, 7)
 	if err == nil {
 		t.Fatal("delete against a route-less server must fail")
 	}
@@ -931,13 +920,8 @@ func TestHTTPShardBare404(t *testing.T) {
 	}
 	// The genuine unknown-id 404 still carries the envelope and maps to
 	// the sentinel the lineage chase relies on.
-	srv, err := server.NewMutable(newDynEngine(t, karl.Gaussian(1), karl.KDTree))
-	if err != nil {
-		t.Fatalf("server.NewMutable: %v", err)
-	}
-	ts2 := httptest.NewServer(srv)
-	t.Cleanup(ts2.Close)
-	if err := NewHTTPShard(ts2.URL).Delete(ctx, 12345); !errors.Is(err, karl.ErrPointNotFound) {
+	served := listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))
+	if err := served.Delete(ctx, 12345); !errors.Is(err, karl.ErrPointNotFound) {
 		t.Fatalf("enveloped 404: err = %v, want ErrPointNotFound", err)
 	}
 }
@@ -958,9 +942,8 @@ func TestWritableMassRefreshMultiSeed(t *testing.T) {
 	var infos atomic.Int64
 	founders := make([]WritableShard, 2)
 	for i := range founders {
-		name := fmt.Sprintf("m%d", i)
-		founders[i] = WritableShard{Name: name, Client: infoCountingClient{
-			NewLocalMutableShard(name, newDynEngine(t, kern, karl.KDTree)), &infos}}
+		founders[i] = WritableShard{Name: fmt.Sprintf("m%d", i), Client: infoCountingClient{
+			listen(t, mutableServer(t, newDynEngine(t, kern, karl.KDTree))), &infos}}
 	}
 	wco, err := NewWritable(ctx, shard.Hash, founders, nil, WritableConfig{})
 	if err != nil {
@@ -1047,41 +1030,27 @@ func (c deleteCountingClient) DeleteMany(ctx context.Context, ids []uint64) (int
 	return c.MutableShardClient.DeleteMany(ctx, ids)
 }
 
-// httpMutableShard serves a dynamic engine through a real mutable shard
-// server and returns an HTTP client for it, so the test covers the wire
-// form of bulk deletes and mass-carrying replies.
-func httpMutableShard(t *testing.T, d *karl.Engine) *HTTPShard {
-	t.Helper()
-	srv, err := server.NewMutable(d)
-	if err != nil {
-		t.Fatalf("server.NewMutable: %v", err)
-	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return NewHTTPShard(ts.URL)
-}
-
-// TestWritableDeleteManyPerMember pins the bulk-delete protocol over HTTP
-// shards: ids spanning members cost one shard call per member, a missing
-// id mid-batch stops the request with an honest count and the failing id
-// (through the API and on the wire), and ids a split moved away are
-// chased down their lineage without disturbing the rest of their batch.
+// TestWritableDeleteManyPerMember pins the bulk-delete protocol: ids
+// spanning members cost one shard call per member, a missing id mid-batch
+// stops the request with an honest count and the failing id (through the
+// API and on the wire), and ids a split moved away are chased down their
+// lineage without disturbing the rest of their batch.
 func TestWritableDeleteManyPerMember(t *testing.T) {
 	ctx := context.Background()
 	var single, bulk atomic.Int64
-	counted := func(d *karl.Engine) MutableShardClient {
-		return deleteCountingClient{httpMutableShard(t, d), &single, &bulk}
+	counted := func(c MutableShardClient) MutableShardClient {
+		return deleteCountingClient{c, &single, &bulk}
 	}
 	founders := make([]WritableShard, 2)
 	for i := range founders {
-		founders[i] = WritableShard{Name: fmt.Sprintf("m%d", i), Client: counted(newDynEngine(t, karl.Gaussian(1), karl.KDTree))}
+		founders[i] = WritableShard{Name: fmt.Sprintf("m%d", i), Client: counted(listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree))))}
 	}
-	spawn := func(_ context.Context, _ shard.Member, moved []byte) (MutableShardClient, error) {
-		d, err := karl.ReadEngine(bytes.NewReader(moved))
+	spawn := func(ctx context.Context, member shard.Member, moved []byte) (MutableShardClient, error) {
+		c, err := httpSpawn(t)(ctx, member, moved)
 		if err != nil {
 			return nil, err
 		}
-		return counted(d), nil
+		return counted(c), nil
 	}
 	wco, err := NewWritable(ctx, shard.Hash, founders, spawn, WritableConfig{})
 	if err != nil {
@@ -1208,4 +1177,84 @@ func TestWritableDeleteManyPerMember(t *testing.T) {
 	}
 	live = 0
 	checkPoints("everything deleted")
+}
+
+// TestWritableSplitLargeMember splits a member whose moved half (20 000 d=8
+// points, ≈ 2.4 MB as base64 JSON) is larger than the 1 MiB at which the
+// shard client used to cut every reply: the source had dropped the half by
+// then, so the cut lost it and took the member offline. Every point must
+// still be held by a member that answers, and answers must not move.
+func TestWritableSplitLargeMember(t *testing.T) {
+	ctx := context.Background()
+	pts, _ := dataset(40000, 8, 91, "I")
+	root, err := karl.Build(pts, karl.Gaussian(0.05))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	const eps = 0.05
+	queries, _ := dataset(8, 8, 92, "I")
+	want := make([]float64, len(queries))
+	for i, q := range queries {
+		if want[i], err = root.Aggregate(q); err != nil {
+			t.Fatalf("Aggregate: %v", err)
+		}
+	}
+	wco, err := NewWritable(ctx, shard.KDSplit,
+		[]WritableShard{{Name: "root", Client: listen(t, mutableServer(t, root))}},
+		httpSpawn(t), WritableConfig{MinSplitPoints: 1 << 20})
+	if err != nil {
+		t.Fatalf("NewWritable: %v", err)
+	}
+	if err := wco.Split(ctx, 1); err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	moved := wco.Manifest().Member(2)
+	if wco.Quarantines() != 0 || moved == nil || moved.Points < len(pts)/4 || root.Len()+moved.Points != len(pts) {
+		t.Fatalf("after the split: source holds %d, moved member %+v, %d quarantines; want %d points between two live members",
+			root.Len(), moved, wco.Quarantines(), len(pts))
+	}
+	if wco.Points() != len(pts) {
+		t.Fatalf("coordinator reports %d points, want %d", wco.Points(), len(pts))
+	}
+	for i, q := range queries {
+		res, err := wco.Approximate(ctx, q, eps)
+		if err != nil || res.Partial || res.Covered != 1 {
+			t.Fatalf("q%d: Approximate = %+v, %v; want a whole answer", i, res, err)
+		}
+		if math.Abs(res.Value-want[i]) > eps*want[i]*(1+1e-9) {
+			t.Errorf("q%d: eKAQ %v, monolithic aggregate %v", i, res.Value, want[i])
+		}
+	}
+}
+
+// TestWritableInsertLargeBatch inserts 200 000 points in one request: the
+// member's reply (their ids, ≈ 1.3 MB) used to be cut at 1 MiB after every
+// point had landed, so the caller got an error and no id — orphans nobody
+// could delete. All ids must come back, in input order.
+func TestWritableInsertLargeBatch(t *testing.T) {
+	ctx := context.Background()
+	d, err := karl.NewDynamic(karl.Gaussian(1))
+	if err != nil {
+		t.Fatalf("NewDynamic: %v", err)
+	}
+	wco, err := NewWritable(ctx, shard.Hash,
+		[]WritableShard{{Name: "solo", Client: listen(t, mutableServer(t, d))}},
+		nil, WritableConfig{MinSplitPoints: 1 << 20})
+	if err != nil {
+		t.Fatalf("NewWritable: %v", err)
+	}
+	pts, _ := dataset(200000, 2, 93, "I")
+	gids := mustInsert(t, wco, pts, nil)
+	if len(gids) != len(pts) || d.Len() != len(pts) || wco.Points() != len(pts) {
+		t.Fatalf("%d ids for %d points; the member holds %d, the coordinator reports %d", len(gids), len(pts), d.Len(), wco.Points())
+	}
+	_, first := DecodeID(gids[0])
+	for i, gid := range gids {
+		if mid, seq := DecodeID(gid); mid != 1 || seq != first+uint64(i) {
+			t.Fatalf("id %d decodes to member %d seq %d, want member 1 seq %d", i, mid, seq, first+uint64(i))
+		}
+	}
+	if err := wco.Delete(ctx, gids[len(gids)-1]); err != nil {
+		t.Fatalf("deleting the last id: %v", err)
+	}
 }

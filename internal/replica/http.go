@@ -33,20 +33,6 @@ func NewHTTPSource(baseURL string) *HTTPSource {
 	}}
 }
 
-// Status implements Source via GET /v1/replicate/status.
-func (s *HTTPSource) Status(ctx context.Context) (Status, error) {
-	resp, err := s.get(ctx, "/v1/replicate/status")
-	if err != nil {
-		return Status{}, err
-	}
-	defer resp.Body.Close()
-	var st Status
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&st); err != nil {
-		return Status{}, fmt.Errorf("replica: leader %s: decode status: %w", s.base, err)
-	}
-	return st, nil
-}
-
 // Pull implements Source via GET /v1/replicate/tail?have=…, whose body is
 // the block stream itself; 304 Not Modified is the leader saying it stands
 // where have does.

@@ -48,7 +48,7 @@ func TestFirstPullAdoptsLeaderConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	pooled := follower.Clone()
-	a := replica.NewApplier(follower, replica.EngineSource{Eng: leader})
+	a := replica.NewApplier(follower, replica.NewHTTPSource(serve(t, leader)))
 	if err := a.CatchUp(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +67,16 @@ func TestFirstPullAdoptsLeaderConfig(t *testing.T) {
 
 // damagedSource hands the applier its leader's stream after damage.
 type damagedSource struct {
-	replica.EngineSource
+	replica.Source
 	damage func([]byte) []byte
 }
 
 func (s *damagedSource) Pull(ctx context.Context, have karl.ReplicaHave) (io.ReadCloser, error) {
-	rc, err := s.EngineSource.Pull(ctx, have)
+	rc, err := s.Source.Pull(ctx, have)
 	if err != nil || rc == nil || s.damage == nil {
 		return rc, err
 	}
+	defer rc.Close()
 	data, _ := io.ReadAll(rc)
 	return io.NopCloser(bytes.NewReader(s.damage(data))), nil
 }
@@ -87,7 +88,7 @@ func (s *damagedSource) Pull(ctx context.Context, have karl.ReplicaHave) (io.Rea
 func TestApplierRefusedRoundChangesNothing(t *testing.T) {
 	leader, follower := mkEngine(t), mkEngine(t)
 	ids := loadLeader(t, leader, 100, 87)
-	src := &damagedSource{EngineSource: replica.EngineSource{Eng: leader}}
+	src := &damagedSource{Source: replica.NewHTTPSource(serve(t, leader))}
 	a := replica.NewApplier(follower, src)
 	ctx := context.Background()
 	if err := a.Sync(ctx); err != nil {
@@ -132,7 +133,8 @@ func TestApplierRefusedRoundChangesNothing(t *testing.T) {
 func TestApplierRunSyncsAtOnce(t *testing.T) {
 	leader, follower := mkEngine(t), mkEngine(t)
 	loadLeader(t, leader, 80, 89)
-	a := replica.NewApplier(follower, replica.EngineSource{Eng: leader})
+	src := replica.NewHTTPSource(serve(t, leader))
+	a := replica.NewApplier(follower, src)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- a.Run(ctx, time.Hour) }()
@@ -144,7 +146,7 @@ func TestApplierRunSyncsAtOnce(t *testing.T) {
 	cancel()
 	<-done
 	checkConverged(t, leader, follower)
-	rc, err := replica.EngineSource{Eng: leader}.Pull(context.Background(), follower.Have())
+	rc, err := src.Pull(context.Background(), follower.Have())
 	if err != nil || rc != nil {
 		t.Fatalf("pull against an unchanged leader: stream %v, error %v; want neither", rc, err)
 	}

@@ -16,13 +16,11 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"karl"
@@ -77,11 +75,10 @@ func (s Status) Lag() uint64 {
 	return 0
 }
 
-// Source is the follower's view of its leader. EngineSource serves an
-// in-process leader, HTTPSource a remote one over /v1/replicate/*.
+// Source is the follower's view of its leader: HTTPSource, over the leader's
+// /v1/replicate/* endpoints. It is an interface so that a test can damage or
+// delay what the leader sent.
 type Source interface {
-	// Status reports the leader's replication counters.
-	Status(ctx context.Context) (Status, error)
 	// Pull streams the leader's engine with the segments have names elided
 	// (Engine.WriteSnapshot). A nil stream means the leader stands exactly
 	// where have says the follower does. The caller closes the stream.
@@ -97,32 +94,6 @@ func leaderStatus(eng *karl.Engine) Status {
 		Points:    eng.Len(),
 		Epoch:     eng.Epoch(),
 	}
-}
-
-// EngineSource feeds a follower from an in-process leader engine — the
-// Feeder half of the subsystem for single-process clusters and tests.
-type EngineSource struct {
-	Eng *karl.Engine
-}
-
-// Status implements Source.
-func (s EngineSource) Status(ctx context.Context) (Status, error) {
-	if err := ctx.Err(); err != nil {
-		return Status{}, err
-	}
-	return leaderStatus(s.Eng), nil
-}
-
-// Pull implements Source.
-func (s EngineSource) Pull(ctx context.Context, have karl.ReplicaHave) (io.ReadCloser, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if n, err := s.Eng.WriteSnapshot(&buf, have); err != nil || n == 0 {
-		return nil, err
-	}
-	return io.NopCloser(&buf), nil
 }
 
 // ErrPromoted reports a sync attempt against an applier that has been
@@ -145,8 +116,6 @@ type Applier struct {
 	state     string
 	promoted  bool
 	lastErr   string
-
-	syncs atomic.Int64
 }
 
 // NewApplier wraps a follower engine. It need not be empty nor configured
@@ -155,9 +124,6 @@ type Applier struct {
 func NewApplier(eng *karl.Engine, src Source) *Applier {
 	return &Applier{eng: eng, src: src, state: StateSnapshot}
 }
-
-// Engine returns the follower engine (for serving reads).
-func (a *Applier) Engine() *karl.Engine { return a.eng }
 
 // BootstrapFromSnapshot does nothing: every round is the leader's snapshot
 // minus what the follower holds, so there is no other way to start. It
@@ -204,7 +170,6 @@ func (a *Applier) syncLocked(ctx context.Context) error {
 	}
 	a.leaderSeq = a.eng.NextSeq()
 	a.state = StateLive
-	a.syncs.Add(1)
 	return nil
 }
 
@@ -273,9 +238,6 @@ func (a *Applier) Promoted() bool {
 	defer a.mu.Unlock()
 	return a.promoted
 }
-
-// Syncs returns the number of completed sync rounds.
-func (a *Applier) Syncs() int64 { return a.syncs.Load() }
 
 // Status reports the follower's replication status (Role flips to
 // "leader" after promotion).

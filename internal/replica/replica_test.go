@@ -27,6 +27,20 @@ func mkEngine(t *testing.T) *karl.Engine {
 	return d
 }
 
+// serve puts eng behind a mutable front door on a loopback listener that
+// closes with the test and returns its base URL: every leader and follower
+// here is reached the way karl-serve's are.
+func serve(t *testing.T, eng *karl.Engine, opts ...server.Option) string {
+	t.Helper()
+	srv, err := server.NewMutable(eng, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
 // loadLeader fills an engine with a deterministic insert/delete mix and
 // returns the surviving ids.
 func loadLeader(t *testing.T, d *karl.Engine, n int, seed int64) []uint64 {
@@ -85,12 +99,13 @@ func checkConverged(t *testing.T, leader, follower *karl.Engine) {
 	}
 }
 
-// TestApplierCatchUp drives a fresh follower live through EngineSource,
-// keeps it converged across further writes, and pins the Status surface.
+// TestApplierCatchUp drives a fresh follower live through its leader's
+// /v1/replicate/tail, keeps it converged across further writes — pulls that
+// elide the segments it holds — and pins the Status surface.
 func TestApplierCatchUp(t *testing.T) {
 	leader, follower := mkEngine(t), mkEngine(t)
 	ids := loadLeader(t, leader, 120, 81)
-	a := replica.NewApplier(follower, replica.EngineSource{Eng: leader})
+	a := replica.NewApplier(follower, replica.NewHTTPSource(serve(t, leader)))
 
 	ctx := context.Background()
 	if err := a.CatchUp(ctx); err != nil {
@@ -125,9 +140,6 @@ func TestApplierCatchUp(t *testing.T) {
 	if st := a.Status(); st.Fence != leader.NextSeq()-1 || st.DeletePos != uint64(leader.Deletes()) || st.Epoch != leader.Epoch() {
 		t.Fatalf("status after a steady-state round: %+v", st)
 	}
-	if a.Syncs() == 0 {
-		t.Fatal("no syncs counted")
-	}
 }
 
 // TestApplierPromote checks the handover: a promoted applier refuses
@@ -135,7 +147,7 @@ func TestApplierCatchUp(t *testing.T) {
 func TestApplierPromote(t *testing.T) {
 	leader, follower := mkEngine(t), mkEngine(t)
 	loadLeader(t, leader, 60, 83)
-	a := replica.NewApplier(follower, replica.EngineSource{Eng: leader})
+	a := replica.NewApplier(follower, replica.NewHTTPSource(serve(t, leader)))
 	if err := a.CatchUp(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +199,7 @@ func TestApplierLiveUnderLeaderRewrites(t *testing.T) {
 	leader, follower := mk(), mk()
 	defer leader.Close()
 	defer follower.Close()
-	a := replica.NewApplier(follower, replica.EngineSource{Eng: leader})
+	a := replica.NewApplier(follower, replica.NewHTTPSource(serve(t, leader)))
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(86))
 	var live []uint64
@@ -226,7 +238,7 @@ func TestApplierLiveUnderLeaderRewrites(t *testing.T) {
 func TestApplierRunUnderWrites(t *testing.T) {
 	leader, follower := mkEngine(t), mkEngine(t)
 	loadLeader(t, leader, 50, 84)
-	a := replica.NewApplier(follower, replica.EngineSource{Eng: leader})
+	a := replica.NewApplier(follower, replica.NewHTTPSource(serve(t, leader)))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan struct{})
@@ -277,10 +289,10 @@ func TestApplierRunUnderWrites(t *testing.T) {
 	checkConverged(t, leader, follower)
 }
 
-// TestHTTPSourceRoundTrip runs the full wire protocol: a leader behind
-// server.NewMutable (a reloaded engine: a leader that restarted), a follower
-// pulling through HTTPSource — the first pull, a later one, status, and
-// follower-side write refusal until promotion over HTTP.
+// TestHTTPSourceRoundTrip runs the roles over the wire: a leader that
+// restarted (a reloaded engine) reporting its status, a follower pulling it,
+// and the follower's own front door — write refusal until promotion over
+// HTTP.
 func TestHTTPSourceRoundTrip(t *testing.T) {
 	seed := mkEngine(t)
 	loadLeader(t, seed, 90, 86)
@@ -292,50 +304,35 @@ func TestHTTPSourceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaderSrv, err := server.NewMutable(leader)
-	if err != nil {
-		t.Fatal(err)
+	leaderURL := serve(t, leader)
+	status := func(base string) (st replica.Status) {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/replicate/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	lts := httptest.NewServer(leaderSrv)
-	defer lts.Close()
-
-	src := replica.NewHTTPSource(lts.URL)
-	st, err := src.Status(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Role != "leader" || st.NextSeq != leader.NextSeq() {
+	if st := status(leaderURL); st.Role != "leader" || st.NextSeq != leader.NextSeq() {
 		t.Fatalf("leader status over HTTP: %+v", st)
 	}
 
 	follower := mkEngine(t)
-	a := replica.NewApplier(follower, src)
+	a := replica.NewApplier(follower, replica.NewHTTPSource(leaderURL))
 	if err := a.CatchUp(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	checkConverged(t, leader, follower)
 
-	// A pull that elides the segments held, over the wire.
-	for i := 0; i < 40; i++ {
-		if _, err := leader.InsertID([]float64{0.01 * float64(i), 0.6}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	checkConverged(t, leader, follower)
-
 	// Follower-side server: writes refused with 409 until promotion.
-	followerSrv, err := server.NewMutable(follower, server.WithReplicaApplier(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fts := httptest.NewServer(followerSrv)
-	defer fts.Close()
+	followerURL := serve(t, follower, server.WithReplicaApplier(a))
 
 	insertBody := `{"p":[0.5,0.5],"w":1}`
-	resp, err := http.Post(fts.URL+"/v1/insert", "application/json", strings.NewReader(insertBody))
+	resp, err := http.Post(followerURL+"/v1/insert", "application/json", strings.NewReader(insertBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,21 +342,12 @@ func TestHTTPSourceRoundTrip(t *testing.T) {
 	}
 
 	// The follower serves its own replication status over HTTP.
-	resp, err = http.Get(fts.URL + "/v1/replicate/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fst replica.Status
-	if err := json.NewDecoder(resp.Body).Decode(&fst); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if fst.Role != "follower" || fst.State != "live" {
+	if fst := status(followerURL); fst.Role != "follower" || fst.State != "live" {
 		t.Fatalf("follower status over HTTP: %+v", fst)
 	}
 
 	// Promote over HTTP; writes open up.
-	resp, err = http.Post(fts.URL+"/v1/replicate/promote", "application/json", nil)
+	resp, err = http.Post(followerURL+"/v1/replicate/promote", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +358,7 @@ func TestHTTPSourceRoundTrip(t *testing.T) {
 	if !a.Promoted() {
 		t.Fatal("applier not promoted after POST /v1/replicate/promote")
 	}
-	resp, err = http.Post(fts.URL+"/v1/insert", "application/json", strings.NewReader(insertBody))
+	resp, err = http.Post(followerURL+"/v1/insert", "application/json", strings.NewReader(insertBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +368,7 @@ func TestHTTPSourceRoundTrip(t *testing.T) {
 	}
 
 	// Promoting a pure leader is a 409.
-	resp, err = http.Post(lts.URL+"/v1/replicate/promote", "application/json", nil)
+	resp, err = http.Post(leaderURL+"/v1/replicate/promote", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
