@@ -220,17 +220,20 @@ func TestSketchAndShardReadLiveRows(t *testing.T) {
 	}
 	sameAnswers("sketch", skDirty, skFresh)
 
-	shDirty, manDirty, err := dirty.Shard(3, KDPartition)
+	shDirty, err := dirty.Shard(3, KDPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shFresh, manFresh, err := fresh.Shard(3, KDPartition)
+	shFresh, err := fresh.Shard(3, KDPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range shDirty {
-		if manDirty.Shards[i] != manFresh.Shards[i] {
-			t.Fatalf("shard %d: manifest %+v vs %+v", i, manDirty.Shards[i], manFresh.Shards[i])
+		dp, dn := shDirty[i].WeightMass()
+		fp, fn := shFresh[i].WeightMass()
+		if shDirty[i].Len() != shFresh[i].Len() || dp != fp || dn != fn {
+			t.Fatalf("shard %d: %d points W⁺=%v W⁻=%v vs %d points W⁺=%v W⁻=%v",
+				i, shDirty[i].Len(), dp, dn, shFresh[i].Len(), fp, fn)
 		}
 		sameAnswers("shard", shDirty[i], shFresh[i])
 	}

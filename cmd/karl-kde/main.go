@@ -148,25 +148,8 @@ func loadPoints(in, synthetic string) (*vec.Matrix, error) {
 		defer f.Close()
 		r = f
 	}
-	var rows [][]float64
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		row := make([]float64, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("parse %q: %w", f, err)
-			}
-			row[i] = v
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
+	rows, err := dataset.ReadRows(r)
+	if err != nil {
 		return nil, err
 	}
 	if len(rows) == 0 {

@@ -15,10 +15,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"karl"
+	"karl/internal/dataset"
 )
 
 func main() {
@@ -54,42 +53,28 @@ func main() {
 	}
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		q := make([]float64, len(fields))
-		for i, fv := range fields {
-			v, err := strconv.ParseFloat(fv, 64)
-			if err != nil {
-				fatal(fmt.Errorf("line %d: parse %q: %w", line, fv, err))
-			}
-			q[i] = v
-		}
+	err = dataset.ScanRows(r, func(line int, q []float64) error {
 		positive, err := model.Classify(q)
 		if err != nil {
-			fatal(fmt.Errorf("line %d: %w", line, err))
+			return fmt.Errorf("line %d: %w", line, err)
 		}
 		label := -1
 		if positive {
 			label = 1
 		}
-		if *values {
-			d, err := model.Decision(q)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(w, "%+d %.6g\n", label, d)
-		} else {
-			fmt.Fprintf(w, "%+d\n", label)
+		if !*values {
+			_, err = fmt.Fprintf(w, "%+d\n", label)
+			return err
 		}
-	}
-	if err := sc.Err(); err != nil {
+		d, err := model.Decision(q)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(w, "%+d %.6g\n", label, d)
+		return err
+	})
+	if err != nil {
+		w.Flush()
 		fatal(err)
 	}
 }

@@ -49,30 +49,27 @@
 //
 //	karl-serve -coordinator -shards http://s0:8080,http://s1:8080 -addr :9090
 //
-// Each -shards entry may carry replicas after "|"
-// (http://s0:8080|http://s0b:8080); replicas serve hedged and retried
-// requests. The coordinator exposes the same /v1/* query surface plus
-// per-shard latency/error/retry/hedge counters in GET /v1/stats, and
-// degrades to explicit partial results ("partial": true with the
-// covered-weight fraction) when shards are unreachable.
-//
-// Combining -coordinator with -mutable serves a writable cluster: each
-// shard must itself be a -mutable karl-serve, and the coordinator routes
-// POST /v1/insert and DELETE /v1/point to the owning shard through a
-// -partition manifest (hash slots over any shard count, or kd which must
-// start from exactly one shard). Returned point ids are cluster-global.
-// -manifest persists the epoch-versioned routing table: when the file
-// already exists at startup the coordinator resumes from it — epoch,
-// routing and split lineage carry over, the -shards clients re-attach to
-// the persisted members by URL, and previously issued point ids keep
-// resolving; a fresh epoch-1 cluster is founded only when the file is
-// absent:
+// The coordinator exposes the same /v1/* query surface plus per-shard
+// latency/error/retry/hedge counters in GET /v1/stats, and degrades to
+// explicit partial results ("partial": true with the covered-weight
+// fraction) when shards are unreachable. As on a single node, -mutable
+// decides which routes exist: with it the coordinator also routes POST
+// /v1/insert and DELETE /v1/point to the owning shard — each shard must
+// itself be a -mutable karl-serve — through a -partition manifest (hash
+// slots over any shard count, or kd which must start from exactly one
+// shard). Returned point ids are cluster-global. -manifest persists the
+// epoch-versioned routing table: when the file already exists at startup the
+// coordinator resumes from it — epoch, routing and split lineage carry over,
+// the -shards clients re-attach to the persisted members by URL, and
+// previously issued point ids keep resolving; a fresh epoch-1 cluster is
+// founded only when the file is absent:
 //
 //	karl-serve -coordinator -mutable -partition hash \
 //	    -shards http://s0:8080,http://s1:8080 -manifest cluster.manifest
 //
-// In writable mode a |url replica names a REPLICATION FOLLOWER of its
-// shard — a karl-serve started with -replica-of pointing at the leader:
+// A |url after a -shards entry names a REPLICATION FOLLOWER of that shard —
+// a karl-serve started with -replica-of pointing at the leader, which is
+// therefore a -mutable karl-serve, whether or not the coordinator is:
 //
 //	karl-serve -mutable -replica-of http://s0:8080 -addr :8081   # follower
 //	karl-serve -coordinator -mutable \
@@ -83,9 +80,11 @@
 // and recovers from any interruption the same way, adopting the leader's
 // kernel and policy; it refuses writes (409) until promoted. The
 // coordinator hedges and fails over reads onto caught-up followers and
-// promotes one into the member's place when its leader dies — the
-// member keeps its id, so previously issued cluster-global point ids
-// keep resolving across the failover.
+// promotes one into the member's place when a write finds its leader dead —
+// the member keeps its id, so previously issued cluster-global point ids
+// keep resolving across the failover. A |url that does not answer
+// /v1/replicate/status as a caught-up follower (a second karl-serve -model
+// over a copy of the file, say) is never a hedge target.
 //
 // With -spawn the writable coordinator grows by process: a shard split
 // execs a fresh `karl-serve -mutable` child seeded with the moved half,
@@ -94,7 +93,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -104,13 +102,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"karl"
 	"karl/internal/cluster"
+	"karl/internal/dataset"
 	"karl/internal/replica"
 	"karl/internal/server"
 	"karl/internal/shard"
@@ -136,7 +134,7 @@ func main() {
 		drainTO  = flag.Duration("shutdown-timeout", 10*time.Second, "graceful-shutdown drain timeout")
 
 		coordinator = flag.Bool("coordinator", false, "serve as a scatter-gather coordinator over remote shards (-shards); add -mutable for routed writes")
-		shardAddrs  = flag.String("shards", "", "comma-separated shard base URLs for -coordinator; append |url replicas per shard (hedged reads; replication followers with -mutable)")
+		shardAddrs  = flag.String("shards", "", "comma-separated shard base URLs for -coordinator; append |url per shard for its -replica-of followers (hedged reads, failover)")
 		shardTO     = flag.Duration("shard-timeout", 2*time.Second, "per-shard attempt timeout for -coordinator")
 		partition   = flag.String("partition", "hash", "write-routing partitioner for -coordinator -mutable: hash or kd")
 		manifest    = flag.String("manifest", "", "manifest persistence path for -coordinator -mutable (epoch-versioned; empty = in-memory only)")
@@ -152,13 +150,9 @@ func main() {
 	}
 
 	if *coordinator {
-		if *mutable {
-			serveWritableCoordinator(*shardAddrs, *addr, *partition, *manifest, *addrFile,
-				flagWasSet("partition"), *spawnKids,
-				*shardTO, *readTO, *writeTO, *idleTO, *headerTO, *drainTO)
-		} else {
-			serveCoordinator(*shardAddrs, *addr, *addrFile, *shardTO, *readTO, *writeTO, *idleTO, *headerTO, *drainTO)
-		}
+		serveCoordinator(*mutable, *shardAddrs, *addr, *partition, *manifest, *addrFile,
+			flagWasSet("partition"), *spawnKids,
+			*shardTO, *readTO, *writeTO, *idleTO, *headerTO, *drainTO)
 		return
 	}
 
@@ -331,33 +325,11 @@ func run(handler http.Handler, banner, addr, addrFile string, readTO, writeTO, i
 	}
 }
 
-// serveCoordinator builds the scatter-gather front end over remote
-// shards and serves its HTTP surface.
-func serveCoordinator(shardAddrs, addr, addrFile string, shardTO, readTO, writeTO, idleTO, headerTO, drainTO time.Duration) {
-	specs, err := parseShards(shardAddrs)
-	if err != nil {
-		log.Fatalf("karl-serve: %v", err)
-	}
-	co, err := cluster.New(context.Background(), specs, cluster.Config{Timeout: shardTO})
-	if err != nil {
-		log.Fatalf("karl-serve: %v", err)
-	}
-	banner := fmt.Sprintf("coordinating %d points (%d dims, %s kernel) across %d shards on %s",
-		co.Points(), co.Dims(), co.KernelName(), co.NumShards(), addr)
-	run(cluster.NewHTTPServer(co), banner, addr, addrFile, readTO, writeTO, idleTO, headerTO, drainTO)
-}
-
-// serveWritableCoordinator builds the write-routing front end over
-// remote mutable shards and serves its HTTP surface. With -spawn,
-// shard splits exec fresh karl-serve -mutable child processes
-// (spawnExec); without it a static -shards list cannot provide new
-// processes, so splitting is disabled. Membership persists through
-// -manifest either way.
-//
-// A |url replica on a -shards entry names a karl-serve -replica-of
-// follower of that shard: the coordinator hedges and fails over reads
-// onto it while it is caught up, and promotes it into the member's
-// place when the leader dies.
+// serveCoordinator founds (or resumes) the cluster over the -shards list
+// and serves its HTTP surface; mutable decides whether the write routes are
+// mounted on it. With -spawn, shard splits exec fresh karl-serve -mutable
+// child processes (spawnExec); without it a static -shards list cannot
+// provide new processes, so splitting is disabled.
 //
 // When -manifest names an existing file, the coordinator RESUMES from
 // it: the persisted epoch, routing and lineage carry over and the
@@ -366,29 +338,14 @@ func serveCoordinator(shardAddrs, addr, addrFile string, shardTO, readTO, writeT
 // the explicit partial contract). Only when the file is absent is a
 // fresh epoch-1 cluster founded — founding over an existing file would
 // be refused as a stale-epoch write anyway.
-func serveWritableCoordinator(shardAddrs, addr, partition, manifestPath, addrFile string, partitionSet, spawnKids bool, shardTO, readTO, writeTO, idleTO, headerTO, drainTO time.Duration) {
+func serveCoordinator(mutable bool, shardAddrs, addr, partition, manifestPath, addrFile string, partitionSet, spawnKids bool, shardTO, readTO, writeTO, idleTO, headerTO, drainTO time.Duration) {
 	kind, err := shard.ParseKind(partition)
 	if err != nil {
 		log.Fatalf("karl-serve: -partition: %v", err)
 	}
-	specs, err := parseShards(shardAddrs)
+	shards, err := parseShards(shardAddrs)
 	if err != nil {
 		log.Fatalf("karl-serve: %v", err)
-	}
-	shards := make([]cluster.WritableShard, len(specs))
-	for i, spec := range specs {
-		hs, ok := spec.Client.(*cluster.HTTPShard)
-		if !ok {
-			log.Fatalf("karl-serve: writable coordinator needs HTTP shards")
-		}
-		shards[i] = cluster.WritableShard{Name: hs.Name(), Client: hs}
-		for _, rep := range spec.Replicas {
-			rhs, ok := rep.(*cluster.HTTPShard)
-			if !ok {
-				log.Fatalf("karl-serve: writable coordinator needs HTTP shards")
-			}
-			shards[i].Followers = append(shards[i].Followers, rhs)
-		}
 	}
 	var spawn cluster.SpawnFunc
 	if spawnKids {
@@ -399,7 +356,7 @@ func serveWritableCoordinator(shardAddrs, addr, partition, manifestPath, addrFil
 		ManifestPath: manifestPath,
 	}
 
-	var co *cluster.WritableCoordinator
+	var co *cluster.Coordinator
 	verb := "coordinating"
 	if manifestPath != "" {
 		man, err := cluster.LoadManifest(manifestPath)
@@ -426,31 +383,35 @@ func serveWritableCoordinator(shardAddrs, addr, partition, manifestPath, addrFil
 			log.Fatalf("karl-serve: %v", err)
 		}
 	}
-	banner := fmt.Sprintf("%s writable cluster: %d points (%d dims, %s kernel) across %d shards (%s partition, epoch %d) on %s",
-		verb, co.Points(), co.Dims(), co.KernelName(), co.NumShards(), kind, co.Epoch(), addr)
-	run(cluster.NewWritableHTTPServer(co), banner, addr, addrFile, readTO, writeTO, idleTO, headerTO, drainTO)
+	srv, mode := cluster.NewHTTPServer(co), "read-only"
+	if mutable {
+		srv, mode = cluster.NewWritableHTTPServer(co), "writable"
+	}
+	banner := fmt.Sprintf("%s %s cluster: %d points (%d dims, %s kernel) across %d shards (%s partition, epoch %d) on %s",
+		verb, mode, co.Points(), co.Dims(), co.KernelName(), co.NumShards(), kind, co.Epoch(), addr)
+	run(srv, banner, addr, addrFile, readTO, writeTO, idleTO, headerTO, drainTO)
 }
 
-// parseShards parses "-shards url[|replica...],url[|replica...]".
-func parseShards(s string) ([]cluster.Shard, error) {
+// parseShards parses "-shards url[|follower...],url[|follower...]".
+func parseShards(s string) ([]cluster.WritableShard, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, errors.New("-coordinator needs -shards url1,url2,...")
 	}
-	var specs []cluster.Shard
+	var shards []cluster.WritableShard
 	for _, entry := range strings.Split(s, ",") {
 		urls := strings.Split(strings.TrimSpace(entry), "|")
 		if urls[0] == "" {
 			return nil, fmt.Errorf("empty shard entry in -shards %q", s)
 		}
-		spec := cluster.Shard{Client: cluster.NewHTTPShard(strings.TrimRight(urls[0], "/"))}
+		sh := cluster.WritableShard{Client: cluster.NewHTTPShard(strings.TrimRight(urls[0], "/"))}
 		for _, rep := range urls[1:] {
 			if rep = strings.TrimSpace(rep); rep != "" {
-				spec.Replicas = append(spec.Replicas, cluster.NewHTTPShard(strings.TrimRight(rep, "/")))
+				sh.Followers = append(sh.Followers, cluster.NewHTTPShard(strings.TrimRight(rep, "/")))
 			}
 		}
-		specs = append(specs, spec)
+		shards = append(shards, sh)
 	}
-	return specs, nil
+	return shards, nil
 }
 
 // loadEngine assembles the served engine, the same way whichever routes
@@ -487,39 +448,9 @@ func loadEngine(model, points string, gamma float64, sealSize, fanout int, windo
 	if points == "" {
 		return karl.NewDynamic(karl.Gaussian(gamma), opts...)
 	}
-	rows, err := readRows(points)
+	rows, err := dataset.ReadRowsFile(points)
 	if err != nil {
 		return nil, err
 	}
 	return karl.Build(rows, karl.Gaussian(gamma), opts...)
-}
-
-func readRows(path string) ([][]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rows [][]float64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		row := make([]float64, len(fields))
-		for i, fv := range fields {
-			v, err := strconv.ParseFloat(fv, 64)
-			if err != nil {
-				return nil, fmt.Errorf("parse %q: %w", fv, err)
-			}
-			row[i] = v
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

@@ -13,11 +13,11 @@ func TestParseShards(t *testing.T) {
 	if len(specs) != 3 {
 		t.Fatalf("got %d shards, want 3", len(specs))
 	}
-	if specs[0].Client.Name() != "http://a:8080" || len(specs[0].Replicas) != 0 {
-		t.Fatalf("shard 0: %q %d replicas", specs[0].Client.Name(), len(specs[0].Replicas))
+	if specs[0].Client.Name() != "http://a:8080" || len(specs[0].Followers) != 0 {
+		t.Fatalf("shard 0: %q %d followers", specs[0].Client.Name(), len(specs[0].Followers))
 	}
-	if len(specs[1].Replicas) != 1 || specs[1].Replicas[0].Name() != "http://b2:8080" {
-		t.Fatalf("shard 1 replicas wrong: %+v", specs[1].Replicas)
+	if len(specs[1].Followers) != 1 || specs[1].Followers[0].Name() != "http://b2:8080" {
+		t.Fatalf("shard 1 followers wrong: %+v", specs[1].Followers)
 	}
 	if specs[2].Client.Name() != "http://c:8080" {
 		t.Fatalf("trailing slash not trimmed: %q", specs[2].Client.Name())

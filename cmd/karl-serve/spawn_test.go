@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -350,5 +352,97 @@ func TestModelFileServesEitherWay(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/v1/insert on a read-only server: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestReadOnlyCoordinatorProcess starts -coordinator without -mutable over
+// two -model children, each serving one shard file of a built engine: every
+// eKAQ is within ε of the monolithic engine's aggregate, every TKAQ equals its
+// verdict, and /v1/insert is the 404 of any read-only server — -mutable
+// decides which routes a coordinator mounts too.
+func TestReadOnlyCoordinatorProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real child processes")
+	}
+	rng := rand.New(rand.NewSource(17))
+	pts := make([][]float64, 600)
+	for i := range pts {
+		pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	}
+	mono, err := karl.Build(pts, karl.Gaussian(0.7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := mono.Shard(2, karl.KDPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	urls := make([]string, len(shards))
+	for i, se := range shards {
+		path := filepath.Join(dir, fmt.Sprintf("shard-%d.karl", i))
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := se.WriteTo(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		urls[i] = spawnServe(t, "-model", path)
+		if err := waitHealthy(context.Background(), cluster.NewHTTPShard(urls[i])); err != nil {
+			t.Fatalf("shard %d never healthy: %v", i, err)
+		}
+	}
+	front := spawnServe(t, "-coordinator", "-shards", strings.Join(urls, ","))
+	if err := waitHealthy(context.Background(), cluster.NewHTTPShard(front)); err != nil {
+		t.Fatalf("coordinator never healthy: %v", err)
+	}
+
+	post := func(path, body string, dst any) int {
+		t.Helper()
+		resp, err := http.Post(front+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
+				t.Fatalf("POST %s: %v", path, err)
+			}
+		}
+		return resp.StatusCode
+	}
+	const eps = 0.05
+	for i := 0; i < 20; i++ {
+		q := pts[i*7]
+		exact, err := mono.Aggregate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qj, _ := json.Marshal(q)
+		var val struct {
+			Value   float64 `json:"value"`
+			Partial bool    `json:"partial"`
+		}
+		if status := post("/v1/approximate", fmt.Sprintf(`{"q":%s,"eps":%v}`, qj, eps), &val); status != http.StatusOK ||
+			val.Partial || math.Abs(val.Value-exact) > eps*exact {
+			t.Fatalf("eKAQ %d: status %d, %+v; the monolithic engine says %v", i, status, val, exact)
+		}
+		for _, tau := range []float64{0.9 * exact, 1.1 * exact} {
+			var verdict struct {
+				Over    bool `json:"over"`
+				Partial bool `json:"partial"`
+			}
+			if status := post("/v1/threshold", fmt.Sprintf(`{"q":%s,"tau":%v}`, qj, tau), &verdict); status != http.StatusOK ||
+				verdict.Partial || verdict.Over != (exact > tau) {
+				t.Fatalf("TKAQ %d at tau=%v: status %d, %+v; the monolithic engine says %v", i, tau, status, verdict, exact)
+			}
+		}
+	}
+	if status := post("/v1/insert", `{"p":[0,0,0]}`, nil); status != http.StatusNotFound {
+		t.Fatalf("/v1/insert on a read-only coordinator: status %d, want 404", status)
 	}
 }

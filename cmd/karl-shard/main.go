@@ -8,15 +8,14 @@
 //	karl-shard -inspect shards/shard-2.karl
 //
 // -split writes shard-<i>.karl engine files (same persisted format as the
-// source, loadable by karl-serve -model) plus a manifest.json recording
-// the partition strategy and each shard's cardinality and weight masses.
-// Every shard file carries its provenance (index i of n, strategy, source
-// cardinality), so -inspect can identify a stray file, and a cluster
-// coordinator can sanity-check its shard set.
+// source, loadable by karl-serve -model) and logs each shard's cardinality
+// and weight masses. Every shard file carries its provenance (index i of n,
+// strategy, source cardinality), so -inspect can identify a stray file.
+// -inspect describes any saved engine: shape, kernel, masses, and the shard
+// or coreset provenance it records.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -25,15 +24,6 @@ import (
 
 	"karl"
 )
-
-// manifestFile is the JSON document written next to the shard files.
-type manifestFile struct {
-	Partition string           `json:"partition"`
-	Shards    int              `json:"shards"`
-	SourceLen int              `json:"source_len"`
-	Files     []string         `json:"files"`
-	Meta      []karl.ShardMeta `json:"meta"`
-}
 
 func main() {
 	var (
@@ -86,23 +76,15 @@ func runSplit(src, outDir, partition string, n int) error {
 	if err != nil {
 		return err
 	}
-	shards, man, err := eng.Shard(n, kind)
+	shards, err := eng.Shard(n, kind)
 	if err != nil {
 		return err
 	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-
-	mf := manifestFile{
-		Partition: kind.String(),
-		Shards:    n,
-		SourceLen: eng.Len(),
-		Meta:      man.Shards,
-	}
 	for i, se := range shards {
-		name := fmt.Sprintf("shard-%d.karl", i)
-		path := filepath.Join(outDir, name)
+		path := filepath.Join(outDir, fmt.Sprintf("shard-%d.karl", i))
 		sf, err := os.Create(path)
 		if err != nil {
 			return err
@@ -114,20 +96,10 @@ func runSplit(src, outDir, partition string, n int) error {
 		if err := sf.Close(); err != nil {
 			return err
 		}
-		mf.Files = append(mf.Files, name)
-		log.Printf("wrote %s: %d points, W⁺=%.6g W⁻=%.6g",
-			path, man.Shards[i].Points, man.Shards[i].WeightPos, man.Shards[i].WeightNeg)
+		wpos, wneg := se.WeightMass()
+		log.Printf("wrote %s: %d points, W⁺=%.6g W⁻=%.6g", path, se.Len(), wpos, wneg)
 	}
-
-	manPath := filepath.Join(outDir, "manifest.json")
-	doc, err := json.MarshalIndent(mf, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(manPath, append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	log.Printf("wrote %s (%s partition, %d points over %d shards)", manPath, kind, eng.Len(), n)
+	log.Printf("%s partition, %d points over %d shards", kind, eng.Len(), n)
 	return nil
 }
 
@@ -152,7 +124,18 @@ func runInspect(path string) error {
 		fmt.Println("  not a shard: no partition provenance recorded")
 	}
 	if sk, ok := eng.SketchInfo(); ok {
-		fmt.Printf("  coreset sketch: %d → %d points, eps=%v\n", sk.SourceLen, eng.Len(), sk.Eps)
+		fmt.Printf("  %s coreset of %d source points (total weight %g), ε = %g, reduction %.1fx\n",
+			sk.Method, sk.SourceLen, sk.SourceWeight, sk.Eps, float64(sk.SourceLen)/float64(sk.Len))
+		switch sk.Basis {
+		case karl.SketchBasisHoeffding:
+			fmt.Printf("  basis: hoeffding (per-query probability ≥ 1−δ, δ = %g)\n", sk.Delta)
+		case karl.SketchBasisExact:
+			fmt.Println("  basis: exact (identity sketch, zero error)")
+		case karl.SketchBasisEmpirical:
+			fmt.Println("  basis: empirical (validation-backed, not a theorem)")
+		default:
+			fmt.Println("  basis: unknown (file predates basis recording)")
+		}
 	}
 	return nil
 }

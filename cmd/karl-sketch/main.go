@@ -1,6 +1,6 @@
-// Command karl-sketch builds and inspects error-bounded coresets offline,
-// so the expensive reduction runs once and the small engine ships to the
-// serving fleet.
+// Command karl-sketch builds error-bounded coresets offline, so the
+// expensive reduction runs once and the small engine ships to the serving
+// fleet.
 //
 // Build a coreset engine file from raw vectors:
 //
@@ -8,10 +8,8 @@
 //	karl-sketch -points data.txt -scott -eps 0.1 -method halving -out sketch.karl
 //	karl-sketch -points data.txt -weights w.txt -gamma 2 -eps 0.1 -out sketch.karl
 //
-// Inspect any saved engine (full or sketched — provenance is printed when
-// present):
-//
-//	karl-sketch -inspect sketch.karl
+// karl-shard -inspect sketch.karl prints the sketch provenance the file
+// records.
 //
 // Print the size-vs-ε curve for a dataset without writing anything:
 //
@@ -19,7 +17,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"log"
@@ -28,6 +25,7 @@ import (
 	"strings"
 
 	"karl"
+	"karl/internal/dataset"
 )
 
 func main() {
@@ -40,64 +38,22 @@ func main() {
 		method  = flag.String("method", "auto", "construction: auto, uniform, halving or sensitivity")
 		seed    = flag.Int64("seed", 1, "construction seed (reproducible sketches)")
 		out     = flag.String("out", "", "write the coreset engine to this file")
-		inspect = flag.String("inspect", "", "print a saved engine's shape and sketch provenance")
 		curve   = flag.String("curve", "", "comma-separated ε list: print the size-vs-ε curve and exit")
 	)
 	flag.Parse()
 
-	switch {
-	case *inspect != "":
-		if err := runInspect(*inspect); err != nil {
-			log.Fatalf("karl-sketch: %v", err)
-		}
-	case *points != "":
-		if err := runBuild(*points, *weights, *gamma, *scott, *eps, *method, *seed, *out, *curve); err != nil {
-			log.Fatalf("karl-sketch: %v", err)
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "karl-sketch: need -points or -inspect")
+	if *points == "" {
+		fmt.Fprintln(os.Stderr, "karl-sketch: need -points")
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func runInspect(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+	if err := runBuild(*points, *weights, *gamma, *scott, *eps, *method, *seed, *out, *curve); err != nil {
+		log.Fatalf("karl-sketch: %v", err)
 	}
-	defer f.Close()
-	eng, err := karl.ReadEngine(f)
-	if err != nil {
-		return err
-	}
-	k := eng.Kernel()
-	fmt.Printf("points:  %d\n", eng.Len())
-	fmt.Printf("dims:    %d\n", eng.Dims())
-	fmt.Printf("kernel:  %v (gamma %g)\n", k.Kind, k.Gamma)
-	if info, ok := eng.SketchInfo(); ok {
-		fmt.Printf("sketch:  %s coreset of %d source points (total weight %g)\n",
-			info.Method, info.SourceLen, info.SourceWeight)
-		fmt.Printf("         ε = %g, reduction %.1fx\n",
-			info.Eps, float64(info.SourceLen)/float64(info.Len))
-		switch info.Basis {
-		case karl.SketchBasisHoeffding:
-			fmt.Printf("         basis: hoeffding (per-query probability ≥ 1−δ, δ = %g)\n", info.Delta)
-		case karl.SketchBasisExact:
-			fmt.Println("         basis: exact (identity sketch, zero error)")
-		case karl.SketchBasisEmpirical:
-			fmt.Println("         basis: empirical (validation-backed, not a theorem)")
-		default:
-			fmt.Println("         basis: unknown (file predates basis recording)")
-		}
-	} else {
-		fmt.Println("sketch:  none (full-set engine)")
-	}
-	return nil
 }
 
 func runBuild(pointsPath, weightsPath string, gamma float64, scott bool, eps float64, methodName string, seed int64, out, curve string) error {
-	rows, err := readVectors(pointsPath)
+	rows, err := dataset.ReadRowsFile(pointsPath)
 	if err != nil {
 		return err
 	}
@@ -189,35 +145,8 @@ func parseMethod(s string) (karl.CoresetMethod, error) {
 	return 0, fmt.Errorf("unknown method %q (want auto, uniform, halving or sensitivity)", s)
 }
 
-func readVectors(path string) ([][]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rows [][]float64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		row := make([]float64, len(fields))
-		for i, fv := range fields {
-			v, err := strconv.ParseFloat(fv, 64)
-			if err != nil {
-				return nil, fmt.Errorf("parse %q: %w", fv, err)
-			}
-			row[i] = v
-		}
-		rows = append(rows, row)
-	}
-	return rows, sc.Err()
-}
-
 func readScalars(path string) ([]float64, error) {
-	rows, err := readVectors(path)
+	rows, err := dataset.ReadRowsFile(path)
 	if err != nil {
 		return nil, err
 	}

@@ -12,16 +12,14 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
-	"strconv"
-	"strings"
 
 	"karl"
+	"karl/internal/dataset"
 	"karl/internal/kernel"
 	"karl/internal/svm"
 	"karl/internal/vec"
@@ -128,35 +126,19 @@ func loadData(in string, labelled bool) (*vec.Matrix, []float64, error) {
 		defer f.Close()
 		r = f
 	}
-	var rows [][]float64
-	var labels []float64
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		vals := make([]float64, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("parse %q: %w", f, err)
-			}
-			vals[i] = v
-		}
-		if labelled {
-			labels = append(labels, vals[0])
-			rows = append(rows, vals[1:])
-		} else {
-			rows = append(rows, vals)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rows, err := dataset.ReadRows(r)
+	if err != nil {
 		return nil, nil, err
 	}
 	if len(rows) == 0 {
 		return nil, nil, fmt.Errorf("no input rows")
+	}
+	var labels []float64
+	if labelled {
+		labels = make([]float64, len(rows))
+		for i, vals := range rows {
+			labels[i], rows[i] = vals[0], vals[1:]
+		}
 	}
 	return vec.FromRows(rows), labels, nil
 }

@@ -14,6 +14,7 @@ import (
 
 	"karl"
 	"karl/internal/server"
+	"karl/internal/shard"
 )
 
 // dataset builds a deterministic point cloud plus weights of the given
@@ -78,19 +79,44 @@ func readServer(t testing.TB, eng *karl.Engine) *server.Server {
 	return srv
 }
 
+// fixedShard is one member of a cluster whose membership never changes: its
+// client and plain hedge targets (copies of the shard, not followers).
+type fixedShard struct {
+	Client   MutableShardClient
+	Replicas []ShardClient
+}
+
+// fixed founds a coordinator over fixed clients — a hash manifest nothing is
+// routed through — and hands each member its replicas as the epoch's hedge
+// targets: the scatter-gather contract under test, whatever the clients are.
+func fixed(ctx context.Context, specs []fixedShard, cfg Config) (*Coordinator, error) {
+	founders := make([]WritableShard, len(specs))
+	for i, s := range specs {
+		founders[i] = WritableShard{Client: s.Client}
+	}
+	co, err := NewWritable(ctx, shard.Hash, founders, nil, WritableConfig{Config: cfg})
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range specs {
+		co.ep.Load().members[i].replicas = s.Replicas
+	}
+	return co, nil
+}
+
 // httpCluster serves every shard engine through its own front door behind a
 // kill switch and returns the coordinator over them plus the switches.
 func httpCluster(t testing.TB, shards []*karl.Engine, cfg Config) (*Coordinator, []*downableHandler) {
 	t.Helper()
-	specs := make([]Shard, len(shards))
+	specs := make([]fixedShard, len(shards))
 	switches := make([]*downableHandler, len(shards))
 	for i, se := range shards {
 		switches[i] = &downableHandler{inner: readServer(t, se)}
-		specs[i] = Shard{Client: listen(t, switches[i])}
+		specs[i] = fixedShard{Client: listen(t, switches[i])}
 	}
-	co, err := New(context.Background(), specs, cfg)
+	co, err := fixed(context.Background(), specs, cfg)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("fixed: %v", err)
 	}
 	return co, switches
 }
@@ -99,7 +125,7 @@ func httpCluster(t testing.TB, shards []*karl.Engine, cfg Config) (*Coordinator,
 // coordinates the pieces, each behind its own front door.
 func shardedCoordinator(t testing.TB, eng *karl.Engine, n int, part karl.PartitionKind, cfg Config) *Coordinator {
 	t.Helper()
-	shards, _, err := eng.Shard(n, part)
+	shards, err := eng.Shard(n, part)
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
@@ -112,7 +138,7 @@ func shardedCoordinator(t testing.TB, eng *karl.Engine, n int, part karl.Partiti
 func boundsStats(t testing.TB, co *Coordinator) server.EndpointStats {
 	t.Helper()
 	var sum server.EndpointStats
-	for _, s := range co.shards {
+	for _, s := range co.ep.Load().members {
 		var st server.StatsResponse
 		if err := s.client.(*HTTPShard).get(context.Background(), "/v1/stats", &st); err != nil {
 			t.Fatalf("GET /v1/stats: %v", err)
@@ -203,10 +229,10 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	}
 }
 
-// flakyShard wraps a ShardClient and can be switched off (every call
+// flakyShard wraps a shard client and can be switched off (every read
 // fails) or made to fail the next k calls.
 type flakyShard struct {
-	ShardClient
+	MutableShardClient
 	down      atomic.Bool
 	failNext  atomic.Int64
 	delay     time.Duration
@@ -231,35 +257,35 @@ func (f *flakyShard) Info(ctx context.Context) (ShardInfo, error) {
 	if err := f.trip(); err != nil {
 		return ShardInfo{}, err
 	}
-	return f.ShardClient.Info(ctx)
+	return f.MutableShardClient.Info(ctx)
 }
 
 func (f *flakyShard) Aggregate(ctx context.Context, q []float64) (float64, error) {
 	if err := f.trip(); err != nil {
 		return 0, err
 	}
-	return f.ShardClient.Aggregate(ctx, q)
+	return f.MutableShardClient.Aggregate(ctx, q)
 }
 
 func (f *flakyShard) Bounds(ctx context.Context, q []float64, eps float64) (Bounds, error) {
 	if err := f.trip(); err != nil {
 		return Bounds{}, err
 	}
-	return f.ShardClient.Bounds(ctx, q, eps)
+	return f.MutableShardClient.Bounds(ctx, q, eps)
 }
 
 func (f *flakyShard) ThresholdBounds(ctx context.Context, q []float64, tau float64) (Bounds, error) {
 	if err := f.trip(); err != nil {
 		return Bounds{}, err
 	}
-	return f.ShardClient.ThresholdBounds(ctx, q, tau)
+	return f.MutableShardClient.ThresholdBounds(ctx, q, tau)
 }
 
 func (f *flakyShard) Healthy(ctx context.Context) error {
 	if err := f.trip(); err != nil {
 		return err
 	}
-	return f.ShardClient.Healthy(ctx)
+	return f.MutableShardClient.Healthy(ctx)
 }
 
 // TestRetryRecoversTransientFailure exercises the retry rung: a shard
@@ -268,18 +294,18 @@ func (f *flakyShard) Healthy(ctx context.Context) error {
 func TestRetryRecoversTransientFailure(t *testing.T) {
 	pts, _ := dataset(200, 2, 3, "I")
 	mono := buildEngine(t, pts, nil, karl.Gaussian(1), karl.KDTree)
-	shards, _, err := mono.Shard(2, karl.HashPartition)
+	shards, err := mono.Shard(2, karl.HashPartition)
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
-	flaky := &flakyShard{ShardClient: listen(t, readServer(t, shards[0]))}
-	specs := []Shard{
+	flaky := &flakyShard{MutableShardClient: listen(t, readServer(t, shards[0]))}
+	specs := []fixedShard{
 		{Client: flaky},
 		{Client: listen(t, readServer(t, shards[1]))},
 	}
-	co, err := New(context.Background(), specs, Config{Backoff: time.Millisecond})
+	co, err := fixed(context.Background(), specs, Config{Backoff: time.Millisecond})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("fixed: %v", err)
 	}
 
 	q := []float64{0.3, -0.2}
@@ -295,7 +321,7 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	if math.Abs(res.Value-exact) > 1e-9 {
 		t.Fatalf("value %v, want %v", res.Value, exact)
 	}
-	if got := co.shards[0].retries.Load(); got < 1 {
+	if got := co.Stats()[0].Retries; got < 1 {
 		t.Fatalf("retries counter = %d, want >= 1", got)
 	}
 }
@@ -306,23 +332,23 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	pts, _ := dataset(200, 2, 5, "I")
 	mono := buildEngine(t, pts, nil, karl.Gaussian(1), karl.KDTree)
-	shards, _, err := mono.Shard(2, karl.HashPartition)
+	shards, err := mono.Shard(2, karl.HashPartition)
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
-	slow := &flakyShard{ShardClient: listen(t, readServer(t, shards[0])), delay: 200 * time.Millisecond}
+	slow := &flakyShard{MutableShardClient: listen(t, readServer(t, shards[0])), delay: 200 * time.Millisecond}
 	replica := listen(t, readServer(t, shards[0]))
-	specs := []Shard{
+	specs := []fixedShard{
 		{Client: slow, Replicas: []ShardClient{replica}},
 		{Client: listen(t, readServer(t, shards[1]))},
 	}
-	co, err := New(context.Background(), specs, Config{HedgeMin: time.Millisecond})
+	co, err := fixed(context.Background(), specs, Config{HedgeMin: time.Millisecond})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("fixed: %v", err)
 	}
 	// Warm the latency window with fast samples so the hedge arms at ~1ms.
 	for i := 0; i < warmSamples; i++ {
-		co.shards[0].lat.record(100 * time.Microsecond)
+		co.ep.Load().members[0].lat.record(100 * time.Microsecond)
 	}
 
 	q := []float64{0.1, 0.4}
@@ -338,9 +364,8 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
 		t.Fatalf("hedge did not shortcut the slow primary (took %v)", elapsed)
 	}
-	if co.shards[0].hedges.Load() < 1 || co.shards[0].hedgeWins.Load() < 1 {
-		t.Fatalf("hedges=%d hedgeWins=%d, want >= 1 each",
-			co.shards[0].hedges.Load(), co.shards[0].hedgeWins.Load())
+	if st := co.Stats()[0]; st.Hedges < 1 || st.HedgeWins < 1 {
+		t.Fatalf("hedges=%d hedgeWins=%d, want >= 1 each", st.Hedges, st.HedgeWins)
 	}
 }
 
@@ -373,7 +398,7 @@ func (d *downableHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func TestCoordinatorChaos(t *testing.T) {
 	pts, _ := dataset(400, 3, 19, "II")
 	mono := buildEngine(t, pts, nil, karl.Gaussian(0.5), karl.KDTree)
-	shards, man, err := mono.Shard(4, karl.HashPartition)
+	shards, err := mono.Shard(4, karl.HashPartition)
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
@@ -392,7 +417,8 @@ func TestCoordinatorChaos(t *testing.T) {
 	// Kill shard 2 mid-stream.
 	const victim = 2
 	switches[victim].down.Store(true)
-	deadW := man.Shards[victim].Weight()
+	wpos, wneg := shards[victim].WeightMass()
+	deadW := wpos + wneg
 	var deadF float64
 	{
 		v, err := shards[victim].Aggregate(q)
@@ -409,7 +435,8 @@ func TestCoordinatorChaos(t *testing.T) {
 	if !res.Partial || len(res.Failed) != 1 {
 		t.Fatalf("degraded aggregate should be partial with one failed shard: %+v", res)
 	}
-	wantCovered := (co.weightTotal() - deadW) / co.weightTotal()
+	wTotal := co.ep.Load().weightTotal()
+	wantCovered := (wTotal - deadW) / wTotal
 	if math.Abs(res.Covered-wantCovered) > 1e-9 {
 		t.Fatalf("covered = %v, want %v", res.Covered, wantCovered)
 	}
@@ -481,7 +508,7 @@ func TestCoordinatorChaos(t *testing.T) {
 func TestCoordinatorAllShardsDown(t *testing.T) {
 	pts, _ := dataset(200, 2, 23, "I")
 	mono := buildEngine(t, pts, nil, karl.Gaussian(1), karl.KDTree)
-	shards, _, err := mono.Shard(2, karl.HashPartition)
+	shards, err := mono.Shard(2, karl.HashPartition)
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
@@ -501,7 +528,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	b := buildEngine(t, pts, nil, karl.Gaussian(2), karl.KDTree)
 
 	sa := listen(t, readServer(t, a))
-	_, err := New(context.Background(), []Shard{
+	_, err := fixed(context.Background(), []fixedShard{
 		{Client: sa},
 		{Client: listen(t, readServer(t, b))},
 	}, Config{})
@@ -509,9 +536,9 @@ func TestCoordinatorValidation(t *testing.T) {
 		t.Fatal("mismatched kernels should fail construction")
 	}
 
-	co, err := New(context.Background(), []Shard{{Client: sa}}, Config{})
+	co, err := fixed(context.Background(), []fixedShard{{Client: sa}}, Config{})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("fixed: %v", err)
 	}
 	if _, err := co.Aggregate(context.Background(), []float64{1, 2, 3}); err == nil {
 		t.Fatal("wrong-dims query should fail")

@@ -12,6 +12,7 @@ import (
 
 	"karl/internal/core"
 	"karl/internal/server"
+	"karl/internal/shard"
 )
 
 // ErrIndeterminate is returned by Threshold in degraded mode when the
@@ -76,25 +77,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Shard names one shard's primary client plus optional replicas serving
-// the same slice of the dataset (hedge and retry targets).
-type Shard struct {
-	Client   ShardClient
-	Replicas []ShardClient
-}
-
-// shardState is the coordinator's per-shard bookkeeping: identity, the
-// latency window driving hedge delays, and the robustness counters
-// surfaced in /v1/stats.
-type shardState struct {
-	client   ShardClient
-	replicas []ShardClient
-	// info is the shard's dataset description as of construction or, under
-	// a WritableCoordinator, as of the last write routed to it (setMass):
-	// the a-priori clamp [klo·W_S, khi·W_S] every exchange starts from is
-	// only sound while W_S is current.
-	info atomic.Pointer[ShardInfo]
-
+// memberState is what the coordinator learns about a member by talking to
+// it: the latency window driving hedge delays and the robustness counters of
+// /v1/stats. It is keyed by member id on the coordinator and outlives the
+// epoch — a split, promotion or quarantine elsewhere in the cluster neither
+// zeroes a member's counters nor cools its hedge window.
+type memberState struct {
 	lat       latencyWindow
 	requests  atomic.Int64
 	errors    atomic.Int64
@@ -103,24 +91,77 @@ type shardState struct {
 	hedgeWins atomic.Int64
 }
 
-// Coordinator answers Aggregate/Threshold/Approximate queries by
-// scatter-gather over shard engines, composing per-shard certified bounds
-// into global ones (see the package comment for the protocol).
-type Coordinator struct {
-	cfg    Config
-	shards []*shardState
+// member is one manifest member as an epoch reads it: the client and hedge
+// targets of this epoch, the dataset description, and a pointer to the
+// member's state on the coordinator.
+type member struct {
+	// client answers the member's reads: its mutable client, or a downShard
+	// when the member is recorded in the manifest but unreachable.
+	client   ShardClient
+	replicas []ShardClient
+	// info is the member's dataset description as of the epoch's discovery
+	// round or the last write routed to it (setMass): the a-priori clamp
+	// [klo·W_S, khi·W_S] every exchange starts from is only sound while W_S
+	// is current.
+	info atomic.Pointer[ShardInfo]
+	*memberState
+}
+
+// epoch is one immutable membership of the cluster: the routing manifest,
+// the write clients by member id (absent entries are unreachable members),
+// the members in manifest order as reads see them, and the identity of the
+// one partitioned dataset they hold.
+type epoch struct {
+	co      *Coordinator
+	man     *shard.Manifest
+	clients map[uint64]MutableShardClient
+	members []*member
 
 	dims   int
 	kernel string
 	gamma  float64
 	// klo/khi is the kernel's per-unit-weight value range, the basis for
-	// a-priori shard bounds when a shard has not answered yet (±Inf for
+	// a-priori member bounds when a member has not answered yet (±Inf for
 	// unbounded kernels).
 	klo, khi float64
+}
 
-	// exch counts queries and scatter rounds for /v1/stats. A pointer, so a
-	// WritableCoordinator can carry one set across its membership epochs.
-	exch *exchangeCounters
+// Coordinator answers Aggregate/Threshold/Approximate queries by
+// scatter-gather over the members of an epoch-versioned shard.Manifest,
+// composing per-shard certified bounds into global ones (see the package
+// comment for the protocol), and routes inserts and deletes through the same
+// manifest to the owning member. Writes and membership changes serialize on
+// mu; reads are lock-free against an atomic epoch snapshot, guarded by the
+// gen seqlock. A read-only cluster is the same type served without its write
+// routes (NewHTTPServer).
+type Coordinator struct {
+	cfg   WritableConfig
+	spawn SpawnFunc
+
+	mu         sync.Mutex // serializes writes, splits, epoch installs
+	nextID     uint64     // next member id to assign
+	sinceProbe int        // points inserted since the last split probe
+
+	// followers maps member id to its attached replication followers
+	// (guarded by mu; promotion moves a follower out of this map and into
+	// the clients of the next epoch).
+	followers map[uint64][]FollowerClient
+	// states holds every member's memberState by member id (guarded by mu;
+	// an epoch's members point into it).
+	states map[uint64]*memberState
+
+	// gen is even between membership changes and odd while one is in
+	// flight; a query whose start and end generations differ (or that
+	// starts on an odd one) re-scatters.
+	gen atomic.Uint64
+	ep  atomic.Pointer[epoch]
+
+	splits      atomic.Int64
+	rescatters  atomic.Int64
+	promotions  atomic.Int64
+	quarantines atomic.Int64
+	// exch counts queries and scatter rounds for /v1/stats.
+	exch exchangeCounters
 }
 
 type exchangeCounters struct {
@@ -140,118 +181,65 @@ type ExchangeStats struct {
 }
 
 // Exchange snapshots the bound-exchange counters.
-func (co *Coordinator) Exchange() ExchangeStats {
+func (w *Coordinator) Exchange() ExchangeStats {
 	return ExchangeStats{
-		ThresholdQueries:   co.exch.thresholdQueries.Load(),
-		ThresholdRounds:    co.exch.thresholdRounds.Load(),
-		ApproximateQueries: co.exch.approximateQueries.Load(),
-		ApproximateRounds:  co.exch.approximateRounds.Load(),
+		ThresholdQueries:   w.exch.thresholdQueries.Load(),
+		ThresholdRounds:    w.exch.thresholdRounds.Load(),
+		ApproximateQueries: w.exch.approximateQueries.Load(),
+		ApproximateRounds:  w.exch.approximateRounds.Load(),
 	}
-}
-
-// New builds a coordinator over the given shards, fetching and
-// cross-validating every shard's Info (dims, kernel family, gamma must
-// agree — they describe one partitioned dataset). All shards must be
-// reachable at construction: without a shard's weight masses the
-// coordinator cannot budget refinement or account degraded coverage.
-func New(ctx context.Context, shards []Shard, cfg Config) (*Coordinator, error) {
-	if len(shards) == 0 {
-		return nil, errors.New("cluster: need at least one shard")
-	}
-	cfg = cfg.withDefaults()
-	co := &Coordinator{cfg: cfg, shards: make([]*shardState, len(shards)), exch: new(exchangeCounters)}
-	for i, sp := range shards {
-		if sp.Client == nil {
-			return nil, fmt.Errorf("cluster: shard %d has no client", i)
-		}
-		co.shards[i] = &shardState{client: sp.Client, replicas: sp.Replicas}
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, len(shards))
-	for i, s := range co.shards {
-		wg.Add(1)
-		go func(i int, s *shardState) {
-			defer wg.Done()
-			info, err := call(ctx, co, s, func(ctx context.Context, c ShardClient) (ShardInfo, error) {
-				return c.Info(ctx)
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			s.info.Store(&info)
-		}(i, s)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, fmt.Errorf("cluster: shard discovery failed: %w", err)
-	}
-
-	// The dataset identity comes from the first shard that holds a point: a
-	// shard still empty has no dimensionality yet (a writable cluster founded
-	// over empty members fills them one routed insert at a time).
-	first := co.shards[0].info.Load()
-	for _, s := range co.shards {
-		if info := s.info.Load(); info.Dims != 0 {
-			first = info
-			break
-		}
-	}
-	co.dims, co.kernel, co.gamma = first.Dims, first.Kernel, first.Gamma
-	co.klo, co.khi = kernelRange(first.Kernel)
-	for _, s := range co.shards {
-		info := s.info.Load()
-		if info.Kernel != co.kernel || info.Gamma != co.gamma || info.Dims != 0 && info.Dims != co.dims {
-			return nil, fmt.Errorf(
-				"cluster: shard %s serves (%s γ=%v, %dd), want (%s γ=%v, %dd): shards must hold one partitioned dataset",
-				s.client.Name(), info.Kernel, info.Gamma, info.Dims, co.kernel, co.gamma, co.dims)
-		}
-	}
-	return co, nil
 }
 
 // weight returns the shard's current weight mass W_S.
-func (s *shardState) weight() float64 { return s.info.Load().Weight() }
+func (s *member) weight() float64 { return s.info.Load().Weight() }
 
-// setMass replaces shard i's cardinality and weight masses — the write
-// path of a WritableCoordinator calls it after every acknowledged write,
-// so queries starting afterwards clamp against the shard's current mass.
-func (co *Coordinator) setMass(i int, m server.MassResponse) {
-	info := *co.shards[i].info.Load()
+// setMass replaces member i's cardinality and weight masses — the write path
+// calls it after every acknowledged write, so queries starting afterwards
+// clamp against the member's current mass.
+func (ep *epoch) setMass(i int, m server.MassResponse) {
+	info := *ep.members[i].info.Load()
 	info.Points, info.WPos, info.WNeg = m.Points, m.WeightPos, m.WeightNeg
-	co.shards[i].info.Store(&info)
+	ep.members[i].info.Store(&info)
 }
 
 // weightTotal sums the shards' current weight masses.
-func (co *Coordinator) weightTotal() float64 {
+func (ep *epoch) weightTotal() float64 {
 	var w float64
-	for _, s := range co.shards {
+	for _, s := range ep.members {
 		w += s.weight()
 	}
 	return w
 }
 
-// Dims returns the query dimensionality.
-func (co *Coordinator) Dims() int { return co.dims }
+// Dims returns the query dimensionality (0 until the first insert when
+// founded over empty shards).
+func (w *Coordinator) Dims() int { return w.ep.Load().dims }
 
-// Points returns the total dataset cardinality across shards.
-func (co *Coordinator) Points() int {
+// Points returns the total dataset cardinality across members, as of each
+// member's discovery or its last routed write.
+func (w *Coordinator) Points() int {
 	n := 0
-	for _, s := range co.shards {
+	for _, s := range w.ep.Load().members {
 		n += s.info.Load().Points
 	}
 	return n
 }
 
 // KernelName returns the kernel family the cluster serves.
-func (co *Coordinator) KernelName() string { return co.kernel }
+func (w *Coordinator) KernelName() string { return w.ep.Load().kernel }
 
 // Gamma returns the kernel bandwidth parameter.
-func (co *Coordinator) Gamma() float64 { return co.gamma }
+func (w *Coordinator) Gamma() float64 { return w.ep.Load().gamma }
 
-// NumShards returns the shard count.
-func (co *Coordinator) NumShards() int { return len(co.shards) }
+// NumShards returns the current member count (including unreachable
+// members).
+func (w *Coordinator) NumShards() int { return len(w.ep.Load().members) }
+
+// Epoch returns the current manifest epoch.
+func (w *Coordinator) Epoch() uint64 { return w.ep.Load().man.Epoch }
+
+// Manifest returns a copy of the current routing manifest.
+func (w *Coordinator) Manifest() *shard.Manifest { return w.ep.Load().man.Clone() }
 
 // kernelRange returns the kernel's value range per unit weight; unbounded
 // kernels (polynomial) get ±Inf, which disables a-priori bounds.
@@ -269,22 +257,22 @@ func kernelRange(kind string) (lo, hi float64) {
 // apriori returns bounds on F_S(q) that hold before the shard has been
 // asked anything: each unit of positive mass contributes a kernel value in
 // [klo, khi], each unit of negative mass the reflection.
-func (co *Coordinator) apriori(info ShardInfo) (lb, ub float64) {
+func (ep *epoch) apriori(info ShardInfo) (lb, ub float64) {
 	if info.WPos == 0 && info.WNeg == 0 {
 		return 0, 0
 	}
-	if math.IsInf(co.khi, 1) {
+	if math.IsInf(ep.khi, 1) {
 		return math.Inf(-1), math.Inf(1)
 	}
-	return info.WPos*co.klo - info.WNeg*co.khi, info.WPos*co.khi - info.WNeg*co.klo
+	return info.WPos*ep.klo - info.WNeg*ep.khi, info.WPos*ep.khi - info.WNeg*ep.klo
 }
 
-func (co *Coordinator) checkQuery(q []float64) error {
-	if co.dims == 0 {
+func (ep *epoch) checkQuery(q []float64) error {
+	if ep.dims == 0 {
 		return errors.New("cluster: no shard holds a point yet")
 	}
-	if len(q) != co.dims {
-		return fmt.Errorf("cluster: query has %d dims, want %d", len(q), co.dims)
+	if len(q) != ep.dims {
+		return fmt.Errorf("cluster: query has %d dims, want %d", len(q), ep.dims)
 	}
 	for i, v := range q {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -294,27 +282,72 @@ func (co *Coordinator) checkQuery(q []float64) error {
 	return nil
 }
 
+// snapshot returns the current epoch under an even generation, waiting out an
+// in-flight membership change (bounded by ctx).
+func (w *Coordinator) snapshot(ctx context.Context) (*epoch, uint64, error) {
+	for {
+		g := w.gen.Load()
+		if g%2 == 0 {
+			ep := w.ep.Load()
+			if w.gen.Load() == g {
+				return ep, g, nil
+			}
+			continue
+		}
+		select {
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// query runs fn against a consistent epoch snapshot, re-scattering when the
+// generation advanced underneath it — the straddle could have mixed pre- and
+// post-split shard states into one sum.
+func (w *Coordinator) query(ctx context.Context, fn func(*epoch) (server.Result, error)) (server.Result, error) {
+	for attempt := 0; ; attempt++ {
+		ep, g, err := w.snapshot(ctx)
+		if err != nil {
+			return server.Result{}, err
+		}
+		res, err := fn(ep)
+		if w.gen.Load() == g {
+			return res, err
+		}
+		w.rescatters.Add(1)
+		if attempt >= epochRetries {
+			return server.Result{}, fmt.Errorf("%w: %d re-scatters exhausted (epoch now %d)",
+				ErrEpochChanged, attempt+1, w.Epoch())
+		}
+	}
+}
+
 // Aggregate computes F_P(q) = Σ_S F_S(q) exactly over the reachable
 // shards, one scatter-gather with per-shard timeout/retry/hedging. A shard
 // without weight mass contributes exactly 0 and is asked nothing (an empty
 // engine would refuse the query and flag the answer partial for no reason).
-func (co *Coordinator) Aggregate(ctx context.Context, q []float64) (server.Result, error) {
-	if err := co.checkQuery(q); err != nil {
+func (w *Coordinator) Aggregate(ctx context.Context, q []float64) (server.Result, error) {
+	return w.query(ctx, func(ep *epoch) (server.Result, error) { return ep.aggregate(ctx, q) })
+}
+
+func (ep *epoch) aggregate(ctx context.Context, q []float64) (server.Result, error) {
+	if err := ep.checkQuery(q); err != nil {
 		return server.Result{}, err
 	}
-	values := make([]float64, len(co.shards))
-	failures := make([]error, len(co.shards))
+	values := make([]float64, len(ep.members))
+	failures := make([]error, len(ep.members))
 	asked := 0
 	var wg sync.WaitGroup
-	for i, s := range co.shards {
+	for i, s := range ep.members {
 		if s.weight() == 0 {
 			continue
 		}
 		asked++
 		wg.Add(1)
-		go func(i int, s *shardState) {
+		go func(i int, s *member) {
 			defer wg.Done()
-			v, err := call(ctx, co, s, func(ctx context.Context, c ShardClient) (float64, error) {
+			v, err := call(ctx, ep.co, s, func(ctx context.Context, c ShardClient) (float64, error) {
 				return c.Aggregate(ctx, q)
 			})
 			values[i], failures[i] = v, err
@@ -328,7 +361,7 @@ func (co *Coordinator) Aggregate(ctx context.Context, q []float64) (server.Resul
 	var sum, aliveW float64
 	var failed []string
 	var firstErr error
-	for i, s := range co.shards {
+	for i, s := range ep.members {
 		if errors.Is(failures[i], errNotFinite) {
 			return server.Result{}, errNotFinite
 		}
@@ -350,21 +383,21 @@ func (co *Coordinator) Aggregate(ctx context.Context, q []float64) (server.Resul
 		LB:      sum,
 		UB:      sum,
 		Partial: len(failed) > 0,
-		Covered: co.coveredFraction(aliveW, len(failed)),
+		Covered: ep.coveredFraction(aliveW, len(failed)),
 		Failed:  failed,
 	}, nil
 }
 
 // coveredFraction maps reachable weight mass to the Covered contract
 // field, degrading to a shard-count fraction for weightless datasets.
-func (co *Coordinator) coveredFraction(aliveW float64, nFailed int) float64 {
+func (ep *epoch) coveredFraction(aliveW float64, nFailed int) float64 {
 	if nFailed == 0 {
 		return 1
 	}
-	if wTotal := co.weightTotal(); wTotal > 0 {
+	if wTotal := ep.weightTotal(); wTotal > 0 {
 		return aliveW / wTotal
 	}
-	return float64(len(co.shards)-nFailed) / float64(len(co.shards))
+	return float64(len(ep.members)-nFailed) / float64(len(ep.members))
 }
 
 // exchState is one shard's position in a bound-exchange: the tightest
@@ -420,18 +453,22 @@ func sumBounds(st []*exchState) (lb, ub float64) {
 // after maxRounds the round is exact. Any stopping rule is sound here —
 // shards only ever return certified intervals, and the verdict rests on
 // their intersection and sum alone.
-func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) (server.Result, error) {
-	if err := co.checkQuery(q); err != nil {
+func (w *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) (server.Result, error) {
+	return w.query(ctx, func(ep *epoch) (server.Result, error) { return ep.threshold(ctx, q, tau) })
+}
+
+func (ep *epoch) threshold(ctx context.Context, q []float64, tau float64) (server.Result, error) {
+	if err := ep.checkQuery(q); err != nil {
 		return server.Result{}, err
 	}
 	if math.IsNaN(tau) || math.IsInf(tau, 0) {
 		return server.Result{}, fmt.Errorf("cluster: tau must be finite, got %v", tau)
 	}
-	co.exch.thresholdQueries.Add(1)
+	ep.co.exch.thresholdQueries.Add(1)
 
-	st := make([]*exchState, len(co.shards))
-	for i, s := range co.shards {
-		lb, ub := co.apriori(*s.info.Load())
+	st := make([]*exchState, len(ep.members))
+	for i, s := range ep.members {
+		lb, ub := ep.apriori(*s.info.Load())
 		st[i] = &exchState{lb: lb, ub: ub, alive: true}
 	}
 	decided := func(lb, ub float64) (over, ok bool) {
@@ -451,7 +488,7 @@ func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) 
 		}
 		lb, ub := sumBounds(st)
 		if over, ok := decided(lb, ub); ok {
-			return co.thresholdResult(over, st), nil
+			return ep.thresholdResult(over, st), nil
 		}
 		// An unreachable shard keeps its interval in the sums — a certified
 		// bound does not expire when its shard does — but is asked nothing.
@@ -465,11 +502,11 @@ func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) 
 			// Every reachable shard is fully refined; the residual
 			// interval straddling τ belongs to unreachable shards.
 			return server.Result{}, fmt.Errorf("%w (%.1f%% of weight mass unreachable)",
-				ErrIndeterminate, 100*(1-co.coveredFraction(co.aliveWeight(st), co.countDead(st))))
+				ErrIndeterminate, 100*(1-ep.coveredFraction(ep.aliveWeight(st), ep.countDead(st))))
 		}
 		exactRound := round >= maxRounds
 		share := (tau - lb) / (ub - lb)
-		co.exch.thresholdRounds.Add(1)
+		ep.co.exch.thresholdRounds.Add(1)
 
 		rctx, cancel := context.WithCancel(ctx)
 		scatter(todo, func(i int) {
@@ -477,9 +514,9 @@ func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) 
 			if math.IsNaN(t) || math.IsInf(t, 0) {
 				// An unbounded kernel has no a-priori interval to split:
 				// start from the mass share.
-				t = tau * co.massShare(i)
+				t = tau * ep.massShare(i)
 			}
-			b, err := call(rctx, co, co.shards[i], func(ctx context.Context, c ShardClient) (Bounds, error) {
+			b, err := call(rctx, ep.co, ep.members[i], func(ctx context.Context, c ShardClient) (Bounds, error) {
 				if exactRound {
 					return c.Bounds(ctx, q, 0)
 				}
@@ -506,11 +543,11 @@ func (co *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) 
 
 // massShare is shard i's fraction of the cluster's weight mass (an equal
 // share for a weightless dataset).
-func (co *Coordinator) massShare(i int) float64 {
-	if wTotal := co.weightTotal(); wTotal > 0 {
-		return co.shards[i].weight() / wTotal
+func (ep *epoch) massShare(i int) float64 {
+	if wTotal := ep.weightTotal(); wTotal > 0 {
+		return ep.members[i].weight() / wTotal
 	}
-	return 1 / float64(len(co.shards))
+	return 1 / float64(len(ep.members))
 }
 
 // scatter runs fn(i) for every i in todo at once and waits for all of
@@ -529,17 +566,17 @@ func scatter(todo []int, fn func(i int)) {
 	wg.Wait()
 }
 
-func (co *Coordinator) aliveWeight(st []*exchState) float64 {
+func (ep *epoch) aliveWeight(st []*exchState) float64 {
 	var w float64
 	for i, s := range st {
 		if s.alive {
-			w += co.shards[i].weight()
+			w += ep.members[i].weight()
 		}
 	}
 	return w
 }
 
-func (co *Coordinator) countDead(st []*exchState) int {
+func (ep *epoch) countDead(st []*exchState) int {
 	n := 0
 	for _, s := range st {
 		if !s.alive {
@@ -549,17 +586,17 @@ func (co *Coordinator) countDead(st []*exchState) int {
 	return n
 }
 
-func (co *Coordinator) thresholdResult(over bool, st []*exchState) server.Result {
+func (ep *epoch) thresholdResult(over bool, st []*exchState) server.Result {
 	var failed []string
 	for i, s := range st {
 		if !s.alive {
-			failed = append(failed, co.shards[i].client.Name())
+			failed = append(failed, ep.members[i].client.Name())
 		}
 	}
 	return server.Result{
 		Over:    over,
 		Partial: len(failed) > 0,
-		Covered: co.coveredFraction(co.aliveWeight(st), len(failed)),
+		Covered: ep.coveredFraction(ep.aliveWeight(st), len(failed)),
 		Failed:  failed,
 	}
 }
@@ -575,22 +612,26 @@ func (co *Coordinator) thresholdResult(over bool, st []*exchState) server.Result
 // geometrically tighter budgets: small-gap shards return early. The
 // allocation is self-consistent — if every shard fits its share the global
 // certificate already holds — so undecided rounds always have work.
-func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64) (server.Result, error) {
-	if err := co.checkQuery(q); err != nil {
+func (w *Coordinator) Approximate(ctx context.Context, q []float64, eps float64) (server.Result, error) {
+	return w.query(ctx, func(ep *epoch) (server.Result, error) { return ep.approximate(ctx, q, eps) })
+}
+
+func (ep *epoch) approximate(ctx context.Context, q []float64, eps float64) (server.Result, error) {
+	if err := ep.checkQuery(q); err != nil {
 		return server.Result{}, err
 	}
 	if !(eps > 0) || math.IsInf(eps, 0) {
 		return server.Result{}, fmt.Errorf("cluster: eps must be positive and finite, got %v", eps)
 	}
 
-	co.exch.approximateQueries.Add(1)
+	ep.co.exch.approximateQueries.Add(1)
 
 	// A shard without weight mass is known exactly — [0, 0] — before it is
 	// asked anything, so it counts as answered and no round includes it.
-	st := make([]*exchState, len(co.shards))
+	st := make([]*exchState, len(ep.members))
 	var all []int
-	for i, s := range co.shards {
-		lb, ub := co.apriori(*s.info.Load())
+	for i, s := range ep.members {
+		lb, ub := ep.apriori(*s.info.Load())
 		st[i] = &exchState{lb: lb, ub: ub, eps: eps, alive: true, queried: s.weight() == 0}
 		if !st[i].queried {
 			all = append(all, i)
@@ -600,13 +641,13 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 	var mu sync.Mutex
 	notFinite := false
 	runRound := func(todo []int, exact bool) error {
-		co.exch.approximateRounds.Add(1)
+		ep.co.exch.approximateRounds.Add(1)
 		scatter(todo, func(i int) {
 			budget := st[i].eps
 			if exact {
 				budget = 0
 			}
-			b, err := call(ctx, co, co.shards[i], func(ctx context.Context, c ShardClient) (Bounds, error) {
+			b, err := call(ctx, ep.co, ep.members[i], func(ctx context.Context, c ShardClient) (Bounds, error) {
 				return c.Bounds(ctx, q, budget)
 			})
 			mu.Lock()
@@ -647,14 +688,14 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 			covered = append(covered, i)
 			lb += s.lb
 			ub += s.ub
-			aliveW += co.shards[i].weight()
+			aliveW += ep.members[i].weight()
 		}
 		if len(all) > 0 && len(covered) == len(st)-len(all) {
 			// Only the massless shards, which were never asked, are left.
 			return server.Result{}, fmt.Errorf("%w: all %d shards failed", ErrUnavailable, len(all))
 		}
 		if core.CondApprox(lb, ub, eps) {
-			return co.approxResult(lb, ub, st), nil
+			return ep.approxResult(lb, ub, st), nil
 		}
 
 		// The gap core.CondApprox allows at the current sums, split ∝ W_S.
@@ -671,7 +712,7 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 			}
 			share := 1.0 / float64(len(covered))
 			if aliveW > 0 {
-				share = co.shards[i].weight() / aliveW
+				share = ep.members[i].weight() / aliveW
 			}
 			if st[i].gap() > allow*share {
 				todo = append(todo, i)
@@ -679,7 +720,7 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 		}
 		if len(todo) == 0 {
 			// Σ gap ≤ Σ allocation = allowance: certificate holds.
-			return co.approxResult(lb, ub, st), nil
+			return ep.approxResult(lb, ub, st), nil
 		}
 		if err := runRound(todo, exact); err != nil {
 			return server.Result{}, err
@@ -687,14 +728,14 @@ func (co *Coordinator) Approximate(ctx context.Context, q []float64, eps float64
 	}
 }
 
-func (co *Coordinator) approxResult(lb, ub float64, st []*exchState) server.Result {
+func (ep *epoch) approxResult(lb, ub float64, st []*exchState) server.Result {
 	var failed []string
 	var aliveW float64
 	for i, s := range st {
 		if s.alive && s.queried {
-			aliveW += co.shards[i].weight()
+			aliveW += ep.members[i].weight()
 		} else {
-			failed = append(failed, co.shards[i].client.Name())
+			failed = append(failed, ep.members[i].client.Name())
 		}
 	}
 	return server.Result{
@@ -702,7 +743,7 @@ func (co *Coordinator) approxResult(lb, ub float64, st []*exchState) server.Resu
 		LB:      lb,
 		UB:      ub,
 		Partial: len(failed) > 0,
-		Covered: co.coveredFraction(aliveW, len(failed)),
+		Covered: ep.coveredFraction(aliveW, len(failed)),
 		Failed:  failed,
 	}
 }
@@ -711,7 +752,7 @@ func (co *Coordinator) approxResult(lb, ub float64, st []*exchState) server.Resu
 // per-attempt timeout, a hedged request to a replica once the primary
 // outlives its recent latency quantile, and a retry with backoff after a
 // failure. Counters record every rung for /v1/stats.
-func call[T any](ctx context.Context, co *Coordinator, s *shardState, fn func(context.Context, ShardClient) (T, error)) (T, error) {
+func call[T any](ctx context.Context, co *Coordinator, s *member, fn func(context.Context, ShardClient) (T, error)) (T, error) {
 	s.requests.Add(1)
 	attempt := func(c ShardClient) (T, error) {
 		actx, cancel := context.WithTimeout(ctx, co.cfg.Timeout)
@@ -759,7 +800,7 @@ func call[T any](ctx context.Context, co *Coordinator, s *shardState, fn func(co
 // against the first replica if the primary is still in flight past the
 // configured latency quantile. First success wins; the loser's context is
 // cancelled through the attempt timeout.
-func hedged[T any](co *Coordinator, s *shardState, attempt func(ShardClient) (T, error)) (T, error) {
+func hedged[T any](co *Coordinator, s *member, attempt func(ShardClient) (T, error)) (T, error) {
 	var zero T
 	delay := time.Duration(s.lat.hedge.Load())
 	if delay == 0 || len(s.replicas) == 0 {
@@ -886,9 +927,10 @@ type ShardStats struct {
 }
 
 // Stats snapshots per-shard counters for monitoring.
-func (co *Coordinator) Stats() []ShardStats {
-	out := make([]ShardStats, len(co.shards))
-	for i, s := range co.shards {
+func (w *Coordinator) Stats() []ShardStats {
+	ep := w.ep.Load()
+	out := make([]ShardStats, len(ep.members))
+	for i, s := range ep.members {
 		p50, p99 := s.lat.quantile(0.50), s.lat.quantile(0.99)
 		out[i] = ShardStats{
 			Name:      s.client.Name(),
@@ -916,17 +958,18 @@ type ShardHealth struct {
 
 // Health probes every shard's readiness concurrently (primary, then
 // replicas on failure).
-func (co *Coordinator) Health(ctx context.Context) []ShardHealth {
-	out := make([]ShardHealth, len(co.shards))
+func (w *Coordinator) Health(ctx context.Context) []ShardHealth {
+	ep := w.ep.Load()
+	out := make([]ShardHealth, len(ep.members))
 	var wg sync.WaitGroup
-	for i, s := range co.shards {
+	for i, s := range ep.members {
 		wg.Add(1)
-		go func(i int, s *shardState) {
+		go func(i int, s *member) {
 			defer wg.Done()
 			targets := append([]ShardClient{s.client}, s.replicas...)
 			var err error
 			for _, t := range targets {
-				pctx, cancel := context.WithTimeout(ctx, co.cfg.Timeout)
+				pctx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
 				err = t.Healthy(pctx)
 				cancel()
 				if err == nil {

@@ -25,25 +25,16 @@ func (spaces) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestFrontDoorParity posts the same malformed and edge requests to a
-// single-node mutable server and to a writable coordinator over two
-// members: on the nine routes the two share, both must refuse with the same
-// status and the same error text — they are one handler set, not two
-// copies.
+// TestFrontDoorParity posts the same malformed and edge requests through the
+// front doors in pairs — a single-node mutable server beside a writable
+// coordinator over two members, and a static single node (karl-serve -model)
+// beside a read-only coordinator over two static shards: on the routes a pair
+// shares, both must refuse with the same status and the same error text —
+// they are one handler set, not two copies — and the read-only pair leaves
+// POST /v1/insert and DELETE /v1/point unrouted alike.
 func TestFrontDoorParity(t *testing.T) {
 	pts, _ := dataset(80, 2, 71, "I")
-	newDoors := func(kern karl.Kernel) map[string]http.Handler {
-		single, err := server.NewMutable(newDynEngine(t, kern, karl.KDTree))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wco, _ := foundWritable(t, 2, kern, karl.KDTree, nil, WritableConfig{})
-		return map[string]http.Handler{"single node": single, "coordinator": NewWritableHTTPServer(wco)}
-	}
-	doors := newDoors(karl.Gaussian(1))
-	// A polynomial kernel overflows float64 far from the data.
-	polyDoors := newDoors(karl.Polynomial(1, 1, 3))
-
+	seed, _ := json.Marshal(map[string]any{"points": pts})
 	do := func(h http.Handler, method, path string, body io.Reader) (int, string) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(method, path, body))
@@ -53,14 +44,35 @@ func TestFrontDoorParity(t *testing.T) {
 		_ = json.Unmarshal(rec.Body.Bytes(), &env)
 		return rec.Code, env.Error
 	}
-	seed, _ := json.Marshal(map[string]any{"points": pts})
-	for _, set := range []map[string]http.Handler{doors, polyDoors} {
-		for name, h := range set {
+	// door is one pair; the single node comes first.
+	type door struct {
+		names    [2]string
+		h        [2]http.Handler
+		readOnly bool
+	}
+	newDoors := func(kern karl.Kernel) []door {
+		single, err := server.NewMutable(newDynEngine(t, kern, karl.KDTree))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wco, _ := foundWritable(t, 2, kern, karl.KDTree, nil, WritableConfig{})
+		writable := door{names: [2]string{"single node", "coordinator"}, h: [2]http.Handler{single, NewWritableHTTPServer(wco)}}
+		for i, h := range writable.h {
 			if status, msg := do(h, "POST", "/v1/insert", strings.NewReader(string(seed))); status != http.StatusOK {
-				t.Fatalf("%s: seeding: %d %s", name, status, msg)
+				t.Fatalf("%s: seeding: %d %s", writable.names[i], status, msg)
 			}
 		}
+		static := buildEngine(t, pts, nil, kern, karl.KDTree)
+		return []door{writable, {
+			names:    [2]string{"static single node", "read-only coordinator"},
+			h:        [2]http.Handler{readServer(t, static), NewHTTPServer(shardedCoordinator(t, static, 2, karl.HashPartition, Config{}))},
+			readOnly: true,
+		}}
 	}
+	doors := newDoors(karl.Gaussian(1))
+	// A polynomial kernel overflows float64 far from the data, and is not
+	// bounded by 1.
+	polyDoors := newDoors(karl.Polynomial(1, 1, 3))
 
 	const q = `"q":[0.1,0.2]`
 	type parityCase struct {
@@ -111,26 +123,33 @@ func TestFrontDoorParity(t *testing.T) {
 		{"aggregate overflows", "POST", "/v1/aggregate", `{"q":[1e200,1e200]}`, 422, "aggregate is not finite at this query"},
 		{"approximate overflows", "POST", "/v1/approximate", `{"q":[1e200,1e200],"eps":0.1}`, 422, "aggregate is not finite at this query"},
 		{"aggregate near the data", "POST", "/v1/aggregate", `{` + q + `}`, 200, ""},
+		{"eps_norm on an unbounded kernel", "POST", "/v1/approximate", `{` + q + `,"eps_norm":0.5}`, 400, "eps_norm needs a kernel bounded by 1; use eps"},
 	}
 	for i, c := range append(cases, polyCases...) {
-		got := map[string][2]any{}
 		doors := doors
 		if i >= len(cases) {
 			doors = polyDoors
 		}
-		for name, h := range doors {
-			var body io.Reader = strings.NewReader(c.body)
-			if c.body == "oversized" {
-				body = io.MultiReader(strings.NewReader(`{"q":[0.1,`), io.LimitReader(spaces{}, 33<<20))
+		for _, d := range doors {
+			want, contains := c.status, c.contains
+			if d.readOnly && (c.path == "/v1/insert" || c.path == "/v1/point") {
+				want, contains = http.StatusNotFound, "" // the mux's own 404: no such route
 			}
-			status, msg := do(h, c.method, c.path, body)
-			if status != c.status || !strings.Contains(msg, c.contains) {
-				t.Errorf("%s, %s: got %d %q, want %d with %q", c.name, name, status, msg, c.status, c.contains)
+			var got [2][2]any
+			for j, h := range d.h {
+				var body io.Reader = strings.NewReader(c.body)
+				if c.body == "oversized" {
+					body = io.MultiReader(strings.NewReader(`{"q":[0.1,`), io.LimitReader(spaces{}, 33<<20))
+				}
+				status, msg := do(h, c.method, c.path, body)
+				if status != want || !strings.Contains(msg, contains) {
+					t.Errorf("%s, %s: got %d %q, want %d with %q", c.name, d.names[j], status, msg, want, contains)
+				}
+				got[j] = [2]any{status, msg}
 			}
-			got[name] = [2]any{status, msg}
-		}
-		if got["single node"] != got["coordinator"] {
-			t.Errorf("%s: the single node answers %v, the coordinator %v", c.name, got["single node"], got["coordinator"])
+			if got[0] != got[1] {
+				t.Errorf("%s: the %s answers %v, the %s %v", c.name, d.names[0], got[0], d.names[1], got[1])
+			}
 		}
 	}
 }

@@ -14,43 +14,36 @@ import (
 // body cap, decoding, validation, the insert and delete forms, the error
 // envelope and the per-endpoint counters live there, so a coordinator
 // refuses a malformed request exactly as a single node does. This file is
-// the backend that handler set serves: a thin adapter over Coordinator and
-// WritableCoordinator plus the bodies only a coordinator has.
+// the backend that handler set serves: a thin adapter over Coordinator plus
+// the bodies only a coordinator has.
 
-// front implements server.Backend — and, over a writable cluster,
-// server.Writer.
+// front implements server.Backend and server.Writer over a coordinator;
+// which of the two a server mounts is the constructor's choice.
 type front struct {
-	co  *Coordinator         // the fixed membership, nil over a writable cluster
-	wco *WritableCoordinator // nil over a fixed membership
+	writable bool // the write routes are mounted: /v1/info says so
+	co       *Coordinator
 }
 
-// read returns the read coordinator of the current membership.
-func (f *front) read() *Coordinator {
-	if f.wco != nil {
-		return f.wco.mem.Load().co
-	}
-	return f.co
-}
-
-// NewHTTPServer serves a coordinator over the same /v1/* JSON surface as a
-// single-node karl-serve, so clients scale from one box to a cluster
-// without changing their request shapes. Degraded-mode answers carry the
-// partial contract ("partial": true plus the covered-weight fraction); an
-// indeterminate threshold verdict is a 503, not a guess.
+// NewHTTPServer serves a coordinator read-only over the same /v1/* JSON
+// surface as a single-node karl-serve, so clients scale from one box to a
+// cluster without changing their request shapes. Degraded-mode answers carry
+// the partial contract ("partial": true plus the covered-weight fraction); an
+// indeterminate threshold verdict is a 503, not a guess. POST /v1/insert and
+// DELETE /v1/point are not routed, exactly as on karl-serve -model.
 func NewHTTPServer(co *Coordinator) *server.Server {
-	return server.NewFront(&front{co: co}, nil)
+	return server.NewFront(&front{writable: false, co: co}, nil)
 }
 
-// NewWritableHTTPServer serves a writable coordinator: the read surface of
-// NewHTTPServer plus POST /v1/insert and DELETE /v1/point, both routed
-// through the cluster manifest to the owning member.
-func NewWritableHTTPServer(co *WritableCoordinator) *server.Server {
-	f := &front{wco: co}
+// NewWritableHTTPServer serves the read surface of NewHTTPServer plus POST
+// /v1/insert and DELETE /v1/point, both routed through the cluster manifest
+// to the owning member.
+func NewWritableHTTPServer(co *Coordinator) *server.Server {
+	f := &front{writable: true, co: co}
 	return server.NewFront(f, f)
 }
 
-// ClusterInfoResponse is the coordinator's GET /v1/info body. Writable,
-// Epoch and Splits are set only for writable clusters.
+// ClusterInfoResponse is the coordinator's GET /v1/info body. Writable says
+// whether the write routes are mounted.
 type ClusterInfoResponse struct {
 	Points   int     `json:"points"`
 	Dims     int     `json:"dims"`
@@ -65,7 +58,6 @@ type ClusterInfoResponse struct {
 // ClusterStatsResponse is the coordinator's GET /v1/stats body: the front
 // door's request counters (Requests, Errors and Partials are their sums
 // over Endpoints) plus per-shard latency/error/retry/hedge counters.
-// Epoch, Splits and Rescatters are reported only for writable clusters.
 type ClusterStatsResponse struct {
 	Requests   int64                           `json:"requests"`
 	Errors     int64                           `json:"errors"`
@@ -78,8 +70,8 @@ type ClusterStatsResponse struct {
 	// ExchangeStats counts Threshold/Approximate queries and their scatter
 	// rounds since the process started.
 	ExchangeStats
-	// Cluster is the writable coordinator's membership/replication block:
-	// per-member role, quarantine state and per-follower replication lag,
+	// Cluster is the membership/replication block: per-member role,
+	// quarantine state and per-follower replication lag,
 	// plus promotion and failover counters.
 	Cluster *ClusterStatus `json:"cluster,omitempty"`
 }
@@ -127,41 +119,36 @@ type ClusterReadyResponse struct {
 }
 
 // Dims implements server.Backend.
-func (f *front) Dims() int { return f.read().Dims() }
+func (f *front) Dims() int { return f.co.Dims() }
+
+// Kernel implements server.Backend.
+func (f *front) Kernel() string { return f.co.KernelName() }
 
 // Info implements server.Backend.
 func (f *front) Info() any {
-	co := f.read()
-	resp := ClusterInfoResponse{
-		Points: co.Points(),
-		Dims:   co.Dims(),
-		Kernel: co.KernelName(),
-		Gamma:  co.Gamma(),
-		Shards: co.NumShards(),
+	return ClusterInfoResponse{
+		Points:   f.co.Points(),
+		Dims:     f.co.Dims(),
+		Kernel:   f.co.KernelName(),
+		Gamma:    f.co.Gamma(),
+		Shards:   f.co.NumShards(),
+		Writable: f.writable,
+		Epoch:    f.co.Epoch(),
+		Splits:   f.co.Splits(),
 	}
-	if f.wco != nil {
-		resp.Writable = true
-		resp.Epoch = f.wco.Epoch()
-		resp.Splits = f.wco.Splits()
-	}
-	return resp
 }
 
 // Stats implements server.Backend.
 func (f *front) Stats(ctx context.Context, endpoints map[string]server.EndpointStats) any {
-	co := f.read()
-	resp := ClusterStatsResponse{Endpoints: endpoints, Shards: co.Stats(), ExchangeStats: co.Exchange()}
+	cs := f.co.ClusterStatus(ctx)
+	resp := ClusterStatsResponse{
+		Endpoints: endpoints, Shards: f.co.Stats(), ExchangeStats: f.co.Exchange(),
+		Epoch: cs.Epoch, Splits: cs.Splits, Rescatters: cs.Rescatters, Cluster: &cs,
+	}
 	for _, ep := range endpoints {
 		resp.Requests += ep.Requests
 		resp.Errors += ep.Errors
 		resp.Partials += ep.Partials
-	}
-	if f.wco != nil {
-		resp.Epoch = f.wco.Epoch()
-		resp.Splits = f.wco.Splits()
-		resp.Rescatters = f.wco.Rescatters()
-		cs := f.wco.ClusterStatus(ctx)
-		resp.Cluster = &cs
 	}
 	return resp
 }
@@ -171,7 +158,7 @@ func (f *front) Stats(ctx context.Context, endpoints map[string]server.EndpointS
 // probe. A degraded cluster still serves — readiness signals full coverage
 // to load balancers.
 func (f *front) Ready(ctx context.Context) (any, bool) {
-	shards := f.read().Health(ctx)
+	shards := f.co.Health(ctx)
 	ready := true
 	for _, sh := range shards {
 		ready = ready && sh.OK
@@ -179,37 +166,29 @@ func (f *front) Ready(ctx context.Context) (any, bool) {
 	return ClusterReadyResponse{Ready: ready, Shards: shards}, ready
 }
 
-// query answers from the current membership — re-scattered when a writable
-// cluster's membership changes underneath — and gives a failure its status.
-func (f *front) query(ctx context.Context, fn func(*Coordinator) (server.Result, error)) (res server.Result, err error) {
-	if f.wco != nil {
-		res, err = f.wco.query(ctx, fn)
-	} else {
-		res, err = fn(f.co)
-	}
-	return res, upstream(err, nil)
-}
-
 // Aggregate implements server.Backend.
 func (f *front) Aggregate(ctx context.Context, q []float64) (server.Result, error) {
-	return f.query(ctx, func(co *Coordinator) (server.Result, error) { return co.Aggregate(ctx, q) })
+	res, err := f.co.Aggregate(ctx, q)
+	return res, upstream(err, nil)
 }
 
 // Threshold implements server.Backend.
 func (f *front) Threshold(ctx context.Context, q []float64, tau float64) (server.Result, error) {
-	return f.query(ctx, func(co *Coordinator) (server.Result, error) { return co.Threshold(ctx, q, tau) })
+	res, err := f.co.Threshold(ctx, q, tau)
+	return res, upstream(err, nil)
 }
 
 // Approximate implements server.Backend. The coordinator has no sketch
 // tier: either error model is served at the relative budget.
 func (f *front) Approximate(ctx context.Context, q []float64, eps, _ float64) (server.Result, error) {
-	return f.query(ctx, func(co *Coordinator) (server.Result, error) { return co.Approximate(ctx, q, eps) })
+	res, err := f.co.Approximate(ctx, q, eps)
+	return res, upstream(err, nil)
 }
 
 // Insert implements server.Writer: points travel through the manifest to
 // their owning members and the returned ids are cluster-global.
 func (f *front) Insert(ctx context.Context, points [][]float64, weights []float64) (any, error) {
-	ids, err := f.wco.Insert(ctx, points, weights)
+	ids, err := f.co.Insert(ctx, points, weights)
 	if err != nil {
 		if len(ids) == 0 {
 			return nil, upstream(err, nil)
@@ -224,14 +203,14 @@ func (f *front) Insert(ctx context.Context, points [][]float64, weights []float6
 		}
 		return nil, upstream(err, ClusterInsertErrorResponse{Error: err.Error(), Inserted: landed, IDs: ids})
 	}
-	return ClusterInsertResponse{Inserted: len(ids), IDs: ids, Epoch: f.wco.Epoch()}, nil
+	return ClusterInsertResponse{Inserted: len(ids), IDs: ids, Epoch: f.co.Epoch()}, nil
 }
 
 // Delete implements server.Writer by cluster-global id — one shard call per
 // owning member — chasing split lineage when a member no longer holds a
 // point.
 func (f *front) Delete(ctx context.Context, ids []uint64) (any, error) {
-	n, err := f.wco.DeleteMany(ctx, ids)
+	n, err := f.co.DeleteMany(ctx, ids)
 	if err != nil {
 		resp := ClusterDeleteErrorResponse{
 			Error:   fmt.Sprintf("%v (%d of %d deleted)", err, n, len(ids)),
@@ -243,7 +222,7 @@ func (f *front) Delete(ctx context.Context, ids []uint64) (any, error) {
 		}
 		return nil, upstream(err, resp)
 	}
-	return ClusterDeleteResponse{Deleted: len(ids), Epoch: f.wco.Epoch()}, nil
+	return ClusterDeleteResponse{Deleted: len(ids), Epoch: f.co.Epoch()}, nil
 }
 
 // upstream gives a coordinator error its HTTP status and, when body is

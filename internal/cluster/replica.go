@@ -54,7 +54,7 @@ func (s *HTTPShard) Promote(ctx context.Context) (MutableShardClient, error) {
 // caught-up ones as read failover targets. Unreachable followers stay
 // recorded as catching-up so the topology is never silently forgotten.
 // Called with w.mu held or during construction.
-func (w *WritableCoordinator) refreshFollowers(ctx context.Context, mb *shard.Member) []ShardClient {
+func (w *Coordinator) refreshFollowers(ctx context.Context, mb *shard.Member) []ShardClient {
 	fols := w.followers[mb.ID]
 	if len(fols) == 0 {
 		return nil
@@ -87,9 +87,9 @@ func (w *WritableCoordinator) refreshFollowers(ctx context.Context, mb *shard.Me
 // membership is stored. Callers hold w.mu and the odd-generation window;
 // the snapshot is stored directly and the caller's increment publishes
 // it.
-func (w *WritableCoordinator) promoteLocked(ctx context.Context, id uint64) error {
-	m := w.mem.Load()
-	mb := m.man.Member(id)
+func (w *Coordinator) promoteLocked(ctx context.Context, id uint64) error {
+	ep := w.ep.Load()
+	mb := ep.man.Member(id)
 	if mb == nil {
 		return fmt.Errorf("cluster: promotion target member %d not in manifest", id)
 	}
@@ -120,7 +120,7 @@ func (w *WritableCoordinator) promoteLocked(ctx context.Context, id uint64) erro
 	// The manifest's recorded replica set may lag the probe we just made
 	// (or miss the follower entirely after a resume): make the entry a
 	// caught-up follower before applying the promotion rule.
-	man1 := m.man.Clone()
+	man1 := ep.man.Clone()
 	cb := man1.Member(id)
 	found := false
 	for i := range cb.Replicas {
@@ -139,8 +139,8 @@ func (w *WritableCoordinator) promoteLocked(ctx context.Context, id uint64) erro
 	if err != nil {
 		return err
 	}
-	clients2 := make(map[uint64]MutableShardClient, len(m.clients))
-	for cid, c := range m.clients {
+	clients2 := make(map[uint64]MutableShardClient, len(ep.clients))
+	for cid, c := range ep.clients {
 		clients2[cid] = c
 	}
 	clients2[id] = client
@@ -149,11 +149,11 @@ func (w *WritableCoordinator) promoteLocked(ctx context.Context, id uint64) erro
 	} else {
 		delete(w.followers, id)
 	}
-	m2, err := w.buildMembership(ctx, man2, clients2, true)
+	ep2, err := w.newEpoch(ctx, man2, clients2, true)
 	if err != nil {
 		return err
 	}
-	w.mem.Store(m2)
+	w.ep.Store(ep2)
 	w.promotions.Add(1)
 	return w.persist(man2)
 }
@@ -163,7 +163,7 @@ func (w *WritableCoordinator) promoteLocked(ctx context.Context, id uint64) erro
 // otherwise (dropping its client so answers that would need its unknown
 // contents are flagged partial). Callers hold w.mu and the odd-generation
 // window.
-func (w *WritableCoordinator) failoverLocked(ctx context.Context, id uint64) error {
+func (w *Coordinator) failoverLocked(ctx context.Context, id uint64) error {
 	if err := w.promoteLocked(ctx, id); err == nil {
 		return nil
 	}
@@ -174,7 +174,7 @@ func (w *WritableCoordinator) failoverLocked(ctx context.Context, id uint64) err
 // caught-up followers (operational use; the write path and the split
 // orchestrator invoke the same transition automatically when a member
 // dies).
-func (w *WritableCoordinator) Promote(ctx context.Context, memberID uint64) error {
+func (w *Coordinator) Promote(ctx context.Context, memberID uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.gen.Add(1)
@@ -183,11 +183,11 @@ func (w *WritableCoordinator) Promote(ctx context.Context, memberID uint64) erro
 }
 
 // Promotions returns how many leader failovers have completed.
-func (w *WritableCoordinator) Promotions() int64 { return w.promotions.Load() }
+func (w *Coordinator) Promotions() int64 { return w.promotions.Load() }
 
 // Quarantines returns how many members were quarantined (client dropped
 // after an ambiguous failure with no follower to promote).
-func (w *WritableCoordinator) Quarantines() int64 { return w.quarantines.Load() }
+func (w *Coordinator) Quarantines() int64 { return w.quarantines.Load() }
 
 // ClusterReplicaStatus is one follower's row in the cluster status block.
 type ClusterReplicaStatus struct {
@@ -231,8 +231,8 @@ type ClusterStatus struct {
 // status probe per attached follower (bounded by the per-shard timeout),
 // falling back to the manifest-recorded replica set for members whose
 // followers have no attached client (e.g. after a resume).
-func (w *WritableCoordinator) ClusterStatus(ctx context.Context) ClusterStatus {
-	m := w.mem.Load()
+func (w *Coordinator) ClusterStatus(ctx context.Context) ClusterStatus {
+	ep := w.ep.Load()
 	w.mu.Lock()
 	fols := make(map[uint64][]FollowerClient, len(w.followers))
 	for id, fs := range w.followers {
@@ -240,18 +240,18 @@ func (w *WritableCoordinator) ClusterStatus(ctx context.Context) ClusterStatus {
 	}
 	w.mu.Unlock()
 	cs := ClusterStatus{
-		Epoch:       m.man.Epoch,
+		Epoch:       ep.man.Epoch,
 		Splits:      w.splits.Load(),
 		Promotions:  w.promotions.Load(),
 		Quarantines: w.quarantines.Load(),
 		Rescatters:  w.rescatters.Load(),
 	}
-	for _, mb := range m.man.Members {
+	for _, mb := range ep.man.Members {
 		ms := ClusterMemberStatus{
 			ID:          mb.ID,
 			Name:        mb.Name,
 			Role:        mb.Role.String(),
-			Quarantined: m.clients[mb.ID] == nil,
+			Quarantined: ep.clients[mb.ID] == nil,
 			Points:      mb.Points,
 		}
 		if attached := fols[mb.ID]; len(attached) > 0 {

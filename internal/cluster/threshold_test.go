@@ -181,7 +181,7 @@ func TestApproximateOneRound(t *testing.T) {
 // dyingShard answers its first bound-exchange call with a fixed certified
 // interval and fails every call after it: a shard that dies mid-exchange.
 type dyingShard struct {
-	ShardClient
+	MutableShardClient
 	first Bounds
 	calls atomic.Int64
 }
@@ -211,7 +211,7 @@ func (d *dyingShard) ThresholdBounds(context.Context, []float64, float64) (Bound
 func TestThresholdShardDiesMidExchange(t *testing.T) {
 	pts, _ := dataset(20000, 3, 19, "I")
 	mono := buildEngine(t, pts, nil, karl.Gaussian(2), karl.KDTree)
-	shards, _, err := mono.Shard(4, karl.HashPartition)
+	shards, err := mono.Shard(4, karl.HashPartition)
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
@@ -226,15 +226,15 @@ func TestThresholdShardDiesMidExchange(t *testing.T) {
 	a := 1e-6 * exact
 
 	cluster := func() (*Coordinator, *dyingShard) {
-		specs := make([]Shard, len(shards))
+		specs := make([]fixedShard, len(shards))
 		for i, se := range shards {
-			specs[i] = Shard{Client: listen(t, readServer(t, se))}
+			specs[i] = fixedShard{Client: listen(t, readServer(t, se))}
 		}
-		dying := &dyingShard{ShardClient: specs[victim].Client, first: Bounds{Value: deadF, LB: deadF - a, UB: deadF + a}}
+		dying := &dyingShard{MutableShardClient: specs[victim].Client, first: Bounds{Value: deadF, LB: deadF - a, UB: deadF + a}}
 		specs[victim].Client = dying
-		co, err := New(ctx, specs, Config{Retries: -1})
+		co, err := fixed(ctx, specs, Config{Retries: -1})
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("fixed: %v", err)
 		}
 		return co, dying
 	}
@@ -255,7 +255,8 @@ func TestThresholdShardDiesMidExchange(t *testing.T) {
 		if tr.Over != tc.over {
 			t.Errorf("%s: over = %v, want %v", tc.name, tr.Over, tc.over)
 		}
-		wantCovered := 1 - co.shards[victim].weight()/co.weightTotal()
+		ep := co.ep.Load()
+		wantCovered := 1 - ep.members[victim].weight()/ep.weightTotal()
 		if !tr.Partial || len(tr.Failed) != 1 || math.Abs(tr.Covered-wantCovered) > 1e-12 {
 			t.Errorf("%s: result %+v, want partial with the victim failed and covered %v", tc.name, tr, wantCovered)
 		}

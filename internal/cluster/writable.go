@@ -1,11 +1,10 @@
-// The writable cluster: a coordinator that owns dynamic membership and
-// routes the WRITE path — inserts and deletes travel through an
+// The write path of the coordinator: it owns dynamic membership and routes
+// the WRITE path — inserts and deletes travel through an
 // epoch-versioned shard.Manifest to the owning member, and a member whose
 // weight mass outgrows its peers is split, shipping half its points to a
 // freshly spawned member as a standard engine persistence stream.
 //
-// Reads reuse the immutable Coordinator unchanged: every membership epoch
-// owns one read coordinator over that epoch's client set, swapped in
+// Reads scatter over one immutable epoch (coordinator.go), swapped in
 // atomically. A seqlock-style generation counter brackets membership
 // changes so a query that straddles one (and could therefore mix
 // pre-split and post-split shard snapshots into one sum) is detected and
@@ -24,11 +23,8 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"karl"
-	"karl/internal/server"
 	"karl/internal/shard"
 )
 
@@ -73,7 +69,7 @@ func DecodeID(gid uint64) (member, seq uint64) {
 // recovers it from the persisted stream.
 type SpawnFunc func(ctx context.Context, member shard.Member, moved []byte) (MutableShardClient, error)
 
-// WritableConfig tunes the writable coordinator on top of the read
+// WritableConfig tunes the coordinator's write path on top of the read
 // Config. The zero value picks production defaults.
 type WritableConfig struct {
 	Config
@@ -124,7 +120,7 @@ func (c WritableConfig) withDefaults() WritableConfig {
 	return c
 }
 
-// WritableShard names one founding member of a writable cluster.
+// WritableShard names one founding member of a cluster.
 type WritableShard struct {
 	Name   string
 	Client MutableShardClient
@@ -134,52 +130,13 @@ type WritableShard struct {
 	Followers []FollowerClient
 }
 
-// membership is one immutable epoch of the cluster: the routing manifest,
-// the mutable clients by member id (absent entries are unreachable
-// members), and a read coordinator built over exactly this client set.
-type membership struct {
-	man     *shard.Manifest
-	clients map[uint64]MutableShardClient
-	co      *Coordinator
-}
-
-// WritableCoordinator routes writes through a dynamic manifest and serves
-// reads through the current epoch's Coordinator. Writes and membership
-// changes serialize on mu; reads are lock-free against an atomic
-// membership snapshot, guarded by the gen seqlock.
-type WritableCoordinator struct {
-	cfg   WritableConfig
-	spawn SpawnFunc
-
-	mu         sync.Mutex // serializes writes, splits, membership installs
-	nextID     uint64     // next member id to assign
-	sinceProbe int        // points inserted since the last split probe
-
-	// followers maps member id to its attached replication followers
-	// (guarded by mu; promotion moves a follower out of this map and into
-	// the clients of the next membership).
-	followers map[uint64][]FollowerClient
-
-	// gen is even between membership changes and odd while one is in
-	// flight; a query whose start and end generations differ (or that
-	// starts on an odd one) re-scatters.
-	gen atomic.Uint64
-	mem atomic.Pointer[membership]
-
-	splits      atomic.Int64
-	rescatters  atomic.Int64
-	promotions  atomic.Int64
-	quarantines atomic.Int64
-	// exch is shared by every epoch's read coordinator, so the query and
-	// round counts in /v1/stats survive membership changes.
-	exch exchangeCounters
-}
-
-// NewWritable founds a writable cluster over the given members with
-// routing kind `kind` (hash slots, or a kd tree which must start from
-// exactly one member and grows by splits). A nil spawn disables
-// splitting entirely — automatic and forced.
-func NewWritable(ctx context.Context, kind shard.Kind, shards []WritableShard, spawn SpawnFunc, cfg WritableConfig) (*WritableCoordinator, error) {
+// NewWritable founds a cluster over the given members with routing kind
+// `kind` (hash slots, or a kd tree which must start from exactly one member
+// and grows by splits). A nil spawn disables splitting entirely — automatic
+// and forced. Whether the cluster takes writes is decided where it is served
+// (NewWritableHTTPServer or NewHTTPServer): a read-only cluster is founded the
+// same way, over members that mount no write routes.
+func NewWritable(ctx context.Context, kind shard.Kind, shards []WritableShard, spawn SpawnFunc, cfg WritableConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	members := make([]shard.Member, len(shards))
 	clients := make(map[uint64]MutableShardClient, len(shards))
@@ -203,12 +160,12 @@ func NewWritable(ctx context.Context, kind shard.Kind, shards []WritableShard, s
 	if err != nil {
 		return nil, err
 	}
-	w := &WritableCoordinator{cfg: cfg, spawn: spawn, nextID: uint64(len(shards) + 1), followers: followers}
-	m, err := w.buildMembership(ctx, man, clients, false)
+	w := &Coordinator{cfg: cfg, spawn: spawn, nextID: uint64(len(shards) + 1), followers: followers, states: map[uint64]*memberState{}}
+	ep, err := w.newEpoch(ctx, man, clients, false)
 	if err != nil {
 		return nil, err
 	}
-	w.mem.Store(m)
+	w.ep.Store(ep)
 	if err := w.persist(man); err != nil {
 		return nil, err
 	}
@@ -230,7 +187,7 @@ func NewWritable(ctx context.Context, kind shard.Kind, shards []WritableShard, s
 // Nothing is persisted at resume time — the manifest on disk already
 // carries this epoch, and persist refuses epoch regressions; the next
 // membership change writes epoch+1 as usual.
-func ResumeWritable(ctx context.Context, man *shard.Manifest, shards []WritableShard, spawn SpawnFunc, cfg WritableConfig) (*WritableCoordinator, error) {
+func ResumeWritable(ctx context.Context, man *shard.Manifest, shards []WritableShard, spawn SpawnFunc, cfg WritableConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	byName := make(map[string]uint64, len(man.Members))
 	dup := map[string]bool{}
@@ -269,126 +226,134 @@ func ResumeWritable(ctx context.Context, man *shard.Manifest, shards []WritableS
 			followers[id] = append([]FollowerClient(nil), sp.Followers...)
 		}
 	}
-	w := &WritableCoordinator{cfg: cfg, spawn: spawn, nextID: next, followers: followers}
-	m, err := w.buildMembership(ctx, man.Clone(), clients, true)
+	w := &Coordinator{cfg: cfg, spawn: spawn, nextID: next, followers: followers, states: map[uint64]*memberState{}}
+	ep, err := w.newEpoch(ctx, man.Clone(), clients, true)
 	if err != nil {
 		return nil, err
 	}
-	w.mem.Store(m)
+	w.ep.Store(ep)
 	return w, nil
 }
 
-// buildMembership assembles one epoch: advisory member stats refreshed
-// from live Infos, a read coordinator over the client set (unreachable
-// members get a down stub so their mass stays in the coverage
-// denominator), and the clients map as given.
+// newEpoch assembles one epoch over man in a single discovery round: every
+// member at once is asked for its Info (and its followers for their
+// replication status), the manifest's advisory member stats are refreshed
+// from the answers, and each member is handed its memberState from the
+// coordinator — created on first sight, carried from epoch to epoch after
+// that. The dataset identity comes from the first member that holds a point:
+// a member still empty has no dimensionality yet (a cluster founded over
+// empty members fills them one routed insert at a time).
 //
 // In strict mode (founding) a client that does not answer its Info probe
-// fails the whole construction — an operator error worth surfacing
-// before serving anything. In lenient mode (membership installs while
-// the cluster is live, and resume) the member is served to the read
-// coordinator as a down stub instead, so the install always goes through
-// — critical after a split, where failing to install would leave reads
-// running against a source shard that already dropped the moved half.
-// The client itself stays in the map: the outage may be transient, and
-// writes plus the next membership build will re-probe it.
-func (w *WritableCoordinator) buildMembership(ctx context.Context, man *shard.Manifest, clients map[uint64]MutableShardClient, lenient bool) (*membership, error) {
-	// Refresh advisory stats and capture the dataset identity from any
-	// live member, so down stubs present consistent Info.
-	var proto ShardInfo
-	infos := make(map[uint64]ShardInfo, len(clients))
-	for id, c := range clients {
-		ictx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
-		info, err := c.Info(ictx)
-		cancel()
-		if err != nil {
-			if lenient {
-				continue // absent from infos: served as a down stub below
-			}
-			return nil, fmt.Errorf("cluster: member %d (%s): %w", id, c.Name(), err)
-		}
-		infos[id] = info
-		if info.Dims != 0 {
-			proto = info
-		}
-	}
-	if proto.Kernel == "" {
-		for _, info := range infos {
-			proto = info
-			break
-		}
-	}
-	specs := make([]Shard, len(man.Members))
+// fails the whole construction — an operator error worth surfacing before
+// serving anything. In lenient mode (epoch installs while the cluster is
+// live, and resume) the member is read through a down stub instead, so the
+// install always goes through — critical after a split, where failing to
+// install would leave reads running against a source shard that already
+// dropped the moved half. Its info is then the manifest's advisory masses,
+// which keeps the member's mass in the weight total: every answer that
+// misses it is flagged partial with honest coverage, never silently
+// complete. The client itself stays in the map: the outage may be
+// transient, and writes plus the next epoch will re-probe it.
+//
+// Called with w.mu held or during construction; man is the caller's own copy.
+func (w *Coordinator) newEpoch(ctx context.Context, man *shard.Manifest, clients map[uint64]MutableShardClient, lenient bool) (*epoch, error) {
+	ep := &epoch{co: w, man: man, clients: clients, members: make([]*member, len(man.Members))}
+	errs := make([]error, len(man.Members))
+	var wg sync.WaitGroup
 	for i := range man.Members {
 		mb := &man.Members[i]
-		// Caught-up followers join the member's replica list: read hedge
-		// targets while the leader answers, read failover when it doesn't.
-		live := w.refreshFollowers(ctx, mb)
-		if info, ok := infos[mb.ID]; ok {
+		if w.states[mb.ID] == nil {
+			w.states[mb.ID] = new(memberState)
+		}
+		m := &member{client: downShard(mb.Name), memberState: w.states[mb.ID]}
+		ep.members[i] = m
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Caught-up followers are the member's read hedge targets while
+			// the leader answers, its read failover when it doesn't.
+			m.replicas = w.refreshFollowers(ctx, mb)
+			c := clients[mb.ID]
+			if c == nil {
+				return
+			}
+			ictx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
+			info, err := c.Info(ictx)
+			cancel()
+			if err != nil {
+				errs[i] = fmt.Errorf("cluster: member %d (%s): %w", mb.ID, c.Name(), err)
+				return
+			}
 			mb.Points, mb.WPos, mb.WNeg = info.Points, info.WPos, info.WNeg
-			specs[i] = Shard{Client: clients[mb.ID], Replicas: live}
+			m.client = c
+			m.info.Store(&info)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil && !lenient {
+		return nil, fmt.Errorf("cluster: shard discovery failed: %w", err)
+	}
+
+	var first *ShardInfo
+	for _, m := range ep.members {
+		if info := m.info.Load(); info != nil && (first == nil || first.Dims == 0 && info.Dims != 0) {
+			first = info
+		}
+	}
+	if first != nil {
+		ep.dims, ep.kernel, ep.gamma = first.Dims, first.Kernel, first.Gamma
+	}
+	ep.klo, ep.khi = kernelRange(ep.kernel)
+	for i, m := range ep.members {
+		info := m.info.Load()
+		if info == nil {
+			mb := man.Members[i]
+			m.info.Store(&ShardInfo{Points: mb.Points, Dims: ep.dims, Kernel: ep.kernel, Gamma: ep.gamma, WPos: mb.WPos, WNeg: mb.WNeg})
 			continue
 		}
-		// Unreachable member: a stub whose Info carries the manifest's
-		// advisory masses keeps its mass in wTotal, so every answer that
-		// misses it is flagged partial with honest coverage — never
-		// silently complete.
-		specs[i] = Shard{Client: downShard{name: mb.Name, info: ShardInfo{
-			Points: mb.Points, Dims: proto.Dims, Kernel: proto.Kernel,
-			Gamma: proto.Gamma, WPos: mb.WPos, WNeg: mb.WNeg,
-		}}, Replicas: live}
+		if info.Kernel != ep.kernel || info.Gamma != ep.gamma || info.Dims != 0 && info.Dims != ep.dims {
+			return nil, fmt.Errorf(
+				"cluster: shard %s serves (%s γ=%v, %dd), want (%s γ=%v, %dd): shards must hold one partitioned dataset",
+				m.client.Name(), info.Kernel, info.Gamma, info.Dims, ep.kernel, ep.gamma, ep.dims)
+		}
 	}
-	co, err := New(ctx, specs, w.cfg.Config)
-	if err != nil {
-		return nil, err
-	}
-	co.exch = &w.exch
-	return &membership{man: man, clients: clients, co: co}, nil
+	return ep, nil
 }
 
-// downShard is the client stub for a member that is recorded in the
-// manifest but has no reachable engine (spawn failed, or it was
-// quarantined after an ambiguous split). Info answers from the advisory
-// snapshot; everything else fails.
-type downShard struct {
-	name string
-	info ShardInfo
-}
+// downShard is the read client of a member that is recorded in the manifest
+// but has no reachable engine (spawn failed, it was quarantined after an
+// ambiguous split, or it did not answer the epoch's discovery round): the
+// member's manifest name, and every call fails.
+type downShard string
 
-func (d downShard) Name() string { return d.name }
-func (d downShard) Info(ctx context.Context) (ShardInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return ShardInfo{}, err
-	}
-	return d.info, nil
-}
-func (d downShard) Healthy(context.Context) error {
-	return fmt.Errorf("cluster: member %s is unreachable", d.name)
-}
-func (d downShard) Aggregate(context.Context, []float64) (float64, error) {
-	return 0, fmt.Errorf("cluster: member %s is unreachable", d.name)
-}
+func (d downShard) Name() string { return string(d) }
+func (d downShard) err() error   { return fmt.Errorf("cluster: member %s is unreachable", string(d)) }
+
+func (d downShard) Info(context.Context) (ShardInfo, error)               { return ShardInfo{}, d.err() }
+func (d downShard) Healthy(context.Context) error                         { return d.err() }
+func (d downShard) Aggregate(context.Context, []float64) (float64, error) { return 0, d.err() }
 func (d downShard) Bounds(context.Context, []float64, float64) (Bounds, error) {
-	return Bounds{}, fmt.Errorf("cluster: member %s is unreachable", d.name)
+	return Bounds{}, d.err()
 }
 func (d downShard) ThresholdBounds(context.Context, []float64, float64) (Bounds, error) {
-	return Bounds{}, fmt.Errorf("cluster: member %s is unreachable", d.name)
+	return Bounds{}, d.err()
 }
 
-// install publishes a new membership under the seqlock: gen goes odd,
-// the snapshot swaps, gen goes even. Callers hold w.mu and must NOT
-// already hold the generation odd (splitLocked brackets the whole split
-// itself and stores the snapshot directly).
-func (w *WritableCoordinator) install(m *membership) {
+// install publishes a new epoch under the seqlock: gen goes odd, the
+// snapshot swaps, gen goes even. Callers hold w.mu and must NOT already
+// hold the generation odd (splitLocked brackets the whole split itself and
+// stores the snapshot directly).
+func (w *Coordinator) install(ep *epoch) {
 	w.gen.Add(1) // odd: queries in flight will re-scatter
-	w.mem.Store(m)
+	w.ep.Store(ep)
 	w.gen.Add(1) // even again
 }
 
 // persist writes the manifest to the configured path (temp file, synced,
 // then renamed over the live one, so a crash leaves the old manifest or the
 // new one, never a torn one), refusing to regress an epoch already on disk.
-func (w *WritableCoordinator) persist(man *shard.Manifest) error {
+func (w *Coordinator) persist(man *shard.Manifest) error {
 	if w.cfg.ManifestPath == "" {
 		return nil
 	}
@@ -431,33 +396,8 @@ func LoadManifest(path string) (*shard.Manifest, error) {
 	return shard.ReadManifest(f)
 }
 
-// Manifest returns a copy of the current routing manifest.
-func (w *WritableCoordinator) Manifest() *shard.Manifest { return w.mem.Load().man.Clone() }
-
-// Dims reports the dataset dimensionality (0 until the first insert when
-// founded over empty shards).
-func (w *WritableCoordinator) Dims() int { return w.mem.Load().co.Dims() }
-
-// Points reports the total point count as of the current epoch's
-// construction.
-func (w *WritableCoordinator) Points() int { return w.mem.Load().co.Points() }
-
-// KernelName reports the shared kernel name.
-func (w *WritableCoordinator) KernelName() string { return w.mem.Load().co.KernelName() }
-
-// Epoch returns the current manifest epoch.
-func (w *WritableCoordinator) Epoch() uint64 { return w.mem.Load().man.Epoch }
-
-// NumShards returns the current member count (including unreachable
-// members).
-func (w *WritableCoordinator) NumShards() int { return len(w.mem.Load().man.Members) }
-
 // Splits returns how many shard splits have completed.
-func (w *WritableCoordinator) Splits() int64 { return w.splits.Load() }
-
-// Rescatters returns how many queries were re-scattered after straddling
-// a membership change.
-func (w *WritableCoordinator) Rescatters() int64 { return w.rescatters.Load() }
+func (w *Coordinator) Splits() int64 { return w.splits.Load() }
 
 // Insert routes points to their owning members via the manifest and
 // returns cluster-global ids (member ⊕ engine-local id), in input order.
@@ -471,9 +411,9 @@ func (w *WritableCoordinator) Rescatters() int64 { return w.rescatters.Load() }
 // trigger an automatic shard split (spawn configured, weight imbalance
 // over SplitFactor, probed once every SplitCheckEvery inserted points);
 // split failures never fail the insert. Before returning — also on a
-// mid-batch failure — the read coordinator's weight masses of every member
-// that acknowledged points are refreshed (refreshMassLocked).
-func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, weights []float64) ([]uint64, error) {
+// mid-batch failure — the epoch's weight masses of every member that
+// acknowledged points are refreshed (refreshMassLocked).
+func (w *Coordinator) Insert(ctx context.Context, points [][]float64, weights []float64) ([]uint64, error) {
 	if len(points) == 0 {
 		return nil, errors.New("cluster: empty insert")
 	}
@@ -482,7 +422,7 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	m := w.mem.Load()
+	ep := w.ep.Load()
 	var touched []uint64 // members that acknowledged points of this call
 	defer func() { w.refreshMassLocked(touched) }()
 
@@ -490,7 +430,7 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 	groups := map[uint64][]int{}
 	var order []uint64
 	for i, p := range points {
-		id := m.man.Route(p)
+		id := ep.man.Route(p)
 		if _, seen := groups[id]; !seen {
 			order = append(order, id)
 		}
@@ -508,10 +448,10 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 	}
 	for _, mid := range order {
 		idxs := groups[mid]
-		c := m.clients[mid]
+		c := ep.clients[mid]
 		if c == nil {
 			return partial(), fmt.Errorf("cluster: member %d (%s) is unreachable (%d of %d points landed; non-zero returned ids name them)",
-				mid, m.man.Member(mid).Name, landed, len(points))
+				mid, ep.man.Member(mid).Name, landed, len(points))
 		}
 		pts := make([][]float64, len(idxs))
 		var ws []float64
@@ -542,8 +482,8 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 				perr := w.promoteLocked(ctx, mid)
 				w.gen.Add(1)
 				if perr == nil {
-					m = w.mem.Load()
-					if c2 := m.clients[mid]; c2 != nil {
+					ep = w.ep.Load()
+					if c2 := ep.clients[mid]; c2 != nil {
 						c = c2
 						local, err = c.Insert(ctx, pts, ws)
 					}
@@ -568,14 +508,14 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 			landed++
 		}
 	}
-	if m.co.dims == 0 {
-		// The founding members were empty; the read coordinator pinned
-		// dims at 0. Rebuild it now that the dataset has a dimensionality.
-		m2, err := w.buildMembership(ctx, m.man, m.clients, true)
+	if ep.dims == 0 {
+		// The founding members were empty and the epoch pinned dims at 0.
+		// Install one that knows the dataset's dimensionality.
+		ep2, err := w.newEpoch(ctx, ep.man.Clone(), ep.clients, true)
 		if err != nil {
-			return ids, fmt.Errorf("cluster: all %d points landed, but reads stay refused: rebuilding the read coordinator: %w", len(points), err)
+			return ids, fmt.Errorf("cluster: all %d points landed, but reads stay refused: installing an epoch with the dataset's dimensionality: %w", len(points), err)
 		}
-		w.install(m2)
+		w.install(ep2)
 	}
 	w.sinceProbe += len(points)
 	if w.sinceProbe >= w.cfg.SplitCheckEvery {
@@ -587,24 +527,24 @@ func (w *WritableCoordinator) Insert(ctx context.Context, points [][]float64, we
 
 // refreshMassLocked installs, for every listed member, the cardinality and
 // weight masses its latest write reply carried (WriteMass) in the current
-// read coordinator, so the a-priori clamp [klo·W_S, khi·W_S] that every
+// epoch, so the a-priori clamp [klo·W_S, khi·W_S] that every
 // Threshold/Approximate exchange starts from tracks the shard's true mass.
-// Without it the masses stay at their membership-build values (the first
+// Without it the masses stay at their discovery-round values (the first
 // insert's, for a cluster founded empty) and a shard holding more mass than
 // recorded is clamped below its true contribution — a silently wrong eKAQ.
 // The masses ride on the write's own reply: no round trip is made here,
 // and reads pay nothing. A client with no write reply yet keeps the old
 // masses. Called with w.mu held.
-func (w *WritableCoordinator) refreshMassLocked(members []uint64) {
-	m := w.mem.Load()
-	for i := range m.man.Members {
-		id := m.man.Members[i].ID
-		c := m.clients[id]
+func (w *Coordinator) refreshMassLocked(members []uint64) {
+	ep := w.ep.Load()
+	for i := range ep.man.Members {
+		id := ep.man.Members[i].ID
+		c := ep.clients[id]
 		if c == nil || !slices.Contains(members, id) {
 			continue
 		}
 		if mass, ok := c.WriteMass(); ok {
-			m.co.setMass(i, mass) // shards are built in manifest member order
+			ep.setMass(i, mass) // members are in manifest order
 		}
 	}
 }
@@ -615,7 +555,7 @@ func (w *WritableCoordinator) refreshMassLocked(members []uint64) {
 // BaseSeq fence admits the sequence number can have inherited it, so a
 // fresh point with a recycled-looking id on an unrelated member is never
 // touched.
-func (w *WritableCoordinator) Delete(ctx context.Context, gid uint64) error {
+func (w *Coordinator) Delete(ctx context.Context, gid uint64) error {
 	_, err := w.DeleteMany(ctx, []uint64{gid})
 	return err
 }
@@ -641,9 +581,9 @@ func (e *DeleteError) Unwrap() error { return e.Err }
 // under this order are not a prefix of gids, and the error is a
 // *DeleteError naming the id (after a transport failure, which carries no
 // count from the shard, the first id of the batch that was in flight).
-// Members that lost points have their weight masses refreshed in the read
-// coordinator once per call (refreshMassLocked).
-func (w *WritableCoordinator) DeleteMany(ctx context.Context, gids []uint64) (int, error) {
+// Members that lost points have their weight masses refreshed in the epoch
+// once per call (refreshMassLocked).
+func (w *Coordinator) DeleteMany(ctx context.Context, gids []uint64) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var touched []uint64 // members that lost a point in this call
@@ -665,7 +605,7 @@ func (w *WritableCoordinator) DeleteMany(ctx context.Context, gids []uint64) (in
 		for i, gid := range group {
 			_, seqs[i] = DecodeID(gid)
 		}
-		c := w.mem.Load().clients[mid]
+		c := w.ep.Load().clients[mid]
 		for len(group) > 0 {
 			n := 0
 			err := karl.ErrPointNotFound // no client to ask: chase
@@ -698,19 +638,19 @@ func (w *WritableCoordinator) DeleteMany(ctx context.Context, gids []uint64) (in
 // deleteLocked removes one point by chasing its split lineage and names
 // the member that held it. ownerMissed says the member that assigned the
 // id has just reported it missing, so the chase starts at its descendants.
-func (w *WritableCoordinator) deleteLocked(ctx context.Context, gid uint64, ownerMissed bool) (uint64, error) {
+func (w *Coordinator) deleteLocked(ctx context.Context, gid uint64, ownerMissed bool) (uint64, error) {
 	mid, seq := DecodeID(gid)
-	m := w.mem.Load()
-	if m.man.Member(mid) == nil {
+	ep := w.ep.Load()
+	if ep.man.Member(mid) == nil {
 		return 0, fmt.Errorf("cluster: point %d names unknown member %d: %w", gid, mid, karl.ErrPointNotFound)
 	}
-	candidates := lineageCandidates(m.man, mid, seq)
+	candidates := lineageCandidates(ep.man, mid, seq)
 	if ownerMissed {
 		candidates = candidates[1:]
 	}
 	unreachable := false
 	for _, cand := range candidates {
-		c := m.clients[cand]
+		c := ep.clients[cand]
 		if c == nil {
 			unreachable = true
 			continue
@@ -755,18 +695,18 @@ func lineageCandidates(man *shard.Manifest, mid, seq uint64) []uint64 {
 // probe costs one Info round trip per member under the write lock, so
 // the insert path invokes it only once every SplitCheckEvery inserted
 // points rather than on every call.
-func (w *WritableCoordinator) maybeSplitLocked(ctx context.Context) {
+func (w *Coordinator) maybeSplitLocked(ctx context.Context) {
 	if w.spawn == nil {
 		return
 	}
-	m := w.mem.Load()
-	if len(m.man.Members) >= maxShards {
+	ep := w.ep.Load()
+	if len(ep.man.Members) >= maxShards {
 		return
 	}
 	var heavy uint64
 	var heavyW, totalW float64
 	heavyPts, alive := 0, 0
-	for id, c := range m.clients {
+	for id, c := range ep.clients {
 		ictx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
 		info, err := c.Info(ictx)
 		cancel()
@@ -794,10 +734,10 @@ func (w *WritableCoordinator) maybeSplitLocked(ctx context.Context) {
 
 // Split forces a split of the given member (tests, operational
 // rebalancing). It respects maxShards but not the weight trigger.
-func (w *WritableCoordinator) Split(ctx context.Context, memberID uint64) error {
+func (w *Coordinator) Split(ctx context.Context, memberID uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.mem.Load().man.Members) >= maxShards {
+	if len(w.ep.Load().man.Members) >= maxShards {
 		return fmt.Errorf("cluster: membership already at its cap (%d)", maxShards)
 	}
 	return w.splitLocked(ctx, memberID)
@@ -831,29 +771,29 @@ func (w *WritableCoordinator) Split(ctx context.Context, memberID uint64) error 
 // makes reads that started earlier re-scatter — the window can span
 // spawn/Info round trips, trading read latency during a split for the
 // never-silently-wrong contract.
-func (w *WritableCoordinator) splitLocked(ctx context.Context, srcID uint64) error {
+func (w *Coordinator) splitLocked(ctx context.Context, srcID uint64) error {
 	if w.spawn == nil {
 		return errors.New("cluster: no spawner configured")
 	}
-	m := w.mem.Load()
-	src := m.clients[srcID]
+	ep := w.ep.Load()
+	src := ep.clients[srcID]
 	if src == nil {
 		return fmt.Errorf("cluster: member %d has no reachable client", srcID)
 	}
 	var rule shard.SplitRule
 	auto := false
-	switch m.man.Kind {
+	switch ep.man.Kind {
 	case shard.Hash:
-		slots := m.man.MemberSlots(srcID)
+		slots := ep.man.MemberSlots(srcID)
 		if len(slots) < 2 {
 			return fmt.Errorf("cluster: member %d owns %d hash slots, cannot split", srcID, len(slots))
 		}
-		rule = shard.SplitRule{Kind: shard.Hash, NumSlots: m.man.NumSlots, Slots: slots[len(slots)/2:]}
+		rule = shard.SplitRule{Kind: shard.Hash, NumSlots: ep.man.NumSlots, Slots: slots[len(slots)/2:]}
 	case shard.KDSplit:
 		rule = shard.SplitRule{Kind: shard.KDSplit}
 		auto = true
 	default:
-		return fmt.Errorf("cluster: unknown routing kind %v", m.man.Kind)
+		return fmt.Errorf("cluster: unknown routing kind %v", ep.man.Kind)
 	}
 
 	// Destructive step ahead: seqlock odd across the whole split so no
@@ -879,15 +819,15 @@ func (w *WritableCoordinator) splitLocked(ctx context.Context, srcID uint64) err
 		WPos:    res.WPos,
 		WNeg:    res.WNeg,
 	}
-	man2, err := m.man.ApplySplit(srcID, member, res.Rule)
+	man2, err := ep.man.ApplySplit(srcID, member, res.Rule)
 	if err != nil {
 		// The points already left the source; failing over (or
 		// quarantining) it keeps the accounting honest even on this
 		// (programmer-error) path.
 		return errors.Join(err, w.failoverLocked(ctx, srcID))
 	}
-	clients2 := make(map[uint64]MutableShardClient, len(m.clients)+1)
-	for id, c := range m.clients {
+	clients2 := make(map[uint64]MutableShardClient, len(ep.clients)+1)
+	for id, c := range ep.clients {
 		clients2[id] = c
 	}
 	var spawnErr error
@@ -909,13 +849,13 @@ func (w *WritableCoordinator) splitLocked(ctx context.Context, srcID uint64) err
 	// served as a down stub rather than failing the install — aborting
 	// here would leave reads on a membership whose source shard already
 	// dropped the moved half.
-	m2, err := w.buildMembership(ctx, man2, clients2, true)
+	ep2, err := w.newEpoch(ctx, man2, clients2, true)
 	if err != nil {
 		return errors.Join(spawnErr, err)
 	}
 	// Published inside the odd-generation window splitLocked holds; the
 	// deferred increment makes it visible to waiting reads.
-	w.mem.Store(m2)
+	w.ep.Store(ep2)
 	w.splits.Add(1)
 	if err := w.persist(man2); err != nil {
 		return errors.Join(spawnErr, err)
@@ -929,80 +869,21 @@ func (w *WritableCoordinator) splitLocked(ctx context.Context, srcID uint64) err
 // queries re-scatter onto the degraded membership. Callers hold both
 // w.mu and the odd-generation window of splitLocked, so the snapshot is
 // stored directly — the caller's deferred increment publishes it.
-func (w *WritableCoordinator) quarantineLocked(ctx context.Context, id uint64) error {
-	m := w.mem.Load()
-	clients2 := make(map[uint64]MutableShardClient, len(m.clients))
-	for cid, c := range m.clients {
+func (w *Coordinator) quarantineLocked(ctx context.Context, id uint64) error {
+	ep := w.ep.Load()
+	clients2 := make(map[uint64]MutableShardClient, len(ep.clients))
+	for cid, c := range ep.clients {
 		if cid != id {
 			clients2[cid] = c
 		}
 	}
-	man2 := m.man.Clone()
+	man2 := ep.man.Clone()
 	man2.Epoch++
-	m2, err := w.buildMembership(ctx, man2, clients2, true)
+	ep2, err := w.newEpoch(ctx, man2, clients2, true)
 	if err != nil {
 		return err
 	}
-	w.mem.Store(m2)
+	w.ep.Store(ep2)
 	w.quarantines.Add(1)
 	return w.persist(man2)
-}
-
-// snapshot returns the current membership under an even generation,
-// waiting out an in-flight membership change (bounded by ctx).
-func (w *WritableCoordinator) snapshot(ctx context.Context) (*membership, uint64, error) {
-	for {
-		g := w.gen.Load()
-		if g%2 == 0 {
-			m := w.mem.Load()
-			if w.gen.Load() == g {
-				return m, g, nil
-			}
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return nil, 0, ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
-// query runs fn against a consistent membership snapshot, re-scattering
-// when the generation advanced underneath it — the straddle could have
-// mixed pre- and post-split shard states into one sum.
-func (w *WritableCoordinator) query(ctx context.Context, fn func(*Coordinator) (server.Result, error)) (server.Result, error) {
-	for attempt := 0; ; attempt++ {
-		m, g, err := w.snapshot(ctx)
-		if err != nil {
-			return server.Result{}, err
-		}
-		res, err := fn(m.co)
-		if w.gen.Load() == g {
-			return res, err
-		}
-		w.rescatters.Add(1)
-		if attempt >= epochRetries {
-			return server.Result{}, fmt.Errorf("%w: %d re-scatters exhausted (epoch now %d)",
-				ErrEpochChanged, attempt+1, w.Epoch())
-		}
-	}
-}
-
-// Aggregate computes F_P(q) exactly over the current membership; see
-// Coordinator.Aggregate for the degradation contract.
-func (w *WritableCoordinator) Aggregate(ctx context.Context, q []float64) (server.Result, error) {
-	return w.query(ctx, func(co *Coordinator) (server.Result, error) { return co.Aggregate(ctx, q) })
-}
-
-// Threshold decides F_P(q) > τ over the current membership; see
-// Coordinator.Threshold.
-func (w *WritableCoordinator) Threshold(ctx context.Context, q []float64, tau float64) (server.Result, error) {
-	return w.query(ctx, func(co *Coordinator) (server.Result, error) { return co.Threshold(ctx, q, tau) })
-}
-
-// Approximate computes F_P(q) to relative error eps over the current
-// membership; see Coordinator.Approximate.
-func (w *WritableCoordinator) Approximate(ctx context.Context, q []float64, eps float64) (server.Result, error) {
-	return w.query(ctx, func(co *Coordinator) (server.Result, error) { return co.Approximate(ctx, q, eps) })
 }

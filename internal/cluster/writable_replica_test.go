@@ -24,7 +24,7 @@ import (
 // at that moment. Returns the coordinator, the leader engines, the kill
 // switches and the appliers (the caller drives their catch-up), index-aligned
 // with member ids 1..n.
-func replicatedHTTPCluster(t *testing.T, n int, kern karl.Kernel) (*WritableCoordinator, []*karl.Engine, []*downableHandler, []*replica.Applier) {
+func replicatedHTTPCluster(t *testing.T, n int, kern karl.Kernel) (*Coordinator, []*karl.Engine, []*downableHandler, []*replica.Applier) {
 	t.Helper()
 	engines := make([]*karl.Engine, n)
 	switches := make([]*downableHandler, n)
@@ -439,4 +439,65 @@ func TestWritableOperatorPromote(t *testing.T) {
 		}
 	}
 	mustInsert(t, wco, pts[:20], nil)
+}
+
+// TestWritableMemberStateSurvivesSplit: what the coordinator has learned about
+// a member — its request and hedge counters, the latency window that arms the
+// hedge — belongs to the member, not to the epoch. Member 1 has a caught-up
+// follower and a warm window; splitting member 2 installs a new epoch, and
+// member 1 must come out of it with its counters where they were and its hedge
+// still armed (a cold window would mean no hedging for the next warmSamples
+// calls, exactly after a membership change).
+func TestWritableMemberStateSurvivesSplit(t *testing.T) {
+	ctx := context.Background()
+	kern := karl.Gaussian(0.5)
+	leader := newDynEngine(t, kern, karl.KDTree)
+	mirror := newDynEngine(t, kern, karl.KDTree)
+	leaderClient := listen(t, mutableServer(t, leader))
+	applier := replica.NewApplier(mirror, replica.NewHTTPSource(leaderClient.Name()))
+	// Live before founding, so the first epoch already lists the follower.
+	if err := applier.CatchUp(ctx); err != nil {
+		t.Fatalf("CatchUp: %v", err)
+	}
+	founders := []WritableShard{
+		{Name: "m1", Client: leaderClient,
+			Followers: []FollowerClient{listen(t, mutableServer(t, mirror, server.WithReplicaApplier(applier)))}},
+		{Name: "m2", Client: listen(t, mutableServer(t, newDynEngine(t, kern, karl.KDTree)))},
+	}
+	wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t), WritableConfig{SplitCheckEvery: 1 << 30})
+	if err != nil {
+		t.Fatalf("NewWritable: %v", err)
+	}
+	pts, _ := dataset(400, 3, 47, "I")
+	mustInsert(t, wco, pts, nil)
+	if err := applier.CatchUp(ctx); err != nil {
+		t.Fatalf("CatchUp: %v", err)
+	}
+	for i := 0; i < 2*warmSamples; i++ {
+		if res, err := wco.Aggregate(ctx, pts[i]); err != nil || res.Partial {
+			t.Fatalf("Aggregate: %+v, %v", res, err)
+		}
+	}
+	m1 := func() (ShardStats, time.Duration) {
+		st := wco.Stats()[0]
+		if st.Name != leaderClient.Name() || st.Replicas != 1 {
+			t.Fatalf("fixture: member 1 reads as %+v, want %s with its follower as a hedge target", st, leaderClient.Name())
+		}
+		return st, time.Duration(wco.ep.Load().members[0].lat.hedge.Load())
+	}
+	before, hedgeBefore := m1()
+	if before.Requests < 2*warmSamples || hedgeBefore == 0 {
+		t.Fatalf("fixture: %d requests and hedge delay %v before the split, want a warm window", before.Requests, hedgeBefore)
+	}
+
+	if err := wco.Split(ctx, 2); err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	after, hedgeAfter := m1()
+	if after.Requests < before.Requests || after.Hedges < before.Hedges || after.P50Millis == 0 {
+		t.Errorf("member 1 after a split of member 2: %+v, before it %+v: the counters restarted", after, before)
+	}
+	if hedgeAfter == 0 {
+		t.Errorf("member 1's hedge delay is 0 after a split of member 2 (was %v): the latency window went cold", hedgeBefore)
+	}
 }

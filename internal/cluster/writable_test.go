@@ -12,11 +12,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"karl"
+	"karl/internal/replica"
 	"karl/internal/server"
 	"karl/internal/shard"
 )
@@ -62,7 +64,7 @@ func httpSpawn(t testing.TB) SpawnFunc {
 
 // foundWritable builds an n-member hash-routed writable cluster, every member
 // a mutable engine behind its own front door, and returns it with the engines.
-func foundWritable(t testing.TB, n int, kern karl.Kernel, kind karl.IndexKind, spawn SpawnFunc, cfg WritableConfig) (*WritableCoordinator, []*karl.Engine) {
+func foundWritable(t testing.TB, n int, kern karl.Kernel, kind karl.IndexKind, spawn SpawnFunc, cfg WritableConfig) (*Coordinator, []*karl.Engine) {
 	t.Helper()
 	engines := make([]*karl.Engine, n)
 	founders := make([]WritableShard, n)
@@ -77,7 +79,7 @@ func foundWritable(t testing.TB, n int, kern karl.Kernel, kind karl.IndexKind, s
 	return wco, engines
 }
 
-func mustInsert(t *testing.T, wco *WritableCoordinator, pts [][]float64, w []float64) []uint64 {
+func mustInsert(t *testing.T, wco *Coordinator, pts [][]float64, w []float64) []uint64 {
 	t.Helper()
 	ids, err := wco.Insert(context.Background(), pts, w)
 	if err != nil {
@@ -1257,4 +1259,114 @@ func TestWritableInsertLargeBatch(t *testing.T) {
 	if err := wco.Delete(ctx, gids[len(gids)-1]); err != nil {
 		t.Fatalf("deleting the last id: %v", err)
 	}
+}
+
+// infoCountingTransport counts GET /v1/info per host and the most that were
+// ever in flight at once; each is held long enough that a round issued member
+// by member could not overlap.
+type infoCountingTransport struct {
+	inner http.RoundTripper
+
+	mu       sync.Mutex
+	perHost  map[string]int
+	inFlight int
+	peak     int
+}
+
+func (c *infoCountingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodGet && r.URL.Path == "/v1/info" {
+		c.mu.Lock()
+		c.perHost[r.URL.Host]++
+		c.inFlight++
+		c.peak = max(c.peak, c.inFlight)
+		c.mu.Unlock()
+		time.Sleep(20 * time.Millisecond)
+		defer func() {
+			c.mu.Lock()
+			c.inFlight--
+			c.mu.Unlock()
+		}()
+	}
+	return c.inner.RoundTrip(r)
+}
+
+// round returns the per-host counts and the peak since the last call.
+func (c *infoCountingTransport) round() (map[string]int, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	perHost, peak := c.perHost, c.peak
+	c.perHost, c.peak = map[string]int{}, 0
+	return perHost, peak
+}
+
+// TestWritableOneDiscoveryRound: installing an epoch asks every reachable
+// member for its Info exactly once, all members at once — the install after
+// the first insert into a cluster founded empty, a split and a promotion
+// alike. Reads are held while the generation is odd, so a second round, or a
+// round walked member by member, is latency every reader pays.
+func TestWritableOneDiscoveryRound(t *testing.T) {
+	ctx := context.Background()
+	kern := karl.Gaussian(0.5)
+	counter := &infoCountingTransport{inner: &syncTransport{}, perHost: map[string]int{}}
+	counted := func(h http.Handler) *HTTPShard {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		return NewHTTPShardClient(ts.URL, &http.Client{Transport: counter})
+	}
+	leader := newDynEngine(t, kern, karl.KDTree)
+	mirror := newDynEngine(t, kern, karl.KDTree)
+	leaderClient := counted(mutableServer(t, leader))
+	applier := replica.NewApplier(mirror, replica.NewHTTPSource(leaderClient.Name()))
+	founders := []WritableShard{
+		{Client: leaderClient, Followers: []FollowerClient{counted(mutableServer(t, mirror, server.WithReplicaApplier(applier)))}},
+		{Client: counted(mutableServer(t, newDynEngine(t, kern, karl.KDTree)))},
+	}
+	spawn := func(_ context.Context, _ shard.Member, moved []byte) (MutableShardClient, error) {
+		d, err := karl.ReadEngine(bytes.NewReader(moved))
+		if err != nil {
+			return nil, err
+		}
+		srv, err := server.NewMutable(d)
+		if err != nil {
+			return nil, err
+		}
+		return counted(srv), nil
+	}
+	wco, err := NewWritable(ctx, shard.Hash, founders, spawn, WritableConfig{SplitCheckEvery: 1 << 30})
+	if err != nil {
+		t.Fatalf("NewWritable: %v", err)
+	}
+	check := func(step string, members int) {
+		t.Helper()
+		perHost, peak := counter.round()
+		if len(perHost) != members {
+			t.Errorf("%s: GET /v1/info reached %d members, want %d: %v", step, len(perHost), members, perHost)
+		}
+		for host, n := range perHost {
+			if n != 1 {
+				t.Errorf("%s: %d GET /v1/info to %s, want exactly 1", step, n, host)
+			}
+		}
+		if peak != members {
+			t.Errorf("%s: at most %d GET /v1/info in flight at once, want all %d", step, peak, members)
+		}
+	}
+	check("founding", 2)
+
+	pts, _ := dataset(300, 3, 53, "I")
+	mustInsert(t, wco, pts, nil) // founded empty: the epoch that learns the dimensionality
+	check("install after the first insert", 2)
+
+	if err := wco.Split(ctx, 2); err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	check("split", 3)
+
+	if err := applier.CatchUp(ctx); err != nil {
+		t.Fatalf("CatchUp: %v", err)
+	}
+	if err := wco.Promote(ctx, 1); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	check("promotion", 3)
 }

@@ -1,7 +1,10 @@
 package dataset
 
 import (
+	"bufio"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"karl/internal/vec"
@@ -202,4 +205,37 @@ func rowsOf(m *vec.Matrix) [][]float64 {
 		rows[i] = m.Row(i)
 	}
 	return rows
+}
+
+func TestReadRows(t *testing.T) {
+	long := strings.Repeat("1 ", maxLine/2+1)
+	for _, tc := range []struct {
+		name, in string
+		rows     int
+		wantErr  string // substring; "" = no error
+	}{
+		{"vectors and blank lines", "1 2 3\n\n  \n4e-1\t5 -6\n", 2, ""},
+		{"no trailing newline", "1 2\n3 4", 2, ""},
+		{"empty input", "", 0, ""},
+		{"not a number", "1 2\n3 x4\n", 0, `line 2: parse "x4"`},
+		{"ragged row", "1 2\n\n3 4 5\n", 0, "line 3: 3 fields, the rows before it have 2"},
+		{"line over the cap", "1 2\n" + long + "\n", 0, "line 2: bufio.Scanner: token too long"},
+	} {
+		rows, err := ReadRows(strings.NewReader(tc.in))
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		case tc.wantErr == "" && len(rows) != tc.rows:
+			t.Errorf("%s: %d rows, want %d", tc.name, len(rows), tc.rows)
+		}
+	}
+	if _, err := ReadRows(strings.NewReader("1 2\n" + long)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("a line over the cap: err = %v, want bufio.ErrTooLong wrapped", err)
+	}
+	rows, err := ReadRows(strings.NewReader("1 2 3\n4e-1\t5 -6\n"))
+	if err != nil || len(rows) != 2 || rows[1][0] != 0.4 || rows[1][2] != -6 {
+		t.Errorf("ReadRows = %v, %v", rows, err)
+	}
 }

@@ -254,6 +254,9 @@ func (p *enginePool) stats() PoolStats {
 // started empty (0 until then).
 func (l *local) Dims() int { return l.pool.template.Dims() }
 
+// Kernel implements Backend.
+func (l *local) Kernel() string { return l.pool.template.Kernel().Kind.String() }
+
 // whole wraps one engine answer as a Result: a local engine always covers
 // its whole dataset.
 func whole(v float64, over bool, st karl.Stats, err error) (Result, error) {
@@ -644,7 +647,7 @@ func (s *Server) validateBounds(req QueryRequest) error {
 	if req.Eps == 0 && req.EpsNorm == 0 {
 		return nil // exact round
 	}
-	return validateBudget(req.Eps, req.EpsNorm)
+	return s.validateBudget(req.Eps, req.EpsNorm)
 }
 
 // SplitRequest is the POST /v1/split body: the routing rule whose
@@ -839,7 +842,7 @@ func (s *Server) validateBatch(req BatchRequest) error {
 			return fmt.Errorf("tau must be finite, got %v", req.Tau)
 		}
 	case "approximate":
-		if err := validateBudget(req.Eps, req.EpsNorm); err != nil {
+		if err := s.validateBudget(req.Eps, req.EpsNorm); err != nil {
 			return err
 		}
 	default:

@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"karl"
+	"karl/internal/kernel"
 	"karl/internal/replica"
 )
 
@@ -62,6 +63,9 @@ type Backend interface {
 	// Dims is the dataset dimensionality right now (0 while it holds no
 	// point): the length every query vector is checked against.
 	Dims() int
+	// Kernel is the kernel family as /v1/info names it: the normalized error
+	// model is refused on one that is not bounded by 1.
+	Kernel() string
 	Aggregate(ctx context.Context, q []float64) (Result, error)
 	Threshold(ctx context.Context, q []float64, tau float64) (Result, error)
 	// Approximate answers within relative error eps. epsNorm is non-zero
@@ -175,7 +179,8 @@ type DeleteRequest struct {
 //     (0,1). When the sketch tier is enabled and eps_norm covers the
 //     sketch's bound, the query is served from the coreset with the
 //     leftover budget; otherwise the full index serves it at relative
-//     ε = eps_norm, which is conservative since F_P(q) ≤ W.
+//     ε = eps_norm, which is conservative since |F_P(q)| ≤ W for a kernel
+//     bounded by 1. The polynomial kernel is not, and is refused (400).
 type QueryRequest struct {
 	Q       []float64 `json:"q"`
 	Tau     float64   `json:"tau"`
@@ -343,9 +348,10 @@ var errNotFinite = &Error{
 }
 
 // relativeBudget maps a request's budget onto the relative-ε contract. A
-// normalized budget is served at relative ε = eps_norm: since F_P(q) ≤ W,
-// the relative bound eps_norm·F_P ≤ eps_norm·W also meets the normalized
-// one (conservatively).
+// normalized budget is served at relative ε = eps_norm: for a kernel with
+// |K| ≤ 1 (every family but the polynomial, which validateBudget refuses)
+// |F_P(q)| ≤ W, so the relative bound eps_norm·|F_P| ≤ eps_norm·W also meets
+// the normalized one (conservatively).
 func relativeBudget(eps, epsNorm float64) float64 {
 	if epsNorm != 0 {
 		return epsNorm
@@ -618,15 +624,16 @@ func (s *Server) validate(req QueryRequest, n need) error {
 			return fmt.Errorf("tau must be finite, got %v", req.Tau)
 		}
 	case needEps:
-		return validateBudget(req.Eps, req.EpsNorm)
+		return s.validateBudget(req.Eps, req.EpsNorm)
 	}
 	return nil
 }
 
 // validateBudget checks an approximate query's error budget: exactly one
 // of eps (relative error) and eps_norm (normalized absolute error) must be
-// supplied — they are distinct contracts, not interchangeable scales.
-func validateBudget(eps, epsNorm float64) error {
+// supplied — they are distinct contracts, not interchangeable scales — and
+// the normalized one only exists for a kernel bounded by 1 (relativeBudget).
+func (s *Server) validateBudget(eps, epsNorm float64) error {
 	switch {
 	case !isFinite(eps):
 		return fmt.Errorf("eps must be finite, got %v", eps)
@@ -637,6 +644,9 @@ func validateBudget(eps, epsNorm float64) error {
 	case epsNorm != 0:
 		if epsNorm <= 0 || epsNorm >= 1 {
 			return fmt.Errorf("eps_norm must be in (0,1), got %v", epsNorm)
+		}
+		if s.be.Kernel() == kernel.Polynomial.String() {
+			return errors.New("eps_norm needs a kernel bounded by 1; use eps")
 		}
 	case eps <= 0:
 		return errors.New("eps must be positive (or set eps_norm for the normalized error model)")

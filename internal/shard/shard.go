@@ -18,10 +18,9 @@
 //     coordinator's adaptive refinement can leave them alone after the
 //     first round.
 //
-// The resulting Plan records, per shard, the row list plus the point count
-// and the positive/negative weight mass W_S⁺/W_S⁻ — the quantities the
-// coordinator's ε-budget allocation and degraded-mode accounting need,
-// and what cmd/karl-shard writes into the shard manifest.
+// The resulting Plan is the row list of every shard; a shard's cardinality
+// and weight masses W_S⁺/W_S⁻ — what the coordinator's ε-budget allocation
+// and degraded-mode accounting need — are read off the engine built over it.
 package shard
 
 import (
@@ -69,34 +68,17 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// Meta summarizes one shard of a plan: its cardinality and the weight mass
-// of each sign class (W⁺ = Σ w_i over w_i > 0, W⁻ = Σ |w_i| over w_i < 0).
-// The coordinator splits ε-budgets proportional to W⁺+W⁻ and uses the
-// per-class masses for worst-case bounds on a missing shard's
-// contribution.
-type Meta struct {
-	Points int
-	WPos   float64
-	WNeg   float64
-}
-
-// Weight returns the shard's total weight mass W⁺+W⁻.
-func (m Meta) Weight() float64 { return m.WPos + m.WNeg }
-
-// Plan is a computed partition: per-shard row lists into the source matrix
-// plus per-shard metadata, index-aligned.
+// Plan is a computed partition: per-shard row lists into the source matrix.
 type Plan struct {
 	Kind Kind
 	Rows [][]int
-	Meta []Meta
 }
 
-// Partition splits the rows of m into n shards. weights may be nil (unit
-// weights). Every shard is guaranteed non-empty; with the hash partitioner
-// a pathological small dataset can leave a shard empty, which is reported
-// as an error (the kd partitioner never produces empty shards when
-// n ≤ rows).
-func Partition(m *vec.Matrix, weights []float64, n int, kind Kind) (*Plan, error) {
+// Partition splits the rows of m into n shards. Every shard is guaranteed
+// non-empty; with the hash partitioner a pathological small dataset can
+// leave a shard empty, which is reported as an error (the kd partitioner
+// never produces empty shards when n ≤ rows).
+func Partition(m *vec.Matrix, n int, kind Kind) (*Plan, error) {
 	if m == nil || m.Rows == 0 {
 		return nil, fmt.Errorf("shard: empty point set")
 	}
@@ -105,9 +87,6 @@ func Partition(m *vec.Matrix, weights []float64, n int, kind Kind) (*Plan, error
 	}
 	if n > m.Rows {
 		return nil, fmt.Errorf("shard: cannot split %d points into %d shards", m.Rows, n)
-	}
-	if weights != nil && len(weights) != m.Rows {
-		return nil, fmt.Errorf("shard: %d weights for %d points", len(weights), m.Rows)
 	}
 	var rows [][]int
 	switch kind {
@@ -123,26 +102,12 @@ func Partition(m *vec.Matrix, weights []float64, n int, kind Kind) (*Plan, error
 	default:
 		return nil, fmt.Errorf("shard: unknown partitioner %d", int(kind))
 	}
-	p := &Plan{Kind: kind, Rows: rows, Meta: make([]Meta, n)}
 	for s, rs := range rows {
 		if len(rs) == 0 {
 			return nil, fmt.Errorf("shard: shard %d of %d is empty over %d points (try the kd partitioner)", s, n, m.Rows)
 		}
-		meta := Meta{Points: len(rs)}
-		for _, r := range rs {
-			w := 1.0
-			if weights != nil {
-				w = weights[r]
-			}
-			if w >= 0 {
-				meta.WPos += w
-			} else {
-				meta.WNeg -= w
-			}
-		}
-		p.Meta[s] = meta
 	}
-	return p, nil
+	return &Plan{Kind: kind, Rows: rows}, nil
 }
 
 // hashPartition assigns each row by an FNV-1a hash of its coordinate bits.

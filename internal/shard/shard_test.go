@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -32,9 +31,6 @@ func checkPermutation(t *testing.T, p *Plan, rows int) {
 		if len(rs) == 0 {
 			t.Fatalf("shard %d empty", s)
 		}
-		if p.Meta[s].Points != len(rs) {
-			t.Fatalf("shard %d meta points %d != %d rows", s, p.Meta[s].Points, len(rs))
-		}
 		for _, r := range rs {
 			if r < 0 || r >= rows || seen[r] {
 				t.Fatalf("row %d out of range or duplicated", r)
@@ -52,46 +48,14 @@ func TestPartitionCoversAllRows(t *testing.T) {
 	m := randMatrix(t, 500, 4, 1)
 	for _, kind := range []Kind{Hash, KDSplit} {
 		for _, n := range []int{1, 2, 4, 7} {
-			p, err := Partition(m, nil, n, kind)
+			p, err := Partition(m, n, kind)
 			if err != nil {
 				t.Fatalf("%v n=%d: %v", kind, n, err)
 			}
-			if len(p.Rows) != n || len(p.Meta) != n {
-				t.Fatalf("%v n=%d: got %d row lists, %d metas", kind, n, len(p.Rows), len(p.Meta))
+			if len(p.Rows) != n {
+				t.Fatalf("%v n=%d: got %d row lists", kind, n, len(p.Rows))
 			}
 			checkPermutation(t, p, m.Rows)
-		}
-	}
-}
-
-func TestPartitionWeightMass(t *testing.T) {
-	m := randMatrix(t, 300, 3, 2)
-	w := make([]float64, m.Rows)
-	wantPos, wantNeg := 0.0, 0.0
-	rng := rand.New(rand.NewSource(3))
-	for i := range w {
-		w[i] = rng.NormFloat64()
-		if w[i] >= 0 {
-			wantPos += w[i]
-		} else {
-			wantNeg -= w[i]
-		}
-	}
-	for _, kind := range []Kind{Hash, KDSplit} {
-		p, err := Partition(m, w, 4, kind)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		gotPos, gotNeg := 0.0, 0.0
-		for _, meta := range p.Meta {
-			gotPos += meta.WPos
-			gotNeg += meta.WNeg
-			if meta.WPos < 0 || meta.WNeg < 0 {
-				t.Fatalf("%v: negative mass %+v", kind, meta)
-			}
-		}
-		if math.Abs(gotPos-wantPos) > 1e-9 || math.Abs(gotNeg-wantNeg) > 1e-9 {
-			t.Fatalf("%v: mass (%v,%v), want (%v,%v)", kind, gotPos, gotNeg, wantPos, wantNeg)
 		}
 	}
 }
@@ -99,7 +63,7 @@ func TestPartitionWeightMass(t *testing.T) {
 func TestKDSplitBalanced(t *testing.T) {
 	m := randMatrix(t, 1003, 5, 4)
 	for _, n := range []int{2, 3, 4, 8} {
-		p, err := Partition(m, nil, n, KDSplit)
+		p, err := Partition(m, n, KDSplit)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -127,11 +91,11 @@ func TestHashStableUnderReorder(t *testing.T) {
 	for i, pi := range perm {
 		copy(shuf.Row(i), m.Row(pi))
 	}
-	p1, err := Partition(m, nil, 4, Hash)
+	p1, err := Partition(m, 4, Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Partition(shuf, nil, 4, Hash)
+	p2, err := Partition(shuf, 4, Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,19 +119,16 @@ func TestHashStableUnderReorder(t *testing.T) {
 
 func TestPartitionErrors(t *testing.T) {
 	m := randMatrix(t, 10, 2, 7)
-	if _, err := Partition(nil, nil, 2, Hash); err == nil {
+	if _, err := Partition(nil, 2, Hash); err == nil {
 		t.Fatal("nil matrix accepted")
 	}
-	if _, err := Partition(m, nil, 0, Hash); err == nil {
+	if _, err := Partition(m, 0, Hash); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if _, err := Partition(m, nil, 11, KDSplit); err == nil {
+	if _, err := Partition(m, 11, KDSplit); err == nil {
 		t.Fatal("more shards than points accepted")
 	}
-	if _, err := Partition(m, make([]float64, 3), 2, Hash); err == nil {
-		t.Fatal("mismatched weights accepted")
-	}
-	if _, err := Partition(m, nil, 2, Kind(99)); err == nil {
+	if _, err := Partition(m, 2, Kind(99)); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }

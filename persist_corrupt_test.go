@@ -354,11 +354,14 @@ func TestShardProvenanceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, man, err := eng.Shard(3, KDPartition)
+	shards, err := eng.Shard(3, KDPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sumPos, sumNeg float64
 	for i, se := range shards {
+		wp, wn := se.WeightMass()
+		sumPos, sumNeg = sumPos+wp, sumNeg+wn
 		var buf bytes.Buffer
 		if _, err := se.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -376,10 +379,13 @@ func TestShardProvenanceRoundTrip(t *testing.T) {
 			t.Fatalf("shard %d provenance = %+v, want %+v", i, prov, want)
 		}
 		wpos, wneg := loaded.WeightMass()
-		if wpos != man.Shards[i].WeightPos || wneg != man.Shards[i].WeightNeg {
-			t.Fatalf("shard %d masses %v/%v, manifest says %v/%v",
-				i, wpos, wneg, man.Shards[i].WeightPos, man.Shards[i].WeightNeg)
+		if wantPos, wantNeg := se.WeightMass(); wpos != wantPos || wneg != wantNeg {
+			t.Fatalf("shard %d masses %v/%v across the round trip, written from %v/%v", i, wpos, wneg, wantPos, wantNeg)
 		}
+	}
+	// Any partition conserves each sign class's weight mass.
+	if wp, wn := eng.WeightMass(); math.Abs(sumPos-wp) > 1e-9 || math.Abs(sumNeg-wn) > 1e-9 {
+		t.Fatalf("shard masses sum to %v/%v, the source holds %v/%v", sumPos, sumNeg, wp, wn)
 	}
 	// A non-shard engine stays provenance-free across a round trip.
 	var buf bytes.Buffer
@@ -404,7 +410,7 @@ func TestRestoreRejectsCorruptShardProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, _, err := eng.Shard(2, HashPartition)
+	shards, err := eng.Shard(2, HashPartition)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,27 +34,6 @@ func (k PartitionKind) String() string {
 	return "hash"
 }
 
-// ShardMeta describes one shard of a partition: its cardinality and
-// per-sign weight mass (W⁺ = Σ w_i over w_i > 0, W⁻ = Σ |w_i| over
-// w_i < 0). The cluster coordinator allocates ε-budgets proportional to
-// W⁺+W⁻ and uses the masses for worst-case reasoning about unreachable
-// shards.
-type ShardMeta struct {
-	Points    int     `json:"points"`
-	WeightPos float64 `json:"weight_pos"`
-	WeightNeg float64 `json:"weight_neg,omitempty"`
-}
-
-// Weight returns the shard's total weight mass W_S = W⁺ + W⁻.
-func (m ShardMeta) Weight() float64 { return m.WeightPos + m.WeightNeg }
-
-// ShardManifest records how a dataset was partitioned: the strategy and
-// the per-shard metadata, index-aligned with the shard engines.
-type ShardManifest struct {
-	Partition PartitionKind `json:"-"`
-	Shards    []ShardMeta   `json:"shards"`
-}
-
 // ShardProvenance records that an engine was built over one shard of a
 // larger partitioned dataset. It is persisted with the engine, so a shard
 // file self-describes (cmd/karl-shard -inspect); points streamed in
@@ -84,16 +63,15 @@ func (d *Engine) ShardInfo() (info ShardProvenance, ok bool) {
 // and bounding method, and each carrying ShardProvenance. The per-shard
 // answers of Aggregate sum exactly to the original engine's (up to float
 // summation order), which is what the cluster coordinator exploits.
-func (d *Engine) Shard(n int, kind PartitionKind) ([]*Engine, *ShardManifest, error) {
+func (d *Engine) Shard(n int, kind PartitionKind) ([]*Engine, error) {
 	tree, kern, cfg, err := d.liveSet()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	plan, err := shard.Partition(tree.Points, tree.Weights, n, shardKindOf(kind))
+	plan, err := shard.Partition(tree.Points, n, shardKindOf(kind))
 	if err != nil {
-		return nil, nil, fmt.Errorf("karl: %w", err)
+		return nil, fmt.Errorf("karl: %w", err)
 	}
-	man := &ShardManifest{Partition: kind, Shards: make([]ShardMeta, n)}
 	engines := make([]*Engine, n)
 	for s, rows := range plan.Rows {
 		sub := vec.NewMatrix(len(rows), tree.Dims())
@@ -109,17 +87,12 @@ func (d *Engine) Shard(n int, kind PartitionKind) ([]*Engine, *ShardManifest, er
 		}
 		se, err := buildMatrixCfg(sub, kern, cfg)
 		if err != nil {
-			return nil, nil, fmt.Errorf("karl: shard %d: %w", s, err)
+			return nil, fmt.Errorf("karl: shard %d: %w", s, err)
 		}
 		se.sh.shardProv = &ShardProvenance{Index: s, Of: n, Partition: kind, SourceLen: tree.Len()}
 		engines[s] = se
-		man.Shards[s] = ShardMeta{
-			Points:    plan.Meta[s].Points,
-			WeightPos: plan.Meta[s].WPos,
-			WeightNeg: plan.Meta[s].WNeg,
-		}
 	}
-	return engines, man, nil
+	return engines, nil
 }
 
 // shardKindOf maps the public partition kind to the internal one.
