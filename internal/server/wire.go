@@ -77,12 +77,12 @@ type wireReader struct {
 	nums []float64
 }
 
-// room bounds how many numbers b can hold — each but the first follows a
-// comma and takes a byte of its own — so a slice of them is allocated once,
-// and a body of nothing but commas cannot claim more than a body of numbers
-// would.
-func room(b []byte) int {
-	return min(bytes.Count(b, []byte{','})+1, len(b)/2+1)
+// room bounds how many elements b can hold — one a mark (a number but the
+// first follows a comma, a row opens with '['), one in width bytes (`1,`,
+// `[],`) — so a slice of them is allocated once, and a body of nothing but
+// marks cannot claim more than a body of elements would.
+func room(b []byte, mark byte, width int) int {
+	return min(bytes.Count(b, []byte{mark})+1, len(b)/width+1)
 }
 
 func (r *wireReader) ws() {
@@ -101,20 +101,10 @@ func (r *wireReader) next() byte {
 	return r.b[r.i-1]
 }
 
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// token consumes one number of the JSON grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes, for
-// the strconv function encoding/json uses for the field's type: 1e999, or
-// 1.5 and -1 for an id, are declined here as they are refused there. There
-// being no number is the empty token, which no strconv function takes. What
-// follows one is the caller's to check, which is how 01, 1_0 and 0x1p-2 are
-// declined.
+// token consumes an integer, -?(0|[1-9][0-9]*), and returns its bytes for
+// the strconv function encoding/json uses for the field's type (no integer
+// is the empty token, which none takes; -1 for an id it refuses). What
+// follows one is the caller's to check: that declines 01, 1.5 and 1e2.
 func (r *wireReader) token() []byte {
 	r.ws()
 	b, start := r.b, r.i
@@ -126,30 +116,73 @@ func (r *wireReader) token() []byte {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
+		for i++; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		}
 	default:
 		return nil
 	}
+	r.i = i
+	return b[start:i]
+}
+
+// number consumes one number of the JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns what ParseFloat
+// makes of its bytes, in the pass that checks them: gather takes up to 19
+// significant digits and eiselLemire converts them; what that cannot decide
+// goes to ParseFloat. ok is false where there is no number, the cursor
+// unmoved, or ParseFloat errs (1e999). What follows one is the caller's to
+// check, which is how 01, 1_0 and 0x1p-2 are declined.
+func (r *wireReader) number() (float64, bool) {
+	r.ws()
+	b, start := r.b, r.i
+	i := start
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var man uint64
+	exp10, left, exact := 0, 0, true
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i, man, exp10, exact = gather(b, i, 0, true)
+	default:
+		return 0, false
+	}
 	if i < len(b) && b[i] == '.' {
-		end := digits(b, i+1)
-		if end == i+1 {
-			return nil
+		frac := i + 1
+		if i, man, left, exact = gather(b, frac, man, exact); i == frac {
+			return 0, false
 		}
-		i = end
+		exp10 -= i - frac - left
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		sign := 1
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			if b[i] == '-' {
+				sign = -1
+			}
 			i++
 		}
-		end := digits(b, i)
-		if end == i {
-			return nil
+		e, digits := 0, i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 10000 { // capped where strconv caps it, so the two agree on any exponent
+				e = e*10 + int(b[i]-'0')
+			}
 		}
-		i = end
+		if i == digits {
+			return 0, false
+		}
+		exp10 += sign * e
 	}
 	r.i = i
-	return b[start:i]
+	if f, ok := eiselLemire(man, exp10, neg); ok && exact {
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return f, err == nil
 }
 
 // str consumes a string of printable ASCII without escapes and returns its
@@ -196,13 +229,13 @@ func (r *wireReader) seq(open, closing byte, element func() bool) bool {
 // nil, as encoding/json has it.
 func (r *wireReader) vector() ([]float64, bool) {
 	if r.nums == nil {
-		r.nums = make([]float64, 0, room(r.b))
+		r.nums = make([]float64, 0, room(r.b, ',', 2))
 	}
 	start := len(r.nums)
 	ok := r.seq('[', ']', func() bool {
-		v, err := strconv.ParseFloat(string(r.token()), 64)
+		v, ok := r.number()
 		r.nums = append(r.nums, v)
-		return err == nil
+		return ok
 	})
 	return r.nums[start:len(r.nums):len(r.nums)], ok
 }
@@ -212,12 +245,14 @@ func (r *wireReader) value(ptr any) (ok bool) {
 	var err error
 	switch p := ptr.(type) {
 	case *float64:
-		*p, err = strconv.ParseFloat(string(r.token()), 64)
+		*p, ok = r.number()
+		return ok
 	case **float64:
-		var v float64
-		if v, err = strconv.ParseFloat(string(r.token()), 64); err == nil {
+		v, ok := r.number()
+		if ok {
 			*p = &v
 		}
+		return ok
 	case *int:
 		var v int64
 		v, err = strconv.ParseInt(string(r.token()), 10, strconv.IntSize)
@@ -233,14 +268,14 @@ func (r *wireReader) value(ptr any) (ok bool) {
 		*p, ok = r.vector()
 		return ok
 	case *[][]float64:
-		*p = make([][]float64, 0, bytes.Count(r.b[r.i:], []byte{'['}))
+		*p = make([][]float64, 0, room(r.b[r.i:], '[', 3))
 		return r.seq('[', ']', func() bool {
 			row, ok := r.vector()
 			*p = append(*p, row)
 			return ok
 		})
 	case *[]uint64:
-		*p = make([]uint64, 0, room(r.b))
+		*p = make([]uint64, 0, room(r.b, ',', 2))
 		return r.seq('[', ']', func() bool {
 			id, err := strconv.ParseUint(string(r.token()), 10, 64)
 			*p = append(*p, id)

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -101,7 +102,12 @@ func FuzzWireParity(f *testing.F) {
 	}
 	f.Add(harnessBody(123, "tau", 0))
 	f.Add(harnessBody(123, "eps", 0.2))
-	for _, nearMiss := range []string{"01", "1.", ".5", "+1", "1e", "NaN", "Infinity", "0x1p-2", "1_0", "-", "-0", "1E+2", "1e999", "null"} {
+	for _, nearMiss := range []string{"01", "1.", ".5", "+1", "1e", "NaN", "Infinity", "0x1p-2", "1_0", "-", "-0", "1E+2", "1e999", "null",
+		// Past what Eisel–Lemire decides: more than 19 significant digits,
+		// the subnormal halfway point below the smallest one, and a hair
+		// over the largest float64.
+		"12345678901234567890123", "0.10000000000000000000000001", "9007199254740993000000e-6",
+		"2.4703282292062328e-324", "1.7976931348623159e308"} {
 		f.Add([]byte(`{"q":[0.5,` + nearMiss + `],"tau":` + nearMiss + `}`))
 		f.Add([]byte(`{"ids":[1,` + nearMiss + `],"id":` + nearMiss + `}`))
 	}
@@ -196,6 +202,57 @@ func TestWireReaderTakesTheHotShapes(t *testing.T) {
 	}
 }
 
+// TestWireRowRoom: a batch's rows are sized by what the body can hold, so a
+// string of brackets cannot make the reader allocate more than the most
+// rows a body of the same length can carry.
+func TestWireRowRoom(t *testing.T) {
+	rows := append([]byte(`{"queries":[`), bytes.Repeat([]byte("[],"), 1<<18)...)
+	rows = append(rows[:len(rows)-1], "]}"...)
+	brackets := []byte(`{"queries":[[1]],"kind":"`)
+	brackets = append(append(brackets, bytes.Repeat([]byte{'['}, len(rows)-len(brackets)-2)...), `"}`...)
+	allocated := func(body []byte) uint64 {
+		var before, after runtime.MemStats
+		var dst BatchRequest
+		runtime.ReadMemStats(&before)
+		if !ReadJSON(body, &dst) {
+			t.Fatalf("declined %.40q", body)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if got, bound := allocated(brackets), allocated(rows); got > bound {
+		t.Errorf("a %d-byte body of brackets in a string allocates %d B, the most rows at that length %d B", len(brackets), got, bound)
+	}
+}
+
+// BenchmarkWireDecode reads d=123 query bodies shaped as the svm-wire
+// workload sends them — a point of the a9a stand-in plus noise, in shortest
+// 'g' form — cycling 600 distinct ones so that no predictor learns one
+// body's digits.
+func BenchmarkWireDecode(b *testing.B) {
+	const d = 123
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, 600)
+	for i := range bodies {
+		body := []byte(`{"q":[`)
+		for j := 0; j < d; j++ {
+			if j > 0 {
+				body = append(body, ',')
+			}
+			body = strconv.AppendFloat(body, rng.Float64()+rng.NormFloat64()*0.1, 'g', -1, 64)
+		}
+		bodies[i] = append(body, `],"tau":0}`...)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var q QueryRequest
+		if !ReadJSON(bodies[i%len(bodies)], &q) {
+			b.Fatal("declined")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(d+1)), "ns/number")
+}
+
 // TestWireWriterMatchesJSON: the writer's bytes are encoding/json's, for
 // every reply and request it writes, across the float formats' edges.
 func TestWireWriterMatchesJSON(t *testing.T) {
@@ -262,19 +319,27 @@ type rewind struct{ bytes.Reader }
 
 func (*rewind) Close() error { return nil }
 
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestQueryWireAllocs pins what one d=123 query costs the front door in
 // allocations, handler entry to reply: the request struct, the body cap's
 // reader, q, the reply struct and the Content-Type header value. It was 21.5 under
 // encoding/json.
 func TestQueryWireAllocs(t *testing.T) {
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("the race detector makes sync.Pool drop buffers at random")
-			}
-		}
+	if raceEnabled() {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
 	}
-	const d, maxAllocs = 123, 8
+	const d, maxAllocs = 123, 5
 	rng := rand.New(rand.NewSource(3))
 	pts := make([][]float64, 300)
 	for i := range pts {
