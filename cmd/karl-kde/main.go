@@ -33,7 +33,7 @@ func main() {
 		res       = flag.Int("res", 32, "grid resolution per axis")
 		format    = flag.String("format", "ascii", "output format: ascii or csv")
 		gamma     = flag.Float64("gamma", 0, "Gaussian gamma (default: Scott's rule)")
-		eps       = flag.Float64("eps", 0.05, "relative error budget for grid evaluation through the indexed batch engine (0 = exact direct summation)")
+		eps       = flag.Float64("eps", 0.05, "relative error budget per grid cell (0 = exact aggregates)")
 	)
 	flag.Parse()
 
@@ -47,22 +47,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	est, err := kde.NewEstimator(pts, g)
-	if err != nil {
-		fatal(err)
-	}
-	lo, hi := columnRange(pts, *dimX)
-	loY, hiY := columnRange(pts, *dimY)
-	var grid []float64
-	if *eps > 0 {
-		// Indexed evaluation: the whole grid goes through one batch call, so
-		// the engine's dual-tree executor shares bound refinement across the
-		// (spatially coherent) grid queries instead of answering each cell
-		// independently.
-		grid, err = approxGrid(pts, g, *dimX, *dimY, *res, lo, hi, loY, hiY, *eps)
-	} else {
-		grid, err = est.Grid2D(*dimX, *dimY, *res, lo, hi, loY, hiY)
-	}
+	grid, err := renderGrid(pts, g, *dimX, *dimY, *res, *eps)
 	if err != nil {
 		fatal(err)
 	}
@@ -85,11 +70,15 @@ func main() {
 	}
 }
 
-// approxGrid renders the same row-major res×res density grid as
-// Estimator.Grid2D, but each cell within relative error eps through the
-// batch query engine (grid density values are 1/n-scaled aggregates, so the
-// relative guarantee survives the scaling).
-func approxGrid(pts *vec.Matrix, gamma float64, dimX, dimY, res int, loX, hiX, loY, hiY, eps float64) ([]float64, error) {
+// renderGrid renders the density over a uniform row-major res×res grid
+// (out[iy*res+ix]) spanning the data's range in dimensions dimX and dimY,
+// every other dimension held at the dataset mean — the Figure 1
+// visualization. The whole grid goes through one batch call on one engine,
+// so the dual-tree executor shares bound refinement across the spatially
+// coherent grid queries: exact at eps 0, each cell within relative error
+// eps otherwise (density is the 1/n-scaled aggregate, so the relative
+// guarantee survives the scaling).
+func renderGrid(pts *vec.Matrix, gamma float64, dimX, dimY, res int, eps float64) ([]float64, error) {
 	d := pts.Cols
 	if dimX < 0 || dimX >= d || dimY < 0 || dimY >= d || dimX == dimY {
 		return nil, fmt.Errorf("bad grid dims %d,%d for %d-dimensional data", dimX, dimY, d)
@@ -105,6 +94,8 @@ func approxGrid(pts *vec.Matrix, gamma float64, dimX, dimY, res int, loX, hiX, l
 	if err != nil {
 		return nil, err
 	}
+	loX, hiX := columnRange(pts, dimX)
+	loY, hiY := columnRange(pts, dimY)
 	mean, _ := pts.ColumnStats()
 	queries := make([][]float64, 0, res*res)
 	for iy := 0; iy < res; iy++ {
@@ -116,7 +107,12 @@ func approxGrid(pts *vec.Matrix, gamma float64, dimX, dimY, res int, loX, hiX, l
 			queries = append(queries, q)
 		}
 	}
-	grid, err := eng.BatchApproximate(queries, eps, 0)
+	var grid []float64
+	if eps > 0 {
+		grid, err = eng.BatchApproximate(queries, eps, 0)
+	} else {
+		grid, err = eng.BatchAggregate(queries, 0)
+	}
 	if err != nil {
 		return nil, err
 	}

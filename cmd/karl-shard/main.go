@@ -9,8 +9,11 @@
 //
 // -split writes shard-<i>.karl engine files (same persisted format as the
 // source, loadable by karl-serve -model) and logs each shard's cardinality
-// and weight masses. Every shard file carries its provenance (index i of n,
-// strategy, source cardinality), so -inspect can identify a stray file.
+// and weight masses. Points are placed by the cluster manifest's routing
+// (Engine.Shard): under hash, shard-<i> holds exactly the points a
+// coordinator founded over the files in order routes to its member i+1.
+// Every shard file carries its provenance (index i of n, strategy, source
+// cardinality), so -inspect can identify a stray file.
 // -inspect describes any saved engine: shape, kernel, masses, and the shard
 // or coreset provenance it records.
 package main
@@ -23,6 +26,7 @@ import (
 	"path/filepath"
 
 	"karl"
+	"karl/internal/shard"
 )
 
 func main() {
@@ -51,19 +55,8 @@ func main() {
 	}
 }
 
-func parsePartition(s string) (karl.PartitionKind, error) {
-	switch s {
-	case "hash":
-		return karl.HashPartition, nil
-	case "kd", "kd-split":
-		return karl.KDPartition, nil
-	default:
-		return 0, fmt.Errorf("unknown partition strategy %q (want hash or kd)", s)
-	}
-}
-
 func runSplit(src, outDir, partition string, n int) error {
-	kind, err := parsePartition(partition)
+	kind, err := shard.ParseKind(partition)
 	if err != nil {
 		return err
 	}

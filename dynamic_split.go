@@ -3,12 +3,11 @@ package karl
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 
 	"karl/internal/index"
 	"karl/internal/segment"
+	"karl/internal/shard"
 )
 
 // NextSeq returns the id the next insert will be assigned. After a Split,
@@ -23,39 +22,20 @@ func (d *Engine) NextSeq() uint64 {
 	return sh.nextSeq
 }
 
-// SplitPlane proposes a balanced axis-aligned cut over the live points:
+// SplitPlane proposes a balanced axis-aligned cut over the stored points:
 // the median value of the widest dimension, adjusted so neither side is
-// empty. Points with p[dim] >= cut form the moving half. It fails when
-// the dataset is empty, a single point, or degenerate (all points
-// identical), in which case no axis cut can separate anything.
+// empty (shard.Plane at rank ½). Points with p[dim] >= cut form the moving
+// half. It fails when the dataset is empty, a single point, or degenerate
+// (all points identical), in which case no axis cut can separate anything.
 func (d *Engine) SplitPlane() (dim int, cut float64, err error) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.dims == 0 {
-		return 0, 0, errors.New("karl: split plane over an empty engine")
-	}
-	lo := make([]float64, sh.dims)
-	hi := make([]float64, sh.dims)
-	for i := range lo {
-		lo[i] = math.Inf(1)
-		hi[i] = math.Inf(-1)
-	}
-	var vals []float64
-	scan := func(p []float64) {
-		for j, v := range p {
-			if v < lo[j] {
-				lo[j] = v
-			}
-			if v > hi[j] {
-				hi[j] = v
-			}
-		}
-	}
+	var rows [][]float64
 	for _, s := range sh.man.Segs {
 		pts := s.Tree.Points
 		for r := 0; r < pts.Rows; r++ {
-			scan(pts.Row(r))
+			rows = append(rows, pts.Row(r))
 		}
 	}
 	for _, mt := range []*memtable{sh.mem, sh.sealing} {
@@ -63,45 +43,11 @@ func (d *Engine) SplitPlane() (dim int, cut float64, err error) {
 			continue
 		}
 		for i := 0; i < mt.n; i++ {
-			scan(mt.m.Row(i))
+			rows = append(rows, mt.m.Row(i))
 		}
 	}
-	dim, width := 0, -1.0
-	for j := range lo {
-		if w := hi[j] - lo[j]; w > width {
-			dim, width = j, w
-		}
-	}
-	if width <= 0 {
-		return 0, 0, errors.New("karl: split plane: all points identical")
-	}
-	for _, s := range sh.man.Segs {
-		pts := s.Tree.Points
-		for r := 0; r < pts.Rows; r++ {
-			vals = append(vals, pts.Row(r)[dim])
-		}
-	}
-	for _, mt := range []*memtable{sh.mem, sh.sealing} {
-		if mt == nil {
-			continue
-		}
-		for i := 0; i < mt.n; i++ {
-			vals = append(vals, mt.m.Row(i)[dim])
-		}
-	}
-	sort.Float64s(vals)
-	cut = vals[len(vals)/2]
-	if cut == vals[0] {
-		// Everything at or below the median ties the minimum: advance to
-		// the first strictly larger value so the lower side is non-empty.
-		i := sort.SearchFloat64s(vals, cut)
-		for i < len(vals) && vals[i] == cut {
-			i++
-		}
-		if i == len(vals) {
-			return 0, 0, errors.New("karl: split plane: degenerate on the widest dimension")
-		}
-		cut = vals[i]
+	if dim, cut, err = shard.Plane(rows, 1, 2); err != nil {
+		return 0, 0, fmt.Errorf("karl: split plane: %w", err)
 	}
 	return dim, cut, nil
 }

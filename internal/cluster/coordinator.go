@@ -337,23 +337,17 @@ func (ep *epoch) aggregate(ctx context.Context, q []float64) (server.Result, err
 	}
 	values := make([]float64, len(ep.members))
 	failures := make([]error, len(ep.members))
-	asked := 0
-	var wg sync.WaitGroup
+	var todo []int
 	for i, s := range ep.members {
-		if s.weight() == 0 {
-			continue
+		if s.weight() != 0 {
+			todo = append(todo, i)
 		}
-		asked++
-		wg.Add(1)
-		go func(i int, s *member) {
-			defer wg.Done()
-			v, err := call(ctx, ep.co, s, func(ctx context.Context, c ShardClient) (float64, error) {
-				return c.Aggregate(ctx, q)
-			})
-			values[i], failures[i] = v, err
-		}(i, s)
 	}
-	wg.Wait()
+	scatter(todo, func(i int) {
+		values[i], failures[i] = call(ctx, ep.co, ep.members[i], func(ctx context.Context, c ShardClient) (float64, error) {
+			return c.Aggregate(ctx, q)
+		})
+	})
 	if err := ctx.Err(); err != nil {
 		return server.Result{}, err
 	}
@@ -375,8 +369,8 @@ func (ep *epoch) aggregate(ctx context.Context, q []float64) (server.Result, err
 		sum += values[i]
 		aliveW += s.weight()
 	}
-	if asked > 0 && len(failed) == asked {
-		return server.Result{}, fmt.Errorf("%w: all %d shards failed (first error: %v)", ErrUnavailable, asked, firstErr)
+	if len(todo) > 0 && len(failed) == len(todo) {
+		return server.Result{}, fmt.Errorf("%w: all %d shards failed (first error: %v)", ErrUnavailable, len(todo), firstErr)
 	}
 	return server.Result{
 		Value:   sum,
@@ -553,6 +547,9 @@ func (ep *epoch) massShare(i int) float64 {
 // scatter runs fn(i) for every i in todo at once and waits for all of
 // them; the last runs on the calling goroutine.
 func scatter(todo []int, fn func(i int)) {
+	if len(todo) == 0 {
+		return
+	}
 	var wg sync.WaitGroup
 	last := len(todo) - 1
 	for _, i := range todo[:last] {

@@ -136,36 +136,27 @@ type WritableShard struct {
 // and forced. Whether the cluster takes writes is decided where it is served
 // (NewWritableHTTPServer or NewHTTPServer): a read-only cluster is founded the
 // same way, over members that mount no write routes.
+//
+// Founding is resuming from a fresh epoch-1 manifest of the members in order
+// (member i+1 is shards[i]) with two more steps: every member must answer
+// its discovery probe, and the manifest is persisted. A manifest that
+// ReadManifest would refuse — two shards under one name — is refused here.
 func NewWritable(ctx context.Context, kind shard.Kind, shards []WritableShard, spawn SpawnFunc, cfg WritableConfig) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
 	members := make([]shard.Member, len(shards))
-	clients := make(map[uint64]MutableShardClient, len(shards))
-	followers := map[uint64][]FollowerClient{}
 	for i, sp := range shards {
 		if sp.Client == nil {
 			return nil, fmt.Errorf("cluster: founding shard %d has no client", i)
 		}
-		id := uint64(i + 1)
-		name := sp.Name
-		if name == "" {
-			name = sp.Client.Name()
-		}
-		members[i] = shard.Member{ID: id, Name: name}
-		clients[id] = sp.Client
-		if len(sp.Followers) > 0 {
-			followers[id] = append([]FollowerClient(nil), sp.Followers...)
-		}
+		members[i] = shard.Member{ID: uint64(i + 1), Name: sp.name()}
 	}
 	man, err := shard.NewManifest(kind, members)
 	if err != nil {
 		return nil, err
 	}
-	w := &Coordinator{cfg: cfg, spawn: spawn, nextID: uint64(len(shards) + 1), followers: followers, states: map[uint64]*memberState{}}
-	ep, err := w.newEpoch(ctx, man, clients, false)
+	w, err := attach(ctx, man, shards, spawn, cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	w.ep.Store(ep)
 	if err := w.persist(man); err != nil {
 		return nil, err
 	}
@@ -188,14 +179,26 @@ func NewWritable(ctx context.Context, kind shard.Kind, shards []WritableShard, s
 // carries this epoch, and persist refuses epoch regressions; the next
 // membership change writes epoch+1 as usual.
 func ResumeWritable(ctx context.Context, man *shard.Manifest, shards []WritableShard, spawn SpawnFunc, cfg WritableConfig) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
+	return attach(ctx, man.Clone(), shards, spawn, cfg, true)
+}
+
+// name is the member name a founding shard goes by: its own, or its
+// client's.
+func (sp WritableShard) name() string {
+	if sp.Name != "" {
+		return sp.Name
+	}
+	return sp.Client.Name()
+}
+
+// attach builds a coordinator over man (the caller's own copy), matching
+// every shard to the manifest member of its name — unique, as NewManifest
+// and ReadManifest check — and installs the first epoch: leniently on
+// resume, strictly when founding (newEpoch).
+func attach(ctx context.Context, man *shard.Manifest, shards []WritableShard, spawn SpawnFunc, cfg WritableConfig, lenient bool) (*Coordinator, error) {
 	byName := make(map[string]uint64, len(man.Members))
-	dup := map[string]bool{}
 	next := uint64(1)
 	for _, mb := range man.Members {
-		if _, seen := byName[mb.Name]; seen {
-			dup[mb.Name] = true
-		}
 		byName[mb.Name] = mb.ID
 		if mb.ID >= next {
 			next = mb.ID + 1
@@ -205,18 +208,12 @@ func ResumeWritable(ctx context.Context, man *shard.Manifest, shards []WritableS
 	followers := map[uint64][]FollowerClient{}
 	for i, sp := range shards {
 		if sp.Client == nil {
-			return nil, fmt.Errorf("cluster: resumed shard %d has no client", i)
+			return nil, fmt.Errorf("cluster: shard %d has no client", i)
 		}
-		name := sp.Name
-		if name == "" {
-			name = sp.Client.Name()
-		}
+		name := sp.name()
 		id, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("cluster: shard %q does not appear in manifest epoch %d", name, man.Epoch)
-		}
-		if dup[name] {
-			return nil, fmt.Errorf("cluster: manifest has several members named %q; cannot match a client unambiguously", name)
 		}
 		if clients[id] != nil {
 			return nil, fmt.Errorf("cluster: duplicate client for member %q", name)
@@ -226,8 +223,8 @@ func ResumeWritable(ctx context.Context, man *shard.Manifest, shards []WritableS
 			followers[id] = append([]FollowerClient(nil), sp.Followers...)
 		}
 	}
-	w := &Coordinator{cfg: cfg, spawn: spawn, nextID: next, followers: followers, states: map[uint64]*memberState{}}
-	ep, err := w.newEpoch(ctx, man.Clone(), clients, true)
+	w := &Coordinator{cfg: cfg.withDefaults(), spawn: spawn, nextID: next, followers: followers, states: map[uint64]*memberState{}}
+	ep, err := w.newEpoch(ctx, man, clients, lenient)
 	if err != nil {
 		return nil, err
 	}

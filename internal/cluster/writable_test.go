@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -776,6 +777,57 @@ func TestWritableResume(t *testing.T) {
 	stranger := []WritableShard{{Name: "stranger", Client: founders[0].Client}}
 	if _, err := ResumeWritable(ctx, man, stranger, nil, WritableConfig{}); err == nil {
 		t.Fatal("resuming with an unknown shard name must fail")
+	}
+}
+
+// TestWritableFoundingRefusesDuplicateMember: a -shards list that names one
+// shard twice (karl-serve trims a trailing slash, so http://s0:8080 and
+// http://s0:8080/ are one shard) founded a cluster that summed the shard
+// twice and persisted a manifest LoadManifest then refused. Founding runs
+// the loader's checks: it is refused, and nothing is written.
+func TestWritableFoundingRefusesDuplicateMember(t *testing.T) {
+	pts, _ := dataset(200, 2, 61, "I")
+	c := listen(t, readServer(t, buildEngine(t, pts, nil, karl.Gaussian(1), karl.KDTree)))
+	path := filepath.Join(t.TempDir(), "cluster.manifest")
+	twice := []WritableShard{{Client: c}, {Client: NewHTTPShard(c.Name())}}
+	if co, err := NewWritable(context.Background(), shard.Hash, twice, nil, WritableConfig{ManifestPath: path}); err == nil {
+		res, _ := co.Aggregate(context.Background(), []float64{0, 0})
+		t.Fatalf("founded over one shard named twice (aggregate %+v)", res)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a refused founding left a manifest behind: %v", err)
+	}
+}
+
+// TestWritableRoutesLikeEngineShard: Engine.Shard places points by the
+// manifest a coordinator founds, so every point of hash shard i routes to
+// member i+1 of a cluster founded over the shards in order, and a re-insert
+// goes where its twin lives. n = 3 does not divide the 256-slot table, which
+// is where a second, offline hash rule (FNV-1a mod n) placed most points on
+// another shard.
+func TestWritableRoutesLikeEngineShard(t *testing.T) {
+	pts, _ := dataset(600, 3, 67, "I")
+	// So sharp a kernel answers 1 at a point the shard holds and 0 at any
+	// other: a shard's aggregate at p says whether it holds p.
+	mono := buildEngine(t, pts, nil, karl.Gaussian(1e12), karl.KDTree)
+	shards, err := mono.Shard(3, karl.HashPartition)
+	if err != nil {
+		t.Fatalf("Shard: %v", err)
+	}
+	co, _ := httpCluster(t, shards, Config{})
+	man := co.Manifest()
+	misrouted := 0
+	for _, p := range pts {
+		v, err := shards[man.Route(p)-1].Aggregate(p)
+		if err != nil {
+			t.Fatalf("Aggregate: %v", err)
+		}
+		if v < 0.5 {
+			misrouted++
+		}
+	}
+	if misrouted > 0 {
+		t.Fatalf("%d of %d points route to a member whose shard does not hold them", misrouted, len(pts))
 	}
 }
 

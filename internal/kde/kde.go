@@ -1,8 +1,7 @@
-// Package kde provides the kernel density estimation layer on top of
-// kernel aggregation: Scott's-rule bandwidth selection (the rule the paper
-// uses for its Type I experiments, Section V-A1), density-grid rendering
-// (Figure 1), and Nadaraya–Watson kernel regression (a future-work
-// extension named in the paper's conclusion).
+// Package kde holds Scott's-rule bandwidth selection, the rule the paper
+// uses for its Type I experiments (Section V-A1). Densities, grids and
+// Nadaraya–Watson regression are served by the engine itself (karl.KDE,
+// karl.Regression, cmd/karl-kde).
 package kde
 
 import (
@@ -10,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"karl/internal/kernel"
 	"karl/internal/vec"
 )
 
@@ -42,105 +40,8 @@ func ScottGammaN(points *vec.Matrix, n int) (float64, error) {
 	}
 	mean /= float64(len(std))
 	if mean <= 0 {
-		return 0, fmt.Errorf("kde: data has zero variance in every dimension (%d identical point(s)); Scott's rule cannot pick a bandwidth — set gamma explicitly via NewKDEWithGamma or NewEstimator", points.Rows)
+		return 0, fmt.Errorf("kde: data has zero variance in every dimension (%d identical point(s)); Scott's rule cannot pick a bandwidth — set gamma explicitly via NewKDEWithGamma", points.Rows)
 	}
 	h := math.Pow(float64(n), -1/(float64(points.Cols)+4)) * mean
 	return 1 / (2 * h * h), nil
-}
-
-// Estimator evaluates Gaussian kernel densities at query points:
-// KDE(q) = 1/n · Σ exp(−γ·dist(q,p_i)²), i.e. Type I weighting with
-// w = 1/n. (The constant normalization factor of the true Gaussian density
-// is omitted, as in the paper's F_P(q); thresholds scale accordingly.)
-type Estimator struct {
-	points *vec.Matrix
-	gamma  float64
-	weight float64
-}
-
-// NewEstimator builds a KDE with the given γ (pass the result of
-// ScottGamma for the paper's setting).
-func NewEstimator(points *vec.Matrix, gamma float64) (*Estimator, error) {
-	if points == nil || points.Rows == 0 {
-		return nil, errors.New("kde: empty point set")
-	}
-	if gamma <= 0 {
-		return nil, fmt.Errorf("kde: gamma must be positive, got %v", gamma)
-	}
-	return &Estimator{points: points, gamma: gamma, weight: 1 / float64(points.Rows)}, nil
-}
-
-// Gamma returns the estimator's smoothing parameter.
-func (e *Estimator) Gamma() float64 { return e.gamma }
-
-// Weight returns the Type I common weight (1/n).
-func (e *Estimator) Weight() float64 { return e.weight }
-
-// Density evaluates the density estimate at q by direct summation.
-func (e *Estimator) Density(q []float64) float64 {
-	return e.weight * kernel.Aggregate(kernel.NewGaussian(e.gamma), q, e.points, nil)
-}
-
-// Grid2D renders the density over a uniform res×res grid spanning
-// [loX,hiX]×[loY,hiY] in the two given dimensions, holding all other
-// dimensions at the dataset mean — the Figure 1 visualization. The result
-// is row-major: out[iy*res+ix].
-func (e *Estimator) Grid2D(dimX, dimY, res int, loX, hiX, loY, hiY float64) ([]float64, error) {
-	d := e.points.Cols
-	if dimX < 0 || dimX >= d || dimY < 0 || dimY >= d || dimX == dimY {
-		return nil, fmt.Errorf("kde: bad grid dims %d,%d for %d-dimensional data", dimX, dimY, d)
-	}
-	if res < 2 {
-		return nil, fmt.Errorf("kde: grid resolution must be >= 2, got %d", res)
-	}
-	mean, _ := e.points.ColumnStats()
-	out := make([]float64, res*res)
-	q := vec.Clone(mean)
-	for iy := 0; iy < res; iy++ {
-		q[dimY] = loY + (hiY-loY)*float64(iy)/float64(res-1)
-		for ix := 0; ix < res; ix++ {
-			q[dimX] = loX + (hiX-loX)*float64(ix)/float64(res-1)
-			out[iy*res+ix] = e.Density(q)
-		}
-	}
-	return out, nil
-}
-
-// Regressor is a Nadaraya–Watson kernel regressor: two kernel aggregations
-// (value-weighted over plain) whose ratio estimates E[y|q].
-type Regressor struct {
-	points *vec.Matrix
-	y      []float64
-	gamma  float64
-}
-
-// NewRegressor builds a kernel regressor over (points, y) with smoothing γ.
-func NewRegressor(points *vec.Matrix, y []float64, gamma float64) (*Regressor, error) {
-	if points == nil || points.Rows == 0 {
-		return nil, errors.New("kde: empty point set")
-	}
-	if len(y) != points.Rows {
-		return nil, fmt.Errorf("kde: %d targets for %d points", len(y), points.Rows)
-	}
-	if gamma <= 0 {
-		return nil, fmt.Errorf("kde: gamma must be positive, got %v", gamma)
-	}
-	return &Regressor{points: points, y: y, gamma: gamma}, nil
-}
-
-// Predict returns Σ y_i·K(q,p_i) / Σ K(q,p_i). When the denominator
-// underflows to zero (query far from all data) it returns the mean of y,
-// the regressor's prior.
-func (r *Regressor) Predict(q []float64) float64 {
-	k := kernel.NewGaussian(r.gamma)
-	num := kernel.Aggregate(k, q, r.points, r.y)
-	den := kernel.Aggregate(k, q, r.points, nil)
-	if den == 0 {
-		var mean float64
-		for _, v := range r.y {
-			mean += v
-		}
-		return mean / float64(len(r.y))
-	}
-	return num / den
 }

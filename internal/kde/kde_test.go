@@ -57,117 +57,3 @@ func TestScottGammaShrinksWithN(t *testing.T) {
 		t.Fatalf("γ(10000) = %v should exceed γ(100) = %v", gl, gs)
 	}
 }
-
-func TestEstimatorValidation(t *testing.T) {
-	if _, err := NewEstimator(nil, 1); err == nil {
-		t.Fatal("nil accepted")
-	}
-	m := vec.FromRows([][]float64{{0}})
-	if _, err := NewEstimator(m, 0); err == nil {
-		t.Fatal("gamma=0 accepted")
-	}
-}
-
-func TestDensityPeaksAtData(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	n := 500
-	m := vec.NewMatrix(n, 2)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64() * 0.2
-	}
-	e, err := NewEstimator(m, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	center := e.Density([]float64{0, 0})
-	edge := e.Density([]float64{3, 3})
-	if center <= edge*10 {
-		t.Fatalf("density at center %v should dwarf edge %v", center, edge)
-	}
-	if e.Weight() != 1.0/float64(n) {
-		t.Fatalf("Weight = %v", e.Weight())
-	}
-	if e.Gamma() != 5 {
-		t.Fatalf("Gamma = %v", e.Gamma())
-	}
-}
-
-func TestGrid2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	m := vec.NewMatrix(200, 4)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64() * 0.3
-	}
-	e, _ := NewEstimator(m, 3)
-	grid, err := e.Grid2D(0, 1, 8, -1, 1, -1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(grid) != 64 {
-		t.Fatalf("grid size %d want 64", len(grid))
-	}
-	// Center of the grid should have higher density than the corners.
-	center := grid[4*8+4]
-	corner := grid[0]
-	if center <= corner {
-		t.Fatalf("center %v should exceed corner %v", center, corner)
-	}
-	// Bad dims are rejected.
-	if _, err := e.Grid2D(0, 0, 8, -1, 1, -1, 1); err == nil {
-		t.Fatal("equal dims accepted")
-	}
-	if _, err := e.Grid2D(0, 9, 8, -1, 1, -1, 1); err == nil {
-		t.Fatal("out-of-range dim accepted")
-	}
-	if _, err := e.Grid2D(0, 1, 1, -1, 1, -1, 1); err == nil {
-		t.Fatal("res=1 accepted")
-	}
-}
-
-func TestRegressorValidation(t *testing.T) {
-	m := vec.FromRows([][]float64{{0}, {1}})
-	if _, err := NewRegressor(nil, nil, 1); err == nil {
-		t.Fatal("nil accepted")
-	}
-	if _, err := NewRegressor(m, []float64{1}, 1); err == nil {
-		t.Fatal("target mismatch accepted")
-	}
-	if _, err := NewRegressor(m, []float64{1, 2}, -1); err == nil {
-		t.Fatal("bad gamma accepted")
-	}
-}
-
-func TestRegressorRecoversSmoothFunction(t *testing.T) {
-	// Learn y = sin(2x) on [0,π]; predictions at held-out points should be
-	// close for a smooth target with enough data.
-	rng := rand.New(rand.NewSource(64))
-	n := 2000
-	m := vec.NewMatrix(n, 1)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := rng.Float64() * math.Pi
-		m.Row(i)[0] = x
-		y[i] = math.Sin(2*x) + rng.NormFloat64()*0.05
-	}
-	r, err := NewRegressor(m, y, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0.3, 1.0, 1.8, 2.5} {
-		got := r.Predict([]float64{x})
-		want := math.Sin(2 * x)
-		if math.Abs(got-want) > 0.1 {
-			t.Fatalf("Predict(%v) = %v want ≈ %v", x, got, want)
-		}
-	}
-}
-
-func TestRegressorFarQueryFallsBackToMean(t *testing.T) {
-	m := vec.FromRows([][]float64{{0}, {1}})
-	y := []float64{2, 4}
-	r, _ := NewRegressor(m, y, 1e8)
-	got := r.Predict([]float64{1e6})
-	if got != 3 {
-		t.Fatalf("far query = %v want mean 3", got)
-	}
-}

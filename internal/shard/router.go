@@ -24,8 +24,8 @@ import (
 const DefaultSlots = 256
 
 // SlotOf returns the hash slot of a point: FNV-1a over its coordinate
-// bits, mod numSlots. Content-addressed like hashPartition, so the same
-// point always lands on the same slot no matter which engine stored it.
+// bits, mod numSlots. Content-addressed, so the same point always lands on
+// the same slot no matter which engine stored it.
 func SlotOf(p []float64, numSlots int) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -141,40 +141,28 @@ var ErrStaleManifest = errors.New("shard: stale manifest epoch")
 // any member count up to the slot space; kd routing must start from a
 // single member (the split tree grows one leaf per shard split — there is
 // no spatial information to divide an empty tree among several founders).
+// The result passes the checks ReadManifest makes: a founding that could
+// not be loaded back (two members under one name, say) is refused.
 func NewManifest(kind Kind, members []Member) (*Manifest, error) {
-	if len(members) == 0 {
-		return nil, errors.New("shard: manifest needs at least one member")
-	}
-	seen := map[uint64]bool{}
-	for _, mb := range members {
-		if mb.ID == 0 {
-			return nil, errors.New("shard: member id 0 is reserved")
-		}
-		if seen[mb.ID] {
-			return nil, fmt.Errorf("shard: duplicate member id %d", mb.ID)
-		}
-		seen[mb.ID] = true
-	}
 	m := &Manifest{Epoch: 1, Kind: kind, Members: append([]Member(nil), members...)}
-	switch kind {
-	case Hash:
-		if len(members) > DefaultSlots {
-			return nil, fmt.Errorf("shard: %d members exceed the %d-slot hash space", len(members), DefaultSlots)
-		}
+	switch {
+	case kind == Hash && len(members) > DefaultSlots:
+		return nil, fmt.Errorf("shard: %d members exceed the %d-slot hash space", len(members), DefaultSlots)
+	case kind == Hash && len(members) > 0:
 		m.NumSlots = DefaultSlots
 		m.Slots = make([]uint64, DefaultSlots)
 		for s := range m.Slots {
 			// Round-robin founding assignment: statistically even and
-			// spatially mixed, like the static hash partitioner.
+			// spatially mixed.
 			m.Slots[s] = members[s%len(members)].ID
 		}
-	case KDSplit:
-		if len(members) != 1 {
-			return nil, fmt.Errorf("shard: kd routing must start from one member and grow by splits, got %d", len(members))
-		}
+	case kind == KDSplit && len(members) != 1:
+		return nil, fmt.Errorf("shard: kd routing must start from one member and grow by splits, got %d", len(members))
+	case kind == KDSplit:
 		m.Nodes = []RouteNode{{Dim: -1, Member: members[0].ID}}
-	default:
-		return nil, fmt.Errorf("shard: unknown partitioner %d", int(kind))
+	}
+	if err := m.validate(); err != nil {
+		return nil, fmt.Errorf("shard: founding manifest: %w", err)
 	}
 	return m, nil
 }

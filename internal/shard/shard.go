@@ -1,46 +1,44 @@
-// Package shard partitions a weighted point set across N shard engines —
-// the data-placement half of the cluster layer. Kernel aggregation is
-// additively decomposable, F_P(q) = Σ_S F_S(q), so ANY partition of the
+// Package shard places a weighted point set on cluster members — the
+// data-placement half of the cluster layer. Kernel aggregation is
+// additively decomposable, F_P(q) = Σ_S F_S(q), so ANY placement of the
 // rows yields shards whose per-shard answers (and per-shard lower/upper
-// bounds) sum to the global ones; the partitioner only affects balance and
+// bounds) sum to the global ones; the placement only affects balance and
 // bound tightness, never correctness.
 //
-// Two partitioners are provided:
+// There is one placement rule, the Manifest's Route (router.go), and two
+// kinds of it:
 //
-//   - Hash: FNV-1a over the point's coordinate bits. Content-addressed and
-//     order-independent, so the same point lands on the same shard no
-//     matter how the source index stored it. Shards receive statistically
-//     even, spatially mixed slices — every shard sees the whole space, so
-//     per-shard bound gaps shrink roughly uniformly.
-//   - KDSplit: recursive median splits on the widest dimension, shares
-//     divided proportionally. Shards own compact spatial regions, so for a
-//     localized query most shards' root bounds are already tight and the
-//     coordinator's adaptive refinement can leave them alone after the
-//     first round.
+//   - Hash: FNV-1a over the point's coordinate bits onto a slot table.
+//     Content-addressed and order-independent, so the same point lands on
+//     the same member no matter how the source index stored it. Members
+//     receive statistically even, spatially mixed slices — every member
+//     sees the whole space, so per-member bound gaps shrink roughly
+//     uniformly.
+//   - KDSplit: a tree of axis cuts on the widest dimension (Plane). Members
+//     own compact spatial regions, so for a localized query most members'
+//     root bounds are already tight and the coordinator's adaptive
+//     refinement can leave them alone after the first round.
 //
-// The resulting Plan is the row list of every shard; a shard's cardinality
-// and weight masses W_S⁺/W_S⁻ — what the coordinator's ε-budget allocation
-// and degraded-mode accounting need — are read off the engine built over it.
+// Found founds the manifest over a point set and Engine.Shard cuts shard
+// engines by it, so a hash coordinator founded over those shards in order
+// routes every point back to the shard that holds it.
 package shard
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
-
-	"karl/internal/vec"
 )
 
-// Kind selects the partitioning strategy.
+// Kind selects the routing rule.
 type Kind int
 
 const (
-	// Hash partitions by a content hash of the point coordinates.
+	// Hash routes by a content hash of the point coordinates.
 	Hash Kind = iota
-	// KDSplit partitions by recursive median splits on the widest
-	// dimension (spatially compact shards).
+	// KDSplit routes by recursive axis cuts on the widest dimension
+	// (spatially compact members).
 	KDSplit
 )
 
@@ -68,111 +66,102 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// Plan is a computed partition: per-shard row lists into the source matrix.
-type Plan struct {
-	Kind Kind
-	Rows [][]int
+// Found returns the manifest of an n-member cluster over points, members
+// 1…n named shard-0…shard-(n−1). Under Hash it is the manifest a
+// coordinator founds over n members. Under KDSplit one member grows by
+// recursive cuts: a region bound for k members is cut by Plane at rank
+// ⌊k/2⌋/k, the lower side keeping the region's first member id and ⌊k/2⌋
+// members, the upper side the rest — so member ids run left to right in
+// space. points is not modified.
+func Found(kind Kind, points [][]float64, n int) (*Manifest, error) {
+	if len(points) == 0 {
+		return nil, errors.New("shard: empty point set")
+	}
+	if n < 1 || n > len(points) {
+		return nil, fmt.Errorf("shard: cannot split %d points into %d shards", len(points), n)
+	}
+	member := func(id uint64) Member { return Member{ID: id, Name: fmt.Sprintf("shard-%d", id-1)} }
+	if kind != KDSplit {
+		members := make([]Member, n)
+		for i := range members {
+			members[i] = member(uint64(i + 1))
+		}
+		return NewManifest(kind, members)
+	}
+	man, err := NewManifest(KDSplit, []Member{member(1)})
+	if err != nil {
+		return nil, err
+	}
+	var grow func(id uint64, rows [][]float64, k int) error
+	grow = func(id uint64, rows [][]float64, k int) error {
+		if k == 1 {
+			return nil
+		}
+		kl := k / 2
+		dim, cut, err := Plane(rows, kl, k)
+		if err != nil {
+			return fmt.Errorf("shard: cannot cut %d points into %d kd shards: %w", len(rows), k, err)
+		}
+		right := id + uint64(kl)
+		if man, err = man.ApplySplit(id, member(right), SplitRule{Kind: KDSplit, Dim: dim, Cut: cut}); err != nil {
+			return err
+		}
+		// Move the rows Route sends left (p[dim] < cut) to the front.
+		l := 0
+		for i, p := range rows {
+			if p[dim] < cut {
+				rows[l], rows[i] = rows[i], rows[l]
+				l++
+			}
+		}
+		if err := grow(id, rows[:l], kl); err != nil {
+			return err
+		}
+		return grow(right, rows[l:], k-kl)
+	}
+	if err := grow(1, append([][]float64(nil), points...), n); err != nil {
+		return nil, err
+	}
+	return man, nil
 }
 
-// Partition splits the rows of m into n shards. Every shard is guaranteed
-// non-empty; with the hash partitioner a pathological small dataset can
-// leave a shard empty, which is reported as an error (the kd partitioner
-// never produces empty shards when n ≤ rows).
-func Partition(m *vec.Matrix, n int, kind Kind) (*Plan, error) {
-	if m == nil || m.Rows == 0 {
-		return nil, fmt.Errorf("shard: empty point set")
+// Plane picks one kd cut over rows: the dimension of widest spread and, on
+// it, the coordinate at rank ⌊len·num/den⌋ of the sorted values — moved up
+// to the next larger value when it ties the minimum, so the lower side is
+// never empty. Points with p[dim] ≥ cut fall on the upper side, as Route
+// sends them. Rows no axis cut can separate (none, or all identical) are
+// refused, with an error for the caller to name its operation in.
+func Plane(rows [][]float64, num, den int) (dim int, cut float64, err error) {
+	if len(rows) == 0 {
+		return 0, 0, errors.New("no points to cut")
 	}
-	if n < 1 {
-		return nil, fmt.Errorf("shard: shard count %d out of range", n)
-	}
-	if n > m.Rows {
-		return nil, fmt.Errorf("shard: cannot split %d points into %d shards", m.Rows, n)
-	}
-	var rows [][]int
-	switch kind {
-	case Hash:
-		rows = hashPartition(m, n)
-	case KDSplit:
-		all := make([]int, m.Rows)
-		for i := range all {
-			all[i] = i
-		}
-		rows = make([][]int, 0, n)
-		kdPartition(m, all, n, &rows)
-	default:
-		return nil, fmt.Errorf("shard: unknown partitioner %d", int(kind))
-	}
-	for s, rs := range rows {
-		if len(rs) == 0 {
-			return nil, fmt.Errorf("shard: shard %d of %d is empty over %d points (try the kd partitioner)", s, n, m.Rows)
-		}
-	}
-	return &Plan{Kind: kind, Rows: rows}, nil
-}
-
-// hashPartition assigns each row by an FNV-1a hash of its coordinate bits.
-// Hashing content rather than row position makes the assignment stable
-// across index rebuilds and storage reorderings: the same point always
-// lands on the same shard.
-func hashPartition(m *vec.Matrix, n int) [][]int {
-	rows := make([][]int, n)
-	var buf [8]byte
-	for r := 0; r < m.Rows; r++ {
-		h := fnv.New64a()
-		for _, v := range m.Row(r) {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-		s := int(h.Sum64() % uint64(n))
-		rows[s] = append(rows[s], r)
-	}
-	return rows
-}
-
-// kdPartition recursively splits rows into n spatially compact groups,
-// appending them to out in order. Each split sorts the rows along the
-// widest dimension and cuts at the position proportional to the left
-// half's shard share, so shard sizes differ by at most ⌈rows/n⌉ vs
-// ⌊rows/n⌋.
-func kdPartition(m *vec.Matrix, rows []int, n int, out *[][]int) {
-	if n == 1 {
-		*out = append(*out, rows)
-		return
-	}
-	dim := widestDim(m, rows)
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := m.Row(rows[i])[dim], m.Row(rows[j])[dim]
-		if a != b {
-			return a < b
-		}
-		// Deterministic total order even with duplicate coordinates.
-		return rows[i] < rows[j]
-	})
-	nl := n / 2
-	cut := len(rows) * nl / n
-	kdPartition(m, rows[:cut], nl, out)
-	kdPartition(m, rows[cut:], n-nl, out)
-}
-
-// widestDim returns the dimension with the largest coordinate spread over
-// the given rows.
-func widestDim(m *vec.Matrix, rows []int) int {
-	d := m.Cols
-	best, bestSpread := 0, -1.0
-	for j := 0; j < d; j++ {
+	width := -1.0
+	for j := range rows[0] {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, r := range rows {
-			v := m.Row(r)[j]
-			if v < lo {
-				lo = v
+		for _, p := range rows {
+			if p[j] < lo {
+				lo = p[j]
 			}
-			if v > hi {
-				hi = v
+			if p[j] > hi {
+				hi = p[j]
 			}
 		}
-		if spread := hi - lo; spread > bestSpread {
-			best, bestSpread = j, spread
+		if hi-lo > width {
+			dim, width = j, hi-lo
 		}
 	}
-	return best
+	if width <= 0 {
+		return 0, 0, errors.New("all points identical, no axis cut separates them")
+	}
+	vals := make([]float64, len(rows))
+	for i, p := range rows {
+		vals[i] = p[dim]
+	}
+	sort.Float64s(vals)
+	cut = vals[len(vals)*num/den]
+	if cut == vals[0] {
+		// A positive width leaves a larger value to advance to.
+		cut = vals[sort.Search(len(vals), func(i int) bool { return vals[i] > cut })]
+	}
+	return dim, cut, nil
 }

@@ -9,30 +9,24 @@ import (
 	"karl/internal/vec"
 )
 
-// PartitionKind selects how Engine.Shard distributes points across shards.
-// Kernel aggregation is additively decomposable — F_P(q) = Σ_S F_S(q) for
-// any partition — so the choice affects balance and per-shard bound
+// PartitionKind selects how Engine.Shard distributes points across shards:
+// the routing kind of the cluster manifest (internal/shard) under its public
+// name. Kernel aggregation is additively decomposable — F_P(q) = Σ_S F_S(q)
+// for any partition — so the choice affects balance and per-shard bound
 // tightness, never correctness.
-type PartitionKind int
+type PartitionKind = shard.Kind
 
 const (
 	// HashPartition assigns each point by a content hash of its
-	// coordinates: statistically even, spatially mixed shards whose
-	// assignment is stable across index rebuilds (the default).
-	HashPartition PartitionKind = iota
-	// KDPartition assigns points by recursive median splits on the widest
+	// coordinates onto the manifest's slot table: statistically even,
+	// spatially mixed shards whose assignment is stable across index
+	// rebuilds (the default).
+	HashPartition = shard.Hash
+	// KDPartition assigns points by recursive cuts on the widest
 	// dimension: spatially compact shards, so localized queries leave most
 	// shards' bounds tight after one refinement round.
-	KDPartition
+	KDPartition = shard.KDSplit
 )
-
-// String implements fmt.Stringer.
-func (k PartitionKind) String() string {
-	if k == KDPartition {
-		return "kd"
-	}
-	return "hash"
-}
 
 // ShardProvenance records that an engine was built over one shard of a
 // larger partitioned dataset. It is persisted with the engine, so a shard
@@ -60,27 +54,43 @@ func (d *Engine) ShardInfo() (info ShardProvenance, ok bool) {
 
 // Shard partitions the engine's live points into n shard engines, each
 // indexing its slice with the same kernel, index structure, leaf capacity
-// and bounding method, and each carrying ShardProvenance. The per-shard
-// answers of Aggregate sum exactly to the original engine's (up to float
-// summation order), which is what the cluster coordinator exploits.
+// and bounding method, and each carrying ShardProvenance. Points are placed
+// by the cluster manifest (shard.Found): shard i holds, in storage order,
+// the points its Route sends to member i+1, so a coordinator founded over
+// the shards in order routes every point to the shard that holds it. The
+// per-shard answers of Aggregate sum exactly to the original engine's (up
+// to float summation order), which is what the cluster coordinator
+// exploits.
 func (d *Engine) Shard(n int, kind PartitionKind) ([]*Engine, error) {
 	tree, kern, cfg, err := d.liveSet()
 	if err != nil {
 		return nil, err
 	}
-	plan, err := shard.Partition(tree.Points, n, shardKindOf(kind))
+	pts := make([][]float64, tree.Len())
+	for r := range pts {
+		pts[r] = tree.Points.Row(r)
+	}
+	man, err := shard.Found(kind, pts, n)
 	if err != nil {
 		return nil, fmt.Errorf("karl: %w", err)
 	}
+	rows := make([][]int, n)
+	for r, p := range pts {
+		s := man.Route(p) - 1
+		rows[s] = append(rows[s], r)
+	}
 	engines := make([]*Engine, n)
-	for s, rows := range plan.Rows {
-		sub := vec.NewMatrix(len(rows), tree.Dims())
+	for s, rs := range rows {
+		if len(rs) == 0 {
+			return nil, fmt.Errorf("karl: shard %d of %d is empty over %d points (try the kd partitioner)", s, n, len(pts))
+		}
+		sub := vec.NewMatrix(len(rs), tree.Dims())
 		cfg.weights = nil
 		if tree.Weights != nil {
-			cfg.weights = make([]float64, len(rows))
+			cfg.weights = make([]float64, len(rs))
 		}
-		for i, r := range rows {
-			copy(sub.Row(i), tree.Points.Row(r))
+		for i, r := range rs {
+			copy(sub.Row(i), pts[r])
 			if cfg.weights != nil {
 				cfg.weights[i] = tree.Weights[r]
 			}
@@ -93,14 +103,6 @@ func (d *Engine) Shard(n int, kind PartitionKind) ([]*Engine, error) {
 		engines[s] = se
 	}
 	return engines, nil
-}
-
-// shardKindOf maps the public partition kind to the internal one.
-func shardKindOf(k PartitionKind) shard.Kind {
-	if k == KDPartition {
-		return shard.KDSplit
-	}
-	return shard.Hash
 }
 
 // publicIndexKind is the inverse of indexKindOf.
