@@ -61,7 +61,11 @@ type Bounds = server.BoundsResponse
 
 // ShardClient is the transport interface the coordinator fans out over.
 // Implementations must be safe for concurrent use — the coordinator issues
-// hedged and parallel calls against one client.
+// hedged and parallel calls against one client — and every method must
+// return promptly once its ctx ends: a hedge that wins, a verdict reached
+// early or an attempt timeout ends a call by cancelling its ctx, and the
+// coordinator waits for a primary call on its own goroutine. HTTPShard
+// does, through syncTransport's connection deadline.
 type ShardClient interface {
 	// Name identifies the shard in stats and error messages.
 	Name() string

@@ -239,7 +239,10 @@ type flakyShard struct {
 	callCount atomic.Int64
 }
 
-func (f *flakyShard) trip() error {
+// trip is the fault in front of every call. The delay honours ctx, as
+// ShardClient asks: a primary beaten by its hedge is cancelled and must
+// return at once.
+func (f *flakyShard) trip(ctx context.Context) error {
 	f.callCount.Add(1)
 	if f.down.Load() {
 		return errors.New("shard down (test)")
@@ -248,41 +251,45 @@ func (f *flakyShard) trip() error {
 		return errors.New("transient failure (test)")
 	}
 	if f.delay > 0 {
-		time.Sleep(f.delay)
+		select {
+		case <-time.After(f.delay):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	return nil
 }
 
 func (f *flakyShard) Info(ctx context.Context) (ShardInfo, error) {
-	if err := f.trip(); err != nil {
+	if err := f.trip(ctx); err != nil {
 		return ShardInfo{}, err
 	}
 	return f.MutableShardClient.Info(ctx)
 }
 
 func (f *flakyShard) Aggregate(ctx context.Context, q []float64) (float64, error) {
-	if err := f.trip(); err != nil {
+	if err := f.trip(ctx); err != nil {
 		return 0, err
 	}
 	return f.MutableShardClient.Aggregate(ctx, q)
 }
 
 func (f *flakyShard) Bounds(ctx context.Context, q []float64, eps float64) (Bounds, error) {
-	if err := f.trip(); err != nil {
+	if err := f.trip(ctx); err != nil {
 		return Bounds{}, err
 	}
 	return f.MutableShardClient.Bounds(ctx, q, eps)
 }
 
 func (f *flakyShard) ThresholdBounds(ctx context.Context, q []float64, tau float64) (Bounds, error) {
-	if err := f.trip(); err != nil {
+	if err := f.trip(ctx); err != nil {
 		return Bounds{}, err
 	}
 	return f.MutableShardClient.ThresholdBounds(ctx, q, tau)
 }
 
 func (f *flakyShard) Healthy(ctx context.Context) error {
-	if err := f.trip(); err != nil {
+	if err := f.trip(ctx); err != nil {
 		return err
 	}
 	return f.MutableShardClient.Healthy(ctx)
@@ -366,6 +373,112 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	}
 	if st := co.Stats()[0]; st.Hedges < 1 || st.HedgeWins < 1 {
 		t.Fatalf("hedges=%d hedgeWins=%d, want >= 1 each", st.Hedges, st.HedgeWins)
+	}
+}
+
+// TestHedgeWinsOverStalledHTTPPrimary is the hedge rung over the real wire:
+// the primary is a front door whose handler stalls until released, the
+// replica a second front door over the same shard. Once the latency window
+// is warm, Threshold and Approximate answer from the replica well inside the
+// stall with the monolith's answers: the winning hedge cancels the primary,
+// which syncTransport turns into a dropped connection, so the next primary
+// call dials afresh instead of reading a stale reply.
+func TestHedgeWinsOverStalledHTTPPrimary(t *testing.T) {
+	pts, _ := dataset(200, 2, 5, "I")
+	mono := buildEngine(t, pts, nil, karl.Gaussian(1), karl.KDTree)
+	shards, err := mono.Shard(2, karl.HashPartition)
+	if err != nil {
+		t.Fatalf("Shard: %v", err)
+	}
+	var stall atomic.Bool
+	release := make(chan struct{})
+	inner := readServer(t, shards[0])
+	f := newTransportFixture(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if stall.Load() {
+			<-release
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer close(release) // before the server's Close, which waits for the stalled handlers
+
+	primary := NewHTTPShard(f.ts.URL)
+	specs := []fixedShard{
+		{Client: primary, Replicas: []ShardClient{listen(t, readServer(t, shards[0]))}},
+		{Client: listen(t, readServer(t, shards[1]))},
+	}
+	ctx := context.Background()
+	co, err := fixed(ctx, specs, Config{HedgeMin: time.Millisecond})
+	if err != nil {
+		t.Fatalf("fixed: %v", err)
+	}
+	for i := 0; i < warmSamples; i++ {
+		co.ep.Load().members[0].lat.record(100 * time.Microsecond)
+	}
+	stall.Store(true)
+
+	q := []float64{0.1, 0.4}
+	exact, _ := mono.Aggregate(q)
+	within := func(what string, start time.Time) {
+		t.Helper()
+		if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
+			t.Fatalf("%s: the hedge did not shortcut the stalled primary (took %v)", what, elapsed)
+		}
+	}
+	for _, tau := range []float64{0.9 * exact, 1.1 * exact} {
+		start := time.Now()
+		res, err := co.Threshold(ctx, q, tau)
+		if err != nil {
+			t.Fatalf("Threshold(%v): %v", tau, err)
+		}
+		within("Threshold", start)
+		if res.Over != (exact > tau) || res.Partial {
+			t.Fatalf("Threshold(%v) = %+v, exact %v", tau, res, exact)
+		}
+	}
+	const eps = 0.05
+	start := time.Now()
+	res, err := co.Approximate(ctx, q, eps)
+	if err != nil {
+		t.Fatalf("Approximate: %v", err)
+	}
+	within("Approximate", start)
+	if math.Abs(res.Value-exact) > eps*exact || res.Partial {
+		t.Fatalf("Approximate = %+v, exact %v", res, exact)
+	}
+	if st := co.Stats()[0]; st.HedgeWins < 1 {
+		t.Fatalf("hedges=%d hedge_wins=%d, want a win", st.Hedges, st.HedgeWins)
+	}
+
+	stall.Store(false)
+	before := f.conns.Load()
+	b, err := primary.Bounds(ctx, q, 0)
+	if err != nil {
+		t.Fatalf("primary after the stall: %v", err)
+	}
+	if n := f.conns.Load() - before; n != 1 {
+		t.Fatalf("the primary's next call opened %d connections, want 1: a cancelled one was reused", n)
+	}
+	if want, _ := shards[0].Aggregate(q); math.Abs(b.Value-want) > 1e-9 {
+		t.Fatalf("primary after the stall: %v, want %v", b.Value, want)
+	}
+}
+
+// TestLatencyWindowRecordAllocs: recording a sample, including the hedge
+// delay it re-derives every hedgeEvery samples, allocates nothing.
+func TestLatencyWindowRecordAllocs(t *testing.T) {
+	var l latencyWindow
+	d := time.Duration(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < hedgeEvery; i++ {
+			d = (d + 37*time.Microsecond) % time.Millisecond
+			l.record(d)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d samples made %.0f allocations, want 0", hedgeEvery, allocs)
+	}
+	if l.hedge.Load() == 0 {
+		t.Fatal("the window never armed a hedge delay")
 	}
 }
 

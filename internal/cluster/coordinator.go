@@ -545,22 +545,63 @@ func (ep *epoch) massShare(i int) float64 {
 }
 
 // scatter runs fn(i) for every i in todo at once and waits for all of
-// them; the last runs on the calling goroutine.
+// them; the last runs on the calling goroutine, every other on a parked
+// fan-out worker, or on a new one when none is parked.
 func scatter(todo []int, fn func(i int)) {
 	if len(todo) == 0 {
 		return
 	}
 	var wg sync.WaitGroup
 	last := len(todo) - 1
+	wg.Add(last)
 	for _, i := range todo[:last] {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
+		j := fanJob{fn: fn, i: i, wg: &wg}
+		select {
+		case parked <- j:
+		default:
+			go fanWorker(j)
+		}
 	}
 	fn(todo[last])
 	wg.Wait()
+}
+
+// fanJob is one member's call in a scatter round.
+type fanJob struct {
+	fn func(int)
+	i  int
+	wg *sync.WaitGroup
+}
+
+// parked hands a job to a fan-out worker: being unbuffered, a send succeeds
+// only while some worker waits in its receive.
+var parked = make(chan fanJob)
+
+// workerIdle is how long a fan-out worker waits for a job before it exits,
+// so the number of workers follows recent fan-out.
+const workerIdle = time.Second
+
+// fanWorker runs j, then parks for the next job. A shard call grows a fresh
+// goroutine's stack (JSON, net/http, float formatting); a worker's stack has
+// grown once and serves every call after.
+func fanWorker(j fanJob) {
+	idle := time.NewTimer(workerIdle)
+	for {
+		j.fn(j.i)
+		j.wg.Done()
+		if !idle.Stop() {
+			select {
+			case <-idle.C:
+			default:
+			}
+		}
+		idle.Reset(workerIdle)
+		select {
+		case j = <-parked:
+		case <-idle.C:
+			return
+		}
+	}
 }
 
 func (ep *epoch) aliveWeight(st []*exchState) float64 {
@@ -751,7 +792,7 @@ func (ep *epoch) approxResult(lb, ub float64, st []*exchState) server.Result {
 // failure. Counters record every rung for /v1/stats.
 func call[T any](ctx context.Context, co *Coordinator, s *member, fn func(context.Context, ShardClient) (T, error)) (T, error) {
 	s.requests.Add(1)
-	attempt := func(c ShardClient) (T, error) {
+	attempt := func(ctx context.Context, c ShardClient) (T, error) {
 		actx, cancel := context.WithTimeout(ctx, co.cfg.Timeout)
 		defer cancel()
 		t0 := time.Now()
@@ -762,7 +803,7 @@ func call[T any](ctx context.Context, co *Coordinator, s *member, fn func(contex
 		return v, err
 	}
 
-	v, err := hedged(co, s, attempt)
+	v, err := hedged(ctx, co, s, attempt)
 	if err == nil {
 		return v, nil
 	}
@@ -783,7 +824,7 @@ func call[T any](ctx context.Context, co *Coordinator, s *member, fn func(contex
 		if len(s.replicas) > 0 {
 			target = s.replicas[r%len(s.replicas)]
 		}
-		if v, rerr := attempt(target); rerr == nil {
+		if v, rerr := attempt(ctx, target); rerr == nil {
 			return v, nil
 		} else if ctx.Err() == nil {
 			err = rerr
@@ -793,64 +834,66 @@ func call[T any](ctx context.Context, co *Coordinator, s *member, fn func(contex
 	return zero, err
 }
 
-// hedged runs one attempt against the primary, arming a second attempt
-// against the first replica if the primary is still in flight past the
-// configured latency quantile. First success wins; the loser's context is
-// cancelled through the attempt timeout.
-func hedged[T any](co *Coordinator, s *member, attempt func(ShardClient) (T, error)) (T, error) {
-	var zero T
+// hedged runs one attempt against the primary on the calling goroutine and
+// arms a timer that starts a second attempt, against the first replica, if
+// the primary is still in flight past the member's latency quantile. First
+// success wins by cancelling the other attempt: a shard client returns
+// promptly once its ctx ends (ShardClient), so a primary beaten by the hedge
+// returns at once. Until the timer fires a call costs no goroutine and no
+// channel.
+func hedged[T any](ctx context.Context, co *Coordinator, s *member, attempt func(context.Context, ShardClient) (T, error)) (T, error) {
 	delay := time.Duration(s.lat.hedge.Load())
 	if delay == 0 || len(s.replicas) == 0 {
-		return attempt(s.client)
+		return attempt(ctx, s.client)
 	}
-	if delay < co.cfg.HedgeMin {
-		delay = co.cfg.HedgeMin
-	}
-
 	type outcome struct {
-		v       T
-		err     error
-		replica bool
+		v   T
+		err error
 	}
-	ch := make(chan outcome, 2)
-	go func() {
-		v, err := attempt(s.client)
-		ch <- outcome{v, err, false}
-	}()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-
-	pending := 1
-	launched := false
-	var firstErr error
-	for {
-		select {
-		case o := <-ch:
-			pending--
-			if o.err == nil {
-				if o.replica {
-					s.hedgeWins.Add(1)
-				}
-				return o.v, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if pending == 0 {
-				return zero, firstErr
-			}
-		case <-timer.C:
-			if !launched {
-				launched = true
-				pending++
-				s.hedges.Add(1)
-				go func() {
-					v, err := attempt(s.replicas[0])
-					ch <- outcome{v, err, true}
-				}()
-			}
+	pctx, cancelPrimary := context.WithCancel(ctx)
+	defer cancelPrimary()
+	var race struct {
+		sync.Mutex
+		primaryDone bool
+		hedge       chan outcome // non-nil once the hedge has started
+		cancelHedge context.CancelFunc
+	}
+	timer := time.AfterFunc(max(delay, co.cfg.HedgeMin), func() {
+		race.Lock()
+		if race.primaryDone {
+			race.Unlock()
+			return
 		}
+		hctx, cancel := context.WithCancel(ctx)
+		ch := make(chan outcome, 1)
+		race.hedge, race.cancelHedge = ch, cancel
+		race.Unlock()
+		s.hedges.Add(1)
+		v, err := attempt(hctx, s.replicas[0])
+		if err == nil {
+			cancelPrimary()
+		}
+		ch <- outcome{v, err}
+	})
+	v, err := attempt(pctx, s.client)
+	timer.Stop()
+	race.Lock()
+	race.primaryDone = true
+	ch, cancelHedge := race.hedge, race.cancelHedge
+	race.Unlock()
+	if ch == nil {
+		return v, err
 	}
+	defer cancelHedge()
+	if err == nil {
+		return v, nil
+	}
+	// The primary failed, or lost to the hedge: the hedge's outcome decides.
+	if o := <-ch; o.err == nil {
+		s.hedgeWins.Add(1)
+		return o.v, nil
+	}
+	return v, err
 }
 
 // latencyWindow is a fixed ring of recent successful call durations; the
@@ -894,9 +937,8 @@ func (l *latencyWindow) quantileLocked(q float64) time.Duration {
 	if l.n == 0 {
 		return 0
 	}
-	tmp := make([]time.Duration, l.n)
-	copy(tmp, l.buf[:l.n])
-	slices.Sort(tmp)
+	tmp := l.buf // sorted on the stack; the ring keeps its order
+	slices.Sort(tmp[:l.n])
 	return tmp[int(q*float64(l.n-1))]
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -166,9 +167,7 @@ func (t *syncTransport) exchange(ctx context.Context, c *syncConn, addr string, 
 		return nil, started, err
 	}
 
-	// Request.Write streams the body through c.bw: large bodies pass
-	// straight to the socket, nothing is collected first.
-	if err := req.Write(c.bw); err != nil {
+	if err := writeRequest(c.bw, req); err != nil {
 		return fail(err)
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -187,6 +186,69 @@ func (t *syncTransport) exchange(ctx context.Context, c *syncConn, addr string, 
 	}
 	resp.Body = &pooledBody{ReadCloser: resp.Body, t: t, c: c, addr: addr, stop: stop, keep: !resp.Close}
 	return resp, true, nil
+}
+
+// writeRequest writes req to w as HTTP/1.1 — the request line, Host, the
+// caller's headers and Content-Length — and streams the body behind them
+// through w: large bodies pass straight to the socket, nothing is collected
+// first. It is Request.Write without its fmt calls, transfer writer and
+// User-Agent. A body must have a known length, and a header holding CR or LF
+// is refused before any byte is written. The body is closed in every case,
+// as RoundTrip must.
+func writeRequest(w *bufio.Writer, req *http.Request) error {
+	if req.Body != nil {
+		defer req.Body.Close()
+	}
+	n := req.ContentLength
+	if n < 0 || (n == 0) != (req.Body == nil || req.Body == http.NoBody) {
+		return errors.New("cluster: shard transport sends only bodies of known length")
+	}
+	// url.Parse refuses control characters, so the URL's host needs no check.
+	host := req.Host
+	if host == "" {
+		host = req.URL.Host
+	}
+	for k, vs := range req.Header {
+		bad := strings.ContainsAny(k, "\r\n")
+		for _, v := range vs {
+			bad = bad || strings.ContainsAny(v, "\r\n")
+		}
+		if bad {
+			return fmt.Errorf("cluster: header %q holds CR or LF", k)
+		}
+	}
+	w.WriteString(req.Method)
+	w.WriteByte(' ')
+	w.WriteString(req.URL.RequestURI())
+	w.WriteString(" HTTP/1.1\r\nHost: ")
+	w.WriteString(host)
+	w.WriteString("\r\n")
+	for k, vs := range req.Header {
+		for _, v := range vs {
+			w.WriteString(k)
+			w.WriteString(": ")
+			w.WriteString(v)
+			w.WriteString("\r\n")
+		}
+	}
+	// Request.Write's rule: an empty body still gets a length on the methods
+	// servers expect one for.
+	if n > 0 || req.Method == http.MethodPost || req.Method == http.MethodPut || req.Method == http.MethodPatch {
+		w.WriteString("Content-Length: ")
+		w.Write(strconv.AppendInt(w.AvailableBuffer(), n, 10))
+		w.WriteString("\r\n")
+	}
+	w.WriteString("\r\n")
+	if n == 0 {
+		return nil
+	}
+	// The write errors above are sticky in w: Copy or the caller's Flush
+	// reports them.
+	m, err := io.Copy(w, req.Body)
+	if err == nil && m != n {
+		err = fmt.Errorf("cluster: request body is %d bytes, Content-Length is %d", m, n)
+	}
+	return err
 }
 
 // pooledBody hands the connection back when the response body has been

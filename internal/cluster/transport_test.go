@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -10,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -312,4 +315,250 @@ func TestTransportConcurrentMixedCalls(t *testing.T) {
 	if mass, ok := hs.WriteMass(); !ok || mass.Points != d.Len() || mass.WeightPos != float64(d.Len()) {
 		t.Fatalf("WriteMass = %+v, %v after the last write; the engine holds %d unit points", mass, ok, d.Len())
 	}
+}
+
+// TestTransportWritesRequestHead holds writeRequest to Request.Write as
+// oracle: http.ReadRequest over the bytes of each must give the same
+// method, URI, Host, length, headers (User-Agent aside: only Request.Write
+// sends one) and body. A header holding CR or LF, or a body of unknown
+// length, is refused before a byte is written.
+func TestTransportWritesRequestHead(t *testing.T) {
+	for _, c := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodGet, "/v1/info", nil},
+		{http.MethodPost, "/v1/bounds", []byte(`{"q":[0.5,-0.25,1e-7],"threshold":0.75}`)},
+		{http.MethodDelete, "/v1/point", []byte(`{"ids":[3,1,4]}`)},
+		{http.MethodPost, "/v1/aggregate", []byte{}},
+	} {
+		newReq := func() *http.Request {
+			var rd io.Reader
+			if c.body != nil {
+				rd = bytes.NewReader(c.body)
+			}
+			req, err := http.NewRequest(c.method, "http://127.0.0.1:9/"+c.path[1:], rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.body != nil {
+				req.Header.Set("Content-Type", "application/json")
+			}
+			return req
+		}
+		var want, got bytes.Buffer
+		if err := newReq().Write(&want); err != nil {
+			t.Fatal(err)
+		}
+		bw := bufio.NewWriter(&got)
+		if err := writeRequest(bw, newReq()); err != nil {
+			t.Fatalf("%s %s: %v", c.method, c.path, err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		w, g := readRequest(t, want.Bytes()), readRequest(t, got.Bytes())
+		w.Header.Del("User-Agent")
+		if g.Method != w.Method || g.RequestURI != w.RequestURI || g.Host != w.Host || g.ContentLength != w.ContentLength ||
+			fmt.Sprint(g.Header) != fmt.Sprint(w.Header) || !bytes.Equal(g.body, w.body) {
+			t.Errorf("%s %s: wrote\n%q\nRequest.Write wrote\n%q", c.method, c.path, got.Bytes(), want.Bytes())
+		}
+	}
+
+	refuse := func(name string, req *http.Request) {
+		t.Helper()
+		var sink bytes.Buffer
+		bw := bufio.NewWriter(&sink)
+		if err := writeRequest(bw, req); err == nil {
+			t.Errorf("%s: written, want a refusal", name)
+		}
+		if bw.Buffered() != 0 || sink.Len() != 0 {
+			t.Errorf("%s: %d bytes written before the refusal", name, bw.Buffered()+sink.Len())
+		}
+	}
+	badKey, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1:9/v1/info", nil)
+	badKey.Header["X-A\r\nX-B"] = []string{"v"}
+	refuse("CR LF in a header key", badKey)
+	badValue, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1:9/v1/info", nil)
+	badValue.Header.Set("X-A", "v\nX-B: w")
+	refuse("LF in a header value", badValue)
+	unknown, _ := http.NewRequest(http.MethodPost, "http://127.0.0.1:9/v1/bounds", io.MultiReader(strings.NewReader(`{}`)))
+	refuse("a body of unknown length", unknown)
+
+	// Through the transport, a refused request reaches no handler.
+	f := newTransportFixture(t, http.HandlerFunc(echoPath))
+	req, _ := http.NewRequest(http.MethodPost, f.ts.URL+"/v1/bounds", strings.NewReader(`{}`))
+	req.Header.Set("X-A", "v\r\nX-B: w")
+	if _, err := f.hc.Do(req); err == nil {
+		t.Fatal("a header holding CR LF was sent")
+	}
+	if n := f.hit("/v1/bounds"); n != 0 {
+		t.Fatalf("the refused request reached the handler %d times", n)
+	}
+}
+
+// parsedRequest is a request read back by http.ReadRequest, body included.
+type parsedRequest struct {
+	*http.Request
+	body []byte
+}
+
+func readRequest(t *testing.T, raw []byte) parsedRequest {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(raw))
+	req, err := http.ReadRequest(br)
+	if err != nil {
+		t.Fatalf("ReadRequest(%q): %v", raw, err)
+	}
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Buffered() != 0 {
+		t.Fatalf("%d bytes after the request in %q", br.Buffered(), raw)
+	}
+	return parsedRequest{req, body}
+}
+
+// cannedPeer is a TCP peer that answers every HTTP/1.1 request with the
+// same /v1/bounds reply and allocates nothing per request, so an allocation
+// count over a call to it is the client's own. It returns the peer's base
+// URL.
+func cannedPeer(tb testing.TB) string {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const body = `{"value":0.4861235712,"lb":0.4528812345,"ub":0.5193659079}`
+	reply := []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"+
+		"Date: Mon, 02 Jan 2006 15:04:05 GMT\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			go answerCanned(c, reply)
+		}
+	}()
+	tb.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	return "http://" + ln.Addr().String()
+}
+
+var (
+	headEnd       = []byte("\r\n\r\n")
+	contentLength = []byte("\r\nContent-Length: ")
+)
+
+// answerCanned reads requests off c — a head, then Content-Length bytes of
+// body — into one fixed buffer and writes reply after each.
+func answerCanned(c net.Conn, reply []byte) {
+	defer c.Close()
+	buf := make([]byte, 64<<10)
+	n := 0
+	for {
+		end := bytes.Index(buf[:n], headEnd)
+		if end < 0 {
+			m, err := c.Read(buf[n:])
+			if err != nil || m == 0 {
+				return
+			}
+			n += m
+			continue
+		}
+		size := 0
+		if i := bytes.Index(buf[:end], contentLength); i >= 0 {
+			for _, d := range buf[i+len(contentLength) : end] {
+				if d < '0' || d > '9' {
+					break
+				}
+				size = size*10 + int(d-'0')
+			}
+		}
+		total := end + len(headEnd) + size
+		if total > len(buf) {
+			return
+		}
+		for n < total {
+			m, err := c.Read(buf[n:])
+			if err != nil {
+				return
+			}
+			n += m
+		}
+		if _, err := c.Write(reply); err != nil {
+			return
+		}
+		n = copy(buf, buf[total:n])
+	}
+}
+
+// shardCallAllocs is what one warm HTTPShard.ThresholdBounds call at d = 8
+// allocates, request encoding to decoded reply. Through Request.Write it
+// was 41.
+const shardCallAllocs = 34
+
+// TestShardCallAllocs pins the allocations of one warm shard hop against
+// cannedPeer.
+func TestShardCallAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector changes allocation counts")
+	}
+	hs := NewHTTPShard(cannedPeer(t))
+	q := []float64{0.12, -0.5, 0.33, 1.7, -0.01, 0.25, 0.9, -1.2}
+	ctx := context.Background()
+	hop := func() {
+		if _, err := hs.ThresholdBounds(ctx, q, 0.47); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hop() // dial and size the buffers
+	allocs := testing.AllocsPerRun(200, hop)
+	t.Logf("%.0f allocations a shard call", allocs)
+	if allocs > shardCallAllocs {
+		t.Fatalf("a warm shard call made %.0f allocations, want at most %d", allocs, shardCallAllocs)
+	}
+}
+
+// BenchmarkShardCall times one warm HTTPShard.ThresholdBounds call at d = 8
+// against cannedPeer: the client's share of a shard hop, plus loopback.
+func BenchmarkShardCall(b *testing.B) {
+	hs := NewHTTPShard(cannedPeer(b))
+	q := []float64{0.12, -0.5, 0.33, 1.7, -0.01, 0.25, 0.9, -1.2}
+	ctx := context.Background()
+	if _, err := hs.ThresholdBounds(ctx, q, 0.47); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := hs.ThresholdBounds(ctx, q, 0.47); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
 }
