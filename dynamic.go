@@ -10,6 +10,7 @@ import (
 	"karl/internal/bound"
 	"karl/internal/core"
 	"karl/internal/index"
+	"karl/internal/kdtree"
 	"karl/internal/kernel"
 	"karl/internal/segment"
 	"karl/internal/vec"
@@ -180,6 +181,19 @@ type dynShared struct {
 	dims int // fixed by the first insert (or a load); 0 = undetermined
 
 	man *segment.Manifest
+
+	// skel is the kd split plan seals and rebuilds are cut on, so the
+	// segments refine as one tree (core.Forest). nil until a kd build needs
+	// it and after the manifest is replaced whole (Compact, Split, a
+	// snapshot install, a load): skeletonLocked then reads it off the
+	// largest segment.
+	skel *kdtree.Skeleton
+
+	// set is setMan's segment set under kernel configuration setGen, the
+	// one every clone's forest refines over (segmentSet).
+	set    *core.SegmentSet
+	setMan *segment.Manifest
+	setGen uint64
 
 	// nextSeq numbers every inserted point (ids start at 1). A deleted
 	// but not yet compacted point is a tombstone, held by the segment that
@@ -833,11 +847,12 @@ func (sh *dynShared) sealLocked() error {
 			}
 			run = sh.sealRunLocked(buf, nowT, ref)
 		}
+		cfg := sh.buildCfgLocked()
 		sh.mu.Unlock()
 		var seg *segment.Segment
 		var err error
 		if run.N > 0 {
-			seg, err = segment.Seal(run, ref, sh.bcfg, id)
+			seg, err = segment.Seal(run, ref, cfg, id)
 		}
 		sh.mu.Lock()
 		sh.sealing = nil
@@ -946,7 +961,40 @@ func (sh *dynShared) maybeCompactLocked() {
 	segs := sh.man.Select(ids)
 	id := sh.nextID
 	sh.nextID++
-	go sh.compactSegments(ids, segs, id, sh.mergeOptsLocked(segs))
+	cfg := sh.buildCfgLocked()
+	var found []*segment.Segment
+	if cfg.Skeleton != nil && sh.man.Len()+sh.mem.len() > 2*cfg.LeafCap*cfg.Skeleton.Leaves() {
+		// The engine has outgrown its skeleton: this rebuild founds the next.
+		found = sh.man.Segs
+	}
+	go sh.compactSegments(ids, segs, id, sh.mergeOptsLocked(segs), cfg, found)
+}
+
+// buildCfgLocked returns the configuration seals and rebuilds build with:
+// a kd engine's segments are cut on its skeleton once it has one.
+func (sh *dynShared) buildCfgLocked() segment.BuildConfig {
+	cfg := sh.bcfg
+	cfg.Skeleton = sh.skeletonLocked()
+	return cfg
+}
+
+// skeletonLocked returns the engine's skeleton, reading it off the largest
+// (oldest of the largest) kd segment when none is set; nil when the
+// manifest holds no kd segment.
+func (sh *dynShared) skeletonLocked() *kdtree.Skeleton {
+	if sh.skel != nil {
+		return sh.skel
+	}
+	var from *segment.Segment
+	for _, s := range sh.man.Segs {
+		if s.Tree.Kind == index.KDTree && (from == nil || s.Len() > from.Len()) {
+			from = s
+		}
+	}
+	if from != nil {
+		sh.skel = kdtree.SkeletonOf(from.Tree)
+	}
+	return sh.skel
 }
 
 // mergeOptsLocked assembles, under the lock, the mutations a rebuild over
@@ -1012,8 +1060,21 @@ func deadOf(segs []*segment.Segment) []*segment.Dead {
 // compactSegments rebuilds the planned segments into one off the query
 // and insert paths and swaps the result in atomically. Queries started
 // before the swap keep refining over the old snapshot.
-func (sh *dynShared) compactSegments(ids []uint64, segs []*segment.Segment, id uint64, opts segment.MergeOpts) {
-	merged, err := segment.Merge(segs, segment.MemRun{}, opts, sh.bcfg, id)
+//
+// Given found, the rebuild founds a new skeleton first: the one read off a
+// fresh median build over every row those segments store, at the engine's
+// leaf capacity, so the union of everything cut on it has the cells of one
+// index over the engine. The output is cut on it, and so is every later
+// build.
+func (sh *dynShared) compactSegments(ids []uint64, segs []*segment.Segment, id uint64, opts segment.MergeOpts, cfg segment.BuildConfig, found []*segment.Segment) {
+	var err error
+	if found != nil {
+		cfg.Skeleton, err = segment.SkeletonOver(found, cfg.LeafCap)
+	}
+	var merged *segment.Segment
+	if err == nil {
+		merged, err = segment.Merge(segs, segment.MemRun{}, opts, cfg, id)
+	}
 	sh.mu.Lock()
 	sh.compacting = false
 	if err != nil {
@@ -1021,6 +1082,9 @@ func (sh *dynShared) compactSegments(ids []uint64, segs []*segment.Segment, id u
 	} else {
 		inheritDead(merged, opts.Drop, deadOf(segs)...)
 		sh.man = sh.man.WithReplaced(ids, merged)
+		if found != nil {
+			sh.skel = cfg.Skeleton
+		}
 		sh.compactions++
 		if len(ids) == 1 {
 			sh.deadRewrites++
@@ -1089,7 +1153,7 @@ func (d *Engine) Compact() error {
 		}
 		// Deletes were blocked throughout, so opts.Drop holds every
 		// tombstone of segs: there is none left to hand on.
-		sh.man = man
+		sh.man, sh.skel = man, nil
 		sh.compactions++
 		if sh.mem != nil {
 			sh.mem.n = 0 // absorbed into the merged segment
@@ -1188,15 +1252,47 @@ func (d *Engine) snapshot(q []float64) (man *segment.Manifest, base float64, sca
 // this clone's reused scratch, so steady state still allocates nothing.
 func (d *Engine) arm(man *segment.Manifest) error {
 	if d.fMan != man {
-		if err := d.f.SetTrees(man.Trees()); err != nil {
+		set, err := d.sh.segmentSet(man)
+		if err != nil {
 			return err
 		}
+		d.f.SetSegments(set)
 		d.fMan = man
 	}
 	if d.sh.halfLife > 0 {
 		return d.f.SetScales(d.scales)
 	}
 	return d.f.SetScales(nil)
+}
+
+// segmentSet returns man's grouped segment set, made once per manifest and
+// shared by every clone, so a union tree is built once, not per clone.
+func (sh *dynShared) segmentSet(man *segment.Manifest) (*core.SegmentSet, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.setMan == man && sh.setGen == sh.cfgGen {
+		return sh.set, nil
+	}
+	var rel []float64
+	if hl := sh.halfLife; hl > 0 {
+		// Each segment's weight relative to the newest reference instant:
+		// constant in time, so the forest folds it into the union of its
+		// group once per manifest.
+		newest := int64(math.MinInt64)
+		for _, s := range man.Segs {
+			newest = max(newest, s.TimeRef)
+		}
+		rel = make([]float64, len(man.Segs))
+		for i, s := range man.Segs {
+			rel[i] = math.Exp2(-float64(newest-s.TimeRef) / hl)
+		}
+	}
+	set, err := core.NewSegmentSet(man.Trees(), rel)
+	if err != nil {
+		return nil, err
+	}
+	sh.set, sh.setMan, sh.setGen = set, man, sh.cfgGen
+	return set, nil
 }
 
 // Aggregate computes the exact aggregate over all current points.
@@ -1265,11 +1361,6 @@ func (d *Engine) ApproximateStats(q []float64, eps float64) (float64, Stats, err
 	st.PointsScanned += scanned
 	return v, st, err
 }
-
-// SegmentStats returns the per-segment work of the most recent query on
-// THIS clone, index-aligned with the manifest the query ran over. The
-// slice is scratch: valid until the next query.
-func (d *Engine) SegmentStats() []Stats { return d.f.SegmentStats() }
 
 // ArmedEpoch returns the manifest epoch this clone's executor is armed
 // for — the epoch of the last query it ran — and whether it has run one.

@@ -206,7 +206,7 @@ func (d *Engine) InstallSnapshot(r io.Reader) error {
 		f.s.Dead = f.dead
 	}
 	if src.man.Epoch != sh.man.Epoch || !slices.Equal(segs, sh.man.Segs) {
-		sh.man = src.man
+		sh.man, sh.skel = src.man, nil
 	}
 	if src.dynConfig != sh.dynConfig {
 		// Every live view (and pooled clone) rebuilds its forest before the

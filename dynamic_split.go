@@ -113,7 +113,7 @@ func (d *Engine) Split(pred func(p []float64) bool) (MutableEngine, error) {
 	if keepSeg != nil {
 		man.Segs = []*segment.Segment{keepSeg}
 	}
-	sh.man = man
+	sh.man, sh.skel = man, nil
 	sh.compactions++
 	if sh.mem != nil {
 		sh.mem.n = 0 // absorbed into the divide

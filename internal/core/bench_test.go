@@ -26,7 +26,7 @@ func benchForest(b *testing.B) (*Forest, []float64, float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := f.SetTrees([]*index.Tree{tr}); err != nil {
+	if err := f.SetTrees([]*index.Tree{tr}, []float64{1}); err != nil {
 		b.Fatal(err)
 	}
 	q := make([]float64, d)

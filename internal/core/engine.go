@@ -67,7 +67,7 @@ func New(tree *index.Tree, kern kernel.Params, opts ...Option) (*Engine, error) 
 		opt(e)
 	}
 	e.one[0] = tree
-	if err := e.f.SetTrees(e.one[:]); err != nil {
+	if err := e.f.SetTrees(e.one[:], nil); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -78,9 +78,8 @@ func New(tree *index.Tree, kern kernel.Params, opts ...Option) (*Engine, error) 
 func (e *Engine) Clone() *Engine {
 	c := &Engine{f: Forest{kern: e.f.kern, method: e.f.method, maxDepth: e.f.maxDepth, rows: e.f.rows}}
 	c.one = e.one
-	// The tree is already validated; SetTrees only re-derives dims and
-	// sizes the scratch.
-	_ = c.f.SetTrees(c.one[:])
+	// The tree is already validated; SetTrees only re-derives dims.
+	_ = c.f.SetTrees(c.one[:], nil)
 	return c
 }
 

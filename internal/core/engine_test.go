@@ -10,6 +10,7 @@ import (
 	"karl/internal/index"
 	"karl/internal/kdtree"
 	"karl/internal/kernel"
+	"karl/internal/scan"
 	"karl/internal/vec"
 )
 
@@ -466,6 +467,47 @@ func TestApproximateSpendsEps(t *testing.T) {
 			}
 			if typ != "III" && worst <= 0.5 {
 				t.Errorf("type %s ε=%v: error reached only %.4f of ε: refinement still stops at ε/2", typ, eps, worst)
+			}
+		}
+	}
+}
+
+// TestMaxDepthOverEmptyCells: the in-situ tuning view — refinement cut off
+// at a depth, the frontier scanned whole — over a tree cut on another
+// tree's skeleton, whose frontier includes cells that own no rows.
+func TestMaxDepthOverEmptyCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	founder, err := kdtree.Build(makeClustered(rng, 600, 2, 3, 0.05), nil, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := makeClustered(rng, 50, 2, 1, 0.01)
+	tr, err := kdtree.BuildOn(m, nil, kdtree.SkeletonOf(founder), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.NewGaussian(4)
+	sc, err := scan.NewScanner(m, nil, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := []float64{0.5, 0.5}
+	want := sc.Aggregate(q)
+	for depth := 0; depth <= tr.Height; depth++ {
+		e, err := New(tr, k, WithMaxDepth(depth))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := e.Approximate(q, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 0.05*want+1e-12 {
+			t.Fatalf("depth %d: Approximate %v, exact %v", depth, got, want)
+		}
+		for _, tau := range []float64{want * 0.95, want * 1.05} {
+			if over, _, _ := e.Threshold(q, tau); over != (want > tau) {
+				t.Fatalf("depth %d: Threshold(τ=%v) = %v, exact %v", depth, tau, over, want)
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"karl/internal/bound"
 	"karl/internal/index"
@@ -20,6 +22,15 @@ import (
 // of each segment getting a private ε/τ split. A single-segment Forest is
 // exactly the classic engine loop; Engine is a thin wrapper over it.
 //
+// Segments that are kd-trees of one shape — built on one kd skeleton
+// (kdtree.BuildOn) — refine as ONE tree: the queue unit is a group, whose
+// node i is bounded through index.Union (the members' node-i aggregates
+// summed, their boxes joined; a valid bound for any trees of one shape) and
+// whose frontier node scans every member's rows of that cell in one pass.
+// A manifest of k segments cut on one skeleton thus costs about what one
+// index over their union does, instead of k trees' worth of nodes and
+// half-empty leaves.
+//
 // A Forest additionally accepts a per-query exact base term: the caller's
 // already-exact contribution (e.g. a dynamic engine's memtable scan), which
 // is folded into the global lower AND upper bound before refinement starts.
@@ -27,26 +38,38 @@ import (
 // what repairs the mixed-sign ε guarantee for buffered inserts.
 //
 // Like Engine, a Forest is not safe for concurrent use: it owns per-query
-// scratch (the queue, the query context, per-segment statistics). The
-// segment set may be swapped between queries with SetTrees; the steady
-// state (unchanged segment set) performs no allocation per query.
+// scratch (the queue, the query context, the statistics). The segment set
+// may be swapped between queries (SetTrees, SetSegments); its groups are
+// formed once per set, at its first refinement, and shared by every forest
+// armed on it, so the steady state (unchanged segment set) performs no
+// allocation per query.
 type Forest struct {
 	kern     kernel.Params
 	method   bound.Method
 	maxDepth int
 
-	// rows is the dispatch-free leaf evaluator specialized for kern.
-	rows kernel.RowsFunc
+	// rows is the dispatch-free leaf evaluator specialized for kern;
+	// scanSpans its multi-segment form, set when a group first needs it.
+	rows      kernel.RowsFunc
+	scanSpans kernel.SpansFunc
 
-	trees []*index.Tree
+	set   *SegmentSet
+	trees []*index.Tree // set.trees
 	dims  int
+
+	// groups is the set's queue units and spans this forest's leaf-scan
+	// scratch for them, one kernel.Span per member of each multi-member
+	// group; both nil until the set's first refinement here.
+	groups []group
+	spans  [][]kernel.Span
 
 	// scales, when non-nil, multiplies every contribution of segment i —
 	// leaf evaluations and node bounds alike — by scales[i]. This is the
 	// lazy exponential-decay hook: a decayed weight set w_i·λ has node
 	// aggregates (W,a,b)·λ, so one positive scalar per segment rescales
-	// the whole tree without touching it. nil (the default) is the
-	// dispatch-free fast path.
+	// the whole tree without touching it; a group applies its reference
+	// member's scale, the others' ratios to it being folded in through rel.
+	// nil (the default) is the dispatch-free fast path.
 	scales []float64
 
 	// fastHits counts queries served by the single-segment fast path
@@ -54,17 +77,114 @@ type Forest struct {
 	fastHits int64
 
 	// Per-query scratch, reused across queries.
-	qc       bound.QueryCtx
-	queue    pqueue.Queue[fentry]
-	fastQ    pqueue.Queue[sentry]
-	segStats []Stats
+	qc    bound.QueryCtx
+	queue pqueue.Queue[fentry]
+	fastQ pqueue.Queue[sentry]
+	st    Stats
 }
 
-// fentry is a queued node position — segment plus node within it —
+// SegmentSet is an ordered segment set grouped into the forest's queue
+// units: every kd-tree joins the first group whose trees have its shape,
+// any other tree is a group of its own. A set is read-only once made, so
+// every Forest armed on it — every clone of an engine — shares its groups,
+// union records included; they are formed at the first refinement.
+type SegmentSet struct {
+	trees []*index.Tree
+	rel   []float64
+	dims  int
+
+	once   sync.Once
+	groups []group
+}
+
+// group is one queue unit: the segments of one shape, refined as one tree.
+type group struct {
+	// t is the tree whose node records the bounds read: the lone member
+	// itself, or the members' index.Union.
+	t       *index.Tree
+	members []*index.Tree
+	// scales is each member's weight relative to the group's scale, the
+	// per-query scale of segment seg.
+	scales []float64
+	seg    int
+}
+
+// NewSegmentSet validates an ordered segment set. The slices are retained
+// (not copied): callers hand over an immutable snapshot. An empty set is
+// valid — queries then return just their base term. rel, when non-nil,
+// gives every segment a positive weight multiplier relative to the others,
+// constant for as long as the set is installed: under decay, segment i's
+// per-query scale divided by segment j's must equal rel[i]/rel[j], which is
+// what lets a group fold its members' ratios into one union and apply a
+// single scale per query.
+func NewSegmentSet(trees []*index.Tree, rel []float64) (*SegmentSet, error) {
+	dims := 0
+	for i, t := range trees {
+		if t == nil || t.NodeCount() == 0 {
+			return nil, fmt.Errorf("core: nil or empty index at segment %d", i)
+		}
+		if i == 0 {
+			dims = t.Dims()
+		} else if t.Dims() != dims {
+			return nil, fmt.Errorf("core: segment %d has %d dims, segment 0 has %d", i, t.Dims(), dims)
+		}
+	}
+	if rel != nil && len(rel) != len(trees) {
+		return nil, fmt.Errorf("core: %d relative scales for %d segments", len(rel), len(trees))
+	}
+	return &SegmentSet{trees: trees, rel: rel, dims: dims}, nil
+}
+
+// Groups returns how many queue units the set refines as.
+func (s *SegmentSet) Groups() int { return len(s.form()) }
+
+// form groups the set once. A group's reference member — whose per-query
+// scale it applies — is the one with the largest rel, so the folded ratios
+// are at most 1.
+func (s *SegmentSet) form() []group {
+	s.once.Do(func() {
+		var segs [][]int
+		for i, t := range s.trees {
+			gi := -1
+			if t.Kind == index.KDTree {
+				gi = slices.IndexFunc(s.groups, func(g group) bool {
+					return g.t.Kind == index.KDTree && g.t.SameShape(t)
+				})
+			}
+			if gi < 0 {
+				s.groups = append(s.groups, group{t: t, members: []*index.Tree{t}, seg: i})
+				segs = append(segs, []int{i})
+				continue
+			}
+			g := &s.groups[gi]
+			g.members = append(g.members, t)
+			segs[gi] = append(segs[gi], i)
+			if s.rel != nil && s.rel[i] > s.rel[g.seg] {
+				g.seg = i
+			}
+		}
+		for gi := range s.groups {
+			g := &s.groups[gi]
+			g.scales = make([]float64, len(g.members))
+			for j, i := range segs[gi] {
+				g.scales[j] = 1
+				if s.rel != nil {
+					g.scales[j] = s.rel[i] / s.rel[g.seg]
+				}
+			}
+			if len(g.members) > 1 {
+				g.t = index.Union(g.members, g.scales)
+			}
+		}
+	})
+	return s.groups
+}
+
+// fentry is a queued node position — group plus node within it —
 // together with the bound contribution it currently adds to the global
 // bounds, so the pop path need not recompute them.
 type fentry struct {
-	ti     int32
+	gi     int32
 	ni     int32
 	lb, ub float64
 }
@@ -86,39 +206,49 @@ func NewForest(kern kernel.Params, method bound.Method) (*Forest, error) {
 	return &Forest{kern: kern, method: method, rows: kern.RowsEvaluator()}, nil
 }
 
-// SetTrees installs the ordered segment set the next queries run over. The
-// slice is retained (not copied): callers hand over an immutable snapshot.
-// An empty set is valid — queries then return just their base term. When
-// the segment count is unchanged the per-segment scratch is reused.
-func (f *Forest) SetTrees(trees []*index.Tree) error {
-	dims := 0
-	for i, t := range trees {
-		if t == nil || t.NodeCount() == 0 {
-			return fmt.Errorf("core: nil or empty index at segment %d", i)
-		}
-		if i == 0 {
-			dims = t.Dims()
-		} else if t.Dims() != dims {
-			return fmt.Errorf("core: segment %d has %d dims, segment 0 has %d", i, t.Dims(), dims)
-		}
+// SetTrees installs the ordered segment set the next queries run over:
+// SetSegments of NewSegmentSet(trees, rel).
+func (f *Forest) SetTrees(trees []*index.Tree, rel []float64) error {
+	set, err := NewSegmentSet(trees, rel)
+	if err != nil {
+		return err
 	}
-	f.trees = trees
-	f.dims = dims
-	if f.scales != nil && len(f.scales) != len(trees) {
+	f.SetSegments(set)
+	return nil
+}
+
+// SetSegments installs a segment set the next queries run over.
+func (f *Forest) SetSegments(set *SegmentSet) {
+	f.set, f.trees, f.dims = set, set.trees, set.dims
+	f.groups, f.spans = nil, nil
+	if f.scales != nil && len(f.scales) != len(set.trees) {
 		// Stale scale set from a previous segment snapshot; the caller
 		// re-installs fresh scales per query when decay is on.
 		f.scales = nil
 	}
-	if cap(f.segStats) < len(trees) {
-		f.segStats = make([]Stats, len(trees))
-	} else {
-		f.segStats = f.segStats[:len(trees)]
-	}
-	return nil
 }
 
-// Trees returns the current segment set (read-only by convention).
-func (f *Forest) Trees() []*index.Tree { return f.trees }
+// arm makes the installed set's groups this forest's, with the leaf-scan
+// spans of every multi-member group.
+func (f *Forest) arm() {
+	f.groups = f.set.form()
+	f.spans = make([][]kernel.Span, len(f.groups))
+	for gi, g := range f.groups {
+		if len(g.members) == 1 {
+			continue
+		}
+		f.spans[gi] = make([]kernel.Span, len(g.members))
+		for j, m := range g.members {
+			f.spans[gi][j] = kernel.Span{M: m.Points, Norms: m.Norms, Weights: m.Weights, Scale: g.scales[j]}
+		}
+		if f.scanSpans == nil {
+			f.scanSpans = f.kern.SpansEvaluator()
+		}
+	}
+}
+
+// Groups returns how many queue units the installed segment set refines as.
+func (f *Forest) Groups() int { return f.set.Groups() }
 
 // SetScales installs per-segment positive multipliers on every bound and
 // leaf evaluation, index-aligned with the segment set — the decayed-weight
@@ -126,10 +256,14 @@ func (f *Forest) Trees() []*index.Tree { return f.trees }
 // refilled by the caller before every query (the scale of a decaying
 // segment changes with the clock). nil restores the unscaled fast path.
 // Scales must be positive: a negative scale would flip the lower/upper
-// bound order.
+// bound order. A set given scales must have been installed with its
+// relative scales (SetTrees), which its groups fold in.
 func (f *Forest) SetScales(s []float64) error {
 	if s != nil && len(s) != len(f.trees) {
 		return fmt.Errorf("core: %d scales for %d segments", len(s), len(f.trees))
+	}
+	if s != nil && (f.set == nil || f.set.rel == nil) {
+		return errors.New("core: scales for a segment set installed without relative scales")
 	}
 	f.scales = s
 	return nil
@@ -140,11 +274,6 @@ func (f *Forest) Kernel() kernel.Params { return f.kern }
 
 // Method returns the forest's bounding method.
 func (f *Forest) Method() bound.Method { return f.method }
-
-// SegmentStats returns the per-segment work statistics of the most recent
-// query, index-aligned with the segment set. The slice is the forest's own
-// scratch: it is valid until the next query and must not be retained.
-func (f *Forest) SegmentStats() []Stats { return f.segStats }
 
 // Len returns the total number of points across all segments.
 func (f *Forest) Len() int {
@@ -172,32 +301,47 @@ func (f *Forest) atFrontier(n *index.Node) bool {
 
 // frontierEval evaluates a frontier node of tree t exactly and returns its
 // contribution.
-func (f *Forest) frontierEval(t *index.Tree, n *index.Node, st *Stats) float64 {
-	st.PointsScanned += n.Count()
+func (f *Forest) frontierEval(t *index.Tree, n *index.Node) float64 {
+	f.st.PointsScanned += n.Count()
 	return f.rows(f.qc.Q, f.qc.Norm2, t.Points, t.Norms, t.Weights, int(n.Start), int(n.End))
 }
 
-// score bounds the node ni of segment ti, queueing it for refinement
-// unless it is a frontier node, in which case it is evaluated exactly.
-func (f *Forest) score(ti, ni int32, st *Stats) (lb, ub float64) {
-	t := f.trees[ti]
-	n := t.Node(ni)
+// score bounds the node ni of group gi, queueing it for refinement unless
+// it is a frontier node, in which case it is evaluated exactly. An empty
+// cell contributes nothing and is never queued.
+func (f *Forest) score(gi, ni int32) (lb, ub float64) {
+	g := &f.groups[gi]
+	n := g.t.Node(ni)
+	if n.Start == n.End {
+		return 0, 0
+	}
 	frontier := f.atFrontier(n)
-	if frontier {
-		lb = f.frontierEval(t, n, st)
-		ub = lb
-	} else {
+	switch {
+	case !frontier:
 		lb, ub = bound.NodeBounds(f.method, f.kern, &f.qc, n)
+	case len(g.members) == 1:
+		lb = f.frontierEval(g.t, n)
+		ub = lb
+	default:
+		// One pass over every member's rows of the cell.
+		spans := f.spans[gi]
+		for j, m := range g.members {
+			mn := m.Node(ni)
+			spans[j].Start, spans[j].End = int(mn.Start), int(mn.End)
+		}
+		f.st.PointsScanned += n.Count()
+		lb = f.scanSpans(f.qc.Q, f.qc.Norm2, spans)
+		ub = lb
 	}
 	if f.scales != nil {
 		// Positive scale: preserves bound order and exactness of the
 		// lb ≤ λ·F_node ≤ ub sandwich.
-		s := f.scales[ti]
+		s := f.scales[g.seg]
 		lb *= s
 		ub *= s
 	}
 	if !frontier {
-		f.queue.Push(fentry{ti, ni, lb, ub}, ub-lb)
+		f.queue.Push(fentry{gi, ni, lb, ub}, ub-lb)
 	}
 	return lb, ub
 }
@@ -263,18 +407,19 @@ func CondApprox(lb, ub, eps float64) bool {
 // every iteration.
 func (f *Forest) refine(q []float64, base float64, cond *termCond, trace func(lb, ub float64)) (lb, ub float64) {
 	f.qc.Set(q)
-	for i := range f.segStats {
-		f.segStats[i] = Stats{}
-	}
+	f.st = Stats{}
 	// Single-segment fast path: one tree, no decay scales, no exact base
 	// term, no trace — the monolithic loop.
 	if len(f.trees) == 1 && f.scales == nil && base == 0 && trace == nil {
 		return f.refineOne(cond)
 	}
+	if f.groups == nil {
+		f.arm()
+	}
 	f.queue.Reset()
 	lb, ub = base, base
-	for ti := range f.trees {
-		l, u := f.score(int32(ti), 0, &f.segStats[ti])
+	for gi := range f.groups {
+		l, u := f.score(int32(gi), 0)
 		lb += l
 		ub += u
 	}
@@ -286,14 +431,13 @@ func (f *Forest) refine(q []float64, base float64, cond *termCond, trace func(lb
 		if !ok {
 			return lb, ub // bounds are exact
 		}
-		st := &f.segStats[en.ti]
-		st.Iterations++
-		st.NodesExpanded++
+		f.st.Iterations++
+		f.st.NodesExpanded++
 		// Replace this node's contribution with its children's.
-		t := f.trees[en.ti]
+		t := f.groups[en.gi].t
 		right := t.Node(en.ni).Right
-		llb, lub := f.score(en.ti, t.Left(en.ni), st)
-		rlb, rub := f.score(en.ti, right, st)
+		llb, lub := f.score(en.gi, t.Left(en.ni))
+		rlb, rub := f.score(en.gi, right)
 		lb += llb + rlb - en.lb
 		ub += lub + rub - en.ub
 		if trace != nil {
@@ -306,10 +450,10 @@ func (f *Forest) refine(q []float64, base float64, cond *termCond, trace func(lb
 // scoreOne is score specialized for the single-segment fast path: no
 // segment indirection, no scale branch, entries go to the lighter sentry
 // queue.
-func (f *Forest) scoreOne(t *index.Tree, ni int32, st *Stats) (lb, ub float64) {
+func (f *Forest) scoreOne(t *index.Tree, ni int32) (lb, ub float64) {
 	n := t.Node(ni)
 	if f.atFrontier(n) {
-		v := f.frontierEval(t, n, st)
+		v := f.frontierEval(t, n)
 		return v, v
 	}
 	lb, ub = bound.NodeBounds(f.method, f.kern, &f.qc, n)
@@ -325,9 +469,9 @@ func (f *Forest) scoreOne(t *index.Tree, ni int32, st *Stats) (lb, ub float64) {
 func (f *Forest) refineOne(cond *termCond) (lb, ub float64) {
 	f.fastHits++
 	t := f.trees[0]
-	st := &f.segStats[0]
+	st := &f.st
 	f.fastQ.Reset()
-	lb, ub = f.scoreOne(t, 0, st)
+	lb, ub = f.scoreOne(t, 0)
 	for !cond.done(lb, ub) {
 		en, _, ok := f.fastQ.Pop()
 		if !ok {
@@ -336,8 +480,8 @@ func (f *Forest) refineOne(cond *termCond) (lb, ub float64) {
 		st.Iterations++
 		st.NodesExpanded++
 		right := t.Node(en.ni).Right
-		llb, lub := f.scoreOne(t, t.Left(en.ni), st)
-		rlb, rub := f.scoreOne(t, right, st)
+		llb, lub := f.scoreOne(t, t.Left(en.ni))
+		rlb, rub := f.scoreOne(t, right)
 		lb += llb + rlb - en.lb
 		ub += lub + rub - en.ub
 	}
@@ -347,18 +491,6 @@ func (f *Forest) refineOne(cond *termCond) (lb, ub float64) {
 // FastPathQueries returns the number of queries this forest served through
 // the single-segment fast path since construction.
 func (f *Forest) FastPathQueries() int64 { return f.fastHits }
-
-// total sums the per-segment work of the last query into one Stats (the
-// LB/UB fields are left for the caller, which knows the global bounds).
-func (f *Forest) total() Stats {
-	var t Stats
-	for i := range f.segStats {
-		t.Iterations += f.segStats[i].Iterations
-		t.NodesExpanded += f.segStats[i].NodesExpanded
-		t.PointsScanned += f.segStats[i].PointsScanned
-	}
-	return t
-}
 
 // Exact computes the exact aggregate over every segment plus the base term
 // through the same contiguous range primitive leaf refinement uses.
@@ -389,7 +521,7 @@ func (f *Forest) Threshold(q []float64, tau, base float64) (bool, Stats, error) 
 	}
 	cond := termCond{mode: condThreshold, tau: tau}
 	lb, ub := f.refine(q, base, &cond, nil)
-	stats := f.total()
+	stats := f.st
 	stats.LB, stats.UB = lb, ub
 	return lb > tau, stats, nil
 }
@@ -409,7 +541,7 @@ func (f *Forest) Approximate(q []float64, eps, base float64) (float64, Stats, er
 	}
 	cond := termCond{mode: condApprox, eps: eps}
 	lb, ub := f.refine(q, base, &cond, nil)
-	stats := f.total()
+	stats := f.st
 	stats.LB, stats.UB = lb, ub
 	return (lb + ub) / 2, stats, nil
 }

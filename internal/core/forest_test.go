@@ -89,7 +89,7 @@ func TestForestEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := f.SetTrees(trees); err != nil {
+				if err := f.SetTrees(trees, nil); err != nil {
 					t.Fatal(err)
 				}
 				if f.Len() != n {
@@ -156,7 +156,7 @@ func TestForestBaseTerm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetTrees([]*index.Tree{tr}); err != nil {
+	if err := f.SetTrees([]*index.Tree{tr}, nil); err != nil {
 		t.Fatal(err)
 	}
 	q := []float64{0.4, 0.5, 0.6}
@@ -205,7 +205,7 @@ func TestForestEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetTrees(nil); err != nil {
+	if err := f.SetTrees(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	q := []float64{0.5}
@@ -220,16 +220,117 @@ func TestForestEmpty(t *testing.T) {
 	}
 }
 
+// TestForestGroupsOnSkeleton: segments cut on one kd skeleton refine as one
+// group — empty cells and all — whose answers hold their contracts against
+// the scan over the union, including when each segment carries its own
+// decay scale, folded into the group through its relative scale.
+func TestForestGroupsOnSkeleton(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	d := 3
+	founder := makeClustered(rng, 900, d, 3, 0.05)
+	ft, err := kdtree.Build(founder, nil, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := kdtree.SkeletonOf(ft)
+	trees := []*index.Tree{ft}
+	rel := []float64{1}
+	all := founder.Clone()
+	weights := make([]float64, founder.Rows)
+	for i := range weights {
+		weights[i] = 1
+	}
+	for s := 0; s < 3; s++ {
+		// Small, lopsided segments: most cells of the skeleton stay empty.
+		m := makeClustered(rng, 40+60*s, d, 1, 0.02)
+		w := make([]float64, m.Rows)
+		for i := range w {
+			w[i] = rng.NormFloat64()
+		}
+		tr, err := kdtree.BuildOn(m, w, sk, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tr.SameShape(ft) {
+			t.Fatal("a build on the skeleton lost its shape")
+		}
+		trees = append(trees, tr)
+		rel = append(rel, math.Exp2(-float64(s+1)))
+		all = vec.FromRows(append(rowsOf(all), rowsOf(m)...))
+		for _, v := range w {
+			weights = append(weights, v*rel[s+1])
+		}
+	}
+	k := kernel.NewGaussian(6)
+	sc, err := scan.NewScanner(all, weights, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewForest(k, bound.KARL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetTrees(trees, rel); err != nil {
+		t.Fatal(err)
+	}
+	// Per-query scales proportional to rel, as decay makes them.
+	scales := make([]float64, len(rel))
+	for i := range rel {
+		scales[i] = 0.75 * rel[i]
+	}
+	if err := f.SetScales(scales); err != nil {
+		t.Fatal(err)
+	}
+	if f.Groups() != 1 {
+		t.Fatalf("%d groups over one skeleton, want 1", f.Groups())
+	}
+	for qi := 0; qi < 40; qi++ {
+		q := make([]float64, d)
+		for j := range q {
+			q[j] = rng.Float64()
+		}
+		want := 0.75 * sc.Aggregate(q)
+		tol := 1e-9 * (1 + math.Abs(want))
+		for _, tau := range []float64{want - 0.05*math.Abs(want) - 1e-3, want + 0.05*math.Abs(want) + 1e-3} {
+			got, _, err := f.Threshold(q, tau, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != (want > tau) {
+				t.Fatalf("Threshold(τ=%v) = %v, oracle %v", tau, got, want)
+			}
+		}
+		got, _, err := f.Approximate(q, 0.1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 0.1*math.Abs(want)+tol {
+			t.Fatalf("Approximate = %v, oracle %v", got, want)
+		}
+	}
+}
+
+// rowsOf returns m's rows as slices.
+func rowsOf(m *vec.Matrix) [][]float64 {
+	out := make([][]float64, m.Rows)
+	for i := range out {
+		out[i] = m.Row(i)
+	}
+	return out
+}
+
 // TestForestSharedBudget: with a shared global queue, a segment whose
 // contribution is already tight must not be refined while a loose segment
-// has all the slack — the per-segment statistics expose where the work
-// went.
+// has all the slack — the forest spends about what the loose segment alone
+// costs.
 func TestForestSharedBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	d := 3
 	k := kernel.NewGaussian(8)
-	// Segment 0: far from the query — its root bound is already tight.
-	far := vec.NewMatrix(500, d)
+	// Segment 0: far from the query — its root bound is already tight. Its
+	// size differs from segment 1's, so the two have different shapes and
+	// refine as two queue units.
+	far := vec.NewMatrix(100, d)
 	for i := 0; i < far.Rows; i++ {
 		for j := 0; j < d; j++ {
 			far.Row(i)[j] = 50 + rng.Float64()*0.01
@@ -249,8 +350,11 @@ func TestForestSharedBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetTrees([]*index.Tree{farTree, nearTree}); err != nil {
+	if err := f.SetTrees([]*index.Tree{farTree, nearTree}, nil); err != nil {
 		t.Fatal(err)
+	}
+	if f.Groups() != 2 {
+		t.Fatalf("%d groups, want 2", f.Groups())
 	}
 	q := make([]float64, d)
 	for j := range q {
@@ -260,19 +364,24 @@ func TestForestSharedBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.Threshold(q, exact*1.02, 0); err != nil {
+	_, both, err := f.Threshold(q, exact*1.02, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	seg := f.SegmentStats()
-	if len(seg) != 2 {
-		t.Fatalf("SegmentStats len = %d", len(seg))
+	alone, err := New(nearTree, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, nearOnly, err := alone.Threshold(q, exact*1.02)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The far segment's root interval is tiny (all its mass is ~50 units
 	// away, kernel ≈ 0 with a sharp slope bound), so virtually all pops
 	// should land on the near segment.
-	if seg[0].NodesExpanded > seg[1].NodesExpanded {
-		t.Fatalf("budget misdirected: far segment expanded %d nodes, near %d",
-			seg[0].NodesExpanded, seg[1].NodesExpanded)
+	if both.NodesExpanded > nearOnly.NodesExpanded+2 {
+		t.Fatalf("budget misdirected: the forest expanded %d nodes, the near segment alone %d",
+			both.NodesExpanded, nearOnly.NodesExpanded)
 	}
 }
 
@@ -289,8 +398,11 @@ func TestForestZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetTrees(trees); err != nil {
+	if err := f.SetTrees(trees, nil); err != nil {
 		t.Fatal(err)
+	}
+	if f.Groups() != 1 {
+		t.Fatalf("three segments of one shape refine as %d groups, want 1", f.Groups())
 	}
 	q := make([]float64, d)
 	for j := range q {
@@ -339,13 +451,13 @@ func TestForestSetTreesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetTrees([]*index.Tree{t2, t3}); err == nil {
+	if err := f.SetTrees([]*index.Tree{t2, t3}, nil); err == nil {
 		t.Fatal("mixed-dims segment set accepted")
 	}
-	if err := f.SetTrees([]*index.Tree{t2, nil}); err == nil {
+	if err := f.SetTrees([]*index.Tree{t2, nil}, nil); err == nil {
 		t.Fatal("nil segment accepted")
 	}
-	if err := f.SetTrees([]*index.Tree{t2}); err != nil {
+	if err := f.SetTrees([]*index.Tree{t2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := f.Threshold([]float64{1, 2, 3}, 0, 0); err == nil {
@@ -402,7 +514,7 @@ func TestFastPathCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetTrees([]*index.Tree{tr}); err != nil {
+	if err := f.SetTrees([]*index.Tree{tr}, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.SetScales([]float64{1}); err != nil {

@@ -116,7 +116,7 @@ func New(cfg Config, trees []*index.Tree) (*Executor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fb.SetTrees(trees); err != nil {
+	if err := fb.SetTrees(trees, nil); err != nil {
 		return nil, err
 	}
 	e := &Executor{cfg: cfg, rows: cfg.Kernel.RowsEvaluator(), fb: fb, trees: trees}
@@ -127,6 +127,11 @@ func New(cfg Config, trees []*index.Tree) (*Executor, error) {
 // SetScales installs per-segment positive multipliers, index-aligned with
 // the segment set (the decayed-weight view). The slice is retained.
 func (e *Executor) SetScales(s []float64) error {
+	// The scales are fixed for the batch, so they are also the segments'
+	// relative weights the fallback forest's groups fold in.
+	if err := e.fb.SetTrees(e.trees, s); err != nil {
+		return err
+	}
 	if err := e.fb.SetScales(s); err != nil {
 		return err
 	}

@@ -96,7 +96,7 @@ func TestDualMatchesSequentialContracts(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewForest: %v", err)
 				}
-				if err := seq.SetTrees(trees); err != nil {
+				if err := seq.SetTrees(trees, scales); err != nil {
 					t.Fatalf("SetTrees: %v", err)
 				}
 				if err := seq.SetScales(scales); err != nil {
@@ -215,7 +215,7 @@ func TestDuplicateQueryBatch(t *testing.T) {
 		}
 	}
 	seq, _ := core.NewForest(kernel.Params{Kind: kernel.Gaussian, Gamma: 2}, bound.KARL)
-	if err := seq.SetTrees(trees); err != nil {
+	if err := seq.SetTrees(trees, nil); err != nil {
 		t.Fatalf("SetTrees: %v", err)
 	}
 	exact, _, err := seq.Exact(q, 0)
@@ -278,7 +278,7 @@ func TestDualAblationMethods(t *testing.T) {
 	queries := testQueries(rng, 60, dim)
 	k := kernel.Params{Kind: kernel.Gaussian, Gamma: 3}
 	seq, _ := core.NewForest(k, bound.KARL)
-	if err := seq.SetTrees(trees); err != nil {
+	if err := seq.SetTrees(trees, nil); err != nil {
 		t.Fatalf("SetTrees: %v", err)
 	}
 	for _, m := range []bound.Method{bound.SOTA, bound.KARL, bound.KARLLowerOnly, bound.KARLUpperOnly} {
@@ -298,6 +298,69 @@ func TestDualAblationMethods(t *testing.T) {
 			if err := checkEps(out[i], exact, 0.1); err != nil {
 				t.Fatalf("%v query %d: %v", m, i, err)
 			}
+		}
+	}
+}
+
+// TestDualEmptyCells: a reference segment cut on another's skeleton, most of
+// its cells empty (W = 0), holds the batch contracts beside its founder.
+func TestDualEmptyCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	trees := buildSegments(t, rng, 1, 300, 2, true)
+	pts := make([][]float64, 30)
+	ws := make([]float64, len(pts))
+	for i := range pts {
+		pts[i] = []float64{0.9 + rng.Float64()*0.05, 0.9 + rng.Float64()*0.05}
+		ws[i] = rng.NormFloat64()
+	}
+	lop, err := kdtree.BuildOn(vec.FromRows(pts), ws, kdtree.SkeletonOf(trees[0]), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := 0
+	for i := range lop.Nodes {
+		if lop.Nodes[i].Count() == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatal("no empty cell to test")
+	}
+	trees = append(trees, lop)
+	k := kernel.Params{Kind: kernel.Gaussian, Gamma: 2}
+	x, err := New(Config{Kernel: k, Method: bound.KARL, LeafCap: 8}, trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := core.NewForest(k, bound.KARL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seq.SetTrees(trees, nil); err != nil {
+		t.Fatal(err)
+	}
+	queries := testQueries(rng, 100, 2)
+	exact := make([]float64, queries.Rows)
+	for i := range exact {
+		if exact[i], _, err = seq.Exact(queries.Row(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outV := make([]float64, queries.Rows)
+	if _, err := x.Approximate(queries, 0.05, nil, outV); err != nil {
+		t.Fatal(err)
+	}
+	tau := median(exact)
+	outB := make([]bool, queries.Rows)
+	if _, err := x.Threshold(queries, tau, nil, outB); err != nil {
+		t.Fatal(err)
+	}
+	for i := range exact {
+		if err := checkEps(outV[i], exact[i], 0.05); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if !near(exact[i], tau) && outB[i] != (exact[i] > tau) {
+			t.Fatalf("query %d: Threshold %v, exact %v vs τ %v", i, outB[i], exact[i], tau)
 		}
 	}
 }

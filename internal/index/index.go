@@ -289,6 +289,13 @@ func (t *Tree) AppendNode(start, end, depth int) int32 {
 	return int32(len(t.Nodes) - 1)
 }
 
+// Reserve sizes the node array and record block for n nodes ahead of the
+// first AppendNode, for a builder that knows its node count.
+func (t *Tree) Reserve(n int) {
+	t.Nodes = make([]Node, 0, n)
+	t.block = make([]float64, 0, n*t.recordStride())
+}
+
 // SetRight records the right-child position of the node at i, turning it
 // into an internal node.
 func (t *Tree) SetRight(i, right int32) { t.Nodes[i].Right = right }
@@ -385,8 +392,8 @@ func (t *Tree) LevelNodes(level int) []*Node {
 // validateNode checks one node's structural invariants.
 func (t *Tree) validateNode(i int32, tol float64) error {
 	n := &t.Nodes[i]
-	if n.Start >= n.End {
-		return fmt.Errorf("index: node with empty range [%d,%d)", n.Start, n.End)
+	if n.Start > n.End {
+		return fmt.Errorf("index: node with reversed range [%d,%d)", n.Start, n.End)
 	}
 	if r := n.firstOutside(t.Points, tol); r >= 0 {
 		return fmt.Errorf("index: point %d escapes its node volume", r)
@@ -411,7 +418,9 @@ func (t *Tree) validateNode(i int32, tol float64) error {
 
 // Validate checks the structural invariants of the whole tree: preorder
 // child placement, child ranges tiling parents, every point inside its node
-// volumes, the root covering all rows, and PointID being a permutation.
+// volumes, the root covering all rows, and PointID being a permutation. A
+// node below the root may own no rows: a tree built on another tree's
+// splits (kdtree.BuildOn) has empty cells.
 func (t *Tree) Validate(tol float64) error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("index: empty node array")
@@ -507,7 +516,7 @@ func Reconstruct(kind Kind, points *vec.Matrix, weights []float64, pointID []int
 		// Checked before ComputeAggregates dereferences them: child indices
 		// must point forward inside the array and row ranges must stay
 		// inside the matrix.
-		if start < 0 || end > int32(points.Rows) || start >= end {
+		if start < 0 || end > int32(points.Rows) || start > end || (i == 0 && start == end) {
 			return nil, fmt.Errorf("index: node %d range [%d,%d) outside %d rows", i, start, end, points.Rows)
 		}
 		if right != NoRight && (right <= int32(i)+1 || int(right) >= nn) {
@@ -534,4 +543,68 @@ func Reconstruct(kind Kind, points *vec.Matrix, weights []float64, pointID []int
 		return nil, err
 	}
 	return t, nil
+}
+
+// SameShape reports whether t and o have one node structure: as many nodes,
+// with the same right child at every position (depths and left children
+// follow from those).
+func (t *Tree) SameShape(o *Tree) bool {
+	if len(t.Nodes) != len(o.Nodes) {
+		return false
+	}
+	for i := range t.Nodes {
+		if t.Nodes[i].Right != o.Nodes[i].Right {
+			return false
+		}
+	}
+	return true
+}
+
+// Union returns the tree that bounds same-shaped kd-trees as one. Its node i
+// carries the sum of the members' node-i aggregates, member j's multiplied
+// by scales[j] (nil: all 1), inside the join of their non-empty node-i
+// rectangles, so a bound on it bounds the members' node-i rows together.
+// It stores no rows (Len is 0): node i's range is [0, c) for the c rows the
+// members hold under it, so Count is what scanning the cell costs. The
+// members must be kd-trees of one shape (SameShape) and dimensionality.
+func Union(members []*Tree, scales []float64) *Tree {
+	m0 := members[0]
+	d := m0.Dims()
+	u := &Tree{Kind: KDTree, Points: &vec.Matrix{Cols: d}, LeafCap: m0.LeafCap, Height: m0.Height}
+	for _, m := range members {
+		u.stride = max(u.stride, m.recordStride())
+	}
+	u.Nodes = make([]Node, len(m0.Nodes))
+	u.block = make([]float64, len(u.Nodes)*u.stride)
+	for i := range u.Nodes {
+		rec := u.block[i*u.stride : (i+1)*u.stride : (i+1)*u.stride]
+		n := Node{rec: rec, Right: m0.Nodes[i].Right, Depth: m0.Nodes[i].Depth, dims: int32(d)}
+		lo, hi := rec[:d], rec[d:2*d]
+		for j, m := range members {
+			mn := &m.Nodes[i]
+			if mn.Start == mn.End {
+				continue
+			}
+			if n.End == 0 {
+				copy(lo, mn.rec[:d])
+				copy(hi, mn.rec[d:2*d])
+			} else {
+				for k := range lo {
+					lo[k] = min(lo[k], mn.rec[k])
+					hi[k] = max(hi[k], mn.rec[d+k])
+				}
+			}
+			n.End += mn.End - mn.Start
+			n.PosCount += mn.PosCount
+			n.NegCount += mn.NegCount
+			s := 1.0
+			if scales != nil {
+				s = scales[j]
+			}
+			// a|W|B of each class the member has, at the union's offsets.
+			vec.Axpy(rec[2*d:len(mn.rec)], s, mn.rec[2*d:])
+		}
+		u.Nodes[i] = n
+	}
+	return u
 }

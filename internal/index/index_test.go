@@ -459,3 +459,89 @@ func manualTreeOfKind(kind Kind) *Tree {
 	tr.Finish(idx)
 	return tr
 }
+
+// emptyCellTree is the manual tree with an empty left cell: the shape a
+// build on another tree's splits leaves where none of its rows fall.
+func emptyCellTree() *Tree {
+	m := vec.FromRows([][]float64{{0, 0}, {1, 0}, {10, 0}})
+	idx := []int{0, 1, 2}
+	tr := &Tree{Kind: KDTree, Points: m, Weights: []float64{1, -2, 3}, LeafCap: 2}
+	root := appendBounded(tr, m, idx, 0, 3, 0)
+	tr.AppendNode(0, 0, 1) // no rows: the record stays zero
+	right := appendBounded(tr, m, idx, 0, 3, 1)
+	tr.SetRight(root, right)
+	tr.Finish(idx)
+	return tr
+}
+
+// TestEmptyCellValidates: Validate and Reconstruct accept a node below the
+// root that owns no rows, its aggregates zero, and LevelNodes' frontier
+// still covers every row; an empty root and a reversed range stay refused.
+func TestEmptyCellValidates(t *testing.T) {
+	tr := emptyCellTree()
+	if err := tr.Validate(0); err != nil {
+		t.Fatalf("empty cell refused: %v", err)
+	}
+	got, err := Reconstruct(KDTree, tr.Points, tr.Weights, tr.PointID, tr.FlattenNodes(), tr.FlattenVolumes(), tr.LeafCap)
+	if err != nil {
+		t.Fatalf("Reconstruct refused an empty cell: %v", err)
+	}
+	if e := got.Node(1); e.Count() != 0 || e.Pos().W != 0 || e.Neg().W != 0 || e.PosCount+e.NegCount != 0 {
+		t.Fatalf("empty cell reconstructed with %d rows, W⁺ %v, W⁻ %v", e.Count(), e.Pos().W, e.Neg().W)
+	}
+	for level := 0; level < got.Height; level++ {
+		n := 0
+		for _, nd := range got.LevelNodes(level) {
+			n += nd.Count()
+		}
+		if n != got.Len() {
+			t.Fatalf("level %d frontier covers %d rows, want %d", level, n, got.Len())
+		}
+	}
+	for what, edit := range map[string]func(nodes []int32){
+		"empty root":     func(nodes []int32) { nodes[1] = 0 },
+		"reversed range": func(nodes []int32) { nodes[4], nodes[5] = 1, 0 },
+	} {
+		nodes := tr.FlattenNodes()
+		edit(nodes)
+		if _, err := Reconstruct(KDTree, tr.Points, tr.Weights, tr.PointID, nodes, tr.FlattenVolumes(), tr.LeafCap); err == nil {
+			t.Fatalf("%s accepted", what)
+		}
+	}
+}
+
+// TestUnion: a union node carries the members' scaled aggregates summed and
+// their non-empty boxes joined; an empty member cell adds nothing.
+func TestUnion(t *testing.T) {
+	a, b := buildManualTree(), emptyCellTree()
+	if !a.SameShape(b) || a.SameShape(chainTree(a.Points, 1)) {
+		t.Fatal("SameShape")
+	}
+	u := Union([]*Tree{a, b}, []float64{1, 0.5})
+	if u.Len() != 0 || u.NodeCount() != a.NodeCount() {
+		t.Fatalf("union holds %d rows in %d nodes", u.Len(), u.NodeCount())
+	}
+	for i := range u.Nodes {
+		n, na, nb := u.Node(int32(i)), a.Node(int32(i)), b.Node(int32(i))
+		if n.Count() != na.Count()+nb.Count() || n.Right != na.Right || n.Depth != na.Depth {
+			t.Fatalf("node %d: %d rows, right %d, depth %d", i, n.Count(), n.Right, n.Depth)
+		}
+		pa, pb, pu := na.Pos(), nb.Pos(), n.Pos()
+		if pu.W != pa.W+0.5*pb.W || pu.B != pa.B+0.5*pb.B || pu.A[0] != pa.A[0]+0.5*pb.A[0] {
+			t.Fatalf("node %d: positive class %+v from %+v and %+v", i, pu, pa, pb)
+		}
+		if n.Neg().W != 0.5*nb.Neg().W || int(n.NegCount) != int(nb.NegCount) {
+			t.Fatalf("node %d: negative class %+v", i, n.Neg())
+		}
+		r, ra, rb := n.Rect(), na.Rect(), nb.Rect()
+		for j := range r.Lo {
+			lo, hi := ra.Lo[j], ra.Hi[j]
+			if nb.Count() > 0 {
+				lo, hi = min(lo, rb.Lo[j]), max(hi, rb.Hi[j])
+			}
+			if r.Lo[j] != lo || r.Hi[j] != hi {
+				t.Fatalf("node %d: box [%v,%v] in dim %d, want [%v,%v]", i, r.Lo[j], r.Hi[j], j, lo, hi)
+			}
+		}
+	}
+}

@@ -4,6 +4,11 @@
 // weighted aggregates for O(d) bound evaluation. Nodes are emitted directly
 // into the flat DFS-preorder array of index.Tree; the point matrix is
 // reordered into leaf order when the build finishes.
+//
+// BuildOn cuts a point set on another tree's splits (a Skeleton) instead of
+// its own medians, so every tree built on one skeleton has the skeleton's
+// shape node for node — cells may be empty — and core.Forest can bound a
+// group of them as one union tree.
 package kdtree
 
 import (
@@ -118,4 +123,102 @@ func (b *builder) selectNth(start, end, nth, dim int) {
 			return
 		}
 	}
+}
+
+// Skeleton is a kd-tree's split plan: for every preorder node, the
+// dimension it splits on (-1 at a leaf), the value that sends a point right
+// (p[Dim] >= Val), and the position of its right child.
+type Skeleton struct {
+	Dim   []int32
+	Val   []float64
+	Right []int32
+}
+
+// Leaves returns the number of leaves of the skeleton's tree.
+func (sk *Skeleton) Leaves() int { return (len(sk.Dim) + 1) / 2 }
+
+// SkeletonOf reads the split plan of a kd-tree off its rectangles. At a
+// node whose children both hold points the split is the widest of the node's
+// dimensions the children do not overlap in, at the right child's low face:
+// for a median build that is the dimension and value the build split on, and
+// for a tree built on a skeleton a split that routes its own rows as the
+// skeleton did. A node with an empty side splits its widest dimension at its
+// middle. Any plan of the tree's shape is a valid one; these choices only
+// keep the cells of trees built on it close to the source tree's.
+func SkeletonOf(t *index.Tree) *Skeleton {
+	n := t.NodeCount()
+	sk := &Skeleton{Dim: make([]int32, n), Val: make([]float64, n), Right: make([]int32, n)}
+	for i := range t.Nodes {
+		nd := &t.Nodes[i]
+		sk.Right[i], sk.Dim[i] = nd.Right, -1
+		if nd.IsLeaf() {
+			continue
+		}
+		rect := nd.Rect()
+		l, r := t.Node(int32(i+1)), t.Node(nd.Right)
+		dim, width := rect.WidestDim()
+		val := rect.Lo[dim] + width/2
+		if l.Count() > 0 && r.Count() > 0 {
+			lr, rr := l.Rect(), r.Rect()
+			best := -1.0
+			for j := range rect.Lo {
+				if w := rect.Hi[j] - rect.Lo[j]; lr.Hi[j] <= rr.Lo[j] && w > best {
+					best, dim, val = w, j, rr.Lo[j]
+				}
+			}
+		}
+		sk.Dim[i], sk.Val[i] = int32(dim), val
+	}
+	return sk
+}
+
+// BuildOn constructs a kd-tree over points with the skeleton's shape: each
+// node's rows are partitioned by the skeleton's split instead of a median,
+// so a cell may be empty (its record stays zero). Rectangles and aggregates
+// are the rows' own, as in Build. leafCap is only recorded.
+func BuildOn(points *vec.Matrix, weights []float64, sk *Skeleton, leafCap int) (*index.Tree, error) {
+	if points == nil || points.Rows == 0 {
+		return nil, fmt.Errorf("kdtree: empty point set")
+	}
+	if weights != nil && len(weights) != points.Rows {
+		return nil, fmt.Errorf("kdtree: %d weights for %d points", len(weights), points.Rows)
+	}
+	if len(sk.Dim) == 0 || len(sk.Val) != len(sk.Dim) || len(sk.Right) != len(sk.Dim) {
+		return nil, fmt.Errorf("kdtree: malformed skeleton")
+	}
+	t := &index.Tree{Kind: index.KDTree, Points: points, Weights: weights, LeafCap: max(1, leafCap)}
+	t.Reserve(len(sk.Dim))
+	b := builder{t: t, pts: points, idx: make([]int, points.Rows)}
+	for i := range b.idx {
+		b.idx[i] = i
+	}
+	b.buildOn(sk, 0, points.Rows, 0)
+	t.Finish(b.idx)
+	return t, nil
+}
+
+// buildOn emits the subtree of skeleton node t.NodeCount() over
+// idx[start:end) in DFS preorder, mirroring the skeleton's shape.
+func (b *builder) buildOn(sk *Skeleton, start, end, depth int) {
+	ni := b.t.AppendNode(start, end, depth)
+	if start < end {
+		rect := b.t.Node(ni).Rect()
+		rect.Bound(b.pts, b.idx, start, end)
+	}
+	dim := sk.Dim[ni]
+	if dim < 0 {
+		return
+	}
+	// Rows with p[dim] < val go left, to the front of the range.
+	val, idx := sk.Val[ni], b.idx
+	mid := start
+	for i := start; i < end; i++ {
+		if b.pts.Row(idx[i])[dim] < val {
+			idx[i], idx[mid] = idx[mid], idx[i]
+			mid++
+		}
+	}
+	b.buildOn(sk, start, mid, depth+1)
+	b.t.SetRight(ni, int32(b.t.NodeCount()))
+	b.buildOn(sk, mid, end, depth+1)
 }

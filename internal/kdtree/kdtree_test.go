@@ -203,3 +203,28 @@ func TestPointsCopiedLeafOrdered(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildOnOwnSkeleton: a median build cut again on its own skeleton
+// reproduces every cell, and a build of other points on it has its shape
+// with empty cells where no point falls.
+func TestBuildOnOwnSkeleton(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := randMatrix(rng, 500, 4)
+	tr, err := Build(m, nil, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := SkeletonOf(tr)
+	again, err := BuildOn(m, nil, sk, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.SameShape(tr) {
+		t.Fatal("build on own skeleton changed shape")
+	}
+	for i := range tr.Nodes {
+		if a, b := tr.Nodes[i], again.Nodes[i]; a.Start != b.Start || a.End != b.End {
+			t.Fatalf("node %d: [%d,%d) rebuilt as [%d,%d)", i, a.Start, a.End, b.Start, b.End)
+		}
+	}
+}

@@ -285,45 +285,24 @@ func distanceRows(_ float64, outer func(d2 float64) float64) RowsFunc {
 const leafTile = 64
 
 // gaussianRows is distanceRows for the Gaussian kernel with the fused form
-// written out in two passes over a stack tile: the first writes −γ·d² a row,
-// the dot product inlined with vec.Dot's four accumulators; vec.ExpTile then
-// takes the whole tile, so the exps of a leaf overlap instead of queueing
-// behind the running sum; the second adds w·e in row order. That is the
-// closure form's summation order and its exp, so the two return the same
-// bits (1·k is k, so unit weights share the loop); without norms it is the
-// closure form, which is also left to refuse a query of the wrong width the
-// way vec.Dot does.
+// written out in two passes over a stack tile: the first (gaussArgs) writes
+// −γ·d² a row; vec.ExpTile then takes the whole tile, so the exps of a leaf
+// overlap instead of queueing behind the running sum; the second adds w·e in
+// row order. That is the closure form's summation order and its exp, so the
+// two return the same bits (1·k is k, so unit weights share the loop);
+// without norms it is the closure form, which is also left to refuse a query
+// of the wrong width the way vec.Dot does.
 func gaussianRows(gamma float64) RowsFunc {
 	closure := distanceRows(gamma, func(d2 float64) float64 { return vec.Exp(-gamma * d2) })
 	return func(q []float64, qNorm2 float64, m *vec.Matrix, norms, weights []float64, start, end int) float64 {
-		cols := m.Cols
-		if norms == nil || len(q) != cols {
+		if norms == nil || len(q) != m.Cols {
 			return closure(q, qNorm2, m, norms, weights, start, end)
 		}
 		var s float64
 		var tile [leafTile]float64
 		for ; start < end; start += leafTile {
 			x := tile[:min(leafTile, end-start)]
-			for k := range x {
-				i := start + k
-				row := m.Data[i*cols : i*cols+cols][:len(q)]
-				var s0, s1, s2, s3 float64
-				j := 0
-				for ; j+4 <= len(q); j += 4 {
-					s0 += q[j] * row[j]
-					s1 += q[j+1] * row[j+1]
-					s2 += q[j+2] * row[j+2]
-					s3 += q[j+3] * row[j+3]
-				}
-				for ; j < len(q); j++ {
-					s0 += q[j] * row[j]
-				}
-				d2 := qNorm2 - 2*((s0+s1)+(s2+s3)) + norms[i]
-				if d2 < 0 {
-					d2 = 0 // guard float cancellation
-				}
-				x[k] = -gamma * d2
-			}
+			gaussArgs(x, q, qNorm2, gamma, m, norms, start)
 			vec.ExpTile(x)
 			for k, e := range x {
 				w := 1.0
@@ -335,6 +314,106 @@ func gaussianRows(gamma float64) RowsFunc {
 		}
 		return s
 	}
+}
+
+// gaussArgs writes −γ·d² of rows start, start+1, … of m into x, the squared
+// distance in the fused form with the dot product inlined in vec.Dot's four
+// accumulators.
+func gaussArgs(x, q []float64, qNorm2, gamma float64, m *vec.Matrix, norms []float64, start int) {
+	cols := m.Cols
+	for k := range x {
+		i := start + k
+		row := m.Data[i*cols : i*cols+cols][:len(q)]
+		var s0, s1, s2, s3 float64
+		j := 0
+		for ; j+4 <= len(q); j += 4 {
+			s0 += q[j] * row[j]
+			s1 += q[j+1] * row[j+1]
+			s2 += q[j+2] * row[j+2]
+			s3 += q[j+3] * row[j+3]
+		}
+		for ; j < len(q); j++ {
+			s0 += q[j] * row[j]
+		}
+		d2 := qNorm2 - 2*((s0+s1)+(s2+s3)) + norms[i]
+		if d2 < 0 {
+			d2 = 0 // guard float cancellation
+		}
+		x[k] = -gamma * d2
+	}
+}
+
+// Span is the row range [Start,End) of one stored matrix with its norm cache
+// and weights (nil = unit), every weight counting Scale times.
+type Span struct {
+	M              *vec.Matrix
+	Norms, Weights []float64
+	Scale          float64
+	Start, End     int
+}
+
+// SpansFunc evaluates Σ_span Scale·Σ_i w_i·K(q, row i) over several row
+// ranges at once — the leaf scan of a cell whose rows lie in several
+// segments' matrices.
+type SpansFunc func(q []float64, qNorm2 float64, spans []Span) float64
+
+// SpansEvaluator returns the SpansFunc for these parameters. The Gaussian
+// one fills one exp tile across span boundaries, so a cell scans like one
+// leaf of its total size however its rows are spread; the others sum a
+// RowsFunc per span.
+func (p Params) SpansEvaluator() SpansFunc {
+	rows := p.RowsEvaluator()
+	each := func(q []float64, qNorm2 float64, sp *Span) float64 {
+		return sp.Scale * rows(q, qNorm2, sp.M, sp.Norms, sp.Weights, sp.Start, sp.End)
+	}
+	if p.Kind != Gaussian {
+		return func(q []float64, qNorm2 float64, spans []Span) float64 {
+			var s float64
+			for i := range spans {
+				if spans[i].Start < spans[i].End {
+					s += each(q, qNorm2, &spans[i])
+				}
+			}
+			return s
+		}
+	}
+	gamma := p.Gamma
+	return func(q []float64, qNorm2 float64, spans []Span) float64 {
+		var s float64
+		var tile, wt [leafTile]float64
+		k := 0
+		for si := range spans {
+			sp := &spans[si]
+			if sp.Norms == nil || len(q) != sp.M.Cols {
+				s += each(q, qNorm2, sp)
+				continue
+			}
+			for i := sp.Start; i < sp.End; {
+				n := min(leafTile-k, sp.End-i)
+				gaussArgs(tile[k:k+n], q, qNorm2, gamma, sp.M, sp.Norms, i)
+				for j := k; j < k+n; j++ {
+					wt[j] = sp.Scale
+					if sp.Weights != nil {
+						wt[j] *= sp.Weights[i+j-k]
+					}
+				}
+				if k, i = k+n, i+n; k == leafTile {
+					s = expSum(s, tile[:], wt[:])
+					k = 0
+				}
+			}
+		}
+		return expSum(s, tile[:k], wt[:k])
+	}
+}
+
+// expSum exponentiates the tile x and adds Σ w·e to s in row order.
+func expSum(s float64, x, w []float64) float64 {
+	vec.ExpTile(x)
+	for k, e := range x {
+		s += w[k] * e
+	}
+	return s
 }
 
 // dotRows builds the range evaluator for dot-product kernels; norms are

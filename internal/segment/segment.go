@@ -40,21 +40,48 @@ import (
 
 // BuildConfig fixes the index family every segment of an engine is built
 // with, so merged segments answer bitwise like a monolithic build.
+// Skeleton, when set on a kd-tree config, cuts the tree on that split plan
+// instead of fresh medians (kdtree.BuildOn), so the segment joins the group
+// core.Forest refines as one tree with every other segment cut on it.
 type BuildConfig struct {
-	Kind    index.Kind
-	LeafCap int
+	Kind     index.Kind
+	LeafCap  int
+	Skeleton *kdtree.Skeleton
 }
 
 // Build constructs one tree with the configured builder.
 func (c BuildConfig) Build(m *vec.Matrix, w []float64) (*index.Tree, error) {
 	switch c.Kind {
 	case index.KDTree:
+		if c.Skeleton != nil {
+			return kdtree.BuildOn(m, w, c.Skeleton, c.LeafCap)
+		}
 		return kdtree.Build(m, w, c.LeafCap)
 	case index.BallTree:
 		return balltree.Build(m, w, c.LeafCap)
 	default:
 		return nil, fmt.Errorf("segment: unknown index kind %d", int(c.Kind))
 	}
+}
+
+// SkeletonOver reads a kd skeleton off a fresh median build over every row
+// the segments store (tombstoned ones included: they still sit in the
+// cells), at leaf capacity leafCap.
+func SkeletonOver(segs []*Segment, leafCap int) (*kdtree.Skeleton, error) {
+	n, dims := 0, segs[0].Tree.Dims()
+	for _, s := range segs {
+		n += s.Len()
+	}
+	m := vec.NewMatrix(n, dims)
+	at := 0
+	for _, s := range segs {
+		at += copy(m.Data[at:], s.Tree.Points.Data[:s.Len()*dims])
+	}
+	t, err := kdtree.Build(m, nil, leafCap)
+	if err != nil {
+		return nil, err
+	}
+	return kdtree.SkeletonOf(t), nil
 }
 
 // Segment is one immutable sorted run: a flat index over a contiguous

@@ -57,6 +57,62 @@ func fuzzSeedCorpus(f *testing.F) {
 	_, delta := deltaStream(f)
 	f.Add(delta)
 	f.Add(nanVolumeStream(f))
+	_, cells := emptyCellStream(f)
+	f.Add(cells)
+}
+
+// emptyCellStream returns an engine whose second segment was cut on its
+// first one's skeleton from points bunched in one corner, so most of that
+// segment's cells own no rows, and the engine's file.
+func emptyCellStream(t testing.TB) (*Engine, []byte) {
+	t.Helper()
+	d, err := NewDynamic(Gaussian(2), WithIndex(KDTree, 4), WithSealSize(32), WithAutoCompaction(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		p := []float64{float64(i%8) / 8, float64(i/8) / 8} // a grid, then a corner
+		if i >= 32 {
+			p = []float64{0.9 + float64(i%4)/100, 0.9 + float64(i%3)/100}
+		}
+		if err := d.Insert(p, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs := d.sh.man.Segs
+	if len(segs) != 2 || !segs[1].Tree.SameShape(segs[0].Tree) || segs[1].Tree.Node(1).Count() != 0 {
+		t.Fatal("the second segment is not cut on the first one's skeleton with an empty cell")
+	}
+	var buf bytes.Buffer
+	if _, err := d.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return d, buf.Bytes()
+}
+
+// TestReadEmptyCellSegment: a segment with empty cells loads, regroups with
+// the segment it was cut beside, answers bitwise like the engine written,
+// and its file is refused at every cut.
+func TestReadEmptyCellSegment(t *testing.T) {
+	want, data := emptyCellStream(t)
+	d, err := ReadEngine(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("empty-cell segment refused: %v", err)
+	}
+	for _, q := range [][]float64{{0.1, 0.2}, {0.92, 0.91}, {0.5, 0.5}} {
+		a, _, err := d.ApproximateStats(q, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := want.ApproximateStats(q, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b || d.f.Groups() != 1 {
+			t.Fatalf("at %v: %v and %v over %d groups", q, a, b, d.f.Groups())
+		}
+	}
+	refusedAtEveryCut(t, "empty-cell stream", data, readsEngine)
 }
 
 // lyingLength is the built fixture cut just past the point count of its

@@ -1,6 +1,7 @@
 package karl
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -9,6 +10,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"karl/internal/bound"
+	"karl/internal/core"
+	"karl/internal/dataset"
+	"karl/internal/index"
+	"karl/internal/kdtree"
+	"karl/internal/kernel"
+	"karl/internal/pqueue"
 )
 
 // weightsFor draws a weight vector for one of the paper's three weighting
@@ -402,5 +411,422 @@ func TestNoStopTheWorldCompaction(t *testing.T) {
 	if live > limit {
 		t.Fatalf("stop-the-world detected: p99 under inserts %v exceeds %v (3× baseline %v + noise floor)",
 			live, limit, baseline)
+	}
+}
+
+// churnHistory replays the stream-churn workload in process, without the
+// wall clock: the churn spec's 6 000 points seeded in 1 024-point inserts
+// into NewDynamic's default policy, then steps of 64 inserts (jittered
+// copies of seeded points) and 64 deletes of the oldest live points, every
+// seal and merge waited out. visit runs after every step.
+func churnHistory(t testing.TB, ds *dataset.Dataset, steps int, visit func(step int, d *Engine)) *Engine {
+	t.Helper()
+	d, err := NewDynamic(Gaussian(ds.Gamma))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(lo, hi int) [][]float64 {
+		out := make([][]float64, hi-lo)
+		for i := range out {
+			out[i] = ds.Points.Row(lo + i)
+		}
+		return out
+	}
+	var live []uint64
+	for lo := 0; lo < ds.Points.Rows; lo += 1024 {
+		ids, err := d.InsertBulk(rows(lo, min(lo+1024, ds.Points.Rows)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, ids...)
+		waitMaintenance(d)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for step := 0; step < steps; step++ {
+		batch := make([][]float64, 64)
+		for i := range batch {
+			src := ds.Points.Row(rng.Intn(ds.Points.Rows))
+			batch[i] = make([]float64, len(src))
+			for j, v := range src {
+				batch[i][j] = v + rng.NormFloat64()*0.02
+			}
+		}
+		ids, err := d.InsertBulk(batch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, ids...)
+		waitMaintenance(d)
+		for _, id := range live[:64] {
+			if err := d.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live = live[64:]
+		waitMaintenance(d)
+		visit(step, d)
+	}
+	return d
+}
+
+// churnData is the churn spec's point set and query sample.
+func churnData(t testing.TB, n, queries int) *dataset.Dataset {
+	t.Helper()
+	spec := dataset.Spec{Name: "churn", Dim: 8, Weighting: dataset.TypeI, Clusters: 12, Spread: 0.03}
+	ds, err := dataset.GenerateSized(spec, n, queries, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// perSegmentPoints refines q the way the forest did before same-shaped
+// segments refined as one tree: one global queue whose units are the
+// segments' own trees, the exact base folded into both bounds. It returns
+// the points the query scanned at leaves.
+func perSegmentPoints(k kernel.Params, trees []*index.Tree, q []float64, base float64, done func(lb, ub float64) bool) int {
+	type entry struct {
+		t      *index.Tree
+		ni     int32
+		lb, ub float64
+	}
+	rows, qc := k.RowsEvaluator(), bound.NewQueryCtx(q)
+	var queue pqueue.Queue[entry]
+	points := 0
+	score := func(t *index.Tree, ni int32) (float64, float64) {
+		n := t.Node(ni)
+		if n.IsLeaf() {
+			points += n.Count()
+			v := rows(q, qc.Norm2, t.Points, t.Norms, t.Weights, int(n.Start), int(n.End))
+			return v, v
+		}
+		lb, ub := bound.NodeBounds(bound.KARL, k, qc, n)
+		queue.Push(entry{t, ni, lb, ub}, ub-lb)
+		return lb, ub
+	}
+	lb, ub := base, base
+	for _, t := range trees {
+		l, u := score(t, 0)
+		lb, ub = lb+l, ub+u
+	}
+	for !done(lb, ub) {
+		e, _, ok := queue.Pop()
+		if !ok {
+			break
+		}
+		l1, u1 := score(e.t, e.ni+1)
+		l2, u2 := score(e.t, e.t.Node(e.ni).Right)
+		lb, ub = lb+l1+l2-e.lb, ub+u1+u2-e.ub
+	}
+	return points
+}
+
+// TestSkeletonGroupWorkGate: on the stream-churn history, segments cut on
+// one kd skeleton and refined as one tree scan at least 35 % fewer points a
+// TKAQ and 20 % fewer an eKAQ than per-segment refinement over the same
+// rows indexed the way they were before skeletons (a fresh median build per
+// segment at the engine's leaf capacity), with the same memtable and
+// tombstone base term. A query over an unchanged manifest that holds a
+// multi-member group allocates nothing.
+func TestSkeletonGroupWorkGate(t *testing.T) {
+	const eps = 0.1
+	ds := churnData(t, 6000, 40)
+	var tau float64
+	var grouped, perSeg [2]int
+	var segs, groups int
+	d := churnHistory(t, ds, 224, func(step int, d *Engine) {
+		if step < 96 || step%8 != 7 {
+			return // one turnover of the live set first, then every eighth step
+		}
+		if tau == 0 {
+			for i := 0; i < ds.Queries.Rows; i++ {
+				v, err := d.Aggregate(ds.Queries.Row(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tau += v / float64(ds.Queries.Rows)
+			}
+		}
+		k := kernel.Params(d.Kernel())
+		for i := 0; i < ds.Queries.Rows; i++ {
+			q := ds.Queries.Row(i)
+			man, base, scanned, err := d.snapshot(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := make([]*index.Tree, len(man.Segs))
+			for j, s := range man.Segs {
+				if fresh[j], err = kdtree.Build(s.Tree.Points, s.Tree.Weights, d.sh.bcfg.LeafCap); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, st, err := d.ThresholdStats(q, tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grouped[0] += st.PointsScanned
+			perSeg[0] += scanned + perSegmentPoints(k, fresh, q, base, func(lb, ub float64) bool { return core.CondThreshold(lb, ub, tau) })
+			if _, st, err = d.ApproximateStats(q, eps); err != nil {
+				t.Fatal(err)
+			}
+			grouped[1] += st.PointsScanned
+			perSeg[1] += scanned + perSegmentPoints(k, fresh, q, base, func(lb, ub float64) bool { return core.CondApprox(lb, ub, eps) })
+			segs += len(man.Segs)
+			groups += d.f.Groups()
+		}
+	})
+	defer d.Close()
+	for i, c := range []struct {
+		what string
+		cut  float64
+	}{{"TKAQ", 0.35}, {"eKAQ", 0.20}} {
+		change := float64(grouped[i])/float64(perSeg[i]) - 1
+		t.Logf("%s: %d points scanned grouped, %d per segment (%+.0f %%); %d segments in %d groups",
+			c.what, grouped[i], perSeg[i], 100*change, segs, groups)
+		if change > -c.cut {
+			t.Errorf("%s scans %+.0f %% against per-segment refinement, want at most %.0f %%", c.what, 100*change, -100*c.cut)
+		}
+	}
+
+	q := ds.Queries.Row(0)
+	for name, query := range map[string]func() error{
+		"ThresholdStats":   func() error { _, _, err := d.ThresholdStats(q, tau); return err },
+		"ApproximateStats": func() error { _, _, err := d.ApproximateStats(q, eps); return err },
+	} {
+		if err := query(); err != nil { // arm the forest on this manifest
+			t.Fatal(err)
+		}
+		if n := len(d.Segments()); d.f.Groups() >= n {
+			t.Fatalf("%d segments in %d groups: no multi-member group to gate", n, d.f.Groups())
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := query(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s over a multi-member group: %v allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestSkeletonChurnProperty drives engines through seeded random histories —
+// inserts, deletes, the seals, tier merges and dead-share rewrites they
+// trigger, Compact, a WriteTo→ReadEngine round trip and a replica
+// InstallSnapshot — with Type I, II and III weights, under TTL and under
+// decay, and holds every answer to an exact scan over a mirror of the live
+// rows: the TKAQ verdict exact, eKAQ within ε. A reloaded or installed engine
+// regroups its segments as the engine it came from did and answers bitwise
+// like it.
+//
+// TTL runs in epochs of 100 s with a 350 s window: at each epoch start the
+// clock jumps, the rows of the epoch four back pass the window at once, and
+// a Compact drops them, so the live set is never ambiguous between expiry
+// and its physical enforcement.
+func TestSkeletonChurnProperty(t *testing.T) {
+	const (
+		eps   = 0.1
+		epoch = int64(100 * time.Second)
+		ttl   = 350 * time.Second
+		half  = 60 * time.Second
+	)
+	steps := 400
+	if testing.Short() {
+		steps = 150
+	}
+	for _, wt := range []string{"typeI", "typeII", "typeIII"} {
+		for _, timing := range []string{"plain", "ttl", "decay"} {
+			t.Run(wt+"/"+timing, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(len(wt)*7 + len(timing))))
+				var now atomic.Int64
+				now.Store(1_700_000_000_000_000_000)
+				clock := func() int64 { return now.Load() }
+				kern := Gaussian(3)
+				opts := []Option{WithIndex(KDTree, 8), WithSealSize(32), WithCompactionFanout(4), withClock(clock)}
+				switch timing {
+				case "ttl":
+					opts = append(opts, WithTTL(ttl))
+				case "decay":
+					opts = append(opts, WithDecayHalfLife(half))
+				}
+				d, err := NewDynamic(kern, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { d.Close() }()
+
+				type row struct {
+					p    []float64
+					w    float64
+					t    int64
+					live bool
+				}
+				rows := map[uint64]*row{}
+				var ids []uint64 // every id ever inserted, ascending
+				// exact is the oracle: F over the live mirror, and the mass
+				// Σ|w·K| that float reordering is measured against.
+				exact := func(q []float64) (f, mass float64) {
+					for _, id := range ids {
+						r := rows[id]
+						if !r.live {
+							continue
+						}
+						w := r.w
+						if timing == "decay" {
+							w *= math.Exp2(-float64(now.Load()-r.t) / float64(half))
+						}
+						v := w * kern.Eval(q, r.p)
+						f += v
+						mass += math.Abs(v)
+					}
+					return f, mass
+				}
+				check := func(d *Engine) {
+					t.Helper()
+					for k := 0; k < 3; k++ {
+						q := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+						f, mass := exact(q)
+						tol := 1e-9 * (mass + 1e-300)
+						for _, tau := range []float64{f - 0.05*math.Abs(f) - 1e-6*mass, f + 0.05*math.Abs(f) + 1e-6*mass} {
+							if math.Abs(f-tau) <= tol {
+								continue
+							}
+							over, err := d.Threshold(q, tau)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if over != (f > tau) {
+								t.Fatalf("Threshold(τ=%v) = %v, exact F = %v", tau, over, f)
+							}
+						}
+						got, err := d.Approximate(q, eps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Abs(got-f) > eps*math.Abs(f)+tol {
+							t.Fatalf("Approximate = %v, exact F = %v (ε = %v)", got, f, eps)
+						}
+					}
+				}
+				// same holds a copy to the engine it came from: the same
+				// groups, bitwise the same answers.
+				same := func(what string, from, to *Engine) {
+					t.Helper()
+					for k := 0; k < 3; k++ {
+						q := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+						want, _, err := from.ApproximateStats(q, eps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, _, err := to.ApproximateStats(q, eps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s answers %v where its source answers %v", what, got, want)
+						}
+						if g, w := to.f.Groups(), from.f.Groups(); g != w {
+							t.Fatalf("%s refines %d groups, its source %d", what, g, w)
+						}
+					}
+				}
+
+				var multi, rewrites, reloads, installs int
+				for step := 0; step < steps; step++ {
+					now.Add(int64(time.Second))
+					if timing == "ttl" && step%40 == 0 {
+						// A new epoch: the one four back leaves the window.
+						now.Store((now.Load()/epoch + 1) * epoch)
+						cutoff := now.Load() - int64(ttl)
+						if err := d.Compact(); err != nil {
+							t.Fatal(err)
+						}
+						for _, r := range rows {
+							if r.t < cutoff {
+								r.live = false
+							}
+						}
+					}
+					switch op := rng.Intn(100); {
+					case op < 50:
+						n := 1 + rng.Intn(24)
+						pts := make([][]float64, n)
+						ws := weightsFor(rng, wt, n)
+						for i := range pts {
+							pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+						}
+						got, err := d.InsertBulk(pts, ws)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, id := range got {
+							w := 1.0
+							if ws != nil {
+								w = ws[i]
+							}
+							rows[id] = &row{p: pts[i], w: w, t: now.Load(), live: true}
+							ids = append(ids, id)
+						}
+					case op < 80:
+						for n := 1 + rng.Intn(8); n > 0 && len(ids) > 0; n-- {
+							id := ids[rng.Intn(len(ids))]
+							if !rows[id].live {
+								continue
+							}
+							if err := d.Delete(id); err != nil {
+								t.Fatalf("delete %d: %v", id, err)
+							}
+							rows[id].live = false
+						}
+					case op < 88:
+						waitMaintenance(d)
+					case op < 91:
+						if err := d.Compact(); err != nil {
+							t.Fatal(err)
+						}
+					case op < 95:
+						waitMaintenance(d)
+						var buf bytes.Buffer
+						if _, err := d.WriteTo(&buf); err != nil {
+							t.Fatal(err)
+						}
+						back, err := ReadEngine(&buf)
+						if err != nil {
+							t.Fatal(err)
+						}
+						back.sh.now = clock // a loaded engine runs on the wall clock
+						same("reloaded engine", d, back)
+						rewrites += d.DeadRewrites()
+						d.Close()
+						d = back
+						reloads++
+					default:
+						waitMaintenance(d)
+						follower, err := NewDynamic(kern, withClock(clock))
+						if err != nil {
+							t.Fatal(err)
+						}
+						replicaPull(t, d, follower)
+						same("replica", d, follower)
+						rewrites += d.DeadRewrites()
+						d.Close()
+						d = follower // promoted: it takes the writes from here on
+						installs++
+					}
+					if len(ids) == 0 || d.Len() == 0 {
+						continue
+					}
+					check(d)
+					if d.f.Groups() < len(d.Segments()) {
+						multi++
+					}
+				}
+				rewrites += d.DeadRewrites()
+				t.Logf("%d steps: %d with a multi-member group, %d dead-share rewrites, %d reloads, %d installs",
+					steps, multi, rewrites, reloads, installs)
+				if multi == 0 || reloads == 0 || installs == 0 {
+					t.Fatal("history never refined a multi-member group, reloaded or installed")
+				}
+			})
+		}
 	}
 }
