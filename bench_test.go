@@ -8,9 +8,13 @@
 package karl
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
+	"karl/internal/dataset"
 	"karl/internal/experiments"
 	"karl/internal/index"
 	"karl/internal/tuning"
@@ -190,5 +194,54 @@ func BenchmarkBuildBallTree(b *testing.B) {
 		if _, err := Build(pts, Gaussian(20), WithIndex(BallTree, 80)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBuildWriteLoad times the three stages a model crosses from raw
+// points to serving — Build, WriteTo and ReadEngine — on the stand-ins of
+// the home (200 000 × 10, Type I) and a9a (11 772 × 123, Type III) sets, and
+// reports each in µs per point.
+func BenchmarkBuildWriteLoad(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"home", 200000}, {"a9a", 11772}} {
+		spec, err := dataset.ByName(c.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds, err := dataset.GenerateSized(spec, c.n, 1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pts := make([][]float64, c.n)
+		for i := range pts {
+			pts[i] = ds.Points.Row(i)
+		}
+		b.Run(fmt.Sprintf("%s-%dx%d", c.name, c.n, spec.Dim), func(b *testing.B) {
+			var build, write, load time.Duration
+			var file bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				eng, err := Build(pts, Gaussian(ds.Gamma), WithWeights(ds.Weights))
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				file.Reset()
+				if _, err := eng.WriteTo(&file); err != nil {
+					b.Fatal(err)
+				}
+				t2 := time.Now()
+				if _, err := ReadEngine(bytes.NewReader(file.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+				build, write, load = build+t1.Sub(t0), write+t2.Sub(t1), load+time.Since(t2)
+			}
+			per := float64(b.N*c.n) / 1e6 // µs per point from seconds
+			b.ReportMetric(build.Seconds()/per, "build-µs/pt")
+			b.ReportMetric(write.Seconds()/per, "write-µs/pt")
+			b.ReportMetric(load.Seconds()/per, "load-µs/pt")
+		})
 	}
 }

@@ -28,6 +28,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"unsafe"
 )
 
 // Version is the one format version this build writes and reads. It follows
@@ -47,8 +49,9 @@ const (
 	TagHeld                 // a segment the puller of a replication stream already holds: id and dead seqs
 )
 
-// chunk is the I/O buffer size, the unit slices move in, and the most a
-// declared slice length may allocate before any byte backing it has arrived.
+// chunk is the I/O buffer size, the unit slices are decoded in, and the most
+// a declared slice length may allocate before any byte backing it has
+// arrived.
 const chunk = 64 << 10
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -63,21 +66,24 @@ type Codec struct {
 	r   *bufio.Reader // set on a decoder
 	crc uint32        // of the open block so far
 	n   int64
-	err error
+	// left is how many bytes past those decoded a decoder's input is known
+	// to hold, -1 when it is not known.
+	left int64
+	err  error
 }
 
 // NewEncoder starts a stream on w.
 func NewEncoder(w io.Writer) *Codec {
 	c := &Codec{w: bufio.NewWriterSize(w, chunk)}
-	c.Write([]byte(magic + string(rune(Version))))
+	elems(c, []byte(magic+string(rune(Version))))
 	return c
 }
 
 // NewDecoder opens the stream in r. It reads ahead of what it decodes.
 func NewDecoder(r io.Reader) *Codec {
-	c := &Codec{r: bufio.NewReaderSize(r, chunk)}
+	c := &Codec{r: bufio.NewReaderSize(r, chunk), left: unread(r)}
 	var head [len(magic) + 1]byte
-	if _, err := c.Read(head[:]); err != nil {
+	if elems(c, head[:]); c.err != nil {
 		return c
 	}
 	if string(head[:len(magic)]) != magic {
@@ -86,6 +92,22 @@ func NewDecoder(r io.Reader) *Codec {
 		c.fail(fmt.Errorf("unsupported block format version %d (this build reads version %d)", head[len(magic)], Version))
 	}
 	return c
+}
+
+// unread returns how many bytes r is known to hold — an in-memory reader's
+// Len, a regular file's size past its offset — or -1.
+func unread(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		st, err := r.Stat()
+		off, err2 := r.Seek(0, io.SeekCurrent)
+		if err == nil && err2 == nil && st.Mode().IsRegular() {
+			return st.Size() - off
+		}
+	}
+	return -1
 }
 
 // Decoding reports the Codec's direction.
@@ -100,42 +122,113 @@ func (c *Codec) fail(err error) {
 	}
 }
 
-// Write and Read are the Codec as encoding/binary sees it: every byte of
-// the stream passes through one of them and into the open block's checksum.
-func (c *Codec) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	c.crc = crc32.Update(c.crc, castagnoli, p)
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	if err != nil {
-		c.fail(err)
-	}
-	return n, c.err
+// Elem is an element type a field can hold: a slice's, or a fixed-width
+// field's once converted.
+type Elem interface {
+	float64 | int64 | uint64 | int32 | byte
 }
 
-func (c *Codec) Read(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
+// elems moves s, little-endian, through the buffer between the Codec and its
+// stream — every byte of the stream passes through here and into the open
+// block's checksum. An encoder encodes into the bufio.Writer's free space, a
+// decoder decodes in place out of the bufio.Reader's buffered bytes: no
+// staging buffer and no reflection. A decoder that meets the end of its
+// input fails with io.ErrUnexpectedEOF.
+func elems[T Elem](c *Codec, s []T) {
+	size := int(unsafe.Sizeof(*new(T)))
+	for len(s) > 0 && c.err == nil {
+		var b []byte
+		if c.w != nil {
+			if c.w.Available() < size {
+				if err := c.w.Flush(); err != nil {
+					c.fail(err)
+					return
+				}
+			}
+			b = c.w.AvailableBuffer()[:min(len(s), c.w.Available()/size)*size]
+			put(b, s)
+			if _, err := c.w.Write(b); err != nil {
+				c.fail(err)
+			}
+			c.n += int64(len(b))
+		} else {
+			var err error
+			if b, err = c.r.Peek(min(len(s)*size, c.r.Size())); len(b) < size {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				c.fail(err)
+				return
+			}
+			b = b[:len(b)/size*size]
+			get(s, b)
+			c.r.Discard(len(b))
+			c.left -= int64(len(b))
+		}
+		c.crc = crc32.Update(c.crc, castagnoli, b)
+		s = s[len(b)/size:]
 	}
-	n, err := io.ReadFull(c.r, p)
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		c.fail(err)
-	}
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	return n, c.err
 }
+
+// put encodes the head of s that fills b.
+func put[T Elem](b []byte, s []T) {
+	le := binary.LittleEndian
+	switch s := any(s).(type) {
+	case []float64:
+		for i := range len(b) / 8 {
+			le.PutUint64(b[8*i:], math.Float64bits(s[i]))
+		}
+	case []int64:
+		for i := range len(b) / 8 {
+			le.PutUint64(b[8*i:], uint64(s[i]))
+		}
+	case []uint64:
+		for i := range len(b) / 8 {
+			le.PutUint64(b[8*i:], s[i])
+		}
+	case []int32:
+		for i := range len(b) / 4 {
+			le.PutUint32(b[4*i:], uint32(s[i]))
+		}
+	case []byte:
+		copy(b, s)
+	}
+}
+
+// get decodes b into the head of s.
+func get[T Elem](s []T, b []byte) {
+	le := binary.LittleEndian
+	switch s := any(s).(type) {
+	case []float64:
+		for i := range len(b) / 8 {
+			s[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+		}
+	case []int64:
+		for i := range len(b) / 8 {
+			s[i] = int64(le.Uint64(b[8*i:]))
+		}
+	case []uint64:
+		for i := range len(b) / 8 {
+			s[i] = le.Uint64(b[8*i:])
+		}
+	case []int32:
+		for i := range len(b) / 4 {
+			s[i] = int32(le.Uint32(b[4*i:]))
+		}
+	case []byte:
+		copy(s, b)
+	}
+}
+
+// one moves the single value v points at.
+func one[T Elem](c *Codec, v *T) { elems(c, unsafe.Slice(v, 1)) }
 
 // Begin opens a block: an encoder writes the tag, a decoder fails unless the
 // next block has it.
 func (c *Codec) Begin(tag byte) {
 	c.crc = 0
 	got := tag
-	c.move(&got)
+	one(c, &got)
 	if c.err == nil && got != tag {
 		c.fail(fmt.Errorf("block tag %d where %d was expected", got, tag))
 	}
@@ -161,9 +254,10 @@ func (c *Codec) Sum() uint32 { return c.crc }
 // It returns the first error met.
 func (c *Codec) End() error {
 	sum := c.crc
-	got := sum
-	c.move(&got)
-	if c.err == nil && got != sum {
+	var got [4]byte
+	binary.LittleEndian.PutUint32(got[:], sum)
+	elems(c, got[:])
+	if c.err == nil && binary.LittleEndian.Uint32(got[:]) != sum {
 		c.fail(errors.New("block checksum mismatch"))
 	}
 	return c.err
@@ -182,34 +276,29 @@ func (c *Codec) Finish() (int64, error) {
 	return c.n, c.err
 }
 
-// move encodes or decodes one value encoding/binary knows the width of: v
-// points at a fixed-size value, or is a slice of them.
-func (c *Codec) move(v any) {
-	if c.err != nil {
-		return
-	}
-	var err error
-	if c.r != nil {
-		err = binary.Read(c, binary.LittleEndian, v)
-	} else {
-		err = binary.Write(c, binary.LittleEndian, v)
-	}
-	if err != nil {
-		c.fail(err)
-	}
-}
-
 // The field calls: one per field type of the layout above.
 
-func (c *Codec) Uint64(v *uint64)   { c.move(v) }
-func (c *Codec) Int64(v *int64)     { c.move(v) }
-func (c *Codec) Float64(v *float64) { c.move(v) }
-func (c *Codec) Bool(v *bool)       { c.move(v) }
+func (c *Codec) Uint64(v *uint64)   { one(c, v) }
+func (c *Codec) Int64(v *int64)     { one(c, v) }
+func (c *Codec) Float64(v *float64) { one(c, v) }
+
+// Bool moves a bool as one byte, 1 for true; a decoder reads any other
+// nonzero byte as true too.
+func (c *Codec) Bool(v *bool) {
+	var b byte
+	if *v {
+		b = 1
+	}
+	one(c, &b)
+	if c.r != nil && c.err == nil {
+		*v = b != 0
+	}
+}
 
 // Int moves an int or int32, or a value of an enum type built on one.
 func Int[T ~int | ~int32](c *Codec, v *T) {
 	n := int64(*v)
-	c.move(&n)
+	one(c, &n)
 	if c.r != nil && c.err == nil {
 		*v = T(n)
 	}
@@ -236,38 +325,37 @@ func Opt[T any](c *Codec, p **T) bool {
 	return has && c.err == nil
 }
 
-// Slice moves a slice of fixed-size elements: its length, then the elements
-// chunk by chunk. A decoder grows the slice as the bytes arrive — never
-// beyond the declared length, and never to more than chunk bytes plus twice
-// what has actually been read, so a stream cannot make it allocate by
-// declaring a length — and hands back exactly the slice it filled, nil for
-// length zero.
-func Slice[T any](c *Codec, v *[]T) {
+// Slice moves a slice: its length, then the elements. A decoder allocates
+// the declared length at once when its input is known to hold the bytes
+// (see unread), and otherwise grows the slice chunk by chunk as the bytes
+// arrive — never beyond the declared length, and never to more than chunk
+// bytes plus twice what has actually been read. Either way a stream cannot
+// make it allocate by declaring a length. It hands back exactly the slice it
+// filled, nil for length zero.
+func Slice[T Elem](c *Codec, v *[]T) {
 	n := len(*v)
 	Int(c, &n)
+	if c.r == nil {
+		elems(c, *v)
+		return
+	}
 	if c.err != nil {
 		return
 	}
-	if c.r != nil {
-		*v = nil
-	}
+	*v = nil
 	if n == 0 {
 		return
 	}
-	var zero T
-	size := binary.Size(zero)
-	if size <= 0 || n < 0 || n > math.MaxInt/size {
+	size := int(unsafe.Sizeof(*new(T)))
+	if n < 0 || n > math.MaxInt/size {
 		c.fail(fmt.Errorf("declared length %d out of range", n))
 		return
 	}
 	per := chunk / size
-	if c.r == nil {
-		for s := *v; len(s) > 0; s = s[min(len(s), per):] {
-			c.move(s[:min(len(s), per)])
-		}
-		return
-	}
 	out := make([]T, 0, min(n, per))
+	if int64(n*size) <= c.left {
+		out = make([]T, 0, n)
+	}
 	for len(out) < n {
 		if len(out) == cap(out) {
 			grown := make([]T, len(out), min(n, 2*cap(out)))
@@ -275,7 +363,7 @@ func Slice[T any](c *Codec, v *[]T) {
 			out = grown
 		}
 		k := min(cap(out)-len(out), per)
-		c.move(out[len(out) : len(out)+k])
+		elems(c, out[len(out):len(out)+k])
 		if c.err != nil {
 			return
 		}

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 type kind int
@@ -178,5 +182,138 @@ func TestDeclaredLengthAllocatesNothing(t *testing.T) {
 	c.Begin(TagSegment)
 	if Slice(c, &got); c.Err() == nil || !strings.Contains(c.Err().Error(), "out of range") {
 		t.Fatalf("length 2^62: error %v", c.Err())
+	}
+}
+
+// sliceStream is a stream of one block holding s, and the offset its
+// elements start at.
+func sliceStream[T Elem](t *testing.T, s []T) ([]byte, int) {
+	t.Helper()
+	var buf bytes.Buffer
+	c := NewEncoder(&buf)
+	c.Begin(TagSegment)
+	Slice(c, &s)
+	c.End()
+	if _, err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), len(magic) + 1 + 1 + 8 // header, tag, length
+}
+
+// decodeSlice reads the stream sliceStream wrote. With hide set the input
+// does not show its length, so the decoder grows the slice as bytes arrive.
+func decodeSlice[T Elem](data []byte, hide bool) ([]T, error) {
+	var r io.Reader = bytes.NewReader(data)
+	if hide {
+		r = struct{ io.Reader }{r}
+	}
+	c := NewDecoder(r)
+	c.Begin(TagSegment)
+	var got []T
+	Slice(c, &got)
+	if err := c.End(); err != nil {
+		return got, err
+	}
+	_, err := c.Finish()
+	return got, err
+}
+
+// codecEdges round-trips slices of one element type at the lengths around
+// the chunk a decoder grows by — 0, 1, per−1, per, per+1 and 3·per+7
+// elements — through an input that shows its length and one that hides it,
+// and damages each: a stream cut inside the elements is an unexpected EOF,
+// a changed element byte a checksum mismatch.
+func codecEdges[T Elem](t *testing.T, gen func(i int) T) {
+	size := int(unsafe.Sizeof(*new(T)))
+	per := chunk / size
+	for _, n := range []int{0, 1, per - 1, per, per + 1, 3*per + 7} {
+		want := make([]T, n)
+		for i := range want {
+			want[i] = gen(i)
+		}
+		data, at := sliceStream(t, want)
+		if len(data) != at+n*size+4+5 { // elements, checksum, end block
+			t.Fatalf("%T × %d: stream of %d bytes", want, n, len(data))
+		}
+		for _, hide := range []bool{false, true} {
+			got, err := decodeSlice[T](data, hide)
+			if err != nil || len(got) != n || cap(got) != n || (got == nil) != (n == 0) {
+				t.Fatalf("%T × %d (hidden length %v): decoded %d of cap %d, %v", want, n, hide, len(got), cap(got), err)
+			}
+			if again, _ := sliceStream(t, got); !bytes.Equal(again, data) {
+				t.Fatalf("%T × %d (hidden length %v): decoded values differ", want, n, hide)
+			}
+			for _, cut := range []int{at - 1, at, at + 1, at + size - 1, at + size, at + n*size/2, at + n*size - 1} {
+				if cut >= at+n*size {
+					continue
+				}
+				if _, err := decodeSlice[T](data[:cut], hide); !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("%T × %d cut at element byte %d: %v, want unexpected EOF", want, n, cut-at, err)
+				}
+			}
+			if n > 0 {
+				bad := append([]byte(nil), data...)
+				bad[at+n*size/2] ^= 0x20
+				if _, err := decodeSlice[T](bad, hide); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+					t.Fatalf("%T × %d with an element byte changed: %v", want, n, err)
+				}
+			}
+		}
+	}
+}
+
+// TestSliceChunkEdges runs codecEdges for every element type a field holds,
+// with values whose every byte matters: signs, NaN payloads, negative zero.
+func TestSliceChunkEdges(t *testing.T) {
+	codecEdges(t, func(i int) float64 {
+		switch i % 5 {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return math.Float64frombits(0x7ff8_0000_0000_0001 + uint64(i))
+		}
+		return float64(i) / -7
+	})
+	codecEdges(t, func(i int) int64 { return int64(i)*-0x1234_5678_9ab + 1 })
+	codecEdges(t, func(i int) uint64 { return uint64(i) * 0x9e37_79b9_7f4a_7c15 })
+	codecEdges(t, func(i int) int32 { return int32(i) * -0x0765_4321 })
+	codecEdges(t, func(i int) byte { return byte(i * 31) })
+}
+
+// TestUnread: what a decoder may allocate for at once is what its input
+// provably holds past its offset — an in-memory reader's or a regular file's
+// — and nothing for a pipe or a reader that hides its length.
+func TestUnread(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(path, make([]byte, 100), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Seek(30, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	defer pw.Close()
+	for what, c := range map[string]struct {
+		r    io.Reader
+		want int64
+	}{
+		"bytes.Reader":   {bytes.NewReader(make([]byte, 12)), 12},
+		"strings.Reader": {strings.NewReader("abc"), 3},
+		"file at 30":     {f, 70},
+		"pipe":           {pr, -1},
+		"hidden":         {struct{ io.Reader }{bytes.NewReader(make([]byte, 12))}, -1},
+	} {
+		if got := unread(c.r); got != c.want {
+			t.Errorf("%s: unread %d, want %d", what, got, c.want)
+		}
 	}
 }

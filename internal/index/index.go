@@ -127,7 +127,7 @@ func (n *Node) Ball() geom.Ball {
 
 // firstOutside returns the first of the node's rows that its volume does not
 // contain (within tol), or -1. The view is built once per node, not per row:
-// Validate asks this of every node above every point.
+// Validate asks this of every ball above every point, and of every kd leaf.
 func (n *Node) firstOutside(m *vec.Matrix, tol float64) int32 {
 	if n.ball {
 		b := n.Ball()
@@ -266,11 +266,7 @@ func (t *Tree) recordStride() int {
 func (t *Tree) AppendNode(start, end, depth int) int32 {
 	stride := t.recordStride()
 	if t.Nodes == nil {
-		// A median split leaves no leaf under half the capacity, so this is
-		// the kd-tree's ceiling; a lopsided ball-tree may outgrow it.
-		most := 2*(t.Len()/max(1, t.LeafCap/2)) + 1
-		t.Nodes = make([]Node, 0, most)
-		t.block = make([]float64, 0, most*stride)
+		t.Reserve(nodeCeiling(t.Len(), t.LeafCap))
 	}
 	at := len(t.block)
 	t.block = append(t.block, make([]float64, stride)...)
@@ -289,11 +285,43 @@ func (t *Tree) AppendNode(start, end, depth int) int32 {
 	return int32(len(t.Nodes) - 1)
 }
 
+// nodeCeiling bounds the nodes of a median-split tree over rows points: a
+// median split leaves no leaf under half the capacity. A lopsided ball-tree
+// may outgrow it.
+func nodeCeiling(rows, leafCap int) int { return 2*(rows/max(1, leafCap/2)) + 1 }
+
 // Reserve sizes the node array and record block for n nodes ahead of the
 // first AppendNode, for a builder that knows its node count.
 func (t *Tree) Reserve(n int) {
 	t.Nodes = make([]Node, 0, n)
 	t.block = make([]float64, 0, n*t.recordStride())
+}
+
+// Fragment returns an empty tree with t's points, weights and record layout
+// and room for a subtree over rows of them: a builder emits a subtree into it
+// apart from t, with t's row ranges and depths, and Splice joins it to t.
+func (t *Tree) Fragment(rows int) *Tree {
+	f := &Tree{Kind: t.Kind, Points: t.Points, Weights: t.Weights, LeafCap: t.LeafCap, stride: t.recordStride()}
+	f.Reserve(nodeCeiling(rows, t.LeafCap))
+	return f
+}
+
+// Splice appends a fragment's nodes, in their preorder, behind t's last node
+// and returns the position of the fragment's root: the right child of the
+// node whose left subtree t has just emitted.
+func (t *Tree) Splice(f *Tree) int32 {
+	at, base := int32(len(t.Nodes)), len(t.block)
+	t.block = append(t.block, f.block...)
+	for i, n := range f.Nodes {
+		if !n.IsLeaf() {
+			n.Right += at
+		}
+		k := base + i*t.stride
+		n.rec = t.block[k : k+t.stride : k+t.stride]
+		t.Nodes = append(t.Nodes, n)
+	}
+	t.Height = max(t.Height, f.Height)
+	return at
 }
 
 // SetRight records the right-child position of the node at i, turning it
@@ -331,7 +359,7 @@ func (t *Tree) Finish(idx []int) {
 
 // ComputeAggregates points every node at its record in the settled block and
 // fills the aggregates bottom-up. Points and weights must already be in
-// storage (leaf) order. In DFS preorder both children of node i sit at
+// storage (leaf) order, and Norms cached. In DFS preorder both children of node i sit at
 // positions greater than i, so one reverse sweep visits children before
 // parents.
 func (t *Tree) ComputeAggregates() {
@@ -360,7 +388,7 @@ func (t *Tree) ComputeAggregates() {
 			}
 			cls[d] += w
 			vec.Axpy(cls[:d], w, p)
-			cls[d+1] += w * vec.Norm2(p)
+			cls[d+1] += w * t.Norms[r]
 		}
 	}
 }
@@ -389,14 +417,18 @@ func (t *Tree) LevelNodes(level int) []*Node {
 	return out
 }
 
-// validateNode checks one node's structural invariants.
+// validateNode checks one node's structural invariants. A ball holds every
+// row under it; a kd leaf holds its own rows and a kd child's rectangle lies
+// inside its parent's, which puts every row inside every rectangle above it.
 func (t *Tree) validateNode(i int32, tol float64) error {
 	n := &t.Nodes[i]
 	if n.Start > n.End {
 		return fmt.Errorf("index: node with reversed range [%d,%d)", n.Start, n.End)
 	}
-	if r := n.firstOutside(t.Points, tol); r >= 0 {
-		return fmt.Errorf("index: point %d escapes its node volume", r)
+	if n.ball || n.IsLeaf() {
+		if r := n.firstOutside(t.Points, tol); r >= 0 {
+			return fmt.Errorf("index: point %d escapes its node volume", r)
+		}
 	}
 	if n.IsLeaf() {
 		return nil
@@ -413,14 +445,35 @@ func (t *Tree) validateNode(i int32, tol float64) error {
 	if l.Depth != n.Depth+1 || r.Depth != n.Depth+1 {
 		return fmt.Errorf("index: child depth %d/%d under depth %d", l.Depth, r.Depth, n.Depth)
 	}
+	if !n.ball {
+		for _, c := range [2]int32{i + 1, n.Right} {
+			if t.Nodes[c].Count() > 0 && !nests(t.Nodes[c].Rect(), n.Rect()) {
+				return fmt.Errorf("index: node %d's rectangle is not inside its parent %d's", c, i)
+			}
+		}
+	}
 	return nil
+}
+
+// nests reports whether rectangle c lies inside p, faces included.
+func nests(c, p geom.Rect) bool {
+	for j := range c.Lo {
+		if c.Lo[j] < p.Lo[j] || c.Hi[j] > p.Hi[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate checks the structural invariants of the whole tree: preorder
 // child placement, child ranges tiling parents, every point inside its node
 // volumes, the root covering all rows, and PointID being a permutation. A
 // node below the root may own no rows: a tree built on another tree's
-// splits (kdtree.BuildOn) has empty cells.
+// splits (kdtree.BuildOn) has empty cells. A kd-tree checks each row once,
+// against its leaf, and each non-empty cell against its parent (exactly: a
+// builder bounds both over the same rows); a ball-tree checks each row
+// against every ball above it, since a child ball need not lie inside its
+// parent.
 func (t *Tree) Validate(tol float64) error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("index: empty node array")

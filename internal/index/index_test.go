@@ -545,3 +545,62 @@ func TestUnion(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateNestsKDCells: a kd-tree checks each row against its leaf and
+// each non-empty cell against its parent, so a child rectangle poking out of
+// its parent is refused even though every row lies inside both, and so is a
+// row outside its leaf that its parent would hold. Reconstruct refuses both
+// streams the same way.
+func TestValidateNestsKDCells(t *testing.T) {
+	d := buildManualTree().Dims()
+	for _, c := range []struct {
+		name   string
+		at     int // volume parameter edited: node·2d + j is lo[j], + d is hi[j]
+		v      float64
+		refuse string
+	}{
+		{"left child widened below its parent", 2 * d, -1, "node 1's rectangle is not inside its parent 0's"},
+		{"right child widened above its parent", 2*2*d + d, 12, "node 2's rectangle is not inside its parent 0's"},
+		{"leaf narrowed past its own row", 2*2*d + d, 10.5, "point 3 escapes its node volume"},
+	} {
+		tr := buildManualTree()
+		vols := tr.FlattenVolumes()
+		vols[c.at] = c.v
+		copy(tr.Nodes[c.at/(2*d)].Record(), vols[c.at/(2*d)*2*d:])
+		if err := tr.Validate(1e-9); err == nil || !strings.Contains(err.Error(), c.refuse) {
+			t.Fatalf("%s: Validate = %v, want %q", c.name, err, c.refuse)
+		}
+		_, err := Reconstruct(KDTree, tr.Points, nil, tr.PointID, tr.FlattenNodes(), vols, tr.LeafCap)
+		if err == nil || !strings.Contains(err.Error(), c.refuse) {
+			t.Fatalf("%s: Reconstruct = %v, want %q", c.name, err, c.refuse)
+		}
+	}
+}
+
+// TestValidateBallsPerAncestor: a child ball need not lie inside its parent
+// (a centroid ball's radius reaches its farthest row, not its parent's
+// face), so a ball-tree whose child pokes out of its parent loads, and a row
+// outside an ancestor ball is still refused.
+func TestValidateBallsPerAncestor(t *testing.T) {
+	// Root: centre (0, 0.5), radius √1.25. Left child: centre (0, 0), radius
+	// 1, reaching 1.5 from the root's centre.
+	m := vec.FromRows([][]float64{{-1, 0}, {1, 0}, {0, 1}, {0, 1}})
+	idx := []int{0, 1, 2, 3}
+	tr := &Tree{Kind: BallTree, Points: m, LeafCap: 2}
+	root := appendBounded(tr, m, idx, 0, 4, 0)
+	appendBounded(tr, m, idx, 0, 2, 1)
+	tr.SetRight(root, appendBounded(tr, m, idx, 2, 4, 1))
+	tr.Finish(idx)
+	p, l := tr.Node(0).Ball(), tr.Node(1).Ball()
+	if vec.Dist(p.Center, l.Center)+l.Radius <= p.Radius {
+		t.Fatalf("fixture: child ball %v inside root ball %v", l, p)
+	}
+	got, err := Reconstruct(BallTree, tr.Points, nil, tr.PointID, tr.FlattenNodes(), tr.FlattenVolumes(), tr.LeafCap)
+	if err != nil {
+		t.Fatalf("ball-tree with a child outside its parent refused: %v", err)
+	}
+	got.Node(0).Record()[m.Cols] = 1 // the root no longer reaches (±1, 0)
+	if err := got.Validate(1e-9); err == nil || !strings.Contains(err.Error(), "escapes its node volume") {
+		t.Fatalf("row outside its root ball: %v", err)
+	}
+}

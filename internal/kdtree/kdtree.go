@@ -5,6 +5,11 @@
 // into the flat DFS-preorder array of index.Tree; the point matrix is
 // reordered into leaf order when the build finishes.
 //
+// Build hands the right subtree of each of its top two levels to its own
+// goroutine while the node is large enough to be worth it (forkWork), and
+// splices the subtrees back in preorder, so a large build runs on up to four
+// cores and still emits the tree the sequential recursion would.
+//
 // BuildOn cuts a point set on another tree's splits (a Skeleton) instead of
 // its own medians, so every tree built on one skeleton has the skeleton's
 // shape node for node — cells may be empty — and core.Forest can bound a
@@ -24,6 +29,21 @@ import (
 // leafCap < 1 is an error; weights, when present, must match the point
 // count.
 func Build(points *vec.Matrix, weights []float64, leafCap int) (*index.Tree, error) {
+	return build(points, weights, leafCap, forkWork)
+}
+
+// forkWork is the least work — rows × dimensions — a node of the top
+// forkDepth levels must hold for Build to build its right subtree on another
+// goroutine. Below it a subtree costs less than the hand-over is worth, so
+// seals and small merges never leave their goroutine.
+const (
+	forkWork  = 1 << 18
+	forkDepth = 2
+)
+
+// build is Build with the fork floor as a parameter: math.MaxInt is the
+// sequential recursion the forked build must reproduce node for node.
+func build(points *vec.Matrix, weights []float64, leafCap, fork int) (*index.Tree, error) {
 	if points == nil || points.Rows == 0 {
 		return nil, fmt.Errorf("kdtree: empty point set")
 	}
@@ -39,7 +59,7 @@ func Build(points *vec.Matrix, weights []float64, leafCap int) (*index.Tree, err
 		Weights: weights,
 		LeafCap: leafCap,
 	}
-	b := builder{t: t, pts: points, idx: make([]int, points.Rows)}
+	b := builder{t: t, pts: points, idx: make([]int, points.Rows), fork: fork}
 	for i := range b.idx {
 		b.idx[i] = i
 	}
@@ -49,9 +69,10 @@ func Build(points *vec.Matrix, weights []float64, leafCap int) (*index.Tree, err
 }
 
 type builder struct {
-	t   *index.Tree
-	pts *vec.Matrix
-	idx []int // working permutation: position -> original row
+	t    *index.Tree
+	pts  *vec.Matrix
+	idx  []int // working permutation: position -> original row
+	fork int   // work floor of a forked subtree (forkWork; MaxInt: never)
 }
 
 // build emits the subtree over idx[start:end) in DFS preorder and returns
@@ -74,6 +95,22 @@ func (b *builder) build(start, end, depth int) int32 {
 	// Guard against a degenerate partition when many coordinates equal the
 	// median: ensure both sides are non-empty (selectNth already guarantees
 	// mid strictly inside (start,end)).
+	if depth < forkDepth && (end-start)*b.pts.Cols >= b.fork {
+		// The right subtree reads only the points and permutes only
+		// idx[mid:end), so it is built apart — into a node list of its own —
+		// while this goroutine builds the left one, then appended behind it:
+		// the preorder the sequential recursion emits.
+		right := &builder{t: b.t.Fragment(end - mid), pts: b.pts, idx: b.idx, fork: b.fork}
+		done := make(chan struct{})
+		go func() {
+			right.build(mid, end, depth+1)
+			close(done)
+		}()
+		b.build(start, mid, depth+1)
+		<-done
+		b.t.SetRight(ni, b.t.Splice(right.t))
+		return ni
+	}
 	b.build(start, mid, depth+1)
 	right := b.build(mid, end, depth+1)
 	b.t.SetRight(ni, right)

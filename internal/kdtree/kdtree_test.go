@@ -1,8 +1,10 @@
 package kdtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"karl/internal/index"
@@ -227,4 +229,94 @@ func TestBuildOnOwnSkeleton(t *testing.T) {
 			t.Fatalf("node %d: [%d,%d) rebuilt as [%d,%d)", i, a.Start, a.End, b.Start, b.End)
 		}
 	}
+}
+
+// TestForkedBuildMatchesSequential: Build, which builds the right subtrees of
+// its top levels on their own goroutines once a node holds forkWork, emits
+// the tree the sequential recursion emits — nodes, records, point order,
+// norms and height bit for bit — on unit, positive and mixed-sign weights, on
+// duplicates that stop splits early, on either side of the floor, at d = 1
+// and d = 123. CI runs it under -race at GOMAXPROCS 1, 2 and 4.
+func TestForkedBuildMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	floorRows := (forkWork + 122) / 123 // the least rows that fork at d = 123
+	type set struct {
+		name string
+		m    *vec.Matrix
+		fork int  // the floor the forked build runs at
+		big  bool // unit weights at leaf capacity 80 only
+	}
+	sets := []set{
+		{"d123 below floor", randMatrix(rng, floorRows-1, 123), forkWork, false},
+		{"d123 at floor", randMatrix(rng, floorRows, 123), forkWork, false},
+		{"d123 above floor", randMatrix(rng, 2*floorRows+1, 123), forkWork, false},
+		{"d1 forking from 64", randMatrix(rng, 3000, 1), 64, false},
+		{"d8 forking everywhere", randMatrix(rng, 1500, 8), 1, false},
+	}
+	dup := randMatrix(rng, 2000, 3) // a third of the rows one point: width-0 cells below the root
+	for i := 0; i < dup.Rows; i += 3 {
+		copy(dup.Row(i), []float64{0.5, 0.5, 0.5})
+	}
+	same := vec.NewMatrix(900, 2) // every row one point: the root stops
+	for i := range same.Data {
+		same.Data[i] = 1
+	}
+	sets = append(sets, set{"duplicates", dup, 1, false}, set{"all duplicates", same, 1, false})
+	if !testing.Short() {
+		sets = append(sets, set{"d1 at floor", randMatrix(rng, forkWork, 1), forkWork, true})
+	}
+	for _, s := range sets {
+		n := s.m.Rows
+		pos, mixed := make([]float64, n), make([]float64, n)
+		for i := range pos {
+			pos[i] = 0.1 + rng.Float64()
+			mixed[i] = rng.NormFloat64()
+		}
+		weights := []struct {
+			name string
+			w    []float64
+		}{{"unit", nil}, {"positive", pos}, {"mixed", mixed}}
+		leafCaps := []int{2, 80}
+		if s.big {
+			weights, leafCaps = weights[:1], leafCaps[1:]
+		}
+		for _, w := range weights {
+			for _, leafCap := range leafCaps {
+				want, err := build(s.m, w.w, leafCap, math.MaxInt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := build(s.m, w.w, leafCap, s.fork) // Build, at forkWork
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := identical(got, want); err != "" {
+					t.Fatalf("%s, %s weights, leaf capacity %d: %s", s.name, w.name, leafCap, err)
+				}
+			}
+		}
+	}
+}
+
+// identical reports the first difference between two trees, "" for none.
+func identical(a, b *index.Tree) string {
+	if a.Height != b.Height || a.NodeCount() != b.NodeCount() {
+		return fmt.Sprintf("height %d over %d nodes, want %d over %d", a.Height, a.NodeCount(), b.Height, b.NodeCount())
+	}
+	for i := range a.Nodes {
+		x, y := &a.Nodes[i], &b.Nodes[i]
+		if x.Start != y.Start || x.End != y.End || x.Right != y.Right || x.Depth != y.Depth ||
+			x.PosCount != y.PosCount || x.NegCount != y.NegCount || !sameBits(x.Record(), y.Record()) {
+			return fmt.Sprintf("node %d differs", i)
+		}
+	}
+	if !slices.Equal(a.PointID, b.PointID) || !sameBits(a.Norms, b.Norms) ||
+		!sameBits(a.Points.Data, b.Points.Data) || !sameBits(a.Weights, b.Weights) {
+		return "point order, norms or weights differ"
+	}
+	return ""
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

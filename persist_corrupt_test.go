@@ -146,11 +146,11 @@ func TestReadRefusesLyingLength(t *testing.T) {
 	}
 }
 
-// nanVolumeStream is a kd-tree engine's file with the root rectangle's lo[0]
-// set to NaN and the segment block's checksum recomputed. Every point passes
-// a containment test against it (NaN compares false both ways), so it used to
-// load, bound every node NaN and answer every TKAQ false.
-func nanVolumeStream(t testing.TB) []byte {
+// kdVolumeFile returns the file of a six-point kd-tree engine in two dims at
+// leaf capacity 2 and the offset of its first volume parameter, the root
+// rectangle's lo[0]; node i's lo[j] is 8·(4i+j) bytes further, its hi[j]
+// 8·(4i+2+j).
+func kdVolumeFile(t testing.TB) (data []byte, vols int) {
 	t.Helper()
 	eng, err := Build([][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 2}, {3, 1}}, Gaussian(1), WithIndex(KDTree, 2))
 	if err != nil {
@@ -160,12 +160,52 @@ func nanVolumeStream(t testing.TB) []byte {
 	if _, err := eng.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
+	data = buf.Bytes()
 	off := blockEnds(t, data)[0] + segKindOff + 3*8 // kind, leaf capacity, dims
 	for _, size := range []int{8, 8, 4, 4} {        // points, weights, point ids, node quads
 		off += 8 + size*int(binary.LittleEndian.Uint64(data[off:]))
 	}
-	return patched(t, data, off+8, int64(math.Float64bits(math.NaN())))
+	return data, off + 8
+}
+
+// nanVolumeStream is a kd-tree engine's file with the root rectangle's lo[0]
+// set to NaN and the segment block's checksum recomputed. Every point passes
+// a containment test against it (NaN compares false both ways), so it used to
+// load, bound every node NaN and answer every TKAQ false.
+func nanVolumeStream(t testing.TB) []byte {
+	t.Helper()
+	data, vols := kdVolumeFile(t)
+	return patched(t, data, vols, int64(math.Float64bits(math.NaN())))
+}
+
+// widenedChildStream is a kd-tree engine's file with the root's left child's
+// lo[0] moved one below the root's, under a valid checksum: every row still
+// lies inside both rectangles, so a check of rows against every ancestor
+// accepts it, but the child's bounds now cover space its parent does not.
+func widenedChildStream(t testing.TB) []byte {
+	t.Helper()
+	data, vols := kdVolumeFile(t)
+	lo := math.Float64frombits(binary.LittleEndian.Uint64(data[vols:]))
+	return patched(t, data, vols+8*4, int64(math.Float64bits(lo-1)))
+}
+
+// TestReadRefusesWidenedChild: a kd cell that pokes out of its parent is
+// refused by name, as a file and as a replication stream, though no row lies
+// outside any rectangle above it.
+func TestReadRefusesWidenedChild(t *testing.T) {
+	data := widenedChildStream(t)
+	follower, err := NewDynamic(Gaussian(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, err := range map[string]error{
+		"ReadEngine":      readsEngine(data),
+		"InstallSnapshot": follower.InstallSnapshot(bytes.NewReader(data)),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "node 1's rectangle is not inside its parent 0's") {
+			t.Fatalf("%s: err = %v, want the widened cell refused by name", what, err)
+		}
+	}
 }
 
 // TestReadRefusesNaNVolume: a checksum-valid stream with one NaN volume

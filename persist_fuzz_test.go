@@ -13,8 +13,8 @@ import (
 // (engine blocks with provenance and ρ), and the ways a stream gets damaged
 // in the field — cut mid-block, cut at a block boundary, one byte off, a
 // version this build does not read, a length with no bytes behind it, a NaN
-// volume under a valid checksum — and a replication stream, whose
-// held-segment block a file reader refuses.
+// volume or a kd cell poking out of its parent under a valid checksum — and
+// a replication stream, whose held-segment block a file reader refuses.
 func fuzzSeedCorpus(f *testing.F) {
 	f.Helper()
 	names, err := filepath.Glob(filepath.Join(goldenDir, "*.bin"))
@@ -57,6 +57,7 @@ func fuzzSeedCorpus(f *testing.F) {
 	_, delta := deltaStream(f)
 	f.Add(delta)
 	f.Add(nanVolumeStream(f))
+	f.Add(widenedChildStream(f))
 	_, cells := emptyCellStream(f)
 	f.Add(cells)
 }
