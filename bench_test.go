@@ -3,7 +3,7 @@
 // micro-benchmarks contrasting SCAN, SOTA bounds and KARL bounds.
 //
 // The experiment benchmarks execute the full runner once per iteration at a
-// reduced scale; run cmd/karl-bench for the paper-shaped printed output and
+// reduced scale; run karl bench for the paper-shaped printed output and
 // larger sizes.
 package karl
 

@@ -14,47 +14,21 @@ type CoresetMethod int
 const (
 	// CoresetAuto picks halving for identical (Type I) weights and
 	// sensitivity sampling for positive (Type II) weights.
-	CoresetAuto CoresetMethod = iota
+	CoresetAuto = CoresetMethod(coreset.Auto)
 	// CoresetUniform is uniform sampling with Hoeffding size selection
 	// (Type I baseline).
-	CoresetUniform
+	CoresetUniform = CoresetMethod(coreset.Uniform)
 	// CoresetHalving is the discrepancy/merge-halving construction in the
 	// spirit of Phillips–Tai near-optimal KDE coresets (Type I Gaussian
 	// and the other distance kernels).
-	CoresetHalving
+	CoresetHalving = CoresetMethod(coreset.Halving)
 	// CoresetSensitivity is weight-proportional importance sampling
 	// (Type II positive weights).
-	CoresetSensitivity
+	CoresetSensitivity = CoresetMethod(coreset.Sensitivity)
 )
 
 // String implements fmt.Stringer.
-func (m CoresetMethod) String() string { return coresetMethodOf(m).String() }
-
-func coresetMethodOf(m CoresetMethod) coreset.Method {
-	switch m {
-	case CoresetUniform:
-		return coreset.Uniform
-	case CoresetHalving:
-		return coreset.Halving
-	case CoresetSensitivity:
-		return coreset.Sensitivity
-	default:
-		return coreset.Auto
-	}
-}
-
-func coresetMethodFrom(m coreset.Method) CoresetMethod {
-	switch m {
-	case coreset.Uniform:
-		return CoresetUniform
-	case coreset.Halving:
-		return CoresetHalving
-	case coreset.Sensitivity:
-		return CoresetSensitivity
-	default:
-		return CoresetAuto
-	}
-}
+func (m CoresetMethod) String() string { return coreset.Method(m).String() }
 
 // SketchBasis labels the nature of a sketch's ε bound. No construction
 // yields a uniform deterministic guarantee; Basis tells consumers which
@@ -153,7 +127,7 @@ func (d *Engine) Sketch(eps float64, opts ...Option) (*Engine, error) {
 // provenance. It is the shared core of BuildCoreset and Engine.Sketch.
 func sketchAndBuild(points *vec.Matrix, weights []float64, kern Kernel, eps float64, cfg buildConfig) (*Engine, error) {
 	sk, err := coreset.Build(points, weights, kern, eps, coreset.Config{
-		Method: coresetMethodOf(cfg.coresetMethod),
+		Method: coreset.Method(cfg.coresetMethod),
 		Seed:   cfg.coresetSeed,
 	})
 	if err != nil {
@@ -171,7 +145,7 @@ func sketchAndBuild(points *vec.Matrix, weights []float64, kern Kernel, eps floa
 		Eps:          sk.Eps,
 		Delta:        sk.Delta,
 		Basis:        SketchBasis(sk.Basis),
-		Method:       coresetMethodFrom(sk.Method),
+		Method:       CoresetMethod(sk.Method),
 	}
 	return eng, nil
 }

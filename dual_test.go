@@ -151,7 +151,7 @@ func TestBatchDualDegenerateBatch(t *testing.T) {
 // heatmapWorkload builds the Figure-1-style KDE grid workload: n clustered
 // points in dim dimensions plus res×res grid queries sweeping dimensions 0
 // and 1 with every other coordinate held at the data mean — the query
-// shape cmd/karl-kde feeds BatchApproximate.
+// shape karl kde renders.
 func heatmapWorkload(rng *rand.Rand, n, dim, res int) (pts, queries [][]float64) {
 	return heatmapWorkloadSigma(rng, n, dim, res, 0.05)
 }

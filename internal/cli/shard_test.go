@@ -1,7 +1,8 @@
-package main
+package cli
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -70,7 +71,7 @@ func TestSplitInspectRoundTrip(t *testing.T) {
 		}
 		sum += v
 
-		if err := runInspect(filepath.Join(outDir, name)); err != nil {
+		if err := (&env{stdout: io.Discard}).runInspect(filepath.Join(outDir, name)); err != nil {
 			t.Fatalf("runInspect(%s): %v", name, err)
 		}
 	}

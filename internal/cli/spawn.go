@@ -1,11 +1,12 @@
-// The exec spawn backend: -coordinator -mutable -spawn grows the
-// cluster by process. A shard split hands spawnExec the moved half as a
-// persistence stream; it re-execs this binary as a fresh
-// `karl-serve -mutable` child seeded from that stream, discovers the
-// child's listen address through the -addr-file handshake, and returns
-// an HTTP client once the child answers health checks — so the member
-// the manifest records is a real, independently restartable process.
-package main
+// The exec spawn backend: serve -coordinator -mutable -spawn grows the
+// cluster by process. A shard split hands the spawner the moved half as a
+// persistence stream; it re-runs this binary the way it was invoked
+// (`karl serve -mutable` or `karl-serve -mutable`) as a fresh child seeded
+// from that stream, discovers the child's listen address through the
+// -addr-file handshake, and returns an HTTP client once the child answers
+// health checks — so the member the manifest records is a real,
+// independently restartable process.
+package cli
 
 import (
 	"context"
@@ -45,14 +46,18 @@ func killSpawned() {
 	spawnedProcs.procs = nil
 }
 
-// spawnExec is the cluster.SpawnFunc behind -spawn. The moved stream
+// spawner is the exec backend behind -spawn: the arguments that select the
+// serve verb when this binary is re-run (env.self).
+type spawner []string
+
+// spawn is the cluster.SpawnFunc behind -spawn. The moved stream
 // travels through a temp -model file (deleted once the child is up:
 // ReadEngine has fully loaded it by the time the health check passes),
 // and the child binds 127.0.0.1:0 so concurrent splits never race over
 // a port. The returned client's name is the child's base URL — the
 // coordinator adopts it as the member's manifest name, which is what a
 // later ResumeWritable re-attaches by.
-func spawnExec(ctx context.Context, member shard.Member, moved []byte) (cluster.MutableShardClient, error) {
+func (sp spawner) spawn(ctx context.Context, member shard.Member, moved []byte) (cluster.MutableShardClient, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("spawn: %w", err)
@@ -67,10 +72,8 @@ func spawnExec(ctx context.Context, member shard.Member, moved []byte) (cluster.
 		return nil, fmt.Errorf("spawn: %w", err)
 	}
 	addrFile := filepath.Join(dir, "addr")
-	cmd := exec.Command(exe, "-mutable", "-model", model, "-addr", "127.0.0.1:0", "-addr-file", addrFile)
-	// KARL_SERVE_REEXEC lets the test binary's TestMain dispatch into
-	// main(); the real karl-serve binary ignores it.
-	cmd.Env = append(os.Environ(), "KARL_SERVE_REEXEC=1")
+	args := append(append([]string(nil), sp...), "-mutable", "-model", model, "-addr", "127.0.0.1:0", "-addr-file", addrFile)
+	cmd := exec.Command(exe, args...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		os.RemoveAll(dir)

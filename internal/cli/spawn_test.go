@@ -1,4 +1,4 @@
-package main
+package cli
 
 import (
 	"bytes"
@@ -21,27 +21,46 @@ import (
 	"karl/internal/shard"
 )
 
-// TestMain doubles as the spawned child's entry point: spawnExec execs
-// the test binary with KARL_SERVE_REEXEC=1 and real karl-serve flags,
-// and we dispatch into main() before the testing framework parses the
-// command line.
+// childEnv marks a process this test binary started as a serve process.
+// TestMain sets it, and every child inherits it.
+const childEnv = "KARL_CLI_TEST_CHILD"
+
+// TestMain doubles as the spawned children's entry point: a child runs the
+// serve verb the way the binary it stands in for would, `karl serve …`
+// through Main or `karl-serve …` through Serve, before the testing
+// framework parses the command line.
 func TestMain(m *testing.M) {
-	if os.Getenv("KARL_SERVE_REEXEC") == "1" {
-		main()
-		return
+	if os.Getenv(childEnv) != "" {
+		if len(os.Args) > 1 && os.Args[1] == "serve" {
+			os.Exit(Main(os.Args[1:]))
+		}
+		os.Exit(Serve(os.Args[1:]))
 	}
+	os.Setenv(childEnv, "1")
 	os.Exit(m.Run())
 }
 
-// TestSpawnExecSplit exercises the exec spawn backend end to end: a
-// writable cluster founded over one real child process splits, the
-// spawner execs a second `karl-serve -mutable` child seeded with the
-// moved half, and the persisted manifest records that child under its
-// base URL — with the total kernel mass conserved across the split.
+// The two ways a serve process starts: as the karl binary's verb and as the
+// karl-serve shim.
+var (
+	asKarl = spawner{"serve"}
+	asShim = spawner(nil)
+)
+
+// TestSpawnExecSplit exercises the exec spawn backend end to end, once
+// under each invocation: a writable cluster founded over one real child
+// process splits, the spawner execs a second `serve -mutable` child seeded
+// with the moved half, and the persisted manifest records that child under
+// its base URL — with the total kernel mass conserved across the split.
 func TestSpawnExecSplit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real child processes")
 	}
+	t.Run("karl serve", func(t *testing.T) { testSpawnExecSplit(t, asKarl) })
+	t.Run("karl-serve", func(t *testing.T) { testSpawnExecSplit(t, asShim) })
+}
+
+func testSpawnExecSplit(t *testing.T, sp spawner) {
 	t.Cleanup(killSpawned)
 	ctx := context.Background()
 
@@ -68,13 +87,13 @@ func TestSpawnExecSplit(t *testing.T) {
 
 	// Found the cluster over a child process started by the same spawn
 	// path a split uses, so the whole test runs against real processes.
-	seed, err := spawnExec(ctx, shard.Member{ID: 1, Name: "seed"}, seedStream.Bytes())
+	seed, err := sp.spawn(ctx, shard.Member{ID: 1, Name: "seed"}, seedStream.Bytes())
 	if err != nil {
 		t.Fatalf("spawning founding shard: %v", err)
 	}
 	manPath := filepath.Join(t.TempDir(), "cluster.manifest")
 	wco, err := cluster.NewWritable(ctx, shard.Hash,
-		[]cluster.WritableShard{{Client: seed}}, spawnExec,
+		[]cluster.WritableShard{{Client: seed}}, sp.spawn,
 		cluster.WritableConfig{
 			Config:       cluster.Config{Timeout: 5 * time.Second},
 			ManifestPath: manPath,
@@ -147,18 +166,19 @@ func TestSpawnExecSplit(t *testing.T) {
 	}
 }
 
-// spawnServe execs the test binary as a karl-serve process with the
-// given flags (plus -addr 127.0.0.1:0 and the -addr-file handshake) and
-// returns its base URL once the address is published.
-func spawnServe(t *testing.T, args ...string) string {
+// spawnServe execs the test binary as a serve process started the way sp
+// starts one, with the given flags (plus -addr 127.0.0.1:0 and the
+// -addr-file handshake), and returns its base URL once the address is
+// published.
+func spawnServe(t *testing.T, sp spawner, args ...string) string {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrFile := filepath.Join(t.TempDir(), "addr")
-	cmd := exec.Command(exe, append(args, "-addr", "127.0.0.1:0", "-addr-file", addrFile)...)
-	cmd.Env = append(os.Environ(), "KARL_SERVE_REEXEC=1")
+	args = append(append(append([]string(nil), sp...), args...), "-addr", "127.0.0.1:0", "-addr-file", addrFile)
+	cmd := exec.Command(exe, args...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -181,7 +201,7 @@ func TestReplicaOfProcess(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	leaderURL := spawnServe(t, "-mutable", "-gamma", "0.9", "-seal-size", "64")
+	leaderURL := spawnServe(t, asKarl, "-mutable", "-gamma", "0.9", "-seal-size", "64")
 	leader := cluster.NewHTTPShard(leaderURL)
 	if err := waitHealthy(ctx, leader); err != nil {
 		t.Fatalf("leader never healthy: %v", err)
@@ -203,7 +223,7 @@ func TestReplicaOfProcess(t *testing.T) {
 		}
 	}
 
-	followerURL := spawnServe(t, "-mutable", "-replica-of", leaderURL)
+	followerURL := spawnServe(t, asShim, "-mutable", "-replica-of", leaderURL)
 	follower := cluster.NewHTTPShard(followerURL)
 	if err := waitHealthy(ctx, follower); err != nil {
 		t.Fatalf("follower never healthy: %v", err)
@@ -283,7 +303,7 @@ func TestModelFileServesEitherWay(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	trained := cluster.NewHTTPShard(spawnServe(t, "-mutable", "-model", filepath.Join("..", "..", "testdata", "persist", "built.bin")))
+	trained := cluster.NewHTTPShard(spawnServe(t, asKarl, "-mutable", "-model", filepath.Join("..", "..", "testdata", "persist", "built.bin")))
 	if err := waitHealthy(ctx, trained); err != nil {
 		t.Fatalf("-mutable -model <static file> never healthy: %v", err)
 	}
@@ -328,7 +348,7 @@ func TestModelFileServesEitherWay(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	readOnlyURL := spawnServe(t, "-model", model)
+	readOnlyURL := spawnServe(t, asShim, "-model", model)
 	readOnly := cluster.NewHTTPShard(readOnlyURL)
 	if err := waitHealthy(ctx, readOnly); err != nil {
 		t.Fatalf("-model <dynamic file> without -mutable never healthy: %v", err)
@@ -391,12 +411,12 @@ func TestReadOnlyCoordinatorProcess(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		urls[i] = spawnServe(t, "-model", path)
+		urls[i] = spawnServe(t, asKarl, "-model", path)
 		if err := waitHealthy(context.Background(), cluster.NewHTTPShard(urls[i])); err != nil {
 			t.Fatalf("shard %d never healthy: %v", i, err)
 		}
 	}
-	front := spawnServe(t, "-coordinator", "-shards", strings.Join(urls, ","))
+	front := spawnServe(t, asShim, "-coordinator", "-shards", strings.Join(urls, ","))
 	if err := waitHealthy(context.Background(), cluster.NewHTTPShard(front)); err != nil {
 		t.Fatalf("coordinator never healthy: %v", err)
 	}

@@ -1,7 +1,7 @@
 // Package cluster is the horizontal-scaling layer: a coordinator that
 // answers kernel aggregation queries by scatter-gather over N shard
 // engines, each holding one slice of a partitioned dataset
-// (internal/shard, cmd/karl-shard).
+// (internal/shard, karl shard).
 //
 // The layer leans on the paper's structure instead of treating shards as
 // black boxes. Kernel aggregation is additively decomposable,

@@ -128,14 +128,6 @@ func (e *Engine) Exact(q []float64) (float64, error) {
 	return v, err
 }
 
-// ExactStats is Exact plus the scan statistics.
-func (e *Engine) ExactStats(q []float64) (float64, Stats, error) {
-	if err := e.checkQuery(q); err != nil {
-		return 0, Stats{}, err
-	}
-	return e.f.Exact(q, 0)
-}
-
 // Threshold answers the TKAQ: whether F_P(q) > tau (Problem 1).
 func (e *Engine) Threshold(q []float64, tau float64) (bool, Stats, error) {
 	return e.f.Threshold(q, tau, 0)

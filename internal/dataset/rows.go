@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -57,18 +56,4 @@ func ReadRows(r io.Reader) ([][]float64, error) {
 		return nil
 	})
 	return rows, err
-}
-
-// ReadRowsFile is ReadRows over the file at path, which its errors name.
-func ReadRowsFile(path string) ([][]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rows, err := ReadRows(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rows, nil
 }

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section V) on the synthetic stand-in datasets. Each runner
 // returns a structured result and can print rows shaped like the paper's;
-// cmd/karl-bench and the repository-root benchmarks drive them.
+// karl bench and the repository-root benchmarks drive them.
 //
 // Absolute numbers differ from the paper (different hardware, scaled-down
 // synthetic data); the assertions that matter are the shapes: who wins,

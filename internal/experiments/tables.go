@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
+	"math"
 
 	"karl/internal/bound"
 	"karl/internal/core"
@@ -284,8 +286,8 @@ type Fig1Result struct {
 }
 
 // Fig1DensityMap reproduces Figure 1: the kernel density surface over the
-// first two dimensions of the miniboone stand-in, evaluated with the
-// engine's eKAQ path (every grid cell is one approximate query).
+// first two dimensions of the miniboone stand-in on karl kde's grid, every
+// cell one eKAQ within ε = 0.1 on the engine's approximate path.
 func Fig1DensityMap(cfg Config, out io.Writer) (*Fig1Result, error) {
 	cfg = cfg.withDefaults()
 	spec, err := dataset.ByName("miniboone")
@@ -296,69 +298,92 @@ func Fig1DensityMap(cfg Config, out io.Writer) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	kern := gaussianOf(ds)
 	tree, err := buildTree(tuning.Candidate{Kind: cfg.Grid[0].Kind, LeafCap: 80}, ds.Points, nil)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.New(tree, kern, core.WithMethod(bound.KARL))
+	eng, err := core.New(tree, gaussianOf(ds), core.WithMethod(bound.KARL))
 	if err != nil {
 		return nil, err
 	}
 	const res = 24
-	mean := columnMeans(ds.Points)
+	queries, err := DensityQueries(ds.Points, 0, 1, res)
+	if err != nil {
+		return nil, err
+	}
 	grid := make([]float64, res*res)
-	q := append([]float64(nil), mean...)
 	invN := 1 / float64(ds.Points.Rows)
+	for i, q := range queries {
+		v, _, err := eng.Approximate(q, 0.1)
+		if err != nil {
+			return nil, err
+		}
+		grid[i] = v * invN
+	}
+	if out != nil {
+		fmt.Fprintf(out, "Figure 1: KDE density surface, miniboone dims 1–2 (%dx%d grid)\n", res, res)
+		fmt.Fprintf(out, "peak density %.4g\n", PrintHeatmap(out, grid, res))
+	}
+	return &Fig1Result{Res: res, Grid: grid}, nil
+}
+
+// DensityQueries returns the query points of a density surface: a uniform
+// row-major res×res grid (query iy*res+ix) spanning the data's range in
+// dimensions dimX and dimY, every other dimension held at the dataset mean —
+// the Figure 1 visualization. Out-of-range or equal dimensions and a
+// resolution under 2 are refused before any column is read.
+func DensityQueries(pts *vec.Matrix, dimX, dimY, res int) ([][]float64, error) {
+	d := pts.Cols
+	if dimX < 0 || dimX >= d || dimY < 0 || dimY >= d || dimX == dimY {
+		return nil, fmt.Errorf("bad grid dims %d,%d for %d-dimensional data", dimX, dimY, d)
+	}
+	if res < 2 {
+		return nil, fmt.Errorf("grid resolution must be >= 2, got %d", res)
+	}
+	loX, hiX := columnRange(pts, dimX)
+	loY, hiY := columnRange(pts, dimY)
+	mean, _ := pts.ColumnStats()
+	queries := vec.NewMatrix(res*res, d)
+	rows := make([][]float64, res*res)
 	for iy := 0; iy < res; iy++ {
-		q[1] = float64(iy) / float64(res-1)
+		y := loY + (hiY-loY)*float64(iy)/float64(res-1)
 		for ix := 0; ix < res; ix++ {
-			q[0] = float64(ix) / float64(res-1)
-			v, _, err := eng.Approximate(q, 0.1)
-			if err != nil {
-				return nil, err
-			}
-			grid[iy*res+ix] = v * invN
+			q := queries.Row(iy*res + ix)
+			copy(q, mean)
+			q[dimY] = y
+			q[dimX] = loX + (hiX-loX)*float64(ix)/float64(res-1)
+			rows[iy*res+ix] = q
 		}
 	}
-	out1 := &Fig1Result{Res: res, Grid: grid}
-	fprintf(out, "Figure 1: KDE density surface, miniboone dims 1–2 (%dx%d grid)\n", res, res)
-	printHeatmap(out, grid, res)
-	return out1, nil
+	return rows, nil
 }
 
-// columnMeans returns the per-column mean of a matrix.
-func columnMeans(m *vec.Matrix) []float64 {
-	mean := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		vec.AddTo(mean, m.Row(i))
+func columnRange(m *vec.Matrix, col int) (lo, hi float64) {
+	lo, hi = m.Row(0)[col], m.Row(0)[col]
+	for i := 1; i < m.Rows; i++ {
+		v := m.Row(i)[col]
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
 	}
-	vec.ScaleTo(mean, 1/float64(m.Rows))
-	return mean
+	return lo, hi
 }
 
-// printHeatmap renders a grid as ASCII shades.
-func printHeatmap(out io.Writer, grid []float64, res int) {
-	if out == nil {
-		return
-	}
-	var max float64
+// PrintHeatmap writes a row-major res×res grid as ASCII shades, top row
+// first, and returns the peak value the shades are scaled to.
+func PrintHeatmap(w io.Writer, grid []float64, res int) (peak float64) {
 	for _, v := range grid {
-		if v > max {
-			max = v
-		}
+		peak = math.Max(peak, v)
 	}
-	if max == 0 {
-		max = 1
+	scale := peak
+	if scale == 0 {
+		scale = 1
 	}
 	shades := []byte(" .:-=+*#%@")
 	for iy := res - 1; iy >= 0; iy-- {
 		line := make([]byte, res)
 		for ix := 0; ix < res; ix++ {
-			s := int(grid[iy*res+ix] / max * float64(len(shades)-1))
-			line[ix] = shades[s]
+			line[ix] = shades[int(grid[iy*res+ix]/scale*float64(len(shades)-1))]
 		}
-		fprintf(out, "%s\n", line)
+		fmt.Fprintf(w, "%s\n", line)
 	}
-	fprintf(out, "peak density %.4g\n", max)
+	return peak
 }

@@ -1,7 +1,7 @@
 // Package kde holds Scott's-rule bandwidth selection, the rule the paper
 // uses for its Type I experiments (Section V-A1). Densities, grids and
 // Nadaraya–Watson regression are served by the engine itself (karl.KDE,
-// karl.Regression, cmd/karl-kde).
+// karl.Regression, karl kde).
 package kde
 
 import (

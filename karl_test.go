@@ -182,42 +182,6 @@ func TestBuildAuto(t *testing.T) {
 	}
 }
 
-func TestTuneDynamic(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	pts := cloud(rng, 400, 2)
-	sample := cloud(rng, 10, 2)
-	d, rep, err := TuneDynamic(pts, Gaussian(4), Workload{Threshold: true, Tau: 10}, sample, 2,
-		WithIndex(BallTree, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SealSize < 1 || rep.Fanout < 2 || rep.Throughput <= 0 {
-		t.Fatalf("report %+v", rep)
-	}
-	// The returned engine is empty, uses the winning policy, and serves.
-	if d.Len() != 0 {
-		t.Fatalf("tuned engine not empty: %d points", d.Len())
-	}
-	for _, p := range pts[:50] {
-		if err := d.Insert(p, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := d.Threshold(sample[0], 10); err != nil {
-		t.Fatal(err)
-	}
-	// Validation.
-	if _, _, err := TuneDynamic(nil, Gaussian(1), Workload{}, sample, 1); err == nil {
-		t.Fatal("empty points accepted")
-	}
-	if _, _, err := TuneDynamic(pts, Gaussian(1), Workload{}, nil, 1); err == nil {
-		t.Fatal("empty sample accepted")
-	}
-	if _, _, err := TuneDynamic(pts, Gaussian(1), Workload{}, sample, 1, WithWeights(make([]float64, len(pts)))); err == nil {
-		t.Fatal("explicit weights accepted")
-	}
-}
-
 func TestInSitu(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := cloud(rng, 1000, 3)

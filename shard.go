@@ -30,7 +30,7 @@ const (
 
 // ShardProvenance records that an engine was built over one shard of a
 // larger partitioned dataset. It is persisted with the engine, so a shard
-// file self-describes (cmd/karl-shard -inspect); points streamed in
+// file self-describes (karl shard -inspect); points streamed in
 // afterwards do not change it.
 type ShardProvenance struct {
 	// Index is this shard's position in the partition, in [0, Of).

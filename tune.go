@@ -82,70 +82,6 @@ func BuildAuto(points [][]float64, kern Kernel, w Workload, sample [][]float64, 
 	}, nil
 }
 
-// DynamicTuneReport describes the maintenance policy TuneDynamic
-// selected for a mutable workload.
-type DynamicTuneReport struct {
-	// SealSize and Fanout are the winning policy knobs (see WithSealSize
-	// and WithCompactionFanout).
-	SealSize int
-	Fanout   int
-	// Throughput is the winner's measured operations/sec (inserts plus
-	// queries) on the replayed trace.
-	Throughput float64
-}
-
-// TuneDynamic sweeps the segmented engine's maintenance policy — seal
-// size and compaction fanout — by replaying the same mixed insert/query
-// trace against each candidate and returns a fresh engine built with the
-// winning policy plus the ranked report. The trace interleaves
-// queriesPerInsert sample queries behind every inserted point, so the
-// measured cost includes sealing and compaction exactly where a live
-// workload would pay them (queriesPerInsert 9 models a 90/10
-// query/insert mix). The returned engine is empty and ready for live
-// traffic; extra opts (index kind, leaf capacity, method) apply to every
-// candidate and to the returned engine.
-func TuneDynamic(points [][]float64, kern Kernel, w Workload, sample [][]float64, queriesPerInsert int, opts ...Option) (*Engine, *DynamicTuneReport, error) {
-	if len(points) == 0 {
-		return nil, nil, errors.New("karl: empty point set")
-	}
-	if len(sample) == 0 {
-		return nil, nil, errors.New("karl: empty tuning sample")
-	}
-	cfg := buildConfig{method: MethodKARL}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.weights != nil {
-		return nil, nil, errors.New("karl: dynamic tuning takes unit weights (weights arrive per-insert)")
-	}
-	tw, err := w.internal(kern, cfg.method)
-	if err != nil {
-		return nil, nil, err
-	}
-	trace := tuning.MixedTrace(points, nil, sample, queriesPerInsert)
-	build := func(c tuning.DynamicCandidate) (tuning.MutableEngine, error) {
-		candOpts := append(append([]Option{}, opts...),
-			WithSealSize(c.SealSize), WithCompactionFanout(c.Fanout))
-		return NewDynamic(kern, candOpts...)
-	}
-	results, err := tuning.OfflineDynamic(build, tw, trace, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	winner := results[0]
-	engOpts := append(append([]Option{}, opts...),
-		WithSealSize(winner.Candidate.SealSize), WithCompactionFanout(winner.Candidate.Fanout))
-	d, err := NewDynamic(kern, engOpts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, &DynamicTuneReport{
-		SealSize:   winner.Candidate.SealSize,
-		Fanout:     winner.Candidate.Fanout,
-		Throughput: winner.Throughput,
-	}, nil
-}
-
 // InSituReport describes an in-situ run end to end.
 type InSituReport struct {
 	// ChosenDepth is the simulated tree height the tuner selected
