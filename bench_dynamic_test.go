@@ -2,6 +2,7 @@ package karl
 
 import (
 	"testing"
+	"time"
 )
 
 // BenchmarkInsertHeavy measures the segmented engine under a 90/10
@@ -52,5 +53,51 @@ func BenchmarkDynamicInsert(b *testing.B) {
 		if err := d.Insert(pts[i%len(pts)], 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBaseTerm times the exact scan a read pays under the engine lock
+// (Engine.snapshot) over 512 memtable rows plus 512 dead rows at d = 8 —
+// the rows no bound can settle — and reports it per row. Compaction is off
+// so the tombstones stay put; the decayed case also rescales every weight
+// to the query instant.
+func BenchmarkBaseTerm(b *testing.B) {
+	const rows, dims = 512, 8
+	pts, _ := benchCloud(3*rows, dims)
+	for _, decay := range []bool{false, true} {
+		name := "plain"
+		opts := []Option{WithSealSize(2 * rows), WithAutoCompaction(false)}
+		if decay {
+			name = "decayed"
+			opts = append(opts, WithDecayHalfLife(time.Hour))
+		}
+		b.Run(name, func(b *testing.B) {
+			d, err := NewDynamic(Gaussian(20), opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			for _, p := range pts {
+				if err := d.Insert(p, 1); err != nil { // the first 2·rows seal into one segment
+					b.Fatal(err)
+				}
+			}
+			for id := uint64(1); id <= rows; id++ {
+				if err := d.Delete(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if d.MemtableLen() != rows || d.Tombstones() != rows {
+				b.Fatalf("%d memtable rows, %d tombstones; want %d of each", d.MemtableLen(), d.Tombstones(), rows)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := d.snapshot(pts[i%len(pts)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*rows), "ns/row")
+		})
 	}
 }

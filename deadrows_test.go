@@ -314,8 +314,9 @@ func TestDeleteOnlyReclaimsSpace(t *testing.T) {
 // TestDeleteBitwiseRepeatable pins the summation order of the tombstone
 // base term: the same query on a quiescent engine with pending tombstones
 // returns bit-identical values and identical work statistics, on the
-// single-query path and on the dual-tree batch path. (Tombstones used to
-// be summed in Go-map iteration order.)
+// single-query path and on the dual-tree batch path, and the batch's exact
+// answers are the single query's. (Tombstones used to be summed in Go-map
+// iteration order.)
 func TestDeleteBitwiseRepeatable(t *testing.T) {
 	d, err := NewDynamic(Gaussian(1.5), WithIndex(KDTree, 8), WithSealSize(64),
 		WithAutoCompaction(false), WithBatchExecutor(BatchDualTree))
@@ -372,6 +373,13 @@ func TestDeleteBitwiseRepeatable(t *testing.T) {
 	b0, err := d.BatchAggregate(queries, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The batch scans the buffered and dead rows in the runs a single
+	// query does, so its exact answers are the single query's bits.
+	for i, q := range queries {
+		if e, _ := d.Aggregate(q); math.Float64bits(e) != math.Float64bits(b0[i]) {
+			t.Fatalf("query %d: batch aggregate %x, single %x", i, math.Float64bits(b0[i]), math.Float64bits(e))
+		}
 	}
 	for rep := 0; rep < 8; rep++ {
 		b, err := d.BatchAggregate(queries, 1)

@@ -199,25 +199,33 @@ func runDual(queries [][]float64, workers int,
 // dynBatchSnap is the one-lock snapshot a dual-tree batch runs
 // over: the manifest's segment trees with their decay scales, plus every
 // buffered point (memtable and sealing buffer) and every pending tombstone
-// flattened into one copied point block with signed, pre-decayed weights
-// (tombstones negative). Each query's exact base term is then computed
-// outside the lock, so queries never hold mu while scanning.
+// copied into one point block with its row norms and signed, pre-decayed
+// weights (tombstones negative), cut at ends into the runs a single query's
+// snapshot scans one evaluator call each. Each query's exact base term is
+// then computed outside the lock, so queries never hold mu while scanning,
+// and matches the single query's bit for bit.
 type dynBatchSnap struct {
 	cfg    dualtree.Config
 	trees  []*index.Tree
 	scales []float64
+	rows   kernel.RowsFunc
 	pts    *vec.Matrix
+	norms  []float64
 	ws     []float64
+	ends   []int
 }
 
-// batchSnapshot captures the dataset state for one batch at one instant.
-// Decay is evaluated once for the whole batch — the same way a single
-// sequential query evaluates it once for all segments.
-func (d *Engine) batchSnapshot(dims int) (*dynBatchSnap, error) {
+// batchSnapshot captures the dataset state for a batch of n queries at one
+// instant, charging every segment's tombstones the n evaluations each the
+// batch pays on them (snapshot's rent rule, n reads at once). Decay is
+// evaluated once for the whole batch — the same way a single sequential
+// query evaluates it once for all segments.
+func (d *Engine) batchSnapshot(dims, n int) (*dynBatchSnap, error) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	total := sh.man.Len() + sh.mem.len() + sh.sealing.len()
+	man := sh.man
+	total := man.Len() + sh.mem.len() + sh.sealing.len()
 	if total == 0 {
 		return nil, fmt.Errorf("karl: dynamic engine is empty")
 	}
@@ -228,44 +236,43 @@ func (d *Engine) batchSnapshot(dims int) (*dynBatchSnap, error) {
 	if sh.timed() {
 		nowT = sh.now()
 	}
-	decayed := sh.halfLife > 0
-	snap := &dynBatchSnap{
-		cfg:   dualtree.Config{Kernel: kernel.Params(sh.kern), Method: sh.method},
-		trees: sh.man.Trees(),
-	}
+	cfg := dualtree.Config{Kernel: kernel.Params(sh.kern), Method: sh.method}
+	snap := &dynBatchSnap{cfg: cfg, trees: man.Trees(), rows: cfg.Kernel.RowsEvaluator()}
 	extra := sh.mem.len() + sh.sealing.len() + sh.tombstonesLocked()
 	if extra > 0 {
 		snap.pts = vec.NewMatrix(extra, sh.dims)
+		snap.norms = make([]float64, 0, extra)
 		snap.ws = make([]float64, 0, extra)
-		row := 0
-		for _, b := range [2]*memtable{sh.mem, sh.sealing} {
-			if b == nil {
-				continue
-			}
-			for i := 0; i < b.n; i++ {
-				copy(snap.pts.Row(row), b.m.Row(i))
-				w := b.w[i]
-				if decayed {
-					w *= sh.decayAt(nowT, b.t[i])
-				}
-				snap.ws = append(snap.ws, w)
-				row++
-			}
-		}
-		sh.eachDeadLocked(func(dead *segment.Dead) {
-			for i, w := range dead.W {
-				copy(snap.pts.Row(row), dead.Row(i))
-				if decayed {
-					w *= sh.decayAt(nowT, dead.Ref[i])
-				}
-				snap.ws = append(snap.ws, -w)
-				row++
-			}
-		})
 	}
-	if decayed {
-		snap.scales = make([]float64, len(sh.man.Segs))
-		for i, s := range sh.man.Segs {
+	// add appends rows [0,k) of one run, its weights scaled by sign and
+	// decayed from the instants t.
+	add := func(pts, norms, w []float64, t []int64, k int, sign float64) {
+		copy(snap.pts.Data[len(snap.ws)*sh.dims:], pts[:k*sh.dims])
+		snap.norms = append(snap.norms, norms[:k]...)
+		for i, wi := range w[:k] {
+			if sh.halfLife > 0 {
+				wi *= sh.decayAt(nowT, t[i])
+			}
+			snap.ws = append(snap.ws, sign*wi)
+		}
+		snap.ends = append(snap.ends, len(snap.ws))
+	}
+	for _, b := range [2]*memtable{sh.mem, sh.sealing} {
+		if b.len() > 0 {
+			add(b.m.Data, b.norms, b.w, b.t, b.n, 1)
+		}
+	}
+	due := false
+	sh.eachDeadLocked(man, func(s *segment.Segment, dead *segment.Dead) {
+		add(dead.Pts, dead.Norms, dead.W, dead.Ref, dead.Len(), -1)
+		due = s != nil && !sh.mirror && s.PayRent(int64(dead.Len()*n)) || due
+	})
+	if due {
+		sh.maybeCompactLocked()
+	}
+	if sh.halfLife > 0 {
+		snap.scales = make([]float64, len(man.Segs))
+		for i, s := range man.Segs {
 			snap.scales[i] = sh.decayAt(nowT, s.TimeRef)
 		}
 	}
@@ -279,13 +286,14 @@ func (s *dynBatchSnap) bases(chunk *vec.Matrix) []float64 {
 		return nil
 	}
 	base := make([]float64, chunk.Rows)
-	for i := 0; i < chunk.Rows; i++ {
+	for i := range base {
 		q := chunk.Row(i)
-		var b float64
-		for j, w := range s.ws {
-			b += w * s.cfg.Kernel.Eval(q, s.pts.Row(j))
+		qNorm2 := vec.Norm2(q)
+		lo := 0
+		for _, hi := range s.ends {
+			base[i] += s.rows(q, qNorm2, s.pts, s.norms, s.ws, lo, hi)
+			lo = hi
 		}
-		base[i] = b
 	}
 	return base
 }
@@ -313,7 +321,7 @@ func (d *Engine) useDual(n int) bool {
 // executor plus exact base scan per chunk.
 func (d *Engine) runDualDyn(queries [][]float64, workers int,
 	serve func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error)) (Stats, error) {
-	snap, err := d.batchSnapshot(len(queries[0]))
+	snap, err := d.batchSnapshot(len(queries[0]), len(queries))
 	if err != nil {
 		return Stats{}, err
 	}

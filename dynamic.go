@@ -66,22 +66,31 @@ type Engine struct {
 	// snapshot for the query instant and retained by the forest; unused
 	// (nil) when decay is off.
 	scales []float64
+
+	// rows scans the rows the base term evaluates exactly (buffered and
+	// dead ones) with the leaves' evaluator, for the kernel of generation
+	// fCfgGen. decayW is its per-clone scratch for decayed weights, dead the
+	// matrix view it reads a tombstone set through.
+	rows   kernel.RowsFunc
+	decayW []float64
+	dead   vec.Matrix
 }
 
 // memtable is one reusable insert buffer: a fixed-capacity matrix plus
-// parallel weights, sequence numbers and (on timed engines) insert
-// timestamps, filled to n rows in insertion order. seq is ascending, so
-// lookup by id is a binary search.
+// parallel squared row norms, weights, sequence numbers and (on timed
+// engines) insert timestamps, filled to n rows in insertion order. seq is
+// ascending, so lookup by id is a binary search.
 type memtable struct {
-	m   *vec.Matrix
-	w   []float64
-	seq []uint64
-	t   []int64 // nil on untimed engines (no TTL, no decay)
-	n   int
+	m     *vec.Matrix
+	norms []float64
+	w     []float64
+	seq   []uint64
+	t     []int64 // nil on untimed engines (no TTL, no decay)
+	n     int
 }
 
 func newMemtable(rows, dims int, timed bool) *memtable {
-	mt := &memtable{m: vec.NewMatrix(rows, dims), w: make([]float64, rows), seq: make([]uint64, rows)}
+	mt := &memtable{m: vec.NewMatrix(rows, dims), norms: make([]float64, rows), w: make([]float64, rows), seq: make([]uint64, rows)}
 	if timed {
 		mt.t = make([]int64, rows)
 	}
@@ -117,6 +126,7 @@ func (b *memtable) removeAt(i int) {
 	if tail > 0 {
 		d := b.m.Cols
 		copy(b.m.Data[i*d:(i+tail)*d], b.m.Data[(i+1)*d:(i+1+tail)*d])
+		copy(b.norms[i:i+tail], b.norms[i+1:b.n])
 		copy(b.w[i:i+tail], b.w[i+1:b.n])
 		copy(b.seq[i:i+tail], b.seq[i+1:b.n])
 		if b.t != nil {
@@ -220,6 +230,13 @@ type dynShared struct {
 	draining   bool
 	compacting bool
 	closed     bool
+
+	// mirror is set by InstallSnapshot and cleared by the engine's own next
+	// insert or delete: a follower's manifest is its leader's, so it starts
+	// no rebuild of its own, and its reads charge no segment rent (it could
+	// not buy the rewrite) until it writes. Its server refuses writes until
+	// promotion, so that first write is the promotion taking effect.
+	mirror bool
 
 	// compactions counts completed rebuilds (tiered merges, dead-share
 	// rewrites, Compact and Split); deadRewrites is the dead-share subset
@@ -379,7 +396,7 @@ func newDynamicView(sh *dynShared) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{sh: sh, f: f, fCfgGen: gen}, nil
+	return &Engine{sh: sh, f: f, fCfgGen: gen, rows: params.RowsEvaluator()}, nil
 }
 
 // Clone returns a view of the same mutable dataset with independent query
@@ -411,17 +428,18 @@ func (sh *dynShared) tombstonesLocked() int {
 	return n
 }
 
-// eachDeadLocked visits every non-empty tombstone set in the one order
-// all consumers share — manifest segments oldest first, then the sealing
-// buffer's — so sums over tombstones are bitwise repeatable.
-func (sh *dynShared) eachDeadLocked(visit func(d *segment.Dead)) {
-	for _, s := range sh.man.Segs {
+// eachDeadLocked visits every non-empty tombstone set with the segment
+// holding it in the one order all consumers share — the manifest's
+// segments oldest first, then the sealing buffer's set (with a nil
+// segment) — so sums over tombstones are bitwise repeatable.
+func (sh *dynShared) eachDeadLocked(man *segment.Manifest, visit func(s *segment.Segment, d *segment.Dead)) {
+	for _, s := range man.Segs {
 		if s.Dead.Len() > 0 {
-			visit(s.Dead)
+			visit(s, s.Dead)
 		}
 	}
 	if sh.sealDead.Len() > 0 {
-		visit(sh.sealDead)
+		visit(nil, sh.sealDead)
 	}
 }
 
@@ -476,7 +494,7 @@ func (d *Engine) WeightMass() (pos, neg float64) {
 		}
 	}
 	// Tombstones cancel mass they still shadow inside segments.
-	sh.eachDeadLocked(func(d *segment.Dead) {
+	sh.eachDeadLocked(sh.man, func(_ *segment.Segment, d *segment.Dead) {
 		for i, w := range d.W {
 			if decayed {
 				w *= sh.decayAt(nowT, d.Ref[i])
@@ -534,7 +552,9 @@ func (d *Engine) Compactions() int {
 }
 
 // DeadRewrites reports how many background compactions rewrote a single
-// segment because its dead rows reached a 1/Fanout share of it.
+// segment because its dead rows were due a rewrite: they reached a
+// 1/Fanout share of it, or reads had paid the rewrite's cost evaluating
+// them (segment.Policy.RewriteDue).
 func (d *Engine) DeadRewrites() int {
 	sh := d.sh
 	sh.mu.Lock()
@@ -596,6 +616,25 @@ func (d *Engine) Segments() []SegmentInfo {
 	out := make([]SegmentInfo, len(sh.man.Segs))
 	for i, s := range sh.man.Segs {
 		out[i] = SegmentInfo{ID: s.ID, Len: s.Len(), Dead: s.Dead.Len()}
+	}
+	return out
+}
+
+// DeadEvals reports, by segment ID, the kernel evaluations reads have paid
+// on each current segment's dead rows since its first tombstone — the debt
+// that gets the segment rewritten once it reaches the rewrite's own cost
+// (segment.RowRewriteEvals per stored row). Segments without tombstones are
+// absent. The figure belongs to this process: a reload or a replica starts
+// from what it pays itself, which is why Segments leaves it out.
+func (d *Engine) DeadEvals() map[uint64]int64 {
+	sh := d.sh
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	out := make(map[uint64]int64)
+	for _, s := range sh.man.Segs {
+		if s.Dead.Len() > 0 {
+			out[s.ID] = s.Dead.Debt
+		}
 	}
 	return out
 }
@@ -705,6 +744,7 @@ func (sh *dynShared) insertReadyLocked(dims int) error {
 	if dims != sh.dims {
 		return fmt.Errorf("karl: point has %d dims, engine has %d", dims, sh.dims)
 	}
+	sh.mirror = false
 	return nil
 }
 
@@ -730,6 +770,7 @@ func (sh *dynShared) putRowLocked(r TailRow) (uint64, error) {
 	sh.nextSeq = r.Seq + 1
 	mt := sh.mem
 	copy(mt.m.Row(mt.n), r.P)
+	mt.norms[mt.n] = vec.Norm2(r.P)
 	mt.w[mt.n] = r.W
 	mt.seq[mt.n] = r.Seq
 	if mt.t != nil {
@@ -753,8 +794,9 @@ func (sh *dynShared) putRowLocked(r TailRow) (uint64, error) {
 // the true post-delete total) until a compaction touching its segment
 // physically drops the row and consumes the tombstone. The tombstone is
 // held by the segment that stores the row; once a segment's dead rows
-// reach a 1/Fanout share of it the background compactor rewrites it, and
-// a segment with no live row left simply leaves the manifest.
+// reach a 1/Fanout share of it, or reads have paid the cost of rewriting
+// it by evaluating them, the background compactor rewrites it, and a
+// segment with no live row left simply leaves the manifest.
 func (d *Engine) Delete(id uint64) error {
 	sh := d.sh
 	sh.mu.Lock()
@@ -776,6 +818,7 @@ func (d *Engine) Delete(id uint64) error {
 	if id == 0 || id >= sh.nextSeq {
 		return ErrPointNotFound
 	}
+	sh.mirror = false
 	if i, ok := sh.mem.find(id); ok {
 		sh.mem.removeAt(i)
 		sh.deletes++
@@ -932,15 +975,16 @@ func (sh *dynShared) sealRunLocked(buf *memtable, nowT, ref int64) segment.MemRu
 // maybeCompactLocked is the one place maintenance is planned: it removes
 // every segment whose rows are all dead (a manifest edit, no rebuild) and
 // starts one background rebuild if the policy calls for one — a tiered
-// merge or a dead-share rewrite — and none is running. It runs after every
-// seal and every finished rebuild, and from Delete whenever a tombstone
-// pushes a segment over the dead-share threshold. A replica never gets here
-// before it is promoted: it takes no write, and a snapshot install mirrors
-// the leader's manifest instead of maintaining its own.
-// Planning reads only per-segment sizes and dead counts: its cost under
-// the lock does not grow with the number of pending tombstones.
+// merge or a dead-row rewrite — and none is running. It runs after every
+// seal and every finished rebuild, from Delete whenever a tombstone makes
+// a segment due a rewrite, and from the read whose evaluations take a
+// segment's dead-row debt to the cost of rewriting it. A mirror (an
+// unpromoted follower) never plans: a snapshot install mirrors the
+// leader's manifest instead of maintaining its own.
+// Planning reads only per-segment sizes, dead counts and debts: its cost
+// under the lock does not grow with the number of pending tombstones.
 func (sh *dynShared) maybeCompactLocked() {
-	if !sh.autoCompact || sh.compacting || sh.draining || sh.closed {
+	if !sh.autoCompact || sh.compacting || sh.draining || sh.closed || sh.mirror {
 		return
 	}
 	var gone []uint64
@@ -1185,12 +1229,16 @@ func (d *Engine) Close() error {
 // tightens both global bounds, so ε/τ certificates hold relative to the
 // true post-delete total — together with how many points that scan
 // covered. Under decay it also refills this clone's per-segment scale
-// scratch for the query instant.
+// scratch for the query instant. Every segment's tombstones are charged
+// the evaluations this read paid on them; the read that takes a segment's
+// debt to the cost of rewriting it asks for the rewrite, which changes
+// only the manifest the next read sees.
 func (d *Engine) snapshot(q []float64) (man *segment.Manifest, base float64, scanned int, err error) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	total := sh.man.Len() + sh.mem.len() + sh.sealing.len()
+	man = sh.man
+	total := man.Len() + sh.mem.len() + sh.sealing.len()
 	if total == 0 {
 		return nil, 0, 0, errors.New("karl: dynamic engine is empty")
 	}
@@ -1202,47 +1250,59 @@ func (d *Engine) snapshot(q []float64) (man *segment.Manifest, base float64, sca
 		// install) after this view's forest was built: rebuild it so the
 		// refinement side answers with the same kernel the base term
 		// below is computed with.
-		f, err := core.NewForest(kernel.Params(sh.kern), sh.method)
+		p := kernel.Params(sh.kern)
+		f, err := core.NewForest(p, sh.method)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		d.f, d.fCfgGen, d.fMan = f, sh.cfgGen, nil
+		d.f, d.fCfgGen, d.fMan, d.rows = f, sh.cfgGen, nil, p.RowsEvaluator()
 	}
-	p := kernel.Params(sh.kern)
 	var nowT int64
 	if sh.timed() {
 		nowT = sh.now()
 	}
-	decayed := sh.halfLife > 0
+	qNorm2 := vec.Norm2(q)
 	for _, b := range [2]*memtable{sh.mem, sh.sealing} {
-		if b == nil {
+		if b.len() == 0 {
 			continue
 		}
-		for i := 0; i < b.n; i++ {
-			w := b.w[i]
-			if decayed {
-				w *= sh.decayAt(nowT, b.t[i])
-			}
-			base += w * p.Eval(q, b.m.Row(i))
-		}
+		base += d.rows(q, qNorm2, b.m, b.norms, d.decayed(b.w[:b.n], b.t, nowT), 0, b.n)
 		scanned += b.n
 	}
-	sh.eachDeadLocked(func(dead *segment.Dead) {
-		for i, w := range dead.W {
-			if decayed {
-				w *= sh.decayAt(nowT, dead.Ref[i])
-			}
-			base -= w * p.Eval(q, dead.Row(i))
-		}
-		scanned += dead.Len()
+	due := false
+	sh.eachDeadLocked(man, func(s *segment.Segment, dead *segment.Dead) {
+		n := dead.Len()
+		d.dead = vec.Matrix{Data: dead.Pts, Rows: n, Cols: dead.Dims}
+		base -= d.rows(q, qNorm2, &d.dead, dead.Norms, d.decayed(dead.W, dead.Ref, nowT), 0, n)
+		scanned += n
+		due = s != nil && !sh.mirror && s.PayRent(int64(n)) || due
 	})
-	if decayed {
+	if due {
+		sh.maybeCompactLocked()
+	}
+	if sh.halfLife > 0 {
 		d.scales = d.scales[:0]
-		for _, s := range sh.man.Segs {
+		for _, s := range man.Segs {
 			d.scales = append(d.scales, sh.decayAt(nowT, s.TimeRef))
 		}
 	}
-	return sh.man, base, scanned, nil
+	return man, base, scanned, nil
+}
+
+// decayed returns the weights w of rows stamped with the instants t as the
+// query instant nowT sees them: w itself when decay is off, else
+// w·2^(−(nowT−t)/halfLife) in this clone's reused scratch. Called with mu
+// held.
+func (d *Engine) decayed(w []float64, t []int64, nowT int64) []float64 {
+	sh := d.sh
+	if sh.halfLife <= 0 {
+		return w
+	}
+	d.decayW = d.decayW[:0]
+	for i, wi := range w {
+		d.decayW = append(d.decayW, wi*sh.decayAt(nowT, t[i]))
+	}
+	return d.decayW
 }
 
 // arm points this clone's forest at the manifest snapshot, reusing the

@@ -155,7 +155,9 @@ func (d *Engine) ApplyRows(rows []TailRow) (int, error) {
 // — a WriteSnapshot answer to this engine's Have, or a whole WriteTo file —
 // whatever it held before: configuration, manifest, dead rows, memtable and
 // counters are adopted; only runtime plumbing (clock, batch executor) is
-// kept. The stream is decoded first and swapped in under the lock last, so
+// kept. From then on the engine is a mirror: its reads charge no rent and it
+// starts no rebuild of its own until its next own insert or delete. The
+// stream is decoded first and swapped in under the lock last, so
 // one that is damaged, or names a segment or a dead row this engine does not
 // hold, leaves the engine exactly as it was. A held segment stays the object
 // it is, and so does the manifest when only dead rows and the memtable moved:
@@ -217,5 +219,6 @@ func (d *Engine) InstallSnapshot(r io.Reader) error {
 	sh.dims, sh.mem, sh.spare = src.dims, src.mem, nil
 	sh.nextSeq, sh.nextID = src.nextSeq, src.nextID
 	sh.seals, sh.compactions, sh.deletes = src.seals, src.compactions, src.deletes
+	sh.mirror = true
 	return nil
 }

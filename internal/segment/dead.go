@@ -3,6 +3,8 @@ package segment
 import (
 	"slices"
 	"sort"
+
+	"karl/internal/vec"
 )
 
 // Dead is the set of tombstones attributed to one segment: for every row
@@ -26,6 +28,17 @@ type Dead struct {
 	W    []float64
 	Ref  []int64
 	Pts  []float64 // Dims-wide rows parallel to Seqs
+
+	// Norms caches ‖p‖² of every row of Pts, so a read scans the set in the
+	// fused-distance form leaves use. Derived from Pts (Add, FillNorms),
+	// never persisted.
+	Norms []float64
+
+	// Debt counts the dead-row kernel evaluations reads have paid since the
+	// set's first tombstone: Policy.RewriteDue rewrites the segment once it
+	// reaches the rewrite's own cost. It lives only in this process — not in
+	// the block format, not replicated — and a rebuild's output starts at 0.
+	Debt int64
 }
 
 // Len returns the number of dead rows.
@@ -70,13 +83,24 @@ func (d *Dead) Add(seq uint64, w float64, ref int64, p []float64) bool {
 	d.W = append(d.W, 0)
 	d.Ref = append(d.Ref, 0)
 	d.Pts = append(d.Pts, p...)
+	d.Norms = append(d.Norms, 0)
 	copy(d.Seqs[i+1:], d.Seqs[i:])
 	copy(d.W[i+1:], d.W[i:])
 	copy(d.Ref[i+1:], d.Ref[i:])
 	copy(d.Pts[(i+1)*d.Dims:], d.Pts[i*d.Dims:])
+	copy(d.Norms[i+1:], d.Norms[i:])
 	d.Seqs[i], d.W[i], d.Ref[i] = seq, w, ref
 	copy(d.Row(i), p)
+	d.Norms[i] = vec.Norm2(p)
 	return true
+}
+
+// FillNorms derives Norms from Pts: what a loader calls on a set it read.
+func (d *Dead) FillNorms() {
+	d.Norms = make([]float64, d.Len())
+	for i := range d.Norms {
+		d.Norms[i] = vec.Norm2(d.Row(i))
+	}
 }
 
 // Kill marks the row with sequence number seq dead and reports whether the
@@ -124,10 +148,12 @@ func (d *Dead) Clone() *Dead {
 		return nil
 	}
 	return &Dead{
-		Dims: d.Dims,
-		Seqs: append([]uint64(nil), d.Seqs...),
-		W:    append([]float64(nil), d.W...),
-		Ref:  append([]int64(nil), d.Ref...),
-		Pts:  append([]float64(nil), d.Pts...),
+		Dims:  d.Dims,
+		Seqs:  append([]uint64(nil), d.Seqs...),
+		W:     append([]float64(nil), d.W...),
+		Ref:   append([]int64(nil), d.Ref...),
+		Pts:   append([]float64(nil), d.Pts...),
+		Norms: append([]float64(nil), d.Norms...),
+		Debt:  d.Debt,
 	}
 }

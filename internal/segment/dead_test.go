@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"karl/internal/vec"
 )
 
 // sizedSeg seals a segment of n rows carrying consecutive sequence numbers
@@ -231,9 +233,73 @@ func TestDeadSet(t *testing.T) {
 			t.Fatalf("Has wrong around seq %d", seq)
 		}
 	}
+	for i := range d.Seqs {
+		if d.Norms[i] != vec.Norm2(d.Row(i)) {
+			t.Fatalf("entry %d: cached norm %v, row's is %v", i, d.Norms[i], vec.Norm2(d.Row(i)))
+		}
+	}
+	loaded := &Dead{Dims: d.Dims, Seqs: d.Seqs, W: d.W, Ref: d.Ref, Pts: d.Pts}
+	if loaded.FillNorms(); !reflect.DeepEqual(loaded.Norms, d.Norms) {
+		t.Fatalf("FillNorms derived %v, Add cached %v", loaded.Norms, d.Norms)
+	}
 	c := d.Clone()
 	c.W[0], c.Pts[0] = -1, -1
 	if d.W[0] == -1 || d.Pts[0] == -1 {
 		t.Fatalf("Clone shares storage")
+	}
+}
+
+// TestRewriteDueRent is the rent-or-buy table: with no debt RewriteDue is
+// exactly the 1/Fanout dead-share rule; below the share a segment becomes
+// due when the evaluations reads paid on its dead rows reach
+// RowRewriteEvals·Len, not one before; a segment without sequence numbers
+// is never due; and PayRent reports the crossing once.
+func TestRewriteDueRent(t *testing.T) {
+	p := Policy{SealSize: 4, Fanout: 4}
+	const n = 40
+	rent := int64(RowRewriteEvals * n)
+	for _, tc := range []struct {
+		name   string
+		dead   int
+		debt   int64
+		noSeqs bool
+		want   bool
+	}{
+		{"no dead rows", 0, 0, false, false},
+		{"zero debt, below the share", n/p.Fanout - 1, 0, false, false},
+		{"zero debt, at the share", n / p.Fanout, 0, false, true},
+		{"zero debt, past the share", n/p.Fanout + 3, 0, false, true},
+		{"one dead row, debt one below the rent", 1, rent - 1, false, false},
+		{"one dead row, debt at the rent", 1, rent, false, true},
+		{"below the share, debt past the rent", n/p.Fanout - 1, rent + 9, false, true},
+		{"no seqs, at the share and the rent", n / p.Fanout, rent, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sizedSeg(t, 1, n, 1)
+			if tc.dead > 0 {
+				kill(s, tc.dead)
+				s.Dead.Debt = tc.debt
+			}
+			if tc.noSeqs {
+				s.Seqs = nil
+			}
+			if got := p.RewriteDue(s); got != tc.want {
+				t.Fatalf("RewriteDue = %v with %d of %d rows dead and debt %d (rent %d), want %v", got, tc.dead, n, tc.debt, rent, tc.want)
+			}
+			if tc.debt == 0 && !tc.noSeqs {
+				if parent := tc.dead > 0 && tc.dead*p.Fanout >= n; p.RewriteDue(s) != parent {
+					t.Fatalf("with no debt RewriteDue differs from the dead-share rule")
+				}
+			}
+		})
+	}
+
+	s := sizedSeg(t, 1, n, 1)
+	kill(s, 1)
+	if s.PayRent(rent-1) || !s.PayRent(1) || s.PayRent(1) {
+		t.Fatalf("PayRent must report the charge that reaches the rent, and only that one")
+	}
+	if s.Dead.Debt != rent+1 {
+		t.Fatalf("debt %d after charging %d", s.Dead.Debt, rent+1)
 	}
 }

@@ -580,8 +580,9 @@ func mergeAppend(s *Segment, opts MergeOpts, dst *vec.Matrix, dw []float64, dseq
 // stop-the-world O(N) rebuild on the insert path.
 //
 // Deletes reuse the same Fanout as a dead-share threshold: a segment whose
-// dead rows reach Len/Fanout is rewritten alone, and a segment with no
-// live row left is dropped without a rebuild (see Plan).
+// dead rows reach Len/Fanout is rewritten alone, as is one whose dead rows
+// reads have paid the rewrite's cost for (RewriteDue), and a segment with
+// no live row left is dropped without a rebuild (see Plan).
 type Policy struct {
 	// SealSize is the memtable row count that triggers a seal (tier 0
 	// segment size).
@@ -627,14 +628,45 @@ func (p Policy) Tier(n int) int {
 // sequence numbers never qualifies: it cannot hold tombstones.
 func (s *Segment) AllDead() bool { return s.Seqs != nil && s.Dead.Len() >= s.Len() }
 
-// RewriteDue reports whether the segment's dead rows have reached a
-// 1/Fanout share of it — the point at which rewriting it alone costs at
-// most Fanout−1 row writes per row reclaimed, the same amplification a
-// tier merge pays per point, while every read until then evaluates the
-// kernel once per dead row.
+// RowRewriteEvals is the price of rewriting one row, counted in the
+// dead-row kernel evaluations a read pays instead: a rewrite over Len rows
+// costs what RowRewriteEvals·Len such evaluations do. A rewrite is paid
+// for more than once: the engine merges the segment, and a replicated
+// engine then writes it to its follower, which loads it. So the price is
+// the sum of three per-layer figures of the benchmark harness's traced
+// cluster-rw run (d = 8, one follower per leader, 2-vCPU guest) over a
+// fourth: segment.merge_us_per_point + karl.persist_write_us_per_point +
+// karl.persist_load_us_per_point = 0.56 + 0.16 + 0.19 µs, ÷
+// kernel.ns_per_point 25.1 ns ≈ 36. The merge alone (≈ 22, and ≈ 25 on
+// stream-churn, which has no follower) undercharges a replicated rewrite
+// by the copy every follower makes, and buys rewrites a third more often.
+const RowRewriteEvals = 36
+
+// RewriteDue reports whether the segment's dead rows are due a rewrite,
+// by either of two rules. Write side: the dead rows have reached a
+// 1/Fanout share of it, the point at which rewriting it alone costs at
+// most Fanout−1 row writes per row reclaimed, the amplification a tier
+// merge pays per point. Read side (rent or buy): the dead-row evaluations
+// reads have paid since its first tombstone (Dead.Debt) have reached the
+// rewrite's own cost, RowRewriteEvals·Len — the ski-rental rule, under
+// which reads never pay more than twice what the best offline schedule
+// would. A segment without sequence numbers is never due: its rows
+// cannot be dropped.
 func (p Policy) RewriteDue(s *Segment) bool {
 	dead := s.Dead.Len()
-	return dead > 0 && s.Seqs != nil && dead*p.Fanout >= s.Len()
+	return dead > 0 && s.Seqs != nil && (dead*p.Fanout >= s.Len() || s.Dead.Debt >= s.rent())
+}
+
+// rent is the debt at which reads have paid for rewriting the segment.
+func (s *Segment) rent() int64 { return RowRewriteEvals * int64(s.Len()) }
+
+// PayRent charges the segment's tombstones n more dead-row evaluations and
+// reports whether that charge took their debt to the rewrite's cost — the
+// one read that should ask for the rewrite. The segment must hold dead rows.
+func (s *Segment) PayRent(n int64) bool {
+	before := s.Dead.Debt
+	s.Dead.Debt += n
+	return before < s.rent() && s.Dead.Debt >= s.rent()
 }
 
 // Plan returns the IDs of the segments the next compaction should rebuild
@@ -653,8 +685,8 @@ func (p Policy) RewriteDue(s *Segment) bool {
 // stranded, and the segment count stays below Fanout per level. Without
 // deletes a level is exactly a run of one tier — the classic policy.
 //
-// Failing that, the segment with the most dead rows among those whose dead
-// share reached 1/Fanout is rewritten alone (a one-ID plan).
+// Failing that, the segment with the most dead rows among those due a
+// rewrite (RewriteDue) is rewritten alone (a one-ID plan).
 func (p Policy) Plan(m *Manifest) []uint64 {
 	segs := m.Segs
 	lo := -1 // start of the lowest level due a merge

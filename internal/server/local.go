@@ -36,6 +36,7 @@ import (
 // mutable engine without it simply reports zeros there.
 type lsmStats interface {
 	Segments() []karl.SegmentInfo
+	DeadEvals() map[uint64]int64
 	MemtableLen() int
 	Seals() int
 	Compactions() int
@@ -422,11 +423,11 @@ func (l *local) Stats(_ context.Context, endpoints map[string]EndpointStats) any
 			Points:      l.dyn.Len(),
 		}
 		if l.lsm != nil {
-			segs := l.lsm.Segments()
+			segs, evals := l.lsm.Segments(), l.lsm.DeadEvals()
 			ms.Segments = len(segs)
 			ms.SegmentDetail = make([]SegmentStats, len(segs))
 			for i, sg := range segs {
-				ms.SegmentDetail[i] = SegmentStats{ID: sg.ID, Len: sg.Len, Dead: sg.Dead}
+				ms.SegmentDetail[i] = SegmentStats{ID: sg.ID, Len: sg.Len, Dead: sg.Dead, DeadEvals: evals[sg.ID]}
 			}
 			ms.MemtableLen = l.lsm.MemtableLen()
 			ms.Seals = l.lsm.Seals()

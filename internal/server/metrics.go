@@ -124,7 +124,9 @@ type MutableStats struct {
 	MemtableLen int `json:"memtable_len"`
 	// Seals and Compactions count completed maintenance operations;
 	// Compactions covers every segment rebuild, of which DeadRewrites were
-	// single-segment rewrites triggered by a 1/Fanout dead share.
+	// single-segment rewrites of dead rows, triggered by either rule: a
+	// 1/Fanout dead share, or reads that paid the rewrite's cost
+	// evaluating them (a segment's dead_evals reaching its rent).
 	// DeadDrops counts fully dead segments removed without a rebuild.
 	Seals        int `json:"seals"`
 	Compactions  int `json:"compactions"`
@@ -138,12 +140,15 @@ type MutableStats struct {
 	Deletes    int `json:"deletes"`
 }
 
-// SegmentStats is one manifest segment in /v1/stats: its stored rows and
-// how many of them are deleted, awaiting physical removal.
+// SegmentStats is one manifest segment in /v1/stats: its stored rows, how
+// many of them are deleted, awaiting physical removal, and the dead-row
+// kernel evaluations reads have paid on those since its first tombstone
+// (the segment is rewritten once they reach karl's rewrite cost for it).
 type SegmentStats struct {
-	ID   uint64 `json:"id"`
-	Len  int    `json:"len"`
-	Dead int    `json:"dead"`
+	ID        uint64 `json:"id"`
+	Len       int    `json:"len"`
+	Dead      int    `json:"dead"`
+	DeadEvals int64  `json:"dead_evals"`
 }
 
 // DualTreeBatchStats reports how the engines behind /v1/batch executed

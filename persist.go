@@ -226,6 +226,7 @@ func segmentBlock(c *blockio.Codec, s *segment.Segment, dead *segment.Dead) (*se
 			}
 		}
 		dead.Dims = dims
+		dead.FillNorms()
 		s.Dead = dead
 	}
 	return s, nil
