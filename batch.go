@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
+
+	"karl/internal/dualtree"
+	"karl/internal/vec"
 )
 
 // BatchThreshold answers the TKAQ for every query. workers > 1 evaluates
@@ -22,18 +26,18 @@ func (d *Engine) BatchThresholdStats(queries [][]float64, tau float64, workers i
 	if err := validateBatchQueries(queries, d.Dims()); err != nil {
 		return nil, Stats{}, err
 	}
-	if d.useDual(len(queries)) {
-		return d.dualThreshold(queries, tau, workers)
-	}
-	d.sh.dualCtr.noteSequential(len(queries))
 	out := make([]bool, len(queries))
-	per := make([]Stats, len(queries))
-	err := d.batch(queries, workers, func(eng *Engine, i int) error {
-		v, st, err := eng.ThresholdStats(queries[i], tau)
-		out[i], per[i] = v, st
-		return err
+	if d.useDual(len(queries)) {
+		st, err := d.runDual(queries, workers, func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error) {
+			return x.Threshold(chunk, tau, base, out[lo:lo+chunk.Rows])
+		})
+		return out, st, err
+	}
+	st, err := d.sequential(len(queries), workers, func(eng *Engine, i int) (st Stats, err error) {
+		out[i], st, err = eng.ThresholdStats(queries[i], tau)
+		return st, err
 	})
-	return out, sumStats(per), err
+	return out, st, err
 }
 
 // BatchApproximate answers the eKAQ for every query, index-aligned.
@@ -48,20 +52,20 @@ func (d *Engine) BatchApproximateStats(queries [][]float64, eps float64, workers
 	if err := validateBatchQueries(queries, d.Dims()); err != nil {
 		return nil, Stats{}, err
 	}
+	out := make([]float64, len(queries))
 	// eps ≤ 0 keeps the sequential path so its validation error surfaces
 	// with the historical per-query shape.
 	if eps > 0 && d.useDual(len(queries)) {
-		return d.dualApproximate(queries, eps, workers)
+		st, err := d.runDual(queries, workers, func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error) {
+			return x.Approximate(chunk, eps, base, out[lo:lo+chunk.Rows])
+		})
+		return out, st, err
 	}
-	d.sh.dualCtr.noteSequential(len(queries))
-	out := make([]float64, len(queries))
-	per := make([]Stats, len(queries))
-	err := d.batch(queries, workers, func(eng *Engine, i int) error {
-		v, st, err := eng.ApproximateStats(queries[i], eps)
-		out[i], per[i] = v, st
-		return err
+	st, err := d.sequential(len(queries), workers, func(eng *Engine, i int) (st Stats, err error) {
+		out[i], st, err = eng.ApproximateStats(queries[i], eps)
+		return st, err
 	})
-	return out, sumStats(per), err
+	return out, st, err
 }
 
 // BatchAggregate computes the exact aggregate for every query.
@@ -72,102 +76,106 @@ func (d *Engine) BatchAggregate(queries [][]float64, workers int) ([]float64, er
 
 // BatchAggregateStats is BatchAggregate plus the summed work statistics of
 // the whole batch (every query scans all points, so PointsScanned is
-// len(queries)·Len for a successful batch).
+// len(queries)·Len for a successful batch). Exact aggregation scans every
+// point whatever the grouping, so it always goes query by query.
 func (d *Engine) BatchAggregateStats(queries [][]float64, workers int) ([]float64, Stats, error) {
 	if err := validateBatchQueries(queries, d.Dims()); err != nil {
 		return nil, Stats{}, err
 	}
-	// Exact aggregation scans every point per query regardless of grouping,
-	// so the dual path runs only when explicitly forced (where it matches
-	// the sequential results bitwise).
-	if d.sh.batchExec == BatchDualTree && len(queries) > 0 && d.Len() > 0 {
-		return d.dualAggregate(queries, workers)
-	}
-	d.sh.dualCtr.noteSequential(len(queries))
 	out := make([]float64, len(queries))
-	per := make([]Stats, len(queries))
-	err := d.batch(queries, workers, func(eng *Engine, i int) error {
-		v, st, err := eng.AggregateStats(queries[i])
-		out[i], per[i] = v, st
-		return err
+	st, err := d.sequential(len(queries), workers, func(eng *Engine, i int) (st Stats, err error) {
+		out[i], st, err = eng.AggregateStats(queries[i])
+		return st, err
 	})
-	return out, sumStats(per), err
+	return out, st, err
 }
 
-// sumStats folds per-query statistics into batch totals. The LB/UB fields
-// are meaningless summed across queries and are left zero.
-func sumStats(per []Stats) Stats {
-	var total Stats
-	for _, st := range per {
-		total.Iterations += st.Iterations
-		total.NodesExpanded += st.NodesExpanded
-		total.PointsScanned += st.PointsScanned
-	}
-	return total
+// sequential answers n queries one by one, one(eng, i) answering query i
+// through eng: worker 0 through d itself, every other worker through its
+// own clone, so no query scratch is ever shared.
+func (d *Engine) sequential(n, workers int, one func(eng *Engine, i int) (Stats, error)) (Stats, error) {
+	d.sh.dualCtr.noteSequential(n)
+	st, err := fanOut(n, workers, 1, func(w int) (chunkFunc, error) {
+		eng := d
+		if w > 0 {
+			eng = d.Clone()
+		}
+		return func(i, _ int) (dualtree.Stats, error) { // chunks of one query
+			st, err := one(eng, i)
+			if err != nil {
+				err = fmt.Errorf("karl: batch query %d: %w", i, err)
+			}
+			return dualtree.Stats{Iterations: st.Iterations, NodesExpanded: st.NodesExpanded, PointsScanned: st.PointsScanned}, err
+		}, nil
+	})
+	return workStats(st), err
 }
 
-// batch fans n queries across worker clones: items are claimed one at a
-// time by workers that each query through their own clone, so no query
-// scratch is ever shared. The first error aborts the batch.
-func (d *Engine) batch(queries [][]float64, workers int, fn func(eng *Engine, i int) error) error {
-	n := len(queries)
-	if n == 0 {
-		return nil
-	}
+// chunkFunc answers the batch's queries [lo,hi).
+type chunkFunc func(lo, hi int) (dualtree.Stats, error)
+
+// fanOut answers queries [0,n) on at most workers goroutines, the
+// caller's among them (workers ≤ 0 selects GOMAXPROCS), and on no more than
+// n/minChunk of them. Workers claim contiguous chunks: one query at a time
+// when minChunk is 1, so uneven queries balance, else one chunk per worker,
+// so each worker's executor amortizes its setup over its whole share.
+// Worker w answers every chunk it claims through its own chunkFunc, made by
+// open(w) when it starts. A worker stops at its first error and the others
+// at their next claim; the first error wins. Each worker's statistics fold
+// into the total once, when it stops.
+func fanOut(n, workers, minChunk int, open func(w int) (chunkFunc, error)) (dualtree.Stats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(d, i); err != nil {
-				return fmt.Errorf("karl: batch query %d: %w", i, err)
-			}
-		}
-		return nil
+	workers = max(1, min(workers, n/minChunk))
+	chunk := 1
+	if minChunk > 1 {
+		chunk = (n + workers - 1) / workers
 	}
 	var (
+		next     atomic.Int64
+		failed   atomic.Bool
 		wg       sync.WaitGroup
 		mu       sync.Mutex
+		total    dualtree.Stats
 		firstErr error
-		next     int
 	)
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil || next >= n {
-			return -1
+	work := func(w int) {
+		var st dualtree.Stats
+		serve, err := open(w)
+		for err == nil && !failed.Load() {
+			lo := int(next.Add(int64(chunk))) - chunk
+			if lo >= n {
+				break
+			}
+			var cst dualtree.Stats
+			cst, err = serve(lo, min(lo+chunk, n))
+			st.Add(cst)
 		}
-		i := next
-		next++
-		return i
-	}
-	fail := func(i int, err error) {
+		if err != nil {
+			failed.Store(true)
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		if firstErr == nil {
-			firstErr = fmt.Errorf("karl: batch query %d: %w", i, err)
+			firstErr = err
 		}
+		total.Add(st)
 	}
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := d.Clone()
-			for {
-				i := claim()
-				if i < 0 {
-					return
-				}
-				if err := fn(eng, i); err != nil {
-					fail(i, err)
-					return
-				}
-			}
+			work(w)
 		}()
 	}
+	work(0)
 	wg.Wait()
-	return firstErr
+	return total, firstErr
+}
+
+// workStats folds batch work into the public Stats shape. The LB/UB fields
+// are meaningless summed across queries and are left zero.
+func workStats(st dualtree.Stats) Stats {
+	return Stats{Iterations: st.Iterations, NodesExpanded: st.NodesExpanded, PointsScanned: st.PointsScanned}
 }

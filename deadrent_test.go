@@ -129,7 +129,8 @@ func TestDeadRentNoReadsKeepsDeadShareRule(t *testing.T) {
 }
 
 // TestDeadRentFollowerNeverRewrites reads a follower far past any rent, on
-// the single-query and the batch path: it charges nothing and rewrites
+// the single-query path and through a dual-tree batch (the read that
+// charges m·dead in one call): it charges nothing and rewrites
 // nothing, so its manifest stays its leader's. Its own first write makes
 // it a leader, and from then on its reads pay rent and buy the rewrite.
 func TestDeadRentFollowerNeverRewrites(t *testing.T) {
@@ -141,7 +142,7 @@ func TestDeadRentFollowerNeverRewrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	follower, err := NewDynamic(Gaussian(1), WithBatchExecutor(BatchDualTree))
+	follower, err := NewDynamic(Gaussian(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +159,12 @@ func TestDeadRentFollowerNeverRewrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := follower.BatchAggregate(batch, 2); err != nil {
+	before := follower.DualTreeStats().DualBatches
+	if _, err := follower.BatchApproximate(batch, 0.1, 2); err != nil {
 		t.Fatal(err)
+	}
+	if got := follower.DualTreeStats().DualBatches - before; got != 1 {
+		t.Fatalf("the follower's batch of %d took %d dual-tree batches, want 1", len(batch), got)
 	}
 	waitMaintenance(follower)
 	if got := follower.DeadRewrites() + follower.DeadDrops(); got != 0 || follower.Epoch() != epoch || !reflect.DeepEqual(follower.Segments(), segs) {
@@ -187,12 +192,14 @@ func TestDeadRentFollowerNeverRewrites(t *testing.T) {
 }
 
 // TestDeadRentChargesEveryRead pins the charge: a single query pays one
-// evaluation per pending tombstone of each segment, a dual-tree batch of m
-// queries m of them.
+// evaluation per pending tombstone of each segment, and a batch of m
+// queries m of them on either side of the cutover — query by query below
+// it, through one dual-tree snapshot above it.
 func TestDeadRentChargesEveryRead(t *testing.T) {
-	d, _ := rentEngine(t, 512, WithBatchExecutor(BatchDualTree))
+	const dead = 10
+	d, _ := rentEngine(t, 512)
 	defer d.Close()
-	for id := uint64(1); id <= 10; id++ {
+	for id := uint64(1); id <= dead; id++ {
 		if err := d.Delete(id); err != nil {
 			t.Fatal(err)
 		}
@@ -205,16 +212,31 @@ func TestDeadRentChargesEveryRead(t *testing.T) {
 	if _, err := d.Threshold(rentProbes[0], 1); err != nil {
 		t.Fatal(err)
 	}
-	want[id] = 10
+	want[id] = dead
 	if got := d.DeadEvals(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("debt after one query %v, want %v", got, want)
 	}
-	if _, err := d.BatchApproximate(rentProbes[:3], 0.1, 1); err != nil {
-		t.Fatal(err)
-	}
-	want[id] = 10 + 3*10
-	if got := d.DeadEvals(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("debt after a batch of 3 %v, want %v", got, want)
+	for _, m := range []int{3, dualTreeMinBatch} {
+		batch := make([][]float64, m)
+		for i := range batch {
+			batch[i] = rentProbes[i%len(rentProbes)]
+		}
+		before := d.DualTreeStats()
+		if _, err := d.BatchApproximate(batch, 0.1, 2); err != nil {
+			t.Fatal(err)
+		}
+		after := d.DualTreeStats()
+		dual, seq := 0, 1
+		if m >= dualTreeMinBatch {
+			dual, seq = 1, 0
+		}
+		if after.DualBatches-before.DualBatches != dual || after.SequentialBatches-before.SequentialBatches != seq {
+			t.Fatalf("a batch of %d took the wrong side of the cutover: %+v -> %+v", m, before, after)
+		}
+		want[id] += int64(m * dead)
+		if got := d.DeadEvals(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("debt after a batch of %d %v, want %v", m, got, want)
+		}
 	}
 }
 

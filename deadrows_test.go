@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"karl/internal/segment"
+	"karl/internal/vec"
 )
 
 // waitMaintenance blocks until no seal or background compaction is in
@@ -313,13 +315,12 @@ func TestDeleteOnlyReclaimsSpace(t *testing.T) {
 
 // TestDeleteBitwiseRepeatable pins the summation order of the tombstone
 // base term: the same query on a quiescent engine with pending tombstones
-// returns bit-identical values and identical work statistics, on the
-// single-query path and on the dual-tree batch path, and the batch's exact
-// answers are the single query's. (Tombstones used to be summed in Go-map
-// iteration order.)
+// returns bit-identical values and identical work statistics. (Tombstones
+// used to be summed in Go-map iteration order.) TestBaseVisitorsBitwise
+// holds the batch block's base terms to the single query's.
 func TestDeleteBitwiseRepeatable(t *testing.T) {
 	d, err := NewDynamic(Gaussian(1.5), WithIndex(KDTree, 8), WithSealSize(64),
-		WithAutoCompaction(false), WithBatchExecutor(BatchDualTree))
+		WithAutoCompaction(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,27 +371,78 @@ func TestDeleteBitwiseRepeatable(t *testing.T) {
 			}
 		}
 	}
-	b0, err := d.BatchAggregate(queries, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The batch scans the buffered and dead rows in the runs a single
-	// query does, so its exact answers are the single query's bits.
-	for i, q := range queries {
-		if e, _ := d.Aggregate(q); math.Float64bits(e) != math.Float64bits(b0[i]) {
-			t.Fatalf("query %d: batch aggregate %x, single %x", i, math.Float64bits(b0[i]), math.Float64bits(e))
-		}
-	}
-	for rep := 0; rep < 8; rep++ {
-		b, err := d.BatchAggregate(queries, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range b {
-			if math.Float64bits(b[i]) != math.Float64bits(b0[i]) {
-				t.Fatalf("batch repeat %d, query %d: %x vs %x", rep, i, math.Float64bits(b[i]), math.Float64bits(b0[i]))
+}
+
+// TestBaseVisitorsBitwise holds the engine walk's two visitors to one
+// answer: on plain, TTL and decayed engines holding memtable rows and
+// pending tombstones on several segments, the base term a dual-tree batch
+// scans off its copied block is, for every query, the single query's
+// snapshot base bit for bit.
+func TestBaseVisitorsBitwise(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"plain", nil},
+		{"ttl", []Option{WithTTL(time.Hour)}},
+		{"decayed", []Option{WithDecayHalfLife(time.Minute)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			now, frozen := int64(1e15), false
+			clock := func() int64 {
+				if !frozen {
+					now += int64(time.Second)
+				}
+				return now
 			}
-		}
+			d, err := NewDynamic(Gaussian(1.5), append([]Option{WithIndex(KDTree, 8), WithSealSize(64),
+				WithAutoCompaction(false), withClock(clock)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			rng := rand.New(rand.NewSource(32))
+			var ids []uint64
+			for i := 0; i < 64*4+40; i++ {
+				id, err := d.InsertID([]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}, 0.1+rng.Float64())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			waitMaintenance(d)
+			for _, i := range rng.Perm(64 * 4)[:70] {
+				if err := d.Delete(ids[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d.MemtableLen() == 0 || d.Tombstones() != 70 || len(d.Segments()) < 2 {
+				t.Fatalf("setup: %d memtable rows, %d tombstones, %d segments", d.MemtableLen(), d.Tombstones(), len(d.Segments()))
+			}
+			queries := make([][]float64, 12)
+			for i := range queries {
+				queries[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+			}
+			frozen = true // both visitors decay to one instant
+			b, err := d.batchSnapshot(3, len(queries))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bases := b.bases(vec.FromRows(queries))
+			for i, q := range queries {
+				_, base, scanned, err := d.snapshot(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scanned != len(b.ws) {
+					t.Fatalf("query %d: the snapshot scanned %d rows, the block holds %d", i, scanned, len(b.ws))
+				}
+				if math.Float64bits(base) != math.Float64bits(bases[i]) {
+					t.Fatalf("query %d: block base %x (%v), snapshot base %x (%v)", i,
+						math.Float64bits(bases[i]), bases[i], math.Float64bits(base), base)
+				}
+			}
+		})
 	}
 }
 

@@ -8,27 +8,31 @@ import (
 	"time"
 )
 
-// dualPair builds two engines over the same data, one forced through the
-// dual-tree batch executor and one forced sequential, so their batch
-// answers can be compared under identical ε/τ contracts.
-func dualPair(t testing.TB, pts [][]float64, kern Kernel, opts ...Option) (dual, seq *Engine) {
+// perQuery answers the queries one at a time through one, a single-query
+// XStats call: the sequential side a dual-tree batch on the same engine is
+// compared with.
+func perQuery[T any](t testing.TB, queries [][]float64, one func(q []float64) (T, Stats, error)) []T {
 	t.Helper()
-	dual, err := Build(pts, kern, append(append([]Option{}, opts...), WithBatchExecutor(BatchDualTree))...)
-	if err != nil {
-		t.Fatalf("build dual: %v", err)
+	out := make([]T, len(queries))
+	for i, q := range queries {
+		v, _, err := one(q)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		out[i] = v
 	}
-	seq, err = Build(pts, kern, append(append([]Option{}, opts...), WithBatchExecutor(BatchSequential))...)
-	if err != nil {
-		t.Fatalf("build sequential: %v", err)
-	}
-	return dual, seq
+	return out
 }
 
+// dualBatches returns how many batches eng's dual-tree executor has served.
+func dualBatches(eng *Engine) int { return eng.DualTreeStats().DualBatches }
+
 // TestBatchDualMatchesSequential is the equivalence gate for the dual-tree
-// batch executor: across every index kind × weighting type × kernel it
-// must return bitwise-identical Aggregate answers, Approximate answers
-// within the same ε-of-exact contract, and Threshold verdicts identical
-// away from ties.
+// batch executor: across every index kind × weighting type × kernel a
+// batch above the cutover floors must return Approximate answers within
+// the same ε-of-exact contract as the per-query loop, and Threshold
+// verdicts identical to it away from ties; BatchAggregate, which always
+// goes query by query, returns the per-query answers bit for bit.
 func TestBatchDualMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	kinds := []struct {
@@ -52,27 +56,27 @@ func TestBatchDualMatchesSequential(t *testing.T) {
 					pts := cloud(rng, n, dim)
 					ws := weightsFor(rng, wt, n)
 					opts := []Option{WithIndex(ik.kind, 32), WithWeights(ws)}
-					dual, seq := dualPair(t, pts, kn.k, opts...)
+					eng, err := Build(pts, kn.k, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
 					queries := cloud(rng, nq, dim)
 					// Duplicate queries must not confuse the query tree.
 					queries[nq-1] = queries[0]
 					queries[nq-2] = queries[1]
 
-					exact, err := seq.BatchAggregate(queries, 1)
+					exact := perQuery(t, queries, eng.AggregateStats)
+					bv, err := eng.BatchAggregate(queries, 2)
 					if err != nil {
 						t.Fatal(err)
 					}
-					dv, err := dual.BatchAggregate(queries, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range dv {
-						if dv[i] != exact[i] {
-							t.Fatalf("aggregate query %d: dual %v != sequential %v", i, dv[i], exact[i])
+					for i := range bv {
+						if bv[i] != exact[i] {
+							t.Fatalf("aggregate query %d: batch %v != per-query %v", i, bv[i], exact[i])
 						}
 					}
 
-					da, err := dual.BatchApproximate(queries, eps, 1)
+					da, err := eng.BatchApproximate(queries, eps, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -84,14 +88,14 @@ func TestBatchDualMatchesSequential(t *testing.T) {
 
 					// A mid-range τ; skip queries whose exact value sits on it.
 					tau := exact[len(exact)/2]
-					dov, err := dual.BatchThreshold(queries, tau, 1)
+					dov, err := eng.BatchThreshold(queries, tau, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sov, err := seq.BatchThreshold(queries, tau, 1)
-					if err != nil {
-						t.Fatal(err)
+					if got := dualBatches(eng); got != 2 {
+						t.Fatalf("%d of the approximate and threshold batches took the dual-tree executor, want both", got)
 					}
+					sov := perQuery(t, queries, func(q []float64) (bool, Stats, error) { return eng.ThresholdStats(q, tau) })
 					for i := range dov {
 						if math.Abs(exact[i]-tau) <= 1e-9*math.Abs(tau) {
 							continue
@@ -108,38 +112,36 @@ func TestBatchDualMatchesSequential(t *testing.T) {
 }
 
 // TestBatchDualDegenerateBatch covers the pathological query tree: a batch
-// that is one point repeated. Every answer must match the sequential
-// executor's.
+// that is one point repeated. Every answer must match the single query's.
 func TestBatchDualDegenerateBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	pts := cloud(rng, 500, 4)
-	dual, seq := dualPair(t, pts, Gaussian(3))
+	eng, err := Build(pts, Gaussian(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := []float64{0.3, 0.3, 0.3, 0.3}
 	queries := make([][]float64, 128)
 	for i := range queries {
 		queries[i] = q
 	}
-	exact, err := seq.BatchAggregate(queries, 1)
+	exact, err := eng.Aggregate(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv, err := dual.BatchAggregate(queries, 1)
+	da, err := eng.BatchApproximate(queries, 0.1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	da, err := dual.BatchApproximate(queries, 0.1, 1)
+	dov, err := eng.BatchThreshold(queries, exact*0.9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dov, err := dual.BatchThreshold(queries, exact[0]*0.9, 1)
-	if err != nil {
-		t.Fatal(err)
+	if got := dualBatches(eng); got != 2 {
+		t.Fatalf("%d of the two batches took the dual-tree executor", got)
 	}
 	for i := range queries {
-		if dv[i] != exact[0] {
-			t.Fatalf("aggregate %d: %v != %v", i, dv[i], exact[0])
-		}
-		if d := math.Abs(da[i] - exact[0]); d > 0.1*math.Abs(exact[0])+1e-12 {
+		if d := math.Abs(da[i] - exact); d > 0.1*math.Abs(exact)+1e-12 {
 			t.Fatalf("approximate %d: error %v", i, d)
 		}
 		if !dov[i] {
@@ -192,16 +194,13 @@ func heatmapWorkloadSigma(rng *rand.Rand, n, dim, res int, sigma float64) (pts, 
 	return pts, queries
 }
 
-// batchSeconds times reps runs of an N-query approximate batch and returns
-// the fastest wall time, single worker.
-func batchSeconds(t testing.TB, eng *Engine, queries [][]float64, eps float64, reps int) float64 {
-	t.Helper()
+// fastestSeconds times reps runs of answer and returns the fastest wall
+// time.
+func fastestSeconds(reps int, answer func()) float64 {
 	best := math.Inf(1)
 	for r := 0; r < reps; r++ {
 		start := time.Now()
-		if _, err := eng.BatchApproximate(queries, eps, 1); err != nil {
-			t.Fatal(err)
-		}
+		answer()
 		if s := time.Since(start).Seconds(); s < best {
 			best = s
 		}
@@ -210,8 +209,9 @@ func batchSeconds(t testing.TB, eng *Engine, queries [][]float64, eps float64, r
 }
 
 // TestBatchDualSpeedupGate pins the headline performance claim: on the
-// 10k-query Gaussian-KDE heatmap workload, the dual-tree executor must
-// clear 3× the sequential executor's single-core queries/sec.
+// 10k-query Gaussian-KDE heatmap workload, a single-worker batch through
+// the dual-tree executor must clear 3× the queries/sec of the same engine
+// answering them one ApproximateStats call at a time.
 //
 // The workload sits in the regime the executor targets: a sharp kernel
 // over a fine-grained index, where sequential per-query refinement is
@@ -227,13 +227,27 @@ func TestBatchDualSpeedupGate(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(73))
 	pts, queries := heatmapWorkload(rng, 16000, 8, 100)
-	dual, seq := dualPair(t, pts, Gaussian(400), WithIndex(KDTree, 12))
+	eng, err := Build(pts, Gaussian(400), WithIndex(KDTree, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
 	const eps = 0.05
+	dual := func() {
+		if _, err := eng.BatchApproximate(queries, eps, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := func() {
+		perQuery(t, queries, func(q []float64) (float64, Stats, error) { return eng.ApproximateStats(q, eps) })
+	}
 	// One untimed pass each to warm allocator and caches.
-	batchSeconds(t, dual, queries, eps, 1)
-	batchSeconds(t, seq, queries, eps, 1)
-	dualSec := batchSeconds(t, dual, queries, eps, 3)
-	seqSec := batchSeconds(t, seq, queries, eps, 3)
+	fastestSeconds(1, dual)
+	fastestSeconds(1, seq)
+	dualSec := fastestSeconds(3, dual)
+	seqSec := fastestSeconds(3, seq)
+	if dualBatches(eng) == 0 {
+		t.Fatal("the batch never took the dual-tree executor")
+	}
 	speedup := seqSec / dualSec
 	t.Logf("heatmap %d queries over %d points: sequential %.3fs, dual %.3fs, speedup %.2fx",
 		len(queries), len(pts), seqSec, dualSec, speedup)
@@ -244,8 +258,9 @@ func TestBatchDualSpeedupGate(t *testing.T) {
 }
 
 // BenchmarkBatchDualVsSequential is the batch-size × kernel × index-kind
-// executor matrix. Single-worker throughout, so the
-// numbers isolate shared bound refinement from clone parallelism.
+// matrix of a dual-tree batch against the same engine's per-query
+// ApproximateStats loop. Single-worker throughout, so the numbers isolate
+// shared bound refinement from clone parallelism.
 func BenchmarkBatchDualVsSequential(b *testing.B) {
 	rng := rand.New(rand.NewSource(74))
 	pts, queries := heatmapWorkload(rng, 8000, 8, 64) // 4096 grid queries
@@ -257,24 +272,32 @@ func BenchmarkBatchDualVsSequential(b *testing.B) {
 		name string
 		k    Kernel
 	}{{"gaussian", Gaussian(400)}, {"epanechnikov", Epanechnikov(100)}}
-	execs := []struct {
-		name string
-		exec BatchExecutor
-	}{{"sequential", BatchSequential}, {"dual", BatchDualTree}}
+	const eps = 0.05
 	for _, ik := range kinds {
 		for _, kn := range kernels {
+			eng, err := Build(pts, kn.k, WithIndex(ik.kind, 16))
+			if err != nil {
+				b.Fatal(err)
+			}
+			execs := []struct {
+				name   string
+				answer func(b *testing.B, qs [][]float64)
+			}{
+				{"sequential", func(b *testing.B, qs [][]float64) {
+					perQuery(b, qs, func(q []float64) (float64, Stats, error) { return eng.ApproximateStats(q, eps) })
+				}},
+				{"dual", func(b *testing.B, qs [][]float64) {
+					if _, err := eng.BatchApproximate(qs, eps, 1); err != nil {
+						b.Fatal(err)
+					}
+				}},
+			}
 			for _, ex := range execs {
-				eng, err := Build(pts, kn.k, WithIndex(ik.kind, 16), WithBatchExecutor(ex.exec))
-				if err != nil {
-					b.Fatal(err)
-				}
 				for _, size := range []int{256, 1024, 4096} {
 					qs := queries[:size]
 					b.Run(fmt.Sprintf("%s/%s/%s/batch=%d", ik.name, kn.name, ex.name, size), func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
-							if _, err := eng.BatchApproximate(qs, 0.05, 1); err != nil {
-								b.Fatal(err)
-							}
+							ex.answer(b, qs)
 						}
 						b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 					})
@@ -284,14 +307,14 @@ func BenchmarkBatchDualVsSequential(b *testing.B) {
 	}
 }
 
-// TestBatchAutoIndexKindRouting pins that the BatchAuto cutover looks at
+// TestBatchAutoIndexKindRouting pins that the batch cutover looks at
 // batch and engine size only: above the floors every index kind takes the
 // dual-tree executor, on the static and the dynamic engine alike.
 func TestBatchAutoIndexKindRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	pts, queries := heatmapWorkload(rng, 2000, 4, 10) // 100 queries ≥ min batch
 	for _, kind := range []IndexKind{KDTree, BallTree} {
-		eng, err := Build(pts, Gaussian(100), WithIndex(kind, 16)) // default: BatchAuto
+		eng, err := Build(pts, Gaussian(100), WithIndex(kind, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +322,7 @@ func TestBatchAutoIndexKindRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st := eng.DualTreeStats(); st.DualBatches == 0 {
-			t.Fatalf("kind %d: BatchAuto stayed sequential above the size floors (%+v)", kind, st)
+			t.Fatalf("kind %d: the batch stayed sequential above the size floors (%+v)", kind, st)
 		}
 
 		d, err := NewDynamic(Gaussian(100), WithIndex(kind, 16), WithSealSize(512), WithAutoCompaction(false))
@@ -315,7 +338,7 @@ func TestBatchAutoIndexKindRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st := d.DualTreeStats(); st.DualBatches == 0 {
-			t.Fatalf("kind %d: dynamic BatchAuto stayed sequential above the size floors (%+v)", kind, st)
+			t.Fatalf("kind %d: a dynamic batch stayed sequential above the size floors (%+v)", kind, st)
 		}
 	}
 }

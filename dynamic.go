@@ -56,14 +56,14 @@ type Engine struct {
 	// is compared). Query-only state, per clone. fCfgGen is the sh.cfgGen the
 	// forest was built against: a snapshot install can replace the kernel
 	// configuration under live views, and a forest carrying the old kernel
-	// would silently mix kernels within one answer — snapshot() rebuilds it
-	// when the generations diverge.
+	// would silently mix kernels within one answer — walk rebuilds it when
+	// the generations diverge.
 	f       *core.Forest
 	fMan    *segment.Manifest
 	fCfgGen uint64
 
 	// scales is this clone's per-query decay-scale scratch, refilled by
-	// snapshot for the query instant and retained by the forest; unused
+	// walk for the query instant and retained by the forest; unused
 	// (nil) when decay is off.
 	scales []float64
 
@@ -171,12 +171,9 @@ type dynShared struct {
 
 	dynConfig
 
-	// batchExec routes the Batch* methods (dual.go); dualCtr is the
-	// batch-executor telemetry shared by every clone. Both are immutable
-	// after construction (dualCtr's fields are atomic), so they are read
-	// without mu.
-	batchExec BatchExecutor
-	dualCtr   *dualCounters
+	// dualCtr is the batch-executor telemetry shared by every clone; its
+	// fields are atomic, so it is updated without mu.
+	dualCtr dualCounters
 
 	// sketch and shardProv record how the bulk-loaded set was made — a
 	// coreset of a larger set (BuildCoreset / Sketch), one shard of a
@@ -302,7 +299,6 @@ func newShared(kern Kernel, cfg buildConfig) (*dynShared, error) {
 		sh.policy.Fanout = cfg.fanout
 	}
 	sh.autoCompact, sh.ttl, sh.halfLife = !cfg.noAutoCompact, int64(cfg.ttl), float64(cfg.halfLife)
-	sh.batchExec = cfg.batchExec
 	if cfg.clock != nil {
 		sh.now = cfg.clock
 	}
@@ -323,7 +319,6 @@ func newShared(kern Kernel, cfg buildConfig) (*dynShared, error) {
 // newShared fills from options and ReadEngine from an engine block.
 func blankShared() *dynShared {
 	sh := &dynShared{
-		dualCtr: &dualCounters{},
 		now:     func() int64 { return time.Now().UnixNano() },
 		man:     &segment.Manifest{},
 		nextID:  1,
@@ -1222,38 +1217,38 @@ func (d *Engine) Close() error {
 	return sh.compactErrLocked()
 }
 
-// snapshot grabs, under the lock, everything one query needs: the current
-// manifest, the exact contribution of the buffered points (memtable plus
-// any buffer currently being sealed) MINUS the exact mass of every
-// pending tombstone — both folded the same way into the base term that
-// tightens both global bounds, so ε/τ certificates hold relative to the
-// true post-delete total — together with how many points that scan
-// covered. Under decay it also refills this clone's per-segment scale
-// scratch for the query instant. Every segment's tombstones are charged
-// the evaluations this read paid on them; the read that takes a segment's
-// debt to the cost of rewriting it asks for the rewrite, which changes
-// only the manifest the next read sees.
-func (d *Engine) snapshot(q []float64) (man *segment.Manifest, base float64, scanned int, err error) {
+// walk takes, under the lock, the state n reads share: it refuses an
+// empty engine and queries of other than dims dimensions, reads the clock
+// once, and hands visit every run of rows the exact base term scans — the
+// memtable and any buffer being sealed (sign +1), then every pending
+// tombstone (sign −1) — with its weights decayed to that instant in this
+// clone's scratch, which the next run reuses. Buffered mass minus dead mass
+// folds into both global bounds, so ε/τ certificates hold relative to the
+// true post-delete total. Every segment's tombstones are charged the n
+// evaluations each the reads pay on them; the read that takes a segment's
+// debt to the cost of rewriting it starts the rewrite, which changes only
+// the manifest the next read sees. Under decay the walk also refills this
+// clone's per-segment scale scratch for the instant.
+func (d *Engine) walk(dims, n int, visit func(m *vec.Matrix, norms, w []float64, sign float64)) (*segment.Manifest, error) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	man = sh.man
-	total := man.Len() + sh.mem.len() + sh.sealing.len()
-	if total == 0 {
-		return nil, 0, 0, errors.New("karl: dynamic engine is empty")
+	man := sh.man
+	if man.Len()+sh.mem.len()+sh.sealing.len() == 0 {
+		return nil, errors.New("karl: dynamic engine is empty")
 	}
-	if len(q) != sh.dims {
-		return nil, 0, 0, fmt.Errorf("karl: query has %d dims, engine has %d", len(q), sh.dims)
+	if dims != sh.dims {
+		return nil, fmt.Errorf("karl: query has %d dims, engine has %d", dims, sh.dims)
 	}
 	if d.fCfgGen != sh.cfgGen {
 		// The engine's kernel configuration was replaced (snapshot
 		// install) after this view's forest was built: rebuild it so the
-		// refinement side answers with the same kernel the base term
-		// below is computed with.
+		// refinement side answers with the same kernel the base term is
+		// computed with.
 		p := kernel.Params(sh.kern)
 		f, err := core.NewForest(p, sh.method)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
 		d.f, d.fCfgGen, d.fMan, d.rows = f, sh.cfgGen, nil, p.RowsEvaluator()
 	}
@@ -1261,32 +1256,40 @@ func (d *Engine) snapshot(q []float64) (man *segment.Manifest, base float64, sca
 	if sh.timed() {
 		nowT = sh.now()
 	}
-	qNorm2 := vec.Norm2(q)
 	for _, b := range [2]*memtable{sh.mem, sh.sealing} {
-		if b.len() == 0 {
-			continue
+		if b.len() > 0 {
+			visit(b.m, b.norms[:b.n], d.decayed(b.w[:b.n], b.t, nowT), 1)
 		}
-		base += d.rows(q, qNorm2, b.m, b.norms, d.decayed(b.w[:b.n], b.t, nowT), 0, b.n)
-		scanned += b.n
 	}
 	due := false
 	sh.eachDeadLocked(man, func(s *segment.Segment, dead *segment.Dead) {
-		n := dead.Len()
-		d.dead = vec.Matrix{Data: dead.Pts, Rows: n, Cols: dead.Dims}
-		base -= d.rows(q, qNorm2, &d.dead, dead.Norms, d.decayed(dead.W, dead.Ref, nowT), 0, n)
-		scanned += n
-		due = s != nil && !sh.mirror && s.PayRent(int64(n)) || due
+		k := dead.Len()
+		d.dead = vec.Matrix{Data: dead.Pts, Rows: k, Cols: dead.Dims}
+		visit(&d.dead, dead.Norms, d.decayed(dead.W, dead.Ref, nowT), -1)
+		due = s != nil && !sh.mirror && s.PayRent(int64(k*n)) || due
 	})
 	if due {
 		sh.maybeCompactLocked()
 	}
+	d.scales = d.scales[:0]
 	if sh.halfLife > 0 {
-		d.scales = d.scales[:0]
 		for _, s := range man.Segs {
 			d.scales = append(d.scales, sh.decayAt(nowT, s.TimeRef))
 		}
 	}
-	return man, base, scanned, nil
+	return man, nil
+}
+
+// snapshot walks the engine for one query and scans each run straight into
+// its base term: it returns the manifest to refine, the base term and how
+// many points that scan covered.
+func (d *Engine) snapshot(q []float64) (man *segment.Manifest, base float64, scanned int, err error) {
+	qNorm2 := vec.Norm2(q)
+	man, err = d.walk(len(q), 1, func(m *vec.Matrix, norms, w []float64, sign float64) {
+		base += sign * d.rows(q, qNorm2, m, norms, w, 0, len(norms))
+		scanned += len(norms)
+	})
+	return man, base, scanned, err
 }
 
 // decayed returns the weights w of rows stamped with the instants t as the

@@ -154,7 +154,7 @@ func (d *Engine) ApplyRows(rows []TailRow) (int, error) {
 // InstallSnapshot makes the engine a mirror of the leader whose stream r is
 // — a WriteSnapshot answer to this engine's Have, or a whole WriteTo file —
 // whatever it held before: configuration, manifest, dead rows, memtable and
-// counters are adopted; only runtime plumbing (clock, batch executor) is
+// counters are adopted; only runtime plumbing (clock, batch telemetry) is
 // kept. From then on the engine is a mirror: its reads charge no rent and it
 // starts no rebuild of its own until its next own insert or delete. The
 // stream is decoded first and swapped in under the lock last, so

@@ -137,8 +137,6 @@ func (d *Engine) Split(pred func(p []float64) bool) (MutableEngine, error) {
 func (sh *dynShared) emptySiblingLocked() *dynShared {
 	m := &dynShared{
 		dynConfig: sh.dynConfig,
-		batchExec: sh.batchExec,
-		dualCtr:   &dualCounters{},
 		now:       sh.now,
 		dims:      sh.dims,
 		man:       &segment.Manifest{},

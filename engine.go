@@ -30,7 +30,9 @@ type QueryEngine interface {
 	ApproximateStats(q []float64, eps float64) (float64, Stats, error)
 
 	// Batch forms fan out over internal clones (workers ≤ 0 selects
-	// GOMAXPROCS) or route to the dual-tree executor when configured.
+	// GOMAXPROCS). Threshold and approximate batches of at least 64
+	// queries over at least 256 points take the dual-tree executor
+	// instead; BatchAggregateStats always goes query by query.
 	BatchAggregateStats(queries [][]float64, workers int) ([]float64, Stats, error)
 	BatchThresholdStats(queries [][]float64, tau float64, workers int) ([]bool, Stats, error)
 	BatchApproximateStats(queries [][]float64, eps float64, workers int) ([]float64, Stats, error)

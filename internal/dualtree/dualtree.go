@@ -81,6 +81,17 @@ type Stats struct {
 	PointsScanned int
 }
 
+// Add folds o's counts into s, as the chunks of one batch sum.
+func (s *Stats) Add(o Stats) {
+	s.Queries += o.Queries
+	s.NodePairs += o.NodePairs
+	s.GroupCertified += o.GroupCertified
+	s.Fallbacks += o.Fallbacks
+	s.Iterations += o.Iterations
+	s.NodesExpanded += o.NodesExpanded
+	s.PointsScanned += o.PointsScanned
+}
+
 // entry is one reference-node position in a query node's working set,
 // with its current (scaled) group bound contribution.
 type entry struct {
@@ -151,28 +162,6 @@ func (e *Executor) computeMass() {
 		m += w
 	}
 	e.totalMass = m
-}
-
-// Aggregate answers exact kernel aggregation for every query: out[i] =
-// base[i] + Σ_seg scale·F_seg(q_i), computed through the identical
-// contiguous-range primitive as the sequential path (bitwise-equal results).
-// Exact queries scan every point regardless of grouping, so no query tree
-// is built.
-func (e *Executor) Aggregate(queries *vec.Matrix, base []float64, out []float64) (Stats, error) {
-	st := Stats{Queries: queries.Rows}
-	for i := 0; i < queries.Rows; i++ {
-		b := 0.0
-		if base != nil {
-			b = base[i]
-		}
-		v, qs, err := e.fb.Exact(queries.Row(i), b)
-		if err != nil {
-			return st, err
-		}
-		out[i] = v
-		st.PointsScanned += qs.PointsScanned
-	}
-	return st, nil
 }
 
 // Approximate answers out[i] within relative error eps of the true total

@@ -24,19 +24,19 @@ func randBatch(rng *rand.Rand, n, dim int) [][]float64 {
 }
 
 // TestBatchDualTreeStats checks that /v1/stats reports the dual_tree block:
-// a large batch on a dual-forced engine counts as a hit with node-pair
-// work, a batch on a sequential-forced engine counts as a miss.
+// a batch above the cutover's 64 queries counts as a hit with node-pair
+// work, a batch below it as a miss.
 func TestBatchDualTreeStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pts := randBatch(rng, 600, 3)
 	for _, tc := range []struct {
-		exec karl.BatchExecutor
-		hit  bool
+		queries int
+		hit     bool
 	}{
-		{karl.BatchDualTree, true},
-		{karl.BatchSequential, false},
+		{128, true},
+		{32, false},
 	} {
-		eng, err := karl.Build(pts, karl.Gaussian(3), karl.WithBatchExecutor(tc.exec))
+		eng, err := karl.Build(pts, karl.Gaussian(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestBatchDualTreeStats(t *testing.T) {
 		}
 		ts := httptest.NewServer(s)
 		resp, body := post(t, ts, "/v1/batch", BatchRequest{
-			Kind: "approximate", Queries: randBatch(rng, 128, 3), Eps: 0.1, Workers: 1,
+			Kind: "approximate", Queries: randBatch(rng, tc.queries, 3), Eps: 0.1, Workers: 1,
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
@@ -58,30 +58,28 @@ func TestBatchDualTreeStats(t *testing.T) {
 		}
 		if tc.hit {
 			if st.DualTree.Hits != 1 || st.DualTree.Misses != 0 {
-				t.Fatalf("dual-forced: hits=%d misses=%d", st.DualTree.Hits, st.DualTree.Misses)
+				t.Fatalf("large batch: hits=%d misses=%d", st.DualTree.Hits, st.DualTree.Misses)
 			}
-			if st.DualTree.Queries != 128 || st.DualTree.NodePairs == 0 {
-				t.Fatalf("dual-forced: queries=%d node_pairs=%d", st.DualTree.Queries, st.DualTree.NodePairs)
+			if st.DualTree.Queries != int64(tc.queries) || st.DualTree.NodePairs == 0 {
+				t.Fatalf("large batch: queries=%d node_pairs=%d", st.DualTree.Queries, st.DualTree.NodePairs)
 			}
 		} else {
 			if st.DualTree.Hits != 0 || st.DualTree.Misses != 1 {
-				t.Fatalf("sequential-forced: hits=%d misses=%d", st.DualTree.Hits, st.DualTree.Misses)
+				t.Fatalf("small batch: hits=%d misses=%d", st.DualTree.Hits, st.DualTree.Misses)
 			}
 		}
 	}
 }
 
-// TestConcurrentBatchStress races /v1/batch requests (forced through the
-// dual-tree executor) against /v1/insert traffic on a mutable server: every
-// batch must succeed against whatever snapshot it lands on, with seals and
-// manifest swaps happening underneath.
+// TestConcurrentBatchStress races /v1/batch requests against /v1/insert
+// traffic on a mutable server: every batch must succeed against whatever
+// snapshot it lands on, with seals and manifest swaps happening underneath.
+// The engine starts above the cutover's 256 points, so every 80-query
+// threshold and approximate batch runs the dual-tree executor.
 func TestConcurrentBatchStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	d, ts := testMutableServer(t,
-		karl.WithSealSize(64),
-		karl.WithBatchExecutor(karl.BatchDualTree),
-	)
-	if _, err := d.InsertBulk(randBatch(rng, 200, 2), nil); err != nil {
+	d, ts := testMutableServer(t, karl.WithSealSize(64))
+	if _, err := d.InsertBulk(randBatch(rng, 300, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 

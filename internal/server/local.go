@@ -400,7 +400,7 @@ func (l *local) Ready(context.Context) (any, bool) {
 	return ReadyResponse{
 		Ready:  true,
 		Points: l.pool.template.Len(),
-		Warm:   len(l.pool.idle) > 0 || l.pool.clones.Load() > 0,
+		Warm:   len(l.pool.idle) > 0,
 	}, true
 }
 

@@ -90,11 +90,10 @@ type Stats = core.Stats
 type Option func(*buildConfig)
 
 type buildConfig struct {
-	weights   []float64
-	kind      IndexKind
-	leafCap   int
-	method    Method
-	batchExec BatchExecutor
+	weights []float64
+	kind    IndexKind
+	leafCap int
+	method  Method
 
 	// Coreset construction knobs, consulted only by BuildCoreset,
 	// Engine.Sketch and KDE.Compress (coreset.go).
