@@ -87,8 +87,9 @@ func BenchmarkBaseTerm(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if d.MemtableLen() != rows || d.Tombstones() != rows {
-				b.Fatalf("%d memtable rows, %d tombstones; want %d of each", d.MemtableLen(), d.Tombstones(), rows)
+			st := d.Status()
+			if st.MemtableLen != rows || st.Tombstones != rows {
+				b.Fatalf("%d memtable rows, %d tombstones; want %d of each", st.MemtableLen, st.Tombstones, rows)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -20,8 +20,9 @@ func TestBuiltEngineTakesSingleSegmentLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, eng := range map[string]*Engine{"built": goldenStaticEngine(t), "loaded": loaded} {
-		if len(eng.Segments()) != 1 || eng.MemtableLen() != 0 {
-			t.Fatalf("%s: %d segments, %d buffered rows, want 1 and 0", name, len(eng.Segments()), eng.MemtableLen())
+		st := eng.Status()
+		if len(st.Segments) != 1 || st.MemtableLen != 0 {
+			t.Fatalf("%s: %d segments, %d buffered rows, want 1 and 0", name, len(st.Segments), st.MemtableLen)
 		}
 		rng := rand.New(rand.NewSource(71))
 		const calls = 40
@@ -170,8 +171,9 @@ func TestSketchAndShardReadLiveRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if dirty.MemtableLen() == 0 || dirty.Tombstones() == 0 {
-		t.Fatalf("fixture: %d buffered rows, %d tombstones; want some of each", dirty.MemtableLen(), dirty.Tombstones())
+	st := dirty.Status()
+	if st.MemtableLen == 0 || st.Tombstones == 0 {
+		t.Fatalf("fixture: %d buffered rows, %d tombstones; want some of each", st.MemtableLen, st.Tombstones)
 	}
 	var livePts [][]float64
 	var liveW []float64
@@ -239,7 +241,7 @@ func TestSketchAndShardReadLiveRows(t *testing.T) {
 	}
 	// The source is untouched: its buffered rows and tombstones are still
 	// pending.
-	if dirty.MemtableLen() == 0 || dirty.Tombstones() == 0 {
+	if dirty.Status().MemtableLen == 0 || dirty.Status().Tombstones == 0 {
 		t.Fatal("Sketch/Shard compacted the engine they read")
 	}
 	empty, err := NewDynamic(Gaussian(8))

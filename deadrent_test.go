@@ -34,7 +34,7 @@ var rentProbes = [][]float64{{0.2, 0.3}, {0.7, 0.6}, {0.5, 0.5}, {0.9, 0.1}}
 // onlySegment returns the engine's single segment's size and dead count.
 func onlySegment(t *testing.T, d *Engine) (n, dead int) {
 	t.Helper()
-	segs := d.Segments()
+	segs := d.Status().Segments
 	if len(segs) > 1 {
 		t.Fatalf("deletes alone produced %d segments", len(segs))
 	}
@@ -85,14 +85,14 @@ func TestDeadRentSteadyReader(t *testing.T) {
 			t.Fatalf("after deleting %d: %d tombstones beside %d stored rows, the rent rule allows %.1f", id, dead, size, bound)
 		}
 		if dead > 0 {
-			if got, want := d.DeadEvals()[d.Segments()[0].ID], int64(r*dead*(dead+1)/2); got != want {
+			if got, want := deadEvals(d)[d.Status().Segments[0].ID], int64(r*dead*(dead+1)/2); got != want {
 				t.Fatalf("after deleting %d: debt %d, the reads paid %d", id, got, want)
 			}
 		}
 		maxTombs = max(maxTombs, dead)
 	}
 	t.Logf("%d dead-row rewrites, %d drops, tombstones peaked at %d (the dead share alone lets %d pile up)",
-		d.DeadRewrites(), d.DeadDrops(), maxTombs, n/segment.DefaultPolicy().Fanout-1)
+		d.Status().DeadRewrites, d.Status().DeadDrops, maxTombs, n/segment.DefaultPolicy().Fanout-1)
 }
 
 // TestDeadRentNoReadsKeepsDeadShareRule runs the same oldest-first delete
@@ -119,12 +119,13 @@ func TestDeadRentNoReadsKeepsDeadShareRule(t *testing.T) {
 		if gotSize, gotDead := onlySegment(t, d); gotSize != size || gotDead != dead {
 			t.Fatalf("after deleting %d: segment of %d rows with %d dead, the dead-share rule leaves %d with %d", id, gotSize, gotDead, size, dead)
 		}
-		if evals := d.DeadEvals(); len(evals) > 0 && !reflect.DeepEqual(evals, map[uint64]int64{d.Segments()[0].ID: 0}) {
+		if evals := deadEvals(d); len(evals) > 0 && !reflect.DeepEqual(evals, map[uint64]int64{d.Status().Segments[0].ID: 0}) {
 			t.Fatalf("no read ran, yet the debt is %v", evals)
 		}
 	}
-	if d.DeadRewrites() != rewrites || d.DeadDrops() != drops || rewrites != 21 || drops != 1 {
-		t.Fatalf("%d rewrites and %d drops; the dead-share rule makes %d and %d", d.DeadRewrites(), d.DeadDrops(), rewrites, drops)
+	st := d.Status()
+	if st.DeadRewrites != rewrites || st.DeadDrops != drops || rewrites != 21 || drops != 1 {
+		t.Fatalf("%d rewrites and %d drops; the dead-share rule makes %d and %d", st.DeadRewrites, st.DeadDrops, rewrites, drops)
 	}
 }
 
@@ -148,7 +149,8 @@ func TestDeadRentFollowerNeverRewrites(t *testing.T) {
 	}
 	defer follower.Close()
 	replicaPull(t, leader, follower)
-	epoch, segs := follower.Epoch(), follower.Segments()
+	mirrored := follower.Status()
+	epoch, segs := mirrored.Epoch, mirrored.Segments
 	batch := make([][]float64, 64)
 	for i := range batch {
 		batch[i] = rentProbes[i%len(rentProbes)]
@@ -167,11 +169,11 @@ func TestDeadRentFollowerNeverRewrites(t *testing.T) {
 		t.Fatalf("the follower's batch of %d took %d dual-tree batches, want 1", len(batch), got)
 	}
 	waitMaintenance(follower)
-	if got := follower.DeadRewrites() + follower.DeadDrops(); got != 0 || follower.Epoch() != epoch || !reflect.DeepEqual(follower.Segments(), segs) {
-		t.Fatalf("a follower's reads rebuilt its manifest: %d rewrites/drops, epoch %d -> %d, segments %v -> %v",
-			got, epoch, follower.Epoch(), segs, follower.Segments())
+	if st := follower.Status(); st.DeadRewrites+st.DeadDrops != 0 || st.Epoch != epoch || !reflect.DeepEqual(st.Segments, segs) {
+		t.Fatalf("a follower's reads rebuilt its manifest: %d rewrites, %d drops, epoch %d -> %d, segments %v -> %v",
+			st.DeadRewrites, st.DeadDrops, epoch, st.Epoch, segs, st.Segments)
 	}
-	if evals := follower.DeadEvals(); evals[segs[0].ID] != 0 {
+	if evals := deadEvals(follower); evals[segs[0].ID] != 0 {
 		t.Fatalf("a follower charged rent %v", evals)
 	}
 	checkReplicaMirrored(t, leader, follower)
@@ -180,14 +182,15 @@ func TestDeadRentFollowerNeverRewrites(t *testing.T) {
 	if err := follower.Delete(61); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < reads && follower.DeadRewrites() == 0; i++ {
+	for i := 0; i < reads && follower.Status().DeadRewrites == 0; i++ {
 		if _, err := follower.Aggregate(rentProbes[i%len(rentProbes)]); err != nil {
 			t.Fatal(err)
 		}
 		waitMaintenance(follower)
 	}
-	if follower.DeadRewrites() != 1 || follower.Tombstones() != 0 {
-		t.Fatalf("after its first write the follower's reads bought %d rewrites, %d tombstones left", follower.DeadRewrites(), follower.Tombstones())
+	st := follower.Status()
+	if st.DeadRewrites != 1 || st.Tombstones != 0 {
+		t.Fatalf("after its first write the follower's reads bought %d rewrites, %d tombstones left", st.DeadRewrites, st.Tombstones)
 	}
 }
 
@@ -204,16 +207,16 @@ func TestDeadRentChargesEveryRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	id := d.Segments()[0].ID
+	id := d.Status().Segments[0].ID
 	want := map[uint64]int64{id: 0}
-	if got := d.DeadEvals(); !reflect.DeepEqual(got, want) {
+	if got := deadEvals(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("debt before any read %v", got)
 	}
 	if _, err := d.Threshold(rentProbes[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	want[id] = dead
-	if got := d.DeadEvals(); !reflect.DeepEqual(got, want) {
+	if got := deadEvals(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("debt after one query %v, want %v", got, want)
 	}
 	for _, m := range []int{3, dualTreeMinBatch} {
@@ -234,7 +237,7 @@ func TestDeadRentChargesEveryRead(t *testing.T) {
 			t.Fatalf("a batch of %d took the wrong side of the cutover: %+v -> %+v", m, before, after)
 		}
 		want[id] += int64(m * dead)
-		if got := d.DeadEvals(); !reflect.DeepEqual(got, want) {
+		if got := deadEvals(d); !reflect.DeepEqual(got, want) {
 			t.Fatalf("debt after a batch of %d %v, want %v", m, got, want)
 		}
 	}
@@ -282,7 +285,7 @@ func TestDeadRentConcurrentReaders(t *testing.T) {
 	wg.Wait()
 	waitMaintenance(d)
 	checkStorageInvariants(t, d, true)
-	if d.DeadRewrites() == 0 {
+	if d.Status().DeadRewrites == 0 {
 		t.Fatalf("%d deletes beside readers rewrote nothing", n*3/4)
 	}
 	q := rentProbes[0]
@@ -293,4 +296,17 @@ func TestDeadRentConcurrentReaders(t *testing.T) {
 	if got, err := d.Aggregate(q); err != nil || math.Abs(got-want) > 1e-9*(1+want) {
 		t.Fatalf("Aggregate = %v, %v; exact %v", got, err, want)
 	}
+}
+
+// deadEvals maps each segment holding tombstones to the evaluations reads
+// have paid on its dead rows, as one status reading reports them.
+func deadEvals(d *Engine) map[uint64]int64 {
+	st := d.Status()
+	evals := make(map[uint64]int64)
+	for i, s := range st.Segments {
+		if s.Dead > 0 {
+			evals[s.ID] = st.DeadEvals[i]
+		}
+	}
+	return evals
 }

@@ -152,6 +152,18 @@ func TestDeleteChurnProperty(t *testing.T) {
 			for step := 1; step <= steps; step++ {
 				insert(chunk)
 				remove(chunk)
+				// One status reading is one instant, whatever seal or
+				// merge is in flight beside it.
+				st := d.Status()
+				stored, dead := 0, 0
+				for _, s := range st.Segments {
+					stored += s.Len
+					dead += s.Dead
+				}
+				if st.Points != len(live) || st.Points != stored+st.MemtableLen-st.Tombstones || dead > st.Tombstones {
+					t.Fatalf("step %d: status reads %d points, mirror holds %d; %d stored + %d buffered − %d tombstones; %d dead in segments",
+						step, st.Points, len(live), stored, st.MemtableLen, st.Tombstones, dead)
+				}
 				if step%every != 0 {
 					continue
 				}
@@ -186,7 +198,7 @@ func TestDeleteChurnProperty(t *testing.T) {
 				// Each segment at rest has dead·Fanout < Len, so over all
 				// segments dead < stored/Fanout, i.e. dead < live/(Fanout−1);
 				// the issue's looser form allows one seal per segment on top.
-				tombs := d.Tombstones()
+				tombs := d.Status().Tombstones
 				if tombs*fanout >= stored && tombs > 0 {
 					t.Fatalf("step %d: %d tombstones over %d stored rows breaks the 1/%d dead share", step, tombs, stored, fanout)
 				}
@@ -230,11 +242,12 @@ func TestDeleteChurnProperty(t *testing.T) {
 					}
 				}
 			}
-			if d.DeadRewrites()+d.DeadDrops() == 0 {
+			st := d.Status()
+			if st.DeadRewrites+st.DeadDrops == 0 {
 				t.Fatalf("churn finished without a single dead-row rewrite or drop")
 			}
 			t.Logf("%s: %d seals, %d compactions (%d dead-share rewrites), %d dead drops, peak %d segments, %d tombstones pending",
-				mode, d.Seals(), d.Compactions(), d.DeadRewrites(), d.DeadDrops(), maxSegs, d.Tombstones())
+				mode, st.Seals, st.Compactions, st.DeadRewrites, st.DeadDrops, maxSegs, st.Tombstones)
 		})
 	}
 }
@@ -261,7 +274,7 @@ func TestDeleteOnlyReclaimsSpace(t *testing.T) {
 	waitMaintenance(d)
 	stored := func() int {
 		rows := 0
-		for _, s := range d.Segments() {
+		for _, s := range d.Status().Segments {
 			rows += s.Len
 		}
 		return rows
@@ -270,7 +283,7 @@ func TestDeleteOnlyReclaimsSpace(t *testing.T) {
 	if before != n {
 		t.Fatalf("stored %d rows after %d inserts", before, n)
 	}
-	compactionsBefore := d.Compactions()
+	compactionsBefore := d.Status().Compactions
 
 	// Delete a random 60 %: every segment crosses the 1/4 dead share.
 	perm := rng.Perm(n)
@@ -285,8 +298,9 @@ func TestDeleteOnlyReclaimsSpace(t *testing.T) {
 	if got := stored(); got >= before*3/5 {
 		t.Fatalf("stored rows %d -> %d after deleting %d: nothing was reclaimed", before, got, cut)
 	}
-	if d.DeadRewrites() == 0 || d.Compactions() == compactionsBefore {
-		t.Fatalf("deletes alone triggered no rewrite (%d rewrites, compactions %d -> %d)", d.DeadRewrites(), compactionsBefore, d.Compactions())
+	st := d.Status()
+	if st.DeadRewrites == 0 || st.Compactions == compactionsBefore {
+		t.Fatalf("deletes alone triggered no rewrite (%d rewrites, compactions %d -> %d)", st.DeadRewrites, compactionsBefore, st.Compactions)
 	}
 	var want float64
 	q := []float64{0.4, 0.6}
@@ -305,10 +319,10 @@ func TestDeleteOnlyReclaimsSpace(t *testing.T) {
 		}
 	}
 	waitMaintenance(d)
-	if d.Len() != 0 || stored() != 0 || d.Tombstones() != 0 {
-		t.Fatalf("after deleting everything: Len %d, %d stored rows, %d tombstones", d.Len(), stored(), d.Tombstones())
+	if d.Len() != 0 || stored() != 0 || d.Status().Tombstones != 0 {
+		t.Fatalf("after deleting everything: Len %d, %d stored rows, %d tombstones", d.Len(), stored(), d.Status().Tombstones)
 	}
-	if d.DeadDrops() == 0 {
+	if d.Status().DeadDrops == 0 {
 		t.Fatalf("fully dead segments were rebuilt instead of dropped")
 	}
 }
@@ -338,8 +352,9 @@ func TestDeleteBitwiseRepeatable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Tombstones() != 150 || len(d.Segments()) != 6 {
-		t.Fatalf("setup: %d tombstones over %d segments", d.Tombstones(), len(d.Segments()))
+	st := d.Status()
+	if st.Tombstones != 150 || len(st.Segments) != 6 {
+		t.Fatalf("setup: %d tombstones over %d segments", st.Tombstones, len(st.Segments))
 	}
 	queries := make([][]float64, 16)
 	for i := range queries {
@@ -416,8 +431,9 @@ func TestBaseVisitorsBitwise(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if d.MemtableLen() == 0 || d.Tombstones() != 70 || len(d.Segments()) < 2 {
-				t.Fatalf("setup: %d memtable rows, %d tombstones, %d segments", d.MemtableLen(), d.Tombstones(), len(d.Segments()))
+			st := d.Status()
+			if st.MemtableLen == 0 || st.Tombstones != 70 || len(st.Segments) < 2 {
+				t.Fatalf("setup: %d memtable rows, %d tombstones, %d segments", st.MemtableLen, st.Tombstones, len(st.Segments))
 			}
 			queries := make([][]float64, 12)
 			for i := range queries {
@@ -477,14 +493,15 @@ func TestDeadAttributionPersistRoundTrip(t *testing.T) {
 		}
 	}
 	waitMaintenance(d)
-	for ; d.Tombstones() < 6; gone++ {
+	for ; d.Status().Tombstones < 6; gone++ {
 		if err := d.Delete(ids[perm[gone]]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitMaintenance(d)
-	if d.DeadRewrites() == 0 || d.Tombstones() == 0 {
-		t.Fatalf("setup wants rewrites done and tombstones pending, got %d rewrites, %d tombstones", d.DeadRewrites(), d.Tombstones())
+	st := d.Status()
+	if st.DeadRewrites == 0 || st.Tombstones == 0 {
+		t.Fatalf("setup wants rewrites done and tombstones pending, got %d rewrites, %d tombstones", st.DeadRewrites, st.Tombstones)
 	}
 	checkStorageInvariants(t, d, true)
 
@@ -498,11 +515,11 @@ func TestDeadAttributionPersistRoundTrip(t *testing.T) {
 	}
 	defer r.Close()
 	checkStorageInvariants(t, r, true)
-	if !reflect.DeepEqual(d.Segments(), r.Segments()) {
-		t.Fatalf("per-segment dead counts changed across the round trip:\n wrote %+v\n  read %+v", d.Segments(), r.Segments())
+	if !reflect.DeepEqual(d.Status().Segments, r.Status().Segments) {
+		t.Fatalf("per-segment dead counts changed across the round trip:\n wrote %+v\n  read %+v", d.Status().Segments, r.Status().Segments)
 	}
-	if d.Tombstones() != r.Tombstones() || d.Len() != r.Len() {
-		t.Fatalf("tombstones %d -> %d, len %d -> %d", d.Tombstones(), r.Tombstones(), d.Len(), r.Len())
+	if d.Status().Tombstones != r.Status().Tombstones || d.Len() != r.Len() {
+		t.Fatalf("tombstones %d -> %d, len %d -> %d", d.Status().Tombstones, r.Status().Tombstones, d.Len(), r.Len())
 	}
 	for k := 0; k < 8; k++ {
 		q := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
@@ -514,7 +531,7 @@ func TestDeadAttributionPersistRoundTrip(t *testing.T) {
 	}
 	segs := d.sh.man.Segs
 	if len(segs) < 2 || segs[0].Dead.Len() == 0 {
-		t.Fatalf("setup wants two segments, the first with dead rows: %+v", d.Segments())
+		t.Fatalf("setup wants two segments, the first with dead rows: %+v", d.Status().Segments)
 	}
 	if _, err := readSegmentStream(segmentStream(segs[1], segs[0].Dead)); err == nil || !strings.Contains(err.Error(), "is not a row of segment") {
 		t.Fatalf("segment block with another segment's dead rows: error %v", err)
@@ -526,8 +543,9 @@ func TestDeadAttributionPersistRoundTrip(t *testing.T) {
 		}
 	}
 	waitMaintenance(r)
-	if r.Len() != 0 || r.Tombstones() != 0 || len(r.Segments()) != 0 {
-		t.Fatalf("reloaded engine after deleting everything: len %d, %d tombstones, %d segments", r.Len(), r.Tombstones(), len(r.Segments()))
+	rs := r.Status()
+	if rs.Points != 0 || rs.Tombstones != 0 || len(rs.Segments) != 0 {
+		t.Fatalf("reloaded engine after deleting everything: len %d, %d tombstones, %d segments", rs.Points, rs.Tombstones, len(rs.Segments))
 	}
 
 	// A tombstone that shadows no stored row is corruption, not mass.
@@ -595,10 +613,10 @@ func TestReplicaFollowerUnderLeaderRewrites(t *testing.T) {
 		checkStorageInvariants(t, follower, true)
 		checkReplicaMirrored(t, leader, follower)
 	}
-	if leader.DeadRewrites() == 0 {
+	if leader.Status().DeadRewrites == 0 {
 		t.Fatalf("leader never rewrote a segment: the test exercised nothing")
 	}
-	if got := follower.DeadRewrites() + follower.DeadDrops(); got != 0 {
+	if got := follower.Status().DeadRewrites + follower.Status().DeadDrops; got != 0 {
 		t.Fatalf("follower ran %d compactions of its own: it mirrors, it does not maintain", got)
 	}
 	// Every id the leader still holds is addressable on the follower.

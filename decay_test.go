@@ -138,7 +138,7 @@ func TestDecayLazyRescaleMatchesEagerReweight(t *testing.T) {
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Tombstones(); got != 0 {
+	if got := d.Status().Tombstones; got != 0 {
 		t.Fatalf("tombstones after compaction = %d, want 0", got)
 	}
 	check("after compaction")
@@ -223,7 +223,7 @@ func TestTTLExpiryWithFakeClock(t *testing.T) {
 	if got := d.Len(); got != 0 {
 		t.Fatalf("Len after full expiry = %d, want 0", got)
 	}
-	if got := len(d.Segments()); got != 0 {
+	if got := len(d.Status().Segments); got != 0 {
 		t.Fatalf("segments after full expiry = %d, want 0", got)
 	}
 }
@@ -263,7 +263,7 @@ func TestTTLExpiryAtSeal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Seals() == 0 {
+	if d.Status().Seals == 0 {
 		t.Fatal("expected at least one seal after crossing the threshold")
 	}
 	if err := d.Compact(); err != nil {

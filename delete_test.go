@@ -93,8 +93,8 @@ func TestDeleteMetamorphicGate(t *testing.T) {
 					if a.Len() != b.Len() {
 						t.Fatalf("Len %d after deletes, want %d", a.Len(), b.Len())
 					}
-					if a.Deletes() != deleted {
-						t.Fatalf("Deletes() = %d, want %d", a.Deletes(), deleted)
+					if a.Status().Deletes != deleted {
+						t.Fatalf("Deletes() = %d, want %d", a.Status().Deletes, deleted)
 					}
 
 					queries := cloud(rng, 20, 2)
@@ -133,8 +133,8 @@ func TestDeleteMetamorphicGate(t *testing.T) {
 					if err := b.Compact(); err != nil {
 						t.Fatal(err)
 					}
-					if a.Tombstones() != 0 {
-						t.Fatalf("%d tombstones survived a full compaction", a.Tombstones())
+					if a.Status().Tombstones != 0 {
+						t.Fatalf("%d tombstones survived a full compaction", a.Status().Tombstones)
 					}
 					apos, aneg := a.WeightMass()
 					bpos, bneg := b.WeightMass()
@@ -248,11 +248,11 @@ func TestDeleteEverythingThenCompact(t *testing.T) {
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if segs := d.Segments(); len(segs) != 0 {
+	if segs := d.Status().Segments; len(segs) != 0 {
 		t.Fatalf("compaction of fully-tombstoned manifest left %d segments", len(segs))
 	}
-	if d.Tombstones() != 0 {
-		t.Fatalf("%d tombstones survived", d.Tombstones())
+	if d.Status().Tombstones != 0 {
+		t.Fatalf("%d tombstones survived", d.Status().Tombstones)
 	}
 	// Physically empty now: queries error like a fresh engine.
 	if _, err := d.Aggregate(q); err == nil {

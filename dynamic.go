@@ -410,6 +410,10 @@ func (d *Engine) Len() int {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return sh.lenLocked()
+}
+
+func (sh *dynShared) lenLocked() int {
 	return sh.man.Len() + sh.mem.len() + sh.sealing.len() - sh.tombstonesLocked()
 }
 
@@ -458,6 +462,10 @@ func (d *Engine) WeightMass() (pos, neg float64) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return sh.weightMassLocked()
+}
+
+func (sh *dynShared) weightMassLocked() (pos, neg float64) {
 	var nowT int64
 	if sh.timed() {
 		nowT = sh.now()
@@ -511,86 +519,56 @@ func (b *memtable) len() int {
 	return b.n
 }
 
-// Epoch returns the current manifest epoch; it increases with every seal
-// and compaction, so two equal epochs imply an identical segment set.
-func (d *Engine) Epoch() uint64 {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.man.Epoch
+// EngineStatus is one reading of the engine's state, taken under one hold
+// of the engine lock, so its fields describe a single instant: Points ==
+// Σ Segments[i].Len + MemtableLen − Tombstones and Σ Segments[i].Dead ≤
+// Tombstones hold in every reading, however fast the engine churns.
+//
+// Epoch, NextSeq, Seals, Compactions and Deletes travel with the engine: a
+// file (WriteTo) and a replica snapshot (InstallSnapshot) carry them, so a
+// reload or a follower reports its source's values. DeadRewrites,
+// DeadDrops and DeadEvals count only what this process did and paid: they
+// start from zero on a load, and a follower, which rebuilds nothing and
+// charges no rent, does not advance them beside its leader's Compactions.
+type EngineStatus struct {
+	// Epoch is the manifest epoch; it increases with every seal and
+	// compaction, so two equal epochs imply an identical segment set.
+	Epoch uint64
+	// NextSeq is the id the next insert will be assigned. A Split's moved
+	// engine continues from the same counter, so the value at split time
+	// fences inherited ids (below it) from native ones — what the cluster
+	// layer's delete routing needs to chase a point across splits.
+	NextSeq uint64
+	// Points, WeightPos and WeightNeg are Len and WeightMass.
+	Points               int
+	WeightPos, WeightNeg float64
+	// MemtableLen is the number of buffered (not yet sealed) points.
+	MemtableLen int
+	// Tombstones is how many deletes are pending physical removal — points
+	// whose mass every query currently subtracts exactly, awaiting a
+	// compaction over their segment.
+	Tombstones int
+	// Segments is the manifest, oldest segment first.
+	Segments []SegmentInfo
+	// DeadEvals is index-aligned with Segments: the kernel evaluations
+	// reads have paid on each segment's dead rows since its first
+	// tombstone, the debt that gets it rewritten once it reaches the
+	// rewrite's own cost (segment.RowRewriteEvals per stored row). It stays
+	// out of SegmentInfo, which a leader and its mirror, or a file and its
+	// reload, agree on.
+	DeadEvals []int64
+	// Seals counts memtable seals, Compactions completed segment rebuilds
+	// (tiered merges, dead-row rewrites, Compact and Split) and Deletes the
+	// points deleted over the engine's lifetime.
+	Seals, Compactions, Deletes int
+	// DeadRewrites counts the rebuilds of a single segment whose dead rows
+	// were due a rewrite (segment.Policy.RewriteDue), DeadDrops the fully
+	// dead segments removed without one.
+	DeadRewrites, DeadDrops int
+	// TTL is the point lifetime and DecayHalfLife the weight-decay
+	// half-life; 0 turns either off.
+	TTL, DecayHalfLife time.Duration
 }
-
-// MemtableLen returns the number of buffered (not yet sealed) points.
-func (d *Engine) MemtableLen() int {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.mem.len() + sh.sealing.len()
-}
-
-// Seals reports how many memtable seals have happened.
-func (d *Engine) Seals() int {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.seals
-}
-
-// Compactions reports how many segment rebuilds have completed:
-// background tiered merges and dead-share rewrites plus explicit Compact
-// calls. DeadRewrites counts the dead-share subset.
-func (d *Engine) Compactions() int {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.compactions
-}
-
-// DeadRewrites reports how many background compactions rewrote a single
-// segment because its dead rows were due a rewrite: they reached a
-// 1/Fanout share of it, or reads had paid the rewrite's cost evaluating
-// them (segment.Policy.RewriteDue).
-func (d *Engine) DeadRewrites() int {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.deadRewrites
-}
-
-// DeadDrops reports how many segments left the manifest without a rebuild
-// because every one of their rows had been deleted.
-func (d *Engine) DeadDrops() int {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.deadDrops
-}
-
-// Tombstones reports how many deletes are pending physical removal —
-// points whose mass every query currently subtracts exactly, awaiting a
-// compaction over their segment.
-func (d *Engine) Tombstones() int {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.tombstonesLocked()
-}
-
-// Deletes reports how many points have been deleted over the engine's
-// lifetime (memtable removals and tombstones alike).
-func (d *Engine) Deletes() int {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.deletes
-}
-
-// TTL returns the configured point lifetime (0 = points never expire).
-func (d *Engine) TTL() time.Duration { return time.Duration(d.sh.ttl) }
-
-// DecayHalfLife returns the configured weight-decay half-life (0 = no
-// decay).
-func (d *Engine) DecayHalfLife() time.Duration { return time.Duration(d.sh.halfLife) }
 
 // SegmentInfo describes one immutable segment of the current manifest.
 type SegmentInfo struct {
@@ -602,36 +580,35 @@ type SegmentInfo struct {
 	Dead int
 }
 
-// Segments returns a snapshot of the current manifest, oldest segment
-// first.
-func (d *Engine) Segments() []SegmentInfo {
+// Status reads the engine's state at one instant (see EngineStatus).
+func (d *Engine) Status() EngineStatus {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	out := make([]SegmentInfo, len(sh.man.Segs))
-	for i, s := range sh.man.Segs {
-		out[i] = SegmentInfo{ID: s.ID, Len: s.Len(), Dead: s.Dead.Len()}
+	st := EngineStatus{
+		Epoch:         sh.man.Epoch,
+		NextSeq:       sh.nextSeq,
+		Points:        sh.lenLocked(),
+		MemtableLen:   sh.mem.len() + sh.sealing.len(),
+		Tombstones:    sh.tombstonesLocked(),
+		Segments:      make([]SegmentInfo, len(sh.man.Segs)),
+		DeadEvals:     make([]int64, len(sh.man.Segs)),
+		Seals:         sh.seals,
+		Compactions:   sh.compactions,
+		Deletes:       sh.deletes,
+		DeadRewrites:  sh.deadRewrites,
+		DeadDrops:     sh.deadDrops,
+		TTL:           time.Duration(sh.ttl),
+		DecayHalfLife: time.Duration(sh.halfLife),
 	}
-	return out
-}
-
-// DeadEvals reports, by segment ID, the kernel evaluations reads have paid
-// on each current segment's dead rows since its first tombstone — the debt
-// that gets the segment rewritten once it reaches the rewrite's own cost
-// (segment.RowRewriteEvals per stored row). Segments without tombstones are
-// absent. The figure belongs to this process: a reload or a replica starts
-// from what it pays itself, which is why Segments leaves it out.
-func (d *Engine) DeadEvals() map[uint64]int64 {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make(map[uint64]int64)
-	for _, s := range sh.man.Segs {
+	st.WeightPos, st.WeightNeg = sh.weightMassLocked()
+	for i, s := range sh.man.Segs {
+		st.Segments[i] = SegmentInfo{ID: s.ID, Len: s.Len(), Dead: s.Dead.Len()}
 		if s.Dead.Len() > 0 {
-			out[s.ID] = s.Dead.Debt
+			st.DeadEvals[i] = s.Dead.Debt
 		}
 	}
-	return out
+	return st
 }
 
 // validateInsert rejects empty points and NaN or ±Inf coordinates and
@@ -1427,7 +1404,7 @@ func (d *Engine) ApproximateStats(q []float64, eps float64) (float64, Stats, err
 
 // ArmedEpoch returns the manifest epoch this clone's executor is armed
 // for — the epoch of the last query it ran — and whether it has run one.
-// Comparing it with Epoch shows how far a pooled clone lags the dataset.
+// Comparing it with Status().Epoch shows how far a clone lags the dataset.
 func (d *Engine) ArmedEpoch() (uint64, bool) {
 	if d.fMan == nil {
 		return 0, false

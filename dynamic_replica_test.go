@@ -45,19 +45,19 @@ var replicaProbes = [][]float64{{0.3, 0.3}, {0.8, 0.2}, {0.5, 0.9}, {-0.8, 0.2},
 // whatever it held before.
 func checkReplicaMirrored(t *testing.T, leader, follower *Engine) {
 	t.Helper()
-	if l, f := leader.NextSeq(), follower.NextSeq(); l != f {
+	if l, f := leader.Status().NextSeq, follower.Status().NextSeq; l != f {
 		t.Fatalf("next seq: leader %d follower %d", l, f)
 	}
-	if l, f := leader.Epoch(), follower.Epoch(); l != f {
+	if l, f := leader.Status().Epoch, follower.Status().Epoch; l != f {
 		t.Fatalf("epoch: leader %d follower %d", l, f)
 	}
-	if l, f := leader.Deletes(), follower.Deletes(); l != f {
+	if l, f := leader.Status().Deletes, follower.Status().Deletes; l != f {
 		t.Fatalf("deletes: leader %d follower %d", l, f)
 	}
 	if l, f := leader.Len(), follower.Len(); l != f {
 		t.Fatalf("len: leader %d follower %d", l, f)
 	}
-	if l, f := leader.Segments(), follower.Segments(); !reflect.DeepEqual(l, f) {
+	if l, f := leader.Status().Segments, follower.Status().Segments; !reflect.DeepEqual(l, f) {
 		t.Fatalf("manifest:\n leader   %+v\n follower %+v", l, f)
 	}
 	lp, ln := leader.WeightMass()
@@ -227,7 +227,7 @@ func TestReplicaTimedEngineTail(t *testing.T) {
 			replicaDelete(t, leader, ids[4], ids[25], ids[40])
 			replicaPull(t, leader, follower)
 			checkReplicaMirrored(t, leader, follower)
-			if got := len(follower.Segments()); got != 3 {
+			if got := len(follower.Status().Segments); got != 3 {
 				t.Fatalf("follower holds %d segments, want the leader's 3", got)
 			}
 			clock += int64(10 * time.Minute)
@@ -302,8 +302,9 @@ func TestReplicaLongDisconnection(t *testing.T) {
 		}
 	}
 	waitMaintenance(leader)
-	if leader.Deletes() < churn || leader.Compactions() < 3 || leader.DeadRewrites() == 0 {
-		t.Fatalf("setup: %d deletes, %d compactions, %d dead-share rewrites", leader.Deletes(), leader.Compactions(), leader.DeadRewrites())
+	st := leader.Status()
+	if st.Deletes < churn || st.Compactions < 3 || st.DeadRewrites == 0 {
+		t.Fatalf("setup: %d deletes, %d compactions, %d dead-share rewrites", st.Deletes, st.Compactions, st.DeadRewrites)
 	}
 	replicaPull(t, leader, follower)
 	checkReplicaMirrored(t, leader, follower)
@@ -335,8 +336,8 @@ func TestReplicaElisionIdentity(t *testing.T) {
 		return eng
 	}
 	a, b := build(), build()
-	if !reflect.DeepEqual(a.Segments(), b.Segments()) || a.NextSeq() != b.NextSeq() || a.Epoch() != b.Epoch() {
-		t.Fatalf("setup wants two leaders alike in everything but their points: %+v / %+v", a.Segments(), b.Segments())
+	if as, bs := a.Status(), b.Status(); !reflect.DeepEqual(as.Segments, bs.Segments) || as.NextSeq != bs.NextSeq || as.Epoch != bs.Epoch {
+		t.Fatalf("setup wants two leaders alike in everything but their points: %+v / %+v", as.Segments, bs.Segments)
 	}
 	follower, err := NewDynamic(Gaussian(1))
 	if err != nil {
@@ -480,8 +481,8 @@ func TestReplicaInstallIsAtomic(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: error %v, want one containing %q", name, err, c.want)
 		}
-		if after := follower.Have(); !reflect.DeepEqual(before, after) || follower.Tombstones() != 0 {
-			t.Fatalf("%s: refused stream changed the follower: %+v -> %+v, %d tombstones", name, before, after, follower.Tombstones())
+		if after := follower.Have(); !reflect.DeepEqual(before, after) || follower.Status().Tombstones != 0 {
+			t.Fatalf("%s: refused stream changed the follower: %+v -> %+v, %d tombstones", name, before, after, follower.Status().Tombstones)
 		}
 	}
 	if err := follower.InstallSnapshot(bytes.NewReader(forged(func(*heldSegment) {}))); err != nil {

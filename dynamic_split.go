@@ -10,18 +10,6 @@ import (
 	"karl/internal/shard"
 )
 
-// NextSeq returns the id the next insert will be assigned. After a Split,
-// the moved engine continues from the same counter, so the value at split
-// time is the fence separating inherited ids (strictly below it, assigned
-// by an ancestor engine) from native ones — what the cluster layer's
-// delete routing needs to chase a point across splits.
-func (d *Engine) NextSeq() uint64 {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.nextSeq
-}
-
 // SplitPlane proposes a balanced axis-aligned cut over the stored points:
 // the median value of the widest dimension, adjusted so neither side is
 // empty (shard.Plane at rank ½). Points with p[dim] >= cut form the moving

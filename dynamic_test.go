@@ -136,7 +136,7 @@ func TestDynamicMatchesStatic(t *testing.T) {
 			}
 		}
 	}
-	if d.Seals() == 0 {
+	if d.Status().Seals == 0 {
 		t.Fatal("2000 inserts should have sealed at least one segment")
 	}
 }
@@ -176,26 +176,26 @@ func TestDynamicManualCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Seals() != 0 {
+	if d.Status().Seals != 0 {
 		t.Fatal("tiny memtable should not auto-seal")
 	}
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Compactions() != 1 {
-		t.Fatalf("Compactions = %d", d.Compactions())
+	if d.Status().Compactions != 1 {
+		t.Fatalf("Compactions = %d", d.Status().Compactions)
 	}
-	if segs := d.Segments(); len(segs) != 1 || segs[0].Len != 10 {
+	if segs := d.Status().Segments; len(segs) != 1 || segs[0].Len != 10 {
 		t.Fatalf("Segments = %+v", segs)
 	}
-	if d.MemtableLen() != 0 {
-		t.Fatalf("MemtableLen = %d after Compact", d.MemtableLen())
+	if d.Status().MemtableLen != 0 {
+		t.Fatalf("MemtableLen = %d after Compact", d.Status().MemtableLen)
 	}
 	// Compact with nothing new to merge is a no-op.
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Compactions() != 1 {
+	if d.Status().Compactions != 1 {
 		t.Fatal("no-op compact should not count")
 	}
 	got, err := d.Aggregate([]float64{0})
@@ -249,8 +249,9 @@ func TestFastPathBypassOnMutation(t *testing.T) {
 		}
 		ids[i] = id
 	}
-	if d.Seals() != 1 || d.MemtableLen() != 0 || d.Tombstones() != 0 {
-		t.Fatalf("want exactly one sealed segment and an empty memtable (seals=%d mem=%d)", d.Seals(), d.MemtableLen())
+	st := d.Status()
+	if st.Seals != 1 || st.MemtableLen != 0 || st.Tombstones != 0 {
+		t.Fatalf("want exactly one sealed segment and an empty memtable (seals=%d mem=%d)", st.Seals, st.MemtableLen)
 	}
 	q := []float64{0.5, 0.5}
 	want := bruteGaussian(2, pts, q)
@@ -294,8 +295,8 @@ func TestFastPathBypassOnMutation(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()
-	if d.Tombstones() != 1 {
-		t.Fatalf("delete of a sealed point must tombstone (tombs=%d)", d.Tombstones())
+	if d.Status().Tombstones != 1 {
+		t.Fatalf("delete of a sealed point must tombstone (tombs=%d)", d.Status().Tombstones)
 	}
 
 	// With tombstone mass in the base term, nobody takes the fast path.

@@ -2,12 +2,12 @@ package karl
 
 import "io"
 
-// QueryEngine is the read surface every serving layer shares: an Engine,
-// the per-request clones inside internal/server's pool, and the shard
-// engines behind the cluster coordinator all present exactly this
-// interface, so the layers above (HTTP server, clone pool, scatter-gather
-// coordinator) are written against one abstraction and tests can put a
-// decorated engine behind them.
+// QueryEngine is the read surface internal/server serves from: an Engine
+// and the per-request clones inside the server's pool present exactly this
+// interface, so the front door is written against one abstraction and a
+// test or the benchmark harness can put a decorated engine behind it. A
+// cluster coordinator never holds one: its shards are servers it reaches
+// over HTTP (cluster.HTTPShard).
 //
 // A QueryEngine value is not safe for concurrent queries — it owns
 // per-query refinement scratch. CloneQuery returns a view sharing the
@@ -43,12 +43,16 @@ type QueryEngine interface {
 	// CloneQuery returns a view over the same dataset with independent
 	// query scratch, for use from another goroutine.
 	CloneQuery() QueryEngine
+	// ArmedEpoch reports the manifest epoch this view last answered a
+	// query over, and whether it has answered one.
+	ArmedEpoch() (uint64, bool)
 }
 
-// MutableEngine extends QueryEngine with the engine's write path. Epoch increases with every seal and compaction; Split and
-// WriteTo together are the segment-shipping surface the cluster layer's
-// shard splitting is built on (the moved half travels as a standard
-// persistence stream of sealed segments).
+// MutableEngine extends QueryEngine with the engine's write path, its
+// status and its persistence. Split and WriteTo together are the
+// segment-shipping surface the cluster layer's shard splitting is built on:
+// the moved half travels as a standard persistence stream of sealed
+// segments.
 type MutableEngine interface {
 	QueryEngine
 	// InsertID adds one weighted point and returns its engine-local id
@@ -60,11 +64,8 @@ type MutableEngine interface {
 	// Delete removes the point with the given id, returning
 	// ErrPointNotFound when no live point has it.
 	Delete(id uint64) error
-	// Epoch returns the current manifest epoch.
-	Epoch() uint64
-	// NextSeq returns the id the next insert will be assigned — the
-	// fence below which ids may refer to inherited (pre-split) points.
-	NextSeq() uint64
+	// Status reads the engine's state at one instant.
+	Status() EngineStatus
 	// SplitPlane proposes a balanced axis cut over the live points (the
 	// median of the widest dimension), for callers that want the engine to
 	// choose its own kd split rule. It fails when no axis cut can separate
@@ -78,6 +79,9 @@ type MutableEngine interface {
 	Split(pred func(p []float64) bool) (MutableEngine, error)
 	// WriteTo serializes the engine in the versioned persistence format.
 	WriteTo(w io.Writer) (int64, error)
+	// WriteSnapshot is WriteTo minus the segments a follower holds: the
+	// leader side of replication.
+	WriteSnapshot(w io.Writer, have ReplicaHave) (int64, error)
 }
 
 // DynamicEngine is Engine under the name it had while built and streamed

@@ -112,10 +112,11 @@ func main() {
 		}
 	}
 	fmt.Printf("retracted %d points (%d tombstones pending compaction)\n",
-		len(falsePositives), baseline.Tombstones())
+		len(falsePositives), baseline.Status().Tombstones)
 	if err := baseline.Compact(); err != nil {
 		log.Fatal(err)
 	}
+	st := baseline.Status()
 	fmt.Printf("after compaction: %d points, %d tombstones, %d segments\n",
-		baseline.Len(), baseline.Tombstones(), len(baseline.Segments()))
+		st.Points, st.Tombstones, len(st.Segments))
 }

@@ -123,8 +123,9 @@ func defineServe(fs *flag.FlagSet, e *env) func() error {
 			banner = fmt.Sprintf("serving replication follower of %s on %s", leader, *addr)
 		case *mutable:
 			srv, err = server.NewMutable(eng, opts...)
+			st := eng.Status()
 			banner = fmt.Sprintf("serving mutable engine: %d points (%d dims, %v kernel, %d segments) on %s",
-				eng.Len(), eng.Dims(), eng.Kernel().Kind, len(eng.Segments()), *addr)
+				st.Points, eng.Dims(), eng.Kernel().Kind, len(st.Segments), *addr)
 		default:
 			srv, err = server.New(eng, opts...)
 			banner = fmt.Sprintf("serving %d points (%d dims, %v kernel) on %s",

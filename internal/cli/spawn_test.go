@@ -334,8 +334,9 @@ func TestModelFileServesEitherWay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(d.Segments()) < 2 || d.MemtableLen() == 0 {
-		t.Fatalf("fixture: %d segments, %d buffered rows; want several and some", len(d.Segments()), d.MemtableLen())
+	st := d.Status()
+	if len(st.Segments) < 2 || st.MemtableLen == 0 {
+		t.Fatalf("fixture: %d segments, %d buffered rows; want several and some", len(st.Segments), st.MemtableLen)
 	}
 	model := filepath.Join(t.TempDir(), "dyn.karl")
 	f, err := os.Create(model)

@@ -121,7 +121,7 @@ func TestApplierRefusedRoundChangesNothing(t *testing.T) {
 	if err := a.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := a.Status(); st.LastError != "" || st.NextSeq != leader.NextSeq() {
+	if st := a.Status(); st.LastError != "" || st.NextSeq != leader.Status().NextSeq {
 		t.Fatalf("status after the sound round: %+v", st)
 	}
 	checkConverged(t, leader, follower)

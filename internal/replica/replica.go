@@ -85,14 +85,15 @@ type Source interface {
 	Pull(ctx context.Context, have karl.ReplicaHave) (io.ReadCloser, error)
 }
 
-// leaderStatus is the Status of an engine nothing is replicating into.
-func leaderStatus(eng *karl.Engine) Status {
+// LeaderStatus is the Status of an engine nothing is replicating into, as
+// of one reading of it.
+func LeaderStatus(st karl.EngineStatus) Status {
 	return Status{
 		Role:      "leader",
-		NextSeq:   eng.NextSeq(),
-		DeletePos: uint64(eng.Deletes()),
-		Points:    eng.Len(),
-		Epoch:     eng.Epoch(),
+		NextSeq:   st.NextSeq,
+		DeletePos: uint64(st.Deletes),
+		Points:    st.Points,
+		Epoch:     st.Epoch,
 	}
 }
 
@@ -168,7 +169,7 @@ func (a *Applier) syncLocked(ctx context.Context) error {
 			return fmt.Errorf("replica: %w", err)
 		}
 	}
-	a.leaderSeq = a.eng.NextSeq()
+	a.leaderSeq = a.eng.Status().NextSeq
 	a.state = StateLive
 	return nil
 }
@@ -244,7 +245,7 @@ func (a *Applier) Promoted() bool {
 func (a *Applier) Status() Status {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := leaderStatus(a.eng)
+	st := LeaderStatus(a.eng.Status())
 	if !a.promoted {
 		st.Role, st.State, st.LastError = "follower", a.state, a.lastErr
 		st.Fence, st.LeaderSeq = st.NextSeq-1, a.leaderSeq

@@ -120,8 +120,8 @@ func TestApplierCatchUp(t *testing.T) {
 	if st.Lag() != 0 {
 		t.Fatalf("lag %d after catch-up", st.Lag())
 	}
-	if st.NextSeq != leader.NextSeq() {
-		t.Fatalf("follower next_seq %d, leader %d", st.NextSeq, leader.NextSeq())
+	if st.NextSeq != leader.Status().NextSeq {
+		t.Fatalf("follower next_seq %d, leader %d", st.NextSeq, leader.Status().NextSeq)
 	}
 
 	// Steady state: more writes, one more sync round each.
@@ -137,7 +137,7 @@ func TestApplierCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkConverged(t, leader, follower)
-	if st := a.Status(); st.Fence != leader.NextSeq()-1 || st.DeletePos != uint64(leader.Deletes()) || st.Epoch != leader.Epoch() {
+	if st, ls := a.Status(), leader.Status(); st.Fence != ls.NextSeq-1 || st.DeletePos != uint64(ls.Deletes) || st.Epoch != ls.Epoch {
 		t.Fatalf("status after a steady-state round: %+v", st)
 	}
 }
@@ -174,8 +174,8 @@ func TestApplierPromote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id < leader.NextSeq()-1 {
-		t.Fatalf("promoted engine reissued seq %d below leader lineage %d", id, leader.NextSeq())
+	if id < leader.Status().NextSeq-1 {
+		t.Fatalf("promoted engine reissued seq %d below leader lineage %d", id, leader.Status().NextSeq)
 	}
 	// Run on a promoted applier returns immediately without error.
 	if err := a.Run(context.Background(), time.Millisecond); err != nil {
@@ -227,7 +227,7 @@ func TestApplierLiveUnderLeaderRewrites(t *testing.T) {
 		}
 		checkConverged(t, leader, follower)
 	}
-	if leader.DeadRewrites()+leader.DeadDrops() == 0 {
+	if leader.Status().DeadRewrites+leader.Status().DeadDrops == 0 {
 		t.Fatal("leader never rewrote or dropped a segment: the test exercised nothing")
 	}
 }
@@ -317,7 +317,7 @@ func TestHTTPSourceRoundTrip(t *testing.T) {
 		}
 		return st
 	}
-	if st := status(leaderURL); st.Role != "leader" || st.NextSeq != leader.NextSeq() {
+	if st := status(leaderURL); st.Role != "leader" || st.NextSeq != leader.Status().NextSeq {
 		t.Fatalf("leader status over HTTP: %+v", st)
 	}
 

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"karl"
 	"karl/internal/replica"
@@ -30,37 +29,15 @@ import (
 // (an atomic snapshot, never a lock held across refinement), and /v1/stats
 // reports how the pool tracks the advancing epoch.
 
-// lsmStats is the optional deep-introspection surface a segmented engine
-// exposes beyond karl.MutableEngine: manifest shape and maintenance
-// counters for /v1/info and /v1/stats. *karl.Engine provides it; a
-// mutable engine without it simply reports zeros there.
-type lsmStats interface {
-	Segments() []karl.SegmentInfo
-	DeadEvals() map[uint64]int64
-	MemtableLen() int
-	Seals() int
-	Compactions() int
-	DeadRewrites() int
-	DeadDrops() int
-	Tombstones() int
-	Deletes() int
-	TTL() time.Duration
-	DecayHalfLife() time.Duration
-}
-
 // local implements Backend and Writer over the pooled engine, and owns the
 // state of the routes only a local engine serves (bounds, batch, split,
 // replicate).
 type local struct {
 	pool *enginePool
 
-	// dyn is set by NewMutable: the engine the write endpoints feed. lsm
-	// is its optional introspection surface and rsrc its replication export
-	// surface (nil when the engine lacks them). All nil for read-only
-	// serving.
-	dyn  karl.MutableEngine
-	lsm  lsmStats
-	rsrc replicaSource
+	// dyn is set by NewMutable: the engine the write endpoints feed and
+	// the replication routes export; nil for read-only serving.
+	dyn karl.MutableEngine
 
 	// Sketch tier (nil pool when disabled): a coreset engine with
 	// normalized error bound sketchEps serves /v1/approximate requests
@@ -152,9 +129,9 @@ func New(eng *karl.Engine, opts ...Option) (*Server, error) {
 }
 
 // NewMutable builds a server that also accepts writes: the query endpoints
-// of New plus POST /v1/insert, DELETE /v1/point and POST /v1/split, with
-// segment and manifest epoch introspection in /v1/info and /v1/stats when
-// the engine exposes it. The sketch tier is not supported — a coreset taken
+// of New plus POST /v1/insert, DELETE /v1/point, POST /v1/split and the
+// /v1/replicate routes, with the engine's status in /v1/info and
+// /v1/stats. The sketch tier is not supported — a coreset taken
 // at construction cannot track a growing dataset.
 func NewMutable(d karl.MutableEngine, opts ...Option) (*Server, error) {
 	if d == nil {
@@ -168,11 +145,6 @@ func NewMutable(d karl.MutableEngine, opts ...Option) (*Server, error) {
 		return nil, errors.New("server: sketch tier requires a read-only server")
 	}
 	l := &local{pool: newEnginePool(d, cfg.poolSize), dyn: d}
-	l.lsm, _ = d.(lsmStats)
-	l.rsrc, _ = d.(replicaSource)
-	if cfg.applier != nil && l.rsrc == nil {
-		return nil, errors.New("server: replica applier requires a replicating engine")
-	}
 	return l.serve(cfg), nil
 }
 
@@ -192,9 +164,13 @@ func (l *local) serve(cfg config) *Server {
 	if l.dyn != nil {
 		s.applier = cfg.applier
 		s.mux.HandleFunc("POST /v1/split", s.handleSplit)
-		if l.rsrc != nil {
-			s.replicateRoutes()
-		}
+		// The replication export side (status, tail) is served by leaders
+		// and followers alike: a promoted follower feeds the next
+		// generation, and a chained pull from an unpromoted one mirrors a
+		// mirror.
+		s.mux.HandleFunc("GET /v1/replicate/status", s.handleReplicateStatus)
+		s.mux.HandleFunc("GET /v1/replicate/tail", s.handleReplicateTail)
+		s.mux.HandleFunc("POST /v1/replicate/promote", s.handleReplicatePromote)
 	}
 	l.pool.release(l.pool.acquire())
 	if l.sketch != nil {
@@ -231,13 +207,11 @@ func (p *enginePool) acquire() karl.QueryEngine {
 }
 
 func (p *enginePool) release(e karl.QueryEngine) {
-	if d, ok := e.(interface{ ArmedEpoch() (uint64, bool) }); ok {
-		if epoch, armed := d.ArmedEpoch(); armed {
-			for {
-				cur := p.servedEpoch.Load()
-				if epoch <= cur || p.servedEpoch.CompareAndSwap(cur, epoch) {
-					break
-				}
+	if epoch, armed := e.ArmedEpoch(); armed {
+		for {
+			cur := p.servedEpoch.Load()
+			if epoch <= cur || p.servedEpoch.CompareAndSwap(cur, epoch) {
+				break
 			}
 		}
 	}
@@ -358,28 +332,22 @@ type InfoResponse struct {
 // Info implements Backend.
 func (l *local) Info() any {
 	k := l.pool.template.Kernel()
-	wpos, wneg := l.pool.template.WeightMass()
 	resp := InfoResponse{
-		Points:    l.pool.template.Len(),
-		Dims:      l.Dims(),
-		Kernel:    k.Kind.String(),
-		Gamma:     k.Gamma,
-		WeightPos: wpos,
-		WeightNeg: wneg,
+		Dims:         l.Dims(),
+		Kernel:       k.Kind.String(),
+		Gamma:        k.Gamma,
+		SketchPoints: l.sketchLen,
+		SketchEps:    l.sketchEps,
 	}
-	if l.sketch != nil {
-		resp.SketchPoints = l.sketchLen
-		resp.SketchEps = l.sketchEps
+	if l.dyn == nil {
+		resp.Points = l.pool.template.Len()
+		resp.WeightPos, resp.WeightNeg = l.pool.template.WeightMass()
+		return resp
 	}
-	if l.dyn != nil {
-		resp.Mutable = true
-		if l.lsm != nil {
-			resp.Segments = len(l.lsm.Segments())
-			resp.WindowSeconds = l.lsm.TTL().Seconds()
-			resp.HalfLifeSeconds = l.lsm.DecayHalfLife().Seconds()
-			resp.Tombstones = l.lsm.Tombstones()
-		}
-	}
+	st := l.dyn.Status()
+	resp.Points, resp.WeightPos, resp.WeightNeg = st.Points, st.WeightPos, st.WeightNeg
+	resp.Mutable, resp.Segments, resp.Tombstones = true, len(st.Segments), st.Tombstones
+	resp.WindowSeconds, resp.HalfLifeSeconds = st.TTL.Seconds(), st.DecayHalfLife.Seconds()
 	return resp
 }
 
@@ -417,25 +385,23 @@ func (l *local) Stats(_ context.Context, endpoints map[string]EndpointStats) any
 		}
 	}
 	if l.dyn != nil {
+		st := l.dyn.Status()
 		ms := &MutableStats{
-			Epoch:       l.dyn.Epoch(),
-			ServedEpoch: l.pool.servedEpoch.Load(),
-			Points:      l.dyn.Len(),
+			Epoch:         st.Epoch,
+			ServedEpoch:   l.pool.servedEpoch.Load(),
+			Points:        st.Points,
+			Segments:      len(st.Segments),
+			SegmentDetail: make([]SegmentStats, len(st.Segments)),
+			MemtableLen:   st.MemtableLen,
+			Seals:         st.Seals,
+			Compactions:   st.Compactions,
+			DeadRewrites:  st.DeadRewrites,
+			DeadDrops:     st.DeadDrops,
+			Tombstones:    st.Tombstones,
+			Deletes:       st.Deletes,
 		}
-		if l.lsm != nil {
-			segs, evals := l.lsm.Segments(), l.lsm.DeadEvals()
-			ms.Segments = len(segs)
-			ms.SegmentDetail = make([]SegmentStats, len(segs))
-			for i, sg := range segs {
-				ms.SegmentDetail[i] = SegmentStats{ID: sg.ID, Len: sg.Len, Dead: sg.Dead, DeadEvals: evals[sg.ID]}
-			}
-			ms.MemtableLen = l.lsm.MemtableLen()
-			ms.Seals = l.lsm.Seals()
-			ms.Compactions = l.lsm.Compactions()
-			ms.DeadRewrites = l.lsm.DeadRewrites()
-			ms.DeadDrops = l.lsm.DeadDrops()
-			ms.Tombstones = l.lsm.Tombstones()
-			ms.Deletes = l.lsm.Deletes()
+		for i, sg := range st.Segments {
+			ms.SegmentDetail[i] = SegmentStats{ID: sg.ID, Len: sg.Len, Dead: sg.Dead, DeadEvals: st.DeadEvals[i]}
 		}
 		resp.Mutable = ms
 	}
@@ -477,10 +443,9 @@ type MassResponse struct {
 	WeightNeg float64 `json:"weight_neg,omitempty"`
 }
 
-// mass reads the mutable engine's current cardinality and weight masses.
-func (l *local) mass() MassResponse {
-	wpos, wneg := l.dyn.WeightMass()
-	return MassResponse{Points: l.dyn.Len(), WeightPos: wpos, WeightNeg: wneg}
+// massOf is the cardinality and weight masses of one status reading.
+func massOf(st karl.EngineStatus) MassResponse {
+	return MassResponse{Points: st.Points, WeightPos: st.WeightPos, WeightNeg: st.WeightNeg}
 }
 
 // InsertResponse reports a successful insert: the assigned point IDs (in
@@ -506,12 +471,13 @@ func (l *local) Insert(_ context.Context, points [][]float64, weights []float64)
 	if err != nil {
 		return nil, err
 	}
+	st := l.dyn.Status()
 	return InsertResponse{
 		Inserted:     len(ids),
 		IDs:          ids,
-		Len:          l.dyn.Len(),
-		Epoch:        l.dyn.Epoch(),
-		MassResponse: l.mass(),
+		Len:          st.Points,
+		Epoch:        st.Epoch,
+		MassResponse: massOf(st),
 	}, nil
 }
 
@@ -553,20 +519,18 @@ func (l *local) Delete(_ context.Context, ids []uint64) (any, error) {
 				Error:        fmt.Sprintf("id %d: %v (%d of %d deleted)", id, err, i, len(ids)),
 				Deleted:      i,
 				FailedID:     id,
-				MassResponse: l.mass(),
+				MassResponse: massOf(l.dyn.Status()),
 			}}
 		}
 	}
-	resp := DeleteResponse{
+	st := l.dyn.Status()
+	return DeleteResponse{
 		Deleted:      len(ids),
-		Len:          l.dyn.Len(),
-		Epoch:        l.dyn.Epoch(),
-		MassResponse: l.mass(),
-	}
-	if l.lsm != nil {
-		resp.Tombstones = l.lsm.Tombstones()
-	}
-	return resp, nil
+		Len:          st.Points,
+		Tombstones:   st.Tombstones,
+		Epoch:        st.Epoch,
+		MassResponse: massOf(st),
+	}, nil
 }
 
 // BoundsResponse is the POST /v1/bounds body: the answer together with the
@@ -750,20 +714,20 @@ func (s *Server) handleSplit(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return 0, nil, &Error{Status: http.StatusInternalServerError, Err: err}
 		}
-		wpos, wneg := moved.WeightMass()
-		return moved.Len(), SplitResponse{
+		ms, st := moved.Status(), dyn.Status()
+		return ms.Points, SplitResponse{
 			Kind:        rule.Kind.String(),
 			Dim:         rule.Dim,
 			Cut:         rule.Cut,
 			NumSlots:    rule.NumSlots,
 			Slots:       rule.Slots,
 			Moved:       buf.Bytes(),
-			MovedPoints: moved.Len(),
-			MovedWPos:   wpos,
-			MovedWNeg:   wneg,
-			Len:         dyn.Len(),
-			NextSeq:     moved.NextSeq(),
-			Epoch:       dyn.Epoch(),
+			MovedPoints: ms.Points,
+			MovedWPos:   ms.WeightPos,
+			MovedWNeg:   ms.WeightNeg,
+			Len:         st.Points,
+			NextSeq:     ms.NextSeq,
+			Epoch:       st.Epoch,
 		}, nil
 	})
 }

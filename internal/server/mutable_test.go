@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"karl"
+	"karl/internal/replica"
 )
 
 func testMutableServer(t *testing.T, opts ...karl.Option) (*karl.Engine, *httptest.Server) {
@@ -181,11 +182,11 @@ func TestMutableInfoAndStats(t *testing.T) {
 		t.Fatal("stats has no mutable block")
 	}
 	ms := stats.Mutable
-	if ms.Points != 100 || ms.Seals != d.Seals() || ms.Segments == 0 {
+	if ms.Points != 100 || ms.Seals != d.Status().Seals || ms.Segments == 0 {
 		t.Fatalf("mutable stats = %+v", ms)
 	}
-	if ms.ServedEpoch != d.Epoch() {
-		t.Fatalf("served epoch %d, manifest epoch %d", ms.ServedEpoch, d.Epoch())
+	if ms.ServedEpoch != d.Status().Epoch {
+		t.Fatalf("served epoch %d, manifest epoch %d", ms.ServedEpoch, d.Status().Epoch)
 	}
 	ins, ok := stats.Endpoints["insert"]
 	if !ok || ins.Requests != 1 || ins.Queries != 100 {
@@ -366,8 +367,8 @@ func TestDeleteEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	hresp.Body.Close()
-	if st.Mutable == nil || st.Mutable.Deletes != 5 || st.Mutable.Tombstones != d.Tombstones() {
-		t.Fatalf("mutable stats %+v (engine tombstones %d)", st.Mutable, d.Tombstones())
+	if st.Mutable == nil || st.Mutable.Deletes != 5 || st.Mutable.Tombstones != d.Status().Tombstones {
+		t.Fatalf("mutable stats %+v (engine tombstones %d)", st.Mutable, d.Status().Tombstones)
 	}
 	if st.Endpoints["delete"].Requests == 0 || st.Endpoints["delete"].Errors == 0 {
 		t.Fatalf("delete endpoint metrics %+v", st.Endpoints["delete"])
@@ -381,8 +382,8 @@ func TestDeleteEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	hresp.Body.Close()
-	if info.Tombstones != d.Tombstones() || info.Points != 15 {
-		t.Fatalf("info %+v (engine tombstones %d)", info, d.Tombstones())
+	if info.Tombstones != d.Status().Tombstones || info.Points != 15 {
+		t.Fatalf("info %+v (engine tombstones %d)", info, d.Status().Tombstones)
 	}
 }
 
@@ -419,4 +420,85 @@ func TestMutableInfoReportsWindowAndDecay(t *testing.T) {
 	if info.WindowSeconds != 60 || info.HalfLifeSeconds != 30 {
 		t.Fatalf("info window/decay %+v", info)
 	}
+}
+
+// TestStatusReadsOneInstant polls /v1/stats and /v1/replicate/status beside
+// a writer that inserts and deletes as fast as it can, with seals and
+// merges running in the background. Each reply is one reading of the
+// engine, so the identities that tie its counters together hold in every
+// poll: the live points are the stored rows plus the memtable minus the
+// tombstones, and (untimed, never split) every id issued minus every
+// delete.
+func TestStatusReadsOneInstant(t *testing.T) {
+	d, ts := testMutableServer(t, karl.WithSealSize(32), karl.WithCompactionFanout(2))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(7))
+		var live []uint64
+		batch := make([][]float64, 8)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range batch {
+				batch[i] = []float64{rng.Float64(), rng.Float64()}
+			}
+			ids, err := d.InsertBulk(batch, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			live = append(live, ids...)
+			for len(live) > 400 {
+				i := rng.Intn(len(live))
+				if err := d.Delete(live[i]); err != nil {
+					t.Error(err)
+					return
+				}
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+		}
+	}()
+	var polls, statsBad, replBad int
+	for deadline := time.Now().Add(5 * time.Second); polls < 2000 && time.Now().Before(deadline); polls++ {
+		ms := getStats(t, ts).Mutable
+		stored, dead := 0, 0
+		for _, sg := range ms.SegmentDetail {
+			stored += sg.Len
+			dead += sg.Dead
+		}
+		if ms.Points != stored+ms.MemtableLen-ms.Tombstones || dead > ms.Tombstones || len(ms.SegmentDetail) != ms.Segments {
+			if statsBad++; statsBad == 1 {
+				t.Logf("/v1/stats: points %d, stored %d + memtable %d − tombstones %d; %d dead; %d segments, %d listed",
+					ms.Points, stored, ms.MemtableLen, ms.Tombstones, dead, ms.Segments, len(ms.SegmentDetail))
+			}
+		}
+		resp, err := http.Get(ts.URL + "/v1/replicate/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rs replica.Status
+		err = json.NewDecoder(resp.Body).Decode(&rs)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(rs.Points) != rs.NextSeq-1-rs.DeletePos {
+			if replBad++; replBad == 1 {
+				t.Logf("/v1/replicate/status: points %d, next_seq %d − 1 − delete_pos %d", rs.Points, rs.NextSeq, rs.DeletePos)
+			}
+		}
+	}
+	if statsBad > 0 || replBad > 0 {
+		t.Fatalf("of %d polls, %d /v1/stats and %d /v1/replicate/status replies mixed two instants", polls, statsBad, replBad)
+	}
+	t.Logf("%d polls of each, every one a single instant", polls)
 }

@@ -1,22 +1,10 @@
 package server
 
 import (
-	"io"
 	"net/http"
 
-	"karl"
 	"karl/internal/replica"
 )
-
-// replicaSource is the optional leader-side replication surface a
-// mutable engine exposes (provided by *karl.Engine): status counters and
-// the engine stream with a follower's segments elided. A mutable engine
-// without it simply has no /v1/replicate endpoints.
-type replicaSource interface {
-	NextSeq() uint64
-	Deletes() int
-	WriteSnapshot(w io.Writer, have karl.ReplicaHave) (int64, error)
-}
 
 // WithReplicaApplier marks the served engine as a replication follower
 // driven by the given applier: /v1/replicate/status reports its
@@ -26,16 +14,6 @@ type replicaSource interface {
 // its leader.
 func WithReplicaApplier(a *replica.Applier) Option {
 	return func(c *config) { c.applier = a }
-}
-
-// replicateRoutes registers the replication endpoints. The export side
-// (status, tail) is served by leaders AND followers — a promoted follower
-// feeds the next generation of followers, and a chained pull from an
-// unpromoted one mirrors a mirror.
-func (s *Server) replicateRoutes() {
-	s.mux.HandleFunc("GET /v1/replicate/status", s.handleReplicateStatus)
-	s.mux.HandleFunc("GET /v1/replicate/tail", s.handleReplicateTail)
-	s.mux.HandleFunc("POST /v1/replicate/promote", s.handleReplicatePromote)
 }
 
 // writeAllowed gates the mutation endpoints on replication role: an
@@ -58,13 +36,7 @@ func (s *Server) handleReplicateStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.applier.Status())
 		return
 	}
-	writeJSON(w, http.StatusOK, replica.Status{
-		Role:      "leader",
-		NextSeq:   s.loc.rsrc.NextSeq(),
-		DeletePos: uint64(s.loc.rsrc.Deletes()),
-		Points:    s.loc.dyn.Len(),
-		Epoch:     s.loc.dyn.Epoch(),
-	})
+	writeJSON(w, http.StatusOK, replica.LeaderStatus(s.loc.dyn.Status()))
 }
 
 // handleReplicateTail answers one pull: the engine's block stream with the
@@ -79,7 +51,7 @@ func (s *Server) handleReplicateTail(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	// An error mid-stream cannot change the status line; the follower sees
 	// a stream without its end block, which it refuses whole.
-	if n, err := s.loc.rsrc.WriteSnapshot(w, have); n == 0 && err == nil {
+	if n, err := s.loc.dyn.WriteSnapshot(w, have); n == 0 && err == nil {
 		w.WriteHeader(http.StatusNotModified)
 	}
 }

@@ -116,7 +116,7 @@ func TestDeltaStreamRefusesDamage(t *testing.T) {
 	install := func(data []byte) error {
 		err := follower.InstallSnapshot(bytes.NewReader(data))
 		if err != nil {
-			if got, _ := follower.Aggregate(q); got != want || !reflect.DeepEqual(follower.Have(), before) || follower.Tombstones() != 0 {
+			if got, _ := follower.Aggregate(q); got != want || !reflect.DeepEqual(follower.Have(), before) || follower.Status().Tombstones != 0 {
 				t.Fatalf("a refused stream (%v) changed the follower", err)
 			}
 		}
@@ -124,8 +124,9 @@ func TestDeltaStreamRefusesDamage(t *testing.T) {
 	}
 	refusedAtEveryFlip(t, "delta stream", stream, install)
 	refusedAtEveryCut(t, "delta stream", stream, install)
-	if follower.Tombstones() != 3 || follower.MemtableLen() != 15 || len(follower.Segments()) != 2 {
-		t.Fatalf("installed stream left %d tombstones, %d memtable rows, %d segments", follower.Tombstones(), follower.MemtableLen(), len(follower.Segments()))
+	st := follower.Status()
+	if st.Tombstones != 3 || st.MemtableLen != 15 || len(st.Segments) != 2 {
+		t.Fatalf("installed stream left %d tombstones, %d memtable rows, %d segments", st.Tombstones, st.MemtableLen, len(st.Segments))
 	}
 }
 
@@ -255,7 +256,7 @@ func TestReadDynamicRejectsTruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(d.Segments()); got < 2 {
+	if got := len(d.Status().Segments); got < 2 {
 		t.Fatalf("want a multi-segment manifest, got %d segments", got)
 	}
 	var buf bytes.Buffer

@@ -198,8 +198,9 @@ func TestGoldenStaticFixturesLoad(t *testing.T) {
 	if eng.Len() != ref.Len() || eng.Dims() != ref.Dims() || eng.Kernel() != ref.Kernel() {
 		t.Fatal("shape/kernel changed")
 	}
-	if len(eng.Segments()) != 1 || eng.MemtableLen() != 0 {
-		t.Fatalf("loaded as %d segments + %d buffered rows, want one sealed segment", len(eng.Segments()), eng.MemtableLen())
+	es := eng.Status()
+	if len(es.Segments) != 1 || es.MemtableLen != 0 {
+		t.Fatalf("loaded as %d segments + %d buffered rows, want one sealed segment", len(es.Segments), es.MemtableLen)
 	}
 	got, st, err := eng.AggregateStats(q)
 	if err != nil {
@@ -282,13 +283,14 @@ func TestGoldenDynamicFixturesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("streamed.bin rejected: %v", err)
 	}
-	if d.Len() != ref.Len() || d.MemtableLen() != ref.MemtableLen() || d.Tombstones() != ref.Tombstones() ||
-		d.Deletes() != ref.Deletes() || d.TTL() != ref.TTL() || d.DecayHalfLife() != ref.DecayHalfLife() {
+	ds, rs := d.Status(), ref.Status()
+	if ds.Points != rs.Points || ds.MemtableLen != rs.MemtableLen || ds.Tombstones != rs.Tombstones ||
+		ds.Deletes != rs.Deletes || ds.TTL != rs.TTL || ds.DecayHalfLife != rs.DecayHalfLife {
 		t.Fatalf("load dropped mutability state: len %d/%d tombs %d/%d deletes %d/%d",
-			d.Len(), ref.Len(), d.Tombstones(), ref.Tombstones(), d.Deletes(), ref.Deletes())
+			ds.Points, rs.Points, ds.Tombstones, rs.Tombstones, ds.Deletes, rs.Deletes)
 	}
-	if !reflect.DeepEqual(d.Segments(), ref.Segments()) || d.Tombstones() == 0 {
-		t.Fatalf("dead rows moved between segments:\n read %+v\n want %+v", d.Segments(), ref.Segments())
+	if !reflect.DeepEqual(ds.Segments, rs.Segments) || ds.Tombstones == 0 {
+		t.Fatalf("dead rows moved between segments:\n read %+v\n want %+v", ds.Segments, rs.Segments)
 	}
 	d.sh.now = goldenClock // a loaded engine runs on the wall clock
 	got, err := d.Aggregate(q)

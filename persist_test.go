@@ -252,7 +252,7 @@ func TestDynamicRoundTrip(t *testing.T) {
 	if loaded.Len() != d.Len() || loaded.Dims() != d.Dims() || loaded.Kernel() != d.Kernel() {
 		t.Fatal("shape or kernel changed across round trip")
 	}
-	origSegs, loadSegs := d.Segments(), loaded.Segments()
+	origSegs, loadSegs := d.Status().Segments, loaded.Status().Segments
 	if len(origSegs) != len(loadSegs) {
 		t.Fatalf("segment count changed: %d vs %d", len(origSegs), len(loadSegs))
 	}
@@ -261,7 +261,7 @@ func TestDynamicRoundTrip(t *testing.T) {
 			t.Fatalf("segment %d changed: %+v vs %+v", i, origSegs[i], loadSegs[i])
 		}
 	}
-	if loaded.Epoch() != d.Epoch() || loaded.Seals() != d.Seals() {
+	if ls, ds := loaded.Status(), d.Status(); ls.Epoch != ds.Epoch || ls.Seals != ds.Seals {
 		t.Fatal("epoch or seal count changed")
 	}
 	for i := 0; i < 25; i++ {
@@ -328,8 +328,9 @@ func TestDynamicRoundTripEmptyMemtableOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.MemtableLen() != 0 || len(loaded.Segments()) != 1 {
-		t.Fatalf("compacted layout changed: mem %d segs %d", loaded.MemtableLen(), len(loaded.Segments()))
+	st := loaded.Status()
+	if st.MemtableLen != 0 || len(st.Segments) != 1 {
+		t.Fatalf("compacted layout changed: mem %d segs %d", st.MemtableLen, len(st.Segments))
 	}
 	b, _ = loaded.Aggregate([]float64{2})
 	a, _ = d.Aggregate([]float64{2})

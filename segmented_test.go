@@ -94,8 +94,8 @@ func TestSegmentedEquivalenceGate(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(d.Segments()) < 2 {
-						t.Fatalf("only %d segments; gate needs a multi-segment manifest", len(d.Segments()))
+					if len(d.Status().Segments) < 2 {
+						t.Fatalf("only %d segments; gate needs a multi-segment manifest", len(d.Status().Segments))
 					}
 
 					queries := cloud(rng, 20, 2)
@@ -146,7 +146,7 @@ func TestSegmentedEquivalenceGate(t *testing.T) {
 					if err := d.Compact(); err != nil {
 						t.Fatal(err)
 					}
-					if segs := d.Segments(); len(segs) != 1 {
+					if segs := d.Status().Segments; len(segs) != 1 {
 						t.Fatalf("Compact left %d segments", len(segs))
 					}
 					for _, q := range queries {
@@ -195,7 +195,7 @@ func TestDynamicApproximateMixedSignCancellation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Seals() == 0 {
+	if d.Status().Seals == 0 {
 		t.Fatal("setup: no sealed segments")
 	}
 	// ~100 heavy negative points in the memtable nearly cancel the sealed
@@ -242,8 +242,8 @@ func TestDynamicInsertSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Seals() != 1 {
-		t.Fatalf("warmup sealed %d times, want 1", d.Seals())
+	if d.Status().Seals != 1 {
+		t.Fatalf("warmup sealed %d times, want 1", d.Status().Seals)
 	}
 	// 100 measured inserts stay well below the next seal boundary.
 	allocs := testing.AllocsPerRun(100, func() {
@@ -596,7 +596,7 @@ func TestSkeletonGroupWorkGate(t *testing.T) {
 		if err := query(); err != nil { // arm the forest on this manifest
 			t.Fatal(err)
 		}
-		if n := len(d.Segments()); d.f.Groups() >= n {
+		if n := len(d.Status().Segments); d.f.Groups() >= n {
 			t.Fatalf("%d segments in %d groups: no multi-member group to gate", n, d.f.Groups())
 		}
 		if allocs := testing.AllocsPerRun(50, func() {
@@ -795,7 +795,7 @@ func TestSkeletonChurnProperty(t *testing.T) {
 						}
 						back.sh.now = clock // a loaded engine runs on the wall clock
 						same("reloaded engine", d, back)
-						rewrites += d.DeadRewrites()
+						rewrites += d.Status().DeadRewrites
 						d.Close()
 						d = back
 						reloads++
@@ -807,7 +807,7 @@ func TestSkeletonChurnProperty(t *testing.T) {
 						}
 						replicaPull(t, d, follower)
 						same("replica", d, follower)
-						rewrites += d.DeadRewrites()
+						rewrites += d.Status().DeadRewrites
 						d.Close()
 						d = follower // promoted: it takes the writes from here on
 						installs++
@@ -816,11 +816,11 @@ func TestSkeletonChurnProperty(t *testing.T) {
 						continue
 					}
 					check(d)
-					if d.f.Groups() < len(d.Segments()) {
+					if d.f.Groups() < len(d.Status().Segments) {
 						multi++
 					}
 				}
-				rewrites += d.DeadRewrites()
+				rewrites += d.Status().DeadRewrites
 				t.Logf("%d steps: %d with a multi-member group, %d dead-share rewrites, %d reloads, %d installs",
 					steps, multi, rewrites, reloads, installs)
 				if multi == 0 || reloads == 0 || installs == 0 {
