@@ -100,10 +100,7 @@ func BuildCoreset(points [][]float64, kern Kernel, eps float64, opts ...Option) 
 	if len(points) == 0 {
 		return nil, fmt.Errorf("karl: empty point set")
 	}
-	cfg := defaultBuildConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg := configOf(opts...)
 	return sketchAndBuild(vec.FromRows(points), cfg.weights, kern, eps, cfg)
 }
 

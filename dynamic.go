@@ -273,10 +273,7 @@ func (sh *dynShared) decayAt(now, ref int64) float64 {
 // WithCompactionFanout shape the LSM tiering; WithWeights is rejected —
 // weights arrive with Insert.
 func NewDynamic(kern Kernel, opts ...Option) (*Engine, error) {
-	cfg := defaultBuildConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg := configOf(opts...)
 	if cfg.weights != nil {
 		return nil, errors.New("karl: pass weights through Insert, not WithWeights")
 	}
@@ -618,15 +615,39 @@ func validateInsert(p []float64, w float64) error {
 	if len(p) == 0 {
 		return errors.New("karl: empty point")
 	}
+	// x−x is 0 for every finite x and NaN for NaN and ±Inf: one test a value.
 	for i, v := range p {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if v-v != 0 {
 			return fmt.Errorf("karl: point coordinate %d is %v; coordinates must be finite", i, v)
 		}
 	}
-	if math.IsNaN(w) || math.IsInf(w, 0) {
+	if w-w != 0 {
 		return fmt.Errorf("karl: weight is %v; weights must be finite", w)
 	}
 	return nil
+}
+
+// validateRows runs validateInsert over every row of a non-empty batch with
+// its weight (nil: unit weights), checks that the rows share one width, and
+// returns that width. Build and InsertBulk refuse the same rows with it.
+func validateRows(points [][]float64, weights []float64) (int, error) {
+	if weights != nil && len(weights) != len(points) {
+		return 0, fmt.Errorf("karl: %d weights for %d points", len(weights), len(points))
+	}
+	dims := len(points[0])
+	for i, p := range points {
+		if len(p) != dims {
+			return 0, fmt.Errorf("karl: point %d has %d dims, point 0 has %d", i, len(p), dims)
+		}
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		if err := validateInsert(p, w); err != nil {
+			return 0, fmt.Errorf("point %d: %w", i, err)
+		}
+	}
+	return dims, nil
 }
 
 // Insert adds one weighted point, discarding its id; use InsertID when
@@ -664,21 +685,9 @@ func (d *Engine) InsertBulk(points [][]float64, weights []float64) ([]uint64, er
 	if len(points) == 0 {
 		return nil, nil
 	}
-	if weights != nil && len(weights) != len(points) {
-		return nil, fmt.Errorf("karl: %d weights for %d points", len(weights), len(points))
-	}
-	dims := len(points[0])
-	for i, p := range points {
-		if len(p) != dims {
-			return nil, fmt.Errorf("karl: point %d has %d dims, point 0 has %d", i, len(p), dims)
-		}
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
-		if err := validateInsert(p, w); err != nil {
-			return nil, fmt.Errorf("point %d: %w", i, err)
-		}
+	dims, err := validateRows(points, weights)
+	if err != nil {
+		return nil, err
 	}
 	sh := d.sh
 	sh.mu.Lock()

@@ -149,7 +149,7 @@ func (d *Engine) liveSet() (*index.Tree, Kernel, buildConfig, error) {
 	for sh.sealing != nil || sh.draining {
 		sh.cond.Wait()
 	}
-	cfg := defaultBuildConfig()
+	cfg := configOf()
 	cfg.kind, cfg.leafCap, cfg.method = publicIndexKind(sh.bcfg.Kind), sh.bcfg.LeafCap, publicMethod(sh.method)
 	segs := sh.man.Segs
 	if len(segs) == 1 && sh.mem.len() == 0 && segs[0].Dead.Len() == 0 && !sh.timed() {

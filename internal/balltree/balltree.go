@@ -2,8 +2,10 @@
 // index (Uhlmann's metric tree / Moore's anchors construction as used by
 // Scikit-learn): nodes are bounded by centroid balls and split by the
 // farthest-pair heuristic. Nodes are emitted directly into the flat
-// DFS-preorder array of index.Tree; the point matrix is reordered into leaf
-// order when the build finishes.
+// DFS-preorder array of index.Tree. The build works on the tree's own copy
+// of the rows and moves a row with every swap of its index, so node
+// [start, end) is always rows start..end-1; the copy is in leaf order when
+// the build finishes.
 package balltree
 
 import (
@@ -27,13 +29,8 @@ func Build(points *vec.Matrix, weights []float64, leafCap int) (*index.Tree, err
 	if weights != nil && len(weights) != points.Rows {
 		return nil, fmt.Errorf("balltree: %d weights for %d points", len(weights), points.Rows)
 	}
-	t := &index.Tree{
-		Kind:    index.BallTree,
-		Points:  points,
-		Weights: weights,
-		LeafCap: leafCap,
-	}
-	b := builder{t: t, pts: points, idx: make([]int, points.Rows)}
+	t := &index.Tree{Kind: index.BallTree, Points: points.Clone(), Weights: weights, LeafCap: leafCap}
+	b := builder{t: t, pts: t.Points, idx: make([]int, points.Rows)}
 	for i := range b.idx {
 		b.idx[i] = i
 	}
@@ -44,17 +41,17 @@ func Build(points *vec.Matrix, weights []float64, leafCap int) (*index.Tree, err
 
 type builder struct {
 	t   *index.Tree
-	pts *vec.Matrix
-	idx []int // working permutation: position -> original row
+	pts *vec.Matrix // the tree's copy of the rows, permuted alongside idx
+	idx []int       // working permutation: position -> original row
 }
 
-// build emits the subtree over idx[start:end) in DFS preorder and returns
+// build emits the subtree over rows [start, end) in DFS preorder and returns
 // the position of its root node.
 func (b *builder) build(start, end, depth int) int32 {
 	ni := b.t.AppendNode(start, end, depth)
 	rec := b.t.Node(ni).Record()
 	center := rec[:b.pts.Cols]
-	radius := geom.BoundBall(center, b.pts, b.idx, start, end)
+	radius := geom.BoundBall(center, b.pts, start, end)
 	rec[b.pts.Cols] = radius
 	if end-start <= b.t.LeafCap || radius == 0 {
 		// Zero radius means all points coincide; splitting cannot help.
@@ -77,8 +74,7 @@ func (b *builder) build(start, end, depth int) int32 {
 // point to whichever anchor is closer. Returns the boundary position; the
 // range [start,mid) holds the points closer to a.
 func (b *builder) partition(start, end int, centroid []float64) int {
-	idx := b.idx
-	row := func(i int) []float64 { return b.pts.Row(idx[i]) }
+	row := b.pts.Row
 	far := func(from []float64) int {
 		best, bestD := start, -1.0
 		for i := start; i < end; i++ {
@@ -99,7 +95,8 @@ func (b *builder) partition(start, end int, centroid []float64) int {
 			hi--
 		}
 		if lo < hi {
-			idx[lo], idx[hi] = idx[hi], idx[lo]
+			b.idx[lo], b.idx[hi] = b.idx[hi], b.idx[lo]
+			b.pts.SwapRows(lo, hi)
 			lo++
 			hi--
 		}

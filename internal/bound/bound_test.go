@@ -36,9 +36,7 @@ func makeCase(rng *rand.Rand, n, d int, spread float64) *testCase {
 	for j := range center {
 		center[j] = rng.NormFloat64()
 	}
-	idx := make([]int, n)
 	for i := 0; i < n; i++ {
-		idx[i] = i
 		row := tc.pts.Row(i)
 		for j := range row {
 			row[j] = center[j] + rng.NormFloat64()*spread
@@ -48,8 +46,8 @@ func makeCase(rng *rand.Rand, n, d int, spread float64) *testCase {
 	for i := 0; i < n; i++ {
 		tc.agg = addAgg(tc.agg, tc.w[i], tc.pts.Row(i))
 	}
-	tc.rect = geom.BoundRows(tc.pts, idx, 0, n)
-	tc.ball = geom.BoundRowsBall(tc.pts, idx, 0, n)
+	tc.rect = geom.BoundRows(tc.pts, 0, n)
+	tc.ball = geom.BoundRowsBall(tc.pts, 0, n)
 	tc.q = make([]float64, d)
 	for j := range tc.q {
 		tc.q[j] = rng.NormFloat64() * 2
@@ -216,8 +214,7 @@ func TestDegenerateInterval(t *testing.T) {
 	// the exact value.
 	pts := vec.FromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
 	w := []float64{1, 2, 3}
-	idx := []int{0, 1, 2}
-	rect := geom.BoundRows(pts, idx, 0, 3)
+	rect := geom.BoundRows(pts, 0, 3)
 	var agg index.Agg
 	for i := 0; i < 3; i++ {
 		agg = addAgg(agg, w[i], pts.Row(i))
@@ -304,8 +301,7 @@ func TestGaussianKnownBounds(t *testing.T) {
 	// Two unit-weight points at distance 1 and 3 from q, γ=1:
 	// exact = e⁻¹ + e⁻⁹. x̄ = (1+9)/2 = 5.
 	pts := vec.FromRows([][]float64{{1}, {3}})
-	idx := []int{0, 1}
-	rect := geom.BoundRows(pts, idx, 0, 2)
+	rect := geom.BoundRows(pts, 0, 2)
 	var agg index.Agg
 	agg = addAgg(agg, 1, pts.Row(0))
 	agg = addAgg(agg, 1, pts.Row(1))

@@ -40,35 +40,36 @@ func NewRect(p []float64) *Rect {
 	return &Rect{Lo: vec.Clone(p), Hi: vec.Clone(p)}
 }
 
-// BoundRows returns the bounding rectangle of rows[idx[i]] for i in
-// [start,end) of the index permutation. It panics on an empty range.
-func BoundRows(m *vec.Matrix, idx []int, start, end int) *Rect {
+// BoundRows returns the bounding rectangle of rows [start,end) of m. It
+// panics on an empty range.
+func BoundRows(m *vec.Matrix, start, end int) *Rect {
 	r := &Rect{Lo: make([]float64, m.Cols), Hi: make([]float64, m.Cols)}
-	r.Bound(m, idx, start, end)
+	r.Bound(m, start, end)
 	return r
 }
 
 // Bound sets the rectangle, in the storage it already has, to the bounding
-// rectangle BoundRows returns.
-func (r *Rect) Bound(m *vec.Matrix, idx []int, start, end int) {
+// rectangle BoundRows returns: one pass over the contiguous rows.
+func (r *Rect) Bound(m *vec.Matrix, start, end int) {
 	if start >= end {
 		panic(fmt.Sprintf("geom: empty row range [%d,%d)", start, end))
 	}
-	copy(r.Lo, m.Row(idx[start]))
+	copy(r.Lo, m.Row(start))
 	copy(r.Hi, r.Lo)
 	for i := start + 1; i < end; i++ {
-		r.Extend(m.Row(idx[i]))
+		r.Extend(m.Row(i))
 	}
 }
 
 // Extend grows the rectangle to cover p.
 func (r *Rect) Extend(p []float64) {
+	lo, hi := r.Lo[:len(p)], r.Hi[:len(p)]
 	for j, v := range p {
-		if v < r.Lo[j] {
-			r.Lo[j] = v
+		if v < lo[j] {
+			lo[j] = v
 		}
-		if v > r.Hi[j] {
-			r.Hi[j] = v
+		if v > hi[j] {
+			hi[j] = v
 		}
 	}
 }
@@ -159,28 +160,28 @@ type Ball struct {
 	Radius float64
 }
 
-// BoundRowsBall returns the centroid ball of rows[idx[i]] for i in
-// [start,end): center = mean, radius = max distance to the mean. It panics
-// on an empty range.
-func BoundRowsBall(m *vec.Matrix, idx []int, start, end int) *Ball {
+// BoundRowsBall returns the centroid ball of rows [start,end) of m:
+// center = mean, radius = max distance to the mean. It panics on an empty
+// range.
+func BoundRowsBall(m *vec.Matrix, start, end int) *Ball {
 	b := &Ball{Center: make([]float64, m.Cols)}
-	b.Radius = BoundBall(b.Center, m, idx, start, end)
+	b.Radius = BoundBall(b.Center, m, start, end)
 	return b
 }
 
 // BoundBall writes the centre of the ball BoundRowsBall returns into the
 // zeroed c and returns its radius.
-func BoundBall(c []float64, m *vec.Matrix, idx []int, start, end int) float64 {
+func BoundBall(c []float64, m *vec.Matrix, start, end int) float64 {
 	if start >= end {
 		panic(fmt.Sprintf("geom: empty row range [%d,%d)", start, end))
 	}
 	for i := start; i < end; i++ {
-		vec.AddTo(c, m.Row(idx[i]))
+		vec.AddTo(c, m.Row(i))
 	}
 	vec.ScaleTo(c, 1/float64(end-start))
 	var r2 float64
 	for i := start; i < end; i++ {
-		if d := vec.Dist2(c, m.Row(idx[i])); d > r2 {
+		if d := vec.Dist2(c, m.Row(i)); d > r2 {
 			r2 = d
 		}
 	}

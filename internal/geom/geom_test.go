@@ -17,14 +17,6 @@ func randMatrix(rng *rand.Rand, n, d int) *vec.Matrix {
 	return m
 }
 
-func identityIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
 func TestRectExtendContains(t *testing.T) {
 	r := NewRect([]float64{1, 1})
 	r.Extend([]float64{3, -1})
@@ -86,20 +78,20 @@ func TestBoundRowsEmptyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	BoundRows(vec.NewMatrix(1, 2), []int{0}, 0, 0)
+	BoundRows(vec.NewMatrix(1, 2), 0, 0)
 }
 
 // propVolume checks the fundamental soundness of a Volume over the points it
 // was built from: containment, and that min/max dist and IP bounds actually
 // bound every enclosed point for random queries.
-func propVolume(t *testing.T, build func(m *vec.Matrix, idx []int, start, end int) Volume) {
+func propVolume(t *testing.T, build func(m *vec.Matrix, start, end int) Volume) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(40)
 		d := 1 + rng.Intn(6)
 		m := randMatrix(rng, n, d)
-		v := build(m, identityIdx(n), 0, n)
+		v := build(m, 0, n)
 		for i := 0; i < n; i++ {
 			if !v.Contains(m.Row(i), 1e-9) {
 				t.Fatalf("trial %d: volume does not contain its own point %d", trial, i)
@@ -129,14 +121,14 @@ func propVolume(t *testing.T, build func(m *vec.Matrix, idx []int, start, end in
 }
 
 func TestRectVolumeProperty(t *testing.T) {
-	propVolume(t, func(m *vec.Matrix, idx []int, start, end int) Volume {
-		return BoundRows(m, idx, start, end)
+	propVolume(t, func(m *vec.Matrix, start, end int) Volume {
+		return BoundRows(m, start, end)
 	})
 }
 
 func TestBallVolumeProperty(t *testing.T) {
-	propVolume(t, func(m *vec.Matrix, idx []int, start, end int) Volume {
-		return BoundRowsBall(m, idx, start, end)
+	propVolume(t, func(m *vec.Matrix, start, end int) Volume {
+		return BoundRowsBall(m, start, end)
 	})
 }
 

@@ -14,10 +14,10 @@
 //   - Every node's floats — its volume and its aggregates — are one
 //     fixed-stride record of a single block, in the same preorder, so a
 //     bound reads one contiguous record and the left child's follows it.
-//   - After construction the point matrix and weights are physically
-//     reordered into leaf order, so a leaf scans rows [Start,End) of the
-//     matrix directly — no permutation gather. PointID retains the mapping
-//     back to the caller's original row numbering.
+//   - The point matrix and weights are stored in leaf order (a builder
+//     moves the rows as it partitions them), so a leaf scans rows
+//     [Start,End) of the matrix directly — no permutation gather. PointID
+//     retains the mapping back to the caller's original row numbering.
 //   - Norms caches ‖p‖² per stored row, enabling the fused distance form
 //     ‖q−p‖² = ‖q‖² − 2·q·p + ‖p‖² in leaf evaluation.
 package index
@@ -328,21 +328,16 @@ func (t *Tree) Splice(f *Tree) int32 {
 // into an internal node.
 func (t *Tree) SetRight(i, right int32) { t.Nodes[i].Right = right }
 
-// Finish seals a freshly built tree: it physically reorders the points (and
-// weights) into the builder's leaf-order permutation idx, records the
-// original-ID mapping, caches per-row squared norms, and computes every
-// node's aggregates into its record. idx[i] is the original row of
-// the point that leaf order places at storage row i. The builder's input
-// matrix is left untouched; the tree owns a reordered copy from here on.
+// Finish seals a freshly built tree whose Points the builder has already
+// moved into leaf order: idx[i] is the original row of the point at storage
+// row i. It records that as PointID, permutes the weights the same way,
+// caches per-row squared norms, and computes every node's aggregates into
+// its record.
 func (t *Tree) Finish(idx []int) {
-	src := t.Points
-	pts := vec.NewMatrix(src.Rows, src.Cols)
 	t.PointID = make([]int32, len(idx))
 	for i, pi := range idx {
-		copy(pts.Row(i), src.Row(pi))
 		t.PointID[i] = int32(pi)
 	}
-	t.Points = pts
 	if t.Weights != nil {
 		w := make([]float64, len(idx))
 		for i, pi := range idx {
@@ -350,9 +345,9 @@ func (t *Tree) Finish(idx []int) {
 		}
 		t.Weights = w
 	}
-	t.Norms = make([]float64, pts.Rows)
-	for i := 0; i < pts.Rows; i++ {
-		t.Norms[i] = vec.Norm2(pts.Row(i))
+	t.Norms = make([]float64, t.Points.Rows)
+	for i := range t.Norms {
+		t.Norms[i] = vec.Norm2(t.Points.Row(i))
 	}
 	t.ComputeAggregates()
 }

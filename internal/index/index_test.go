@@ -37,7 +37,7 @@ func TestAggAddMerge(t *testing.T) {
 	// A leaf's classes are its rows accumulated: W = Σw, A = Σw·p, B = Σw‖p‖².
 	m := vec.FromRows([][]float64{{1, 0}, {0, 2}})
 	leaf := &Tree{Kind: KDTree, Points: m, Weights: []float64{2, 3}, LeafCap: 2}
-	appendBounded(leaf, m, []int{0, 1}, 0, 2, 0)
+	appendBounded(leaf, 0, 2, 0)
 	leaf.Finish([]int{0, 1})
 	a := leaf.Root().Pos()
 	if a.Count != 2 || a.W != 5 {
@@ -107,17 +107,17 @@ func TestEmptyAggSumsAreZero(t *testing.T) {
 	}
 }
 
-// appendBounded appends a node over idx[start:end) and fills its volume the
-// way the builders do.
-func appendBounded(tr *Tree, m *vec.Matrix, idx []int, start, end, depth int) int32 {
+// appendBounded appends a node over rows [start, end) of tr.Points and fills
+// its volume the way the builders do.
+func appendBounded(tr *Tree, start, end, depth int) int32 {
 	ni := tr.AppendNode(start, end, depth)
 	if tr.Kind == BallTree {
 		rec := tr.Node(ni).Record()
-		rec[m.Cols] = geom.BoundBall(rec[:m.Cols], m, idx, start, end)
+		rec[tr.Dims()] = geom.BoundBall(rec[:tr.Dims()], tr.Points, start, end)
 		return ni
 	}
 	r := tr.Node(ni).Rect()
-	r.Bound(m, idx, start, end)
+	r.Bound(tr.Points, start, end)
 	return ni
 }
 
@@ -128,9 +128,9 @@ func buildManualTree() *Tree {
 	m := vec.FromRows([][]float64{{0, 0}, {1, 0}, {10, 0}, {11, 0}})
 	idx := []int{0, 1, 2, 3}
 	tr := &Tree{Kind: KDTree, Points: m, LeafCap: 2}
-	root := appendBounded(tr, m, idx, 0, 4, 0)
-	appendBounded(tr, m, idx, 0, 2, 1)
-	right := appendBounded(tr, m, idx, 2, 4, 1)
+	root := appendBounded(tr, 0, 4, 0)
+	appendBounded(tr, 0, 2, 1)
+	right := appendBounded(tr, 2, 4, 1)
 	tr.SetRight(root, right)
 	tr.Finish(idx)
 	return tr
@@ -157,7 +157,7 @@ func TestComputeAggregatesSignedWeights(t *testing.T) {
 	m := vec.FromRows([][]float64{{1, 0}, {0, 1}, {2, 2}})
 	idx := []int{0, 1, 2}
 	tr := &Tree{Kind: KDTree, Points: m, Weights: []float64{2, -3, 1}, LeafCap: 4}
-	appendBounded(tr, m, idx, 0, 3, 0)
+	appendBounded(tr, 0, 3, 0)
 	tr.Finish(idx)
 	pos, neg := tr.Root().Pos(), tr.Root().Neg()
 	if pos.Count != 2 || pos.W != 3 {
@@ -171,14 +171,20 @@ func TestComputeAggregatesSignedWeights(t *testing.T) {
 	}
 }
 
+// TestFinishReordersIntoLeafOrder: a builder has already moved the rows into
+// leaf order; Finish keeps them where they are and brings the rest of the
+// tree along — the weights permuted by idx, PointID recording idx, the norms
+// of the stored rows.
 func TestFinishReordersIntoLeafOrder(t *testing.T) {
-	orig := vec.FromRows([][]float64{{3, 3}, {1, 1}, {2, 2}, {0, 0}})
-	idx := []int{3, 1, 2, 0} // leaf order = sorted by coordinate
-	tr := &Tree{Kind: KDTree, Points: orig, Weights: []float64{30, 10, 20, 0}, LeafCap: 4}
-	appendBounded(tr, orig, idx, 0, 4, 0)
+	// Original rows {3,3}, {1,1}, {2,2}, {0,0} with weights 30, 10, 20, 0,
+	// moved into leaf order (sorted by coordinate).
+	leaf := vec.FromRows([][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}})
+	idx := []int{3, 1, 2, 0}
+	tr := &Tree{Kind: KDTree, Points: leaf, Weights: []float64{30, 10, 20, 0}, LeafCap: 4}
+	appendBounded(tr, 0, 4, 0)
 	tr.Finish(idx)
-	if tr.Points == orig {
-		t.Fatal("Finish must copy, not alias, the input matrix")
+	if tr.Points != leaf {
+		t.Fatal("Finish must keep the builder's leaf-ordered rows, not copy them")
 	}
 	for i := 0; i < 4; i++ {
 		want := float64(i)
@@ -195,9 +201,8 @@ func TestFinishReordersIntoLeafOrder(t *testing.T) {
 			t.Fatalf("Norms[%d] = %v want %v", i, got, 2*want*want)
 		}
 	}
-	// The input matrix must be untouched.
-	if orig.Row(0)[0] != 3 {
-		t.Fatal("Finish mutated the builder's input matrix")
+	if pos := tr.Root().Pos(); pos.W != 60 || !vec.Equal(pos.A, []float64{140, 140}, 1e-12) {
+		t.Fatalf("root aggregates over permuted weights: %+v", pos)
 	}
 }
 
@@ -343,7 +348,7 @@ func chainTree(m *vec.Matrix, leafCap int) *Tree {
 	tr := &Tree{Kind: KDTree, Points: m, LeafCap: leafCap}
 	var build func(start, end, depth int) int32
 	build = func(start, end, depth int) int32 {
-		ni := appendBounded(tr, m, idx, start, end, depth)
+		ni := appendBounded(tr, start, end, depth)
 		if end-start > leafCap {
 			mid := (start + end) / 2
 			build(start, mid, depth+1)
@@ -452,9 +457,9 @@ func manualTreeOfKind(kind Kind) *Tree {
 	m := vec.FromRows([][]float64{{0, 0}, {1, 0}, {10, 0}, {11, 0}})
 	idx := []int{0, 1, 2, 3}
 	tr := &Tree{Kind: kind, Points: m, Weights: []float64{1, 2, -3, 4}, LeafCap: 2}
-	root := appendBounded(tr, m, idx, 0, 4, 0)
-	appendBounded(tr, m, idx, 0, 2, 1)
-	right := appendBounded(tr, m, idx, 2, 4, 1)
+	root := appendBounded(tr, 0, 4, 0)
+	appendBounded(tr, 0, 2, 1)
+	right := appendBounded(tr, 2, 4, 1)
 	tr.SetRight(root, right)
 	tr.Finish(idx)
 	return tr
@@ -466,9 +471,9 @@ func emptyCellTree() *Tree {
 	m := vec.FromRows([][]float64{{0, 0}, {1, 0}, {10, 0}})
 	idx := []int{0, 1, 2}
 	tr := &Tree{Kind: KDTree, Points: m, Weights: []float64{1, -2, 3}, LeafCap: 2}
-	root := appendBounded(tr, m, idx, 0, 3, 0)
+	root := appendBounded(tr, 0, 3, 0)
 	tr.AppendNode(0, 0, 1) // no rows: the record stays zero
-	right := appendBounded(tr, m, idx, 0, 3, 1)
+	right := appendBounded(tr, 0, 3, 1)
 	tr.SetRight(root, right)
 	tr.Finish(idx)
 	return tr
@@ -587,9 +592,9 @@ func TestValidateBallsPerAncestor(t *testing.T) {
 	m := vec.FromRows([][]float64{{-1, 0}, {1, 0}, {0, 1}, {0, 1}})
 	idx := []int{0, 1, 2, 3}
 	tr := &Tree{Kind: BallTree, Points: m, LeafCap: 2}
-	root := appendBounded(tr, m, idx, 0, 4, 0)
-	appendBounded(tr, m, idx, 0, 2, 1)
-	tr.SetRight(root, appendBounded(tr, m, idx, 2, 4, 1))
+	root := appendBounded(tr, 0, 4, 0)
+	appendBounded(tr, 0, 2, 1)
+	tr.SetRight(root, appendBounded(tr, 2, 4, 1))
 	tr.Finish(idx)
 	p, l := tr.Node(0).Ball(), tr.Node(1).Ball()
 	if vec.Dist(p.Center, l.Center)+l.Radius <= p.Radius {

@@ -2,8 +2,10 @@
 // (Section II-B, Figure 2): widest-dimension median splits, axis-aligned
 // bounding rectangles recomputed from the actual points, and per-node
 // weighted aggregates for O(d) bound evaluation. Nodes are emitted directly
-// into the flat DFS-preorder array of index.Tree; the point matrix is
-// reordered into leaf order when the build finishes.
+// into the flat DFS-preorder array of index.Tree. The build works on the
+// tree's own copy of the rows and moves a row with every swap of its index,
+// so node [start, end) is always rows start..end-1 and a bound is one
+// contiguous scan; the copy is in leaf order when the build finishes.
 //
 // Build hands the right subtree of each of its top two levels to its own
 // goroutine while the node is large enough to be worth it (forkWork), and
@@ -53,16 +55,9 @@ func build(points *vec.Matrix, weights []float64, leafCap, fork int) (*index.Tre
 	if weights != nil && len(weights) != points.Rows {
 		return nil, fmt.Errorf("kdtree: %d weights for %d points", len(weights), points.Rows)
 	}
-	t := &index.Tree{
-		Kind:    index.KDTree,
-		Points:  points,
-		Weights: weights,
-		LeafCap: leafCap,
-	}
-	b := builder{t: t, pts: points, idx: make([]int, points.Rows), fork: fork}
-	for i := range b.idx {
-		b.idx[i] = i
-	}
+	t := &index.Tree{Kind: index.KDTree, Weights: weights, LeafCap: leafCap}
+	b := newBuilder(t, points)
+	b.fork = fork
 	b.build(0, points.Rows, 0)
 	t.Finish(b.idx)
 	return t, nil
@@ -70,17 +65,33 @@ func build(points *vec.Matrix, weights []float64, leafCap, fork int) (*index.Tre
 
 type builder struct {
 	t    *index.Tree
-	pts  *vec.Matrix
-	idx  []int // working permutation: position -> original row
-	fork int   // work floor of a forked subtree (forkWork; MaxInt: never)
+	pts  *vec.Matrix // the tree's copy of the rows, permuted alongside idx
+	idx  []int       // working permutation: position -> original row
+	fork int         // work floor of a forked subtree (forkWork; MaxInt: never)
 }
 
-// build emits the subtree over idx[start:end) in DFS preorder and returns
+// newBuilder gives t a copy of points to own and a builder that permutes it.
+func newBuilder(t *index.Tree, points *vec.Matrix) builder {
+	t.Points = points.Clone()
+	b := builder{t: t, pts: t.Points, idx: make([]int, points.Rows)}
+	for i := range b.idx {
+		b.idx[i] = i
+	}
+	return b
+}
+
+// swap exchanges positions i and j: their rows and their idx entries.
+func (b *builder) swap(i, j int) {
+	b.idx[i], b.idx[j] = b.idx[j], b.idx[i]
+	b.pts.SwapRows(i, j)
+}
+
+// build emits the subtree over rows [start, end) in DFS preorder and returns
 // the position of its root node.
 func (b *builder) build(start, end, depth int) int32 {
 	ni := b.t.AppendNode(start, end, depth)
 	rect := b.t.Node(ni).Rect()
-	rect.Bound(b.pts, b.idx, start, end)
+	rect.Bound(b.pts, start, end)
 	if end-start <= b.t.LeafCap {
 		return ni
 	}
@@ -92,14 +103,11 @@ func (b *builder) build(start, end, depth int) int32 {
 	}
 	mid := (start + end) / 2
 	b.selectNth(start, end, mid, dim)
-	// Guard against a degenerate partition when many coordinates equal the
-	// median: ensure both sides are non-empty (selectNth already guarantees
-	// mid strictly inside (start,end)).
 	if depth < forkDepth && (end-start)*b.pts.Cols >= b.fork {
-		// The right subtree reads only the points and permutes only
-		// idx[mid:end), so it is built apart — into a node list of its own —
-		// while this goroutine builds the left one, then appended behind it:
-		// the preorder the sequential recursion emits.
+		// The right subtree reads and permutes only rows [mid, end), so it
+		// is built apart — into a node list of its own — while this
+		// goroutine builds the left one, then appended behind it: the
+		// preorder the sequential recursion emits.
 		right := &builder{t: b.t.Fragment(end - mid), pts: b.pts, idx: b.idx, fork: b.fork}
 		done := make(chan struct{})
 		go func() {
@@ -117,24 +125,24 @@ func (b *builder) build(start, end, depth int) int32 {
 	return ni
 }
 
-// selectNth partially sorts idx[start:end) by the given coordinate so that
-// the element at position nth is in its sorted place (quickselect with
+// selectNth partially sorts rows [start, end) by the given coordinate so
+// that the row at position nth is in its sorted place (quickselect with
 // median-of-three pivots).
 func (b *builder) selectNth(start, end, nth, dim int) {
-	idx := b.idx
-	key := func(i int) float64 { return b.pts.Row(idx[i])[dim] }
+	data, cols := b.pts.Data, b.pts.Cols
+	key := func(i int) float64 { return data[i*cols+dim] }
 	lo, hi := start, end-1
 	for lo < hi {
 		// Median-of-three pivot selection for resilience to sorted inputs.
 		mid := lo + (hi-lo)/2
 		if key(mid) < key(lo) {
-			idx[mid], idx[lo] = idx[lo], idx[mid]
+			b.swap(mid, lo)
 		}
 		if key(hi) < key(lo) {
-			idx[hi], idx[lo] = idx[lo], idx[hi]
+			b.swap(hi, lo)
 		}
 		if key(hi) < key(mid) {
-			idx[hi], idx[mid] = idx[mid], idx[hi]
+			b.swap(hi, mid)
 		}
 		pivot := key(mid)
 		i, j := lo, hi
@@ -146,7 +154,7 @@ func (b *builder) selectNth(start, end, nth, dim int) {
 				j--
 			}
 			if i <= j {
-				idx[i], idx[j] = idx[j], idx[i]
+				b.swap(i, j)
 				i++
 				j--
 			}
@@ -223,35 +231,32 @@ func BuildOn(points *vec.Matrix, weights []float64, sk *Skeleton, leafCap int) (
 	if len(sk.Dim) == 0 || len(sk.Val) != len(sk.Dim) || len(sk.Right) != len(sk.Dim) {
 		return nil, fmt.Errorf("kdtree: malformed skeleton")
 	}
-	t := &index.Tree{Kind: index.KDTree, Points: points, Weights: weights, LeafCap: max(1, leafCap)}
+	t := &index.Tree{Kind: index.KDTree, Weights: weights, LeafCap: max(1, leafCap)}
+	b := newBuilder(t, points)
 	t.Reserve(len(sk.Dim))
-	b := builder{t: t, pts: points, idx: make([]int, points.Rows)}
-	for i := range b.idx {
-		b.idx[i] = i
-	}
 	b.buildOn(sk, 0, points.Rows, 0)
 	t.Finish(b.idx)
 	return t, nil
 }
 
-// buildOn emits the subtree of skeleton node t.NodeCount() over
-// idx[start:end) in DFS preorder, mirroring the skeleton's shape.
+// buildOn emits the subtree of skeleton node t.NodeCount() over rows
+// [start, end) in DFS preorder, mirroring the skeleton's shape.
 func (b *builder) buildOn(sk *Skeleton, start, end, depth int) {
 	ni := b.t.AppendNode(start, end, depth)
 	if start < end {
 		rect := b.t.Node(ni).Rect()
-		rect.Bound(b.pts, b.idx, start, end)
+		rect.Bound(b.pts, start, end)
 	}
 	dim := sk.Dim[ni]
 	if dim < 0 {
 		return
 	}
 	// Rows with p[dim] < val go left, to the front of the range.
-	val, idx := sk.Val[ni], b.idx
+	val, data, cols := sk.Val[ni], b.pts.Data, b.pts.Cols
 	mid := start
 	for i := start; i < end; i++ {
-		if b.pts.Row(idx[i])[dim] < val {
-			idx[i], idx[mid] = idx[mid], idx[i]
+		if data[i*cols+int(dim)] < val {
+			b.swap(i, mid)
 			mid++
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"karl/internal/geom"
 	"karl/internal/index"
 	"karl/internal/vec"
 )
@@ -238,6 +239,76 @@ func TestBuildOnOwnSkeleton(t *testing.T) {
 // duplicates that stop splits early, on either side of the floor, at d = 1
 // and d = 123. CI runs it under -race at GOMAXPROCS 1, 2 and 4.
 func TestForkedBuildMatchesSequential(t *testing.T) {
+	forEachBuildCase(t, func(name string, m *vec.Matrix, w []float64, leafCap, fork int) {
+		want, err := build(m, w, leafCap, math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := build(m, w, leafCap, fork) // Build, at forkWork
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := identical(got, want); err != "" {
+			t.Fatalf("%s: %s", name, err)
+		}
+	})
+}
+
+// TestRowOrderedBuildMatchesGather: Build, which moves every row with its
+// index entry, emits the tree gatherBuild — which moves only indices and
+// copies the rows into leaf order at the end — emits, bit for bit, over the
+// cases of TestForkedBuildMatchesSequential; and so does BuildOn on a foreign
+// skeleton that leaves cells empty. CI runs it under -race at GOMAXPROCS 1, 2
+// and 4.
+func TestRowOrderedBuildMatchesGather(t *testing.T) {
+	forEachBuildCase(t, func(name string, m *vec.Matrix, w []float64, leafCap, fork int) {
+		got, err := build(m, w, leafCap, fork)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := identical(got, gatherBuild(m, w, leafCap, nil)); err != "" {
+			t.Fatalf("%s: %s", name, err)
+		}
+	})
+	rng := rand.New(rand.NewSource(12))
+	src, err := Build(randMatrix(rng, 4000, 6), nil, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := SkeletonOf(src)
+	m := randMatrix(rng, 300, 6) // far fewer rows than cells: many stay empty
+	for i := 0; i < m.Rows; i += 4 {
+		copy(m.Row(i), m.Row(0))
+	}
+	w := make([]float64, m.Rows)
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+	for _, w := range [][]float64{nil, w} {
+		got, err := BuildOn(m, w, sk, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty := 0
+		for i := range got.Nodes {
+			if got.Nodes[i].Count() == 0 {
+				empty++
+			}
+		}
+		if empty == 0 {
+			t.Fatal("fixture: the foreign skeleton left no cell empty")
+		}
+		if err := identical(got, gatherBuild(m, w, 16, sk)); err != "" {
+			t.Fatalf("BuildOn, %d empty cells: %s", empty, err)
+		}
+	}
+}
+
+// forEachBuildCase calls fn with every matrix, weighting, leaf capacity and
+// fork floor the build equivalence tests run: d = 123 on either side of the
+// floor, d = 1 and d = 8 forking low, duplicates that stop splits early, all
+// duplicates, and — outside -short — d = 1 at the floor.
+func forEachBuildCase(t *testing.T, fn func(name string, m *vec.Matrix, w []float64, leafCap, fork int)) {
 	rng := rand.New(rand.NewSource(8))
 	floorRows := (forkWork + 122) / 123 // the least rows that fork at d = 123
 	type set struct {
@@ -282,20 +353,132 @@ func TestForkedBuildMatchesSequential(t *testing.T) {
 		}
 		for _, w := range weights {
 			for _, leafCap := range leafCaps {
-				want, err := build(s.m, w.w, leafCap, math.MaxInt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := build(s.m, w.w, leafCap, s.fork) // Build, at forkWork
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := identical(got, want); err != "" {
-					t.Fatalf("%s, %s weights, leaf capacity %d: %s", s.name, w.name, leafCap, err)
-				}
+				fn(fmt.Sprintf("%s, %s weights, leaf capacity %d", s.name, w.name, leafCap), s.m, w.w, leafCap, s.fork)
 			}
 		}
 	}
+}
+
+// gatherBuild is the sequential build as it was before the builder moved
+// rows: it permutes only idx, reads every row through it, and copies the
+// rows into leaf order when it finishes. On a skeleton it is BuildOn, else
+// Build.
+func gatherBuild(points *vec.Matrix, weights []float64, leafCap int, sk *Skeleton) *index.Tree {
+	t := &index.Tree{Kind: index.KDTree, Points: points, Weights: weights, LeafCap: leafCap}
+	g := gatherBuilder{t: t, pts: points, idx: make([]int, points.Rows)}
+	for i := range g.idx {
+		g.idx[i] = i
+	}
+	if sk != nil {
+		t.Reserve(len(sk.Dim))
+		g.buildOn(sk, 0, points.Rows, 0)
+	} else {
+		g.build(0, points.Rows, 0)
+	}
+	leaf := vec.NewMatrix(points.Rows, points.Cols)
+	for i, pi := range g.idx {
+		copy(leaf.Row(i), points.Row(pi))
+	}
+	t.Points = leaf
+	t.Finish(g.idx)
+	return t
+}
+
+type gatherBuilder struct {
+	t   *index.Tree
+	pts *vec.Matrix // the caller's rows, never moved
+	idx []int       // working permutation: position -> original row
+}
+
+// bound sets node ni's rectangle to the rows idx[start:end) point at.
+func (g *gatherBuilder) bound(ni int32, start, end int) geom.Rect {
+	r := g.t.Node(ni).Rect()
+	copy(r.Lo, g.pts.Row(g.idx[start]))
+	copy(r.Hi, r.Lo)
+	for i := start + 1; i < end; i++ {
+		r.Extend(g.pts.Row(g.idx[i]))
+	}
+	return r
+}
+
+func (g *gatherBuilder) build(start, end, depth int) int32 {
+	ni := g.t.AppendNode(start, end, depth)
+	rect := g.bound(ni, start, end)
+	if end-start <= g.t.LeafCap {
+		return ni
+	}
+	dim, width := rect.WidestDim()
+	if width == 0 {
+		return ni
+	}
+	mid := (start + end) / 2
+	g.selectNth(start, end, mid, dim)
+	g.build(start, mid, depth+1)
+	g.t.SetRight(ni, g.build(mid, end, depth+1))
+	return ni
+}
+
+func (g *gatherBuilder) selectNth(start, end, nth, dim int) {
+	idx := g.idx
+	key := func(i int) float64 { return g.pts.Row(idx[i])[dim] }
+	lo, hi := start, end-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if key(mid) < key(lo) {
+			idx[mid], idx[lo] = idx[lo], idx[mid]
+		}
+		if key(hi) < key(lo) {
+			idx[hi], idx[lo] = idx[lo], idx[hi]
+		}
+		if key(hi) < key(mid) {
+			idx[hi], idx[mid] = idx[mid], idx[hi]
+		}
+		pivot := key(mid)
+		i, j := lo, hi
+		for i <= j {
+			for key(i) < pivot {
+				i++
+			}
+			for key(j) > pivot {
+				j--
+			}
+			if i <= j {
+				idx[i], idx[j] = idx[j], idx[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case nth <= j:
+			hi = j
+		case nth >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+func (g *gatherBuilder) buildOn(sk *Skeleton, start, end, depth int) {
+	ni := g.t.AppendNode(start, end, depth)
+	if start < end {
+		g.bound(ni, start, end)
+	}
+	dim := sk.Dim[ni]
+	if dim < 0 {
+		return
+	}
+	val, idx := sk.Val[ni], g.idx
+	mid := start
+	for i := start; i < end; i++ {
+		if g.pts.Row(idx[i])[dim] < val {
+			idx[i], idx[mid] = idx[mid], idx[i]
+			mid++
+		}
+	}
+	g.buildOn(sk, start, mid, depth+1)
+	g.t.SetRight(ni, int32(g.t.NodeCount()))
+	g.buildOn(sk, mid, end, depth+1)
 }
 
 // identical reports the first difference between two trees, "" for none.

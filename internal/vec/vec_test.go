@@ -136,6 +136,18 @@ func TestMatrixRowsAndSwap(t *testing.T) {
 	if !Equal(m.Row(1), []float64{3, 4}, 0) {
 		t.Fatalf("self-swap corrupted row: %v", m.Row(1))
 	}
+	// Widths on either side of the four-column step, and its tail.
+	for d := 1; d <= 9; d++ {
+		m := NewMatrix(3, d)
+		for i := range m.Data {
+			m.Data[i] = float64(i)
+		}
+		want := m.Clone()
+		m.SwapRows(2, 0)
+		if !Equal(m.Row(0), want.Row(2), 0) || !Equal(m.Row(2), want.Row(0), 0) || !Equal(m.Row(1), want.Row(1), 0) {
+			t.Fatalf("d=%d: SwapRows gave %v", d, m.Data)
+		}
+	}
 }
 
 func TestFromRowsRaggedPanics(t *testing.T) {

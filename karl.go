@@ -111,9 +111,13 @@ type buildConfig struct {
 	clock         func() int64
 }
 
-// defaultBuildConfig is the configuration Build starts from.
-func defaultBuildConfig() buildConfig {
-	return buildConfig{kind: KDTree, leafCap: 80, method: MethodKARL}
+// configOf returns the configuration Build starts from with opts applied.
+func configOf(opts ...Option) buildConfig {
+	cfg := buildConfig{kind: KDTree, leafCap: 80, method: MethodKARL}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
 }
 
 // WithWeights attaches per-point weights w_i (any sign). Without it all
@@ -180,22 +184,17 @@ func withClock(now func() int64) Option {
 // ONE sealed segment — the same tree a from-scratch index build produces,
 // rows numbered 1..n in input order — so queries run the single-segment
 // refinement loop; Insert and Delete then stream on top of it like on any
-// other engine.
+// other engine. Build refuses the rows and weights InsertBulk refuses:
+// ragged or empty rows and NaN or ±Inf values, naming the row.
 func Build(points [][]float64, kern Kernel, opts ...Option) (*Engine, error) {
 	if len(points) == 0 {
 		return nil, errors.New("karl: empty point set")
 	}
-	return buildMatrix(vec.FromRows(points), kern, opts...)
-}
-
-// buildMatrix is the internal entry point used by the adapters that already
-// hold a matrix.
-func buildMatrix(m *vec.Matrix, kern Kernel, opts ...Option) (*Engine, error) {
-	cfg := defaultBuildConfig()
-	for _, opt := range opts {
-		opt(&cfg)
+	cfg := configOf(opts...)
+	if _, err := validateRows(points, cfg.weights); err != nil {
+		return nil, err
 	}
-	return buildMatrixCfg(m, kern, cfg)
+	return buildMatrixCfg(vec.FromRows(points), kern, cfg)
 }
 
 // buildMatrixCfg builds from an already-resolved configuration.

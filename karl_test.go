@@ -39,6 +39,51 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestBuildRefusesWhatInsertRefuses: every row or weight InsertBulk refuses —
+// NaN or ±Inf coordinates and weights, ragged rows, rows of no width — Build
+// refuses too, with an error naming the row rather than a panic or an engine
+// whose answers are NaN.
+func TestBuildRefusesWhatInsertRefuses(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	ok := [][]float64{{0, 0}, {1, 1}, {0.5, 0.25}}
+	cases := []struct {
+		name string
+		pts  [][]float64
+		w    []float64
+		row  string
+	}{
+		{"NaN weight", ok, []float64{1, nan, 1}, "point 1"},
+		{"NaN weight beside a negative one", ok, []float64{nan, 1, -1}, "point 0"},
+		{"+Inf weight", ok, []float64{1, 1, inf}, "point 2"},
+		{"-Inf weight", ok, []float64{-inf, 1, 1}, "point 0"},
+		{"NaN coordinate", [][]float64{{0, 0}, {nan, 1}}, nil, "point 1"},
+		{"+Inf coordinate", [][]float64{{0, inf}, {1, 1}}, nil, "point 0"},
+		{"-Inf coordinate", [][]float64{{0, 0}, {1, 1}, {-inf, 0}}, []float64{1, 2, 3}, "point 2"},
+		{"ragged rows", [][]float64{{0, 0}, {1, 1, 1}, {2, 2}}, nil, "point 1"},
+		{"zero-width rows", [][]float64{{}, {}}, nil, "point 0"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Build panicked: %v", r)
+				}
+			}()
+			if _, err := Build(c.pts, Gaussian(1), WithWeights(c.w)); err == nil || !strings.Contains(err.Error(), c.row) {
+				t.Fatalf("Build error %v, want one naming %s", err, c.row)
+			}
+			d, err := NewDynamic(Gaussian(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			if _, err := d.InsertBulk(c.pts, c.w); err == nil || !strings.Contains(err.Error(), c.row) {
+				t.Fatalf("InsertBulk error %v, want one naming %s", err, c.row)
+			}
+		})
+	}
+}
+
 func TestEngineBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := cloud(rng, 500, 4)

@@ -106,9 +106,9 @@ func NewSVM(supportVectors [][]float64, weights []float64, rho float64, kern Ker
 
 // wrapModel indexes a trained model's support vectors.
 func wrapModel(model *svm.Model, cfg SVMConfig) (*SVM, error) {
-	eng, err := buildMatrix(model.SV, model.Kernel,
+	eng, err := buildMatrixCfg(model.SV, model.Kernel, configOf(
 		WithWeights(model.Weights),
-		WithIndex(cfg.Index, cfg.leafCapOrDefault()))
+		WithIndex(cfg.Index, cfg.leafCapOrDefault())))
 	if err != nil {
 		return nil, err
 	}
