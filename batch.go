@@ -28,7 +28,7 @@ func (d *Engine) BatchThresholdStats(queries [][]float64, tau float64, workers i
 	}
 	out := make([]bool, len(queries))
 	if d.useDual(len(queries)) {
-		st, err := d.runDual(queries, workers, func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error) {
+		st, err := d.runDual(queries, workers, nil, func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error) {
 			return x.Threshold(chunk, tau, base, out[lo:lo+chunk.Rows])
 		})
 		return out, st, err
@@ -56,13 +56,35 @@ func (d *Engine) BatchApproximateStats(queries [][]float64, eps float64, workers
 	// eps ≤ 0 keeps the sequential path so its validation error surfaces
 	// with the historical per-query shape.
 	if eps > 0 && d.useDual(len(queries)) {
-		st, err := d.runDual(queries, workers, func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error) {
+		st, err := d.runDual(queries, workers, nil, func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error) {
 			return x.Approximate(chunk, eps, base, out[lo:lo+chunk.Rows])
 		})
 		return out, st, err
 	}
 	st, err := d.sequential(len(queries), workers, func(eng *Engine, i int) (st Stats, err error) {
 		out[i], st, err = eng.ApproximateStats(queries[i], eps)
+		return st, err
+	})
+	return out, st, err
+}
+
+// BatchApproximateNormStats is ApproximateNormStats for every query,
+// index-aligned, with the summed work statistics. A dual-tree batch reads W
+// once, at its snapshot; a sequential one reads it per query.
+func (d *Engine) BatchApproximateNormStats(queries [][]float64, epsNorm float64, workers int) ([]float64, Stats, error) {
+	if err := validateBatchQueries(queries, d.Dims()); err != nil {
+		return nil, Stats{}, err
+	}
+	out := make([]float64, len(queries))
+	if epsNorm > 0 && d.useDual(len(queries)) {
+		var mass float64
+		st, err := d.runDual(queries, workers, &mass, func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error) {
+			return x.ApproximateAbs(chunk, normBudget(epsNorm, mass), base, out[lo:lo+chunk.Rows])
+		})
+		return out, st, err
+	}
+	st, err := d.sequential(len(queries), workers, func(eng *Engine, i int) (st Stats, err error) {
+		out[i], st, err = eng.ApproximateNormStats(queries[i], epsNorm)
 		return st, err
 	})
 	return out, st, err

@@ -94,7 +94,7 @@ func BenchmarkBaseTerm(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := d.snapshot(pts[i%len(pts)]); err != nil {
+				if _, _, _, err := d.snapshot(pts[i%len(pts)], nil); err != nil {
 					b.Fatal(err)
 				}
 			}

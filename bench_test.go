@@ -172,6 +172,40 @@ func BenchmarkQueryKARLApproximate(b *testing.B) {
 	}
 }
 
+// BenchmarkEpsNorm contrasts the two approximate budgets on the 20k cloud:
+// "rel" asks for relative error ε, "norm" for ε·W with the normalized stop.
+// Both report the points their refinement scanned per query.
+func BenchmarkEpsNorm(b *testing.B) {
+	pts, q := benchCloud(20000, 8)
+	eng, err := Build(pts, Gaussian(20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	arms := []struct {
+		name string
+		run  func(eps float64) (float64, Stats, error)
+	}{
+		{"rel", func(eps float64) (float64, Stats, error) { return eng.ApproximateStats(q, eps) }},
+		{"norm", func(eps float64) (float64, Stats, error) { return eng.ApproximateNormStats(q, eps) }},
+	}
+	for _, arm := range arms {
+		for _, eps := range []float64{0.05, 0.1, 0.2} {
+			b.Run(fmt.Sprintf("%s/eps=%.2f", arm.name, eps), func(b *testing.B) {
+				var scanned int
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_, st, err := arm.run(eps)
+					if err != nil {
+						b.Fatal(err)
+					}
+					scanned = st.PointsScanned
+				}
+				b.ReportMetric(float64(scanned), "points/op")
+			})
+		}
+	}
+}
+
 // BenchmarkBuildKDTree measures index construction, the cost the in-situ
 // scenario pays per epoch.
 func BenchmarkBuildKDTree(b *testing.B) {

@@ -60,6 +60,7 @@ func TestBuiltEngineZeroAlloc(t *testing.T) {
 	for name, query := range map[string]func(){
 		"ThresholdStats":   func() { _, _, err = eng.ThresholdStats(q, exact*1.01) },
 		"ApproximateStats": func() { _, _, err = eng.ApproximateStats(q, 0.05) },
+		"ApproximateNorm":  func() { _, _, err = eng.ApproximateNormStats(q, 0.01) },
 		"AggregateStats":   func() { _, _, err = eng.AggregateStats(q) },
 	} {
 		query() // arm the forest
@@ -150,10 +151,10 @@ func TestBulkLoadThenStream(t *testing.T) {
 	}
 }
 
-// TestSketchAndShardReadLiveRows: Sketch and Shard over an engine holding
-// buffered rows and tombstones see exactly its live rows — the same derived
-// engines as the same call on a fresh Build of those rows.
-func TestSketchAndShardReadLiveRows(t *testing.T) {
+// TestShardReadsLiveRows: Shard over an engine holding buffered rows and
+// tombstones sees exactly its live rows — the same shards as the same call
+// on a fresh Build of those rows.
+func TestShardReadsLiveRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	pts := cloud(rng, 1500, 2)
 	w := weightsFor(rng, "typeII", len(pts))
@@ -207,21 +208,6 @@ func TestSketchAndShardReadLiveRows(t *testing.T) {
 		}
 	}
 
-	skDirty, err := dirty.Sketch(0.1, WithCoresetSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	skFresh, err := fresh.Sketch(0.1, WithCoresetSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	infoDirty, _ := skDirty.SketchInfo()
-	infoFresh, _ := skFresh.SketchInfo()
-	if infoDirty != infoFresh || infoDirty.SourceLen != len(livePts) || infoDirty.Len >= len(livePts) {
-		t.Fatalf("sketch provenance %+v vs %+v over %d live rows", infoDirty, infoFresh, len(livePts))
-	}
-	sameAnswers("sketch", skDirty, skFresh)
-
 	shDirty, err := dirty.Shard(3, KDPartition)
 	if err != nil {
 		t.Fatal(err)
@@ -242,13 +228,6 @@ func TestSketchAndShardReadLiveRows(t *testing.T) {
 	// The source is untouched: its buffered rows and tombstones are still
 	// pending.
 	if dirty.Status().MemtableLen == 0 || dirty.Status().Tombstones == 0 {
-		t.Fatal("Sketch/Shard compacted the engine they read")
-	}
-	empty, err := NewDynamic(Gaussian(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := empty.Sketch(0.1); err == nil {
-		t.Fatal("Sketch of an empty engine succeeded")
+		t.Fatal("Shard compacted the engine it read")
 	}
 }

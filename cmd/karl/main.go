@@ -21,14 +21,6 @@
 //	karl shard -split engine.karl -n 4 -partition kd -out shards/
 //	karl shard -inspect shards/shard-2.karl
 //
-// Build an error-bounded coreset (-gamma 0 derives gamma by Scott's rule),
-// or print its size-vs-ε curve:
-//
-//	karl sketch -points data.txt -gamma 2 -eps 0.1 -out sketch.karl
-//	karl sketch -points data.txt -gamma 0 -eps 0.1 -method halving -out sketch.karl
-//	karl sketch -points data.txt -weights w.txt -gamma 2 -eps 0.1 -out sketch.karl
-//	karl sketch -points data.txt -gamma 2 -curve 0.05,0.1,0.2,0.3
-//
 // Train an SVM and classify with it (2-class rows lead with the ±1 label):
 //
 //	karl train -mode 2class -in train.txt -c 1 -gamma 0.5

@@ -440,13 +440,13 @@ func TestBaseVisitorsBitwise(t *testing.T) {
 				queries[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 			}
 			frozen = true // both visitors decay to one instant
-			b, err := d.batchSnapshot(3, len(queries))
+			b, err := d.batchSnapshot(3, len(queries), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			bases := b.bases(vec.FromRows(queries))
 			for i, q := range queries {
-				_, base, scanned, err := d.snapshot(q)
+				_, base, scanned, err := d.snapshot(q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -125,11 +125,12 @@ type dualBlock struct {
 // batchSnapshot walks the engine once for a batch of n queries, copying
 // each run into the block. Decay is evaluated once for the whole batch, as
 // a single query evaluates it once for all segments, and the scales are
-// this view's scratch, which stays put until its next query.
-func (d *Engine) batchSnapshot(dims, n int) (*dualBlock, error) {
+// this view's scratch, which stays put until its next query. mass is
+// walk's: the batch's one reading of W.
+func (d *Engine) batchSnapshot(dims, n int, mass *float64) (*dualBlock, error) {
 	sh := d.sh
 	b := &dualBlock{pts: vec.Matrix{Cols: dims}}
-	man, err := d.walk(dims, n, func(m *vec.Matrix, norms, w []float64, sign float64) {
+	man, err := d.walk(dims, n, mass, func(m *vec.Matrix, norms, w []float64, sign float64) {
 		if b.ws == nil {
 			// The first run sizes the block once, so the copy under the
 			// walk's lock never grows it.
@@ -187,11 +188,12 @@ func (d *Engine) useDual(n int) bool {
 // runDual answers the (already validated) batch through dual-tree
 // executors over one batch snapshot: every worker builds its own executor
 // and claims one contiguous chunk of at least dualTreeMinChunk queries, so
-// each query tree amortizes its setup.
-func (d *Engine) runDual(queries [][]float64, workers int,
+// each query tree amortizes its setup. A non-nil mass is filled from the
+// snapshot before serve first runs.
+func (d *Engine) runDual(queries [][]float64, workers int, mass *float64,
 	serve func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error)) (Stats, error) {
 	n := len(queries)
-	b, err := d.batchSnapshot(len(queries[0]), n)
+	b, err := d.batchSnapshot(len(queries[0]), n, mass)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -175,11 +175,9 @@ type dynShared struct {
 	// fields are atomic, so it is updated without mu.
 	dualCtr dualCounters
 
-	// sketch and shardProv record how the bulk-loaded set was made — a
-	// coreset of a larger set (BuildCoreset / Sketch), one shard of a
-	// partition (Shard) — and are nil otherwise. Set before the engine is
+	// shardProv records that the bulk-loaded set is one shard of a
+	// partition (Shard), and is nil otherwise. Set before the engine is
 	// shared, read-only afterwards.
-	sketch    *SketchInfo
 	shardProv *ShardProvenance
 
 	// now is the clock a timed engine stamps per-row insert times from.
@@ -453,20 +451,27 @@ func (d *Engine) Kernel() Kernel { return d.sh.kern }
 // WeightMass returns the dataset's positive and negative weight mass
 // (pos = Σ w_i over w_i ≥ 0, neg = Σ |w_i| over w_i < 0) across every
 // segment plus the buffered inserts, net of pending tombstones. The total
-// W = pos + neg is the normalization mass the coreset guarantees and the
-// cluster layer's ε-budget allocation are stated against.
+// W = pos + neg is the mass the normalized error budget
+// (ApproximateNormStats) and the cluster layer's ε-budget allocation are
+// stated against.
 func (d *Engine) WeightMass() (pos, neg float64) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.weightMassLocked()
+	return sh.weightMassLocked(sh.clockLocked())
 }
 
-func (sh *dynShared) weightMassLocked() (pos, neg float64) {
-	var nowT int64
+// clockLocked reads the clock a timed engine stamps and decays by (0 for
+// an untimed one).
+func (sh *dynShared) clockLocked() int64 {
 	if sh.timed() {
-		nowT = sh.now()
+		return sh.now()
 	}
+	return 0
+}
+
+// weightMassLocked is WeightMass as the instant nowT sees it.
+func (sh *dynShared) weightMassLocked(nowT int64) (pos, neg float64) {
 	decayed := sh.halfLife > 0
 	for _, s := range sh.man.Segs {
 		r := s.Tree.Root()
@@ -598,7 +603,7 @@ func (d *Engine) Status() EngineStatus {
 		TTL:           time.Duration(sh.ttl),
 		DecayHalfLife: time.Duration(sh.halfLife),
 	}
-	st.WeightPos, st.WeightNeg = sh.weightMassLocked()
+	st.WeightPos, st.WeightNeg = sh.weightMassLocked(sh.clockLocked())
 	for i, s := range sh.man.Segs {
 		st.Segments[i] = SegmentInfo{ID: s.ID, Len: s.Len(), Dead: s.Dead.Len()}
 		if s.Dead.Len() > 0 {
@@ -1030,10 +1035,7 @@ func (sh *dynShared) skeletonLocked() *kdtree.Skeleton {
 // snapshot stay pending — the output keeps their rows and inherits them.
 func (sh *dynShared) mergeOptsLocked(segs []*segment.Segment) segment.MergeOpts {
 	var opts segment.MergeOpts
-	var nowT int64
-	if sh.timed() {
-		nowT = sh.now()
-	}
+	nowT := sh.clockLocked()
 	if sh.ttl > 0 {
 		opts.ExpireBefore = nowT - sh.ttl
 	}
@@ -1210,12 +1212,13 @@ func (d *Engine) Close() error {
 // tombstone (sign −1) — with its weights decayed to that instant in this
 // clone's scratch, which the next run reuses. Buffered mass minus dead mass
 // folds into both global bounds, so ε/τ certificates hold relative to the
-// true post-delete total. Every segment's tombstones are charged the n
-// evaluations each the reads pay on them; the read that takes a segment's
-// debt to the cost of rewriting it starts the rewrite, which changes only
-// the manifest the next read sees. Under decay the walk also refills this
-// clone's per-segment scale scratch for the instant.
-func (d *Engine) walk(dims, n int, visit func(m *vec.Matrix, norms, w []float64, sign float64)) (*segment.Manifest, error) {
+// true post-delete total. A non-nil mass receives W = pos + neg at the same
+// instant, for a normalized budget. Every segment's tombstones are charged
+// the n evaluations each the reads pay on them; the read that takes a
+// segment's debt to the cost of rewriting it starts the rewrite, which
+// changes only the manifest the next read sees. Under decay the walk also
+// refills this clone's per-segment scale scratch for the instant.
+func (d *Engine) walk(dims, n int, mass *float64, visit func(m *vec.Matrix, norms, w []float64, sign float64)) (*segment.Manifest, error) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -1238,9 +1241,10 @@ func (d *Engine) walk(dims, n int, visit func(m *vec.Matrix, norms, w []float64,
 		}
 		d.f, d.fCfgGen, d.fMan, d.rows = f, sh.cfgGen, nil, p.RowsEvaluator()
 	}
-	var nowT int64
-	if sh.timed() {
-		nowT = sh.now()
+	nowT := sh.clockLocked()
+	if mass != nil {
+		pos, neg := sh.weightMassLocked(nowT)
+		*mass = pos + neg
 	}
 	for _, b := range [2]*memtable{sh.mem, sh.sealing} {
 		if b.len() > 0 {
@@ -1268,10 +1272,10 @@ func (d *Engine) walk(dims, n int, visit func(m *vec.Matrix, norms, w []float64,
 
 // snapshot walks the engine for one query and scans each run straight into
 // its base term: it returns the manifest to refine, the base term and how
-// many points that scan covered.
-func (d *Engine) snapshot(q []float64) (man *segment.Manifest, base float64, scanned int, err error) {
+// many points that scan covered; mass is walk's.
+func (d *Engine) snapshot(q []float64, mass *float64) (man *segment.Manifest, base float64, scanned int, err error) {
 	qNorm2 := vec.Norm2(q)
-	man, err = d.walk(len(q), 1, func(m *vec.Matrix, norms, w []float64, sign float64) {
+	man, err = d.walk(len(q), 1, mass, func(m *vec.Matrix, norms, w []float64, sign float64) {
 		base += sign * d.rows(q, qNorm2, m, norms, w, 0, len(norms))
 		scanned += len(norms)
 	})
@@ -1353,7 +1357,7 @@ func (d *Engine) Aggregate(q []float64) (float64, error) {
 // AggregateStats is Aggregate plus the work statistics (an exact
 // aggregation scans every point, buffered and indexed).
 func (d *Engine) AggregateStats(q []float64) (float64, Stats, error) {
-	man, base, scanned, err := d.snapshot(q)
+	man, base, scanned, err := d.snapshot(q, nil)
 	if err != nil {
 		return 0, Stats{}, err
 	}
@@ -1375,7 +1379,7 @@ func (d *Engine) Threshold(q []float64, tau float64) (bool, error) {
 
 // ThresholdStats is Threshold plus the work statistics.
 func (d *Engine) ThresholdStats(q []float64, tau float64) (bool, Stats, error) {
-	man, base, scanned, err := d.snapshot(q)
+	man, base, scanned, err := d.snapshot(q, nil)
 	if err != nil {
 		return false, Stats{}, err
 	}
@@ -1399,7 +1403,7 @@ func (d *Engine) Approximate(q []float64, eps float64) (float64, error) {
 
 // ApproximateStats is Approximate plus the work statistics.
 func (d *Engine) ApproximateStats(q []float64, eps float64) (float64, Stats, error) {
-	man, base, scanned, err := d.snapshot(q)
+	man, base, scanned, err := d.snapshot(q, nil)
 	if err != nil {
 		return 0, Stats{}, err
 	}
@@ -1410,6 +1414,33 @@ func (d *Engine) ApproximateStats(q []float64, eps float64) (float64, Stats, err
 	st.PointsScanned += scanned
 	return v, st, err
 }
+
+// ApproximateNormStats answers within a normalized budget: a value v with
+// |v − F| ≤ epsNorm·W, where W = pos + neg is WeightMass read at the same
+// instant as the rows the query sees. Refinement stops as soon as the bounds
+// certify that budget, which no sample or probability enters, often before
+// any leaf is scanned.
+func (d *Engine) ApproximateNormStats(q []float64, epsNorm float64) (float64, Stats, error) {
+	if !(epsNorm > 0) {
+		return 0, Stats{}, fmt.Errorf("karl: eps_norm must be positive, got %v", epsNorm)
+	}
+	var mass float64
+	man, base, scanned, err := d.snapshot(q, &mass)
+	if err != nil {
+		return 0, Stats{}, err
+	}
+	if err := d.arm(man); err != nil {
+		return 0, Stats{}, err
+	}
+	v, st, err := d.f.ApproximateAbs(q, normBudget(epsNorm, mass), base)
+	st.PointsScanned += scanned
+	return v, st, err
+}
+
+// normBudget is the absolute budget epsNorm·W. Tombstones subtract mass, so
+// rounding can leave W a hair below zero; the budget is then 0, which
+// refines to the exact value.
+func normBudget(epsNorm, mass float64) float64 { return epsNorm * max(mass, 0) }
 
 // ArmedEpoch returns the manifest epoch this clone's executor is armed
 // for — the epoch of the last query it ran — and whether it has run one.

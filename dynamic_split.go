@@ -137,7 +137,7 @@ func (sh *dynShared) emptySiblingLocked() *dynShared {
 
 // liveSet returns one flat index over exactly the engine's live rows as of
 // now, with the kernel and the index configuration an engine derived from
-// them (a shard, a sketch, a saved model) inherits — without changing the
+// them (a shard) inherits — without changing the
 // engine. A lone segment with nothing buffered, deleted or ageing is its own
 // answer; anything else is merged through the gather Compact and Split use
 // (tombstoned and expired rows dropped, decayed weights rebased to now).

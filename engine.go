@@ -21,13 +21,15 @@ type QueryEngine interface {
 	Kernel() Kernel
 	// WeightMass reports pos = Σ w_i over w_i ≥ 0 and neg = Σ |w_i| over
 	// w_i < 0 — the masses ε-budget allocation and degraded-mode coverage
-	// accounting are stated against.
+	// accounting and the normalized error budget are stated against.
 	WeightMass() (pos, neg float64)
 
 	// The three query families of the paper, with work statistics.
 	AggregateStats(q []float64) (float64, Stats, error)
 	ThresholdStats(q []float64, tau float64) (bool, Stats, error)
 	ApproximateStats(q []float64, eps float64) (float64, Stats, error)
+	// ApproximateNormStats answers within epsNorm·W, W = pos + neg.
+	ApproximateNormStats(q []float64, epsNorm float64) (float64, Stats, error)
 
 	// Batch forms fan out over internal clones (workers ≤ 0 selects
 	// GOMAXPROCS). Threshold and approximate batches of at least 64
@@ -36,6 +38,7 @@ type QueryEngine interface {
 	BatchAggregateStats(queries [][]float64, workers int) ([]float64, Stats, error)
 	BatchThresholdStats(queries [][]float64, tau float64, workers int) ([]bool, Stats, error)
 	BatchApproximateStats(queries [][]float64, eps float64, workers int) ([]float64, Stats, error)
+	BatchApproximateNormStats(queries [][]float64, epsNorm float64, workers int) ([]float64, Stats, error)
 
 	// DualTreeStats reports the shared batch-executor telemetry.
 	DualTreeStats() DualTreeStats

@@ -36,7 +36,6 @@ var verbs = map[string]verb{
 	"tune":    {"rank every (index, leaf capacity) candidate on a synthetic workload", defineTune},
 	"predict": {"classify vectors with a saved SVM model", definePredict},
 	"kde":     {"render a kernel density surface over two dimensions (Figure 1)", defineKDE},
-	"sketch":  {"build an error-bounded coreset engine file offline", defineSketch},
 	"bench":   {"run the paper's experiments on synthetic stand-in datasets", defineBench},
 }
 

@@ -40,8 +40,6 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"predict", "-model", missing}, 1},
 		{[]string{"kde", "-format", "png"}, 2},
 		{[]string{"kde", "-in", missing}, 1},
-		{[]string{"sketch", "-eps", "0.2"}, 2},
-		{[]string{"sketch", "-points", missing}, 1},
 		{[]string{"bench", "-list", "-scale", "0.5"}, 2},
 		{[]string{"bench", "-run", "fig1", "-maxn", "1"}, 1},
 		// Usage errors every verb shares: an undefined flag (the tune

@@ -28,9 +28,10 @@ import (
 // routes (GET /v1/info and /v1/stats; POST /v1/aggregate, /v1/threshold,
 // /v1/approximate with "eps" or "eps_norm", /v1/batch), compaction runs in
 // the background, and -window and -decay-halflife set the retention policy
-// of an engine built here. -sketch-eps serves eps_norm traffic of an
-// immutable engine from a coreset. Requests are served over a pool of
-// engine clones; SIGINT/SIGTERM drain in-flight requests before exiting.
+// of an engine built here. An "eps_norm" query stops refining once its
+// bounds certify eps_norm·W, W the total weight mass. Requests are served
+// over a pool of engine clones; SIGINT/SIGTERM drain in-flight requests
+// before exiting.
 //
 // -replica-of makes the process a follower that mirrors its leader (adopting
 // its kernel and policy) and refuses writes (409) until promoted.
@@ -50,7 +51,6 @@ func defineServe(fs *flag.FlagSet, e *env) func() error {
 		gamma    = gammaFlag(fs, 1, "refused: -points and an empty -mutable engine need gamma > 0")
 		addr     = fs.String("addr", ":8080", "listen address")
 		poolSize = fs.Int("pool", 0, "max idle engine clones retained (0 = 2·GOMAXPROCS)")
-		sketch   = fs.Float64("sketch-eps", 0, "enable the coreset tier: serve normalized-budget (eps_norm ≥ this bound) approximate queries from a sketch (0 = off)")
 		mutable  = fs.Bool("mutable", false, "also serve POST /v1/insert and DELETE /v1/point (see -seal-size, -fanout)")
 		sealSize = fs.Int("seal-size", 0, "memtable seal threshold for -mutable (0 = library default)")
 		fanout   = fs.Int("fanout", 0, "compaction fanout for -mutable (0 = library default)")
@@ -93,9 +93,6 @@ func defineServe(fs *flag.FlagSet, e *env) func() error {
 		var opts []server.Option
 		if *poolSize > 0 {
 			opts = append(opts, server.WithPoolSize(*poolSize))
-		}
-		if *sketch > 0 {
-			opts = append(opts, server.WithSketchTier(*sketch))
 		}
 		eng, err := e.loadEngine(*model, *points, *gamma, *sealSize, *fanout, *window, *halfLife)
 		if err != nil {
@@ -149,7 +146,7 @@ func validateFlagSet(set map[string]bool) error {
 		// belong on the shard processes (writable mode included — each
 		// shard is its own -mutable serve process).
 		o.only("a shard process, not -coordinator",
-			"model", "points", "gamma", "pool", "sketch-eps",
+			"model", "points", "gamma", "pool",
 			"seal-size", "fanout", "window", "decay-halflife", "replica-of")
 		if !set["mutable"] {
 			o.only("-coordinator -mutable", "partition", "manifest", "spawn")
@@ -157,9 +154,7 @@ func validateFlagSet(set map[string]bool) error {
 	default:
 		o.only("-coordinator", "shards", "shard-timeout", "partition", "manifest")
 		o.only("-coordinator -mutable", "spawn")
-		if set["mutable"] {
-			o.only("an immutable engine (-model/-points without -mutable)", "sketch-eps")
-		} else {
+		if !set["mutable"] {
 			o.only("-mutable", "seal-size", "fanout", "window", "decay-halflife", "replica-of")
 		}
 		if set["model"] {

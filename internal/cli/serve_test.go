@@ -52,8 +52,6 @@ func TestValidateFlagSet(t *testing.T) {
 			[]string{"-shards only applies to -coordinator"}},
 		{"mutable flags without mutable", []string{"model", "seal-size", "decay-halflife"},
 			[]string{"-seal-size only applies to -mutable", "-decay-halflife only applies to -mutable"}},
-		{"sketch tier on mutable", []string{"mutable", "sketch-eps"},
-			[]string{"-sketch-eps only applies to an immutable engine"}},
 		{"replication follower", []string{"mutable", "replica-of", "addr-file"}, nil},
 		{"spawning writable coordinator", []string{"coordinator", "mutable", "shards", "spawn", "manifest"}, nil},
 		{"replica-of without mutable", []string{"model", "replica-of"},

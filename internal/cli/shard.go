@@ -18,7 +18,7 @@ import (
 // coordinator founded over the files in order routes to its member i+1.
 // Every shard file carries its provenance (index i of n, strategy, source
 // cardinality). -inspect describes any saved engine: shape, kernel, masses,
-// and the shard or coreset provenance it records.
+// and the shard provenance it records.
 func defineShard(fs *flag.FlagSet, e *env) func() error {
 	var (
 		split     = fs.String("split", "", "saved engine file to split into shards")
@@ -82,20 +82,6 @@ func (e *env) runInspect(path string) error {
 			prov.Index, prov.Of, prov.Partition, prov.SourceLen)
 	} else {
 		fmt.Fprintln(w, "  not a shard: no partition provenance recorded")
-	}
-	if sk, ok := eng.SketchInfo(); ok {
-		fmt.Fprintf(w, "  %s coreset of %d source points (total weight %g), ε = %g, reduction %.1fx\n",
-			sk.Method, sk.SourceLen, sk.SourceWeight, sk.Eps, float64(sk.SourceLen)/float64(sk.Len))
-		switch sk.Basis {
-		case karl.SketchBasisHoeffding:
-			fmt.Fprintf(w, "  basis: hoeffding (per-query probability ≥ 1−δ, δ = %g)\n", sk.Delta)
-		case karl.SketchBasisExact:
-			fmt.Fprintln(w, "  basis: exact (identity sketch, zero error)")
-		case karl.SketchBasisEmpirical:
-			fmt.Fprintln(w, "  basis: empirical (validation-backed, not a theorem)")
-		default:
-			fmt.Fprintln(w, "  basis: unknown (file predates basis recording)")
-		}
 	}
 	return nil
 }

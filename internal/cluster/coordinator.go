@@ -732,7 +732,7 @@ func (ep *epoch) approximate(ctx context.Context, q []float64, eps float64) (ser
 			// Only the massless shards, which were never asked, are left.
 			return server.Result{}, fmt.Errorf("%w: all %d shards failed", ErrUnavailable, len(all))
 		}
-		if core.CondApprox(lb, ub, eps) {
+		if core.CondApprox(lb, ub, eps, 0) {
 			return ep.approxResult(lb, ub, st), nil
 		}
 

@@ -178,9 +178,12 @@ func (f *front) Threshold(ctx context.Context, q []float64, tau float64) (server
 	return res, upstream(err, nil)
 }
 
-// Approximate implements server.Backend. The coordinator has no sketch
-// tier: either error model is served at the relative budget.
-func (f *front) Approximate(ctx context.Context, q []float64, eps, _ float64) (server.Result, error) {
+// Approximate implements server.Backend. A normalized budget is served at
+// relative ε = eps_norm: the kernel is bounded by 1, so |F| ≤ W.
+func (f *front) Approximate(ctx context.Context, q []float64, eps, epsNorm float64) (server.Result, error) {
+	if epsNorm != 0 {
+		eps = epsNorm
+	}
 	res, err := f.co.Approximate(ctx, q, eps)
 	return res, upstream(err, nil)
 }

@@ -167,7 +167,7 @@ func TestApproximateOneRound(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Approximate: %v", err)
 				}
-				if math.Abs(ar.Value-exact) > eps*exact*(1+1e-9) || !core.CondApprox(ar.LB, ar.UB, eps) {
+				if math.Abs(ar.Value-exact) > eps*exact*(1+1e-9) || !core.CondApprox(ar.LB, ar.UB, eps, 0) {
 					t.Errorf("part %v ε=%v query %d: value %v in [%v, %v], exact %v", part, eps, i, ar.Value, ar.LB, ar.UB, exact)
 				}
 			}

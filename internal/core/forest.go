@@ -358,10 +358,10 @@ const (
 // of the paper's per-variant stopping rules, kept as plain data so probing
 // it costs no allocation.
 type termCond struct {
-	mode     condMode
-	tau, eps float64
-	maxIter  int // >0 caps the number of probes (bound traces)
-	probes   int
+	mode          condMode
+	tau, eps, abs float64
+	maxIter       int // >0 caps the number of probes (bound traces)
+	probes        int
 }
 
 // done reports whether refinement may stop at the current global bounds.
@@ -375,7 +375,7 @@ func (c *termCond) done(lb, ub float64) bool {
 	if c.mode == condThreshold {
 		return CondThreshold(lb, ub, c.tau)
 	}
-	return CondApprox(lb, ub, c.eps)
+	return CondApprox(lb, ub, c.eps, c.abs)
 }
 
 // CondThreshold is the TKAQ stopping rule: the bounds resolve the verdict
@@ -387,17 +387,19 @@ func CondThreshold(lb, ub, tau float64) bool {
 }
 
 // CondApprox is the ε-approximation stopping rule shared by every executor,
-// the coordinator included: the midpoint of [lb, ub] is within ε·|F| of
-// every F the interval admits, at any sign, and never on NaN. The error of
-// the midpoint is at most (ub−lb)/2 and |F| is at least |mid| − (ub−lb)/2,
-// so the test is (ub−lb)/2 ≤ ε·(|mid| − (ub−lb)/2); for lb ≥ 0 that reads
-// ub ≤ (1+2ε)·lb. It is necessary as well as sufficient — an answer may
-// spend the whole ε — but for lb = −ub at ε ≥ 1, which it refines although
-// a midpoint of zero would pass. An infinite gap certifies nothing, though
-// ∞ ≤ ∞ holds.
-func CondApprox(lb, ub, eps float64) bool {
+// the coordinator included: the midpoint of [lb, ub] is within
+// max(ε·|F|, abs) of every F the interval admits, at any sign, and never on
+// NaN. The error of the midpoint is at most (ub−lb)/2 and |F| is at least
+// |mid| − (ub−lb)/2, so the relative test is (ub−lb)/2 ≤ ε·(|mid| −
+// (ub−lb)/2); for lb ≥ 0 that reads ub ≤ (1+2ε)·lb. It is necessary as well
+// as sufficient — an answer may spend the whole ε — but for lb = −ub at
+// ε ≥ 1, which it refines although a midpoint of zero would pass. The
+// absolute test is (ub−lb)/2 ≤ abs; a relative caller passes abs = 0, which
+// adds nothing the relative test does not already pass. An infinite gap
+// certifies nothing, though ∞ ≤ ∞ holds.
+func CondApprox(lb, ub, eps, abs float64) bool {
 	gap, mid := ub-lb, math.Abs(lb+ub)/2
-	return gap*(1+eps) <= 2*eps*mid && !math.IsInf(gap, 1)
+	return (gap*(1+eps) <= 2*eps*mid || gap <= 2*abs) && !math.IsInf(gap, 1)
 }
 
 // refine runs the best-first loop over all segments until cond is
@@ -539,7 +541,24 @@ func (f *Forest) Approximate(q []float64, eps, base float64) (float64, Stats, er
 	if eps <= 0 {
 		return 0, Stats{}, fmt.Errorf("core: eps must be positive, got %v", eps)
 	}
-	cond := termCond{mode: condApprox, eps: eps}
+	return f.approximate(q, eps, 0, base)
+}
+
+// ApproximateAbs is Approximate with an absolute budget: a value within abs
+// of the total, certified by the same bounds. abs = 0 refines to the exact
+// value.
+func (f *Forest) ApproximateAbs(q []float64, abs, base float64) (float64, Stats, error) {
+	if err := f.checkQuery(q); err != nil {
+		return 0, Stats{}, err
+	}
+	if !(abs >= 0) {
+		return 0, Stats{}, fmt.Errorf("core: absolute error budget must be non-negative, got %v", abs)
+	}
+	return f.approximate(q, 0, abs, base)
+}
+
+func (f *Forest) approximate(q []float64, eps, abs, base float64) (float64, Stats, error) {
+	cond := termCond{mode: condApprox, eps: eps, abs: abs}
 	lb, ub := f.refine(q, base, &cond, nil)
 	stats := f.st
 	stats.LB, stats.UB = lb, ub

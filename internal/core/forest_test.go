@@ -573,7 +573,7 @@ func TestApproxCertificateIsTight(t *testing.T) {
 	}
 	check := func(lb, ub, eps float64) {
 		t.Helper()
-		got := CondApprox(lb, ub, eps)
+		got := CondApprox(lb, ub, eps, 0)
 		if got && !within(lb, ub, eps, 1+1e-12) {
 			t.Errorf("CondApprox(%v, %v, %v) = true, but the midpoint is more than ε from an end", lb, ub, eps)
 		}
@@ -595,11 +595,11 @@ func TestApproxCertificateIsTight(t *testing.T) {
 			{nan, 1, false}, {1, nan, false}, {nan, nan, false},
 			{-inf, inf, false}, {1, inf, false}, {-1, inf, false}, {-inf, -1, false}, {-inf, 1, false},
 		} {
-			if got := CondApprox(c.lb, c.ub, eps); got != c.want {
+			if got := CondApprox(c.lb, c.ub, eps, 0); got != c.want {
 				t.Errorf("CondApprox(%v, %v, %v) = %v, want %v", c.lb, c.ub, eps, got, c.want)
 			}
 		}
-		if CondApprox(1, 2, nan) {
+		if CondApprox(1, 2, nan, 0) {
 			t.Error("CondApprox(1, 2, NaN) = true")
 		}
 	}
@@ -614,5 +614,39 @@ func TestApproxCertificateIsTight(t *testing.T) {
 			ub = lb + math.Abs(rng.NormFloat64())*math.Exp(rng.Float64()*60-30)
 		}
 		check(lb, ub, eps)
+	}
+}
+
+// TestApproxAbsoluteArm holds CondApprox's absolute budget to its
+// definition: with abs > 0 it passes exactly when the relative test passes
+// or (ub − lb)/2 ≤ abs, at any sign and any ε including 0, and never on an
+// infinite gap or NaN.
+func TestApproxAbsoluteArm(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		lb, ub, eps, abs float64
+		want             bool
+	}{
+		{-1, 1, 0, 1, true}, {-1, 1, 0, 0.999, false},
+		{10, 12, 0, 1, true}, {10, 12.5, 0, 1, false},
+		{10, 12.5, 0.2, 1, true}, // the relative arm: 12.5 ≤ 1.4·10
+		{0, 0, 0, 0, true}, {3, 3, 0, 0, true}, {3, 3.5, 0, 0, false},
+		{-inf, inf, 0, 1e300, false}, {1, inf, 0.5, inf, false},
+		{nan, 1, 0, 1, false}, {1, nan, 0, 1, false},
+	} {
+		if got := CondApprox(c.lb, c.ub, c.eps, c.abs); got != c.want {
+			t.Errorf("CondApprox(%v, %v, %v, %v) = %v, want %v", c.lb, c.ub, c.eps, c.abs, got, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 100000; i++ {
+		lb := rng.NormFloat64() * math.Exp(rng.Float64()*20-10)
+		ub := lb + math.Abs(rng.NormFloat64())*math.Exp(rng.Float64()*20-10)
+		abs := math.Abs(rng.NormFloat64()) * math.Exp(rng.Float64()*20-10)
+		eps := []float64{0, 0.01, 0.1, 1}[rng.Intn(4)]
+		want := (ub-lb)/2 <= abs || eps > 0 && CondApprox(lb, ub, eps, 0)
+		if got := CondApprox(lb, ub, eps, abs); got != want {
+			t.Fatalf("CondApprox(%v, %v, %v, %v) = %v, want %v", lb, ub, eps, abs, got, want)
+		}
 	}
 }

@@ -171,13 +171,22 @@ func (e *Executor) Approximate(queries *vec.Matrix, eps float64, base []float64,
 	if eps <= 0 {
 		return Stats{}, fmt.Errorf("dualtree: eps must be positive, got %v", eps)
 	}
-	return e.run(queries, modeApprox, eps, 0, base, out, nil)
+	return e.run(queries, modeApprox, eps, 0, 0, base, out, nil)
+}
+
+// ApproximateAbs is Approximate with an absolute budget: out[i] within abs
+// of the true total, the guarantee of sequential core.Forest.ApproximateAbs.
+func (e *Executor) ApproximateAbs(queries *vec.Matrix, abs float64, base []float64, out []float64) (Stats, error) {
+	if !(abs >= 0) {
+		return Stats{}, fmt.Errorf("dualtree: absolute error budget must be non-negative, got %v", abs)
+	}
+	return e.run(queries, modeApprox, 0, abs, 0, base, out, nil)
 }
 
 // Threshold answers out[i] = (base[i] + Σ_seg scale·F_seg(q_i)) > tau for
 // every query, matching the sequential verdict away from bound ties.
 func (e *Executor) Threshold(queries *vec.Matrix, tau float64, base []float64, out []bool) (Stats, error) {
-	return e.run(queries, modeThreshold, 0, tau, base, nil, out)
+	return e.run(queries, modeThreshold, 0, 0, tau, base, nil, out)
 }
 
 const (
@@ -185,7 +194,7 @@ const (
 	modeThreshold
 )
 
-func (e *Executor) run(queries *vec.Matrix, mode int, eps, tau float64, base []float64, outV []float64, outB []bool) (Stats, error) {
+func (e *Executor) run(queries *vec.Matrix, mode int, eps, abs, tau float64, base []float64, outV []float64, outB []bool) (Stats, error) {
 	st := Stats{Queries: queries.Rows}
 	if queries.Rows == 0 {
 		return st, nil
@@ -212,7 +221,7 @@ func (e *Executor) run(queries *vec.Matrix, mode int, eps, tau float64, base []f
 	if err != nil {
 		return st, fmt.Errorf("dualtree: building query tree: %w", err)
 	}
-	s := &run{x: e, qt: qt, mode: mode, eps: eps, tau: tau, base: base, outV: outV, outB: outB, st: &st}
+	s := &run{x: e, qt: qt, mode: mode, eps: eps, abs: abs, tau: tau, base: base, outV: outV, outB: outB, st: &st}
 	refs := make([]entry, len(e.trees))
 	for i := range refs {
 		refs[i] = entry{ti: int32(i)}
@@ -254,15 +263,15 @@ func (e *Executor) entryMass(en *entry) float64 {
 
 // run carries one batch's traversal state.
 type run struct {
-	x        *Executor
-	qt       *index.Tree // kd-tree over the query batch
-	mode     int
-	eps, tau float64
-	base     []float64 // per ORIGINAL query index; nil = all zero
-	outV     []float64
-	outB     []bool
-	st       *Stats
-	err      error
+	x             *Executor
+	qt            *index.Tree // kd-tree over the query batch
+	mode          int
+	eps, abs, tau float64
+	base          []float64 // per ORIGINAL query index; nil = all zero
+	outV          []float64
+	outB          []bool
+	st            *Stats
+	err           error
 }
 
 // cond is the per-query stopping rule — exactly the sequential one.
@@ -270,7 +279,7 @@ func (s *run) cond(lb, ub float64) bool {
 	if s.mode == modeThreshold {
 		return core.CondThreshold(lb, ub, s.tau)
 	}
-	return core.CondApprox(lb, ub, s.eps)
+	return core.CondApprox(lb, ub, s.eps, s.abs)
 }
 
 // record writes the answer for storage row r given its final valid bounds.
@@ -284,16 +293,17 @@ func (s *run) record(r int32, lb, ub float64) {
 }
 
 // targetGap is the bound-gap budget under which the whole group certifies:
-// for ε-queries with a non-negative lower bound, gap ≤ ε·lb; elsewhere 0
-// (mixed-sign ε and threshold groups certify only through tryCertify).
+// for ε-queries with a non-negative lower bound, gap ≤ ε·lb, and for an
+// absolute budget gap ≤ 2·abs at any sign; elsewhere 0 (mixed-sign ε and
+// threshold groups certify only through tryCertify).
 func (s *run) targetGap(lbAll, ubAll float64) float64 {
 	if s.mode == modeThreshold {
 		return math.Max(math.Max(lbAll-s.tau, s.tau-ubAll), 0)
 	}
 	if lbAll <= 0 {
-		return 0
+		return 2 * s.abs
 	}
-	return s.eps * lbAll
+	return math.Max(s.eps*lbAll, 2*s.abs)
 }
 
 // baseRange returns the min and max per-query base over the node's rows.
@@ -549,7 +559,11 @@ func (s *run) leafResolve(qn *index.Node, rect *geom.Rect, work []entry, L, U, a
 			s.outB[orig] = v
 			s.addCoreStats(fst)
 		} else {
-			v, fst, err := x.fb.Approximate(qrow, s.eps, b)
+			approx, budget := x.fb.Approximate, s.eps
+			if s.eps == 0 {
+				approx, budget = x.fb.ApproximateAbs, s.abs
+			}
+			v, fst, err := approx(qrow, budget, b)
 			if err != nil {
 				s.err = err
 				return

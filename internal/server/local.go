@@ -38,29 +38,15 @@ type local struct {
 	// dyn is set by NewMutable: the engine the write endpoints feed and
 	// the replication routes export; nil for read-only serving.
 	dyn karl.MutableEngine
-
-	// Sketch tier (nil pool when disabled): a coreset engine with
-	// normalized error bound sketchEps serves /v1/approximate requests
-	// that opt into the normalized error model (eps_norm) with a budget
-	// covering the bound; everything else — tighter normalized budgets and
-	// all relative-eps traffic — falls through to the full index. Each
-	// successfully served normalized-budget query counts once, as a tier
-	// hit when the coreset engine served it, a miss otherwise.
-	sketch     *enginePool
-	sketchEps  float64
-	sketchLen  int
-	tierHits   atomic.Int64
-	tierMisses atomic.Int64
 }
 
 // Option configures New and NewMutable.
 type Option func(*config)
 
 type config struct {
-	poolSize  int
-	sketchEps float64
-	maxBody   int64
-	applier   *replica.Applier
+	poolSize int
+	maxBody  int64
+	applier  *replica.Applier
 }
 
 // WithPoolSize bounds the number of idle engine clones kept for reuse
@@ -71,19 +57,6 @@ func WithPoolSize(n int) Option { return func(c *config) { c.poolSize = n } }
 // WithMaxBodyBytes bounds every POST request body (default 32 MiB).
 // Oversized bodies are rejected with 413 before they can exhaust memory.
 func WithMaxBodyBytes(n int64) Option { return func(c *config) { c.maxBody = n } }
-
-// WithSketchTier enables tiered serving: at construction the engine is
-// sketched down to a coreset (karl.Engine.Sketch) with normalized error
-// bound eps, and /v1/approximate queries that opt into the normalized
-// error model (the "eps_norm" request field) with a budget at or above
-// that bound are answered from the small coreset engine — the leftover
-// budget eps_norm−eps drives its refinement, so the combined normalized
-// error stays within the request. Tighter normalized budgets fall through
-// to the full index, and relative-error ("eps") traffic never touches the
-// sketch: the coreset bound is on the normalized scale and implies no
-// useful relative bound for queries where F_P(q) ≪ W. Routing of
-// normalized-budget queries is reported by GET /v1/stats.
-func WithSketchTier(eps float64) Option { return func(c *config) { c.sketchEps = eps } }
 
 func newConfig(opts []Option) (config, error) {
 	cfg := config{poolSize: 2 * runtime.GOMAXPROCS(0), maxBody: defaultMaxBody}
@@ -112,27 +85,13 @@ func New(eng *karl.Engine, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	l := &local{pool: newEnginePool(eng, cfg.poolSize)}
-	if cfg.sketchEps != 0 {
-		if !isFinite(cfg.sketchEps) || cfg.sketchEps <= 0 || cfg.sketchEps >= 1 {
-			return nil, fmt.Errorf("server: sketch tier eps must be in (0,1), got %v", cfg.sketchEps)
-		}
-		skEng, err := eng.Sketch(cfg.sketchEps)
-		if err != nil {
-			return nil, fmt.Errorf("server: sketch tier: %w", err)
-		}
-		info, _ := skEng.SketchInfo()
-		l.sketch = newEnginePool(skEng, cfg.poolSize)
-		l.sketchEps = info.Eps
-		l.sketchLen = skEng.Len()
-	}
 	return l.serve(cfg), nil
 }
 
 // NewMutable builds a server that also accepts writes: the query endpoints
 // of New plus POST /v1/insert, DELETE /v1/point, POST /v1/split and the
 // /v1/replicate routes, with the engine's status in /v1/info and
-// /v1/stats. The sketch tier is not supported — a coreset taken
-// at construction cannot track a growing dataset.
+// /v1/stats.
 func NewMutable(d karl.MutableEngine, opts ...Option) (*Server, error) {
 	if d == nil {
 		return nil, errors.New("server: nil engine")
@@ -140,9 +99,6 @@ func NewMutable(d karl.MutableEngine, opts ...Option) (*Server, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.sketchEps != 0 {
-		return nil, errors.New("server: sketch tier requires a read-only server")
 	}
 	l := &local{pool: newEnginePool(d, cfg.poolSize), dyn: d}
 	return l.serve(cfg), nil
@@ -173,9 +129,6 @@ func (l *local) serve(cfg config) *Server {
 		s.mux.HandleFunc("POST /v1/replicate/promote", s.handleReplicatePromote)
 	}
 	l.pool.release(l.pool.acquire())
-	if l.sketch != nil {
-		l.sketch.release(l.sketch.acquire())
-	}
 	return s
 }
 
@@ -256,55 +209,21 @@ func (l *local) Threshold(_ context.Context, q []float64, tau float64) (Result, 
 
 // Approximate implements Backend.
 func (l *local) Approximate(_ context.Context, q []float64, eps, epsNorm float64) (Result, error) {
-	pool, budget, sketched := l.tier(eps, epsNorm)
-	eng := pool.acquire()
+	eng := l.pool.acquire()
 	var v float64
 	var st karl.Stats
 	var err error
-	if budget > 0 {
-		v, st, err = eng.ApproximateStats(q, budget)
+	if epsNorm != 0 {
+		v, st, err = eng.ApproximateNormStats(q, epsNorm)
 	} else {
-		v, st, err = eng.AggregateStats(q)
+		v, st, err = eng.ApproximateStats(q, eps)
 	}
-	pool.release(eng)
-	if err == nil {
-		l.countTier(epsNorm, sketched, 1)
-	}
+	l.pool.release(eng)
 	return whole(v, false, st, err)
 }
 
-// tier picks the engines and the relative budget that serve an approximate
-// request. The sketch tier takes it only when it carries a normalized
-// budget (eps_norm) that covers the sketch's own bound, and refines with the
-// leftover eps_norm − sketchEps; a zero leftover degrades to the exact
-// aggregate over the coreset — still a tiny scan. Relative-eps requests
-// never route to the sketch — its bound is |F_P−F_S| ≤ ε·W, which for
-// queries with F_P(q) ≪ W permits unbounded relative error.
-func (l *local) tier(eps, epsNorm float64) (pool *enginePool, budget float64, sketched bool) {
-	if l.sketch != nil && epsNorm != 0 && epsNorm >= l.sketchEps {
-		return l.sketch, epsNorm - l.sketchEps, true
-	}
-	return l.pool, eps, false
-}
-
-// countTier folds n served approximate queries into the tier routing
-// counters. It runs only after a successful engine call — failed requests
-// are tracked by the endpoint error counters, not here — and only for
-// normalized-budget queries; relative-eps traffic is never tier-eligible.
-func (l *local) countTier(epsNorm float64, sketched bool, n int) {
-	if l.sketch == nil || epsNorm == 0 {
-		return
-	}
-	if sketched {
-		l.tierHits.Add(int64(n))
-	} else {
-		l.tierMisses.Add(int64(n))
-	}
-}
-
-// InfoResponse describes the served model. SketchPoints/SketchEps are set
-// only when the sketch tier is enabled; Mutable/Segments only for dynamic
-// serving.
+// InfoResponse describes the served model. Mutable/Segments are set only
+// for dynamic serving.
 type InfoResponse struct {
 	Points int     `json:"points"`
 	Dims   int     `json:"dims"`
@@ -314,12 +233,10 @@ type InfoResponse struct {
 	// (Σ w_i over w_i ≥ 0 and Σ |w_i| over w_i < 0). Their sum W is the
 	// shard's mass W_S that a cluster coordinator uses for ε-budget
 	// allocation and degraded-mode accounting.
-	WeightPos    float64 `json:"weight_pos"`
-	WeightNeg    float64 `json:"weight_neg,omitempty"`
-	SketchPoints int     `json:"sketch_points,omitempty"`
-	SketchEps    float64 `json:"sketch_eps,omitempty"`
-	Mutable      bool    `json:"mutable,omitempty"`
-	Segments     int     `json:"segments,omitempty"`
+	WeightPos float64 `json:"weight_pos"`
+	WeightNeg float64 `json:"weight_neg,omitempty"`
+	Mutable   bool    `json:"mutable,omitempty"`
+	Segments  int     `json:"segments,omitempty"`
 	// WindowSeconds is the sliding-window TTL (0 = points never expire) and
 	// HalfLifeSeconds the exponential weight-decay half-life (0 = no decay);
 	// both only for dynamic serving. Tombstones is the number of pending
@@ -332,13 +249,7 @@ type InfoResponse struct {
 // Info implements Backend.
 func (l *local) Info() any {
 	k := l.pool.template.Kernel()
-	resp := InfoResponse{
-		Dims:         l.Dims(),
-		Kernel:       k.Kind.String(),
-		Gamma:        k.Gamma,
-		SketchPoints: l.sketchLen,
-		SketchEps:    l.sketchEps,
-	}
+	resp := InfoResponse{Dims: l.Dims(), Kernel: k.Kind.String(), Gamma: k.Gamma}
 	if l.dyn == nil {
 		resp.Points = l.pool.template.Len()
 		resp.WeightPos, resp.WeightNeg = l.pool.template.WeightMass()
@@ -375,15 +286,6 @@ func (l *local) Ready(context.Context) (any, bool) {
 // Stats implements Backend.
 func (l *local) Stats(_ context.Context, endpoints map[string]EndpointStats) any {
 	resp := StatsResponse{Pool: l.pool.stats(), Endpoints: endpoints, DualTree: l.dualTreeStats()}
-	if l.sketch != nil {
-		resp.Tier = &TierStats{
-			SketchHits:   l.tierHits.Load(),
-			FullServes:   l.tierMisses.Load(),
-			SketchPoints: l.sketchLen,
-			SketchEps:    l.sketchEps,
-			Pool:         l.sketch.stats(),
-		}
-	}
 	if l.dyn != nil {
 		st := l.dyn.Status()
 		ms := &MutableStats{
@@ -408,21 +310,11 @@ func (l *local) Stats(_ context.Context, endpoints map[string]EndpointStats) any
 	return resp
 }
 
-// dualTreeStats folds the engines' batch-executor telemetry into the
-// /v1/stats block: the serving pool's counters (shared by every clone, so
-// the template reads the whole pool's history) plus, when the sketch tier
-// is enabled, the coreset engine's — its batches route independently.
+// dualTreeStats is the engine's batch-executor telemetry as the /v1/stats
+// block: the counters are shared by every clone, so the template reads the
+// whole pool's history.
 func (l *local) dualTreeStats() *DualTreeBatchStats {
 	st := l.pool.template.DualTreeStats()
-	if l.sketch != nil {
-		sk := l.sketch.template.DualTreeStats()
-		st.DualBatches += sk.DualBatches
-		st.SequentialBatches += sk.SequentialBatches
-		st.Queries += sk.Queries
-		st.NodePairs += sk.NodePairs
-		st.GroupCertified += sk.GroupCertified
-		st.Fallbacks += sk.Fallbacks
-	}
 	return &DualTreeBatchStats{
 		Hits:           int64(st.DualBatches),
 		Misses:         int64(st.SequentialBatches),
@@ -566,16 +458,14 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	var res Result
 	var err error
 	var stopped *atomic.Int64 // the stopping rule's counter; nil for exact
-	budget := relativeBudget(req.Eps, req.EpsNorm)
 	switch {
 	case req.Threshold != nil:
 		stopped = &m.thresholdStopped
 		res, err = s.loc.Threshold(r.Context(), req.Q, *req.Threshold)
 		res.Value = (res.LB + res.UB) / 2
-	case budget > 0:
-		// Bounds are the coordinator's exchange unit: always the full index.
+	case req.Eps != 0 || req.EpsNorm != 0:
 		stopped = &m.epsStopped
-		res, err = s.loc.Approximate(r.Context(), req.Q, budget, 0)
+		res, err = s.loc.Approximate(r.Context(), req.Q, req.Eps, req.EpsNorm)
 	default:
 		res, err = s.loc.Aggregate(r.Context(), req.Q)
 	}
@@ -764,12 +654,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		fail(w, m, err)
 		return
 	}
-	l := s.loc
-	// Only an approximate batch has a budget, and with it a tier to pick.
-	pool, budget, sketched := l.pool, 0.0, false
-	if req.Kind == "approximate" {
-		pool, budget, sketched = l.tier(relativeBudget(req.Eps, req.EpsNorm), req.EpsNorm)
-	}
+	pool := s.loc.pool
 	var resp BatchResponse
 	var st karl.Stats
 	var err error
@@ -777,10 +662,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.Kind == "threshold":
 		resp.Over, st, err = eng.BatchThresholdStats(req.Queries, req.Tau, req.Workers)
-	case budget > 0:
-		resp.Values, st, err = eng.BatchApproximateStats(req.Queries, budget, req.Workers)
-	default:
+	case req.Kind == "aggregate":
 		resp.Values, st, err = eng.BatchAggregateStats(req.Queries, req.Workers)
+	case req.EpsNorm != 0:
+		resp.Values, st, err = eng.BatchApproximateNormStats(req.Queries, req.EpsNorm, req.Workers)
+	default:
+		resp.Values, st, err = eng.BatchApproximateStats(req.Queries, req.Eps, req.Workers)
 	}
 	pool.release(eng)
 	if err == nil && !isFinite(resp.Values...) {
@@ -789,9 +676,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		fail(w, m, err)
 		return
-	}
-	if req.Kind == "approximate" {
-		l.countTier(req.EpsNorm, sketched, len(req.Queries))
 	}
 	m.record(len(req.Queries), st)
 	writeJSON(w, http.StatusOK, &resp)

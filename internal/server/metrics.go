@@ -88,25 +88,6 @@ type PoolStats struct {
 	Clones int64 `json:"clones"`
 }
 
-// TierStats reports sketch-tier routing when WithSketchTier is enabled.
-// Only normalized-budget (eps_norm) approximate queries are tier-eligible
-// and counted; relative-eps traffic always uses the full index and shows
-// up solely in the endpoint counters.
-type TierStats struct {
-	// SketchHits counts normalized-budget queries served by the coreset
-	// engine.
-	SketchHits int64 `json:"sketch_hits"`
-	// FullServes counts normalized-budget queries whose eps_norm was
-	// tighter than the sketch bound and fell through to the full index.
-	FullServes int64 `json:"full_serves"`
-	// SketchPoints is the coreset cardinality.
-	SketchPoints int `json:"sketch_points"`
-	// SketchEps is the sketch's advertised normalized error bound.
-	SketchEps float64 `json:"sketch_eps"`
-	// Pool describes the sketch-engine clone pool.
-	Pool PoolStats `json:"pool"`
-}
-
 // MutableStats reports the segmented engine state behind a mutable
 // server: manifest shape, background maintenance counters, and how the
 // clone pool tracks the advancing manifest.
@@ -170,12 +151,11 @@ type DualTreeBatchStats struct {
 	Fallbacks      int64 `json:"fallbacks"`
 }
 
-// StatsResponse is the GET /v1/stats body. Tier is present only when the
-// sketch tier is enabled; Mutable only for dynamic serving.
+// StatsResponse is the GET /v1/stats body. Mutable is present only for
+// dynamic serving.
 type StatsResponse struct {
 	Pool      PoolStats                `json:"pool"`
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 	DualTree  *DualTreeBatchStats      `json:"dual_tree,omitempty"`
-	Tier      *TierStats               `json:"tier,omitempty"`
 	Mutable   *MutableStats            `json:"mutable,omitempty"`
 }

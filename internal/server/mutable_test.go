@@ -37,9 +37,6 @@ func TestNewMutableValidation(t *testing.T) {
 		t.Fatal("nil engine accepted")
 	}
 	d, _ := karl.NewDynamic(karl.Gaussian(1))
-	if _, err := NewMutable(d, WithSketchTier(0.1)); err == nil {
-		t.Fatal("sketch tier accepted for mutable serving")
-	}
 	if _, err := NewMutable(d, WithPoolSize(0)); err == nil {
 		t.Fatal("pool size 0 accepted")
 	}

@@ -68,10 +68,9 @@ type Backend interface {
 	Kernel() string
 	Aggregate(ctx context.Context, q []float64) (Result, error)
 	Threshold(ctx context.Context, q []float64, tau float64) (Result, error)
-	// Approximate answers within relative error eps. epsNorm is non-zero
-	// when the request chose the normalized error model (eps then already
-	// carries its conservative relative equivalent), which lets a backend
-	// with a sketch tier serve the query from it.
+	// Approximate answers within relative error eps or, when epsNorm is
+	// non-zero (eps is then zero), within epsNorm·W, W the total weight
+	// mass.
 	Approximate(ctx context.Context, q []float64, eps, epsNorm float64) (Result, error)
 	// Info, Ready and Stats return the GET /v1/info, /v1/readyz and
 	// /v1/stats bodies. Ready also says whether to answer 200 or 503; Stats
@@ -170,17 +169,14 @@ type DeleteRequest struct {
 // budget field is set (exactly one is required):
 //
 //   - "eps" — relative error: the response v satisfies
-//     |v − F_P(q)| ≤ eps·F_P(q). Always served by the full index; the
-//     sketch tier is never used for relative budgets, because the
-//     coreset's bound is on the normalized scale and implies no useful
-//     relative bound for queries where F_P(q) ≪ W.
+//     |v − F_P(q)| ≤ eps·|F_P(q)|.
 //   - "eps_norm" — normalized absolute error: the response v satisfies
-//     |v − F_P(q)| ≤ eps_norm·W, where W is the total weight. Must lie in
-//     (0,1). When the sketch tier is enabled and eps_norm covers the
-//     sketch's bound, the query is served from the coreset with the
-//     leftover budget; otherwise the full index serves it at relative
-//     ε = eps_norm, which is conservative since |F_P(q)| ≤ W for a kernel
-//     bounded by 1. The polynomial kernel is not, and is refused (400).
+//     |v − F_P(q)| ≤ eps_norm·W, where W = Σ|w_i| is the total weight mass.
+//     Must lie in (0,1). A single node stops refining as soon as its bounds
+//     certify that budget (karl.Engine.ApproximateNormStats), usually near
+//     the root; the normalized scale only means something for a kernel
+//     bounded by 1, and the polynomial kernel is not, so it is refused
+//     (400).
 type QueryRequest struct {
 	Q       []float64 `json:"q"`
 	Tau     float64   `json:"tau"`
@@ -305,7 +301,7 @@ func (s *Server) handleApproximate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, err := s.be.Approximate(r.Context(), req.Q, relativeBudget(req.Eps, req.EpsNorm), req.EpsNorm)
+	res, err := s.be.Approximate(r.Context(), req.Q, req.Eps, req.EpsNorm)
 	s.answer(w, m, res, err, false)
 }
 
@@ -345,18 +341,6 @@ func (s *Server) answer(w http.ResponseWriter, m *endpointMetrics, res Result, e
 var errNotFinite = &Error{
 	Status: http.StatusUnprocessableEntity,
 	Err:    errors.New("aggregate is not finite at this query"),
-}
-
-// relativeBudget maps a request's budget onto the relative-ε contract. A
-// normalized budget is served at relative ε = eps_norm: for a kernel with
-// |K| ≤ 1 (every family but the polynomial, which validateBudget refuses)
-// |F_P(q)| ≤ W, so the relative bound eps_norm·|F_P| ≤ eps_norm·W also meets
-// the normalized one (conservatively).
-func relativeBudget(eps, epsNorm float64) float64 {
-	if epsNorm != 0 {
-		return epsNorm
-	}
-	return eps
 }
 
 // rows returns the points of whichever form the request uses, with their
@@ -632,7 +616,7 @@ func (s *Server) validate(req QueryRequest, n need) error {
 // validateBudget checks an approximate query's error budget: exactly one
 // of eps (relative error) and eps_norm (normalized absolute error) must be
 // supplied — they are distinct contracts, not interchangeable scales — and
-// the normalized one only exists for a kernel bounded by 1 (relativeBudget).
+// the normalized one only exists for a kernel bounded by 1.
 func (s *Server) validateBudget(eps, epsNorm float64) error {
 	switch {
 	case !isFinite(eps):

@@ -30,9 +30,9 @@ type wireExchange struct {
 
 // TestWireGolden pins the single-node wire: a fixed script of requests —
 // every route, the success shapes and the error envelopes — against a
-// static server, a sketch-tier server and a mutable one must produce the
-// status codes and response bodies recorded in testdata/wire_golden.json
-// byte for byte. The file was captured at the commit before the front door
+// static server, a capped one, a mutable one and a polynomial-kernel one
+// must produce the status codes and response bodies recorded in
+// testdata/wire_golden.json byte for byte. The file was captured at the commit before the front door
 // was shared with the cluster coordinator, so any byte a refactor of the
 // handler set adds to or drops from a single-node reply fails here.
 // (Values are float64 sums printed in full; the file is for amd64.)
@@ -47,10 +47,6 @@ func TestWireGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	static, err := New(eng, WithPoolSize(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered, err := New(eng, WithPoolSize(2), WithSketchTier(0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +73,7 @@ func TestWireGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := map[string]http.Handler{"static": static, "tiered": tiered, "capped": capped, "mutable": mutable, "poly": poly}
+	servers := map[string]http.Handler{"static": static, "capped": capped, "mutable": mutable, "poly": poly}
 
 	bulk := func(from, to int) string {
 		raw, _ := json.Marshal(pts[from:to])
@@ -115,14 +111,6 @@ func TestWireGolden(t *testing.T) {
 		{Server: "static", Method: "DELETE", Path: "/v1/point", Request: `{"id":1}`},
 		{Server: "static", Method: "GET", Path: "/v1/aggregate"},
 		{Server: "static", Method: "GET", Path: "/v1/stats"},
-
-		{Server: "tiered", Method: "GET", Path: "/v1/info"},
-		{Server: "tiered", Method: "POST", Path: "/v1/approximate", Request: `{` + q + `,"eps_norm":0.3}`},
-		{Server: "tiered", Method: "POST", Path: "/v1/approximate", Request: `{` + q + `,"eps_norm":0.2}`},
-		{Server: "tiered", Method: "POST", Path: "/v1/approximate", Request: `{` + q + `,"eps_norm":0.05}`},
-		{Server: "tiered", Method: "POST", Path: "/v1/approximate", Request: `{` + q + `,"eps":0.3}`},
-		{Server: "tiered", Method: "POST", Path: "/v1/batch", Request: `{"kind":"approximate","queries":[[0.5,0.5],[0.1,0.9]],"eps_norm":0.4,"workers":1}`},
-		{Server: "tiered", Method: "GET", Path: "/v1/stats"},
 
 		{Server: "capped", Method: "POST", Path: "/v1/aggregate", Request: `{"q":[0.5,0.5` + strings.Repeat(" ", 80) + `]}`},
 		{Server: "capped", Method: "POST", Path: "/v1/batch", Request: `{"kind":"aggregate","queries":[[0.5,0.5],[0.1,0.9],[0.3,0.3],[0.2,0.2]]}`},

@@ -118,6 +118,10 @@ func FuzzWireParity(f *testing.F) {
 		`{"kind":"aggr\u0065gate","queries":[[],[0.5]]}`, `{"kind":"é","queries":[null]}`, `{"workers":1.5}`, `{"workers":1e2}`,
 		`{"p":[0.5,0.5],"w":null}`, `{"points":[[0.1,0.2],[0.3,null]],"weights":[1,null]}`, `{"points":[[]],"weights":[]}`,
 		`{"id":18446744073709551615,"ids":[18446744073709551616]}`, `{"id":-0}`, `{"ids":[1,2,3]}`, `{}`, ``, `[]`, `{"q":[0.5,0.5],}`,
+		// Both budgets, in every shape a request carries them.
+		`{"q":[0.5,0.5],"eps_norm":0.3}`, `{"q":[0.5,0.5],"eps_norm":0.05}`, `{"q":[0.5,0.5],"eps":0.3}`,
+		`{"kind":"approximate","queries":[[0.5,0.5],[0.1,0.9]],"eps_norm":0.4,"workers":1}`,
+		`{"q":[0.5,0.5],"eps_norm":0.1,"threshold":150}`,
 	} {
 		f.Add([]byte(body))
 	}

@@ -95,11 +95,6 @@ type buildConfig struct {
 	leafCap int
 	method  Method
 
-	// Coreset construction knobs, consulted only by BuildCoreset,
-	// Engine.Sketch and KDE.Compress (coreset.go).
-	coresetMethod CoresetMethod
-	coresetSeed   int64
-
 	// Streaming knobs: how rows inserted after construction are sealed,
 	// merged, expired and decayed (dynamic.go). Zero values defer to
 	// segment.DefaultPolicy.

@@ -112,15 +112,12 @@ func (sh *dynShared) engineBlock(c *blockio.Codec, rho **float64, nsegs *int) er
 		blockio.Int(c, &sp.Partition)
 		blockio.Int(c, &sp.SourceLen)
 	}
-	if blockio.Opt(c, &sh.sketch) {
-		sk := sh.sketch
-		blockio.Int(c, &sk.SourceLen)
-		c.Float64(&sk.SourceWeight)
-		blockio.Int(c, &sk.Len)
-		c.Float64(&sk.Eps)
-		c.Float64(&sk.Delta)
-		blockio.Text(c, &sk.Basis)
-		blockio.Int(c, &sk.Method)
+	// The flag that once announced a coreset's provenance: always written
+	// false. A file that sets it holds a coreset engine, which this build
+	// does not read.
+	var sketch bool
+	if c.Bool(&sketch); sketch {
+		return errors.New("engine block carries a sketch (coreset) record, which this build does not read")
 	}
 	if err := c.End(); err != nil || !c.Decoding() {
 		return err
@@ -135,9 +132,6 @@ func (sh *dynShared) engineBlock(c *blockio.Codec, rho **float64, nsegs *int) er
 	sh.halfLife = float64(halfLife)
 	// Provenance describes the set the engine was built over, which streamed
 	// inserts may since have outgrown, so only its own consistency is checked.
-	if sk := sh.sketch; sk != nil && (sk.Len < 1 || sk.SourceLen < sk.Len) {
-		return errors.New("corrupt engine block (sketch provenance)")
-	}
 	if sp := sh.shardProv; sp != nil && (sp.Of < 1 || sp.Index < 0 || sp.Index >= sp.Of || sp.SourceLen < 1) {
 		return errors.New("corrupt engine block (shard provenance)")
 	}

@@ -459,8 +459,8 @@ func TestRestoreRejectsCorruptShardProvenance(t *testing.T) {
 	if _, err := shards[0].WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// The engine block of a shard that is no sketch ends: shard flag, Index,
-	// Of, Partition, SourceLen, sketch flag, checksum.
+	// The engine block of a shard ends: shard flag, Index, Of, Partition,
+	// SourceLen, the reserved sketch flag, checksum.
 	end := blockEnds(t, buf.Bytes())[0]
 	sourceLen := end - 4 - 1 - 8
 	of, index := sourceLen-2*8, sourceLen-3*8
@@ -491,5 +491,29 @@ func TestRestoreRejectsCorruptShardProvenance(t *testing.T) {
 	// harness is sound).
 	if err := corrupt(map[int]int64{index: 0, of: 2, sourceLen: 120}); err != nil {
 		t.Fatalf("valid provenance rejected: %v", err)
+	}
+}
+
+// withSketchFlag returns the stream data with its engine block's last
+// field, the reserved sketch flag, set (and the block checksum redone).
+func withSketchFlag(tb testing.TB, data []byte) []byte {
+	tb.Helper()
+	flag := blockEnds(tb, data)[0] - 4 - 1
+	if data[flag] != 0 {
+		tb.Fatalf("sketch flag is %d, want 0", data[flag])
+	}
+	return patched(tb, data, flag-7, int64(binary.LittleEndian.Uint64(data[flag-7:]))|1<<56)
+}
+
+// TestRestoreRefusesSketchFlag: the engine block's last field is a reserved
+// flag that once announced a coreset's provenance. It is always written
+// false; a file that sets it holds a coreset engine, and the load fails with
+// an error that names it.
+func TestRestoreRefusesSketchFlag(t *testing.T) {
+	for _, name := range []string{"built.bin", "streamed.bin"} {
+		err := readsEngine(withSketchFlag(t, readFixture(t, name)))
+		if err == nil || !strings.Contains(err.Error(), "sketch (coreset) record") {
+			t.Fatalf("%s with the sketch flag set: error %v, want one naming the sketch record", name, err)
+		}
 	}
 }

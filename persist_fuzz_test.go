@@ -2,19 +2,19 @@ package karl
 
 import (
 	"bytes"
-	"io"
 	"path/filepath"
 	"testing"
 )
 
 // fuzzSeedCorpus starts the fuzzer from accepted and refused streams alike:
 // every committed fixture (the frozen gob-era one included), the well-formed
-// streams this build refuses by name, a coreset engine and an SVM file
-// (engine blocks with provenance and ρ), and the ways a stream gets damaged
-// in the field — cut mid-block, cut at a block boundary, one byte off, a
-// version this build does not read, a length with no bytes behind it, a NaN
-// volume or a kd cell poking out of its parent under a valid checksum — and
-// a replication stream, whose held-segment block a file reader refuses.
+// streams this build refuses by name (among them one whose reserved sketch
+// flag is set), an SVM file (an engine block with ρ), and the ways a stream
+// gets damaged in the field — cut mid-block, cut at a block boundary, one
+// byte off, a version this build does not read, a length with no bytes
+// behind it, a NaN volume or a kd cell poking out of its parent under a
+// valid checksum — and a replication stream, whose held-segment block a file
+// reader refuses.
 func fuzzSeedCorpus(f *testing.F) {
 	f.Helper()
 	names, err := filepath.Glob(filepath.Join(goldenDir, "*.bin"))
@@ -27,21 +27,16 @@ func fuzzSeedCorpus(f *testing.F) {
 	for _, c := range outOfEnumStreams(f) {
 		f.Add(c.data)
 	}
-	sketch, err := goldenStaticEngine(f).Sketch(0.3)
-	if err != nil {
-		f.Fatal(err)
-	}
+	f.Add(withSketchFlag(f, readFixture(f, "built.bin")))
 	svm, err := NewSVM([][]float64{{0, 0}, {1, 1}, {0, 1}}, []float64{1, -1, 0.5}, 0.1, Gaussian(1))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, w := range []io.WriterTo{sketch, svm} {
-		var buf bytes.Buffer
-		if _, err := w.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	var buf bytes.Buffer
+	if _, err := svm.WriteTo(&buf); err != nil {
+		f.Fatal(err)
 	}
+	f.Add(buf.Bytes())
 	built, streamed := readFixture(f, "built.bin"), readFixture(f, "streamed.bin")
 	f.Add([]byte{})
 	f.Add([]byte("not a KARL file"))

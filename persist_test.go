@@ -388,49 +388,3 @@ func TestEngineRoundTripMixedSign(t *testing.T) {
 	}
 	roundTrip(t, orig, rng)
 }
-
-// TestCoresetEngineRoundTrip checks a sketched engine persists with its
-// provenance: source size, total weight, ε and construction survive.
-func TestCoresetEngineRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	pts := cloud(rng, 3000, 3)
-	orig, err := BuildCoreset(pts, Gaussian(20), 0.1, WithCoresetMethod(CoresetHalving))
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, ok := orig.SketchInfo()
-	if !ok {
-		t.Fatal("coreset engine has no SketchInfo")
-	}
-	if info.SourceLen != 3000 || info.Len != orig.Len() || info.Method != CoresetHalving {
-		t.Fatalf("bad provenance: %+v", info)
-	}
-	wantBasis := SketchBasisEmpirical
-	if info.Len == info.SourceLen {
-		wantBasis = SketchBasisExact // no halving round was accepted
-	}
-	if info.Basis != wantBasis {
-		t.Fatalf("basis %q, want %q", info.Basis, wantBasis)
-	}
-	loaded := roundTrip(t, orig, rng)
-	got, ok := loaded.SketchInfo()
-	if !ok {
-		t.Fatal("provenance lost across round trip")
-	}
-	if got != info {
-		t.Fatalf("provenance changed: %+v vs %+v", got, info)
-	}
-	// A full-set engine keeps reporting no sketch after a round trip.
-	plain, _ := Build(cloud(rng, 80, 2), Gaussian(1))
-	var buf bytes.Buffer
-	if _, err := plain.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := ReadEngine(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := reloaded.SketchInfo(); ok {
-		t.Fatal("full-set engine grew a sketch across round trip")
-	}
-}

@@ -550,7 +550,7 @@ func TestSkeletonGroupWorkGate(t *testing.T) {
 		k := kernel.Params(d.Kernel())
 		for i := 0; i < ds.Queries.Rows; i++ {
 			q := ds.Queries.Row(i)
-			man, base, scanned, err := d.snapshot(q)
+			man, base, scanned, err := d.snapshot(q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -570,7 +570,7 @@ func TestSkeletonGroupWorkGate(t *testing.T) {
 				t.Fatal(err)
 			}
 			grouped[1] += st.PointsScanned
-			perSeg[1] += scanned + perSegmentPoints(k, fresh, q, base, func(lb, ub float64) bool { return core.CondApprox(lb, ub, eps) })
+			perSeg[1] += scanned + perSegmentPoints(k, fresh, q, base, func(lb, ub float64) bool { return core.CondApprox(lb, ub, eps, 0) })
 			segs += len(man.Segs)
 			groups += d.f.Groups()
 		}
