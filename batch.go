@@ -23,6 +23,9 @@ func (d *Engine) BatchThreshold(queries [][]float64, tau float64, workers int) (
 // the whole batch (Iterations, NodesExpanded and PointsScanned accumulate
 // across queries; the LB/UB fields are per-query quantities and stay zero).
 func (d *Engine) BatchThresholdStats(queries [][]float64, tau float64, workers int) ([]bool, Stats, error) {
+	if err := checkTau(tau); err != nil {
+		return nil, Stats{}, err
+	}
 	if err := validateBatchQueries(queries, d.Dims()); err != nil {
 		return nil, Stats{}, err
 	}
@@ -49,13 +52,14 @@ func (d *Engine) BatchApproximate(queries [][]float64, eps float64, workers int)
 // BatchApproximateStats is BatchApproximate plus the summed work
 // statistics of the whole batch.
 func (d *Engine) BatchApproximateStats(queries [][]float64, eps float64, workers int) ([]float64, Stats, error) {
+	if err := checkEps(eps); err != nil {
+		return nil, Stats{}, err
+	}
 	if err := validateBatchQueries(queries, d.Dims()); err != nil {
 		return nil, Stats{}, err
 	}
 	out := make([]float64, len(queries))
-	// eps ≤ 0 keeps the sequential path so its validation error surfaces
-	// with the historical per-query shape.
-	if eps > 0 && d.useDual(len(queries)) {
+	if d.useDual(len(queries)) {
 		st, err := d.runDual(queries, workers, nil, func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error) {
 			return x.Approximate(chunk, eps, base, out[lo:lo+chunk.Rows])
 		})

@@ -243,6 +243,46 @@ func TestDeadRentChargesEveryRead(t *testing.T) {
 	}
 }
 
+// TestRefusedQueryPaysNoRent: a query refused for its eps or τ is refused
+// before it reads a row, so it charges no segment its dead-row rent — on
+// either side of the batch cutover too.
+func TestRefusedQueryPaysNoRent(t *testing.T) {
+	d, _ := rentEngine(t, 1024)
+	defer d.Close()
+	for id := uint64(1); id <= 50; id++ {
+		if err := d.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	small, large := rentProbes[:2], make([][]float64, dualTreeMinBatch)
+	for i := range large {
+		large[i] = rentProbes[i%len(rentProbes)]
+	}
+	q, nan, inf := rentProbes[0], math.NaN(), math.Inf(1)
+	calls := []func() error{
+		func() error { _, _, err := d.ApproximateStats(q, 0); return err },
+		func() error { _, _, err := d.ApproximateStats(q, -0.1); return err },
+		func() error { _, _, err := d.ApproximateStats(q, nan); return err },
+		func() error { _, _, err := d.ApproximateStats(q, inf); return err },
+		func() error { _, _, err := d.ThresholdStats(q, nan); return err },
+		func() error { _, _, err := d.ThresholdStats(q, -inf); return err },
+		func() error { _, _, err := d.BatchApproximateStats(small, 0, 2); return err },
+		func() error { _, _, err := d.BatchApproximateStats(large, nan, 2); return err },
+		func() error { _, _, err := d.BatchThresholdStats(small, inf, 2); return err },
+		func() error { _, _, err := d.BatchThresholdStats(large, nan, 2); return err },
+	}
+	for i, call := range calls {
+		if call() == nil {
+			t.Errorf("call %d was answered", i)
+		}
+	}
+	for _, v := range deadEvals(d) {
+		if v != 0 {
+			t.Fatalf("refused queries charged dead-row rent: %v", deadEvals(d))
+		}
+	}
+}
+
 // TestDeadRentConcurrentReaders deletes oldest first while reader
 // goroutines query their own clones, so the rewrites reads buy start while
 // other reads and deletes run (the race detector's case). At rest the

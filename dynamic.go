@@ -1379,6 +1379,9 @@ func (d *Engine) Threshold(q []float64, tau float64) (bool, error) {
 
 // ThresholdStats is Threshold plus the work statistics.
 func (d *Engine) ThresholdStats(q []float64, tau float64) (bool, Stats, error) {
+	if err := checkTau(tau); err != nil {
+		return false, Stats{}, err
+	}
 	man, base, scanned, err := d.snapshot(q, nil)
 	if err != nil {
 		return false, Stats{}, err
@@ -1403,6 +1406,9 @@ func (d *Engine) Approximate(q []float64, eps float64) (float64, error) {
 
 // ApproximateStats is Approximate plus the work statistics.
 func (d *Engine) ApproximateStats(q []float64, eps float64) (float64, Stats, error) {
+	if err := checkEps(eps); err != nil {
+		return 0, Stats{}, err
+	}
 	man, base, scanned, err := d.snapshot(q, nil)
 	if err != nil {
 		return 0, Stats{}, err
@@ -1435,6 +1441,22 @@ func (d *Engine) ApproximateNormStats(q []float64, epsNorm float64) (float64, St
 	v, st, err := d.f.ApproximateAbs(q, normBudget(epsNorm, mass), base)
 	st.PointsScanned += scanned
 	return v, st, err
+}
+
+// checkTau and checkEps refuse a parameter no answer exists for before the
+// query reads a row: a refused query charges no segment its dead-row rent.
+func checkTau(tau float64) error {
+	if math.IsNaN(tau) || math.IsInf(tau, 0) {
+		return fmt.Errorf("karl: tau must be finite, got %v", tau)
+	}
+	return nil
+}
+
+func checkEps(eps float64) error {
+	if !(eps > 0) || math.IsInf(eps, 1) {
+		return fmt.Errorf("karl: eps must be positive and finite, got %v", eps)
+	}
+	return nil
 }
 
 // normBudget is the absolute budget epsNorm·W. Tombstones subtract mass, so

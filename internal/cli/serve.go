@@ -67,12 +67,12 @@ func defineServe(fs *flag.FlagSet, e *env) func() error {
 		spawnKids = fs.Bool("spawn", false, "enable the process spawn backend for -coordinator -mutable: shard splits exec a fresh serve -mutable child")
 		addrFile  = fs.String("addr-file", "", "write the actual listen address (after binding, useful with -addr :0) to this file")
 	)
-	var to httpTimeouts
-	fs.DurationVar(&to.read, "read-timeout", 10*time.Second, "HTTP read timeout")
-	fs.DurationVar(&to.write, "write-timeout", 30*time.Second, "HTTP write timeout")
-	fs.DurationVar(&to.idle, "idle-timeout", 2*time.Minute, "HTTP idle-connection timeout")
-	fs.DurationVar(&to.header, "read-header-timeout", 5*time.Second, "HTTP header read timeout (slowloris guard)")
-	fs.DurationVar(&to.drain, "shutdown-timeout", 10*time.Second, "graceful-shutdown drain timeout")
+	var to server.Timeouts
+	fs.DurationVar(&to.Read, "read-timeout", 10*time.Second, "HTTP read timeout")
+	fs.DurationVar(&to.Write, "write-timeout", 30*time.Second, "HTTP write timeout")
+	fs.DurationVar(&to.Idle, "idle-timeout", 2*time.Minute, "HTTP idle-connection timeout")
+	fs.DurationVar(&to.ReadHeader, "read-header-timeout", 5*time.Second, "HTTP header read timeout (slowloris guard)")
+	fs.DurationVar(&to.Drain, "shutdown-timeout", 10*time.Second, "graceful-shutdown drain timeout")
 	return func() error {
 		set := ownership(fs).set
 		if err := validateFlagSet(set); err != nil {
@@ -170,22 +170,12 @@ func validateFlagSet(set map[string]bool) error {
 	return o.err()
 }
 
-// httpTimeouts are the listener's timeouts and the shutdown drain budget.
-type httpTimeouts struct{ read, write, idle, header, drain time.Duration }
-
 // serveHTTP serves the handler until SIGINT/SIGTERM, then drains. When
 // addrFile is non-empty the actual bound address is published there
 // (atomic write+rename, so a polling parent never reads a partial file) —
 // the discovery handshake for -addr :0 children started by the spawn
 // backend.
-func serveHTTP(handler http.Handler, banner, addr, addrFile string, to httpTimeouts) error {
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadTimeout:       to.read,
-		WriteTimeout:      to.write,
-		IdleTimeout:       to.idle,
-		ReadHeaderTimeout: to.header,
-	}
+func serveHTTP(handler http.Handler, banner, addr, addrFile string, to server.Timeouts) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -201,29 +191,17 @@ func serveHTTP(handler http.Handler, banner, addr, addrFile string, to httpTimeo
 			return fmt.Errorf("writing -addr-file: %w", err)
 		}
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	sig, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
+	ctx, drain := context.WithCancel(context.Background())
+	defer drain()
+	context.AfterFunc(sig, func() {
+		stop() // a second signal kills
+		log.Printf("shutting down, draining for up to %v", to.Drain)
+		drain()
+	})
 	log.Printf("%s (listening on %s)", banner, ln.Addr())
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		stop()
-		log.Printf("shutting down, draining for up to %v", to.drain)
-		drainCtx, cancel := context.WithTimeout(context.Background(), to.drain)
-		defer cancel()
-		if err := httpSrv.Shutdown(drainCtx); err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return nil
-	}
+	return server.Serve(ctx, ln, handler, to)
 }
 
 // serveCoordinator founds (or resumes) the cluster over the -shards list
@@ -238,7 +216,7 @@ func serveHTTP(handler http.Handler, banner, addr, addrFile string, to httpTimeo
 // the explicit partial contract). Only when the file is absent is a
 // fresh epoch-1 cluster founded — founding over an existing file would
 // be refused as a stale-epoch write anyway.
-func serveCoordinator(mutable bool, shardAddrs, addr, partition, manifestPath, addrFile string, partitionSet bool, spawn cluster.SpawnFunc, shardTO time.Duration, to httpTimeouts) error {
+func serveCoordinator(mutable bool, shardAddrs, addr, partition, manifestPath, addrFile string, partitionSet bool, spawn cluster.SpawnFunc, shardTO time.Duration, to server.Timeouts) error {
 	kind, err := shard.ParseKind(partition)
 	if err != nil {
 		return usagef("-partition: %v", err)

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -64,7 +63,7 @@ func buildEngine(t testing.TB, pts [][]float64, w []float64, kern karl.Kernel, k
 // and the way a coordinator reaches karl-serve.
 func listen(t testing.TB, h http.Handler) *HTTPShard {
 	t.Helper()
-	ts := httptest.NewServer(h)
+	ts := server.NewTestServer(h)
 	t.Cleanup(ts.Close)
 	return NewHTTPShard(ts.URL)
 }
@@ -401,7 +400,7 @@ func TestHedgeWinsOverStalledHTTPPrimary(t *testing.T) {
 	}))
 	defer close(release) // before the server's Close, which waits for the stalled handlers
 
-	primary := NewHTTPShard(f.ts.URL)
+	primary := NewHTTPShard(f.url)
 	specs := []fixedShard{
 		{Client: primary, Replicas: []ShardClient{listen(t, readServer(t, shards[0]))}},
 		{Client: listen(t, readServer(t, shards[1]))},

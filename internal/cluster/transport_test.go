@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -22,32 +21,71 @@ import (
 	"karl/internal/server"
 )
 
-// transportFixture is an httptest server behind a syncTransport client,
+// transportFixture is karl serve's listener behind a syncTransport client,
 // counting the connections the server accepts and the requests per path.
 type transportFixture struct {
-	ts    *httptest.Server
+	url   string
+	ln    *trackingListener
 	hc    *http.Client
-	conns atomic.Int64
 	mu    sync.Mutex
 	hits  map[string]int
+	conns atomic.Int64
+}
+
+// trackingListener counts the connections it accepts and can close them
+// all, as a server that drops its clients does.
+type trackingListener struct {
+	net.Listener
+	f    *transportFixture
+	mu   sync.Mutex
+	open []net.Conn
+}
+
+func (l *trackingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.f.conns.Add(1)
+		l.mu.Lock()
+		l.open = append(l.open, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+// closeClientConnections closes every connection the server has accepted.
+func (f *transportFixture) closeClientConnections() {
+	f.ln.mu.Lock()
+	defer f.ln.mu.Unlock()
+	for _, c := range f.ln.open {
+		c.Close()
+	}
+	f.ln.open = nil
 }
 
 func newTransportFixture(t *testing.T, h http.Handler) *transportFixture {
 	t.Helper()
 	f := &transportFixture{hits: map[string]int{}, hc: &http.Client{Transport: &syncTransport{}}}
-	f.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		f.hits[r.URL.Path]++
-		f.mu.Unlock()
-		h.ServeHTTP(w, r)
-	}))
-	f.ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
-		if st == http.StateNew {
-			f.conns.Add(1)
-		}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.ts.Start()
-	t.Cleanup(f.ts.Close)
+	f.ln, f.url = &trackingListener{Listener: ln, f: f}, "http://"+ln.Addr().String()
+	ctx, stop := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- server.Serve(ctx, f.ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			f.mu.Lock()
+			f.hits[r.URL.Path]++
+			f.mu.Unlock()
+			h.ServeHTTP(w, r)
+		}), server.Timeouts{Drain: 5 * time.Second})
+	}()
+	t.Cleanup(func() {
+		stop()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	})
 	return f
 }
 
@@ -64,7 +102,7 @@ func (f *transportFixture) do(ctx context.Context, method, path string, body []b
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, f.ts.URL+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, f.url+path, rd)
 	if err != nil {
 		return "", err
 	}
@@ -111,7 +149,7 @@ func TestTransportStaleConnection(t *testing.T) {
 		if _, err := f.do(ctx, read.method, read.path, nil); err != nil {
 			t.Fatalf("%s %s: %v", read.method, read.path, err)
 		}
-		f.ts.CloseClientConnections()
+		f.closeClientConnections()
 		before := f.conns.Load()
 		if got, err := f.do(ctx, read.method, read.path, nil); err != nil || got != read.path {
 			t.Fatalf("%s %s on a stale connection: %q, %v; want a transparent retry", read.method, read.path, got, err)
@@ -133,7 +171,7 @@ func TestTransportStaleConnection(t *testing.T) {
 		if _, err := f.do(ctx, write.method, write.path, []byte(`{}`)); err != nil {
 			t.Fatalf("%s %s: %v", write.method, write.path, err)
 		}
-		f.ts.CloseClientConnections()
+		f.closeClientConnections()
 		if _, err := f.do(ctx, write.method, write.path, []byte(`{}`)); err == nil {
 			t.Fatalf("%s %s on a stale connection succeeded: a write must not be replayed", write.method, write.path)
 		}
@@ -261,7 +299,7 @@ func TestTransportConcurrentMixedCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newTransportFixture(t, srv)
-	hs := NewHTTPShardClient(f.ts.URL, f.hc)
+	hs := NewHTTPShardClient(f.url, f.hc)
 
 	const workers, rounds = 32, 12
 	ctx := context.Background()
@@ -387,7 +425,7 @@ func TestTransportWritesRequestHead(t *testing.T) {
 
 	// Through the transport, a refused request reaches no handler.
 	f := newTransportFixture(t, http.HandlerFunc(echoPath))
-	req, _ := http.NewRequest(http.MethodPost, f.ts.URL+"/v1/bounds", strings.NewReader(`{}`))
+	req, _ := http.NewRequest(http.MethodPost, f.url+"/v1/bounds", strings.NewReader(`{}`))
 	req.Header.Set("X-A", "v\r\nX-B: w")
 	if _, err := f.hc.Do(req); err == nil {
 		t.Fatal("a header holding CR LF was sent")

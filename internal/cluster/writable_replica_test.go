@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -154,7 +153,7 @@ func TestWritableChaosPromotionMidSplit(t *testing.T) {
 	mustInsert(t, wco, more, mw)
 
 	// The /v1/stats cluster block reports the new topology and counters.
-	front := httptest.NewServer(NewWritableHTTPServer(wco))
+	front := server.NewTestServer(NewWritableHTTPServer(wco))
 	defer front.Close()
 	hres, err := http.Get(front.URL + "/v1/stats")
 	if err != nil {

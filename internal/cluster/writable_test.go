@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -535,7 +534,7 @@ func doJSON(t *testing.T, method, url string, body any) (int, []byte) {
 // ids on the wire.
 func TestWritableHTTPSurface(t *testing.T) {
 	wco, engines := foundWritable(t, 2, karl.Gaussian(1), karl.KDTree, httpSpawn(t), WritableConfig{})
-	front := httptest.NewServer(NewWritableHTTPServer(wco))
+	front := server.NewTestServer(NewWritableHTTPServer(wco))
 	t.Cleanup(front.Close)
 
 	pts, _ := dataset(60, 2, 51, "I")
@@ -1181,7 +1180,7 @@ func TestWritableDeleteManyPerMember(t *testing.T) {
 	live -= 3
 
 	// The same failure on the wire: fields, not only prose.
-	front := httptest.NewServer(NewWritableHTTPServer(wco))
+	front := server.NewTestServer(NewWritableHTTPServer(wco))
 	t.Cleanup(front.Close)
 	req = missing()
 	status, body := doJSON(t, http.MethodDelete, front.URL+"/v1/point", map[string]any{"ids": req})
@@ -1361,7 +1360,7 @@ func TestWritableOneDiscoveryRound(t *testing.T) {
 	kern := karl.Gaussian(0.5)
 	counter := &infoCountingTransport{inner: &syncTransport{}, perHost: map[string]int{}}
 	counted := func(h http.Handler) *HTTPShard {
-		ts := httptest.NewServer(h)
+		ts := server.NewTestServer(h)
 		t.Cleanup(ts.Close)
 		return NewHTTPShardClient(ts.URL, &http.Client{Transport: counter})
 	}

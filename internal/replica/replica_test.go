@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +35,7 @@ func serve(t *testing.T, eng *karl.Engine, opts ...server.Option) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	ts := server.NewTestServer(srv)
 	t.Cleanup(ts.Close)
 	return ts.URL
 }

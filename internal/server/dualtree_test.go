@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -44,7 +43,7 @@ func TestBatchDualTreeStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(s)
+		ts := NewTestServer(s)
 		resp, body := post(t, ts, "/v1/batch", BatchRequest{
 			Kind: "approximate", Queries: randBatch(rng, tc.queries, 3), Eps: 0.1, Workers: 1,
 		})

@@ -5,14 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"karl"
 )
 
-func getStats(t *testing.T, ts *httptest.Server) StatsResponse {
+func getStats(t *testing.T, ts *TestServer) StatsResponse {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -33,7 +32,7 @@ func TestApproximateBudgetValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	for name, req := range map[string]QueryRequest{
 		"both set":          {Q: []float64{0.5, 0.5}, Eps: 0.1, EpsNorm: 0.1},
@@ -63,7 +62,7 @@ func TestEpsNormWithoutTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	q := []float64{0.35, 0.35}
 	exact, _ := eng.Aggregate(q)
@@ -87,7 +86,7 @@ func TestStatsWithoutTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	post(t, ts, "/v1/approximate", QueryRequest{Q: []float64{0.5, 0.5}, EpsNorm: 0.1})
 	for _, path := range []string{"/v1/info", "/v1/stats"} {
@@ -141,7 +140,7 @@ func TestEpsNormStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	scanned := func(req QueryRequest) (float64, int64) {
 		t.Helper()

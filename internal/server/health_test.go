@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"karl"
@@ -16,7 +15,7 @@ func TestHealthzAndReadyz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/v1/healthz")
@@ -60,7 +59,7 @@ func TestReadyzWarmTracksIdleClones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	warm := func() bool {
 		t.Helper()
@@ -95,7 +94,7 @@ func TestReadyzWarmTracksIdleClones(t *testing.T) {
 func TestBoundsEndpoint(t *testing.T) {
 	eng := testEngine(t)
 	s, _ := New(eng)
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	q := []float64{0.5, 0.5}
 	exact, _ := eng.Aggregate(q)
@@ -197,7 +196,7 @@ func TestMaxBodyBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 
 	// Small request passes.
@@ -230,7 +229,7 @@ func TestInfoReportsWeightMass(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := New(eng)
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/info")
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +16,7 @@ import (
 	"karl/internal/replica"
 )
 
-func testMutableServer(t *testing.T, opts ...karl.Option) (*karl.Engine, *httptest.Server) {
+func testMutableServer(t *testing.T, opts ...karl.Option) (*karl.Engine, *TestServer) {
 	t.Helper()
 	d, err := karl.NewDynamic(karl.Gaussian(5), opts...)
 	if err != nil {
@@ -27,7 +26,7 @@ func testMutableServer(t *testing.T, opts ...karl.Option) (*karl.Engine, *httpte
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	t.Cleanup(ts.Close)
 	return d, ts
 }
@@ -130,7 +129,7 @@ func TestInsertEndpointIsAllOrNothing(t *testing.T) {
 
 func TestInsertOnStaticServerIs404(t *testing.T) {
 	s, _ := New(testEngine(t))
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	resp, _ := post(t, ts, "/v1/insert", InsertRequest{P: []float64{0.1, 0.2}})
 	if resp.StatusCode != http.StatusNotFound {
@@ -255,7 +254,7 @@ func TestMutableConcurrentInsertAndQuery(t *testing.T) {
 func ptr(v float64) *float64 { return &v }
 
 // del issues a DELETE request with a JSON body.
-func del(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, []byte) {
+func del(t *testing.T, ts *TestServer, path string, body any) (*http.Response, []byte) {
 	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -386,7 +385,7 @@ func TestDeleteEndpoint(t *testing.T) {
 
 func TestDeleteOnStaticServerIs404(t *testing.T) {
 	s, _ := New(testEngine(t))
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	resp, _ := del(t, ts, "/v1/point", DeleteRequest{ID: 1})
 	if resp.StatusCode != http.StatusNotFound {
@@ -403,7 +402,7 @@ func TestMutableInfoReportsWindowAndDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/info")
 	if err != nil {

@@ -29,7 +29,7 @@ func testEngine(t testing.TB) *karl.Engine {
 	return eng
 }
 
-func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, []byte) {
+func post(t *testing.T, ts *TestServer, path string, body any) (*http.Response, []byte) {
 	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -38,7 +38,7 @@ func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Respo
 	return postRaw(t, ts, path, raw)
 }
 
-func postRaw(t *testing.T, ts *httptest.Server, path string, raw []byte) (*http.Response, []byte) {
+func postRaw(t *testing.T, ts *TestServer, path string, raw []byte) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
 	if err != nil {
@@ -72,7 +72,7 @@ func TestInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/info")
 	if err != nil {
@@ -91,7 +91,7 @@ func TestInfo(t *testing.T) {
 func TestAggregateEndpoint(t *testing.T) {
 	eng := testEngine(t)
 	s, _ := New(eng)
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	q := []float64{0.5, 0.5}
 	resp, body := post(t, ts, "/v1/aggregate", QueryRequest{Q: q})
@@ -111,7 +111,7 @@ func TestAggregateEndpoint(t *testing.T) {
 func TestThresholdEndpoint(t *testing.T) {
 	eng := testEngine(t)
 	s, _ := New(eng)
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	q := []float64{0.5, 0.5}
 	exact, _ := eng.Aggregate(q)
@@ -131,7 +131,7 @@ func TestThresholdEndpoint(t *testing.T) {
 func TestApproximateEndpoint(t *testing.T) {
 	eng := testEngine(t)
 	s, _ := New(eng)
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	q := []float64{0.5, 0.5}
 	exact, _ := eng.Aggregate(q)
@@ -153,7 +153,7 @@ func TestApproximateEndpoint(t *testing.T) {
 // envelope.
 func TestDecodeRejectsMalformed(t *testing.T) {
 	s, _ := New(testEngine(t))
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	cases := []struct {
 		name, path, body string
@@ -253,7 +253,7 @@ func TestValidateNonFinite(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	s, _ := New(testEngine(t))
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/aggregate")
 	if err != nil {
@@ -268,7 +268,7 @@ func TestBadRequests(t *testing.T) {
 func TestBatchEndpoint(t *testing.T) {
 	eng := testEngine(t)
 	s, _ := New(eng)
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	queries := [][]float64{{0.2, 0.8}, {0.5, 0.5}, {0.9, 0.1}}
 	resp, body := post(t, ts, "/v1/batch", BatchRequest{Kind: "aggregate", Queries: queries, Workers: 2})
@@ -337,7 +337,7 @@ func TestBatchEndpointMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				s, _ := New(eng)
-				ts := httptest.NewServer(s)
+				ts := NewTestServer(s)
 				defer ts.Close()
 				exact0, _ := eng.Aggregate(queries[0])
 				tau := exact0 * 0.95
@@ -388,7 +388,7 @@ func TestBatchEndpointMatchesSequential(t *testing.T) {
 func TestServerConcurrentQueries(t *testing.T) {
 	eng := testEngine(t)
 	s, _ := New(eng, WithPoolSize(4))
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	rng := rand.New(rand.NewSource(7))
 	const nq = 8
@@ -504,7 +504,7 @@ func TestServerConcurrentQueries(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	eng := testEngine(t)
 	s, _ := New(eng, WithPoolSize(3))
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	q := []float64{0.5, 0.5}
 	post(t, ts, "/v1/aggregate", QueryRequest{Q: q})
@@ -546,7 +546,7 @@ func TestStatsEndpoint(t *testing.T) {
 // bounded number of clones rather than one clone per request.
 func TestPoolReusesClones(t *testing.T) {
 	s, _ := New(testEngine(t), WithPoolSize(2))
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	for i := 0; i < 20; i++ {
 		post(t, ts, "/v1/aggregate", QueryRequest{Q: []float64{0.5, 0.5}})
@@ -570,7 +570,7 @@ func TestPoolReusesClones(t *testing.T) {
 func TestConcurrentRequests(t *testing.T) {
 	eng := testEngine(t)
 	s, _ := New(eng)
-	ts := httptest.NewServer(s)
+	ts := NewTestServer(s)
 	defer ts.Close()
 	want, _ := eng.Aggregate([]float64{0.5, 0.5})
 	var wg sync.WaitGroup

@@ -37,6 +37,60 @@ type wireExchange struct {
 // handler set adds to or drops from a single-node reply fails here.
 // (Values are float64 sums printed in full; the file is for amd64.)
 func TestWireGolden(t *testing.T) {
+	servers, script := wireScript(t)
+	for i := range script {
+		x := &script[i]
+		req := httptest.NewRequest(x.Method, x.Path, strings.NewReader(x.Request))
+		rec := httptest.NewRecorder()
+		servers[x.Server].ServeHTTP(rec, req)
+		x.Status, x.Body = rec.Code, rec.Body.String()
+	}
+
+	path := filepath.Join("testdata", "wire_golden.json")
+	if *updateWire {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(script); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []wireExchange
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(script) {
+		t.Fatalf("golden holds %d exchanges, the script %d (regenerate only at a commit whose wire is the reference)", len(want), len(script))
+	}
+	for i, got := range script {
+		w := want[i]
+		if got.Server != w.Server || got.Method != w.Method || got.Path != w.Path || got.Request != w.Request {
+			t.Fatalf("exchange %d: script asks %s %s %s %q, golden recorded %s %s %s %q", i,
+				got.Server, got.Method, got.Path, got.Request, w.Server, w.Method, w.Path, w.Request)
+		}
+		if got.Status != w.Status || got.Body != w.Body {
+			t.Errorf("%s %s %s %s:\n got %d %q\nwant %d %q", got.Server, got.Method, got.Path, got.Request,
+				got.Status, got.Body, w.Status, w.Body)
+		}
+	}
+}
+
+// wireScript returns the golden script and fresh servers to run it on: a
+// static server, a capped one, a mutable one and a polynomial-kernel one.
+func wireScript(t *testing.T) (map[string]http.Handler, []wireExchange) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	pts := make([][]float64, 400)
 	for i := range pts {
@@ -176,51 +230,5 @@ func TestWireGolden(t *testing.T) {
 		{Server: "poly", Method: "GET", Path: "/v1/stats"},
 	}
 
-	for i := range script {
-		x := &script[i]
-		req := httptest.NewRequest(x.Method, x.Path, strings.NewReader(x.Request))
-		rec := httptest.NewRecorder()
-		servers[x.Server].ServeHTTP(rec, req)
-		x.Status, x.Body = rec.Code, rec.Body.String()
-	}
-
-	path := filepath.Join("testdata", "wire_golden.json")
-	if *updateWire {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetEscapeHTML(false)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(script); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []wireExchange
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(script) {
-		t.Fatalf("golden holds %d exchanges, the script %d (regenerate only at a commit whose wire is the reference)", len(want), len(script))
-	}
-	for i, got := range script {
-		w := want[i]
-		if got.Server != w.Server || got.Method != w.Method || got.Path != w.Path || got.Request != w.Request {
-			t.Fatalf("exchange %d: script asks %s %s %s %q, golden recorded %s %s %s %q", i,
-				got.Server, got.Method, got.Path, got.Request, w.Server, w.Method, w.Path, w.Request)
-		}
-		if got.Status != w.Status || got.Body != w.Body {
-			t.Errorf("%s %s %s %s:\n got %d %q\nwant %d %q", got.Server, got.Method, got.Path, got.Request,
-				got.Status, got.Body, w.Status, w.Body)
-		}
-	}
+	return servers, script
 }
