@@ -17,7 +17,6 @@ import (
 	"karl/internal/dataset"
 	"karl/internal/experiments"
 	"karl/internal/index"
-	"karl/internal/tuning"
 )
 
 // benchConfig keeps each experiment iteration around a second or less.
@@ -28,7 +27,7 @@ func benchConfig() experiments.Config {
 		Queries:    48,
 		TuneSample: 16,
 		Seed:       1,
-		Grid: []tuning.Candidate{
+		Grid: []experiments.Candidate{
 			{Kind: index.KDTree, LeafCap: 40},
 			{Kind: index.BallTree, LeafCap: 80},
 		},

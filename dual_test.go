@@ -194,18 +194,11 @@ func heatmapWorkloadSigma(rng *rand.Rand, n, dim, res int, sigma float64) (pts, 
 	return pts, queries
 }
 
-// fastestSeconds times reps runs of answer and returns the fastest wall
-// time.
-func fastestSeconds(reps int, answer func()) float64 {
-	best := math.Inf(1)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		answer()
-		if s := time.Since(start).Seconds(); s < best {
-			best = s
-		}
-	}
-	return best
+// seconds times one run of answer.
+func seconds(answer func()) float64 {
+	start := time.Now()
+	answer()
+	return time.Since(start).Seconds()
 }
 
 // TestBatchDualSpeedupGate pins the headline performance claim: on the
@@ -240,11 +233,16 @@ func TestBatchDualSpeedupGate(t *testing.T) {
 	seq := func() {
 		perQuery(t, queries, func(q []float64) (float64, Stats, error) { return eng.ApproximateStats(q, eps) })
 	}
-	// One untimed pass each to warm allocator and caches.
-	fastestSeconds(1, dual)
-	fastestSeconds(1, seq)
-	dualSec := fastestSeconds(3, dual)
-	seqSec := fastestSeconds(3, seq)
+	// One untimed pass each to warm allocator and caches, then three timed
+	// pairs, the two sides alternating so that load from outside the test
+	// falls on both alike; each side keeps its fastest pass.
+	dual()
+	seq()
+	dualSec, seqSec := math.Inf(1), math.Inf(1)
+	for r := 0; r < 3; r++ {
+		dualSec = min(dualSec, seconds(dual))
+		seqSec = min(seqSec, seconds(seq))
+	}
 	if dualBatches(eng) == 0 {
 		t.Fatal("the batch never took the dual-tree executor")
 	}

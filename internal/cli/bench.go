@@ -3,16 +3,16 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"karl/internal/bound"
+	"karl/internal/dataset"
 	"karl/internal/experiments"
 	"karl/internal/kernel"
-	"karl/internal/scan"
-	"karl/internal/tuning"
 )
 
 // defineBench is karl bench: the paper's tables and figures regenerated on
@@ -45,6 +45,9 @@ func defineBench(fs *flag.FlagSet, e *env) func() error {
 				fmt.Fprintln(e.stdout, id)
 			}
 			return nil
+		}
+		if *sample < 1 {
+			return usagef("-tunesample must be at least 1, got %d", *sample)
 		}
 		ids := []string{*run}
 		if *run == "all" {
@@ -84,7 +87,8 @@ func defineBench(fs *flag.FlagSet, e *env) func() error {
 // candidate for a workload on a synthetic stand-in dataset — the data
 // behind Figure 7 and Table VIII — and the configuration the offline tuner
 // would pick. The workload is TKAQ at the dataset's threshold (τ = μ, the
-// mean aggregate over the queries, for Type I), or eKAQ with -eps.
+// mean aggregate over the queries, for Type I; the trained threshold for
+// Types II and III), or eKAQ with -eps.
 func defineTune(fs *flag.FlagSet, e *env) func() error {
 	var (
 		name   = fs.String("dataset", "home", "synthetic stand-in dataset name")
@@ -98,34 +102,23 @@ func defineTune(fs *flag.FlagSet, e *env) func() error {
 		if !ok {
 			return usagef("unknown -method %q (want karl or sota)", *method)
 		}
+		if *eps < 0 || math.IsNaN(*eps) || math.IsInf(*eps, 1) {
+			return usagef("-eps must be 0 (TKAQ) or a finite positive relative error, got %v", *eps)
+		}
 		ds, err := generate(*name, *synth)
 		if err != nil {
 			return err
 		}
-		kern := kernel.NewGaussian(ds.Gamma)
-		w := tuning.Workload{Kernel: kern, Method: m}
-		workload := fmt.Sprintf("eKAQ(eps=%.3g)", *eps)
-		if *eps > 0 {
-			w.Mode = tuning.Approximate
-			w.Eps = *eps
-		} else {
-			w.Mode = tuning.Threshold
-			w.Tau = ds.Tau
-			if ds.Tau == 0 { // Type I: τ = μ over the query set
-				sc, err := scan.NewScanner(ds.Points, ds.Weights, kern)
-				if err != nil {
-					return err
-				}
-				var mu float64
-				for i := 0; i < ds.Queries.Rows; i++ {
-					mu += sc.Aggregate(ds.Queries.Row(i))
-				}
-				w.Tau = mu / float64(ds.Queries.Rows)
+		w := experiments.Workload{Kernel: kernel.NewGaussian(ds.Gamma), Method: m, Tau: ds.Tau, Eps: *eps}
+		workload := fmt.Sprintf("eKAQ(eps=%.3g)", w.Eps)
+		if w.Eps == 0 {
+			if ds.Spec.Weighting == dataset.TypeI {
+				w.Tau, _ = experiments.ExactStats(ds, w.Kernel)
 			}
 			workload = fmt.Sprintf("TKAQ(tau=%.5g)", w.Tau)
 		}
 
-		results, err := tuning.Offline(ds.Points, ds.Weights, w, ds.Queries, nil)
+		results, err := experiments.Config{Grid: experiments.DefaultGrid()}.Offline(ds, w, ds.Queries)
 		if err != nil {
 			return err
 		}

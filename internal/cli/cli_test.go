@@ -48,6 +48,11 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"tune", "-dataset", "home", "-tau-mode", "mu"}, 2},
 		{[]string{"kde", "-res", "many"}, 2},
 		{[]string{"bench", "-list", "fig1"}, 2},
+		// Tuner flags out of range, once silently run as TKAQ or with the
+		// default sample.
+		{[]string{"tune", "-eps", "-0.5"}, 2},
+		{[]string{"tune", "-eps", "NaN"}, 2},
+		{[]string{"bench", "-run", "tab8", "-tunesample", "-5"}, 2},
 	}
 	for _, tc := range cases {
 		code, stderr := runKarl(tc.args...)

@@ -9,7 +9,10 @@
 // which refines over an ORDERED SET of immutable index segments sharing
 // one global priority queue (the executor under karl.Engine's
 // LSM-style manifest). Engine is the single-segment specialization: one
-// tree, the same loop, the same zero-allocation steady state.
+// tree, the same loop, the same zero-allocation steady state. Serving never
+// builds one; Engine remains for the paper experiments (internal/experiments,
+// whose in-situ tuner truncates refinement with WithMaxDepth) and for the
+// benchmark harness's per-layer timings (bench/micro.go).
 //
 // All three weighting types are supported transparently: node aggregates
 // carry separate positive and negative weight classes, and bound.NodeBounds
@@ -72,25 +75,6 @@ func New(tree *index.Tree, kern kernel.Params, opts ...Option) (*Engine, error) 
 	}
 	return e, nil
 }
-
-// Clone returns an engine sharing the same tree and configuration but with
-// independent scratch state, for use from another goroutine.
-func (e *Engine) Clone() *Engine {
-	c := &Engine{f: Forest{kern: e.f.kern, method: e.f.method, maxDepth: e.f.maxDepth, rows: e.f.rows}}
-	c.one = e.one
-	// The tree is already validated; SetTrees only re-derives dims.
-	_ = c.f.SetTrees(c.one[:], nil)
-	return c
-}
-
-// Tree exposes the underlying index (read-only by convention).
-func (e *Engine) Tree() *index.Tree { return e.one[0] }
-
-// Kernel returns the engine's kernel parameters.
-func (e *Engine) Kernel() kernel.Params { return e.f.kern }
-
-// Method returns the engine's bounding method.
-func (e *Engine) Method() bound.Method { return e.f.method }
 
 // FastPathQueries returns the number of queries served by the
 // single-segment fast path (for a single-tree engine, every

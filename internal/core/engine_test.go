@@ -369,24 +369,6 @@ func TestTraceMaxIterCaps(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	m := makeClustered(rng, 100, 2, 1, 0.1)
-	tr, _ := kdtree.Build(m, nil, 8)
-	e, _ := New(tr, kernel.NewGaussian(2), WithMethod(bound.SOTA), WithMaxDepth(3))
-	c := e.Clone()
-	if c.Tree() != e.Tree() || c.Method() != e.Method() || c.Kernel() != e.Kernel() {
-		t.Fatal("Clone must preserve configuration and share the tree")
-	}
-	// Both engines answer identically.
-	q := []float64{0.5, 0.5}
-	g1, _, _ := e.Threshold(q, 1)
-	g2, _, _ := c.Threshold(q, 1)
-	if g1 != g2 {
-		t.Fatal("clone disagrees with original")
-	}
-}
-
 func TestSinglePointTree(t *testing.T) {
 	m := vec.FromRows([][]float64{{0.5, 0.5}})
 	tr, _ := kdtree.Build(m, nil, 4)

@@ -3,6 +3,13 @@
 // returns a structured result and can print rows shaped like the paper's;
 // karl bench and the repository-root benchmarks drive them.
 //
+// The paper's automatic index tuning (Section III-C) lives here and only
+// here: the offline tuner (Config.Offline) builds every (index kind, leaf
+// capacity) candidate and times a query sample on each; the in-situ tuner
+// (Online) builds one kd-tree and picks its simulated height from a small
+// share of the live query stream. Tables VIII and IX, every KARL_auto
+// column and karl tune run them.
+//
 // Absolute numbers differ from the paper (different hardware, scaled-down
 // synthetic data); the assertions that matter are the shapes: who wins,
 // by roughly what factor, and how trends move with τ, ε, n, d and leaf
@@ -15,14 +22,11 @@ import (
 	"math"
 	"time"
 
-	"karl/internal/balltree"
-	"karl/internal/core"
+	"karl/internal/bound"
 	"karl/internal/dataset"
 	"karl/internal/index"
-	"karl/internal/kdtree"
 	"karl/internal/kernel"
 	"karl/internal/scan"
-	"karl/internal/tuning"
 	"karl/internal/vec"
 )
 
@@ -44,7 +48,7 @@ type Config struct {
 	// (default 25ms).
 	MinMeasure time.Duration
 	// Grid is the tuning grid (default: reduced {kd,ball}×{20,80,320}).
-	Grid []tuning.Candidate
+	Grid []Candidate
 	// DimSweep is the Figure 12 dimensionality sweep (default {16,32,64,128}
 	// on a 128-d mnist stand-in; the paper sweeps to 784).
 	DimSweep []int
@@ -72,7 +76,7 @@ func (c Config) withDefaults() Config {
 	if len(c.Grid) == 0 {
 		for _, kind := range []index.Kind{index.KDTree, index.BallTree} {
 			for _, lc := range []int{20, 80, 320} {
-				c.Grid = append(c.Grid, tuning.Candidate{Kind: kind, LeafCap: lc})
+				c.Grid = append(c.Grid, Candidate{Kind: kind, LeafCap: lc})
 			}
 		}
 	}
@@ -111,67 +115,72 @@ func (c Config) throughput(queries *vec.Matrix, fn func(q []float64) error) (flo
 	return float64(total) / elapsed.Seconds(), nil
 }
 
-// workloadFn adapts a tuning.Workload to a per-query closure over an engine.
-func workloadFn(e *core.Engine, w tuning.Workload) func(q []float64) error {
-	if w.Mode == tuning.Threshold {
-		return func(q []float64) error {
-			_, _, err := e.Threshold(q, w.Tau)
-			return err
-		}
+// generate builds the synthetic stand-in dataset called name at c's size.
+func (c Config) generate(name string) (*dataset.Dataset, error) {
+	spec, err := dataset.ByName(name)
+	if err != nil {
+		return nil, err
 	}
-	return func(q []float64) error {
-		_, _, err := e.Approximate(q, w.Eps)
-		return err
-	}
+	return dataset.Generate(spec, c.genOptions())
 }
 
-// buildTree constructs one candidate index.
-func buildTree(cand tuning.Candidate, pts *vec.Matrix, weights []float64) (*index.Tree, error) {
-	if cand.Kind == index.BallTree {
-		return balltree.Build(pts, weights, cand.LeafCap)
+// workload generates the dataset called name and resolves query type qt on
+// it to its KARL workload: I-ε at ε = 0.2, I-τ at τ = μ, and II-τ and
+// III-τ at the dataset's trained threshold.
+func (c Config) workload(qt QueryType, name string) (*dataset.Dataset, Workload, error) {
+	ds, err := c.generate(name)
+	if err != nil {
+		return nil, Workload{}, err
 	}
-	return kdtree.Build(pts, weights, cand.LeafCap)
+	w := Workload{Kernel: gaussianOf(ds), Method: bound.KARL, Tau: ds.Tau}
+	switch qt {
+	case TypeIEps:
+		w.Eps = 0.2
+	case TypeITau:
+		w.Tau, _ = ExactStats(ds, w.Kernel)
+	case TypeIITau, TypeIIITau:
+	default:
+		return nil, w, fmt.Errorf("unknown query type %q", qt)
+	}
+	return ds, w, nil
+}
+
+// scanThroughput is the SCAN baseline: w answered by an exact scan over ds.
+func (c Config) scanThroughput(ds *dataset.Dataset, w Workload) (float64, error) {
+	sc, err := scan.NewScanner(ds.Points, ds.Weights, w.Kernel)
+	if err != nil {
+		return 0, err
+	}
+	if w.Eps > 0 {
+		return c.throughput(ds.Queries, func(q []float64) error { sc.Approximate(q, w.Eps); return nil })
+	}
+	return c.throughput(ds.Queries, func(q []float64) error { sc.Threshold(q, w.Tau); return nil })
 }
 
 // bestIndexed measures every grid candidate directly on the query set and
 // returns the best throughput — the paper's SOTAbest / KARLbest / Scikitbest
 // columns.
-func bestIndexed(cfg Config, ds *dataset.Dataset, w tuning.Workload, queries *vec.Matrix) (float64, error) {
-	best := -1.0
-	for _, cand := range cfg.Grid {
-		tree, err := buildTree(cand, ds.Points, ds.Weights)
-		if err != nil {
-			return 0, err
-		}
-		eng, err := core.New(tree, w.Kernel, core.WithMethod(w.Method))
-		if err != nil {
-			return 0, err
-		}
-		tp, err := cfg.throughput(queries, workloadFn(eng, w))
-		if err != nil {
-			return 0, err
-		}
-		if tp > best {
-			best = tp
-		}
+func bestIndexed(cfg Config, ds *dataset.Dataset, w Workload) (float64, error) {
+	results, err := cfg.Offline(ds, w, ds.Queries)
+	if err != nil {
+		return 0, err
 	}
-	return best, nil
+	return results[0].Throughput, nil
 }
 
 // autoIndexed tunes on a sample (the KARLauto protocol: pick the candidate
 // by sampled throughput) and then measures the winner on the full query
 // set.
-func autoIndexed(cfg Config, ds *dataset.Dataset, w tuning.Workload, sample, queries *vec.Matrix) (float64, error) {
-	results, err := tuning.Offline(ds.Points, ds.Weights, w, sample, cfg.Grid)
+func autoIndexed(cfg Config, ds *dataset.Dataset, w Workload) (float64, error) {
+	results, err := cfg.Offline(ds, w, tuneSample(cfg, ds))
 	if err != nil {
 		return 0, err
 	}
-	winner := results[0]
-	eng, err := core.New(winner.Tree, w.Kernel, core.WithMethod(w.Method))
+	run, err := w.run(results[0].Tree, 0)
 	if err != nil {
 		return 0, err
 	}
-	return cfg.throughput(queries, workloadFn(eng, w))
+	return cfg.throughput(ds.Queries, run)
 }
 
 // tuneSample derives the offline-tuning query sample from the dataset, as
@@ -180,9 +189,9 @@ func tuneSample(cfg Config, ds *dataset.Dataset) *vec.Matrix {
 	return dataset.SampleQueries(ds.Points, cfg.TuneSample, 0.05, cfg.Seed+977)
 }
 
-// exactStats computes μ and σ of F_P(q) over the query set — the paper's
+// ExactStats computes μ and σ of F_P(q) over the query set — the paper's
 // recipe for Type I thresholds (τ = μ, sweeps in μ + kσ).
-func exactStats(ds *dataset.Dataset, kern kernel.Params) (mu, sigma float64) {
+func ExactStats(ds *dataset.Dataset, kern kernel.Params) (mu, sigma float64) {
 	s, err := scan.NewScanner(ds.Points, ds.Weights, kern)
 	if err != nil {
 		return 0, 0

@@ -3,11 +3,11 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"karl/internal/index"
-	"karl/internal/tuning"
 )
 
 // tinyConfig keeps the integration suite fast: small datasets, few queries,
@@ -19,7 +19,7 @@ func tinyConfig() Config {
 		Queries:    24,
 		TuneSample: 10,
 		Seed:       7,
-		Grid: []tuning.Candidate{
+		Grid: []Candidate{
 			{Kind: index.KDTree, LeafCap: 20},
 			{Kind: index.BallTree, LeafCap: 80},
 		},
@@ -36,7 +36,7 @@ func mediumConfig() Config {
 		Queries:    32,
 		TuneSample: 12,
 		Seed:       7,
-		Grid: []tuning.Candidate{
+		Grid: []Candidate{
 			{Kind: index.KDTree, LeafCap: 40},
 		},
 		DimSweep: []int{4, 8},
@@ -232,7 +232,9 @@ func TestFig13KARLTighter(t *testing.T) {
 }
 
 func TestTable8AutoNearBest(t *testing.T) {
-	res, err := Table8OfflineTuning(tinyConfig(), nil)
+	cfg := tinyConfig()
+	var buf bytes.Buffer
+	res, err := Table8OfflineTuning(cfg, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +242,12 @@ func TestTable8AutoNearBest(t *testing.T) {
 		t.Fatalf("%d rows, want 12", len(res.Rows))
 	}
 	for _, row := range res.Rows {
+		if !slices.Contains(cfg.Grid, row.Pick) {
+			t.Fatalf("%s/%s: pick %v is not in the grid %v", row.Type, row.Dataset, row.Pick, cfg.Grid)
+		}
+		if !strings.Contains(buf.String(), row.Pick.String()) {
+			t.Fatalf("%s/%s: printed table does not name the pick %v", row.Type, row.Dataset, row.Pick)
+		}
 		if row.Worst > row.Best {
 			t.Fatalf("%s/%s: worst %v exceeds best %v", row.Type, row.Dataset, row.Worst, row.Best)
 		}

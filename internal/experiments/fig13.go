@@ -48,11 +48,7 @@ func Fig13Tightness(cfg Config, out io.Writer) (*Fig13Result, error) {
 	fprintf(out, "%-10s %-4s %12s %12s %12s %12s\n",
 		"dataset", "type", "ErrLB_SOTA", "ErrLB_KARL", "ErrUB_SOTA", "ErrUB_KARL")
 	for _, name := range fig13Datasets() {
-		spec, err := dataset.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := dataset.Generate(spec, cfg.genOptions())
+		ds, err := cfg.generate(name)
 		if err != nil {
 			return nil, err
 		}

@@ -11,8 +11,6 @@ import (
 	"karl/internal/kdtree"
 	"karl/internal/kernel"
 	"karl/internal/pca"
-	"karl/internal/scan"
-	"karl/internal/tuning"
 )
 
 // Fig6Result holds the bound traces of Figure 6: global lower/upper bounds
@@ -26,16 +24,12 @@ type Fig6Result struct {
 // convergence of both methods on a borderline threshold query.
 func Fig6BoundTrace(cfg Config, out io.Writer) (*Fig6Result, error) {
 	cfg = cfg.withDefaults()
-	spec, err := dataset.ByName("home")
-	if err != nil {
-		return nil, err
-	}
-	ds, err := dataset.Generate(spec, cfg.genOptions())
+	ds, err := cfg.generate("home")
 	if err != nil {
 		return nil, err
 	}
 	kern := gaussianOf(ds)
-	mu, _ := exactStats(ds, kern)
+	mu, _ := ExactStats(ds, kern)
 	tree, err := kdtree.Build(ds.Points, ds.Weights, 80)
 	if err != nil {
 		return nil, err
@@ -105,31 +99,22 @@ func Fig7LeafCapacity(cfg Config, out io.Writer) (*Fig7Result, error) {
 	res := &Fig7Result{Sweeps: map[string][]Fig7Point{}}
 	fprintf(out, "Figure 7: KARL throughput vs leaf capacity (I-τ)\n")
 	for _, name := range []string{"home", "susy"} {
-		spec, err := dataset.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := dataset.Generate(spec, cfg.genOptions())
+		ds, err := cfg.generate(name)
 		if err != nil {
 			return nil, err
 		}
 		kern := gaussianOf(ds)
-		mu, _ := exactStats(ds, kern)
-		w := tuning.Workload{Kernel: kern, Method: bound.KARL, Mode: tuning.Threshold, Tau: mu}
+		mu, _ := ExactStats(ds, kern)
+		w := Workload{Kernel: kern, Method: bound.KARL, Tau: mu}
 		fprintf(out, "%-8s %-10s %8s %14s\n", "dataset", "index", "leaf", "queries/sec")
-		for _, cand := range tuning.DefaultGrid() {
-			tree, err := buildTree(cand, ds.Points, ds.Weights)
+		one := cfg
+		for _, cand := range DefaultGrid() {
+			one.Grid = []Candidate{cand}
+			r, err := one.Offline(ds, w, ds.Queries)
 			if err != nil {
 				return nil, err
 			}
-			eng, err := core.New(tree, kern, core.WithMethod(bound.KARL))
-			if err != nil {
-				return nil, err
-			}
-			tp, err := cfg.throughput(ds.Queries, workloadFn(eng, w))
-			if err != nil {
-				return nil, err
-			}
+			tp := r[0].Throughput
 			res.Sweeps[name] = append(res.Sweeps[name], Fig7Point{
 				Kind: cand.Kind.String(), LeafCap: cand.LeafCap, Throughput: tp,
 			})
@@ -166,24 +151,18 @@ func Fig9ThresholdSweep(cfg Config, out io.Writer) (*Fig9Result, error) {
 	fprintf(out, "Figure 9: throughput vs threshold (I-τ)\n")
 	fprintf(out, "%-10s %8s %12s %12s %12s\n", "dataset", "τ=μ+kσ", "SCAN", "SOTA_best", "KARL_auto")
 	for _, name := range []string{"miniboone", "home", "susy"} {
-		spec, err := dataset.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := dataset.Generate(spec, cfg.genOptions())
+		ds, err := cfg.generate(name)
 		if err != nil {
 			return nil, err
 		}
 		kern := gaussianOf(ds)
-		mu, sigma := exactStats(ds, kern)
+		mu, sigma := ExactStats(ds, kern)
 		for _, k := range fig9Offsets {
 			tau := mu + k*sigma
 			if tau <= 0 {
 				continue // the paper skips negative thresholds
 			}
-			pt, err := sweepPoint(cfg, ds, tuning.Workload{
-				Kernel: kern, Mode: tuning.Threshold, Tau: tau,
-			}, k)
+			pt, err := sweepPoint(cfg, ds, Workload{Kernel: kern, Tau: tau}, k)
 			if err != nil {
 				return nil, err
 			}
@@ -207,19 +186,13 @@ func Fig10EpsilonSweep(cfg Config, out io.Writer) (*Fig10Result, error) {
 	fprintf(out, "Figure 10: throughput vs ε (I-ε)\n")
 	fprintf(out, "%-10s %8s %12s %12s %12s\n", "dataset", "ε", "SCAN", "SOTA_best", "KARL_auto")
 	for _, name := range []string{"miniboone", "home", "susy"} {
-		spec, err := dataset.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := dataset.Generate(spec, cfg.genOptions())
+		ds, err := cfg.generate(name)
 		if err != nil {
 			return nil, err
 		}
 		kern := gaussianOf(ds)
 		for _, eps := range []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3} {
-			pt, err := sweepPoint(cfg, ds, tuning.Workload{
-				Kernel: kern, Mode: tuning.Approximate, Eps: eps,
-			}, eps)
+			pt, err := sweepPoint(cfg, ds, Workload{Kernel: kern, Eps: eps}, eps)
 			if err != nil {
 				return nil, err
 			}
@@ -231,32 +204,17 @@ func Fig10EpsilonSweep(cfg Config, out io.Writer) (*Fig10Result, error) {
 }
 
 // sweepPoint measures SCAN / SOTA-best / KARL-auto for one workload.
-func sweepPoint(cfg Config, ds *dataset.Dataset, w tuning.Workload, x float64) (SweepPoint, error) {
+func sweepPoint(cfg Config, ds *dataset.Dataset, w Workload, x float64) (SweepPoint, error) {
 	pt := SweepPoint{X: x}
-	kern := w.Kernel
-	sc, err := scan.NewScanner(ds.Points, ds.Weights, kern)
-	if err != nil {
+	var err error
+	if pt.SCAN, err = cfg.scanThroughput(ds, w); err != nil {
 		return pt, err
 	}
-	if w.Mode == tuning.Threshold {
-		pt.SCAN, err = cfg.throughput(ds.Queries, func(q []float64) error { sc.Threshold(q, w.Tau); return nil })
-	} else {
-		pt.SCAN, err = cfg.throughput(ds.Queries, func(q []float64) error { sc.Approximate(q, w.Eps); return nil })
-	}
-	if err != nil {
+	if pt.SOTABest, err = bestIndexed(cfg, ds, w.with(bound.SOTA)); err != nil {
 		return pt, err
 	}
-	sw := w
-	sw.Method = bound.SOTA
-	if pt.SOTABest, err = bestIndexed(cfg, ds, sw, ds.Queries); err != nil {
-		return pt, err
-	}
-	kw := w
-	kw.Method = bound.KARL
-	if pt.KARLAuto, err = autoIndexed(cfg, ds, kw, tuneSample(cfg, ds), ds.Queries); err != nil {
-		return pt, err
-	}
-	return pt, nil
+	pt.KARLAuto, err = autoIndexed(cfg, ds, w.with(bound.KARL))
+	return pt, err
 }
 
 // Fig11Result holds the size sweeps for both query variants (X = n).
@@ -285,14 +243,14 @@ func Fig11SizeSweep(cfg Config, out io.Writer) (*Fig11Result, error) {
 			return nil, err
 		}
 		kern := gaussianOf(ds)
-		mu, _ := exactStats(ds, kern)
-		tp, err := sweepPoint(cfg, ds, tuning.Workload{Kernel: kern, Mode: tuning.Threshold, Tau: mu}, float64(n))
+		mu, _ := ExactStats(ds, kern)
+		tp, err := sweepPoint(cfg, ds, Workload{Kernel: kern, Tau: mu}, float64(n))
 		if err != nil {
 			return nil, err
 		}
 		res.Tau = append(res.Tau, tp)
 		fprintf(out, "%-8s %10d %12.1f %12.1f %12.1f\n", "I-tau", n, tp.SCAN, tp.SOTABest, tp.KARLAuto)
-		ep, err := sweepPoint(cfg, ds, tuning.Workload{Kernel: kern, Mode: tuning.Approximate, Eps: 0.2}, float64(n))
+		ep, err := sweepPoint(cfg, ds, Workload{Kernel: kern, Eps: 0.2}, float64(n))
 		if err != nil {
 			return nil, err
 		}
@@ -351,8 +309,8 @@ func Fig12DimSweep(cfg Config, out io.Writer) (*Fig12Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mu, _ := exactStats(sub, kern)
-		pt, err := sweepPoint(cfg, sub, tuning.Workload{Kernel: kern, Mode: tuning.Threshold, Tau: mu}, float64(dim))
+		mu, _ := ExactStats(sub, kern)
+		pt, err := sweepPoint(cfg, sub, Workload{Kernel: kern, Tau: mu}, float64(dim))
 		if err != nil {
 			return nil, err
 		}

@@ -6,9 +6,7 @@ import (
 	"math"
 
 	"karl/internal/bound"
-	"karl/internal/dataset"
 	"karl/internal/scan"
-	"karl/internal/tuning"
 )
 
 // QueryType labels the four workloads of Table VII.
@@ -94,49 +92,18 @@ func nan() float64 { return math.NaN() }
 
 // table7Row measures one row.
 func table7Row(cfg Config, qt QueryType, name string) (Table7Row, error) {
-	row := Table7Row{Type: qt, Dataset: name}
-	spec, err := dataset.ByName(name)
+	row := Table7Row{Type: qt, Dataset: name, LibSVM: nan(), Scikit: nan()}
+	ds, w, err := cfg.workload(qt, name)
 	if err != nil {
 		return row, err
 	}
-	ds, err := dataset.Generate(spec, cfg.genOptions())
-	if err != nil {
-		return row, err
-	}
-	kern := gaussianOf(ds)
-
-	// Resolve the workload parameters.
-	w := tuning.Workload{Kernel: kern, Mode: tuning.Threshold}
-	switch qt {
-	case TypeIEps:
-		w.Mode = tuning.Approximate
-		w.Eps = 0.2
-	case TypeITau:
-		mu, _ := exactStats(ds, kern)
-		w.Tau = mu
-	case TypeIITau, TypeIIITau:
-		w.Tau = ds.Tau
-	default:
-		return row, fmt.Errorf("unknown query type %q", qt)
-	}
-
-	// SCAN.
-	sc, err := scan.NewScanner(ds.Points, ds.Weights, kern)
-	if err != nil {
-		return row, err
-	}
-	if w.Mode == tuning.Threshold {
-		row.SCAN, err = cfg.throughput(ds.Queries, func(q []float64) error { sc.Threshold(q, w.Tau); return nil })
-	} else {
-		row.SCAN, err = cfg.throughput(ds.Queries, func(q []float64) error { sc.Approximate(q, w.Eps); return nil })
-	}
-	if err != nil {
+	if row.SCAN, err = cfg.scanThroughput(ds, w); err != nil {
 		return row, err
 	}
 
 	// LIBSVM (sparse exact): threshold queries only, as in the paper.
-	if w.Mode == tuning.Threshold {
-		lib, err := scan.NewLibSVM(ds.Points, ds.Weights, kern)
+	if w.Eps == 0 {
+		lib, err := scan.NewLibSVM(ds.Points, ds.Weights, w.Kernel)
 		if err != nil {
 			return row, err
 		}
@@ -144,38 +111,19 @@ func table7Row(cfg Config, qt QueryType, name string) (Table7Row, error) {
 		if err != nil {
 			return row, err
 		}
-	} else {
-		row.LibSVM = nan()
 	}
 
-	// Scikit-best: the SOTA algorithm under its best index, reported only
-	// for the approximate KDE query it implements (the paper marks the τ
-	// rows n/a).
-	if qt == TypeIEps {
-		sw := w
-		sw.Method = bound.SOTA
-		row.Scikit, err = bestIndexed(cfg, ds, sw, ds.Queries)
-		if err != nil {
-			return row, err
-		}
-	} else {
-		row.Scikit = nan()
-	}
-
-	// SOTA-best.
-	sw := w
-	sw.Method = bound.SOTA
-	row.SOTABest, err = bestIndexed(cfg, ds, sw, ds.Queries)
-	if err != nil {
+	// SOTA-best. Scikit-best is the SOTA algorithm under its best index,
+	// reported only for the approximate KDE query it implements (the paper
+	// marks the τ rows n/a).
+	if row.SOTABest, err = bestIndexed(cfg, ds, w.with(bound.SOTA)); err != nil {
 		return row, err
+	}
+	if qt == TypeIEps {
+		row.Scikit = row.SOTABest
 	}
 
 	// KARL-auto: offline tuning on a sample, measured on the query set.
-	kw := w
-	kw.Method = bound.KARL
-	row.KARLAuto, err = autoIndexed(cfg, ds, kw, tuneSample(cfg, ds), ds.Queries)
-	if err != nil {
-		return row, err
-	}
-	return row, nil
+	row.KARLAuto, err = autoIndexed(cfg, ds, w)
+	return row, err
 }

@@ -9,8 +9,6 @@ import (
 	"karl/internal/core"
 	"karl/internal/dataset"
 	"karl/internal/kernel"
-	"karl/internal/scan"
-	"karl/internal/tuning"
 	"karl/internal/vec"
 )
 
@@ -23,6 +21,8 @@ type Table8Row struct {
 	Worst   float64
 	Auto    float64
 	Best    float64
+	// Pick is the candidate the offline tuner chose on the sample.
+	Pick Candidate
 }
 
 // Table8Result aggregates all rows.
@@ -31,33 +31,18 @@ type Table8Result struct {
 }
 
 // Table8OfflineTuning reproduces Table VIII: KARL_worst / KARL_auto /
-// KARL_best using the offline sampling protocol of Section III-C.
+// KARL_best using the offline sampling protocol of Section III-C, and names
+// the candidate KARL_auto picked.
 func Table8OfflineTuning(cfg Config, out io.Writer) (*Table8Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Table8Result{}
 	fprintf(out, "Table VIII: offline tuning (|S|=%d sample)\n", cfg.TuneSample)
-	fprintf(out, "%-8s %-10s %12s %12s %12s\n", "Type", "Dataset", "KARL_worst", "KARL_auto", "KARL_best")
+	fprintf(out, "%-8s %-10s %12s %12s %12s  %s\n", "Type", "Dataset", "KARL_worst", "KARL_auto", "KARL_best", "auto_pick")
 	for _, group := range table7Plan() {
 		for _, name := range group.datasets {
-			spec, err := dataset.ByName(name)
+			ds, w, err := cfg.workload(group.qt, name)
 			if err != nil {
 				return nil, err
-			}
-			ds, err := dataset.Generate(spec, cfg.genOptions())
-			if err != nil {
-				return nil, err
-			}
-			kern := gaussianOf(ds)
-			w := tuning.Workload{Kernel: kern, Method: bound.KARL, Mode: tuning.Threshold}
-			switch group.qt {
-			case TypeIEps:
-				w.Mode = tuning.Approximate
-				w.Eps = 0.2
-			case TypeITau:
-				mu, _ := exactStats(ds, kern)
-				w.Tau = mu
-			default:
-				w.Tau = ds.Tau
 			}
 			row, err := table8Row(cfg, ds, w)
 			if err != nil {
@@ -65,44 +50,32 @@ func Table8OfflineTuning(cfg Config, out io.Writer) (*Table8Result, error) {
 			}
 			row.Type, row.Dataset = group.qt, name
 			res.Rows = append(res.Rows, row)
-			fprintf(out, "%-8s %-10s %12.1f %12.1f %12.1f\n",
-				row.Type, row.Dataset, row.Worst, row.Auto, row.Best)
+			fprintf(out, "%-8s %-10s %12.1f %12.1f %12.1f  %v\n",
+				row.Type, row.Dataset, row.Worst, row.Auto, row.Best, row.Pick)
 		}
 	}
 	return res, nil
 }
 
-func table8Row(cfg Config, ds *dataset.Dataset, w tuning.Workload) (Table8Row, error) {
+// table8Row picks a candidate by sampled throughput, then measures every
+// candidate on the full query set.
+func table8Row(cfg Config, ds *dataset.Dataset, w Workload) (Table8Row, error) {
 	var row Table8Row
-	// The auto pick uses sampled throughput only.
-	sample := tuneSample(cfg, ds)
-	tuned, err := tuning.Offline(ds.Points, ds.Weights, w, sample, cfg.Grid)
+	tuned, err := cfg.Offline(ds, w, tuneSample(cfg, ds))
 	if err != nil {
 		return row, err
 	}
-	autoCand := tuned[0].Candidate
-	// Re-measure every candidate on the full query set.
-	worst, best, auto := -1.0, -1.0, -1.0
-	for _, r := range tuned {
-		eng, err := core.New(r.Tree, w.Kernel, core.WithMethod(w.Method))
-		if err != nil {
-			return row, err
-		}
-		tp, err := cfg.throughput(ds.Queries, workloadFn(eng, w))
-		if err != nil {
-			return row, err
-		}
-		if worst < 0 || tp < worst {
-			worst = tp
-		}
-		if tp > best {
-			best = tp
-		}
-		if r.Candidate == autoCand {
-			auto = tp
+	full, err := cfg.Offline(ds, w, ds.Queries)
+	if err != nil {
+		return row, err
+	}
+	row.Pick = tuned[0].Candidate
+	row.Best, row.Worst = full[0].Throughput, full[len(full)-1].Throughput
+	for _, r := range full {
+		if r.Candidate == row.Pick {
+			row.Auto = r.Throughput
 		}
 	}
-	row.Worst, row.Auto, row.Best = worst, auto, best
 	return row, nil
 }
 
@@ -130,54 +103,24 @@ func Table9InSitu(cfg Config, out io.Writer) (*Table9Result, error) {
 	fprintf(out, "%-8s %-10s %12s %12s %12s\n", "Type", "Dataset", "baseline", "SOTA_online", "KARL_online")
 	for _, group := range table7Plan() {
 		for _, name := range group.datasets {
-			spec, err := dataset.ByName(name)
+			ds, w, err := cfg.workload(group.qt, name)
 			if err != nil {
 				return nil, err
-			}
-			ds, err := dataset.Generate(spec, cfg.genOptions())
-			if err != nil {
-				return nil, err
-			}
-			kern := gaussianOf(ds)
-			w := tuning.Workload{Kernel: kern, Mode: tuning.Threshold}
-			switch group.qt {
-			case TypeIEps:
-				w.Mode = tuning.Approximate
-				w.Eps = 0.2
-			case TypeITau:
-				mu, _ := exactStats(ds, kern)
-				w.Tau = mu
-			default:
-				w.Tau = ds.Tau
 			}
 			row := Table9Row{Type: group.qt, Dataset: name}
 			// Baseline: plain scan, no index to build.
-			sc, err := scan.NewScanner(ds.Points, ds.Weights, kern)
+			if row.Baseline, err = cfg.scanThroughput(ds, w); err != nil {
+				return nil, err
+			}
+			sRep, err := Online(ds, w.with(bound.SOTA), 0.05)
 			if err != nil {
 				return nil, err
 			}
-			if w.Mode == tuning.Threshold {
-				row.Baseline, err = cfg.throughput(ds.Queries, func(q []float64) error { sc.Threshold(q, w.Tau); return nil })
-			} else {
-				row.Baseline, err = cfg.throughput(ds.Queries, func(q []float64) error { sc.Approximate(q, w.Eps); return nil })
-			}
+			kRep, err := Online(ds, w, 0.05)
 			if err != nil {
 				return nil, err
 			}
-			sw := w
-			sw.Method = bound.SOTA
-			sRep, err := tuning.Online(ds.Points, ds.Weights, sw, ds.Queries, 0.05)
-			if err != nil {
-				return nil, err
-			}
-			row.SOTAOnline = sRep.Throughput
-			kw := w
-			kw.Method = bound.KARL
-			kRep, err := tuning.Online(ds.Points, ds.Weights, kw, ds.Queries, 0.05)
-			if err != nil {
-				return nil, err
-			}
-			row.KARLOnline = kRep.Throughput
+			row.SOTAOnline, row.KARLOnline = sRep.Throughput, kRep.Throughput
 			res.Rows = append(res.Rows, row)
 			fprintf(out, "%-8s %-10s %12.1f %12.1f %12.1f\n",
 				row.Type, row.Dataset, row.Baseline, row.SOTAOnline, row.KARLOnline)
@@ -217,11 +160,7 @@ func Table10Polynomial(cfg Config, out io.Writer) (*Table10Result, error) {
 	}
 	for _, group := range plan {
 		for _, name := range group.datasets {
-			spec, err := dataset.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			ds, err := dataset.Generate(spec, cfg.genOptions())
+			ds, err := cfg.generate(name)
 			if err != nil {
 				return nil, err
 			}
@@ -229,25 +168,15 @@ func Table10Polynomial(cfg Config, out io.Writer) (*Table10Result, error) {
 			ds.Points.NormalizeUnit(-1, 1)
 			ds.Queries.NormalizeUnit(-1, 1)
 			kern := kernel.NewPolynomial(ds.Gamma, 0, 3)
-			tau := polyThreshold(ds, kern)
-			w := tuning.Workload{Kernel: kern, Mode: tuning.Threshold, Tau: tau}
+			w := Workload{Kernel: kern, Method: bound.KARL, Tau: polyThreshold(ds, kern)}
 			row := Table10Row{Type: group.qt, Dataset: name}
-			sc, err := scan.NewScanner(ds.Points, ds.Weights, kern)
-			if err != nil {
+			if row.Baseline, err = cfg.scanThroughput(ds, w); err != nil {
 				return nil, err
 			}
-			row.Baseline, err = cfg.throughput(ds.Queries, func(q []float64) error { sc.Threshold(q, tau); return nil })
-			if err != nil {
+			if row.SOTABest, err = bestIndexed(cfg, ds, w.with(bound.SOTA)); err != nil {
 				return nil, err
 			}
-			sw := w
-			sw.Method = bound.SOTA
-			if row.SOTABest, err = bestIndexed(cfg, ds, sw, ds.Queries); err != nil {
-				return nil, err
-			}
-			kw := w
-			kw.Method = bound.KARL
-			if row.KARLAuto, err = autoIndexed(cfg, ds, kw, tuneSample(cfg, ds), ds.Queries); err != nil {
+			if row.KARLAuto, err = autoIndexed(cfg, ds, w); err != nil {
 				return nil, err
 			}
 			res.Rows = append(res.Rows, row)
@@ -290,15 +219,11 @@ type Fig1Result struct {
 // cell one eKAQ within ε = 0.1 on the engine's approximate path.
 func Fig1DensityMap(cfg Config, out io.Writer) (*Fig1Result, error) {
 	cfg = cfg.withDefaults()
-	spec, err := dataset.ByName("miniboone")
+	ds, err := cfg.generate("miniboone")
 	if err != nil {
 		return nil, err
 	}
-	ds, err := dataset.Generate(spec, cfg.genOptions())
-	if err != nil {
-		return nil, err
-	}
-	tree, err := buildTree(tuning.Candidate{Kind: cfg.Grid[0].Kind, LeafCap: 80}, ds.Points, nil)
+	tree, err := Candidate{Kind: cfg.Grid[0].Kind, LeafCap: 80}.build(ds.Points, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -21,10 +21,10 @@
 //	hot, err := eng.Threshold(q, 150.0)   // TKAQ
 //	est, err := eng.Approximate(q, 0.1)   // eKAQ, ±10%
 //
-// Use BuildAuto for the paper's offline index auto-tuning, InSitu for the
-// online (in-situ) scenario, NewKDE for Scott's-rule density estimation,
-// and TrainOneClassSVM / TrainTwoClassSVM to go from raw training data to
-// an accelerated classifier in one call.
+// Use NewKDE for Scott's-rule density estimation, and TrainOneClassSVM /
+// TrainTwoClassSVM to go from raw training data to an accelerated
+// classifier in one call. The paper's index tuners (Section III-C) run in
+// karl tune and karl bench -run tab8|tab9.
 package karl
 
 import (

@@ -200,49 +200,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestBuildAuto(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	pts := cloud(rng, 1500, 3)
-	sample := cloud(rng, 30, 3)
-	eng, rep, err := BuildAuto(pts, Gaussian(4), Workload{Threshold: true, Tau: 50}, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LeafCap < 10 || rep.LeafCap > 640 {
-		t.Fatalf("tuned leaf capacity %d outside the grid", rep.LeafCap)
-	}
-	if rep.SampleThroughput <= 0 {
-		t.Fatalf("sample throughput %v", rep.SampleThroughput)
-	}
-	q := []float64{0.3, 0.3, 0.3}
-	if _, err := eng.Threshold(q, 50); err != nil {
-		t.Fatal(err)
-	}
-	// Validation.
-	if _, _, err := BuildAuto(nil, Gaussian(1), Workload{}, sample); err == nil {
-		t.Fatal("empty points accepted")
-	}
-	if _, _, err := BuildAuto(pts, Gaussian(1), Workload{}, nil); err == nil {
-		t.Fatal("empty sample accepted")
-	}
-}
-
-func TestInSitu(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pts := cloud(rng, 1000, 3)
-	queries := cloud(rng, 60, 3)
-	rep, err := InSitu(pts, Gaussian(4), Workload{Threshold: true, Tau: 30}, queries, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Throughput <= 0 {
-		t.Fatalf("throughput %v", rep.Throughput)
-	}
-	if _, err := InSitu(nil, Gaussian(1), Workload{}, queries, 0.1); err == nil {
-		t.Fatal("empty points accepted")
-	}
-}
-
 func TestKDEAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pts := cloud(rng, 800, 2)
