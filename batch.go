@@ -11,9 +11,9 @@ import (
 )
 
 // BatchThreshold answers the TKAQ for every query. workers > 1 evaluates
-// in parallel over engine clones (workers ≤ 0 selects GOMAXPROCS). The
-// result slice is index-aligned with queries; the first error aborts the
-// batch.
+// in parallel on up to that many goroutines, and never on more than
+// GOMAXPROCS (workers ≤ 0 selects GOMAXPROCS). The result slice is
+// index-aligned with queries; the first error aborts the batch.
 func (d *Engine) BatchThreshold(queries [][]float64, tau float64, workers int) ([]bool, error) {
 	out, _, err := d.BatchThresholdStats(queries, tau, workers)
 	return out, err
@@ -36,8 +36,8 @@ func (d *Engine) BatchThresholdStats(queries [][]float64, tau float64, workers i
 		})
 		return out, st, err
 	}
-	st, err := d.sequential(len(queries), workers, func(eng *Engine, i int) (st Stats, err error) {
-		out[i], st, err = eng.ThresholdStats(queries[i], tau)
+	st, err := d.sequential(len(queries), workers, func(i int) (st Stats, err error) {
+		out[i], st, err = d.ThresholdStats(queries[i], tau)
 		return st, err
 	})
 	return out, st, err
@@ -65,8 +65,8 @@ func (d *Engine) BatchApproximateStats(queries [][]float64, eps float64, workers
 		})
 		return out, st, err
 	}
-	st, err := d.sequential(len(queries), workers, func(eng *Engine, i int) (st Stats, err error) {
-		out[i], st, err = eng.ApproximateStats(queries[i], eps)
+	st, err := d.sequential(len(queries), workers, func(i int) (st Stats, err error) {
+		out[i], st, err = d.ApproximateStats(queries[i], eps)
 		return st, err
 	})
 	return out, st, err
@@ -87,8 +87,8 @@ func (d *Engine) BatchApproximateNormStats(queries [][]float64, epsNorm float64,
 		})
 		return out, st, err
 	}
-	st, err := d.sequential(len(queries), workers, func(eng *Engine, i int) (st Stats, err error) {
-		out[i], st, err = eng.ApproximateNormStats(queries[i], epsNorm)
+	st, err := d.sequential(len(queries), workers, func(i int) (st Stats, err error) {
+		out[i], st, err = d.ApproximateNormStats(queries[i], epsNorm)
 		return st, err
 	})
 	return out, st, err
@@ -109,25 +109,20 @@ func (d *Engine) BatchAggregateStats(queries [][]float64, workers int) ([]float6
 		return nil, Stats{}, err
 	}
 	out := make([]float64, len(queries))
-	st, err := d.sequential(len(queries), workers, func(eng *Engine, i int) (st Stats, err error) {
-		out[i], st, err = eng.AggregateStats(queries[i])
+	st, err := d.sequential(len(queries), workers, func(i int) (st Stats, err error) {
+		out[i], st, err = d.AggregateStats(queries[i])
 		return st, err
 	})
 	return out, st, err
 }
 
-// sequential answers n queries one by one, one(eng, i) answering query i
-// through eng: worker 0 through d itself, every other worker through its
-// own clone, so no query scratch is ever shared.
-func (d *Engine) sequential(n, workers int, one func(eng *Engine, i int) (Stats, error)) (Stats, error) {
+// sequential answers n queries one by one, one(i) answering query i on d:
+// every query takes its own view, so no query scratch is ever shared.
+func (d *Engine) sequential(n, workers int, one func(i int) (Stats, error)) (Stats, error) {
 	d.sh.dualCtr.noteSequential(n)
-	st, err := fanOut(n, workers, 1, func(w int) (chunkFunc, error) {
-		eng := d
-		if w > 0 {
-			eng = d.Clone()
-		}
+	st, err := fanOut(n, workers, 1, func() (chunkFunc, error) {
 		return func(i, _ int) (dualtree.Stats, error) { // chunks of one query
-			st, err := one(eng, i)
+			st, err := one(i)
 			if err != nil {
 				err = fmt.Errorf("karl: batch query %d: %w", i, err)
 			}
@@ -141,19 +136,22 @@ func (d *Engine) sequential(n, workers int, one func(eng *Engine, i int) (Stats,
 type chunkFunc func(lo, hi int) (dualtree.Stats, error)
 
 // fanOut answers queries [0,n) on at most workers goroutines, the
-// caller's among them (workers ≤ 0 selects GOMAXPROCS), and on no more than
-// n/minChunk of them. Workers claim contiguous chunks: one query at a time
-// when minChunk is 1, so uneven queries balance, else one chunk per worker,
-// so each worker's executor amortizes its setup over its whole share.
-// Worker w answers every chunk it claims through its own chunkFunc, made by
-// open(w) when it starts. A worker stops at its first error and the others
-// at their next claim; the first error wins. Each worker's statistics fold
+// caller's among them, on no more than GOMAXPROCS of them (workers ≤ 0
+// selects GOMAXPROCS; a larger count, which a /v1/batch client chooses,
+// would only queue goroutines behind the processors) and on no more than
+// n/minChunk. Workers claim contiguous chunks: one query at a time when
+// minChunk is 1, so uneven queries balance, else one chunk per worker, so
+// each worker's executor amortizes its setup over its whole share. Each
+// worker answers every chunk it claims through its own chunkFunc, made by
+// open when it starts. A worker stops at its first error and the others at
+// their next claim; the first error wins. Each worker's statistics fold
 // into the total once, when it stops.
-func fanOut(n, workers, minChunk int, open func(w int) (chunkFunc, error)) (dualtree.Stats, error) {
+func fanOut(n, workers, minChunk int, open func() (chunkFunc, error)) (dualtree.Stats, error) {
+	procs := runtime.GOMAXPROCS(0)
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = procs
 	}
-	workers = max(1, min(workers, n/minChunk))
+	workers = max(1, min(workers, procs, n/minChunk))
 	chunk := 1
 	if minChunk > 1 {
 		chunk = (n + workers - 1) / workers
@@ -166,9 +164,9 @@ func fanOut(n, workers, minChunk int, open func(w int) (chunkFunc, error)) (dual
 		total    dualtree.Stats
 		firstErr error
 	)
-	work := func(w int) {
+	work := func() {
 		var st dualtree.Stats
-		serve, err := open(w)
+		serve, err := open()
 		for err == nil && !failed.Load() {
 			lo := int(next.Add(int64(chunk))) - chunk
 			if lo >= n {
@@ -192,10 +190,10 @@ func fanOut(n, workers, minChunk int, open func(w int) (chunkFunc, error)) (dual
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work(w)
+			work()
 		}()
 	}
-	work(0)
+	work()
 	wg.Wait()
 	return total, firstErr
 }

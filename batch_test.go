@@ -3,8 +3,12 @@ package karl
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"karl/internal/dualtree"
 )
 
 func TestBatchMatchesSequential(t *testing.T) {
@@ -295,5 +299,31 @@ func TestPairIdxUnique(t *testing.T) {
 				seen[idx] = true
 			}
 		}
+	}
+}
+
+// TestFanOutCapsWorkers: a batch's worker count is caller input (a
+// /v1/batch body names it), so fanOut starts at most GOMAXPROCS workers
+// however many are asked for, and they still answer every query.
+func TestFanOutCapsWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	workers := procs + 8
+	n := 4 * workers
+	var opened, answered atomic.Int64
+	_, err := fanOut(n, workers, 1, func() (chunkFunc, error) {
+		opened.Add(1)
+		return func(lo, hi int) (dualtree.Stats, error) {
+			answered.Add(int64(hi - lo))
+			return dualtree.Stats{}, nil
+		}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := opened.Load(); got > int64(procs) {
+		t.Fatalf("asked for %d workers: %d started, GOMAXPROCS is %d", workers, got, procs)
+	}
+	if got := answered.Load(); got != int64(n) {
+		t.Fatalf("%d of %d queries answered", got, n)
 	}
 }

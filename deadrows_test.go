@@ -440,7 +440,9 @@ func TestBaseVisitorsBitwise(t *testing.T) {
 				queries[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 			}
 			frozen = true // both visitors decay to one instant
-			b, err := d.batchSnapshot(3, len(queries), nil)
+			vw := d.sh.take()
+			b, err := d.batchSnapshot(vw, 3, len(queries), nil)
+			d.sh.put(vw)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -402,10 +402,8 @@ func TestConcurrentInsertDeleteQueryOracle(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Clones are the concurrency unit for queries: they share the
-			// dataset, manifest and tombstones but own refinement scratch
-			// (the server pool works the same way).
-			c := d.Clone()
+			// Every reader queries the one engine value, as every request
+			// of a server does.
 			for {
 				select {
 				case <-stop:
@@ -413,7 +411,7 @@ func TestConcurrentInsertDeleteQueryOracle(t *testing.T) {
 				default:
 				}
 				lo := applied.Load()
-				got, err := c.Aggregate(q)
+				got, err := d.Aggregate(q)
 				if err != nil {
 					// Only acceptable before anything landed.
 					if lo == 0 {
@@ -483,7 +481,6 @@ func TestSealRacingClose(t *testing.T) {
 			go func(seed int64) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed))
-				view := d.Clone() // query scratch is per clone, never shared
 				<-start
 				for i := 0; i < 200; i++ {
 					p := []float64{rng.Float64(), rng.Float64()}
@@ -491,7 +488,7 @@ func TestSealRacingClose(t *testing.T) {
 						return // closed under us: expected
 					}
 					if i%8 == 3 {
-						_, _ = view.Aggregate(p)
+						_, _ = d.Aggregate(p)
 					}
 				}
 			}(int64(round*10 + w))
@@ -570,7 +567,7 @@ func TestNoStopTheWorldDeletes(t *testing.T) {
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 		return lat[len(lat)*99/100]
 	}
-	// Warm both paths once to stabilize clone/alloc effects.
+	// Warm both paths once to stabilize alloc effects.
 	measure(base, false)
 	baseP99 := measure(base, false)
 

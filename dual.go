@@ -12,8 +12,8 @@ import (
 )
 
 // Auto-cutover thresholds: below either, the per-batch cost of building a
-// query tree and scoring node pairs is not worth amortizing and the
-// clone-pool fan-out wins.
+// query tree and scoring node pairs is not worth amortizing and answering
+// query by query wins.
 const (
 	dualTreeMinBatch  = 64  // queries per batch
 	dualTreeMinPoints = 256 // indexed reference points
@@ -22,8 +22,7 @@ const (
 
 // DualTreeStats is an engine's cumulative batch-executor telemetry: how
 // batches were routed and, for dual-tree batches, how the traversal spent
-// its work. Counters accumulate across the engine's lifetime and are shared
-// by every clone.
+// its work. Counters accumulate across the engine's lifetime.
 type DualTreeStats struct {
 	// DualBatches and SequentialBatches count non-empty batches by the
 	// executor that served them.
@@ -76,8 +75,7 @@ func (c *dualCounters) snapshot() DualTreeStats {
 	}
 }
 
-// DualTreeStats reports the engine's cumulative batch-executor telemetry
-// (shared across clones).
+// DualTreeStats reports the engine's cumulative batch-executor telemetry.
 func (d *Engine) DualTreeStats() DualTreeStats { return d.sh.dualCtr.snapshot() }
 
 // validateBatchQueries fail-fasts a whole batch before any evaluation
@@ -125,12 +123,12 @@ type dualBlock struct {
 // batchSnapshot walks the engine once for a batch of n queries, copying
 // each run into the block. Decay is evaluated once for the whole batch, as
 // a single query evaluates it once for all segments, and the scales are
-// this view's scratch, which stays put until its next query. mass is
+// vw's scratch, which the caller holds until the batch is done. mass is
 // walk's: the batch's one reading of W.
-func (d *Engine) batchSnapshot(dims, n int, mass *float64) (*dualBlock, error) {
+func (d *Engine) batchSnapshot(vw *view, dims, n int, mass *float64) (*dualBlock, error) {
 	sh := d.sh
 	b := &dualBlock{pts: vec.Matrix{Cols: dims}}
-	man, err := d.walk(dims, n, mass, func(m *vec.Matrix, norms, w []float64, sign float64) {
+	man, err := d.walk(vw, dims, n, mass, func(m *vec.Matrix, norms, w []float64, sign float64) {
 		if b.ws == nil {
 			// The first run sizes the block once, so the copy under the
 			// walk's lock never grows it.
@@ -150,10 +148,10 @@ func (d *Engine) batchSnapshot(dims, n int, mass *float64) (*dualBlock, error) {
 		return nil, err
 	}
 	b.pts.Rows = len(b.ws)
-	b.cfg = dualtree.Config{Kernel: d.f.Kernel(), Method: d.f.Method()}
-	b.trees, b.rows = man.Trees(), d.rows
-	if len(d.scales) > 0 {
-		b.scales = d.scales
+	b.cfg = dualtree.Config{Kernel: vw.f.Kernel(), Method: vw.f.Method()}
+	b.trees, b.rows = man.Trees(), vw.rows
+	if len(vw.scales) > 0 {
+		b.scales = vw.scales
 	}
 	return b, nil
 }
@@ -186,19 +184,22 @@ func (d *Engine) useDual(n int) bool {
 }
 
 // runDual answers the (already validated) batch through dual-tree
-// executors over one batch snapshot: every worker builds its own executor
-// and claims one contiguous chunk of at least dualTreeMinChunk queries, so
-// each query tree amortizes its setup. A non-nil mass is filled from the
-// snapshot before serve first runs.
+// executors over one batch snapshot, taken with a view the batch holds to
+// its end: every worker builds its own executor and claims one contiguous
+// chunk of at least dualTreeMinChunk queries, so each query tree amortizes
+// its setup. A non-nil mass is filled from the snapshot before serve first
+// runs.
 func (d *Engine) runDual(queries [][]float64, workers int, mass *float64,
 	serve func(x *dualtree.Executor, chunk *vec.Matrix, base []float64, lo int) (dualtree.Stats, error)) (Stats, error) {
 	n := len(queries)
-	b, err := d.batchSnapshot(len(queries[0]), n, mass)
+	vw := d.sh.take()
+	defer d.sh.put(vw)
+	b, err := d.batchSnapshot(vw, len(queries[0]), n, mass)
 	if err != nil {
 		return Stats{}, err
 	}
 	m := vec.FromRows(queries)
-	st, err := fanOut(n, workers, dualTreeMinChunk, func(int) (chunkFunc, error) {
+	st, err := fanOut(n, workers, dualTreeMinChunk, func() (chunkFunc, error) {
 		x, err := dualtree.New(b.cfg, b.trees)
 		if err == nil {
 			err = x.SetScales(b.scales)

@@ -258,7 +258,7 @@ func TestBatchDualSpeedupGate(t *testing.T) {
 // BenchmarkBatchDualVsSequential is the batch-size × kernel × index-kind
 // matrix of a dual-tree batch against the same engine's per-query
 // ApproximateStats loop. Single-worker throughout, so the numbers isolate
-// shared bound refinement from clone parallelism.
+// shared bound refinement from worker parallelism.
 func BenchmarkBatchDualVsSequential(b *testing.B) {
 	rng := rand.New(rand.NewSource(74))
 	pts, queries := heatmapWorkload(rng, 8000, 8, 64) // 4096 grid queries

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"karl/internal/bound"
@@ -42,35 +44,45 @@ import (
 // engine — takes the forest's single-segment loop, the plain best-first
 // refinement of the paper.
 //
-// An Engine value is not safe for concurrent QUERIES — it owns per-query
-// scratch. Clone once per goroutine: clones share the dataset (inserts
-// through any clone are visible to all) but own their query state. Insert,
-// Delete, Compact and Close may be called from any goroutine concurrently
-// with queries on other clones.
+// One Engine value is safe for concurrent use by any number of goroutines.
+// A query only reads the shared index — the node statistics and the
+// manifest it snapshots under the engine lock — and refines with scratch of
+// its own: a view taken from the engine's free list for the call and put
+// back afterwards. Insert, Delete, Compact and Close may run concurrently
+// with queries.
 type Engine struct {
 	sh *dynShared
+}
 
+// view is one call's query scratch. A query takes one from the engine's
+// free list (dynShared.take) and puts it back when it returns; a dual-tree
+// batch holds one across the whole batch, whose executors read its scales.
+type view struct {
 	// f refines over the manifest snapshot fMan (nil until armed; manifests
 	// are never edited in place, and a replica re-pointed at another leader
 	// can meet the same epoch over other segments, so it is the pointer that
-	// is compared). Query-only state, per clone. fCfgGen is the sh.cfgGen the
-	// forest was built against: a snapshot install can replace the kernel
-	// configuration under live views, and a forest carrying the old kernel
-	// would silently mix kernels within one answer — walk rebuilds it when
-	// the generations diverge.
+	// is compared). fCfgGen is the sh.cfgGen the forest was built against: a
+	// snapshot install can replace the kernel configuration under idle
+	// views, and a forest carrying the old kernel would silently mix
+	// kernels within one answer — walk rebuilds it when the generations
+	// diverge, and builds it on a new view's first walk.
 	f       *core.Forest
 	fMan    *segment.Manifest
 	fCfgGen uint64
 
-	// scales is this clone's per-query decay-scale scratch, refilled by
-	// walk for the query instant and retained by the forest; unused
-	// (nil) when decay is off.
+	// counted is how many of f's fast-path queries are already in the
+	// engine's count (dynShared.fastPath).
+	counted int64
+
+	// scales is the per-query decay-scale scratch, refilled by walk for the
+	// query instant and retained by the forest; unused (nil) when decay is
+	// off.
 	scales []float64
 
 	// rows scans the rows the base term evaluates exactly (buffered and
 	// dead ones) with the leaves' evaluator, for the kernel of generation
-	// fCfgGen. decayW is its per-clone scratch for decayed weights, dead the
-	// matrix view it reads a tombstone set through.
+	// fCfgGen. decayW is the scratch for decayed weights, dead the matrix
+	// view a tombstone set is read through.
 	rows   kernel.RowsFunc
 	decayW []float64
 	dead   vec.Matrix
@@ -162,8 +174,8 @@ type dynConfig struct {
 	halfLife float64
 }
 
-// dynShared is the mutable dataset state shared by every clone of one
-// engine. All fields are guarded by mu; cond broadcasts every
+// dynShared is the mutable dataset state behind an engine. Fields are
+// guarded by mu unless their comment says otherwise; cond broadcasts every
 // state transition (seal finished, compaction finished, drain finished).
 type dynShared struct {
 	mu   sync.Mutex
@@ -171,9 +183,19 @@ type dynShared struct {
 
 	dynConfig
 
-	// dualCtr is the batch-executor telemetry shared by every clone; its
-	// fields are atomic, so it is updated without mu.
+	// dualCtr is the batch-executor telemetry; its fields are atomic, so it
+	// is updated without mu.
 	dualCtr dualCounters
+
+	// views is the free list of idle query scratch: take receives from it
+	// without blocking and makes a new view when it is empty, put sends
+	// without blocking and drops the view for the GC when it is full. Its
+	// bound, 2·GOMAXPROCS, parks a view for every query that can run at
+	// once with as many again for a burst; a view past it would only hold
+	// memory idle. fastPath counts the single-segment fast-path queries of
+	// every view, added as each is put back. Neither needs mu.
+	views    chan *view
+	fastPath atomic.Int64
 
 	// shardProv records that the bulk-loaded set is one shard of a
 	// partition (Shard), and is nil otherwise. Set before the engine is
@@ -195,7 +217,7 @@ type dynShared struct {
 	skel *kdtree.Skeleton
 
 	// set is setMan's segment set under kernel configuration setGen, the
-	// one every clone's forest refines over (segmentSet).
+	// one every view's forest refines over (segmentSet).
 	set    *core.SegmentSet
 	setMan *segment.Manifest
 	setGen uint64
@@ -279,7 +301,7 @@ func NewDynamic(kern Kernel, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDynamicView(sh)
+	return &Engine{sh: sh}, nil
 }
 
 // newShared validates a resolved configuration and returns the empty
@@ -318,6 +340,7 @@ func blankShared() *dynShared {
 		man:     &segment.Manifest{},
 		nextID:  1,
 		nextSeq: 1,
+		views:   make(chan *view, 2*runtime.GOMAXPROCS(0)),
 	}
 	sh.cond = sync.NewCond(&sh.mu)
 	return sh
@@ -348,7 +371,7 @@ func (c *dynConfig) validate() error {
 // returns the engine. The rows get the ids 1..n in input order; on a timed
 // engine they are stamped with the load instant, which is also the
 // segment's decay reference.
-func (sh *dynShared) bulkLoad(tree *index.Tree) (*Engine, error) {
+func (sh *dynShared) bulkLoad(tree *index.Tree) *Engine {
 	n := tree.Len()
 	seqs := make([]uint64, n)
 	for i := range seqs {
@@ -368,33 +391,46 @@ func (sh *dynShared) bulkLoad(tree *index.Tree) (*Engine, error) {
 	}
 	sh.man = &segment.Manifest{Epoch: 1, Segs: []*segment.Segment{segment.New(tree, sh.nextID, seqs, times, ref)}}
 	sh.dims, sh.nextID, sh.nextSeq = tree.Dims(), sh.nextID+1, uint64(n)+1
-	return newDynamicView(sh)
+	return &Engine{sh: sh}
 }
 
-// newDynamicView wraps shared state in a queryable engine view. The
-// configuration is read under the lock: a clone can be created while a
-// replica snapshot install replaces the kernel, and the generation
-// recorded here is what lets snapshot() detect a forest built against
-// the superseded config.
-func newDynamicView(sh *dynShared) (*Engine, error) {
-	sh.mu.Lock()
-	params := kernel.Params(sh.kern)
-	method := sh.method
-	gen := sh.cfgGen
-	sh.mu.Unlock()
-	f, err := core.NewForest(params, method)
-	if err != nil {
-		return nil, err
+// Clone returns a second handle on the same engine: queries, writes and
+// Close through either act on one dataset and one free list of query
+// scratch. One Engine value already serves any number of goroutines, so no
+// caller needs a clone to query concurrently.
+func (d *Engine) Clone() *Engine { return &Engine{sh: d.sh} }
+
+// take returns a view for one call: an idle one off the free list, or a
+// new one, which its first walk arms.
+func (sh *dynShared) take() *view {
+	select {
+	case vw := <-sh.views:
+		return vw
+	default:
+		return &view{}
 	}
-	return &Engine{sh: sh, f: f, fCfgGen: gen, rows: params.RowsEvaluator()}, nil
 }
 
-// Clone returns a view of the same mutable dataset with independent query
-// scratch, for use from another goroutine. Inserts through any clone are
-// visible to all clones.
-func (d *Engine) Clone() *Engine {
-	c, _ := newDynamicView(d.sh) // kernel already validated
-	return c
+// put returns a view whose call is done to the free list, first adding its
+// fast-path queries to the engine's count; a full list drops it.
+func (sh *dynShared) put(vw *view) {
+	vw.count(sh)
+	select {
+	case sh.views <- vw:
+	default:
+	}
+}
+
+// count adds the fast-path queries vw's forest served since the last count
+// to the engine's.
+func (vw *view) count(sh *dynShared) {
+	if vw.f == nil {
+		return
+	}
+	if n := vw.f.FastPathQueries(); n != vw.counted {
+		sh.fastPath.Add(n - vw.counted)
+		vw.counted = n
+	}
 }
 
 // Len returns the number of points currently represented: all segments
@@ -1192,7 +1228,7 @@ func (d *Engine) Compact() error {
 }
 
 // Close prevents further inserts and waits for in-flight seals and
-// compactions to finish. Queries on existing clones remain valid.
+// compactions to finish. Queries remain valid.
 func (d *Engine) Close() error {
 	sh := d.sh
 	sh.mu.Lock()
@@ -1209,16 +1245,16 @@ func (d *Engine) Close() error {
 // empty engine and queries of other than dims dimensions, reads the clock
 // once, and hands visit every run of rows the exact base term scans — the
 // memtable and any buffer being sealed (sign +1), then every pending
-// tombstone (sign −1) — with its weights decayed to that instant in this
-// clone's scratch, which the next run reuses. Buffered mass minus dead mass
-// folds into both global bounds, so ε/τ certificates hold relative to the
-// true post-delete total. A non-nil mass receives W = pos + neg at the same
+// tombstone (sign −1) — with its weights decayed to that instant in vw's
+// scratch, which the next run reuses. Buffered mass minus dead mass folds
+// into both global bounds, so ε/τ certificates hold relative to the true
+// post-delete total. A non-nil mass receives W = pos + neg at the same
 // instant, for a normalized budget. Every segment's tombstones are charged
 // the n evaluations each the reads pay on them; the read that takes a
 // segment's debt to the cost of rewriting it starts the rewrite, which
 // changes only the manifest the next read sees. Under decay the walk also
-// refills this clone's per-segment scale scratch for the instant.
-func (d *Engine) walk(dims, n int, mass *float64, visit func(m *vec.Matrix, norms, w []float64, sign float64)) (*segment.Manifest, error) {
+// refills vw's per-segment scale scratch for the instant.
+func (d *Engine) walk(vw *view, dims, n int, mass *float64, visit func(m *vec.Matrix, norms, w []float64, sign float64)) (*segment.Manifest, error) {
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -1229,17 +1265,18 @@ func (d *Engine) walk(dims, n int, mass *float64, visit func(m *vec.Matrix, norm
 	if dims != sh.dims {
 		return nil, fmt.Errorf("karl: query has %d dims, engine has %d", dims, sh.dims)
 	}
-	if d.fCfgGen != sh.cfgGen {
-		// The engine's kernel configuration was replaced (snapshot
-		// install) after this view's forest was built: rebuild it so the
-		// refinement side answers with the same kernel the base term is
-		// computed with.
+	if vw.f == nil || vw.fCfgGen != sh.cfgGen {
+		// A new view, or the engine's kernel configuration was replaced
+		// (snapshot install) after this view's forest was built: build it
+		// so the refinement side answers with the same kernel the base
+		// term is computed with.
 		p := kernel.Params(sh.kern)
 		f, err := core.NewForest(p, sh.method)
 		if err != nil {
 			return nil, err
 		}
-		d.f, d.fCfgGen, d.fMan, d.rows = f, sh.cfgGen, nil, p.RowsEvaluator()
+		vw.count(sh)
+		vw.f, vw.fCfgGen, vw.fMan, vw.rows, vw.counted = f, sh.cfgGen, nil, p.RowsEvaluator(), 0
 	}
 	nowT := sh.clockLocked()
 	if mass != nil {
@@ -1248,78 +1285,82 @@ func (d *Engine) walk(dims, n int, mass *float64, visit func(m *vec.Matrix, norm
 	}
 	for _, b := range [2]*memtable{sh.mem, sh.sealing} {
 		if b.len() > 0 {
-			visit(b.m, b.norms[:b.n], d.decayed(b.w[:b.n], b.t, nowT), 1)
+			visit(b.m, b.norms[:b.n], vw.decayed(sh, b.w[:b.n], b.t, nowT), 1)
 		}
 	}
 	due := false
 	sh.eachDeadLocked(man, func(s *segment.Segment, dead *segment.Dead) {
 		k := dead.Len()
-		d.dead = vec.Matrix{Data: dead.Pts, Rows: k, Cols: dead.Dims}
-		visit(&d.dead, dead.Norms, d.decayed(dead.W, dead.Ref, nowT), -1)
+		vw.dead = vec.Matrix{Data: dead.Pts, Rows: k, Cols: dead.Dims}
+		visit(&vw.dead, dead.Norms, vw.decayed(sh, dead.W, dead.Ref, nowT), -1)
 		due = s != nil && !sh.mirror && s.PayRent(int64(k*n)) || due
 	})
 	if due {
 		sh.maybeCompactLocked()
 	}
-	d.scales = d.scales[:0]
+	vw.scales = vw.scales[:0]
 	if sh.halfLife > 0 {
 		for _, s := range man.Segs {
-			d.scales = append(d.scales, sh.decayAt(nowT, s.TimeRef))
+			vw.scales = append(vw.scales, sh.decayAt(nowT, s.TimeRef))
 		}
 	}
 	return man, nil
 }
 
-// snapshot walks the engine for one query and scans each run straight into
-// its base term: it returns the manifest to refine, the base term and how
-// many points that scan covered; mass is walk's.
-func (d *Engine) snapshot(q []float64, mass *float64) (man *segment.Manifest, base float64, scanned int, err error) {
+// prepare readies a view for one query: it walks the engine, scanning each
+// run straight into the base term, and arms the view's forest on the
+// manifest the walk saw. It returns the view, which the caller puts back
+// whether or not err is set, the base term and how many points its scan
+// covered; mass is walk's.
+func (d *Engine) prepare(q []float64, mass *float64) (vw *view, base float64, scanned int, err error) {
+	vw = d.sh.take()
 	qNorm2 := vec.Norm2(q)
-	man, err = d.walk(len(q), 1, mass, func(m *vec.Matrix, norms, w []float64, sign float64) {
-		base += sign * d.rows(q, qNorm2, m, norms, w, 0, len(norms))
+	man, err := d.walk(vw, len(q), 1, mass, func(m *vec.Matrix, norms, w []float64, sign float64) {
+		base += sign * vw.rows(q, qNorm2, m, norms, w, 0, len(norms))
 		scanned += len(norms)
 	})
-	return man, base, scanned, err
+	if err == nil {
+		err = vw.arm(d.sh, man)
+	}
+	return vw, base, scanned, err
 }
 
 // decayed returns the weights w of rows stamped with the instants t as the
 // query instant nowT sees them: w itself when decay is off, else
-// w·2^(−(nowT−t)/halfLife) in this clone's reused scratch. Called with mu
-// held.
-func (d *Engine) decayed(w []float64, t []int64, nowT int64) []float64 {
-	sh := d.sh
+// w·2^(−(nowT−t)/halfLife) in vw's reused scratch. Called with mu held.
+func (vw *view) decayed(sh *dynShared, w []float64, t []int64, nowT int64) []float64 {
 	if sh.halfLife <= 0 {
 		return w
 	}
-	d.decayW = d.decayW[:0]
+	vw.decayW = vw.decayW[:0]
 	for i, wi := range w {
-		d.decayW = append(d.decayW, wi*sh.decayAt(nowT, t[i]))
+		vw.decayW = append(vw.decayW, wi*sh.decayAt(nowT, t[i]))
 	}
-	return d.decayW
+	return vw.decayW
 }
 
-// arm points this clone's forest at the manifest snapshot, reusing the
-// existing segment set when the manifest is unchanged (the steady-state path:
-// no allocation, no re-validation). Under decay the per-segment scales
-// are re-installed every query — the clock has moved — but the slice is
-// this clone's reused scratch, so steady state still allocates nothing.
-func (d *Engine) arm(man *segment.Manifest) error {
-	if d.fMan != man {
-		set, err := d.sh.segmentSet(man)
+// arm points vw's forest at the manifest snapshot, reusing the existing
+// segment set when the manifest is unchanged (the steady-state path: no
+// allocation, no re-validation). Under decay the per-segment scales are
+// re-installed every query — the clock has moved — but the slice is vw's
+// reused scratch, so steady state still allocates nothing.
+func (vw *view) arm(sh *dynShared, man *segment.Manifest) error {
+	if vw.fMan != man {
+		set, err := sh.segmentSet(man)
 		if err != nil {
 			return err
 		}
-		d.f.SetSegments(set)
-		d.fMan = man
+		vw.f.SetSegments(set)
+		vw.fMan = man
 	}
-	if d.sh.halfLife > 0 {
-		return d.f.SetScales(d.scales)
+	if sh.halfLife > 0 {
+		return vw.f.SetScales(vw.scales)
 	}
-	return d.f.SetScales(nil)
+	return vw.f.SetScales(nil)
 }
 
 // segmentSet returns man's grouped segment set, made once per manifest and
-// shared by every clone, so a union tree is built once, not per clone.
+// shared by every view, so a union tree is built once, not per view.
 func (sh *dynShared) segmentSet(man *segment.Manifest) (*core.SegmentSet, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -1357,14 +1398,12 @@ func (d *Engine) Aggregate(q []float64) (float64, error) {
 // AggregateStats is Aggregate plus the work statistics (an exact
 // aggregation scans every point, buffered and indexed).
 func (d *Engine) AggregateStats(q []float64) (float64, Stats, error) {
-	man, base, scanned, err := d.snapshot(q, nil)
+	vw, base, scanned, err := d.prepare(q, nil)
+	defer d.sh.put(vw)
 	if err != nil {
 		return 0, Stats{}, err
 	}
-	if err := d.arm(man); err != nil {
-		return 0, Stats{}, err
-	}
-	v, st, err := d.f.Exact(q, base)
+	v, st, err := vw.f.Exact(q, base)
 	st.PointsScanned += scanned
 	return v, st, err
 }
@@ -1382,14 +1421,12 @@ func (d *Engine) ThresholdStats(q []float64, tau float64) (bool, Stats, error) {
 	if err := checkTau(tau); err != nil {
 		return false, Stats{}, err
 	}
-	man, base, scanned, err := d.snapshot(q, nil)
+	vw, base, scanned, err := d.prepare(q, nil)
+	defer d.sh.put(vw)
 	if err != nil {
 		return false, Stats{}, err
 	}
-	if err := d.arm(man); err != nil {
-		return false, Stats{}, err
-	}
-	hot, st, err := d.f.Threshold(q, tau, base)
+	hot, st, err := vw.f.Threshold(q, tau, base)
 	st.PointsScanned += scanned
 	return hot, st, err
 }
@@ -1409,14 +1446,12 @@ func (d *Engine) ApproximateStats(q []float64, eps float64) (float64, Stats, err
 	if err := checkEps(eps); err != nil {
 		return 0, Stats{}, err
 	}
-	man, base, scanned, err := d.snapshot(q, nil)
+	vw, base, scanned, err := d.prepare(q, nil)
+	defer d.sh.put(vw)
 	if err != nil {
 		return 0, Stats{}, err
 	}
-	if err := d.arm(man); err != nil {
-		return 0, Stats{}, err
-	}
-	v, st, err := d.f.Approximate(q, eps, base)
+	v, st, err := vw.f.Approximate(q, eps, base)
 	st.PointsScanned += scanned
 	return v, st, err
 }
@@ -1431,14 +1466,12 @@ func (d *Engine) ApproximateNormStats(q []float64, epsNorm float64) (float64, St
 		return 0, Stats{}, fmt.Errorf("karl: eps_norm must be positive, got %v", epsNorm)
 	}
 	var mass float64
-	man, base, scanned, err := d.snapshot(q, &mass)
+	vw, base, scanned, err := d.prepare(q, &mass)
+	defer d.sh.put(vw)
 	if err != nil {
 		return 0, Stats{}, err
 	}
-	if err := d.arm(man); err != nil {
-		return 0, Stats{}, err
-	}
-	v, st, err := d.f.ApproximateAbs(q, normBudget(epsNorm, mass), base)
+	v, st, err := vw.f.ApproximateAbs(q, normBudget(epsNorm, mass), base)
 	st.PointsScanned += scanned
 	return v, st, err
 }
@@ -1464,19 +1497,10 @@ func checkEps(eps float64) error {
 // refines to the exact value.
 func normBudget(epsNorm, mass float64) float64 { return epsNorm * max(mass, 0) }
 
-// ArmedEpoch returns the manifest epoch this clone's executor is armed
-// for — the epoch of the last query it ran — and whether it has run one.
-// Comparing it with Status().Epoch shows how far a clone lags the dataset.
-func (d *Engine) ArmedEpoch() (uint64, bool) {
-	if d.fMan == nil {
-		return 0, false
-	}
-	return d.fMan.Epoch, true
-}
-
-// FastPathQueries reports how many Threshold/Approximate queries on THIS
-// clone ran through the single-segment fast path — the restored monolithic
+// FastPathQueries reports how many Threshold/Approximate queries on the
+// engine ran through the single-segment fast path — the restored monolithic
 // loop a query takes only when the manifest holds exactly one segment and
 // no memtable points, tombstones or decay contribute (the base term and
-// scales would otherwise change the algebra).
-func (d *Engine) FastPathQueries() int64 { return d.f.FastPathQueries() }
+// scales would otherwise change the algebra). A query is counted once it
+// has returned.
+func (d *Engine) FastPathQueries() int64 { return d.sh.fastPath.Load() }

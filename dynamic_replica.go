@@ -211,8 +211,8 @@ func (d *Engine) InstallSnapshot(r io.Reader) error {
 		sh.man, sh.skel = src.man, nil
 	}
 	if src.dynConfig != sh.dynConfig {
-		// Every live view (and pooled clone) rebuilds its forest before the
-		// next answer instead of refining with the superseded kernel.
+		// Every view rebuilds its forest before its next answer instead of
+		// refining with the superseded kernel.
 		sh.dynConfig = src.dynConfig
 		sh.cfgGen++
 	}

@@ -385,8 +385,8 @@ func TestReplicaMirrorIsCheap(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	ids := replicaLoad(t, leader, rng, 200)
 	whole := replicaPull(t, leader, follower)
-	view := follower.Clone()
-	if _, err := view.Aggregate(replicaProbes[0]); err != nil {
+	// The follower's one view is armed on its manifest here.
+	if _, err := follower.Aggregate(replicaProbes[0]); err != nil {
 		t.Fatal(err)
 	}
 	man, gen := follower.sh.man, follower.sh.cfgGen
@@ -395,15 +395,18 @@ func TestReplicaMirrorIsCheap(t *testing.T) {
 	replicaLoad(t, leader, rng, 10)
 	replicaDelete(t, leader, ids[0], ids[70], ids[150], ids[199])
 	n := replicaPull(t, leader, follower)
+	vw := follower.sh.take()
+	armed := vw.fMan
+	follower.sh.put(vw)
 	checkReplicaMirrored(t, leader, follower)
 	if follower.sh.man != man || follower.sh.cfgGen != gen || !slices.Equal(follower.sh.man.Segs, segs) {
 		t.Fatalf("a memtable-and-dead-rows pull replaced the manifest (%v) or bumped the config generation (%d -> %d)", follower.sh.man != man, gen, follower.sh.cfgGen)
 	}
-	if view.fMan != man {
+	if armed != man {
 		t.Fatal("a view armed before the pull is no longer armed on the follower's manifest")
 	}
 	want, _ := leader.Aggregate(replicaProbes[0])
-	if got, err := view.Aggregate(replicaProbes[0]); err != nil || got != want {
+	if got, err := follower.Aggregate(replicaProbes[0]); err != nil || got != want {
 		t.Fatalf("armed view answers %v, %v; leader %v", got, err, want)
 	}
 	// 3 held blocks (id, 1–2 dead seqs) and < 64 memtable rows of 2 dims.

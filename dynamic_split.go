@@ -3,7 +3,6 @@ package karl
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"karl/internal/index"
 	"karl/internal/segment"
@@ -52,9 +51,8 @@ func (d *Engine) SplitPlane() (dim int, cut float64, err error) {
 // the split instant: ids it assigns later never collide with inherited
 // ones.
 //
-// Inserts and deletes block for the duration; queries on existing clones
-// proceed over the old snapshot and switch atomically, the same contract
-// as Compact.
+// Inserts and deletes block for the duration; queries proceed over the old
+// snapshot and switch atomically, the same contract as Compact.
 func (d *Engine) Split(pred func(p []float64) bool) (MutableEngine, error) {
 	if pred == nil {
 		return nil, errors.New("karl: nil split predicate")
@@ -74,9 +72,9 @@ func (d *Engine) Split(pred func(p []float64) bool) (MutableEngine, error) {
 	}
 	if sh.man.Len()+sh.mem.len() == 0 {
 		// Nothing to move: hand back an empty sibling sharing the config.
-		moved, err := newDynamicView(sh.emptySiblingLocked())
+		moved := &Engine{sh: sh.emptySiblingLocked()}
 		sh.mu.Unlock()
-		return moved, err
+		return moved, nil
 	}
 	sh.draining = true // blocks inserts, deletes, seals and background merges
 	segs := sh.man.Segs
@@ -116,22 +114,15 @@ func (d *Engine) Split(pred func(p []float64) bool) (MutableEngine, error) {
 	}
 	sh.cond.Broadcast()
 	sh.mu.Unlock()
-	return newDynamicView(msh)
+	return &Engine{sh: msh}, nil
 }
 
 // emptySiblingLocked creates fresh shared state with the receiver's
 // configuration, dimensionality and id counter — the shell a split's
 // moved half is installed into. Called with sh.mu held.
 func (sh *dynShared) emptySiblingLocked() *dynShared {
-	m := &dynShared{
-		dynConfig: sh.dynConfig,
-		now:       sh.now,
-		dims:      sh.dims,
-		man:       &segment.Manifest{},
-		nextID:    1,
-		nextSeq:   sh.nextSeq,
-	}
-	m.cond = sync.NewCond(&m.mu)
+	m := blankShared()
+	m.dynConfig, m.now, m.dims, m.nextSeq = sh.dynConfig, sh.now, sh.dims, sh.nextSeq
 	return m
 }
 

@@ -7,7 +7,25 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"karl/internal/segment"
 )
+
+// snapshot is one query's walk on a view of its own: the manifest the view
+// is armed on, the base term and how many rows its scan covered.
+func (d *Engine) snapshot(q []float64, mass *float64) (*segment.Manifest, float64, int, error) {
+	vw, base, scanned, err := d.prepare(q, mass)
+	defer d.sh.put(vw)
+	return vw.fMan, base, scanned, err
+}
+
+// groups is how many queue units the manifest last armed refines as: the
+// segment set every view armed on it shares.
+func (d *Engine) groups() int {
+	d.sh.mu.Lock()
+	defer d.sh.mu.Unlock()
+	return d.sh.set.Groups()
+}
 
 func TestNewDynamicValidation(t *testing.T) {
 	if _, err := NewDynamic(Gaussian(-1)); err == nil {
@@ -228,7 +246,7 @@ func bruteGaussian(gamma float64, pts [][]float64, q []float64) float64 {
 }
 
 // TestFastPathBypassOnMutation is the mutation-vs-fast-path race gate (run
-// under the race detector in CI): single-segment queries on clones run
+// under the race detector in CI): single-segment queries on the one engine run
 // concurrently with a delete that creates a tombstone. The fast path must
 // serve queries before the mutation, stop the moment tombstone mass enters
 // the base term, and answers must reflect the delete exactly. A decaying
@@ -269,24 +287,21 @@ func TestFastPathBypassOnMutation(t *testing.T) {
 		t.Fatalf("clean single-segment queries took %d fast paths, want 2", got-before)
 	}
 
-	// Concurrent phase: clones hammer queries while the delete lands.
-	clones := make([]*Engine, 4)
-	for i := range clones {
-		clones[i] = d.Clone()
-	}
+	// Concurrent phase: four goroutines hammer queries on the one engine
+	// value while the delete lands.
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for _, c := range clones {
+	for range 4 {
 		wg.Add(1)
-		go func(c *Engine) {
+		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if _, err := c.Approximate(q, 0.1); err != nil {
+				if _, err := d.Approximate(q, 0.1); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(c)
+		}()
 	}
 	time.Sleep(2 * time.Millisecond)
 	if err := d.Delete(ids[10]); err != nil {
@@ -299,18 +314,18 @@ func TestFastPathBypassOnMutation(t *testing.T) {
 		t.Fatalf("delete of a sealed point must tombstone (tombs=%d)", d.Status().Tombstones)
 	}
 
-	// With tombstone mass in the base term, nobody takes the fast path.
-	for i, c := range clones {
-		b := c.FastPathQueries()
-		if _, err := c.Threshold(q, want*1.1); err != nil {
+	// With tombstone mass in the base term, no query takes the fast path.
+	b := d.FastPathQueries()
+	for range 4 {
+		if _, err := d.Threshold(q, want*1.1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Approximate(q, 0.1); err != nil {
+		if _, err := d.Approximate(q, 0.1); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.FastPathQueries(); got != b {
-			t.Fatalf("clone %d took the fast path with a pending tombstone", i)
-		}
+	}
+	if got := d.FastPathQueries(); got != b {
+		t.Fatalf("%d queries took the fast path with a pending tombstone", got-b)
 	}
 	wantAfter := want - bruteGaussian(2, pts[10:11], q)
 	if got, _ := d.Aggregate(q); math.Abs(got-wantAfter) > 1e-9*(1+math.Abs(wantAfter)) {

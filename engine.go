@@ -3,16 +3,13 @@ package karl
 import "io"
 
 // QueryEngine is the read surface internal/server serves from: an Engine
-// and the per-request clones inside the server's pool present exactly this
-// interface, so the front door is written against one abstraction and a
-// test or the benchmark harness can put a decorated engine behind it. A
-// cluster coordinator never holds one: its shards are servers it reaches
-// over HTTP (cluster.HTTPShard).
+// presents exactly this interface, so the front door is written against one
+// abstraction and a test or the benchmark harness can put a decorated
+// engine behind it. A cluster coordinator never holds one: its shards are
+// servers it reaches over HTTP (cluster.HTTPShard).
 //
-// A QueryEngine value is not safe for concurrent queries — it owns
-// per-query refinement scratch. CloneQuery returns a view sharing the
-// (possibly mutable) dataset with independent scratch; clone once per
-// goroutine.
+// An implementation is safe for concurrent use: the server calls one value
+// from every request's goroutine.
 type QueryEngine interface {
 	// Len is the number of live points; Dims the dataset dimensionality
 	// (0 while the engine is still empty).
@@ -31,8 +28,8 @@ type QueryEngine interface {
 	// ApproximateNormStats answers within epsNorm·W, W = pos + neg.
 	ApproximateNormStats(q []float64, epsNorm float64) (float64, Stats, error)
 
-	// Batch forms fan out over internal clones (workers ≤ 0 selects
-	// GOMAXPROCS). Threshold and approximate batches of at least 64
+	// Batch forms fan out over at most workers goroutines, and never more
+	// than GOMAXPROCS (workers ≤ 0 selects GOMAXPROCS). Threshold and approximate batches of at least 64
 	// queries over at least 256 points take the dual-tree executor
 	// instead; BatchAggregateStats always goes query by query.
 	BatchAggregateStats(queries [][]float64, workers int) ([]float64, Stats, error)
@@ -40,15 +37,8 @@ type QueryEngine interface {
 	BatchApproximateStats(queries [][]float64, eps float64, workers int) ([]float64, Stats, error)
 	BatchApproximateNormStats(queries [][]float64, epsNorm float64, workers int) ([]float64, Stats, error)
 
-	// DualTreeStats reports the shared batch-executor telemetry.
+	// DualTreeStats reports the batch-executor telemetry.
 	DualTreeStats() DualTreeStats
-
-	// CloneQuery returns a view over the same dataset with independent
-	// query scratch, for use from another goroutine.
-	CloneQuery() QueryEngine
-	// ArmedEpoch reports the manifest epoch this view last answered a
-	// query over, and whether it has answered one.
-	ArmedEpoch() (uint64, bool)
 }
 
 // MutableEngine extends QueryEngine with the engine's write path, its
@@ -91,8 +81,5 @@ type MutableEngine interface {
 // engines were two types. The benchmark harness (bench/, which no PR but a
 // benchmark one may edit) pins the name; nothing else should use it.
 type DynamicEngine = Engine
-
-// CloneQuery implements QueryEngine.
-func (d *Engine) CloneQuery() QueryEngine { return d.Clone() }
 
 var _ MutableEngine = (*Engine)(nil)

@@ -29,9 +29,8 @@ import (
 // /v1/approximate with "eps" or "eps_norm", /v1/batch), compaction runs in
 // the background, and -window and -decay-halflife set the retention policy
 // of an engine built here. An "eps_norm" query stops refining once its
-// bounds certify eps_norm·W, W the total weight mass. Requests are served
-// over a pool of engine clones; SIGINT/SIGTERM drain in-flight requests
-// before exiting.
+// bounds certify eps_norm·W, W the total weight mass. Every request queries
+// the one engine; SIGINT/SIGTERM drain in-flight requests before exiting.
 //
 // -replica-of makes the process a follower that mirrors its leader (adopting
 // its kernel and policy) and refuses writes (409) until promoted.
@@ -50,7 +49,6 @@ func defineServe(fs *flag.FlagSet, e *env) func() error {
 		points   = fs.String("points", "", "whitespace-separated vectors to index directly")
 		gamma    = gammaFlag(fs, 1, "refused: -points and an empty -mutable engine need gamma > 0")
 		addr     = fs.String("addr", ":8080", "listen address")
-		poolSize = fs.Int("pool", 0, "max idle engine clones retained (0 = 2·GOMAXPROCS)")
 		mutable  = fs.Bool("mutable", false, "also serve POST /v1/insert and DELETE /v1/point (see -seal-size, -fanout)")
 		sealSize = fs.Int("seal-size", 0, "memtable seal threshold for -mutable (0 = library default)")
 		fanout   = fs.Int("fanout", 0, "compaction fanout for -mutable (0 = library default)")
@@ -90,10 +88,6 @@ func defineServe(fs *flag.FlagSet, e *env) func() error {
 			return usagef("need -model or -points (or -mutable)")
 		}
 
-		var opts []server.Option
-		if *poolSize > 0 {
-			opts = append(opts, server.WithPoolSize(*poolSize))
-		}
 		eng, err := e.loadEngine(*model, *points, *gamma, *sealSize, *fanout, *window, *halfLife)
 		if err != nil {
 			return err
@@ -109,7 +103,7 @@ func defineServe(fs *flag.FlagSet, e *env) func() error {
 			// match the leader. Writes answer 409 until promotion.
 			leader := strings.TrimRight(*replicaOf, "/")
 			a := replica.NewApplier(eng, replica.NewHTTPSource(leader))
-			srv, err = server.NewMutable(eng, append(opts, server.WithReplicaApplier(a))...)
+			srv, err = server.NewMutable(eng, server.WithReplicaApplier(a))
 			go func() {
 				// Run exits nil on promotion; the background context never
 				// ends, so any return with an error is fatal news.
@@ -119,12 +113,12 @@ func defineServe(fs *flag.FlagSet, e *env) func() error {
 			}()
 			banner = fmt.Sprintf("serving replication follower of %s on %s", leader, *addr)
 		case *mutable:
-			srv, err = server.NewMutable(eng, opts...)
+			srv, err = server.NewMutable(eng)
 			st := eng.Status()
 			banner = fmt.Sprintf("serving mutable engine: %d points (%d dims, %v kernel, %d segments) on %s",
 				st.Points, eng.Dims(), eng.Kernel().Kind, len(st.Segments), *addr)
 		default:
-			srv, err = server.New(eng, opts...)
+			srv, err = server.New(eng)
 			banner = fmt.Sprintf("serving %d points (%d dims, %v kernel) on %s",
 				eng.Len(), eng.Dims(), eng.Kernel().Kind, *addr)
 		}
@@ -146,7 +140,7 @@ func validateFlagSet(set map[string]bool) error {
 		// belong on the shard processes (writable mode included — each
 		// shard is its own -mutable serve process).
 		o.only("a shard process, not -coordinator",
-			"model", "points", "gamma", "pool",
+			"model", "points", "gamma",
 			"seal-size", "fanout", "window", "decay-halflife", "replica-of")
 		if !set["mutable"] {
 			o.only("-coordinator -mutable", "partition", "manifest", "spawn")

@@ -40,12 +40,12 @@ func TestValidateFlagSet(t *testing.T) {
 		set  []string
 		want []string // substrings the error must contain; empty = no error
 	}{
-		{"plain model", []string{"model", "addr", "pool"}, nil},
+		{"plain model", []string{"model", "addr"}, nil},
 		{"mutable", []string{"mutable", "gamma", "seal-size", "window"}, nil},
 		{"coordinator", []string{"coordinator", "shards", "shard-timeout"}, nil},
 		{"writable coordinator", []string{"coordinator", "mutable", "shards", "partition", "manifest"}, nil},
-		{"engine flags on coordinator", []string{"coordinator", "shards", "gamma", "pool"},
-			[]string{"-gamma only applies to a shard process", "-pool only applies to a shard process"}},
+		{"engine flags on coordinator", []string{"coordinator", "shards", "gamma", "seal-size"},
+			[]string{"-gamma only applies to a shard process", "-seal-size only applies to a shard process"}},
 		{"partition without mutable", []string{"coordinator", "shards", "partition"},
 			[]string{"-partition only applies to -coordinator -mutable"}},
 		{"shards without coordinator", []string{"model", "shards"},

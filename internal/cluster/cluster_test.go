@@ -732,10 +732,9 @@ func BenchmarkSingleNode(b *testing.B) {
 	queries, _ := dataset(64, 5, 43, "I")
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		eng := mono.Clone()
 		i := 0
 		for pb.Next() {
-			if _, err := eng.Approximate(queries[i%len(queries)], 0.05); err != nil {
+			if _, err := mono.Approximate(queries[i%len(queries)], 0.05); err != nil {
 				b.Fatal(err)
 			}
 			i++

@@ -46,49 +46,6 @@ func TestHealthzAndReadyz(t *testing.T) {
 	if !r.Ready || r.Points != 500 {
 		t.Fatalf("readyz = %+v", r)
 	}
-	// Construction warms the pool, so a fresh server reports a parked clone.
-	if !r.Warm {
-		t.Fatalf("fresh server should be warm: %+v", r)
-	}
-}
-
-// TestReadyzWarmTracksIdleClones takes every parked clone out of the pool
-// and sees warm:false, then parks one back and sees warm:true again.
-func TestReadyzWarmTracksIdleClones(t *testing.T) {
-	s, err := New(testEngine(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := NewTestServer(s)
-	defer ts.Close()
-	warm := func() bool {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var r ReadyResponse
-		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil || !r.Ready {
-			t.Fatalf("readyz = %+v, %v", r, err)
-		}
-		return r.Warm
-	}
-	pool := s.loc.pool
-	var out []karl.QueryEngine
-	for len(pool.idle) > 0 {
-		out = append(out, pool.acquire())
-	}
-	if len(out) == 0 {
-		t.Fatal("construction parked no clone")
-	}
-	if warm() {
-		t.Fatalf("warm with all %d clones out of the pool", len(out))
-	}
-	pool.release(out[0])
-	if !warm() {
-		t.Fatal("not warm with a clone parked")
-	}
 }
 
 func TestBoundsEndpoint(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync/atomic"
 
 	"karl"
@@ -14,26 +13,25 @@ import (
 	"karl/internal/shard"
 )
 
-// The local backend: one engine in this process behind a clone pool.
+// The local backend: one engine in this process.
 //
-// Concurrency model: engines are per-request. Each request acquires an
-// engine clone from a bounded pool (clones share the indexed data but own
-// their refinement scratch state), so N in-flight requests refine on N
-// independent engines with no global lock anywhere on the query path.
+// Concurrency model: every request queries the one engine value. A query
+// only reads the shared index and takes its refinement scratch from the
+// engine for the call, so N in-flight requests refine independently with
+// no lock held across refinement.
 //
 // Two serving modes share the same endpoints and the same engine type. New
 // mounts the read routes only, so the dataset stays what was loaded.
 // NewMutable adds the write routes: the engine's segmented LSM manifest
-// grows through POST /v1/insert while queries keep flowing — pooled clones
-// re-arm themselves against the latest manifest epoch on their next query
-// (an atomic snapshot, never a lock held across refinement), and /v1/stats
-// reports how the pool tracks the advancing epoch.
+// grows through POST /v1/insert while queries keep flowing — each query
+// refines over the manifest it snapshots when it starts (an atomic
+// snapshot, never a lock held across refinement).
 
-// local implements Backend and Writer over the pooled engine, and owns the
-// state of the routes only a local engine serves (bounds, batch, split,
+// local implements Backend and Writer over the engine, and owns the state
+// of the routes only a local engine serves (bounds, batch, split,
 // replicate).
 type local struct {
-	pool *enginePool
+	eng karl.QueryEngine
 
 	// dyn is set by NewMutable: the engine the write endpoints feed and
 	// the replication routes export; nil for read-only serving.
@@ -44,27 +42,18 @@ type local struct {
 type Option func(*config)
 
 type config struct {
-	poolSize int
-	maxBody  int64
-	applier  *replica.Applier
+	maxBody int64
+	applier *replica.Applier
 }
-
-// WithPoolSize bounds the number of idle engine clones kept for reuse
-// (default 2·GOMAXPROCS). Bursts beyond the bound still get a fresh clone
-// each — the pool caps retained memory, never concurrency.
-func WithPoolSize(n int) Option { return func(c *config) { c.poolSize = n } }
 
 // WithMaxBodyBytes bounds every POST request body (default 32 MiB).
 // Oversized bodies are rejected with 413 before they can exhaust memory.
 func WithMaxBodyBytes(n int64) Option { return func(c *config) { c.maxBody = n } }
 
 func newConfig(opts []Option) (config, error) {
-	cfg := config{poolSize: 2 * runtime.GOMAXPROCS(0), maxBody: defaultMaxBody}
+	cfg := config{maxBody: defaultMaxBody}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.poolSize < 1 {
-		return cfg, fmt.Errorf("server: pool size %d out of range", cfg.poolSize)
 	}
 	if cfg.maxBody < 1 {
 		return cfg, fmt.Errorf("server: max body bytes %d out of range", cfg.maxBody)
@@ -73,9 +62,7 @@ func newConfig(opts []Option) (config, error) {
 }
 
 // New builds a read-only server around an engine: no write route is
-// mounted. The engine itself is never queried: it is the template the
-// clone pool grows from, so the caller may keep using it from one other
-// goroutine.
+// mounted. The caller may keep querying the engine beside the server.
 func New(eng *karl.Engine, opts ...Option) (*Server, error) {
 	if eng == nil {
 		return nil, errors.New("server: nil engine")
@@ -84,7 +71,7 @@ func New(eng *karl.Engine, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &local{pool: newEnginePool(eng, cfg.poolSize)}
+	l := &local{eng: eng}
 	return l.serve(cfg), nil
 }
 
@@ -100,14 +87,12 @@ func NewMutable(d karl.MutableEngine, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &local{pool: newEnginePool(d, cfg.poolSize), dyn: d}
+	l := &local{eng: d, dyn: d}
 	return l.serve(cfg), nil
 }
 
-// serve mounts the local engine on the shared handler set, adds the routes
-// only a local engine has, and seeds the clone pools with one ready clone
-// each, so the first request never pays the clone cost and GET /v1/readyz
-// reflects a pool that can actually serve.
+// serve mounts the local engine on the shared handler set and adds the
+// routes only a local engine has.
 func (l *local) serve(cfg config) *Server {
 	var wr Writer
 	if l.dyn != nil {
@@ -128,62 +113,15 @@ func (l *local) serve(cfg config) *Server {
 		s.mux.HandleFunc("GET /v1/replicate/tail", s.handleReplicateTail)
 		s.mux.HandleFunc("POST /v1/replicate/promote", s.handleReplicatePromote)
 	}
-	l.pool.release(l.pool.acquire())
 	return s
-}
-
-// enginePool recycles engine clones over a shared dataset. Acquire never
-// blocks: an empty pool clones the template, a full pool drops the
-// returned clone for the GC. The channel doubles as the free list and the
-// bound. For mutable engines the pool additionally tracks the highest
-// manifest epoch any released clone had armed — how current the pool's
-// executors are relative to the advancing dataset.
-type enginePool struct {
-	template    karl.QueryEngine
-	idle        chan karl.QueryEngine
-	clones      atomic.Int64
-	servedEpoch atomic.Uint64
-}
-
-func newEnginePool(template karl.QueryEngine, size int) *enginePool {
-	return &enginePool{template: template, idle: make(chan karl.QueryEngine, size)}
-}
-
-func (p *enginePool) acquire() karl.QueryEngine {
-	select {
-	case e := <-p.idle:
-		return e
-	default:
-		p.clones.Add(1)
-		return p.template.CloneQuery()
-	}
-}
-
-func (p *enginePool) release(e karl.QueryEngine) {
-	if epoch, armed := e.ArmedEpoch(); armed {
-		for {
-			cur := p.servedEpoch.Load()
-			if epoch <= cur || p.servedEpoch.CompareAndSwap(cur, epoch) {
-				break
-			}
-		}
-	}
-	select {
-	case p.idle <- e:
-	default:
-	}
-}
-
-func (p *enginePool) stats() PoolStats {
-	return PoolStats{Idle: len(p.idle), Capacity: cap(p.idle), Clones: p.clones.Load()}
 }
 
 // Dims implements Backend: set by the first insert into an engine that
 // started empty (0 until then).
-func (l *local) Dims() int { return l.pool.template.Dims() }
+func (l *local) Dims() int { return l.eng.Dims() }
 
 // Kernel implements Backend.
-func (l *local) Kernel() string { return l.pool.template.Kernel().Kind.String() }
+func (l *local) Kernel() string { return l.eng.Kernel().Kind.String() }
 
 // whole wraps one engine answer as a Result: a local engine always covers
 // its whole dataset.
@@ -193,32 +131,26 @@ func whole(v float64, over bool, st karl.Stats, err error) (Result, error) {
 
 // Aggregate implements Backend.
 func (l *local) Aggregate(_ context.Context, q []float64) (Result, error) {
-	eng := l.pool.acquire()
-	v, st, err := eng.AggregateStats(q)
-	l.pool.release(eng)
+	v, st, err := l.eng.AggregateStats(q)
 	return whole(v, false, st, err)
 }
 
 // Threshold implements Backend.
 func (l *local) Threshold(_ context.Context, q []float64, tau float64) (Result, error) {
-	eng := l.pool.acquire()
-	over, st, err := eng.ThresholdStats(q, tau)
-	l.pool.release(eng)
+	over, st, err := l.eng.ThresholdStats(q, tau)
 	return whole(0, over, st, err)
 }
 
 // Approximate implements Backend.
 func (l *local) Approximate(_ context.Context, q []float64, eps, epsNorm float64) (Result, error) {
-	eng := l.pool.acquire()
 	var v float64
 	var st karl.Stats
 	var err error
 	if epsNorm != 0 {
-		v, st, err = eng.ApproximateNormStats(q, epsNorm)
+		v, st, err = l.eng.ApproximateNormStats(q, epsNorm)
 	} else {
-		v, st, err = eng.ApproximateStats(q, eps)
+		v, st, err = l.eng.ApproximateStats(q, eps)
 	}
-	l.pool.release(eng)
 	return whole(v, false, st, err)
 }
 
@@ -248,11 +180,11 @@ type InfoResponse struct {
 
 // Info implements Backend.
 func (l *local) Info() any {
-	k := l.pool.template.Kernel()
+	k := l.eng.Kernel()
 	resp := InfoResponse{Dims: l.Dims(), Kernel: k.Kind.String(), Gamma: k.Gamma}
 	if l.dyn == nil {
-		resp.Points = l.pool.template.Len()
-		resp.WeightPos, resp.WeightNeg = l.pool.template.WeightMass()
+		resp.Points = l.eng.Len()
+		resp.WeightPos, resp.WeightNeg = l.eng.WeightMass()
 		return resp
 	}
 	st := l.dyn.Status()
@@ -262,35 +194,25 @@ func (l *local) Info() any {
 	return resp
 }
 
-// ReadyResponse is the local GET /v1/readyz body: the index is loaded and
-// the clone pool holds at least one warmed executor.
+// ReadyResponse is the local GET /v1/readyz body: the index is loaded.
 type ReadyResponse struct {
 	Ready  bool `json:"ready"`
 	Points int  `json:"points"`
-	// Warm reports whether an idle clone is parked right now. Construction
-	// warms the pool, so false only means every clone is currently serving
-	// a request — the server is still ready.
-	Warm bool `json:"warm"`
 }
 
-// Ready implements Backend: construction has loaded the index and warmed
-// the clone pool, so queries will be served, not queued behind a build.
+// Ready implements Backend: construction has loaded the index, so queries
+// will be served, not queued behind a build.
 func (l *local) Ready(context.Context) (any, bool) {
-	return ReadyResponse{
-		Ready:  true,
-		Points: l.pool.template.Len(),
-		Warm:   len(l.pool.idle) > 0,
-	}, true
+	return ReadyResponse{Ready: true, Points: l.eng.Len()}, true
 }
 
 // Stats implements Backend.
 func (l *local) Stats(_ context.Context, endpoints map[string]EndpointStats) any {
-	resp := StatsResponse{Pool: l.pool.stats(), Endpoints: endpoints, DualTree: l.dualTreeStats()}
+	resp := StatsResponse{Endpoints: endpoints, DualTree: l.dualTreeStats()}
 	if l.dyn != nil {
 		st := l.dyn.Status()
 		ms := &MutableStats{
 			Epoch:         st.Epoch,
-			ServedEpoch:   l.pool.servedEpoch.Load(),
 			Points:        st.Points,
 			Segments:      len(st.Segments),
 			SegmentDetail: make([]SegmentStats, len(st.Segments)),
@@ -311,10 +233,9 @@ func (l *local) Stats(_ context.Context, endpoints map[string]EndpointStats) any
 }
 
 // dualTreeStats is the engine's batch-executor telemetry as the /v1/stats
-// block: the counters are shared by every clone, so the template reads the
-// whole pool's history.
+// block.
 func (l *local) dualTreeStats() *DualTreeBatchStats {
-	st := l.pool.template.DualTreeStats()
+	st := l.eng.DualTreeStats()
 	return &DualTreeBatchStats{
 		Hits:           int64(st.DualBatches),
 		Misses:         int64(st.SequentialBatches),
@@ -354,8 +275,8 @@ type InsertResponse struct {
 }
 
 // Insert implements Writer. Seals and compactions triggered by an insert
-// happen off the query path; concurrent queries on pooled clones keep
-// serving from their manifest snapshot. InsertBulk validates the whole
+// happen off the query path; concurrent queries keep serving from their
+// manifest snapshot. InsertBulk validates the whole
 // batch before touching the engine, so a rejected request lands no points
 // — no partial-batch state to report.
 func (l *local) Insert(_ context.Context, points [][]float64, weights []float64) (any, error) {
@@ -625,7 +546,8 @@ func (s *Server) handleSplit(w http.ResponseWriter, r *http.Request) {
 // BatchRequest is the POST /v1/batch body. Kind selects the query type
 // ("aggregate", "threshold" or "approximate"); Tau and Eps/EpsNorm apply
 // to the whole batch (see QueryRequest for the two approximate error
-// models); Workers bounds the fan-out (≤ 0 selects GOMAXPROCS).
+// models); Workers bounds the fan-out, which never exceeds GOMAXPROCS
+// (≤ 0 selects GOMAXPROCS).
 type BatchRequest struct {
 	Kind    string      `json:"kind"`
 	Queries [][]float64 `json:"queries"`
@@ -654,11 +576,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		fail(w, m, err)
 		return
 	}
-	pool := s.loc.pool
+	eng := s.loc.eng
 	var resp BatchResponse
 	var st karl.Stats
 	var err error
-	eng := pool.acquire()
 	switch {
 	case req.Kind == "threshold":
 		resp.Over, st, err = eng.BatchThresholdStats(req.Queries, req.Tau, req.Workers)
@@ -669,7 +590,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	default:
 		resp.Values, st, err = eng.BatchApproximateStats(req.Queries, req.Eps, req.Workers)
 	}
-	pool.release(eng)
 	if err == nil && !isFinite(resp.Values...) {
 		err = errNotFinite
 	}

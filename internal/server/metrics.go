@@ -78,25 +78,11 @@ type EndpointStats struct {
 	EpsStopped       int64 `json:"eps_stopped,omitempty"`
 }
 
-// PoolStats describes the engine-clone pool.
-type PoolStats struct {
-	// Idle is the number of clones currently parked in the pool.
-	Idle int `json:"idle"`
-	// Capacity is the maximum number of parked clones.
-	Capacity int `json:"capacity"`
-	// Clones is the cumulative number of engine clones ever created.
-	Clones int64 `json:"clones"`
-}
-
 // MutableStats reports the segmented engine state behind a mutable
-// server: manifest shape, background maintenance counters, and how the
-// clone pool tracks the advancing manifest.
+// server: manifest shape and background maintenance counters.
 type MutableStats struct {
 	// Epoch is the current manifest epoch (advances on seal/compaction).
 	Epoch uint64 `json:"epoch"`
-	// ServedEpoch is the highest epoch any pooled clone has queried — when
-	// it trails Epoch, idle clones will re-arm on their next query.
-	ServedEpoch uint64 `json:"served_epoch"`
 	// Segments is the number of immutable segments in the manifest;
 	// SegmentDetail lists them oldest first with their dead-row counts.
 	Segments      int            `json:"segments"`
@@ -135,7 +121,7 @@ type SegmentStats struct {
 // DualTreeBatchStats reports how the engines behind /v1/batch executed
 // their batches: a hit is a batch served by the dual-tree executor (one
 // shared node-pair traversal for the whole batch), a miss one served by the
-// sequential clone fan-out. The traversal counters cover hits only.
+// sequential fan-out. The traversal counters cover hits only.
 type DualTreeBatchStats struct {
 	// Hits and Misses count non-empty batches by executor.
 	Hits   int64 `json:"hits"`
@@ -154,7 +140,6 @@ type DualTreeBatchStats struct {
 // StatsResponse is the GET /v1/stats body. Mutable is present only for
 // dynamic serving.
 type StatsResponse struct {
-	Pool      PoolStats                `json:"pool"`
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 	DualTree  *DualTreeBatchStats      `json:"dual_tree,omitempty"`
 	Mutable   *MutableStats            `json:"mutable,omitempty"`

@@ -36,8 +36,8 @@ func TestNewMutableValidation(t *testing.T) {
 		t.Fatal("nil engine accepted")
 	}
 	d, _ := karl.NewDynamic(karl.Gaussian(1))
-	if _, err := NewMutable(d, WithPoolSize(0)); err == nil {
-		t.Fatal("pool size 0 accepted")
+	if _, err := NewMutable(d, WithMaxBodyBytes(0)); err == nil {
+		t.Fatal("max body bytes 0 accepted")
 	}
 }
 
@@ -149,7 +149,7 @@ func TestMutableInfoAndStats(t *testing.T) {
 	if resp, b := post(t, ts, "/v1/insert", InsertRequest{Points: pts}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("bulk insert: %s", b)
 	}
-	// Run one query so the pool has served the current epoch.
+	// Run one query over the current manifest.
 	if resp, b := post(t, ts, "/v1/threshold", QueryRequest{Q: []float64{0.5, 0.5}, Tau: 1}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("threshold: %s", b)
 	}
@@ -181,8 +181,8 @@ func TestMutableInfoAndStats(t *testing.T) {
 	if ms.Points != 100 || ms.Seals != d.Status().Seals || ms.Segments == 0 {
 		t.Fatalf("mutable stats = %+v", ms)
 	}
-	if ms.ServedEpoch != d.Status().Epoch {
-		t.Fatalf("served epoch %d, manifest epoch %d", ms.ServedEpoch, d.Status().Epoch)
+	if ms.Epoch != d.Status().Epoch {
+		t.Fatalf("stats epoch %d, manifest epoch %d", ms.Epoch, d.Status().Epoch)
 	}
 	ins, ok := stats.Endpoints["insert"]
 	if !ok || ins.Requests != 1 || ins.Queries != 100 {

@@ -8,7 +8,7 @@
 // the routes, caps and decodes request bodies, validates q/tau/eps/eps_norm,
 // parses the insert and delete forms, writes the error envelope and counts
 // requests and errors per endpoint; what answers is a Backend. Two exist:
-// the pooled local engine in this package (New, NewMutable — local.go) and
+// the local engine in this package (New, NewMutable — local.go) and
 // the cluster coordinator's adapter (internal/cluster), so a single node
 // and a coordinator refuse the same malformed request with the same status
 // and the same words. /v1/bounds, /v1/batch, /v1/split and /v1/replicate/*

@@ -58,15 +58,6 @@ func TestNewRejectsNil(t *testing.T) {
 	}
 }
 
-func TestNewRejectsBadPoolSize(t *testing.T) {
-	if _, err := New(testEngine(t), WithPoolSize(0)); err == nil {
-		t.Fatal("pool size 0 accepted")
-	}
-	if _, err := New(testEngine(t), WithPoolSize(-3)); err == nil {
-		t.Fatal("negative pool size accepted")
-	}
-}
-
 func TestInfo(t *testing.T) {
 	s, err := New(testEngine(t))
 	if err != nil {
@@ -382,12 +373,12 @@ func TestBatchEndpointMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentQueries hammers the pool from 32 goroutines mixing
+// TestServerConcurrentQueries hammers one engine from 32 goroutines mixing
 // all four query endpoints, each result checked against an exact-scan
 // oracle computed up front. Run with -race.
 func TestServerConcurrentQueries(t *testing.T) {
 	eng := testEngine(t)
-	s, _ := New(eng, WithPoolSize(4))
+	s, _ := New(eng)
 	ts := NewTestServer(s)
 	defer ts.Close()
 	rng := rand.New(rand.NewSource(7))
@@ -503,7 +494,7 @@ func TestServerConcurrentQueries(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	eng := testEngine(t)
-	s, _ := New(eng, WithPoolSize(3))
+	s, _ := New(eng)
 	ts := NewTestServer(s)
 	defer ts.Close()
 	q := []float64{0.5, 0.5}
@@ -536,34 +527,6 @@ func TestStatsEndpoint(t *testing.T) {
 	bat := st.Endpoints["batch"]
 	if bat.Requests != 1 || bat.Queries != 3 {
 		t.Fatalf("batch stats %+v", bat)
-	}
-	if st.Pool.Capacity != 3 || st.Pool.Clones < 1 || st.Pool.Idle > st.Pool.Capacity {
-		t.Fatalf("pool stats %+v", st.Pool)
-	}
-}
-
-// TestPoolReusesClones checks that sequential requests are served by a
-// bounded number of clones rather than one clone per request.
-func TestPoolReusesClones(t *testing.T) {
-	s, _ := New(testEngine(t), WithPoolSize(2))
-	ts := NewTestServer(s)
-	defer ts.Close()
-	for i := 0; i < 20; i++ {
-		post(t, ts, "/v1/aggregate", QueryRequest{Q: []float64{0.5, 0.5}})
-	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	// Sequential requests: the first acquires a fresh clone, releases it,
-	// and everyone after reuses it.
-	if st.Pool.Clones > 2 {
-		t.Fatalf("%d clones for 20 sequential requests", st.Pool.Clones)
 	}
 }
 
@@ -634,10 +597,10 @@ func benchDrive(b *testing.B, h http.Handler) {
 	})
 }
 
-// BenchmarkServerParallel measures eKAQ request throughput through the
-// engine-clone pool. Compare against BenchmarkServerMutex (the old
-// single-mutex serving path) with increasing -cpu to see the scaling the
-// pool buys on multi-core hosts.
+// BenchmarkServerParallel measures eKAQ request throughput on the one
+// engine every request queries. Compare against BenchmarkServerMutex (the
+// old single-mutex serving path) with increasing -cpu to see the scaling
+// per-query scratch buys on multi-core hosts.
 func BenchmarkServerParallel(b *testing.B) {
 	s, err := New(benchEngine(b))
 	if err != nil {
@@ -646,7 +609,7 @@ func BenchmarkServerParallel(b *testing.B) {
 	benchDrive(b, s)
 }
 
-// BenchmarkServerMutex reproduces the pre-pool serving path — one engine
+// BenchmarkServerMutex reproduces the oldest serving path — one engine
 // behind one global mutex — as the scaling baseline.
 func BenchmarkServerMutex(b *testing.B) {
 	eng := benchEngine(b)

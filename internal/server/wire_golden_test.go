@@ -100,11 +100,11 @@ func wireScript(t *testing.T) (map[string]http.Handler, []wireExchange) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := New(eng, WithPoolSize(2))
+	static, err := New(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := New(eng, WithPoolSize(2), WithMaxBodyBytes(64))
+	capped, err := New(eng, WithMaxBodyBytes(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func wireScript(t *testing.T) (map[string]http.Handler, []wireExchange) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutable, err := NewMutable(dyn, WithPoolSize(2))
+	mutable, err := NewMutable(dyn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func wireScript(t *testing.T) (map[string]http.Handler, []wireExchange) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poly, err := New(polyEng, WithPoolSize(2))
+	poly, err := New(polyEng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,7 +202,7 @@ func buildMatrixCfg(m *vec.Matrix, kern Kernel, cfg buildConfig) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	return sh.bulkLoad(tree)
+	return sh.bulkLoad(tree), nil
 }
 
 // methodOf maps the public bounding method to the internal one. Values

@@ -8,7 +8,8 @@ import (
 )
 
 // KDE is a kernel density estimator accelerated by KARL: density queries
-// are eKAQ, density classification ("is this region dense?") is TKAQ.
+// are eKAQ, density classification ("is this region dense?") is TKAQ. A
+// KDE is safe for concurrent use, as its Engine is.
 type KDE struct {
 	eng *Engine
 	// n normalizes the aggregate into a density (weight 1/n).

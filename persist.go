@@ -344,9 +344,7 @@ func readEngine(r io.Reader, held *[]heldSegment) (eng *Engine, rho *float64, er
 	if _, err := c.Finish(); err != nil {
 		return nil, nil, err
 	}
-	if eng, err = newDynamicView(sh); err != nil {
-		return nil, nil, err
-	}
+	eng = &Engine{sh: sh}
 	if len(rows) >= sh.policy.SealSize {
 		return nil, nil, fmt.Errorf("memtable block holds %d rows, a memtable seals at %d", len(rows), sh.policy.SealSize)
 	}

@@ -104,8 +104,8 @@ func TestReadEmptyCellSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b || d.f.Groups() != 1 {
-			t.Fatalf("at %v: %v and %v over %d groups", q, a, b, d.f.Groups())
+		if a != b || d.groups() != 1 {
+			t.Fatalf("at %v: %v and %v over %d groups", q, a, b, d.groups())
 		}
 	}
 	refusedAtEveryCut(t, "empty-cell stream", data, readsEngine)

@@ -8,7 +8,8 @@ import (
 // Regression is a Nadaraya–Watson kernel regressor served by two KARL
 // engines: the prediction E[y|q] = Σ y_i·K(q,p_i) / Σ K(q,p_i) is a ratio
 // of two kernel aggregations, each answered as an eKAQ. Kernel regression
-// is one of the future-work directions named in the paper's conclusion.
+// is one of the future-work directions named in the paper's conclusion. A
+// Regression is safe for concurrent use, as its engines are.
 type Regression struct {
 	num   *Engine // weights y_i (any sign → Type III machinery)
 	den   *Engine // unit weights
@@ -78,6 +79,7 @@ func (r *Regression) PredictExact(q []float64) (float64, error) {
 
 // MultiSVM is a one-vs-one multi-class kernel SVM whose pairwise votes are
 // KARL-accelerated TKAQs — the paper's other named future-work direction.
+// A MultiSVM is safe for concurrent use, as its pairwise SVMs are.
 type MultiSVM struct {
 	// Classes lists the distinct labels in ascending order.
 	Classes []int

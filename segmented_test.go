@@ -294,21 +294,19 @@ func TestDynamicConcurrentInsertQueryOracle(t *testing.T) {
 		}
 	}()
 
-	// Each querier gets its own clone: clones share the dataset and
-	// manifest but own their refinement state, which is the concurrency
-	// unit for queries (the server pool works the same way).
+	// Every querier queries the one engine value: each call takes query
+	// scratch of its own, as every request of a server does.
 	const queriers = 3
 	for g := 0; g < queriers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := d.Clone()
 			for {
 				lo := inserted.Load()
 				if lo == 0 {
 					continue // engine may still be empty
 				}
-				v, err := c.Aggregate(q)
+				v, err := d.Aggregate(q)
 				if err != nil {
 					t.Error(err)
 					return
@@ -572,7 +570,7 @@ func TestSkeletonGroupWorkGate(t *testing.T) {
 			grouped[1] += st.PointsScanned
 			perSeg[1] += scanned + perSegmentPoints(k, fresh, q, base, func(lb, ub float64) bool { return core.CondApprox(lb, ub, eps, 0) })
 			segs += len(man.Segs)
-			groups += d.f.Groups()
+			groups += d.groups()
 		}
 	})
 	defer d.Close()
@@ -596,8 +594,8 @@ func TestSkeletonGroupWorkGate(t *testing.T) {
 		if err := query(); err != nil { // arm the forest on this manifest
 			t.Fatal(err)
 		}
-		if n := len(d.Status().Segments); d.f.Groups() >= n {
-			t.Fatalf("%d segments in %d groups: no multi-member group to gate", n, d.f.Groups())
+		if n := len(d.Status().Segments); d.groups() >= n {
+			t.Fatalf("%d segments in %d groups: no multi-member group to gate", n, d.groups())
 		}
 		if allocs := testing.AllocsPerRun(50, func() {
 			if err := query(); err != nil {
@@ -724,7 +722,7 @@ func TestSkeletonChurnProperty(t *testing.T) {
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s answers %v where its source answers %v", what, got, want)
 						}
-						if g, w := to.f.Groups(), from.f.Groups(); g != w {
+						if g, w := to.groups(), from.groups(); g != w {
 							t.Fatalf("%s refines %d groups, its source %d", what, g, w)
 						}
 					}
@@ -816,7 +814,7 @@ func TestSkeletonChurnProperty(t *testing.T) {
 						continue
 					}
 					check(d)
-					if d.f.Groups() < len(d.Status().Segments) {
+					if d.groups() < len(d.Status().Segments) {
 						multi++
 					}
 				}

@@ -11,7 +11,8 @@ import (
 // SVM is a trained support vector machine whose decision function is
 // served by KARL's threshold kernel aggregation: Classify(q) evaluates
 // F_SV(q) > ρ with the engine's pruned refinement instead of a full scan
-// over the support vectors.
+// over the support vectors. An SVM is safe for concurrent use, as its
+// Engine is.
 type SVM struct {
 	eng *Engine
 	// Rho is the decision threshold.
