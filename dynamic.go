@@ -714,7 +714,7 @@ func (d *Engine) InsertID(p []float64, w float64) (uint64, error) {
 	if err := sh.insertReadyLocked(len(p)); err != nil {
 		return 0, err
 	}
-	return sh.putRowLocked(TailRow{P: p, W: w})
+	return sh.putRowLocked(tailRow{P: p, W: w})
 }
 
 // InsertBulk adds many points with optional parallel weights (nil = unit)
@@ -742,7 +742,7 @@ func (d *Engine) InsertBulk(points [][]float64, weights []float64) ([]uint64, er
 		if weights != nil {
 			w = weights[i]
 		}
-		id, err := sh.putRowLocked(TailRow{P: p, W: w})
+		id, err := sh.putRowLocked(tailRow{P: p, W: w})
 		if err != nil {
 			return nil, err
 		}
@@ -772,9 +772,9 @@ func (sh *dynShared) insertReadyLocked(dims int) error {
 
 // putRowLocked lands one already-validated row in the memtable, sealing when
 // it fills, and returns its id: a new row (Seq 0) gets the next id and the
-// current time, a replayed one (ApplyRows) keeps its own. Called with mu
+// current time, a replayed one (applyRows) keeps its own. Called with mu
 // held; may release it while waiting for room or sealing.
-func (sh *dynShared) putRowLocked(r TailRow) (uint64, error) {
+func (sh *dynShared) putRowLocked(r tailRow) (uint64, error) {
 	// Wait until the memtable has room (a seal may be draining it) and no
 	// full compaction is snapshotting it.
 	for sh.draining || (sh.mem != nil && sh.mem.n >= sh.policy.SealSize) {

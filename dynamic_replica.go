@@ -24,10 +24,10 @@ import (
 // and any length of disconnection are the same single round. The
 // internal/replica package drives it over HTTP.
 
-// TailRow is one live memtable row as an engine stream carries it: the
+// tailRow is one live memtable row as an engine stream carries it: the
 // point, its weight, its cluster-visible sequence number and (on timed
 // engines) its absolute insert timestamp in unix nanoseconds.
-type TailRow struct {
+type tailRow struct {
 	P   []float64
 	W   float64
 	Seq uint64
@@ -92,14 +92,14 @@ func (d *Engine) WriteSnapshot(w io.Writer, have ReplicaHave) (int64, error) {
 }
 
 // memRowsLocked returns the memtable's rows as an engine stream carries them.
-func (sh *dynShared) memRowsLocked() []TailRow {
+func (sh *dynShared) memRowsLocked() []tailRow {
 	mt := sh.mem
 	if mt == nil {
 		return nil
 	}
-	rows := make([]TailRow, mt.n)
+	rows := make([]tailRow, mt.n)
 	for i := range rows {
-		rows[i] = TailRow{P: slices.Clone(mt.m.Row(i)), W: mt.w[i], Seq: mt.seq[i]}
+		rows[i] = tailRow{P: slices.Clone(mt.m.Row(i)), W: mt.w[i], Seq: mt.seq[i]}
 		if mt.t != nil {
 			rows[i].T = mt.t[i]
 		}
@@ -107,48 +107,42 @@ func (sh *dynShared) memRowsLocked() []TailRow {
 	return rows
 }
 
-// ApplyRows puts the rows of a memtable block back with their original
-// sequence numbers and timestamps. Rows at or below the engine's seq
-// counter are skipped; the applied count is returned. Rows must arrive in
-// ascending seq order.
-func (d *Engine) ApplyRows(rows []TailRow) (int, error) {
+// applyRows puts the rows of a memtable block back with their original
+// sequence numbers and timestamps, into the engine readEngine is decoding.
+// Rows must arrive in strictly ascending seq order.
+func (d *Engine) applyRows(rows []tailRow) error {
 	if len(rows) == 0 {
-		return 0, nil
+		return nil
 	}
 	dims := 0
 	for i, r := range rows {
 		if err := validateInsert(r.P, r.W); err != nil {
-			return 0, err
+			return err
 		}
 		if r.Seq == 0 {
-			return 0, fmt.Errorf("karl: replica row %d has seq 0", i)
+			return fmt.Errorf("karl: replica row %d has seq 0", i)
 		}
 		if i > 0 && r.Seq <= rows[i-1].Seq {
-			return 0, fmt.Errorf("karl: replica rows not ascending (seq %d after %d)", r.Seq, rows[i-1].Seq)
+			return fmt.Errorf("karl: replica rows not ascending (seq %d after %d)", r.Seq, rows[i-1].Seq)
 		}
 		if dims == 0 {
 			dims = len(r.P)
 		} else if len(r.P) != dims {
-			return 0, fmt.Errorf("karl: replica row %d has %d dims, batch has %d", i, len(r.P), dims)
+			return fmt.Errorf("karl: replica row %d has %d dims, batch has %d", i, len(r.P), dims)
 		}
 	}
 	sh := d.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := sh.insertReadyLocked(dims); err != nil {
-		return 0, err
+		return err
 	}
-	applied := 0
 	for _, r := range rows {
-		if r.Seq < sh.nextSeq {
-			continue
-		}
 		if _, err := sh.putRowLocked(r); err != nil {
-			return applied, err
+			return err
 		}
-		applied++
 	}
-	return applied, nil
+	return nil
 }
 
 // InstallSnapshot makes the engine a mirror of the leader whose stream r is

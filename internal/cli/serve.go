@@ -255,8 +255,9 @@ func serveCoordinator(mutable bool, shardAddrs, addr, partition, manifestPath, a
 	if mutable {
 		srv, mode = cluster.NewWritableHTTPServer(co), "writable"
 	}
+	st := co.Status(context.Background())
 	banner := fmt.Sprintf("%s %s cluster: %d points (%d dims, %s kernel) across %d shards (%s partition, epoch %d) on %s",
-		verb, mode, co.Points(), co.Dims(), co.KernelName(), co.NumShards(), kind, co.Epoch(), addr)
+		verb, mode, st.Points, st.Dims, st.Kernel, len(st.Members), kind, st.Epoch, addr)
 	return serveHTTP(srv, banner, addr, addrFile, to)
 }
 

@@ -105,8 +105,8 @@ func testSpawnExecSplit(t *testing.T, sp spawner) {
 	if err := wco.Split(ctx, 1); err != nil {
 		t.Fatalf("Split: %v", err)
 	}
-	if n := wco.NumShards(); n != 2 {
-		t.Fatalf("NumShards = %d after split, want 2", n)
+	if n := len(wco.Status(ctx).Members); n != 2 {
+		t.Fatalf("%d members after split, want 2", n)
 	}
 
 	// The spawned member must be in the PERSISTED manifest under its

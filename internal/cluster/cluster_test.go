@@ -327,7 +327,7 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	if math.Abs(res.Value-exact) > 1e-9 {
 		t.Fatalf("value %v, want %v", res.Value, exact)
 	}
-	if got := co.Stats()[0].Retries; got < 1 {
+	if got := co.Status(context.Background()).Members[0].Retries; got < 1 {
 		t.Fatalf("retries counter = %d, want >= 1", got)
 	}
 }
@@ -370,7 +370,7 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
 		t.Fatalf("hedge did not shortcut the slow primary (took %v)", elapsed)
 	}
-	if st := co.Stats()[0]; st.Hedges < 1 || st.HedgeWins < 1 {
+	if st := co.Status(context.Background()).Members[0]; st.Hedges < 1 || st.HedgeWins < 1 {
 		t.Fatalf("hedges=%d hedgeWins=%d, want >= 1 each", st.Hedges, st.HedgeWins)
 	}
 }
@@ -444,7 +444,7 @@ func TestHedgeWinsOverStalledHTTPPrimary(t *testing.T) {
 	if math.Abs(res.Value-exact) > eps*exact || res.Partial {
 		t.Fatalf("Approximate = %+v, exact %v", res, exact)
 	}
-	if st := co.Stats()[0]; st.HedgeWins < 1 {
+	if st := co.Status(ctx).Members[0]; st.HedgeWins < 1 {
 		t.Fatalf("hedges=%d hedge_wins=%d, want a win", st.Hedges, st.HedgeWins)
 	}
 

@@ -104,6 +104,9 @@ type member struct {
 	// [klo·W_S, khi·W_S] every exchange starts from is only sound while W_S
 	// is current.
 	info atomic.Pointer[ShardInfo]
+	// followers are the member's attached replication followers as of this
+	// epoch's install (promotion takes one out and installs a new epoch).
+	followers []FollowerClient
 	*memberState
 }
 
@@ -124,6 +127,11 @@ type epoch struct {
 	// a-priori member bounds when a member has not answered yet (±Inf for
 	// unbounded kernels).
 	klo, khi float64
+
+	// splits, promotions and quarantines count the membership changes that
+	// led to this epoch: each install carries them over and the change that
+	// installs it adds its own before the epoch is published.
+	splits, promotions, quarantines int64
 }
 
 // Coordinator answers Aggregate/Threshold/Approximate queries by
@@ -156,12 +164,10 @@ type Coordinator struct {
 	gen atomic.Uint64
 	ep  atomic.Pointer[epoch]
 
-	splits      atomic.Int64
-	rescatters  atomic.Int64
-	promotions  atomic.Int64
-	quarantines atomic.Int64
-	// exch counts queries and scatter rounds for /v1/stats.
-	exch exchangeCounters
+	// rescatters counts reads re-run because they straddled a membership
+	// change, exch queries and scatter rounds.
+	rescatters atomic.Int64
+	exch       exchangeCounters
 }
 
 type exchangeCounters struct {
@@ -180,13 +186,12 @@ type ExchangeStats struct {
 	ApproximateRounds  int64 `json:"approximate_rounds"`
 }
 
-// Exchange snapshots the bound-exchange counters.
-func (w *Coordinator) Exchange() ExchangeStats {
+func (x *exchangeCounters) load() ExchangeStats {
 	return ExchangeStats{
-		ThresholdQueries:   w.exch.thresholdQueries.Load(),
-		ThresholdRounds:    w.exch.thresholdRounds.Load(),
-		ApproximateQueries: w.exch.approximateQueries.Load(),
-		ApproximateRounds:  w.exch.approximateRounds.Load(),
+		ThresholdQueries:   x.thresholdQueries.Load(),
+		ThresholdRounds:    x.thresholdRounds.Load(),
+		ApproximateQueries: x.approximateQueries.Load(),
+		ApproximateRounds:  x.approximateRounds.Load(),
 	}
 }
 
@@ -210,33 +215,6 @@ func (ep *epoch) weightTotal() float64 {
 	}
 	return w
 }
-
-// Dims returns the query dimensionality (0 until the first insert when
-// founded over empty shards).
-func (w *Coordinator) Dims() int { return w.ep.Load().dims }
-
-// Points returns the total dataset cardinality across members, as of each
-// member's discovery or its last routed write.
-func (w *Coordinator) Points() int {
-	n := 0
-	for _, s := range w.ep.Load().members {
-		n += s.info.Load().Points
-	}
-	return n
-}
-
-// KernelName returns the kernel family the cluster serves.
-func (w *Coordinator) KernelName() string { return w.ep.Load().kernel }
-
-// Gamma returns the kernel bandwidth parameter.
-func (w *Coordinator) Gamma() float64 { return w.ep.Load().gamma }
-
-// NumShards returns the current member count (including unreachable
-// members).
-func (w *Coordinator) NumShards() int { return len(w.ep.Load().members) }
-
-// Epoch returns the current manifest epoch.
-func (w *Coordinator) Epoch() uint64 { return w.ep.Load().man.Epoch }
 
 // Manifest returns a copy of the current routing manifest.
 func (w *Coordinator) Manifest() *shard.Manifest { return w.ep.Load().man.Clone() }
@@ -318,7 +296,7 @@ func (w *Coordinator) query(ctx context.Context, fn func(*epoch) (server.Result,
 		w.rescatters.Add(1)
 		if attempt >= epochRetries {
 			return server.Result{}, fmt.Errorf("%w: %d re-scatters exhausted (epoch now %d)",
-				ErrEpochChanged, attempt+1, w.Epoch())
+				ErrEpochChanged, attempt+1, w.ep.Load().man.Epoch)
 		}
 	}
 }
@@ -949,43 +927,95 @@ func (l *latencyWindow) quantile(q float64) time.Duration {
 	return l.quantileLocked(q)
 }
 
-// ShardStats is one shard's robustness counters and latency profile, the
-// JSON unit of the coordinator's /v1/stats.
-type ShardStats struct {
-	Name      string  `json:"name"`
-	Points    int     `json:"points"`
-	Weight    float64 `json:"weight"`
-	Replicas  int     `json:"replicas"`
-	Requests  int64   `json:"requests"`
-	Errors    int64   `json:"errors"`
-	Retries   int64   `json:"retries"`
-	Hedges    int64   `json:"hedges"`
-	HedgeWins int64   `json:"hedge_wins"`
-	P50Millis float64 `json:"p50_ms"`
-	P99Millis float64 `json:"p99_ms"`
+// Status is the coordinator at one instant: every field is read from one
+// epoch, so the member rows, the shard count, the point total and the epoch
+// always agree. Each member appears once, with the mass the a-priori clamp
+// uses for it right now. /v1/info, /v1/stats, the write replies and the
+// serve banner all read it.
+type Status struct {
+	Epoch uint64
+	// Dims is the query dimensionality (0 until the first insert when the
+	// cluster was founded over empty members); Kernel and Gamma name the
+	// kernel the cluster serves.
+	Dims   int
+	Kernel string
+	Gamma  float64
+	// Points is the members' total, the sum of Members[i].Points.
+	Points  int
+	Members []MemberStatus
+	// Splits, Promotions and Quarantines count the membership changes that
+	// led to Epoch; Rescatters the reads re-run after straddling one.
+	Splits, Promotions, Quarantines, Rescatters int64
+	// Exchange counts Threshold and Approximate queries and their rounds.
+	Exchange ExchangeStats
 }
 
-// Stats snapshots per-shard counters for monitoring.
-func (w *Coordinator) Stats() []ShardStats {
+// MemberStatus is one member's row, the JSON unit of the coordinator's
+// /v1/stats "shards": its manifest entry, its cardinality and weight mass
+// W_S as the a-priori clamp [klo·W_S, khi·W_S] uses them, the coordinator's
+// counters and latency quantiles for calls to it, and its followers.
+type MemberStatus struct {
+	ID   uint64 `json:"id"`
+	Name string `json:"name"`
+	Role string `json:"role"`
+	// Quarantined reports a member recorded in the manifest with no write
+	// client: its mass stays in the coverage denominator.
+	Quarantined bool             `json:"quarantined"`
+	Points      int              `json:"points"`
+	Weight      float64          `json:"weight"`
+	Requests    int64            `json:"requests"`
+	Errors      int64            `json:"errors"`
+	Retries     int64            `json:"retries"`
+	Hedges      int64            `json:"hedges"`
+	HedgeWins   int64            `json:"hedge_wins"`
+	P50Millis   float64          `json:"p50_ms"`
+	P99Millis   float64          `json:"p99_ms"`
+	Followers   []FollowerStatus `json:"followers,omitempty"`
+}
+
+// Status reads the coordinator at its current epoch and asks every attached
+// follower, all at once, for its replication state (see probeFollowers).
+func (w *Coordinator) Status(ctx context.Context) Status {
 	ep := w.ep.Load()
-	out := make([]ShardStats, len(ep.members))
-	for i, s := range ep.members {
-		p50, p99 := s.lat.quantile(0.50), s.lat.quantile(0.99)
-		out[i] = ShardStats{
-			Name:      s.client.Name(),
-			Points:    s.info.Load().Points,
-			Weight:    s.weight(),
-			Replicas:  len(s.replicas),
-			Requests:  s.requests.Load(),
-			Errors:    s.errors.Load(),
-			Retries:   s.retries.Load(),
-			Hedges:    s.hedges.Load(),
-			HedgeWins: s.hedgeWins.Load(),
-			P50Millis: float64(p50) / float64(time.Millisecond),
-			P99Millis: float64(p99) / float64(time.Millisecond),
-		}
+	st := ep.status()
+	ep.probeFollowers(ctx, st.Members)
+	return st
+}
+
+// status is Status without the follower probes: each member's followers are
+// the replica set its manifest entry recorded when the epoch was installed.
+func (ep *epoch) status() Status {
+	st := Status{
+		Epoch: ep.man.Epoch, Dims: ep.dims, Kernel: ep.kernel, Gamma: ep.gamma,
+		Members: make([]MemberStatus, len(ep.members)),
+		Splits:  ep.splits, Promotions: ep.promotions, Quarantines: ep.quarantines,
+		Rescatters: ep.co.rescatters.Load(), Exchange: ep.co.exch.load(),
 	}
-	return out
+	for i, m := range ep.members {
+		mb := &ep.man.Members[i] // members are in manifest order
+		info := m.info.Load()
+		row := MemberStatus{
+			ID:          mb.ID,
+			Name:        mb.Name,
+			Role:        mb.Role.String(),
+			Quarantined: ep.clients[mb.ID] == nil,
+			Points:      info.Points,
+			Weight:      info.Weight(),
+			Requests:    m.requests.Load(),
+			Errors:      m.errors.Load(),
+			Retries:     m.retries.Load(),
+			Hedges:      m.hedges.Load(),
+			HedgeWins:   m.hedgeWins.Load(),
+			P50Millis:   float64(m.lat.quantile(0.50)) / float64(time.Millisecond),
+			P99Millis:   float64(m.lat.quantile(0.99)) / float64(time.Millisecond),
+		}
+		for _, r := range mb.Replicas {
+			row.Followers = append(row.Followers, FollowerStatus{Name: r.Name, State: r.Role.String(), AckedSeq: r.AckedSeq})
+		}
+		st.Members[i] = row
+		st.Points += info.Points
+	}
+	return st
 }
 
 // ShardHealth is one shard's readiness probe result.

@@ -57,27 +57,28 @@ type ClusterInfoResponse struct {
 
 // ClusterStatsResponse is the coordinator's GET /v1/stats body: the front
 // door's request counters (Requests, Errors and Partials are their sums
-// over Endpoints) plus per-shard latency/error/retry/hedge counters.
+// over Endpoints) and one Status — a row per member, with its mass,
+// latency/error/retry/hedge counters and followers, and the epoch and
+// membership-change counters those rows were read at.
 type ClusterStatsResponse struct {
-	Requests   int64                           `json:"requests"`
-	Errors     int64                           `json:"errors"`
-	Partials   int64                           `json:"partials"`
-	Endpoints  map[string]server.EndpointStats `json:"endpoints"`
-	Shards     []ShardStats                    `json:"shards"`
-	Epoch      uint64                          `json:"epoch,omitempty"`
-	Splits     int64                           `json:"splits,omitempty"`
-	Rescatters int64                           `json:"rescatters,omitempty"`
+	Requests    int64                           `json:"requests"`
+	Errors      int64                           `json:"errors"`
+	Partials    int64                           `json:"partials"`
+	Endpoints   map[string]server.EndpointStats `json:"endpoints"`
+	Shards      []MemberStatus                  `json:"shards"`
+	Epoch       uint64                          `json:"epoch,omitempty"`
+	Splits      int64                           `json:"splits,omitempty"`
+	Promotions  int64                           `json:"promotions,omitempty"`
+	Quarantines int64                           `json:"quarantines,omitempty"`
+	Rescatters  int64                           `json:"rescatters,omitempty"`
 	// ExchangeStats counts Threshold/Approximate queries and their scatter
 	// rounds since the process started.
 	ExchangeStats
-	// Cluster is the membership/replication block: per-member role,
-	// quarantine state and per-follower replication lag,
-	// plus promotion and failover counters.
-	Cluster *ClusterStatus `json:"cluster,omitempty"`
 }
 
 // ClusterInsertResponse reports a routed insert: cluster-global point ids
-// in input order and the manifest epoch the insert landed under.
+// in input order and the manifest epoch after the write (an insert whose
+// split probe split a member reports the new epoch).
 type ClusterInsertResponse struct {
 	Inserted int      `json:"inserted"`
 	IDs      []uint64 `json:"ids"`
@@ -96,7 +97,8 @@ type ClusterInsertErrorResponse struct {
 	IDs      []uint64 `json:"ids"`
 }
 
-// ClusterDeleteResponse reports a routed delete.
+// ClusterDeleteResponse reports a routed delete and the manifest epoch
+// after the write.
 type ClusterDeleteResponse struct {
 	Deleted int    `json:"deleted"`
 	Epoch   uint64 `json:"epoch"`
@@ -118,32 +120,36 @@ type ClusterReadyResponse struct {
 	Shards []ShardHealth `json:"shards"`
 }
 
-// Dims implements server.Backend.
-func (f *front) Dims() int { return f.co.Dims() }
+// Dims implements server.Backend with one atomic epoch load: it runs on
+// every query.
+func (f *front) Dims() int { return f.co.ep.Load().dims }
 
-// Kernel implements server.Backend.
-func (f *front) Kernel() string { return f.co.KernelName() }
+// Kernel implements server.Backend, as Dims does.
+func (f *front) Kernel() string { return f.co.ep.Load().kernel }
 
-// Info implements server.Backend.
+// Info implements server.Backend from one epoch's status, without probing
+// the followers.
 func (f *front) Info() any {
+	st := f.co.ep.Load().status()
 	return ClusterInfoResponse{
-		Points:   f.co.Points(),
-		Dims:     f.co.Dims(),
-		Kernel:   f.co.KernelName(),
-		Gamma:    f.co.Gamma(),
-		Shards:   f.co.NumShards(),
+		Points:   st.Points,
+		Dims:     st.Dims,
+		Kernel:   st.Kernel,
+		Gamma:    st.Gamma,
+		Shards:   len(st.Members),
 		Writable: f.writable,
-		Epoch:    f.co.Epoch(),
-		Splits:   f.co.Splits(),
+		Epoch:    st.Epoch,
+		Splits:   st.Splits,
 	}
 }
 
-// Stats implements server.Backend.
+// Stats implements server.Backend from one Status.
 func (f *front) Stats(ctx context.Context, endpoints map[string]server.EndpointStats) any {
-	cs := f.co.ClusterStatus(ctx)
+	st := f.co.Status(ctx)
 	resp := ClusterStatsResponse{
-		Endpoints: endpoints, Shards: f.co.Stats(), ExchangeStats: f.co.Exchange(),
-		Epoch: cs.Epoch, Splits: cs.Splits, Rescatters: cs.Rescatters, Cluster: &cs,
+		Endpoints: endpoints, Shards: st.Members, ExchangeStats: st.Exchange,
+		Epoch: st.Epoch, Splits: st.Splits, Promotions: st.Promotions,
+		Quarantines: st.Quarantines, Rescatters: st.Rescatters,
 	}
 	for _, ep := range endpoints {
 		resp.Requests += ep.Requests
@@ -206,7 +212,7 @@ func (f *front) Insert(ctx context.Context, points [][]float64, weights []float6
 		}
 		return nil, upstream(err, ClusterInsertErrorResponse{Error: err.Error(), Inserted: landed, IDs: ids})
 	}
-	return ClusterInsertResponse{Inserted: len(ids), IDs: ids, Epoch: f.co.Epoch()}, nil
+	return ClusterInsertResponse{Inserted: len(ids), IDs: ids, Epoch: f.co.ep.Load().man.Epoch}, nil
 }
 
 // Delete implements server.Writer by cluster-global id — one shard call per
@@ -225,7 +231,7 @@ func (f *front) Delete(ctx context.Context, ids []uint64) (any, error) {
 		}
 		return nil, upstream(err, resp)
 	}
-	return ClusterDeleteResponse{Deleted: len(ids), Epoch: f.co.Epoch()}, nil
+	return ClusterDeleteResponse{Deleted: len(ids), Epoch: f.co.ep.Load().man.Epoch}, nil
 }
 
 // upstream gives a coordinator error its HTTP status and, when body is

@@ -9,6 +9,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"karl/internal/replica"
 	"karl/internal/shard"
@@ -153,8 +154,8 @@ func (w *Coordinator) promoteLocked(ctx context.Context, id uint64) error {
 	if err != nil {
 		return err
 	}
+	ep2.promotions++
 	w.ep.Store(ep2)
-	w.promotions.Add(1)
 	return w.persist(man2)
 }
 
@@ -182,15 +183,8 @@ func (w *Coordinator) Promote(ctx context.Context, memberID uint64) error {
 	return w.promoteLocked(ctx, memberID)
 }
 
-// Promotions returns how many leader failovers have completed.
-func (w *Coordinator) Promotions() int64 { return w.promotions.Load() }
-
-// Quarantines returns how many members were quarantined (client dropped
-// after an ambiguous failure with no follower to promote).
-func (w *Coordinator) Quarantines() int64 { return w.quarantines.Load() }
-
-// ClusterReplicaStatus is one follower's row in the cluster status block.
-type ClusterReplicaStatus struct {
+// FollowerStatus is one follower's row under its member in Status.
+type FollowerStatus struct {
 	Name string `json:"name"`
 	// State is the follower's state ("snapshot", "live"), or "unreachable"
 	// when its status probe failed, or a manifest-recorded role
@@ -204,77 +198,31 @@ type ClusterReplicaStatus struct {
 	Lag uint64 `json:"lag"`
 }
 
-// ClusterMemberStatus is one member's row in the cluster status block.
-type ClusterMemberStatus struct {
-	ID   uint64 `json:"id"`
-	Name string `json:"name"`
-	Role string `json:"role"`
-	// Quarantined reports a member recorded in the manifest with no
-	// reachable client — its mass stays in the coverage denominator.
-	Quarantined bool                   `json:"quarantined"`
-	Points      int                    `json:"points"`
-	Replicas    []ClusterReplicaStatus `json:"replicas,omitempty"`
-}
-
-// ClusterStatus is the replication/membership observability block served
-// under "cluster" in the writable coordinator's /v1/stats.
-type ClusterStatus struct {
-	Epoch       uint64                `json:"epoch"`
-	Members     []ClusterMemberStatus `json:"members"`
-	Splits      int64                 `json:"splits"`
-	Promotions  int64                 `json:"promotions"`
-	Quarantines int64                 `json:"quarantines"`
-	Rescatters  int64                 `json:"rescatters"`
-}
-
-// ClusterStatus snapshots the membership with live replication lag: one
-// status probe per attached follower (bounded by the per-shard timeout),
-// falling back to the manifest-recorded replica set for members whose
-// followers have no attached client (e.g. after a resume).
-func (w *Coordinator) ClusterStatus(ctx context.Context) ClusterStatus {
-	ep := w.ep.Load()
-	w.mu.Lock()
-	fols := make(map[uint64][]FollowerClient, len(w.followers))
-	for id, fs := range w.followers {
-		fols[id] = append([]FollowerClient(nil), fs...)
-	}
-	w.mu.Unlock()
-	cs := ClusterStatus{
-		Epoch:       ep.man.Epoch,
-		Splits:      w.splits.Load(),
-		Promotions:  w.promotions.Load(),
-		Quarantines: w.quarantines.Load(),
-		Rescatters:  w.rescatters.Load(),
-	}
-	for _, mb := range ep.man.Members {
-		ms := ClusterMemberStatus{
-			ID:          mb.ID,
-			Name:        mb.Name,
-			Role:        mb.Role.String(),
-			Quarantined: ep.clients[mb.ID] == nil,
-			Points:      mb.Points,
+// probeFollowers replaces the recorded follower rows of every member with
+// attached followers by what those followers report now. Every follower of
+// every member is asked at once, each call bounded by the shard timeout, so
+// hung followers cost one timeout, not one each; one that does not answer
+// reads "unreachable".
+func (ep *epoch) probeFollowers(ctx context.Context, rows []MemberStatus) {
+	var wg sync.WaitGroup
+	for i, m := range ep.members {
+		if len(m.followers) == 0 {
+			continue
 		}
-		if attached := fols[mb.ID]; len(attached) > 0 {
-			for _, f := range attached {
-				rctx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
-				st, err := f.ReplicaStatus(rctx)
-				cancel()
-				if err != nil {
-					ms.Replicas = append(ms.Replicas, ClusterReplicaStatus{Name: f.Name(), State: "unreachable"})
-					continue
+		rows[i].Followers = make([]FollowerStatus, len(m.followers))
+		for j, f := range m.followers {
+			row := &rows[i].Followers[j]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fctx, cancel := context.WithTimeout(ctx, ep.co.cfg.Timeout)
+				defer cancel()
+				*row = FollowerStatus{Name: f.Name(), State: "unreachable"}
+				if st, err := f.ReplicaStatus(fctx); err == nil {
+					*row = FollowerStatus{Name: f.Name(), State: st.State, AckedSeq: st.Fence, Lag: st.Lag()}
 				}
-				ms.Replicas = append(ms.Replicas, ClusterReplicaStatus{
-					Name: f.Name(), State: st.State, AckedSeq: st.Fence, Lag: st.Lag(),
-				})
-			}
-		} else {
-			for _, r := range mb.Replicas {
-				ms.Replicas = append(ms.Replicas, ClusterReplicaStatus{
-					Name: r.Name, State: r.Role.String(), AckedSeq: r.AckedSeq,
-				})
-			}
+			}()
 		}
-		cs.Members = append(cs.Members, ms)
 	}
-	return cs
+	wg.Wait()
 }

@@ -119,7 +119,7 @@ func TestThresholdWorkGate(t *testing.T) {
 				t.Fatalf("query %d: over = %v, exact %v vs tau %v", i, tr.Over, exact[i], tau)
 			}
 		}
-		ex := co.Exchange()
+		ex := co.Status(ctx).Exchange
 		if ex.ThresholdQueries != int64(len(queries)) {
 			t.Fatalf("threshold_queries = %d, want %d", ex.ThresholdQueries, len(queries))
 		}
@@ -172,7 +172,7 @@ func TestApproximateOneRound(t *testing.T) {
 				}
 			}
 		}
-		if ex := co.Exchange(); ex.ApproximateRounds != ex.ApproximateQueries {
+		if ex := co.Status(ctx).Exchange; ex.ApproximateRounds != ex.ApproximateQueries {
 			t.Errorf("part %v: %d rounds for %d eKAQ, want one each", part, ex.ApproximateRounds, ex.ApproximateQueries)
 		}
 	}
@@ -263,7 +263,7 @@ func TestThresholdShardDiesMidExchange(t *testing.T) {
 		if calls := dying.calls.Load(); calls != 2 {
 			t.Errorf("%s: victim saw %d calls, want 2 (one answered, one that found it dead, then no share)", tc.name, calls)
 		}
-		if rounds := co.Exchange().ThresholdRounds; rounds < 3 {
+		if rounds := co.Status(ctx).Exchange.ThresholdRounds; rounds < 3 {
 			t.Errorf("%s: decided in %d rounds; the fixture must outlive round 1, where the victim is found dead", tc.name, rounds)
 		}
 	}
@@ -277,7 +277,7 @@ func TestThresholdShardDiesMidExchange(t *testing.T) {
 	if calls := dying.calls.Load(); calls != 2 {
 		t.Errorf("indeterminate: victim saw %d calls, want 2", calls)
 	}
-	if rounds := co.Exchange().ThresholdRounds; rounds < 3 {
+	if rounds := co.Status(ctx).Exchange.ThresholdRounds; rounds < 3 {
 		t.Errorf("indeterminate after %d rounds: the live shards should have been asked again after the victim died", rounds)
 	}
 }

@@ -256,6 +256,9 @@ func attach(ctx context.Context, man *shard.Manifest, shards []WritableShard, sp
 // Called with w.mu held or during construction; man is the caller's own copy.
 func (w *Coordinator) newEpoch(ctx context.Context, man *shard.Manifest, clients map[uint64]MutableShardClient, lenient bool) (*epoch, error) {
 	ep := &epoch{co: w, man: man, clients: clients, members: make([]*member, len(man.Members))}
+	if prev := w.ep.Load(); prev != nil {
+		ep.splits, ep.promotions, ep.quarantines = prev.splits, prev.promotions, prev.quarantines
+	}
 	errs := make([]error, len(man.Members))
 	var wg sync.WaitGroup
 	for i := range man.Members {
@@ -263,7 +266,7 @@ func (w *Coordinator) newEpoch(ctx context.Context, man *shard.Manifest, clients
 		if w.states[mb.ID] == nil {
 			w.states[mb.ID] = new(memberState)
 		}
-		m := &member{client: downShard(mb.Name), memberState: w.states[mb.ID]}
+		m := &member{client: downShard(mb.Name), followers: w.followers[mb.ID], memberState: w.states[mb.ID]}
 		ep.members[i] = m
 		wg.Add(1)
 		go func() {
@@ -392,9 +395,6 @@ func LoadManifest(path string) (*shard.Manifest, error) {
 	defer f.Close()
 	return shard.ReadManifest(f)
 }
-
-// Splits returns how many shard splits have completed.
-func (w *Coordinator) Splits() int64 { return w.splits.Load() }
 
 // Insert routes points to their owning members via the manifest and
 // returns cluster-global ids (member ⊕ engine-local id), in input order.
@@ -852,8 +852,8 @@ func (w *Coordinator) splitLocked(ctx context.Context, srcID uint64) error {
 	}
 	// Published inside the odd-generation window splitLocked holds; the
 	// deferred increment makes it visible to waiting reads.
+	ep2.splits++
 	w.ep.Store(ep2)
-	w.splits.Add(1)
 	if err := w.persist(man2); err != nil {
 		return errors.Join(spawnErr, err)
 	}
@@ -880,7 +880,7 @@ func (w *Coordinator) quarantineLocked(ctx context.Context, id uint64) error {
 	if err != nil {
 		return err
 	}
+	ep2.quarantines++
 	w.ep.Store(ep2)
-	w.quarantines.Add(1)
 	return w.persist(man2)
 }

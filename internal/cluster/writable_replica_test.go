@@ -84,22 +84,23 @@ func TestWritableChaosPromotionMidSplit(t *testing.T) {
 	// lost, the split is ambiguous, and failover must promote rather than
 	// quarantine.
 	follower := wco.Manifest().Member(2).Replicas[0].Name
-	epoch0 := wco.Epoch()
+	epoch0 := wco.Status(ctx).Epoch
 	switches[1].down.Store(true)
 	if err := wco.Split(ctx, 2); err == nil {
 		t.Fatal("split against a dead shard must fail")
 	}
-	if got := wco.Promotions(); got != 1 {
-		t.Fatalf("Promotions = %d, want 1", got)
+	st := wco.Status(ctx)
+	if st.Promotions != 1 {
+		t.Fatalf("Promotions = %d, want 1", st.Promotions)
 	}
-	if got := wco.Quarantines(); got != 0 {
-		t.Fatalf("Quarantines = %d, want 0 (a live follower was available)", got)
+	if st.Quarantines != 0 {
+		t.Fatalf("Quarantines = %d, want 0 (a live follower was available)", st.Quarantines)
 	}
-	if wco.Epoch() != epoch0+1 {
-		t.Fatalf("promotion must advance the epoch: %d -> %d", epoch0, wco.Epoch())
+	if st.Epoch != epoch0+1 {
+		t.Fatalf("promotion must advance the epoch: %d -> %d", epoch0, st.Epoch)
 	}
-	if wco.NumShards() != 2 {
-		t.Fatalf("promotion must not change membership size: %d", wco.NumShards())
+	if len(st.Members) != 2 {
+		t.Fatalf("promotion must not change membership size: %d", len(st.Members))
 	}
 	if !appliers[1].Promoted() {
 		t.Fatal("member 2's applier should have been promoted")
@@ -152,7 +153,7 @@ func TestWritableChaosPromotionMidSplit(t *testing.T) {
 	more, mw := dataset(60, 3, 43, "II")
 	mustInsert(t, wco, more, mw)
 
-	// The /v1/stats cluster block reports the new topology and counters.
+	// /v1/stats reports the new topology and counters, each member once.
 	front := server.NewTestServer(NewWritableHTTPServer(wco))
 	defer front.Close()
 	hres, err := http.Get(front.URL + "/v1/stats")
@@ -164,23 +165,14 @@ func TestWritableChaosPromotionMidSplit(t *testing.T) {
 	if err := json.NewDecoder(hres.Body).Decode(&stats); err != nil {
 		t.Fatalf("decode stats: %v", err)
 	}
-	if stats.Cluster == nil {
-		t.Fatal("writable /v1/stats must carry a cluster block")
+	if stats.Promotions != 1 || stats.Quarantines != 0 {
+		t.Fatalf("stats counters: %d promotions, %d quarantines, want 1 and 0", stats.Promotions, stats.Quarantines)
 	}
-	if stats.Cluster.Promotions != 1 || stats.Cluster.Quarantines != 0 {
-		t.Fatalf("cluster block counters = %+v", stats.Cluster)
+	if len(stats.Shards) != 2 {
+		t.Fatalf("stats lists %d members, want 2: %+v", len(stats.Shards), stats.Shards)
 	}
-	var seen bool
-	for _, m := range stats.Cluster.Members {
-		if m.ID == 2 {
-			seen = true
-			if m.Name != follower || m.Role != "leader" || m.Quarantined {
-				t.Fatalf("cluster block member 2 = %+v", m)
-			}
-		}
-	}
-	if !seen {
-		t.Fatalf("cluster block missing member 2: %+v", stats.Cluster.Members)
+	if m := stats.Shards[1]; m.ID != 2 || m.Name != follower || m.Role != "leader" || m.Quarantined {
+		t.Fatalf("stats member 2 = %+v", m)
 	}
 }
 
@@ -245,11 +237,8 @@ func TestWritableChaosPromotionUnderWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mono.InsertBulk: %v", err)
 	}
-	if got := wco.Promotions(); got != 1 {
-		t.Fatalf("Promotions = %d, want 1 (insert should have failed over)", got)
-	}
-	if got := wco.Quarantines(); got != 0 {
-		t.Fatalf("Quarantines = %d, want 0", got)
+	if st := wco.Status(ctx); st.Promotions != 1 || st.Quarantines != 0 {
+		t.Fatalf("%d promotions and %d quarantines, want 1 and 0 (insert should have failed over)", st.Promotions, st.Quarantines)
 	}
 
 	// Keep mutating after the failover: deletes mix pre-kill ids assigned
@@ -342,8 +331,8 @@ func TestWritableChaosPromotionUnderWrites(t *testing.T) {
 	if err := wco.Split(ctx, victim); err != nil {
 		t.Fatalf("post-promotion Split: %v", err)
 	}
-	if wco.NumShards() != 5 {
-		t.Fatalf("NumShards = %d after split, want 5", wco.NumShards())
+	if n := len(wco.Status(ctx).Members); n != 5 {
+		t.Fatalf("%d members after split, want 5", n)
 	}
 
 	// Shut the appliers down; the promoted one must already have exited
@@ -383,11 +372,8 @@ func TestWritableChaosPromotionNotCaughtUp(t *testing.T) {
 	if err := wco.Split(ctx, 2); err == nil {
 		t.Fatal("split against a dead shard must fail")
 	}
-	if got := wco.Promotions(); got != 0 {
-		t.Fatalf("Promotions = %d, want 0 (follower never caught up)", got)
-	}
-	if got := wco.Quarantines(); got != 1 {
-		t.Fatalf("Quarantines = %d, want 1", got)
+	if st := wco.Status(ctx); st.Promotions != 0 || st.Quarantines != 1 {
+		t.Fatalf("%d promotions and %d quarantines, want 0 and 1 (follower never caught up)", st.Promotions, st.Quarantines)
 	}
 
 	res, err := wco.Aggregate(ctx, q)
@@ -477,12 +463,13 @@ func TestWritableMemberStateSurvivesSplit(t *testing.T) {
 			t.Fatalf("Aggregate: %+v, %v", res, err)
 		}
 	}
-	m1 := func() (ShardStats, time.Duration) {
-		st := wco.Stats()[0]
-		if st.Name != leaderClient.Name() || st.Replicas != 1 {
-			t.Fatalf("fixture: member 1 reads as %+v, want %s with its follower as a hedge target", st, leaderClient.Name())
+	m1 := func() (MemberStatus, time.Duration) {
+		st := wco.Status(ctx).Members[0]
+		m := wco.ep.Load().members[0]
+		if st.ID != 1 || st.Name != "m1" || len(m.replicas) != 1 || len(st.Followers) != 1 || st.Followers[0].State != replica.StateLive {
+			t.Fatalf("fixture: member 1 reads as %+v with %d hedge targets, want m1 with its live follower as the one", st, len(m.replicas))
 		}
-		return st, time.Duration(wco.ep.Load().members[0].lat.hedge.Load())
+		return st, time.Duration(m.lat.hedge.Load())
 	}
 	before, hedgeBefore := m1()
 	if before.Requests < 2*warmSamples || hedgeBefore == 0 {

@@ -133,8 +133,8 @@ func TestWritableEquivalence(t *testing.T) {
 					if err := wco.Split(ctx, 1); err != nil {
 						t.Fatalf("Split: %v", err)
 					}
-					if wco.NumShards() != 5 {
-						t.Fatalf("NumShards = %d after split, want 5", wco.NumShards())
+					if n := len(wco.Status(ctx).Members); n != 5 {
+						t.Fatalf("%d members after split, want 5", n)
 					}
 
 					// Wave 2: more inserts over the grown membership, then
@@ -273,11 +273,12 @@ func TestWritableKDGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mono.InsertBulk: %v", err)
 	}
-	if wco.NumShards() < 2 || wco.Splits() < 1 {
-		t.Fatalf("automatic kd split did not fire: shards=%d splits=%d", wco.NumShards(), wco.Splits())
+	st := wco.Status(ctx)
+	if len(st.Members) < 2 || st.Splits < 1 {
+		t.Fatalf("automatic kd split did not fire: shards=%d splits=%d", len(st.Members), st.Splits)
 	}
-	if wco.Epoch() < 2 {
-		t.Fatalf("epoch = %d after a split, want >= 2", wco.Epoch())
+	if st.Epoch < 2 {
+		t.Fatalf("epoch = %d after a split, want >= 2", st.Epoch)
 	}
 
 	// Every pre-split id must still delete, wherever its point moved.
@@ -363,16 +364,17 @@ func TestWritableChaosMidSplit(t *testing.T) {
 
 	// Kill member 2, then ask it to split: the response is lost, the
 	// coordinator cannot know whether the shard applied the extraction.
-	epoch0 := wco.Epoch()
+	epoch0 := wco.Status(ctx).Epoch
 	switches[1].down.Store(true)
 	if err := wco.Split(ctx, 2); err == nil {
 		t.Fatal("split against a dead shard must fail")
 	}
-	if wco.Epoch() != epoch0+1 {
-		t.Fatalf("ambiguous split failure must advance the epoch: %d -> %d", epoch0, wco.Epoch())
+	st := wco.Status(ctx)
+	if st.Epoch != epoch0+1 {
+		t.Fatalf("ambiguous split failure must advance the epoch: %d -> %d", epoch0, st.Epoch)
 	}
-	if wco.NumShards() != 2 {
-		t.Fatalf("quarantine must not change membership size: %d", wco.NumShards())
+	if len(st.Members) != 2 {
+		t.Fatalf("quarantine must not change membership size: %d", len(st.Members))
 	}
 
 	// Aggregate: explicit partial covering exactly the live mass.
@@ -442,15 +444,16 @@ func TestWritableSplitCleanRefusal(t *testing.T) {
 	}
 	mustInsert(t, wco, pts, nil)
 
-	epoch0 := wco.Epoch()
+	epoch0 := wco.Status(ctx).Epoch
 	if err := wco.Split(ctx, 1); err == nil {
 		t.Fatal("splitting degenerate data must fail")
 	}
-	if wco.Epoch() != epoch0 {
-		t.Fatalf("clean refusal must not advance the epoch: %d -> %d", epoch0, wco.Epoch())
+	st := wco.Status(ctx)
+	if st.Epoch != epoch0 {
+		t.Fatalf("clean refusal must not advance the epoch: %d -> %d", epoch0, st.Epoch)
 	}
-	if wco.NumShards() != 1 {
-		t.Fatalf("clean refusal must not change membership: %d members", wco.NumShards())
+	if len(st.Members) != 1 {
+		t.Fatalf("clean refusal must not change membership: %d members", len(st.Members))
 	}
 	res, err := wco.Aggregate(ctx, []float64{1, 2})
 	if err != nil || res.Partial {
@@ -479,8 +482,8 @@ func TestWritableManifestPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadManifest: %v", err)
 	}
-	if man.Epoch != wco.Epoch() {
-		t.Fatalf("persisted epoch %d, live epoch %d", man.Epoch, wco.Epoch())
+	if live := wco.Status(ctx).Epoch; man.Epoch != live {
+		t.Fatalf("persisted epoch %d, live epoch %d", man.Epoch, live)
 	}
 	if len(man.Members) != 3 {
 		t.Fatalf("persisted members = %d, want 3", len(man.Members))
@@ -725,8 +728,8 @@ func TestWritableResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ResumeWritable: %v", err)
 	}
-	if re.Epoch() != wco.Epoch() || re.NumShards() != 3 {
-		t.Fatalf("resumed epoch=%d shards=%d, want epoch=%d shards=3", re.Epoch(), re.NumShards(), wco.Epoch())
+	if st, want := re.Status(ctx), wco.Status(ctx).Epoch; st.Epoch != want || len(st.Members) != 3 {
+		t.Fatalf("resumed epoch=%d shards=%d, want epoch=%d shards=3", st.Epoch, len(st.Members), want)
 	}
 	res, err := re.Aggregate(ctx, q)
 	if err != nil || res.Partial {
@@ -746,7 +749,7 @@ func TestWritableResume(t *testing.T) {
 	if err != nil || len(ids2) != len(more) {
 		t.Fatalf("post-resume insert: ids=%d err=%v", len(ids2), err)
 	}
-	preSplit := re.Epoch()
+	preSplit := re.Status(ctx).Epoch
 	if err := re.Split(ctx, 2); err != nil {
 		t.Fatalf("post-resume split: %v", err)
 	}
@@ -754,8 +757,8 @@ func TestWritableResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadManifest after post-resume split: %v", err)
 	}
-	if onDisk.Epoch != preSplit+1 || onDisk.Epoch != re.Epoch() {
-		t.Fatalf("post-resume split persisted epoch %d, live %d, want %d", onDisk.Epoch, re.Epoch(), preSplit+1)
+	if live := re.Status(ctx).Epoch; onDisk.Epoch != preSplit+1 || onDisk.Epoch != live {
+		t.Fatalf("post-resume split persisted epoch %d, live %d, want %d", onDisk.Epoch, live, preSplit+1)
 	}
 
 	// Resuming without the split-off member degrades, never lies: its
@@ -1033,8 +1036,8 @@ func TestWritableMassRefreshMultiSeed(t *testing.T) {
 		if got := infos.Load() - before; got != 0 {
 			t.Fatalf("%s: reads cost %d Info calls, want 0 (masses refresh on the write path only)", stage, got)
 		}
-		if wco.Points() != mono.Len() {
-			t.Fatalf("%s: coordinator reports %d points, monolithic engine holds %d", stage, wco.Points(), mono.Len())
+		if got := wco.Status(ctx).Points; got != mono.Len() {
+			t.Fatalf("%s: coordinator reports %d points, monolithic engine holds %d", stage, got, mono.Len())
 		}
 	}
 
@@ -1133,7 +1136,7 @@ func TestWritableDeleteManyPerMember(t *testing.T) {
 	live := len(pts)
 	checkPoints := func(stage string) {
 		t.Helper()
-		if got := wco.Points(); got != live {
+		if got := wco.Status(ctx).Points; got != live {
 			t.Fatalf("%s: coordinator reports %d points, want %d (masses ride on the delete replies)", stage, got, live)
 		}
 	}
@@ -1261,13 +1264,13 @@ func TestWritableSplitLargeMember(t *testing.T) {
 	if err := wco.Split(ctx, 1); err != nil {
 		t.Fatalf("Split: %v", err)
 	}
-	moved := wco.Manifest().Member(2)
-	if wco.Quarantines() != 0 || moved == nil || moved.Points < len(pts)/4 || root.Len()+moved.Points != len(pts) {
+	moved, st := wco.Manifest().Member(2), wco.Status(ctx)
+	if st.Quarantines != 0 || moved == nil || moved.Points < len(pts)/4 || root.Len()+moved.Points != len(pts) {
 		t.Fatalf("after the split: source holds %d, moved member %+v, %d quarantines; want %d points between two live members",
-			root.Len(), moved, wco.Quarantines(), len(pts))
+			root.Len(), moved, st.Quarantines, len(pts))
 	}
-	if wco.Points() != len(pts) {
-		t.Fatalf("coordinator reports %d points, want %d", wco.Points(), len(pts))
+	if st.Points != len(pts) {
+		t.Fatalf("coordinator reports %d points, want %d", st.Points, len(pts))
 	}
 	for i, q := range queries {
 		res, err := wco.Approximate(ctx, q, eps)
@@ -1298,8 +1301,8 @@ func TestWritableInsertLargeBatch(t *testing.T) {
 	}
 	pts, _ := dataset(200000, 2, 93, "I")
 	gids := mustInsert(t, wco, pts, nil)
-	if len(gids) != len(pts) || d.Len() != len(pts) || wco.Points() != len(pts) {
-		t.Fatalf("%d ids for %d points; the member holds %d, the coordinator reports %d", len(gids), len(pts), d.Len(), wco.Points())
+	if got := wco.Status(ctx).Points; len(gids) != len(pts) || d.Len() != len(pts) || got != len(pts) {
+		t.Fatalf("%d ids for %d points; the member holds %d, the coordinator reports %d", len(gids), len(pts), d.Len(), got)
 	}
 	_, first := DecodeID(gids[0])
 	for i, gid := range gids {

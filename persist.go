@@ -270,14 +270,14 @@ func ascending(seqs []uint64) bool {
 }
 
 // memtableBlock moves the memtable block: the buffered rows with their ids
-// and insert times, which ApplyRows puts back.
-func memtableBlock(c *blockio.Codec, rows *[]TailRow) error {
+// and insert times, which applyRows puts back.
+func memtableBlock(c *blockio.Codec, rows *[]tailRow) error {
 	n := len(*rows)
 	c.Begin(blockio.TagMemtable)
 	blockio.Int(c, &n)
 	for i := 0; i < n && c.Err() == nil; i++ {
 		if c.Decoding() {
-			*rows = append(*rows, TailRow{}) // grows with the bytes read, not with n
+			*rows = append(*rows, tailRow{}) // grows with the bytes read, not with n
 		}
 		r := &(*rows)[i]
 		blockio.Slice(c, &r.P)
@@ -337,7 +337,7 @@ func readEngine(r io.Reader, held *[]heldSegment) (eng *Engine, rho *float64, er
 		}
 		sh.man.Segs = append(sh.man.Segs, s)
 	}
-	var rows []TailRow
+	var rows []tailRow
 	if err := memtableBlock(c, &rows); err != nil {
 		return nil, nil, err
 	}
@@ -352,7 +352,7 @@ func readEngine(r io.Reader, held *[]heldSegment) (eng *Engine, rho *float64, er
 	// engine block's is at or past that (ids deleted out of the memtable).
 	next := sh.nextSeq
 	sh.nextSeq = 0
-	if _, err := eng.ApplyRows(rows); err != nil {
+	if err := eng.applyRows(rows); err != nil {
 		return nil, nil, err
 	}
 	if sh.nextSeq > next {
