@@ -295,8 +295,8 @@ func (f *flakyShard) Healthy(ctx context.Context) error {
 }
 
 // TestRetryRecoversTransientFailure exercises the retry rung: a shard
-// failing exactly once per query is healed by the single retry and the
-// result is complete, with the retry counted.
+// failing exactly once per query is healed by the one retry and the result
+// is complete, with the retry counted.
 func TestRetryRecoversTransientFailure(t *testing.T) {
 	pts, _ := dataset(200, 2, 3, "I")
 	mono := buildEngine(t, pts, nil, karl.Gaussian(1), karl.KDTree)
@@ -309,7 +309,7 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 		{Client: flaky},
 		{Client: listen(t, readServer(t, shards[1]))},
 	}
-	co, err := fixed(context.Background(), specs, Config{Backoff: time.Millisecond})
+	co, err := fixed(context.Background(), specs, Config{})
 	if err != nil {
 		t.Fatalf("fixed: %v", err)
 	}
@@ -348,7 +348,7 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 		{Client: slow, Replicas: []ShardClient{replica}},
 		{Client: listen(t, readServer(t, shards[1]))},
 	}
-	co, err := fixed(context.Background(), specs, Config{HedgeMin: time.Millisecond})
+	co, err := fixed(context.Background(), specs, Config{})
 	if err != nil {
 		t.Fatalf("fixed: %v", err)
 	}
@@ -406,7 +406,7 @@ func TestHedgeWinsOverStalledHTTPPrimary(t *testing.T) {
 		{Client: listen(t, readServer(t, shards[1]))},
 	}
 	ctx := context.Background()
-	co, err := fixed(ctx, specs, Config{HedgeMin: time.Millisecond})
+	co, err := fixed(ctx, specs, Config{})
 	if err != nil {
 		t.Fatalf("fixed: %v", err)
 	}
@@ -514,8 +514,9 @@ func TestCoordinatorChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
-	// Short timeout and backoff so the dead-shard path is fast.
-	co, switches := httpCluster(t, shards, Config{Timeout: 2 * time.Second, Backoff: time.Millisecond})
+	// The dead shard drops connections at once, so a call to it costs the
+	// one retry's backoff, not the timeout.
+	co, switches := httpCluster(t, shards, Config{})
 	ctx := context.Background()
 	q := []float64{0.2, -0.1, 0.5}
 	exact, _ := mono.Aggregate(q)
@@ -624,7 +625,7 @@ func TestCoordinatorAllShardsDown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Shard: %v", err)
 	}
-	co, switches := httpCluster(t, shards, Config{Timeout: time.Second, Backoff: time.Millisecond})
+	co, switches := httpCluster(t, shards, Config{Timeout: time.Second})
 	for _, sw := range switches {
 		sw.down.Store(true)
 	}

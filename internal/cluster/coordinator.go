@@ -32,19 +32,11 @@ var ErrUnavailable = errors.New("cluster: no shards reachable")
 // Aggregate and Approximate return it, in the single node's words.
 var errNotFinite = errors.New("aggregate is not finite at this query")
 
-// Config tunes the coordinator's robustness and refinement behavior. The
-// zero value picks production defaults.
+// Config is what a deployment sets on the coordinator's read path. The zero
+// value picks production defaults.
 type Config struct {
-	// Timeout bounds each shard attempt (default 2s).
+	// Timeout bounds each shard attempt and each follower probe (default 2s).
 	Timeout time.Duration
-	// Retries is the number of retry attempts after a failed call
-	// (default 1; negative disables retries).
-	Retries int
-	// Backoff is the pause before a retry (default 50ms).
-	Backoff time.Duration
-	// HedgeMin floors the hedge delay so cold windows with microsecond
-	// samples don't hedge every call (default 1ms).
-	HedgeMin time.Duration
 }
 
 const (
@@ -53,6 +45,11 @@ const (
 	// successful calls. Hedging needs replicas and a warm latency window;
 	// otherwise calls are unhedged.
 	hedgeQuantile = 0.9
+	// hedgeMin floors the hedge delay so cold windows with microsecond
+	// samples don't hedge every call.
+	hedgeMin = time.Millisecond
+	// retryBackoff is the pause before a failed call's one retry.
+	retryBackoff = 50 * time.Millisecond
 	// maxRounds caps adaptive bound-exchange rounds before the coordinator
 	// forces an exact round.
 	maxRounds = 6
@@ -61,18 +58,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
-	}
-	switch {
-	case c.Retries == 0:
-		c.Retries = 1
-	case c.Retries < 0:
-		c.Retries = 0
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 50 * time.Millisecond
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = time.Millisecond
 	}
 	return c
 }
@@ -766,8 +751,9 @@ func (ep *epoch) approxResult(lb, ub float64, st []*exchState) server.Result {
 
 // call runs one logical shard operation with the robustness ladder:
 // per-attempt timeout, a hedged request to a replica once the primary
-// outlives its recent latency quantile, and a retry with backoff after a
-// failure. Counters record every rung for /v1/stats.
+// outlives its recent latency quantile, and after a failure one retry,
+// retryBackoff later, against the member's first caught-up follower when it
+// has one. Counters record every rung for /v1/stats.
 func call[T any](ctx context.Context, co *Coordinator, s *member, fn func(context.Context, ShardClient) (T, error)) (T, error) {
 	s.requests.Add(1)
 	attempt := func(ctx context.Context, c ShardClient) (T, error) {
@@ -791,22 +777,20 @@ func call[T any](ctx context.Context, co *Coordinator, s *member, fn func(contex
 		// answer is an overflow: not a shard failure, no retry, no error counter.
 		return zero, err
 	}
-	for r := 0; r < co.cfg.Retries; r++ {
-		select {
-		case <-time.After(co.cfg.Backoff):
-		case <-ctx.Done():
-			return zero, ctx.Err()
-		}
-		s.retries.Add(1)
-		target := s.client
-		if len(s.replicas) > 0 {
-			target = s.replicas[r%len(s.replicas)]
-		}
-		if v, rerr := attempt(ctx, target); rerr == nil {
-			return v, nil
-		} else if ctx.Err() == nil {
-			err = rerr
-		}
+	select {
+	case <-time.After(retryBackoff):
+	case <-ctx.Done():
+		return zero, ctx.Err()
+	}
+	s.retries.Add(1)
+	target := s.client
+	if len(s.replicas) > 0 {
+		target = s.replicas[0]
+	}
+	if v, rerr := attempt(ctx, target); rerr == nil {
+		return v, nil
+	} else if ctx.Err() == nil {
+		err = rerr
 	}
 	s.errors.Add(1)
 	return zero, err
@@ -836,7 +820,7 @@ func hedged[T any](ctx context.Context, co *Coordinator, s *member, attempt func
 		hedge       chan outcome // non-nil once the hedge has started
 		cancelHedge context.CancelFunc
 	}
-	timer := time.AfterFunc(max(delay, co.cfg.HedgeMin), func() {
+	timer := time.AfterFunc(max(delay, hedgeMin), func() {
 		race.Lock()
 		if race.primaryDone {
 			race.Unlock()
@@ -974,11 +958,30 @@ type MemberStatus struct {
 }
 
 // Status reads the coordinator at its current epoch and asks every attached
-// follower, all at once, for its replication state (see probeFollowers).
+// follower of every member, in one probe, for its replication state; a
+// follower that does not answer reads "unreachable".
 func (w *Coordinator) Status(ctx context.Context) Status {
 	ep := w.ep.Load()
 	st := ep.status()
-	ep.probeFollowers(ctx, st.Members)
+	var fols []FollowerClient
+	for _, m := range ep.members {
+		fols = append(fols, m.followers...)
+	}
+	probes := w.probe(ctx, fols)
+	for i, m := range ep.members {
+		if len(m.followers) == 0 {
+			continue
+		}
+		rows := make([]FollowerStatus, len(m.followers))
+		for j, f := range m.followers {
+			rows[j] = FollowerStatus{Name: f.Name(), State: "unreachable"}
+			if p := probes[j]; p.ok {
+				rows[j] = FollowerStatus{Name: f.Name(), State: p.State, AckedSeq: p.Fence, Lag: p.Lag()}
+			}
+		}
+		probes = probes[len(rows):]
+		st.Members[i].Followers = rows
+	}
 	return st
 }
 

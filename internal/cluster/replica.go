@@ -9,6 +9,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"karl/internal/replica"
@@ -49,93 +50,92 @@ func (s *HTTPShard) Promote(ctx context.Context) (MutableShardClient, error) {
 	return s, nil
 }
 
-// refreshFollowers probes member mb's attached followers, rewrites the
-// manifest member's replica set from the live answers (role from
-// catch-up state, acked-seq watermark from the fence), and returns the
-// caught-up ones as read failover targets. Unreachable followers stay
-// recorded as catching-up so the topology is never silently forgotten.
-// Called with w.mu held or during construction.
-func (w *Coordinator) refreshFollowers(ctx context.Context, mb *shard.Member) []ShardClient {
-	fols := w.followers[mb.ID]
-	if len(fols) == 0 {
-		return nil
+// followerProbe is one follower's answer to a probe: its replication status,
+// with ok false when it did not answer within the shard timeout.
+type followerProbe struct {
+	replica.Status
+	ok bool
+}
+
+// live reports a follower that answered and is caught up.
+func (p followerProbe) live() bool { return p.ok && p.State == replica.StateLive }
+
+// probe asks every follower in fols for its replication status at once, each
+// ask bounded by the shard timeout, so hung followers cost one timeout, not
+// one each. It is the coordinator's only status read of a follower: epoch
+// installs, promotion and Status all go through it.
+func (w *Coordinator) probe(ctx context.Context, fols []FollowerClient) []followerProbe {
+	out := make([]followerProbe, len(fols))
+	var wg sync.WaitGroup
+	for i, f := range fols {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fctx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
+			defer cancel()
+			st, err := f.ReplicaStatus(fctx)
+			out[i] = followerProbe{st, err == nil}
+		}()
 	}
-	reps := make([]shard.Replica, 0, len(fols))
+	wg.Wait()
+	return out
+}
+
+// refreshFollowers rewrites member mb's replica set from the probes of its
+// attached followers (role from catch-up state, acked-seq watermark from the
+// fence) and returns the caught-up ones as read failover targets. Followers
+// that did not answer stay recorded as catching-up so the topology is never
+// silently forgotten.
+func refreshFollowers(mb *shard.Member, fols []FollowerClient, probes []followerProbe) []ShardClient {
+	reps := make([]shard.Replica, len(fols))
 	var live []ShardClient
-	for _, f := range fols {
-		rctx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
-		st, err := f.ReplicaStatus(rctx)
-		cancel()
-		role := shard.RoleCatchingUp
-		var acked uint64
-		if err == nil {
-			acked = st.Fence
-			if st.State == replica.StateLive {
-				role = shard.RoleFollower
-				live = append(live, f)
-			}
+	for i, p := range probes {
+		reps[i] = shard.Replica{Name: fols[i].Name(), Role: shard.RoleCatchingUp, AckedSeq: p.Fence}
+		if p.live() {
+			reps[i].Role = shard.RoleFollower
+			live = append(live, fols[i])
 		}
-		reps = append(reps, shard.Replica{Name: f.Name(), Role: role, AckedSeq: acked})
 	}
 	mb.Replicas = reps
 	return live
 }
 
-// promoteLocked replaces member id's client with a caught-up follower:
-// the follower is promoted (it stops pulling and opens writes), the
-// manifest applies the promotion (member keeps its ID — gid lineage and
-// routing survive — and takes the follower's name, epoch+1), and the new
-// membership is stored. Callers hold w.mu and the odd-generation window;
-// the snapshot is stored directly and the caller's increment publishes
-// it.
+// promoteLocked replaces member id's client with its most caught-up live
+// follower, the one with the highest fence, so no write a sibling follower
+// already holds is lost: the follower is promoted (it stops pulling and
+// opens writes), the manifest applies the promotion (member keeps its ID —
+// gid lineage and routing survive — and takes the follower's name,
+// epoch+1), and the new membership is stored. The member's other followers
+// are recorded from the same probe. Callers hold w.mu and the
+// odd-generation window; the snapshot is stored directly and the caller's
+// increment publishes it.
 func (w *Coordinator) promoteLocked(ctx context.Context, id uint64) error {
 	ep := w.ep.Load()
 	mb := ep.man.Member(id)
 	if mb == nil {
 		return fmt.Errorf("cluster: promotion target member %d not in manifest", id)
 	}
-	var chosen FollowerClient
-	var chosenStatus replica.Status
-	remaining := make([]FollowerClient, 0, len(w.followers[id]))
-	for _, f := range w.followers[id] {
-		if chosen != nil {
-			remaining = append(remaining, f)
-			continue
+	fols := w.followers[id]
+	probes := w.probe(ctx, fols)
+	best := -1
+	for i, p := range probes {
+		if p.live() && (best < 0 || p.Fence > probes[best].Fence) {
+			best = i
 		}
-		sctx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
-		st, err := f.ReplicaStatus(sctx)
-		cancel()
-		if err != nil || st.State != replica.StateLive {
-			remaining = append(remaining, f)
-			continue
-		}
-		chosen, chosenStatus = f, st
 	}
-	if chosen == nil {
+	if best < 0 {
 		return fmt.Errorf("cluster: member %d (%s) has no caught-up follower to promote", id, mb.Name)
 	}
+	chosen := fols[best]
 	client, err := chosen.Promote(ctx)
 	if err != nil {
 		return fmt.Errorf("cluster: promoting follower %s of member %d: %w", chosen.Name(), id, err)
 	}
-	// The manifest's recorded replica set may lag the probe we just made
-	// (or miss the follower entirely after a resume): make the entry a
-	// caught-up follower before applying the promotion rule.
+	// The manifest's recorded replica set may lag the probe we just made (or
+	// miss the follower entirely after a resume): record the member's
+	// followers as the probe found them before applying the promotion rule.
 	man1 := ep.man.Clone()
-	cb := man1.Member(id)
-	found := false
-	for i := range cb.Replicas {
-		if cb.Replicas[i].Name == chosen.Name() {
-			cb.Replicas[i].Role = shard.RoleFollower
-			cb.Replicas[i].AckedSeq = chosenStatus.Fence
-			found = true
-		}
-	}
-	if !found {
-		cb.Replicas = append(cb.Replicas, shard.Replica{
-			Name: chosen.Name(), Role: shard.RoleFollower, AckedSeq: chosenStatus.Fence,
-		})
-	}
+	refreshFollowers(man1.Member(id), fols, probes)
 	man2, err := man1.ApplyPromotion(id, chosen.Name())
 	if err != nil {
 		return err
@@ -145,12 +145,13 @@ func (w *Coordinator) promoteLocked(ctx context.Context, id uint64) error {
 		clients2[cid] = c
 	}
 	clients2[id] = client
+	remaining := slices.Delete(slices.Clone(fols), best, best+1)
 	if len(remaining) > 0 {
 		w.followers[id] = remaining
 	} else {
 		delete(w.followers, id)
 	}
-	ep2, err := w.newEpoch(ctx, man2, clients2, true)
+	ep2, err := w.newEpoch(ctx, man2, clients2, true, map[uint64][]followerProbe{id: slices.Delete(probes, best, best+1)})
 	if err != nil {
 		return err
 	}
@@ -196,33 +197,4 @@ type FollowerStatus struct {
 	// Lag is the leader-seq minus applied-seq distance at the follower's
 	// last completed pull.
 	Lag uint64 `json:"lag"`
-}
-
-// probeFollowers replaces the recorded follower rows of every member with
-// attached followers by what those followers report now. Every follower of
-// every member is asked at once, each call bounded by the shard timeout, so
-// hung followers cost one timeout, not one each; one that does not answer
-// reads "unreachable".
-func (ep *epoch) probeFollowers(ctx context.Context, rows []MemberStatus) {
-	var wg sync.WaitGroup
-	for i, m := range ep.members {
-		if len(m.followers) == 0 {
-			continue
-		}
-		rows[i].Followers = make([]FollowerStatus, len(m.followers))
-		for j, f := range m.followers {
-			row := &rows[i].Followers[j]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fctx, cancel := context.WithTimeout(ctx, ep.co.cfg.Timeout)
-				defer cancel()
-				*row = FollowerStatus{Name: f.Name(), State: "unreachable"}
-				if st, err := f.ReplicaStatus(fctx); err == nil {
-					*row = FollowerStatus{Name: f.Name(), State: st.State, AckedSeq: st.Fence, Lag: st.Lag()}
-				}
-			}()
-		}
-	}
-	wg.Wait()
 }

@@ -262,3 +262,103 @@ func TestStatusProbesFollowersConcurrently(t *testing.T) {
 		}
 	}
 }
+
+// fencedFollower is a caught-up follower that reports a fixed fence and,
+// once promoted, takes writes through the front door it wraps.
+type fencedFollower struct {
+	*HTTPShard
+	fence    uint64
+	promoted atomic.Bool
+}
+
+func (f *fencedFollower) ReplicaStatus(context.Context) (replica.Status, error) {
+	return replica.Status{Role: "follower", State: replica.StateLive, Fence: f.fence}, nil
+}
+
+func (f *fencedFollower) Promote(context.Context) (MutableShardClient, error) {
+	f.promoted.Store(true)
+	return f.HTTPShard, nil
+}
+
+// emptyFront is the front door of an empty writable shard.
+func emptyFront(t *testing.T) *HTTPShard {
+	return listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))
+}
+
+// TestWritableFoundsOverHungFollowersInOneTimeout: founding probes a
+// member's followers all at once, so three hung followers cost one shard
+// timeout, not three.
+func TestWritableFoundsOverHungFollowersInOneTimeout(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	founders := []WritableShard{{
+		Name:      "m1",
+		Client:    emptyFront(t),
+		Followers: []FollowerClient{hungFollower{"hung-1"}, hungFollower{"hung-2"}, hungFollower{"hung-3"}},
+	}}
+	t0 := time.Now()
+	wco, err := NewWritable(context.Background(), shard.Hash, founders, nil, WritableConfig{Config: Config{Timeout: timeout}})
+	if err != nil {
+		t.Fatalf("NewWritable: %v", err)
+	}
+	if took := time.Since(t0); took > timeout*3/2 {
+		t.Errorf("NewWritable took %v over three hung followers, want about one timeout (%v)", took, timeout)
+	}
+	for _, r := range wco.Manifest().Member(1).Replicas {
+		if r.Role != shard.RoleCatchingUp {
+			t.Errorf("hung follower %s recorded as %v, want catching-up", r.Name, r.Role)
+		}
+	}
+}
+
+// TestWritablePromotePastHungFollowerInOneTimeout: promotion asks every
+// follower of the member at once and installs the new epoch from that same
+// probe, so a hung first follower costs one shard timeout before the live
+// second one is promoted.
+func TestWritablePromotePastHungFollowerInOneTimeout(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	live := &fencedFollower{HTTPShard: emptyFront(t), fence: 1}
+	founders := []WritableShard{{
+		Name:      "m1",
+		Client:    emptyFront(t),
+		Followers: []FollowerClient{hungFollower{"hung"}, live},
+	}}
+	ctx := context.Background()
+	wco, err := NewWritable(ctx, shard.Hash, founders, nil, WritableConfig{Config: Config{Timeout: timeout}})
+	if err != nil {
+		t.Fatalf("NewWritable: %v", err)
+	}
+	t0 := time.Now()
+	if err := wco.Promote(ctx, 1); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	if took := time.Since(t0); took > timeout*3/2 {
+		t.Errorf("Promote took %v past one hung follower, want about one timeout (%v)", took, timeout)
+	}
+	if mb := wco.Manifest().Member(1); !live.promoted.Load() || mb.Name != live.Name() {
+		t.Errorf("member 1 is %q (live follower promoted: %v), want the live follower %q", mb.Name, live.promoted.Load(), live.Name())
+	}
+}
+
+// TestWritablePromotesHighestFence: of two live followers the one holding
+// more of the dead leader's writes (the higher fence) is promoted, whatever
+// their attach order; promoting the other would drop writes it never got.
+func TestWritablePromotesHighestFence(t *testing.T) {
+	behind := &fencedFollower{HTTPShard: emptyFront(t), fence: 10}
+	ahead := &fencedFollower{HTTPShard: emptyFront(t), fence: 20}
+	founders := []WritableShard{{Name: "m1", Client: emptyFront(t), Followers: []FollowerClient{behind, ahead}}}
+	ctx := context.Background()
+	wco, err := NewWritable(ctx, shard.Hash, founders, nil, WritableConfig{})
+	if err != nil {
+		t.Fatalf("NewWritable: %v", err)
+	}
+	if err := wco.Promote(ctx, 1); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	mb := wco.Manifest().Member(1)
+	if mb.Name != ahead.Name() || !ahead.promoted.Load() || behind.promoted.Load() {
+		t.Fatalf("member 1 is %q; want the fence-20 follower %q promoted and the fence-10 one left alone", mb.Name, ahead.Name())
+	}
+	if len(mb.Replicas) != 1 || mb.Replicas[0].Name != behind.Name() || mb.Replicas[0].AckedSeq != 10 {
+		t.Errorf("replica set after promotion = %+v, want only the fence-10 follower", mb.Replicas)
+	}
+}

@@ -205,9 +205,9 @@ func (d *dyingShard) ThresholdBounds(context.Context, []float64, float64) (Bound
 // first answer, a certified interval of half-width a around its true
 // contribution. That interval stays in the sums for the rest of the query
 // — it is what bounds the dead shard, not the a-priori [0, W] — the shard
-// is asked once more (the call that finds it dead) and then gets no share,
-// and the query ends in a verdict where the residual 2a cannot flip it and
-// in ErrIndeterminate where it can.
+// is asked once more, and retried once, in the round that finds it dead and
+// then gets no share, and the query ends in a verdict where the residual 2a
+// cannot flip it and in ErrIndeterminate where it can.
 func TestThresholdShardDiesMidExchange(t *testing.T) {
 	pts, _ := dataset(20000, 3, 19, "I")
 	mono := buildEngine(t, pts, nil, karl.Gaussian(2), karl.KDTree)
@@ -232,7 +232,7 @@ func TestThresholdShardDiesMidExchange(t *testing.T) {
 		}
 		dying := &dyingShard{MutableShardClient: specs[victim].Client, first: Bounds{Value: deadF, LB: deadF - a, UB: deadF + a}}
 		specs[victim].Client = dying
-		co, err := fixed(ctx, specs, Config{Retries: -1})
+		co, err := fixed(ctx, specs, Config{})
 		if err != nil {
 			t.Fatalf("fixed: %v", err)
 		}
@@ -260,8 +260,8 @@ func TestThresholdShardDiesMidExchange(t *testing.T) {
 		if !tr.Partial || len(tr.Failed) != 1 || math.Abs(tr.Covered-wantCovered) > 1e-12 {
 			t.Errorf("%s: result %+v, want partial with the victim failed and covered %v", tc.name, tr, wantCovered)
 		}
-		if calls := dying.calls.Load(); calls != 2 {
-			t.Errorf("%s: victim saw %d calls, want 2 (one answered, one that found it dead, then no share)", tc.name, calls)
+		if calls := dying.calls.Load(); calls != 3 {
+			t.Errorf("%s: victim saw %d calls, want 3 (one answered, one failed and its one retry failed, then no share)", tc.name, calls)
 		}
 		if rounds := co.Status(ctx).Exchange.ThresholdRounds; rounds < 3 {
 			t.Errorf("%s: decided in %d rounds; the fixture must outlive round 1, where the victim is found dead", tc.name, rounds)
@@ -274,8 +274,8 @@ func TestThresholdShardDiesMidExchange(t *testing.T) {
 	if _, err := co.Threshold(ctx, q, exact); !errors.Is(err, ErrIndeterminate) {
 		t.Fatalf("tau inside the dead shard's interval: err = %v, want ErrIndeterminate", err)
 	}
-	if calls := dying.calls.Load(); calls != 2 {
-		t.Errorf("indeterminate: victim saw %d calls, want 2", calls)
+	if calls := dying.calls.Load(); calls != 3 {
+		t.Errorf("indeterminate: victim saw %d calls, want 3", calls)
 	}
 	if rounds := co.Status(ctx).Exchange.ThresholdRounds; rounds < 3 {
 		t.Errorf("indeterminate after %d rounds: the live shards should have been asked again after the victim died", rounds)

@@ -224,7 +224,7 @@ func attach(ctx context.Context, man *shard.Manifest, shards []WritableShard, sp
 		}
 	}
 	w := &Coordinator{cfg: cfg.withDefaults(), spawn: spawn, nextID: next, followers: followers, states: map[uint64]*memberState{}}
-	ep, err := w.newEpoch(ctx, man, clients, lenient)
+	ep, err := w.newEpoch(ctx, man, clients, lenient, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -233,13 +233,15 @@ func attach(ctx context.Context, man *shard.Manifest, shards []WritableShard, sp
 }
 
 // newEpoch assembles one epoch over man in a single discovery round: every
-// member at once is asked for its Info (and its followers for their
-// replication status), the manifest's advisory member stats are refreshed
-// from the answers, and each member is handed its memberState from the
-// coordinator — created on first sight, carried from epoch to epoch after
-// that. The dataset identity comes from the first member that holds a point:
-// a member still empty has no dimensionality yet (a cluster founded over
-// empty members fills them one routed insert at a time).
+// member at once is asked for its Info and, beside it, its followers for
+// their replication status (probe; the followers of a member in probed were
+// just probed by the caller and are not asked again), the manifest's
+// advisory member stats are refreshed from the answers, and each member is
+// handed its memberState from the coordinator — created on first sight,
+// carried from epoch to epoch after that. The dataset identity comes from
+// the first member that holds a point: a member still empty has no
+// dimensionality yet (a cluster founded over empty members fills them one
+// routed insert at a time).
 //
 // In strict mode (founding) a client that does not answer its Info probe
 // fails the whole construction — an operator error worth surfacing before
@@ -254,7 +256,7 @@ func attach(ctx context.Context, man *shard.Manifest, shards []WritableShard, sp
 // transient, and writes plus the next epoch will re-probe it.
 //
 // Called with w.mu held or during construction; man is the caller's own copy.
-func (w *Coordinator) newEpoch(ctx context.Context, man *shard.Manifest, clients map[uint64]MutableShardClient, lenient bool) (*epoch, error) {
+func (w *Coordinator) newEpoch(ctx context.Context, man *shard.Manifest, clients map[uint64]MutableShardClient, lenient bool, probed map[uint64][]followerProbe) (*epoch, error) {
 	ep := &epoch{co: w, man: man, clients: clients, members: make([]*member, len(man.Members))}
 	if prev := w.ep.Load(); prev != nil {
 		ep.splits, ep.promotions, ep.quarantines = prev.splits, prev.promotions, prev.quarantines
@@ -268,12 +270,22 @@ func (w *Coordinator) newEpoch(ctx context.Context, man *shard.Manifest, clients
 		}
 		m := &member{client: downShard(mb.Name), followers: w.followers[mb.ID], memberState: w.states[mb.ID]}
 		ep.members[i] = m
+		if len(m.followers) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				probes, ok := probed[mb.ID]
+				if !ok {
+					probes = w.probe(ctx, m.followers)
+				}
+				// Caught-up followers are the member's read hedge targets
+				// while the leader answers, its read failover when it doesn't.
+				m.replicas = refreshFollowers(mb, m.followers, probes)
+			}()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Caught-up followers are the member's read hedge targets while
-			// the leader answers, its read failover when it doesn't.
-			m.replicas = w.refreshFollowers(ctx, mb)
 			c := clients[mb.ID]
 			if c == nil {
 				return
@@ -508,7 +520,7 @@ func (w *Coordinator) Insert(ctx context.Context, points [][]float64, weights []
 	if ep.dims == 0 {
 		// The founding members were empty and the epoch pinned dims at 0.
 		// Install one that knows the dataset's dimensionality.
-		ep2, err := w.newEpoch(ctx, ep.man.Clone(), ep.clients, true)
+		ep2, err := w.newEpoch(ctx, ep.man.Clone(), ep.clients, true, nil)
 		if err != nil {
 			return ids, fmt.Errorf("cluster: all %d points landed, but reads stay refused: installing an epoch with the dataset's dimensionality: %w", len(points), err)
 		}
@@ -846,7 +858,7 @@ func (w *Coordinator) splitLocked(ctx context.Context, srcID uint64) error {
 	// served as a down stub rather than failing the install — aborting
 	// here would leave reads on a membership whose source shard already
 	// dropped the moved half.
-	ep2, err := w.newEpoch(ctx, man2, clients2, true)
+	ep2, err := w.newEpoch(ctx, man2, clients2, true, nil)
 	if err != nil {
 		return errors.Join(spawnErr, err)
 	}
@@ -876,7 +888,7 @@ func (w *Coordinator) quarantineLocked(ctx context.Context, id uint64) error {
 	}
 	man2 := ep.man.Clone()
 	man2.Epoch++
-	ep2, err := w.newEpoch(ctx, man2, clients2, true)
+	ep2, err := w.newEpoch(ctx, man2, clients2, true, nil)
 	if err != nil {
 		return err
 	}

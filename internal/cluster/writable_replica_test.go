@@ -42,7 +42,7 @@ func replicatedHTTPCluster(t *testing.T, n int, kern karl.Kernel) (*Coordinator,
 		}
 	}
 	wco, err := NewWritable(context.Background(), shard.Hash, founders, httpSpawn(t),
-		WritableConfig{Config: Config{Timeout: 2 * time.Second, Backoff: time.Millisecond}})
+		WritableConfig{Config: Config{Timeout: 2 * time.Second}})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}

@@ -335,7 +335,7 @@ func TestWritableChaosMidSplit(t *testing.T) {
 		founders[i] = WritableShard{Name: fmt.Sprintf("h%d", i), Client: listen(t, switches[i])}
 	}
 	wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t),
-		WritableConfig{Config: Config{Timeout: 2 * time.Second, Backoff: time.Millisecond}})
+		WritableConfig{Config: Config{Timeout: 2 * time.Second}})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}
