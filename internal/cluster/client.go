@@ -126,9 +126,9 @@ type MutableShardClient interface {
 	// refreshing the member's mass costs no Info round trip.
 	WriteMass() (server.MassResponse, bool)
 	// SplitOut extracts the half matching the rule into a serialized
-	// engine. auto lets a kd shard choose its own balanced plane; the
-	// returned Rule is always the one actually applied.
-	SplitOut(ctx context.Context, rule shard.SplitRule, auto bool) (SplitResult, error)
+	// engine. A kd shard chooses its own balanced plane; the returned Rule
+	// is always the one actually applied.
+	SplitOut(ctx context.Context, rule shard.SplitRule) (SplitResult, error)
 }
 
 // HTTPShard speaks to a remote karl-serve instance over its JSON /v1/*
@@ -251,19 +251,13 @@ func (s *HTTPShard) WriteMass() (server.MassResponse, bool) {
 	return server.MassResponse{}, false
 }
 
-// SplitOut implements MutableShardClient via POST /v1/split. auto omits
-// the kd plane so the shard chooses its own (the applied rule comes back
-// in the response).
-func (s *HTTPShard) SplitOut(ctx context.Context, rule shard.SplitRule, auto bool) (SplitResult, error) {
+// SplitOut implements MutableShardClient via POST /v1/split. A kd rule
+// travels without its plane, so the shard chooses its own (the applied rule
+// comes back in the response).
+func (s *HTTPShard) SplitOut(ctx context.Context, rule shard.SplitRule) (SplitResult, error) {
 	req := server.SplitRequest{Kind: rule.Kind.String()}
-	switch rule.Kind {
-	case shard.Hash:
+	if rule.Kind == shard.Hash {
 		req.NumSlots, req.Slots = rule.NumSlots, rule.Slots
-	case shard.KDSplit:
-		if !auto {
-			dim, cut := rule.Dim, rule.Cut
-			req.Dim, req.Cut = &dim, &cut
-		}
 	}
 	var resp server.SplitResponse
 	if err := s.post(ctx, "/v1/split", req, &resp); err != nil {

@@ -90,7 +90,7 @@ type member struct {
 	// is current.
 	info atomic.Pointer[ShardInfo]
 	// followers are the member's attached replication followers as of this
-	// epoch's install (promotion takes one out and installs a new epoch).
+	// epoch's install (promotion detaches them all and installs a new epoch).
 	followers []FollowerClient
 	*memberState
 }
@@ -131,13 +131,12 @@ type Coordinator struct {
 	cfg   WritableConfig
 	spawn SpawnFunc
 
-	mu         sync.Mutex // serializes writes, splits, epoch installs
-	nextID     uint64     // next member id to assign
-	sinceProbe int        // points inserted since the last split probe
+	mu     sync.Mutex // serializes writes, splits, epoch installs
+	nextID uint64     // next member id to assign
 
 	// followers maps member id to its attached replication followers
-	// (guarded by mu; promotion moves a follower out of this map and into
-	// the clients of the next epoch).
+	// (guarded by mu; promotion moves one into the clients of the next epoch
+	// and detaches the rest).
 	followers map[uint64][]FollowerClient
 	// states holds every member's memberState by member id (guarded by mu;
 	// an epoch's members point into it).

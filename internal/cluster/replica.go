@@ -9,7 +9,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"karl/internal/replica"
@@ -106,9 +105,12 @@ func refreshFollowers(mb *shard.Member, fols []FollowerClient, probes []follower
 // opens writes), the manifest applies the promotion (member keeps its ID —
 // gid lineage and routing survive — and takes the follower's name,
 // epoch+1), and the new membership is stored. The member's other followers
-// are recorded from the same probe. Callers hold w.mu and the
-// odd-generation window; the snapshot is stored directly and the caller's
-// increment publishes it.
+// pull from the leader that was replaced, so they miss every write the
+// promoted one takes: they are detached — no longer hedge, retry or
+// promotion targets — and the manifest keeps them as catching-up, so the
+// topology is not forgotten. Callers hold w.mu and the odd-generation
+// window; the snapshot is stored directly and the caller's increment
+// publishes it.
 func (w *Coordinator) promoteLocked(ctx context.Context, id uint64) error {
 	ep := w.ep.Load()
 	mb := ep.man.Member(id)
@@ -140,18 +142,16 @@ func (w *Coordinator) promoteLocked(ctx context.Context, id uint64) error {
 	if err != nil {
 		return err
 	}
+	for i := range man2.Member(id).Replicas {
+		man2.Member(id).Replicas[i].Role = shard.RoleCatchingUp
+	}
 	clients2 := make(map[uint64]MutableShardClient, len(ep.clients))
 	for cid, c := range ep.clients {
 		clients2[cid] = c
 	}
 	clients2[id] = client
-	remaining := slices.Delete(slices.Clone(fols), best, best+1)
-	if len(remaining) > 0 {
-		w.followers[id] = remaining
-	} else {
-		delete(w.followers, id)
-	}
-	ep2, err := w.newEpoch(ctx, man2, clients2, true, map[uint64][]followerProbe{id: slices.Delete(probes, best, best+1)})
+	delete(w.followers, id)
+	ep2, err := w.newEpoch(ctx, man2, clients2, true)
 	if err != nil {
 		return err
 	}

@@ -113,11 +113,11 @@ func TestStatusReadsOneEpoch(t *testing.T) {
 	leaderClient := listen(t, mutableServer(t, leader))
 	applier := replica.NewApplier(mirror, replica.NewHTTPSource(leaderClient.Name()))
 	founders := []WritableShard{
-		{Name: "m1", Client: leaderClient,
+		{Client: leaderClient,
 			Followers: []FollowerClient{listen(t, mutableServer(t, mirror, server.WithReplicaApplier(applier)))}},
-		{Name: "m2", Client: listen(t, mutableServer(t, newDynEngine(t, kern, karl.KDTree)))},
+		{Client: listen(t, mutableServer(t, newDynEngine(t, kern, karl.KDTree)))},
 	}
-	wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t), WritableConfig{SplitCheckEvery: 1 << 30})
+	wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t), WritableConfig{})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}
@@ -240,7 +240,6 @@ func (h hungFollower) Promote(ctx context.Context) (MutableShardClient, error) {
 func TestStatusProbesFollowersConcurrently(t *testing.T) {
 	const timeout = 400 * time.Millisecond
 	founders := []WritableShard{{
-		Name:      "m1",
 		Client:    listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree))),
 		Followers: []FollowerClient{hungFollower{"hung-1"}, hungFollower{"hung-2"}},
 	}}
@@ -291,7 +290,6 @@ func emptyFront(t *testing.T) *HTTPShard {
 func TestWritableFoundsOverHungFollowersInOneTimeout(t *testing.T) {
 	const timeout = 400 * time.Millisecond
 	founders := []WritableShard{{
-		Name:      "m1",
 		Client:    emptyFront(t),
 		Followers: []FollowerClient{hungFollower{"hung-1"}, hungFollower{"hung-2"}, hungFollower{"hung-3"}},
 	}}
@@ -318,7 +316,6 @@ func TestWritablePromotePastHungFollowerInOneTimeout(t *testing.T) {
 	const timeout = 400 * time.Millisecond
 	live := &fencedFollower{HTTPShard: emptyFront(t), fence: 1}
 	founders := []WritableShard{{
-		Name:      "m1",
 		Client:    emptyFront(t),
 		Followers: []FollowerClient{hungFollower{"hung"}, live},
 	}}
@@ -345,7 +342,7 @@ func TestWritablePromotePastHungFollowerInOneTimeout(t *testing.T) {
 func TestWritablePromotesHighestFence(t *testing.T) {
 	behind := &fencedFollower{HTTPShard: emptyFront(t), fence: 10}
 	ahead := &fencedFollower{HTTPShard: emptyFront(t), fence: 20}
-	founders := []WritableShard{{Name: "m1", Client: emptyFront(t), Followers: []FollowerClient{behind, ahead}}}
+	founders := []WritableShard{{Client: emptyFront(t), Followers: []FollowerClient{behind, ahead}}}
 	ctx := context.Background()
 	wco, err := NewWritable(ctx, shard.Hash, founders, nil, WritableConfig{})
 	if err != nil {

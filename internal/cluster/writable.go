@@ -69,29 +69,15 @@ func DecodeID(gid uint64) (member, seq uint64) {
 // recovers it from the persisted stream.
 type SpawnFunc func(ctx context.Context, member shard.Member, moved []byte) (MutableShardClient, error)
 
-// WritableConfig tunes the coordinator's write path on top of the read
-// Config. The zero value picks production defaults.
+// WritableConfig is what a deployment sets on a writable coordinator: the
+// read path's Config and where the manifest is kept.
 type WritableConfig struct {
 	Config
-	// SplitFactor triggers an automatic split when a member's live weight
-	// mass exceeds this multiple of the mean mass of its peers (default 4).
-	// A single-member cluster always qualifies once it reaches
-	// MinSplitPoints.
-	SplitFactor float64
-	// MinSplitPoints is the minimum cardinality before a member may split
-	// (default 256) — splitting tiny shards buys nothing.
-	MinSplitPoints int
 	// ManifestPath, when non-empty, persists the manifest after every
 	// membership change (atomic temp+rename). A file already holding an
 	// epoch at or ahead of the one being written is rejected with
 	// shard.ErrStaleManifest — two coordinators fighting over one path.
 	ManifestPath string
-	// SplitCheckEvery throttles the automatic split trigger: the probe
-	// (one Info round trip per member, serialized under the write lock)
-	// runs only after this many points have been inserted since the last
-	// probe — running it on every Insert would put N network round trips
-	// on every write. Default MinSplitPoints/4.
-	SplitCheckEvery int
 }
 
 const (
@@ -101,28 +87,17 @@ const (
 	// epochRetries bounds how often a query is re-scattered after
 	// straddling a membership change before ErrEpochChanged.
 	epochRetries = 2
+	// splitFactor triggers an automatic split when a member's weight mass
+	// exceeds this multiple of the mean mass of its peers.
+	splitFactor = 4
+	// minSplitPoints is the least cardinality a member splits at —
+	// splitting tiny shards buys nothing.
+	minSplitPoints = 256
 )
 
-func (c WritableConfig) withDefaults() WritableConfig {
-	c.Config = c.Config.withDefaults()
-	if c.SplitFactor <= 0 {
-		c.SplitFactor = 4
-	}
-	if c.MinSplitPoints <= 0 {
-		c.MinSplitPoints = 256
-	}
-	if c.SplitCheckEvery <= 0 {
-		c.SplitCheckEvery = c.MinSplitPoints / 4
-		if c.SplitCheckEvery < 1 {
-			c.SplitCheckEvery = 1
-		}
-	}
-	return c
-}
-
-// WritableShard names one founding member of a cluster.
+// WritableShard names one founding member of a cluster by its client: the
+// member goes by the client's name (karl-serve's is the shard base URL).
 type WritableShard struct {
-	Name   string
 	Client MutableShardClient
 	// Followers are replication followers attached to this member: read
 	// hedge/failover targets while the member is healthy, promotion
@@ -147,7 +122,7 @@ func NewWritable(ctx context.Context, kind shard.Kind, shards []WritableShard, s
 		if sp.Client == nil {
 			return nil, fmt.Errorf("cluster: founding shard %d has no client", i)
 		}
-		members[i] = shard.Member{ID: uint64(i + 1), Name: sp.name()}
+		members[i] = shard.Member{ID: uint64(i + 1), Name: sp.Client.Name()}
 	}
 	man, err := shard.NewManifest(kind, members)
 	if err != nil {
@@ -182,15 +157,6 @@ func ResumeWritable(ctx context.Context, man *shard.Manifest, shards []WritableS
 	return attach(ctx, man.Clone(), shards, spawn, cfg, true)
 }
 
-// name is the member name a founding shard goes by: its own, or its
-// client's.
-func (sp WritableShard) name() string {
-	if sp.Name != "" {
-		return sp.Name
-	}
-	return sp.Client.Name()
-}
-
 // attach builds a coordinator over man (the caller's own copy), matching
 // every shard to the manifest member of its name — unique, as NewManifest
 // and ReadManifest check — and installs the first epoch: leniently on
@@ -210,7 +176,7 @@ func attach(ctx context.Context, man *shard.Manifest, shards []WritableShard, sp
 		if sp.Client == nil {
 			return nil, fmt.Errorf("cluster: shard %d has no client", i)
 		}
-		name := sp.name()
+		name := sp.Client.Name()
 		id, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("cluster: shard %q does not appear in manifest epoch %d", name, man.Epoch)
@@ -223,8 +189,9 @@ func attach(ctx context.Context, man *shard.Manifest, shards []WritableShard, sp
 			followers[id] = append([]FollowerClient(nil), sp.Followers...)
 		}
 	}
-	w := &Coordinator{cfg: cfg.withDefaults(), spawn: spawn, nextID: next, followers: followers, states: map[uint64]*memberState{}}
-	ep, err := w.newEpoch(ctx, man, clients, lenient, nil)
+	cfg.Config = cfg.withDefaults()
+	w := &Coordinator{cfg: cfg, spawn: spawn, nextID: next, followers: followers, states: map[uint64]*memberState{}}
+	ep, err := w.newEpoch(ctx, man, clients, lenient)
 	if err != nil {
 		return nil, err
 	}
@@ -233,9 +200,8 @@ func attach(ctx context.Context, man *shard.Manifest, shards []WritableShard, sp
 }
 
 // newEpoch assembles one epoch over man in a single discovery round: every
-// member at once is asked for its Info and, beside it, its followers for
-// their replication status (probe; the followers of a member in probed were
-// just probed by the caller and are not asked again), the manifest's
+// member at once is asked for its Info and, beside it, its attached
+// followers for their replication status (probe), the manifest's
 // advisory member stats are refreshed from the answers, and each member is
 // handed its memberState from the coordinator — created on first sight,
 // carried from epoch to epoch after that. The dataset identity comes from
@@ -256,7 +222,7 @@ func attach(ctx context.Context, man *shard.Manifest, shards []WritableShard, sp
 // transient, and writes plus the next epoch will re-probe it.
 //
 // Called with w.mu held or during construction; man is the caller's own copy.
-func (w *Coordinator) newEpoch(ctx context.Context, man *shard.Manifest, clients map[uint64]MutableShardClient, lenient bool, probed map[uint64][]followerProbe) (*epoch, error) {
+func (w *Coordinator) newEpoch(ctx context.Context, man *shard.Manifest, clients map[uint64]MutableShardClient, lenient bool) (*epoch, error) {
 	ep := &epoch{co: w, man: man, clients: clients, members: make([]*member, len(man.Members))}
 	if prev := w.ep.Load(); prev != nil {
 		ep.splits, ep.promotions, ep.quarantines = prev.splits, prev.promotions, prev.quarantines
@@ -274,13 +240,9 @@ func (w *Coordinator) newEpoch(ctx context.Context, man *shard.Manifest, clients
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				probes, ok := probed[mb.ID]
-				if !ok {
-					probes = w.probe(ctx, m.followers)
-				}
 				// Caught-up followers are the member's read hedge targets
 				// while the leader answers, its read failover when it doesn't.
-				m.replicas = refreshFollowers(mb, m.followers, probes)
+				m.replicas = refreshFollowers(mb, m.followers, w.probe(ctx, m.followers))
 			}()
 		}
 		wg.Add(1)
@@ -416,13 +378,12 @@ func LoadManifest(path string) (*shard.Manifest, error) {
 // the returned slice still carries their ids: entries are non-zero
 // exactly for the points that landed (0 is never a valid cluster id —
 // member ids start at 1), so the caller can delete the orphans or skip
-// them on a retry instead of duplicating them. A successful insert may
-// trigger an automatic shard split (spawn configured, weight imbalance
-// over SplitFactor, probed once every SplitCheckEvery inserted points);
-// split failures never fail the insert. Before returning — also on a
+// them on a retry instead of duplicating them. Before returning — also on a
 // mid-batch failure — the epoch's weight masses of every member that
-// acknowledged points are refreshed (refreshMassLocked).
-func (w *Coordinator) Insert(ctx context.Context, points [][]float64, weights []float64) ([]uint64, error) {
+// acknowledged points are refreshed (refreshMassLocked); a successful insert
+// then runs the automatic split trigger on those masses (maybeSplitLocked),
+// whose failures never fail the insert.
+func (w *Coordinator) Insert(ctx context.Context, points [][]float64, weights []float64) (ids []uint64, err error) {
 	if len(points) == 0 {
 		return nil, errors.New("cluster: empty insert")
 	}
@@ -433,7 +394,12 @@ func (w *Coordinator) Insert(ctx context.Context, points [][]float64, weights []
 	defer w.mu.Unlock()
 	ep := w.ep.Load()
 	var touched []uint64 // members that acknowledged points of this call
-	defer func() { w.refreshMassLocked(touched) }()
+	defer func() {
+		w.refreshMassLocked(touched)
+		if err == nil {
+			w.maybeSplitLocked(ctx, touched)
+		}
+	}()
 
 	// Group per owning member, preserving input order within each group.
 	groups := map[uint64][]int{}
@@ -445,7 +411,7 @@ func (w *Coordinator) Insert(ctx context.Context, points [][]float64, weights []
 		}
 		groups[id] = append(groups[id], i)
 	}
-	ids := make([]uint64, len(points))
+	ids = make([]uint64, len(points))
 	landed := 0
 	// partial reports the ids assigned so far alongside a mid-batch error
 	// (nil when nothing landed — there are no orphans to report).
@@ -520,16 +486,11 @@ func (w *Coordinator) Insert(ctx context.Context, points [][]float64, weights []
 	if ep.dims == 0 {
 		// The founding members were empty and the epoch pinned dims at 0.
 		// Install one that knows the dataset's dimensionality.
-		ep2, err := w.newEpoch(ctx, ep.man.Clone(), ep.clients, true, nil)
+		ep2, err := w.newEpoch(ctx, ep.man.Clone(), ep.clients, true)
 		if err != nil {
 			return ids, fmt.Errorf("cluster: all %d points landed, but reads stay refused: installing an epoch with the dataset's dimensionality: %w", len(points), err)
 		}
 		w.install(ep2)
-	}
-	w.sinceProbe += len(points)
-	if w.sinceProbe >= w.cfg.SplitCheckEvery {
-		w.sinceProbe = 0
-		w.maybeSplitLocked(ctx)
 	}
 	return ids, nil
 }
@@ -696,49 +657,45 @@ func lineageCandidates(man *shard.Manifest, mid, seq uint64) []uint64 {
 	return out
 }
 
-// maybeSplitLocked runs the automatic split trigger: the heaviest member
-// splits when its live weight mass exceeds SplitFactor times the mean of
-// its peers (a lone member always qualifies), it holds at least
-// MinSplitPoints points, and the membership has room. Failures are
-// swallowed — splitting is maintenance, not a write-path obligation. The
-// probe costs one Info round trip per member under the write lock, so
-// the insert path invokes it only once every SplitCheckEvery inserted
-// points rather than on every call.
-func (w *Coordinator) maybeSplitLocked(ctx context.Context) {
-	if w.spawn == nil {
-		return
-	}
+// maybeSplitLocked runs the automatic split trigger after an insert on the
+// masses the epoch records — refreshMassLocked has just set them from the
+// insert's own replies — so it makes no round trip. Only the members the
+// insert touched are candidates: they have just acknowledged a write, so
+// none is dead, and a member's mass grows only through inserts it
+// acknowledges. A candidate qualifies when it holds at least minSplitPoints
+// points and its weight mass exceeds splitFactor times the mean mass of the
+// other members with a write client (a lone member qualifies on its points
+// alone); the heaviest one splits while the membership has room. Failures
+// are swallowed — splitting is maintenance, not a write-path obligation — so
+// a member whose split is refused is asked again on its next insert.
+func (w *Coordinator) maybeSplitLocked(ctx context.Context, touched []uint64) {
 	ep := w.ep.Load()
-	if len(ep.man.Members) >= maxShards {
+	if w.spawn == nil || len(ep.man.Members) >= maxShards {
 		return
 	}
+	var writableW float64 // the mass of the members with a write client
+	for i, mb := range ep.man.Members {
+		if ep.clients[mb.ID] != nil {
+			writableW += ep.members[i].weight()
+		}
+	}
+	peers := float64(len(ep.clients) - 1)
 	var heavy uint64
-	var heavyW, totalW float64
-	heavyPts, alive := 0, 0
-	for id, c := range ep.clients {
-		ictx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
-		info, err := c.Info(ictx)
-		cancel()
-		if err != nil {
+	var heavyW float64
+	for i, mb := range ep.man.Members {
+		info := ep.members[i].info.Load()
+		wgt := info.Weight()
+		if !slices.Contains(touched, mb.ID) || info.Points < minSplitPoints || heavy != 0 && wgt <= heavyW {
 			continue
 		}
-		alive++
-		wgt := info.Weight()
-		totalW += wgt
-		if heavy == 0 || wgt > heavyW {
-			heavy, heavyW, heavyPts = id, wgt, info.Points
+		if peers > 0 && wgt <= splitFactor*(writableW-wgt)/peers {
+			continue // within splitFactor of its peers' mean
 		}
+		heavy, heavyW = mb.ID, wgt
 	}
-	if heavy == 0 || heavyPts < w.cfg.MinSplitPoints {
-		return
+	if heavy != 0 {
+		_ = w.splitLocked(ctx, heavy)
 	}
-	if alive > 1 {
-		peerMean := (totalW - heavyW) / float64(alive-1)
-		if heavyW <= w.cfg.SplitFactor*peerMean {
-			return
-		}
-	}
-	_ = w.splitLocked(ctx, heavy)
 }
 
 // Split forces a split of the given member (tests, operational
@@ -790,7 +747,6 @@ func (w *Coordinator) splitLocked(ctx context.Context, srcID uint64) error {
 		return fmt.Errorf("cluster: member %d has no reachable client", srcID)
 	}
 	var rule shard.SplitRule
-	auto := false
 	switch ep.man.Kind {
 	case shard.Hash:
 		slots := ep.man.MemberSlots(srcID)
@@ -800,7 +756,6 @@ func (w *Coordinator) splitLocked(ctx context.Context, srcID uint64) error {
 		rule = shard.SplitRule{Kind: shard.Hash, NumSlots: ep.man.NumSlots, Slots: slots[len(slots)/2:]}
 	case shard.KDSplit:
 		rule = shard.SplitRule{Kind: shard.KDSplit}
-		auto = true
 	default:
 		return fmt.Errorf("cluster: unknown routing kind %v", ep.man.Kind)
 	}
@@ -810,7 +765,7 @@ func (w *Coordinator) splitLocked(ctx context.Context, srcID uint64) error {
 	w.gen.Add(1)
 	defer w.gen.Add(1)
 
-	res, err := src.SplitOut(ctx, rule, auto)
+	res, err := src.SplitOut(ctx, rule)
 	if err != nil {
 		if errors.Is(err, errRejected) {
 			return err // clean refusal: nothing moved, membership unchanged
@@ -858,7 +813,7 @@ func (w *Coordinator) splitLocked(ctx context.Context, srcID uint64) error {
 	// served as a down stub rather than failing the install — aborting
 	// here would leave reads on a membership whose source shard already
 	// dropped the moved half.
-	ep2, err := w.newEpoch(ctx, man2, clients2, true, nil)
+	ep2, err := w.newEpoch(ctx, man2, clients2, true)
 	if err != nil {
 		return errors.Join(spawnErr, err)
 	}
@@ -888,7 +843,7 @@ func (w *Coordinator) quarantineLocked(ctx context.Context, id uint64) error {
 	}
 	man2 := ep.man.Clone()
 	man2.Epoch++
-	ep2, err := w.newEpoch(ctx, man2, clients2, true, nil)
+	ep2, err := w.newEpoch(ctx, man2, clients2, true)
 	if err != nil {
 		return err
 	}

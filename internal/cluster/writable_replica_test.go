@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"testing"
@@ -36,7 +35,6 @@ func replicatedHTTPCluster(t *testing.T, n int, kern karl.Kernel) (*Coordinator,
 		mirror := newDynEngine(t, kern, karl.KDTree)
 		appliers[i] = replica.NewApplier(mirror, replica.NewHTTPSource(leader.Name()))
 		founders[i] = WritableShard{
-			Name:      fmt.Sprintf("h%d", i),
 			Client:    leader,
 			Followers: []FollowerClient{listen(t, mutableServer(t, mirror, server.WithReplicaApplier(appliers[i])))},
 		}
@@ -445,11 +443,11 @@ func TestWritableMemberStateSurvivesSplit(t *testing.T) {
 		t.Fatalf("CatchUp: %v", err)
 	}
 	founders := []WritableShard{
-		{Name: "m1", Client: leaderClient,
+		{Client: leaderClient,
 			Followers: []FollowerClient{listen(t, mutableServer(t, mirror, server.WithReplicaApplier(applier)))}},
-		{Name: "m2", Client: listen(t, mutableServer(t, newDynEngine(t, kern, karl.KDTree)))},
+		{Client: listen(t, mutableServer(t, newDynEngine(t, kern, karl.KDTree)))},
 	}
-	wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t), WritableConfig{SplitCheckEvery: 1 << 30})
+	wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t), WritableConfig{})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}
@@ -466,8 +464,8 @@ func TestWritableMemberStateSurvivesSplit(t *testing.T) {
 	m1 := func() (MemberStatus, time.Duration) {
 		st := wco.Status(ctx).Members[0]
 		m := wco.ep.Load().members[0]
-		if st.ID != 1 || st.Name != "m1" || len(m.replicas) != 1 || len(st.Followers) != 1 || st.Followers[0].State != replica.StateLive {
-			t.Fatalf("fixture: member 1 reads as %+v with %d hedge targets, want m1 with its live follower as the one", st, len(m.replicas))
+		if st.ID != 1 || st.Name != leaderClient.Name() || len(m.replicas) != 1 || len(st.Followers) != 1 || st.Followers[0].State != replica.StateLive {
+			t.Fatalf("fixture: member 1 reads as %+v with %d hedge targets, want the leader with its live follower as the one", st, len(m.replicas))
 		}
 		return st, time.Duration(m.lat.hedge.Load())
 	}
@@ -485,5 +483,66 @@ func TestWritableMemberStateSurvivesSplit(t *testing.T) {
 	}
 	if hedgeAfter == 0 {
 		t.Errorf("member 1's hedge delay is 0 after a split of member 2 (was %v): the latency window went cold", hedgeBefore)
+	}
+}
+
+// TestWritablePromotionDetachesSiblings: a member with two real followers
+// loses its leader and one follower is promoted. The other one pulls from
+// the dead leader, so it misses every write the promoted member takes from
+// then on: it must leave the member's hedge, retry and promotion targets and
+// stay in the manifest as catching-up. With the promoted leader down too, a
+// read is partial or an error, never the sibling's stale value.
+func TestWritablePromotionDetachesSiblings(t *testing.T) {
+	ctx := context.Background()
+	kern := karl.Gaussian(0.5)
+	leaderSwitch := &downableHandler{inner: mutableServer(t, newDynEngine(t, kern, karl.KDTree))}
+	leader := listen(t, leaderSwitch)
+	fols := make([]FollowerClient, 2)
+	switches := make([]*downableHandler, 2)
+	appliers := make([]*replica.Applier, 2)
+	for i := range fols {
+		mirror := newDynEngine(t, kern, karl.KDTree)
+		appliers[i] = replica.NewApplier(mirror, replica.NewHTTPSource(leader.Name()))
+		switches[i] = &downableHandler{inner: mutableServer(t, mirror, server.WithReplicaApplier(appliers[i]))}
+		fols[i] = listen(t, switches[i])
+	}
+	wco, err := NewWritable(ctx, shard.Hash, []WritableShard{{Client: leader, Followers: fols}}, nil, WritableConfig{})
+	if err != nil {
+		t.Fatalf("NewWritable: %v", err)
+	}
+	pts, w := dataset(200, 3, 31, "II")
+	mustInsert(t, wco, pts, w)
+	for i, a := range appliers {
+		if err := a.CatchUp(ctx); err != nil {
+			t.Fatalf("CatchUp(follower %d): %v", i, err)
+		}
+	}
+
+	leaderSwitch.down.Store(true)
+	if err := wco.Promote(ctx, 1); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	promoted := 0
+	if fols[1].Name() == wco.Manifest().Member(1).Name {
+		promoted = 1
+	}
+	sibling := fols[1-promoted]
+	more, mw := dataset(100, 3, 32, "II")
+	mustInsert(t, wco, more, mw)
+
+	rows := wco.Status(ctx).Members[0].Followers
+	if len(rows) != 1 || rows[0].Name != sibling.Name() || rows[0].State != shard.RoleCatchingUp.String() {
+		t.Fatalf("followers after the promotion = %+v, want only the sibling %s, catching-up", rows, sibling.Name())
+	}
+
+	q := []float64{0.1, -0.2, 0.3}
+	stale, err := sibling.Aggregate(ctx, q)
+	if err != nil {
+		t.Fatalf("sibling aggregate: %v", err)
+	}
+	switches[promoted].down.Store(true)
+	if res, err := wco.Aggregate(ctx, q); err == nil && !res.Partial {
+		t.Fatalf("aggregate with the promoted leader down = %+v, unflagged (the sibling, which missed the last %d points, reads %v)",
+			res, len(more), stale)
 	}
 }

@@ -70,7 +70,7 @@ func foundWritable(t testing.TB, n int, kern karl.Kernel, kind karl.IndexKind, s
 	founders := make([]WritableShard, n)
 	for i := range founders {
 		engines[i] = newDynEngine(t, kern, kind)
-		founders[i] = WritableShard{Name: fmt.Sprintf("shard-%d", i), Client: listen(t, mutableServer(t, engines[i]))}
+		founders[i] = WritableShard{Client: listen(t, mutableServer(t, engines[i]))}
 	}
 	wco, err := NewWritable(context.Background(), shard.Hash, founders, spawn, cfg)
 	if err != nil {
@@ -260,8 +260,8 @@ func TestWritableKDGrowth(t *testing.T) {
 	kern := karl.Gaussian(0.5)
 	root := newDynEngine(t, kern, karl.KDTree)
 	wco, err := NewWritable(ctx, shard.KDSplit,
-		[]WritableShard{{Name: "root", Client: listen(t, mutableServer(t, root))}},
-		httpSpawn(t), WritableConfig{MinSplitPoints: 64, SplitFactor: 2})
+		[]WritableShard{{Client: listen(t, mutableServer(t, root))}},
+		httpSpawn(t), WritableConfig{})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}
@@ -279,6 +279,11 @@ func TestWritableKDGrowth(t *testing.T) {
 	}
 	if st.Epoch < 2 {
 		t.Fatalf("epoch = %d after a split, want >= 2", st.Epoch)
+	}
+	// The trigger runs after the insert's masses are recorded, so the
+	// source's pre-split mass does not overwrite what the split install read.
+	if st.Points != len(pts) {
+		t.Fatalf("coordinator reports %d points after the automatic split, the members hold %d", st.Points, len(pts))
 	}
 
 	// Every pre-split id must still delete, wherever its point moved.
@@ -332,7 +337,7 @@ func TestWritableChaosMidSplit(t *testing.T) {
 	for i := range founders {
 		engines[i] = newDynEngine(t, kern, karl.KDTree)
 		switches[i] = &downableHandler{inner: mutableServer(t, engines[i])}
-		founders[i] = WritableShard{Name: fmt.Sprintf("h%d", i), Client: listen(t, switches[i])}
+		founders[i] = WritableShard{Client: listen(t, switches[i])}
 	}
 	wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t),
 		WritableConfig{Config: Config{Timeout: 2 * time.Second}})
@@ -432,7 +437,7 @@ func TestWritableSplitCleanRefusal(t *testing.T) {
 	ctx := context.Background()
 	solo := listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))
 	wco, err := NewWritable(ctx, shard.KDSplit,
-		[]WritableShard{{Name: "solo", Client: solo}},
+		[]WritableShard{{Client: solo}},
 		httpSpawn(t), WritableConfig{})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
@@ -498,7 +503,7 @@ func TestWritableManifestPersistence(t *testing.T) {
 
 	// A fresh coordinator founding over the same path would write epoch 1
 	// behind the on-disk epoch 2 — refused as stale.
-	fresh := []WritableShard{{Name: "f", Client: listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))}}
+	fresh := []WritableShard{{Client: listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))}}
 	if _, err := NewWritable(ctx, shard.Hash, fresh, nil, WritableConfig{ManifestPath: path}); !errors.Is(err, shard.ErrStaleManifest) {
 		t.Fatalf("founding onto a newer manifest: err = %v, want ErrStaleManifest", err)
 	}
@@ -614,7 +619,7 @@ func TestWritableHTTPSurface(t *testing.T) {
 // splitting armed.
 func BenchmarkClusterInsertHeavy(b *testing.B) {
 	wco, _ := foundWritable(b, 4, karl.Gaussian(0.5), karl.KDTree, httpSpawn(b),
-		WritableConfig{MinSplitPoints: 1 << 20})
+		WritableConfig{})
 	pts, w := dataset(256, 5, 61, "II")
 	ctx := context.Background()
 	b.ResetTimer()
@@ -677,6 +682,152 @@ func TestWritableSplitHoldsReads(t *testing.T) {
 	}
 }
 
+// heldShard holds the first read it gets once armed — it signals entered
+// and waits for release before asking the shard — so a test can complete a
+// membership change while that read is in flight.
+type heldShard struct {
+	MutableShardClient
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (h *heldShard) hold(ctx context.Context) error {
+	if !h.armed.CompareAndSwap(true, false) {
+		return nil
+	}
+	close(h.entered)
+	select {
+	case <-h.release:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (h *heldShard) Aggregate(ctx context.Context, q []float64) (float64, error) {
+	if err := h.hold(ctx); err != nil {
+		return 0, err
+	}
+	return h.MutableShardClient.Aggregate(ctx, q)
+}
+
+func (h *heldShard) Bounds(ctx context.Context, q []float64, eps float64) (Bounds, error) {
+	if err := h.hold(ctx); err != nil {
+		return Bounds{}, err
+	}
+	return h.MutableShardClient.Bounds(ctx, q, eps)
+}
+
+func (h *heldShard) ThresholdBounds(ctx context.Context, q []float64, tau float64) (Bounds, error) {
+	if err := h.hold(ctx); err != nil {
+		return Bounds{}, err
+	}
+	return h.MutableShardClient.ThresholdBounds(ctx, q, tau)
+}
+
+// TestWritableReadRescattersAcrossSplit: a read already in flight when a
+// split starts is not held by the seqlock — it is re-run. Member 1's read is
+// held inside its shard call while Split(1) completes; let go, it asks a
+// source that has dropped the moved half, so the first attempt sees the
+// total less the moved mass. The generation moved under it, so the
+// coordinator counts a rescatter and answers from the new membership: the
+// pre-split monolithic total, for Aggregate, Threshold and Approximate.
+func TestWritableReadRescattersAcrossSplit(t *testing.T) {
+	const eps = 0.01
+	ctx := context.Background()
+	kern := karl.Gaussian(0.1)
+	pts, w := dataset(400, 3, 73, "II")
+	q := []float64{0.1, -0.1, 0.2}
+	mono := newDynEngine(t, kern, karl.KDTree)
+	if _, err := mono.InsertBulk(pts, w); err != nil {
+		t.Fatalf("mono.InsertBulk: %v", err)
+	}
+	exact, err := mono.Aggregate(q)
+	if err != nil {
+		t.Fatalf("mono.Aggregate: %v", err)
+	}
+	// found builds the 2-member cluster every run starts from, member 1
+	// behind a heldShard.
+	found := func(t *testing.T) (*Coordinator, *heldShard) {
+		held := &heldShard{
+			MutableShardClient: listen(t, mutableServer(t, newDynEngine(t, kern, karl.KDTree))),
+			entered:            make(chan struct{}),
+			release:            make(chan struct{}),
+		}
+		founders := []WritableShard{{Client: held}, {Client: listen(t, mutableServer(t, newDynEngine(t, kern, karl.KDTree)))}}
+		wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t), WritableConfig{})
+		if err != nil {
+			t.Fatalf("NewWritable: %v", err)
+		}
+		mustInsert(t, wco, pts, w)
+		return wco, held
+	}
+	// The split moves the same half in every run: what the new member 3
+	// holds at q is what a read of the pre-split membership misses.
+	dry, _ := found(t)
+	if err := dry.Split(ctx, 1); err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	moved, err := dry.ep.Load().clients[3].Aggregate(ctx, q)
+	if err != nil {
+		t.Fatalf("moved half aggregate: %v", err)
+	}
+	if moved < 0.1*exact {
+		t.Fatalf("fixture: the moved half holds %v of F(q) = %v at q, too little to tell a reduced sum", moved, exact)
+	}
+
+	reads := map[string]func(*Coordinator) (server.Result, error){
+		"aggregate":   func(co *Coordinator) (server.Result, error) { return co.Aggregate(ctx, q) },
+		"threshold":   func(co *Coordinator) (server.Result, error) { return co.Threshold(ctx, q, exact-moved/2) },
+		"approximate": func(co *Coordinator) (server.Result, error) { return co.Approximate(ctx, q, eps) },
+	}
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			wco, held := found(t)
+			before := wco.Status(ctx).Rescatters
+			held.armed.Store(true)
+			type answer struct {
+				res server.Result
+				err error
+			}
+			done := make(chan answer, 1)
+			go func() {
+				res, err := read(wco)
+				done <- answer{res, err}
+			}()
+			select {
+			case <-held.entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the read never asked member 1")
+			}
+			if err := wco.Split(ctx, 1); err != nil {
+				t.Fatalf("Split: %v", err)
+			}
+			close(held.release)
+			a := <-done
+			if a.err != nil || a.res.Partial {
+				t.Fatalf("read across the split = %+v, %v", a.res, a.err)
+			}
+			if got := wco.Status(ctx).Rescatters - before; got < 1 {
+				t.Errorf("the read straddled a split and was re-run %d times", got)
+			}
+			tol := 1e-9 * exact
+			switch name {
+			case "threshold":
+				if !a.res.Over {
+					t.Errorf("threshold %v: over = false; F(q) = %v, the pre-split membership less the moved half %v", exact-moved/2, exact, exact-moved)
+				}
+				return
+			case "approximate":
+				tol += eps * exact
+			}
+			if math.Abs(a.res.Value-exact) > tol {
+				t.Errorf("value %v, want %v within %g (the reduced sum is %v)", a.res.Value, exact, tol, exact-moved)
+			}
+		})
+	}
+}
+
 // TestWritableResume pins the restart path: a coordinator rebuilt from
 // the persisted manifest carries the epoch, routing and split lineage
 // forward — pre-restart cluster-global ids keep resolving, answers match,
@@ -687,18 +838,18 @@ func TestWritableSplitHoldsReads(t *testing.T) {
 func TestWritableResume(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "cluster.manifest")
-	spawned := map[string]MutableShardClient{}
+	var spawned []WritableShard
 	spawn := func(ctx context.Context, member shard.Member, moved []byte) (MutableShardClient, error) {
 		c, err := httpSpawn(t)(ctx, member, moved)
 		if err == nil {
-			spawned[c.Name()] = c // the manifest records a member under its client's own name
+			spawned = append(spawned, WritableShard{Client: c}) // the manifest records a member under its client's own name
 		}
 		return c, err
 	}
 	founders := make([]WritableShard, 2)
 	for i := range founders {
 		d := newDynEngine(t, karl.Gaussian(1), karl.KDTree)
-		founders[i] = WritableShard{Name: fmt.Sprintf("m%d", i), Client: listen(t, mutableServer(t, d))}
+		founders[i] = WritableShard{Client: listen(t, mutableServer(t, d))}
 	}
 	wco, err := NewWritable(ctx, shard.Hash, founders, spawn, WritableConfig{ManifestPath: path})
 	if err != nil {
@@ -720,10 +871,7 @@ func TestWritableResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadManifest: %v", err)
 	}
-	resumedShards := append([]WritableShard(nil), founders...)
-	for name, c := range spawned {
-		resumedShards = append(resumedShards, WritableShard{Name: name, Client: c})
-	}
+	resumedShards := append(append([]WritableShard(nil), founders...), spawned...)
 	re, err := ResumeWritable(ctx, man, resumedShards, spawn, WritableConfig{ManifestPath: path})
 	if err != nil {
 		t.Fatalf("ResumeWritable: %v", err)
@@ -776,7 +924,7 @@ func TestWritableResume(t *testing.T) {
 	}
 
 	// A client naming no manifest member belongs to a different cluster.
-	stranger := []WritableShard{{Name: "stranger", Client: founders[0].Client}}
+	stranger := []WritableShard{{Client: listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))}}
 	if _, err := ResumeWritable(ctx, man, stranger, nil, WritableConfig{}); err == nil {
 		t.Fatal("resuming with an unknown shard name must fail")
 	}
@@ -833,8 +981,7 @@ func TestWritableRoutesLikeEngineShard(t *testing.T) {
 	}
 }
 
-// infoCountingClient counts Info probes so tests can observe the split
-// trigger's probe cadence.
+// infoCountingClient counts the Info round trips made to a member.
 type infoCountingClient struct {
 	MutableShardClient
 	infos *atomic.Int64
@@ -845,45 +992,65 @@ func (c infoCountingClient) Info(ctx context.Context) (ShardInfo, error) {
 	return c.MutableShardClient.Info(ctx)
 }
 
-// TestWritableSplitProbeThrottled pins the write-path cost model: an
-// acknowledged insert refreshes the weight masses of the members it
-// touched from the write's own reply (no Info round trip), while the
-// automatic split trigger — which polls EVERY member's Info under the
-// write lock — runs only once every SplitCheckEvery inserted points, not
-// on every Insert.
-func TestWritableSplitProbeThrottled(t *testing.T) {
+// TestWritableSplitTriggerReadsRecordedMasses pins the write-path cost model:
+// an acknowledged insert refreshes the weight masses of the members it
+// touched from the write's own reply, and the automatic split trigger reads
+// those recorded masses after every insert — it makes no Info round trip.
+// 300 single-point inserts into a 2-member hash cluster, spawn armed, cost
+// no Info call; a batch that makes member 1 outweigh member 2 more than
+// splitFactor times splits it at once, and the only Info calls are the
+// discovery round that installs the new epoch, one per member.
+func TestWritableSplitTriggerReadsRecordedMasses(t *testing.T) {
 	ctx := context.Background()
 	var infos atomic.Int64
 	founders := make([]WritableShard, 2)
 	for i := range founders {
 		d := newDynEngine(t, karl.Gaussian(1), karl.KDTree)
 		// Seed each member so the dataset has a dimensionality at founding
-		// — otherwise the first inserts also pay dims-rebuild Info rounds,
-		// which are not what this test counts.
+		// — otherwise the first insert also pays the Info round of the
+		// install that learns it, which is not what this test counts.
 		if err := d.Insert([]float64{float64(i), -float64(i)}, 1); err != nil {
 			t.Fatalf("seed insert: %v", err)
 		}
-		founders[i] = WritableShard{Name: fmt.Sprintf("c%d", i), Client: infoCountingClient{listen(t, mutableServer(t, d)), &infos}}
+		founders[i] = WritableShard{Client: infoCountingClient{listen(t, mutableServer(t, d)), &infos}}
 	}
-	wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t), WritableConfig{SplitCheckEvery: 64})
+	wco, err := NewWritable(ctx, shard.Hash, founders, httpSpawn(t), WritableConfig{})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}
 	base := infos.Load()
-	pts, _ := dataset(63, 2, 57, "I")
+	pts, _ := dataset(300, 2, 57, "I")
 	for _, p := range pts {
 		mustInsert(t, wco, [][]float64{p}, nil)
 	}
-	// 63 single-point inserts stay under the 64-point probe threshold:
-	// the mass refresh rides on the insert reply, no probe round.
 	if got := infos.Load() - base; got != 0 {
-		t.Fatalf("63 inserted points cost %d Info calls, want 0 (masses come with the write reply, probe threshold not reached)", got)
+		t.Fatalf("300 single-point inserts cost %d Info calls, want 0 (the trigger reads the masses the write replies carried)", got)
 	}
-	mustInsert(t, wco, [][]float64{{0.5, 0.5}}, nil)
-	// The 64th point crosses the threshold: exactly one probe round (one
-	// Info per member).
+	if st := wco.Status(ctx); st.Splits != 0 || st.Points != len(pts)+2 {
+		t.Fatalf("balanced inserts: %d splits, %d points; want 0 and %d", st.Splits, st.Points, len(pts)+2)
+	}
+
+	// minSplitPoints points of weight 8 on member 1 put its mass far past
+	// splitFactor times member 2's.
+	man := wco.Manifest()
+	var heavy [][]float64
+	more, _ := dataset(4*minSplitPoints, 2, 58, "I")
+	for _, p := range more {
+		if man.Route(p) == 1 && len(heavy) < minSplitPoints {
+			heavy = append(heavy, p)
+		}
+	}
+	weights := make([]float64, len(heavy))
+	for i := range weights {
+		weights[i] = 8
+	}
+	base = infos.Load()
+	mustInsert(t, wco, heavy, weights)
+	if st := wco.Status(ctx); st.Splits != 1 || len(st.Members) != 3 {
+		t.Fatalf("after a heavy batch on member 1: %d splits, %d members; want 1 and 3", st.Splits, len(st.Members))
+	}
 	if got := infos.Load() - base; got != 2 {
-		t.Fatalf("64th point: %d Info calls since founding, want 2 (one probe round)", got)
+		t.Fatalf("the split cost %d Info calls to the founding members, want 2 (the install's discovery round alone)", got)
 	}
 }
 
@@ -904,8 +1071,8 @@ func (c failingInsertClient) Insert(context.Context, [][]float64, []float64) ([]
 func TestWritableInsertPartialIDs(t *testing.T) {
 	ctx := context.Background()
 	founders := []WritableShard{
-		{Name: "ok", Client: listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))},
-		{Name: "bad", Client: failingInsertClient{listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))}},
+		{Client: listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))},
+		{Client: failingInsertClient{listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))}},
 	}
 	wco, err := NewWritable(ctx, shard.Hash, founders, nil, WritableConfig{})
 	if err != nil {
@@ -998,7 +1165,7 @@ func TestWritableMassRefreshMultiSeed(t *testing.T) {
 	var infos atomic.Int64
 	founders := make([]WritableShard, 2)
 	for i := range founders {
-		founders[i] = WritableShard{Name: fmt.Sprintf("m%d", i), Client: infoCountingClient{
+		founders[i] = WritableShard{Client: infoCountingClient{
 			listen(t, mutableServer(t, newDynEngine(t, kern, karl.KDTree))), &infos}}
 	}
 	wco, err := NewWritable(ctx, shard.Hash, founders, nil, WritableConfig{})
@@ -1099,7 +1266,7 @@ func TestWritableDeleteManyPerMember(t *testing.T) {
 	}
 	founders := make([]WritableShard, 2)
 	for i := range founders {
-		founders[i] = WritableShard{Name: fmt.Sprintf("m%d", i), Client: counted(listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree))))}
+		founders[i] = WritableShard{Client: counted(listen(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree))))}
 	}
 	spawn := func(ctx context.Context, member shard.Member, moved []byte) (MutableShardClient, error) {
 		c, err := httpSpawn(t)(ctx, member, moved)
@@ -1256,8 +1423,8 @@ func TestWritableSplitLargeMember(t *testing.T) {
 		}
 	}
 	wco, err := NewWritable(ctx, shard.KDSplit,
-		[]WritableShard{{Name: "root", Client: listen(t, mutableServer(t, root))}},
-		httpSpawn(t), WritableConfig{MinSplitPoints: 1 << 20})
+		[]WritableShard{{Client: listen(t, mutableServer(t, root))}},
+		httpSpawn(t), WritableConfig{})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}
@@ -1294,8 +1461,8 @@ func TestWritableInsertLargeBatch(t *testing.T) {
 		t.Fatalf("NewDynamic: %v", err)
 	}
 	wco, err := NewWritable(ctx, shard.Hash,
-		[]WritableShard{{Name: "solo", Client: listen(t, mutableServer(t, d))}},
-		nil, WritableConfig{MinSplitPoints: 1 << 20})
+		[]WritableShard{{Client: listen(t, mutableServer(t, d))}},
+		nil, WritableConfig{})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}
@@ -1386,7 +1553,7 @@ func TestWritableOneDiscoveryRound(t *testing.T) {
 		}
 		return counted(srv), nil
 	}
-	wco, err := NewWritable(ctx, shard.Hash, founders, spawn, WritableConfig{SplitCheckEvery: 1 << 30})
+	wco, err := NewWritable(ctx, shard.Hash, founders, spawn, WritableConfig{})
 	if err != nil {
 		t.Fatalf("NewWritable: %v", err)
 	}
