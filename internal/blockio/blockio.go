@@ -7,7 +7,8 @@
 // back, and the CRC-32C (Castagnoli) of everything from the tag on as four
 // little-endian bytes. Fields are fixed-width little-endian: integers and
 // float bit patterns are 8 bytes, a bool is 1, a string or slice is its
-// element count (8 bytes) followed by the elements at their own width.
+// element count (8 bytes) followed by the elements at their own width, and
+// a matrix is a slice of its rows back to back.
 // Blocks carry no length, so a block is verified exactly when it has been
 // read to its checksum, and a stream that ends anywhere before its end
 // block — block boundaries included — fails with io.ErrUnexpectedEOF.
@@ -17,7 +18,8 @@
 // reads. The fields of a block are therefore listed once, by a function
 // that the package owning the data runs in either direction (the engine,
 // segment, held-segment and memtable blocks in package karl, the manifest
-// block in internal/shard); DESIGN.md §5.2a has the table.
+// block in internal/shard, the rows block in internal/server); DESIGN.md
+// §5.2a has the table.
 package blockio
 
 import (
@@ -47,6 +49,7 @@ const (
 	TagMemtable             // the buffered rows of an engine
 	TagManifest             // a cluster manifest
 	TagHeld                 // a segment the puller of a replication stream already holds: id and dead seqs
+	TagRows                 // the rows of a bulk insert: dims, the points row-major, the weights
 )
 
 // chunk is the I/O buffer size, the unit slices are decoded in, and the most
@@ -79,9 +82,14 @@ func NewEncoder(w io.Writer) *Codec {
 	return c
 }
 
-// NewDecoder opens the stream in r. It reads ahead of what it decodes.
+// NewDecoder opens the stream in r. It reads ahead of what it decodes, by
+// at most chunk bytes and never by more than r is known to hold.
 func NewDecoder(r io.Reader) *Codec {
-	c := &Codec{r: bufio.NewReaderSize(r, chunk), left: unread(r)}
+	left, size := unread(r), chunk
+	if left >= 0 && left < chunk {
+		size = int(left)
+	}
+	c := &Codec{r: bufio.NewReaderSize(r, size), left: left}
 	var head [len(magic) + 1]byte
 	if elems(c, head[:]); c.err != nil {
 		return c
@@ -109,6 +117,11 @@ func unread(r io.Reader) int64 {
 	}
 	return -1
 }
+
+// Unread returns how many bytes past those decoded a decoder's input holds,
+// or a negative number when its length is not known (see unread): after
+// Finish, a positive count is data behind the stream's end block.
+func (c *Codec) Unread() int64 { return c.left }
 
 // Decoding reports the Codec's direction.
 func (c *Codec) Decoding() bool { return c.r != nil }
@@ -327,7 +340,8 @@ func Opt[T any](c *Codec, p **T) bool {
 
 // Slice moves a slice: its length, then the elements. A decoder allocates
 // the declared length at once when its input is known to hold the bytes
-// (see unread), and otherwise grows the slice chunk by chunk as the bytes
+// (see unread), fails with io.ErrUnexpectedEOF before allocating when it is
+// known not to, and otherwise grows the slice chunk by chunk as the bytes
 // arrive — never beyond the declared length, and never to more than chunk
 // bytes plus twice what has actually been read. Either way a stream cannot
 // make it allocate by declaring a length. It hands back exactly the slice it
@@ -351,9 +365,13 @@ func Slice[T Elem](c *Codec, v *[]T) {
 		c.fail(fmt.Errorf("declared length %d out of range", n))
 		return
 	}
+	if c.left >= 0 && int64(n*size) > c.left {
+		c.fail(io.ErrUnexpectedEOF)
+		return
+	}
 	per := chunk / size
 	out := make([]T, 0, min(n, per))
-	if int64(n*size) <= c.left {
+	if c.left >= 0 {
 		out = make([]T, 0, n)
 	}
 	for len(out) < n {
@@ -370,4 +388,43 @@ func Slice[T Elem](c *Codec, v *[]T) {
 		out = out[:len(out)+k]
 	}
 	*v = out
+}
+
+// Rows moves a matrix of rows of dims elements as one slice field: the
+// element count, then the rows back to back, so an encoder writes rows held
+// apart without gathering them first. A decoder reads the elements into one
+// array and hands back rows cut from it, each capped at dims; a count that
+// is not a whole number of rows fails it. An encoder fails on a row that is
+// not dims long.
+func Rows[T Elem](c *Codec, dims int, v *[][]T) {
+	if c.r != nil {
+		var flat []T
+		Slice(c, &flat)
+		if c.err != nil {
+			return
+		}
+		*v = nil
+		if len(flat) == 0 {
+			return
+		}
+		if dims < 1 || len(flat)%dims != 0 {
+			c.fail(fmt.Errorf("%d elements are not rows of %d", len(flat), dims))
+			return
+		}
+		rows := make([][]T, len(flat)/dims)
+		for i := range rows {
+			rows[i] = flat[i*dims : (i+1)*dims : (i+1)*dims]
+		}
+		*v = rows
+		return
+	}
+	n := len(*v) * dims
+	Int(c, &n)
+	for i, row := range *v {
+		if len(row) != dims {
+			c.fail(fmt.Errorf("row %d has %d elements, not %d", i, len(row), dims))
+			return
+		}
+		elems(c, row)
+	}
 }

@@ -16,10 +16,12 @@
 // tight shards alone.
 //
 // A shard is a karl-serve front door (internal/server) and HTTPShard is the
-// one ShardClient that reaches it: JSON over the /v1/* endpoints (POST
-// /v1/bounds is the bound-exchange unit), each call driven from the calling
-// goroutine over a pooled connection (syncTransport). The client interfaces
-// exist for decorators — fault injection, counting, tracing — around it.
+// one ShardClient that reaches it over the /v1/* endpoints: JSON bodies,
+// except a routed insert, which carries its rows as one checksummed rows
+// block (server.AppendRows). POST /v1/bounds is the bound-exchange unit.
+// Each call is driven from the calling goroutine over a pooled connection
+// (syncTransport). The client interfaces exist for decorators — fault
+// injection, counting, tracing — around it.
 // Robustness is first-class: per-shard timeouts, one retry with backoff,
 // hedged requests to a replica after a latency percentile, and a degraded
 // mode that serves explicit partial results when a shard is down.
@@ -131,7 +133,7 @@ type MutableShardClient interface {
 	SplitOut(ctx context.Context, rule shard.SplitRule) (SplitResult, error)
 }
 
-// HTTPShard speaks to a remote karl-serve instance over its JSON /v1/*
+// HTTPShard speaks to a remote karl-serve instance over its /v1/*
 // endpoints, reusing the server's request types on the wire.
 type HTTPShard struct {
 	base string
@@ -206,10 +208,16 @@ func (s *HTTPShard) ThresholdBounds(ctx context.Context, q []float64, tau float6
 	return resp, err
 }
 
-// Insert implements MutableShardClient via POST /v1/insert.
+// Insert implements MutableShardClient via POST /v1/insert with a rows
+// body: the floats cross bit for bit under the block's checksum. Rows of
+// different lengths are refused before anything is sent.
 func (s *HTTPShard) Insert(ctx context.Context, points [][]float64, weights []float64) ([]uint64, error) {
+	body, err := server.AppendRows(nil, points, weights)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: shard %s: %w: %w", s.base, err, errRejected)
+	}
 	var resp server.InsertResponse
-	if err := s.post(ctx, "/v1/insert", &server.InsertRequest{Points: points, Weights: weights}, &resp); err != nil {
+	if err := s.post(ctx, "/v1/insert", rowsBody(body), &resp); err != nil {
 		return nil, err
 	}
 	s.mass.Store(&resp.MassResponse)
@@ -288,17 +296,30 @@ func (s *HTTPShard) post(ctx context.Context, path string, body, dst any) error 
 	return s.call(ctx, http.MethodPost, path, body, dst, nil)
 }
 
-// call sends one request (in, when non-nil, as its JSON body) and decodes
-// the JSON response into dst, surfacing the server's error envelope on
-// non-2xx statuses; a non-nil failed also receives that error body, for
-// replies whose failure carries fields. Bodies of the front door's wire
-// codec (server.AppendJSON, server.ReadJSON: pointers to query, insert and
-// delete requests out, bounds and value replies back) go through it from
-// this side; everything else, and any reply the reader declines, through
-// encoding/json.
+// rowsBody is a request body that call sends as it is, under
+// server.RowsContentType.
+type rowsBody []byte
+
+// sizedReply bounds how much a reply's declared length may make call
+// allocate before its bytes arrive; a longer reply grows as it is read.
+const sizedReply = 32 << 20
+
+// call sends one request (in, when non-nil, as its body: a rowsBody as it
+// is, anything else as JSON) and decodes the JSON response into dst,
+// surfacing the server's error envelope on non-2xx statuses; a non-nil
+// failed also receives that error body, for replies whose failure carries
+// fields. Bodies of the front door's wire codec (server.AppendJSON,
+// server.ReadJSON: pointers to query and delete requests out, bounds, value
+// and insert replies back) go through it from this side; everything else,
+// and any reply the reader declines, through encoding/json.
 func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, failed any) error {
 	var payload io.Reader
-	if in != nil {
+	ctype := "application/json"
+	switch in := in.(type) {
+	case nil:
+	case rowsBody:
+		payload, ctype = bytes.NewReader(in), server.RowsContentType
+	default:
 		raw, ok := server.AppendJSON(nil, in)
 		if !ok {
 			var err error
@@ -313,7 +334,7 @@ func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, fail
 		return err
 	}
 	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ctype)
 	}
 	resp, err := s.hc.Do(req)
 	if err != nil {
@@ -322,15 +343,20 @@ func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, fail
 	defer resp.Body.Close()
 	// A 200 is read whole: the peer is a configured member, and the replies
 	// that grow with its data — the moved half of a split, the ids of a bulk
-	// insert — are lost for good if cut. Only an error envelope is capped.
+	// insert — are lost for good if cut. Its declared length sizes the
+	// buffer once, but the read still runs to EOF: that is what hands the
+	// connection back to the pool. Only an error envelope is capped.
 	var rd io.Reader = resp.Body
+	var reply bytes.Buffer
 	if resp.StatusCode != http.StatusOK {
 		rd = io.LimitReader(rd, 1<<20)
+	} else if n := resp.ContentLength; n > 0 && n <= sizedReply {
+		reply.Grow(int(n) + bytes.MinRead)
 	}
-	body, err := io.ReadAll(rd)
-	if err != nil {
+	if _, err := reply.ReadFrom(rd); err != nil {
 		return fmt.Errorf("cluster: shard %s: read response: %w", s.base, err)
 	}
+	body := reply.Bytes()
 	if resp.StatusCode != http.StatusOK {
 		var envelope struct {
 			Error string `json:"error"`

@@ -134,6 +134,28 @@ func TestTransportReusesConnection(t *testing.T) {
 	}
 }
 
+// TestTransportMemberHopParksConnection: the member hop reads each reply
+// into a buffer sized by its declared length, and still to its end, which is
+// what parks the connection: 50 warm inserts, each a rows body, and 50
+// threshold rounds against one member share the one connection they dialled.
+func TestTransportMemberHopParksConnection(t *testing.T) {
+	f := newTransportFixture(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))
+	hs := NewHTTPShardClient(f.url, f.hc)
+	ctx := context.Background()
+	pts, _ := dataset(50*16, 8, 5, "I")
+	for i := 0; i < 50; i++ {
+		if ids, err := hs.Insert(ctx, pts[16*i:16*(i+1)], nil); err != nil || len(ids) != 16 {
+			t.Fatalf("insert %d: %d ids, %v", i, len(ids), err)
+		}
+		if _, err := hs.ThresholdBounds(ctx, pts[i], 0.5); err != nil {
+			t.Fatalf("threshold %d: %v", i, err)
+		}
+	}
+	if n, hits := f.conns.Load(), f.hit("/v1/insert")+f.hit("/v1/bounds"); n != 1 || hits != 100 {
+		t.Fatalf("100 calls reached the member as %d requests over %d connections, want 1", hits, n)
+	}
+}
+
 // TestTransportStaleConnection: the server closes a pooled idle connection.
 // A read is retried once on a fresh connection and succeeds; an insert is
 // not retried — the caller sees the failure and the request reached the

@@ -1591,3 +1591,83 @@ func TestWritableOneDiscoveryRound(t *testing.T) {
 	}
 	check("promotion", 3)
 }
+
+// TestWritableInsertHopIsLossless: rows that reach a member through the
+// coordinator — JSON from the client, a rows block on the member hop — are
+// the rows the client sent, bit for bit. Each member's status and its
+// aggregates on 50 queries equal, bit for bit, those of an engine fed the
+// same rows, in the same order, through a JSON POST /v1/insert of its own.
+func TestWritableInsertHopIsLossless(t *testing.T) {
+	ctx := context.Background()
+	newEngine := func() *karl.Engine {
+		// Without background merges an engine's segments follow from its
+		// insert stream alone.
+		d, err := karl.NewDynamic(karl.Gaussian(0.5), karl.WithIndex(karl.KDTree, 16), karl.WithSealSize(64), karl.WithAutoCompaction(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	var mu sync.Mutex
+	hopTypes := map[string]int{}
+	engines := []*karl.Engine{newEngine(), newEngine()}
+	founders := make([]WritableShard, len(engines))
+	for i, d := range engines {
+		srv := mutableServer(t, d)
+		founders[i] = WritableShard{Client: listen(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/insert" {
+				mu.Lock()
+				hopTypes[r.Header.Get("Content-Type")]++
+				mu.Unlock()
+			}
+			srv.ServeHTTP(w, r)
+		}))}
+	}
+	wco, err := NewWritable(ctx, shard.Hash, founders, nil, WritableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := server.NewTestServer(NewWritableHTTPServer(wco))
+	defer front.Close()
+
+	pts, w := dataset(2000, 8, 97, "III")
+	pts[0][0], pts[1][1], pts[2][2] = math.Copysign(0, -1), math.SmallestNonzeroFloat64, 2.2250738585072009e-308
+	status, body := doJSON(t, http.MethodPost, front.URL+"/v1/insert", server.InsertRequest{Points: pts, Weights: w})
+	var reply ClusterInsertResponse
+	if err := json.Unmarshal(body, &reply); status != http.StatusOK || err != nil || len(reply.IDs) != len(pts) {
+		t.Fatalf("insert through the coordinator: %d %s", status, body)
+	}
+	if hopTypes[server.RowsContentType] != len(engines) || len(hopTypes) != 1 {
+		t.Fatalf("member inserts went as %v, want one rows body per member", hopTypes)
+	}
+
+	// The rows each member was sent, in input order.
+	rows := make([][][]float64, len(engines))
+	weights := make([][]float64, len(engines))
+	for i, gid := range reply.IDs {
+		m, _ := DecodeID(gid)
+		rows[m-1] = append(rows[m-1], pts[i])
+		weights[m-1] = append(weights[m-1], w[i])
+	}
+	queries, _ := dataset(50, 8, 98, "I")
+	for i, member := range engines {
+		ref := newEngine()
+		refFront := server.NewTestServer(mutableServer(t, ref))
+		defer refFront.Close()
+		if status, body := doJSON(t, http.MethodPost, refFront.URL+"/v1/insert", server.InsertRequest{Points: rows[i], Weights: weights[i]}); status != http.StatusOK {
+			t.Fatalf("member %d's rows as JSON: %d %s", i+1, status, body)
+		}
+		// %+v prints each float64 in the shortest form that reads back to
+		// its bits, −0 included: equal strings are equal bits.
+		if got, want := fmt.Sprintf("%+v", member.Status()), fmt.Sprintf("%+v", ref.Status()); got != want {
+			t.Fatalf("member %d's status after the hop:\n%s\nfed the same rows as JSON:\n%s", i+1, got, want)
+		}
+		for j, q := range queries {
+			got, err1 := member.Aggregate(q)
+			want, err2 := ref.Aggregate(q)
+			if err1 != nil || err2 != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("member %d, query %d: %v (%v) after the hop, %v (%v) fed as JSON", i+1, j, got, err1, want, err2)
+			}
+		}
+	}
+}

@@ -285,7 +285,7 @@ func (l *local) Insert(_ context.Context, points [][]float64, weights []float64)
 		return nil, err
 	}
 	st := l.dyn.Status()
-	return InsertResponse{
+	return &InsertResponse{
 		Inserted:     len(ids),
 		IDs:          ids,
 		Len:          st.Points,

@@ -475,12 +475,24 @@ func putBuffer(buf *bytes.Buffer) {
 }
 
 // decodeBody reads the request body whole, with the server's size bound
-// applied, and parses it into dst: with the wire reader when it takes the
-// body, else with encoding/json. Nothing in dst points into the body.
+// applied, into a buffer grown once to the declared Content-Length when
+// that is within the bound, and parses it into dst: a rows body (readRows)
+// when dst is an insert and the Content-Type names one, else JSON — with
+// the wire reader when it takes the body, else with encoding/json. Nothing
+// in dst points into the body.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	buf := buffers.Get().(*bytes.Buffer)
 	defer putBuffer(buf)
+	if n := r.ContentLength; n > 0 && n <= s.maxBody {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
 	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if req, ok := dst.(*InsertRequest); ok && isRows(r.Header) {
+		if readErr != nil {
+			return readError(readErr)
+		}
+		return readRows(buf.Bytes(), req)
+	}
 	if readErr == nil && ReadJSON(buf.Bytes(), dst) {
 		return nil
 	}
@@ -511,19 +523,25 @@ func decodeJSON(body []byte, readErr error, dst any) error {
 		err = readErr
 	}
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return &Error{
-				Status: http.StatusRequestEntityTooLarge,
-				Err:    fmt.Errorf("request body exceeds %d bytes", mbe.Limit),
-			}
-		}
-		return fmt.Errorf("bad request: %v", err)
+		return readError(err)
 	}
 	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) != 0 {
 		return errors.New("bad request: unexpected data after the JSON body")
 	}
 	return nullNumber(body)
+}
+
+// readError words a body that could not be read or decoded: 413 when it
+// ran past the size bound, else a bad request.
+func readError(err error) error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return &Error{
+			Status: http.StatusRequestEntityTooLarge,
+			Err:    fmt.Errorf("request body exceeds %d bytes", mbe.Limit),
+		}
+	}
+	return fmt.Errorf("bad request: %v", err)
 }
 
 // nullNumber finds a JSON null standing where the request types hold a
@@ -663,16 +681,19 @@ func isFinite(vs ...float64) bool {
 
 // writeJSON writes a reply: with the wire writer when body is a pointer to
 // one of its types (the caller has then checked that every number in it is
-// finite), else with encoding/json.
+// finite), else with encoding/json. A reply the wire writer grows past the
+// pooled buffer is written from where it grew, not copied back.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	buf := buffers.Get().(*bytes.Buffer)
 	defer putBuffer(buf)
-	if b, ok := AppendJSON(buf.AvailableBuffer(), body); ok {
-		buf.Write(append(b, '\n'))
+	b, ok := AppendJSON(buf.AvailableBuffer(), body)
+	if ok {
+		b = append(b, '\n')
 	} else {
 		_ = json.NewEncoder(buf).Encode(body)
+		b = buf.Bytes()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(b)
 }

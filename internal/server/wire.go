@@ -24,7 +24,10 @@ import (
 // The writer's bytes are those of encoding/json: a float in strconv's
 // shortest 'f' form, or 'e' form below 1e-6 and from 1e21 with a two-digit
 // exponent's leading zero dropped. It does not check finiteness; the
-// handlers do, before the status line.
+// handlers do, before the status line. It writes the replies and the shard
+// hop's query and delete requests, and declines the types with a matrix or
+// a string field (batch and insert requests), which are only ever read: the
+// hop sends its inserts as rows bodies (rows.go).
 
 // wireField ties a JSON key to the struct field it is read into and written
 // from: a *float64, **float64, *int, *uint64, *bool, *string, or a pointer
@@ -37,32 +40,35 @@ type wireField struct {
 
 // wireFields is the codec's whole schema: the fields of every type it reads
 // or writes, in json.Marshal's order; n is 0 for any other type.
-func wireFields(v any) (f [6]wireField, n int) {
+func wireFields(v any) (f [7]wireField, n int) {
 	switch v := v.(type) {
 	case *QueryRequest:
-		return [6]wireField{{"q", &v.Q, false}, {"tau", &v.Tau, false}, {"eps", &v.Eps, false},
+		return [7]wireField{{"q", &v.Q, false}, {"tau", &v.Tau, false}, {"eps", &v.Eps, false},
 			{"eps_norm", &v.EpsNorm, false}, {"threshold", &v.Threshold, true}}, 5
 	case *BatchRequest:
-		return [6]wireField{{"kind", &v.Kind, false}, {"queries", &v.Queries, false}, {"tau", &v.Tau, false},
+		return [7]wireField{{"kind", &v.Kind, false}, {"queries", &v.Queries, false}, {"tau", &v.Tau, false},
 			{"eps", &v.Eps, false}, {"eps_norm", &v.EpsNorm, false}, {"workers", &v.Workers, false}}, 6
 	case *InsertRequest:
-		return [6]wireField{{"p", &v.P, true}, {"w", &v.W, true}, {"points", &v.Points, true}, {"weights", &v.Weights, true}}, 4
+		return [7]wireField{{"p", &v.P, true}, {"w", &v.W, true}, {"points", &v.Points, true}, {"weights", &v.Weights, true}}, 4
+	case *InsertResponse:
+		return [7]wireField{{"inserted", &v.Inserted, false}, {"ids", &v.IDs, false}, {"len", &v.Len, false}, {"epoch", &v.Epoch, false},
+			{"points", &v.Points, false}, {"weight_pos", &v.WeightPos, false}, {"weight_neg", &v.WeightNeg, true}}, 7
 	case *DeleteRequest:
-		return [6]wireField{{"id", &v.ID, true}, {"ids", &v.IDs, true}}, 2
+		return [7]wireField{{"id", &v.ID, true}, {"ids", &v.IDs, true}}, 2
 	case *ValueResponse:
-		return [6]wireField{{"value", &v.Value, false}}, 1
+		return [7]wireField{{"value", &v.Value, false}}, 1
 	case *BoolResponse:
-		return [6]wireField{{"over", &v.Over, false}}, 1
+		return [7]wireField{{"over", &v.Over, false}}, 1
 	case *BoundsResponse:
-		return [6]wireField{{"value", &v.Value, false}, {"lb", &v.LB, false}, {"ub", &v.UB, false}}, 3
+		return [7]wireField{{"value", &v.Value, false}, {"lb", &v.LB, false}, {"ub", &v.UB, false}}, 3
 	case *CoveredValueResponse:
-		return [6]wireField{{"value", &v.Value, false}, {"lb", &v.LB, false}, {"ub", &v.UB, false},
+		return [7]wireField{{"value", &v.Value, false}, {"lb", &v.LB, false}, {"ub", &v.UB, false},
 			{"partial", &v.Partial, true}, {"covered", &v.Covered, false}, {"failed", &v.Failed, true}}, 6
 	case *CoveredBoolResponse:
-		return [6]wireField{{"over", &v.Over, false},
+		return [7]wireField{{"over", &v.Over, false},
 			{"partial", &v.Partial, true}, {"covered", &v.Covered, false}, {"failed", &v.Failed, true}}, 4
 	case *BatchResponse:
-		return [6]wireField{{"values", &v.Values, true}, {"over", &v.Over, true}}, 2
+		return [7]wireField{{"values", &v.Values, true}, {"over", &v.Over, true}}, 2
 	}
 	return f, 0
 }
@@ -352,13 +358,15 @@ func appendVector(b []byte, v []float64) []byte {
 	return appendList(b, len(v), v == nil, func(b []byte, i int) []byte { return appendFloat(b, v[i]) })
 }
 
-// AppendJSON appends v, a pointer to one of the types of wireFields, as
-// json.Marshal writes it; it reports false for any other v.
+// AppendJSON appends v, a pointer to one of the types of wireFields that
+// it writes, as json.Marshal writes it; it reports false, with b as it
+// was, for any other v.
 func AppendJSON(b []byte, v any) ([]byte, bool) {
 	fields, n := wireFields(v)
 	if n == 0 {
 		return b, false
 	}
+	start := len(b)
 	b = append(b, '{')
 	for _, f := range fields[:n] {
 		mark := len(b)
@@ -369,6 +377,7 @@ func AppendJSON(b []byte, v any) ([]byte, bool) {
 		var empty bool
 		switch p := f.ptr.(type) {
 		case *float64:
+			empty = *p == 0
 			b = appendFloat(b, *p)
 		case **float64:
 			if empty = *p == nil; empty {
@@ -387,11 +396,9 @@ func AppendJSON(b []byte, v any) ([]byte, bool) {
 		case *[]float64:
 			empty = len(*p) == 0
 			b = appendVector(b, *p)
-		case *[][]float64:
-			empty = len(*p) == 0
-			b = appendList(b, len(*p), *p == nil, func(b []byte, i int) []byte { return appendVector(b, (*p)[i]) })
 		case *[]uint64:
 			empty = len(*p) == 0
+			b = slices.Grow(b, 21*len(*p)+2) // a uint64 is at most 20 digits
 			b = appendList(b, len(*p), *p == nil, func(b []byte, i int) []byte { return strconv.AppendUint(b, (*p)[i], 10) })
 		case *[]bool:
 			empty = len(*p) == 0
@@ -402,9 +409,8 @@ func AppendJSON(b []byte, v any) ([]byte, bool) {
 			empty = len(*p) == 0
 			names, _ := json.Marshal(*p) // strings cannot fail
 			b = append(b, names...)
-		case *string:
-			s, _ := json.Marshal(*p)
-			b = append(b, s...)
+		default: // a field only requests that are never written hold
+			return b[:start], false
 		}
 		if empty && f.omitempty {
 			b = b[:mark]

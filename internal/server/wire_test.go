@@ -85,7 +85,8 @@ func wireParity[T any](t *testing.T, body []byte) {
 }
 
 // FuzzWireParity is the differential gate of the wire reader against
-// encoding/json, over the four request types and through a handler.
+// encoding/json, over the four request types and through a handler; it
+// also holds the rows decoder to the rows encoder.
 func FuzzWireParity(f *testing.F) {
 	raw, err := os.ReadFile("testdata/wire_golden.json")
 	if err != nil {
@@ -126,6 +127,16 @@ func FuzzWireParity(f *testing.F) {
 		f.Add([]byte(body))
 	}
 
+	// Rows bodies: one of each shape, and a truncated and a damaged one.
+	for _, w := range [][]float64{nil, {1, -0.5}} {
+		body := rowsBody(f, [][]float64{{0.5, math.Copysign(0, -1)}, {math.SmallestNonzeroFloat64, math.MaxFloat64}}, w)
+		f.Add(body)
+		f.Add(body[:len(body)-6])
+		damaged := bytes.Clone(body)
+		damaged[30] ^= 1
+		f.Add(damaged)
+	}
+
 	srv, err := New(testEngine(f))
 	if err != nil {
 		f.Fatal(err)
@@ -135,6 +146,15 @@ func FuzzWireParity(f *testing.F) {
 		wireParity[BatchRequest](t, body)
 		wireParity[InsertRequest](t, body)
 		wireParity[DeleteRequest](t, body)
+
+		// A rows body the decoder takes is the one its rows encode to: it
+		// carries each float's bits, and nothing else.
+		var rows InsertRequest
+		if readRows(body, &rows) == nil && len(rows.Points) > 0 {
+			if again, err := AppendRows(nil, rows.Points, rows.Weights); err != nil || !bytes.Equal(again, body) {
+				t.Fatalf("the rows body %x was taken, and its rows encode to %x, %v", body, again, err)
+			}
+		}
 
 		// The shard hop's replies, whose oracle is a bare json.Unmarshal.
 		var bounds, wantBounds BoundsResponse
@@ -171,6 +191,7 @@ func TestWireReaderTakesTheHotShapes(t *testing.T) {
 	var del DeleteRequest
 	var bounds BoundsResponse
 	var value ValueResponse
+	var inserted InsertResponse
 	written := func(v any) []byte {
 		raw, ok := AppendJSON(nil, v)
 		if !ok {
@@ -183,10 +204,12 @@ func TestWireReaderTakesTheHotShapes(t *testing.T) {
 		"harness ekaq": ReadJSON(harnessBody(123, "eps", 0.2), &q),
 		"shard hop":    ReadJSON(written(&QueryRequest{Q: []float64{1, 2}, Threshold: new(float64)}), &hop),
 		"batch":        ReadJSON([]byte(`{"kind":"approximate","queries":[[0.5,0.5],[0.1,0.9]],"eps":0.1}`), &b),
-		"bulk insert":  ReadJSON(written(&InsertRequest{Points: [][]float64{{1, 2}, {3, 4}}, Weights: []float64{1, -1}}), &ins),
+		"bulk insert":  ReadJSON([]byte(`{"points":[[1,2],[3,4]],"weights":[1,-1]}`), &ins),
 		"bulk delete":  ReadJSON(written(&DeleteRequest{IDs: []uint64{1, 2, 3}}), &del),
 		"bounds reply": ReadJSON(written(&BoundsResponse{1, 0.5, 1.5}), &bounds),
 		"value reply":  ReadJSON(written(&ValueResponse{1e-9}), &value),
+		"insert reply": ReadJSON(written(&InsertResponse{Inserted: 2, IDs: []uint64{7, 8}, Len: 9, Epoch: 1,
+			MassResponse: MassResponse{Points: 9, WeightPos: 9}}), &inserted),
 	} {
 		if !took {
 			t.Errorf("%s: declined", name)
@@ -201,8 +224,32 @@ func TestWireReaderTakesTheHotShapes(t *testing.T) {
 		reflect.ValueOf(rows[1]).Pointer()-reflect.ValueOf(rows[0]).Pointer() != 16 {
 		t.Errorf("batch rows %v are not slices of one array", rows)
 	}
-	if bounds != (BoundsResponse{1, 0.5, 1.5}) || value.Value != 1e-9 || len(hop.Q) != 2 || *hop.Threshold != 0 || len(ins.Points) != 2 || len(del.IDs) != 3 {
-		t.Errorf("read %+v %+v %+v %+v %+v", bounds, value, hop, ins, del)
+	if bounds != (BoundsResponse{1, 0.5, 1.5}) || value.Value != 1e-9 || len(hop.Q) != 2 || *hop.Threshold != 0 || len(ins.Points) != 2 || len(del.IDs) != 3 ||
+		len(inserted.IDs) != 2 || inserted.WeightPos != 9 {
+		t.Errorf("read %+v %+v %+v %+v %+v %+v", bounds, value, hop, ins, del, inserted)
+	}
+}
+
+// TestWireIDsGrowOnce: the reply to a 40 000-row bulk insert is written in
+// one allocation past the pooled buffer writeJSON starts from, its ids sized
+// up front as a vector's numbers are.
+func TestWireIDsGrowOnce(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector changes allocation counts")
+	}
+	reply := &InsertResponse{Inserted: 40000, IDs: make([]uint64, 40000), Len: 40000, Epoch: 625,
+		MassResponse: MassResponse{Points: 40000, WeightPos: 40000}}
+	for i := range reply.IDs {
+		reply.IDs[i] = 1<<48 | uint64(i+1) // a cluster-global id
+	}
+	pooled := make([]byte, 0, 512)
+	var written []byte
+	var ok bool
+	if allocs := testing.AllocsPerRun(10, func() { written, ok = AppendJSON(pooled, reply) }); !ok || allocs > 1 {
+		t.Fatalf("writing a 40000-id insert reply: written %v, %.0f allocations; want written in 1", ok, allocs)
+	}
+	if want, _ := json.Marshal(reply); !bytes.Equal(written, want) {
+		t.Fatal("the 40000-id insert reply is not encoding/json's")
 	}
 }
 
@@ -288,15 +335,14 @@ func TestWireWriterMatchesJSON(t *testing.T) {
 		check(&CoveredValueResponse{f, g, f, Coverage{Partial: true, Covered: f, Failed: names}})
 		check(&QueryRequest{Q: []float64{f, g}, Tau: f, Eps: g, EpsNorm: f})
 		check(&QueryRequest{Q: floats, Threshold: &g})
-		check(&InsertRequest{P: []float64{f, g}, W: &f})
-		check(&InsertRequest{Points: [][]float64{{f, g}, nil, {}}, Weights: []float64{g, f, 1}})
 		check(&BatchResponse{Values: []float64{f, g}})
-		check(&BatchRequest{Kind: "a<b>", Queries: [][]float64{{f}, nil}, Tau: g, Workers: -i})
+		check(&InsertResponse{Inserted: i, IDs: []uint64{1, math.MaxUint64}, Len: -i, Epoch: uint64(i),
+			MassResponse: MassResponse{Points: i, WeightPos: f, WeightNeg: g}})
 	}
+	check(&InsertResponse{})
+	check(&InsertResponse{IDs: []uint64{}, MassResponse: MassResponse{WeightNeg: math.Copysign(0, -1)}})
 	check(&QueryRequest{})
 	check(&QueryRequest{Q: []float64{}})
-	check(&InsertRequest{})
-	check(&InsertRequest{P: []float64{}, Points: [][]float64{}, Weights: []float64{}})
 	check(&DeleteRequest{})
 	check(&DeleteRequest{ID: 7})
 	check(&DeleteRequest{IDs: []uint64{}})
@@ -306,6 +352,12 @@ func TestWireWriterMatchesJSON(t *testing.T) {
 	check(&CoveredBoolResponse{true, Coverage{Covered: 1}})
 	check(&CoveredBoolResponse{false, Coverage{Partial: true, Covered: 0.75, Failed: names[:1]}})
 	check(&BatchResponse{})
+	// Batch and insert requests are only ever read.
+	for _, v := range []any{&InsertRequest{Points: [][]float64{{1}}}, &BatchRequest{Kind: "aggregate"}} {
+		if got, ok := AppendJSON([]byte("x"), v); ok || string(got) != "x" {
+			t.Errorf("%T: the writer wrote %q", v, got)
+		}
+	}
 	check(&BatchResponse{Values: []float64{}, Over: []bool{}})
 	check(&BatchResponse{Over: []bool{true, false, true}})
 
