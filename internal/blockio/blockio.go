@@ -24,6 +24,7 @@ package blockio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,6 +58,9 @@ const (
 // arrived.
 const chunk = 64 << 10
 
+// minChunk is the least an encoder into memory buffers.
+const minChunk = 4 << 10
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Codec encodes onto a writer or decodes from a reader. Errors are sticky:
@@ -75,9 +79,14 @@ type Codec struct {
 	err  error
 }
 
-// NewEncoder starts a stream on w.
+// NewEncoder starts a stream on w. It buffers chunk bytes, or, writing into
+// a bytes.Buffer, what that has room for, between minChunk and chunk bytes.
 func NewEncoder(w io.Writer) *Codec {
-	c := &Codec{w: bufio.NewWriterSize(w, chunk)}
+	size := chunk
+	if b, ok := w.(*bytes.Buffer); ok {
+		size = min(max(b.Available(), minChunk), chunk)
+	}
+	c := &Codec{w: bufio.NewWriterSize(w, size)}
 	elems(c, []byte(magic+string(rune(Version))))
 	return c
 }

@@ -390,9 +390,21 @@ func (w *Coordinator) Insert(ctx context.Context, points [][]float64, weights []
 	if weights != nil && len(weights) != len(points) {
 		return nil, fmt.Errorf("cluster: %d weights for %d points", len(weights), len(points))
 	}
+	// Rows of one batch route to different members, so a width the engine
+	// would refuse is refused here, before any member takes a row, in the
+	// engine's words.
+	dims := len(points[0])
+	for i, p := range points {
+		if len(p) != dims {
+			return nil, fmt.Errorf("karl: point %d has %d dims, point 0 has %d", i, len(p), dims)
+		}
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	ep := w.ep.Load()
+	if ep.dims != 0 && dims != ep.dims {
+		return nil, fmt.Errorf("karl: point has %d dims, engine has %d", dims, ep.dims)
+	}
 	var touched []uint64 // members that acknowledged points of this call
 	defer func() {
 		w.refreshMassLocked(touched)

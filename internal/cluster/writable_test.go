@@ -1671,3 +1671,83 @@ func TestWritableInsertHopIsLossless(t *testing.T) {
 		}
 	}
 }
+
+// raggedBatch is a two-row batch whose rows differ in width and route to
+// different members of wco: one 2-d row and one 1-d row.
+func raggedBatch(t *testing.T, wco *Coordinator) [][]float64 {
+	t.Helper()
+	man := wco.Manifest()
+	p := []float64{0.1, 0.2}
+	for x := 0.0; x < 1; x += 0.01 {
+		if q := []float64{x}; man.Route(q) != man.Route(p) {
+			return [][]float64{p, q}
+		}
+	}
+	t.Fatal("no 1-d row routes away from [0.1 0.2]")
+	return nil
+}
+
+// TestWritableInsertRefusesMixedWidths: a batch whose rows differ in width,
+// or whose width is not the cluster's, is refused whole with a single
+// node's 400 and its words, before any member takes a row. Over fresh
+// members nothing lands and the cluster serves on.
+func TestWritableInsertRefusesMixedWidths(t *testing.T) {
+	wco, engines := foundWritable(t, 2, karl.Gaussian(1), karl.KDTree, nil, WritableConfig{})
+	front := server.NewTestServer(NewWritableHTTPServer(wco))
+	t.Cleanup(front.Close)
+	single := server.NewTestServer(mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))
+	t.Cleanup(single.Close)
+
+	ragged := map[string]any{"points": raggedBatch(t, wco)}
+	status, body := doJSON(t, http.MethodPost, front.URL+"/v1/insert", ragged)
+	wantStatus, wantBody := doJSON(t, http.MethodPost, single.URL+"/v1/insert", ragged)
+	if status != http.StatusBadRequest || status != wantStatus || string(body) != string(wantBody) {
+		t.Fatalf("a ragged batch: %d %s, want the single node's %d %s", status, body, wantStatus, wantBody)
+	}
+	for i, e := range engines {
+		if n := e.Status().Points; n != 0 {
+			t.Fatalf("member %d holds %d points after the refused batch", i+1, n)
+		}
+	}
+	pts, _ := dataset(60, 2, 61, "I")
+	if status, body := doJSON(t, http.MethodPost, front.URL+"/v1/insert", map[string]any{"points": pts}); status != http.StatusOK {
+		t.Fatalf("a valid insert after the refusal: %d %s", status, body)
+	}
+	if status, body := doJSON(t, http.MethodPost, front.URL+"/v1/aggregate", map[string]any{"q": []float64{0.1, 0.2}}); status != http.StatusOK {
+		t.Fatalf("a read after the refusal: %d %s", status, body)
+	}
+}
+
+// TestWritableInsertMixedWidthsLeaveSeededMembers: on a seeded cluster a
+// ragged batch, and a batch of rows wider than the cluster's, leave every
+// member's Status as it was.
+func TestWritableInsertMixedWidthsLeaveSeededMembers(t *testing.T) {
+	wco, engines := foundWritable(t, 2, karl.Gaussian(1), karl.KDTree, nil, WritableConfig{})
+	front := server.NewTestServer(NewWritableHTTPServer(wco))
+	t.Cleanup(front.Close)
+	single := server.NewTestServer(mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))
+	t.Cleanup(single.Close)
+	pts, _ := dataset(60, 2, 62, "I")
+	mustInsert(t, wco, pts, nil)
+	if status, body := doJSON(t, http.MethodPost, single.URL+"/v1/insert", map[string]any{"points": pts}); status != http.StatusOK {
+		t.Fatalf("seeding the single node: %d %s", status, body)
+	}
+	before := make([]string, len(engines))
+	for i, e := range engines {
+		before[i] = fmt.Sprintf("%+v", e.Status())
+	}
+	wide, _ := dataset(8, 3, 63, "I")
+	for _, batch := range [][][]float64{raggedBatch(t, wco), wide} {
+		req := map[string]any{"points": batch}
+		status, body := doJSON(t, http.MethodPost, front.URL+"/v1/insert", req)
+		wantStatus, wantBody := doJSON(t, http.MethodPost, single.URL+"/v1/insert", req)
+		if status != http.StatusBadRequest || status != wantStatus || string(body) != string(wantBody) {
+			t.Fatalf("%v: %d %s, want the single node's %d %s", batch, status, body, wantStatus, wantBody)
+		}
+		for i, e := range engines {
+			if got := fmt.Sprintf("%+v", e.Status()); got != before[i] {
+				t.Fatalf("member %d after %v:\n %s\nwant\n %s", i+1, batch, got, before[i])
+			}
+		}
+	}
+}

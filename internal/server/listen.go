@@ -9,10 +9,11 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
+	"net/textproto"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,18 +26,21 @@ import (
 type Timeouts struct{ Read, Write, Idle, ReadHeader, Drain time.Duration }
 
 // Serve answers HTTP/1.1 on ln with h until ctx ends. A connection is served
-// on one goroutine, one request at a time: http.ReadRequest reads the
-// request, the handler runs on that goroutine against a ResponseWriter that
-// buffers the reply, and the reply goes out whole with its Content-Length.
-// Nothing runs beside the handler, so a client that hangs up mid-request is
-// noticed at the connection's next read or write; r.Context() is never
-// cancelled.
+// on one goroutine, one request at a time: the listener reads the request
+// head itself, as http.ReadRequest would, the handler runs on that
+// goroutine against a ResponseWriter that buffers the reply, and the reply
+// goes out whole with its Content-Length. Nothing runs beside the handler,
+// so a client that hangs up mid-request is noticed at the connection's next
+// read or write; r.Context() is never cancelled.
+//
+// A connection's request state is reused for its next request: a handler
+// must not keep r, r.Header or r.Body after it returns.
 //
 // When ctx ends Serve stops accepting, closes idle connections at once and
 // every other one after its reply. It returns nil once all are closed, or
 // an error after to.Drain, having closed the rest.
 func Serve(ctx context.Context, ln net.Listener, h http.Handler, to Timeouts) error {
-	l := &listener{h: h, to: to, conns: map[*conn]bool{}}
+	l := &listener{h: h, to: to, conns: map[net.Conn]bool{}}
 	defer context.AfterFunc(ctx, func() {
 		l.closing.Store(true)
 		ln.Close()
@@ -49,7 +53,7 @@ func Serve(ctx context.Context, ln net.Listener, h http.Handler, to Timeouts) er
 		}
 	})()
 	for {
-		nc, err := ln.Accept()
+		c, err := ln.Accept()
 		if err != nil {
 			if l.closing.Load() {
 				break
@@ -61,7 +65,6 @@ func Serve(ctx context.Context, ln net.Listener, h http.Handler, to Timeouts) er
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		c := &conn{Conn: nc, left: math.MaxInt64}
 		l.wg.Add(1)
 		if !l.setIdle(c, true) {
 			c.Close()
@@ -88,33 +91,17 @@ type listener struct {
 	to      Timeouts
 	closing atomic.Bool
 	mu      sync.Mutex
-	conns   map[*conn]bool // the open connections: true while one waits for a request
+	conns   map[net.Conn]bool // the open connections: true while one waits for a request
 	wg      sync.WaitGroup
 }
 
 // setIdle records whether c waits for a request, the only time shutdown
 // closes it, and reports false once shutdown has begun.
-func (l *listener) setIdle(c *conn, idle bool) bool {
+func (l *listener) setIdle(c net.Conn, idle bool) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.conns[c] = idle
 	return !l.closing.Load()
-}
-
-// conn is one accepted connection. A request head may read left more bytes
-// from it; one that reaches the bound is answered 431.
-type conn struct {
-	net.Conn
-	left int64
-}
-
-func (c *conn) Read(p []byte) (int, error) {
-	if c.left <= 0 {
-		return 0, io.EOF
-	}
-	n, err := c.Conn.Read(p[:min(int64(len(p)), c.left)])
-	c.left -= int64(n)
-	return n, err
 }
 
 // after is the deadline d from t, none when d is 0.
@@ -125,7 +112,7 @@ func after(t time.Time, d time.Duration) time.Time {
 	return t.Add(d)
 }
 
-func (l *listener) serve(c *conn) {
+func (l *listener) serve(c net.Conn) {
 	defer func() {
 		c.Close()
 		l.mu.Lock()
@@ -134,8 +121,8 @@ func (l *listener) serve(c *conn) {
 		l.wg.Done()
 	}()
 	head, idle := cmp.Or(l.to.ReadHeader, l.to.Read), cmp.Or(l.to.Idle, l.to.Read)
-	br, bw := bufio.NewReader(c), bufio.NewWriter(c.Conn)
-	w := &response{header: http.Header{}}
+	br, bw := bufio.NewReader(c), bufio.NewWriter(c)
+	hr, w := newHeadReader(br), &response{header: http.Header{}}
 	remote := c.RemoteAddr().String()
 	t0 := time.Now() // the first head is due from the accept
 	c.SetReadDeadline(after(t0, head))
@@ -155,19 +142,19 @@ func (l *listener) serve(c *conn) {
 			t0 = time.Now()
 			c.SetReadDeadline(after(t0, head))
 		}
-		c.left = http.DefaultMaxHeaderBytes + 4096 // net/http's bound and slack
-		req, err := http.ReadRequest(br)
-		tooLarge := c.left <= 0
-		c.left = math.MaxInt64
-		var ne net.Error
-		switch {
-		case tooLarge:
-			reject(c, bw, http.StatusRequestHeaderFieldsTooLarge)
-			return
-		case err == io.EOF || errors.As(err, &ne):
-			return
-		case err != nil || req.ProtoAtLeast(1, 1) && req.Host == "": // ReadRequest moves Host there
-			reject(c, bw, http.StatusBadRequest)
+		req, err := hr.read()
+		if err == nil && req.ProtoAtLeast(1, 1) && req.Host == "" {
+			err = badHead("no Host")
+		}
+		if err != nil {
+			var ne net.Error
+			switch {
+			case err == errHeadTooLarge:
+				reject(c, bw, http.StatusRequestHeaderFieldsTooLarge)
+			case err == io.EOF || errors.As(err, &ne):
+			default:
+				reject(c, bw, http.StatusBadRequest)
+			}
 			return
 		}
 		var cont *continueReader
@@ -220,18 +207,45 @@ func drained(body io.Reader) bool {
 // linger half-closes a connection whose client may still be sending, and
 // gives it time to read the reply: a close with input unread resets the
 // connection, which can destroy the reply in flight.
-func linger(c *conn) {
-	if tc, ok := c.Conn.(*net.TCPConn); ok && tc.CloseWrite() == nil {
+func linger(c net.Conn) {
+	if tc, ok := c.(*net.TCPConn); ok && tc.CloseWrite() == nil {
 		time.Sleep(500 * time.Millisecond)
 	}
 }
 
 // reject answers a request that never reaches the handler, and closes.
-func reject(c *conn, bw *bufio.Writer, status int) {
+func reject(c net.Conn, bw *bufio.Writer, status int) {
 	fmt.Fprintf(bw, "HTTP/1.1 %d %s\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n%[1]d %[2]s", status, http.StatusText(status))
 	if bw.Flush() == nil {
 		linger(c)
 	}
+}
+
+// writeFields writes a reply's header fields as http.Header.Write does. A
+// reply with one field whose values need no cleaning, as every handler here
+// sends, skips its sort.
+func writeFields(bw *bufio.Writer, h http.Header) {
+	if len(h) == 1 {
+		for k, vv := range h {
+			if k == "" || !isToken(k) || slices.ContainsFunc(vv, unclean) {
+				break
+			}
+			for _, v := range vv {
+				bw.WriteString(k)
+				bw.WriteString(": ")
+				bw.WriteString(v)
+				bw.WriteString("\r\n")
+			}
+			return
+		}
+	}
+	h.Write(bw)
+}
+
+// unclean reports whether http.Header.Write would change v: it turns line
+// breaks into spaces and trims white space.
+func unclean(v string) bool {
+	return strings.ContainsAny(v, "\r\n") || v != textproto.TrimString(v)
 }
 
 // continueReader sends 100 Continue at the handler's first read of a body
@@ -259,6 +273,9 @@ type response struct {
 	header http.Header
 	status int
 	body   bytes.Buffer
+	// date is the Date field's value, formatted at second sec.
+	date []byte
+	sec  int64
 }
 
 func (w *response) Header() http.Header { return w.header }
@@ -277,8 +294,11 @@ func (w *response) flush(bw *bufio.Writer, head, keep bool) error {
 	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(w.status), 10))
 	bw.WriteByte(' ')
 	bw.WriteString(http.StatusText(w.status))
+	if now := time.Now(); now.Unix() != w.sec {
+		w.date, w.sec = now.UTC().AppendFormat(w.date[:0], http.TimeFormat), now.Unix()
+	}
 	bw.WriteString("\r\nDate: ")
-	bw.Write(time.Now().UTC().AppendFormat(bw.AvailableBuffer(), http.TimeFormat))
+	bw.Write(w.date)
 	withBody := w.status >= 200 && w.status != http.StatusNoContent && w.status != http.StatusNotModified
 	if withBody {
 		bw.WriteString("\r\nContent-Length: ")
@@ -287,7 +307,7 @@ func (w *response) flush(bw *bufio.Writer, head, keep bool) error {
 	if bw.WriteString("\r\n"); !keep && len(w.header["Connection"]) == 0 {
 		bw.WriteString("Connection: close\r\n")
 	}
-	w.header.Write(bw)
+	writeFields(bw, w.header)
 	bw.WriteString("\r\n")
 	if withBody && !head {
 		bw.Write(w.body.Bytes())

@@ -196,3 +196,34 @@ func TestRowsDeclaredLengthAllocatesNothing(t *testing.T) {
 		t.Fatalf("refusing a %d-byte body allocated %d bytes", len(body), per)
 	}
 }
+
+// TestAppendRowsAllocates: a 64 × 8 rows body is built in about its own
+// size, not in the 64 KiB an encoder buffers when it writes to a stream.
+func TestAppendRowsAllocates(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector makes allocations larger")
+	}
+	pts := make([][]float64, 64)
+	for i := range pts {
+		pts[i] = make([]float64, 8)
+		for j := range pts[i] {
+			pts[i][j] = float64(i*8 + j)
+		}
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	var body []byte
+	runtime.ReadMemStats(&before)
+	for range runs {
+		var err error
+		if body, err = AppendRows(nil, pts, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16<<10 {
+		t.Fatalf("a %d-byte rows body allocated %d bytes", len(body), per)
+	} else {
+		t.Logf("a %d-byte rows body allocated %d bytes", len(body), per)
+	}
+}

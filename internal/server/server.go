@@ -679,6 +679,11 @@ func isFinite(vs ...float64) bool {
 	return true
 }
 
+// jsonContentType is every JSON reply's Content-Type value, one slice for
+// all of them: nothing writes into it (Header.Set replaces a value slice,
+// Header.Add outgrows its capacity of 1).
+var jsonContentType = []string{"application/json"}
+
 // writeJSON writes a reply: with the wire writer when body is a pointer to
 // one of its types (the caller has then checked that every number in it is
 // finite), else with encoding/json. A reply the wire writer grows past the
@@ -693,7 +698,7 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 		_ = json.NewEncoder(buf).Encode(body)
 		b = buf.Bytes()
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(b)
 }
