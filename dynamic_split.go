@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"karl/internal/index"
 	"karl/internal/segment"
 	"karl/internal/shard"
 )
@@ -84,7 +83,17 @@ func (d *Engine) Split(pred func(p []float64) bool) (MutableEngine, error) {
 	opts := sh.mergeOptsLocked(segs)
 	sh.mu.Unlock()
 
-	keepSeg, moveSeg, err := segment.Divide(segs, run, opts, pred, sh.bcfg, keepID, 1)
+	// Rows with pred false stay (part 0), the rest move (part 1).
+	var parts []*segment.Segment
+	g, err := segment.Gather(segs, run, opts)
+	if err == nil {
+		parts, err = g.Cut(func(p []float64) int {
+			if pred(p) {
+				return 1
+			}
+			return 0
+		}, sh.bcfg, keepID, 1)
+	}
 
 	sh.mu.Lock()
 	sh.draining = false
@@ -93,6 +102,7 @@ func (d *Engine) Split(pred func(p []float64) bool) (MutableEngine, error) {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("karl: split: %w", err)
 	}
+	keepSeg, moveSeg := parts[0], parts[1]
 	// Deletes were blocked throughout, so opts.Drop consumed every
 	// tombstone of segs: there is none left to hand on.
 	man := &segment.Manifest{Epoch: sh.man.Epoch + 1}
@@ -124,34 +134,4 @@ func (sh *dynShared) emptySiblingLocked() *dynShared {
 	m := blankShared()
 	m.dynConfig, m.now, m.dims, m.nextSeq = sh.dynConfig, sh.now, sh.dims, sh.nextSeq
 	return m
-}
-
-// liveSet returns one flat index over exactly the engine's live rows as of
-// now, with the kernel and the index configuration an engine derived from
-// them (a shard) inherits — without changing the
-// engine. A lone segment with nothing buffered, deleted or ageing is its own
-// answer; anything else is merged through the gather Compact and Split use
-// (tombstoned and expired rows dropped, decayed weights rebased to now).
-// The lock is held throughout, so writers and queries wait out the merge.
-func (d *Engine) liveSet() (*index.Tree, Kernel, buildConfig, error) {
-	sh := d.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for sh.sealing != nil || sh.draining {
-		sh.cond.Wait()
-	}
-	cfg := configOf()
-	cfg.kind, cfg.leafCap, cfg.method = publicIndexKind(sh.bcfg.Kind), sh.bcfg.LeafCap, publicMethod(sh.method)
-	segs := sh.man.Segs
-	if len(segs) == 1 && sh.mem.len() == 0 && segs[0].Dead.Len() == 0 && !sh.timed() {
-		return segs[0].Tree, sh.kern, cfg, nil
-	}
-	merged, err := segment.Merge(segs, sh.mem.run(), sh.mergeOptsLocked(segs), sh.bcfg, 0)
-	if err != nil {
-		return nil, Kernel{}, cfg, fmt.Errorf("karl: %w", err)
-	}
-	if merged == nil {
-		return nil, Kernel{}, cfg, errors.New("karl: engine holds no live point")
-	}
-	return merged.Tree, sh.kern, cfg, nil
 }

@@ -16,8 +16,9 @@ import (
 // masses. Points are placed by the cluster manifest's routing
 // (Engine.Shard): under hash, shard-<i> holds exactly the points a
 // coordinator founded over the files in order routes to its member i+1.
-// Every shard file carries its provenance (index i of n, strategy, source
-// cardinality). -inspect describes any saved engine: shape, kernel, masses,
+// Every shard file keeps its source's configuration (kernel, index, LSM
+// policy, TTL, decay) and ids, and carries its provenance (index i of n,
+// strategy, source cardinality). -inspect describes any saved engine: shape, kernel, masses,
 // and the shard provenance it records.
 func defineShard(fs *flag.FlagSet, e *env) func() error {
 	var (

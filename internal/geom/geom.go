@@ -35,11 +35,6 @@ type Rect struct {
 	Hi []float64
 }
 
-// NewRect returns the degenerate rectangle around a single point.
-func NewRect(p []float64) *Rect {
-	return &Rect{Lo: vec.Clone(p), Hi: vec.Clone(p)}
-}
-
 // BoundRows returns the bounding rectangle of rows [start,end) of m. It
 // panics on an empty range.
 func BoundRows(m *vec.Matrix, start, end int) *Rect {
@@ -73,9 +68,6 @@ func (r *Rect) Extend(p []float64) {
 		}
 	}
 }
-
-// Dims returns the dimensionality of the rectangle.
-func (r *Rect) Dims() int { return len(r.Lo) }
 
 // WidestDim returns the dimension with the largest extent and that extent.
 func (r *Rect) WidestDim() (dim int, width float64) {

@@ -18,7 +18,7 @@ func randMatrix(rng *rand.Rand, n, d int) *vec.Matrix {
 }
 
 func TestRectExtendContains(t *testing.T) {
-	r := NewRect([]float64{1, 1})
+	r := &Rect{Lo: []float64{1, 1}, Hi: []float64{1, 1}}
 	r.Extend([]float64{3, -1})
 	if !r.Contains([]float64{2, 0}, 0) {
 		t.Fatal("rect should contain interior point")

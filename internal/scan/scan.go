@@ -162,15 +162,6 @@ func (l *LibSVM) Threshold(q []float64, tau float64) bool {
 	return l.Aggregate(q) > tau
 }
 
-// Decision returns sign(F_P(q) − tau) as a class label in {−1, +1}, the
-// 2-class SVM prediction.
-func (l *LibSVM) Decision(q []float64, tau float64) int {
-	if l.Threshold(q, tau) {
-		return 1
-	}
-	return -1
-}
-
 // Sparsity reports the fraction of stored entries that are non-zero.
 func (l *LibSVM) Sparsity() float64 {
 	var nz int

@@ -134,11 +134,11 @@ func TestLibSVMDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// F = exp(0) = 1 at the point itself.
-	if l.Decision([]float64{0, 0}, 0.5) != 1 {
+	// F = exp(0) = 1 at the point itself: class +1 above τ = 0.5, −1 below 1.5.
+	if !l.Threshold([]float64{0, 0}, 0.5) {
 		t.Fatal("expected +1")
 	}
-	if l.Decision([]float64{0, 0}, 1.5) != -1 {
+	if l.Threshold([]float64{0, 0}, 1.5) {
 		t.Fatal("expected -1")
 	}
 }

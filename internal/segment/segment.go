@@ -1,7 +1,8 @@
 // Package segment implements the LSM-style storage layer under
 // karl.Engine: an ordered manifest of immutable index segments plus
 // the operations that evolve it — sealing a memtable into a small segment,
-// and merging segments under a geometric tiering policy.
+// merging segments under a geometric tiering policy, and cutting an
+// engine's rows into parts (a shard split, Engine.Shard).
 //
 // Manifests are immutable snapshots: every mutation returns a new Manifest
 // with a bumped Epoch, so query executors can keep refining over an old
@@ -306,12 +307,12 @@ func (o MergeOpts) keep(seq uint64, hasSeq bool, t int64, hasTime bool) bool {
 	return true
 }
 
-// gathered is the flat row image a merge or divide collects before
+// Gathered is the flat row image a merge or a cut collects before
 // building: every surviving input row restored to insertion order
 // (segments oldest-first, then the memtable run), weights rescaled onto
-// the shared decay reference, plus the provenance the output segment(s)
+// the shared decay reference, plus the provenance the output segments
 // inherit.
-type gathered struct {
+type Gathered struct {
 	m     *vec.Matrix
 	w     []float64 // nil when every input was unweighted and no decay ran
 	seqs  []uint64  // nil when any input lost sequence tracking
@@ -320,10 +321,17 @@ type gathered struct {
 	ref   int64 // the output decay reference (0 when decay is off)
 }
 
-// gather restores and filters the inputs of a merge or divide into one
-// flat insertion-ordered row image. A result with rows == 0 means every
-// input row was tombstoned or expired.
-func gather(segs []*Segment, mem MemRun, opts MergeOpts) (*gathered, error) {
+// Len returns the number of gathered rows.
+func (g *Gathered) Len() int { return g.rows }
+
+// Row returns gathered row r in insertion order; the slice aliases the
+// image.
+func (g *Gathered) Row(r int) []float64 { return g.m.Row(r) }
+
+// Gather restores and filters the inputs of a merge or a cut into one
+// flat insertion-ordered row image. The inputs are only read. A result
+// with Len 0 means every input row was tombstoned or expired.
+func Gather(segs []*Segment, mem MemRun, opts MergeOpts) (*Gathered, error) {
 	total := mem.N
 	for _, s := range segs {
 		total += s.Len()
@@ -401,7 +409,7 @@ func gather(segs []*Segment, mem MemRun, opts MergeOpts) (*gathered, error) {
 		}
 		row++
 	}
-	g := &gathered{rows: row}
+	g := &Gathered{rows: row}
 	if opts.HalfLife > 0 {
 		g.ref = opts.NewRef
 	}
@@ -430,7 +438,7 @@ func gather(segs []*Segment, mem MemRun, opts MergeOpts) (*gathered, error) {
 
 // build indexes the gathered rows selected by sel (nil = all) as one
 // segment with the given id, preserving their relative order.
-func (g *gathered) build(sel []int, cfg BuildConfig, id uint64) (*Segment, error) {
+func (g *Gathered) build(sel []int, cfg BuildConfig, id uint64) (*Segment, error) {
 	m, w, seqs, times := g.m, g.w, g.seqs, g.times
 	if sel != nil {
 		m = vec.NewMatrix(len(sel), g.m.Cols)
@@ -471,7 +479,7 @@ func (g *gathered) build(sel []int, cfg BuildConfig, id uint64) (*Segment, error
 // input did. A merge whose every row is dropped returns (nil, nil): the
 // inputs simply disappear.
 func Merge(segs []*Segment, mem MemRun, opts MergeOpts, cfg BuildConfig, id uint64) (*Segment, error) {
-	g, err := gather(segs, mem, opts)
+	g, err := Gather(segs, mem, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -481,43 +489,30 @@ func Merge(segs []*Segment, mem MemRun, opts MergeOpts, cfg BuildConfig, id uint
 	return g.build(nil, cfg, id)
 }
 
-// Divide is the splitting counterpart of Merge — the segment-shipping
-// primitive behind cluster shard splits. It gathers the inputs exactly
-// like Merge (insertion order restored, tombstoned and expired rows
-// dropped, weights rebased onto the shared decay reference), then routes
-// every surviving row by pred over its coordinates: rows with pred false
-// build the KEEP segment (id keepID), rows with pred true the MOVE
-// segment (id moveID). Either side may come back nil when pred sent
-// nothing its way. Relative insertion order is preserved within each
-// side, so both halves remain valid sealed segments whose sequence
+// Cut builds the gathered rows as len(ids) segments — the primitive
+// behind both ways an engine is cut into parts, a shard split and
+// Engine.Shard. route sends every row, by its coordinates, to a part in
+// [0, len(ids)); part i is built with id ids[i], and comes back nil when
+// route sent nothing its way. Relative insertion order is preserved within
+// each part, so every part is a valid sealed segment whose sequence
 // numbers keep resolving.
-func Divide(segs []*Segment, mem MemRun, opts MergeOpts, pred func(p []float64) bool, cfg BuildConfig, keepID, moveID uint64) (keep, move *Segment, err error) {
-	g, err := gather(segs, mem, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if g.rows == 0 {
-		return nil, nil, nil
-	}
-	var keepSel, moveSel []int
+func (g *Gathered) Cut(route func(p []float64) int, cfg BuildConfig, ids ...uint64) ([]*Segment, error) {
+	sels := make([][]int, len(ids))
 	for r := 0; r < g.rows; r++ {
-		if pred(g.m.Row(r)) {
-			moveSel = append(moveSel, r)
-		} else {
-			keepSel = append(keepSel, r)
+		i := route(g.m.Row(r))
+		sels[i] = append(sels[i], r)
+	}
+	parts := make([]*Segment, len(ids))
+	for i, sel := range sels {
+		if len(sel) == 0 {
+			continue
+		}
+		var err error
+		if parts[i], err = g.build(sel, cfg, ids[i]); err != nil {
+			return nil, err
 		}
 	}
-	if len(keepSel) > 0 {
-		if keep, err = g.build(keepSel, cfg, keepID); err != nil {
-			return nil, nil, err
-		}
-	}
-	if len(moveSel) > 0 {
-		if move, err = g.build(moveSel, cfg, moveID); err != nil {
-			return nil, nil, err
-		}
-	}
-	return keep, move, nil
+	return parts, nil
 }
 
 // mergeAppend restores one segment to insertion order, filters it through

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"karl/internal/index"
@@ -149,6 +150,63 @@ func TestMergeWithMemtableRun(t *testing.T) {
 	}
 	if merged.Tree.Weights != nil {
 		t.Fatalf("unit-weight merge materialized weights")
+	}
+}
+
+// TestCutPartsKeepInsertionOrder: Cut sends every gathered row to the part
+// its route names; each part is the tree a build over its rows in
+// insertion order gives, carrying their sequence numbers and its own id,
+// and a part no row is routed to comes back nil.
+func TestCutPartsKeepInsertionOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	n, d := 150, 2
+	pts := randMatrix(rng, n, d)
+	seqs := make([]uint64, n)
+	for i := range seqs {
+		seqs[i] = uint64(i + 1)
+	}
+	var segs []*Segment
+	for i, cut := range [][2]int{{0, 60}, {60, 110}, {110, n}} {
+		run := MemRun{M: &vec.Matrix{Data: pts.Data[cut[0]*d : cut[1]*d], Rows: cut[1] - cut[0], Cols: d}, N: cut[1] - cut[0], Seqs: seqs[cut[0]:cut[1]]}
+		seg, err := Seal(run, 0, cfg(), uint64(i+1))
+		if err != nil {
+			t.Fatalf("Seal: %v", err)
+		}
+		segs = append(segs, seg)
+	}
+	drop := map[uint64]bool{5: true, 77: true}
+	g, err := Gather(segs, MemRun{}, MergeOpts{Drop: drop})
+	if err != nil {
+		t.Fatalf("Gather: %v", err)
+	}
+	route := func(p []float64) int {
+		if p[0] < 0 {
+			return 0
+		}
+		return 1
+	}
+	parts, err := g.Cut(route, cfg(), 7, 8, 9)
+	if err != nil {
+		t.Fatalf("Cut: %v", err)
+	}
+	if len(parts) != 3 || parts[2] != nil {
+		t.Fatalf("Cut returned %d parts, the unrouted third %v", len(parts), parts[len(parts)-1])
+	}
+	for i, part := range parts[:2] {
+		var rows [][]float64
+		var want []uint64
+		for r := 0; r < n; r++ {
+			if !drop[seqs[r]] && route(pts.Row(r)) == i {
+				rows, want = append(rows, pts.Row(r)), append(want, seqs[r])
+			}
+		}
+		mono, err := cfg().Build(vec.FromRows(rows), nil)
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		if part.ID != uint64(7+i) || !slices.Equal(part.Seqs, want) || !slices.Equal(part.Tree.Points.Data, mono.Points.Data) {
+			t.Fatalf("part %d: id %d, %d rows; want id %d and the build over its %d rows in insertion order", i, part.ID, part.Len(), 7+i, len(want))
+		}
 	}
 }
 

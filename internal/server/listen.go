@@ -169,7 +169,7 @@ func (l *listener) serve(c net.Conn) {
 			return
 		}
 		unread := cont != nil && !cont.sent || !drained(req.Body)
-		// A 413 closes, as net/http's MaxBytesReader makes it do.
+		// A 413 closes: the body past the bound is never read.
 		keep := !req.Close && req.ProtoAtLeast(1, 1) && !unread && len(w.header["Connection"]) == 0 &&
 			w.status != http.StatusRequestEntityTooLarge && !l.closing.Load()
 		if err := w.flush(bw, req.Method == http.MethodHead, keep); err != nil || !keep {

@@ -368,7 +368,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	m := &s.met.bounds
 	m.requests.Add(1)
 	var req QueryRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		fail(w, m, err)
 		return
 	}
@@ -568,7 +568,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	m := &s.met.batch
 	m.requests.Add(1)
 	var req BatchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		fail(w, m, err)
 		return
 	}

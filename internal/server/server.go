@@ -421,7 +421,7 @@ func (s *Server) write(w http.ResponseWriter, r *http.Request, m *endpointMetric
 		m.errors.Add(1)
 		return
 	}
-	if err := s.decodeBody(w, r, req); err != nil {
+	if err := s.decodeBody(r, req); err != nil {
 		fail(w, m, err)
 		return
 	}
@@ -449,7 +449,7 @@ const (
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, m *endpointMetrics, n need) (QueryRequest, bool) {
 	m.requests.Add(1)
 	var req QueryRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		fail(w, m, err)
 		return req, false
 	}
@@ -475,21 +475,24 @@ func putBuffer(buf *bytes.Buffer) {
 }
 
 // decodeBody reads the request body whole, with the server's size bound
-// applied, into a buffer grown once to the declared Content-Length when
-// that is within the bound, and parses it into dst: a rows body (readRows)
-// when dst is an insert and the Content-Type names one, else JSON — with
-// the wire reader when it takes the body, else with encoding/json. Nothing
-// in dst points into the body.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
+// applied, into a buffer grown once to the declared Content-Length, and
+// parses it into dst: a rows body (readRows) when dst is an insert and the
+// Content-Type names one, else JSON — with the wire reader when it takes
+// the body, else with encoding/json. A declared length over the bound is
+// refused before any byte is read. Nothing in dst points into the body.
+func (s *Server) decodeBody(r *http.Request, dst any) error {
+	if r.ContentLength > s.maxBody {
+		return tooLarge(s.maxBody)
+	}
 	buf := buffers.Get().(*bytes.Buffer)
 	defer putBuffer(buf)
-	if n := r.ContentLength; n > 0 && n <= s.maxBody {
+	if n := r.ContentLength; n > 0 {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
-	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	readErr := readBody(buf, r.Body, s.maxBody)
 	if req, ok := dst.(*InsertRequest); ok && isRows(r.Header) {
 		if readErr != nil {
-			return readError(readErr)
+			return readErr
 		}
 		return readRows(buf.Bytes(), req)
 	}
@@ -499,6 +502,32 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) err
 	return decodeJSON(buf.Bytes(), readErr, dst)
 }
 
+// readBody appends body to buf, reading at most limit+1 bytes: a body of
+// undeclared length is bounded here, one of declared length by its
+// reader. Past limit it keeps the first limit bytes and returns the 413
+// refusal; a failed read returns a bad request.
+func readBody(buf *bytes.Buffer, body io.Reader, limit int64) error {
+	for int64(buf.Len()) <= limit {
+		buf.Grow(bytes.MinRead)
+		free := buf.AvailableBuffer()
+		n, err := body.Read(free[:min(int64(cap(free)), limit+1-int64(buf.Len()))])
+		buf.Write(free[:n])
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("bad request: %v", err)
+		}
+	}
+	buf.Truncate(int(limit))
+	return tooLarge(limit)
+}
+
+// tooLarge is the refusal of a body over the size bound.
+func tooLarge(limit int64) error {
+	return &Error{Status: http.StatusRequestEntityTooLarge, Err: fmt.Errorf("request body exceeds %d bytes", limit)}
+}
+
 // failingReader fails every Read with err.
 type failingReader struct{ err error }
 
@@ -506,9 +535,9 @@ func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 
 // decodeJSON parses a body the wire reader did not take, and is where every
 // malformed body gets its status and its words. body is what could be read
-// and readErr what ended the reading early, if anything did: the decoder
-// sees those bytes and then that error, so a body over the size bound fails
-// with a 413-mapped error unless its syntax fails first.
+// and readErr, already worded, what ended the reading early, if anything
+// did: the decoder sees those bytes and then that error, so a body over the
+// size bound fails with the 413 unless its syntax fails first.
 func decodeJSON(body []byte, readErr error, dst any) error {
 	var src io.Reader = bytes.NewReader(body)
 	if readErr != nil {
@@ -516,32 +545,18 @@ func decodeJSON(body []byte, readErr error, dst any) error {
 	}
 	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(dst)
-	if err == nil {
+	if err := dec.Decode(dst); err != nil && err != readErr {
+		return fmt.Errorf("bad request: %v", err)
+	}
+	if readErr != nil {
 		// Decode stops at the end of the first value. What follows it is
 		// part of the body too.
-		err = readErr
-	}
-	if err != nil {
-		return readError(err)
+		return readErr
 	}
 	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) != 0 {
 		return errors.New("bad request: unexpected data after the JSON body")
 	}
 	return nullNumber(body)
-}
-
-// readError words a body that could not be read or decoded: 413 when it
-// ran past the size bound, else a bad request.
-func readError(err error) error {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return &Error{
-			Status: http.StatusRequestEntityTooLarge,
-			Err:    fmt.Errorf("request body exceeds %d bytes", mbe.Limit),
-		}
-	}
-	return fmt.Errorf("bad request: %v", err)
 }
 
 // nullNumber finds a JSON null standing where the request types hold a

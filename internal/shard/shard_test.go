@@ -25,7 +25,7 @@ func randRows(rows, cols int, seed int64) [][]float64 {
 }
 
 // place groups the rows of pts by the member Found's manifest routes them
-// to, in storage order — group i is member i+1, as Engine.Shard cuts them.
+// to, in input order — group i is member i+1, as Engine.Shard cuts them.
 func place(t *testing.T, kind Kind, pts [][]float64, n int) [][]int {
 	t.Helper()
 	man, err := Found(kind, pts, n)

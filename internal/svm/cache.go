@@ -77,12 +77,3 @@ func (c *kernelCache) row(i int) []float64 {
 	c.rows[i] = r
 	return r
 }
-
-// diag returns K(x_i, x_i) without materializing a row.
-func (c *kernelCache) diag(i int) float64 {
-	if c.full != nil {
-		return c.full[i*c.n+i]
-	}
-	c.evals++
-	return c.kern.Eval(c.x.Row(i), c.x.Row(i))
-}

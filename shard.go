@@ -1,12 +1,13 @@
 package karl
 
 import (
+	"errors"
 	"fmt"
 
 	"karl/internal/bound"
 	"karl/internal/index"
+	"karl/internal/segment"
 	"karl/internal/shard"
-	"karl/internal/vec"
 )
 
 // PartitionKind selects how Engine.Shard distributes points across shards:
@@ -52,55 +53,59 @@ func (d *Engine) ShardInfo() (info ShardProvenance, ok bool) {
 	return *d.sh.shardProv, true
 }
 
-// Shard partitions the engine's live points into n shard engines, each
-// indexing its slice with the same kernel, index structure, leaf capacity
-// and bounding method, and each carrying ShardProvenance. Points are placed
-// by the cluster manifest (shard.Found): shard i holds, in storage order,
-// the points its Route sends to member i+1, so a coordinator founded over
-// the shards in order routes every point to the shard that holds it. The
-// per-shard answers of Aggregate sum exactly to the original engine's (up
-// to float summation order), which is what the cluster coordinator
-// exploits.
+// Shard cuts the engine's live points into n shard engines through the
+// cut Split uses: the live rows are gathered once in insertion order
+// (tombstoned and expired rows dropped, decayed weights rebased to now)
+// and each shard is built as one sealed segment over its share. Points are
+// placed by the cluster manifest (shard.Found): shard i holds, in insertion
+// order, the points its Route sends to member i+1, so a coordinator founded
+// over the shards in order routes every point to the shard that holds it.
+// Like a split's moved half, every shard keeps the source's kernel, index,
+// method, LSM policy, TTL and decay clock, and its points keep their ids
+// (NextSeq continues the source's counter); each also carries
+// ShardProvenance. The per-shard answers of Aggregate sum exactly to the
+// source's (up to float summation order), which is what the cluster
+// coordinator exploits. The source is not changed.
 func (d *Engine) Shard(n int, kind PartitionKind) ([]*Engine, error) {
-	tree, kern, cfg, err := d.liveSet()
-	if err != nil {
-		return nil, err
+	sh := d.sh
+	sh.mu.Lock()
+	for sh.sealing != nil || sh.draining {
+		sh.cond.Wait()
 	}
-	pts := make([][]float64, tree.Len())
+	g, err := segment.Gather(sh.man.Segs, sh.mem.run(), sh.mergeOptsLocked(sh.man.Segs))
+	proto := sh.emptySiblingLocked() // the shards' configuration, ours alone
+	sh.mu.Unlock()
+	if err == nil && g.Len() == 0 {
+		err = errors.New("engine holds no live point")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("karl: %w", err)
+	}
+	pts := make([][]float64, g.Len())
 	for r := range pts {
-		pts[r] = tree.Points.Row(r)
+		pts[r] = g.Row(r)
 	}
 	man, err := shard.Found(kind, pts, n)
 	if err != nil {
 		return nil, fmt.Errorf("karl: %w", err)
 	}
-	rows := make([][]int, n)
-	for r, p := range pts {
-		s := man.Route(p) - 1
-		rows[s] = append(rows[s], r)
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = 1
+	}
+	parts, err := g.Cut(func(p []float64) int { return int(man.Route(p)) - 1 }, proto.bcfg, ids...)
+	if err != nil {
+		return nil, fmt.Errorf("karl: shard: %w", err)
 	}
 	engines := make([]*Engine, n)
-	for s, rs := range rows {
-		if len(rs) == 0 {
-			return nil, fmt.Errorf("karl: shard %d of %d is empty over %d points (try the kd partitioner)", s, n, len(pts))
+	for i, seg := range parts {
+		if seg == nil {
+			return nil, fmt.Errorf("karl: shard %d of %d is empty over %d points (try the kd partitioner)", i, n, g.Len())
 		}
-		sub := vec.NewMatrix(len(rs), tree.Dims())
-		cfg.weights = nil
-		if tree.Weights != nil {
-			cfg.weights = make([]float64, len(rs))
-		}
-		for i, r := range rs {
-			copy(sub.Row(i), pts[r])
-			if cfg.weights != nil {
-				cfg.weights[i] = tree.Weights[r]
-			}
-		}
-		se, err := buildMatrixCfg(sub, kern, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("karl: shard %d: %w", s, err)
-		}
-		se.sh.shardProv = &ShardProvenance{Index: s, Of: n, Partition: kind, SourceLen: tree.Len()}
-		engines[s] = se
+		m := proto.emptySiblingLocked()
+		m.man, m.nextID = &segment.Manifest{Epoch: 1, Segs: []*segment.Segment{seg}}, 2
+		m.shardProv = &ShardProvenance{Index: i, Of: n, Partition: kind, SourceLen: g.Len()}
+		engines[i] = &Engine{sh: m}
 	}
 	return engines, nil
 }

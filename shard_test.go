@@ -1,8 +1,12 @@
 package karl
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func normalRows(n, d int, seed int64) [][]float64 {
@@ -102,6 +106,144 @@ func TestShardErrors(t *testing.T) {
 	} {
 		if _, err := c.eng.Shard(c.n, c.kind); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestShardKeepsSourceState: the shards of a timed, policy-tuned engine
+// holding buffered rows and tombstones keep the source's configuration and
+// clock, and its ids: every live id deletes on exactly the shard that
+// holds its point, and once the clock passes some rows' TTL the shards
+// expire them as the source does.
+func TestShardKeepsSourceState(t *testing.T) {
+	var now atomic.Int64
+	now.Store(1_700_000_000_000_000_000)
+	src, err := NewDynamic(Gaussian(1), WithTTL(time.Hour), WithDecayHalfLife(10*time.Minute),
+		WithSealSize(64), WithCompactionFanout(3), withClock(func() int64 { return now.Load() }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	rng := rand.New(rand.NewSource(81))
+	pts := cloud(rng, 500, 3)
+	w := weightsFor(rng, "typeII", len(pts))
+	// The first 200 rows expire an hour after T0, the rest half an hour later.
+	ids, err := src.InsertBulk(pts[:200], w[:200])
+	if err != nil {
+		t.Fatal(err)
+	}
+	now.Add(int64(30 * time.Minute))
+	later, err := src.InsertBulk(pts[200:], w[200:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, later...)
+	waitMaintenance(src)
+	dead := map[uint64]bool{}
+	for _, i := range []int{2, 77, 150, 260, 333, 497} {
+		if err := src.Delete(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+		dead[ids[i]] = true
+	}
+	if st := src.Status(); st.MemtableLen == 0 || st.Tombstones == 0 {
+		t.Fatalf("fixture: %d buffered rows, %d tombstones; want some of each", st.MemtableLen, st.Tombstones)
+	}
+
+	sets := map[PartitionKind][]*Engine{}
+	for _, kind := range []PartitionKind{HashPartition, KDPartition} {
+		shards, err := src.Shard(3, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[kind] = shards
+		for i, se := range shards {
+			st := se.Status()
+			if st.TTL != time.Hour || st.DecayHalfLife != 10*time.Minute || se.sh.policy != src.sh.policy ||
+				se.sh.bcfg != src.sh.bcfg || se.sh.kern != src.sh.kern || se.sh.method != src.sh.method {
+				t.Fatalf("%v shard %d: TTL %v, half-life %v, policy %+v, build %+v; the source has %v, %v, %+v, %+v",
+					kind, i, st.TTL, st.DecayHalfLife, se.sh.policy, se.sh.bcfg, time.Hour, 10*time.Minute, src.sh.policy, src.sh.bcfg)
+			}
+			if st.NextSeq != src.Status().NextSeq {
+				t.Fatalf("%v shard %d: NextSeq %d, the source's is %d", kind, i, st.NextSeq, src.Status().NextSeq)
+			}
+		}
+	}
+	if st := src.Status(); st.MemtableLen == 0 || st.Tombstones == 0 {
+		t.Fatal("Shard compacted the engine it read")
+	}
+
+	queries := cloud(rng, 8, 3)
+	sumsMatch := func(when string) {
+		t.Helper()
+		for _, q := range queries {
+			want, err := src.Aggregate(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for kind, shards := range sets {
+				got := 0.0
+				for _, se := range shards {
+					v, err := se.Aggregate(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got += v
+				}
+				if math.Abs(got-want) > 1e-12*math.Abs(want) {
+					t.Fatalf("%s, %v shards: Σ Aggregate %v, the source answers %v", when, kind, got, want)
+				}
+			}
+		}
+	}
+	sumsMatch("at the cut")
+
+	// Past the first batch's TTL: compacting drops it everywhere.
+	now.Add(int64(35 * time.Minute))
+	if err := src.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range sets {
+		for _, se := range shards {
+			if err := se.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sumsMatch("past the TTL")
+	for _, id := range ids[:200] {
+		if err := src.Delete(id); !errors.Is(err, ErrPointNotFound) {
+			t.Fatalf("source: Delete(%d) of an expired id: %v", id, err)
+		}
+	}
+	for kind, shards := range sets {
+		n := 0
+		for _, se := range shards {
+			n += se.Len()
+		}
+		if n != src.Len() || n != 300-3 {
+			t.Fatalf("%v: shards hold %d points, the source %d, want %d", kind, n, src.Len(), 300-3)
+		}
+	}
+
+	for i, id := range ids {
+		for kind, shards := range sets {
+			holders := 0
+			for s, se := range shards {
+				switch err := se.Delete(id); {
+				case err == nil:
+					holders++
+				case !errors.Is(err, ErrPointNotFound):
+					t.Fatalf("%v shard %d: Delete(%d): %v", kind, s, id, err)
+				}
+			}
+			want := 1
+			if i < 200 || dead[id] {
+				want = 0 // expired or deleted
+			}
+			if holders != want {
+				t.Fatalf("%v: id %d deleted on %d shards, want %d", kind, id, holders, want)
+			}
 		}
 	}
 }
