@@ -19,8 +19,9 @@
 // one ShardClient that reaches it over the /v1/* endpoints: JSON bodies,
 // except a routed insert, which carries its rows as one checksummed rows
 // block (server.AppendRows). POST /v1/bounds is the bound-exchange unit.
-// Each call is driven from the calling goroutine over a pooled connection
-// (syncTransport). The client interfaces exist for decorators — fault
+// Each call is one pooled request written and one reply read on the calling
+// goroutine over a pooled connection (memberHop), with no net/http client
+// in between. The client interfaces exist for decorators — fault
 // injection, counting, tracing — around it.
 // Robustness is first-class: per-shard timeouts, one retry with backoff,
 // hedged requests to a replica after a latency percentile, and a degraded
@@ -67,7 +68,7 @@ type Bounds = server.BoundsResponse
 // return promptly once its ctx ends: a hedge that wins, a verdict reached
 // early or an attempt timeout ends a call by cancelling its ctx, and the
 // coordinator waits for a primary call on its own goroutine. HTTPShard
-// does, through syncTransport's connection deadline.
+// does, through its member hop's connection deadline.
 type ShardClient interface {
 	// Name identifies the shard in stats and error messages.
 	Name() string
@@ -137,17 +138,19 @@ type MutableShardClient interface {
 // endpoints, reusing the server's request types on the wire.
 type HTTPShard struct {
 	base string
-	hc   *http.Client
+	hop  *memberHop   // NewHTTPShard's own member hop, nil beside hc
+	hc   *http.Client // NewHTTPShardClient's client
 	// mass is the shard's mass from the latest write reply (WriteMass).
 	mass atomic.Pointer[server.MassResponse]
 }
 
 // NewHTTPShard builds a client for a karl-serve base URL (e.g.
-// "http://host:8080") over its own syncTransport: connections stay alive
+// "http://host:8080") over its own member hop: connections stay alive
 // across the coordinator's scatter-gather rounds and every call runs on
-// the goroutine that made it.
+// the goroutine that made it. A base URL the hop cannot speak to (not plain
+// http, or with a query) fails every call.
 func NewHTTPShard(baseURL string) *HTTPShard {
-	return NewHTTPShardClient(baseURL, &http.Client{Transport: &syncTransport{}})
+	return &HTTPShard{base: baseURL, hop: newMemberHop(baseURL)}
 }
 
 // NewHTTPShardClient builds a client with a caller-supplied http.Client
@@ -312,21 +315,47 @@ const sizedReply = 32 << 20
 // server.ReadJSON: pointers to query and delete requests out, bounds, value
 // and insert replies back) go through it from this side; everything else,
 // and any reply the reader declines, through encoding/json.
+//
+// A 200 is read whole: the peer is a configured member, and the replies
+// that grow with its data — the moved half of a split, the ids of a bulk
+// insert — are lost for good if cut. Its declared length sizes the buffer
+// once, but the read still runs to the body's end: that is what hands the
+// connection back to the pool. Only an error envelope is capped.
 func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, failed any) error {
+	if s.hop == nil {
+		return s.callClient(ctx, method, path, in, dst, failed)
+	}
+	req, reply := getHopBuffer(), getHopBuffer()
+	defer putHopBuffer(req)
+	defer putHopBuffer(reply)
+	buf, ctype, err := appendBody(*req, in)
+	if err != nil {
+		return err
+	}
+	body := buf
+	if rows, ok := in.(rowsBody); ok {
+		body = rows
+	}
+	var r hopRequest
+	*req, r = s.hop.appendRequest(buf, method, path, ctype, body, in != nil)
+	status, err := s.hop.do(ctx, r, reply)
+	if err != nil {
+		return fmt.Errorf("cluster: shard %s: %w", s.base, err)
+	}
+	return s.decode(status, *reply, dst, failed)
+}
+
+// callClient is call through the caller's http.Client
+// (NewHTTPShardClient).
+func (s *HTTPShard) callClient(ctx context.Context, method, path string, in, dst, failed any) error {
+	raw, ctype, err := appendBody(nil, in)
+	if err != nil {
+		return err
+	}
 	var payload io.Reader
-	ctype := "application/json"
-	switch in := in.(type) {
-	case nil:
-	case rowsBody:
-		payload, ctype = bytes.NewReader(in), server.RowsContentType
-	default:
-		raw, ok := server.AppendJSON(nil, in)
-		if !ok {
-			var err error
-			if raw, err = json.Marshal(in); err != nil {
-				return err
-			}
-		}
+	if rows, ok := in.(rowsBody); ok {
+		payload = bytes.NewReader(rows)
+	} else if in != nil {
 		payload = bytes.NewReader(raw)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, s.base+path, payload)
@@ -341,23 +370,37 @@ func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, fail
 		return fmt.Errorf("cluster: shard %s: %w", s.base, err)
 	}
 	defer resp.Body.Close()
-	// A 200 is read whole: the peer is a configured member, and the replies
-	// that grow with its data — the moved half of a split, the ids of a bulk
-	// insert — are lost for good if cut. Its declared length sizes the
-	// buffer once, but the read still runs to EOF: that is what hands the
-	// connection back to the pool. Only an error envelope is capped.
-	var rd io.Reader = resp.Body
-	var reply bytes.Buffer
-	if resp.StatusCode != http.StatusOK {
-		rd = io.LimitReader(rd, 1<<20)
-	} else if n := resp.ContentLength; n > 0 && n <= sizedReply {
-		reply.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := reply.ReadFrom(rd); err != nil {
+	var reply []byte
+	if _, err := readReply(resp.StatusCode, resp.ContentLength, resp.Body, &reply); err != nil {
 		return fmt.Errorf("cluster: shard %s: read response: %w", s.base, err)
 	}
-	body := reply.Bytes()
-	if resp.StatusCode != http.StatusOK {
+	return s.decode(resp.StatusCode, reply, dst, failed)
+}
+
+// appendBody appends in as JSON to buf and names the body's Content-Type:
+// nil has no body, and a rowsBody is sent as it is, appending nothing.
+func appendBody(buf []byte, in any) ([]byte, string, error) {
+	switch in.(type) {
+	case nil:
+		return buf, "", nil
+	case rowsBody:
+		return buf, server.RowsContentType, nil
+	}
+	if b, ok := server.AppendJSON(buf, in); ok {
+		return b, "application/json", nil
+	}
+	raw, err := json.Marshal(in)
+	if err != nil {
+		return buf, "", err
+	}
+	return append(buf, raw...), "application/json", nil
+}
+
+// decode maps a reply to call's result: a 200's body decoded into dst, any
+// other status to an error, from the server's error envelope when it sent
+// one.
+func (s *HTTPShard) decode(status int, body []byte, dst, failed any) error {
+	if status != http.StatusOK {
 		var envelope struct {
 			Error string `json:"error"`
 		}
@@ -365,9 +408,9 @@ func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, fail
 		if structured && failed != nil {
 			_ = json.Unmarshal(body, failed) // same bytes just parsed above
 		}
-		msg := fmt.Sprintf("HTTP %d", resp.StatusCode)
+		msg := fmt.Sprintf("HTTP %d", status)
 		if structured {
-			msg = fmt.Sprintf("%s (HTTP %d)", envelope.Error, resp.StatusCode)
+			msg = fmt.Sprintf("%s (HTTP %d)", envelope.Error, status)
 		}
 		// Only a status carrying the server's structured error envelope is
 		// a verdict FROM the karl-serve handler. A bare 404/405 comes from
@@ -377,15 +420,15 @@ func (s *HTTPShard) call(ctx context.Context, method, path string, in, dst, fail
 		// "point not found", and treating it as a clean pre-side-effect
 		// refusal would be a guess about a server we evidently don't know.
 		if structured {
-			if resp.StatusCode == http.StatusNotFound {
+			if status == http.StatusNotFound {
 				// The server 404s unknown point ids; surface the sentinel so
 				// delete routing can distinguish "not here" from "shard broken".
 				return fmt.Errorf("cluster: shard %s: %s: %w: %w", s.base, msg, errRejected, karl.ErrPointNotFound)
 			}
-			if resp.StatusCode == http.StatusUnprocessableEntity {
+			if status == http.StatusUnprocessableEntity {
 				return fmt.Errorf("cluster: shard %s: %w", s.base, errNotFinite)
 			}
-			if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+			if status >= 400 && status < 500 {
 				// A 4xx means the server rejected the request before any side
 				// effect — the split orchestrator relies on this to tell a clean
 				// refusal from an ambiguous transport failure.

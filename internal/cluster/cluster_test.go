@@ -380,7 +380,7 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 // replica a second front door over the same shard. Once the latency window
 // is warm, Threshold and Approximate answer from the replica well inside the
 // stall with the monolith's answers: the winning hedge cancels the primary,
-// which syncTransport turns into a dropped connection, so the next primary
+// which the member hop turns into a dropped connection, so the next primary
 // call dials afresh instead of reading a stale reply.
 func TestHedgeWinsOverStalledHTTPPrimary(t *testing.T) {
 	pts, _ := dataset(200, 2, 5, "I")

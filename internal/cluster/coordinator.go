@@ -50,8 +50,9 @@ const (
 	hedgeMin = time.Millisecond
 	// retryBackoff is the pause before a failed call's one retry.
 	retryBackoff = 50 * time.Millisecond
-	// maxRounds caps adaptive bound-exchange rounds before the coordinator
-	// forces an exact round.
+	// maxRounds is the number of adaptive bound-exchange rounds; round
+	// maxRounds is exact, which is what bounds a TKAQ to maxRounds+1
+	// rounds (Threshold).
 	maxRounds = 6
 )
 
@@ -402,13 +403,18 @@ func sumBounds(st []*exchState) (lb, ub float64) {
 // returns the certified interval it stopped at. The t_i sum to τ less the
 // share an unreachable shard's interval holds, so all shards stopping above
 // their t_i gives Σlb > τ and all stopping at or below gives Σub ≤ τ; a
-// mixed round re-splits over the tighter intervals. While the query is
-// undecided Σlb ≤ τ < Σub, so lb_i ≤ t_i < ub_i and a shard cannot stop
-// without cutting its interval: every round makes progress. The sums are
-// tested after every arrival and a verdict cancels outstanding shard work;
-// after maxRounds the round is exact. Any stopping rule is sound here —
-// shards only ever return certified intervals, and the verdict rests on
-// their intersection and sum alone.
+// mixed round re-splits over the tighter intervals. The sums are tested
+// after every arrival and a verdict cancels outstanding shard work.
+//
+// Any stopping rule is sound here — shards only ever return certified
+// intervals, and the verdict rests on their intersection and sum alone —
+// but soundness says nothing of termination. A round may cut an interval by
+// as little as floating-point noise, and near a tie (τ within 10⁻¹² of F)
+// the adaptive rounds alone ran past 3 s for a few queries in 200. The
+// exchange ends because round maxRounds is exact: every reachable shard
+// returns lb = ub, the sums then decide, and so a query makes at most
+// maxRounds+1 rounds (TestThresholdNearTieTerminates); only an unreachable
+// shard's interval can leave it indeterminate.
 func (w *Coordinator) Threshold(ctx context.Context, q []float64, tau float64) (server.Result, error) {
 	return w.query(ctx, func(ep *epoch) (server.Result, error) { return ep.threshold(ctx, q, tau) })
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"karl"
 	"karl/internal/core"
@@ -143,6 +144,74 @@ func TestThresholdWorkGate(t *testing.T) {
 	}
 	points, rounds = measure(karl.KDPartition)
 	t.Logf("kd split: %.0f shard points, %.4f rounds per TKAQ (ε-schedule: 9308, 1.1175)", points, rounds)
+}
+
+// TestThresholdNearTieTerminates holds the exchange's termination bound
+// where the adaptive rounds alone do not converge: τ = F·(1 ± 10⁻¹²) on the
+// cluster-rw fixture, split two ways by hash and by kd. Every verdict must
+// equal the monolithic engine's, every query must end within maxRounds+1
+// rounds — the last of them exact — and the cap must fire on some query, or
+// the fixture does not test it. A query that runs on without end is cut by
+// a deadline and fails on its round count.
+func TestThresholdNearTieTerminates(t *testing.T) {
+	spec := fixtures.Spec{Name: "churn", Dim: 8, Weighting: fixtures.TypeI, Clusters: 12, Spread: 0.03}
+	ds, err := fixtures.GenerateSized(spec, 40000, 40, 1)
+	if err != nil {
+		t.Fatalf("GenerateSized: %v", err)
+	}
+	rows := func(data []float64, n, d int) [][]float64 {
+		out := make([][]float64, n)
+		for i := range out {
+			out[i] = data[i*d : (i+1)*d]
+		}
+		return out
+	}
+	pts := rows(ds.Points.Data, ds.Points.Rows, ds.Points.Cols)
+	queries := rows(ds.Queries.Data, ds.Queries.Rows, ds.Queries.Cols)
+	mono, err := karl.Build(pts, karl.Gaussian(ds.Gamma))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	// hang only cuts a query that would run on without end; the assertion
+	// is the round count, checked first, so a slow runner fails no query
+	// that kept to the bound.
+	hang := 10 * time.Second
+	if raceEnabled() {
+		hang *= 3
+	}
+	for name, part := range map[string]karl.PartitionKind{"hash": karl.HashPartition, "kd": karl.KDPartition} {
+		co := shardedCoordinator(t, mono, 2, part, Config{})
+		capped := 0
+		for qi, q := range queries {
+			exact, err := mono.Aggregate(q)
+			if err != nil {
+				t.Fatalf("mono.Aggregate: %v", err)
+			}
+			for _, tau := range []float64{exact * (1 - 1e-12), exact * (1 + 1e-12)} {
+				ctx, cancel := context.WithTimeout(context.Background(), hang)
+				before := co.exch.thresholdRounds.Load()
+				tr, err := co.Threshold(ctx, q, tau)
+				cancel()
+				rounds := co.exch.thresholdRounds.Load() - before
+				if rounds > maxRounds+1 {
+					t.Fatalf("%s q%d: %d rounds, want at most maxRounds+1 = %d (%v)", name, qi, rounds, maxRounds+1, err)
+				}
+				if err != nil {
+					t.Fatalf("%s q%d: Threshold(F·(1%+.0e)): %v after %d rounds", name, qi, tau/exact-1, err, rounds)
+				}
+				if want := exact > tau; tr.Over != want {
+					t.Fatalf("%s q%d: threshold(F·(1%+.0e)) = %v, want %v", name, qi, tau/exact-1, tr.Over, want)
+				}
+				if rounds == maxRounds+1 {
+					capped++
+				}
+			}
+		}
+		t.Logf("%s: %d of %d near-tie queries reached the exact round", name, capped, 2*len(queries))
+		if capped == 0 {
+			t.Errorf("%s: no query reached the exact round; the fixture does not test the bound", name)
+		}
+	}
 }
 
 // TestApproximateOneRound is the eKAQ side of the exchange under the one

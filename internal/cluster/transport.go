@@ -8,285 +8,291 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"karl/internal/server"
 )
 
-// syncTransport is the http.RoundTripper behind NewHTTPShard: a pool of
-// persistent HTTP/1.1 connections, each driven entirely from the goroutine
-// that calls RoundTrip. net/http's Transport parks two goroutines on every
-// connection and hands each request and response across them; on a
-// coordinator whose calls are a few hundred microseconds long those
-// hand-offs cost more than the shard's own handler. Here a call is a
-// request written to the socket (streamed, never buffered whole), a
-// response parsed from a bufio.Reader, and the connection back in the pool
-// once the body has been read to its end.
+// memberHop is the client side of NewHTTPShard: HTTP/1.1 to one member over
+// a pool of persistent connections, each driven entirely from the goroutine
+// that makes the call. A call appends its request line, fields and body to
+// one pooled buffer and sends it with one write; the reply's head is read by
+// server.ReplyReader, the listener's own head reader, and its body into a
+// pooled buffer. There is no http.Request, http.Client or http.ReadResponse
+// on the way: on a coordinator whose calls are a few hundred microseconds
+// long their allocations and hand-offs cost more than the member's handler.
 //
-// Cancellation maps onto the connection: when the request's context ends
+// Cancellation maps onto the connection: when the call's context ends
 // mid-call the connection's deadline is moved into the past, the blocked
 // read or write fails, and the connection is closed — one that stopped
-// half-way through a response is never reused. Plain http only and no
-// proxies: shards are addressed directly.
-type syncTransport struct {
+// half-way through a reply is never reused. Plain http only and no proxies:
+// members are addressed directly.
+type memberHop struct {
+	addr   string // host:port to dial
+	host   string // the Host field
+	prefix string // the base URL's path, in front of every route
+	err    error  // a base URL the hop cannot speak to, reported by every call
+
 	mu   sync.Mutex
-	idle map[string][]*syncConn // by host:port, most recently used last
+	idle []*hopConn // most recently used last
 }
 
 const (
-	// maxIdleConns bounds the connections parked per host; a burst beyond
+	// maxIdleConns bounds the connections parked per member; a burst beyond
 	// it dials and closes.
 	maxIdleConns = 64
 	// maxIdleAge retires a parked connection before karl-serve's own idle
 	// timeout (-idle-timeout, 2 minutes by default) closes it under us.
 	maxIdleAge = 90 * time.Second
+	// errorBody caps the bytes read of a reply that is not a 200.
+	errorBody = 1 << 20
 )
 
-type syncConn struct {
+type hopConn struct {
 	net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer
-	parked time.Time
+	br      *bufio.Reader
+	replies *server.ReplyReader
+	parked  time.Time
+}
+
+func newMemberHop(baseURL string) *memberHop {
+	u, err := url.Parse(baseURL)
+	switch {
+	case err != nil:
+		return &memberHop{err: err}
+	case u.Scheme != "http":
+		return &memberHop{err: fmt.Errorf("member hop speaks plain http, not %q", u.Scheme)}
+	case u.Host == "" || u.User != nil || u.RawQuery != "" || u.Fragment != "":
+		return &memberHop{err: fmt.Errorf("member hop needs a base URL of scheme, host and path, not %q", baseURL)}
+	}
+	h := &memberHop{addr: u.Host, host: u.Host, prefix: u.EscapedPath()}
+	if u.Port() == "" {
+		h.addr = net.JoinHostPort(u.Hostname(), "80")
+	}
+	return h
+}
+
+// hopRequest is one call's request: msg holds the head and, unless it is
+// large, the body behind it; a large body is sent after msg from where the
+// caller holds it. read marks a call without side effects, which may be
+// sent a second time.
+type hopRequest struct {
+	msg, body []byte
+	read      bool
+}
+
+// largeBody is the size past which a body is not copied behind its head.
+const largeBody = 64 << 10
+
+// appendRequest appends the request for method and route to buf — the
+// request line, Host, and for a body its Content-Type and Content-Length,
+// then the body itself unless it is large — and returns buf grown, and the
+// request within it.
+func (h *memberHop) appendRequest(buf []byte, method, route, ctype string, body []byte, hasBody bool) ([]byte, hopRequest) {
+	start := len(buf)
+	buf = append(buf, method...)
+	buf = append(buf, ' ')
+	buf = append(buf, h.prefix...)
+	buf = append(buf, route...)
+	buf = append(buf, " HTTP/1.1\r\nHost: "...)
+	buf = append(buf, h.host...)
+	if hasBody {
+		buf = append(buf, "\r\nContent-Type: "...)
+		buf = append(buf, ctype...)
+		buf = append(buf, "\r\nContent-Length: "...)
+		buf = strconv.AppendInt(buf, int64(len(body)), 10)
+	}
+	buf = append(buf, "\r\n\r\n"...)
+	if len(body) <= largeBody {
+		buf = append(buf, body...)
+		return buf, hopRequest{msg: buf[start:], read: replayable(method, route)}
+	}
+	return buf, hopRequest{msg: buf[start:], body: body, read: replayable(method, route)}
 }
 
 // replayable reports whether a request may be sent a second time: GETs and
-// the shard's two read-only POST endpoints have no side effects. Inserts,
+// the member's two read-only POST routes have no side effects. Inserts,
 // deletes, splits and promotions never qualify.
-func replayable(r *http.Request) bool {
-	if r.Method == http.MethodGet {
-		return true
-	}
-	return r.Method == http.MethodPost &&
-		(strings.HasSuffix(r.URL.Path, "/v1/bounds") || strings.HasSuffix(r.URL.Path, "/v1/aggregate"))
+func replayable(method, route string) bool {
+	return method == http.MethodGet || method == http.MethodPost && (route == "/v1/bounds" || route == "/v1/aggregate")
 }
 
-// RoundTrip implements http.RoundTripper.
-func (t *syncTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Scheme != "http" {
-		return nil, fmt.Errorf("cluster: shard transport speaks plain http, not %q", req.URL.Scheme)
+// do sends r and reads the reply: its status, and into *reply its body —
+// whole for a 200, up to errorBody bytes for anything else. A read that
+// fails on a parked connection before any byte of a reply arrives is sent
+// once more on a fresh connection.
+func (h *memberHop) do(ctx context.Context, r hopRequest, reply *[]byte) (int, error) {
+	if h.err != nil {
+		return 0, h.err
 	}
-	ctx := req.Context()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	addr := req.URL.Host
-	if req.URL.Port() == "" {
-		addr = net.JoinHostPort(req.URL.Hostname(), "80")
-	}
-
-	c, reused, err := t.acquire(ctx, addr)
+	c, reused, err := h.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	resp, started, err := t.exchange(ctx, c, addr, req)
-	if err != nil && reused && !started && ctx.Err() == nil && replayable(req) {
-		// The server closed the connection while it sat in the pool and no
-		// byte of a response arrived: the request was not answered, and a
-		// read is safe to send once more on a connection known to be fresh.
-		if req.GetBody != nil {
-			body, berr := req.GetBody()
-			if berr != nil {
-				return nil, berr
-			}
-			r2 := *req
-			r2.Body = body
-			req = &r2
+	status, started, err := h.exchange(ctx, c, r, reply)
+	if err != nil && reused && !started && ctx.Err() == nil && r.read {
+		// The member closed the connection while it sat in the pool and no
+		// byte of a reply arrived: the request was not answered, and a read
+		// is safe to send once more on a connection known to be fresh.
+		if c, err = h.dial(ctx); err != nil {
+			return 0, err
 		}
-		if c, err = t.dial(ctx, addr); err != nil {
-			return nil, err
-		}
-		resp, _, err = t.exchange(ctx, c, addr, req)
+		status, _, err = h.exchange(ctx, c, r, reply)
 	}
-	return resp, err
+	return status, err
 }
 
-// acquire pops the most recently parked live connection to addr, or dials.
-func (t *syncTransport) acquire(ctx context.Context, addr string) (c *syncConn, reused bool, err error) {
-	t.mu.Lock()
-	for c == nil {
-		list := t.idle[addr]
-		if len(list) == 0 {
-			break
-		}
-		c, t.idle[addr] = list[len(list)-1], list[:len(list)-1]
+// acquire pops the most recently parked live connection, or dials.
+func (h *memberHop) acquire(ctx context.Context) (c *hopConn, reused bool, err error) {
+	h.mu.Lock()
+	for c == nil && len(h.idle) > 0 {
+		c, h.idle = h.idle[len(h.idle)-1], h.idle[:len(h.idle)-1]
 		if time.Since(c.parked) > maxIdleAge {
 			c.Close()
 			c = nil
 		}
 	}
-	t.mu.Unlock()
+	h.mu.Unlock()
 	if c != nil {
 		return c, true, nil
 	}
-	c, err = t.dial(ctx, addr)
+	c, err = h.dial(ctx)
 	return c, false, err
 }
 
-func (t *syncTransport) dial(ctx context.Context, addr string) (*syncConn, error) {
+func (h *memberHop) dial(ctx context.Context) (*hopConn, error) {
 	var d net.Dialer
-	nc, err := d.DialContext(ctx, "tcp", addr)
+	nc, err := d.DialContext(ctx, "tcp", h.addr)
 	if err != nil {
 		return nil, err
 	}
-	return &syncConn{Conn: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, nil
+	br := bufio.NewReader(nc)
+	return &hopConn{Conn: nc, br: br, replies: server.NewReplyReader(br)}, nil
 }
 
-// park returns a connection whose response has been fully read to the
+// park returns a connection whose reply has been read to its end to the
 // pool.
-func (t *syncTransport) park(addr string, c *syncConn) {
+func (h *memberHop) park(c *hopConn) {
 	c.parked = time.Now()
-	t.mu.Lock()
-	if len(t.idle[addr]) < maxIdleConns {
-		if t.idle == nil {
-			t.idle = map[string][]*syncConn{}
-		}
-		t.idle[addr] = append(t.idle[addr], c)
+	h.mu.Lock()
+	if len(h.idle) < maxIdleConns {
+		h.idle = append(h.idle, c)
 		c = nil
 	}
-	t.mu.Unlock()
+	h.mu.Unlock()
 	if c != nil {
 		c.Close()
 	}
 }
 
-// exchange runs one request/response on c. started reports whether any
-// byte of a response arrived — the line between "never answered" and
-// "answered, then failed". On success the connection is owned by the
-// returned body; on failure it is closed here.
-func (t *syncTransport) exchange(ctx context.Context, c *syncConn, addr string, req *http.Request) (resp *http.Response, started bool, err error) {
-	// The only goroutine this transport ever starts is the one context
-	// runs this function on, and only when ctx ends before stop is called.
+// exchange runs one request and reply on c, and then parks c or closes it.
+// started reports whether any byte of a reply arrived — the line between
+// "never answered" and "answered, then failed". c is parked only after a
+// reply read whole, with no Connection: close and no cancel.
+func (h *memberHop) exchange(ctx context.Context, c *hopConn, r hopRequest, reply *[]byte) (status int, started bool, err error) {
+	// The only goroutine the hop ever starts is the one context runs this
+	// function on, and only when ctx ends before stop is called.
 	stop := context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })
-	fail := func(err error) (*http.Response, bool, error) {
-		stop()
-		c.Close()
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr // the deadline we set, not the i/o error it produced
-		}
-		return nil, started, err
-	}
-
-	if err := writeRequest(c.bw, req); err != nil {
-		return fail(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if _, err := c.br.Peek(1); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = fmt.Errorf("cluster: %s closed the connection before answering: %w", addr, io.ErrUnexpectedEOF)
-		}
-		return fail(err)
-	}
-	started = true
-	resp, err = http.ReadResponse(c.br, req)
-	if err != nil {
-		return fail(err)
-	}
-	resp.Body = &pooledBody{ReadCloser: resp.Body, t: t, c: c, addr: addr, stop: stop, keep: !resp.Close}
-	return resp, true, nil
-}
-
-// writeRequest writes req to w as HTTP/1.1 — the request line, Host, the
-// caller's headers and Content-Length — and streams the body behind them
-// through w: large bodies pass straight to the socket, nothing is collected
-// first. It is Request.Write without its fmt calls, transfer writer and
-// User-Agent. A body must have a known length, and a header holding CR or LF
-// is refused before any byte is written. The body is closed in every case,
-// as RoundTrip must.
-func writeRequest(w *bufio.Writer, req *http.Request) error {
-	if req.Body != nil {
-		defer req.Body.Close()
-	}
-	n := req.ContentLength
-	if n < 0 || (n == 0) != (req.Body == nil || req.Body == http.NoBody) {
-		return errors.New("cluster: shard transport sends only bodies of known length")
-	}
-	// url.Parse refuses control characters, so the URL's host needs no check.
-	host := req.Host
-	if host == "" {
-		host = req.URL.Host
-	}
-	for k, vs := range req.Header {
-		bad := strings.ContainsAny(k, "\r\n")
-		for _, v := range vs {
-			bad = bad || strings.ContainsAny(v, "\r\n")
-		}
-		if bad {
-			return fmt.Errorf("cluster: header %q holds CR or LF", k)
-		}
-	}
-	w.WriteString(req.Method)
-	w.WriteByte(' ')
-	w.WriteString(req.URL.RequestURI())
-	w.WriteString(" HTTP/1.1\r\nHost: ")
-	w.WriteString(host)
-	w.WriteString("\r\n")
-	for k, vs := range req.Header {
-		for _, v := range vs {
-			w.WriteString(k)
-			w.WriteString(": ")
-			w.WriteString(v)
-			w.WriteString("\r\n")
-		}
-	}
-	// Request.Write's rule: an empty body still gets a length on the methods
-	// servers expect one for.
-	if n > 0 || req.Method == http.MethodPost || req.Method == http.MethodPut || req.Method == http.MethodPatch {
-		w.WriteString("Content-Length: ")
-		w.Write(strconv.AppendInt(w.AvailableBuffer(), n, 10))
-		w.WriteString("\r\n")
-	}
-	w.WriteString("\r\n")
-	if n == 0 {
-		return nil
-	}
-	// The write errors above are sticky in w: Copy or the caller's Flush
-	// reports them.
-	m, err := io.Copy(w, req.Body)
-	if err == nil && m != n {
-		err = fmt.Errorf("cluster: request body is %d bytes, Content-Length is %d", m, n)
-	}
-	return err
-}
-
-// pooledBody hands the connection back when the response body has been
-// read to EOF, and closes it when the caller gives up earlier, the server
-// asked for Connection: close, or the context ended mid-body.
-type pooledBody struct {
-	io.ReadCloser
-	t    *syncTransport
-	c    *syncConn // nil once released
-	addr string
-	stop func() bool
-	keep bool
-}
-
-func (b *pooledBody) Read(p []byte) (int, error) {
-	n, err := b.ReadCloser.Read(p)
-	if err != nil && b.c != nil {
-		// stop reports false once the cancellation callback has started: the
-		// connection's deadline is then already (or about to be) poisoned.
-		c := b.c
-		b.c = nil
-		if b.stop() && err == io.EOF && b.keep {
-			b.t.park(b.addr, c)
+	keep := false
+	defer func() {
+		// stop reports false once the cancellation callback has started:
+		// the connection's deadline is then already (or about to be)
+		// poisoned.
+		if stop() && keep {
+			h.park(c)
 		} else {
 			c.Close()
 		}
+		if err != nil && ctx.Err() != nil {
+			err = ctx.Err() // the deadline we set, not the i/o error it produced
+		}
+	}()
+
+	if err = r.write(c.Conn); err != nil {
+		return 0, false, err
 	}
-	return n, err
+	if _, err = c.br.Peek(1); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = fmt.Errorf("%s closed the connection before answering: %w", h.addr, io.ErrUnexpectedEOF)
+		}
+		return 0, false, err
+	}
+	rep, err := c.replies.Read()
+	if err != nil {
+		return 0, true, err
+	}
+	whole, err := readReply(rep.Status, rep.ContentLength, rep.Body, reply)
+	// A member sends no 1xx: the hop asks for none. One is handed back as
+	// the reply, and its connection, on which a final reply may yet
+	// arrive, is dropped, as is one holding bytes past the reply.
+	keep = whole && !rep.Close && rep.Status >= 200 && c.br.Buffered() == 0
+	return rep.Status, true, err
 }
 
-func (b *pooledBody) Close() error {
-	if b.c == nil {
-		return b.ReadCloser.Close()
+// write sends the request: one write, two for a large body.
+func (r hopRequest) write(w io.Writer) error {
+	if _, err := w.Write(r.msg); err != nil || len(r.body) == 0 {
+		return err
 	}
-	// Abandoned mid-body: the inner Close would read the rest of the
-	// response to make the connection reusable; dropping it is cheaper.
-	b.stop()
-	b.c.Close()
-	b.c = nil
-	return nil
+	_, err := w.Write(r.body)
+	return err
+}
+
+// readReply reads a reply's body into *buf. A 200 is read whole, into a
+// buffer sized once by its declared length n (up to sizedReply); any other
+// status up to errorBody bytes. whole reports that the body was read to its
+// end, which a body cut at errorBody is not.
+func readReply(status int, n int64, body io.Reader, buf *[]byte) (whole bool, err error) {
+	limit := int64(errorBody)
+	if status == http.StatusOK {
+		limit = -1
+	}
+	b := (*buf)[:0]
+	if n > 0 && n <= sizedReply && (limit < 0 || n <= limit) && int64(cap(b)) < n {
+		b = make([]byte, 0, n)
+	}
+	defer func() { *buf = b }()
+	for {
+		if limit >= 0 && int64(len(b)) == limit {
+			return false, nil
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		room := b[len(b):cap(b)]
+		if limit >= 0 {
+			room = room[:min(int64(len(room)), limit-int64(len(b)))]
+		}
+		m, err := body.Read(room)
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+}
+
+// hopBuffers holds the request and reply buffers of calls in flight.
+var hopBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledHop is the largest buffer that goes back to hopBuffers; one that
+// grew past it for a bulk insert or a split is dropped.
+const maxPooledHop = 64 << 10
+
+func getHopBuffer() *[]byte { return hopBuffers.Get().(*[]byte) }
+
+func putHopBuffer(b *[]byte) {
+	if cap(*b) > maxPooledHop {
+		*b = nil
+	}
+	*b = (*b)[:0]
+	hopBuffers.Put(b)
 }

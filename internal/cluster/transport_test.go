@@ -21,12 +21,12 @@ import (
 	"karl/internal/server"
 )
 
-// transportFixture is karl serve's listener behind a syncTransport client,
-// counting the connections the server accepts and the requests per path.
+// transportFixture is karl serve's listener behind a member hop, counting
+// the connections the server accepts and the requests per path.
 type transportFixture struct {
 	url   string
 	ln    *trackingListener
-	hc    *http.Client
+	hop   *memberHop
 	mu    sync.Mutex
 	hits  map[string]int
 	conns atomic.Int64
@@ -64,12 +64,13 @@ func (f *transportFixture) closeClientConnections() {
 
 func newTransportFixture(t *testing.T, h http.Handler) *transportFixture {
 	t.Helper()
-	f := &transportFixture{hits: map[string]int{}, hc: &http.Client{Transport: &syncTransport{}}}
+	f := &transportFixture{hits: map[string]int{}}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.ln, f.url = &trackingListener{Listener: ln, f: f}, "http://"+ln.Addr().String()
+	f.hop = newMemberHop(f.url)
 	ctx, stop := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -95,24 +96,21 @@ func (f *transportFixture) hit(path string) int {
 	return f.hits[path]
 }
 
-// do sends one request and reads the response to its end, which is what
-// returns the connection to the pool.
+// do sends one request through the hop and returns the reply's body, which
+// the hop has read to its end.
 func (f *transportFixture) do(ctx context.Context, method, path string, body []byte) (string, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	_, req := f.hop.appendRequest(nil, method, path, "application/json", body, body != nil)
+	var reply []byte
+	status, err := f.hop.do(ctx, req, &reply)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("HTTP %d: %s", status, reply)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, f.url+path, rd)
-	if err != nil {
-		return "", err
-	}
-	resp, err := f.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
+	return string(reply), err
+}
+
+// shard is an HTTPShard over the fixture's hop.
+func (f *transportFixture) shard() *HTTPShard {
+	return &HTTPShard{base: f.url, hop: f.hop}
 }
 
 func echoPath(w http.ResponseWriter, r *http.Request) {
@@ -140,7 +138,7 @@ func TestTransportReusesConnection(t *testing.T) {
 // threshold rounds against one member share the one connection they dialled.
 func TestTransportMemberHopParksConnection(t *testing.T) {
 	f := newTransportFixture(t, mutableServer(t, newDynEngine(t, karl.Gaussian(1), karl.KDTree)))
-	hs := NewHTTPShardClient(f.url, f.hc)
+	hs := f.shard()
 	ctx := context.Background()
 	pts, _ := dataset(50*16, 8, 5, "I")
 	for i := 0; i < 50; i++ {
@@ -268,9 +266,9 @@ func TestTransportConnectionClose(t *testing.T) {
 }
 
 // TestTransportStreamsLargeBody: a multi-megabyte request body goes to the
-// socket as it is read; the transport never holds a copy of it. (The seeding
-// insert of a cluster is tens of megabytes; a transport that collected the
-// body first cost 20–35 ms and several percent of RSS there.)
+// socket from where the caller holds it; the hop never makes a copy of it.
+// (The seeding insert of a cluster is tens of megabytes; a transport that
+// collected the body first cost 20–35 ms and several percent of RSS there.)
 func TestTransportStreamsLargeBody(t *testing.T) {
 	var got atomic.Int64
 	f := newTransportFixture(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -321,7 +319,7 @@ func TestTransportConcurrentMixedCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newTransportFixture(t, srv)
-	hs := NewHTTPShardClient(f.url, f.hc)
+	hs := f.shard()
 
 	const workers, rounds = 32, 12
 	ctx := context.Background()
@@ -377,83 +375,60 @@ func TestTransportConcurrentMixedCalls(t *testing.T) {
 	}
 }
 
-// TestTransportWritesRequestHead holds writeRequest to Request.Write as
-// oracle: http.ReadRequest over the bytes of each must give the same
-// method, URI, Host, length, headers (User-Agent aside: only Request.Write
-// sends one) and body. A header holding CR or LF, or a body of unknown
-// length, is refused before a byte is written.
+// TestTransportWritesRequestHead holds the hop's request to
+// Request.Write as oracle: http.ReadRequest over the bytes of each must give
+// the same method, URI, Host, length, headers (User-Agent aside: only
+// Request.Write sends one) and body — with a body copied behind the head,
+// and with a large one sent after it.
 func TestTransportWritesRequestHead(t *testing.T) {
+	large := bytes.Repeat([]byte("x"), largeBody+1)
 	for _, c := range []struct {
-		method, path string
-		body         []byte
+		base, method, path string
+		body               []byte
 	}{
-		{http.MethodGet, "/v1/info", nil},
-		{http.MethodPost, "/v1/bounds", []byte(`{"q":[0.5,-0.25,1e-7],"threshold":0.75}`)},
-		{http.MethodDelete, "/v1/point", []byte(`{"ids":[3,1,4]}`)},
-		{http.MethodPost, "/v1/aggregate", []byte{}},
+		{"http://127.0.0.1:9", http.MethodGet, "/v1/info", nil},
+		{"http://127.0.0.1:9", http.MethodPost, "/v1/bounds", []byte(`{"q":[0.5,-0.25,1e-7],"threshold":0.75}`)},
+		{"http://127.0.0.1:9", http.MethodDelete, "/v1/point", []byte(`{"ids":[3,1,4]}`)},
+		{"http://127.0.0.1:9", http.MethodPost, "/v1/aggregate", []byte{}},
+		{"http://127.0.0.1:9/under/a/prefix", http.MethodPost, "/v1/insert", large},
+		{"http://localhost", http.MethodGet, "/v1/readyz", nil},
 	} {
-		newReq := func() *http.Request {
-			var rd io.Reader
-			if c.body != nil {
-				rd = bytes.NewReader(c.body)
-			}
-			req, err := http.NewRequest(c.method, "http://127.0.0.1:9/"+c.path[1:], rd)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.body != nil {
-				req.Header.Set("Content-Type", "application/json")
-			}
-			return req
+		var rd io.Reader
+		if c.body != nil {
+			rd = bytes.NewReader(c.body)
 		}
-		var want, got bytes.Buffer
-		if err := newReq().Write(&want); err != nil {
+		oracle, err := http.NewRequest(c.method, c.base+c.path, rd)
+		if err != nil {
 			t.Fatal(err)
 		}
-		bw := bufio.NewWriter(&got)
-		if err := writeRequest(bw, newReq()); err != nil {
-			t.Fatalf("%s %s: %v", c.method, c.path, err)
+		if c.body != nil {
+			oracle.Header.Set("Content-Type", "application/json")
 		}
-		if err := bw.Flush(); err != nil {
+		var want bytes.Buffer
+		if err := oracle.Write(&want); err != nil {
+			t.Fatal(err)
+		}
+		buf, req := newMemberHop(c.base).appendRequest([]byte("left in front"), c.method, c.path, "application/json", c.body, c.body != nil)
+		if !bytes.HasPrefix(buf, []byte("left in front")) || (len(req.body) > 0) != (len(c.body) > largeBody) {
+			t.Errorf("%s %s: %d bytes in the head, %d after it", c.method, c.path, len(req.msg), len(req.body))
+		}
+		var got bytes.Buffer
+		if err := req.write(&got); err != nil {
 			t.Fatal(err)
 		}
 		w, g := readRequest(t, want.Bytes()), readRequest(t, got.Bytes())
 		w.Header.Del("User-Agent")
 		if g.Method != w.Method || g.RequestURI != w.RequestURI || g.Host != w.Host || g.ContentLength != w.ContentLength ||
 			fmt.Sprint(g.Header) != fmt.Sprint(w.Header) || !bytes.Equal(g.body, w.body) {
-			t.Errorf("%s %s: wrote\n%q\nRequest.Write wrote\n%q", c.method, c.path, got.Bytes(), want.Bytes())
+			t.Errorf("%s %s: wrote\n%.300q\nRequest.Write wrote\n%.300q", c.method, c.path, got.Bytes(), want.Bytes())
 		}
 	}
 
-	refuse := func(name string, req *http.Request) {
-		t.Helper()
-		var sink bytes.Buffer
-		bw := bufio.NewWriter(&sink)
-		if err := writeRequest(bw, req); err == nil {
-			t.Errorf("%s: written, want a refusal", name)
+	// A base URL the hop cannot speak to fails every call, before a dial.
+	for _, base := range []string{"https://127.0.0.1:9", "http://127.0.0.1:9?x=1", "http:///v1", "http://%zz"} {
+		if _, err := NewHTTPShard(base).Info(context.Background()); err == nil {
+			t.Errorf("%s: a call succeeded", base)
 		}
-		if bw.Buffered() != 0 || sink.Len() != 0 {
-			t.Errorf("%s: %d bytes written before the refusal", name, bw.Buffered()+sink.Len())
-		}
-	}
-	badKey, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1:9/v1/info", nil)
-	badKey.Header["X-A\r\nX-B"] = []string{"v"}
-	refuse("CR LF in a header key", badKey)
-	badValue, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1:9/v1/info", nil)
-	badValue.Header.Set("X-A", "v\nX-B: w")
-	refuse("LF in a header value", badValue)
-	unknown, _ := http.NewRequest(http.MethodPost, "http://127.0.0.1:9/v1/bounds", io.MultiReader(strings.NewReader(`{}`)))
-	refuse("a body of unknown length", unknown)
-
-	// Through the transport, a refused request reaches no handler.
-	f := newTransportFixture(t, http.HandlerFunc(echoPath))
-	req, _ := http.NewRequest(http.MethodPost, f.url+"/v1/bounds", strings.NewReader(`{}`))
-	req.Header.Set("X-A", "v\r\nX-B: w")
-	if _, err := f.hc.Do(req); err == nil {
-		t.Fatal("a header holding CR LF was sent")
-	}
-	if n := f.hit("/v1/bounds"); n != 0 {
-		t.Fatalf("the refused request reached the handler %d times", n)
 	}
 }
 
@@ -567,9 +542,10 @@ func answerCanned(c net.Conn, reply []byte) {
 }
 
 // shardCallAllocs is what one warm HTTPShard.ThresholdBounds call at d = 8
-// allocates, request encoding to decoded reply. Through Request.Write it
-// was 41.
-const shardCallAllocs = 34
+// allocates, request encoding to decoded reply, over the member hop. Through
+// net/http's client with a hand-written request head it was 34, through
+// Request.Write 41.
+const shardCallAllocs = 6
 
 // TestShardCallAllocs pins the allocations of one warm shard hop against
 // cannedPeer.
@@ -621,4 +597,176 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// scriptedPeer is a TCP peer that answers the n-th request it reads (over
+// all its connections, counted from 0) with script(n) and closes that
+// connection after it when hangUp(n). It returns the peer's base URL and
+// counts of the requests and connections it took.
+func scriptedPeer(t *testing.T, script func(n int) (reply string, hangUp bool)) (url string, requests, conns *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests, conns = new(atomic.Int64), new(atomic.Int64)
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for {
+					req, err := http.ReadRequest(br)
+					if err != nil {
+						return
+					}
+					io.Copy(io.Discard, req.Body)
+					reply, hangUp := script(int(requests.Add(1) - 1))
+					if _, err := io.WriteString(c, reply); err != nil || hangUp {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String(), requests, conns
+}
+
+const okInfo = "HTTP/1.1 200 OK\r\nContent-Length: 13\r\n\r\n{\"points\":7}\n"
+
+// TestTransportReplyFraming: the hop reads a reply by any framing a
+// member may use — declared length, chunked, up to the close — and parks
+// the connection only after a reply read to its end without
+// Connection: close.
+func TestTransportReplyFraming(t *testing.T) {
+	for _, c := range []struct {
+		name, reply string
+		parks       bool
+	}{
+		{"sized", okInfo, true},
+		{"chunked", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{\"poi\r\n8\r\nnts\":7}\n\r\n0\r\n\r\n", true},
+		{"connection close", "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 13\r\n\r\n{\"points\":7}\n", false},
+		{"to the close", "HTTP/1.1 200 OK\r\n\r\n{\"points\":7}\n", false},
+		{"HTTP/1.0", "HTTP/1.0 200 OK\r\nContent-Length: 13\r\n\r\n{\"points\":7}\n", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			url, requests, conns := scriptedPeer(t, func(int) (string, bool) { return c.reply, !c.parks })
+			hs := NewHTTPShard(url)
+			for i := 0; i < 3; i++ {
+				if info, err := hs.Info(context.Background()); err != nil || info.Points != 7 {
+					t.Fatalf("call %d: %+v, %v", i, info, err)
+				}
+			}
+			want := int64(3)
+			if c.parks {
+				want = 1
+			}
+			if n := conns.Load(); n != want || requests.Load() != 3 {
+				t.Fatalf("3 calls took %d requests over %d connections, want %d connections", requests.Load(), n, want)
+			}
+		})
+	}
+}
+
+// TestTransportBrokenReplies: a reply that breaks off fails its call and
+// its connection is dropped; a read whose reply had begun is not sent
+// again. A 1xx is handed back as the reply, and its connection dropped. An
+// error envelope is read up to 1 MiB, and its connection dropped when it is
+// longer.
+func TestTransportBrokenReplies(t *testing.T) {
+	for _, c := range []struct{ name, reply string }{
+		{"short body", "HTTP/1.1 200 OK\r\nContent-Length: 13\r\n\r\n{\"poi"},
+		{"cut head", "HTTP/1.1 200 OK\r\nContent-Le"},
+		{"cut chunk", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\n{\"po"},
+		{"malformed head", "HTTP/1.1 2x0 OK\r\n\r\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// The first call parks a connection; the second's reply breaks off.
+			url, requests, conns := scriptedPeer(t, func(n int) (string, bool) {
+				if n == 1 {
+					return c.reply, true
+				}
+				return okInfo, false
+			})
+			hs := NewHTTPShard(url)
+			ctx := context.Background()
+			if _, err := hs.Info(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := hs.Info(ctx); err == nil {
+				t.Fatal("a broken reply was taken")
+			}
+			if n := requests.Load(); n != 2 {
+				t.Fatalf("the peer took %d requests, want 2: a read whose reply had begun was sent again", n)
+			}
+			if _, err := hs.Info(ctx); err != nil {
+				t.Fatalf("call after the broken reply: %v", err)
+			}
+			if n := conns.Load(); n != 2 {
+				t.Fatalf("3 calls used %d connections, want 2: the broken one must not be parked", n)
+			}
+		})
+	}
+
+	// A 1xx fails its call, and its connection, which the peer keeps open,
+	// is dropped: the third call dials.
+	url, _, conns := scriptedPeer(t, func(n int) (string, bool) {
+		if n == 1 {
+			return "HTTP/1.1 100 Continue\r\n\r\n", false
+		}
+		return okInfo, false
+	})
+	hs := NewHTTPShard(url)
+	for i, fails := range []bool{false, true, false} {
+		if _, err := hs.Info(context.Background()); (err != nil) != fails || fails && !strings.Contains(err.Error(), "HTTP 100") {
+			t.Fatalf("call %d after a 1xx: %v", i, err)
+		}
+	}
+	if n := conns.Load(); n != 2 {
+		t.Fatalf("3 calls used %d connections, want 2: the connection of a 1xx must not be parked", n)
+	}
+
+	envelope := `{"error":"` + strings.Repeat("e", 2<<20) + `"}`
+	url, _, conns = scriptedPeer(t, func(n int) (string, bool) {
+		if n == 0 {
+			return fmt.Sprintf("HTTP/1.1 500 Internal Server Error\r\nContent-Length: %d\r\n\r\n%s", len(envelope), envelope), false
+		}
+		return okInfo, false
+	})
+	hs = NewHTTPShard(url)
+	var reply []byte
+	_, req := hs.hop.appendRequest(nil, http.MethodGet, "/v1/info", "", nil, false)
+	if status, err := hs.hop.do(context.Background(), req, &reply); err != nil || status != 500 || len(reply) != errorBody {
+		t.Fatalf("a %d-byte error envelope read as status %d, %d bytes, %v; want 500, %d bytes", len(envelope), status, len(reply), err, errorBody)
+	}
+	if _, err := hs.Info(context.Background()); err != nil || conns.Load() != 2 {
+		t.Fatalf("call after a capped envelope: %v over %d connections, want a fresh second one", err, conns.Load())
+	}
+}
+
+// TestTransportRetiresIdleConnections: a connection parked longer than
+// maxIdleAge is closed, not used.
+func TestTransportRetiresIdleConnections(t *testing.T) {
+	f := newTransportFixture(t, http.HandlerFunc(echoPath))
+	ctx := context.Background()
+	if _, err := f.do(ctx, http.MethodGet, "/v1/info", nil); err != nil {
+		t.Fatal(err)
+	}
+	f.hop.mu.Lock()
+	for _, c := range f.hop.idle {
+		c.parked = c.parked.Add(-maxIdleAge - time.Second)
+	}
+	f.hop.mu.Unlock()
+	if _, err := f.do(ctx, http.MethodGet, "/v1/info", nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.conns.Load(); n != 2 {
+		t.Fatalf("a call after the idle age used %d connections in all, want 2", n)
+	}
 }

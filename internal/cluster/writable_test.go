@@ -1482,37 +1482,39 @@ func TestWritableInsertLargeBatch(t *testing.T) {
 	}
 }
 
-// infoCountingTransport counts GET /v1/info per host and the most that were
-// ever in flight at once; each is held long enough that a round issued member
-// by member could not overlap.
-type infoCountingTransport struct {
-	inner http.RoundTripper
-
+// infoCounter counts the GET /v1/info each member's handler takes and the
+// most that were ever in flight at once; each is held long enough that a
+// round issued member by member could not overlap. It counts at the
+// members, so the calls cross the member hop as they do in production.
+type infoCounter struct {
 	mu       sync.Mutex
 	perHost  map[string]int
 	inFlight int
 	peak     int
 }
 
-func (c *infoCountingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	if r.Method == http.MethodGet && r.URL.Path == "/v1/info" {
-		c.mu.Lock()
-		c.perHost[r.URL.Host]++
-		c.inFlight++
-		c.peak = max(c.peak, c.inFlight)
-		c.mu.Unlock()
-		time.Sleep(20 * time.Millisecond)
-		defer func() {
+// wrap counts h's GET /v1/info under name.
+func (c *infoCounter) wrap(name string, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/v1/info" {
 			c.mu.Lock()
-			c.inFlight--
+			c.perHost[name]++
+			c.inFlight++
+			c.peak = max(c.peak, c.inFlight)
 			c.mu.Unlock()
-		}()
-	}
-	return c.inner.RoundTrip(r)
+			time.Sleep(20 * time.Millisecond)
+			defer func() {
+				c.mu.Lock()
+				c.inFlight--
+				c.mu.Unlock()
+			}()
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // round returns the per-host counts and the peak since the last call.
-func (c *infoCountingTransport) round() (map[string]int, int) {
+func (c *infoCounter) round() (map[string]int, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	perHost, peak := c.perHost, c.peak
@@ -1528,11 +1530,13 @@ func (c *infoCountingTransport) round() (map[string]int, int) {
 func TestWritableOneDiscoveryRound(t *testing.T) {
 	ctx := context.Background()
 	kern := karl.Gaussian(0.5)
-	counter := &infoCountingTransport{inner: &syncTransport{}, perHost: map[string]int{}}
+	counter := &infoCounter{perHost: map[string]int{}}
+	served := 0
 	counted := func(h http.Handler) *HTTPShard {
-		ts := server.NewTestServer(h)
+		served++
+		ts := server.NewTestServer(counter.wrap(fmt.Sprint("member ", served), h))
 		t.Cleanup(ts.Close)
-		return NewHTTPShardClient(ts.URL, &http.Client{Transport: counter})
+		return NewHTTPShard(ts.URL)
 	}
 	leader := newDynEngine(t, kern, karl.KDTree)
 	mirror := newDynEngine(t, kern, karl.KDTree)

@@ -23,10 +23,10 @@ var (
 	errTrailerEOF = errors.New("http: unexpected EOF reading trailer")
 )
 
-// badHead is a malformed request head; Serve answers 400.
+// badHead is a malformed head; Serve answers a request's 400.
 type badHead string
 
-func (e badHead) Error() string { return "malformed request head: " + string(e) }
+func (e badHead) Error() string { return "malformed HTTP head: " + string(e) }
 
 // headReader reads the requests of one connection as http.ReadRequest
 // would, into state that lives as long as the connection: one Request, URL,
@@ -40,7 +40,7 @@ type headReader struct {
 	req    http.Request
 	url    url.URL
 	header http.Header
-	body   requestBody
+	body   framedBody
 	// fields are this request's header fields in order, prev the previous
 	// request's; vals backs the Header's value slices.
 	fields, prev []field
@@ -61,12 +61,7 @@ func newHeadReader(br *bufio.Reader) *headReader {
 // maxHeadBytes, a badHead for a head http.ReadRequest refuses, else what
 // reading failed with (io.ErrUnexpectedEOF for an input cut inside a head).
 func (h *headReader) read() (*http.Request, error) {
-	h.n = 0
-	h.prev, h.fields = h.fields, h.prev[:0]
-	if cap(h.long) > 64<<10 || cap(h.vals) > 256 || cap(h.prev) > 256 {
-		// An outsized head does not stay with the connection.
-		h.long, h.vals, h.prev, h.fields = nil, nil, nil, nil
-	}
+	h.begin()
 	line, err := h.line()
 	if err != nil {
 		return nil, err
@@ -93,6 +88,16 @@ func (h *headReader) read() (*http.Request, error) {
 		return nil, err
 	}
 	return r, h.transfer(r)
+}
+
+// begin readies h for the next head.
+func (h *headReader) begin() {
+	h.n = 0
+	h.prev, h.fields = h.fields, h.prev[:0]
+	if cap(h.long) > 64<<10 || cap(h.vals) > 256 || cap(h.prev) > 256 {
+		// An outsized head does not stay with the connection.
+		h.long, h.vals, h.prev, h.fields = nil, nil, nil, nil
+	}
 }
 
 // parseURL parses r.RequestURI into h.url as http.ReadRequest does: a plain
@@ -302,44 +307,15 @@ func (h *headReader) transfer(r *http.Request) error {
 	if p := hd["Pragma"]; len(p) > 0 && p[0] == "no-cache" && hd["Cache-Control"] == nil {
 		hd["Cache-Control"] = []string{"no-cache"}
 	}
-	conn := hd["Connection"]
-	switch {
-	case r.ProtoMajor < 1:
-		r.Close = true
-	case r.ProtoMajor == 1 && r.ProtoMinor == 0:
-		r.Close = hasToken(conn, "close") || !hasToken(conn, "keep-alive")
-	default:
-		r.Close = hasToken(conn, "close")
-	}
+	r.Close = closes(r.ProtoMajor, r.ProtoMinor, hd)
 
-	chunked := false
-	if te, ok := hd["Transfer-Encoding"]; ok {
-		delete(hd, "Transfer-Encoding")
-		// HTTP/1.0 ignores it; net/http reads a version of 0.0 as 1.1.
-		if r.ProtoAtLeast(1, 1) || r.ProtoMajor == 0 && r.ProtoMinor == 0 {
-			if len(te) != 1 || !asciiEqualFold(te[0], "chunked") {
-				return badHead("transfer encoding")
-			}
-			chunked = true
-		}
+	chunked, err := isChunked(r.ProtoMajor, r.ProtoMinor, hd)
+	if err != nil {
+		return err
 	}
-	n := int64(0)
-	if cl := hd["Content-Length"]; len(cl) > 0 {
-		first := textproto.TrimString(cl[0])
-		for _, v := range cl[1:] {
-			if textproto.TrimString(v) != first {
-				return badHead("differing Content-Length fields")
-			}
-		}
-		if len(cl) > 1 {
-			cl[0] = first
-			hd["Content-Length"] = cl[:1:1]
-		}
-		u, err := strconv.ParseUint(first, 10, 63)
-		if err != nil {
-			return badHead("Content-Length")
-		}
-		n = int64(u)
+	n, err := contentLength(hd)
+	if err != nil {
+		return err
 	}
 	if chunked {
 		delete(hd, "Content-Length")
@@ -347,10 +323,10 @@ func (h *headReader) transfer(r *http.Request) error {
 			return err
 		}
 		r.TransferEncoding, r.ContentLength = chunkedEncoding, -1
-		h.body = requestBody{br: h.br, chunks: httputil.NewChunkedReader(h.br)}
+		h.body = framedBody{br: h.br, chunks: httputil.NewChunkedReader(h.br)}
 		r.Body = &h.body
-	} else if r.ContentLength = n; n > 0 {
-		h.body = requestBody{br: h.br, left: n}
+	} else if r.ContentLength = max(n, 0); n > 0 {
+		h.body = framedBody{br: h.br, left: n}
 		r.Body = &h.body
 	}
 	if r.Method == "PRI" && len(hd) == 0 && r.URL.Path == "*" && r.Proto == "HTTP/2.0" {
@@ -361,6 +337,64 @@ func (h *headReader) transfer(r *http.Request) error {
 }
 
 var chunkedEncoding = []string{"chunked"}
+
+// closes reports whether a message of this version and these fields ends
+// its connection, as net/http's shouldClose has it.
+func closes(major, minor int, hd http.Header) bool {
+	conn := hd["Connection"]
+	switch {
+	case major < 1:
+		return true
+	case major == 1 && minor == 0:
+		return hasToken(conn, "close") || !hasToken(conn, "keep-alive")
+	default:
+		return hasToken(conn, "close")
+	}
+}
+
+// isChunked removes the Transfer-Encoding field and reports whether it
+// names the chunked encoding, as net/http's parseTransferEncoding does: it
+// refuses any other encoding, and HTTP/1.0 ignores the field (net/http reads
+// a version of 0.0 as 1.1).
+func isChunked(major, minor int, hd http.Header) (bool, error) {
+	te, ok := hd["Transfer-Encoding"]
+	if !ok {
+		return false, nil
+	}
+	delete(hd, "Transfer-Encoding")
+	if major == 1 && minor == 0 || major == 0 && minor > 0 {
+		return false, nil
+	}
+	if len(te) != 1 || !asciiEqualFold(te[0], "chunked") {
+		return false, badHead("transfer encoding")
+	}
+	return true, nil
+}
+
+// contentLength reads the Content-Length fields as net/http's fixLength
+// does: fields that agree are folded into one, and the length is -1 when
+// there is none.
+func contentLength(hd http.Header) (int64, error) {
+	cl := hd["Content-Length"]
+	if len(cl) == 0 {
+		return -1, nil
+	}
+	first := textproto.TrimString(cl[0])
+	for _, v := range cl[1:] {
+		if textproto.TrimString(v) != first {
+			return 0, badHead("differing Content-Length fields")
+		}
+	}
+	if len(cl) > 1 {
+		cl[0] = first
+		hd["Content-Length"] = cl[:1:1]
+	}
+	n, err := strconv.ParseUint(first, 10, 63)
+	if err != nil {
+		return 0, badHead("Content-Length")
+	}
+	return int64(n), nil
+}
 
 // checkTrailer removes the Trailer field of a chunked request, refusing the
 // names net/http refuses there. The trailer itself is read past with the
@@ -384,16 +418,17 @@ func checkTrailer(hd http.Header) error {
 	return nil
 }
 
-// requestBody is a request's body: its declared length or its chunks, and
-// then a chunked body's trailer, read from the connection.
-type requestBody struct {
+// framedBody is a message's body: its declared length, its chunks and then
+// their trailer, or everything up to the connection's close, read from the
+// connection.
+type framedBody struct {
 	br     *bufio.Reader
-	left   int64     // bytes of a sized body not yet read
-	chunks io.Reader // a chunked body's reader, nil for a sized one
+	left   int64     // bytes of a sized body not yet read; -1 up to the close
+	chunks io.Reader // a chunked body's reader, nil for any other
 	err    error     // what ended the body: io.EOF once it is whole
 }
 
-func (b *requestBody) Read(p []byte) (int, error) {
+func (b *framedBody) Read(p []byte) (int, error) {
 	if b.err != nil {
 		return 0, b.err
 	}
@@ -405,6 +440,8 @@ func (b *requestBody) Read(p []byte) (int, error) {
 				err = e
 			}
 		}
+	} else if b.left < 0 {
+		n, err = b.br.Read(p)
 	} else {
 		n, err = b.br.Read(p[:min(int64(len(p)), b.left)])
 		if b.left -= int64(n); b.left == 0 {
@@ -417,7 +454,7 @@ func (b *requestBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (b *requestBody) Close() error { return nil }
+func (b *framedBody) Close() error { return nil }
 
 // readTrailer reads past the trailer after a chunked body's last chunk, as
 // net/http does: one that does not end within br's buffer is refused.
